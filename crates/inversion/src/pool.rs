@@ -12,10 +12,10 @@
 //! Flow control is explicit: a per-session request queue is bounded by
 //! [`PoolConfig::queue_bound`]; when it fills, the connection's reader
 //! thread stops reading (backpressure propagates to the client through the
-//! transport) and the stall is counted in `queue_full`. Requests from one
-//! session execute strictly in order — a session is serviced by at most one
-//! worker at a time — so pipelined bulk reads and writes (the 8 KB
-//! [`crate::client::SEGMENT`] path) stream responses back in request order.
+//! transport) and the stall is counted, once, in `queue_full`. Requests from
+//! one session execute strictly in order — a session is serviced by at most
+//! one worker at a time — so pipelined bulk reads and writes (one frame per
+//! 256 KB window) stream responses back in request order.
 //!
 //! Disconnects are first-class: when a connection drops (clean EOF, fatal
 //! framing damage, or transport failure), the session's in-flight
@@ -49,7 +49,8 @@ pub struct PoolConfig {
     /// Worker threads shared by all sessions.
     pub workers: usize,
     /// Per-session request queue bound; a full queue blocks the
-    /// connection's reader (backpressure) and counts a `queue_full` event.
+    /// connection's reader (backpressure) and counts one `queue_full` event
+    /// per stall.
     pub queue_bound: usize,
     /// Test hook: while paused, workers stop draining queues so
     /// backpressure can be observed deterministically.
@@ -137,11 +138,20 @@ struct SessionState {
     closer: Box<dyn Fn() + Send + Sync>,
 }
 
+/// What idle workers wait on.
+struct RunQueue {
+    /// Sessions with work, in arrival order.
+    ready: VecDeque<Arc<SessionState>>,
+    /// Every reader has queued its `Eof`: a worker that finds nothing ready
+    /// exits. Set and signalled under the lock, so a worker that has just
+    /// found it clear cannot sleep through the signal.
+    stop: bool,
+}
+
 struct Shared {
     fs: InversionFs,
     config: PoolConfig,
-    /// Sessions with work, in arrival order.
-    runq: Mutex<VecDeque<Arc<SessionState>>>,
+    runq: Mutex<RunQueue>,
     runq_cv: Condvar,
     sessions: Mutex<Vec<Arc<SessionState>>>,
     shutdown: AtomicBool,
@@ -153,7 +163,7 @@ impl Shared {
     fn schedule(&self, sess: &Arc<SessionState>, q: &mut SessQueue) {
         if !q.in_service && !q.enqueued && !q.closed {
             q.enqueued = true;
-            self.runq.lock().push_back(Arc::clone(sess));
+            self.runq.lock().ready.push_back(Arc::clone(sess));
             self.runq_cv.notify_one();
         }
     }
@@ -175,7 +185,10 @@ impl InvServerPool {
         let shared = Arc::new(Shared {
             fs: fs.clone(),
             config: config.clone(),
-            runq: Mutex::new(VecDeque::new()),
+            runq: Mutex::new(RunQueue {
+                ready: VecDeque::new(),
+                stop: false,
+            }),
             runq_cv: Condvar::new(),
             sessions: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
@@ -259,6 +272,11 @@ impl InvServerPool {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
                         stream.set_nonblocking(false).ok();
+                        // Responses to pipelined requests are back-to-back
+                        // small writes with nothing coming the other way;
+                        // under Nagle the second one waits out the client's
+                        // delayed ACK (40 ms on Linux) before it leaves.
+                        stream.set_nodelay(true).ok();
                         if let Ok(rd) = stream.try_clone() {
                             let closer_stream = match stream.try_clone() {
                                 Ok(s) => s,
@@ -305,9 +323,12 @@ impl InvServerPool {
         }
         self.shared.shutdown.store(true, SeqCst);
         // Unblock readers stuck in read() and clients stuck on responses,
-        // then readers stuck waiting for queue space.
+        // then readers stuck waiting for queue space. A reader checks the
+        // flag with its queue locked, so signalling under that lock finds it
+        // either not yet checking or already waiting.
         for sess in self.shared.sessions.lock().iter() {
             (sess.closer)();
+            let _q = sess.q.lock();
             sess.space.notify_all();
         }
         if let Some(gate) = &self.shared.config.service_gate {
@@ -318,7 +339,11 @@ impl InvServerPool {
             h.join().ok();
         }
         // Readers have enqueued their Eof items; let the workers drain.
-        self.shared.runq_cv.notify_all();
+        {
+            let mut runq = self.shared.runq.lock();
+            runq.stop = true;
+            self.shared.runq_cv.notify_all();
+        }
         let workers: Vec<_> = self.workers.lock().drain(..).collect();
         for h in workers {
             h.join().ok();
@@ -390,10 +415,13 @@ fn enqueue(sh: &Shared, sess: &Arc<SessionState>, item: Item) {
         return;
     }
     if !matches!(item, Item::Eof) {
-        while q.items.len() >= bound && !sh.shutdown.load(SeqCst) {
+        let full = |q: &SessQueue| q.items.len() >= bound && !sh.shutdown.load(SeqCst);
+        if full(&q) {
             sess.stats.queue_full.bump();
             inv.net_queue_full.bump();
-            sess.space.wait_for(&mut q, Duration::from_millis(50));
+            while full(&q) {
+                sess.space.wait(&mut q);
+            }
         }
         if q.closed {
             return;
@@ -410,13 +438,13 @@ fn worker_main(sh: &Shared) {
         let sess = {
             let mut runq = sh.runq.lock();
             loop {
-                if let Some(s) = runq.pop_front() {
+                if let Some(s) = runq.ready.pop_front() {
                     break s;
                 }
-                if sh.shutdown.load(SeqCst) {
+                if runq.stop {
                     return;
                 }
-                sh.runq_cv.wait_for(&mut runq, Duration::from_millis(50));
+                sh.runq_cv.wait(&mut runq);
             }
         };
         {
@@ -498,8 +526,8 @@ fn teardown(sh: &Shared, sess: &SessionState) {
         q.closed = true;
         q.items.clear();
         q.in_service = false;
+        sess.space.notify_all();
     }
-    sess.space.notify_all();
     let inv = sh.fs.stats();
     let aborted = sess.server.lock().disconnect();
     if aborted {
@@ -512,6 +540,16 @@ fn teardown(sh: &Shared, sess: &SessionState) {
     // response (mid-bulk fatal framing damage) must see EOF, not hang.
     (sess.closer)();
 }
+
+/// Bytes one bulk frame asks for or carries. Every request frame costs the
+/// server a transaction, a trip through the session queue and a part-chunk
+/// lookup at either end, so windows this large bring a megabyte down to four
+/// of each; four in flight still let the client checksum one response while
+/// the server produces the next, and a queued window is a quarter of
+/// [`wire::MAX_PAYLOAD`].
+pub(crate) const BULK_WINDOW: usize = 256 * 1024;
+// A window travels behind an `fd` and a byte count.
+const _: () = assert!(BULK_WINDOW + 8 <= wire::MAX_PAYLOAD);
 
 /// Client-side wire counters (mirror of the server's per-session row, for
 /// cross-checking in tests).
@@ -531,9 +569,9 @@ pub struct ClientWireStats {
 ///
 /// Mirrors the `p_*` API of [`crate::InvClient`], but every call is encoded
 /// into a [`crate::wire`] frame, sent to an [`InvServerPool`] session, and
-/// the response decoded back. Bulk reads and writes pipeline
-/// [`crate::client::SEGMENT`]-sized requests: all frames are sent before any
-/// response is awaited, so the transport stays full.
+/// the response decoded back. Bulk reads and writes pipeline one request per
+/// 256 KB window: all frames are sent before any response is awaited, so the
+/// transport stays full.
 pub struct WireClient<S> {
     stream: S,
     stats: ClientWireStats,
@@ -675,14 +713,14 @@ impl<S: Read + Write> WireClient<S> {
         }
     }
 
-    /// Reads `len` bytes from `fd`, pipelining [`crate::client::SEGMENT`]-
-    /// sized requests: every request frame is sent before the first response
-    /// is read. Short reads (EOF) end the result early.
+    /// Reads `len` bytes from `fd`, pipelining one request per 256 KB
+    /// window: every request frame is sent before the first response is
+    /// read. Short reads (EOF) end the result early.
     pub fn read_bulk(&mut self, fd: crate::api::Fd, len: usize) -> InvResult<Vec<u8>> {
         let mut sent = 0usize;
         let mut inflight = 0usize;
         while sent < len {
-            let want = (len - sent).min(crate::client::SEGMENT);
+            let want = (len - sent).min(BULK_WINDOW);
             self.send(&Request::Read(fd, want))?;
             sent += want;
             inflight += 1;
@@ -706,12 +744,12 @@ impl<S: Read + Write> WireClient<S> {
         }
     }
 
-    /// Writes all of `data` to `fd`, pipelining SEGMENT-sized frames.
-    /// Responses are drained after every frame is on the wire; the first
-    /// error (if any) is surfaced once the stream is back in sync.
+    /// Writes all of `data` to `fd`, pipelining one frame per 256 KB
+    /// window. Responses are drained after every frame is on the wire; the
+    /// first error (if any) is surfaced once the stream is back in sync.
     pub fn write_bulk(&mut self, fd: crate::api::Fd, data: &[u8]) -> InvResult<usize> {
         let mut inflight = 0usize;
-        for chunk in data.chunks(crate::client::SEGMENT.max(1)) {
+        for chunk in data.chunks(BULK_WINDOW) {
             self.send(&Request::Write(fd, chunk.to_vec()))?;
             inflight += 1;
         }

@@ -52,11 +52,11 @@ pub enum Request {
 }
 
 impl Request {
-    /// Exact encoded size in bytes (header + payload), derived from the real
+    /// Exact encoded size in bytes (header + payload), counted by the real
     /// [`crate::wire`] encoder so the simulated network and the framing can
     /// never disagree.
     pub fn wire_size(&self) -> usize {
-        crate::wire::encode_request(self).len()
+        crate::wire::request_wire_size(self)
     }
 }
 
@@ -78,10 +78,10 @@ pub enum Response {
 }
 
 impl Response {
-    /// Exact encoded size in bytes, derived from the real [`crate::wire`]
+    /// Exact encoded size in bytes, counted by the real [`crate::wire`]
     /// encoder.
     pub fn wire_size(&self) -> usize {
-        crate::wire::encode_response(&Ok(self.clone())).len()
+        crate::wire::response_wire_size(Ok(self))
     }
 }
 
@@ -244,6 +244,12 @@ mod tests {
                 vec![SliceRange::new("/a", 0, 8128), SliceRange::new("/b", 1, 2)],
             ),
         ];
+        // Bulk payloads at the sizes the arithmetic could get wrong: empty,
+        // one byte, the modelled 8 KB segment, a full `WireClient` window.
+        let bulk = [0, 1, crate::client::SEGMENT, crate::pool::BULK_WINDOW];
+        let requests = requests
+            .into_iter()
+            .chain(bulk.map(|n| Request::Write(3, vec![0xA5; n])));
         for req in requests {
             assert_eq!(
                 req.wire_size(),
@@ -265,11 +271,27 @@ mod tests {
             Response::Stat(Box::new(stat)),
             Response::Entries(vec![("x".into(), Oid(1)), ("yy".into(), Oid(2))]),
         ];
+        let responses = responses
+            .into_iter()
+            .chain(bulk.map(|n| Response::Data(vec![0x5A; n])));
         for resp in responses {
             assert_eq!(
                 resp.wire_size(),
                 crate::wire::encode_response(&Ok(resp.clone())).len(),
                 "{resp:?}"
+            );
+        }
+        let errors = [
+            crate::InvError::NoSuchPath("/gone".into()),
+            crate::InvError::BadFd(12),
+            crate::InvError::Db(minidb::DbError::Deadlock),
+            crate::InvError::Db(minidb::DbError::NotFound("relation pg_shadow".into())),
+        ];
+        for err in errors {
+            assert_eq!(
+                crate::wire::response_wire_size(Err(&err)),
+                crate::wire::encode_response(&Err(err.clone())).len(),
+                "{err:?}"
             );
         }
     }

@@ -7,18 +7,20 @@
 //! every response, and everything that talks about message sizes —
 //! [`Request::wire_size`], the simulated network charges, the `pg_stat_net`
 //! byte counters — derives them from this one encoder, so the simulation and
-//! the real framing can never disagree.
+//! the real framing can never disagree. A size is the encoder run over a
+//! byte counter instead of a buffer: no frame is built, no payload copied
+//! or checksummed, just to learn how long it would have been.
 //!
 //! # Frame layout
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic      0x494E5646 ("INVF"), little-endian
-//! 4       1     version    PROTOCOL_VERSION (currently 1)
+//! 4       1     version    PROTOCOL_VERSION (currently 2)
 //! 5       1     reserved   must be 0
 //! 6       2     opcode     message kind (request or response), LE
 //! 8       4     length     payload bytes that follow the header, LE
-//! 12      4     checksum   FNV-1a over the payload, LE
+//! 12      4     checksum   [`checksum`] of the payload, LE
 //! 16      N     payload    opcode-specific body
 //! ```
 //!
@@ -41,13 +43,14 @@ use crate::server::{Request, Response};
 
 /// Frame magic: "INVF".
 pub const MAGIC: u32 = 0x494E_5646;
-/// Current protocol version.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Current protocol version. Version 2 changed the payload checksum (see
+/// [`checksum`]); a version 1 frame is refused as [`WireError::BadVersion`].
+pub const PROTOCOL_VERSION: u8 = 2;
 /// Fixed frame header size in bytes.
 pub const HEADER_LEN: usize = 16;
-/// Largest payload the decoder accepts. Bulk data moves in
-/// [`crate::client::SEGMENT`]-sized messages, far below this; the cap exists
-/// so a corrupt or hostile length prefix cannot drive allocation.
+/// Largest payload the decoder accepts. [`crate::WireClient`] moves bulk
+/// data in windows a quarter of this; the cap exists so a corrupt or hostile
+/// length prefix cannot drive allocation.
 pub const MAX_PAYLOAD: usize = 1 << 20;
 
 // Request opcodes.
@@ -127,46 +130,110 @@ impl From<WireError> for InvError {
     }
 }
 
-/// FNV-1a over the payload — cheap, deterministic, catches media and
-/// transport garbage (the same family the chunk self-identifying tags use).
-pub fn checksum(data: &[u8]) -> u32 {
-    let mut h = 0x811C_9DC5u32;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(16_777_619);
+const CHECKSUM_LANES: usize = 4;
+/// Payload bytes per checksum step: one little-endian `u32` for each lane.
+const CHECKSUM_BLOCK: usize = 4 * CHECKSUM_LANES;
+const CHECKSUM_PRIME: u32 = 16_777_619;
+
+/// One mixing step. For a fixed `w` it is a bijection of `h`, and for a
+/// fixed `h` a bijection of `w` (xor, multiplication by an odd constant and
+/// rotation each are) — the property [`checksum`]'s guarantee rests on.
+#[inline(always)]
+fn mix(h: u32, w: u32) -> u32 {
+    (h ^ w).wrapping_mul(CHECKSUM_PRIME).rotate_left(15)
+}
+
+fn mix_block(lanes: &mut [u32; CHECKSUM_LANES], block: &[u8; CHECKSUM_BLOCK]) {
+    let (words, _) = block.as_chunks::<4>();
+    for (lane, word) in lanes.iter_mut().zip(words) {
+        *lane = mix(*lane, u32::from_le_bytes(*word));
     }
-    h
+}
+
+/// The frame checksum: the payload is cut into 16-byte blocks (the last one
+/// zero-padded), word `i` of each block is [`mix`]ed into lane `i`, and the
+/// four lanes are then mixed, in order, into the payload length.
+///
+/// The lanes carry no dependency on one another, so the four multiplies of
+/// a block overlap; byte-serial FNV-1a, which this replaces, spent a full
+/// multiply latency on every byte.
+///
+/// **Every single-byte substitution changes the result.** Changing one byte
+/// changes exactly one word; that lane's state differs after the step that
+/// takes the word in, every later step maps distinct states to distinct
+/// states, so the lane ends different while the other three and the length
+/// end the same; the final fold takes the lanes in through the same
+/// bijective step, so its result differs too. Transport garbage beyond
+/// that is caught with the usual 2⁻³² odds; a wrong length is the length
+/// prefix's business.
+pub fn checksum(data: &[u8]) -> u32 {
+    let mut lanes = [0x811C_9DC5, 0x0100_0193, 0x9E37_79B9, 0x85EB_CA6B];
+    let (blocks, tail) = data.as_chunks::<CHECKSUM_BLOCK>();
+    for block in blocks {
+        mix_block(&mut lanes, block);
+    }
+    if !tail.is_empty() {
+        let mut last = [0u8; CHECKSUM_BLOCK];
+        last[..tail.len()].copy_from_slice(tail);
+        mix_block(&mut lanes, &last);
+    }
+    // Only the low 32 bits of the length take part; a payload is at most
+    // MAX_PAYLOAD bytes.
+    lanes
+        .iter()
+        .fold(data.len() as u32, |h, &lane| mix(h, lane))
 }
 
 // ---------------------------------------------------------------------------
 // Primitive payload encoding.
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+/// Where an encoder's bytes go: a frame under construction, or a count of
+/// them. Sizes are the encoders run over [`ByteCount`], so a reported size
+/// and the frame it describes cannot drift apart.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
 }
 
-fn put_i32(out: &mut Vec<u8>, v: i32) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_u8(out: &mut impl Sink, v: u8) {
+    out.put(&[v]);
 }
 
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_u32(out: &mut impl Sink, v: u32) {
+    out.put(&v.to_le_bytes());
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+fn put_u64(out: &mut impl Sink, v: u64) {
+    out.put(&v.to_le_bytes());
+}
+
+fn put_i32(out: &mut impl Sink, v: i32) {
+    out.put(&v.to_le_bytes());
+}
+
+fn put_i64(out: &mut impl Sink, v: i64) {
+    out.put(&v.to_le_bytes());
+}
+
+fn put_bytes(out: &mut impl Sink, b: &[u8]) {
     put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
+    out.put(b);
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+fn put_str(out: &mut impl Sink, s: &str) {
     put_bytes(out, s.as_bytes());
 }
 
@@ -247,7 +314,7 @@ const CM_COMPRESSED: u8 = 1;
 const CM_SELF_ID: u8 = 2;
 const CM_NO_HISTORY: u8 = 4;
 
-fn put_create_mode(out: &mut Vec<u8>, m: &CreateMode) {
+fn put_create_mode(out: &mut impl Sink, m: &CreateMode) {
     put_u8(out, m.device.0);
     let mut flags = 0u8;
     if m.compressed {
@@ -279,7 +346,7 @@ fn get_create_mode(c: &mut Cursor<'_>) -> Result<CreateMode, WireError> {
     })
 }
 
-fn put_open_mode(out: &mut Vec<u8>, m: OpenMode) {
+fn put_open_mode(out: &mut impl Sink, m: OpenMode) {
     put_u8(out, if m == OpenMode::ReadWrite { 1 } else { 0 });
 }
 
@@ -291,7 +358,7 @@ fn get_open_mode(c: &mut Cursor<'_>) -> Result<OpenMode, WireError> {
     }
 }
 
-fn put_whence(out: &mut Vec<u8>, w: SeekWhence) {
+fn put_whence(out: &mut impl Sink, w: SeekWhence) {
     put_u8(
         out,
         match w {
@@ -311,7 +378,7 @@ fn get_whence(c: &mut Cursor<'_>) -> Result<SeekWhence, WireError> {
     }
 }
 
-fn put_timestamp(out: &mut Vec<u8>, t: &Option<SimInstant>) {
+fn put_timestamp(out: &mut impl Sink, t: &Option<SimInstant>) {
     match t {
         None => put_u8(out, 0),
         Some(t) => {
@@ -333,7 +400,7 @@ const FS_COMPRESSED: u8 = 1;
 const FS_SELF_ID: u8 = 2;
 const FS_DIRECTORY: u8 = 4;
 
-fn put_stat(out: &mut Vec<u8>, s: &FileStat) {
+fn put_stat(out: &mut impl Sink, s: &FileStat) {
     put_u32(out, s.oid.0);
     let mut flags = 0u8;
     if s.compressed {
@@ -409,7 +476,7 @@ const E_DB_READ_ONLY: u8 = 24;
 const E_DB_CORRUPT: u8 = 25;
 const E_DB_OTHER: u8 = 26;
 
-fn put_error(out: &mut Vec<u8>, e: &InvError) {
+fn put_error(out: &mut impl Sink, e: &InvError) {
     match e {
         InvError::NoSuchPath(p) => {
             put_u8(out, E_NO_SUCH_PATH);
@@ -496,141 +563,172 @@ fn get_error(c: &mut Cursor<'_>) -> Result<InvError, WireError> {
 // ---------------------------------------------------------------------------
 // Frame assembly.
 
-/// Builds a complete frame (header + payload) for `opcode`.
-pub fn frame(opcode: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    put_u32(&mut out, MAGIC);
-    put_u8(&mut out, PROTOCOL_VERSION);
-    put_u8(&mut out, 0);
-    out.extend_from_slice(&opcode.to_le_bytes());
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, checksum(payload));
-    out.extend_from_slice(payload);
+/// Starts a frame: room for the header, then the payload is appended.
+fn begin_frame(wire_size: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(wire_size);
+    out.resize(HEADER_LEN, 0);
     out
 }
 
-/// Encodes a request as a complete frame.
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut p = Vec::new();
-    let op = match req {
+/// Writes the header of a frame whose payload is in place behind it.
+fn seal_frame(mut out: Vec<u8>, opcode: u16) -> Vec<u8> {
+    let (header, payload) = out.split_at_mut(HEADER_LEN);
+    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4] = PROTOCOL_VERSION;
+    header[5] = 0;
+    header[6..8].copy_from_slice(&opcode.to_le_bytes());
+    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[12..16].copy_from_slice(&checksum(payload).to_le_bytes());
+    out
+}
+
+/// Builds a complete frame (header + payload) for `opcode`.
+pub fn frame(opcode: u16, payload: &[u8]) -> Vec<u8> {
+    let mut out = begin_frame(HEADER_LEN + payload.len());
+    out.put(payload);
+    seal_frame(out, opcode)
+}
+
+/// Encodes a request's payload into `out`; returns its opcode.
+fn put_request(out: &mut impl Sink, req: &Request) -> u16 {
+    match req {
         Request::Begin => OP_BEGIN,
         Request::Commit => OP_COMMIT,
         Request::Abort => OP_ABORT,
         Request::Creat(path, mode) => {
-            put_str(&mut p, path);
-            put_create_mode(&mut p, mode);
+            put_str(out, path);
+            put_create_mode(out, mode);
             OP_CREAT
         }
         Request::Open(path, mode, ts) => {
-            put_str(&mut p, path);
-            put_open_mode(&mut p, *mode);
-            put_timestamp(&mut p, ts);
+            put_str(out, path);
+            put_open_mode(out, *mode);
+            put_timestamp(out, ts);
             OP_OPEN
         }
         Request::Close(fd) => {
-            put_i32(&mut p, *fd);
+            put_i32(out, *fd);
             OP_CLOSE
         }
         Request::Read(fd, len) => {
-            put_i32(&mut p, *fd);
-            put_u64(&mut p, *len as u64);
+            put_i32(out, *fd);
+            put_u64(out, *len as u64);
             OP_READ
         }
         Request::Write(fd, data) => {
-            put_i32(&mut p, *fd);
-            put_bytes(&mut p, data);
+            put_i32(out, *fd);
+            put_bytes(out, data);
             OP_WRITE
         }
         Request::Lseek(fd, off, whence) => {
-            put_i32(&mut p, *fd);
-            put_i64(&mut p, *off);
-            put_whence(&mut p, *whence);
+            put_i32(out, *fd);
+            put_i64(out, *off);
+            put_whence(out, *whence);
             OP_LSEEK
         }
         Request::Stat(path) => {
-            put_str(&mut p, path);
+            put_str(out, path);
             OP_STAT
         }
         Request::Mkdir(path) => {
-            put_str(&mut p, path);
+            put_str(out, path);
             OP_MKDIR
         }
         Request::Unlink(path) => {
-            put_str(&mut p, path);
+            put_str(out, path);
             OP_UNLINK
         }
         Request::Readdir(path) => {
-            put_str(&mut p, path);
+            put_str(out, path);
             OP_READDIR
         }
         Request::Rename(from, to) => {
-            put_str(&mut p, from);
-            put_str(&mut p, to);
+            put_str(out, from);
+            put_str(out, to);
             OP_RENAME
         }
         Request::Undelete(path, t) => {
-            put_str(&mut p, path);
-            put_u64(&mut p, t.as_nanos());
+            put_str(out, path);
+            put_u64(out, t.as_nanos());
             OP_UNDELETE
         }
         Request::Slice(dest, mode, ranges) => {
-            put_str(&mut p, dest);
-            put_create_mode(&mut p, mode);
-            put_u32(&mut p, ranges.len() as u32);
+            put_str(out, dest);
+            put_create_mode(out, mode);
+            put_u32(out, ranges.len() as u32);
             for r in ranges {
-                put_str(&mut p, &r.path);
-                put_u64(&mut p, r.offset);
-                put_u64(&mut p, r.len);
+                put_str(out, &r.path);
+                put_u64(out, r.offset);
+                put_u64(out, r.len);
             }
             OP_SLICE
         }
-    };
-    frame(op, &p)
+    }
 }
 
-/// Encodes a server result (success or error) as a complete frame.
-pub fn encode_response(res: &InvResult<Response>) -> Vec<u8> {
-    let mut p = Vec::new();
-    let op = match res {
+/// Encodes a server result's payload into `out`; returns its opcode.
+fn put_response(out: &mut impl Sink, res: Result<&Response, &InvError>) -> u16 {
+    match res {
         Ok(Response::Ok) => OP_R_OK,
         Ok(Response::Fd(fd)) => {
-            put_i32(&mut p, *fd);
+            put_i32(out, *fd);
             OP_R_FD
         }
         Ok(Response::Data(d)) => {
-            put_bytes(&mut p, d);
+            put_bytes(out, d);
             OP_R_DATA
         }
         Ok(Response::Count(n)) => {
-            put_u64(&mut p, *n);
+            put_u64(out, *n);
             OP_R_COUNT
         }
         Ok(Response::Stat(s)) => {
-            put_stat(&mut p, s);
+            put_stat(out, s);
             OP_R_STAT
         }
         Ok(Response::Entries(es)) => {
-            put_u32(&mut p, es.len() as u32);
+            put_u32(out, es.len() as u32);
             for (name, oid) in es {
-                put_str(&mut p, name);
-                put_u32(&mut p, oid.0);
+                put_str(out, name);
+                put_u32(out, oid.0);
             }
             OP_R_ENTRIES
         }
         Err(e) => {
-            put_error(&mut p, e);
+            put_error(out, e);
             OP_R_ERR
         }
-    };
-    frame(op, &p)
+    }
+}
+
+/// The encoded size of a request (header + payload) — what
+/// [`Request::wire_size`] and the network charges are derived from.
+pub fn request_wire_size(req: &Request) -> usize {
+    let mut n = ByteCount(HEADER_LEN);
+    put_request(&mut n, req);
+    n.0
 }
 
 /// The encoded size of a server result — what [`Response::wire_size`] and
 /// the network charges are derived from.
-pub fn response_wire_size(res: &InvResult<Response>) -> usize {
-    // Payload sizes are cheap to compute, but one authoritative path beats
-    // two that can drift: just encode.
-    encode_response(res).len()
+pub fn response_wire_size(res: Result<&Response, &InvError>) -> usize {
+    let mut n = ByteCount(HEADER_LEN);
+    put_response(&mut n, res);
+    n.0
+}
+
+/// Encodes a request as a complete frame.
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    let mut out = begin_frame(request_wire_size(req));
+    let op = put_request(&mut out, req);
+    seal_frame(out, op)
+}
+
+/// Encodes a server result (success or error) as a complete frame.
+pub fn encode_response(res: &InvResult<Response>) -> Vec<u8> {
+    let mut out = begin_frame(response_wire_size(res.as_ref()));
+    let op = put_response(&mut out, res.as_ref());
+    seal_frame(out, op)
 }
 
 /// Decodes a request payload under its opcode.
@@ -655,7 +753,8 @@ pub fn decode_request_frame(opcode: u16, payload: &[u8]) -> Result<Request, Wire
         OP_READ => {
             let fd = c.i32()?;
             let len = c.u64()?;
-            if len > MAX_PAYLOAD as u64 {
+            // The answer is the bytes behind a `u32` count, in one frame.
+            if len > (MAX_PAYLOAD - 4) as u64 {
                 return Err(WireError::Malformed(format!("read of {len} bytes")));
             }
             Request::Read(fd, len as usize)

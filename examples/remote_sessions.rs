@@ -28,7 +28,7 @@ fn main() {
     let mut alice = WireClient::new(alice_end);
     let mut bob = WireClient::new(bob_end);
 
-    // 1. Bulk transfer: write_bulk pipelines 8 KB segment frames.
+    // 1. Bulk transfer: write_bulk pipelines one frame per 256 KB window.
     println!("== pipelined bulk write over the wire ==");
     let report: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
     alice.mkdir("/shared").unwrap();

@@ -48,6 +48,15 @@ cargo test --release -q --test wire
 echo "== multi-session server stress =="
 cargo test --release -q --test server_stress
 
+# The benchmark is a crate of its own (benchmark/, outside the workspace)
+# built against WireClient, wire and PoolConfig: build it, run its unit
+# tests and its smoke mode (every workload once, metric names and units
+# against BENCHMARK.json, all verification) so a change that breaks it
+# fails here rather than at the acceptance run.
+echo "== benchmark crate: unit tests + smoke =="
+cargo test --release --quiet --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- smoke
+
 # Bounded-time torture smoke: covers at least one crash-during-commit and
 # one crash-during-checkpoint schedule, a crash with write-behind requests
 # still queued in the I/O scheduler, and both link-drop transports; the

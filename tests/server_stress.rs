@@ -3,7 +3,9 @@
 //! counter, descriptor-table isolation, and a client that vanishes with a
 //! transaction open. After the dust settles, the database must pass the
 //! structural verifier with no held locks and the session accounting must
-//! balance.
+//! balance. The last tests pin what a bulk read costs over loopback TCP:
+//! one request frame and one transaction per window, and no delayed-ACK
+//! stall.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -277,4 +279,106 @@ fn tcp_loopback_sessions_work_end_to_end() {
     drop(c);
     pool.shutdown();
     assert!(fs.db().check_all().is_empty());
+}
+
+/// `WireClient`'s bulk window (a private constant of `inversion::pool`;
+/// DESIGN.md §7): the bytes one `read_bulk`/`write_bulk` frame carries.
+const WINDOW: usize = 256 << 10;
+const MB: usize = 1 << 20;
+
+/// A pool listening on loopback TCP with `/bulk` — `data`, committed —
+/// open for reading on a connected client.
+fn tcp_bulk_rig(
+    data: &[u8],
+) -> (
+    InversionFs,
+    InvServerPool,
+    WireClient<std::net::TcpStream>,
+    i32,
+) {
+    let fs = InversionFs::open_in_memory().unwrap();
+    let pool = InvServerPool::new(&fs, PoolConfig::default());
+    let addr = pool.listen_tcp("127.0.0.1:0").unwrap();
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut c = WireClient::new(stream);
+    c.begin().unwrap();
+    let fd = c.creat("/bulk", CreateMode::default()).unwrap();
+    assert_eq!(c.write_bulk(fd, data).unwrap(), data.len());
+    c.close(fd).unwrap();
+    c.commit().unwrap();
+    let fd = c.open("/bulk", OpenMode::Read, None).unwrap();
+    (fs, pool, c, fd)
+}
+
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i % 251) as u8).collect()
+}
+
+/// A bulk read is one request frame, one transaction and one pass over its
+/// chunks per window — not one of each per 8 KB — and reads that reach or
+/// start past end of file come back short and correct.
+#[test]
+fn tcp_bulk_read_costs_one_frame_and_one_transaction_per_window() {
+    let data = pattern(MB);
+    let (fs, pool, mut c, fd) = tcp_bulk_rig(&data);
+    let windows = MB.div_ceil(WINDOW) as u64;
+    let chunks = MB.div_ceil(inversion::CHUNK_SIZE) as u64;
+
+    let frames = c.stats().frames_out.get();
+    let commits = fs.db().stats().xact.commits;
+    let chunk_reads = fs.stats().chunk_reads.get();
+    assert_eq!(c.read_bulk(fd, MB).unwrap(), data);
+    assert_eq!(c.stats().frames_out.get() - frames, windows);
+    assert_eq!(fs.db().stats().xact.commits - commits, windows);
+    // A window boundary inside a chunk makes both neighbours fetch it.
+    assert!(fs.stats().chunk_reads.get() - chunk_reads <= chunks + windows);
+
+    // One byte more than the file holds: a fifth window, answered empty.
+    c.call(&Request::Lseek(fd, 0, SeekWhence::Set)).unwrap();
+    let frames = c.stats().frames_out.get();
+    assert_eq!(c.read_bulk(fd, MB + 1).unwrap(), data);
+    assert_eq!(c.stats().frames_out.get() - frames, windows + 1);
+
+    // Starting near the end, and starting past it.
+    c.call(&Request::Lseek(fd, (MB - 1000) as i64, SeekWhence::Set))
+        .unwrap();
+    assert_eq!(c.read_bulk(fd, 3 * WINDOW).unwrap(), data[MB - 1000..]);
+    c.call(&Request::Lseek(fd, (MB + 5) as i64, SeekWhence::Set))
+        .unwrap();
+    assert_eq!(c.read_bulk(fd, 10).unwrap(), Vec::<u8>::new());
+
+    c.close(fd).unwrap();
+    drop(c);
+    pool.shutdown();
+    assert!(fs.db().check_all().is_empty());
+}
+
+/// Wall-clock guard, with a wide margin, against the stall `TCP_NODELAY` on
+/// the accepted socket removes: under Nagle the server's second pipelined
+/// response waits out the client's delayed ACK, 40 ms or more per read; the
+/// whole megabyte takes a few milliseconds without it. An unoptimized build
+/// spends the margin on checksums and B-tree descents, so the guard runs
+/// where `scripts/ci.sh` runs this file: `cargo test --release`.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-clock guard: optimized builds only")]
+fn tcp_bulk_read_does_not_wait_out_a_delayed_ack() {
+    let data = pattern(MB);
+    let (_fs, pool, mut c, fd) = tcp_bulk_rig(&data);
+    let mut took: Vec<Duration> = (0..9)
+        .map(|_| {
+            c.call(&Request::Lseek(fd, 0, SeekWhence::Set)).unwrap();
+            let t = Instant::now();
+            assert_eq!(c.read_bulk(fd, MB).unwrap().len(), MB);
+            t.elapsed()
+        })
+        .collect();
+    took.sort();
+    assert!(
+        took[4] < Duration::from_millis(20),
+        "median 1 MB read_bulk took {:?} (all nine: {took:?})",
+        took[4]
+    );
+    drop(c);
+    pool.shutdown();
 }

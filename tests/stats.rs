@@ -528,7 +528,8 @@ fn net_counters_match_the_client_exactly() {
     let mut c = WireClient::new(client_end);
 
     let fd = c.creat("/net", CreateMode::default()).unwrap();
-    let payload = vec![7u8; 3 * 8192 + 100];
+    // Four bulk windows of 256 KB: three full ones and a tail.
+    let payload = vec![7u8; 3 * (256 << 10) + 100];
     assert_eq!(c.write_bulk(fd, &payload).unwrap(), payload.len());
     c.close(fd).unwrap();
     c.stat("/net").unwrap();

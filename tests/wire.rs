@@ -8,7 +8,7 @@
 //! transaction, while unrecoverable framing damage tears the session down
 //! through the same abort path as a disconnect.
 
-use std::io::Write;
+use std::io::{self, Read, Write};
 
 use inversion::server::{Request, Response};
 use inversion::wire::{self, FrameEvent, WireError, HEADER_LEN, MAX_PAYLOAD};
@@ -19,6 +19,10 @@ use inversion::{
 use minidb::{DbError, DeviceId, Oid, TypeId};
 use proptest::prelude::*;
 use simdev::{duplex_pair, SimInstant};
+
+/// `WireClient`'s bulk window (a private constant of `inversion::pool`;
+/// DESIGN.md §7): the bytes one `read_bulk`/`write_bulk` frame carries.
+const WINDOW: usize = 256 << 10;
 
 // ---------------------------------------------------------------------------
 // Strategies.
@@ -306,6 +310,35 @@ proptest! {
     }
 }
 
+proptest! {
+    // 16 cases × 3 positions × 255 values over payloads up to 64 KB: enough
+    // checksum passes for a debug build.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // Version 2's lane-wise checksum keeps what byte-serial FNV-1a
+    // guaranteed: no single-byte substitution goes unnoticed. (A wrong
+    // length is the length prefix's business, not the checksum's.)
+    #[test]
+    fn every_single_byte_substitution_changes_the_checksum(
+        payload in prop::collection::vec(any::<u8>(), 1..65_537),
+        pos in any::<u32>(),
+    ) {
+        let sum = wire::checksum(&payload);
+        let mut p = payload;
+        for idx in [0, pos as usize % p.len(), p.len() - 1] {
+            let original = p[idx];
+            for other in (0..=255u8).filter(|&b| b != original) {
+                p[idx] = other;
+                prop_assert!(
+                    wire::checksum(&p) != sum,
+                    "byte {} of {}: {:#04x} -> {:#04x} went unnoticed", idx, p.len(), original, other
+                );
+            }
+            p[idx] = original;
+        }
+    }
+}
+
 #[test]
 fn oversized_length_prefix_is_rejected_before_allocation() {
     let mut bytes = wire::encode_request(&Request::Begin);
@@ -334,12 +367,44 @@ fn unknown_opcode_and_bad_magic_are_distinct_failures() {
         wire::decode_request(&bad_magic),
         Err(WireError::BadMagic(_))
     ));
-    let mut bad_version = wire::encode_request(&Request::Begin);
-    bad_version[4] = 99;
-    assert!(matches!(
-        wire::decode_request(&bad_version),
-        Err(WireError::BadVersion(99))
-    ));
+    // Version 1 (FNV-1a checksums) is as foreign as a version from the
+    // future, and fatally so: a peer that old could not verify our frames.
+    for version in [1u8, 99] {
+        let mut bad_version = wire::encode_request(&Request::Begin);
+        bad_version[4] = version;
+        assert!(matches!(
+            wire::decode_request(&bad_version),
+            Err(WireError::BadVersion(v)) if v == version
+        ));
+        let mut r = std::io::Cursor::new(bad_version);
+        assert!(matches!(
+            wire::read_frame(&mut r),
+            Err(WireError::BadVersion(v)) if v == version
+        ));
+    }
+}
+
+/// The substitution guarantee at every alignment: every position of every
+/// payload short enough to enumerate (empty tail block, full blocks, each
+/// tail length), against every other byte value.
+#[test]
+fn short_payload_checksums_change_for_every_substitution_at_every_alignment() {
+    for len in 1..=40usize {
+        let mut p: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+        let sum = wire::checksum(&p);
+        for idx in 0..len {
+            let original = p[idx];
+            for other in (0..=255u8).filter(|&b| b != original) {
+                p[idx] = other;
+                assert_ne!(
+                    wire::checksum(&p),
+                    sum,
+                    "len {len}, byte {idx} -> {other:#04x}"
+                );
+            }
+            p[idx] = original;
+        }
+    }
 }
 
 /// The `DbError` catch-all arm carries the display text across the wire;
@@ -404,53 +469,89 @@ fn session_survives_recoverable_corruption_without_losing_its_transaction() {
     assert!(fs.db().check_all().is_empty(), "structural damage");
 }
 
-/// Checksum corruption in the middle of a pipelined `write_bulk` SEGMENT
-/// stream: the corrupt segment is answered with an error (never a
-/// partial-write acknowledgment), the stream stays in sync, later segments
-/// still land, and the session keeps its transaction — so the client can
-/// abort cleanly, exactly what `WireClient::write_bulk` does when its drain
-/// loop surfaces the first error.
+/// A transport that flips every bit of byte `at` of its outgoing stream.
+struct FlipOnce<S> {
+    inner: S,
+    at: usize,
+    written: usize,
+}
+
+impl<S: Read> Read for FlipOnce<S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl<S: Write> Write for FlipOnce<S> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = if (self.written..self.written + buf.len()).contains(&self.at) {
+            let mut damaged = buf.to_vec();
+            damaged[self.at - self.written] ^= 0xFF;
+            self.inner.write_all(&damaged)?;
+            buf.len()
+        } else {
+            self.inner.write(buf)?
+        };
+        self.written += n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Checksum corruption in the middle of a windowed `write_bulk`: a payload
+/// byte of the third of five window frames flips on its way out. The
+/// corrupt window is answered with an error (never applied, never
+/// acknowledged), the windows behind it still land, `write_bulk` surfaces
+/// exactly that one error once every response is drained, and the stream
+/// and the session's transaction are intact — so the client can abort
+/// cleanly.
 #[test]
 fn mid_bulk_write_corruption_answers_error_without_partial_ack_or_hang() {
     let fs = InversionFs::open_in_memory().unwrap();
     let pool = InvServerPool::new(&fs, PoolConfig::default());
     let (client_end, server_end) = duplex_pair();
     pool.serve_duplex(server_end);
-    let raw = client_end.clone();
-    let mut c = WireClient::new(client_end);
+    // The stream so far is `begin` and `creat`; the flip lands 1000 bytes
+    // into the data of the third window frame behind them.
+    let creat = Request::Creat("/bulk".into(), CreateMode::default());
+    let window_frame = HEADER_LEN + 8 + WINDOW;
+    let mut c = WireClient::new(FlipOnce {
+        inner: client_end,
+        at: Request::Begin.wire_size()
+            + creat.wire_size()
+            + 2 * window_frame
+            + (HEADER_LEN + 8 + 1000),
+        written: 0,
+    });
 
     c.begin().unwrap();
-    let fd = c.creat("/bulk", CreateMode::default()).unwrap();
+    let Response::Fd(fd) = c.call(&creat).unwrap() else {
+        panic!("creat answers with a descriptor");
+    };
 
-    // Pipeline five 8 KB segments exactly as write_bulk does, but flip a
-    // payload byte in the third frame on its way out.
-    let seg = vec![7u8; 8192];
-    for i in 0..5 {
-        let mut bytes = wire::encode_request(&Request::Write(fd, seg.clone()));
-        if i == 2 {
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0xFF;
-        }
-        (&raw).write_all(&bytes).unwrap();
+    let data = vec![7u8; 5 * WINDOW];
+    let frames_before = c.stats().frames_in.get();
+    match c.write_bulk(fd, &data) {
+        Err(InvError::Invalid(msg)) => assert!(msg.contains("checksum"), "unexpected: {msg}"),
+        other => panic!("a corrupt window must fail the bulk write, got {other:?}"),
     }
-    let mut acked = 0u64;
-    let mut errors = 0usize;
-    for _ in 0..5 {
-        match c.recv() {
-            Ok(Response::Count(n)) => acked += n,
-            Ok(other) => panic!("unexpected response {other:?}"),
-            Err(InvError::Invalid(msg)) => {
-                assert!(msg.contains("wire"), "unexpected error: {msg}");
-                errors += 1;
-            }
-            Err(other) => panic!("unexpected error {other:?}"),
-        }
-    }
-    assert_eq!(errors, 1, "exactly the corrupt segment must fail");
-    assert_eq!(acked, 4 * 8192, "a corrupt segment must never be acked");
+    assert_eq!(
+        c.stats().frames_in.get() - frames_before,
+        5,
+        "every window is answered before the error surfaces"
+    );
+    assert_eq!(
+        fs.stats().bytes_written.get(),
+        4 * WINDOW as u64,
+        "exactly the corrupt window must not be applied"
+    );
+    assert_eq!(fs.stats().net_decode_errors.get(), 1);
 
     // The session resynchronized: same transaction, same fd table. The
-    // client saw the failed segment, so it aborts — and nothing survives.
+    // client saw the failed window, so it aborts — and nothing survives.
     c.close(fd).unwrap();
     c.abort().unwrap();
     assert!(c.stat("/bulk").is_err(), "aborted file is visible");
