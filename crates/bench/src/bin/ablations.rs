@@ -6,8 +6,11 @@
 //! 3. PRESTOserve board size for NFS random writes (the Figure 6 effect);
 //! 4. chunk compression on vs off (storage + random access cost);
 //! 5. write coalescing: 256-byte writes inside one transaction vs
-//!    auto-committed.
+//!    auto-committed;
+//! 6. extent allocation + elevator scheduling vs block-at-a-time
+//!    synchronous I/O (cold sequential scans of concurrently grown files).
 
+use bench::extent;
 use bench::report::{human_bytes, print_header};
 use bench::testbed::{InversionTestbed, NfsTestbed};
 use bench::workload::{measure_create, measure_write_ops, BenchFs, InversionLocal, UltrixNfs, MB};
@@ -148,4 +151,8 @@ fn main() {
             "  (\"multiple small sequential writes during a single transaction are coalesced\")"
         );
     }
+
+    print_header("Ablation 6: extent layout + elevator (cold sequential reads, 4 clients)");
+    let (fragmented, extents) = extent::measure_extent_speedup(4);
+    extent::print_extent_speedup(&fragmented, &extents);
 }

@@ -2,12 +2,8 @@
 //! at a random location in the 25 MB file, caches cold. "For single-byte
 //! reads, Inversion gets 70 percent of the throughput of NFS. Single-byte
 //! writes are slightly worse; Inversion is 61 percent of NFS."
-//!
-//! With `--threads N`, measures N concurrent clients doing random
-//! single-byte reads from a cache-resident working set instead.
 
 use bench::report::{self, print_comparison, print_header, Comparison};
-use bench::scaling::{self, ScalingWorkload};
 use bench::testbed::{InversionTestbed, NfsTestbed};
 use bench::workload::{measure_byte_ops, measure_create, InversionRemote, UltrixNfs, MB};
 
@@ -46,25 +42,7 @@ fn planner_probe(db: &minidb::Db) -> String {
     )
 }
 
-fn thread_scaling(threads: usize) {
-    print_header("Figure 4 --threads: multi-client random byte reads, cache-resident");
-    let (base, multi) = scaling::measure_speedup(ScalingWorkload::RandomByte, threads);
-    scaling::print_speedup(&base, &multi);
-    if report::wants_json() {
-        let doc = report::bench_json(
-            "fig4_random_byte",
-            &["Inversion"],
-            &[],
-            &[("thread_scaling", scaling::scaling_json(&base, &multi))],
-        );
-        report::write_bench_json("fig4_random_byte", &doc).expect("write BENCH json");
-    }
-}
-
 fn main() {
-    if let Some(threads) = report::threads_arg() {
-        return thread_scaling(threads);
-    }
     print_header("Figure 4: random single-byte access (25 MB file)");
     eprintln!("preparing Inversion ...");
     let mut remote = InversionRemote::new(InversionTestbed::paper());

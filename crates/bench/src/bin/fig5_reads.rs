@@ -1,48 +1,12 @@
 //! Figure 5 — "Read throughput": a single 1 MB transfer (Inversion at 80%
 //! of NFS), sequential page-sized transfers (47%), and random page-sized
 //! transfers (43%).
-//!
-//! With `--threads N`, measures N concurrent clients doing sequential
-//! page-sized reads from a cache-resident working set instead — the
-//! multi-client scaling the sharded buffer manager exists for.
 
-use bench::extent;
-use bench::remote::{self, RemoteWorkload};
 use bench::report::{self, print_comparison, print_header, Comparison};
-use bench::scaling::{self, ScalingWorkload};
 use bench::testbed::{InversionTestbed, NfsTestbed};
 use bench::workload::{measure_create, measure_read_ops, InversionRemote, UltrixNfs, MB};
 
-fn thread_scaling(threads: usize, with_remote: bool) {
-    print_header("Figure 5 --threads: multi-client sequential reads, cache-resident");
-    let (base, multi) = scaling::measure_speedup(ScalingWorkload::SequentialRead, threads);
-    scaling::print_speedup(&base, &multi);
-    let mut sections = vec![("thread_scaling", scaling::scaling_json(&base, &multi))];
-    if with_remote {
-        println!();
-        print_header("Figure 5 --remote: multi-client reads through the wire protocol");
-        let (rbase, rmulti) = remote::measure_remote_speedup(RemoteWorkload::SequentialRead, threads);
-        remote::print_remote_speedup(&rbase, &rmulti);
-        sections.push(("remote_scaling", remote::remote_json(&rbase, &rmulti)));
-    }
-    println!();
-    print_header("Figure 5 extents: cold sequential reads, extent layout vs fragmented");
-    let (ebase, eext) = extent::measure_extent_speedup(threads);
-    extent::print_extent_speedup(&ebase, &eext);
-    sections.push(("extent_layout", extent::extent_json(&ebase, &eext)));
-    if report::wants_json() {
-        let doc = report::bench_json("fig5_reads", &["Inversion"], &[], &sections);
-        report::write_bench_json("fig5_reads", &doc).expect("write BENCH json");
-    }
-}
-
 fn main() {
-    if let Some(threads) = report::threads_arg() {
-        return thread_scaling(threads, report::wants_remote());
-    }
-    if report::wants_remote() {
-        return thread_scaling(4, true);
-    }
     print_header("Figure 5: read throughput (1 MB from a 25 MB file)");
     eprintln!("preparing Inversion ...");
     let mut remote = InversionRemote::new(InversionTestbed::paper());

@@ -2,43 +2,12 @@
 //! these tests, the effect of the PRESTOserve board used by NFS is
 //! dramatic. ... the NFS measurements show no degradation due to random
 //! accesses, since the whole 1MByte write fits in the PRESTOserve cache."
-//!
-//! With `--threads N`, measures N concurrent clients committing small
-//! write transactions through the real commit path instead: scoped
-//! force-at-commit plus the group-commit coordinator, whose batching of
-//! the status-log force is what multi-client write throughput hinges on.
 
-use bench::commit_scaling;
-use bench::remote::{self, RemoteWorkload};
 use bench::report::{self, print_comparison, print_header, Comparison};
 use bench::testbed::{InversionTestbed, NfsTestbed};
 use bench::workload::{measure_create, measure_write_ops, InversionRemote, UltrixNfs, MB};
 
-fn thread_scaling(threads: usize, with_remote: bool) {
-    print_header("Figure 6 --threads: concurrent commits through group commit");
-    let (base, multi) = commit_scaling::measure_commit_speedup(threads);
-    commit_scaling::print_commit_speedup(&base, &multi);
-    let mut sections = vec![("thread_scaling", commit_scaling::commit_json(&base, &multi))];
-    if with_remote {
-        println!();
-        print_header("Figure 6 --remote: committing writers through the wire protocol");
-        let (rbase, rmulti) = remote::measure_remote_speedup(RemoteWorkload::WriteCommit, threads);
-        remote::print_remote_speedup(&rbase, &rmulti);
-        sections.push(("remote_scaling", remote::remote_json(&rbase, &rmulti)));
-    }
-    if report::wants_json() {
-        let doc = report::bench_json("fig6_writes", &["Inversion"], &[], &sections);
-        report::write_bench_json("fig6_writes", &doc).expect("write BENCH json");
-    }
-}
-
 fn main() {
-    if let Some(threads) = report::threads_arg() {
-        return thread_scaling(threads, report::wants_remote());
-    }
-    if report::wants_remote() {
-        return thread_scaling(4, true);
-    }
     print_header("Figure 6: write throughput (1 MB into a 25 MB file)");
     eprintln!("preparing Inversion ...");
     let mut remote = InversionRemote::new(InversionTestbed::paper());

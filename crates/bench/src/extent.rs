@@ -1,5 +1,5 @@
-//! Extent layout vs. block-at-a-time allocation — the fig5 `extent_layout`
-//! section.
+//! Extent layout vs. block-at-a-time allocation — Ablation 6 of the
+//! `ablations` bin.
 //!
 //! Four clients grow four relations concurrently (round-robin extends, the
 //! allocation pattern a multi-user server produces), then each scans its own
@@ -34,8 +34,6 @@ const GROWTH_BURST: u64 = 4;
 /// One measured layout configuration.
 #[derive(Debug, Clone)]
 pub struct ExtentRun {
-    pub extent_size: u64,
-    pub io_queue_depth: usize,
     pub threads: usize,
     pub pages_per_client: u64,
     pub virtual_secs: f64,
@@ -117,8 +115,6 @@ fn measure_layout(extent_size: u64, depth: usize, threads: usize) -> ExtentRun {
     let io = stats.io_queue(DeviceId::DEFAULT);
     let total_bytes = threads as u64 * PAGES_PER_CLIENT * PAGE_SIZE as u64;
     ExtentRun {
-        extent_size,
-        io_queue_depth: depth,
         threads,
         pages_per_client: PAGES_PER_CLIENT,
         virtual_secs: secs,
@@ -134,8 +130,8 @@ pub fn measure_extent_speedup(threads: usize) -> (ExtentRun, ExtentRun) {
     (measure_layout(1, 0, threads), measure_layout(16, 64, threads))
 }
 
-/// Prints the pair as a small table and returns the bandwidth ratio.
-pub fn print_extent_speedup(base: &ExtentRun, ext: &ExtentRun) -> f64 {
+/// Prints the pair as a small table with the bandwidth ratio.
+pub fn print_extent_speedup(base: &ExtentRun, ext: &ExtentRun) {
     println!(
         "{:<24} {:>8} {:>12} {:>12} {:>10} {:>8}",
         "layout", "clients", "MB/s", "virtual s", "batched", "passes"
@@ -155,32 +151,6 @@ pub fn print_extent_speedup(base: &ExtentRun, ext: &ExtentRun) -> f64 {
          fragmented synchronous layout ({} clients, {} pages each, cold cache)",
         ext.threads, ext.pages_per_client
     );
-    speedup
-}
-
-/// Renders the pair as the `extent_layout` JSON section of a BENCH report.
-pub fn extent_json(base: &ExtentRun, ext: &ExtentRun) -> String {
-    let speedup = ext.mb_per_sec / base.mb_per_sec;
-    format!(
-        "{{\"workload\": \"extent_sequential_read\", \"threads\": {}, \
-         \"pages_per_client\": {}, \"baseline_extent_size\": {}, \
-         \"extent_size\": {}, \"io_queue_depth\": {}, \
-         \"baseline_mb_per_sec\": {:.3}, \"mb_per_sec\": {:.3}, \
-         \"speedup\": {:.3}, \"extent_sequential_speedup\": {}, \
-         \"batched_neighbors\": {}, \"elevator_passes\": {}, \
-         \"unit\": \"virtual_time\"}}",
-        ext.threads,
-        ext.pages_per_client,
-        base.extent_size,
-        ext.extent_size,
-        ext.io_queue_depth,
-        base.mb_per_sec,
-        ext.mb_per_sec,
-        speedup,
-        speedup >= 1.3,
-        ext.batched_neighbors,
-        ext.elevator_passes,
-    )
 }
 
 #[cfg(test)]
@@ -201,14 +171,4 @@ mod tests {
         assert!(ext.batched_neighbors > 0, "the elevator never batched neighbors");
         assert_eq!(base.batched_neighbors, 0, "the baseline must not use the scheduler");
     }
-
-    #[test]
-    fn extent_json_is_well_formed() {
-        let (base, ext) = measure_extent_speedup(2);
-        let json = extent_json(&base, &ext);
-        assert!(json.contains("\"workload\": \"extent_sequential_read\""));
-        assert!(json.contains("\"extent_sequential_speedup\": "));
-        assert!(json.starts_with('{') && json.ends_with('}'));
-    }
 }
-

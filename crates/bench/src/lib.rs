@@ -20,18 +20,12 @@
 //! seconds alongside the paper's numbers. We reproduce the shape, not the
 //! wall-clock of 1993 hardware; see `EXPERIMENTS.md`.
 
-pub mod commit_scaling;
 pub mod extent;
-pub mod remote;
 pub mod report;
-pub mod scaling;
 pub mod testbed;
 pub mod torture;
 pub mod workload;
 
-pub use commit_scaling::{measure_commit_speedup, measure_commits, CommitRun};
-pub use remote::{measure_remote, measure_remote_speedup, RemoteRun, RemoteWorkload};
 pub use report::{print_comparison, print_header, Comparison};
-pub use scaling::{measure_scaling, measure_speedup, ScalingRun, ScalingWorkload};
 pub use testbed::{InversionTestbed, NfsTestbed};
 pub use workload::{run_suite, BenchFs, SuiteResult, MB};

@@ -72,31 +72,6 @@ pub fn wants_json() -> bool {
     std::env::args().any(|a| a == "--json")
 }
 
-/// The `--threads N` argument, if present: run the multi-client scaling
-/// workload with N clients instead of the paper comparison.
-pub fn threads_arg() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            let n = args
-                .next()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("--threads requires a positive integer");
-                    std::process::exit(2);
-                });
-            return Some(n.max(1));
-        }
-    }
-    None
-}
-
-/// Whether the process was invoked with `--remote` (combine the in-process
-/// `--threads` scaling with the wire-protocol remote scaling measurement).
-pub fn wants_remote() -> bool {
-    std::env::args().any(|a| a == "--remote")
-}
-
 /// Renders the comparison rows as a JSON array (paper and measured seconds
 /// keyed by system name).
 pub fn comparison_json(systems: &[&str], rows: &[Comparison]) -> String {

@@ -14,7 +14,7 @@
 //! the means of ten runs."
 
 use inversion::{CreateMode, InvClient, RemoteClient, SeekWhence};
-use nfssim::{InodeNo, NfsClient};
+use nfssim::InodeNo;
 use simdev::SimClock;
 
 use crate::testbed::{InversionTestbed, LocalFfsTestbed, NfsTestbed};
@@ -236,11 +236,6 @@ impl UltrixNfs {
             tb,
             ino: InodeNo(0),
         }
-    }
-
-    /// The underlying client.
-    pub fn client_mut(&mut self) -> &mut NfsClient {
-        &mut self.tb.client
     }
 }
 

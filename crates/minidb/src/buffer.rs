@@ -61,11 +61,9 @@ impl PageBuf {
         &self.data
     }
 
-    /// Write access to the page bytes; marks the page dirty and records
-    /// the page in the thread's active [`DirtyScope`], if any.
+    /// Write access to the page bytes; marks the page dirty.
     pub fn data_mut(&mut self) -> &mut [u8] {
         self.dirty = true;
-        note_dirty(self.dev, self.rel, self.blkno);
         &mut self.data
     }
 
@@ -82,70 +80,6 @@ impl PageBuf {
     /// The logical block number within the relation.
     pub fn blkno(&self) -> u64 {
         self.blkno
-    }
-}
-
-thread_local! {
-    /// The calling thread's open dirty-page recorder, installed by
-    /// [`DirtyScope::begin`]. `None` (the default) means nobody is
-    /// listening and [`note_dirty`] is a no-op, so non-transactional
-    /// writers (vacuum, catalog persistence, index backfill) cost nothing.
-    static DIRTY_SCOPE: std::cell::RefCell<Option<Vec<(DeviceId, RelId, u64)>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Records a page dirtied on this thread into the active scope, if any.
-fn note_dirty(dev: DeviceId, rel: RelId, blkno: u64) {
-    DIRTY_SCOPE.with(|s| {
-        if let Some(v) = s.borrow_mut().as_mut() {
-            v.push((dev, rel, blkno));
-        }
-    });
-}
-
-/// Collects the (device, relation, block) identity of every page the
-/// current thread dirties between [`DirtyScope::begin`] and
-/// [`DirtyScope::finish`] — the transaction-side half of scoped
-/// force-at-commit. Scopes are per *thread* (page writes happen on the
-/// session's own thread); nesting is flat: an inner `begin` while a scope
-/// is already open returns a pass-through guard whose dirties land in the
-/// outer scope.
-#[must_use = "finish() the scope to collect the dirty set"]
-pub struct DirtyScope {
-    active: bool,
-}
-
-impl DirtyScope {
-    /// Opens a dirty-page recording scope on this thread.
-    pub fn begin() -> DirtyScope {
-        DIRTY_SCOPE.with(|s| {
-            let mut s = s.borrow_mut();
-            if s.is_some() {
-                DirtyScope { active: false }
-            } else {
-                *s = Some(Vec::new());
-                DirtyScope { active: true }
-            }
-        })
-    }
-
-    /// Closes the scope and returns the recorded pages (in dirtying order,
-    /// with duplicates — callers sort/dedup). Pass-through guards from
-    /// nested `begin`s return nothing; the outer scope keeps the records.
-    pub fn finish(mut self) -> Vec<(DeviceId, RelId, u64)> {
-        if !self.active {
-            return Vec::new();
-        }
-        self.active = false;
-        DIRTY_SCOPE.with(|s| s.borrow_mut().take()).unwrap_or_default()
-    }
-}
-
-impl Drop for DirtyScope {
-    fn drop(&mut self) {
-        if self.active {
-            DIRTY_SCOPE.with(|s| *s.borrow_mut() = None);
-        }
     }
 }
 
@@ -377,12 +311,6 @@ impl BufferPool {
     /// The number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The shard a block maps to — which latch its accesses contend on.
-    /// Exposed so benchmarks and tests can reason about collision behavior.
-    pub fn shard_of(&self, rel: RelId, blkno: u64) -> usize {
-        self.shard_index(rel, blkno)
     }
 
     /// Sets the read-ahead window (0 disables read-ahead).
@@ -699,7 +627,6 @@ impl BufferPool {
     pub fn new_page(&self, smgr: &Smgr, dev: DeviceId, rel: RelId) -> DbResult<(u64, PinnedPage)> {
         let blkno = smgr.extend_page(dev, rel)?;
         let frame = Arc::new(Frame::new(dev, rel, blkno, READY, true));
-        note_dirty(dev, rel, blkno); // Born dirty; data_mut may never run.
         let si = self.shard_index(rel, blkno);
         let (_tok, mut shard) = self.lock_with_room(si, smgr)?;
         shard.insert((rel, blkno), Arc::clone(&frame));
@@ -841,38 +768,11 @@ impl BufferPool {
     }
 
     /// Writes every dirty page back through `smgr` (without evicting), in
-    /// (relation, block) order — the elevator sweep a real commit-time sync
-    /// performs so flushes stream rather than seek. Returns the number of
+    /// (relation, block) order — the elevator sweep a real sync performs
+    /// so flushes stream rather than seek. Returns the number of
     /// pages written (the checkpointer's drain count).
     pub fn flush_all(&self, smgr: &Smgr) -> DbResult<usize> {
         let mut frames = self.pin_all(None);
-        frames.sort_by_key(|f| {
-            let b = f.buf.read();
-            (b.rel, b.blkno)
-        });
-        self.flush_frames(smgr, frames)
-    }
-
-    /// Writes back exactly the listed pages — a committing transaction's
-    /// dirty set, from [`DirtyScope::finish`] — in (relation, block) order.
-    /// Pages that are no longer cached or already clean (evicted and
-    /// written by the sweep, or flushed by eager index write-through) are
-    /// skipped for free. Returns the number of pages written.
-    pub fn flush_pages(
-        &self,
-        smgr: &Smgr,
-        pages: &[(DeviceId, RelId, u64)],
-    ) -> DbResult<usize> {
-        let mut frames = Vec::with_capacity(pages.len());
-        for &(_dev, rel, blkno) in pages {
-            let si = self.shard_index(rel, blkno);
-            let _order = order::token(order::BUFFER_SHARD);
-            let shard = self.shards[si].lock();
-            if let Some(frame) = shard.map.get(&(rel, blkno)) {
-                frame.pins.fetch_add(1, Ordering::SeqCst);
-                frames.push(Arc::clone(frame));
-            }
-        }
         frames.sort_by_key(|f| {
             let b = f.buf.read();
             (b.rel, b.blkno)

@@ -240,11 +240,6 @@ impl Catalog {
             .ok_or_else(|| DbError::NotFound(format!("type {}", id.0)))
     }
 
-    /// All user-defined types.
-    pub fn user_types(&self) -> impl Iterator<Item = &TypeEntry> {
-        self.types.values()
-    }
-
     /// Registers a function's persistent definition.
     pub fn define_proc(&mut self, entry: ProcEntry) -> DbResult<()> {
         if self.procs.contains_key(&entry.name) {

@@ -20,8 +20,9 @@
 //!
 //! ## What is corruption, and what is legal crash debris?
 //!
-//! Because pages are flushed at commit (and, under memory pressure, at any
-//! time), a crash legitimately leaves behind:
+//! Because dirty pages reach the disk whenever the checkpointer or the
+//! eviction sweep writes them, independently of commit, a crash
+//! legitimately leaves behind:
 //!
 //! * tuples whose `xmin` never reached the status log (state `Unknown`) —
 //!   invisible by construction, *not* corruption;

@@ -31,7 +31,7 @@ use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
 use simdev::{DiskProfile, MagneticDisk, SimClock, SimDuration, SimInstant};
 
 use crate::btree::BTree;
-use crate::buffer::{BufferPool, DirtyScope, DEFAULT_BUFFERS};
+use crate::buffer::{BufferPool, DEFAULT_BUFFERS};
 use crate::catalog::{Catalog, IndexInfo, ProcEntry, RelKind, RelationEntry, RuleEntry};
 use crate::datum::{decode_row, Datum, Row, Schema, TypeId};
 use crate::error::{DbError, DbResult};
@@ -566,14 +566,6 @@ impl Db {
         self.inner.smgr.io_depth()
     }
 
-    /// Waits until every queued I/O request has reached its device (a
-    /// barrier on every queue, plus a device sync). Benchmarks call this at
-    /// measurement boundaries so asynchronous tails are charged to the
-    /// window that caused them.
-    pub fn drain_io(&self) -> DbResult<()> {
-        self.inner.smgr.sync_all()
-    }
-
     /// One checkpoint cycle. The ordering is the whole correctness
     /// argument:
     ///
@@ -882,7 +874,6 @@ impl Db {
             snapshot: Snapshot::Current { xid, active },
             done: false,
             wrote: false,
-            dirty: Vec::new(),
         })
     }
 
@@ -895,7 +886,6 @@ impl Db {
             snapshot: Snapshot::AsOf(t),
             done: false,
             wrote: false,
-            dirty: Vec::new(),
         }
     }
 
@@ -964,10 +954,6 @@ pub struct Session {
     snapshot: Snapshot,
     done: bool,
     wrote: bool,
-    /// (device, relation, block) of every page this transaction dirtied —
-    /// recorded by [`DirtyScope`] around the write paths, unsorted and
-    /// with duplicates. Commit flushes and syncs exactly this set.
-    dirty: Vec<(DeviceId, RelId, u64)>,
 }
 
 impl Session {
@@ -1066,16 +1052,6 @@ impl Session {
 
     /// Inserts `row` into `rel`, maintaining its indices.
     pub fn insert(&mut self, rel: RelId, row: Row) -> DbResult<Tid> {
-        let scope = DirtyScope::begin();
-        let out = self.insert_inner(rel, row);
-        // Collect even on error: a half-done operation (say, one side of a
-        // b-tree split) still dirtied pages the checkpointer must drain.
-        self.dirty.extend(scope.finish());
-        self.db.inner.maybe_signal_checkpoint();
-        out
-    }
-
-    fn insert_inner(&mut self, rel: RelId, row: Row) -> DbResult<Tid> {
         let xid = self.writable_xid()?;
         let (dev, indexes) = self.db.heap_parts(rel)?;
         {
@@ -1110,24 +1086,19 @@ impl Session {
                 self.db.inner.stats.btree.page_writes.add(written as u64);
             }
         }
+        self.db.inner.maybe_signal_checkpoint();
         Ok(tid)
     }
 
     /// Deletes the tuple at `tid`. Returns `false` if already deleted.
     pub fn delete(&mut self, rel: RelId, tid: Tid) -> DbResult<bool> {
-        let scope = DirtyScope::begin();
-        let out = self.delete_inner(rel, tid);
-        self.dirty.extend(scope.finish());
-        self.db.inner.maybe_signal_checkpoint();
-        out
-    }
-
-    fn delete_inner(&mut self, rel: RelId, tid: Tid) -> DbResult<bool> {
         let xid = self.writable_xid()?;
         let (dev, _) = self.db.heap_parts(rel)?;
         self.lock(rel, LockMode::Exclusive)?;
         self.wrote = true;
-        self.heap(rel, dev).delete(xid, tid)
+        let deleted = self.heap(rel, dev).delete(xid, tid)?;
+        self.db.inner.maybe_signal_checkpoint();
+        Ok(deleted)
     }
 
     /// Replaces the tuple at `tid` with `row` (no-overwrite: old version
@@ -1387,7 +1358,6 @@ impl Session {
         let Some(xid) = self.xid else {
             return Ok(()); // Historical sessions end trivially.
         };
-        self.dirty.clear();
         let inner = &self.db.inner;
         let t0 = inner.clock.now();
         // A hair of commit processing keeps commit timestamps strictly
@@ -1445,7 +1415,6 @@ impl Session {
             inner.committer.submit(
                 PendingRecord {
                     xid,
-                    devices: vec![],
                     commit: true,
                 },
                 inflight,
@@ -1496,7 +1465,6 @@ impl Session {
         let Some(xid) = self.xid else {
             return Ok(());
         };
-        self.dirty.clear();
         let inner = &self.db.inner;
         let result = if inner.committer.window().as_nanos() == 0 {
             inner.xlog.abort(xid)
@@ -1907,7 +1875,7 @@ mod readonly_commit_tests {
         db.inner.pool.flush_rel(&db.inner.smgr, a).unwrap();
         let after = db.buffer_stats().writebacks;
         assert!(after > before, "a's dirty page written");
-        // b's page is still dirty in cache (flush_all at commit handles it).
+        // b's page is still dirty in cache; its insert is durable through the log.
         s.commit().unwrap();
         let mut r = db.begin().unwrap();
         assert_eq!(r.seq_scan(b).unwrap().len(), 1);

@@ -254,8 +254,8 @@ pub mod order {
     /// Rank of b-tree page latches (meta, internal, and leaf pages).
     pub const BTREE_PAGE: usize = 3;
     /// Rank of the group-commit coordinator mutex. It sits *outside*
-    /// `xact-log` and the device ranks because the batch leader persists
-    /// commit records and syncs devices on behalf of the whole batch;
+    /// `xact-log`, `wal` and the device ranks because the batch leader
+    /// appends commit records and forces the log for the whole batch;
     /// committers enter the coordinator holding no other ranked lock.
     pub const COMMIT_COORD: usize = 4;
     /// Rank of the checkpointer's cycle mutex. A checkpoint drains the

@@ -293,7 +293,6 @@ impl Session {
                         ("time_travel_reads", TypeId::INT8),
                         ("group_commits", TypeId::INT8),
                         ("batched_records", TypeId::INT8),
-                        ("pages_flushed_at_commit", TypeId::INT8),
                         ("sync_calls", TypeId::INT8),
                         ("commit_latency_hist", TypeId::TEXT),
                         ("active", TypeId::INT4),
@@ -304,7 +303,6 @@ impl Session {
                         int8(x.time_travel_reads.get()),
                         int8(x.group_commits.get()),
                         int8(x.batched_records.get()),
-                        int8(x.pages_flushed_at_commit.get()),
                         int8(x.sync_calls.get()),
                         Datum::Text(format!("[{}]", lat_text.join(","))),
                         Datum::Int4(db.inner.xlog.active_set().len() as i32),

@@ -622,11 +622,6 @@ impl JukeboxManager {
         self.meta_dirty = true;
         Ok(())
     }
-
-    /// Fraction of staging-cache lookups served without touching the robot.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
 }
 
 impl DeviceManager for JukeboxManager {
@@ -1133,16 +1128,14 @@ impl Smgr {
         }
     }
 
-    /// Syncs every registered device. Checkpoint/shutdown-grade: the commit
-    /// path uses the scoped [`Smgr::sync_devices`] instead.
+    /// Syncs every registered device (checkpoint and shutdown).
     pub fn sync_all(&self) -> DbResult<()> {
         let devs = self.devices();
         self.sync_devices(&devs)
     }
 
-    /// Syncs exactly the listed devices — the scoped force a commit issues
-    /// for the devices its dirty set actually touched. `devs` should be
-    /// deduplicated by the caller; unknown ids are an error. With the
+    /// Syncs exactly the listed devices. `devs` should be deduplicated by
+    /// the caller; unknown ids are an error. With the
     /// scheduler on this is a *queue barrier* first: every write submitted
     /// before this call reaches the device before the manager `sync()` runs.
     pub fn sync_devices(&self, devs: &[DeviceId]) -> DbResult<()> {

@@ -137,12 +137,9 @@ pub struct XactCounters {
     /// Commit records persisted through the group-commit coordinator
     /// (every committed write transaction counts once, batched or not).
     pub batched_records: Counter,
-    /// Dirty pages written back by commits (scoped to each transaction's
-    /// own dirty set).
-    pub pages_flushed_at_commit: Counter,
-    /// Data-device syncs issued by commit processing; with scoped sync a
-    /// single-table commit costs exactly one, and group commit amortizes
-    /// the status-log force so this stays *below* `commits` under load.
+    /// Log forces issued by commit processing: one per solo commit, one
+    /// per batch under group commit, so this stays *below* `commits`
+    /// under load. Read-only commits issue none.
     pub sync_calls: Counter,
     /// Commit latency (begin-to-durable, simulated time) distribution.
     pub commit_latency: LatencyHistogram,
@@ -316,9 +313,7 @@ pub struct XactStats {
     pub group_commits: u64,
     /// Commit records persisted via the coordinator.
     pub batched_records: u64,
-    /// Dirty pages written back at commit.
-    pub pages_flushed_at_commit: u64,
-    /// Data-device syncs issued by commits.
+    /// Log forces issued by commits.
     pub sync_calls: u64,
     /// Commit latency bucket counts (bounds in [`LATENCY_BOUNDS_NS`]).
     pub commit_latency: [u64; LATENCY_BUCKETS],
@@ -465,7 +460,6 @@ impl StatsSnapshot {
                 time_travel_reads: reg.xact.time_travel_reads.get(),
                 group_commits: reg.xact.group_commits.get(),
                 batched_records: reg.xact.batched_records.get(),
-                pages_flushed_at_commit: reg.xact.pages_flushed_at_commit.get(),
                 sync_calls: reg.xact.sync_calls.get(),
                 commit_latency: reg.xact.commit_latency.snapshot(),
             },
@@ -559,10 +553,6 @@ impl StatsSnapshot {
                 ),
                 group_commits: sub(self.xact.group_commits, baseline.xact.group_commits),
                 batched_records: sub(self.xact.batched_records, baseline.xact.batched_records),
-                pages_flushed_at_commit: sub(
-                    self.xact.pages_flushed_at_commit,
-                    baseline.xact.pages_flushed_at_commit,
-                ),
                 sync_calls: sub(self.xact.sync_calls, baseline.xact.sync_calls),
                 commit_latency: std::array::from_fn(|i| {
                     sub(self.xact.commit_latency[i], baseline.xact.commit_latency[i])
@@ -652,7 +642,7 @@ impl StatsSnapshot {
              \"prefetches\":{},\"prefetch_hits\":{}}},\
              \"lock\":{{\"acquisitions\":{},\"waits\":{},\"deadlocks\":{},\"timeouts\":{}}},\
              \"xact\":{{\"commits\":{},\"aborts\":{},\"time_travel_reads\":{},\
-             \"group_commits\":{},\"batched_records\":{},\"pages_flushed_at_commit\":{},\
+             \"group_commits\":{},\"batched_records\":{},\
              \"sync_calls\":{},\"commit_latency\":{}}},\
              \"wal\":{{\"records_appended\":{},\"bytes_appended\":{},\"log_forces\":{},\
              \"checkpoints\":{},\"ckpt_pages_drained\":{},\"replayed_pages\":{},\
@@ -678,7 +668,6 @@ impl StatsSnapshot {
             self.xact.time_travel_reads,
             self.xact.group_commits,
             self.xact.batched_records,
-            self.xact.pages_flushed_at_commit,
             self.xact.sync_calls,
             hist(&self.xact.commit_latency),
             self.wal.records_appended,

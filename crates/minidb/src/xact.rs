@@ -18,7 +18,7 @@ use parking_lot::{Condvar, Mutex};
 use simdev::{SimClock, SimDuration, SimInstant};
 
 use crate::error::{DbError, DbResult};
-use crate::ids::{DeviceId, XactId};
+use crate::ids::XactId;
 use crate::smgr::SharedDevice;
 
 /// Commit state of one transaction.
@@ -367,10 +367,10 @@ impl XactLog {
     }
 
     /// Marks every member of `commits` committed at `now`, in memory only,
-    /// after validating that all of them are running. The caller must then
-    /// force the WAL commit records; if the force fails it must call
-    /// [`XactLog::remark_aborted`] so the in-memory state agrees with what a
-    /// crash would reconstruct (no durable record — `Unknown` — aborted).
+    /// after validating that all of them are running. Call it only once
+    /// the WAL force covering their commit records has succeeded: a
+    /// checkpoint persists in-memory marks, and must never make durable a
+    /// transaction whose commit record could still be lost.
     pub fn mark_committed_batch(&self, commits: &[XactId], now: SimInstant) -> DbResult<()> {
         let _order = crate::lock::order::token(crate::lock::order::XACT_LOG);
         let mut g = self.inner.lock();
@@ -391,20 +391,6 @@ impl XactLog {
             g.mark_dirty(xid);
         }
         Ok(())
-    }
-
-    /// Rolls back an in-memory commit mark after a failed WAL force: the
-    /// commit records never became durable, so the transactions must read
-    /// aborted on this side of the crash too.
-    pub fn remark_aborted(&self, xids: &[XactId]) {
-        let _order = crate::lock::order::token(crate::lock::order::XACT_LOG);
-        let mut g = self.inner.lock();
-        for &xid in xids {
-            if let Some(slot) = g.entries.get_mut(xid.0 as usize) {
-                *slot = XactState::Aborted;
-            }
-            g.mark_dirty(xid);
-        }
     }
 
     /// Rewrites every status block whose in-memory state is ahead of the
@@ -431,64 +417,6 @@ impl XactLog {
             }
         }
         Ok(())
-    }
-
-    /// Durably commits a whole batch with a *single* log-device sync: marks
-    /// every member of `commits` committed at `now`, then rewrites each
-    /// status block the batch touches — commit and piggybacked abort records
-    /// alike (`aborts` must already be marked via [`XactLog::mark_aborted`])
-    /// — and syncs the log device once. Data pages of every member must
-    /// already be on stable storage.
-    ///
-    /// If persisting fails, the commit members are re-marked aborted in
-    /// memory before the error returns: no durable record exists, so after
-    /// a crash they would read `Unknown` either way, and the in-memory state
-    /// must agree.
-    pub fn commit_batch(
-        &self,
-        commits: &[XactId],
-        aborts: &[XactId],
-        now: SimInstant,
-    ) -> DbResult<()> {
-        {
-            let _order = crate::lock::order::token(crate::lock::order::XACT_LOG);
-            let mut g = self.inner.lock();
-            for &xid in commits {
-                match g.entries.get(xid.0 as usize) {
-                    Some(XactState::InProgress) => {}
-                    other => {
-                        return Err(DbError::Invalid(format!(
-                            "batch commit of non-running {xid} ({other:?})"
-                        )))
-                    }
-                }
-            }
-            for &xid in commits {
-                if let Some(slot) = g.entries.get_mut(xid.0 as usize) {
-                    *slot = XactState::Committed(now);
-                }
-            }
-        }
-        let mut blknos: Vec<u64> = commits
-            .iter()
-            .chain(aborts)
-            .map(|x| (x.0 as usize / ENTRIES_PER_BLOCK) as u64)
-            .collect();
-        blknos.sort_unstable();
-        blknos.dedup();
-        match self.persist_blocks(&blknos) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _order = crate::lock::order::token(crate::lock::order::XACT_LOG);
-                let mut g = self.inner.lock();
-                for &xid in commits {
-                    if let Some(slot) = g.entries.get_mut(xid.0 as usize) {
-                        *slot = XactState::Aborted;
-                    }
-                }
-                Err(e)
-            }
-        }
     }
 
     /// The set of transaction ids currently in progress.
@@ -565,10 +493,6 @@ impl XactLog {
 pub struct PendingRecord {
     /// The transaction whose status record rides in this batch.
     pub xid: XactId,
-    /// Data devices the transaction's dirty set touched. The committer has
-    /// already *flushed* its pages to them; the batch leader issues one
-    /// sync over the union. Empty for piggybacked aborts.
-    pub devices: Vec<DeviceId>,
     /// `true` for a commit record, `false` for a piggybacked abort.
     pub commit: bool,
 }
@@ -582,12 +506,11 @@ struct CoordState {
     done: HashMap<XactId, DbResult<()>>,
 }
 
-/// RAII marker that a committer has started flushing its dirty pages and
-/// will submit a record shortly. The batch leader's straggler wait keeps
-/// the window open while any of these are live, which is what turns N
+/// RAII marker that a committer has entered the commit path and will
+/// submit a record shortly. The batch leader's straggler wait keeps the
+/// window open while any of these are live, which is what turns N
 /// concurrent committers into one batch instead of N. A guard dropped
-/// without reaching [`GroupCommitter::submit`] (a flush error, say)
-/// deregisters itself.
+/// without reaching [`GroupCommitter::submit`] deregisters itself.
 #[must_use = "pass the guard to submit(), or drop it on the error path"]
 pub struct InFlight<'a> {
     committer: &'a GroupCommitter,
@@ -604,25 +527,25 @@ impl Drop for InFlight<'_> {
 
 /// The group-commit coordinator.
 ///
-/// Committers flush their own dirty pages first, then [`submit`] their
-/// status record. Whoever finds no leader active becomes the batch leader:
-/// it holds the commit window open for stragglers (in virtual time —
-/// advancing the [`SimClock`] by `window` when concurrent committers are
-/// observed), drains the pending queue, and runs the caller-supplied batch
-/// processor (device sync + [`XactLog::commit_batch`]) once for everyone.
-/// Followers park on a condvar and wake with their result.
+/// Committers [`submit`] their commit record. Whoever finds no leader
+/// active becomes the batch leader: it holds the commit window open for
+/// stragglers (in virtual time — advancing the [`SimClock`] by `window`
+/// when concurrent committers are observed), drains the pending queue, and
+/// runs the caller-supplied batch processor (append every member's WAL
+/// record, one log force, mark the commits) once for everyone. Followers
+/// park on a condvar and wake with their result.
 ///
 /// Its mutex ranks `commit-coord` in the lock hierarchy, *outside*
-/// `xact-log` and the device ranks, because the leader persists records and
-/// syncs devices on the batch's behalf; committers must enter holding no
-/// other ranked lock.
+/// `xact-log`, `wal` and the device ranks, because the leader appends to
+/// and forces the log on the batch's behalf; committers must enter holding
+/// no other ranked lock.
 ///
 /// [`submit`]: GroupCommitter::submit
 pub struct GroupCommitter {
     state: Mutex<CoordState>,
     cond: Condvar,
     /// Committers between [`GroupCommitter::begin_commit`] and their
-    /// [`GroupCommitter::submit`] — mid-flush, record not yet pending.
+    /// [`GroupCommitter::submit`] — record not yet pending.
     flushing: AtomicUsize,
     clock: SimClock,
     window: SimDuration,
@@ -650,8 +573,8 @@ impl GroupCommitter {
         self.window
     }
 
-    /// Announces a commit in flight (about to flush its pages). Call
-    /// *before* the flush so a concurrent leader holds the batch open.
+    /// Announces a commit in flight, so a concurrent leader holds the
+    /// batch open until its record is submitted.
     pub fn begin_commit(&self) -> InFlight<'_> {
         self.flushing.fetch_add(1, SeqCst);
         InFlight {
@@ -670,7 +593,6 @@ impl GroupCommitter {
         let _order = crate::lock::order::token(crate::lock::order::COMMIT_COORD);
         self.state.lock().pending.push(PendingRecord {
             xid,
-            devices: Vec::new(),
             commit: false,
         });
     }
@@ -722,7 +644,7 @@ impl GroupCommitter {
         }
     }
 
-    /// The leader's window: while concurrent committers are mid-flush (or
+    /// The leader's window: while concurrent committers are in flight (or
     /// the pending queue keeps growing), keep the batch open. Charges the
     /// virtual clock `window` once iff stragglers were actually observed,
     /// so a solo commit pays nothing. Host-side, "waiting" is a bounded

@@ -168,7 +168,6 @@ struct CacheEntry {
 pub struct Ffs {
     dev: Arc<Mutex<dyn BlockDevice>>,
     config: FfsConfig,
-    inode_blocks: u64,
     next_free_block: u64,
     cache: HashMap<u64, CacheEntry>,
     lru: Vec<u64>,
@@ -184,7 +183,6 @@ impl Ffs {
         let mut fs = Ffs {
             dev,
             config,
-            inode_blocks,
             next_free_block: 1 + inode_blocks,
             cache: HashMap::new(),
             lru: Vec::new(),
@@ -261,11 +259,6 @@ impl Ffs {
         }
         self.touch(blk);
         Ok(())
-    }
-
-    /// Number of blocks reserved for the inode region.
-    pub fn inode_region_blocks(&self) -> u64 {
-        self.inode_blocks
     }
 
     /// Writes every dirty cached block to the device.

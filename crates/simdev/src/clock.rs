@@ -178,11 +178,6 @@ impl SimClock {
         SimInstant(prev.saturating_add(d.as_nanos()))
     }
 
-    /// Advances the clock by a fractional number of seconds.
-    pub fn advance_secs(&self, s: f64) -> SimInstant {
-        self.advance(SimDuration::from_secs_f64(s))
-    }
-
     /// Runs `f` and returns its result together with the virtual time it took.
     pub fn timed<T>(&self, f: impl FnOnce() -> T) -> (T, SimDuration) {
         let start = self.now();

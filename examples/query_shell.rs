@@ -76,7 +76,7 @@ fn show_stats(fs: &InversionFs) {
         ),
         (
             "pg_stat_xact",
-            "retrieve (s.commits, s.aborts, s.time_travel_reads, s.group_commits, s.batched_records, s.pages_flushed_at_commit, s.sync_calls, s.active) from s in pg_stat_xact",
+            "retrieve (s.commits, s.aborts, s.time_travel_reads, s.group_commits, s.batched_records, s.sync_calls, s.active) from s in pg_stat_xact",
         ),
         (
             "pg_stat_wal",

@@ -9,7 +9,7 @@ mod common;
 
 use std::sync::{Arc, Barrier};
 
-use common::Devices;
+use common::{data_page_writes, Devices};
 use minidb::{Datum, Db, DbConfig, Schema, TypeId};
 use simdev::SimDuration;
 
@@ -96,9 +96,17 @@ fn group_commit_batches_without_losing_updates() {
         d.xact.sync_calls,
         committed
     );
+    assert!(
+        d.wal.log_forces < committed,
+        "concurrent committers must share log forces: {} forces for {} commits",
+        d.wal.log_forces,
+        committed
+    );
     assert_eq!(
-        d.xact.pages_flushed_at_commit, 0,
-        "no-force commit must not write data pages"
+        data_page_writes(&d),
+        THREADS as u64,
+        "no-force commit must not write data pages: the only writes are \
+         the first-page extend of each thread's table"
     );
 }
 
@@ -135,5 +143,10 @@ fn disabled_window_still_commits_every_record() {
     assert_eq!(
         d.xact.sync_calls, committed,
         "window disabled: one data sync per write commit"
+    );
+    assert_eq!(
+        data_page_writes(&d),
+        THREADS as u64,
+        "the solo commit path writes no data page either"
     );
 }

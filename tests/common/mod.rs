@@ -1,6 +1,8 @@
 //! Shared fixtures for the cross-crate integration tests.
 
-use minidb::{shared_device, Db, DbConfig, DeviceId, GenericManager, SharedDevice, Smgr};
+use minidb::{
+    shared_device, Db, DbConfig, DeviceId, GenericManager, SharedDevice, Smgr, StatsSnapshot,
+};
 use simdev::{DiskProfile, MagneticDisk, SimClock};
 
 /// A persistent set of devices a database can be opened on, crashed, and
@@ -72,4 +74,17 @@ impl Devices {
         )
         .unwrap()
     }
+}
+
+/// Data-page writes in the counter delta `d`, summed over every registered
+/// device — the no-force gate: across a `commit()` this must be 0 while
+/// `d.wal.log_forces` accounts for the durability. Refuses a window the
+/// checkpointer ran in, so a write can never be excused as "the drain".
+#[allow(dead_code)]
+pub fn data_page_writes(d: &StatsSnapshot) -> u64 {
+    assert_eq!(
+        d.wal.checkpoints, 0,
+        "a checkpoint ran inside the measured window"
+    );
+    d.devices.iter().map(|dev| dev.writes).sum()
 }

@@ -7,7 +7,7 @@ mod common;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use common::Devices;
+use common::{data_page_writes, Devices};
 use inversion::{CreateMode, InversionFs, CHUNK_SIZE};
 use minidb::{Datum, Db, Schema, TypeId};
 
@@ -310,9 +310,9 @@ fn single_table_commit_costs_one_log_force() {
             .unwrap();
     }
 
-    let before = db.stats();
     let mut s = db.begin().unwrap();
     s.insert(small, vec![Datum::Int4(7)]).unwrap();
+    let before = db.stats();
     s.commit().unwrap();
     let d = db.stats().delta(&before);
 
@@ -323,10 +323,12 @@ fn single_table_commit_costs_one_log_force() {
     );
     assert_eq!(d.xact.batched_records, 1);
     assert_eq!(
-        d.xact.pages_flushed_at_commit, 0,
+        data_page_writes(&d),
+        0,
         "no-force commit: the bystander's dirty pages (and our own) stay \
          cached for the checkpointer"
     );
+    assert_eq!(d.wal.log_forces, 1, "and the log sees exactly one force");
     bystander.abort().unwrap();
 }
 
@@ -352,7 +354,8 @@ fn retrieve_only_transaction_commits_without_io() {
 
     assert_eq!(res.rows.len(), 10);
     assert_eq!(d.xact.commits, 1);
-    assert_eq!(d.xact.pages_flushed_at_commit, 0, "read-only: nothing to flush");
+    assert_eq!(data_page_writes(&d), 0, "read-only: nothing to flush");
+    assert_eq!(d.wal.log_forces, 0, "read-only: no log force");
     assert_eq!(d.xact.sync_calls, 0, "read-only: no device sync");
     assert_eq!(d.xact.batched_records, 0, "read-only: no commit record");
 }
@@ -378,35 +381,57 @@ fn readonly_file_transaction_commits_without_io() {
 
     assert_eq!(n, data.len());
     assert_eq!(d.xact.commits, 1);
-    assert_eq!(d.xact.pages_flushed_at_commit, 0, "p_commit of a read: no flush");
+    assert_eq!(data_page_writes(&d), 0, "p_commit of a read: no flush");
+    assert_eq!(d.wal.log_forces, 0, "p_commit of a read: no log force");
     assert_eq!(d.xact.sync_calls, 0, "p_commit of a read: no sync");
     assert_eq!(d.xact.batched_records, 0, "p_commit of a read: no record");
 }
 
-/// The new commit-path counters are queryable through `pg_stat_xact`.
+/// The commit-path counters are queryable through `pg_stat_xact`, and the
+/// no-force gate reads the same relationally: across a commit
+/// `pg_stat_device.writes` stands still while `pg_stat_wal.log_forces`
+/// moves by one.
 #[test]
 fn commit_counters_queryable_through_pg_stat_xact() {
     let db = Db::open_in_memory().unwrap();
     let rel = db
         .create_table("t", Schema::new([("v", TypeId::INT4)]))
         .unwrap();
+    // (data-page writes, log forces, checkpoints), via a read-only
+    // transaction that itself forces and writes nothing.
+    let io = || {
+        let mut s = db.begin().unwrap();
+        let dev = s
+            .query("retrieve (d.writes) from d in pg_stat_device")
+            .unwrap();
+        let wal = s
+            .query("retrieve (w.log_forces, w.checkpoints) from w in pg_stat_wal")
+            .unwrap();
+        s.commit().unwrap();
+        let writes: i64 = dev.rows.iter().map(|r| int8(&r[0])).sum();
+        (writes, int8(&wal.rows[0][0]), int8(&wal.rows[0][1]))
+    };
     let mut s = db.begin().unwrap();
     s.insert(rel, vec![Datum::Int4(1)]).unwrap();
+    let (writes, forces, checkpoints) = io();
     s.commit().unwrap();
+    let after = io();
+    assert_eq!(after.2, checkpoints, "no checkpoint in the window");
+    assert_eq!(after.0, writes, "no-force commit writes no data page");
+    assert_eq!(after.1, forces + 1, "one log force makes it durable");
 
     let mut s = db.begin().unwrap();
     let res = s
         .query(
             "retrieve (x.commits, x.group_commits, x.batched_records, \
-             x.pages_flushed_at_commit, x.sync_calls) from x in pg_stat_xact",
+             x.sync_calls) from x in pg_stat_xact",
         )
         .unwrap();
     s.commit().unwrap();
     let row = &res.rows[0];
     assert!(int8(&row[0]) >= 1, "commits");
     assert!(int8(&row[2]) >= 1, "batched_records");
-    assert_eq!(int8(&row[3]), 0, "no-force commit flushes no pages");
-    assert!(int8(&row[4]) >= 1, "sync_calls");
+    assert!(int8(&row[3]) >= 1, "sync_calls");
 }
 
 /// Virtual relations have no history: time-travel brackets are rejected
@@ -505,7 +530,8 @@ fn explain_only_transaction_commits_without_io() {
     assert_eq!(d.planner.plans_built, 1);
     assert_eq!(d.heap.scans, 0, "explain plans the scan but never runs it");
     assert_eq!(d.xact.commits, 1);
-    assert_eq!(d.xact.pages_flushed_at_commit, 0, "plan-only: nothing to flush");
+    assert_eq!(data_page_writes(&d), 0, "plan-only: nothing to flush");
+    assert_eq!(d.wal.log_forces, 0, "plan-only: no log force");
     assert_eq!(d.xact.sync_calls, 0, "plan-only: no device sync");
     assert_eq!(d.xact.batched_records, 0, "plan-only: no commit record");
 }
