@@ -112,15 +112,15 @@ fn measure_layout(extent_size: u64, depth: usize, threads: usize) -> ExtentRun {
     }
     let secs = clock.now().since(t0).as_secs_f64().max(1e-9);
 
-    let io = stats.io_queue(DeviceId::DEFAULT);
+    let io = stats.device(DeviceId::DEFAULT);
     let total_bytes = threads as u64 * PAGES_PER_CLIENT * PAGE_SIZE as u64;
     ExtentRun {
         threads,
         pages_per_client: PAGES_PER_CLIENT,
         virtual_secs: secs,
         mb_per_sec: total_bytes as f64 / (1 << 20) as f64 / secs,
-        batched_neighbors: io.batched_neighbors.get(),
-        elevator_passes: io.elevator_passes.get(),
+        batched_neighbors: io.io_batched_neighbors.get(),
+        elevator_passes: io.io_elevator_passes.get(),
     }
 }
 

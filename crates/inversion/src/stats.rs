@@ -14,81 +14,85 @@
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
-use minidb::stats::Counter;
-use minidb::{Datum, Db, Row, Schema, TypeId};
+use minidb::stats::{all, Counter};
+use minidb::{stat_table, Datum, Db, Row, Schema, TypeId};
 use parking_lot::Mutex;
 
-/// Counters for every file system operation, chunk-level I/O, and the
-/// client/server protocol. All updates are relaxed atomics — cheap enough to
-/// leave on permanently, readable concurrently with any workload.
-#[derive(Debug, Default)]
-pub struct InvStats {
+stat_table! {
+    /// Counters for every file system operation, chunk-level I/O, and the
+    /// client/server protocol. All updates are relaxed atomics — cheap
+    /// enough to leave on permanently, readable concurrently with any
+    /// workload. Each counter is one `inv_stat` row, named by its label.
+    live InvStats {
+        /// Per-session network counters, queryable as `pg_stat_net`.
+        pub net: NetRegistry,
+    };
+    #[derive(Copy)]
+    frozen InvCounts;
     /// `p_creat` calls.
-    pub creats: Counter,
+    creats as "creat": Counter,
     /// `p_open` calls.
-    pub opens: Counter,
+    opens as "open": Counter,
     /// `p_close` calls.
-    pub closes: Counter,
+    closes as "close": Counter,
     /// `p_read` calls.
-    pub reads: Counter,
+    reads as "read": Counter,
     /// `p_write` calls.
-    pub writes: Counter,
+    writes as "write": Counter,
     /// `p_lseek` calls.
-    pub seeks: Counter,
+    seeks as "lseek": Counter,
     /// `p_stat` + `p_fstat` calls.
-    pub stat_calls: Counter,
+    stat_calls as "stat": Counter,
     /// `p_mkdir` calls.
-    pub mkdirs: Counter,
+    mkdirs as "mkdir": Counter,
     /// `p_readdir` calls.
-    pub readdirs: Counter,
+    readdirs as "readdir": Counter,
     /// `p_unlink` calls.
-    pub unlinks: Counter,
+    unlinks as "unlink": Counter,
     /// `p_rename` calls.
-    pub renames: Counter,
+    renames as "rename": Counter,
     /// `p_slice` calls (WTF-style file composition).
-    pub slices: Counter,
+    slices as "slice": Counter,
     /// Bytes returned by `p_read`.
-    pub bytes_read: Counter,
+    bytes_read: Counter,
     /// Bytes accepted by `p_write`.
-    pub bytes_written: Counter,
+    bytes_written: Counter,
     /// Chunk records fetched from the database.
-    pub chunk_reads: Counter,
+    chunk_reads: Counter,
     /// Chunk records stored (inserted or updated) in the database.
-    pub chunk_writes: Counter,
+    chunk_writes: Counter,
     /// Chunk records shared by `p_slice` — stored rows copied between chunk
     /// tables without decoding or re-encoding the payload (zero-copy).
-    pub chunks_shared: Counter,
+    chunks_shared: Counter,
     /// Write calls absorbed into an already-active coalescing buffer
     /// ("multiple small sequential writes ... are coalesced").
-    pub chunks_coalesced: Counter,
+    chunks_coalesced: Counter,
     /// Coalescing-buffer flushes that actually wrote a chunk.
-    pub coalesce_flushes: Counter,
+    coalesce_flushes: Counter,
     /// Requests executed by the client/server dispatcher.
-    pub rpcs: Counter,
+    rpcs: Counter,
     /// Request bytes received by the server (wire sizes).
-    pub rpc_bytes_in: Counter,
+    rpc_bytes_in: Counter,
     /// Response bytes sent by the server (wire sizes).
-    pub rpc_bytes_out: Counter,
+    rpc_bytes_out: Counter,
     /// Connections accepted by the session pool.
-    pub sessions_opened: Counter,
+    sessions_opened: Counter,
     /// Sessions torn down (clean close or disconnect).
-    pub sessions_closed: Counter,
+    sessions_closed: Counter,
     /// Frames read off the wire across all sessions.
-    pub net_frames_in: Counter,
+    net_frames_in: Counter,
     /// Frames written to the wire across all sessions.
-    pub net_frames_out: Counter,
+    net_frames_out: Counter,
     /// Bytes read off the wire across all sessions.
-    pub net_bytes_in: Counter,
+    net_bytes_in: Counter,
     /// Bytes written to the wire across all sessions.
-    pub net_bytes_out: Counter,
+    net_bytes_out: Counter,
     /// Frames that failed to decode (bad opcode, checksum, malformed body).
-    pub net_decode_errors: Counter,
+    net_decode_errors: Counter,
     /// Times a reader blocked because its session queue was full.
-    pub net_queue_full: Counter,
+    net_queue_full: Counter,
     /// In-flight transactions aborted because the client disconnected.
-    pub net_disconnect_aborts: Counter,
-    /// Per-session network counters, queryable as `pg_stat_net`.
-    pub net: NetRegistry,
+    net_disconnect_aborts: Counter,
 }
 
 impl InvStats {
@@ -99,39 +103,13 @@ impl InvStats {
 
     /// Every counter as `(name, value)`, in `inv_stat` row order.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("creat", self.creats.get()),
-            ("open", self.opens.get()),
-            ("close", self.closes.get()),
-            ("read", self.reads.get()),
-            ("write", self.writes.get()),
-            ("lseek", self.seeks.get()),
-            ("stat", self.stat_calls.get()),
-            ("mkdir", self.mkdirs.get()),
-            ("readdir", self.readdirs.get()),
-            ("unlink", self.unlinks.get()),
-            ("rename", self.renames.get()),
-            ("slice", self.slices.get()),
-            ("bytes_read", self.bytes_read.get()),
-            ("bytes_written", self.bytes_written.get()),
-            ("chunk_reads", self.chunk_reads.get()),
-            ("chunk_writes", self.chunk_writes.get()),
-            ("chunks_shared", self.chunks_shared.get()),
-            ("chunks_coalesced", self.chunks_coalesced.get()),
-            ("coalesce_flushes", self.coalesce_flushes.get()),
-            ("rpcs", self.rpcs.get()),
-            ("rpc_bytes_in", self.rpc_bytes_in.get()),
-            ("rpc_bytes_out", self.rpc_bytes_out.get()),
-            ("sessions_opened", self.sessions_opened.get()),
-            ("sessions_closed", self.sessions_closed.get()),
-            ("net_frames_in", self.net_frames_in.get()),
-            ("net_frames_out", self.net_frames_out.get()),
-            ("net_bytes_in", self.net_bytes_in.get()),
-            ("net_bytes_out", self.net_bytes_out.get()),
-            ("net_decode_errors", self.net_decode_errors.get()),
-            ("net_queue_full", self.net_queue_full.get()),
-            ("net_disconnect_aborts", self.net_disconnect_aborts.get()),
-        ]
+        let names = InvCounts::LABELS.iter().copied();
+        // Every `inv_stat` metric is a counter, so every cell is an int8.
+        let counts = self.freeze().datums(&all).into_iter().map(|d| match d {
+            Datum::Int8(n) => n as u64,
+            _ => 0,
+        });
+        names.zip(counts).collect()
     }
 
     /// The counters as `inv_stat` rows.
@@ -153,28 +131,35 @@ impl InvStats {
     }
 }
 
-/// Wire-level counters for one server-side session, published while the
-/// connection lives and retained (marked closed) afterwards so post-mortem
-/// queries still see the totals.
-#[derive(Debug, Default)]
-pub struct SessionNetStats {
-    /// Pool-assigned session number.
-    pub session: u64,
+stat_table! {
+    /// Wire-level counters for one server-side session, published while the
+    /// connection lives and retained (marked closed) afterwards so
+    /// post-mortem queries still see the totals.
+    live SessionNetStats {
+        /// Pool-assigned session number.
+        pub session: u64,
+        closed: AtomicBool,
+    };
+    frozen SessionNetCounts [
+        /// Pool-assigned session number.
+        session: u64,
+        /// `open`, or `closed` once the session is torn down.
+        state: String,
+    ];
     /// Frames read from this connection.
-    pub frames_in: Counter,
+    frames_in: Counter,
     /// Frames written to this connection.
-    pub frames_out: Counter,
+    frames_out: Counter,
     /// Bytes read from this connection (headers + payloads).
-    pub bytes_in: Counter,
+    bytes_in: Counter,
     /// Bytes written to this connection.
-    pub bytes_out: Counter,
+    bytes_out: Counter,
     /// Frames that arrived but failed to decode.
-    pub decode_errors: Counter,
+    decode_errors: Counter,
     /// Times the reader blocked on a full request queue (backpressure).
-    pub queue_full: Counter,
+    queue_full: Counter,
     /// 1 if the session's transaction was aborted by a disconnect.
-    pub disconnect_aborts: Counter,
-    closed: AtomicBool,
+    disconnect_aborts: Counter,
 }
 
 impl SessionNetStats {
@@ -206,63 +191,32 @@ impl NetRegistry {
         st
     }
 
-    /// Snapshot of every session ever registered (open and closed).
-    pub fn sessions(&self) -> Vec<Arc<SessionNetStats>> {
-        self.sessions.lock().clone()
-    }
-
-    /// The registry as `pg_stat_net` rows.
+    /// The registry as `pg_stat_net` rows: every session ever registered,
+    /// open and closed.
     pub fn rows(&self) -> Vec<Row> {
-        self.sessions()
+        let sessions = self.sessions.lock().clone();
+        sessions
             .iter()
             .map(|s| {
-                vec![
-                    Datum::Int8(s.session as i64),
-                    Datum::Text(if s.is_closed() { "closed" } else { "open" }.into()),
-                    Datum::Int8(s.frames_in.get() as i64),
-                    Datum::Int8(s.frames_out.get() as i64),
-                    Datum::Int8(s.bytes_in.get() as i64),
-                    Datum::Int8(s.bytes_out.get() as i64),
-                    Datum::Int8(s.decode_errors.get() as i64),
-                    Datum::Int8(s.queue_full.get() as i64),
-                    Datum::Int8(s.disconnect_aborts.get() as i64),
-                ]
+                let state = if s.is_closed() { "closed" } else { "open" };
+                s.freeze(s.session, state.into()).datums(&all)
             })
             .collect()
     }
 }
 
-/// The `inv_stat` relation schema: `(op = text, count = int8)`.
-pub fn inv_stat_schema() -> Schema {
-    Schema::new([("op", TypeId::TEXT), ("count", TypeId::INT8)])
-}
-
-/// The `pg_stat_net` relation schema: one row per server session.
-pub fn pg_stat_net_schema() -> Schema {
-    Schema::new([
-        ("session", TypeId::INT8),
-        ("state", TypeId::TEXT),
-        ("frames_in", TypeId::INT8),
-        ("frames_out", TypeId::INT8),
-        ("bytes_in", TypeId::INT8),
-        ("bytes_out", TypeId::INT8),
-        ("decode_errors", TypeId::INT8),
-        ("queue_full", TypeId::INT8),
-        ("disconnect_aborts", TypeId::INT8),
-    ])
-}
-
-/// Registers `stats` with `db` as the virtual relations `inv_stat` and
-/// `pg_stat_net`.
+/// Registers `stats` with `db` as the virtual relations `inv_stat`
+/// (`(op = text, count = int8)`, one row per counter) and `pg_stat_net`
+/// (one row per server session).
 pub(crate) fn register_inv_stat(db: &Db, stats: &Arc<InvStats>) {
     let st = Arc::clone(stats);
-    db.register_virtual("inv_stat", inv_stat_schema(), Arc::new(move || st.rows()));
+    let schema = Schema::new([("op", TypeId::TEXT), ("count", TypeId::INT8)]);
+    db.register_virtual("inv_stat", schema, move |_| st.rows());
     let st = Arc::clone(stats);
-    db.register_virtual(
-        "pg_stat_net",
-        pg_stat_net_schema(),
-        Arc::new(move || st.net.rows()),
-    );
+    let schema = Schema {
+        columns: SessionNetCounts::columns(&all),
+    };
+    db.register_virtual("pg_stat_net", schema, move |_| st.net.rows());
 }
 
 #[cfg(test)]

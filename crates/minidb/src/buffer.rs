@@ -36,6 +36,7 @@ use crate::ids::{DeviceId, RelId};
 use crate::lock::order;
 use crate::page::PAGE_SIZE;
 use crate::smgr::Smgr;
+use crate::stats::Counter;
 
 /// The number of buffers POSTGRES shipped with.
 pub const DEFAULT_BUFFERS: usize = 64;
@@ -177,32 +178,23 @@ impl Drop for PinnedPage {
     }
 }
 
-/// Cache effectiveness counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BufferStats {
+crate::stat_table! {
+    /// Cache effectiveness counters. Each shard keeps its own tally as plain
+    /// integers under the shard latch; [`BufferPool::stats`] merges them.
+    #[derive(Copy)]
+    frozen BufferStats;
     /// Lookups satisfied from the cache.
-    pub hits: u64,
+    hits: Counter,
     /// Lookups that had to read from a device.
-    pub misses: u64,
+    misses: Counter,
     /// Pages evicted to make room.
-    pub evictions: u64,
+    evictions: Counter,
     /// Dirty pages written back (at eviction or flush).
-    pub writebacks: u64,
+    writebacks: Counter,
     /// Blocks loaded by sequential read-ahead.
-    pub prefetches: u64,
+    prefetches: Counter,
     /// Hits on pages that were resident only because of read-ahead.
-    pub prefetch_hits: u64,
-}
-
-impl BufferStats {
-    fn add(&mut self, o: &BufferStats) {
-        self.hits += o.hits;
-        self.misses += o.misses;
-        self.evictions += o.evictions;
-        self.writebacks += o.writebacks;
-        self.prefetches += o.prefetches;
-        self.prefetch_hits += o.prefetch_hits;
-    }
+    prefetch_hits: Counter,
 }
 
 /// One shard: a map from `(rel, blkno)` to frames plus the clock ring.
@@ -323,7 +315,7 @@ impl BufferPool {
         let mut total = BufferStats::default();
         for shard in &self.shards {
             let _order = order::token(order::BUFFER_SHARD);
-            total.add(&shard.lock().stats);
+            total.merge(&shard.lock().stats);
         }
         total
     }

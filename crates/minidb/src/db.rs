@@ -25,7 +25,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
 use simdev::{DiskProfile, MagneticDisk, SimClock, SimDuration, SimInstant};
@@ -41,10 +40,8 @@ use crate::ids::{DeviceId, RelId, Tid, XactId};
 use crate::lock::{LockManager, LockMode};
 use crate::recovery::Redo;
 use crate::smgr::{read_meta, shared_device, write_meta, GenericManager, SharedDevice, Smgr};
+use crate::stats::{StatsRegistry, StatsSnapshot, VirtualTable, VirtualTables};
 use crate::wal::{Wal, WalRecord};
-use crate::stats::{
-    DeviceIoStats, StatsRegistry, StatsSnapshot, VirtualRowsFn, VirtualTable, VirtualTables,
-};
 use crate::xact::{GroupCommitter, PendingRecord, Snapshot, XactLog, XactState};
 
 /// Tunables for a [`Db`].
@@ -52,8 +49,6 @@ use crate::xact::{GroupCommitter, PendingRecord, Snapshot, XactLog, XactState};
 pub struct DbConfig {
     /// Buffer cache size in 8 KB frames (POSTGRES shipped with 64).
     pub buffers: usize,
-    /// Lock wait timeout backstop.
-    pub lock_timeout: Duration,
     /// When the buffer pool is under replacement pressure, write B-tree
     /// pages through to the device as index entries are added, as
     /// POSTGRES 4.0.1's buffer manager did. This is the behaviour behind
@@ -74,37 +69,34 @@ pub struct DbConfig {
     /// pages and truncates the log, absent log-space pressure. Pressure
     /// (the log epoch passing half its region) wakes it regardless.
     pub checkpoint_interval: SimDuration,
-    /// How many unforced log bytes may accumulate before an append forces
-    /// the log inline, bounding what one force has to write. Zero lets the
-    /// buffer grow until a commit or page writeback forces it.
-    pub wal_buffer_size: usize,
     /// Per-device asynchronous I/O queue depth: how many write-behind
     /// requests may be pending on one device before submitters are
     /// throttled. Zero disables the scheduler entirely — every read and
     /// writeback is synchronous in the caller, as before.
     pub io_queue_depth: usize,
-    /// Blocks allocated per relation extent on the generic disk manager.
-    /// Values > 1 lay relations out in sequential runs so the simulated
-    /// disk's seek model rewards scans; 1 reproduces the old
-    /// block-at-a-time bump allocator.
-    pub extent_size: u64,
 }
 
 impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             buffers: DEFAULT_BUFFERS,
-            lock_timeout: Duration::from_secs(10),
             eager_index_writes: true,
             prefetch_window: crate::buffer::DEFAULT_PREFETCH_WINDOW,
             group_commit_window: SimDuration::from_micros(50),
             checkpoint_interval: SimDuration::from_millis(100),
-            wal_buffer_size: 256 * 1024,
             io_queue_depth: 64,
-            extent_size: 16,
         }
     }
 }
+
+/// Unforced log bytes that may accumulate before an append forces the log
+/// inline, bounding what one force has to write.
+const WAL_BUFFER_SIZE: u64 = 256 * 1024;
+
+/// Blocks allocated per relation extent on the generic disk manager: > 1
+/// lays relations out in sequential runs so the simulated disk's seek model
+/// rewards scans (1 would be a block-at-a-time bump allocator).
+const EXTENT_SIZE: u64 = 16;
 
 /// Shared state between a database and its background checkpointer thread.
 /// Lives in its own `Arc` so the thread can park on the condvar holding
@@ -216,53 +208,18 @@ impl Db {
     /// overwritten).
     pub fn open(
         clock: SimClock,
-        mut smgr: Smgr,
+        smgr: Smgr,
         log_dev: SharedDevice,
         catalog_dev: SharedDevice,
         config: DbConfig,
     ) -> DbResult<Db> {
         let xlog = XactLog::create(log_dev.clone())?;
         let stats = Arc::new(StatsRegistry::new());
-        let wal = Arc::new(Wal::create(log_dev, Arc::clone(&stats))?);
-        wal.set_buffer_cap(config.wal_buffer_size as u64);
-        let redo = Arc::new(Redo::empty(Arc::clone(&stats)));
-        smgr.attach_stats(clock.clone(), Arc::clone(&stats));
-        smgr.attach_redo(Arc::clone(&redo));
-        for dev in smgr.devices() {
-            smgr.with(dev, |m| {
-                m.set_extent_size(config.extent_size);
-                Ok(())
-            })?;
-        }
-        smgr.start_io(config.io_queue_depth);
-        let mut locks = LockManager::with_timeout(config.lock_timeout);
-        locks.share_stats(Arc::clone(&stats));
-        let pool = BufferPool::new(config.buffers);
-        pool.set_prefetch_window(config.prefetch_window);
-        pool.attach_wal(Arc::clone(&wal));
-        let committer = GroupCommitter::new(clock.clone(), config.group_commit_window);
-        let ckpt = CheckpointState::new(clock.now());
-        let db = Db {
-            inner: Arc::new(DbInner {
-                clock,
-                pool,
-                smgr,
-                xlog,
-                locks,
-                catalog: RwLock::new(Catalog::new()),
-                funcs: FunctionRegistry::with_builtins(),
-                stats,
-                virtuals: VirtualTables::new(),
-                committer,
-                wal,
-                redo,
-                ckpt,
-                catalog_dev,
-                config,
-            }),
-        };
+        let wal = Wal::create(log_dev, Arc::clone(&stats))?;
+        let redo = Redo::empty(Arc::clone(&stats));
+        let parts = (xlog, wal, redo, Catalog::new());
+        let db = Db::assemble(clock, smgr, stats, parts, catalog_dev, config)?;
         db.persist_catalog()?;
-        db.spawn_checkpointer();
         Ok(db)
     }
 
@@ -274,7 +231,7 @@ impl Db {
     /// and catalog devices.
     pub fn recover(
         clock: SimClock,
-        mut smgr: Smgr,
+        smgr: Smgr,
         log_dev: SharedDevice,
         catalog_dev: SharedDevice,
         config: DbConfig,
@@ -285,8 +242,6 @@ impl Db {
         let catalog = Catalog::decode(&cat_bytes)?;
         let stats = Arc::new(StatsRegistry::new());
         let (wal, records) = Wal::recover(log_dev, Arc::clone(&stats))?;
-        let wal = Arc::new(wal);
-        wal.set_buffer_cap(config.wal_buffer_size as u64);
         // Transaction outcomes come from the log, not the status file: the
         // forced `Commit` record *is* the commit point, and the on-device
         // status file only reflects outcomes up to the last checkpoint.
@@ -300,7 +255,7 @@ impl Db {
                 _ => {}
             }
         }
-        let redo = Arc::new(Redo::from_records(&records, Arc::clone(&stats)));
+        let redo = Redo::from_records(&records, Arc::clone(&stats));
         // Allocation fixup: a logged page may lie past the relation's
         // current end (the extension never hit the disk) — extend with
         // blank blocks so first-touch replay finds a readable page. Pages
@@ -323,16 +278,34 @@ impl Db {
                 Ok(())
             })?;
         }
+        let parts = (xlog, wal, redo, catalog);
+        Db::assemble(clock, smgr, stats, parts, catalog_dev, config)
+    }
+
+    /// The tail [`Db::open`] and [`Db::recover`] share: wires the storage
+    /// manager, lock manager, buffer pool and committer to the shared
+    /// counters and the log, registers the engine's virtual relations, and
+    /// starts the checkpointer.
+    fn assemble(
+        clock: SimClock,
+        mut smgr: Smgr,
+        stats: Arc<StatsRegistry>,
+        (xlog, wal, redo, catalog): (XactLog, Wal, Redo, Catalog),
+        catalog_dev: SharedDevice,
+        config: DbConfig,
+    ) -> DbResult<Db> {
+        let (wal, redo) = (Arc::new(wal), Arc::new(redo));
+        wal.set_buffer_cap(WAL_BUFFER_SIZE);
         smgr.attach_stats(clock.clone(), Arc::clone(&stats));
         smgr.attach_redo(Arc::clone(&redo));
         for dev in smgr.devices() {
             smgr.with(dev, |m| {
-                m.set_extent_size(config.extent_size);
+                m.set_extent_size(EXTENT_SIZE);
                 Ok(())
             })?;
         }
         smgr.start_io(config.io_queue_depth);
-        let mut locks = LockManager::with_timeout(config.lock_timeout);
+        let mut locks = LockManager::new();
         locks.share_stats(Arc::clone(&stats));
         let pool = BufferPool::new(config.buffers);
         pool.set_prefetch_window(config.prefetch_window);
@@ -349,7 +322,7 @@ impl Db {
                 catalog: RwLock::new(catalog),
                 funcs: FunctionRegistry::with_builtins(),
                 stats,
-                virtuals: VirtualTables::new(),
+                virtuals: VirtualTables::with_engine_relations(),
                 committer,
                 wal,
                 redo,
@@ -454,55 +427,40 @@ impl Db {
     /// I/O with simulated-latency histograms. Cheap (relaxed atomic loads);
     /// safe to call from any thread at any time.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::from_registry(&self.inner.stats);
-        snap.buffer = self.inner.pool.stats();
-        snap.devices = self
-            .inner
-            .smgr
-            .devices()
-            .into_iter()
-            .map(|dev| {
-                let name = self
-                    .inner
-                    .smgr
-                    .with(dev, |m| Ok(m.device_name()))
-                    .unwrap_or_else(|_| dev.to_string());
-                let c = self.inner.stats.device(dev);
-                let q = self.inner.stats.io_queue(dev);
-                DeviceIoStats {
-                    device: dev.0,
-                    name,
-                    reads: c.reads.get(),
-                    writes: c.writes.get(),
-                    read_ns: c.read_ns.get(),
-                    write_ns: c.write_ns.get(),
-                    read_hist: c.read_hist.snapshot(),
-                    write_hist: c.write_hist.snapshot(),
-                    io_submitted: q.submitted.get(),
-                    io_completed: q.completed.get(),
-                    io_batched_neighbors: q.batched_neighbors.get(),
-                    io_elevator_passes: q.elevator_passes.get(),
-                    io_queue_depth_hw: q.queue_depth_hw.get(),
-                    io_barrier_waits: q.barrier_waits.get(),
-                }
-            })
-            .collect();
-        snap
+        let inner = &self.inner;
+        let devices = inner.smgr.devices().into_iter().map(|dev| {
+            let name = inner
+                .smgr
+                .with(dev, |m| Ok(m.device_name()))
+                .unwrap_or_else(|_| dev.to_string());
+            inner.stats.device(dev).freeze(dev.0, name)
+        });
+        inner.stats.freeze(inner.pool.stats(), devices.collect())
     }
 
     /// Registers a *virtual relation*: a read-only, query-visible relation
-    /// whose rows are produced by `rows` at scan time instead of being
-    /// stored. The POSTQUEL executor consults these (after the built-in
-    /// `pg_stat_*` relations) before the catalog, so `retrieve (x.col)
-    /// from x in <name>` works without any heap backing. Inversion uses
-    /// this for its `inv_stat` relation.
-    pub fn register_virtual(&self, name: &str, schema: Schema, rows: VirtualRowsFn) {
+    /// whose rows are produced by `rows` when a scan of it opens instead of
+    /// being stored. The POSTQUEL binder consults these before the catalog,
+    /// so `retrieve (x.col) from x in <name>` works without any heap
+    /// backing. The engine's own `pg_stat_*` relations are registered the
+    /// same way at construction; Inversion adds `inv_stat`.
+    pub fn register_virtual(
+        &self,
+        name: &str,
+        schema: Schema,
+        rows: impl Fn(&Db) -> Vec<Row> + Send + Sync + 'static,
+    ) {
         self.inner.virtuals.register(name, schema, rows);
     }
 
     /// Looks up a registered virtual relation by name.
     pub fn virtual_table(&self, name: &str) -> Option<VirtualTable> {
         self.inner.virtuals.get(name)
+    }
+
+    /// The names of every registered virtual relation, sorted.
+    pub fn virtual_names(&self) -> Vec<String> {
+        self.inner.virtuals.names()
     }
 
     /// Allocates a fresh object identifier (persisted with the catalog).
@@ -1666,7 +1624,7 @@ mod tests {
             s2.insert(rel, emp("b", 2)).unwrap();
             s2.commit().unwrap();
         });
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(std::time::Duration::from_millis(30));
         s1.commit().unwrap();
         t.join().unwrap();
         let mut r = db.begin().unwrap();

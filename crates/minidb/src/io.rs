@@ -250,7 +250,7 @@ impl DevQueue {
                 if !req.in_flight {
                     req.op = ReqOp::Write(Arc::from(buf));
                     self.note_depth(&st);
-                    self.stats.io_queue(self.dev).submitted.bump();
+                    self.stats.device(self.dev).io_submitted.bump();
                     self.cv_worker.notify_one();
                     return true;
                 }
@@ -277,7 +277,7 @@ impl DevQueue {
         // a claim must never hand out pre-write bytes.
         st.reads_by_page.remove(&key);
         self.note_depth(&st);
-        self.stats.io_queue(self.dev).submitted.bump();
+        self.stats.device(self.dev).io_submitted.bump();
         self.cv_worker.notify_one();
         true
     }
@@ -320,7 +320,7 @@ impl DevQueue {
             }
         }
         self.note_depth(&st);
-        self.stats.io_queue(self.dev).submitted.bump();
+        self.stats.device(self.dev).io_submitted.bump();
         self.cv_worker.notify_one();
         true
     }
@@ -391,7 +391,7 @@ impl DevQueue {
         let target = st.next_seq;
         st.retry_gen += 1;
         let gen = st.retry_gen;
-        self.stats.io_queue(self.dev).barrier_waits.bump();
+        self.stats.device(self.dev).io_barrier_waits.bump();
         self.cv_worker.notify_one();
         loop {
             if st.aborted {
@@ -472,8 +472,8 @@ impl DevQueue {
 
     fn note_depth(&self, st: &QState) {
         self.stats
-            .io_queue(self.dev)
-            .queue_depth_hw
+            .device(self.dev)
+            .io_queue_depth_hw
             .observe(st.reqs.len() as u64);
     }
 
@@ -488,7 +488,7 @@ impl DevQueue {
             .map(|(&s, r)| (s, r.key))
             .collect();
         let &(oldest_seq, _) = eligible.first()?;
-        let io_stats = self.stats.io_queue(self.dev);
+        let io_stats = self.stats.device(self.dev);
         let starved = st
             .reqs
             .get(&oldest_seq)
@@ -500,7 +500,7 @@ impl DevQueue {
                 Some(&(s, _)) => s,
                 None => {
                     // Sweep ran dry above the hand: wrap to the smallest key.
-                    io_stats.elevator_passes.bump();
+                    io_stats.io_elevator_passes.bump();
                     let &(s, _) = eligible.iter().min_by_key(|&&(_, k)| k)?;
                     s
                 }
@@ -518,7 +518,7 @@ impl DevQueue {
             .last_key
             .is_some_and(|lk| req.key == lk || req.key == lk + 1)
         {
-            io_stats.batched_neighbors.bump();
+            io_stats.io_batched_neighbors.bump();
         }
         st.last_key = Some(req.key);
         st.hand = req.key + 1;
@@ -536,7 +536,7 @@ impl DevQueue {
         let Some(req) = st.reqs.get_mut(&seq) else {
             return; // Aborted while in flight.
         };
-        let io_stats = self.stats.io_queue(self.dev);
+        let io_stats = self.stats.device(self.dev);
         let benign = |e: &DbError| {
             matches!(
                 e,
@@ -550,14 +550,14 @@ impl DevQueue {
                 if st.writes_by_page.get(&key) == Some(&seq) {
                     st.writes_by_page.remove(&key);
                 }
-                io_stats.completed.bump();
+                io_stats.io_completed.bump();
             }
             Outcome::WriteErr(e) if benign(&e) => {
                 st.reqs.remove(&seq);
                 if st.writes_by_page.get(&key) == Some(&seq) {
                     st.writes_by_page.remove(&key);
                 }
-                io_stats.completed.bump();
+                io_stats.io_completed.bump();
             }
             Outcome::WriteErr(e) => {
                 req.in_flight = false;
@@ -574,7 +574,7 @@ impl DevQueue {
                 // the page (queued or synchronous) and relation truncation
                 // invalidate it; the read-map cap bounds how many completed
                 // pages linger unclaimed.
-                io_stats.completed.bump();
+                io_stats.io_completed.bump();
             }
             Outcome::ReadErr(ticket) => {
                 ticket.fail();
@@ -586,7 +586,7 @@ impl DevQueue {
                 {
                     st.reads_by_page.remove(&key);
                 }
-                io_stats.completed.bump();
+                io_stats.io_completed.bump();
             }
         }
         self.cv_done.notify_all();
@@ -805,11 +805,11 @@ mod tests {
             elevator * 13 / 10 < fifo,
             "elevator ({elevator} ns) should beat FIFO ({fifo} ns) by >= 1.3x"
         );
-        let io = stats.io_queue(DEV);
-        assert!(io.batched_neighbors.get() > 0, "no neighbors batched");
-        assert_eq!(io.submitted.get(), 64);
-        assert_eq!(io.completed.get(), 64);
-        assert!(io.queue_depth_hw.get() >= 64);
+        let io = stats.device(DEV);
+        assert!(io.io_batched_neighbors.get() > 0, "no neighbors batched");
+        assert_eq!(io.io_submitted.get(), 64);
+        assert_eq!(io.io_completed.get(), 64);
+        assert!(io.io_queue_depth_hw.get() >= 64);
     }
 
     #[test]

@@ -89,10 +89,14 @@ impl Default for LockManager {
     }
 }
 
+/// How long a lock request waits before giving up: a backstop behind
+/// deadlock detection, which refuses a cycle-closing request at once.
+const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
+
 impl LockManager {
-    /// Creates a lock manager with a 10-second wait timeout backstop.
+    /// Creates a lock manager with the [`LOCK_TIMEOUT`] wait backstop.
     pub fn new() -> LockManager {
-        LockManager::with_timeout(Duration::from_secs(10))
+        LockManager::with_timeout(LOCK_TIMEOUT)
     }
 
     /// Creates a lock manager with a custom wait timeout (tests).

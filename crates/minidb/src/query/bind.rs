@@ -196,7 +196,7 @@ fn bind_retrieve(
 /// Resolves one `from` item. Virtual system relations bind by schema only;
 /// their rows are produced when the scan opens.
 fn bind_from(session: &mut Session, item: FromItem) -> DbResult<BoundFrom> {
-    if let Some((schema, _rows)) = session.bind_virtual(&item.rel) {
+    if let Some(table) = session.db().virtual_table(&item.rel) {
         if item.as_of.is_some() {
             return Err(DbError::Invalid(format!(
                 "virtual relation \"{}\" has no history (time-travel bracket not allowed)",
@@ -207,7 +207,7 @@ fn bind_from(session: &mut Session, item: FromItem) -> DbResult<BoundFrom> {
             var: item.var,
             rel_name: item.rel,
             source: BoundSource::Virtual,
-            schema,
+            schema: table.schema,
             as_of: None,
         });
     }

@@ -206,239 +206,6 @@ impl Session {
             ..Default::default()
         })
     }
-
-    /// Materializes the rows of a virtual system relation (the built-in
-    /// `pg_stat_*` family, then anything registered through
-    /// [`crate::db::Db::register_virtual`]), or `None` if `name` is an
-    /// ordinary catalogued relation.
-    pub(crate) fn bind_virtual(&mut self, name: &str) -> Option<(Schema, Vec<Row>)> {
-        use crate::datum::TypeId;
-        let db = self.db().clone();
-        let int8 = |v: u64| Datum::Int8(v as i64);
-        match name {
-            "pg_stat_buffer" => {
-                let b = db.buffer_stats();
-                Some((
-                    Schema::new([
-                        ("hits", TypeId::INT8),
-                        ("misses", TypeId::INT8),
-                        ("evictions", TypeId::INT8),
-                        ("writebacks", TypeId::INT8),
-                        ("prefetches", TypeId::INT8),
-                        ("prefetch_hits", TypeId::INT8),
-                        ("capacity", TypeId::INT4),
-                        ("cached", TypeId::INT4),
-                    ]),
-                    vec![vec![
-                        int8(b.hits),
-                        int8(b.misses),
-                        int8(b.evictions),
-                        int8(b.writebacks),
-                        int8(b.prefetches),
-                        int8(b.prefetch_hits),
-                        Datum::Int4(db.inner.pool.capacity() as i32),
-                        Datum::Int4(db.inner.pool.len() as i32),
-                    ]],
-                ))
-            }
-            "pg_check" => {
-                let findings = db.check_all();
-                Some((
-                    Schema::new([
-                        ("relation", TypeId::TEXT),
-                        ("page", TypeId::INT8),
-                        ("slot", TypeId::INT4),
-                        ("code", TypeId::TEXT),
-                        ("detail", TypeId::TEXT),
-                    ]),
-                    findings
-                        .into_iter()
-                        .map(|f| {
-                            vec![
-                                Datum::Text(f.relation),
-                                f.page.map_or(Datum::Null, |p| Datum::Int8(p as i64)),
-                                f.slot.map_or(Datum::Null, |s| Datum::Int4(s as i32)),
-                                Datum::Text(f.code),
-                                Datum::Text(f.detail),
-                            ]
-                        })
-                        .collect(),
-                ))
-            }
-            "pg_stat_lock" => {
-                let l = &db.inner.stats.lock;
-                Some((
-                    Schema::new([
-                        ("acquisitions", TypeId::INT8),
-                        ("waits", TypeId::INT8),
-                        ("deadlocks", TypeId::INT8),
-                        ("timeouts", TypeId::INT8),
-                    ]),
-                    vec![vec![
-                        int8(l.acquisitions.get()),
-                        int8(l.waits.get()),
-                        int8(l.deadlocks.get()),
-                        int8(l.timeouts.get()),
-                    ]],
-                ))
-            }
-            "pg_stat_xact" => {
-                let x = &db.inner.stats.xact;
-                let lat = x.commit_latency.snapshot();
-                let lat_text: Vec<String> = lat.iter().map(u64::to_string).collect();
-                Some((
-                    Schema::new([
-                        ("commits", TypeId::INT8),
-                        ("aborts", TypeId::INT8),
-                        ("time_travel_reads", TypeId::INT8),
-                        ("group_commits", TypeId::INT8),
-                        ("batched_records", TypeId::INT8),
-                        ("sync_calls", TypeId::INT8),
-                        ("commit_latency_hist", TypeId::TEXT),
-                        ("active", TypeId::INT4),
-                    ]),
-                    vec![vec![
-                        int8(x.commits.get()),
-                        int8(x.aborts.get()),
-                        int8(x.time_travel_reads.get()),
-                        int8(x.group_commits.get()),
-                        int8(x.batched_records.get()),
-                        int8(x.sync_calls.get()),
-                        Datum::Text(format!("[{}]", lat_text.join(","))),
-                        Datum::Int4(db.inner.xlog.active_set().len() as i32),
-                    ]],
-                ))
-            }
-            "pg_stat_wal" => {
-                let w = &db.inner.stats.wal;
-                Some((
-                    Schema::new([
-                        ("records_appended", TypeId::INT8),
-                        ("bytes_appended", TypeId::INT8),
-                        ("log_forces", TypeId::INT8),
-                        ("checkpoints", TypeId::INT8),
-                        ("ckpt_pages_drained", TypeId::INT8),
-                        ("replayed_pages", TypeId::INT8),
-                        ("replayed_records", TypeId::INT8),
-                    ]),
-                    vec![vec![
-                        int8(w.records_appended.get()),
-                        int8(w.bytes_appended.get()),
-                        int8(w.log_forces.get()),
-                        int8(w.checkpoints.get()),
-                        int8(w.ckpt_pages_drained.get()),
-                        int8(w.replayed_pages.get()),
-                        int8(w.replayed_records.get()),
-                    ]],
-                ))
-            }
-            "pg_stat_relation" => {
-                let s = &db.inner.stats;
-                Some((
-                    Schema::new([
-                        ("heap_scans", TypeId::INT8),
-                        ("heap_fetches", TypeId::INT8),
-                        ("heap_appends", TypeId::INT8),
-                        ("btree_searches", TypeId::INT8),
-                        ("btree_inserts", TypeId::INT8),
-                        ("btree_splits", TypeId::INT8),
-                        ("btree_page_writes", TypeId::INT8),
-                        ("vacuum_passes", TypeId::INT8),
-                    ]),
-                    vec![vec![
-                        int8(s.heap.scans.get()),
-                        int8(s.heap.fetches.get()),
-                        int8(s.heap.appends.get()),
-                        int8(s.btree.searches.get()),
-                        int8(s.btree.inserts.get()),
-                        int8(s.btree.splits.get()),
-                        int8(s.btree.page_writes.get()),
-                        int8(s.vacuum_passes.get()),
-                    ]],
-                ))
-            }
-            "pg_stat_planner" => {
-                let p = &db.inner.stats.planner;
-                Some((
-                    Schema::new([
-                        ("plans_built", TypeId::INT8),
-                        ("index_scans_chosen", TypeId::INT8),
-                        ("seq_scans_chosen", TypeId::INT8),
-                        ("joins_planned", TypeId::INT8),
-                    ]),
-                    vec![vec![
-                        int8(p.plans_built.get()),
-                        int8(p.index_scans_chosen.get()),
-                        int8(p.seq_scans_chosen.get()),
-                        int8(p.joins_planned.get()),
-                    ]],
-                ))
-            }
-            "pg_stat_io" => {
-                let rows = db
-                    .stats()
-                    .devices
-                    .into_iter()
-                    .map(|d| {
-                        vec![
-                            Datum::Int4(d.device as i32),
-                            Datum::Text(d.name),
-                            int8(d.io_submitted),
-                            int8(d.io_completed),
-                            int8(d.io_batched_neighbors),
-                            int8(d.io_elevator_passes),
-                            int8(d.io_queue_depth_hw),
-                            int8(d.io_barrier_waits),
-                        ]
-                    })
-                    .collect();
-                Some((
-                    Schema::new([
-                        ("device", TypeId::INT4),
-                        ("name", TypeId::TEXT),
-                        ("submitted", TypeId::INT8),
-                        ("completed", TypeId::INT8),
-                        ("batched_neighbors", TypeId::INT8),
-                        ("elevator_passes", TypeId::INT8),
-                        ("queue_depth_hw", TypeId::INT8),
-                        ("barrier_waits", TypeId::INT8),
-                    ]),
-                    rows,
-                ))
-            }
-            "pg_stat_device" => {
-                let rows = db
-                    .stats()
-                    .devices
-                    .into_iter()
-                    .map(|d| {
-                        vec![
-                            Datum::Int4(d.device as i32),
-                            Datum::Text(d.name),
-                            int8(d.reads),
-                            int8(d.writes),
-                            int8(d.read_ns),
-                            int8(d.write_ns),
-                        ]
-                    })
-                    .collect();
-                Some((
-                    Schema::new([
-                        ("device", TypeId::INT4),
-                        ("name", TypeId::TEXT),
-                        ("reads", TypeId::INT8),
-                        ("writes", TypeId::INT8),
-                        ("read_ns", TypeId::INT8),
-                        ("write_ns", TypeId::INT8),
-                    ]),
-                    rows,
-                ))
-            }
-            _ => db
-                .virtual_table(name)
-                .map(|t| (t.schema.clone(), (t.rows)())),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1036,10 +803,10 @@ fn build_tuple(s: &mut Session, plan: &Plan) -> DbResult<(TupleExec, Scope)> {
 fn build_scan(s: &mut Session, sp: &ScanPlan) -> DbResult<TupleExec> {
     let mut rows: Vec<(Tid, Row)> = match (&sp.access, sp.rel) {
         (Access::Virtual, _) => {
-            let (_schema, vrows) = s.bind_virtual(&sp.rel_name).ok_or_else(|| {
+            let table = s.db().virtual_table(&sp.rel_name).ok_or_else(|| {
                 DbError::NotFound(format!("relation \"{}\"", sp.rel_name))
             })?;
-            vrows
+            (table.rows)(s.db())
                 .into_iter()
                 .enumerate()
                 .map(|(i, r)| (Tid::new((i >> 16) as u32, (i & 0xffff) as u16), r))

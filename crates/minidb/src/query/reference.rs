@@ -87,7 +87,7 @@ fn bind_from(s: &mut Session, item: &FromItem, qual: Option<&Expr>) -> DbResult<
     // Virtual system relations: rows are produced on the spot, not
     // fetched from a heap. They have no history — reject a time-travel
     // bracket rather than silently answering about the present.
-    if let Some((schema, rows)) = s.bind_virtual(&item.rel) {
+    if let Some(table) = s.db().virtual_table(&item.rel) {
         if item.as_of.is_some() {
             return Err(DbError::Invalid(format!(
                 "virtual relation \"{}\" has no history (time-travel bracket not allowed)",
@@ -96,8 +96,8 @@ fn bind_from(s: &mut Session, item: &FromItem, qual: Option<&Expr>) -> DbResult<
         }
         return Ok(BoundRel {
             var: item.var.clone(),
-            schema,
-            rows: rows
+            schema: table.schema.clone(),
+            rows: (table.rows)(s.db())
                 .into_iter()
                 .enumerate()
                 .map(|(i, r)| (Tid::new((i >> 16) as u32, (i & 0xffff) as u16), r))

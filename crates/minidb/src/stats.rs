@@ -9,16 +9,30 @@
 //! manager, and vacuum cleaner bump as they work, plus a snapshot type
 //! ([`StatsSnapshot`]) that freezes everything for reporting.
 //!
-//! The executor surfaces the registry as **virtual system relations** —
-//! `pg_stat_buffer`, `pg_stat_lock`, `pg_stat_xact`, `pg_stat_relation`,
-//! and `pg_stat_device` — scannable with ordinary POSTQUEL:
+//! # One declaration per counter
+//!
+//! Every counter group is one [`stat_table!`](crate::stat_table): a list of
+//! `field: Kind` lines, each with its doc string, from which the live
+//! struct, its frozen twin, `freeze`, `delta`, the JSON object and the
+//! group's relation columns and row are all generated. **To add a counter,
+//! add one line to its table and bump it**: it then appears in
+//! [`crate::Db::stats`], `delta`, `to_json`, the group's `pg_stat_*`
+//! relation and the query shell's `\stats` with no further edit.
+//!
+//! # Virtual relations
+//!
+//! The groups are surfaced as **virtual system relations** — `pg_stat_buffer`,
+//! `pg_stat_lock`, `pg_stat_xact`, `pg_stat_wal`, `pg_stat_relation`,
+//! `pg_stat_planner`, `pg_stat_device`, `pg_stat_io` (and the verifier's
+//! `pg_check`) — scannable with ordinary POSTQUEL:
 //!
 //! ```text
 //! retrieve (s.hits, s.misses) from s in pg_stat_buffer
 //! ```
 //!
-//! Layers above the engine (Inversion's `inv_stat`, for instance) register
-//! their own virtual relations through [`VirtualTables`].
+//! They live in the same [`VirtualTables`] registry that layers above the
+//! engine (Inversion's `inv_stat`, for instance) register their own
+//! relations in; the engine fills in its own at construction.
 //!
 //! Counters use `Ordering::Relaxed` throughout: they are monotone event
 //! counts, never used for synchronisation, so the cheapest ordering is the
@@ -32,7 +46,8 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::buffer::BufferStats;
-use crate::datum::{Row, Schema};
+use crate::datum::{Column, Datum, Row, Schema, TypeId};
+use crate::db::Db;
 use crate::ids::DeviceId;
 
 /// A monotone event counter, safe to bump from any thread.
@@ -40,11 +55,6 @@ use crate::ids::DeviceId;
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
     /// Adds one.
     pub fn bump(&self) {
         self.0.fetch_add(1, Relaxed);
@@ -66,11 +76,6 @@ impl Counter {
 pub struct MaxGauge(AtomicU64);
 
 impl MaxGauge {
-    /// A zeroed gauge.
-    pub const fn new() -> MaxGauge {
-        MaxGauge(AtomicU64::new(0))
-    }
-
     /// Raises the mark to `v` if `v` exceeds it.
     pub fn observe(&self, v: u64) {
         self.0.fetch_max(v, Relaxed);
@@ -115,145 +120,431 @@ impl LatencyHistogram {
             .unwrap_or(LATENCY_BUCKETS - 1);
         self.buckets[i].bump();
     }
+}
 
-    /// The bucket counts.
-    pub fn snapshot(&self) -> [u64; LATENCY_BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].get())
+/// How a frozen value renders: its relation column type, its cell, and its
+/// JSON. Implemented for the frozen forms of the three metric kinds and for
+/// the key types (`u8`, `String`) a frozen group may carry beside them.
+pub trait Value {
+    /// Column type in a generated relation.
+    const TYPE: TypeId;
+    /// The relation cell.
+    fn datum(&self) -> Datum;
+    /// The JSON rendering.
+    fn json(&self) -> String;
+}
+
+impl Value for u64 {
+    const TYPE: TypeId = TypeId::INT8;
+    fn datum(&self) -> Datum {
+        Datum::Int8(*self as i64)
+    }
+    fn json(&self) -> String {
+        self.to_string()
     }
 }
 
-/// Transaction-system counters.
-#[derive(Debug, Default)]
-pub struct XactCounters {
+impl Value for u8 {
+    const TYPE: TypeId = TypeId::INT4;
+    fn datum(&self) -> Datum {
+        Datum::Int4(i32::from(*self))
+    }
+    fn json(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl Value for String {
+    const TYPE: TypeId = TypeId::TEXT;
+    fn datum(&self) -> Datum {
+        Datum::Text(self.clone())
+    }
+    fn json(&self) -> String {
+        json_string(self)
+    }
+}
+
+/// Bucket counts render as `[n,n,…]`, in JSON and (as text) in a relation.
+impl Value for [u64; LATENCY_BUCKETS] {
+    const TYPE: TypeId = TypeId::TEXT;
+    fn datum(&self) -> Datum {
+        Datum::Text(self.json())
+    }
+    fn json(&self) -> String {
+        let inner: Vec<String> = self.iter().map(u64::to_string).collect();
+        format!("[{}]", inner.join(","))
+    }
+}
+
+/// The per-kind behaviour of one [`stat_table!`](crate::stat_table) field:
+/// how the live metric freezes, and how two frozen values subtract and add.
+pub trait Metric {
+    /// The frozen, plain-data value.
+    type Frozen: Value + Clone + Default + PartialEq + Eq + std::fmt::Debug;
+    /// Reads the live value.
+    fn freeze(&self) -> Self::Frozen;
+    /// The growth from `base` to `cur`.
+    fn delta(cur: &Self::Frozen, base: &Self::Frozen) -> Self::Frozen;
+    /// Two tallies of the same metric kept apart (per buffer shard), as one.
+    fn merge(a: &Self::Frozen, b: &Self::Frozen) -> Self::Frozen;
+}
+
+impl Metric for Counter {
+    type Frozen = u64;
+    fn freeze(&self) -> u64 {
+        self.get()
+    }
+    fn delta(cur: &u64, base: &u64) -> u64 {
+        cur.saturating_sub(*base)
+    }
+    fn merge(a: &u64, b: &u64) -> u64 {
+        a + b
+    }
+}
+
+impl Metric for MaxGauge {
+    type Frozen = u64;
+    fn freeze(&self) -> u64 {
+        self.get()
+    }
+    /// A high-water mark is not a rate; the interval's mark is the current
+    /// one.
+    fn delta(cur: &u64, _base: &u64) -> u64 {
+        *cur
+    }
+    fn merge(a: &u64, b: &u64) -> u64 {
+        *a.max(b)
+    }
+}
+
+impl Metric for LatencyHistogram {
+    type Frozen = [u64; LATENCY_BUCKETS];
+    fn freeze(&self) -> Self::Frozen {
+        std::array::from_fn(|i| self.buckets[i].get())
+    }
+    fn delta(cur: &Self::Frozen, base: &Self::Frozen) -> Self::Frozen {
+        std::array::from_fn(|i| cur[i].saturating_sub(base[i]))
+    }
+    fn merge(a: &Self::Frozen, b: &Self::Frozen) -> Self::Frozen {
+        std::array::from_fn(|i| a[i] + b[i])
+    }
+}
+
+/// How a group's metric fields show up in one relation: `view(label)` is
+/// the column name, or `None` to leave the field out. The same view is
+/// handed to a group's `columns` and `datums`, so a schema and its rows
+/// cannot disagree.
+pub type View<'a> = &'a dyn Fn(&str) -> Option<String>;
+
+/// The [`View`] that keeps every field under its own label.
+pub fn all(label: &str) -> Option<String> {
+    Some(label.to_string())
+}
+
+/// Renders `fields` as a JSON object; the values are already JSON.
+pub fn json_object(fields: &[(&str, String)]) -> String {
+    let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    format!("{{{}}}", body.join(","))
+}
+
+/// The relation label of a table field: the `as "label"` override if there
+/// is one, the field name otherwise.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! stat_label {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident, $label:literal) => {
+        $label
+    };
+}
+
+/// Declares one group of metrics, each **once**: `field: Kind` with its doc
+/// string, `Kind` one of the three [`Metric`](crate::stats::Metric) kinds.
+///
+/// ```text
+/// stat_table! {
+///     /// Doc of the live struct.
+///     live LockCounters;
+///     frozen LockStats;
+///     /// Locks granted.
+///     acquisitions: Counter,
+///     /// …
+/// }
+/// ```
+///
+/// generates
+///
+/// * `pub struct LockCounters { pub acquisitions: Counter, … }` (`Default`)
+///   with `freeze(&self) -> LockStats`;
+/// * `pub struct LockStats { pub acquisitions: u64, … }` with
+///   `delta(&self, base)`, `merge(&mut self, other)`, `to_json()` (keys are
+///   the field names), `columns(view)` / `datums(&self, view)` (the group's
+///   relation schema and row — see [`View`](crate::stats::View)) and
+///   `LABELS`.
+///
+/// `field as "label": Kind` names the relation column differently from the
+/// field. `live Name { extra fields }` adds hand-declared fields to the live
+/// struct only (they must be `Default`); `frozen Name [key: Type, …]` adds
+/// key fields to the frozen struct only — `freeze` takes them as arguments,
+/// `delta` keeps them, and they lead the JSON object and every relation
+/// row. Omitting the `live` line declares a frozen struct whose live tally
+/// is kept elsewhere.
+#[macro_export]
+macro_rules! stat_table {
+    (
+        $(#[$fattr:meta])*
+        frozen $Frozen:ident $([ $( $(#[$kattr:meta])* $key:ident : $KeyTy:ty ),* $(,)? ])?;
+        $( $(#[$attr:meta])* $field:ident $(as $label:literal)? : $Kind:ty ),* $(,)?
+    ) => {
+        $(#[$fattr])*
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct $Frozen {
+            $($( $(#[$kattr])* pub $key: $KeyTy, )*)?
+            $( $(#[$attr])* pub $field: <$Kind as $crate::stats::Metric>::Frozen, )*
+        }
+
+        impl $Frozen {
+            /// The relation label of each metric field, in declaration
+            /// order.
+            pub const LABELS: &'static [&'static str] =
+                &[ $( $crate::stat_label!($field $(, $label)?) ),* ];
+
+            /// The group's relation columns: every key, then each metric
+            /// field `view` keeps, under the name it returns.
+            pub fn columns(view: $crate::stats::View<'_>) -> Vec<$crate::datum::Column> {
+                use $crate::datum::Column;
+                use $crate::stats::{Metric, Value};
+                let mut cols = vec![
+                    $($( Column::new(stringify!($key), <$KeyTy as Value>::TYPE), )*)?
+                ];
+                $(
+                    if let Some(name) = view($crate::stat_label!($field $(, $label)?)) {
+                        cols.push(Column::new(name, <<$Kind as Metric>::Frozen as Value>::TYPE));
+                    }
+                )*
+                cols
+            }
+
+            /// The group's relation row, cell for cell what
+            /// [`Self::columns`] declares under the same `view`.
+            pub fn datums(&self, view: $crate::stats::View<'_>) -> Vec<$crate::datum::Datum> {
+                use $crate::stats::Value;
+                let mut row = vec![ $($( self.$key.datum(), )*)? ];
+                $(
+                    if view($crate::stat_label!($field $(, $label)?)).is_some() {
+                        row.push(self.$field.datum());
+                    }
+                )*
+                row
+            }
+
+            /// The growth since `base`, per field by its metric kind
+            /// (counters subtract saturating, high-water marks keep the
+            /// current value, histograms subtract per bucket).
+            pub fn delta(&self, base: &Self) -> Self {
+                $Frozen {
+                    $($( $key: self.$key.clone(), )*)?
+                    $( $field: <$Kind as $crate::stats::Metric>::delta(&self.$field, &base.$field), )*
+                }
+            }
+
+            /// Folds in `other`, a tally of the same metrics kept apart.
+            pub fn merge(&mut self, other: &Self) {
+                $( self.$field = <$Kind as $crate::stats::Metric>::merge(&self.$field, &other.$field); )*
+            }
+
+            /// The group as a JSON object, one key per field.
+            pub fn to_json(&self) -> String {
+                use $crate::stats::Value;
+                $crate::stats::json_object(&[
+                    $($( (stringify!($key), self.$key.json()), )*)?
+                    $( (stringify!($field), self.$field.json()), )*
+                ])
+            }
+        }
+    };
+    (
+        $(#[$lattr:meta])*
+        live $Live:ident $({ $($extra:tt)* })?;
+        $(#[$fattr:meta])*
+        frozen $Frozen:ident $([ $( $(#[$kattr:meta])* $key:ident : $KeyTy:ty ),* $(,)? ])?;
+        $( $(#[$attr:meta])* $field:ident $(as $label:literal)? : $Kind:ty ),* $(,)?
+    ) => {
+        $(#[$lattr])*
+        #[derive(Debug, Default)]
+        pub struct $Live {
+            $($($extra)*)?
+            $( $(#[$attr])* pub $field: $Kind, )*
+        }
+
+        impl $Live {
+            /// Reads every metric once into the frozen twin.
+            pub fn freeze(&self $($(, $key: $KeyTy)*)?) -> $Frozen {
+                $Frozen {
+                    $($( $key, )*)?
+                    $( $field: $crate::stats::Metric::freeze(&self.$field), )*
+                }
+            }
+        }
+
+        $crate::stat_table! {
+            #[doc = concat!("A frozen copy of [`", stringify!($Live), "`].")]
+            $(#[$fattr])*
+            frozen $Frozen $([ $( $(#[$kattr])* $key: $KeyTy ),* ])?;
+            $( $(#[$attr])* $field $(as $label)? : $Kind ),*
+        }
+    };
+}
+
+stat_table! {
+    /// Transaction-system counters.
+    live XactCounters;
+    #[derive(Copy)]
+    frozen XactStats;
     /// Transactions committed.
-    pub commits: Counter,
+    commits: Counter,
     /// Transactions aborted.
-    pub aborts: Counter,
+    aborts: Counter,
     /// Scans executed against an `AsOf` (time-travel) snapshot.
-    pub time_travel_reads: Counter,
+    time_travel_reads: Counter,
     /// Commit batches that durably committed more than one record with a
     /// single status-log sync.
-    pub group_commits: Counter,
+    group_commits: Counter,
     /// Commit records persisted through the group-commit coordinator
     /// (every committed write transaction counts once, batched or not).
-    pub batched_records: Counter,
+    batched_records: Counter,
     /// Log forces issued by commit processing: one per solo commit, one
     /// per batch under group commit, so this stays *below* `commits`
     /// under load. Read-only commits issue none.
-    pub sync_calls: Counter,
-    /// Commit latency (begin-to-durable, simulated time) distribution.
-    pub commit_latency: LatencyHistogram,
+    sync_calls: Counter,
+    /// Commit latency (begin-to-durable, simulated time) distribution;
+    /// bucket bounds in [`LATENCY_BOUNDS_NS`].
+    commit_latency as "commit_latency_hist": LatencyHistogram,
 }
 
-/// Write-ahead-log and checkpointer counters.
-#[derive(Debug, Default)]
-pub struct WalCounters {
+stat_table! {
+    /// Write-ahead-log and checkpointer counters.
+    live WalCounters;
+    #[derive(Copy)]
+    frozen WalStats;
     /// REDO records appended to the log.
-    pub records_appended: Counter,
+    records_appended: Counter,
     /// Record bytes appended (headers included).
-    pub bytes_appended: Counter,
+    bytes_appended: Counter,
     /// Log forces: block writes plus one sync that advanced the durable
     /// horizon. Group commit amortizes these across a batch.
-    pub log_forces: Counter,
+    log_forces: Counter,
     /// Checkpoint cycles completed.
-    pub checkpoints: Counter,
+    checkpoints: Counter,
     /// Dirty pages written out by checkpoint cycles.
-    pub ckpt_pages_drained: Counter,
+    ckpt_pages_drained: Counter,
     /// Pages fixed up by first-touch REDO replay after a crash.
-    pub replayed_pages: Counter,
+    replayed_pages: Counter,
     /// Individual REDO records applied during replay.
-    pub replayed_records: Counter,
+    replayed_records: Counter,
 }
 
-/// Heap access-method counters.
-#[derive(Debug, Default)]
-pub struct HeapCounters {
+stat_table! {
+    /// Heap access-method counters.
+    live HeapCounters;
+    #[derive(Copy)]
+    frozen HeapOpStats;
     /// Full-relation scans.
-    pub scans: Counter,
+    scans: Counter,
     /// Single-tuple fetches by TID.
-    pub fetches: Counter,
+    fetches: Counter,
     /// Tuples appended (inserts and the insert half of updates).
-    pub appends: Counter,
+    appends: Counter,
 }
 
-/// B-tree access-method counters.
-#[derive(Debug, Default)]
-pub struct BTreeCounters {
+stat_table! {
+    /// B-tree access-method counters.
+    live BTreeCounters;
+    #[derive(Copy)]
+    frozen BTreeOpStats;
     /// Key searches and range scans.
-    pub searches: Counter,
+    searches: Counter,
     /// Entries inserted.
-    pub inserts: Counter,
+    inserts: Counter,
     /// Node splits (the paper's interleaved-write culprit).
-    pub splits: Counter,
+    splits: Counter,
     /// Index pages forced out by eager write-through.
-    pub page_writes: Counter,
+    page_writes: Counter,
 }
 
-/// Lock-manager counters.
-#[derive(Debug, Default)]
-pub struct LockCounters {
+stat_table! {
+    /// Lock-manager counters.
+    live LockCounters;
+    #[derive(Copy)]
+    frozen LockStats;
     /// Locks granted.
-    pub acquisitions: Counter,
+    acquisitions: Counter,
     /// Wait episodes (a request that had to block at least once).
-    pub waits: Counter,
+    waits: Counter,
     /// Requests refused because they would close a waits-for cycle.
-    pub deadlocks: Counter,
+    deadlocks: Counter,
     /// Requests that gave up after the lock timeout.
-    pub timeouts: Counter,
+    timeouts: Counter,
 }
 
-/// Query-planner counters, surfaced as the `pg_stat_planner` virtual
-/// relation.
-#[derive(Debug, Default)]
-pub struct PlannerCounters {
+stat_table! {
+    /// Query-planner counters, surfaced as the `pg_stat_planner` virtual
+    /// relation.
+    live PlannerCounters;
+    #[derive(Copy)]
+    frozen PlannerStats;
     /// Statements planned (one per bind → plan → optimize pass).
-    pub plans_built: Counter,
+    plans_built: Counter,
     /// Heap scans the optimizer resolved to a B-tree index scan.
-    pub index_scans_chosen: Counter,
+    index_scans_chosen: Counter,
     /// Heap scans the optimizer left as sequential scans.
-    pub seq_scans_chosen: Counter,
+    seq_scans_chosen: Counter,
     /// Nested-loop join nodes planned.
-    pub joins_planned: Counter,
+    joins_planned: Counter,
 }
 
 /// Device slots tracked per registry. [`DeviceId`]s at or above this index
 /// share the last slot; real configurations use a handful of devices.
 pub const DEVICE_SLOTS: usize = 16;
 
-/// Per-device storage-manager I/O counters.
-#[derive(Debug, Default)]
-pub struct DeviceIoCounters {
+stat_table! {
+    /// Per-device counters: the storage manager's page I/O, then (`io_*`)
+    /// the device's I/O scheduler queue (see [`crate::io`]). The first part
+    /// is the `pg_stat_device` relation, the second `pg_stat_io`.
+    live DeviceIoCounters;
+    frozen DeviceIoStats [
+        /// The device id.
+        device: u8,
+        /// The device manager's name.
+        name: String,
+    ];
     /// Page reads issued to the device manager.
-    pub reads: Counter,
+    reads: Counter,
     /// Page writes (including blank extensions) issued.
-    pub writes: Counter,
+    writes: Counter,
     /// Total simulated nanoseconds spent in reads.
-    pub read_ns: Counter,
+    read_ns: Counter,
     /// Total simulated nanoseconds spent in writes.
-    pub write_ns: Counter,
-    /// Read latency distribution.
-    pub read_hist: LatencyHistogram,
+    write_ns: Counter,
+    /// Read latency distribution (bounds in [`LATENCY_BOUNDS_NS`]).
+    read_hist: LatencyHistogram,
     /// Write latency distribution.
-    pub write_hist: LatencyHistogram,
-}
-
-/// Per-device I/O scheduler counters (see [`crate::io`]), surfaced as the
-/// `pg_stat_io` virtual relation.
-#[derive(Debug, Default)]
-pub struct IoQueueCounters {
+    write_hist: LatencyHistogram,
     /// Requests submitted to the queue (reads, writes, and combines).
-    pub submitted: Counter,
+    io_submitted: Counter,
     /// Requests that left the queue (served or benignly dropped).
-    pub completed: Counter,
+    io_completed: Counter,
     /// Requests serviced at the same or the next elevator key as their
     /// predecessor — the sequential runs the C-SCAN sweep manufactured.
-    pub batched_neighbors: Counter,
+    io_batched_neighbors: Counter,
     /// Elevator wraps (the hand ran past the top of the key space).
-    pub elevator_passes: Counter,
+    io_elevator_passes: Counter,
     /// High-water mark of the queue depth.
-    pub queue_depth_hw: MaxGauge,
+    io_queue_depth_hw: MaxGauge,
     /// Queue barriers executed (`sync` drains).
-    pub barrier_waits: Counter,
+    io_barrier_waits: Counter,
 }
 
 /// The central statistics registry, one per [`crate::Db`].
@@ -279,8 +570,6 @@ pub struct StatsRegistry {
     pub vacuum_passes: Counter,
     /// Per-device I/O, indexed by [`DeviceId`] (clamped to [`DEVICE_SLOTS`]).
     pub dev: [DeviceIoCounters; DEVICE_SLOTS],
-    /// Per-device I/O scheduler counters, indexed like `dev`.
-    pub io: [IoQueueCounters; DEVICE_SLOTS],
 }
 
 impl StatsRegistry {
@@ -294,131 +583,22 @@ impl StatsRegistry {
         &self.dev[(dev.0 as usize).min(DEVICE_SLOTS - 1)]
     }
 
-    /// The I/O scheduler counters for `dev`.
-    pub fn io_queue(&self, dev: DeviceId) -> &IoQueueCounters {
-        &self.io[(dev.0 as usize).min(DEVICE_SLOTS - 1)]
+    /// Freezes every group into a snapshot. The buffer cache's tally and
+    /// the per-device rows (which need the device names) are not the
+    /// registry's to read; [`crate::Db::stats`] supplies them.
+    pub fn freeze(&self, buffer: BufferStats, devices: Vec<DeviceIoStats>) -> StatsSnapshot {
+        StatsSnapshot {
+            buffer,
+            xact: self.xact.freeze(),
+            wal: self.wal.freeze(),
+            heap: self.heap.freeze(),
+            btree: self.btree.freeze(),
+            lock: self.lock.freeze(),
+            planner: self.planner.freeze(),
+            vacuum_passes: self.vacuum_passes.freeze(),
+            devices,
+        }
     }
-}
-
-/// Frozen transaction counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct XactStats {
-    /// Transactions committed.
-    pub commits: u64,
-    /// Transactions aborted.
-    pub aborts: u64,
-    /// Time-travel scans.
-    pub time_travel_reads: u64,
-    /// Multi-record commit batches.
-    pub group_commits: u64,
-    /// Commit records persisted via the coordinator.
-    pub batched_records: u64,
-    /// Log forces issued by commits.
-    pub sync_calls: u64,
-    /// Commit latency bucket counts (bounds in [`LATENCY_BOUNDS_NS`]).
-    pub commit_latency: [u64; LATENCY_BUCKETS],
-}
-
-/// Frozen WAL and checkpointer counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalStats {
-    /// REDO records appended.
-    pub records_appended: u64,
-    /// Record bytes appended.
-    pub bytes_appended: u64,
-    /// Log forces (block writes + one sync each).
-    pub log_forces: u64,
-    /// Checkpoint cycles completed.
-    pub checkpoints: u64,
-    /// Dirty pages drained by checkpoints.
-    pub ckpt_pages_drained: u64,
-    /// Pages replayed on first touch after a crash.
-    pub replayed_pages: u64,
-    /// REDO records applied during replay.
-    pub replayed_records: u64,
-}
-
-/// Frozen heap counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HeapOpStats {
-    /// Full-relation scans.
-    pub scans: u64,
-    /// Single-tuple fetches.
-    pub fetches: u64,
-    /// Tuples appended.
-    pub appends: u64,
-}
-
-/// Frozen B-tree counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BTreeOpStats {
-    /// Key searches and range scans.
-    pub searches: u64,
-    /// Entries inserted.
-    pub inserts: u64,
-    /// Node splits.
-    pub splits: u64,
-    /// Eagerly written index pages.
-    pub page_writes: u64,
-}
-
-/// Frozen planner counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlannerStats {
-    /// Statements planned.
-    pub plans_built: u64,
-    /// Scans resolved to index scans.
-    pub index_scans_chosen: u64,
-    /// Scans left sequential.
-    pub seq_scans_chosen: u64,
-    /// Nested-loop joins planned.
-    pub joins_planned: u64,
-}
-
-/// Frozen lock counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockStats {
-    /// Locks granted.
-    pub acquisitions: u64,
-    /// Wait episodes.
-    pub waits: u64,
-    /// Deadlocks detected.
-    pub deadlocks: u64,
-    /// Lock timeouts.
-    pub timeouts: u64,
-}
-
-/// Frozen per-device I/O counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeviceIoStats {
-    /// The device id.
-    pub device: u8,
-    /// The device manager's name.
-    pub name: String,
-    /// Page reads.
-    pub reads: u64,
-    /// Page writes.
-    pub writes: u64,
-    /// Simulated nanoseconds reading.
-    pub read_ns: u64,
-    /// Simulated nanoseconds writing.
-    pub write_ns: u64,
-    /// Read latency bucket counts (bounds in [`LATENCY_BOUNDS_NS`]).
-    pub read_hist: [u64; LATENCY_BUCKETS],
-    /// Write latency bucket counts.
-    pub write_hist: [u64; LATENCY_BUCKETS],
-    /// Scheduler requests submitted.
-    pub io_submitted: u64,
-    /// Scheduler requests completed.
-    pub io_completed: u64,
-    /// Requests serviced adjacent to their predecessor.
-    pub io_batched_neighbors: u64,
-    /// Elevator wraps.
-    pub io_elevator_passes: u64,
-    /// Queue depth high-water mark.
-    pub io_queue_depth_hw: u64,
-    /// Queue barriers executed.
-    pub io_barrier_waits: u64,
 }
 
 /// A frozen copy of every counter the engine keeps, including the buffer
@@ -445,252 +625,46 @@ pub struct StatsSnapshot {
     pub devices: Vec<DeviceIoStats>,
 }
 
-fn sub(a: u64, b: u64) -> u64 {
-    a.saturating_sub(b)
-}
-
 impl StatsSnapshot {
-    /// Freezes the non-buffer, non-device counters of `reg`.
-    pub fn from_registry(reg: &StatsRegistry) -> StatsSnapshot {
-        StatsSnapshot {
-            buffer: BufferStats::default(),
-            xact: XactStats {
-                commits: reg.xact.commits.get(),
-                aborts: reg.xact.aborts.get(),
-                time_travel_reads: reg.xact.time_travel_reads.get(),
-                group_commits: reg.xact.group_commits.get(),
-                batched_records: reg.xact.batched_records.get(),
-                sync_calls: reg.xact.sync_calls.get(),
-                commit_latency: reg.xact.commit_latency.snapshot(),
-            },
-            wal: WalStats {
-                records_appended: reg.wal.records_appended.get(),
-                bytes_appended: reg.wal.bytes_appended.get(),
-                log_forces: reg.wal.log_forces.get(),
-                checkpoints: reg.wal.checkpoints.get(),
-                ckpt_pages_drained: reg.wal.ckpt_pages_drained.get(),
-                replayed_pages: reg.wal.replayed_pages.get(),
-                replayed_records: reg.wal.replayed_records.get(),
-            },
-            heap: HeapOpStats {
-                scans: reg.heap.scans.get(),
-                fetches: reg.heap.fetches.get(),
-                appends: reg.heap.appends.get(),
-            },
-            btree: BTreeOpStats {
-                searches: reg.btree.searches.get(),
-                inserts: reg.btree.inserts.get(),
-                splits: reg.btree.splits.get(),
-                page_writes: reg.btree.page_writes.get(),
-            },
-            lock: LockStats {
-                acquisitions: reg.lock.acquisitions.get(),
-                waits: reg.lock.waits.get(),
-                deadlocks: reg.lock.deadlocks.get(),
-                timeouts: reg.lock.timeouts.get(),
-            },
-            planner: PlannerStats {
-                plans_built: reg.planner.plans_built.get(),
-                index_scans_chosen: reg.planner.index_scans_chosen.get(),
-                seq_scans_chosen: reg.planner.seq_scans_chosen.get(),
-                joins_planned: reg.planner.joins_planned.get(),
-            },
-            vacuum_passes: reg.vacuum_passes.get(),
-            devices: Vec::new(),
-        }
-    }
-
-    /// The counter growth since `baseline` (saturating per field).
+    /// The counter growth since `baseline`, group by group; a device the
+    /// baseline lacks counts from zero.
     pub fn delta(&self, baseline: &StatsSnapshot) -> StatsSnapshot {
-        let devices = self
-            .devices
-            .iter()
-            .map(|d| {
-                let base = baseline
-                    .devices
-                    .iter()
-                    .find(|b| b.device == d.device)
-                    .cloned()
-                    .unwrap_or_default();
-                DeviceIoStats {
-                    device: d.device,
-                    name: d.name.clone(),
-                    reads: sub(d.reads, base.reads),
-                    writes: sub(d.writes, base.writes),
-                    read_ns: sub(d.read_ns, base.read_ns),
-                    write_ns: sub(d.write_ns, base.write_ns),
-                    read_hist: std::array::from_fn(|i| sub(d.read_hist[i], base.read_hist[i])),
-                    write_hist: std::array::from_fn(|i| sub(d.write_hist[i], base.write_hist[i])),
-                    io_submitted: sub(d.io_submitted, base.io_submitted),
-                    io_completed: sub(d.io_completed, base.io_completed),
-                    io_batched_neighbors: sub(
-                        d.io_batched_neighbors,
-                        base.io_batched_neighbors,
-                    ),
-                    io_elevator_passes: sub(d.io_elevator_passes, base.io_elevator_passes),
-                    // A high-water mark is not a rate; the interval's mark
-                    // is the current one.
-                    io_queue_depth_hw: d.io_queue_depth_hw,
-                    io_barrier_waits: sub(d.io_barrier_waits, base.io_barrier_waits),
-                }
-            })
-            .collect();
+        let unseen = DeviceIoStats::default();
         StatsSnapshot {
-            buffer: BufferStats {
-                hits: sub(self.buffer.hits, baseline.buffer.hits),
-                misses: sub(self.buffer.misses, baseline.buffer.misses),
-                evictions: sub(self.buffer.evictions, baseline.buffer.evictions),
-                writebacks: sub(self.buffer.writebacks, baseline.buffer.writebacks),
-                prefetches: sub(self.buffer.prefetches, baseline.buffer.prefetches),
-                prefetch_hits: sub(self.buffer.prefetch_hits, baseline.buffer.prefetch_hits),
-            },
-            xact: XactStats {
-                commits: sub(self.xact.commits, baseline.xact.commits),
-                aborts: sub(self.xact.aborts, baseline.xact.aborts),
-                time_travel_reads: sub(
-                    self.xact.time_travel_reads,
-                    baseline.xact.time_travel_reads,
-                ),
-                group_commits: sub(self.xact.group_commits, baseline.xact.group_commits),
-                batched_records: sub(self.xact.batched_records, baseline.xact.batched_records),
-                sync_calls: sub(self.xact.sync_calls, baseline.xact.sync_calls),
-                commit_latency: std::array::from_fn(|i| {
-                    sub(self.xact.commit_latency[i], baseline.xact.commit_latency[i])
-                }),
-            },
-            wal: WalStats {
-                records_appended: sub(self.wal.records_appended, baseline.wal.records_appended),
-                bytes_appended: sub(self.wal.bytes_appended, baseline.wal.bytes_appended),
-                log_forces: sub(self.wal.log_forces, baseline.wal.log_forces),
-                checkpoints: sub(self.wal.checkpoints, baseline.wal.checkpoints),
-                ckpt_pages_drained: sub(
-                    self.wal.ckpt_pages_drained,
-                    baseline.wal.ckpt_pages_drained,
-                ),
-                replayed_pages: sub(self.wal.replayed_pages, baseline.wal.replayed_pages),
-                replayed_records: sub(self.wal.replayed_records, baseline.wal.replayed_records),
-            },
-            heap: HeapOpStats {
-                scans: sub(self.heap.scans, baseline.heap.scans),
-                fetches: sub(self.heap.fetches, baseline.heap.fetches),
-                appends: sub(self.heap.appends, baseline.heap.appends),
-            },
-            btree: BTreeOpStats {
-                searches: sub(self.btree.searches, baseline.btree.searches),
-                inserts: sub(self.btree.inserts, baseline.btree.inserts),
-                splits: sub(self.btree.splits, baseline.btree.splits),
-                page_writes: sub(self.btree.page_writes, baseline.btree.page_writes),
-            },
-            lock: LockStats {
-                acquisitions: sub(self.lock.acquisitions, baseline.lock.acquisitions),
-                waits: sub(self.lock.waits, baseline.lock.waits),
-                deadlocks: sub(self.lock.deadlocks, baseline.lock.deadlocks),
-                timeouts: sub(self.lock.timeouts, baseline.lock.timeouts),
-            },
-            planner: PlannerStats {
-                plans_built: sub(self.planner.plans_built, baseline.planner.plans_built),
-                index_scans_chosen: sub(
-                    self.planner.index_scans_chosen,
-                    baseline.planner.index_scans_chosen,
-                ),
-                seq_scans_chosen: sub(
-                    self.planner.seq_scans_chosen,
-                    baseline.planner.seq_scans_chosen,
-                ),
-                joins_planned: sub(self.planner.joins_planned, baseline.planner.joins_planned),
-            },
-            vacuum_passes: sub(self.vacuum_passes, baseline.vacuum_passes),
-            devices,
+            buffer: self.buffer.delta(&baseline.buffer),
+            xact: self.xact.delta(&baseline.xact),
+            wal: self.wal.delta(&baseline.wal),
+            heap: self.heap.delta(&baseline.heap),
+            btree: self.btree.delta(&baseline.btree),
+            lock: self.lock.delta(&baseline.lock),
+            planner: self.planner.delta(&baseline.planner),
+            vacuum_passes: Counter::delta(&self.vacuum_passes, &baseline.vacuum_passes),
+            devices: self
+                .devices
+                .iter()
+                .map(|d| {
+                    let base = baseline.devices.iter().find(|b| b.device == d.device);
+                    d.delta(base.unwrap_or(&unseen))
+                })
+                .collect(),
         }
     }
 
-    /// Serializes the snapshot as a JSON object (hand-rolled: the build
-    /// environment is offline, so no serde).
+    /// Serializes the snapshot as a JSON object of the groups' objects
+    /// (hand-rolled: the build environment is offline, so no serde).
     pub fn to_json(&self) -> String {
-        fn hist(h: &[u64]) -> String {
-            let inner: Vec<String> = h.iter().map(u64::to_string).collect();
-            format!("[{}]", inner.join(","))
-        }
-        let devices: Vec<String> = self
-            .devices
-            .iter()
-            .map(|d| {
-                format!(
-                    "{{\"device\":{},\"name\":{},\"reads\":{},\"writes\":{},\
-                     \"read_ns\":{},\"write_ns\":{},\"read_hist\":{},\"write_hist\":{},\
-                     \"io_submitted\":{},\"io_completed\":{},\"io_batched_neighbors\":{},\
-                     \"io_elevator_passes\":{},\"io_queue_depth_hw\":{},\"io_barrier_waits\":{}}}",
-                    d.device,
-                    json_string(&d.name),
-                    d.reads,
-                    d.writes,
-                    d.read_ns,
-                    d.write_ns,
-                    hist(&d.read_hist),
-                    hist(&d.write_hist),
-                    d.io_submitted,
-                    d.io_completed,
-                    d.io_batched_neighbors,
-                    d.io_elevator_passes,
-                    d.io_queue_depth_hw,
-                    d.io_barrier_waits,
-                )
-            })
-            .collect();
-        format!(
-            "{{\"buffer\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"writebacks\":{},\
-             \"prefetches\":{},\"prefetch_hits\":{}}},\
-             \"lock\":{{\"acquisitions\":{},\"waits\":{},\"deadlocks\":{},\"timeouts\":{}}},\
-             \"xact\":{{\"commits\":{},\"aborts\":{},\"time_travel_reads\":{},\
-             \"group_commits\":{},\"batched_records\":{},\
-             \"sync_calls\":{},\"commit_latency\":{}}},\
-             \"wal\":{{\"records_appended\":{},\"bytes_appended\":{},\"log_forces\":{},\
-             \"checkpoints\":{},\"ckpt_pages_drained\":{},\"replayed_pages\":{},\
-             \"replayed_records\":{}}},\
-             \"heap\":{{\"scans\":{},\"fetches\":{},\"appends\":{}}},\
-             \"btree\":{{\"searches\":{},\"inserts\":{},\"splits\":{},\"page_writes\":{}}},\
-             \"planner\":{{\"plans_built\":{},\"index_scans_chosen\":{},\
-             \"seq_scans_chosen\":{},\"joins_planned\":{}}},\
-             \"vacuum_passes\":{},\
-             \"devices\":[{}]}}",
-            self.buffer.hits,
-            self.buffer.misses,
-            self.buffer.evictions,
-            self.buffer.writebacks,
-            self.buffer.prefetches,
-            self.buffer.prefetch_hits,
-            self.lock.acquisitions,
-            self.lock.waits,
-            self.lock.deadlocks,
-            self.lock.timeouts,
-            self.xact.commits,
-            self.xact.aborts,
-            self.xact.time_travel_reads,
-            self.xact.group_commits,
-            self.xact.batched_records,
-            self.xact.sync_calls,
-            hist(&self.xact.commit_latency),
-            self.wal.records_appended,
-            self.wal.bytes_appended,
-            self.wal.log_forces,
-            self.wal.checkpoints,
-            self.wal.ckpt_pages_drained,
-            self.wal.replayed_pages,
-            self.wal.replayed_records,
-            self.heap.scans,
-            self.heap.fetches,
-            self.heap.appends,
-            self.btree.searches,
-            self.btree.inserts,
-            self.btree.splits,
-            self.btree.page_writes,
-            self.planner.plans_built,
-            self.planner.index_scans_chosen,
-            self.planner.seq_scans_chosen,
-            self.planner.joins_planned,
-            self.vacuum_passes,
-            devices.join(","),
-        )
+        let devices: Vec<String> = self.devices.iter().map(DeviceIoStats::to_json).collect();
+        json_object(&[
+            ("buffer", self.buffer.to_json()),
+            ("lock", self.lock.to_json()),
+            ("xact", self.xact.to_json()),
+            ("wal", self.wal.to_json()),
+            ("heap", self.heap.to_json()),
+            ("btree", self.btree.to_json()),
+            ("planner", self.planner.to_json()),
+            ("vacuum_passes", self.vacuum_passes.json()),
+            ("devices", format!("[{}]", devices.join(","))),
+        ])
     }
 }
 
@@ -713,9 +687,12 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// A row producer for one virtual relation. Called at scan time; must be
-/// cheap and must not call back into the executing session.
-pub type VirtualRowsFn = Arc<dyn Fn() -> Vec<Row> + Send + Sync>;
+/// A row producer for one virtual relation. Called when a scan of the
+/// relation opens — never at bind time — with the database the scan runs
+/// in, so a producer captures no handle to it (the registry lives inside
+/// the database; a captured `Db` would be a reference cycle). Must not call
+/// back into the executing session.
+pub type VirtualRowsFn = Arc<dyn Fn(&Db) -> Vec<Row> + Send + Sync>;
 
 /// One registered virtual relation: a fixed schema plus a row producer.
 #[derive(Clone)]
@@ -726,10 +703,10 @@ pub struct VirtualTable {
     pub rows: VirtualRowsFn,
 }
 
-/// The extension point for layered systems: relations that exist only as
-/// row producers, scannable from the query language but backed by no heap.
-/// The engine's own `pg_stat_*` relations are built in; Inversion registers
-/// `inv_stat` here.
+/// Relations that exist only as row producers, scannable from the query
+/// language but backed by no heap. The engine registers its own
+/// `pg_stat_*` relations and `pg_check` here at construction; layered
+/// systems add theirs (Inversion registers `inv_stat` and `pg_stat_net`).
 #[derive(Default)]
 pub struct VirtualTables {
     map: RwLock<HashMap<String, VirtualTable>>,
@@ -742,7 +719,13 @@ impl VirtualTables {
     }
 
     /// Registers (or replaces) the virtual relation `name`.
-    pub fn register(&self, name: &str, schema: Schema, rows: VirtualRowsFn) {
+    pub fn register(
+        &self,
+        name: &str,
+        schema: Schema,
+        rows: impl Fn(&Db) -> Vec<Row> + Send + Sync + 'static,
+    ) {
+        let rows: VirtualRowsFn = Arc::new(rows);
         self.map
             .write()
             .insert(name.to_string(), VirtualTable { schema, rows });
@@ -759,16 +742,108 @@ impl VirtualTables {
         v.sort();
         v
     }
+
+    /// A registry holding the engine's own relations: one per counter
+    /// group, its schema and row generated from the group's table (plus the
+    /// few live values that are not counters), and the verifier's
+    /// `pg_check`.
+    pub(crate) fn with_engine_relations() -> VirtualTables {
+        fn count(n: usize) -> Datum {
+            Datum::Int4(n as i32)
+        }
+        let schema = |columns| Schema { columns };
+        let int4 = |name: &str| Column::new(name, TypeId::INT4);
+        let v = VirtualTables::new();
+
+        let mut cols = BufferStats::columns(&all);
+        cols.extend([int4("capacity"), int4("cached")]);
+        v.register("pg_stat_buffer", schema(cols), |db| {
+            let mut row = db.buffer_stats().datums(&all);
+            row.extend([count(db.inner.pool.capacity()), count(db.inner.pool.len())]);
+            vec![row]
+        });
+
+        v.register("pg_stat_lock", schema(LockStats::columns(&all)), |db| {
+            vec![db.inner.stats.lock.freeze().datums(&all)]
+        });
+
+        let mut cols = XactStats::columns(&all);
+        cols.push(int4("active"));
+        v.register("pg_stat_xact", schema(cols), |db| {
+            let mut row = db.inner.stats.xact.freeze().datums(&all);
+            row.push(count(db.inner.xlog.active_set().len()));
+            vec![row]
+        });
+
+        v.register("pg_stat_wal", schema(WalStats::columns(&all)), |db| {
+            vec![db.inner.stats.wal.freeze().datums(&all)]
+        });
+
+        let heap = |label: &str| Some(format!("heap_{label}"));
+        let btree = |label: &str| Some(format!("btree_{label}"));
+        let mut cols = HeapOpStats::columns(&heap);
+        cols.extend(BTreeOpStats::columns(&btree));
+        cols.push(Column::new("vacuum_passes", <u64 as Value>::TYPE));
+        v.register("pg_stat_relation", schema(cols), move |db| {
+            let stats = &db.inner.stats;
+            let mut row = stats.heap.freeze().datums(&heap);
+            row.extend(stats.btree.freeze().datums(&btree));
+            row.push(stats.vacuum_passes.freeze().datum());
+            vec![row]
+        });
+
+        v.register(
+            "pg_stat_planner",
+            schema(PlannerStats::columns(&all)),
+            |db| vec![db.inner.stats.planner.freeze().datums(&all)],
+        );
+
+        // One row per mounted device; the `io_` fields are the scheduler's.
+        type ViewFn = fn(&str) -> Option<String>;
+        let views: [(&str, ViewFn); 2] = [
+            ("pg_stat_device", |label| {
+                (!label.starts_with("io_")).then(|| label.to_string())
+            }),
+            ("pg_stat_io", |label| {
+                label.strip_prefix("io_").map(str::to_string)
+            }),
+        ];
+        for (name, view) in views {
+            v.register(name, schema(DeviceIoStats::columns(&view)), move |db| {
+                db.stats().devices.iter().map(|d| d.datums(&view)).collect()
+            });
+        }
+
+        let cols = [
+            ("relation", TypeId::TEXT),
+            ("page", TypeId::INT8),
+            ("slot", TypeId::INT4),
+            ("code", TypeId::TEXT),
+            ("detail", TypeId::TEXT),
+        ];
+        v.register("pg_check", Schema::new(cols), |db| {
+            let row = |f: crate::check::Finding| {
+                vec![
+                    Datum::Text(f.relation),
+                    f.page.map_or(Datum::Null, |p| Datum::Int8(p as i64)),
+                    f.slot.map_or(Datum::Null, |s| Datum::Int4(i32::from(s))),
+                    Datum::Text(f.code),
+                    Datum::Text(f.detail),
+                ]
+            };
+            db.check_all().into_iter().map(row).collect()
+        });
+        v
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datum::{Datum, TypeId};
 
     #[test]
     fn counters_bump_and_add() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.bump();
         c.add(41);
         assert_eq!(c.get(), 42);
@@ -781,7 +856,7 @@ mod tests {
         h.record(50_000); // < 100 µs
         h.record(5_000_000); // < 10 ms
         h.record(2_000_000_000); // >= 1 s
-        assert_eq!(h.snapshot(), [1, 1, 0, 1, 0, 0, 1]);
+        assert_eq!(h.freeze(), [1, 1, 0, 1, 0, 0, 1]);
     }
 
     #[test]
@@ -796,55 +871,132 @@ mod tests {
     #[test]
     fn snapshot_delta_subtracts() {
         let reg = StatsRegistry::new();
+        let dev = reg.device(DeviceId(0));
+        let freeze = || reg.freeze(BufferStats::default(), vec![dev.freeze(0, "d0".into())]);
         reg.xact.commits.add(5);
         reg.lock.waits.add(2);
-        let t0 = StatsSnapshot::from_registry(&reg);
+        dev.io_queue_depth_hw.observe(9);
+        dev.read_hist.record(1_000);
+        dev.read_hist.record(5_000_000);
+        let t0 = freeze();
         reg.xact.commits.add(3);
         reg.lock.waits.add(1);
         reg.heap.scans.bump();
-        let t1 = StatsSnapshot::from_registry(&reg);
+        dev.io_queue_depth_hw.observe(4);
+        dev.read_hist.record(2_000);
+        let t1 = freeze();
         let d = t1.delta(&t0);
         assert_eq!(d.xact.commits, 3);
         assert_eq!(d.lock.waits, 1);
         assert_eq!(d.heap.scans, 1);
         assert_eq!(d.xact.aborts, 0);
+        // A high-water mark is not a rate: the delta keeps the mark.
+        assert_eq!(d.devices[0].io_queue_depth_hw, 9);
+        // A histogram subtracts bucket by bucket.
+        assert_eq!(t1.devices[0].read_hist, [2, 0, 0, 1, 0, 0, 0]);
+        assert_eq!(d.devices[0].read_hist, [1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!((d.devices[0].device, d.devices[0].name.as_str()), (0, "d0"));
     }
 
+    /// A snapshot with a distinct value in every field.
+    fn synthetic() -> StatsSnapshot {
+        StatsSnapshot {
+            buffer: BufferStats {
+                hits: 1,
+                misses: 2,
+                evictions: 3,
+                writebacks: 4,
+                prefetches: 5,
+                prefetch_hits: 6,
+            },
+            xact: XactStats {
+                commits: 7,
+                aborts: 8,
+                time_travel_reads: 9,
+                group_commits: 10,
+                batched_records: 11,
+                sync_calls: 12,
+                commit_latency: [13, 14, 15, 16, 17, 18, 19],
+            },
+            wal: WalStats {
+                records_appended: 20,
+                bytes_appended: 21,
+                log_forces: 22,
+                checkpoints: 23,
+                ckpt_pages_drained: 24,
+                replayed_pages: 25,
+                replayed_records: 26,
+            },
+            heap: HeapOpStats {
+                scans: 27,
+                fetches: 28,
+                appends: 29,
+            },
+            btree: BTreeOpStats {
+                searches: 30,
+                inserts: 31,
+                splits: 32,
+                page_writes: 33,
+            },
+            lock: LockStats {
+                acquisitions: 34,
+                waits: 35,
+                deadlocks: 36,
+                timeouts: 37,
+            },
+            planner: PlannerStats {
+                plans_built: 38,
+                index_scans_chosen: 39,
+                seq_scans_chosen: 40,
+                joins_planned: 41,
+            },
+            vacuum_passes: 42,
+            devices: vec![
+                DeviceIoStats {
+                    device: 0,
+                    name: "rz\"58".into(),
+                    reads: 43,
+                    writes: 44,
+                    read_ns: 45,
+                    write_ns: 46,
+                    read_hist: [47, 48, 49, 50, 51, 52, 53],
+                    write_hist: [54, 55, 56, 57, 58, 59, 60],
+                    io_submitted: 61,
+                    io_completed: 62,
+                    io_batched_neighbors: 63,
+                    io_elevator_passes: 64,
+                    io_queue_depth_hw: 65,
+                    io_barrier_waits: 66,
+                },
+                DeviceIoStats {
+                    device: 3,
+                    name: "juke\\box".into(),
+                    reads: 67,
+                    ..DeviceIoStats::default()
+                },
+            ],
+        }
+    }
+
+    /// The generated serializer is byte-compatible with the hand-written
+    /// one it replaced: this string was captured from that code (the
+    /// `minidb_stats_delta` section of every `BENCH_*.json`).
     #[test]
-    fn json_roundtrip_shape() {
-        let reg = StatsRegistry::new();
-        reg.btree.splits.add(7);
-        let mut snap = StatsSnapshot::from_registry(&reg);
-        snap.devices.push(DeviceIoStats {
-            device: 0,
-            name: "rz\"58".into(),
-            reads: 1,
-            ..DeviceIoStats::default()
-        });
-        let j = snap.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"splits\":7"));
-        assert!(j.contains("\\\"58"), "device name must be escaped: {j}");
-        // Balanced braces and brackets — cheap well-formedness check.
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced braces"
-        );
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+    fn json_matches_the_golden_string() {
+        const GOLDEN: &str = r#"{"buffer":{"hits":1,"misses":2,"evictions":3,"writebacks":4,"prefetches":5,"prefetch_hits":6},"lock":{"acquisitions":34,"waits":35,"deadlocks":36,"timeouts":37},"xact":{"commits":7,"aborts":8,"time_travel_reads":9,"group_commits":10,"batched_records":11,"sync_calls":12,"commit_latency":[13,14,15,16,17,18,19]},"wal":{"records_appended":20,"bytes_appended":21,"log_forces":22,"checkpoints":23,"ckpt_pages_drained":24,"replayed_pages":25,"replayed_records":26},"heap":{"scans":27,"fetches":28,"appends":29},"btree":{"searches":30,"inserts":31,"splits":32,"page_writes":33},"planner":{"plans_built":38,"index_scans_chosen":39,"seq_scans_chosen":40,"joins_planned":41},"vacuum_passes":42,"devices":[{"device":0,"name":"rz\"58","reads":43,"writes":44,"read_ns":45,"write_ns":46,"read_hist":[47,48,49,50,51,52,53],"write_hist":[54,55,56,57,58,59,60],"io_submitted":61,"io_completed":62,"io_batched_neighbors":63,"io_elevator_passes":64,"io_queue_depth_hw":65,"io_barrier_waits":66},{"device":3,"name":"juke\\box","reads":67,"writes":0,"read_ns":0,"write_ns":0,"read_hist":[0,0,0,0,0,0,0],"write_hist":[0,0,0,0,0,0,0],"io_submitted":0,"io_completed":0,"io_batched_neighbors":0,"io_elevator_passes":0,"io_queue_depth_hw":0,"io_barrier_waits":0}]}"#;
+        assert_eq!(synthetic().to_json(), GOLDEN);
     }
 
     #[test]
     fn virtual_tables_register_and_scan() {
         let vt = VirtualTables::new();
-        vt.register(
-            "v_test",
-            Schema::new([("n", TypeId::INT4)]),
-            Arc::new(|| vec![vec![Datum::Int4(7)]]),
-        );
+        vt.register("v_test", Schema::new([("n", TypeId::INT4)]), |_db| {
+            vec![vec![Datum::Int4(7)]]
+        });
         let t = vt.get("v_test").unwrap();
         assert_eq!(t.schema.columns[0].name, "n");
-        assert_eq!((t.rows)(), vec![vec![Datum::Int4(7)]]);
+        let db = Db::open_in_memory().unwrap();
+        assert_eq!((t.rows)(&db), vec![vec![Datum::Int4(7)]]);
         assert!(vt.get("missing").is_none());
         assert_eq!(vt.names(), vec!["v_test".to_string()]);
     }

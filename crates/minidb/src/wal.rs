@@ -417,8 +417,8 @@ pub struct Wal {
     inner: Mutex<WalInner>,
     /// Set when the epoch has grown past half the region (checkpoint cue).
     pressure: AtomicBool,
-    /// Unforced-byte threshold past which `append` forces inline (the
-    /// `wal_buffer_size` knob); 0 disables the inline force.
+    /// Unforced-byte threshold past which `append` forces inline; 0
+    /// disables the inline force.
     buffer_cap: AtomicU64,
 }
 
@@ -501,7 +501,7 @@ impl Wal {
     }
 
     /// Caps how many unforced bytes the append buffer may hold before an
-    /// append forces the log inline ([`crate::db::DbConfig::wal_buffer_size`]).
+    /// append forces the log inline.
     pub fn set_buffer_cap(&self, bytes: u64) {
         self.buffer_cap.store(bytes, SeqCst);
     }

@@ -63,46 +63,26 @@ fn run_query(fs: &InversionFs, q: &str) {
     }
 }
 
-/// `\stats`: dump every statistics relation through the query language.
+/// `\stats`: dump every registered statistics relation through the query
+/// language, its target list built from the relation's schema. `pg_check`
+/// is skipped: it is a full verifier run, not a counter.
 fn show_stats(fs: &InversionFs) {
-    let relations = [
-        (
-            "pg_stat_buffer",
-            "retrieve (s.hits, s.misses, s.evictions, s.writebacks, s.prefetches, s.prefetch_hits, s.capacity, s.cached) from s in pg_stat_buffer",
-        ),
-        (
-            "pg_stat_lock",
-            "retrieve (s.acquisitions, s.waits, s.deadlocks, s.timeouts) from s in pg_stat_lock",
-        ),
-        (
-            "pg_stat_xact",
-            "retrieve (s.commits, s.aborts, s.time_travel_reads, s.group_commits, s.batched_records, s.sync_calls, s.active) from s in pg_stat_xact",
-        ),
-        (
-            "pg_stat_wal",
-            "retrieve (s.records_appended, s.bytes_appended, s.log_forces, s.checkpoints, s.ckpt_pages_drained, s.replayed_pages, s.replayed_records) from s in pg_stat_wal",
-        ),
-        (
-            "pg_stat_relation",
-            "retrieve (s.heap_scans, s.heap_fetches, s.heap_appends, s.btree_searches, s.btree_inserts, s.btree_splits) from s in pg_stat_relation",
-        ),
-        (
-            "pg_stat_planner",
-            "retrieve (s.plans_built, s.index_scans_chosen, s.seq_scans_chosen, s.joins_planned) from s in pg_stat_planner",
-        ),
-        (
-            "pg_stat_device",
-            "retrieve (s.device, s.name, s.reads, s.writes, s.read_ns, s.write_ns) from s in pg_stat_device",
-        ),
-        (
-            "pg_stat_io",
-            "retrieve (s.device, s.name, s.submitted, s.completed, s.batched_neighbors, s.elevator_passes, s.queue_depth_hw, s.barrier_waits) from s in pg_stat_io",
-        ),
-        ("inv_stat", "retrieve (s.op, s.count) from s in inv_stat"),
-    ];
-    for (rel, q) in relations {
+    let db = fs.db();
+    for rel in db.virtual_names().iter().filter(|rel| *rel != "pg_check") {
+        let Some(table) = db.virtual_table(rel) else {
+            continue;
+        };
+        let targets: Vec<String> = table
+            .schema
+            .columns
+            .iter()
+            .map(|c| format!("s.{}", c.name))
+            .collect();
         println!("-- {rel}");
-        run_query(fs, q);
+        run_query(
+            fs,
+            &format!("retrieve ({}) from s in {rel}", targets.join(", ")),
+        );
     }
 }
 

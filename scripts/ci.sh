@@ -73,6 +73,25 @@ cargo test --release -q -p inversion --lib slice
 echo "== smoke: pg_check clean after crash recovery =="
 cargo run --release -q --example pg_check_smoke
 
+# The query shell's \stats walks the virtual-relation registry: every
+# relation a formatted InversionFs registers must get its "-- <name>" header
+# (pg_check excepted: a full verifier run, not a counter) and no query built
+# from a registered schema may fail.
+echo "== smoke: query_shell \\stats lists every registered relation =="
+stats_out=$(printf '%s\n' '\stats' '\q' | cargo run -q --example query_shell -- -)
+for rel in pg_stat_buffer pg_stat_lock pg_stat_xact pg_stat_wal pg_stat_relation \
+    pg_stat_planner pg_stat_device pg_stat_io pg_stat_net inv_stat; do
+    grep -q -- "-- $rel\$" <<<"$stats_out" || {
+        echo "\\stats printed no '-- $rel' section" >&2
+        exit 1
+    }
+done
+if grep -q '^error:' <<<"$stats_out"; then
+    echo "\\stats: a generated query failed" >&2
+    grep '^error:' <<<"$stats_out" >&2
+    exit 1
+fi
+
 echo "== smoke: fig3_create --json =="
 cargo run --release -q -p bench --bin fig3_create -- --json
 test -s BENCH_fig3_create.json || {

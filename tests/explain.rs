@@ -189,3 +189,30 @@ fn explain_analyze_row_counts_match_reality() {
     assert!(text.contains("Project (k) (rows=10)"), "{text}");
     s.commit().unwrap();
 }
+
+/// A virtual relation binds by schema only: `explain` plans without calling
+/// its row producer, and each scan — a `retrieve`, an `explain analyze` —
+/// calls it exactly once.
+#[test]
+fn virtual_relation_rows_are_produced_once_per_scan_and_never_at_bind() {
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use std::sync::Arc;
+
+    let db = Db::open_in_memory().unwrap();
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&calls);
+    db.register_virtual("v_probe", Schema::new([("n", TypeId::INT4)]), move |_| {
+        counted.fetch_add(1, SeqCst);
+        vec![vec![Datum::Int4(7)]]
+    });
+    let mut s = db.begin().unwrap();
+    s.query("explain retrieve (v.n) from v in v_probe").unwrap();
+    assert_eq!(calls.load(SeqCst), 0, "explain must not produce rows");
+    let res = s.query("retrieve (v.n) from v in v_probe").unwrap();
+    assert_eq!(res.rows, vec![vec![Datum::Int4(7)]]);
+    assert_eq!(calls.load(SeqCst), 1, "one scan, one production");
+    s.query("explain analyze retrieve (v.n) from v in v_probe")
+        .unwrap();
+    assert_eq!(calls.load(SeqCst), 2, "explain analyze scans once");
+    s.commit().unwrap();
+}

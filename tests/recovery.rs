@@ -58,12 +58,34 @@ fn recovery_needs_no_scan_of_data() {
     // Write a large file, then compare recovery cost to a data scan.
     let devices = Devices::new();
     let data_len = 2 << 20; // 2 MB.
+
+    // Held by a relation producer, so it lives exactly as long as the
+    // database's virtual-relation registry.
+    let registry_alive = std::sync::Arc::new(());
     {
         let db = devices.format();
+        let held = std::sync::Arc::clone(&registry_alive);
+        db.register_virtual("v_held", Schema::default(), move |_| {
+            let _ = &held;
+            Vec::new()
+        });
         let fs = InversionFs::format(db).unwrap();
         let mut c = fs.client();
         c.write_all("/big", CreateMode::default(), &vec![7u8; data_len])
             .unwrap();
+    }
+    // Dropping the last handle frees the database (and so stops its
+    // checkpointer): no built-in relation producer keeps it alive through
+    // the registry it is stored in. The last reference may die a moment
+    // later on the checkpointer thread, if it was mid-cycle; a reference
+    // cycle never would.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while std::sync::Arc::strong_count(&registry_alive) > 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the database outlived its last handle"
+        );
+        std::thread::yield_now();
     }
     let t0 = devices.clock.now();
     let db = devices.recover();

@@ -450,6 +450,102 @@ fn virtual_relations_reject_time_travel() {
     );
 }
 
+/// Every registered virtual relation — the engine's and Inversion's —
+/// produces rows of exactly its schema's shape, and every column can be
+/// retrieved by name. Nothing here names a relation's columns: a relation
+/// or counter added later is covered without an edit.
+#[test]
+fn every_virtual_relation_matches_its_schema() {
+    use inversion::{InvServerPool, PoolConfig, WireClient};
+    use simdev::duplex_pair;
+
+    let fs = InversionFs::open_in_memory().unwrap();
+    // One server session and some file traffic, so the per-session and
+    // per-device relations have rows to check.
+    let pool = InvServerPool::new(&fs, PoolConfig::default());
+    let (client_end, server_end) = duplex_pair();
+    pool.serve_duplex(server_end);
+    let mut c = WireClient::new(client_end);
+    c.stat("/").unwrap();
+
+    let db = fs.db();
+    let names = db.virtual_names();
+    for expected in [
+        "inv_stat",
+        "pg_check",
+        "pg_stat_buffer",
+        "pg_stat_device",
+        "pg_stat_io",
+        "pg_stat_lock",
+        "pg_stat_net",
+        "pg_stat_planner",
+        "pg_stat_relation",
+        "pg_stat_wal",
+        "pg_stat_xact",
+    ] {
+        assert!(names.iter().any(|n| n == expected), "{expected} missing");
+    }
+    for name in &names {
+        let table = db.virtual_table(name).unwrap();
+        let columns = &table.schema.columns;
+        let rows = (table.rows)(db);
+        assert!(name == "pg_check" || !rows.is_empty(), "{name} has no rows");
+        for row in &rows {
+            assert_eq!(row.len(), columns.len(), "{name} row arity");
+            for (d, col) in row.iter().zip(columns) {
+                assert!(
+                    d.type_id().is_none_or(|t| t == col.ty),
+                    "{name}.{}: {d:?} is not a {:?}",
+                    col.name,
+                    col.ty
+                );
+            }
+        }
+        let targets: Vec<String> = columns.iter().map(|c| format!("v.{}", c.name)).collect();
+        let mut s = db.begin().unwrap();
+        let query = format!("retrieve ({}) from v in {name}", targets.join(", "));
+        let res = s.query(&query).unwrap_or_else(|e| panic!("{name}: {e}"));
+        s.commit().unwrap();
+        assert_eq!(res.columns.len(), columns.len());
+        assert_eq!(res.rows.len(), rows.len(), "{name} row count");
+    }
+    drop(c);
+    pool.shutdown();
+}
+
+/// The statistics table in README.md lists every registered virtual
+/// relation with exactly its schema's columns, in order.
+#[test]
+fn readme_stats_table_matches_the_registered_schemas() {
+    let readme =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md")).unwrap();
+    let fs = InversionFs::open_in_memory().unwrap();
+    let mut listed = Vec::new();
+    for line in readme.lines() {
+        // | `relation` | optional prose: `col, col, …` optional prose |
+        let ticks: Vec<&str> = line.split('`').collect();
+        if ticks.len() < 4 || ticks[0] != "| " || !ticks[2].starts_with(" | ") {
+            continue;
+        }
+        let (name, cols) = (ticks[1], ticks[3]);
+        if !(name.starts_with("pg_") || name == "inv_stat") {
+            continue;
+        }
+        let table = fs
+            .db()
+            .virtual_table(name)
+            .unwrap_or_else(|| panic!("README lists {name}, which is not registered"));
+        let columns = &table.schema.columns;
+        let schema: Vec<&str> = columns.iter().map(|c| c.name.as_str()).collect();
+        let listed_cols: Vec<&str> = cols.split(", ").collect();
+        assert_eq!(listed_cols, schema, "README row for {name}");
+        listed.push(name.to_string());
+    }
+    listed.sort();
+    let registered = fs.db().virtual_names();
+    assert_eq!(listed, registered, "relations the README lists");
+}
+
 // ---------------------------------------------------------------------------
 // Planner counters (`pg_stat_planner`) and the cost of access-method choice.
 
