@@ -283,24 +283,7 @@ impl InvClient {
             }
             let remaining = st.stat.size.saturating_sub(st.offset);
             let len = (buf.len() as u64).min(remaining) as usize;
-            let mut done = 0usize;
-            for (chunkno, start, take) in chunk::split_range(st.offset, len) {
-                match fetch_chunk(fs, s, &st.stat, chunkno, st.asof.as_ref())? {
-                    Some(content) => {
-                        // The stored chunk may be shorter than the read
-                        // range (sparse writes produce short chunks); the
-                        // uncovered remainder reads as zeros.
-                        let end = (start + take).min(content.len());
-                        let have = end.saturating_sub(start);
-                        if have > 0 {
-                            buf[done..done + have].copy_from_slice(&content[start..end]);
-                        }
-                        buf[done + have..done + take].fill(0);
-                    }
-                    None => buf[done..done + take].fill(0),
-                }
-                done += take;
-            }
+            read_range(fs, s, &st.stat, st.asof.as_ref(), st.offset, &mut buf[..len])?;
             st.offset += len as u64;
             st.accessed = true;
             fs.stats.bytes_read.add(len as u64);
@@ -606,17 +589,9 @@ impl InvClient {
                             fs.stats.chunks_shared.bump();
                         }
                     } else {
-                        let piece = match fetch_chunk(fs, s, src, chunkno, None)? {
-                            Some(content) => {
-                                let mut v = vec![0u8; take];
-                                let end = (start + take).min(content.len());
-                                if end > start {
-                                    v[..end - start].copy_from_slice(&content[start..end]);
-                                }
-                                v
-                            }
-                            None => vec![0u8; take],
-                        };
+                        let mut piece = vec![0u8; take];
+                        let at = chunk::chunk_start(chunkno) + start as u64;
+                        read_range(fs, s, src, None, at, &mut piece)?;
                         let mut done = 0usize;
                         for (dchunk, dstart, dtake) in chunk::split_range(dest_off, take) {
                             write_chunk(fs, s, &dst, dchunk, dstart, &piece[done..done + dtake])?;
@@ -627,13 +602,11 @@ impl InvClient {
                 }
             }
             // Record the composed size.
-            let Some((tid, mut row)) = fs.fileatt_row(s, dst.oid, None)? else {
-                return Err(InvError::NoSuchPath(format!("oid {}", dst.oid)));
-            };
             let now = fs.db().now();
-            row[A_SIZE] = Datum::Int8(dest_off as i64);
-            row[A_MTIME] = Datum::Time(now.as_nanos());
-            s.update(fs.rels.fileatt, tid, row)?;
+            fs.update_fileatt(s, dst.oid, |row| {
+                row[A_SIZE] = Datum::Int8(dest_off as i64);
+                row[A_MTIME] = Datum::Time(now.as_nanos());
+            })?;
             let mut out = dst;
             out.size = dest_off;
             out.mtime = now;
@@ -747,18 +720,18 @@ fn flush_meta(
         st.accessed = false;
         return Ok(());
     }
-    let Some((tid, mut row)) = fs.fileatt_row(s, st.stat.oid, None)? else {
-        return Err(InvError::NoSuchPath(format!("oid {}", st.stat.oid)));
-    };
     let now = fs.db().now();
+    fs.update_fileatt(s, st.stat.oid, |row| {
+        if st.meta_dirty {
+            row[A_SIZE] = Datum::Int8(st.stat.size as i64);
+            row[A_MTIME] = Datum::Time(now.as_nanos());
+        }
+        row[A_ATIME] = Datum::Time(now.as_nanos());
+    })?;
     if st.meta_dirty {
-        row[A_SIZE] = Datum::Int8(st.stat.size as i64);
-        row[A_MTIME] = Datum::Time(now.as_nanos());
         st.stat.mtime = now;
     }
-    row[A_ATIME] = Datum::Time(now.as_nanos());
     st.stat.atime = now;
-    s.update(fs.rels.fileatt, tid, row)?;
     st.meta_dirty = false;
     st.accessed = false;
     Ok(())
@@ -782,6 +755,31 @@ pub(crate) fn fetch_chunk(
         return Ok(None);
     };
     decode_chunk(stat, chunkno, &row).map(Some)
+}
+
+/// Fills `buf` with the file's bytes from `offset` on, under `snap` — one
+/// chunk fetch per chunk the range touches, whatever the file's size. The
+/// caller clamps the range to the file; holes, and whatever a short stored
+/// chunk does not cover (sparse writes produce both), read as zeros.
+pub(crate) fn read_range(
+    fs: &InversionFs,
+    s: &mut Session,
+    stat: &FileStat,
+    snap: Option<&Snapshot>,
+    offset: u64,
+    buf: &mut [u8],
+) -> InvResult<()> {
+    let mut done = 0usize;
+    for (chunkno, start, take) in chunk::split_range(offset, buf.len()) {
+        let dst = &mut buf[done..done + take];
+        let content = fetch_chunk(fs, s, stat, chunkno, snap)?.unwrap_or_default();
+        let src = content.get(start..).unwrap_or_default();
+        let have = src.len().min(take);
+        dst[..have].copy_from_slice(&src[..have]);
+        dst[have..].fill(0);
+        done += take;
+    }
+    Ok(())
 }
 
 /// Self-identifying tag: magic, file oid, chunk number, payload checksum.
@@ -876,6 +874,35 @@ pub(crate) fn write_chunk(
     store_chunk(fs, s, stat, chunkno, tid, content)
 }
 
+/// Writes `data` at byte `offset` of regular file `oid` and grows the file
+/// to cover it — the whole of a large-object write and of an NFS WRITE,
+/// which have no descriptor to buffer in.
+pub(crate) fn write_range(
+    fs: &InversionFs,
+    s: &mut Session,
+    oid: Oid,
+    offset: u64,
+    data: &[u8],
+) -> InvResult<()> {
+    // Ahead of the stat's shared lock; see `update_fileatt`.
+    s.lock_exclusive(fs.rels.fileatt)?;
+    let stat = fs.stat_oid(s, oid, None)?;
+    if stat.kind != FileKind::Regular {
+        return Err(InvError::IsADirectory(format!("oid {oid}")));
+    }
+    let mut pos = 0usize;
+    for (chunkno, start, take) in chunk::split_range(offset, data.len()) {
+        write_chunk(fs, s, &stat, chunkno, start, &data[pos..pos + take])?;
+        pos += take;
+    }
+    let new_size = stat.size.max(offset + data.len() as u64);
+    let now = fs.db().now();
+    fs.update_fileatt(s, oid, |row| {
+        row[A_SIZE] = Datum::Int8(new_size as i64);
+        row[A_MTIME] = Datum::Time(now.as_nanos());
+    })
+}
+
 /// Replaces one chunk's content exactly (truncating semantics).
 pub(crate) fn write_chunk_exact(
     fs: &InversionFs,
@@ -954,15 +981,7 @@ pub(crate) fn read_file_bytes(
     if size > chunk::CHUNK_SIZE {
         fs.db().prefetch_relation(stat.datarel, 0, usize::MAX);
     }
-    for (chunkno, start, take) in chunk::split_range(0, size) {
-        if let Some(content) = fetch_chunk(fs, s, stat, chunkno, snap)? {
-            let off = chunk::chunk_start(chunkno) as usize;
-            let end = (start + take).min(content.len());
-            if end > start {
-                out[off + start..off + end].copy_from_slice(&content[start..end]);
-            }
-        }
-    }
+    read_range(fs, s, stat, snap, 0, &mut out)?;
     Ok(out)
 }
 

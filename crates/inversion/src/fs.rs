@@ -388,6 +388,32 @@ impl InversionFs {
         &self.stats
     }
 
+    /// Registers `f` as the implementation behind `key` in the database's
+    /// function registry. The stored closure keeps only the parts of this
+    /// handle that do not own the database: a [`Db`] held inside its own
+    /// registry is a reference cycle, and a database in one is never freed
+    /// and never stops its checkpointer. `f` is handed a mount rebuilt
+    /// around the database of the session it runs in.
+    pub(crate) fn register_function(
+        &self,
+        key: &str,
+        f: impl Fn(&InversionFs, &mut Session, &[Datum]) -> Result<Datum, DbError>
+            + Send
+            + Sync
+            + 'static,
+    ) {
+        let (rels, root, stats) = (self.rels, self.root, Arc::clone(&self.stats));
+        self.db.functions().register(key, move |s, args| {
+            let fs = InversionFs {
+                db: s.db().clone(),
+                rels,
+                root,
+                stats: Arc::clone(&stats),
+            };
+            f(&fs, s, args)
+        });
+    }
+
     /// Opens a new client (one application program's connection).
     pub fn client(&self) -> crate::api::InvClient {
         crate::api::InvClient::new(self.clone())
@@ -455,6 +481,25 @@ impl InversionFs {
             None => session.index_scan_eq(self.rels.fileatt_file_idx, &key)?,
         };
         Ok(hits.into_iter().next())
+    }
+
+    /// Rewrites `oid`'s current `fileatt` row through `edit`. The write is
+    /// declared *before* the read: fetching the row first would take the
+    /// relation's shared lock and then upgrade it, and two sessions that
+    /// both do that close a wait cycle one of them is refused for.
+    pub(crate) fn update_fileatt(
+        &self,
+        session: &mut Session,
+        oid: Oid,
+        edit: impl FnOnce(&mut Vec<Datum>),
+    ) -> InvResult<()> {
+        session.lock_exclusive(self.rels.fileatt)?;
+        let (tid, mut row) = self
+            .fileatt_row(session, oid, None)?
+            .ok_or_else(|| InvError::NoSuchPath(format!("oid {oid}")))?;
+        edit(&mut row);
+        session.update(self.rels.fileatt, tid, row)?;
+        Ok(())
     }
 
     /// Stats a file by oid.

@@ -37,12 +37,11 @@ pub fn register_procedure(
     f: impl Fn(&mut InvClient, &[Datum]) -> DbResult<Datum> + Send + Sync + 'static,
 ) -> InvResult<()> {
     let key = format!("inversion.proc.{name}");
-    let fs2 = fs.clone();
-    fs.db().functions().register(&key, move |_s, args| {
+    fs.register_function(&key, move |fs, _s, args| {
         // The procedure gets its own client (and thus its own transaction
         // scope); POSTGRES ran dynamically loaded code with the data
         // manager's permissions in exactly this way.
-        let mut client = fs2.client();
+        let mut client = fs.client();
         f(&mut client, args)
     });
     match fs.db().define_function(name, nargs, ret, &key, None) {

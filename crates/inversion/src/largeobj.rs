@@ -13,10 +13,8 @@
 
 use minidb::{Datum, Oid, Session};
 
-use crate::api::{read_file_bytes, write_chunk};
-use crate::chunk::split_range;
+use crate::api::{read_file_bytes, read_range, write_range};
 use crate::fs::{file_fileatt_row, CreateMode, FileStat, InvError, InvResult, InversionFs};
-use crate::fs::{A_MTIME, A_SIZE};
 
 /// A handle to a database large object.
 #[derive(Clone)]
@@ -60,20 +58,7 @@ impl LargeObject {
 
     /// Writes `data` at byte `offset`, growing the object as needed.
     pub fn write_at(&self, s: &mut Session, offset: u64, data: &[u8]) -> InvResult<()> {
-        let stat = self.stat(s)?;
-        let mut pos = 0usize;
-        for (chunkno, start, take) in split_range(offset, data.len()) {
-            write_chunk(&self.fs, s, &stat, chunkno, start, &data[pos..pos + take])?;
-            pos += take;
-        }
-        let new_size = stat.size.max(offset + data.len() as u64);
-        let Some((tid, mut row)) = self.fs.fileatt_row(s, self.oid, None)? else {
-            return Err(InvError::NoSuchPath(format!("oid {}", self.oid)));
-        };
-        row[A_SIZE] = Datum::Int8(new_size as i64);
-        row[A_MTIME] = Datum::Time(self.fs.db().now().as_nanos());
-        s.update(self.fs.rels.fileatt, tid, row)?;
-        Ok(())
+        write_range(&self.fs, s, self.oid, offset, data)
     }
 
     /// Reads up to `len` bytes at `offset` (short at end of object).
@@ -82,16 +67,7 @@ impl LargeObject {
         let avail = stat.size.saturating_sub(offset);
         let len = (len as u64).min(avail) as usize;
         let mut out = vec![0u8; len];
-        let mut pos = 0usize;
-        for (chunkno, start, take) in split_range(offset, len) {
-            if let Some(content) = crate::api::fetch_chunk(&self.fs, s, &stat, chunkno, None)? {
-                let end = (start + take).min(content.len());
-                if end > start {
-                    out[pos..pos + (end - start)].copy_from_slice(&content[start..end]);
-                }
-            }
-            pos += take;
-        }
+        read_range(&self.fs, s, &stat, None, offset, &mut out)?;
         Ok(out)
     }
 

@@ -63,28 +63,22 @@ pub fn migrate_file(
     }
 
     // Repoint fileatt (no-overwrite: historical stats keep the old rel).
-    let Some((tid, mut row)) = fs.fileatt_row(s, oid, None)? else {
-        return Err(InvError::NoSuchPath(format!("oid {oid}")));
-    };
-    row[A_DATAREL] = Datum::Oid(new_rel.0);
-    row[A_CHUNKIDX] = Datum::Oid(new_idx.0);
-    row[A_DEVICE] = Datum::Int4(target.0 as i32);
-    s.update(fs.rels.fileatt, tid, row)?;
-    Ok(())
+    fs.update_fileatt(s, oid, |row| {
+        row[A_DATAREL] = Datum::Oid(new_rel.0);
+        row[A_CHUNKIDX] = Datum::Oid(new_idx.0);
+        row[A_DEVICE] = Datum::Int4(target.0 as i32);
+    })
 }
 
 /// Registers the `migrate(file, device)` function with the database.
 pub fn register_migration(fs: &InversionFs) -> InvResult<()> {
-    let fs2 = fs.clone();
-    fs.db()
-        .functions()
-        .register("inversion.migrate", move |s, a| {
-            let oid = Oid(a[0].as_oid()?);
-            let dev = DeviceId(a[1].as_int()? as u8);
-            migrate_file(&fs2, s, oid, dev)
-                .map(|_| Datum::Bool(true))
-                .map_err(|e| DbError::Eval(e.to_string()))
-        });
+    fs.register_function("inversion.migrate", |fs, s, a| {
+        let oid = Oid(a[0].as_oid()?);
+        let dev = DeviceId(a[1].as_int()? as u8);
+        migrate_file(fs, s, oid, dev)
+            .map(|_| Datum::Bool(true))
+            .map_err(|e| DbError::Eval(e.to_string()))
+    });
     match fs
         .db()
         .define_function("migrate", 2, TypeId::BOOL, "inversion.migrate", None)

@@ -27,11 +27,8 @@
 use minidb::{Oid, Snapshot};
 use simdev::SimInstant;
 
-use crate::api::{read_file_bytes, write_chunk};
-use crate::chunk::split_range;
+use crate::api::{read_range, write_range};
 use crate::fs::{CreateMode, FileKind, FileStat, InvError, InvResult, InversionFs};
-use crate::fs::{A_MTIME, A_SIZE};
-use minidb::Datum;
 
 /// A stateless NFS-style file handle: the file's oid plus the historical
 /// instant it was resolved at (None = current).
@@ -130,13 +127,11 @@ impl NfsFront {
         if stat.kind != FileKind::Regular {
             return Err(InvError::IsADirectory(format!("oid {}", h.oid)));
         }
-        // Whole-file read then slice keeps this simple; NFS transfers are
-        // 8 KB so the per-op cost is one chunk fetch in practice.
-        let all = read_file_bytes(&self.fs, &mut s, &stat, snap.as_ref())?;
+        let len = (len as u64).min(stat.size.saturating_sub(offset)) as usize;
+        let mut out = vec![0u8; len];
+        read_range(&self.fs, &mut s, &stat, snap.as_ref(), offset, &mut out)?;
         s.commit()?;
-        let off = (offset as usize).min(all.len());
-        let end = (off + len).min(all.len());
-        Ok(all[off..end].to_vec())
+        Ok(out)
     }
 
     /// WRITE: one atomic transaction per call, committed before returning —
@@ -146,28 +141,7 @@ impl NfsFront {
             return Err(InvError::Invalid("historical handles are read-only".into()));
         }
         let mut s = self.fs.db().begin()?;
-        let stat = self.fs.stat_oid(&mut s, h.oid, None)?;
-        if stat.kind != FileKind::Regular {
-            return Err(InvError::IsADirectory(format!("oid {}", h.oid)));
-        }
-        let mut pos = 0usize;
-        for (chunkno, start, take) in split_range(offset, data.len()) {
-            write_chunk(
-                &self.fs,
-                &mut s,
-                &stat,
-                chunkno,
-                start,
-                &data[pos..pos + take],
-            )?;
-            pos += take;
-        }
-        let new_size = stat.size.max(offset + data.len() as u64);
-        if let Some((tid, mut row)) = self.fs.fileatt_row(&mut s, h.oid, None)? {
-            row[A_SIZE] = Datum::Int8(new_size as i64);
-            row[A_MTIME] = Datum::Time(self.fs.db().now().as_nanos());
-            s.update(self.fs.rels.fileatt, tid, row)?;
-        }
+        write_range(&self.fs, &mut s, h.oid, offset, data)?;
         s.commit()?;
         Ok(data.len() as u32)
     }
@@ -254,6 +228,20 @@ mod tests {
         assert_eq!(nfs.read(found.handle, 0, 100).unwrap(), b"hello nfs");
         assert_eq!(nfs.read(found.handle, 6, 3).unwrap(), b"nfs");
         assert_eq!(nfs.read(found.handle, 100, 5).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn read_fetches_only_the_chunks_it_returns() {
+        let (fs, nfs) = exported();
+        let attr = nfs.create("/mb", CreateMode::default()).unwrap();
+        let data: Vec<u8> = (0..1usize << 20).map(|i| (i % 251) as u8).collect();
+        nfs.write(attr.handle, 0, &data).unwrap();
+        let before = fs.stats().chunk_reads.get();
+        let at = 512 << 10;
+        let got = nfs.read(attr.handle, at as u64, 8192).unwrap();
+        assert_eq!(got, &data[at..at + 8192]);
+        // 8 KB straddles at most two 8 128-byte chunks, wherever it starts.
+        assert!(fs.stats().chunk_reads.get() - before <= 2);
     }
 
     #[test]

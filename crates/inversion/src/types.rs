@@ -310,10 +310,15 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
         .collect::<Result<_, _>>()?;
     let troff_type = db.catalog().type_by_name("troff")?;
 
+    // The helpers and the registered functions take the mount as a
+    // parameter; see `InversionFs::register_function` for why none of them
+    // may capture one.
     let image_of = {
-        let fs = fs.clone();
         let allowed = image_types.clone();
-        move |s: &mut minidb::Session, oid: u32| -> Result<Option<SatelliteImage>, DbError> {
+        move |fs: &InversionFs,
+              s: &mut minidb::Session,
+              oid: u32|
+              -> Result<Option<SatelliteImage>, DbError> {
             let stat = fs
                 .stat_oid(s, Oid(oid), None)
                 .map_err(|e| DbError::Eval(e.to_string()))?;
@@ -330,9 +335,11 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
         }
     };
     let text_of = {
-        let fs = fs.clone();
         let allowed = text_types.clone();
-        move |s: &mut minidb::Session, oid: u32| -> Result<Option<String>, DbError> {
+        move |fs: &InversionFs,
+              s: &mut minidb::Session,
+              oid: u32|
+              -> Result<Option<String>, DbError> {
             let stat = fs
                 .stat_oid(s, Oid(oid), None)
                 .map_err(|e| DbError::Eval(e.to_string()))?;
@@ -350,23 +357,24 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     };
     let troff_of = {
         let t = text_of.clone();
-        let fs = fs.clone();
-        move |s: &mut minidb::Session, oid: u32| -> Result<Option<String>, DbError> {
+        move |fs: &InversionFs,
+              s: &mut minidb::Session,
+              oid: u32|
+              -> Result<Option<String>, DbError> {
             let stat = fs
                 .stat_oid(s, Oid(oid), None)
                 .map_err(|e| DbError::Eval(e.to_string()))?;
             if stat.ftype != Some(troff_type) {
                 return Ok(None);
             }
-            t(s, oid)
+            t(fs, s, oid)
         }
     };
 
-    let reg = db.functions();
     {
         let img = image_of.clone();
-        reg.register("inversion.snow", move |s, a| {
-            let Some(im) = img(s, a[0].as_oid()?)? else {
+        fs.register_function("inversion.snow", move |fs, s, a| {
+            let Some(im) = img(fs, s, a[0].as_oid()?)? else {
                 return Ok(Datum::Null);
             };
             Ok(Datum::Int8(im.snow_count() as i64))
@@ -374,8 +382,8 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     }
     {
         let img = image_of.clone();
-        reg.register("inversion.pixelcount", move |s, a| {
-            let Some(im) = img(s, a[0].as_oid()?)? else {
+        fs.register_function("inversion.pixelcount", move |fs, s, a| {
+            let Some(im) = img(fs, s, a[0].as_oid()?)? else {
                 return Ok(Datum::Null);
             };
             Ok(Datum::Int8(im.pixelcount() as i64))
@@ -383,8 +391,8 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     }
     {
         let img = image_of.clone();
-        reg.register("inversion.pixelavg", move |s, a| {
-            let Some(im) = img(s, a[0].as_oid()?)? else {
+        fs.register_function("inversion.pixelavg", move |fs, s, a| {
+            let Some(im) = img(fs, s, a[0].as_oid()?)? else {
                 return Ok(Datum::Null);
             };
             im.band_avg(0)
@@ -394,8 +402,8 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     }
     {
         let img = image_of.clone();
-        reg.register("inversion.getpixel", move |s, a| {
-            let Some(im) = img(s, a[0].as_oid()?)? else {
+        fs.register_function("inversion.getpixel", move |fs, s, a| {
+            let Some(im) = img(fs, s, a[0].as_oid()?)? else {
                 return Ok(Datum::Null);
             };
             let (x, y) = (a[1].as_int()? as u32, a[2].as_int()? as u32);
@@ -406,8 +414,8 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     }
     {
         let img = image_of.clone();
-        reg.register("inversion.getband", move |s, a| {
-            let Some(im) = img(s, a[0].as_oid()?)? else {
+        fs.register_function("inversion.getband", move |fs, s, a| {
+            let Some(im) = img(fs, s, a[0].as_oid()?)? else {
                 return Ok(Datum::Null);
             };
             let b = a[1].as_int()? as u8;
@@ -418,8 +426,8 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     }
     {
         let img = image_of.clone();
-        reg.register("inversion.month_of", move |s, a| {
-            let Some(im) = img(s, a[0].as_oid()?)? else {
+        fs.register_function("inversion.month_of", move |fs, s, a| {
+            let Some(im) = img(fs, s, a[0].as_oid()?)? else {
                 return Ok(Datum::Null);
             };
             Ok(Datum::Text(im.month_name().to_string()))
@@ -427,8 +435,8 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     }
     {
         let t = troff_of.clone();
-        reg.register("inversion.keywords", move |s, a| {
-            let Some(text) = t(s, a[0].as_oid()?)? else {
+        fs.register_function("inversion.keywords", move |fs, s, a| {
+            let Some(text) = t(fs, s, a[0].as_oid()?)? else {
                 return Ok(Datum::Null);
             };
             Ok(Datum::Text(extract_keywords(&text)))
@@ -436,8 +444,8 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     }
     {
         let t = troff_of.clone();
-        reg.register("inversion.fonts", move |s, a| {
-            let Some(text) = t(s, a[0].as_oid()?)? else {
+        fs.register_function("inversion.fonts", move |fs, s, a| {
+            let Some(text) = t(fs, s, a[0].as_oid()?)? else {
                 return Ok(Datum::Null);
             };
             Ok(Datum::Text(extract_fonts(&text)))
@@ -445,8 +453,8 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     }
     {
         let t = troff_of.clone();
-        reg.register("inversion.sizes", move |s, a| {
-            let Some(text) = t(s, a[0].as_oid()?)? else {
+        fs.register_function("inversion.sizes", move |fs, s, a| {
+            let Some(text) = t(fs, s, a[0].as_oid()?)? else {
                 return Ok(Datum::Null);
             };
             Ok(Datum::Text(extract_sizes(&text)))
@@ -454,8 +462,8 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     }
     {
         let t = text_of.clone();
-        reg.register("inversion.linecount", move |s, a| {
-            let Some(text) = t(s, a[0].as_oid()?)? else {
+        fs.register_function("inversion.linecount", move |fs, s, a| {
+            let Some(text) = t(fs, s, a[0].as_oid()?)? else {
                 return Ok(Datum::Null);
             };
             Ok(Datum::Int8(linecount(&text) as i64))
@@ -463,59 +471,47 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     }
     {
         let t = text_of.clone();
-        reg.register("inversion.wordcount", move |s, a| {
-            let Some(text) = t(s, a[0].as_oid()?)? else {
+        fs.register_function("inversion.wordcount", move |fs, s, a| {
+            let Some(text) = t(fs, s, a[0].as_oid()?)? else {
                 return Ok(Datum::Null);
             };
             Ok(Datum::Int8(wordcount(&text) as i64))
         });
     }
     // Metadata helpers used by the paper's example queries.
-    {
-        let fs2 = fs.clone();
-        reg.register("inversion.owner", move |s, a| {
-            let stat = fs2
-                .stat_oid(s, Oid(a[0].as_oid()?), None)
-                .map_err(|e| DbError::Eval(e.to_string()))?;
-            Ok(Datum::Text(stat.owner))
-        });
-    }
-    {
-        let fs2 = fs.clone();
-        reg.register("inversion.size", move |s, a| {
-            let stat = fs2
-                .stat_oid(s, Oid(a[0].as_oid()?), None)
-                .map_err(|e| DbError::Eval(e.to_string()))?;
-            Ok(Datum::Int8(stat.size as i64))
-        });
-    }
-    {
-        let fs2 = fs.clone();
-        reg.register("inversion.filetype", move |s, a| {
-            let stat = fs2
-                .stat_oid(s, Oid(a[0].as_oid()?), None)
-                .map_err(|e| DbError::Eval(e.to_string()))?;
-            match stat.ftype {
-                Some(t) => Ok(Datum::Text(s.db().catalog().type_name(t)?)),
-                None => Ok(Datum::Text(String::new())),
-            }
-        });
-    }
-    {
-        let fs2 = fs.clone();
-        reg.register("inversion.dir", move |s, a| {
-            let oid = Oid(a[0].as_oid()?);
-            // The directory containing the file: parent of its naming entry.
-            let hits = s.index_scan_eq(fs2.rels.naming_file_idx, &[Datum::Oid(oid.0)])?;
-            let Some((_, row)) = hits.into_iter().next() else {
-                return Err(DbError::Eval(format!("no naming entry for oid {oid}")));
-            };
-            let parent = Oid(row[crate::fs::N_PARENTID].as_oid()?);
-            fs2.path_of(s, parent, None)
-                .map(Datum::Text)
-                .map_err(|e| DbError::Eval(e.to_string()))
-        });
-    }
+    fs.register_function("inversion.owner", |fs, s, a| {
+        let stat = fs
+            .stat_oid(s, Oid(a[0].as_oid()?), None)
+            .map_err(|e| DbError::Eval(e.to_string()))?;
+        Ok(Datum::Text(stat.owner))
+    });
+    fs.register_function("inversion.size", |fs, s, a| {
+        let stat = fs
+            .stat_oid(s, Oid(a[0].as_oid()?), None)
+            .map_err(|e| DbError::Eval(e.to_string()))?;
+        Ok(Datum::Int8(stat.size as i64))
+    });
+    fs.register_function("inversion.filetype", |fs, s, a| {
+        let stat = fs
+            .stat_oid(s, Oid(a[0].as_oid()?), None)
+            .map_err(|e| DbError::Eval(e.to_string()))?;
+        match stat.ftype {
+            Some(t) => Ok(Datum::Text(s.db().catalog().type_name(t)?)),
+            None => Ok(Datum::Text(String::new())),
+        }
+    });
+    fs.register_function("inversion.dir", |fs, s, a| {
+        let oid = Oid(a[0].as_oid()?);
+        // The directory containing the file: parent of its naming entry.
+        let hits = s.index_scan_eq(fs.rels.naming_file_idx, &[Datum::Oid(oid.0)])?;
+        let Some((_, row)) = hits.into_iter().next() else {
+            return Err(DbError::Eval(format!("no naming entry for oid {oid}")));
+        };
+        let parent = Oid(row[crate::fs::N_PARENTID].as_oid()?);
+        fs.path_of(s, parent, None)
+            .map(Datum::Text)
+            .map_err(|e| DbError::Eval(e.to_string()))
+    });
 
     let defs: [(&str, usize, TypeId, &str, Option<&str>); 15] = [
         ("snow", 1, TypeId::INT8, "inversion.snow", Some("tm")),

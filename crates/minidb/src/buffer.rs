@@ -492,10 +492,10 @@ impl BufferPool {
         smgr: &Smgr,
     ) -> DbResult<(order::LevelToken, MutexGuard<'_, ShardInner>)> {
         // Sweeps that find every frame pinned wait and retry before giving
-        // up: transient all-pinned shards are normal while the background
-        // checkpointer walks the pool (it pins frames it has yet to
-        // flush). Only a pin held *forever* — a leak, or genuinely more
-        // concurrent pins than frames — should surface as an error.
+        // up: foreground pins are short, so an all-pinned shard is usually
+        // transient. (The checkpointer is not a cause: its flush holds one
+        // pin at a time.) Only a pin held *forever* — a leak, or genuinely
+        // more concurrent pins than frames — should surface as an error.
         let mut stalls: u32 = 0;
         const MAX_STALLS: u32 = 1 << 16;
         'retry: loop {
@@ -702,52 +702,55 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Pins every cached frame (optionally restricted to `rel`) so flushes
-    /// can write with no shard latch held.
-    fn pin_all(&self, rel: Option<RelId>) -> Vec<Arc<Frame>> {
-        let mut frames = Vec::new();
+    /// Writes back every dirty cached page (optionally only `rel`'s)
+    /// without evicting, in (relation, block) order — the elevator sweep a
+    /// real sync performs so flushes stream rather than seek. Returns the
+    /// number of pages written.
+    ///
+    /// The sweep snapshots *keys* and then holds **one pin at a time**.
+    /// Pins are not in the lock hierarchy, and a B-tree split holds its
+    /// node's latch while it asks [`BufferPool::new_page`] for a frame: a
+    /// flush that parked on that latch with every other frame pinned would
+    /// leave the split no victim, and neither could move. A key that is no
+    /// longer mapped when its turn comes was written back by its eviction.
+    fn flush_matching(&self, smgr: &Smgr, rel: Option<RelId>) -> DbResult<usize> {
+        let mut keys: Vec<(RelId, u64)> = Vec::new();
         for shard in &self.shards {
             let _order = order::token(order::BUFFER_SHARD);
             let shard = shard.lock();
-            for (&(r, _), frame) in &shard.map {
-                if rel.is_none_or(|want| want == r) {
-                    frame.pins.fetch_add(1, Ordering::SeqCst);
-                    frames.push(Arc::clone(frame));
-                }
-            }
+            keys.extend(shard.map.keys().filter(|(r, _)| rel.is_none_or(|want| want == *r)));
         }
-        frames
-    }
-
-    fn flush_frames(&self, smgr: &Smgr, frames: Vec<Arc<Frame>>) -> DbResult<usize> {
+        keys.sort_unstable();
         let mut result = Ok(());
         let mut written = vec![0u64; self.shards.len()];
-        // Unpin each frame as soon as it is handled, not at the end: the
-        // checkpointer flushes the *whole* pool concurrently with
-        // foreground work, and holding every pin for the full sweep would
-        // starve eviction (`lock_with_room`) for the sweep's duration. A
-        // frame only needs its pin while we might still write it — once
-        // unpinned, eviction writing it back first just leaves it clean
-        // and we skip it.
-        for frame in &frames {
-            if result.is_ok() {
+        for key in keys {
+            let si = self.shard_index(key.0, key.1);
+            let frame = {
+                let _order = order::token(order::BUFFER_SHARD);
+                let shard = self.shards[si].lock();
+                let Some(frame) = shard.map.get(&key) else {
+                    continue;
+                };
+                frame.pins.fetch_add(1, Ordering::SeqCst);
+                Arc::clone(frame)
+            };
+            {
                 let _fl = order::token(order::BUFFER_FRAME);
                 let mut buf = frame.buf.write();
                 if buf.dirty {
-                    let (d, r, b) = (buf.dev, buf.rel, buf.blkno);
-                    match self
+                    result = self
                         .force_wal_for(&buf.data)
-                        .and_then(|()| smgr.write_page_back(d, r, b, &buf.data))
-                    {
-                        Ok(()) => {
-                            buf.dirty = false;
-                            written[self.shard_index(r, b)] += 1;
-                        }
-                        Err(e) => result = Err(e),
+                        .and_then(|()| smgr.write_page_back(buf.dev, key.0, key.1, &buf.data));
+                    if result.is_ok() {
+                        buf.dirty = false;
+                        written[si] += 1;
                     }
                 }
             }
             frame.unpin();
+            if result.is_err() {
+                break;
+            }
         }
         let total = written.iter().sum::<u64>() as usize;
         for (si, w) in written.into_iter().enumerate() {
@@ -756,28 +759,19 @@ impl BufferPool {
                 self.shards[si].lock().stats.writebacks += w;
             }
         }
-        result.map(|_| total)
+        result.map(|()| total)
     }
 
-    /// Writes every dirty page back through `smgr` (without evicting), in
-    /// (relation, block) order — the elevator sweep a real sync performs
-    /// so flushes stream rather than seek. Returns the number of
-    /// pages written (the checkpointer's drain count).
+    /// Writes every dirty page back through `smgr` (the checkpointer's
+    /// drain; the count is its drain count).
     pub fn flush_all(&self, smgr: &Smgr) -> DbResult<usize> {
-        let mut frames = self.pin_all(None);
-        frames.sort_by_key(|f| {
-            let b = f.buf.read();
-            (b.rel, b.blkno)
-        });
-        self.flush_frames(smgr, frames)
+        self.flush_matching(smgr, None)
     }
 
     /// Writes back every dirty cached page belonging to `rel` (eager index
     /// write-through uses this). Returns the number of pages written.
     pub fn flush_rel(&self, smgr: &Smgr, rel: RelId) -> DbResult<usize> {
-        let mut frames = self.pin_all(Some(rel));
-        frames.sort_by_key(|f| f.buf.read().blkno);
-        self.flush_frames(smgr, frames)
+        self.flush_matching(smgr, Some(rel))
     }
 
     /// Flushes dirty pages and then empties the cache entirely — the

@@ -11,11 +11,12 @@
 //! Commit is *no-force*: no data page is written at commit. Every page
 //! mutation already appended a physiological REDO record to the
 //! [`crate::wal`], so commit appends a `Commit` record and forces the log
-//! tail once — that force is the commit point. Concurrent committers batch
-//! their records through the group-commit coordinator
-//! ([`DbConfig::group_commit_window`]) so one log force commits them all;
-//! the in-memory status-file entry is marked only after the force
+//! up to that record ([`Wal::force_up_to`]) — that force is the commit
+//! point. A committer whose record a concurrent force already covered
+//! returns without a sync of its own, which is all there is to group
+//! commit; the in-memory status-file entry is marked only after the force
 //! succeeds, and reaches the on-device status file lazily, at checkpoints.
+//! Abort is the mark alone (plus an unforced, advisory `Abort` record).
 //! Dirty data pages drain through the background checkpointer, which then
 //! truncates the log. Crash recovery is reopening the database
 //! ([`Db::recover`]): the log is scanned once, transaction outcomes are
@@ -42,7 +43,7 @@ use crate::recovery::Redo;
 use crate::smgr::{read_meta, shared_device, write_meta, GenericManager, SharedDevice, Smgr};
 use crate::stats::{StatsRegistry, StatsSnapshot, VirtualTable, VirtualTables};
 use crate::wal::{Wal, WalRecord};
-use crate::xact::{GroupCommitter, PendingRecord, Snapshot, XactLog, XactState};
+use crate::xact::{Snapshot, XactLog, XactState};
 
 /// Tunables for a [`Db`].
 #[derive(Debug, Clone)]
@@ -60,11 +61,6 @@ pub struct DbConfig {
     /// Blocks of sequential read-ahead past a detected scan run
     /// (0 disables prefetching).
     pub prefetch_window: usize,
-    /// How long (virtual time) a commit batch leader holds the window open
-    /// for concurrent committers before forcing the shared log sync. Zero
-    /// disables group commit: every transaction forces its own commit
-    /// record.
-    pub group_commit_window: SimDuration,
     /// How often (virtual time) the background checkpointer drains dirty
     /// pages and truncates the log, absent log-space pressure. Pressure
     /// (the log epoch passing half its region) wakes it regardless.
@@ -82,7 +78,6 @@ impl Default for DbConfig {
             buffers: DEFAULT_BUFFERS,
             eager_index_writes: true,
             prefetch_window: crate::buffer::DEFAULT_PREFETCH_WINDOW,
-            group_commit_window: SimDuration::from_micros(50),
             checkpoint_interval: SimDuration::from_millis(100),
             io_queue_depth: 64,
         }
@@ -150,7 +145,6 @@ pub(crate) struct DbInner {
     pub(crate) funcs: FunctionRegistry,
     pub(crate) stats: Arc<StatsRegistry>,
     pub(crate) virtuals: VirtualTables,
-    pub(crate) committer: GroupCommitter,
     pub(crate) wal: Arc<Wal>,
     pub(crate) redo: Arc<Redo>,
     ckpt: Arc<CheckpointState>,
@@ -283,8 +277,8 @@ impl Db {
     }
 
     /// The tail [`Db::open`] and [`Db::recover`] share: wires the storage
-    /// manager, lock manager, buffer pool and committer to the shared
-    /// counters and the log, registers the engine's virtual relations, and
+    /// manager, lock manager and buffer pool to the shared counters and
+    /// the log, registers the engine's virtual relations, and
     /// starts the checkpointer.
     fn assemble(
         clock: SimClock,
@@ -310,7 +304,6 @@ impl Db {
         let pool = BufferPool::new(config.buffers);
         pool.set_prefetch_window(config.prefetch_window);
         pool.attach_wal(Arc::clone(&wal));
-        let committer = GroupCommitter::new(clock.clone(), config.group_commit_window);
         let ckpt = CheckpointState::new(clock.now());
         let db = Db {
             inner: Arc::new(DbInner {
@@ -323,7 +316,6 @@ impl Db {
                 funcs: FunctionRegistry::with_builtins(),
                 stats,
                 virtuals: VirtualTables::with_engine_relations(),
-                committer,
                 wal,
                 redo,
                 ckpt,
@@ -1304,10 +1296,9 @@ impl Session {
 
     /// Commits the transaction. No-force: no data page is written. The
     /// transaction's REDO records are already in the log, so commit is one
-    /// `Commit` record and one log force — shared with concurrent
-    /// committers via the group-commit coordinator when the window is
-    /// open. The in-memory status entry is marked only after the force
-    /// succeeds; the durable commit point is the force itself.
+    /// `Commit` record and a log force up to it. The in-memory status entry
+    /// is marked only after the force succeeds; the durable commit point
+    /// is the force itself.
     pub fn commit(&mut self) -> DbResult<()> {
         if self.done {
             return Err(DbError::NoTransaction);
@@ -1327,117 +1318,77 @@ impl Session {
             // Read-only: nothing to log, no force, no status-file write.
             inner.xlog.commit_readonly(xid, inner.clock.now())
         };
-        if result.is_err() {
+        match result {
+            Ok(()) => {
+                inner.stats.xact.commits.bump();
+                inner.locks.release_all(xid);
+            }
             // The commit record never became durable, so the transaction
-            // is aborted by definition; record that (best effort — a dead
-            // log device changes nothing, absence of a commit record is
-            // authoritative) and release the locks.
-            inner.xlog.abort(xid).ok();
-            inner.stats.xact.aborts.bump();
-        } else {
-            inner.stats.xact.commits.bump();
+            // is aborted by definition.
+            Err(_) => {
+                Self::end_aborted(inner, xid).ok();
+            }
         }
         inner
             .stats
             .xact
             .commit_latency
             .record(inner.clock.now().since(t0).as_nanos());
-        inner.locks.release_all(xid);
         inner.maybe_signal_checkpoint();
         result
     }
 
-    /// The write-transaction commit path: append a `Commit` record and
-    /// force the log — directly when group commit is disabled, otherwise
-    /// through the coordinator so concurrent committers share one force.
-    /// The in-memory status mark follows the force, never precedes it:
-    /// a checkpoint persisting in-memory marks must never make a
-    /// transaction durable whose tail records could still be lost.
+    /// The one sequence that commits a write transaction: append the
+    /// `Commit` record, make the log durable up to it, mark the status
+    /// entry. The mark follows the force, never precedes it: a checkpoint
+    /// persisting in-memory marks must never make a transaction durable
+    /// whose tail records could still be lost. `forced` is false when a
+    /// concurrent committer's force already covered this record — the
+    /// commit is just as durable, and cost no sync of its own.
     fn commit_written(inner: &DbInner, xid: XactId) -> DbResult<()> {
-        // Register with the coordinator first so a concurrent batch leader
-        // holds its window open for us.
-        let inflight = inner.committer.begin_commit();
-        if inner.committer.window().as_nanos() == 0 {
-            drop(inflight);
-            let now = inner.clock.now();
-            inner.wal.append(&WalRecord::Commit {
-                xid,
-                time_ns: now.as_nanos(),
-            })?;
-            inner.wal.force()?;
-            inner.stats.xact.sync_calls.add(1);
-            inner.xlog.mark_committed(xid, now)?;
-            inner.stats.xact.batched_records.bump();
-            Ok(())
-        } else {
-            inner.committer.submit(
-                PendingRecord {
-                    xid,
-                    commit: true,
-                },
-                inflight,
-                |batch| Self::process_batch(inner, batch),
-            )
-        }
-    }
-
-    /// Durably processes one commit batch on behalf of all its members:
-    /// append every member's `Commit`/`Abort` record, force the log once,
-    /// then mark the commits in the in-memory status file.
-    fn process_batch(inner: &DbInner, batch: &[PendingRecord]) -> DbResult<()> {
         let now = inner.clock.now();
-        let commits: Vec<XactId> = batch.iter().filter(|r| r.commit).map(|r| r.xid).collect();
-        for rec in batch {
-            let record = if rec.commit {
-                WalRecord::Commit {
-                    xid: rec.xid,
-                    time_ns: now.as_nanos(),
-                }
-            } else {
-                // Informational: after a crash, a transaction with no
-                // durable `Commit` record is aborted whether or not its
-                // `Abort` record survived.
-                WalRecord::Abort { xid: rec.xid }
-            };
-            inner.wal.append(&record)?;
-        }
-        inner.wal.force()?;
-        inner.stats.xact.sync_calls.add(1);
-        inner.xlog.mark_committed_batch(&commits, now)?;
-        inner.stats.xact.batched_records.add(commits.len() as u64);
-        if batch.len() >= 2 {
-            inner.stats.xact.group_commits.bump();
+        let lsn = inner.wal.append(&WalRecord::Commit {
+            xid,
+            time_ns: now.as_nanos(),
+        })?;
+        let forced = inner.wal.force_up_to(lsn)?;
+        inner.xlog.mark_committed(xid, now)?;
+        let stats = &inner.stats.xact;
+        stats.batched_records.bump();
+        if forced {
+            stats.sync_calls.bump();
+        } else {
+            stats.group_commits.bump();
         }
         Ok(())
     }
 
+    /// The one sequence that aborts any transaction — an explicit
+    /// [`Session::abort`], a dropped session, a commit that failed: mark
+    /// the status entry and release the locks. Nothing is written or
+    /// synced, because after a crash the absence of a durable `Commit`
+    /// record already means aborted. The unforced `Abort` record matters in
+    /// one case only: behind the `Commit` record of a commit whose *force*
+    /// failed, so that if a later force carries both to the device, restart
+    /// reads the outcome the client was told.
+    fn end_aborted(inner: &DbInner, xid: XactId) -> DbResult<()> {
+        let result = inner.xlog.mark_aborted(xid);
+        inner.wal.append(&WalRecord::Abort { xid }).ok();
+        inner.stats.xact.aborts.bump();
+        inner.locks.release_all(xid);
+        result
+    }
+
     /// Aborts the transaction; all its updates become permanently invisible.
-    /// When the group-commit window is open, the abort record piggybacks on
-    /// the next commit batch instead of forcing its own status-file sync
-    /// (safe: a missing abort record already means aborted after a crash).
     pub fn abort(&mut self) -> DbResult<()> {
         if self.done {
             return Err(DbError::NoTransaction);
         }
         self.done = true;
-        let Some(xid) = self.xid else {
-            return Ok(());
-        };
-        let inner = &self.db.inner;
-        let result = if inner.committer.window().as_nanos() == 0 {
-            inner.xlog.abort(xid)
-        } else {
-            // Mark aborted in memory and let the record ride with the next
-            // commit batch, without waiting for it: an aborted transaction
-            // is invisible whether or not its record ever reaches the disk,
-            // so the abort path never parks on the group-commit coordinator.
-            inner.xlog.mark_aborted(xid).map(|_| {
-                inner.committer.enqueue_abort(xid);
-            })
-        };
-        inner.stats.xact.aborts.bump();
-        inner.locks.release_all(xid);
-        result
+        match self.xid {
+            Some(xid) => Self::end_aborted(&self.db.inner, xid),
+            None => Ok(()),
+        }
     }
 }
 
@@ -1445,9 +1396,7 @@ impl Drop for Session {
     fn drop(&mut self) {
         if !self.done {
             if let Some(xid) = self.xid {
-                self.db.inner.xlog.abort(xid).ok();
-                self.db.inner.stats.xact.aborts.bump();
-                self.db.inner.locks.release_all(xid);
+                Self::end_aborted(&self.db.inner, xid).ok();
             }
         }
     }

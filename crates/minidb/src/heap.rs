@@ -491,7 +491,7 @@ mod tests {
         assert_eq!(h.fetch(&snap2, tid).unwrap(), None);
         // After commit, a *new* snapshot sees it.
         fx.xlog
-            .commit(x1, simdev::SimInstant::from_nanos(10))
+            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
             .unwrap();
         let (_, snap3) = fx.begin();
         assert_eq!(h.fetch(&snap3, tid).unwrap(), Some(row(1)));
@@ -504,7 +504,7 @@ mod tests {
         let (x1, _) = fx.begin();
         let tid = h.insert(x1, &row(7)).unwrap();
         fx.xlog
-            .commit(x1, simdev::SimInstant::from_nanos(10))
+            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
             .unwrap();
 
         let (x2, snap2) = fx.begin();
@@ -515,7 +515,7 @@ mod tests {
             "deleter no longer sees it"
         );
         fx.xlog
-            .commit(x2, simdev::SimInstant::from_nanos(20))
+            .mark_committed(x2, simdev::SimInstant::from_nanos(20))
             .unwrap();
 
         let (_, snap3) = fx.begin();
@@ -536,12 +536,12 @@ mod tests {
         let (x1, _) = fx.begin();
         let tid = h.insert(x1, &row(3)).unwrap();
         fx.xlog
-            .commit(x1, simdev::SimInstant::from_nanos(10))
+            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
             .unwrap();
 
         let (x2, _) = fx.begin();
         assert!(h.delete(x2, tid).unwrap());
-        fx.xlog.abort(x2).unwrap();
+        fx.xlog.mark_aborted(x2).unwrap();
 
         let (x3, snap3) = fx.begin();
         assert_eq!(h.fetch(&snap3, tid).unwrap(), Some(row(3)));
@@ -556,7 +556,7 @@ mod tests {
         let (x1, _) = fx.begin();
         let tid = h.insert(x1, &row(3)).unwrap();
         fx.xlog
-            .commit(x1, simdev::SimInstant::from_nanos(10))
+            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
             .unwrap();
         let (x2, _) = fx.begin();
         assert!(h.delete(x2, tid).unwrap());
@@ -570,7 +570,7 @@ mod tests {
         let (x1, _) = fx.begin();
         let t1 = h.insert(x1, &row(1)).unwrap();
         fx.xlog
-            .commit(x1, simdev::SimInstant::from_nanos(10))
+            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
             .unwrap();
 
         let (x2, snap2) = fx.begin();
@@ -579,7 +579,7 @@ mod tests {
         assert_eq!(h.fetch(&snap2, t1).unwrap(), None);
         assert_eq!(h.fetch(&snap2, t2).unwrap(), Some(row(2)));
         fx.xlog
-            .commit(x2, simdev::SimInstant::from_nanos(20))
+            .mark_committed(x2, simdev::SimInstant::from_nanos(20))
             .unwrap();
 
         // Both versions reachable through time travel.
@@ -598,7 +598,7 @@ mod tests {
             h.insert(x1, &row(i)).unwrap();
         }
         fx.xlog
-            .commit(x1, simdev::SimInstant::from_nanos(10))
+            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
             .unwrap();
         let (x2, _) = fx.begin();
         h.insert(x2, &row(99)).unwrap(); // Uncommitted.
@@ -686,12 +686,12 @@ mod tests {
         let (x1, _) = fx.begin();
         let tid = h.insert(x1, &row(1)).unwrap();
         fx.xlog
-            .commit(x1, simdev::SimInstant::from_nanos(10))
+            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
             .unwrap();
         let (x2, _) = fx.begin();
         h.delete(x2, tid).unwrap();
         fx.xlog
-            .commit(x2, simdev::SimInstant::from_nanos(20))
+            .mark_committed(x2, simdev::SimInstant::from_nanos(20))
             .unwrap();
 
         let mut count = 0;

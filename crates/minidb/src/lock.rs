@@ -216,7 +216,10 @@ impl LockManager {
 /// is derived from the code's actual nesting, which the audit verified:
 ///
 /// * a b-tree split holds a page latch while asking the buffer pool for a
-///   fresh page, so page latches are *outside* the shard latches;
+///   fresh page, so page latches are *outside* the shard latches (page
+///   *pins* are counts, not locks, and have no rank: whoever may block on
+///   a latch must not be sitting on pins the latch holder's `new_page`
+///   needs freed — the pool's flush therefore holds one pin at a time);
 /// * the pool locks a frame (to load it or to write a victim back) while
 ///   holding a shard latch, so shard latches are *outside* frame locks —
 ///   and it always releases the shard latch before any device I/O, so no
@@ -239,11 +242,11 @@ pub mod order {
         "lock-manager",
         "heap-page",
         "btree-page",
-        "commit-coord",
         "checkpointer",
         "xact-log",
         "buffer-shard",
         "buffer-frame",
+        "wal-flush",
         "wal",
         "io-queue",
         "smgr-device",
@@ -257,28 +260,30 @@ pub mod order {
     pub const HEAP_PAGE: usize = 2;
     /// Rank of b-tree page latches (meta, internal, and leaf pages).
     pub const BTREE_PAGE: usize = 3;
-    /// Rank of the group-commit coordinator mutex. It sits *outside*
-    /// `xact-log`, `wal` and the device ranks because the batch leader
-    /// appends commit records and forces the log for the whole batch;
-    /// committers enter the coordinator holding no other ranked lock.
-    pub const COMMIT_COORD: usize = 4;
     /// Rank of the checkpointer's cycle mutex. A checkpoint drains the
     /// status log, the buffer pool, the WAL, and the devices, so it sits
-    /// outside all of those; it sits *inside* `commit-coord` because a
-    /// batch leader may never start a checkpoint.
-    pub const CHECKPOINTER: usize = 5;
+    /// outside all of those.
+    pub const CHECKPOINTER: usize = 4;
     /// Rank of the transaction status log mutex.
-    pub const XACT_LOG: usize = 6;
+    pub const XACT_LOG: usize = 5;
     /// Rank of the buffer pool's per-shard latches.
-    pub const BUFFER_SHARD: usize = 7;
+    pub const BUFFER_SHARD: usize = 6;
     /// Rank of frame locks taken *by the pool itself* (load, writeback,
     /// flush) — access methods lock the same frames as `heap-page` /
     /// `btree-page`.
-    pub const BUFFER_FRAME: usize = 8;
-    /// Rank of the write-ahead log's append/force mutex. Record emission
-    /// happens under page latches and forces happen during frame
-    /// writeback, so the WAL ranks inside both; it ranks outside the
-    /// devices because a force writes and syncs the log device.
+    pub const BUFFER_FRAME: usize = 7;
+    /// Rank of the write-ahead log's flush lock, which serialises forces
+    /// and truncation. Forces happen at commit (no ranked lock held),
+    /// during frame writeback and from an append that finds the buffer
+    /// over its cap (under a page latch), so it ranks inside all of those;
+    /// it ranks just outside `wal` because a force takes the append mutex
+    /// to snapshot the tail, releases it for the device I/O, and takes it
+    /// again to publish the new durable horizon.
+    pub const WAL_FLUSH: usize = 8;
+    /// Rank of the write-ahead log's append mutex. Record emission happens
+    /// under page latches, so it ranks inside them; it ranks outside the
+    /// devices because truncation reads and writes the log device under
+    /// it. An appender never holds it across a force.
     pub const WAL: usize = 9;
     /// Rank of the per-device I/O scheduler's queue mutex. Submissions
     /// happen during frame writeback (under `buffer-frame`) and after a

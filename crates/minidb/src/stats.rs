@@ -409,15 +409,16 @@ stat_table! {
     aborts: Counter,
     /// Scans executed against an `AsOf` (time-travel) snapshot.
     time_travel_reads: Counter,
-    /// Commit batches that durably committed more than one record with a
-    /// single status-log sync.
+    /// Write commits made durable by someone else's log force: the
+    /// committer's `force_up_to` found its record already covered and
+    /// returned without a sync.
     group_commits: Counter,
-    /// Commit records persisted through the group-commit coordinator
-    /// (every committed write transaction counts once, batched or not).
+    /// Commit records made durable (every committed write transaction
+    /// counts once): `sync_calls + group_commits`.
     batched_records: Counter,
-    /// Log forces issued by commit processing: one per solo commit, one
-    /// per batch under group commit, so this stays *below* `commits`
-    /// under load. Read-only commits issue none.
+    /// Write commits whose own `force_up_to` wrote and synced the log, so
+    /// this stays *below* `commits` under concurrent load. Read-only
+    /// commits issue none.
     sync_calls: Counter,
     /// Commit latency (begin-to-durable, simulated time) distribution;
     /// bucket bounds in [`LATENCY_BOUNDS_NS`].
@@ -434,7 +435,7 @@ stat_table! {
     /// Record bytes appended (headers included).
     bytes_appended: Counter,
     /// Log forces: block writes plus one sync that advanced the durable
-    /// horizon. Group commit amortizes these across a batch.
+    /// horizon. One force covers every record appended before it began.
     log_forces: Counter,
     /// Checkpoint cycles completed.
     checkpoints: Counter,

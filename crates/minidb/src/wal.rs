@@ -406,7 +406,12 @@ struct WalInner {
 
 /// The write-ahead log: an append buffer over a block region of the log
 /// device. Appends are cheap memory copies under the `wal` rank; forces
-/// rewrite every non-durable block and sync once.
+/// rewrite every non-durable block and sync once, serialised by the
+/// `wal-flush` rank and with the `wal` mutex *released* during the I/O —
+/// so records appended while one force is on the device are all covered
+/// by the next, and a committer whose record someone else's force
+/// already covered returns without a sync. That is the whole of group
+/// commit.
 pub struct Wal {
     dev: SharedDevice,
     /// Device block of the control block; data blocks follow.
@@ -414,6 +419,11 @@ pub struct Wal {
     /// Number of data blocks in each half of the data area.
     half_blocks: u64,
     stats: Arc<StatsRegistry>,
+    /// Serialises forces and truncation. While it is held, `epoch_lsn`,
+    /// `half`, `buf_base` and `durable_lsn` do not change and `buf` only
+    /// grows, so a tail snapshotted under `inner` stays a valid image of
+    /// the device blocks it maps to.
+    flush: Mutex<()>,
     inner: Mutex<WalInner>,
     /// Set when the epoch has grown past half the region (checkpoint cue).
     pressure: AtomicBool,
@@ -487,6 +497,7 @@ impl Wal {
             region,
             half_blocks,
             stats,
+            flush: Mutex::new(()),
             inner: Mutex::new(WalInner {
                 epoch_lsn: epoch,
                 half,
@@ -522,83 +533,93 @@ impl Wal {
     pub fn append(&self, rec: &WalRecord) -> DbResult<u64> {
         let mut bytes = Vec::new();
         rec.encode(&mut bytes);
-        let _order = crate::lock::order::token(crate::lock::order::WAL);
-        let mut g = self.inner.lock();
-        let used = g.next_lsn - g.epoch_lsn;
-        if used + bytes.len() as u64 > self.capacity() {
-            return Err(DbError::Invalid(format!(
-                "WAL full: epoch holds {used} of {} bytes and the record needs {}",
-                self.capacity(),
-                bytes.len()
-            )));
-        }
-        g.buf.extend_from_slice(&bytes);
-        g.next_lsn += bytes.len() as u64;
-        if used + bytes.len() as u64 > self.capacity() / 2 {
-            self.pressure.store(true, SeqCst);
-        }
-        self.stats.wal.records_appended.bump();
-        self.stats.wal.bytes_appended.add(bytes.len() as u64);
-        let end = g.next_lsn;
-        let cap = self.buffer_cap.load(SeqCst);
-        if cap > 0 && g.next_lsn - g.durable_lsn > cap {
+        let (end, over_cap) = {
+            let _order = crate::lock::order::token(crate::lock::order::WAL);
+            let mut g = self.inner.lock();
+            let used = g.next_lsn - g.epoch_lsn;
+            if used + bytes.len() as u64 > self.capacity() {
+                return Err(DbError::Invalid(format!(
+                    "WAL full: epoch holds {used} of {} bytes and the record needs {}",
+                    self.capacity(),
+                    bytes.len()
+                )));
+            }
+            g.buf.extend_from_slice(&bytes);
+            g.next_lsn += bytes.len() as u64;
+            if used + bytes.len() as u64 > self.capacity() / 2 {
+                self.pressure.store(true, SeqCst);
+            }
+            self.stats.wal.records_appended.bump();
+            self.stats.wal.bytes_appended.add(bytes.len() as u64);
+            let cap = self.buffer_cap.load(SeqCst);
+            (g.next_lsn, cap > 0 && g.next_lsn - g.durable_lsn > cap)
+        };
+        if over_cap {
             // Best effort: the append itself succeeded, and the force that
             // matters for durability is the one at commit, which reports
-            // its own failures. A failed trim retries on the next force.
-            self.force_locked(&mut g, end).ok();
+            // its own failures. A failed force retries on the next one.
+            self.force_up_to(end).ok();
         }
         Ok(end)
     }
 
-    /// Forces the whole stream to stable storage.
-    pub fn force(&self) -> DbResult<()> {
-        let _order = crate::lock::order::token(crate::lock::order::WAL);
-        let mut g = self.inner.lock();
-        let target = g.next_lsn;
-        self.force_locked(&mut g, target)
-    }
-
-    /// Forces the stream up to `lsn` if it is not already durable. The
-    /// buffer manager calls this before writing a data page whose stamped
-    /// LSN is `lsn` (the LSN-before-write rule).
-    pub fn force_up_to(&self, lsn: u64) -> DbResult<()> {
-        let _order = crate::lock::order::token(crate::lock::order::WAL);
-        let mut g = self.inner.lock();
-        self.force_locked(&mut g, lsn)
-    }
-
-    fn force_locked(&self, g: &mut WalInner, target: u64) -> DbResult<()> {
-        if target <= g.durable_lsn {
-            return Ok(());
-        }
-        // Rewrite every non-durable block — see the torn-force rule above.
-        // A force failure leaves `durable_lsn` (and the buffer) untouched,
-        // so a later force retries the whole tail.
-        {
-            let _dev = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
-            let mut d = self.dev.lock();
-            let mut blk = vec![0u8; BLOCK_SIZE];
-            for (i, chunk) in g.buf.chunks(BLOCK_PAYLOAD).enumerate() {
-                let start = g.buf_base + (i * BLOCK_PAYLOAD) as u64;
-                blk.fill(0);
-                blk[0..2].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
-                blk[2..4].copy_from_slice(&(chunk.len() as u16).to_le_bytes());
-                blk[4..12].copy_from_slice(&start.to_le_bytes());
-                blk[BLOCK_HDR..BLOCK_HDR + chunk.len()].copy_from_slice(chunk);
-                let ck = fnv1a(&blk[0..12]) ^ fnv1a(chunk);
-                blk[12..16].copy_from_slice(&ck.to_le_bytes());
-                d.write_block(self.data_block(g.half, g.epoch_lsn, start), &blk)?;
+    /// Makes the stream durable up to `lsn` — the one durability
+    /// primitive: commit calls it with its `Commit` record's end LSN, the
+    /// buffer manager with a page's stamped LSN before writing the page
+    /// (the LSN-before-write rule). Returns whether *this call* wrote and
+    /// synced; `false` means an earlier force had already covered `lsn`.
+    pub fn force_up_to(&self, lsn: u64) -> DbResult<bool> {
+        let _order = crate::lock::order::token(crate::lock::order::WAL_FLUSH);
+        let _flush = self.flush.lock();
+        let (half, epoch, base, tail) = {
+            let _order = crate::lock::order::token(crate::lock::order::WAL);
+            let g = self.inner.lock();
+            if lsn <= g.durable_lsn {
+                return Ok(false);
             }
-            d.sync()?;
+            (g.half, g.epoch_lsn, g.buf_base, g.buf.clone())
+        };
+        // The device I/O runs with `inner` released: appenders keep going.
+        // A failure leaves `durable_lsn` (and the buffer) untouched, so a
+        // later force retries the whole tail.
+        self.write_blocks(half, epoch, base, &tail)?;
+        let _order = crate::lock::order::token(crate::lock::order::WAL);
+        self.publish(&mut self.inner.lock(), tail.len());
+        Ok(true)
+    }
+
+    /// Writes stream bytes `[base, base + bytes.len())` of the epoch that
+    /// starts at `epoch` into `half`, block by block in ascending order,
+    /// and syncs. `base` is block-aligned within the epoch. Every call
+    /// rewrites every block it is given — see the torn-force rule above.
+    fn write_blocks(&self, half: u8, epoch: u64, base: u64, bytes: &[u8]) -> DbResult<()> {
+        let _dev = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
+        let mut d = self.dev.lock();
+        let mut blk = vec![0u8; BLOCK_SIZE];
+        for (i, chunk) in bytes.chunks(BLOCK_PAYLOAD).enumerate() {
+            let start = base + (i * BLOCK_PAYLOAD) as u64;
+            blk.fill(0);
+            blk[0..2].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
+            blk[2..4].copy_from_slice(&(chunk.len() as u16).to_le_bytes());
+            blk[4..12].copy_from_slice(&start.to_le_bytes());
+            blk[BLOCK_HDR..BLOCK_HDR + chunk.len()].copy_from_slice(chunk);
+            let ck = fnv1a(&blk[0..12]) ^ fnv1a(chunk);
+            blk[12..16].copy_from_slice(&ck.to_le_bytes());
+            d.write_block(self.data_block(half, epoch, start), &blk)?;
         }
-        g.durable_lsn = g.next_lsn;
-        // Complete blocks are never rewritten again; keep only the partial
-        // tail block's bytes for the next force.
-        let whole = (g.buf.len() / BLOCK_PAYLOAD) * BLOCK_PAYLOAD;
+        d.sync()?;
+        Ok(())
+    }
+
+    /// Records that the first `forced` buffered bytes are on stable
+    /// storage. Complete blocks are never rewritten again; only the
+    /// partial tail block's bytes stay for the next force.
+    fn publish(&self, g: &mut WalInner, forced: usize) {
+        g.durable_lsn = g.buf_base + forced as u64;
+        let whole = (forced / BLOCK_PAYLOAD) * BLOCK_PAYLOAD;
         g.buf.drain(..whole);
         g.buf_base += whole as u64;
         self.stats.wal.log_forces.bump();
-        Ok(())
     }
 
     /// Advances the epoch to `cut`, discarding `[epoch, cut)` and keeping
@@ -609,10 +630,17 @@ impl Wal {
     /// not; see the module docs for why the survivors move to the other
     /// half of the data area.
     pub fn truncate_to(&self, cut: u64) -> DbResult<()> {
+        // Both locks for the whole switch: nothing may be appended between
+        // reading the survivors back and installing the new epoch.
+        let _order = crate::lock::order::token(crate::lock::order::WAL_FLUSH);
+        let _flush = self.flush.lock();
         let _order = crate::lock::order::token(crate::lock::order::WAL);
         let mut g = self.inner.lock();
-        let target = g.next_lsn;
-        self.force_locked(&mut g, target)?;
+        if g.durable_lsn < g.next_lsn {
+            self.write_blocks(g.half, g.epoch_lsn, g.buf_base, &g.buf)?;
+            let forced = g.buf.len();
+            self.publish(&mut g, forced);
+        }
         let cut = cut.clamp(g.epoch_lsn, g.next_lsn);
         if cut == g.epoch_lsn {
             return Ok(()); // Nothing to discard.
@@ -620,23 +648,7 @@ impl Wal {
         // Read the surviving tail back from the (now fully durable) epoch.
         let survivors = self.read_stream(&g, cut)?;
         let other = 1 - g.half;
-        {
-            let _dev = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
-            let mut d = self.dev.lock();
-            let mut blk = vec![0u8; BLOCK_SIZE];
-            for (i, chunk) in survivors.chunks(BLOCK_PAYLOAD).enumerate() {
-                let start = cut + (i * BLOCK_PAYLOAD) as u64;
-                blk.fill(0);
-                blk[0..2].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
-                blk[2..4].copy_from_slice(&(chunk.len() as u16).to_le_bytes());
-                blk[4..12].copy_from_slice(&start.to_le_bytes());
-                blk[BLOCK_HDR..BLOCK_HDR + chunk.len()].copy_from_slice(chunk);
-                let ck = fnv1a(&blk[0..12]) ^ fnv1a(chunk);
-                blk[12..16].copy_from_slice(&ck.to_le_bytes());
-                d.write_block(self.data_block(other, cut, start), &blk)?;
-            }
-            d.sync()?;
-        }
+        self.write_blocks(other, cut, cut, &survivors)?;
         // The survivors are stable in the other half; flipping the control
         // block is the atomic switch between the two complete epochs.
         self.write_control(cut, other)?;
@@ -863,8 +875,10 @@ mod tests {
                     time_ns: 5,
                 })
                 .unwrap();
-            wal.force().unwrap();
+            assert!(wal.force_up_to(end).unwrap());
             assert_eq!(wal.durable_lsn(), end);
+            // Already covered: no second force, and the call says so.
+            assert!(!wal.force_up_to(end).unwrap());
             // Appended but never forced: lost on "crash", and that is fine.
             wal.append(&insert_rec(1, 0, 50)).unwrap();
         }
@@ -875,7 +889,7 @@ mod tests {
         assert_eq!(wal.durable_lsn(), end);
         // The recovered log keeps appending where the stream left off.
         wal.append(&insert_rec(2, 0, 10)).unwrap();
-        wal.force().unwrap();
+        wal.force_up_to(wal.next_lsn()).unwrap();
     }
 
     #[test]
@@ -888,7 +902,7 @@ mod tests {
                 // ~1 KB each: the stream crosses several block boundaries.
                 wal.append(&insert_rec(i, 0, 1000)).unwrap();
             }
-            wal.force().unwrap();
+            wal.force_up_to(wal.next_lsn()).unwrap();
         }
         let (_, recs) = Wal::recover(dev, reg()).unwrap();
         assert_eq!(recs.len() as u64, n);
@@ -912,11 +926,11 @@ mod tests {
             wal.append(&insert_rec(i, 0, 3000)).unwrap();
         }
         faults.fail_after_writes(1);
-        assert!(wal.force().is_err());
+        assert!(wal.force_up_to(wal.next_lsn()).is_err());
         faults.clear_write_fault();
 
         wal.append(&insert_rec(9, 0, 100)).unwrap();
-        wal.force().unwrap();
+        wal.force_up_to(wal.next_lsn()).unwrap();
 
         let (_, recs) = Wal::recover(dev, reg()).unwrap();
         assert_eq!(recs.len(), 5, "all five records must survive the retry");
@@ -930,7 +944,7 @@ mod tests {
         for i in 0..10 {
             wal.append(&insert_rec(i, 0, 2000)).unwrap();
         }
-        wal.force().unwrap();
+        wal.force_up_to(wal.next_lsn()).unwrap();
         let before = wal.epoch_bytes();
         assert!(before > 0);
         wal.truncate_to(wal.next_lsn()).unwrap();
@@ -940,7 +954,7 @@ mod tests {
         // LSNs keep growing across the truncation.
         let end = wal.append(&insert_rec(0, 1, 10)).unwrap();
         assert!(end > before);
-        wal.force().unwrap();
+        wal.force_up_to(wal.next_lsn()).unwrap();
         let (_, recs) = Wal::recover(dev, reg()).unwrap();
         assert_eq!(recs.len(), 1);
     }
@@ -963,7 +977,7 @@ mod tests {
                 time_ns: round,
             })
             .unwrap();
-            wal.force().unwrap();
+            wal.force_up_to(wal.next_lsn()).unwrap();
             wal.truncate_to(cut).unwrap();
             assert!(wal.epoch_bytes() > 0, "the tail must survive");
 

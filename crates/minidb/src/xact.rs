@@ -11,11 +11,10 @@
 //! the whole recovery story, and why the paper calls recovery "essentially
 //! instantaneous".
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::collections::HashSet;
 
-use parking_lot::{Condvar, Mutex};
-use simdev::{SimClock, SimDuration, SimInstant};
+use parking_lot::Mutex;
+use simdev::SimInstant;
 
 use crate::error::{DbError, DbResult};
 use crate::ids::XactId;
@@ -59,10 +58,9 @@ struct LogInner {
     /// transaction (WAL records, status entry) is gone but its tuples
     /// reached disk through a checkpoint or an eviction.
     ceiling: usize,
-    /// Status blocks whose in-memory state is ahead of the device. Under
-    /// WAL-protected commit the log force is the commit point and status
-    /// entries are only marked in memory; checkpoints drain this set via
-    /// [`XactLog::persist_dirty`].
+    /// Status blocks whose in-memory state is ahead of the device. The
+    /// log force is the commit point and status entries are only marked in
+    /// memory; checkpoints drain this set via [`XactLog::persist_dirty`].
     dirty: HashSet<u64>,
 }
 
@@ -74,10 +72,14 @@ impl LogInner {
 
 /// The transaction status file.
 ///
-/// Persistent entries live on a dedicated device (`pg_log` in POSTGRES);
-/// commit and abort write through synchronously, which *is* the commit
-/// point. In-progress state is memory-only, so a crash leaves those
-/// transactions `Unknown` — i.e. aborted.
+/// Persistent entries live on a dedicated device (`pg_log` in POSTGRES).
+/// Outcomes are *marked* here in memory — the commit point is the log
+/// force that made the `Commit` record durable, which the caller performs
+/// first — and reach the device at the next checkpoint
+/// ([`XactLog::persist_dirty`]); restart overlays the outcomes logged
+/// since then ([`XactLog::apply_recovered`]). In-progress state is
+/// memory-only, so a crash leaves those transactions `Unknown` — i.e.
+/// aborted.
 pub struct XactLog {
     dev: SharedDevice,
     inner: Mutex<LogInner>,
@@ -96,7 +98,7 @@ impl XactLog {
             }),
         };
         // Writes block 0, which carries both FROZEN and the initial ceiling.
-        log.persist_entry(XactId::FROZEN)?;
+        log.persist_blocks(&[0])?;
         Ok(log)
     }
 
@@ -247,7 +249,6 @@ impl XactLog {
         Ok(())
     }
 
-
     /// Verifies the status log's own structural invariants.
     ///
     /// Entry 0 is the invalid xid and must be `Unknown`; entry 1 is
@@ -286,22 +287,32 @@ impl XactLog {
             .unwrap_or(XactState::Unknown)
     }
 
-    /// Marks `xid` committed at `now` and persists the fact. This write is
-    /// the commit point; data pages must already be on stable storage.
-    pub fn commit(&self, xid: XactId, now: SimInstant) -> DbResult<()> {
-        {
-            let _order = crate::lock::order::token(crate::lock::order::XACT_LOG);
-            let mut g = self.inner.lock();
-            let slot = g
-                .entries
-                .get_mut(xid.0 as usize)
-                .ok_or_else(|| DbError::Invalid(format!("commit of unknown {xid}")))?;
-            if !matches!(slot, XactState::InProgress) {
-                return Err(DbError::Invalid(format!("commit of non-running {xid}")));
+    /// Ends the running transaction `xid` in `state`, in memory. Durable
+    /// outcomes (`record`) also dirty their status block for the next
+    /// checkpoint.
+    fn finish(&self, xid: XactId, state: XactState, record: bool) -> DbResult<()> {
+        let _order = crate::lock::order::token(crate::lock::order::XACT_LOG);
+        let mut g = self.inner.lock();
+        match g.entries.get_mut(xid.0 as usize) {
+            Some(slot @ XactState::InProgress) => *slot = state,
+            other => {
+                return Err(DbError::Invalid(format!(
+                    "{state:?} for non-running {xid} ({other:?})"
+                )))
             }
-            *slot = XactState::Committed(now);
         }
-        self.persist_entry(xid)
+        if record {
+            g.mark_dirty(xid);
+        }
+        Ok(())
+    }
+
+    /// Marks `xid` committed at `now`. Call it only once the WAL force
+    /// covering its `Commit` record has succeeded: a checkpoint persists
+    /// in-memory marks, and must never make durable a transaction whose
+    /// commit record could still be lost.
+    pub fn mark_committed(&self, xid: XactId, now: SimInstant) -> DbResult<()> {
+        self.finish(xid, XactState::Committed(now), true)
     }
 
     /// Marks `xid` committed at `now` *without* a persistent record — legal
@@ -309,88 +320,14 @@ impl XactLog {
     /// After a crash such a transaction reads as `Unknown`, which is
     /// indistinguishable because it had no effects.
     pub fn commit_readonly(&self, xid: XactId, now: SimInstant) -> DbResult<()> {
-        let _order = crate::lock::order::token(crate::lock::order::XACT_LOG);
-        let mut g = self.inner.lock();
-        let slot = g
-            .entries
-            .get_mut(xid.0 as usize)
-            .ok_or_else(|| DbError::Invalid(format!("commit of unknown {xid}")))?;
-        if !matches!(slot, XactState::InProgress) {
-            return Err(DbError::Invalid(format!("commit of non-running {xid}")));
-        }
-        *slot = XactState::Committed(now);
-        Ok(())
+        self.finish(xid, XactState::Committed(now), false)
     }
 
-    /// Marks `xid` aborted and persists the fact.
-    pub fn abort(&self, xid: XactId) -> DbResult<()> {
-        {
-            let _order = crate::lock::order::token(crate::lock::order::XACT_LOG);
-            let mut g = self.inner.lock();
-            let slot = g
-                .entries
-                .get_mut(xid.0 as usize)
-                .ok_or_else(|| DbError::Invalid(format!("abort of unknown {xid}")))?;
-            if !matches!(slot, XactState::InProgress) {
-                return Err(DbError::Invalid(format!("abort of non-running {xid}")));
-            }
-            *slot = XactState::Aborted;
-        }
-        self.persist_entry(xid)
-    }
-
-    /// Marks `xid` aborted in memory only — used when the abort record will
-    /// piggyback on a group-commit batch instead of forcing its own sync.
-    /// Volatility is safe for aborts: after a crash the missing record reads
-    /// `Unknown`, which means exactly the same thing.
+    /// Marks `xid` aborted. Nothing needs to be durable first: after a
+    /// crash the missing record reads `Unknown`, which means exactly the
+    /// same thing.
     pub fn mark_aborted(&self, xid: XactId) -> DbResult<()> {
-        let _order = crate::lock::order::token(crate::lock::order::XACT_LOG);
-        let mut g = self.inner.lock();
-        let slot = g
-            .entries
-            .get_mut(xid.0 as usize)
-            .ok_or_else(|| DbError::Invalid(format!("abort of unknown {xid}")))?;
-        if !matches!(slot, XactState::InProgress) {
-            return Err(DbError::Invalid(format!("abort of non-running {xid}")));
-        }
-        *slot = XactState::Aborted;
-        g.mark_dirty(xid);
-        Ok(())
-    }
-
-    /// Marks `xid` committed at `now` in memory only. Legal when a
-    /// write-ahead-log force is the commit point: durability comes from the
-    /// WAL commit record, and the status block catches up at the next
-    /// checkpoint via [`XactLog::persist_dirty`].
-    pub fn mark_committed(&self, xid: XactId, now: SimInstant) -> DbResult<()> {
-        self.mark_committed_batch(&[xid], now)
-    }
-
-    /// Marks every member of `commits` committed at `now`, in memory only,
-    /// after validating that all of them are running. Call it only once
-    /// the WAL force covering their commit records has succeeded: a
-    /// checkpoint persists in-memory marks, and must never make durable a
-    /// transaction whose commit record could still be lost.
-    pub fn mark_committed_batch(&self, commits: &[XactId], now: SimInstant) -> DbResult<()> {
-        let _order = crate::lock::order::token(crate::lock::order::XACT_LOG);
-        let mut g = self.inner.lock();
-        for &xid in commits {
-            match g.entries.get(xid.0 as usize) {
-                Some(XactState::InProgress) => {}
-                other => {
-                    return Err(DbError::Invalid(format!(
-                        "commit of non-running {xid} ({other:?})"
-                    )))
-                }
-            }
-        }
-        for &xid in commits {
-            if let Some(slot) = g.entries.get_mut(xid.0 as usize) {
-                *slot = XactState::Committed(now);
-            }
-            g.mark_dirty(xid);
-        }
-        Ok(())
+        self.finish(xid, XactState::Aborted, true)
     }
 
     /// Rewrites every status block whose in-memory state is ahead of the
@@ -439,11 +376,6 @@ impl XactLog {
         }
     }
 
-    /// Rewrites the status block containing `xid` on the log device.
-    fn persist_entry(&self, xid: XactId) -> DbResult<()> {
-        self.persist_blocks(&[(xid.0 as usize / ENTRIES_PER_BLOCK) as u64])
-    }
-
     /// Rewrites the listed status blocks (sorted, deduplicated by the
     /// caller) on the log device and syncs it once.
     fn persist_blocks(&self, blknos: &[u64]) -> DbResult<()> {
@@ -485,207 +417,6 @@ impl XactLog {
         }
         d.sync()?;
         Ok(())
-    }
-}
-
-/// One record waiting in the group-commit coordinator's pending batch.
-#[derive(Debug, Clone)]
-pub struct PendingRecord {
-    /// The transaction whose status record rides in this batch.
-    pub xid: XactId,
-    /// `true` for a commit record, `false` for a piggybacked abort.
-    pub commit: bool,
-}
-
-struct CoordState {
-    /// Records awaiting the next batch.
-    pending: Vec<PendingRecord>,
-    /// Whether some committer is currently driving a batch to disk.
-    leader_active: bool,
-    /// Results for batch members, delivered by the leader.
-    done: HashMap<XactId, DbResult<()>>,
-}
-
-/// RAII marker that a committer has entered the commit path and will
-/// submit a record shortly. The batch leader's straggler wait keeps the
-/// window open while any of these are live, which is what turns N
-/// concurrent committers into one batch instead of N. A guard dropped
-/// without reaching [`GroupCommitter::submit`] deregisters itself.
-#[must_use = "pass the guard to submit(), or drop it on the error path"]
-pub struct InFlight<'a> {
-    committer: &'a GroupCommitter,
-    armed: bool,
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.committer.flushing.fetch_sub(1, SeqCst);
-        }
-    }
-}
-
-/// The group-commit coordinator.
-///
-/// Committers [`submit`] their commit record. Whoever finds no leader
-/// active becomes the batch leader: it holds the commit window open for
-/// stragglers (in virtual time — advancing the [`SimClock`] by `window`
-/// when concurrent committers are observed), drains the pending queue, and
-/// runs the caller-supplied batch processor (append every member's WAL
-/// record, one log force, mark the commits) once for everyone. Followers
-/// park on a condvar and wake with their result.
-///
-/// Its mutex ranks `commit-coord` in the lock hierarchy, *outside*
-/// `xact-log`, `wal` and the device ranks, because the leader appends to
-/// and forces the log on the batch's behalf; committers must enter holding
-/// no other ranked lock.
-///
-/// [`submit`]: GroupCommitter::submit
-pub struct GroupCommitter {
-    state: Mutex<CoordState>,
-    cond: Condvar,
-    /// Committers between [`GroupCommitter::begin_commit`] and their
-    /// [`GroupCommitter::submit`] — record not yet pending.
-    flushing: AtomicUsize,
-    clock: SimClock,
-    window: SimDuration,
-}
-
-impl GroupCommitter {
-    /// A coordinator batching over `window` of virtual time; a zero window
-    /// disables batching (callers then commit directly, one sync each).
-    pub fn new(clock: SimClock, window: SimDuration) -> GroupCommitter {
-        GroupCommitter {
-            state: Mutex::new(CoordState {
-                pending: Vec::new(),
-                leader_active: false,
-                done: HashMap::new(),
-            }),
-            cond: Condvar::new(),
-            flushing: AtomicUsize::new(0),
-            clock,
-            window,
-        }
-    }
-
-    /// The configured batching window.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
-    /// Announces a commit in flight, so a concurrent leader holds the
-    /// batch open until its record is submitted.
-    pub fn begin_commit(&self) -> InFlight<'_> {
-        self.flushing.fetch_add(1, SeqCst);
-        InFlight {
-            committer: self,
-            armed: true,
-        }
-    }
-
-    /// Queues an abort record to ride along with the next commit batch,
-    /// without waiting for it. Fire-and-forget is *correct* for aborts: the
-    /// transaction is already marked aborted in memory, and on disk the
-    /// absence of any record means exactly the same thing — so there is
-    /// nothing to wait for. (If no commit ever comes, the record simply
-    /// never hits the disk, which changes nothing.)
-    pub fn enqueue_abort(&self, xid: XactId) {
-        let _order = crate::lock::order::token(crate::lock::order::COMMIT_COORD);
-        self.state.lock().pending.push(PendingRecord {
-            xid,
-            commit: false,
-        });
-    }
-
-    /// Submits a commit `record` and blocks until a batch containing it has
-    /// been durably processed, returning that batch's result. `process`
-    /// runs on whichever committer ends up leading the batch.
-    pub fn submit(
-        &self,
-        record: PendingRecord,
-        mut inflight: InFlight<'_>,
-        process: impl Fn(&[PendingRecord]) -> DbResult<()>,
-    ) -> DbResult<()> {
-        let xid = record.xid;
-        let _order = crate::lock::order::token(crate::lock::order::COMMIT_COORD);
-        let mut g = self.state.lock();
-        g.pending.push(record);
-        if inflight.armed {
-            inflight.armed = false;
-            self.flushing.fetch_sub(1, SeqCst);
-        }
-        loop {
-            if let Some(result) = g.done.remove(&xid) {
-                return result;
-            }
-            if !g.leader_active && !g.pending.is_empty() {
-                g.leader_active = true;
-                drop(g);
-                self.await_stragglers();
-                let batch = {
-                    let mut g2 = self.state.lock();
-                    std::mem::take(&mut g2.pending)
-                };
-                let result = process(&batch);
-                g = self.state.lock();
-                for r in &batch {
-                    // Only commit submitters wait for a result; abort
-                    // records are fire-and-forget (see `enqueue_abort`),
-                    // and a `done` entry for them would never be drained.
-                    if r.commit {
-                        g.done.insert(r.xid, result.clone());
-                    }
-                }
-                g.leader_active = false;
-                self.cond.notify_all();
-            } else {
-                self.cond.wait(&mut g);
-            }
-        }
-    }
-
-    /// The leader's window: while concurrent committers are in flight (or
-    /// the pending queue keeps growing), keep the batch open. Charges the
-    /// virtual clock `window` once iff stragglers were actually observed,
-    /// so a solo commit pays nothing. Host-side, "waiting" is a bounded
-    /// yield loop — committers between `begin_commit` and `submit` only
-    /// run device models and never block on this coordinator — with a hard
-    /// iteration cap so a storm of arrivals (e.g. abort/retry loops) can
-    /// only delay a batch, never hold it open forever.
-    fn await_stragglers(&self) {
-        if self.window.as_nanos() == 0 {
-            return;
-        }
-        let mut advanced = false;
-        let mut quiet = 0u32;
-        let mut last_len = self.pending_len();
-        for _ in 0..4096 {
-            if quiet >= 64 {
-                break;
-            }
-            if self.flushing.load(SeqCst) > 0 {
-                if !advanced {
-                    self.clock.advance(self.window);
-                    advanced = true;
-                }
-                quiet = 0;
-                std::thread::yield_now();
-                continue;
-            }
-            let len = self.pending_len();
-            if len != last_len {
-                last_len = len;
-                quiet = 0;
-            } else {
-                quiet += 1;
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    fn pending_len(&self) -> usize {
-        let _order = crate::lock::order::token(crate::lock::order::COMMIT_COORD);
-        self.state.lock().pending.len()
     }
 }
 
@@ -814,7 +545,7 @@ mod tests {
         let x = log.start().unwrap();
         assert_eq!(log.state(x), XactState::InProgress);
         assert!(log.active_set().contains(&x));
-        log.commit(x, SimInstant::from_nanos(100)).unwrap();
+        log.mark_committed(x, SimInstant::from_nanos(100)).unwrap();
         assert_eq!(
             log.state(x),
             XactState::Committed(SimInstant::from_nanos(100))
@@ -827,7 +558,7 @@ mod tests {
     fn lifecycle_start_abort() {
         let log = XactLog::create(log_device()).unwrap();
         let x = log.start().unwrap();
-        log.abort(x).unwrap();
+        log.mark_aborted(x).unwrap();
         assert_eq!(log.state(x), XactState::Aborted);
         assert!(log.commit_time(x).is_none());
     }
@@ -836,9 +567,9 @@ mod tests {
     fn double_commit_rejected() {
         let log = XactLog::create(log_device()).unwrap();
         let x = log.start().unwrap();
-        log.commit(x, SimInstant::EPOCH).unwrap();
-        assert!(log.commit(x, SimInstant::EPOCH).is_err());
-        assert!(log.abort(x).is_err());
+        log.mark_committed(x, SimInstant::EPOCH).unwrap();
+        assert!(log.mark_committed(x, SimInstant::EPOCH).is_err());
+        assert!(log.mark_aborted(x).is_err());
     }
 
     #[test]
@@ -852,8 +583,9 @@ mod tests {
             committed = log.start().unwrap();
             aborted = log.start().unwrap();
             in_progress = log.start().unwrap();
-            log.commit(committed, SimInstant::from_nanos(7)).unwrap();
-            log.abort(aborted).unwrap();
+            log.mark_committed(committed, SimInstant::from_nanos(7)).unwrap();
+            log.mark_aborted(aborted).unwrap();
+            log.persist_dirty().unwrap();
             // `in_progress` crashes here: no persistent record.
         }
         let log = XactLog::recover(dev).unwrap();
@@ -872,7 +604,8 @@ mod tests {
         {
             let log = XactLog::create(dev.clone()).unwrap();
             old = log.start().unwrap();
-            log.commit(old, SimInstant::from_nanos(1)).unwrap();
+            log.mark_committed(old, SimInstant::from_nanos(1)).unwrap();
+            log.persist_dirty().unwrap();
         }
         let log = XactLog::recover(dev).unwrap();
         let new = log.start().unwrap();
@@ -900,7 +633,7 @@ mod tests {
     fn current_snapshot_sees_own_and_committed() {
         let log = XactLog::create(log_device()).unwrap();
         let committed = log.start().unwrap();
-        log.commit(committed, SimInstant::from_nanos(5)).unwrap();
+        log.mark_committed(committed, SimInstant::from_nanos(5)).unwrap();
         let other_active = log.start().unwrap();
         let me = log.start().unwrap();
         let snap = Snapshot::Current {
@@ -930,7 +663,7 @@ mod tests {
             xid: me,
             active: log.active_set(),
         };
-        log.commit(other, SimInstant::from_nanos(50)).unwrap();
+        log.mark_committed(other, SimInstant::from_nanos(50)).unwrap();
         // `other` committed *after* our snapshot: still invisible.
         assert!(!snap.visible(hdr(other.0, 0), &log));
     }
@@ -939,9 +672,9 @@ mod tests {
     fn as_of_snapshot_is_a_consistent_past() {
         let log = XactLog::create(log_device()).unwrap();
         let early = log.start().unwrap();
-        log.commit(early, SimInstant::from_nanos(10)).unwrap();
+        log.mark_committed(early, SimInstant::from_nanos(10)).unwrap();
         let late = log.start().unwrap();
-        log.commit(late, SimInstant::from_nanos(100)).unwrap();
+        log.mark_committed(late, SimInstant::from_nanos(100)).unwrap();
 
         let t50 = Snapshot::AsOf(SimInstant::from_nanos(50));
         // Inserted early: visible at t=50. Inserted late: not yet.
@@ -958,7 +691,7 @@ mod tests {
     fn as_of_ignores_aborted_and_running() {
         let log = XactLog::create(log_device()).unwrap();
         let ab = log.start().unwrap();
-        log.abort(ab).unwrap();
+        log.mark_aborted(ab).unwrap();
         let run = log.start().unwrap();
         let snap = Snapshot::AsOf(SimInstant::from_nanos(1_000_000));
         assert!(!snap.visible(hdr(ab.0, 0), &log));

@@ -1,9 +1,13 @@
 //! Shared fixtures for the cross-crate integration tests.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::Arc;
+use std::time::Duration;
+
 use minidb::{
     shared_device, Db, DbConfig, DeviceId, GenericManager, SharedDevice, Smgr, StatsSnapshot,
 };
-use simdev::{DiskProfile, MagneticDisk, SimClock};
+use simdev::{BlockDevice, DevError, DevResult, DiskProfile, MagneticDisk, SimClock};
 
 /// A persistent set of devices a database can be opened on, crashed, and
 /// recovered from.
@@ -87,4 +91,93 @@ pub fn data_page_writes(d: &StatsSnapshot) -> u64 {
         "a checkpoint ran inside the measured window"
     );
     d.devices.iter().map(|dev| dev.writes).sum()
+}
+
+/// What a test sees of, and does to, a [`ProbedDisk`].
+#[derive(Default)]
+#[allow(dead_code)]
+pub struct Probe {
+    /// Block writes carried out.
+    pub writes: AtomicU64,
+    /// Syncs carried out.
+    pub syncs: AtomicU64,
+    /// Set to make the next write fail, once.
+    pub fail_next_write: AtomicBool,
+    /// While set, `sync` does not return: the test decides how long a
+    /// force stays on the device.
+    pub hold_sync: AtomicBool,
+}
+
+/// A log-sized disk that counts its writes and syncs and whose `sync`
+/// blocks the caller for `sync_delay` of *wall* time, as a real fsync
+/// does. The log device is not behind the storage manager, so
+/// `pg_stat_device` does not see it; and the simulated disks only advance
+/// the virtual clock, which gives concurrent committers no interval to
+/// pile up in.
+pub struct ProbedDisk {
+    inner: MagneticDisk,
+    probe: Arc<Probe>,
+    sync_delay: Duration,
+}
+
+#[allow(dead_code)]
+impl ProbedDisk {
+    pub fn log(clock: &SimClock, sync_delay: Duration) -> (SharedDevice, Arc<Probe>) {
+        let probe = Arc::new(Probe::default());
+        let disk = ProbedDisk {
+            inner: MagneticDisk::new("log", clock.clone(), DiskProfile::tiny_for_tests(1 << 12)),
+            probe: Arc::clone(&probe),
+            sync_delay,
+        };
+        (shared_device(disk), probe)
+    }
+}
+
+impl BlockDevice for ProbedDisk {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn nblocks(&self) -> u64 {
+        self.inner.nblocks()
+    }
+    fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> DevResult<()> {
+        self.inner.read_block(blkno, buf)
+    }
+    fn write_block(&mut self, blkno: u64, buf: &[u8]) -> DevResult<()> {
+        if self.probe.fail_next_write.swap(false, SeqCst) {
+            return Err(DevError::InjectedFault {
+                what: "one-shot write failure".into(),
+            });
+        }
+        self.inner.write_block(blkno, buf)?;
+        self.probe.writes.fetch_add(1, SeqCst);
+        Ok(())
+    }
+    fn sync(&mut self) -> DevResult<()> {
+        std::thread::sleep(self.sync_delay);
+        while self.probe.hold_sync.load(SeqCst) {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        self.inner.sync()?;
+        self.probe.syncs.fetch_add(1, SeqCst);
+        Ok(())
+    }
+}
+
+/// Polls `cond` until it holds, for at most ten seconds; returns whether it
+/// came to hold. For waiting on another thread to *reach* an observable
+/// state, where no channel can be threaded through the code under test.
+#[allow(dead_code)]
+pub fn wait_until(mut cond: impl FnMut() -> bool) -> bool {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        if std::time::Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    true
 }

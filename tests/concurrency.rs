@@ -6,7 +6,7 @@ mod common;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use common::Devices;
+use common::{wait_until, Devices};
 use inversion::{CreateMode, InversionFs, OpenMode, SeekWhence};
 use minidb::{Datum, Schema, TypeId};
 
@@ -206,4 +206,38 @@ fn isolation_no_dirty_reads_through_time_travel() {
     writer.p_abort().unwrap();
     let mut c = fs.client();
     assert_eq!(c.read_to_vec("/x", None).unwrap(), b"clean");
+}
+
+/// `p_close` rewrites the file's `fileatt` row. It must take the relation's
+/// exclusive lock *before* it reads the row: reading first takes the shared
+/// lock, and two sessions that each hold it and each want the upgrade wait
+/// on one another until one is refused with `Deadlock`.
+#[test]
+fn close_declares_its_fileatt_write_before_reading() {
+    let fs = fresh_fs();
+    let (mut a, mut b) = (fs.client(), fs.client());
+    a.write_all("/a", CreateMode::default(), b"a").unwrap();
+    a.write_all("/b", CreateMode::default(), b"b").unwrap();
+
+    // B, auto-commit, owes an atime update at close.
+    let fd_b = b.p_open("/b", OpenMode::Read, None).unwrap();
+    b.p_read(fd_b, &mut [0u8; 1]).unwrap();
+    // A's transaction holds `fileatt` shared from its open.
+    a.p_begin().unwrap();
+    let fd_a = a.p_open("/a", OpenMode::ReadWrite, None).unwrap();
+    a.p_write(fd_a, b"A").unwrap();
+
+    let before = fs.db().stats();
+    let closer = std::thread::spawn(move || b.p_close(fd_b));
+    assert!(
+        wait_until(|| fs.db().stats().delta(&before).lock.waits > 0),
+        "B's close must queue behind A's transaction"
+    );
+    a.p_close(fd_a)
+        .expect("B waits holding nothing, so A's upgrade must go through");
+    assert!(!closer.is_finished(), "B cannot pass A before A commits");
+    a.p_commit().unwrap();
+    closer.join().unwrap().unwrap();
+    assert_eq!(fs.db().stats().delta(&before).lock.deadlocks, 0);
+    assert_eq!(a.read_to_vec("/a", None).unwrap(), b"A");
 }

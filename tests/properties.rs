@@ -385,7 +385,7 @@ impl CrashRig {
         CrashRig { clock, data, log, catalog, handles, data_faults, log_faults }
     }
 
-    fn open(&self, fresh: bool, window_us: u64) -> minidb::Db {
+    fn open(&self, fresh: bool) -> minidb::Db {
         let mut smgr = minidb::Smgr::new();
         let mgr = if fresh {
             minidb::GenericManager::format(self.data.clone()).unwrap()
@@ -393,17 +393,13 @@ impl CrashRig {
             minidb::GenericManager::attach(self.data.clone()).unwrap()
         };
         smgr.register(minidb::DeviceId::DEFAULT, Box::new(mgr)).unwrap();
-        let config = minidb::DbConfig {
-            group_commit_window: simdev::SimDuration::from_micros(window_us),
-            ..minidb::DbConfig::default()
-        };
         let open = if fresh { minidb::Db::open } else { minidb::Db::recover };
         open(
             self.clock.clone(),
             smgr,
             self.log.clone(),
             self.catalog.clone(),
-            config,
+            minidb::DbConfig::default(),
         )
         .unwrap()
     }
@@ -423,7 +419,6 @@ fn crash_and_reopen(
     db: minidb::Db,
     sessions: &mut [Option<minidb::Session>; 2],
     pending: &mut [Vec<i64>; 2],
-    window_us: u64,
 ) -> minidb::Db {
     for slot in sessions.iter_mut() {
         if let Some(s) = slot.take() {
@@ -434,7 +429,7 @@ fn crash_and_reopen(
     db.simulate_crash();
     rig.crash();
     drop(db);
-    rig.open(false, window_us)
+    rig.open(false)
 }
 
 /// Runs one interleaving and checks, after every crash and at the end,
@@ -443,9 +438,9 @@ fn crash_and_reopen(
 /// failed partway is *indeterminate* until the next crash resolves it: the
 /// table must then show either exactly the acknowledged rows or exactly
 /// those plus the whole limbo transaction — never a fraction of it.
-fn run_crash_ops(ops: Vec<CrashOp>, window_us: u64) {
+fn run_crash_ops(ops: Vec<CrashOp>) {
     let rig = CrashRig::new();
-    let mut db = rig.open(true, window_us);
+    let mut db = rig.open(true);
     for t in 0..2 {
         db.create_table(&format!("t{t}"), minidb::Schema::new([("v", minidb::TypeId::INT8)]))
             .unwrap();
@@ -535,7 +530,7 @@ fn run_crash_ops(ops: Vec<CrashOp>, window_us: u64) {
                 }
             }
             CrashOp::Crash => {
-                db = crash_and_reopen(&rig, db, &mut sessions, &mut pending, window_us);
+                db = crash_and_reopen(&rig, db, &mut sessions, &mut pending);
                 verify(&db, &mut committed, &mut indeterminate);
             }
             CrashOp::Checkpoint => {
@@ -548,7 +543,7 @@ fn run_crash_ops(ops: Vec<CrashOp>, window_us: u64) {
                 rig.data_faults.fail_after_writes(fuse);
                 let _ = db.checkpoint();
                 rig.data_faults.clear_write_fault();
-                db = crash_and_reopen(&rig, db, &mut sessions, &mut pending, window_us);
+                db = crash_and_reopen(&rig, db, &mut sessions, &mut pending);
                 verify(&db, &mut committed, &mut indeterminate);
             }
             CrashOp::CrashDuringCommit { t, fuse } => {
@@ -566,7 +561,7 @@ fn run_crash_ops(ops: Vec<CrashOp>, window_us: u64) {
                         }
                     }
                     rig.log_faults.clear_write_fault();
-                    db = crash_and_reopen(&rig, db, &mut sessions, &mut pending, window_us);
+                    db = crash_and_reopen(&rig, db, &mut sessions, &mut pending);
                     verify(&db, &mut committed, &mut indeterminate);
                 }
             }
@@ -580,19 +575,17 @@ fn run_crash_ops(ops: Vec<CrashOp>, window_us: u64) {
     verify(&db, &mut committed, &mut indeterminate);
 }
 
-// The commit path's whole durability contract, under both the direct
-// (window 0) and group-commit paths: scoped flushes and batched records
-// must never acknowledge a commit the devices can lose, and must never
-// resurrect work that was aborted or in flight at the crash.
+// The commit path's whole durability contract: it must never acknowledge
+// a commit the devices can lose, and must never resurrect work that was
+// aborted or in flight at the crash.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn acknowledged_commits_survive_crashes(
         ops in prop::collection::vec(crash_op_strategy(), 1..40),
-        group_commit in any::<bool>(),
     ) {
-        run_crash_ops(ops, if group_commit { 50 } else { 0 });
+        run_crash_ops(ops);
     }
 }
 

@@ -70,13 +70,17 @@ fn recovery_needs_no_scan_of_data() {
             Vec::new()
         });
         let fs = InversionFs::format(db).unwrap();
+        // Functions Inversion stores in the database's registry are handed
+        // the mount they run against; none may hold one.
+        inversion::types::register_standard(&fs).unwrap();
+        inversion::migrate::register_migration(&fs).unwrap();
         let mut c = fs.client();
         c.write_all("/big", CreateMode::default(), &vec![7u8; data_len])
             .unwrap();
     }
     // Dropping the last handle frees the database (and so stops its
-    // checkpointer): no built-in relation producer keeps it alive through
-    // the registry it is stored in. The last reference may die a moment
+    // checkpointer): no built-in relation producer or function keeps it
+    // alive through the registry it is stored in. The last reference may die a moment
     // later on the checkpointer thread, if it was mid-cycle; a reference
     // cycle never would.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);

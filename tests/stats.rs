@@ -7,7 +7,7 @@ mod common;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use common::{data_page_writes, Devices};
+use common::{data_page_writes, Devices, ProbedDisk};
 use inversion::{CreateMode, InversionFs, CHUNK_SIZE};
 use minidb::{Datum, Db, Schema, TypeId};
 
@@ -330,6 +330,63 @@ fn single_table_commit_costs_one_log_force() {
     );
     assert_eq!(d.wal.log_forces, 1, "and the log sees exactly one force");
     bystander.abort().unwrap();
+}
+
+/// Every way of ending a transaction other than a successful commit is a
+/// mark in memory: an explicit abort, a dropped session and a commit whose
+/// force failed each cost the log device no write and no sync — after a
+/// crash, the absence of a durable `Commit` record already means aborted.
+/// The failed commit is the hard case: its `Commit` record stays in the
+/// log buffer and the next committer's force carries it to the device, so
+/// restart must still read it as aborted.
+#[test]
+fn abort_drop_and_failed_commit_cost_no_log_io() {
+    use std::sync::atomic::Ordering::SeqCst;
+    let mut devices = Devices::new();
+    let (log, probe) = ProbedDisk::log(&devices.clock, std::time::Duration::ZERO);
+    devices.log = log;
+    let db = devices.format();
+    let rel = db
+        .create_table("t", Schema::new([("v", TypeId::INT4)]))
+        .unwrap();
+    // (log writes, log syncs, checkpoints): a checkpoint writes the status
+    // file, so a window one ran in fails here rather than being excused.
+    let io = |db: &Db| {
+        let (w, s) = (probe.writes.load(SeqCst), probe.syncs.load(SeqCst));
+        (w, s, db.stats().wal.checkpoints)
+    };
+    let writer = |db: &Db, v: i32| {
+        let mut s = db.begin().unwrap();
+        s.insert(rel, vec![Datum::Int4(v)]).unwrap();
+        s
+    };
+
+    let mut s = writer(&db, 1);
+    let before = io(&db);
+    s.abort().unwrap();
+    assert_eq!(io(&db), before, "explicit abort");
+
+    let s = writer(&db, 2);
+    let before = io(&db);
+    drop(s);
+    assert_eq!(io(&db), before, "dropped session");
+
+    let mut s = writer(&db, 3);
+    let before = io(&db);
+    probe.fail_next_write.store(true, SeqCst);
+    assert!(s.commit().is_err(), "the force's first write fails");
+    assert_eq!(io(&db), before, "failed commit");
+
+    writer(&db, 4).commit().unwrap();
+    db.simulate_crash();
+    drop(db);
+    let db = devices.recover();
+    let mut s = db.begin().unwrap();
+    let rows = s.seq_scan(db.relation_id("t").unwrap()).unwrap();
+    s.commit().unwrap();
+    let seen: Vec<&Datum> = rows.iter().map(|(_, row)| &row[0]).collect();
+    assert_eq!(seen, [&Datum::Int4(4)], "only the acknowledged commit");
+    assert!(db.check_all().is_empty(), "check_all: {:?}", db.check_all());
 }
 
 /// The read-only fast path through the POSTQUEL executor: a retrieve-only

@@ -66,7 +66,7 @@ impl Rig {
         Rig { clock, data, log, catalog, handles, data_faults, log_faults }
     }
 
-    fn open(&self, fresh: bool, window_us: u64) -> minidb::Db {
+    fn open(&self, fresh: bool) -> minidb::Db {
         let mut smgr = minidb::Smgr::new();
         let mgr = if fresh {
             minidb::GenericManager::format(self.data.clone()).unwrap()
@@ -74,10 +74,7 @@ impl Rig {
             minidb::GenericManager::attach(self.data.clone()).unwrap()
         };
         smgr.register(minidb::DeviceId::DEFAULT, Box::new(mgr)).unwrap();
-        let config = minidb::DbConfig {
-            group_commit_window: simdev::SimDuration::from_micros(window_us),
-            ..minidb::DbConfig::default()
-        };
+        let config = minidb::DbConfig::default();
         let open = if fresh { minidb::Db::open } else { minidb::Db::recover };
         open(self.clock.clone(), smgr, self.log.clone(), self.catalog.clone(), config).unwrap()
     }
@@ -307,9 +304,8 @@ fn oracle(
 /// Runs one schedule end to end: concurrent wire phase, fault layering,
 /// power cut, instant recovery, oracle.
 fn run_schedule(sched: Schedule) {
-    let window_us = if sched.seed % 2 == 0 { 0 } else { 40 };
     let rig = Rig::new();
-    let fs = InversionFs::format(rig.open(true, window_us)).unwrap();
+    let fs = InversionFs::format(rig.open(true)).unwrap();
     let plan: Plan = sched.generate();
     {
         let mut c = fs.client();
@@ -476,7 +472,7 @@ fn run_schedule(sched: Schedule) {
     rig.crash();
     drop(pool);
     drop(fs);
-    let fs = InversionFs::attach(rig.open(false, window_us)).unwrap();
+    let fs = InversionFs::attach(rig.open(false)).unwrap();
 
     if sched.fault == FaultKind::DeviceReadFault {
         // Cold cache: the first file reads must touch the device, and an
