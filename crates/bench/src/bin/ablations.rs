@@ -7,8 +7,8 @@
 //! 4. chunk compression on vs off (storage + random access cost);
 //! 5. write coalescing: 256-byte writes inside one transaction vs
 //!    auto-committed;
-//! 6. extent allocation + elevator scheduling vs block-at-a-time
-//!    synchronous I/O (cold sequential scans of concurrently grown files).
+//! 6. extent allocation vs block-at-a-time allocation (cold scans of
+//!    concurrently grown relations through the buffer pool).
 
 use bench::extent;
 use bench::report::{human_bytes, print_header};
@@ -152,7 +152,6 @@ fn main() {
         );
     }
 
-    print_header("Ablation 6: extent layout + elevator (cold sequential reads, 4 clients)");
-    let (fragmented, extents) = extent::measure_extent_speedup(4);
-    extent::print_extent_speedup(&fragmented, &extents);
+    print_header("Ablation 6: extent layout (cold scans of 4 concurrently grown relations)");
+    extent::print_extent_speedup(4);
 }

@@ -2,34 +2,39 @@
 //! `ablations` bin.
 //!
 //! Four clients grow four relations concurrently (round-robin extends, the
-//! allocation pattern a multi-user server produces), then each scans its own
-//! relation sequentially from a cold cache. Under the old bump allocator
-//! every relation's blocks interleave on the platter, so every read seeks;
-//! with extent allocation each relation owns runs of contiguous blocks, and
-//! the I/O scheduler's elevator turns four interleaved demand streams back
-//! into sequential device access via the prefetch window.
+//! allocation pattern a multi-user server produces), then the relations are
+//! scanned from a cold cache. Under the old bump allocator every relation's
+//! blocks interleave on the platter, so a scan seeks at every growth burst;
+//! with extent allocation each relation owns runs of contiguous blocks.
 //!
 //! Like the rest of the crate, the result is virtual time on the rz58
-//! profile: the measured loop drives the real `Smgr` read path (prefetch
-//! submission, C-SCAN pick order, ticket claims) and the device's own seek
-//! model prices the layouts.
+//! profile. The measured loop is the read path that ships —
+//! [`BufferPool::get_page`] with its run detector and read-ahead, reading
+//! the device on the caller's thread — and the device's own seek model
+//! prices the layouts.
 
-use std::sync::Arc;
-
+use minidb::buffer::{BufferPool, BERKELEY_BUFFERS};
 use minidb::page::PAGE_SIZE;
 use minidb::smgr::{shared_device, GenericManager, Smgr};
-use minidb::{DeviceId, Oid, RelId, StatsRegistry};
+use minidb::{DeviceId, Oid, RelId};
 use simdev::{DiskProfile, MagneticDisk, SimClock};
 
 /// Pages each client scans; small enough that setup stays fast, large
 /// enough that seek-vs-sequential pricing dominates fixed costs.
 const PAGES_PER_CLIENT: u64 = 64;
-/// Demand-stream read-ahead, submitted through the scheduler per phase.
-const WINDOW: u64 = 16;
 /// Pages a client appends per growth turn — the burst a write-behind
-/// flush produces, so the bump allocator interleaves *runs* of blocks
-/// that never line up with a later block-by-block concurrent scan.
+/// flush produces, so the bump allocator interleaves *runs* of blocks.
 const GROWTH_BURST: u64 = 4;
+
+/// The order the cold scan visits the relations' blocks in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scan {
+    /// Each relation front to back, one after the other.
+    Sequential,
+    /// Block by block, round-robin over the relations: four demand streams
+    /// sharing the disk arm.
+    Interleaved,
+}
 
 /// One measured layout configuration.
 #[derive(Debug, Clone)]
@@ -38,14 +43,11 @@ pub struct ExtentRun {
     pub pages_per_client: u64,
     pub virtual_secs: f64,
     pub mb_per_sec: f64,
-    /// Requests the elevator served adjacent to their predecessor.
-    pub batched_neighbors: u64,
-    pub elevator_passes: u64,
 }
 
 /// Grows `threads` relations round-robin under `extent_size`, then scans
-/// them concurrently and returns the aggregate cold-read bandwidth.
-fn measure_layout(extent_size: u64, depth: usize, threads: usize) -> ExtentRun {
+/// them cold in `scan` order and returns the aggregate read bandwidth.
+fn measure_layout(extent_size: u64, threads: usize, scan: Scan) -> ExtentRun {
     let threads = threads.max(1);
     let clock = SimClock::new();
     let dev = shared_device(MagneticDisk::new(
@@ -56,8 +58,6 @@ fn measure_layout(extent_size: u64, depth: usize, threads: usize) -> ExtentRun {
     let mut smgr = Smgr::new();
     smgr.register(DeviceId::DEFAULT, Box::new(GenericManager::format(dev).unwrap()))
         .unwrap();
-    let stats = Arc::new(StatsRegistry::new());
-    smgr.attach_stats(clock.clone(), Arc::clone(&stats));
     smgr.with(DeviceId::DEFAULT, |m| {
         m.set_extent_size(extent_size);
         Ok(())
@@ -82,74 +82,63 @@ fn measure_layout(extent_size: u64, depth: usize, threads: usize) -> ExtentRun {
         }
         grown += GROWTH_BURST;
     }
-    smgr.start_io(depth);
 
-    // The measured scan: each phase, every client submits its prefetch
-    // window (queued while the worker is paused so the elevator sees the
-    // whole batch, as a loaded queue would), the scheduler drains it in
-    // sweep order, and the clients consume their tickets.
-    let mut buf = vec![0u8; PAGE_SIZE];
+    let pool = BufferPool::new(BERKELEY_BUFFERS);
+    let order: Vec<(RelId, u64)> = match scan {
+        Scan::Sequential => rels
+            .iter()
+            .flat_map(|&rel| (0..PAGES_PER_CLIENT).map(move |b| (rel, b)))
+            .collect(),
+        Scan::Interleaved => (0..PAGES_PER_CLIENT)
+            .flat_map(|b| rels.iter().map(move |&rel| (rel, b)))
+            .collect(),
+    };
     let t0 = clock.now();
-    let mut blk = 0;
-    while blk < PAGES_PER_CLIENT {
-        let hi = (blk + WINDOW).min(PAGES_PER_CLIENT);
-        if smgr.io_active() {
-            smgr.io_pause(true);
-            for b in blk..hi {
-                for &rel in &rels {
-                    smgr.prefetch_page(DeviceId::DEFAULT, rel, b);
-                }
-            }
-            smgr.io_pause(false);
-            smgr.sync_devices(&[DeviceId::DEFAULT]).unwrap();
-        }
-        for b in blk..hi {
-            for &rel in &rels {
-                smgr.read_page(DeviceId::DEFAULT, rel, b, &mut buf).unwrap();
-            }
-        }
-        blk = hi;
+    for (rel, b) in order {
+        pool.get_page(&smgr, DeviceId::DEFAULT, rel, b).unwrap();
     }
     let secs = clock.now().since(t0).as_secs_f64().max(1e-9);
 
-    let io = stats.device(DeviceId::DEFAULT);
     let total_bytes = threads as u64 * PAGES_PER_CLIENT * PAGE_SIZE as u64;
     ExtentRun {
         threads,
         pages_per_client: PAGES_PER_CLIENT,
         virtual_secs: secs,
         mb_per_sec: total_bytes as f64 / (1 << 20) as f64 / secs,
-        batched_neighbors: io.io_batched_neighbors.get(),
-        elevator_passes: io.io_elevator_passes.get(),
     }
 }
 
-/// Measures the fragmented synchronous baseline (extent size 1, no
-/// scheduler) against extents plus the elevator, `threads` clients each.
-pub fn measure_extent_speedup(threads: usize) -> (ExtentRun, ExtentRun) {
-    (measure_layout(1, 0, threads), measure_layout(16, 64, threads))
+/// Measures the fragmented baseline (extent size 1) against 16-block
+/// extents, `threads` relations scanned in `scan` order.
+pub fn measure_extent_speedup(threads: usize, scan: Scan) -> (ExtentRun, ExtentRun) {
+    (measure_layout(1, threads, scan), measure_layout(16, threads, scan))
 }
 
-/// Prints the pair as a small table with the bandwidth ratio.
-pub fn print_extent_speedup(base: &ExtentRun, ext: &ExtentRun) {
+/// Prints both scan orders as a small table with the bandwidth ratios.
+pub fn print_extent_speedup(threads: usize) {
     println!(
-        "{:<24} {:>8} {:>12} {:>12} {:>10} {:>8}",
-        "layout", "clients", "MB/s", "virtual s", "batched", "passes"
+        "{:<16} {:<14} {:>8} {:>12} {:>12}",
+        "layout", "scan", "clients", "MB/s", "virtual s"
     );
-    println!("{}", "-".repeat(80));
-    for (name, run) in [("block-at-a-time, sync", base), ("extents + elevator", ext)] {
-        println!(
-            "{:<24} {:>8} {:>12.3} {:>12.4} {:>10} {:>8}",
-            name, run.threads, run.mb_per_sec, run.virtual_secs,
-            run.batched_neighbors, run.elevator_passes
-        );
+    println!("{}", "-".repeat(66));
+    let mut ratios = Vec::new();
+    for (scan, label) in [(Scan::Sequential, "sequential"), (Scan::Interleaved, "interleaved")] {
+        let (base, ext) = measure_extent_speedup(threads, scan);
+        for (name, run) in [("block-at-a-time", &base), ("16-block extents", &ext)] {
+            println!(
+                "{:<16} {:<14} {:>8} {:>12.3} {:>12.4}",
+                name, label, run.threads, run.mb_per_sec, run.virtual_secs
+            );
+        }
+        ratios.push(ext.mb_per_sec / base.mb_per_sec);
     }
-    let speedup = ext.mb_per_sec / base.mb_per_sec;
     println!();
     println!(
-        "sequential read bandwidth with extents + elevator: {speedup:.2}x the \
-         fragmented synchronous layout ({} clients, {} pages each, cold cache)",
-        ext.threads, ext.pages_per_client
+        "cold read bandwidth with extents: {:.2}x the fragmented layout scanning \
+         each relation front to back, {:.2}x with the {threads} scans interleaved \
+         block by block ({PAGES_PER_CLIENT} pages each, buffer pool read path, \
+         read-ahead on)",
+        ratios[0], ratios[1]
     );
 }
 
@@ -158,17 +147,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn extents_and_elevator_beat_the_fragmented_layout() {
-        let (base, ext) = measure_extent_speedup(4);
+    fn extents_beat_the_fragmented_layout_on_the_shipping_read_path() {
+        let (base, ext) = measure_extent_speedup(4, Scan::Sequential);
         let speedup = ext.mb_per_sec / base.mb_per_sec;
         assert!(
-            speedup >= 1.3,
-            "extents + elevator must win >= 1.3x, got {speedup:.2}x \
+            speedup >= 1.15,
+            "extents must win >= 1.15x on a sequential cold scan, got {speedup:.2}x \
              ({:.3} vs {:.3} MB/s)",
             ext.mb_per_sec,
             base.mb_per_sec
         );
-        assert!(ext.batched_neighbors > 0, "the elevator never batched neighbors");
-        assert_eq!(base.batched_neighbors, 0, "the baseline must not use the scheduler");
     }
 }

@@ -451,18 +451,11 @@ impl BufferPool {
         shard.insert(key, Arc::clone(&frame));
         drop(shard);
         drop(tok);
-        match smgr.read_page_from(dev, rel, blkno, &mut fbuf.data) {
-            Ok(source) => {
+        match smgr.read_page(dev, rel, blkno, &mut fbuf.data) {
+            Ok(()) => {
                 frame.set_state(READY);
                 drop(fbuf);
                 drop(ftok);
-                if source == crate::smgr::PageSource::Prefetch {
-                    // The bytes came from a scheduler read-ahead ticket —
-                    // the async counterpart of a demand hit on a resident
-                    // prefetched frame.
-                    let _order = order::token(order::BUFFER_SHARD);
-                    self.shards[si].lock().stats.prefetch_hits += 1;
-                }
                 Ok(frame)
             }
             Err(e) => {
@@ -678,14 +671,6 @@ impl BufferPool {
             if self.shards[si].lock().map.contains_key(&key) {
                 return Ok(());
             }
-        }
-        // With the scheduler on, read-ahead is a queue submission: the
-        // device worker overlaps it with foreground work and the later
-        // demand miss claims the ticket. No frame is reserved until then.
-        if smgr.prefetch_page(dev, rel, blkno) {
-            let _order = order::token(order::BUFFER_SHARD);
-            self.shards[si].lock().stats.prefetches += 1;
-            return Ok(());
         }
         let (tok, shard) = self.lock_with_room(si, smgr)?;
         if shard.map.contains_key(&key) {

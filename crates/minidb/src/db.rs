@@ -65,11 +65,6 @@ pub struct DbConfig {
     /// pages and truncates the log, absent log-space pressure. Pressure
     /// (the log epoch passing half its region) wakes it regardless.
     pub checkpoint_interval: SimDuration,
-    /// Per-device asynchronous I/O queue depth: how many write-behind
-    /// requests may be pending on one device before submitters are
-    /// throttled. Zero disables the scheduler entirely — every read and
-    /// writeback is synchronous in the caller, as before.
-    pub io_queue_depth: usize,
 }
 
 impl Default for DbConfig {
@@ -79,7 +74,6 @@ impl Default for DbConfig {
             eager_index_writes: true,
             prefetch_window: crate::buffer::DEFAULT_PREFETCH_WINDOW,
             checkpoint_interval: SimDuration::from_millis(100),
-            io_queue_depth: 64,
         }
     }
 }
@@ -298,7 +292,7 @@ impl Db {
                 Ok(())
             })?;
         }
-        smgr.start_io(config.io_queue_depth);
+        smgr.start_io();
         let mut locks = LockManager::new();
         locks.share_stats(Arc::clone(&stats));
         let pool = BufferPool::new(config.buffers);
@@ -472,9 +466,14 @@ impl Db {
 
     /// Flushes and empties every cache (buffer pool, device managers) —
     /// the benchmark's "all caches were flushed before each test". Runs a
-    /// checkpoint first so the cleared pages' log records are not needed.
+    /// checkpoint first so the cleared pages' log records are not needed,
+    /// and holds the cycle lock throughout: a background cycle starting
+    /// between the checkpoint and the clear would pin the frames it flushes,
+    /// and the clear refuses a pool with pins.
     pub fn flush_caches(&self) -> DbResult<()> {
-        self.checkpoint()?;
+        let _order = crate::lock::order::token(crate::lock::order::CHECKPOINTER);
+        let _cycle = self.inner.ckpt.cycle.lock();
+        Self::checkpoint_locked(&self.inner)?;
         self.inner.pool.flush_and_clear(&self.inner.smgr)?;
         self.inner.smgr.sync_all()
     }
@@ -510,14 +509,20 @@ impl Db {
         self.inner.smgr.io_pause(paused);
     }
 
-    /// Requests currently queued in the I/O scheduler across all devices
-    /// (zero when the scheduler is disabled).
+    /// Writes currently queued in the I/O scheduler across all devices.
     pub fn io_queue_depth(&self) -> usize {
         self.inner.smgr.io_depth()
     }
 
-    /// One checkpoint cycle. The ordering is the whole correctness
-    /// argument:
+    /// Runs one checkpoint cycle under the cycle lock.
+    fn checkpoint_cycle(inner: &DbInner) -> DbResult<()> {
+        let _order = crate::lock::order::token(crate::lock::order::CHECKPOINTER);
+        let _cycle = inner.ckpt.cycle.lock();
+        Self::checkpoint_locked(inner)
+    }
+
+    /// One checkpoint cycle; the caller holds `ckpt.cycle`. The ordering is
+    /// the whole correctness argument:
     ///
     /// 1. Capture the truncation cut — the log's append horizon *now*.
     ///    Every record below the cut stamped its page and marked it dirty
@@ -532,9 +537,7 @@ impl Db {
     ///    the cut is durable there.
     /// 5. Truncate `[epoch, cut)`. Records at or above the cut (appended
     ///    while we flushed) survive in the log.
-    fn checkpoint_cycle(inner: &DbInner) -> DbResult<()> {
-        let _order = crate::lock::order::token(crate::lock::order::CHECKPOINTER);
-        let _cycle = inner.ckpt.cycle.lock();
+    fn checkpoint_locked(inner: &DbInner) -> DbResult<()> {
         let cut = inner.wal.next_lsn();
         for (dev, rel, blkno) in inner.redo.pages() {
             let present = inner.smgr.devices().contains(&dev)
@@ -759,7 +762,6 @@ impl Db {
         self.persist_catalog()?;
         for v in &victims {
             self.inner.pool.discard_rel(v.id);
-            self.inner.smgr.invalidate_rel_io(v.device, v.id);
             self.inner.smgr.with(v.device, |m| m.drop_rel(v.id))?;
         }
         Ok(())

@@ -1,6 +1,6 @@
-//! The asynchronous per-device I/O scheduler.
+//! The asynchronous per-device write-behind scheduler.
 //!
-//! Every registered device gets a request queue and one worker thread that
+//! Every registered device gets a write queue and one worker thread that
 //! drains it in **C-SCAN (elevator) order** over a per-relation block key:
 //! the worker sweeps the key space upward, services the nearest request at
 //! or above its hand, and wraps to the smallest key when the sweep runs
@@ -8,17 +8,16 @@
 //! back-to-back, and the simdev seek model charges track-to-track
 //! sequential transfers instead of full random strokes.
 //!
-//! The queue carries two request kinds:
-//!
-//! * **write-behind** — dirty clock-sweep victims, checkpointer drains, and
-//!   vacuum rewrites submit a page copy and continue. The WAL-before-data
-//!   rule is enforced at the *submission site* (the buffer pool forces the
-//!   log up to the page's LSN before it calls
-//!   [`crate::smgr::Smgr::write_page_back`]), so a queued page is always
-//!   covered by a durable log record.
-//! * **read-ahead** — the prefetch window submits reads that complete into
-//!   a [`ReadTicket`]; a later demand fetch *claims* the ticket (or the
-//!   bytes of a still-queued write) instead of touching the device.
+//! The queue carries **writes only**: dirty clock-sweep victims,
+//! checkpointer drains, and vacuum rewrites submit a page copy and continue.
+//! The WAL-before-data rule is enforced at the *submission site* (the buffer
+//! pool forces the log up to the page's LSN before it calls
+//! [`crate::smgr::Smgr::write_page_back`]), so a queued page is always
+//! covered by a durable log record. Reads — demand misses and read-ahead
+//! alike — run on the caller's thread and land in a buffer frame; the one
+//! thing a read asks the queue is whether a write for its page is still
+//! queued ([`DevQueue::claim`]), because those bytes are newer than the
+//! device's.
 //!
 //! `sync` is a **queue barrier**: it waits until every request submitted
 //! before it has left the queue, then syncs the device. A failed write is
@@ -37,10 +36,10 @@
 //! writeback can submit while holding its frame lock) and outside
 //! `smgr-device`. It is never held across a wait for I/O: the worker
 //! alternates queue lock and device lock strictly, and every *waiting*
-//! entry point (barrier, ticket claim, throttle) asserts that the caller
-//! holds no buffer shard or frame latch.
+//! entry point (barrier, throttle) asserts that the caller holds no buffer
+//! shard or frame latch.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -49,7 +48,7 @@ use crate::error::{DbError, DbResult};
 use crate::ids::{DeviceId, RelId};
 use crate::lock::order;
 use crate::smgr::DeviceManager;
-use crate::stats::StatsRegistry;
+use crate::stats::{PageIo, StatsRegistry};
 use simdev::DevError;
 
 /// How many later-submitted requests may be serviced ahead of an older
@@ -57,10 +56,9 @@ use simdev::DevError;
 /// served next (the starvation bound).
 pub const STARVE_LIMIT: u64 = 16;
 
-/// Read tickets are claimable for this many outstanding entries; beyond it
-/// the oldest unclaimed entries are forgotten (their reads still complete,
-/// nobody observes them).
-const READ_MAP_CAP: usize = 256;
+/// Write-behind backpressure: how many writes may be pending on one device
+/// before [`DevQueue::throttle`] holds evicting submitters back.
+pub const IO_QUEUE_DEPTH: usize = 64;
 
 /// Scheduling policy: C-SCAN by default, FIFO as a test baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,68 +67,6 @@ pub enum Policy {
     Elevator,
     /// Strict submission order (used to measure the elevator's benefit).
     Fifo,
-}
-
-/// State of a prefetch read's completion handoff.
-enum TicketState {
-    Pending,
-    Done(Box<[u8]>),
-    Failed,
-}
-
-/// One-shot completion slot for an asynchronous read.
-pub struct ReadTicket {
-    state: Mutex<TicketState>,
-    cv: Condvar,
-}
-
-impl ReadTicket {
-    fn new() -> Arc<ReadTicket> {
-        Arc::new(ReadTicket {
-            state: Mutex::new(TicketState::Pending),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn complete(&self, bytes: Box<[u8]>) {
-        let _order = order::token(order::IO_QUEUE);
-        *self.state.lock() = TicketState::Done(bytes);
-        self.cv.notify_all();
-    }
-
-    fn fail(&self) {
-        let _order = order::token(order::IO_QUEUE);
-        *self.state.lock() = TicketState::Failed;
-        self.cv.notify_all();
-    }
-
-    /// Blocks until the read completes; `None` if it failed (the caller
-    /// falls back to a synchronous device read). Must not be called with a
-    /// buffer *shard* latch held. Holding a frame latch is fine — the frame
-    /// is `LOADING` and this wait stands in for the device read that would
-    /// otherwise block there; the worker completing the ticket never
-    /// acquires buffer latches, so no cycle can form.
-    pub fn wait(&self) -> Option<Vec<u8>> {
-        debug_assert!(
-            !order::is_held(order::BUFFER_SHARD),
-            "waiting on a read ticket while holding a buffer shard latch"
-        );
-        let _order = order::token(order::IO_QUEUE);
-        let mut st = self.state.lock();
-        loop {
-            match &*st {
-                TicketState::Pending => self.cv.wait(&mut st),
-                TicketState::Done(b) => return Some(b.to_vec()),
-                TicketState::Failed => return None,
-            }
-        }
-    }
-}
-
-/// What a request asks the device to do.
-enum ReqOp {
-    Write(Arc<[u8]>),
-    Read(Arc<ReadTicket>),
 }
 
 struct Request {
@@ -144,7 +80,8 @@ struct Request {
     /// queue generation to grant every parked request one retry.
     retry_gen: u64,
     error: Option<DbError>,
-    op: ReqOp,
+    /// The page image to write.
+    data: Arc<[u8]>,
 }
 
 /// The elevator key: relation-major, block-minor, so neighboring blocks of
@@ -159,10 +96,6 @@ struct QState {
     reqs: BTreeMap<u64, Request>,
     /// Latest queued (not yet completed) write per page.
     writes_by_page: HashMap<(RelId, u64), u64>,
-    /// Claimable read tickets per page — outstanding or completed but
-    /// unclaimed — with insertion order for capping.
-    reads_by_page: HashMap<(RelId, u64), Arc<ReadTicket>>,
-    read_order: VecDeque<(RelId, u64)>,
     next_seq: u64,
     /// The elevator hand: next sweep position in key space.
     hand: u64,
@@ -177,17 +110,13 @@ struct QState {
 
 impl QState {
     fn pending_writes(&self) -> usize {
-        self.reqs
-            .values()
-            .filter(|r| matches!(r.op, ReqOp::Write(_)) && !r.parked)
-            .count()
+        self.reqs.values().filter(|r| !r.parked).count()
     }
 }
 
 /// One device's request queue plus the handles its worker needs.
 pub struct DevQueue {
     dev: DeviceId,
-    depth: usize,
     state: Mutex<QState>,
     /// Wakes the worker (new request, un-pause, shutdown).
     cv_worker: Condvar,
@@ -201,19 +130,15 @@ pub struct DevQueue {
 impl DevQueue {
     fn new(
         dev: DeviceId,
-        depth: usize,
         mgr: Arc<Mutex<Box<dyn DeviceManager>>>,
         clock: simdev::SimClock,
         stats: Arc<StatsRegistry>,
     ) -> Arc<DevQueue> {
         Arc::new(DevQueue {
             dev,
-            depth: depth.max(1),
             state: Mutex::new(QState {
                 reqs: BTreeMap::new(),
                 writes_by_page: HashMap::new(),
-                reads_by_page: HashMap::new(),
-                read_order: VecDeque::new(),
                 next_seq: 0,
                 hand: 0,
                 last_key: None,
@@ -248,7 +173,7 @@ impl DevQueue {
         if let Some(&seq) = st.writes_by_page.get(&key) {
             if let Some(req) = st.reqs.get_mut(&seq) {
                 if !req.in_flight {
-                    req.op = ReqOp::Write(Arc::from(buf));
+                    req.data = Arc::from(buf);
                     self.note_depth(&st);
                     self.stats.device(self.dev).io_submitted.bump();
                     self.cv_worker.notify_one();
@@ -269,101 +194,28 @@ impl DevQueue {
                 parked: false,
                 retry_gen: 0,
                 error: None,
-                op: ReqOp::Write(Arc::from(buf)),
+                data: Arc::from(buf),
             },
         );
         st.writes_by_page.insert(key, seq);
-        // The queued write supersedes any claimable read of the same page:
-        // a claim must never hand out pre-write bytes.
-        st.reads_by_page.remove(&key);
         self.note_depth(&st);
         self.stats.device(self.dev).io_submitted.bump();
         self.cv_worker.notify_one();
         true
     }
 
-    /// Queues an asynchronous read of `(rel, blkno)` for the prefetch
-    /// window. Returns `false` if the page is already covered (a queued
-    /// write or read exists) or the queue is down.
-    pub fn submit_read(&self, rel: RelId, blkno: u64) -> bool {
+    /// The bytes of the newest write still queued (or in flight) for
+    /// `(rel, blkno)`, if any. A demand read must take them: until the
+    /// worker drains the request the device's copy is older.
+    pub fn claim(&self, rel: RelId, blkno: u64) -> Option<Arc<[u8]>> {
         let _order = order::token(order::IO_QUEUE);
-        let mut st = self.state.lock();
-        if st.shutdown || st.aborted {
-            return false;
-        }
-        let key = (rel, blkno);
-        if st.writes_by_page.contains_key(&key) || st.reads_by_page.contains_key(&key) {
-            return false;
-        }
-        let ticket = ReadTicket::new();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.reqs.insert(
-            seq,
-            Request {
-                key: sort_key(rel, blkno),
-                rel,
-                blkno,
-                bypassed: 0,
-                in_flight: false,
-                parked: false,
-                retry_gen: 0,
-                error: None,
-                op: ReqOp::Read(Arc::clone(&ticket)),
-            },
-        );
-        st.reads_by_page.insert(key, ticket);
-        st.read_order.push_back(key);
-        while st.read_order.len() > READ_MAP_CAP {
-            if let Some(old) = st.read_order.pop_front() {
-                st.reads_by_page.remove(&old);
-            }
-        }
-        self.note_depth(&st);
-        self.stats.device(self.dev).io_submitted.bump();
-        self.cv_worker.notify_one();
-        true
+        let st = self.state.lock();
+        let seq = st.writes_by_page.get(&(rel, blkno))?;
+        st.reqs.get(seq).map(|req| Arc::clone(&req.data))
     }
 
-    /// Drops any claimable read ticket for `(rel, blkno)` — called before
-    /// a synchronous write lands so a claim never hands out pre-write
-    /// bytes.
-    pub fn invalidate_page(&self, rel: RelId, blkno: u64) {
-        let _order = order::token(order::IO_QUEUE);
-        let mut st = self.state.lock();
-        st.reads_by_page.remove(&(rel, blkno));
-    }
-
-    /// Drops every claimable read ticket for `rel` — truncation and
-    /// relation drop call this so a reborn block can never be satisfied
-    /// with pre-truncation bytes.
-    pub fn invalidate_rel(&self, rel: RelId) {
-        let _order = order::token(order::IO_QUEUE);
-        let mut st = self.state.lock();
-        st.reads_by_page.retain(|&(r, _), _| r != rel);
-    }
-
-    /// Claims queued work covering `(rel, blkno)`: the payload of a
-    /// still-queued write (newest bytes win), or the ticket of an
-    /// outstanding read. Any claimable read for the page is consumed either
-    /// way — a ticket must never be claimed after newer bytes existed.
-    pub fn claim(&self, rel: RelId, blkno: u64) -> Option<Claimed> {
-        let _order = order::token(order::IO_QUEUE);
-        let mut st = self.state.lock();
-        let key = (rel, blkno);
-        let ticket = st.reads_by_page.remove(&key);
-        if let Some(&seq) = st.writes_by_page.get(&key) {
-            if let Some(req) = st.reqs.get(&seq) {
-                if let ReqOp::Write(data) = &req.op {
-                    return Some(Claimed::Bytes(data.to_vec()));
-                }
-            }
-        }
-        ticket.map(Claimed::Ticket)
-    }
-
-    /// Blocks while more than `depth` writes are pending — the eviction
-    /// path's backpressure, called with every latch dropped.
+    /// Blocks while more than [`IO_QUEUE_DEPTH`] writes are pending — the
+    /// eviction path's backpressure, called with every latch dropped.
     pub fn throttle(&self) {
         debug_assert!(
             !order::is_held(order::BUFFER_SHARD) && !order::is_held(order::BUFFER_FRAME),
@@ -371,7 +223,7 @@ impl DevQueue {
         );
         let _order = order::token(order::IO_QUEUE);
         let mut st = self.state.lock();
-        while !st.aborted && !st.shutdown && st.pending_writes() > self.depth {
+        while !st.aborted && !st.shutdown && st.pending_writes() > IO_QUEUE_DEPTH {
             self.cv_done.wait(&mut st);
         }
     }
@@ -428,34 +280,18 @@ impl DevQueue {
         self.cv_worker.notify_all();
     }
 
-    /// Crash: discards every queued request, fails outstanding tickets,
-    /// errors current and future barriers, and stops the worker.
+    /// Crash: discards every queued request, errors current and future
+    /// barriers, and stops the worker.
     pub fn abort(&self) {
-        let tickets: Vec<Arc<ReadTicket>> = {
-            let _order = order::token(order::IO_QUEUE);
-            let mut st = self.state.lock();
-            st.aborted = true;
-            st.shutdown = true;
-            st.paused = false;
-            let tickets = st
-                .reqs
-                .values()
-                .filter_map(|r| match &r.op {
-                    ReqOp::Read(t) => Some(Arc::clone(t)),
-                    ReqOp::Write(_) => None,
-                })
-                .collect();
-            st.reqs.clear();
-            st.writes_by_page.clear();
-            st.reads_by_page.clear();
-            st.read_order.clear();
-            self.cv_worker.notify_all();
-            self.cv_done.notify_all();
-            tickets
-        };
-        for t in tickets {
-            t.fail();
-        }
+        let _order = order::token(order::IO_QUEUE);
+        let mut st = self.state.lock();
+        st.aborted = true;
+        st.shutdown = true;
+        st.paused = false;
+        st.reqs.clear();
+        st.writes_by_page.clear();
+        self.cv_worker.notify_all();
+        self.cv_done.notify_all();
     }
 
     /// Requests currently queued (including in flight and parked).
@@ -478,8 +314,8 @@ impl DevQueue {
     }
 
     /// Picks the next request per policy and starvation bound, marks it in
-    /// flight, and returns its seq plus a snapshot of the work to do.
-    fn pick(&self, st: &mut QState) -> Option<(u64, RelId, u64, WorkOp)> {
+    /// flight, and returns its seq, its target, and the bytes to write.
+    fn pick(&self, st: &mut QState) -> Option<(u64, RelId, u64, Arc<[u8]>)> {
         let gen = st.retry_gen;
         let eligible: Vec<(u64, u64)> = st
             .reqs
@@ -522,81 +358,46 @@ impl DevQueue {
         }
         st.last_key = Some(req.key);
         st.hand = req.key + 1;
-        let work = match &req.op {
-            ReqOp::Write(data) => WorkOp::Write(Arc::clone(data)),
-            ReqOp::Read(t) => WorkOp::Read(Arc::clone(t)),
-        };
-        Some((chosen, req.rel, req.blkno, work))
+        Some((chosen, req.rel, req.blkno, Arc::clone(&req.data)))
     }
 
-    /// Applies an I/O outcome back to the queue. Write failures against a
+    /// Applies a write's outcome back to the queue. Failures against a
     /// vanished relation (dropped/truncated under the queued request) are
-    /// benign completions; other write failures park the request.
-    fn finish(&self, st: &mut QState, seq: u64, outcome: Outcome) {
+    /// benign completions; other failures park the request.
+    fn finish(&self, st: &mut QState, seq: u64, outcome: DbResult<()>) {
         let Some(req) = st.reqs.get_mut(&seq) else {
             return; // Aborted while in flight.
         };
-        let io_stats = self.stats.device(self.dev);
         let benign = |e: &DbError| {
             matches!(
                 e,
                 DbError::NotFound(_) | DbError::Device(DevError::OutOfRange { .. })
             )
         };
-        let key = (req.rel, req.blkno);
         match outcome {
-            Outcome::WriteOk => {
-                st.reqs.remove(&seq);
-                if st.writes_by_page.get(&key) == Some(&seq) {
-                    st.writes_by_page.remove(&key);
-                }
-                io_stats.io_completed.bump();
-            }
-            Outcome::WriteErr(e) if benign(&e) => {
-                st.reqs.remove(&seq);
-                if st.writes_by_page.get(&key) == Some(&seq) {
-                    st.writes_by_page.remove(&key);
-                }
-                io_stats.io_completed.bump();
-            }
-            Outcome::WriteErr(e) => {
+            Err(e) if !benign(&e) => {
                 req.in_flight = false;
                 req.parked = true;
                 req.retry_gen = st.retry_gen;
                 req.error = Some(e);
             }
-            Outcome::ReadDone(ticket, bytes) => {
-                ticket.complete(bytes);
+            _ => {
+                let key = (req.rel, req.blkno);
                 st.reqs.remove(&seq);
-                // The completed ticket stays claimable in `reads_by_page`:
-                // a demand read arriving after the prefetch finished takes
-                // the bytes instead of paying the device again. Writes to
-                // the page (queued or synchronous) and relation truncation
-                // invalidate it; the read-map cap bounds how many completed
-                // pages linger unclaimed.
-                io_stats.io_completed.bump();
-            }
-            Outcome::ReadErr(ticket) => {
-                ticket.fail();
-                st.reqs.remove(&seq);
-                if st
-                    .reads_by_page
-                    .get(&key)
-                    .is_some_and(|t| Arc::ptr_eq(t, &ticket))
-                {
-                    st.reads_by_page.remove(&key);
+                if st.writes_by_page.get(&key) == Some(&seq) {
+                    st.writes_by_page.remove(&key);
                 }
-                io_stats.io_completed.bump();
+                self.stats.device(self.dev).io_completed.bump();
             }
         }
         self.cv_done.notify_all();
     }
 
-    /// The worker loop: pick under the queue lock, do I/O under the device
+    /// The worker loop: pick under the queue lock, write under the device
     /// lock, report back under the queue lock — never both at once.
     fn run(self: &Arc<DevQueue>) {
         loop {
-            let job = {
+            let (seq, rel, blkno, data) = {
                 let _order = order::token(order::IO_QUEUE);
                 let mut st = self.state.lock();
                 loop {
@@ -611,38 +412,10 @@ impl DevQueue {
                     self.cv_worker.wait(&mut st);
                 }
             };
-            let (seq, rel, blkno, work) = job;
-            let outcome = match work {
-                WorkOp::Write(data) => {
-                    let (res, took) = self.clock.timed(|| {
-                        let _dev = order::token(order::SMGR_DEVICE);
-                        self.mgr.lock().write(rel, blkno, &data)
-                    });
-                    let d = self.stats.device(self.dev);
-                    d.writes.bump();
-                    d.write_ns.add(took.as_nanos());
-                    d.write_hist.record(took.as_nanos());
-                    match res {
-                        Ok(()) => Outcome::WriteOk,
-                        Err(e) => Outcome::WriteErr(e),
-                    }
-                }
-                WorkOp::Read(ticket) => {
-                    let mut buf = vec![0u8; simdev::BLOCK_SIZE];
-                    let (res, took) = self.clock.timed(|| {
-                        let _dev = order::token(order::SMGR_DEVICE);
-                        self.mgr.lock().read(rel, blkno, &mut buf)
-                    });
-                    let d = self.stats.device(self.dev);
-                    d.reads.bump();
-                    d.read_ns.add(took.as_nanos());
-                    d.read_hist.record(took.as_nanos());
-                    match res {
-                        Ok(()) => Outcome::ReadDone(ticket, buf.into_boxed_slice()),
-                        Err(_) => Outcome::ReadErr(ticket),
-                    }
-                }
-            };
+            let outcome = self.stats.device(self.dev).timed(&self.clock, PageIo::Write, || {
+                let _dev = order::token(order::SMGR_DEVICE);
+                self.mgr.lock().write(rel, blkno, &data)
+            });
             let _order = order::token(order::IO_QUEUE);
             let mut st = self.state.lock();
             self.finish(&mut st, seq, outcome);
@@ -650,40 +423,17 @@ impl DevQueue {
     }
 }
 
-/// A claim's result: newest queued bytes, or a ticket to wait on.
-pub enum Claimed {
-    Bytes(Vec<u8>),
-    Ticket(Arc<ReadTicket>),
-}
-
-enum WorkOp {
-    Write(Arc<[u8]>),
-    Read(Arc<ReadTicket>),
-}
-
-enum Outcome {
-    WriteOk,
-    WriteErr(DbError),
-    ReadDone(Arc<ReadTicket>, Box<[u8]>),
-    ReadErr(Arc<ReadTicket>),
-}
-
 /// The per-device queues plus their worker threads; owned by the smgr.
+#[derive(Default)]
 pub struct IoLayer {
-    depth: usize,
     queues: HashMap<DeviceId, Arc<DevQueue>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl IoLayer {
-    /// Creates an empty layer; `depth` is the write-behind backpressure
-    /// bound per device.
-    pub fn new(depth: usize) -> IoLayer {
-        IoLayer {
-            depth,
-            queues: HashMap::new(),
-            workers: Vec::new(),
-        }
+    /// Creates an empty layer.
+    pub fn new() -> IoLayer {
+        IoLayer::default()
     }
 
     /// Adds a queue + worker for `dev`, draining through `mgr`.
@@ -694,7 +444,7 @@ impl IoLayer {
         clock: simdev::SimClock,
         stats: Arc<StatsRegistry>,
     ) {
-        let q = DevQueue::new(dev, self.depth, mgr, clock, stats);
+        let q = DevQueue::new(dev, mgr, clock, stats);
         let worker = Arc::clone(&q);
         self.queues.insert(dev, q);
         self.workers.push(std::thread::spawn(move || worker.run()));
@@ -778,7 +528,7 @@ mod tests {
     /// interleaved order (0, 32, 1, 33, ...) under the given policy.
     fn drain_cost(policy: Policy) -> (u64, Arc<StatsRegistry>) {
         let (clock, mgr, stats, rel) = rig(DiskProfile::rz58(), 32, 64);
-        let mut io = IoLayer::new(256);
+        let mut io = IoLayer::new();
         io.add_device(DEV, mgr, clock.clone(), Arc::clone(&stats));
         let q = Arc::clone(io.queue(DEV).expect("queue"));
         q.set_policy(policy);
@@ -816,7 +566,7 @@ mod tests {
     fn starvation_bound_overrides_the_elevator() {
         let (_clock, mgr, stats, rel) = rig(DiskProfile::tiny_for_tests(4096), 1, 256);
         // No worker thread: the test drives `pick` by hand.
-        let q = DevQueue::new(DEV, 64, mgr, SimClock::new(), stats);
+        let q = DevQueue::new(DEV, mgr, SimClock::new(), stats);
         let page = vec![0u8; simdev::BLOCK_SIZE];
         // The victim: oldest request, parked high in the key space.
         assert!(q.submit_write(rel, 200, &page));
@@ -830,7 +580,7 @@ mod tests {
             let mut st = q.state.lock();
             let (seq, _, blkno, _) = q.pick(&mut st).expect("pick");
             served.push(blkno);
-            q.finish(&mut st, seq, Outcome::WriteOk);
+            q.finish(&mut st, seq, Ok(()));
         }
         // Exactly STARVE_LIMIT bypasses, then the bound forces the victim.
         let limit = STARVE_LIMIT as usize;
@@ -840,26 +590,39 @@ mod tests {
     }
 
     #[test]
-    fn claim_consumes_tickets_and_prefers_queued_writes() {
+    fn claim_returns_the_newest_queued_or_in_flight_write() {
         let (_clock, mgr, stats, rel) = rig(DiskProfile::tiny_for_tests(4096), 1, 8);
-        let q = DevQueue::new(DEV, 64, mgr, SimClock::new(), stats);
-        // An outstanding read is claimable as a ticket, once.
-        assert!(q.submit_read(rel, 5));
-        assert!(!q.submit_read(rel, 5), "duplicate read accepted");
-        assert!(matches!(q.claim(rel, 5), Some(Claimed::Ticket(_))));
-        assert!(q.claim(rel, 5).is_none(), "ticket claimed twice");
-        // A queued write supersedes a later ticket and yields its payload.
-        assert!(q.submit_read(rel, 6));
-        let mut page = vec![0u8; simdev::BLOCK_SIZE];
-        page[0] = 0xAB;
-        assert!(q.submit_write(rel, 6, &page));
-        match q.claim(rel, 6) {
-            Some(Claimed::Bytes(b)) => assert_eq!(b[0], 0xAB),
-            _ => panic!("expected the queued write's bytes"),
+        // No worker thread: the test drives `pick`/`finish` by hand.
+        let q = DevQueue::new(DEV, mgr, SimClock::new(), stats);
+        let page = |b: u8| vec![b; simdev::BLOCK_SIZE];
+        let claimed = |blkno| q.claim(rel, blkno).map(|bytes| bytes[0]);
+        assert_eq!(claimed(6), None, "nothing queued: the caller reads the device");
+        assert!(q.submit_write(rel, 6, &page(0xAB)));
+        assert_eq!(claimed(6), Some(0xAB));
+        assert_eq!(claimed(5), None);
+        // Combined in place: one request, the newest payload.
+        assert!(q.submit_write(rel, 6, &page(0xAC)));
+        assert_eq!(q.depth(), 1);
+        assert_eq!(claimed(6), Some(0xAC));
+        // In flight: still claimable (the device may not have it yet), and
+        // a write submitted meanwhile is a second request that supersedes it.
+        let seq = {
+            let _order = order::token(order::IO_QUEUE);
+            q.pick(&mut q.state.lock()).expect("pick").0
+        };
+        assert_eq!(claimed(6), Some(0xAC));
+        assert!(q.submit_write(rel, 6, &page(0xAD)));
+        assert_eq!(q.depth(), 2);
+        assert_eq!(claimed(6), Some(0xAD));
+        {
+            let _order = order::token(order::IO_QUEUE);
+            q.finish(&mut q.state.lock(), seq, Ok(()));
         }
-        // Aborted queues refuse new work and error the barrier.
+        assert_eq!(claimed(6), Some(0xAD), "the older write's completion unmapped the newer");
+        // Aborted queues drop their work, refuse more and error the barrier.
         q.abort();
-        assert!(!q.submit_write(rel, 1, &page));
+        assert_eq!(claimed(6), None);
+        assert!(!q.submit_write(rel, 1, &page(1)));
         assert!(q.barrier().is_err());
     }
 }

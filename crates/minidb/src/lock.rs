@@ -292,8 +292,8 @@ pub mod order {
     /// nested), but submission-side code may peek the queue right before
     /// falling back to a synchronous device call, so the queue ranks
     /// outside `smgr-device`. The queue lock is never held across a wait:
-    /// waits (barriers, read-ticket claims, backpressure throttles) assert
-    /// that no shard or frame latch is held.
+    /// waits (barriers, backpressure throttles) assert that no shard or
+    /// frame latch is held.
     pub const IO_QUEUE: usize = 10;
     /// Rank of per-device locks (the smgr switch and `SharedDevice`s).
     pub const SMGR_DEVICE: usize = 11;

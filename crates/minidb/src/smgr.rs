@@ -26,6 +26,7 @@ use simdev::{BlockDevice, DevError};
 
 use crate::error::{DbError, DbResult};
 use crate::ids::{DeviceId, Oid, RelId};
+use crate::stats::PageIo;
 
 /// A device shared between managers, the transaction log, and tests.
 pub type SharedDevice = Arc<Mutex<dyn BlockDevice>>;
@@ -830,18 +831,6 @@ impl DeviceManager for JukeboxManager {
     }
 }
 
-/// Where [`Smgr::read_page_from`] found the page's bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageSource {
-    /// A synchronous device read.
-    Device,
-    /// The payload of a write still queued in the I/O scheduler (newest
-    /// bytes, never stale: the device copy is older by definition).
-    Pending,
-    /// A completed (or awaited) scheduler read-ahead ticket.
-    Prefetch,
-}
-
 /// The device manager switch: routes relation I/O to the device's manager.
 pub struct Smgr {
     mgrs: HashMap<DeviceId, Arc<Mutex<Box<dyn DeviceManager>>>>,
@@ -849,7 +838,7 @@ pub struct Smgr {
     /// stats registry, used to count and time page I/O per device.
     instr: Option<(simdev::SimClock, Arc<crate::stats::StatsRegistry>)>,
     redo: Option<Arc<crate::recovery::Redo>>,
-    /// The asynchronous per-device scheduler, once [`Smgr::start_io`] ran.
+    /// The per-device write-behind scheduler, once [`Smgr::start_io`] ran.
     io: Option<crate::io::IoLayer>,
 }
 
@@ -891,18 +880,17 @@ impl Smgr {
         Ok(())
     }
 
-    /// Starts the asynchronous I/O scheduler: one elevator worker per
-    /// registered device, `depth` pending writes of backpressure each.
-    /// Requires [`Smgr::attach_stats`] (the workers account their I/O);
-    /// without it, or with `depth == 0`, everything stays synchronous.
-    pub fn start_io(&mut self, depth: usize) {
-        if self.io.is_some() || depth == 0 {
+    /// Starts the write-behind scheduler: one elevator worker per
+    /// registered device. Requires [`Smgr::attach_stats`] (the workers
+    /// account their I/O); without it every write stays synchronous.
+    pub fn start_io(&mut self) {
+        if self.io.is_some() {
             return;
         }
         let Some((clock, stats)) = &self.instr else {
             return;
         };
-        let mut io = crate::io::IoLayer::new(depth);
+        let mut io = crate::io::IoLayer::new();
         for (&dev, mgr) in &self.mgrs {
             io.add_device(dev, Arc::clone(mgr), clock.clone(), Arc::clone(stats));
         }
@@ -912,11 +900,6 @@ impl Smgr {
     /// The scheduler queue for `dev`, when the scheduler is running.
     pub fn io_queue(&self, dev: DeviceId) -> Option<&Arc<crate::io::DevQueue>> {
         self.io.as_ref().and_then(|io| io.queue(dev))
-    }
-
-    /// Whether the asynchronous scheduler is running.
-    pub fn io_active(&self) -> bool {
-        self.io.is_some()
     }
 
     /// Crash: aborts every device queue (in-flight requests are dropped,
@@ -970,8 +953,18 @@ impl Smgr {
         f(g.as_mut())
     }
 
-    /// Reads a page through the switch, recording per-device counters and
-    /// simulated latency when stats are attached.
+    /// Runs the device access `io`, charged to `dev`'s counters and timed
+    /// on the simulated clock when stats are attached.
+    fn accounted<T>(&self, dev: DeviceId, kind: PageIo, io: impl FnOnce() -> T) -> T {
+        match &self.instr {
+            Some((clock, stats)) => stats.device(dev).timed(clock, kind, io),
+            None => io(),
+        }
+    }
+
+    /// Reads a page on the caller's thread. A write still queued in the
+    /// scheduler carries the *newest* bytes (the device copy is stale until
+    /// the worker drains it), so those win; otherwise the device is read.
     pub fn read_page(
         &self,
         dev: DeviceId,
@@ -979,89 +972,28 @@ impl Smgr {
         blkno: u64,
         buf: &mut [u8],
     ) -> DbResult<()> {
-        self.read_page_from(dev, rel, blkno, buf).map(|_| ())
-    }
-
-    /// Reads a page, consulting the scheduler queue first: a write still
-    /// pending for the page carries the *newest* bytes (the device copy is
-    /// stale until the worker drains it), and a read-ahead ticket for it may
-    /// already hold the bytes. Returns where the bytes came from.
-    pub fn read_page_from(
-        &self,
-        dev: DeviceId,
-        rel: RelId,
-        blkno: u64,
-        buf: &mut [u8],
-    ) -> DbResult<PageSource> {
         debug_assert!(
             !crate::lock::order::is_held(crate::lock::order::BUFFER_SHARD),
             "device read while holding a buffer shard latch"
         );
-        let mut source = PageSource::Device;
-        let mut have = false;
-        if let Some(q) = self.io_queue(dev) {
-            match q.claim(rel, blkno) {
-                Some(crate::io::Claimed::Bytes(bytes)) => {
-                    let n = bytes.len().min(buf.len());
-                    buf[..n].copy_from_slice(&bytes[..n]);
-                    source = PageSource::Pending;
-                    have = true;
-                }
-                Some(crate::io::Claimed::Ticket(t)) => {
-                    if let Some(bytes) = t.wait() {
-                        let n = bytes.len().min(buf.len());
-                        buf[..n].copy_from_slice(&bytes[..n]);
-                        source = PageSource::Prefetch;
-                        have = true;
-                    }
-                    // A failed prefetch falls through to a sync read so the
-                    // caller sees the real device error (or success on retry).
-                }
-                None => {}
+        match self.io_queue(dev).and_then(|q| q.claim(rel, blkno)) {
+            Some(bytes) => {
+                let n = bytes.len().min(buf.len());
+                buf[..n].copy_from_slice(&bytes[..n]);
             }
-        }
-        if !have {
-            match &self.instr {
-                Some((clock, stats)) => {
-                    let (r, took) = clock.timed(|| self.with(dev, |m| m.read(rel, blkno, buf)));
-                    let d = stats.device(dev);
-                    d.reads.bump();
-                    d.read_ns.add(took.as_nanos());
-                    d.read_hist.record(took.as_nanos());
-                    r?;
-                }
-                None => self.with(dev, |m| m.read(rel, blkno, buf))?,
-            }
+            None => self.accounted(dev, PageIo::Read, || {
+                self.with(dev, |m| m.read(rel, blkno, buf))
+            })?,
         }
         // Instant recovery: a page read from the device may predate the
         // crash; replay its pending REDO records before anyone sees it.
-        // (LSN-gated, so replaying over fresher pending/prefetch bytes is a
-        // no-op.)
+        // (LSN-gated, so replaying over fresher queued bytes is a no-op.)
         if let Some(redo) = &self.redo {
             if !redo.is_empty() {
                 redo.replay_into((dev, rel, blkno), buf)?;
             }
         }
-        Ok(source)
-    }
-
-    /// Submits an asynchronous read-ahead for the page. Returns `false` when
-    /// the scheduler is off (the caller should fall back to its synchronous
-    /// prefetch path) or shut down.
-    /// Drops any claimable prefetched bytes for `rel` on `dev` — callers
-    /// that truncate or drop a relation use this so a reborn block can
-    /// never be satisfied with pre-truncation bytes out of the scheduler.
-    pub fn invalidate_rel_io(&self, dev: DeviceId, rel: RelId) {
-        if let Some(q) = self.io_queue(dev) {
-            q.invalidate_rel(rel);
-        }
-    }
-
-    pub fn prefetch_page(&self, dev: DeviceId, rel: RelId, blkno: u64) -> bool {
-        match self.io_queue(dev) {
-            Some(q) => q.submit_read(rel, blkno),
-            None => false,
-        }
+        Ok(())
     }
 
     /// Write-behind: queues the page for the device worker and returns
@@ -1090,22 +1022,7 @@ impl Smgr {
             !crate::lock::order::is_held(crate::lock::order::BUFFER_SHARD),
             "device write while holding a buffer shard latch"
         );
-        // The synchronous write supersedes any prefetched bytes the
-        // scheduler still holds for this page.
-        if let Some(q) = self.io_queue(dev) {
-            q.invalidate_page(rel, blkno);
-        }
-        match &self.instr {
-            Some((clock, stats)) => {
-                let (r, took) = clock.timed(|| self.with(dev, |m| m.write(rel, blkno, buf)));
-                let d = stats.device(dev);
-                d.writes.bump();
-                d.write_ns.add(took.as_nanos());
-                d.write_hist.record(took.as_nanos());
-                r
-            }
-            None => self.with(dev, |m| m.write(rel, blkno, buf)),
-        }
+        self.accounted(dev, PageIo::Write, || self.with(dev, |m| m.write(rel, blkno, buf)))
     }
 
     /// Appends a blank page through the switch, counted as a write (the
@@ -1115,17 +1032,7 @@ impl Smgr {
             !crate::lock::order::is_held(crate::lock::order::BUFFER_SHARD),
             "device extend while holding a buffer shard latch"
         );
-        match &self.instr {
-            Some((clock, stats)) => {
-                let (r, took) = clock.timed(|| self.with(dev, |m| m.extend_blank(rel)));
-                let d = stats.device(dev);
-                d.writes.bump();
-                d.write_ns.add(took.as_nanos());
-                d.write_hist.record(took.as_nanos());
-                r
-            }
-            None => self.with(dev, |m| m.extend_blank(rel)),
-        }
+        self.accounted(dev, PageIo::Write, || self.with(dev, |m| m.extend_blank(rel)))
     }
 
     /// Syncs every registered device (checkpoint and shutdown).
@@ -1387,6 +1294,37 @@ mod tests {
             Err(DbError::AlreadyExists(_))
         ));
         smgr.sync_all().unwrap();
+    }
+
+    #[test]
+    fn read_page_takes_a_queued_write_over_the_device_copy() {
+        let dev = DeviceId(0);
+        let rel = Oid(7);
+        let stats = Arc::new(crate::stats::StatsRegistry::new());
+        let mut smgr = Smgr::new();
+        smgr.register(dev, Box::new(disk_mgr())).unwrap();
+        smgr.attach_stats(SimClock::new(), Arc::clone(&stats));
+        smgr.start_io();
+        smgr.with(dev, |m| {
+            m.create_rel(rel)?;
+            m.extend(rel, &page_of(1)).map(|_| ())
+        })
+        .unwrap();
+        // Hold the write in the queue: the device keeps the old image.
+        smgr.io_pause(true);
+        smgr.write_page_back(dev, rel, 0, &page_of(2)).unwrap();
+        let mut buf = page_of(0);
+        smgr.read_page(dev, rel, 0, &mut buf).unwrap();
+        assert_eq!(buf, page_of(2), "the read must see the queued bytes");
+        assert_eq!(stats.device(dev).reads.get(), 0, "and never touch the device");
+        smgr.with(dev, |m| m.read(rel, 0, &mut buf)).unwrap();
+        assert_eq!(buf, page_of(1));
+        // Drained: the same read is now an ordinary device read.
+        smgr.io_pause(false);
+        smgr.sync_all().unwrap();
+        smgr.read_page(dev, rel, 0, &mut buf).unwrap();
+        assert_eq!(buf, page_of(2));
+        assert_eq!(stats.device(dev).reads.get(), 1);
     }
 
     #[test]

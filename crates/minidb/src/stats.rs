@@ -533,7 +533,7 @@ stat_table! {
     read_hist: LatencyHistogram,
     /// Write latency distribution.
     write_hist: LatencyHistogram,
-    /// Requests submitted to the queue (reads, writes, and combines).
+    /// Writes submitted to the queue (new requests and in-place combines).
     io_submitted: Counter,
     /// Requests that left the queue (served or benignly dropped).
     io_completed: Counter,
@@ -546,6 +546,30 @@ stat_table! {
     io_queue_depth_hw: MaxGauge,
     /// Queue barriers executed (`sync` drains).
     io_barrier_waits: Counter,
+}
+
+/// Which half of a device's page-I/O counters an access is charged to.
+#[derive(Debug, Clone, Copy)]
+pub enum PageIo {
+    Read,
+    /// A page write or a blank extension.
+    Write,
+}
+
+impl DeviceIoCounters {
+    /// Runs one device access `f` and charges it here: the count, the
+    /// simulated time it took on `clock`, and the latency histogram.
+    pub fn timed<T>(&self, clock: &simdev::SimClock, kind: PageIo, f: impl FnOnce() -> T) -> T {
+        let (out, took) = clock.timed(f);
+        let (count, ns, hist) = match kind {
+            PageIo::Read => (&self.reads, &self.read_ns, &self.read_hist),
+            PageIo::Write => (&self.writes, &self.write_ns, &self.write_hist),
+        };
+        count.bump();
+        ns.add(took.as_nanos());
+        hist.record(took.as_nanos());
+        out
+    }
 }
 
 /// The central statistics registry, one per [`crate::Db`].

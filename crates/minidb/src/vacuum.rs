@@ -184,7 +184,6 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
 
     // Rewrite the heap with only the kept versions.
     db.inner.pool.discard_rel(rel);
-    db.inner.smgr.invalidate_rel_io(entry.device, rel);
     db.inner.smgr.with(entry.device, |m| m.truncate(rel))?;
     let heap = Heap {
         wal: None,
@@ -208,7 +207,6 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
     for (idx, cols) in indexes {
         let idx_dev = db.inner.catalog.read().relation(idx)?.device;
         db.inner.pool.discard_rel(idx);
-        db.inner.smgr.invalidate_rel_io(idx_dev, idx);
         db.inner.smgr.with(idx_dev, |m| m.truncate(idx))?;
         let bt = BTree {
             wal: None,

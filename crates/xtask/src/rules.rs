@@ -129,12 +129,11 @@ pub fn let_underscore_sites(file: &str, text: &str) -> Vec<Violation> {
 }
 
 /// Rule `io-wait-guard`: in the device scheduler (`minidb/src/io.rs`),
-/// every function that blocks on a completion condvar — `cv_done` for the
-/// submission-side waits (throttle, barrier) and the read ticket's `cv`
-/// for claims — must carry a `BUFFER_SHARD` guard assertion: waiting on
-/// the worker while holding a buffer shard latch could deadlock the
-/// eviction path. The worker's own `cv_worker` park is exempt; it holds
-/// no latches by construction.
+/// every function that blocks on the completion condvar `cv_done` — the
+/// submission-side waits (throttle, barrier) — must carry a `BUFFER_SHARD`
+/// guard assertion: waiting on the worker while holding a buffer shard
+/// latch could deadlock the eviction path. The worker's own `cv_worker`
+/// park is exempt; it holds no latches by construction.
 pub fn io_wait_guard_sites(file: &str, text: &str) -> Vec<Violation> {
     if !file.ends_with("minidb/src/io.rs") {
         return Vec::new();
@@ -146,8 +145,7 @@ pub fn io_wait_guard_sites(file: &str, text: &str) -> Vec<Violation> {
     for (i, &s) in starts.iter().enumerate() {
         let end = starts.get(i + 1).copied().unwrap_or(text.len());
         let body = &text[s..end];
-        let waits = body.contains("cv_done.wait(") || body.contains(".cv.wait(");
-        if waits && !body.contains("is_held(order::BUFFER_SHARD)") {
+        if body.contains("cv_done.wait(") && !body.contains("is_held(order::BUFFER_SHARD)") {
             out.push(Violation {
                 file: file.into(),
                 line: line_of(text, s),

@@ -241,3 +241,30 @@ fn close_declares_its_fileatt_write_before_reading() {
     assert_eq!(fs.db().stats().delta(&before).lock.deadlocks, 0);
     assert_eq!(a.read_to_vec("/a", None).unwrap(), b"A");
 }
+
+/// `flush_caches` checkpoints and then empties the pool, which refuses while
+/// any frame is pinned — and a background checkpoint cycle pins the frame it
+/// is flushing. With a cycle due on every write the two must still never
+/// collide: the whole of `flush_caches` runs under the cycle lock.
+#[test]
+fn flush_caches_never_collides_with_the_background_checkpointer() {
+    let db = minidb::Db::open_in_memory_with(minidb::DbConfig {
+        checkpoint_interval: simdev::SimDuration::from_nanos(1),
+        ..minidb::DbConfig::default()
+    })
+    .unwrap();
+    let rel = db
+        .create_table("t", Schema::new([("v", TypeId::TEXT)]))
+        .unwrap();
+    for round in 0..1500 {
+        let mut s = db.begin().unwrap();
+        // A few pages' worth, so a racing cycle has frames to hold.
+        for i in 0..40 {
+            s.insert(rel, vec![Datum::Text(format!("{round}/{i:0>400}"))]).unwrap();
+        }
+        s.commit().unwrap();
+        if let Err(e) = db.flush_caches() {
+            panic!("round {round}: {e}");
+        }
+    }
+}

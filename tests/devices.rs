@@ -17,14 +17,12 @@ struct Rig {
     staging: SharedDevice,
     log: SharedDevice,
     catalog: SharedDevice,
-    config: DbConfig,
 }
 
 impl Rig {
     fn new() -> Rig {
         let clock = SimClock::new();
         Rig {
-            config: DbConfig::default(),
             disk: shared_device(MagneticDisk::new(
                 "disk",
                 clock.clone(),
@@ -85,7 +83,7 @@ impl Rig {
             smgr,
             self.log.clone(),
             self.catalog.clone(),
-            self.config.clone(),
+            DbConfig::default(),
         )
         .unwrap()
     }
@@ -114,7 +112,7 @@ impl Rig {
             smgr,
             self.log.clone(),
             self.catalog.clone(),
-            self.config.clone(),
+            DbConfig::default(),
         )
         .unwrap()
     }
@@ -172,11 +170,7 @@ fn worm_history_is_literally_immutable() {
 
 #[test]
 fn staging_cache_makes_rereads_cheap() {
-    // Synchronous I/O for this one: the cold/warm comparison below is a
-    // fine-grained virtual-time measurement, and the async scheduler's
-    // worker would charge read-ahead to whichever window it races into.
-    let mut rig = Rig::new();
-    rig.config.io_queue_depth = 0;
+    let rig = Rig::new();
     let fs = InversionFs::format(rig.format()).unwrap();
     let mut c = fs.client();
     let data = vec![5u8; 30_000];

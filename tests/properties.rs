@@ -186,6 +186,11 @@ enum PoolOp {
     Discard,
     /// Read-ahead hint over the whole relation.
     Prefetch,
+    /// Discard the relation's pages, truncate it on the device (or drop and
+    /// re-create it), and grow it back with fresh bytes — what vacuum and
+    /// drop do. Whatever the cache held, demanded or merely read ahead,
+    /// describes blocks that no longer exist.
+    Regrow { recreate: bool, fill: u8 },
 }
 
 fn pool_op_strategy(nblocks: u8) -> impl Strategy<Value = PoolOp> {
@@ -200,13 +205,16 @@ fn pool_op_strategy(nblocks: u8) -> impl Strategy<Value = PoolOp> {
         Just(PoolOp::FlushClear),
         Just(PoolOp::Discard),
         Just(PoolOp::Prefetch),
+        (any::<bool>(), any::<u8>()).prop_map(|(recreate, fill)| PoolOp::Regrow { recreate, fill }),
     ]
 }
 
 // Model-checks the sharded buffer pool against a flat shadow map: whatever
-// interleaving of get/dirty/flush/clear/discard/prefetch runs (with a pool
-// far smaller than the block set, so evictions are constant), a read must
-// never serve stale bytes and a flush must never lose a dirty page.
+// interleaving of get/dirty/flush/clear/discard/prefetch/regrow runs (with a
+// pool far smaller than the block set, so evictions are constant), a read
+// must never serve stale bytes — in particular never a page read ahead
+// before its relation was truncated or dropped — and a flush must never
+// lose a dirty page.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -234,17 +242,22 @@ proptest! {
 
         let pool = BufferPool::with_shards(capacity, nshards);
         // The shadows: `mem` is what a reader through the pool must see,
-        // `disk_shadow` what a flush guarantees on the device. They diverge
-        // only between a dirty and its writeback.
+        // `disk_shadow` what the device may hold — the last flushed value
+        // plus every value dirtied since, any of which an eviction may have
+        // written back. A flush narrows it to `mem`.
         let mut mem: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
-        let mut disk_shadow: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
+        let mut disk_shadow: std::collections::HashMap<u64, Vec<u8>> =
+            std::collections::HashMap::new();
         for b in 0..NBLOCKS as u64 {
             let (_, pin) = pool.new_page(&smgr, dev, rel).unwrap();
             pin.write().data_mut().fill(b as u8);
             mem.insert(b, b as u8);
-            disk_shadow.insert(b, b as u8);
+            disk_shadow.insert(b, vec![b as u8]);
         }
         pool.flush_all(&smgr).unwrap();
+        let flushed = |mem: &std::collections::HashMap<u64, u8>| {
+            mem.iter().map(|(&b, &v)| (b, vec![v])).collect()
+        };
 
         let mut accesses = 0u64;
         for op in ops {
@@ -264,37 +277,59 @@ proptest! {
                     prop_assert_eq!(before, mem[&blk]);
                     pin.write().data_mut().fill(fill);
                     mem.insert(blk, fill);
+                    disk_shadow.entry(blk).or_default().push(fill);
                 }
                 PoolOp::Flush => {
                     pool.flush_all(&smgr).unwrap();
-                    disk_shadow = mem.clone();
+                    disk_shadow = flushed(&mem);
                 }
                 PoolOp::FlushClear => {
                     pool.flush_and_clear(&smgr).unwrap();
-                    disk_shadow = mem.clone();
+                    disk_shadow = flushed(&mem);
                 }
                 PoolOp::Discard => {
                     // Dropping the cache without writeback: unflushed
                     // dirties are lost, but evicted-and-written-back pages
-                    // may have reached the device already — either shadow
-                    // is a legal next observation. Re-seed both from what
-                    // the device actually holds.
+                    // may have reached the device already — any shadowed
+                    // value is a legal next observation. Re-seed both from
+                    // what the device actually holds.
                     pool.discard_rel(rel);
                     let mut page = vec![0u8; minidb::page::PAGE_SIZE];
                     for b in 0..NBLOCKS as u64 {
                         smgr.with(dev, |m| m.read(rel, b, &mut page)).unwrap();
                         let on_disk = page[0];
                         prop_assert!(
-                            on_disk == disk_shadow[&b] || on_disk == mem[&b],
-                            "block {} on device is {}, expected {} (flushed) or {} (evicted)",
-                            b, on_disk, disk_shadow[&b], mem[&b]
+                            disk_shadow[&b].contains(&on_disk),
+                            "block {} on device is {}, expected one of {:?} (flushed, then evicted)",
+                            b, on_disk, disk_shadow[&b]
                         );
                         mem.insert(b, on_disk);
-                        disk_shadow.insert(b, on_disk);
+                        disk_shadow.insert(b, vec![on_disk]);
                     }
                 }
                 PoolOp::Prefetch => {
                     pool.prefetch(&smgr, dev, rel, 0, NBLOCKS as usize);
+                }
+                PoolOp::Regrow { recreate, fill } => {
+                    pool.discard_rel(rel);
+                    smgr.with(dev, |m| {
+                        if recreate {
+                            m.drop_rel(rel)?;
+                            m.create_rel(rel)
+                        } else {
+                            m.truncate(rel)
+                        }
+                    })
+                    .unwrap();
+                    for b in 0..NBLOCKS as u64 {
+                        let (blk, pin) = pool.new_page(&smgr, dev, rel).unwrap();
+                        prop_assert_eq!(blk, b);
+                        pin.write().data_mut().fill(fill);
+                        mem.insert(b, fill);
+                        // A reborn block is blank on the device until its
+                        // frame is written back.
+                        disk_shadow.insert(b, vec![0, fill]);
+                    }
                 }
             }
             prop_assert_eq!(pool.check_consistency(), Vec::<String>::new());

@@ -53,9 +53,9 @@ fn buffer_hit_ratio_rises_on_reread() {
 }
 
 /// Runs a cold sequential scan over a multi-page relation on a database
-/// configured with the given read-ahead window, returning the buffer-cache
-/// counter growth for the scan as seen through `pg_stat_buffer`.
-fn cold_scan_buffer_delta(prefetch_window: usize) -> minidb::BufferStats {
+/// configured with the given read-ahead window, returning the counter
+/// growth across the scan.
+fn cold_scan_delta(prefetch_window: usize) -> minidb::StatsSnapshot {
     let db = Db::open_in_memory_with(minidb::DbConfig {
         prefetch_window,
         ..minidb::DbConfig::default()
@@ -72,33 +72,50 @@ fn cold_scan_buffer_delta(prefetch_window: usize) -> minidb::BufferStats {
     s.commit().unwrap();
     db.flush_caches().unwrap(); // The scan starts stone cold.
 
-    let before = db.buffer_stats();
+    let before = db.stats();
     let mut s = db.begin().unwrap();
     let scanned = s.query("retrieve (t.v) from t in big").unwrap();
-    let after = s.query(
-        "retrieve (b.hits, b.misses, b.prefetches, b.prefetch_hits) from b in pg_stat_buffer",
-    )
-    .unwrap();
     s.commit().unwrap();
     assert_eq!(scanned.rows.len(), 260);
-
-    minidb::BufferStats {
-        hits: (int8(&after.rows[0][0]) as u64) - before.hits,
-        misses: (int8(&after.rows[0][1]) as u64) - before.misses,
-        prefetches: (int8(&after.rows[0][2]) as u64) - before.prefetches,
-        prefetch_hits: (int8(&after.rows[0][3]) as u64) - before.prefetch_hits,
-        ..minidb::BufferStats::default()
-    }
+    db.stats().delta(&before)
 }
 
-/// Read-ahead efficacy: a cold sequential heap scan with prefetching on
-/// must record prefetch hits and a strictly higher hit rate than the same
-/// scan with prefetching disabled.
+/// Counter growth across a cold whole-file read of 1 MB on a formatted file
+/// system (the reader hints the whole chunk relation to the cache up front).
+fn cold_file_read_delta() -> minidb::StatsSnapshot {
+    let fs = InversionFs::format(Devices::new().format()).unwrap();
+    let mut c = fs.client();
+    let data: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+    c.write_all("/big", CreateMode::default(), &data).unwrap();
+    fs.db().flush_caches().unwrap();
+    let before = fs.db().stats();
+    assert_eq!(c.read_to_vec("/big", None).unwrap(), data);
+    fs.db().stats().delta(&before)
+}
+
+/// Read-ahead efficacy and accounting: a cold sequential heap scan with
+/// prefetching on must record prefetch hits and a strictly higher hit rate
+/// than the same scan with prefetching disabled — and every device read is
+/// one the pool counted, made on the reader's own thread.
 #[test]
 fn readahead_raises_cold_scan_hit_rate() {
-    let with = cold_scan_buffer_delta(8);
-    let without = cold_scan_buffer_delta(0);
+    let with = cold_scan_delta(8);
+    let without = cold_scan_delta(0);
 
+    for run in [&with, &without, &cold_file_read_delta()] {
+        let sum = |f: fn(&minidb::DeviceIoStats) -> u64| run.devices.iter().map(f).sum::<u64>();
+        // Read-ahead fills buffer frames; the device queue carries writes.
+        assert_eq!(sum(|d| d.io_submitted), 0, "a read went through the device queue: {run:?}");
+        // One meaning per counter: a page is read from the device exactly
+        // when it is loaded, as a demand miss or as read-ahead.
+        assert_eq!(
+            sum(|d| d.reads),
+            run.buffer.misses + run.buffer.prefetches,
+            "device reads must equal misses + prefetches: {run:?}"
+        );
+        assert!(run.buffer.prefetch_hits <= run.buffer.prefetches, "{run:?}");
+    }
+    let (with, without) = (with.buffer, without.buffer);
     assert_eq!(without.prefetches, 0);
     assert_eq!(without.prefetch_hits, 0);
     assert!(with.prefetches > 0, "scan must trigger read-ahead: {with:?}");
