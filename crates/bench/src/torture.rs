@@ -152,6 +152,11 @@ pub enum FaultKind {
     /// the drain barrier, and the cut aborts the queue with WAL-covered
     /// pages still in flight. Recovery must replay them from the log.
     CrashInFlight,
+    /// The catalog device fails partway through the destage that follows a
+    /// burst of DDL (create, index build, drop, type definition), then the
+    /// power goes out. Catalog rows ride the log like any others, so every
+    /// acknowledged DDL must be wholly there after recovery.
+    CatalogDeviceFault,
 }
 
 impl FaultKind {
@@ -165,6 +170,7 @@ impl FaultKind {
             FaultKind::CrashMidCommit => "crash-mid-commit",
             FaultKind::CrashMidCheckpoint => "crash-mid-checkpoint",
             FaultKind::CrashInFlight => "crash-in-flight",
+            FaultKind::CatalogDeviceFault => "catalog-device-fault",
         }
     }
 }
@@ -637,6 +643,7 @@ pub fn standard_battery() -> Vec<Schedule> {
         FaultKind::CrashMidCommit,
         FaultKind::CrashMidCheckpoint,
         FaultKind::CrashInFlight,
+        FaultKind::CatalogDeviceFault,
     ];
     let mut out = Vec::new();
     for (i, kind) in kinds.iter().enumerate() {
@@ -703,6 +710,7 @@ mod tests {
             FaultKind::CrashMidCommit,
             FaultKind::CrashMidCheckpoint,
             FaultKind::CrashInFlight,
+            FaultKind::CatalogDeviceFault,
         ] {
             assert!(battery.iter().any(|s| s.fault == kind), "{} missing", kind.name());
         }

@@ -1,23 +1,26 @@
 //! Administrative maintenance: database-wide vacuuming and orphan
 //! collection.
 //!
-//! Like POSTGRES, relation creation is not transactional: a `p_creat` whose
-//! transaction aborts leaves invisible `naming`/`fileatt` rows (harmless)
-//! and an orphaned `inv<oid>` data relation (leaked storage).
+//! Like POSTGRES, relation creation is not transactional. DDL is a logged
+//! transaction on the system relations, but one *of its own*, committed
+//! before the caller's: a `p_creat` whose transaction aborts leaves
+//! invisible `naming`/`fileatt` rows (harmless) and an orphaned `inv<oid>`
+//! data relation (leaked storage) with a perfectly good `pg_class` row.
 //! [`collect_orphans`] is the garbage collector for the latter, and
 //! [`vacuum_all`] runs the vacuum cleaner over every heap in the database —
 //! the periodic sweep the paper's vacuum-cleaner process performed.
 
 use std::collections::HashSet;
 
-use minidb::catalog::RelKind;
+use minidb::catalog::{Catalog, RelKind};
 use minidb::vacuum::{vacuum, VacuumStats};
 use minidb::{DeviceId, RelId, Snapshot};
 
 use crate::fs::{InvResult, InversionFs, A_CHUNKIDX, A_DATAREL};
 
-/// Vacuums every heap relation, archiving dead versions onto `archive_dev`.
-/// Returns per-relation statistics. Requires a quiescent system.
+/// Vacuums every user heap relation, archiving dead versions onto
+/// `archive_dev`. Returns per-relation statistics. Requires a quiescent
+/// system. The system relations are left alone: see [`vacuum`].
 pub fn vacuum_all(
     fs: &InversionFs,
     archive_dev: DeviceId,
@@ -27,6 +30,7 @@ pub fn vacuum_all(
         .catalog()
         .relations()
         .filter(|r| r.kind == RelKind::Heap && !r.name.ends_with(",arch"))
+        .filter(|r| !Catalog::is_system(r.id))
         .map(|r| (r.id, r.name.clone()))
         .collect();
     let mut out = Vec::with_capacity(heaps.len());

@@ -28,8 +28,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+use crate::catalog::Catalog;
 
 use crate::error::{DbError, DbResult};
 use crate::ids::{DeviceId, RelId};
@@ -46,6 +49,68 @@ pub const BERKELEY_BUFFERS: usize = 300;
 pub const DEFAULT_PREFETCH_WINDOW: usize = 8;
 /// Sequential accesses (last blkno + 1) required before read-ahead starts.
 const RUN_THRESHOLD: u32 = 3;
+/// Frames in the shard a database's pool reserves for system-relation
+/// pages (see [`BufferPool::with_system_shard`]).
+const SYSTEM_SHARD_FRAMES: usize = 16;
+/// How long a sweep that found every frame of its shard pinned waits for an
+/// unpin before reporting the pool exhausted. Foreground pins are short, so
+/// only a pin held forever — a leak, or genuinely more concurrent pins than
+/// frames — runs this out.
+const PIN_WAIT_LIMIT: Duration = Duration::from_millis(250);
+
+/// Where a sweep that found its whole shard pinned parks until a frame of
+/// that shard is unpinned: an eventcount. The sweeper registers, notes the
+/// epoch, sweeps once more, and only then sleeps until the epoch moves — so
+/// an unpin between its sweep and its sleep is never missed.
+#[derive(Default)]
+struct PinWait {
+    /// Sweeps registered. An unpin that finds zero here does nothing more,
+    /// which is all the hit path pays.
+    waiters: AtomicU32,
+    /// Bumped by every unpin that took a pin count to zero while a sweep
+    /// was registered. A leaf mutex: nothing is acquired while it is held.
+    epoch: Mutex<u64>,
+    cv: Condvar,
+}
+
+/// A sweep's registration with its shard's [`PinWait`], withdrawn on drop.
+struct PinWaiter<'a> {
+    spot: &'a PinWait,
+    seen: u64,
+    deadline: Instant,
+}
+
+impl<'a> PinWaiter<'a> {
+    fn register(wait: &'a PinWait) -> PinWaiter<'a> {
+        wait.waiters.fetch_add(1, Ordering::SeqCst);
+        let seen = *wait.epoch.lock();
+        PinWaiter {
+            spot: wait,
+            seen,
+            deadline: Instant::now() + PIN_WAIT_LIMIT,
+        }
+    }
+
+    /// Sleeps until some frame was unpinned since the last look; `false`
+    /// once the deadline has passed without one.
+    fn wait(&mut self) -> bool {
+        let mut epoch = self.spot.epoch.lock();
+        while *epoch == self.seen {
+            let Some(left) = self.deadline.checked_duration_since(Instant::now()) else {
+                return false;
+            };
+            self.spot.cv.wait_for(&mut epoch, left);
+        }
+        self.seen = *epoch;
+        true
+    }
+}
+
+impl Drop for PinWaiter<'_> {
+    fn drop(&mut self) {
+        self.spot.waiters.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
 /// A cached page and its identity.
 pub struct PageBuf {
@@ -104,12 +169,22 @@ struct Frame {
     /// The loader holds `buf`'s write lock for the whole load, so waiters
     /// block on the frame — never on the shard latch.
     state: AtomicU8,
+    /// The frame's shard's parking spot for all-pinned sweeps.
+    wait: Arc<PinWait>,
     buf: RwLock<PageBuf>,
 }
 
 impl Frame {
-    fn new(dev: DeviceId, rel: RelId, blkno: u64, state: u8, dirty: bool) -> Frame {
+    fn new(
+        wait: &Arc<PinWait>,
+        dev: DeviceId,
+        rel: RelId,
+        blkno: u64,
+        state: u8,
+        dirty: bool,
+    ) -> Frame {
         Frame {
+            wait: Arc::clone(wait),
             pins: AtomicU32::new(1), // Born pinned by its creator.
             refbit: AtomicBool::new(false),
             from_prefetch: AtomicBool::new(false),
@@ -132,8 +207,17 @@ impl Frame {
         self.state.store(s, Ordering::SeqCst);
     }
 
+    /// Drops one pin. The last pin off a frame makes it evictable, which
+    /// is what a sweep parked on the shard is waiting for. (`SeqCst` on
+    /// both sides: an unpin that reads no waiter precedes the waiter's
+    /// registration, hence its sweep, which then sees the zero count.)
     fn unpin(&self) {
-        self.pins.fetch_sub(1, Ordering::SeqCst);
+        if self.pins.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.wait.waiters.load(Ordering::SeqCst) > 0
+        {
+            *self.wait.epoch.lock() += 1;
+            self.wait.cv.notify_all();
+        }
     }
 }
 
@@ -237,7 +321,11 @@ impl ShardInner {
 pub struct BufferPool {
     capacity: usize,
     shard_capacity: usize,
+    /// The data shards; then, in a database's pool, the system shard.
     shards: Vec<Mutex<ShardInner>>,
+    /// Per shard, where all-pinned sweeps wait.
+    waits: Vec<Arc<PinWait>>,
+    system_shard: bool,
     /// Blocks of read-ahead past a detected run; 0 disables it. Atomic so
     /// the hot (hit) path never touches the run-detector lock.
     prefetch_window: AtomicUsize,
@@ -269,10 +357,25 @@ impl BufferPool {
             capacity,
             shard_capacity: capacity.div_ceil(nshards),
             shards: (0..nshards).map(|_| Mutex::new(ShardInner::new())).collect(),
+            waits: (0..nshards).map(|_| Arc::default()).collect(),
+            system_shard: false,
             prefetch_window: AtomicUsize::new(DEFAULT_PREFETCH_WINDOW),
             runs: Mutex::new(HashMap::new()),
             wal: RwLock::new(None),
         }
+    }
+
+    /// Adds a shard of [`SYSTEM_SHARD_FRAMES`] frames, beyond `capacity`,
+    /// that caches the system relations' pages and nothing else. Catalog
+    /// pages are few and written only at their tails; kept apart, a DDL
+    /// never evicts a data page and a scan of user data never evicts the
+    /// `pg_class` page the next DDL appends to — the data shards behave
+    /// exactly as if the catalog were not paged at all.
+    pub fn with_system_shard(mut self) -> BufferPool {
+        self.shards.push(Mutex::new(ShardInner::new()));
+        self.waits.push(Arc::default());
+        self.system_shard = true;
+        self
     }
 
     /// Attaches the write-ahead log: from here on, no dirty page reaches a
@@ -337,14 +440,27 @@ impl BufferPool {
     }
 
     fn shard_index(&self, rel: RelId, blkno: u64) -> usize {
-        if self.shards.len() == 1 {
+        let data_shards = self.shards.len() - usize::from(self.system_shard);
+        if self.system_shard && Catalog::is_system(rel) {
+            return data_shards;
+        }
+        if data_shards == 1 {
             return 0;
         }
         // splitmix64-style finisher over the packed key.
         let mut h = ((rel.0 as u64) << 32) ^ blkno;
         h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (h ^ (h >> 31)) as usize % self.shards.len()
+        (h ^ (h >> 31)) as usize % data_shards
+    }
+
+    /// How many frames shard `si` may hold.
+    fn frames_in(&self, si: usize) -> usize {
+        if self.system_shard && si + 1 == self.shards.len() {
+            SYSTEM_SHARD_FRAMES
+        } else {
+            self.shard_capacity
+        }
     }
 
     /// Fetches block `blkno` of `rel` (which lives on `dev`), reading it
@@ -444,7 +560,7 @@ impl BufferPool {
     ) -> DbResult<Arc<Frame>> {
         let si = self.shard_index(rel, blkno);
         let key = (rel, blkno);
-        let frame = Arc::new(Frame::new(dev, rel, blkno, LOADING, false));
+        let frame = Arc::new(Frame::new(&self.waits[si], dev, rel, blkno, LOADING, false));
         let ftok = order::token(order::BUFFER_FRAME);
         // Uncontended: the frame is not published yet.
         let mut fbuf = frame.buf.write();
@@ -484,17 +600,16 @@ impl BufferPool {
         si: usize,
         smgr: &Smgr,
     ) -> DbResult<(order::LevelToken, MutexGuard<'_, ShardInner>)> {
-        // Sweeps that find every frame pinned wait and retry before giving
-        // up: foreground pins are short, so an all-pinned shard is usually
+        // A sweep that finds every frame pinned parks until one is unpinned:
+        // foreground pins are short, so an all-pinned shard is usually
         // transient. (The checkpointer is not a cause: its flush holds one
-        // pin at a time.) Only a pin held *forever* — a leak, or genuinely
-        // more concurrent pins than frames — should surface as an error.
-        let mut stalls: u32 = 0;
-        const MAX_STALLS: u32 = 1 << 16;
+        // pin at a time.)
+        let capacity = self.frames_in(si);
+        let mut parked: Option<PinWaiter<'_>> = None;
         'retry: loop {
             let tok = order::token(order::BUFFER_SHARD);
             let mut shard = self.shards[si].lock();
-            if shard.map.len() < self.shard_capacity {
+            if shard.map.len() < capacity {
                 return Ok((tok, shard));
             }
             // Two full passes: the first clears reference bits, the second
@@ -504,20 +619,21 @@ impl BufferPool {
             let max_steps = 2 * shard.ring.len() + 1;
             loop {
                 if steps > max_steps {
-                    stalls += 1;
-                    if stalls < MAX_STALLS {
-                        drop(shard);
-                        drop(tok);
-                        if stalls.is_multiple_of(64) {
-                            std::thread::sleep(std::time::Duration::from_micros(100));
-                        } else {
-                            std::thread::yield_now();
+                    drop(shard);
+                    drop(tok);
+                    // Register first and sweep once more; sleep only if
+                    // that sweep, too, finds everything pinned.
+                    match &mut parked {
+                        None => parked = Some(PinWaiter::register(&self.waits[si])),
+                        Some(waiter) => {
+                            if !waiter.wait() {
+                                return Err(DbError::Invalid(
+                                    "buffer pool exhausted: every page is pinned".into(),
+                                ));
+                            }
                         }
-                        continue 'retry;
                     }
-                    return Err(DbError::Invalid(
-                        "buffer pool exhausted: every page is pinned".into(),
-                    ));
+                    continue 'retry;
                 }
                 steps += 1;
                 if shard.ring.is_empty() {
@@ -551,7 +667,7 @@ impl BufferPool {
                     drop(ftok);
                     shard.remove(key);
                     shard.stats.evictions += 1;
-                    if shard.map.len() < self.shard_capacity {
+                    if shard.map.len() < capacity {
                         return Ok((tok, shard));
                     }
                     continue;
@@ -611,8 +727,8 @@ impl BufferPool {
     /// latch is taken (the block number decides the shard).
     pub fn new_page(&self, smgr: &Smgr, dev: DeviceId, rel: RelId) -> DbResult<(u64, PinnedPage)> {
         let blkno = smgr.extend_page(dev, rel)?;
-        let frame = Arc::new(Frame::new(dev, rel, blkno, READY, true));
         let si = self.shard_index(rel, blkno);
+        let frame = Arc::new(Frame::new(&self.waits[si], dev, rel, blkno, READY, true));
         let (_tok, mut shard) = self.lock_with_room(si, smgr)?;
         shard.insert((rel, blkno), Arc::clone(&frame));
         Ok((blkno, PinnedPage { frame }))

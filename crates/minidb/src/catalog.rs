@@ -1,10 +1,21 @@
 //! The system catalog: relations, types, functions, and rules.
 //!
-//! POSTGRES keeps catalogs in ordinary relations; here they are kept as an
-//! explicitly serialized structure persisted on the catalog device, which
-//! keeps bootstrap simple while preserving what matters for the paper:
-//! catalog contents survive crashes, and types/functions/rules are
-//! first-class registered objects.
+//! As in POSTGRES, the catalogs are ordinary relations. Four bootstrap
+//! heaps at fixed oids below [`Catalog::FIRST_OID`] — `pg_class`,
+//! `pg_type`, `pg_proc`, `pg_rule` — live on the catalog device
+//! ([`DeviceId::CATALOG`]), and a committed row in one of them is the only
+//! durable form a catalog entry has. DDL is therefore an ordinary
+//! WAL-logged transaction (see [`crate::Db::create_table_on`]): it is
+//! replayed by first-touch REDO, drained by checkpoints, audited by
+//! `pg_check` and queryable (`retrieve (c.relname) from c in pg_class`) by
+//! the code that does those things for every other table. There is no
+//! other persistence path and no size limit but the device's.
+//!
+//! [`Catalog`] itself is the in-memory *cache* of those rows that every hot
+//! path reads. It is filled by four sequential scans when a database is
+//! reopened ([`Catalog::load`]); each entry kind has one `to_row`/`from_row`
+//! pair over the ordinary [`Datum`] row encoding. Derived state — a heap's
+//! list of indices — is rebuilt at load, not stored.
 //!
 //! Function *bodies* are Rust callables and cannot be serialized; like
 //! POSTGRES's dynamically loaded C functions, the catalog persists each
@@ -14,9 +25,9 @@
 
 use std::collections::HashMap;
 
-use crate::datum::{Schema, TypeId};
+use crate::datum::{Datum, Row, Schema, TypeId};
 use crate::error::{DbError, DbResult};
-use crate::ids::{DeviceId, Oid, RelId};
+use crate::ids::{DeviceId, Oid, RelId, Tid};
 
 /// What kind of object a relation is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,12 +123,256 @@ pub struct RuleEntry {
     pub action: String,
 }
 
-/// The catalog proper.
+/// The bootstrap relations' oids, fixed so that their own storage can be
+/// found before any catalog row has been read.
+pub const PG_CLASS: RelId = Oid(1);
+/// See [`PG_CLASS`].
+pub const PG_TYPE: RelId = Oid(2);
+/// See [`PG_CLASS`].
+pub const PG_PROC: RelId = Oid(3);
+/// See [`PG_CLASS`].
+pub const PG_RULE: RelId = Oid(4);
+
+/// `relkind` of the `pg_class` rows that carry a durable oid-allocation
+/// ceiling in their `oid` column (POSTGRES keeps sequences in `pg_class` the
+/// same way). Not relations: the loader folds them into the allocator.
+const OID_CEILING_KIND: &str = "s";
+
+fn system_relations() -> [(RelId, &'static str, Schema); 4] {
+    use TypeId as T;
+    [
+        (
+            PG_CLASS,
+            "pg_class",
+            Schema::new([
+                ("oid", T::OID),
+                ("relname", T::TEXT),
+                ("relkind", T::TEXT),
+                ("reldev", T::INT4),
+                ("relschema", T::BYTES),
+                ("indrelid", T::OID),
+                ("indkey", T::TEXT),
+                ("relarchive", T::OID),
+                ("relnohistory", T::BOOL),
+            ]),
+        ),
+        (
+            PG_TYPE,
+            "pg_type",
+            Schema::new([("oid", T::OID), ("typname", T::TEXT)]),
+        ),
+        (
+            PG_PROC,
+            "pg_proc",
+            Schema::new([
+                ("proname", T::TEXT),
+                ("pronargs", T::INT4),
+                ("prorettype", T::OID),
+                ("proimpl", T::TEXT),
+                ("protype", T::OID),
+            ]),
+        ),
+        (
+            PG_RULE,
+            "pg_rule",
+            Schema::new([
+                ("rulename", T::TEXT),
+                ("ev_class", T::OID),
+                ("ev_type", T::TEXT),
+                ("ev_qual", T::TEXT),
+                ("ev_action", T::TEXT),
+            ]),
+        ),
+    ]
+}
+
+/// Runs a row decoder. A row of the wrong width, or a column of the wrong
+/// type, is corruption — never a panic, never an `Eval` error.
+fn from_row<T>(
+    rel: &str,
+    row: &[Datum],
+    width: usize,
+    decode: impl FnOnce(&[Datum]) -> DbResult<T>,
+) -> DbResult<T> {
+    if row.len() != width {
+        return Err(DbError::Corrupt(format!(
+            "{rel} row has {} columns, expected {width}",
+            row.len()
+        )));
+    }
+    decode(row).map_err(|e| match e {
+        DbError::Corrupt(_) => e,
+        e => DbError::Corrupt(format!("{rel} row: {e}")),
+    })
+}
+
+/// Zero is "none" in an oid column.
+fn opt_oid(raw: u32) -> Option<Oid> {
+    (raw != 0).then_some(Oid(raw))
+}
+
+impl RelationEntry {
+    /// This entry as a `pg_class` row. `indexes` is derived, not stored.
+    pub fn to_row(&self) -> Row {
+        let (indrelid, indkey) = match &self.index {
+            Some(info) => {
+                let cols: Vec<String> = info.key_columns.iter().map(usize::to_string).collect();
+                (info.table.0, cols.join(" "))
+            }
+            None => (0, String::new()),
+        };
+        vec![
+            Datum::Oid(self.id.0),
+            Datum::Text(self.name.clone()),
+            Datum::Text(
+                match self.kind {
+                    RelKind::Heap => "r",
+                    RelKind::BTreeIndex => "i",
+                }
+                .into(),
+            ),
+            Datum::Int4(i32::from(self.device.0)),
+            Datum::Bytes(self.schema.encode()),
+            Datum::Oid(indrelid),
+            Datum::Text(indkey),
+            Datum::Oid(self.archive.map_or(0, |a| a.0)),
+            Datum::Bool(self.no_history),
+        ]
+    }
+
+    /// Decodes a `pg_class` row written by [`RelationEntry::to_row`].
+    pub fn from_row(row: &[Datum]) -> DbResult<RelationEntry> {
+        from_row("pg_class", row, 9, |r| {
+            let kind = match r[2].as_text()? {
+                "r" => RelKind::Heap,
+                "i" => RelKind::BTreeIndex,
+                k => return Err(DbError::Corrupt(format!("bad relkind \"{k}\""))),
+            };
+            let device = u8::try_from(r[3].as_int()?)
+                .map_err(|_| DbError::Corrupt("device id out of range".into()))?;
+            let index = match opt_oid(r[5].as_oid()?) {
+                Some(table) => {
+                    let key_columns: Result<Vec<usize>, _> =
+                        r[6].as_text()?.split_whitespace().map(str::parse).collect();
+                    Some(IndexInfo {
+                        table,
+                        key_columns: key_columns
+                            .map_err(|_| DbError::Corrupt("bad index key list".into()))?,
+                    })
+                }
+                None => None,
+            };
+            Ok(RelationEntry {
+                id: Oid(r[0].as_oid()?),
+                name: r[1].as_text()?.to_string(),
+                kind,
+                device: DeviceId(device),
+                schema: Schema::decode(r[4].as_bytes()?, &mut 0)?,
+                index,
+                indexes: vec![],
+                archive: opt_oid(r[7].as_oid()?),
+                no_history: r[8].as_bool()?,
+            })
+        })
+    }
+}
+
+impl TypeEntry {
+    /// This entry as a `pg_type` row.
+    pub fn to_row(&self) -> Row {
+        vec![Datum::Oid(self.id.0), Datum::Text(self.name.clone())]
+    }
+
+    /// Decodes a `pg_type` row.
+    pub fn from_row(row: &[Datum]) -> DbResult<TypeEntry> {
+        from_row("pg_type", row, 2, |r| {
+            Ok(TypeEntry {
+                id: TypeId(r[0].as_oid()?),
+                name: r[1].as_text()?.to_string(),
+            })
+        })
+    }
+}
+
+impl ProcEntry {
+    /// This entry as a `pg_proc` row.
+    pub fn to_row(&self) -> Row {
+        vec![
+            Datum::Text(self.name.clone()),
+            Datum::Int4(self.nargs as i32),
+            Datum::Oid(self.ret.0),
+            Datum::Text(self.impl_key.clone()),
+            Datum::Oid(self.operates_on.map_or(0, |t| t.0)),
+        ]
+    }
+
+    /// Decodes a `pg_proc` row.
+    pub fn from_row(row: &[Datum]) -> DbResult<ProcEntry> {
+        from_row("pg_proc", row, 5, |r| {
+            Ok(ProcEntry {
+                name: r[0].as_text()?.to_string(),
+                nargs: usize::try_from(r[1].as_int()?)
+                    .map_err(|_| DbError::Corrupt("negative argument count".into()))?,
+                ret: TypeId(r[2].as_oid()?),
+                impl_key: r[3].as_text()?.to_string(),
+                operates_on: opt_oid(r[4].as_oid()?).map(|o| TypeId(o.0)),
+            })
+        })
+    }
+}
+
+impl RuleEntry {
+    /// This entry as a `pg_rule` row.
+    pub fn to_row(&self) -> Row {
+        vec![
+            Datum::Text(self.name.clone()),
+            Datum::Oid(self.on_rel.0),
+            Datum::Text(
+                match self.event {
+                    RuleEvent::OnAccess => "access",
+                    RuleEvent::OnUpdate => "update",
+                    RuleEvent::Periodic => "periodic",
+                }
+                .into(),
+            ),
+            Datum::Text(self.qual.clone()),
+            Datum::Text(self.action.clone()),
+        ]
+    }
+
+    /// Decodes a `pg_rule` row.
+    pub fn from_row(row: &[Datum]) -> DbResult<RuleEntry> {
+        from_row("pg_rule", row, 5, |r| {
+            Ok(RuleEntry {
+                name: r[0].as_text()?.to_string(),
+                on_rel: Oid(r[1].as_oid()?),
+                event: match r[2].as_text()? {
+                    "access" => RuleEvent::OnAccess,
+                    "update" => RuleEvent::OnUpdate,
+                    "periodic" => RuleEvent::Periodic,
+                    k => return Err(DbError::Corrupt(format!("bad rule event \"{k}\""))),
+                },
+                qual: r[3].as_text()?.to_string(),
+                action: r[4].as_text()?.to_string(),
+            })
+        })
+    }
+}
+
+/// The catalog proper: the in-memory cache of the four system relations.
 #[derive(Debug, Default)]
 pub struct Catalog {
+    /// Next oid to hand out; only ever below `oid_ceiling`.
     next_oid: u32,
+    /// First oid not covered by a committed ceiling row. A reopened
+    /// database resumes allocation here, so an oid handed out before a
+    /// crash is never handed out again — whatever became of its owner.
+    oid_ceiling: u32,
     relations: HashMap<RelId, RelationEntry>,
     rel_by_name: HashMap<String, RelId>,
+    /// Where each user relation's committed `pg_class` row sits: a drop or
+    /// a replace finds the row here, never by scanning.
+    class_tids: HashMap<RelId, Tid>,
     types: HashMap<TypeId, TypeEntry>,
     type_by_name: HashMap<String, TypeId>,
     procs: HashMap<String, ProcEntry>,
@@ -125,25 +380,118 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// First oid handed out to user objects.
+    /// First oid handed out to user objects; everything below is a system
+    /// relation.
     pub const FIRST_OID: u32 = 1000;
 
-    /// Creates an empty catalog.
+    /// How many oids one committed ceiling row covers: at most this many
+    /// are skipped after a crash.
+    const OID_CEILING_STEP: u32 = 1024;
+
+    /// Whether `rel` is one of the bootstrap relations.
+    pub fn is_system(rel: RelId) -> bool {
+        rel.0 < Self::FIRST_OID
+    }
+
+    /// A catalog holding only the bootstrap relations, with no oid
+    /// allocatable until a ceiling has been made durable.
     pub fn new() -> Catalog {
-        Catalog {
+        let mut cat = Catalog {
             next_oid: Self::FIRST_OID,
+            oid_ceiling: Self::FIRST_OID,
             ..Default::default()
+        };
+        for (id, name, schema) in system_relations() {
+            cat.add_relation(RelationEntry {
+                id,
+                name: name.to_string(),
+                kind: RelKind::Heap,
+                device: DeviceId::CATALOG,
+                schema,
+                index: None,
+                indexes: vec![],
+                archive: None,
+                no_history: false,
+            })
+            .expect("system relation names are distinct");
         }
+        cat
     }
 
-    /// Allocates a fresh oid.
-    pub fn alloc_oid(&mut self) -> Oid {
-        let oid = Oid(self.next_oid);
-        self.next_oid += 1;
-        oid
+    /// Fills the cache from the visible rows of the four system relations
+    /// (in `pg_class`, `pg_type`, `pg_proc`, `pg_rule` order), as scanned
+    /// when a database is reopened.
+    pub fn load(&mut self, [class, types, procs, rules]: [Vec<(Tid, Row)>; 4]) -> DbResult<()> {
+        let mut rels = Vec::with_capacity(class.len());
+        for (tid, row) in class {
+            if row.get(2) == Some(&Datum::Text(OID_CEILING_KIND.into())) {
+                self.raise_oid_ceiling(from_row("pg_class", &row, 9, |r| r[0].as_oid())?);
+            } else {
+                rels.push((tid, RelationEntry::from_row(&row)?));
+            }
+        }
+        self.next_oid = self.oid_ceiling;
+        // A heap's oid is below those of its indices, so in oid order every
+        // index finds its heap already present to attach to.
+        rels.sort_by_key(|(_, e)| e.id);
+        for (tid, entry) in rels {
+            self.class_tids.insert(entry.id, tid);
+            self.add_relation(entry)?;
+        }
+        for (_, row) in types {
+            self.define_type(TypeEntry::from_row(&row)?)?;
+        }
+        for (_, row) in procs {
+            self.define_proc(ProcEntry::from_row(&row)?)?;
+        }
+        for (_, row) in rules {
+            self.define_rule(RuleEntry::from_row(&row)?)?;
+        }
+        Ok(())
     }
 
-    /// Registers a relation entry.
+    /// Allocates a fresh oid, or `None` when the next one is not yet
+    /// covered by the durable ceiling ([`crate::Db::alloc_oid`] raises it).
+    pub fn alloc_oid(&mut self) -> Option<Oid> {
+        (self.next_oid < self.oid_ceiling).then(|| {
+            self.next_oid += 1;
+            Oid(self.next_oid - 1)
+        })
+    }
+
+    /// The ceiling to commit before another oid can be handed out, if the
+    /// current one is used up.
+    pub(crate) fn next_oid_ceiling(&self) -> Option<u32> {
+        (self.next_oid >= self.oid_ceiling).then(|| self.next_oid + Self::OID_CEILING_STEP)
+    }
+
+    /// Takes note of a committed ceiling row; the highest one counts.
+    pub(crate) fn raise_oid_ceiling(&mut self, ceiling: u32) {
+        self.oid_ceiling = self.oid_ceiling.max(ceiling);
+    }
+
+    /// The `pg_class` row announcing that no oid at or above `ceiling` has
+    /// been handed out: an entry's row, of a kind that is not a relation's.
+    pub(crate) fn oid_ceiling_row(ceiling: u32) -> Row {
+        let mut row = vec![Datum::Null; 9];
+        row[0] = Datum::Oid(ceiling);
+        row[1] = Datum::Text("pg_oid_ceiling".into());
+        row[2] = Datum::Text(OID_CEILING_KIND.into());
+        row
+    }
+
+    /// Where `id`'s committed `pg_class` row sits, if it has one.
+    pub(crate) fn class_tid(&self, id: RelId) -> Option<Tid> {
+        self.class_tids.get(&id).copied()
+    }
+
+    /// Records where `id`'s committed `pg_class` row now sits.
+    pub(crate) fn set_class_tid(&mut self, id: RelId, tid: Tid) {
+        self.class_tids.insert(id, tid);
+    }
+
+    /// Registers a relation entry; an index is attached to its heap's
+    /// `indexes` (a dangling one is left for [`Catalog::check`] to report).
     pub fn add_relation(&mut self, entry: RelationEntry) -> DbResult<()> {
         if self.rel_by_name.contains_key(&entry.name) {
             return Err(DbError::AlreadyExists(format!(
@@ -152,6 +500,9 @@ impl Catalog {
             )));
         }
         self.rel_by_name.insert(entry.name.clone(), entry.id);
+        if let Some(table) = entry.index.as_ref().and_then(|i| self.relations.get_mut(&i.table)) {
+            table.indexes.push(entry.id);
+        }
         self.relations.insert(entry.id, entry);
         Ok(())
     }
@@ -163,6 +514,7 @@ impl Catalog {
             .remove(&id)
             .ok_or_else(|| DbError::NotFound(format!("relation {id}")))?;
         self.rel_by_name.remove(&entry.name);
+        self.class_tids.remove(&id);
         // Detach from any table that listed this as an index.
         if let Some(info) = &entry.index {
             if let Some(table) = self.relations.get_mut(&info.table) {
@@ -200,22 +552,15 @@ impl Catalog {
         self.relations.values()
     }
 
-    /// Registers a user-defined type, allocating its id.
-    pub fn define_type(&mut self, name: &str) -> DbResult<TypeId> {
+    /// Registers a user-defined type (its id a fresh oid).
+    pub fn define_type(&mut self, entry: TypeEntry) -> DbResult<()> {
+        let name = &entry.name;
         if self.type_by_name.contains_key(name) || TypeId::from_builtin_name(name).is_some() {
             return Err(DbError::AlreadyExists(format!("type \"{name}\"")));
         }
-        let id = TypeId(self.next_oid.max(TypeId::FIRST_USER.0));
-        self.next_oid = id.0 + 1;
-        self.types.insert(
-            id,
-            TypeEntry {
-                id,
-                name: name.to_string(),
-            },
-        );
-        self.type_by_name.insert(name.to_string(), id);
-        Ok(id)
+        self.type_by_name.insert(name.clone(), entry.id);
+        self.types.insert(entry.id, entry);
+        Ok(())
     }
 
     /// Resolves a type name (builtin or user-defined).
@@ -273,16 +618,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Removes a rule by name.
-    pub fn remove_rule(&mut self, name: &str) -> DbResult<()> {
-        let before = self.rules.len();
-        self.rules.retain(|r| r.name != name);
-        if self.rules.len() == before {
-            return Err(DbError::NotFound(format!("rule \"{name}\"")));
-        }
-        Ok(())
-    }
-
     /// Rules watching `rel` for `event`.
     pub fn rules_for(&self, rel: RelId, event: RuleEvent) -> Vec<&RuleEntry> {
         self.rules
@@ -321,6 +656,13 @@ impl Catalog {
             if let Some(info) = &e.index {
                 match self.relation(info.table) {
                     Ok(table) => {
+                        if table.kind != RelKind::Heap {
+                            out.push(Finding::new(
+                                &e.name,
+                                "catalog-dangling-rel",
+                                format!("indexed relation {} is not a heap", table.name),
+                            ));
+                        }
                         if !table.indexes.contains(&e.id) {
                             out.push(Finding::new(
                                 &e.name,
@@ -385,243 +727,26 @@ impl Catalog {
         }
         out
     }
-
-    /// Serializes the whole catalog.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let put_str = |out: &mut Vec<u8>, s: &str| {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        };
-        out.extend_from_slice(&self.next_oid.to_le_bytes());
-
-        let mut rels: Vec<_> = self.relations.values().collect();
-        rels.sort_by_key(|r| r.id.0);
-        out.extend_from_slice(&(rels.len() as u32).to_le_bytes());
-        for r in rels {
-            out.extend_from_slice(&r.id.0.to_le_bytes());
-            put_str(&mut out, &r.name);
-            out.push(match r.kind {
-                RelKind::Heap => 0,
-                RelKind::BTreeIndex => 1,
-            });
-            out.push(r.device.0);
-            out.extend_from_slice(&r.schema.encode());
-            match &r.index {
-                None => out.push(0),
-                Some(info) => {
-                    out.push(1);
-                    out.extend_from_slice(&info.table.0.to_le_bytes());
-                    out.extend_from_slice(&(info.key_columns.len() as u16).to_le_bytes());
-                    for &c in &info.key_columns {
-                        out.extend_from_slice(&(c as u16).to_le_bytes());
-                    }
-                }
-            }
-            out.extend_from_slice(&(r.indexes.len() as u16).to_le_bytes());
-            for i in &r.indexes {
-                out.extend_from_slice(&i.0.to_le_bytes());
-            }
-            out.extend_from_slice(&r.archive.map(|a| a.0).unwrap_or(0).to_le_bytes());
-            out.push(r.no_history as u8);
-        }
-
-        let mut types: Vec<_> = self.types.values().collect();
-        types.sort_by_key(|t| t.id.0);
-        out.extend_from_slice(&(types.len() as u32).to_le_bytes());
-        for t in types {
-            out.extend_from_slice(&t.id.0.to_le_bytes());
-            put_str(&mut out, &t.name);
-        }
-
-        let mut procs: Vec<_> = self.procs.values().collect();
-        procs.sort_by_key(|p| p.name.clone());
-        out.extend_from_slice(&(procs.len() as u32).to_le_bytes());
-        for p in procs {
-            put_str(&mut out, &p.name);
-            out.extend_from_slice(&(p.nargs as u16).to_le_bytes());
-            out.extend_from_slice(&p.ret.0.to_le_bytes());
-            put_str(&mut out, &p.impl_key);
-            out.extend_from_slice(&p.operates_on.map(|t| t.0).unwrap_or(0).to_le_bytes());
-        }
-
-        out.extend_from_slice(&(self.rules.len() as u32).to_le_bytes());
-        for r in &self.rules {
-            put_str(&mut out, &r.name);
-            out.extend_from_slice(&r.on_rel.0.to_le_bytes());
-            out.push(match r.event {
-                RuleEvent::OnAccess => 0,
-                RuleEvent::OnUpdate => 1,
-                RuleEvent::Periodic => 2,
-            });
-            put_str(&mut out, &r.qual);
-            put_str(&mut out, &r.action);
-        }
-        out
-    }
-
-    /// Deserializes a catalog from [`Catalog::encode`] output.
-    pub fn decode(buf: &[u8]) -> DbResult<Catalog> {
-        let corrupt = || DbError::Corrupt("truncated catalog".into());
-        let mut pos = 0usize;
-        macro_rules! take {
-            ($n:expr) => {{
-                let s = buf.get(pos..pos + $n).ok_or_else(corrupt)?;
-                pos += $n;
-                s
-            }};
-        }
-        macro_rules! get_u32 {
-            () => {
-                u32::from_le_bytes(take!(4).try_into().unwrap())
-            };
-        }
-        macro_rules! get_u16 {
-            () => {
-                u16::from_le_bytes(take!(2).try_into().unwrap())
-            };
-        }
-        macro_rules! get_str {
-            () => {{
-                let len = get_u32!() as usize;
-                String::from_utf8(take!(len).to_vec())
-                    .map_err(|_| DbError::Corrupt("bad utf8 in catalog".into()))?
-            }};
-        }
-
-        let mut cat = Catalog::new();
-        cat.next_oid = get_u32!();
-
-        let nrels = get_u32!();
-        for _ in 0..nrels {
-            let id = Oid(get_u32!());
-            let name = get_str!();
-            let kind = match take!(1)[0] {
-                0 => RelKind::Heap,
-                1 => RelKind::BTreeIndex,
-                k => return Err(DbError::Corrupt(format!("bad relkind {k}"))),
-            };
-            let device = DeviceId(take!(1)[0]);
-            let schema = Schema::decode(buf, &mut pos)?;
-            let index = match take!(1)[0] {
-                0 => None,
-                1 => {
-                    let table = Oid(get_u32!());
-                    let ncols = get_u16!() as usize;
-                    let mut key_columns = Vec::with_capacity(ncols);
-                    for _ in 0..ncols {
-                        key_columns.push(get_u16!() as usize);
-                    }
-                    Some(IndexInfo { table, key_columns })
-                }
-                k => return Err(DbError::Corrupt(format!("bad index flag {k}"))),
-            };
-            let nidx = get_u16!() as usize;
-            let mut indexes = Vec::with_capacity(nidx);
-            for _ in 0..nidx {
-                indexes.push(Oid(get_u32!()));
-            }
-            let archive_raw = get_u32!();
-            let archive = if archive_raw == 0 {
-                None
-            } else {
-                Some(Oid(archive_raw))
-            };
-            let no_history = take!(1)[0] != 0;
-            cat.add_relation(RelationEntry {
-                id,
-                name,
-                kind,
-                device,
-                schema,
-                index,
-                indexes,
-                archive,
-                no_history,
-            })?;
-        }
-
-        let ntypes = get_u32!();
-        for _ in 0..ntypes {
-            let id = TypeId(get_u32!());
-            let name = get_str!();
-            cat.types.insert(
-                id,
-                TypeEntry {
-                    id,
-                    name: name.clone(),
-                },
-            );
-            cat.type_by_name.insert(name, id);
-        }
-
-        let nprocs = get_u32!();
-        for _ in 0..nprocs {
-            let name = get_str!();
-            let nargs = get_u16!() as usize;
-            let ret = TypeId(get_u32!());
-            let impl_key = get_str!();
-            let op_raw = get_u32!();
-            let operates_on = if op_raw == 0 {
-                None
-            } else {
-                Some(TypeId(op_raw))
-            };
-            cat.procs.insert(
-                name.clone(),
-                ProcEntry {
-                    name,
-                    nargs,
-                    ret,
-                    impl_key,
-                    operates_on,
-                },
-            );
-        }
-
-        let nrules = get_u32!();
-        for _ in 0..nrules {
-            let name = get_str!();
-            let on_rel = Oid(get_u32!());
-            let event = match take!(1)[0] {
-                0 => RuleEvent::OnAccess,
-                1 => RuleEvent::OnUpdate,
-                2 => RuleEvent::Periodic,
-                k => return Err(DbError::Corrupt(format!("bad rule event {k}"))),
-            };
-            let qual = get_str!();
-            let action = get_str!();
-            cat.rules.push(RuleEntry {
-                name,
-                on_rel,
-                event,
-                qual,
-                action,
-            });
-        }
-        Ok(cat)
-    }
-}
-
-#[cfg(test)]
-impl Catalog {
-    fn clone_for_test(&self) -> Catalog {
-        Catalog::decode(&self.encode()).expect("catalog roundtrip")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A catalog with oids to hand out, as after the first ceiling raise.
+    fn catalog() -> Catalog {
+        let mut cat = Catalog::new();
+        cat.raise_oid_ceiling(Catalog::FIRST_OID + 100);
+        cat
+    }
+
     fn heap_entry(cat: &mut Catalog, name: &str) -> RelationEntry {
-        let id = cat.alloc_oid();
         RelationEntry {
-            id,
+            id: cat.alloc_oid().unwrap(),
             name: name.into(),
             kind: RelKind::Heap,
             device: DeviceId::DEFAULT,
-            schema: Schema::new([("a", TypeId::INT4)]),
+            schema: Schema::new([("a", TypeId::INT4), ("b", TypeId::TEXT), ("c", TypeId::OID)]),
             index: None,
             indexes: vec![],
             archive: None,
@@ -629,18 +754,49 @@ mod tests {
         }
     }
 
+    fn index_entry(cat: &mut Catalog, name: &str, table: RelId, cols: &[usize]) -> RelationEntry {
+        RelationEntry {
+            id: cat.alloc_oid().unwrap(),
+            name: name.into(),
+            kind: RelKind::BTreeIndex,
+            device: DeviceId(2),
+            schema: Schema::default(),
+            index: Some(IndexInfo {
+                table,
+                key_columns: cols.to_vec(),
+            }),
+            indexes: vec![],
+            archive: None,
+            no_history: false,
+        }
+    }
+
     #[test]
-    fn oids_are_unique_and_dense() {
+    fn oids_are_unique_and_stop_at_the_ceiling() {
         let mut cat = Catalog::new();
-        let a = cat.alloc_oid();
-        let b = cat.alloc_oid();
+        assert_eq!(cat.alloc_oid(), None, "nothing durable covers an oid yet");
+        cat.raise_oid_ceiling(Catalog::FIRST_OID + 2);
+        let a = cat.alloc_oid().unwrap();
+        let b = cat.alloc_oid().unwrap();
         assert_ne!(a, b);
         assert!(a.0 >= Catalog::FIRST_OID);
+        assert_eq!(cat.alloc_oid(), None);
+    }
+
+    #[test]
+    fn bootstrap_relations_are_present() {
+        let cat = Catalog::new();
+        for (id, name, schema) in system_relations() {
+            let e = cat.relation_by_name(name).unwrap();
+            assert_eq!((e.id, &e.schema, e.device), (id, &schema, DeviceId::CATALOG));
+            assert!(id.0 < Catalog::FIRST_OID);
+        }
+        assert!(cat.check().is_empty());
     }
 
     #[test]
     fn relation_registration_and_lookup() {
-        let mut cat = Catalog::new();
+        let mut cat = catalog();
         let e = heap_entry(&mut cat, "naming");
         let id = e.id;
         cat.add_relation(e).unwrap();
@@ -648,8 +804,7 @@ mod tests {
         assert_eq!(cat.relation_by_name("naming").unwrap().id, id);
         assert!(cat.relation_by_name("nope").is_err());
         // Duplicate name rejected.
-        let mut dup = heap_entry(&mut cat, "naming");
-        dup.name = "naming".into();
+        let dup = heap_entry(&mut cat, "naming");
         assert!(matches!(
             cat.add_relation(dup),
             Err(DbError::AlreadyExists(_))
@@ -657,153 +812,194 @@ mod tests {
     }
 
     #[test]
-    fn remove_relation_detaches_index() {
-        let mut cat = Catalog::new();
+    fn an_index_attaches_to_its_heap_and_detaches_on_removal() {
+        let mut cat = catalog();
         let table = heap_entry(&mut cat, "t");
         let tid = table.id;
         cat.add_relation(table).unwrap();
-        let idx_id = cat.alloc_oid();
-        cat.add_relation(RelationEntry {
-            id: idx_id,
-            name: "t_idx".into(),
-            kind: RelKind::BTreeIndex,
-            device: DeviceId::DEFAULT,
-            schema: Schema::default(),
-            index: Some(IndexInfo {
-                table: tid,
-                key_columns: vec![0],
-            }),
-            indexes: vec![],
-            archive: None,
-            no_history: false,
-        })
-        .unwrap();
-        cat.relation_mut(tid).unwrap().indexes.push(idx_id);
+        let idx = index_entry(&mut cat, "t_idx", tid, &[0]);
+        let idx_id = idx.id;
+        cat.add_relation(idx).unwrap();
+        assert_eq!(cat.relation(tid).unwrap().indexes, vec![idx_id]);
+        assert!(cat.check().is_empty());
         cat.remove_relation(idx_id).unwrap();
         assert!(cat.relation(tid).unwrap().indexes.is_empty());
     }
 
     #[test]
     fn types_builtin_and_user() {
-        let mut cat = Catalog::new();
+        let mut cat = catalog();
         assert_eq!(cat.type_by_name("int4").unwrap(), TypeId::INT4);
-        let tm = cat.define_type("tm").unwrap();
-        assert!(tm.0 >= TypeId::FIRST_USER.0);
+        let tm = TypeId(cat.alloc_oid().unwrap().0);
+        let named = |id, name: &str| TypeEntry { id, name: name.into() };
+        cat.define_type(named(tm, "tm")).unwrap();
+        assert!(!tm.is_builtin());
         assert_eq!(cat.type_by_name("tm").unwrap(), tm);
         assert_eq!(cat.type_name(tm).unwrap(), "tm");
-        assert!(matches!(
-            cat.define_type("tm"),
-            Err(DbError::AlreadyExists(_))
-        ));
-        assert!(matches!(
-            cat.define_type("int4"),
-            Err(DbError::AlreadyExists(_))
-        ));
+        for taken in ["tm", "int4"] {
+            assert!(matches!(
+                cat.define_type(named(TypeId(tm.0 + 1), taken)),
+                Err(DbError::AlreadyExists(_))
+            ));
+        }
     }
 
-    #[test]
-    fn procs_and_rules() {
-        let mut cat = Catalog::new();
-        cat.define_proc(ProcEntry {
+    fn snow() -> ProcEntry {
+        ProcEntry {
             name: "snow".into(),
             nargs: 1,
             ret: TypeId::INT8,
             impl_key: "inversion.snow".into(),
             operates_on: Some(TypeId(200)),
-        })
-        .unwrap();
-        assert_eq!(cat.proc("snow").unwrap().impl_key, "inversion.snow");
-        assert!(cat.proc("rain").is_err());
-        assert!(cat
-            .define_proc(ProcEntry {
-                name: "snow".into(),
-                nargs: 1,
-                ret: TypeId::INT8,
-                impl_key: "x".into(),
-                operates_on: None,
-            })
-            .is_err());
+        }
+    }
 
-        cat.define_rule(RuleEntry {
+    fn migrate_cold() -> RuleEntry {
+        RuleEntry {
             name: "migrate_cold".into(),
             on_rel: Oid(5),
             event: RuleEvent::Periodic,
             qual: "atime < 100".into(),
             action: "migrate(file, 1)".into(),
-        })
-        .unwrap();
+        }
+    }
+
+    #[test]
+    fn procs_and_rules() {
+        let mut cat = catalog();
+        cat.define_proc(snow()).unwrap();
+        assert_eq!(cat.proc("snow").unwrap().impl_key, "inversion.snow");
+        assert!(cat.proc("rain").is_err());
+        assert!(cat.define_proc(snow()).is_err());
+
+        cat.define_rule(migrate_cold()).unwrap();
         assert_eq!(cat.rules_for(Oid(5), RuleEvent::Periodic).len(), 1);
         assert!(cat.rules_for(Oid(5), RuleEvent::OnAccess).is_empty());
-        assert!(cat.remove_rule("nope").is_err());
-        cat.remove_rule("migrate_cold").unwrap();
-        assert!(cat.rules().is_empty());
     }
 
-    #[test]
-    fn encode_decode_roundtrips_everything() {
-        let mut cat = Catalog::new();
-        let t = heap_entry(&mut cat, "fileatt");
-        let tid = t.id;
-        cat.add_relation(t).unwrap();
-        let idx = cat.alloc_oid();
-        cat.add_relation(RelationEntry {
-            id: idx,
-            name: "fileatt_idx".into(),
-            kind: RelKind::BTreeIndex,
-            device: DeviceId(2),
-            schema: Schema::default(),
-            index: Some(IndexInfo {
-                table: tid,
-                key_columns: vec![0, 2],
-            }),
-            indexes: vec![],
-            archive: None,
-            no_history: false,
-        })
-        .unwrap();
-        cat.relation_mut(tid).unwrap().indexes.push(idx);
-        cat.relation_mut(tid).unwrap().archive = Some(Oid(999));
-        cat.relation_mut(tid).unwrap().no_history = true;
-        let ty = cat.define_type("avhrr").unwrap();
-        cat.define_proc(ProcEntry {
-            name: "pixelavg".into(),
-            nargs: 1,
-            ret: TypeId::FLOAT8,
-            impl_key: "inversion.pixelavg".into(),
-            operates_on: Some(ty),
-        })
-        .unwrap();
-        cat.define_rule(RuleEntry {
-            name: "r".into(),
-            on_rel: tid,
-            event: RuleEvent::OnUpdate,
-            qual: "size > 10".into(),
-            action: "migrate(file, 1)".into(),
-        })
-        .unwrap();
-
-        let dec = Catalog::decode(&cat.encode()).unwrap();
-        assert_eq!(dec.next_oid, cat.next_oid);
-        assert_eq!(dec.relation(tid).unwrap(), cat.relation(tid).unwrap());
-        assert_eq!(dec.relation(idx).unwrap(), cat.relation(idx).unwrap());
-        assert_eq!(dec.type_by_name("avhrr").unwrap(), ty);
-        assert_eq!(dec.proc("pixelavg").unwrap(), cat.proc("pixelavg").unwrap());
-        assert_eq!(dec.rules(), cat.rules());
-        // Fresh oids from the decoded catalog do not collide.
-        let mut dec = dec;
-        let fresh = dec.alloc_oid();
-        assert!(fresh.0 >= cat.next_oid);
-    }
-
-    #[test]
-    fn decode_garbage_fails_cleanly() {
-        assert!(Catalog::decode(&[1, 2, 3]).is_err());
-        let mut cat = Catalog::new();
-        cat.add_relation(heap_entry(&mut cat.clone_for_test(), "x"))
-            .ok();
-        let enc = Catalog::new().encode();
-        for cut in 0..enc.len() {
-            let _ = Catalog::decode(&enc[..cut]); // Must not panic.
+    /// One populated catalog and the rows that make it durable, in the
+    /// shape a reopened database scans them.
+    fn populated() -> (Catalog, [Vec<(Tid, Row)>; 4]) {
+        let mut cat = catalog();
+        let mut t = heap_entry(&mut cat, "fileatt");
+        let arch = heap_entry(&mut cat, "fileatt,arch");
+        t.archive = Some(arch.id);
+        t.no_history = true;
+        let idx = index_entry(&mut cat, "fileatt_idx", t.id, &[0, 2]);
+        let ty = TypeEntry {
+            id: TypeId(cat.alloc_oid().unwrap().0),
+            name: "avhrr".into(),
+        };
+        let every = [RuleEvent::OnAccess, RuleEvent::OnUpdate, RuleEvent::Periodic];
+        let rules = every.map(|event| RuleEntry {
+            name: format!("{event:?}"),
+            on_rel: t.id,
+            event,
+            ..migrate_cold()
+        });
+        let at = |i: usize| Tid::new(i as u32, 7);
+        // The index row precedes its heap's, as after an archive attach
+        // moved the heap's row to the tail.
+        let class = vec![
+            (at(0), idx.to_row()),
+            (at(1), Catalog::oid_ceiling_row(1500)),
+            (at(2), t.to_row()),
+            (at(3), Catalog::oid_ceiling_row(1400)),
+            (at(4), arch.to_row()),
+        ];
+        let rows = [
+            class,
+            vec![(at(0), ty.to_row())],
+            vec![(at(0), snow().to_row())],
+            rules.iter().map(|r| (at(0), r.to_row())).collect(),
+        ];
+        for e in [t, arch, idx] {
+            cat.add_relation(e).unwrap();
         }
+        cat.define_type(ty).unwrap();
+        cat.define_proc(snow()).unwrap();
+        for r in rules {
+            cat.define_rule(r).unwrap();
+        }
+        (cat, rows)
+    }
+
+    #[test]
+    fn rows_roundtrip_every_entry_kind_through_load() {
+        let (cat, rows) = populated();
+        let mut loaded = Catalog::new();
+        loaded.load(rows).unwrap();
+        for name in ["fileatt", "fileatt,arch", "fileatt_idx"] {
+            let e = cat.relation_by_name(name).unwrap();
+            assert_eq!(loaded.relation(e.id).unwrap(), e, "{name}");
+        }
+        let idx = cat.relation_by_name("fileatt_idx").unwrap().id;
+        assert_eq!(loaded.class_tid(idx), Some(Tid::new(0, 7)));
+        assert_eq!(loaded.type_by_name("avhrr"), cat.type_by_name("avhrr"));
+        assert_eq!(loaded.proc("snow").unwrap(), &snow());
+        assert_eq!(loaded.rules(), cat.rules());
+        assert!(loaded.check().is_empty());
+        // Allocation resumes at the highest ceiling row, past every oid
+        // the old incarnation can have handed out.
+        assert_eq!(loaded.alloc_oid(), None);
+        assert_eq!(loaded.next_oid_ceiling(), Some(1500 + Catalog::OID_CEILING_STEP));
+    }
+
+    #[test]
+    fn damaged_rows_are_corrupt_never_a_panic() {
+        let (_, rows) = populated();
+        let decoders: [fn(&[Datum]) -> bool; 4] = [
+            |r| matches!(RelationEntry::from_row(r), Err(DbError::Corrupt(_))),
+            |r| matches!(TypeEntry::from_row(r), Err(DbError::Corrupt(_))),
+            |r| matches!(ProcEntry::from_row(r), Err(DbError::Corrupt(_))),
+            |r| matches!(RuleEntry::from_row(r), Err(DbError::Corrupt(_))),
+        ];
+        let garbage = [
+            Datum::Null,
+            Datum::Int4(-1),
+            Datum::Text("?".into()),
+            Datum::Bytes(vec![0xff; 3]),
+            Datum::Bool(true),
+        ];
+        for (rows, corrupt) in rows.iter().zip(decoders) {
+            let (_, row) = &rows[0];
+            for cut in 0..row.len() {
+                assert!(corrupt(&row[..cut]), "truncated to {cut} columns");
+            }
+            // Any single column replaced by a value of another type either
+            // still decodes (text for text) or is reported as corruption.
+            for col in 0..row.len() {
+                for g in &garbage {
+                    let mut bad = row.clone();
+                    bad[col] = g.clone();
+                    let _ = corrupt(&bad);
+                }
+                let mut bad = row.clone();
+                bad[col] = Datum::Null;
+                assert!(corrupt(&bad), "null in column {col}");
+            }
+        }
+        // A torn schema blob and a scribbled key list inside intact columns.
+        let (_, idx_row) = &rows[0][0];
+        let mut bad = idx_row.clone();
+        bad[6] = Datum::Text("0 x".into());
+        assert!(matches!(
+            RelationEntry::from_row(&bad),
+            Err(DbError::Corrupt(_))
+        ));
+        let (_, heap_row) = &rows[0][2];
+        let schema = heap_row[4].as_bytes().unwrap().to_vec();
+        for cut in 0..schema.len() {
+            let mut bad = heap_row.clone();
+            bad[4] = Datum::Bytes(schema[..cut].to_vec());
+            assert!(matches!(
+                RelationEntry::from_row(&bad),
+                Err(DbError::Corrupt(_))
+            ));
+        }
+        let mut loaded = Catalog::new();
+        let mut rows = rows;
+        rows[0][2].1.truncate(4);
+        assert!(matches!(loaded.load(rows), Err(DbError::Corrupt(_))));
     }
 }

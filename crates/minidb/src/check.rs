@@ -36,10 +36,11 @@
 //! and must be present in every index on the relation; every index entry
 //! that resolves to a heap tuple must agree with that tuple's key bytes.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::btree::BTree;
-use crate::catalog::{RelKind, RelationEntry};
+use crate::catalog::{Catalog, RelKind, RelationEntry};
 use crate::datum::decode_row;
 use crate::db::Db;
 use crate::error::DbResult;
@@ -129,6 +130,7 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
             .map(|detail| Finding::new("buffer-pool", "buffer-inconsistent", detail)),
     );
 
+    catalog_rows(db, &rels, &mut out);
     for e in &rels {
         match db.inner.smgr.with(e.device, |m| Ok(m.has_rel(e.id))) {
             Ok(true) => {}
@@ -190,6 +192,49 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
         }
     }
     out
+}
+
+/// Cache ↔ rows ↔ devices. The catalog cache must be what reopening the
+/// database would load from the visible system-relation rows — a row that
+/// does not decode, a row the cache lacks or contradicts, a cached relation
+/// with no row (it would not survive a restart) are all `catalog-row` —
+/// and every relation a device holds must be catalogued on that device
+/// (`device-orphan-rel`): the reverse of the per-relation
+/// `catalog-dangling-rel` check, and the verifier of the sweep
+/// [`crate::Db::recover`] ends with.
+fn catalog_rows(db: &Db, rels: &[RelationEntry], out: &mut Vec<Finding>) {
+    let by_id: HashMap<_, _> = rels.iter().map(|e| (e.id, e)).collect();
+    let mut stored = Catalog::new();
+    match db.scan_catalog().and_then(|rows| stored.load(rows)) {
+        Err(err) => out.push(Finding::new("pg_class", "catalog-row", err.to_string())),
+        Ok(()) => {
+            let ids: HashSet<_> = stored.relations().map(|e| e.id).chain(by_id.keys().copied()).collect();
+            for id in ids {
+                let (row, cached) = (stored.relation(id).ok(), by_id.get(&id).copied());
+                if row != cached {
+                    out.push(Finding::new(
+                        row.or(cached).map_or_else(String::new, |e| e.name.clone()),
+                        "catalog-row",
+                        format!("relation {id}: pg_class says {row:?}, the catalog cache {cached:?}"),
+                    ));
+                }
+            }
+        }
+    }
+    for dev in db.inner.smgr.devices() {
+        let Ok(on_device) = db.inner.smgr.with(dev, |m| Ok(m.relations())) else {
+            continue; // Reported per relation, as `check-error`.
+        };
+        for rel in on_device {
+            if by_id.get(&rel).is_none_or(|e| e.device != dev) {
+                out.push(Finding::new(
+                    dev.to_string(),
+                    "device-orphan-rel",
+                    format!("relation {rel} is on the device but not in the catalog"),
+                ));
+            }
+        }
+    }
 }
 
 fn relation(rels: &[RelationEntry], id: crate::ids::RelId) -> Option<&RelationEntry> {
@@ -526,6 +571,55 @@ mod tests {
             findings.iter().any(|f| f.relation == idx.name && f.code == "btree-meta"),
             "corrupt meta not detected: {findings:?}"
         );
+    }
+
+    #[test]
+    fn detects_catalog_cache_rows_and_devices_out_of_step() {
+        use crate::catalog::PG_CLASS;
+        use crate::ids::{DeviceId, Oid};
+        let (db, rel) = sample_db();
+        let codes = |db: &Db| -> Vec<(String, String)> {
+            let mut v: Vec<_> = db.check_all().into_iter().map(|f| (f.code, f.relation)).collect();
+            v.sort();
+            v
+        };
+        // Storage no row names: what a crash between a create's device
+        // step and its commit leaves (and reopening sweeps).
+        db.inner
+            .smgr
+            .with(DeviceId::DEFAULT, |m| m.create_rel(Oid(777_777)))
+            .unwrap();
+        assert_eq!(codes(&db), [("device-orphan-rel".into(), "dev0".into())]);
+        db.inner
+            .smgr
+            .with(DeviceId::DEFAULT, |m| m.drop_rel(Oid(777_777)))
+            .unwrap();
+
+        // A cached relation whose row never committed would vanish at the
+        // next restart.
+        let mut ghost = db.catalog().relation(rel).unwrap().clone();
+        (ghost.id, ghost.name, ghost.indexes) = (Oid(777_778), "ghost".into(), vec![]);
+        db.inner.catalog.write().add_relation(ghost.clone()).unwrap();
+        db.inner
+            .smgr
+            .with(DeviceId::DEFAULT, |m| m.create_rel(ghost.id))
+            .unwrap();
+        assert_eq!(codes(&db), [("catalog-row".into(), "ghost".into())]);
+        db.store_class_rows(&[ghost.id]).unwrap();
+        assert_eq!(codes(&db), []);
+
+        // A row the cache does not know: an index naming no heap at that.
+        let mut stray = db.catalog().relation_by_name("emp_name_idx").unwrap().clone();
+        (stray.id, stray.name) = (Oid(777_779), "stray_idx".into());
+        stray.index.as_mut().unwrap().table = Oid(777_780);
+        db.catalog_txn(|s| s.insert(PG_CLASS, stray.to_row())).unwrap();
+        assert_eq!(codes(&db), [("catalog-row".into(), "stray_idx".into())]);
+
+        // A row that does not decode.
+        let mut bad = ghost.to_row();
+        bad[2] = Datum::Text("?".into());
+        db.catalog_txn(|s| s.insert(PG_CLASS, bad)).unwrap();
+        assert_eq!(codes(&db), [("catalog-row".into(), "pg_class".into())]);
     }
 
     #[test]

@@ -32,7 +32,10 @@ use simdev::{DiskProfile, MagneticDisk, SimClock, SimDuration, SimInstant};
 
 use crate::btree::BTree;
 use crate::buffer::{BufferPool, DEFAULT_BUFFERS};
-use crate::catalog::{Catalog, IndexInfo, ProcEntry, RelKind, RelationEntry, RuleEntry};
+use crate::catalog::{
+    Catalog, IndexInfo, ProcEntry, RelKind, RelationEntry, RuleEntry, TypeEntry, PG_CLASS,
+    PG_PROC, PG_RULE, PG_TYPE,
+};
 use crate::datum::{decode_row, Datum, Row, Schema, TypeId};
 use crate::error::{DbError, DbResult};
 use crate::funcs::{FuncDef, FunctionRegistry};
@@ -40,7 +43,7 @@ use crate::heap::Heap;
 use crate::ids::{DeviceId, RelId, Tid, XactId};
 use crate::lock::{LockManager, LockMode};
 use crate::recovery::Redo;
-use crate::smgr::{read_meta, shared_device, write_meta, GenericManager, SharedDevice, Smgr};
+use crate::smgr::{shared_device, DeviceManager, GenericManager, SharedDevice, Smgr};
 use crate::stats::{StatsRegistry, StatsSnapshot, VirtualTable, VirtualTables};
 use crate::wal::{Wal, WalRecord};
 use crate::xact::{Snapshot, XactLog, XactState};
@@ -142,7 +145,6 @@ pub(crate) struct DbInner {
     pub(crate) wal: Arc<Wal>,
     pub(crate) redo: Arc<Redo>,
     ckpt: Arc<CheckpointState>,
-    catalog_dev: SharedDevice,
 }
 
 impl DbInner {
@@ -191,24 +193,28 @@ pub struct Db {
 impl Db {
     /// Opens a *fresh* database over an already-populated device switch.
     ///
-    /// `log_dev` holds the transaction status file and `catalog_dev` the
-    /// serialized catalog; both must be dedicated (the first blocks are
-    /// overwritten).
+    /// `log_dev` holds the transaction status file and the write-ahead log;
+    /// `catalog_dev` is the device the catalogs live on. It is formatted
+    /// here and joins `smgr` as [`DeviceId::CATALOG`], holding the (empty)
+    /// system relations. Both must be dedicated: they are overwritten.
     pub fn open(
         clock: SimClock,
-        smgr: Smgr,
+        mut smgr: Smgr,
         log_dev: SharedDevice,
         catalog_dev: SharedDevice,
         config: DbConfig,
     ) -> DbResult<Db> {
+        let mut catalog_mgr = GenericManager::format(catalog_dev)?;
+        for rel in [PG_CLASS, PG_TYPE, PG_PROC, PG_RULE] {
+            catalog_mgr.create_rel(rel)?;
+        }
+        catalog_mgr.sync()?;
+        smgr.register(DeviceId::CATALOG, Box::new(catalog_mgr))?;
         let xlog = XactLog::create(log_dev.clone())?;
         let stats = Arc::new(StatsRegistry::new());
         let wal = Wal::create(log_dev, Arc::clone(&stats))?;
         let redo = Redo::empty(Arc::clone(&stats));
-        let parts = (xlog, wal, redo, Catalog::new());
-        let db = Db::assemble(clock, smgr, stats, parts, catalog_dev, config)?;
-        db.persist_catalog()?;
-        Ok(db)
+        Db::assemble(clock, smgr, stats, (xlog, wal, redo), config)
     }
 
     /// Reopens a database after a shutdown or crash.
@@ -217,17 +223,25 @@ impl Db {
     /// program needs to be run". The caller re-attaches device managers
     /// (e.g. [`GenericManager::attach`]) into `smgr` and passes the same log
     /// and catalog devices.
+    ///
+    /// Catalog changes are ordinary logged rows, so they recover the way
+    /// user data does: the catalog cache is filled by scanning the system
+    /// relations once the database is assembled, first-touch REDO bringing
+    /// each page up to date as the scan reaches it. What no committed row
+    /// names is then dropped from its device — the storage of a DDL the
+    /// crash caught between its device step and its commit.
     pub fn recover(
         clock: SimClock,
-        smgr: Smgr,
+        mut smgr: Smgr,
         log_dev: SharedDevice,
         catalog_dev: SharedDevice,
         config: DbConfig,
     ) -> DbResult<Db> {
+        smgr.register(
+            DeviceId::CATALOG,
+            Box::new(GenericManager::attach(catalog_dev)?),
+        )?;
         let xlog = XactLog::recover(log_dev.clone())?;
-        let cat_bytes = read_meta(&catalog_dev, 0)?
-            .ok_or_else(|| DbError::Corrupt("no catalog found on catalog device".into()))?;
-        let catalog = Catalog::decode(&cat_bytes)?;
         let stats = Arc::new(StatsRegistry::new());
         let (wal, records) = Wal::recover(log_dev, Arc::clone(&stats))?;
         // Transaction outcomes come from the log, not the status file: the
@@ -247,9 +261,9 @@ impl Db {
         // Allocation fixup: a logged page may lie past the relation's
         // current end (the extension never hit the disk) — extend with
         // blank blocks so first-touch replay finds a readable page. Pages
-        // of relations dropped after their records were logged (DDL is not
-        // logged; the durable catalog is authoritative) are unreachable —
-        // forget them rather than resurrect storage.
+        // of relations whose storage was released after their records were
+        // logged are unreachable — forget them rather than resurrect
+        // storage.
         for (dev, rel, blkno) in redo.pages() {
             let present = smgr.devices().contains(&dev)
                 && smgr.with(dev, |m| Ok(m.has_rel(rel)))?;
@@ -266,8 +280,45 @@ impl Db {
                 Ok(())
             })?;
         }
-        let parts = (xlog, wal, redo, catalog);
-        Db::assemble(clock, smgr, stats, parts, catalog_dev, config)
+        let db = Db::assemble(clock, smgr, stats, (xlog, wal, redo), config)?;
+        let rows = db.scan_catalog()?;
+        db.inner.catalog.write().load(rows)?;
+        db.drop_uncatalogued()?;
+        Ok(db)
+    }
+
+    /// The visible rows of the four system relations: what reopening the
+    /// database would load the catalog cache from.
+    pub(crate) fn scan_catalog(&self) -> DbResult<[Vec<(Tid, Row)>; 4]> {
+        let mut s = self.begin()?;
+        let rows = [
+            s.seq_scan(PG_CLASS)?,
+            s.seq_scan(PG_TYPE)?,
+            s.seq_scan(PG_PROC)?,
+            s.seq_scan(PG_RULE)?,
+        ];
+        s.commit()?;
+        Ok(rows)
+    }
+
+    /// Releases every device relation the catalog does not name. DDL makes
+    /// a relation durable on its device before its row commits and deletes
+    /// the row before releasing the storage, so a crash in either window
+    /// leaves exactly this: storage without a row.
+    fn drop_uncatalogued(&self) -> DbResult<()> {
+        for dev in self.inner.smgr.devices() {
+            let on_device = self.inner.smgr.with(dev, |m| Ok(m.relations()))?;
+            let orphans: Vec<RelId> = {
+                let cat = self.inner.catalog.read();
+                let stray = |r: &RelId| cat.relation(*r).map_or(true, |e| e.device != dev);
+                on_device.into_iter().filter(stray).collect()
+            };
+            for rel in orphans {
+                self.inner.pool.discard_rel(rel);
+                self.inner.smgr.with(dev, |m| m.drop_rel(rel))?;
+            }
+        }
+        Ok(())
     }
 
     /// The tail [`Db::open`] and [`Db::recover`] share: wires the storage
@@ -278,8 +329,7 @@ impl Db {
         clock: SimClock,
         mut smgr: Smgr,
         stats: Arc<StatsRegistry>,
-        (xlog, wal, redo, catalog): (XactLog, Wal, Redo, Catalog),
-        catalog_dev: SharedDevice,
+        (xlog, wal, redo): (XactLog, Wal, Redo),
         config: DbConfig,
     ) -> DbResult<Db> {
         let (wal, redo) = (Arc::new(wal), Arc::new(redo));
@@ -295,7 +345,7 @@ impl Db {
         smgr.start_io();
         let mut locks = LockManager::new();
         locks.share_stats(Arc::clone(&stats));
-        let pool = BufferPool::new(config.buffers);
+        let pool = BufferPool::new(config.buffers).with_system_shard();
         pool.set_prefetch_window(config.prefetch_window);
         pool.attach_wal(Arc::clone(&wal));
         let ckpt = CheckpointState::new(clock.now());
@@ -306,14 +356,13 @@ impl Db {
                 smgr,
                 xlog,
                 locks,
-                catalog: RwLock::new(catalog),
+                catalog: RwLock::new(Catalog::new()),
                 funcs: FunctionRegistry::with_builtins(),
                 stats,
                 virtuals: VirtualTables::with_engine_relations(),
                 wal,
                 redo,
                 ckpt,
-                catalog_dev,
                 config,
             }),
         };
@@ -449,18 +498,82 @@ impl Db {
         self.inner.virtuals.names()
     }
 
-    /// Allocates a fresh object identifier (persisted with the catalog).
+    /// Allocates a fresh object identifier. Oids come from an in-memory
+    /// counter kept below a durable ceiling — a `pg_class` row raised
+    /// 1 024 ahead, the trick the status file plays for xids — so allocation costs I/O once per step, and a reopened
+    /// database resumes at the ceiling and never repeats an oid.
     pub fn alloc_oid(&self) -> DbResult<crate::ids::Oid> {
-        let oid = self.inner.catalog.write().alloc_oid();
-        self.persist_catalog()?;
-        Ok(oid)
+        loop {
+            if let Some(oid) = self.inner.catalog.write().alloc_oid() {
+                return Ok(oid);
+            }
+            self.raise_oid_ceiling()?;
+        }
     }
 
-    /// Serializes the catalog to its device.
-    pub fn persist_catalog(&self) -> DbResult<()> {
-        let bytes = self.inner.catalog.read().encode();
-        write_meta(&self.inner.catalog_dev, 0, &bytes)?;
-        self.inner.catalog_dev.lock().sync()?;
+    /// Commits a higher oid ceiling, then lets the allocator use it.
+    /// `pg_class`'s exclusive lock serialises raisers; one that finds the
+    /// ceiling already raised has nothing to do. Ceiling rows are only ever
+    /// added (the highest counts): replacing the previous one would mean
+    /// reading back whichever old page holds it.
+    fn raise_oid_ceiling(&self) -> DbResult<()> {
+        let raised = self.catalog_txn(|s| {
+            s.lock_exclusive(PG_CLASS)?;
+            let ceiling = self.inner.catalog.read().next_oid_ceiling();
+            if let Some(ceiling) = ceiling {
+                s.insert(PG_CLASS, Catalog::oid_ceiling_row(ceiling))?;
+            }
+            Ok(ceiling)
+        })?;
+        if let Some(ceiling) = raised {
+            self.inner.catalog.write().raise_oid_ceiling(ceiling);
+        }
+        Ok(())
+    }
+
+    /// Runs `f` as one short internal transaction allowed to write the
+    /// system relations, and commits it: the one way a catalog change
+    /// becomes durable. It is a transaction of its own even when the caller
+    /// is inside one — a relation created by a `p_creat` that later aborts
+    /// still exists (hence `maintenance::collect_orphans`). Never called
+    /// with the catalog lock held: `f` waits for relation locks.
+    pub(crate) fn catalog_txn<T>(
+        &self,
+        f: impl FnOnce(&mut Session) -> DbResult<T>,
+    ) -> DbResult<T> {
+        let mut s = self.begin()?;
+        s.system = true;
+        let out = f(&mut s)?;
+        s.commit()?;
+        Ok(out)
+    }
+
+    /// Makes the cache's current entries for `ids` durable as `pg_class`
+    /// rows, in one transaction. An entry that already has a row gets it
+    /// replaced; the row is found by its remembered tid, so the cost does
+    /// not grow with the catalog.
+    pub(crate) fn store_class_rows(&self, ids: &[RelId]) -> DbResult<()> {
+        let rows: Vec<(RelId, Option<Tid>, Row)> = {
+            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+            let cat = self.inner.catalog.read();
+            ids.iter()
+                .map(|&id| Ok((id, cat.class_tid(id), cat.relation(id)?.to_row())))
+                .collect::<DbResult<_>>()?
+        };
+        let stored = self.catalog_txn(|s| {
+            rows.into_iter()
+                .map(|(id, old, row)| {
+                    if let Some(tid) = old {
+                        s.delete(PG_CLASS, tid)?;
+                    }
+                    Ok((id, s.insert(PG_CLASS, row)?))
+                })
+                .collect::<DbResult<Vec<_>>>()
+        })?;
+        let mut cat = self.inner.catalog.write();
+        for (id, tid) in stored {
+            cat.set_class_tid(id, tid);
+        }
         Ok(())
     }
 
@@ -617,35 +730,51 @@ impl Db {
         dev: DeviceId,
         no_history: bool,
     ) -> DbResult<RelId> {
-        let id = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let mut cat = self.inner.catalog.write();
-            let id = cat.alloc_oid();
-            cat.add_relation(RelationEntry {
-                id,
-                name: name.to_string(),
-                kind: RelKind::Heap,
-                device: dev,
-                schema,
-                index: None,
-                indexes: vec![],
-                archive: None,
-                no_history,
-            })?;
-            id
+        let entry = RelationEntry {
+            id: self.alloc_oid()?,
+            name: name.to_string(),
+            kind: RelKind::Heap,
+            device: dev,
+            schema,
+            index: None,
+            indexes: vec![],
+            archive: None,
+            no_history,
         };
-        // Make the relation durable on its device *before* the catalog
-        // entry: a crash in between leaves an unreferenced (harmless)
-        // device relation, never a catalog entry pointing at nothing.
-        if let Err(e) = self.inner.smgr.with(dev, |m| {
-            m.create_rel(id)?;
-            m.sync()
-        }) {
-            self.inner.catalog.write().remove_relation(id).ok();
-            return Err(e);
+        self.create_relation(entry, || Ok(()))
+    }
+
+    /// The one sequence that creates a relation: cache entry (which claims
+    /// the name), storage made durable on its device, `build` (an index's
+    /// bulk load), committed `pg_class` row. Storage before row: a crash in
+    /// between leaves storage that no row names, which reopening releases —
+    /// never a row pointing at nothing. On failure the entry and its
+    /// storage are taken back.
+    fn create_relation(
+        &self,
+        entry: RelationEntry,
+        build: impl FnOnce() -> DbResult<()>,
+    ) -> DbResult<RelId> {
+        let (id, dev) = (entry.id, entry.device);
+        {
+            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+            self.inner.catalog.write().add_relation(entry)?;
         }
-        self.persist_catalog()?;
-        Ok(id)
+        let created = self
+            .inner
+            .smgr
+            .with(dev, |m| {
+                m.create_rel(id)?;
+                m.sync()
+            })
+            .and_then(|()| build())
+            .and_then(|()| self.store_class_rows(&[id]));
+        if created.is_err() {
+            self.inner.catalog.write().remove_relation(id).ok();
+            self.inner.pool.discard_rel(id);
+            self.inner.smgr.with(dev, |m| m.drop_rel(id)).ok();
+        }
+        created.map(|()| id)
     }
 
     /// Creates a B-tree index named `name` on `table(columns...)`, on the
@@ -667,100 +796,94 @@ impl Db {
             }
             (t.device, key_columns)
         };
-        let id = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let mut cat = self.inner.catalog.write();
-            let id = cat.alloc_oid();
-            cat.add_relation(RelationEntry {
-                id,
-                name: name.to_string(),
-                kind: RelKind::BTreeIndex,
-                device: dev,
-                schema: Schema::default(),
-                index: Some(IndexInfo {
-                    table,
-                    key_columns: key_columns.clone(),
-                }),
-                indexes: vec![],
-                archive: None,
-                no_history: false,
+        let id = self.alloc_oid()?;
+        let entry = RelationEntry {
+            id,
+            name: name.to_string(),
+            kind: RelKind::BTreeIndex,
+            device: dev,
+            schema: Schema::default(),
+            index: Some(IndexInfo {
+                table,
+                key_columns: key_columns.clone(),
+            }),
+            indexes: vec![],
+            archive: None,
+            no_history: false,
+        };
+        self.create_relation(entry, || {
+            let bt = BTree {
+                pool: &self.inner.pool,
+                smgr: &self.inner.smgr,
+                stats: &self.inner.stats,
+                dev,
+                rel: id,
+                // Unlogged on purpose: the bulk build below flushes the
+                // relation and syncs the device before the index's row
+                // commits.
+                wal: None,
+            };
+            bt.create()?;
+            // Backfill from every tuple version in the heap.
+            let heap = Heap {
+                pool: &self.inner.pool,
+                smgr: &self.inner.smgr,
+                xlog: &self.inner.xlog,
+                stats: &self.inner.stats,
+                dev,
+                rel: table,
+                wal: None,
+            };
+            heap.scan_all_raw(|tid, _hdr, row_bytes| {
+                let row = decode_row(row_bytes)?;
+                let key: Vec<Datum> = key_columns.iter().map(|&i| row[i].clone()).collect();
+                bt.insert(&key, tid)
             })?;
-            cat.relation_mut(table)?.indexes.push(id);
-            id
-        };
-        // Same ordering rule as create_table_on: device first, catalog
-        // second, so the durable catalog never references a relation the
-        // device has not heard of.
-        self.inner.smgr.with(dev, |m| {
-            m.create_rel(id)?;
-            m.sync()
-        })?;
-        let bt = BTree {
-            pool: &self.inner.pool,
-            smgr: &self.inner.smgr,
-            stats: &self.inner.stats,
-            dev,
-            rel: id,
-            // Unlogged on purpose: the bulk build below flushes the relation
-            // and syncs the device before the catalog advertises the index.
-            wal: None,
-        };
-        bt.create()?;
-        // Backfill from every tuple version in the heap.
-        let heap = Heap {
-            pool: &self.inner.pool,
-            smgr: &self.inner.smgr,
-            xlog: &self.inner.xlog,
-            stats: &self.inner.stats,
-            dev,
-            rel: table,
-            wal: None,
-        };
-        heap.scan_all_raw(|tid, _hdr, row_bytes| {
-            let row = decode_row(row_bytes)?;
-            let key: Vec<Datum> = key_columns.iter().map(|&i| row[i].clone()).collect();
-            bt.insert(&key, tid)
-        })?;
-        // The index (meta page included) must be durable before the catalog
-        // advertises it, or a crash leaves a catalogued index with no
-        // on-disk structure.
-        self.inner.pool.flush_rel(&self.inner.smgr, id)?;
-        self.inner.smgr.sync_devices(&[dev])?;
-        self.persist_catalog()?;
-        Ok(id)
+            // The index (meta page included) must be durable before a
+            // committed row advertises it, or a crash leaves a catalogued
+            // index with no on-disk structure.
+            self.inner.pool.flush_rel(&self.inner.smgr, id)?;
+            self.inner.smgr.sync_devices(&[dev])
+        })
     }
 
-    /// Drops a table (and its indices) or a single index.
+    /// Drops a table (and its indices and archive) or a single index.
     pub fn drop_relation(&self, name: &str) -> DbResult<()> {
-        let entry = {
+        let victims: Vec<(RelationEntry, Option<Tid>)> = {
             let _order = crate::lock::order::token(crate::lock::order::CATALOG);
             let cat = self.inner.catalog.read();
-            cat.relation_by_name(name)?.clone()
+            let entry = cat.relation_by_name(name)?;
+            if Catalog::is_system(entry.id) {
+                return Err(DbError::Invalid(format!(
+                    "\"{name}\" is a system relation"
+                )));
+            }
+            let mut ids = vec![entry.id];
+            if entry.kind == RelKind::Heap {
+                ids.extend(entry.indexes.iter().chain(&entry.archive));
+            }
+            ids.into_iter()
+                .map(|id| Ok((cat.relation(id)?.clone(), cat.class_tid(id))))
+                .collect::<DbResult<_>>()?
         };
-        let mut victims = vec![entry.clone()];
-        if entry.kind == RelKind::Heap {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.inner.catalog.read();
-            for &idx in &entry.indexes {
-                victims.push(cat.relation(idx)?.clone());
+        // Mirror image of the create ordering: the rows go first, in one
+        // transaction, then the storage. A crash in between leaves storage
+        // that no row names (released on reopening) instead of rows that
+        // point at nothing; a failed commit leaves everything as it was.
+        self.catalog_txn(|s| {
+            for tid in victims.iter().filter_map(|(_, tid)| *tid) {
+                s.delete(PG_CLASS, tid)?;
             }
-            if let Some(arch) = entry.archive {
-                victims.push(cat.relation(arch)?.clone());
-            }
-        }
-        // Mirror image of the create ordering: forget the relations in the
-        // durable catalog first, then release their storage. A crash in
-        // between orphans device storage (harmless) instead of leaving
-        // catalog entries that point at nothing.
+            Ok(())
+        })?;
         {
             let _order = crate::lock::order::token(crate::lock::order::CATALOG);
             let mut cat = self.inner.catalog.write();
-            for v in &victims {
+            for (v, _) in &victims {
                 cat.remove_relation(v.id)?;
             }
         }
-        self.persist_catalog()?;
-        for v in &victims {
+        for (v, _) in &victims {
             self.inner.pool.discard_rel(v.id);
             self.inner.smgr.with(v.device, |m| m.drop_rel(v.id))?;
         }
@@ -769,8 +892,13 @@ impl Db {
 
     /// Registers a new file/database type (`define type` in the paper).
     pub fn define_type(&self, name: &str) -> DbResult<TypeId> {
-        let id = self.inner.catalog.write().define_type(name)?;
-        self.persist_catalog()?;
+        let entry = TypeEntry {
+            id: TypeId(self.alloc_oid()?.0),
+            name: name.to_string(),
+        };
+        let (id, row) = (entry.id, entry.to_row());
+        self.inner.catalog.write().define_type(entry)?;
+        self.catalog_txn(|s| s.insert(PG_TYPE, row))?;
         Ok(id)
     }
 
@@ -784,20 +912,23 @@ impl Db {
         impl_key: &str,
         operates_on: Option<TypeId>,
     ) -> DbResult<()> {
-        self.inner.catalog.write().define_proc(ProcEntry {
+        let entry = ProcEntry {
             name: name.to_string(),
             nargs,
             ret,
             impl_key: impl_key.to_string(),
             operates_on,
-        })?;
-        self.persist_catalog()
+        };
+        let row = entry.to_row();
+        self.inner.catalog.write().define_proc(entry)?;
+        self.catalog_txn(|s| s.insert(PG_PROC, row)).map(drop)
     }
 
     /// Registers a predicate rule (see [`crate::rules`]).
     pub fn define_rule(&self, rule: RuleEntry) -> DbResult<()> {
+        let row = rule.to_row();
         self.inner.catalog.write().define_rule(rule)?;
-        self.persist_catalog()
+        self.catalog_txn(|s| s.insert(PG_RULE, row)).map(drop)
     }
 
     /// Resolves a function by query-language name to a callable.
@@ -826,6 +957,7 @@ impl Db {
             snapshot: Snapshot::Current { xid, active },
             done: false,
             wrote: false,
+            system: false,
         })
     }
 
@@ -838,6 +970,7 @@ impl Db {
             snapshot: Snapshot::AsOf(t),
             done: false,
             wrote: false,
+            system: false,
         }
     }
 
@@ -906,6 +1039,9 @@ pub struct Session {
     snapshot: Snapshot,
     done: bool,
     wrote: bool,
+    /// Set only by [`Db::catalog_txn`]: this session may write the system
+    /// relations.
+    system: bool,
 }
 
 impl Session {
@@ -936,9 +1072,27 @@ impl Session {
         self.xid.ok_or(DbError::ReadOnly)
     }
 
+    /// [`Session::writable_xid`] for a write to `rel`. The system
+    /// relations change only through the DDL entry points, which keep the
+    /// catalog cache and the devices in step with the rows.
+    fn writable_xid_on(&self, rel: RelId) -> DbResult<XactId> {
+        if Catalog::is_system(rel) && !self.system {
+            return Err(DbError::Invalid(format!(
+                "{rel} is a system relation: it changes only through DDL"
+            )));
+        }
+        self.writable_xid()
+    }
+
     fn lock(&self, rel: RelId, mode: LockMode) -> DbResult<()> {
         // Purely historical sessions read immutable versions: no locks.
         let Some(xid) = self.xid else { return Ok(()) };
+        // Catalog reads are plain snapshot reads. A shared lock held to
+        // commit would block the DDL transaction that the reader's own
+        // `create_table` runs — a wait no deadlock detector can see.
+        if mode == LockMode::Shared && Catalog::is_system(rel) {
+            return Ok(());
+        }
         self.db.inner.locks.acquire(xid, rel, mode)
     }
 
@@ -1004,7 +1158,7 @@ impl Session {
 
     /// Inserts `row` into `rel`, maintaining its indices.
     pub fn insert(&mut self, rel: RelId, row: Row) -> DbResult<Tid> {
-        let xid = self.writable_xid()?;
+        let xid = self.writable_xid_on(rel)?;
         let (dev, indexes) = self.db.heap_parts(rel)?;
         {
             let _order = crate::lock::order::token(crate::lock::order::CATALOG);
@@ -1044,7 +1198,7 @@ impl Session {
 
     /// Deletes the tuple at `tid`. Returns `false` if already deleted.
     pub fn delete(&mut self, rel: RelId, tid: Tid) -> DbResult<bool> {
-        let xid = self.writable_xid()?;
+        let xid = self.writable_xid_on(rel)?;
         let (dev, _) = self.db.heap_parts(rel)?;
         self.lock(rel, LockMode::Exclusive)?;
         self.wrote = true;
@@ -1086,18 +1240,12 @@ impl Session {
         self.lock_for(rel, LockMode::Shared, snap)?;
         let mut out = self.heap(rel, dev).scan_collect(snap)?;
         if let Snapshot::AsOf(t) = snap {
-            if let Some((arch, arch_dev)) = self.archive_of(rel)? {
-                let heap = self.heap(arch, arch_dev);
-                // Archive rows: (amin time, amax time, original row bytes).
-                heap.scan_visible(&Snapshot::Dirty, |tid, row| {
-                    let amin = SimInstant::from_nanos(row[0].as_int()? as u64);
-                    let amax = SimInstant::from_nanos(row[1].as_int()? as u64);
-                    if amin <= *t && *t < amax {
-                        out.push((tid, decode_row(row[2].as_bytes()?)?));
-                    }
-                    Ok(true)
-                })?;
-            }
+            self.for_each_archived(rel, |amin, amax, tid, row| {
+                if amin <= *t && *t < amax {
+                    out.push((tid, decode_row(row)?));
+                }
+                Ok(())
+            })?;
         }
         Ok(out)
     }
@@ -1148,31 +1296,37 @@ impl Session {
             })?;
         }
         // Archived versions carry explicit lifetimes.
-        let arch = self.archive_of(rel)?;
-        if let Some((arch, arch_dev)) = arch {
-            let heap = self.heap(arch, arch_dev);
-            heap.scan_visible(&Snapshot::Dirty, |_tid, row| {
-                let t0 = SimInstant::from_nanos(row[0].as_int()? as u64);
-                let t1 = SimInstant::from_nanos(row[1].as_int()? as u64);
-                out.push((t0, Some(t1), decode_row(row[2].as_bytes()?)?));
-                Ok(true)
-            })?;
-        }
+        self.for_each_archived(rel, |t0, t1, _tid, row| {
+            out.push((t0, Some(t1), decode_row(row)?));
+            Ok(())
+        })?;
         out.sort_by_key(|(t0, _, _)| *t0);
         Ok(out)
     }
 
-    fn archive_of(&self, rel: RelId) -> DbResult<Option<(RelId, DeviceId)>> {
-        let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-        let cat = self.db.inner.catalog.read();
-        let e = cat.relation(rel)?;
-        match e.archive {
-            Some(a) => {
-                let ae = cat.relation(a)?;
-                Ok(Some((a, ae.device)))
+    /// Calls `f(amin, amax, tid, row bytes)` for every version the vacuum
+    /// cleaner moved to `rel`'s archive, whose tuples are `(amin time, amax
+    /// time, original row bytes)`: the version was current from `amin` up
+    /// to `amax`. A relation without an archive has none.
+    fn for_each_archived(
+        &self,
+        rel: RelId,
+        mut f: impl FnMut(SimInstant, SimInstant, Tid, &[u8]) -> DbResult<()>,
+    ) -> DbResult<()> {
+        let (arch, arch_dev) = {
+            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+            let cat = self.db.inner.catalog.read();
+            match cat.relation(rel)?.archive {
+                Some(a) => (a, cat.relation(a)?.device),
+                None => return Ok(()),
             }
-            None => Ok(None),
-        }
+        };
+        self.heap(arch, arch_dev).scan_visible(&Snapshot::Dirty, |tid, row| {
+            let amin = SimInstant::from_nanos(row[0].as_int()? as u64);
+            let amax = SimInstant::from_nanos(row[1].as_int()? as u64);
+            f(amin, amax, tid, row[2].as_bytes()?)?;
+            Ok(true)
+        })
     }
 
     /// Point lookup through an index: rows of `rel` where the indexed
@@ -1215,55 +1369,24 @@ impl Session {
             }
         }
         if let Snapshot::AsOf(t) = snap {
-            self.scan_archive_matching(
-                table,
-                *t,
-                |row| {
-                    key_columns.len() == key.len()
-                        && key_columns
-                            .iter()
-                            .zip(key)
-                            .all(|(&c, k)| row[c].cmp_total(k) == std::cmp::Ordering::Equal)
-                },
-                &mut out,
-            )?;
+            let matches = |row: &Row| {
+                key_columns.len() == key.len()
+                    && key_columns
+                        .iter()
+                        .zip(key)
+                        .all(|(&c, k)| row[c].cmp_total(k) == std::cmp::Ordering::Equal)
+            };
+            self.for_each_archived(table, |amin, amax, tid, row| {
+                if amin <= *t && *t < amax {
+                    let orig = decode_row(row)?;
+                    if matches(&orig) {
+                        out.push((tid, orig));
+                    }
+                }
+                Ok(())
+            })?;
         }
         Ok(out)
-    }
-
-    /// Appends archived row versions of `table` visible at `t` and matching
-    /// `pred` to `out`.
-    fn scan_archive_matching(
-        &mut self,
-        table: RelId,
-        t: SimInstant,
-        pred: impl Fn(&Row) -> bool,
-        out: &mut Vec<(Tid, Row)>,
-    ) -> DbResult<()> {
-        let arch = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.db.inner.catalog.read();
-            let e = cat.relation(table)?;
-            match e.archive {
-                Some(a) => Some((a, cat.relation(a)?.device)),
-                None => None,
-            }
-        };
-        let Some((arch, arch_dev)) = arch else {
-            return Ok(());
-        };
-        let heap = self.heap(arch, arch_dev);
-        heap.scan_visible(&Snapshot::Dirty, |tid, row| {
-            let amin = SimInstant::from_nanos(row[0].as_int()? as u64);
-            let amax = SimInstant::from_nanos(row[1].as_int()? as u64);
-            if amin <= t && t < amax {
-                let orig = decode_row(row[2].as_bytes()?)?;
-                if pred(&orig) {
-                    out.push((tid, orig));
-                }
-            }
-            Ok(true)
-        })
     }
 
     /// Range scan through an index (`lo..=hi`, `None` = unbounded), calling

@@ -53,8 +53,12 @@ impl fmt::Display for XactId {
 pub struct DeviceId(pub u8);
 
 impl DeviceId {
-    /// The default device (where catalogs and unplaced tables live).
+    /// The default device (where unplaced tables live).
     pub const DEFAULT: DeviceId = DeviceId(0);
+    /// The device the system relations (`pg_class`, `pg_type`, `pg_proc`,
+    /// `pg_rule`) live on. Reserved: [`crate::Db::open`] registers the
+    /// catalog device it is handed under this id.
+    pub const CATALOG: DeviceId = DeviceId(u8::MAX);
 }
 
 impl fmt::Display for DeviceId {

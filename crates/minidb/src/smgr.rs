@@ -183,10 +183,10 @@ impl RelMap {
     }
 }
 
-/// Writes a metadata byte string into a device's reserved region
-/// (used by device managers for block maps and by [`crate::db::Db`] for the
-/// catalog).
-pub fn write_meta(dev: &SharedDevice, first_block: u64, meta: &[u8]) -> DbResult<()> {
+/// Writes a device manager's block map into its device's reserved region:
+/// whole, in place, header block first. Private to this module — the maps
+/// are the last structure persisted this way, and nothing else may be.
+fn write_meta(dev: &SharedDevice, first_block: u64, meta: &[u8]) -> DbResult<()> {
     let _order = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
     let mut d = dev.lock();
     let bs = d.block_size();
@@ -207,7 +207,7 @@ pub fn write_meta(dev: &SharedDevice, first_block: u64, meta: &[u8]) -> DbResult
 
 /// Reads back a metadata byte string written by [`write_meta`], or `None`
 /// if never written.
-pub fn read_meta(dev: &SharedDevice, first_block: u64) -> DbResult<Option<Vec<u8>>> {
+fn read_meta(dev: &SharedDevice, first_block: u64) -> DbResult<Option<Vec<u8>>> {
     let _order = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
     let mut d = dev.lock();
     let bs = d.block_size();
@@ -234,6 +234,10 @@ pub struct GenericManager {
     dev: SharedDevice,
     map: RelMap,
     meta_dirty: bool,
+    /// Whether a block was written since the last sync. A sync with nothing
+    /// to make durable is skipped, so an idle device — the catalog device
+    /// between DDL — costs a checkpoint nothing.
+    unsynced: bool,
     /// Pages claimed per allocation; 1 keeps the legacy bump allocator.
     extent_size: u64,
     /// Partially filled extent per relation: (first physical block, used).
@@ -253,6 +257,7 @@ impl GenericManager {
             dev,
             map,
             meta_dirty: true,
+            unsynced: false,
             extent_size: 1,
             open_extents: HashMap::new(),
         };
@@ -269,6 +274,7 @@ impl GenericManager {
             dev,
             map,
             meta_dirty: false,
+            unsynced: false,
             extent_size: 1,
             open_extents: HashMap::new(),
         })
@@ -364,6 +370,7 @@ impl DeviceManager for GenericManager {
         }
         let phys = self.alloc_physical(rel)?;
         self.dev.lock().write_block(phys, page)?;
+        self.unsynced = true;
         let blocks = self
             .map
             .rels
@@ -398,6 +405,7 @@ impl DeviceManager for GenericManager {
     fn write(&mut self, rel: RelId, blkno: u64, buf: &[u8]) -> DbResult<()> {
         let phys = self.physical(rel, blkno)?;
         self.dev.lock().write_block(phys, buf)?;
+        self.unsynced = true;
         Ok(())
     }
 
@@ -414,11 +422,15 @@ impl DeviceManager for GenericManager {
     }
 
     fn sync(&mut self) -> DbResult<()> {
+        if !self.meta_dirty && !self.unsynced {
+            return Ok(());
+        }
         if self.meta_dirty {
             write_meta(&self.dev, 0, &self.map.encode())?;
             self.meta_dirty = false;
         }
         self.dev.lock().sync()?;
+        self.unsynced = false;
         Ok(())
     }
 

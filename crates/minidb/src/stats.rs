@@ -355,13 +355,18 @@ macro_rules! stat_table {
                 $( self.$field = <$Kind as $crate::stats::Metric>::merge(&self.$field, &other.$field); )*
             }
 
-            /// The group as a JSON object, one key per field.
-            pub fn to_json(&self) -> String {
+            /// One `(key, JSON value)` pair per field.
+            pub fn json_fields(&self) -> Vec<(&'static str, String)> {
                 use $crate::stats::Value;
-                $crate::stats::json_object(&[
+                vec![
                     $($( (stringify!($key), self.$key.json()), )*)?
                     $( (stringify!($field), self.$field.json()), )*
-                ])
+                ]
+            }
+
+            /// The group as a JSON object, one key per field.
+            pub fn to_json(&self) -> String {
+                $crate::stats::json_object(&self.json_fields())
             }
         }
     };
@@ -506,6 +511,17 @@ stat_table! {
     joins_planned: Counter,
 }
 
+stat_table! {
+    /// Maintenance counters. The group has no relation or JSON object of
+    /// its own: its fields are columns of `pg_stat_relation` and sit at the
+    /// top level of [`StatsSnapshot::to_json`].
+    live MaintenanceCounters;
+    #[derive(Copy)]
+    frozen MaintenanceStats;
+    /// Vacuum passes completed.
+    vacuum_passes: Counter,
+}
+
 /// Device slots tracked per registry. [`DeviceId`]s at or above this index
 /// share the last slot; real configurations use a handful of devices.
 pub const DEVICE_SLOTS: usize = 16;
@@ -591,8 +607,8 @@ pub struct StatsRegistry {
     pub lock: LockCounters,
     /// Query-planner counters.
     pub planner: PlannerCounters,
-    /// Vacuum passes completed.
-    pub vacuum_passes: Counter,
+    /// Maintenance counters.
+    pub maintenance: MaintenanceCounters,
     /// Per-device I/O, indexed by [`DeviceId`] (clamped to [`DEVICE_SLOTS`]).
     pub dev: [DeviceIoCounters; DEVICE_SLOTS],
 }
@@ -620,7 +636,7 @@ impl StatsRegistry {
             btree: self.btree.freeze(),
             lock: self.lock.freeze(),
             planner: self.planner.freeze(),
-            vacuum_passes: self.vacuum_passes.freeze(),
+            maintenance: self.maintenance.freeze(),
             devices,
         }
     }
@@ -644,8 +660,8 @@ pub struct StatsSnapshot {
     pub lock: LockStats,
     /// Planner counters.
     pub planner: PlannerStats,
-    /// Vacuum passes completed.
-    pub vacuum_passes: u64,
+    /// Maintenance counters.
+    pub maintenance: MaintenanceStats,
     /// Per-device I/O, one entry per registered device.
     pub devices: Vec<DeviceIoStats>,
 }
@@ -663,7 +679,7 @@ impl StatsSnapshot {
             btree: self.btree.delta(&baseline.btree),
             lock: self.lock.delta(&baseline.lock),
             planner: self.planner.delta(&baseline.planner),
-            vacuum_passes: Counter::delta(&self.vacuum_passes, &baseline.vacuum_passes),
+            maintenance: self.maintenance.delta(&baseline.maintenance),
             devices: self
                 .devices
                 .iter()
@@ -679,7 +695,7 @@ impl StatsSnapshot {
     /// (hand-rolled: the build environment is offline, so no serde).
     pub fn to_json(&self) -> String {
         let devices: Vec<String> = self.devices.iter().map(DeviceIoStats::to_json).collect();
-        json_object(&[
+        let mut fields = vec![
             ("buffer", self.buffer.to_json()),
             ("lock", self.lock.to_json()),
             ("xact", self.xact.to_json()),
@@ -687,9 +703,10 @@ impl StatsSnapshot {
             ("heap", self.heap.to_json()),
             ("btree", self.btree.to_json()),
             ("planner", self.planner.to_json()),
-            ("vacuum_passes", self.vacuum_passes.json()),
-            ("devices", format!("[{}]", devices.join(","))),
-        ])
+        ];
+        fields.extend(self.maintenance.json_fields());
+        fields.push(("devices", format!("[{}]", devices.join(","))));
+        json_object(&fields)
     }
 }
 
@@ -808,12 +825,12 @@ impl VirtualTables {
         let btree = |label: &str| Some(format!("btree_{label}"));
         let mut cols = HeapOpStats::columns(&heap);
         cols.extend(BTreeOpStats::columns(&btree));
-        cols.push(Column::new("vacuum_passes", <u64 as Value>::TYPE));
+        cols.extend(MaintenanceStats::columns(&all));
         v.register("pg_stat_relation", schema(cols), move |db| {
             let stats = &db.inner.stats;
             let mut row = stats.heap.freeze().datums(&heap);
             row.extend(stats.btree.freeze().datums(&btree));
-            row.push(stats.vacuum_passes.freeze().datum());
+            row.extend(stats.maintenance.freeze().datums(&all));
             vec![row]
         });
 
@@ -975,7 +992,7 @@ mod tests {
                 seq_scans_chosen: 40,
                 joins_planned: 41,
             },
-            vacuum_passes: 42,
+            maintenance: MaintenanceStats { vacuum_passes: 42 },
             devices: vec![
                 DeviceIoStats {
                     device: 0,

@@ -18,7 +18,7 @@
 use simdev::SimInstant;
 
 use crate::btree::BTree;
-use crate::catalog::{RelKind, RelationEntry};
+use crate::catalog::{Catalog, RelKind, RelationEntry};
 use crate::datum::{decode_row, Datum, Schema, TypeId};
 use crate::db::Db;
 use crate::error::{DbError, DbResult};
@@ -46,8 +46,16 @@ pub struct VacuumStats {
 /// transactions are always discarded. The heap is rewritten compactly and
 /// every index on it rebuilt.
 ///
+/// System relations are skipped (nothing is done, nothing is counted): the
+/// rewrite below is in place and unlogged, and the archive attach that ends
+/// it writes `pg_class`. Their dead rows come only from drops and archive
+/// attaches.
+///
 /// Errors with [`DbError::Invalid`] if any transaction is active.
 pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStats> {
+    if Catalog::is_system(rel) {
+        return Ok(VacuumStats::default());
+    }
     if !db.inner.xlog.active_set().is_empty() {
         return Err(DbError::Invalid(
             "vacuum requires a quiescent system (transactions active)".into(),
@@ -121,6 +129,7 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
 
     // Ensure the archive relation exists if we need it.
     let mut archive: Option<(RelId, DeviceId)> = None;
+    let mut attached: Option<RelId> = None;
     if fates.iter().any(|f| matches!(f, Fate::Archive(..))) {
         let existing = entry.archive;
         let (arch_id, arch_dev) = match existing {
@@ -129,9 +138,9 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
                 (a, cat.relation(a)?.device)
             }
             None => {
+                let id = db.alloc_oid()?;
                 let arch_id = {
                     let mut cat = db.inner.catalog.write();
-                    let id = cat.alloc_oid();
                     cat.add_relation(RelationEntry {
                         id,
                         name: format!("{},arch", entry.name),
@@ -151,6 +160,7 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
                     id
                 };
                 db.inner.smgr.with(archive_dev, |m| m.create_rel(arch_id))?;
+                attached = Some(arch_id);
                 (arch_id, archive_dev)
             }
         };
@@ -224,12 +234,15 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
         }
     }
 
-    // Make the rewrite durable and the catalog change persistent. (The
-    // rewrite was unlogged, so its durability is this flush, not the log.)
+    // Make the rewrite durable, then the catalog change: the archive's row
+    // and the heap's row now naming it, in one transaction. (The rewrite
+    // was unlogged, so its durability is this flush, not the log.)
     db.inner.pool.flush_all(&db.inner.smgr)?;
     db.inner.smgr.sync_all()?;
-    db.persist_catalog()?;
-    db.inner.stats.vacuum_passes.bump();
+    if let Some(arch_id) = attached {
+        db.store_class_rows(&[arch_id, rel])?;
+    }
+    db.inner.stats.maintenance.vacuum_passes.bump();
     Ok(stats)
 }
 

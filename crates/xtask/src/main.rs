@@ -17,6 +17,8 @@
 //!   table the debug-build runtime assertions use).
 //! * `io-wait-guard` — the device scheduler's submission-side waits must
 //!   assert that no buffer shard latch is held across them.
+//! * `meta-blob` — `write_meta(` / `read_meta(` (whole-structure in-place
+//!   persistence) only in `minidb/src/smgr.rs`.
 
 mod rules;
 mod scrub;
@@ -88,6 +90,7 @@ fn lint(update_budget: bool) -> ExitCode {
         violations.extend(rules::let_underscore_sites(&rel, &cleaned));
         violations.extend(rules::lock_order_sites(&rel, &cleaned, &exempt));
         violations.extend(rules::io_wait_guard_sites(&rel, &cleaned));
+        violations.extend(rules::meta_blob_sites(&rel, &cleaned));
     }
 
     let budget_file = root.join(BUDGET_PATH);

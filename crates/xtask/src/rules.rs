@@ -159,6 +159,33 @@ pub fn io_wait_guard_sites(file: &str, text: &str) -> Vec<Violation> {
     out
 }
 
+/// Rule `meta-blob`: `write_meta` / `read_meta` persist a structure by
+/// rewriting it whole and in place — unlogged, unchecksummed, torn by one
+/// failed destage. The device relation maps in `minidb/src/smgr.rs` are the
+/// last things kept that way (the catalog used to be); no second one may
+/// appear. Everything else becomes durable as logged rows or pages.
+pub fn meta_blob_sites(file: &str, text: &str) -> Vec<Violation> {
+    if file.ends_with("minidb/src/smgr.rs") {
+        return Vec::new();
+    }
+    let b = text.as_bytes();
+    let mut out = Vec::new();
+    for name in ["write_meta", "read_meta"] {
+        for p in ident_matches(text, name) {
+            if b.get(p + name.len()) == Some(&b'(') {
+                out.push(Violation {
+                    file: file.into(),
+                    line: line_of(text, p),
+                    rule: "meta-blob",
+                    msg: format!("`{name}` outside smgr.rs: persist it as logged rows"),
+                });
+            }
+        }
+    }
+    out.sort_by_key(|v| v.line);
+    out
+}
+
 /// Rule `lock-order`: audits the declared lock-acquisition markers
 /// (`lock::order::token(LEVEL)`) against the hierarchy exported by
 /// `minidb::lock::order`. Tokens are live until their enclosing brace
@@ -308,6 +335,18 @@ mod tests {
     fn sibling_same_level_allowed() {
         let src = "fn f() { let _o = lock::order::token(lock::order::BTREE_PAGE); let _p = lock::order::token(lock::order::BTREE_PAGE); }";
         assert!(lock_order_sites("x.rs", &clean(src), &[]).is_empty());
+    }
+
+    #[test]
+    fn meta_blob_calls_are_confined_to_smgr() {
+        let src = "fn persist(&self) { write_meta(&dev, 0, &bytes)?; let m = read_meta(&dev, 0)?; }";
+        let v = meta_blob_sites("crates/minidb/src/db.rs", &clean(src));
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|v| v.rule == "meta-blob"));
+        assert!(meta_blob_sites("crates/minidb/src/smgr.rs", &clean(src)).is_empty());
+        // Prose, longer identifiers and test code are not calls.
+        let ok = "// write_meta(x)\nfn f() { rewrite_meta(); write_meta_v2(); }\n#[cfg(test)]\nmod t { fn g() { write_meta(); } }\n";
+        assert!(meta_blob_sites("crates/minidb/src/db.rs", &clean(ok)).is_empty());
     }
 
     #[test]

@@ -36,6 +36,9 @@ echo "== crash-recovery battery (WAL + checkpointer + instant recovery) =="
 cargo test --release -q --test recovery
 cargo test --release -q --test properties
 
+echo "== scale: 6 000 files, past the old one-blob catalog's ceiling =="
+cargo test --release -q --test scale endurance_six_thousand_files -- --ignored
+
 echo "== differential query oracle (planned executor vs reference interpreter) =="
 cargo test --release -q --test properties planned_
 
@@ -59,12 +62,14 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- smoke
 
 # Bounded-time torture smoke: covers at least one crash-during-commit and
 # one crash-during-checkpoint schedule, a crash with write-behind requests
-# still queued in the I/O scheduler, and both link-drop transports; the
-# full 8-kind battery runs under "cargo test -q" above.
-echo "== torture battery smoke (crash mid-commit / mid-checkpoint / in-flight) =="
+# still queued in the I/O scheduler, a torn destage on the catalog device
+# behind a burst of DDL, and both link-drop transports; the full 9-kind
+# battery runs under "cargo test -q" above.
+echo "== torture battery smoke (crash mid-commit / mid-checkpoint / in-flight / catalog fault) =="
 cargo test --release -q --test torture battery_crash_mid_commit
 cargo test --release -q --test torture battery_crash_mid_checkpoint
 cargo test --release -q --test torture battery_crash_in_flight
+cargo test --release -q --test torture battery_catalog_device_fault
 cargo test --release -q --test torture battery_link_drop
 
 echo "== smoke: p_slice shares chunk rows without copying =="

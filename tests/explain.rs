@@ -216,3 +216,52 @@ fn virtual_relation_rows_are_produced_once_per_scan_and_never_at_bind() {
     assert_eq!(calls.load(SeqCst), 2, "explain analyze scans once");
     s.commit().unwrap();
 }
+
+/// The catalogs are relations like any other to the query language: the
+/// ordinary planner scans `pg_class`, joins it, and shows the user's DDL —
+/// and nothing but the DDL entry points may write it.
+#[test]
+fn pg_class_is_queryable_and_read_only_from_postquel() {
+    let db = corpus_db();
+    let mut s = db.begin().unwrap();
+    let plan = s
+        .query(r#"explain retrieve (c.relname) from c in pg_class where c.relkind = "r""#)
+        .unwrap()
+        .to_table();
+    assert!(plan.contains("Seq Scan on pg_class as c"), "{plan}");
+    let heaps = s
+        .query(r#"retrieve (c.relname) from c in pg_class where c.relkind = "r" sort by relname"#)
+        .unwrap();
+    let names: Vec<&str> = heaps.rows.iter().map(|r| r[0].as_text().unwrap()).collect();
+    assert_eq!(names, ["big", "dept", "emp"]);
+    // An index's row names its heap: a self-join resolves it.
+    let idx = s
+        .query(
+            "retrieve (i.relname, t.relname) from i in pg_class, t in pg_class \
+             where i.indrelid = t.oid sort by relname",
+        )
+        .unwrap();
+    let pairs: Vec<(&str, &str)> =
+        idx.rows.iter().map(|r| (r[0].as_text().unwrap(), r[1].as_text().unwrap())).collect();
+    assert_eq!(pairs, [("big_k", "big"), ("emp_age", "emp")]);
+    // Reading the catalog holds no lock a later DDL of this very
+    // transaction's thread would wait behind.
+    db.create_table("later", Schema::default()).unwrap();
+
+    for stmt in [
+        r#"append pg_class (relname = "forged")"#,
+        r#"delete c from c in pg_class where c.relname = "emp""#,
+        r#"replace c (relname = "renamed") from c in pg_class where c.relname = "emp""#,
+        r#"append pg_type (typname = "forged")"#,
+    ] {
+        let err = s.query(stmt).unwrap_err();
+        assert!(
+            matches!(&err, minidb::DbError::Invalid(m) if m.contains("system relation")),
+            "{stmt}: {err}"
+        );
+    }
+    s.commit().unwrap();
+    assert!(db.relation_id("emp").is_ok());
+    let findings = db.check_all();
+    assert!(findings.is_empty(), "verifier: {findings:?}");
+}

@@ -150,3 +150,41 @@ fn endurance_large_file() {
     c.p_commit().unwrap();
     assert_eq!(c.p_stat("/huge", None).unwrap().size as usize, size);
 }
+
+#[test]
+#[ignore = "long-running: 6 000 files, past the 5 491 the one-blob catalog could hold"]
+fn endurance_six_thousand_files() {
+    // Stay under ~7 000: each device's relation map is still one blob with
+    // the catalog's old 63-block cap, at ~36 bytes per relation.
+    let small = Devices::new();
+    let devices = Devices {
+        data: minidb::shared_device(simdev::MagneticDisk::new(
+            "data",
+            small.clock.clone(),
+            simdev::DiskProfile::tiny_for_tests(1 << 18),
+        )),
+        ..small
+    };
+    let name = |i: usize| format!("/f{i:05}");
+    {
+        let fs = InversionFs::format(devices.format()).unwrap();
+        let mut c = fs.client();
+        for batch in 0..60 {
+            c.p_begin().unwrap();
+            for i in batch * 100..(batch + 1) * 100 {
+                let fd = c
+                    .p_creat(&name(i), CreateMode::default())
+                    .unwrap_or_else(|e| panic!("p_creat number {}: {e}", i + 1));
+                c.p_write(fd, &[i as u8]).unwrap();
+                c.p_close(fd).unwrap();
+            }
+            c.p_commit().unwrap();
+        }
+    }
+    let fs = InversionFs::attach(devices.recover()).unwrap();
+    let mut c = fs.client();
+    assert_eq!(c.p_readdir("/", None).unwrap().len(), 6000);
+    for i in (0..6000).step_by(120) {
+        assert_eq!(c.read_to_vec(&name(i), None).unwrap(), [i as u8], "file {i}");
+    }
+}

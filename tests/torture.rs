@@ -14,6 +14,8 @@
 //! reproduce one schedule, feed its seed to `Schedule::new` — the plan,
 //! and the serial event trace, are bit-identical on every run.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -27,65 +29,8 @@ use inversion::{
     CreateMode, InvError, InvServerPool, InversionFs, OpenMode, PoolConfig, SeekWhence,
     WireClient, CHUNK_SIZE,
 };
+use common::CrashRig;
 use simdev::duplex_pair;
-
-/// Write-cached devices over faultable disks: a crash loses exactly what
-/// was never synced, and the inner fault plans can tear a destage partway.
-struct Rig {
-    clock: simdev::SimClock,
-    data: minidb::SharedDevice,
-    log: minidb::SharedDevice,
-    catalog: minidb::SharedDevice,
-    handles: Vec<simdev::CacheCrashHandle>,
-    data_faults: simdev::FaultPlan,
-    log_faults: simdev::FaultPlan,
-}
-
-impl Rig {
-    fn new() -> Rig {
-        let clock = simdev::SimClock::new();
-        let mut handles = Vec::new();
-        let mut plans = Vec::new();
-        let mut cached = |name: &str, nblocks: u64| {
-            let disk = simdev::MagneticDisk::new(
-                name,
-                clock.clone(),
-                simdev::DiskProfile::tiny_for_tests(nblocks),
-            );
-            plans.push(disk.fault_plan());
-            let (dev, handle) = simdev::WriteCacheDisk::new(Box::new(disk));
-            handles.push(handle);
-            minidb::shared_device(dev)
-        };
-        let data = cached("data", 1 << 16);
-        let log = cached("log", 1 << 12);
-        let catalog = cached("catalog", 1 << 12);
-        drop(cached);
-        let data_faults = plans[0].clone();
-        let log_faults = plans[1].clone();
-        Rig { clock, data, log, catalog, handles, data_faults, log_faults }
-    }
-
-    fn open(&self, fresh: bool) -> minidb::Db {
-        let mut smgr = minidb::Smgr::new();
-        let mgr = if fresh {
-            minidb::GenericManager::format(self.data.clone()).unwrap()
-        } else {
-            minidb::GenericManager::attach(self.data.clone()).unwrap()
-        };
-        smgr.register(minidb::DeviceId::DEFAULT, Box::new(mgr)).unwrap();
-        let config = minidb::DbConfig::default();
-        let open = if fresh { minidb::Db::open } else { minidb::Db::recover };
-        open(self.clock.clone(), smgr, self.log.clone(), self.catalog.clone(), config).unwrap()
-    }
-
-    /// Power failure: every unsynced write on every device vanishes.
-    fn crash(&self) {
-        for h in &self.handles {
-            h.drop_unsynced();
-        }
-    }
-}
 
 fn retryable(e: &InvError) -> bool {
     matches!(
@@ -304,7 +249,7 @@ fn oracle(
 /// Runs one schedule end to end: concurrent wire phase, fault layering,
 /// power cut, instant recovery, oracle.
 fn run_schedule(sched: Schedule) {
-    let rig = Rig::new();
+    let rig = CrashRig::new();
     let fs = InversionFs::format(rig.open(true)).unwrap();
     let plan: Plan = sched.generate();
     {
@@ -460,6 +405,32 @@ fn run_schedule(sched: Schedule) {
                 thread::sleep(Duration::from_millis(1));
             }
         }
+        FaultKind::CatalogDeviceFault => {
+            // The fault is armed first: DDL itself writes only the log, so
+            // whichever checkpoint next drains the dirtied `pg_class` and
+            // `pg_type` pages — the background one or ours — tears.
+            let db = fs.db();
+            let before = rig.catalog_faults.write_trips();
+            let schema = minidb::Schema::new([("v", minidb::TypeId::INT4)]);
+            let doomed = db.create_table("torture_doomed", schema.clone()).unwrap();
+            rig.catalog_faults.fail_after_writes(sched.seed % 2);
+            let t = db.create_table("torture_ddl", schema).unwrap();
+            let mut s = db.begin().unwrap();
+            for v in 0..40 {
+                s.insert(t, vec![minidb::Datum::Int4(v)]).unwrap();
+                s.insert(doomed, vec![minidb::Datum::Int4(v)]).unwrap();
+            }
+            s.commit().unwrap();
+            db.create_index("torture_ddl_v", t, &["v"]).unwrap();
+            db.drop_relation("torture_doomed").unwrap();
+            db.define_type("torture_type").unwrap();
+            let _ = db.checkpoint();
+            rig.catalog_faults.clear_write_fault();
+            assert!(
+                rig.catalog_faults.write_trips() > before,
+                "the armed catalog-device fault never tripped"
+            );
+        }
     }
 
     // Power cut, then the paper's instant recovery: just reattach.
@@ -469,7 +440,7 @@ fn run_schedule(sched: Schedule) {
         // before dropping unsynced writes so nothing races the crash.
         h.join().unwrap();
     }
-    rig.crash();
+    rig.power_cut();
     drop(pool);
     drop(fs);
     let fs = InversionFs::attach(rig.open(false)).unwrap();
@@ -500,6 +471,23 @@ fn run_schedule(sched: Schedule) {
     }
 
     oracle(&fs, &results, &pads, &torn);
+
+    if sched.fault == FaultKind::CatalogDeviceFault {
+        // Every acknowledged DDL is wholly there: the index is catalogued,
+        // attached and built; the dropped table is gone and its name free.
+        let db = fs.db();
+        let t = db.relation_id("torture_ddl").unwrap();
+        let idx = db.relation_id("torture_ddl_v").unwrap();
+        assert_eq!(db.find_index(t, &[0]), Some(idx));
+        let mut s = db.begin().unwrap();
+        assert_eq!(s.index_scan_eq(idx, &[minidb::Datum::Int4(17)]).unwrap().len(), 1);
+        s.commit().unwrap();
+        assert!(db.catalog().type_by_name("torture_type").is_ok());
+        assert!(db.relation_id("torture_doomed").is_err());
+        db.create_table("torture_doomed", minidb::Schema::default()).unwrap();
+        let findings = db.check_all();
+        assert!(findings.is_empty(), "verifier: {findings:?}");
+    }
 }
 
 fn run_kind(kind: FaultKind) {
@@ -549,6 +537,11 @@ fn battery_crash_mid_checkpoint() {
 #[test]
 fn battery_crash_in_flight() {
     run_kind(FaultKind::CrashInFlight);
+}
+
+#[test]
+fn battery_catalog_device_fault() {
+    run_kind(FaultKind::CatalogDeviceFault);
 }
 
 // ---------------------------------------------------------------------------
