@@ -69,6 +69,35 @@ fn bench_btree(c: &mut Criterion) {
             black_box(s.index_scan_eq(idx, &[Datum::Int4(k)]).unwrap())
         });
     });
+    // One probe of a key with 1, 10 and 100 versions. The index holds
+    // 3 200 entries each time (3 200, 320 or 32 keys), so the tree is the
+    // same shape and only the chain length differs: flat, since the probe
+    // stops at the newest version.
+    for chain in [1, 10, 100] {
+        c.bench_function(&format!("index_probe/chain_{chain}"), |b| {
+            let db = Db::open_in_memory().unwrap();
+            let rel = db
+                .create_table("t", Schema::new([("k", TypeId::INT4), ("v", TypeId::BYTES)]))
+                .unwrap();
+            let idx = db.create_unique_index("t_k", rel, &["k"]).unwrap();
+            let keys = 3200 / chain;
+            let row = |k: i32| vec![Datum::Int4(k), Datum::Bytes(vec![k as u8; 64])];
+            let mut s = db.begin().unwrap();
+            let mut tids: Vec<_> = (0..keys).map(|k| s.insert(rel, row(k)).unwrap()).collect();
+            for _ in 1..chain {
+                for (k, tid) in tids.iter_mut().enumerate() {
+                    *tid = s.update(rel, *tid, row(k as i32)).unwrap();
+                }
+            }
+            s.commit().unwrap();
+            let mut s = db.begin().unwrap();
+            let mut k = 0;
+            b.iter(|| {
+                k = (k + 37) % keys;
+                black_box(s.index_lookup_unique(idx, &[Datum::Int4(k)], None).unwrap())
+            });
+        });
+    }
 }
 
 fn bench_query(c: &mut Criterion) {

@@ -373,15 +373,10 @@ impl InvClient {
             }
             let keep_chunks = len.div_ceil(CHUNK_SIZE as u64) as u32;
             // Delete whole chunks beyond the new end.
-            let mut victims = Vec::new();
-            s.index_scan_range(
+            let victims = s.index_range_tids(
                 st.stat.chunkidx,
                 Some(&[Datum::Int4(keep_chunks as i32)]),
                 None,
-                |tid, _row| {
-                    victims.push(tid);
-                    Ok(true)
-                },
             )?;
             for tid in victims {
                 s.delete(st.stat.datarel, tid)?;
@@ -496,15 +491,10 @@ impl InvClient {
                 )?;
             }
             // Delete any current chunks past the restored length.
-            let mut victims: Vec<Tid> = Vec::new();
-            s.index_scan_range(
+            let victims = s.index_range_tids(
                 stat_then.chunkidx,
                 Some(&[Datum::Int4(nchunks as i32)]),
                 None,
-                |tid, _row| {
-                    victims.push(tid);
-                    Ok(true)
-                },
             )?;
             for tid in victims {
                 s.delete(stat_then.datarel, tid)?;
@@ -578,8 +568,7 @@ impl InvClient {
                         // Zero-copy: move the stored row as-is. A missing
                         // source row is a hole, which stays a hole.
                         let key = [Datum::Int4(chunkno as i32)];
-                        if let Some((_, row)) = s.index_scan_eq(src.chunkidx, &key)?.into_iter().next()
-                        {
+                        if let Some((_, row)) = s.index_lookup_unique(src.chunkidx, &key, None)? {
                             let raw = row[1].as_bytes()?.to_vec();
                             let dchunk = chunk::chunk_of(dest_off);
                             s.insert(
@@ -747,11 +736,7 @@ pub(crate) fn fetch_chunk(
 ) -> InvResult<Option<Vec<u8>>> {
     fs.stats.chunk_reads.bump();
     let key = [Datum::Int4(chunkno as i32)];
-    let hits = match snap {
-        Some(sp) => s.index_scan_eq_with(stat.chunkidx, &key, sp)?,
-        None => s.index_scan_eq(stat.chunkidx, &key)?,
-    };
-    let Some((_, row)) = hits.into_iter().next() else {
+    let Some((_, row)) = s.index_lookup_unique(stat.chunkidx, &key, snap)? else {
         return Ok(None);
     };
     decode_chunk(stat, chunkno, &row).map(Some)
@@ -861,9 +846,12 @@ pub(crate) fn write_chunk(
     start: usize,
     data: &[u8],
 ) -> InvResult<()> {
+    if start == 0 && data.len() == CHUNK_SIZE {
+        // Nothing of the stored chunk survives: it need not be read.
+        return write_chunk_exact(fs, s, stat, chunkno, data);
+    }
     let key = [Datum::Int4(chunkno as i32)];
-    let existing = s.index_scan_eq(stat.chunkidx, &key)?;
-    let (tid, mut content) = match existing.into_iter().next() {
+    let (tid, mut content) = match s.index_lookup_unique(stat.chunkidx, &key, None)? {
         Some((tid, row)) => (Some(tid), decode_chunk(stat, chunkno, &row)?),
         None => (None, Vec::new()),
     };
@@ -912,11 +900,7 @@ pub(crate) fn write_chunk_exact(
     content: &[u8],
 ) -> InvResult<()> {
     let key = [Datum::Int4(chunkno as i32)];
-    let tid = s
-        .index_scan_eq(stat.chunkidx, &key)?
-        .into_iter()
-        .next()
-        .map(|(tid, _)| tid);
+    let tid = s.index_lookup_unique_tid(stat.chunkidx, &key)?;
     store_chunk(fs, s, stat, chunkno, tid, content.to_vec())
 }
 

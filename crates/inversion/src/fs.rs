@@ -301,10 +301,15 @@ impl InversionFs {
         )?;
         // "Various Btree indices on the naming table speed up these
         // operations."
+        // A name in a directory and a file's attributes are unique among
+        // the versions alive at one instant (their writers probe under the
+        // relation's exclusive lock before inserting), so lookups stop at
+        // the first visible version. `naming_file_idx` is not declared so:
+        // nothing checks that a file has one name.
         let naming_dir_idx =
-            db.create_index("naming_dir_idx", naming, &["parentid", "filename"])?;
+            db.create_unique_index("naming_dir_idx", naming, &["parentid", "filename"])?;
         let naming_file_idx = db.create_index("naming_file_idx", naming, &["file"])?;
-        let fileatt_file_idx = db.create_index("fileatt_file_idx", fileatt, &["file"])?;
+        let fileatt_file_idx = db.create_unique_index("fileatt_file_idx", fileatt, &["file"])?;
 
         let rels = FsRels {
             naming,
@@ -351,11 +356,13 @@ impl InversionFs {
         };
         // Find the root: naming row with parentid 0.
         let mut s = db.begin()?;
-        let hits = s.index_scan_eq(naming_dir_idx, &[Datum::Oid(0), Datum::Text("/".into())])?;
+        let hit = s.index_lookup_unique(
+            naming_dir_idx,
+            &[Datum::Oid(0), Datum::Text("/".into())],
+            None,
+        )?;
         s.commit()?;
-        let (_, row) = hits
-            .first()
-            .ok_or_else(|| InvError::Invalid("no root directory found".into()))?;
+        let (_, row) = hit.ok_or_else(|| InvError::Invalid("no root directory found".into()))?;
         let root = Oid(row[N_FILE].as_oid()?);
         let stats = Arc::new(InvStats::new());
         register_inv_stat(&db, &stats);
@@ -433,9 +440,11 @@ impl InversionFs {
             device,
             no_history,
         )?;
-        let chunkidx = self
-            .db
-            .create_index(&format!("inv{}_idx", oid.0), datarel, &["chunkno"])?;
+        // One version of a chunk is current at a time: `store_chunk`
+        // replaces the version its caller looked up.
+        let chunkidx =
+            self.db
+                .create_unique_index(&format!("inv{}_idx", oid.0), datarel, &["chunkno"])?;
         Ok((datarel, chunkidx))
     }
 
@@ -476,11 +485,7 @@ impl InversionFs {
         snap: Option<&Snapshot>,
     ) -> InvResult<Option<(Tid, Vec<Datum>)>> {
         let key = [Datum::Oid(oid.0)];
-        let hits = match snap {
-            Some(s) => session.index_scan_eq_with(self.rels.fileatt_file_idx, &key, s)?,
-            None => session.index_scan_eq(self.rels.fileatt_file_idx, &key)?,
-        };
-        Ok(hits.into_iter().next())
+        Ok(session.index_lookup_unique(self.rels.fileatt_file_idx, &key, snap)?)
     }
 
     /// Rewrites `oid`'s current `fileatt` row through `edit`. The write is

@@ -50,7 +50,7 @@ pub fn migrate_file(
         target,
         false,
     )?;
-    let new_idx = fs.db().create_index(
+    let new_idx = fs.db().create_unique_index(
         &format!("inv{}_m{}_idx", oid.0, suffix),
         new_rel,
         &["chunkno"],

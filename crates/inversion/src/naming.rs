@@ -44,14 +44,8 @@ impl InversionFs {
         snap: Option<&Snapshot>,
     ) -> InvResult<Option<(Tid, Oid)>> {
         let key = [Datum::Oid(parent.0), Datum::Text(name.to_string())];
-        let hits = match snap {
-            Some(s) => session.index_scan_eq_with(self.rels.naming_dir_idx, &key, s)?,
-            None => session.index_scan_eq(self.rels.naming_dir_idx, &key)?,
-        };
-        Ok(hits
-            .into_iter()
-            .next()
-            .map(|(tid, row)| (tid, Oid(row[N_FILE].as_oid().unwrap_or(0)))))
+        let hit = session.index_lookup_unique(self.rels.naming_dir_idx, &key, snap)?;
+        Ok(hit.map(|(tid, row)| (tid, Oid(row[N_FILE].as_oid().unwrap_or(0)))))
     }
 
     /// Checks that `(parent, name)` is free *for this transaction to claim*.

@@ -9,10 +9,21 @@
 //! Readers filter index hits through tuple visibility.
 //!
 //! Structure: a meta page (block 0) pointing at the root; internal nodes
-//! hold `(min_key, child)` fence entries; leaves hold `(key, tid)` and are
-//! chained left-to-right for range scans. Duplicate keys are expected and
-//! supported. Deletion is lazy (no rebalancing); the vacuum cleaner rebuilds
-//! indices when it rewrites a relation.
+//! hold `(min_key, min_tid, child)` fence entries; leaves hold `(key, tid)`
+//! and are chained left-to-right for range scans. Deletion is lazy (no
+//! rebalancing); the vacuum cleaner rebuilds indices when it rewrites a
+//! relation.
+//!
+//! Entries are totally ordered by `(key, tid)`, ascending: the heap tid an
+//! entry points at breaks ties between equal keys, in leaves, at splits and
+//! in the fences a split propagates. The heap only ever appends, so a key's
+//! versions form one run in insertion order — a new version lands after its
+//! predecessors, which for a growing index is the cheap slot-order append —
+//! and the newest version is the run's last entry, wherever leaf boundaries
+//! fall. [`BTree::scan_key_newest_first`] walks a run from that end, so a
+//! reader that needs only the version visible to it stops after one heap
+//! fetch however long the run is; [`BTree::contains`] and [`BTree::delete`]
+//! descend straight to one entry.
 
 use crate::buffer::BufferPool;
 use crate::datum::{decode_row, encode_row, Datum};
@@ -41,6 +52,36 @@ fn cmp_keys(a: &[Datum], b: &[Datum]) -> Ordering {
         }
     }
     a.len().cmp(&b.len())
+}
+
+/// A position in the index's total order: a key, then the tid that breaks
+/// ties among equal keys. `tid: None` sorts before every real tid (the
+/// start of a key's run); `Some(Tid::MAX)` is its end.
+#[derive(Clone, Copy)]
+struct Pos<'k> {
+    key: &'k [Datum],
+    tid: Option<Tid>,
+}
+
+impl Pos<'_> {
+    /// Before every entry: the empty key is a prefix of all others.
+    const FIRST: Pos<'static> = Pos { key: &[], tid: None };
+}
+
+/// A [`Pos`] that owns its key: where a decoded item sits.
+type OwnedPos = (Key, Option<Tid>);
+
+fn cmp_pos(key: &[Datum], tid: Option<Tid>, to: Pos<'_>) -> Ordering {
+    cmp_keys(key, to.key).then_with(|| tid.cmp(&to.tid))
+}
+
+/// The largest tid below `tid`, if there is one.
+fn tid_before(tid: Tid) -> Option<Tid> {
+    match (tid.blkno, tid.slot) {
+        (0, 0) => None,
+        (b, 0) => Some(Tid::new(b - 1, u16::MAX)),
+        (b, s) => Some(Tid::new(b, s - 1)),
+    }
 }
 
 struct NodeMeta {
@@ -89,6 +130,34 @@ fn decode_item(item: &[u8]) -> DbResult<(Key, &[u8])> {
         .ok_or_else(|| DbError::Corrupt("index item key truncated".into()))?;
     let key = decode_row(kbytes)?;
     Ok((key, &item[2 + klen..]))
+}
+
+/// A fence: the position of the first entry under `child` — its key, then a
+/// payload of the child block and that entry's tid. The leftmost fence of a
+/// level carries the empty key and no tid, and sorts first.
+fn encode_fence(first: Pos<'_>, child: u64) -> Vec<u8> {
+    let mut payload = child.to_le_bytes().to_vec();
+    if let Some(tid) = first.tid {
+        payload.extend_from_slice(&tid.encode());
+    }
+    encode_item(first.key, &payload)
+}
+
+/// The tid an item's payload sorts by: a leaf entry's heap tid, or the
+/// separator tid after a fence's child pointer.
+fn payload_tid(payload: &[u8], leaf: bool) -> Option<Tid> {
+    Tid::decode(if leaf { payload } else { payload.get(8..)? })
+}
+
+/// Where [`BTree::descend`] ended up.
+struct Descent {
+    /// The leaf whose range holds the target position.
+    leaf: u64,
+    /// The internal blocks walked, root first.
+    path: Vec<u64>,
+    /// The leaf's fence in its parent — the lower bound of its range. `None`
+    /// when the root is the leaf.
+    lower: Option<OwnedPos>,
 }
 
 /// A handle binding a B-tree index relation to its machinery.
@@ -209,71 +278,62 @@ impl<'a> BTree<'a> {
         Ok(())
     }
 
-    /// Descends from the root to the leaf that should contain `key`,
-    /// returning the leaf block and the path of internal blocks walked.
-    fn descend(&self, key: &[Datum]) -> DbResult<(u64, Vec<u64>)> {
+    /// Descends from the root to the leaf whose range holds `to`: at each
+    /// level, the last child whose fence is at or below it (an entry equal
+    /// to a fence is the first one under that fence).
+    fn descend(&self, to: Pos<'_>) -> DbResult<Descent> {
         let mut blk = self.root()?;
         let mut path = Vec::new();
+        let mut lower = None;
         loop {
             let pref = self.pool.get_page(self.smgr, self.dev, self.rel, blk)?;
             let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
             let pbuf = pref.read();
             let data = pbuf.data();
-            let meta = read_node_meta(data)?;
-            if meta.leaf {
-                return Ok((blk, path));
+            if read_node_meta(data)?.leaf {
+                return Ok(Descent {
+                    leaf: blk,
+                    path,
+                    lower,
+                });
             }
-            // Find the last child whose fence key is strictly below `key`
-            // (strict, so that duplicates equal to a fence are found in the
-            // left sibling too); default to the first child when every fence
-            // is >= key.
-            let n = page::nslots(data);
-            let mut child: Option<u64> = None;
-            for s in 0..n {
-                let Some(item) = page::item(data, s) else {
-                    continue;
-                };
+            // The first live child stands in when every fence is above `to`.
+            let mut next = None;
+            for (_, item) in page::iter(data) {
                 let (k, payload) = decode_item(item)?;
-                if cmp_keys(&k, key) != Ordering::Less {
+                let tid = payload_tid(payload, false);
+                if next.is_some() && cmp_pos(&k, tid, to) == Ordering::Greater {
                     break;
                 }
-                child = Some(crate::bytes::le_u64(payload, 0)?);
+                next = Some((crate::bytes::le_u64(payload, 0)?, (k, tid)));
             }
-            let next = match child {
-                Some(c) => c,
-                None => {
-                    // Key below all fences: take the first live child.
-                    let mut first = None;
-                    for s in 0..n {
-                        if let Some(item) = page::item(data, s) {
-                            let (_, payload) = decode_item(item)?;
-                            first = Some(crate::bytes::le_u64(payload, 0)?);
-                            break;
-                        }
-                    }
-                    first
-                        .ok_or_else(|| DbError::Corrupt("internal node with no children".into()))?
-                }
-            };
+            let (child, fence) =
+                next.ok_or_else(|| DbError::Corrupt("internal node with no children".into()))?;
             path.push(blk);
-            blk = next;
+            blk = child;
+            lower = Some(fence);
         }
     }
 
-    /// Inserts `(key, tid)`. Duplicate keys are allowed.
+    /// Inserts `(key, tid)`. Duplicate keys are allowed; they sort by tid.
     pub fn insert(&self, key: &[Datum], tid: Tid) -> DbResult<()> {
         self.stats.btree.inserts.bump();
+        let at = Pos {
+            key,
+            tid: Some(tid),
+        };
         let item = encode_item(key, &tid.encode());
-        let (leaf, path) = self.descend(key)?;
-        self.insert_into_node(leaf, path, key, &item)
+        let Descent { leaf, path, .. } = self.descend(at)?;
+        self.insert_into_node(leaf, path, at, &item)
     }
 
-    /// Inserts an encoded item into a node, splitting upward as needed.
+    /// Inserts an encoded item into a node at position `at`, splitting
+    /// upward as needed.
     fn insert_into_node(
         &self,
         blk: u64,
         mut path: Vec<u64>,
-        key: &[Datum],
+        at: Pos<'_>,
         item: &[u8],
     ) -> DbResult<()> {
         let pref = self.pool.get_page(self.smgr, self.dev, self.rel, blk)?;
@@ -281,23 +341,17 @@ impl<'a> BTree<'a> {
         let mut pbuf = pref.write();
         let data = pbuf.data_mut();
         if page::fits(data, item.len()) {
-            match Self::insert_sorted(data, key, item)? {
+            match Self::insert_sorted(data, at, item)? {
                 Sorted::Appended(slot) => self.log_append(data, blk, slot, item)?,
                 Sorted::Rewrote => self.log_image(data, blk)?,
             }
             return Ok(());
         }
-        // Split: collect all items (plus the new one) in key order, keep the
+        // Split: collect all items (plus the new one) in order, keep the
         // lower half here, move the upper half to a fresh right sibling.
         self.stats.btree.splits.bump();
         let meta = read_node_meta(data)?;
-        let mut items: Vec<(Key, Vec<u8>)> = Vec::with_capacity(page::nslots(data) as usize + 1);
-        for (_, it) in page::iter(data) {
-            let (k, _) = decode_item(it)?;
-            items.push((k, it.to_vec()));
-        }
-        let pos = items.partition_point(|(k, _)| cmp_keys(k, key) != Ordering::Greater);
-        items.insert(pos, (key.to_vec(), item.to_vec()));
+        let items = Self::items_with(data, meta.leaf, at, item)?;
         let mid = items.len() / 2;
 
         let (right_blk, right_ref) = self.pool.new_page(self.smgr, self.dev, self.rel)?;
@@ -316,7 +370,6 @@ impl<'a> BTree<'a> {
             page::insert(rdata, it)?;
         }
         self.log_image(rdata, right_blk)?;
-        let split_key = items[mid].0.clone();
 
         // Rewrite the left node with the lower half.
         page::init(data, SPECIAL_SIZE);
@@ -334,10 +387,17 @@ impl<'a> BTree<'a> {
         drop(pbuf);
         drop(right);
 
-        // Propagate the fence for the new right node.
-        let fence = encode_item(&split_key, &right_blk.to_le_bytes());
+        // Propagate the fence for the new right node: the position of its
+        // first entry, tid included, so that a run of one key that spans
+        // the split is still found on the correct side.
+        let ((split_key, split_tid), _) = &items[mid];
+        let split_at = Pos {
+            key: split_key,
+            tid: *split_tid,
+        };
+        let fence = encode_fence(split_at, right_blk);
         match path.pop() {
-            Some(parent) => self.insert_into_node(parent, path, &split_key, &fence),
+            Some(parent) => self.insert_into_node(parent, path, split_at, &fence),
             None => {
                 // Splitting the root: make a new root over both halves.
                 let (new_root, root_ref) = self.pool.new_page(self.smgr, self.dev, self.rel)?;
@@ -352,9 +412,7 @@ impl<'a> BTree<'a> {
                         right: 0,
                     },
                 );
-                // Left fence: an empty key sorts before everything real.
-                let left_fence = encode_item(&[], &blk.to_le_bytes());
-                page::insert(rdata, &left_fence)?;
+                page::insert(rdata, &encode_fence(Pos::FIRST, blk))?;
                 page::insert(rdata, &fence)?;
                 self.log_image(rdata, new_root)?;
                 drop(root);
@@ -363,37 +421,47 @@ impl<'a> BTree<'a> {
         }
     }
 
-    /// Inserts `item` into a node page, keeping slot order sorted by key.
+    /// Every live item of a node as `(position, bytes)`, with `item` added
+    /// at position `at`: after everything at or below it.
+    fn items_with(
+        data: &[u8],
+        leaf: bool,
+        at: Pos<'_>,
+        item: &[u8],
+    ) -> DbResult<Vec<(OwnedPos, Vec<u8>)>> {
+        let mut items = Vec::with_capacity(page::nslots(data) as usize + 1);
+        for (_, it) in page::iter(data) {
+            let (k, payload) = decode_item(it)?;
+            items.push(((k, payload_tid(payload, leaf)), it.to_vec()));
+        }
+        let pos = items.partition_point(|((k, t), _)| cmp_pos(k, *t, at) != Ordering::Greater);
+        items.insert(pos, ((at.key.to_vec(), at.tid), item.to_vec()));
+        Ok(items)
+    }
+
+    /// Inserts `item` into a node page, keeping slot order sorted by
+    /// `(key, tid)`.
     ///
     /// Slotted pages append items; to preserve sorted order under arbitrary
     /// interleavings we rewrite the page when the insertion point is not at
     /// the end. Pages are 8 KB and in cache, so this is a memcpy, not I/O.
-    fn insert_sorted(data: &mut [u8], key: &[Datum], item: &[u8]) -> DbResult<Sorted> {
+    fn insert_sorted(data: &mut [u8], at: Pos<'_>, item: &[u8]) -> DbResult<Sorted> {
+        let meta = read_node_meta(data)?;
+        // Compare against the last *live* item; a dead trailing slot must
+        // not mask an ordering violation.
         let n = page::nslots(data);
-        let mut at_end = true;
-        for s in (0..n).rev() {
-            // Compare against the last *live* item; a dead trailing slot
-            // must not mask an ordering violation.
-            if let Some(last) = page::item(data, s) {
-                let (k, _) = decode_item(last)?;
-                if cmp_keys(&k, key) == Ordering::Greater {
-                    at_end = false;
-                }
-                break;
+        let at_end = match (0..n).rev().find_map(|s| page::item(data, s)) {
+            Some(last) => {
+                let (k, payload) = decode_item(last)?;
+                cmp_pos(&k, payload_tid(payload, meta.leaf), at) != Ordering::Greater
             }
-        }
+            None => true,
+        };
         if at_end {
             let slot = page::insert(data, item)?;
             return Ok(Sorted::Appended(slot));
         }
-        let meta = read_node_meta(data)?;
-        let mut items: Vec<(Key, Vec<u8>)> = Vec::with_capacity(n as usize + 1);
-        for (_, it) in page::iter(data) {
-            let (k, _) = decode_item(it)?;
-            items.push((k, it.to_vec()));
-        }
-        let pos = items.partition_point(|(k, _)| cmp_keys(k, key) != Ordering::Greater);
-        items.insert(pos, (key.to_vec(), item.to_vec()));
+        let items = Self::items_with(data, meta.leaf, at, item)?;
         page::init(data, SPECIAL_SIZE);
         write_node_meta(data, &meta);
         for (_, it) in &items {
@@ -407,10 +475,12 @@ impl<'a> BTree<'a> {
     ///
     /// Checked invariants: the meta page is sane and points at a real root;
     /// every node passes [`page::verify`]; levels are uniform (no leaf mixed
-    /// into an internal level); keys are nondecreasing within each node
-    /// *and* across each level's sibling chain; sibling links terminate
-    /// without cycles; internal payloads are valid child pointers and leaf
-    /// payloads are valid tuple ids.
+    /// into an internal level); items are in `(key, tid)` order — a leaf
+    /// entry's heap tid, a fence's separator tid — within each node *and*
+    /// across each level's sibling chain, and every node's items lie at or
+    /// above its own fence in the parent and below its right sibling's;
+    /// sibling links terminate without cycles; internal payloads are valid
+    /// child pointers and leaf payloads are valid tuple ids.
     pub fn check(&self, name: &str) -> (Vec<crate::check::Finding>, Vec<(Key, Tid)>) {
         use crate::check::Finding;
         let mut out = Vec::new();
@@ -450,14 +520,17 @@ impl<'a> BTree<'a> {
         }
         let mut visited = std::collections::HashSet::new();
         let mut level_start = root;
+        // Child block -> the fence its parent holds for it, one level up.
+        let mut fences: std::collections::HashMap<u64, OwnedPos> = Default::default();
         for _depth in 0..64 {
             // Walk one level left-to-right along the sibling chain, then
             // descend to the first node's first child.
             let mut blk = level_start;
             let mut level_leaf: Option<bool> = None;
             let mut next_level: Option<u64> = None;
-            let mut prev_key: Option<Key> = None;
+            let mut prev: Option<OwnedPos> = None;
             let mut first_node = true;
+            let mut child_fences = std::collections::HashMap::new();
             'chain: while blk != 0 {
                 if blk >= nblocks {
                     out.push(Finding::new(
@@ -525,6 +598,19 @@ impl<'a> BTree<'a> {
                     }
                     Some(_) => {}
                 }
+                let disorder =
+                    |detail: String| Finding::new(name, "btree-key-order", detail).on_page(blk);
+                let fence = fences.get(&blk);
+                if let (Some((fk, ft)), Some((pk, pt))) = (fence, &prev) {
+                    // The left sibling's items must all lie below this
+                    // node's fence, or a descent looks for them here.
+                    if cmp_pos(pk, *pt, Pos { key: fk, tid: *ft }) != Ordering::Less {
+                        out.push(disorder(format!(
+                            "fence ({fk:?}, {ft:?}) is not above the left sibling's last \
+                             item ({pk:?}, {pt:?})"
+                        )));
+                    }
+                }
                 for slot in 0..page::nslots(data) {
                     let Some(item) = page::item(data, slot) else {
                         continue; // Dead (lazily deleted) or reported by verify.
@@ -540,20 +626,31 @@ impl<'a> BTree<'a> {
                             continue;
                         }
                     };
-                    if let Some(prev) = &prev_key {
-                        if cmp_keys(prev, &key) == Ordering::Greater {
+                    let tid = payload_tid(payload, meta.leaf);
+                    let here = Pos { key: &key, tid };
+                    if let Some((pk, pt)) = &prev {
+                        if cmp_pos(pk, *pt, here) == Ordering::Greater {
                             out.push(
-                                Finding::new(
-                                    name,
-                                    "btree-key-order",
-                                    format!("key {key:?} sorts before its predecessor {prev:?}"),
-                                )
-                                .on_page(blk)
+                                disorder(format!(
+                                    "({key:?}, {tid:?}) sorts before its predecessor \
+                                     ({pk:?}, {pt:?})"
+                                ))
                                 .on_slot(slot),
                             );
                         }
                     }
-                    prev_key = Some(key.clone());
+                    if let Some((fk, ft)) = fence {
+                        if cmp_pos(fk, *ft, here) == Ordering::Greater {
+                            out.push(
+                                disorder(format!(
+                                    "({key:?}, {tid:?}) sorts before its node's fence \
+                                     ({fk:?}, {ft:?}): a descent cannot reach it"
+                                ))
+                                .on_slot(slot),
+                            );
+                        }
+                    }
+                    prev = Some((key.clone(), tid));
                     if meta.leaf {
                         match Tid::decode(payload) {
                             Some(tid) => entries.push((key, tid)),
@@ -582,15 +679,18 @@ impl<'a> BTree<'a> {
                                         .on_page(blk)
                                         .on_slot(slot),
                                     );
-                                } else if first_node && next_level.is_none() {
-                                    next_level = Some(child);
+                                } else {
+                                    if first_node && next_level.is_none() {
+                                        next_level = Some(child);
+                                    }
+                                    child_fences.insert(child, (key, tid));
                                 }
                             }
                             Err(_) => out.push(
                                 Finding::new(
                                     name,
                                     "btree-bad-child-payload",
-                                    format!("{} payload bytes, want 8", payload.len()),
+                                    format!("{} payload bytes, want 8 or 14", payload.len()),
                                 )
                                 .on_page(blk)
                                 .on_slot(slot),
@@ -601,6 +701,7 @@ impl<'a> BTree<'a> {
                 first_node = false;
                 blk = meta.right;
             }
+            fences = child_fences;
             match (level_leaf, next_level) {
                 (Some(true), _) | (None, _) => return (out, entries),
                 (Some(false), Some(next)) => level_start = next,
@@ -622,7 +723,7 @@ impl<'a> BTree<'a> {
         (out, entries)
     }
 
-    /// Returns every tuple id stored under exactly `key`.
+    /// Returns every tuple id stored under exactly `key`, oldest first.
     pub fn search(&self, key: &[Datum]) -> DbResult<Vec<Tid>> {
         let mut out = Vec::new();
         self.scan(Some(key), Some(key), |_, tid| {
@@ -633,7 +734,8 @@ impl<'a> BTree<'a> {
     }
 
     /// Scans keys in `[lo, hi]` (both inclusive; `None` = unbounded),
-    /// calling `f(key, tid)` in key order. `f` returns `false` to stop.
+    /// calling `f(key, tid)` in `(key, tid)` order. `f` returns `false` to
+    /// stop.
     pub fn scan(
         &self,
         lo: Option<&[Datum]>,
@@ -641,33 +743,93 @@ impl<'a> BTree<'a> {
         mut f: impl FnMut(&[Datum], Tid) -> DbResult<bool>,
     ) -> DbResult<()> {
         self.stats.btree.searches.bump();
-        let mut blk = match lo {
-            Some(k) => self.descend(k)?.0,
-            None => {
-                // Walk down the leftmost spine.
-                let mut b = self.root()?;
-                loop {
-                    let pref = self.pool.get_page(self.smgr, self.dev, self.rel, b)?;
-                    let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
-                    let pbuf = pref.read();
-                    let data = pbuf.data();
-                    let meta = read_node_meta(data)?;
-                    if meta.leaf {
-                        break b;
-                    }
-                    let mut first = None;
-                    for s in 0..page::nslots(data) {
-                        if let Some(item) = page::item(data, s) {
-                            let (_, payload) = decode_item(item)?;
-                            first = Some(crate::bytes::le_u64(payload, 0)?);
-                            break;
-                        }
-                    }
-                    b = first
-                        .ok_or_else(|| DbError::Corrupt("internal node with no children".into()))?;
+        let lo = lo.map_or(Pos::FIRST, |key| Pos { key, tid: None });
+        let hi = hi.map(|key| Pos {
+            key,
+            tid: Some(Tid::MAX),
+        });
+        let from = self.descend(lo)?.leaf;
+        self.walk(from, lo, hi, |hits| {
+            for (k, tid) in hits {
+                if !f(&k, tid)? {
+                    return Ok(false);
                 }
             }
+            Ok(true)
+        })
+    }
+
+    /// Calls `f(tid)` for every entry stored under exactly `key`, newest
+    /// (largest tid) first; `f` returns `false` to stop.
+    ///
+    /// Descends to the end of the key's run and yields that leaf's part of
+    /// it backwards. There are no left links: when the leaf's own fence lies
+    /// inside the run, the rest is to the left, and the walk descends again
+    /// to just below that fence. Like [`BTree::scan`] it holds no latch
+    /// while `f` runs.
+    pub fn scan_key_newest_first(
+        &self,
+        key: &[Datum],
+        mut f: impl FnMut(Tid) -> DbResult<bool>,
+    ) -> DbResult<()> {
+        self.stats.btree.searches.bump();
+        let mut upto = Tid::MAX;
+        loop {
+            let end = Pos {
+                key,
+                tid: Some(upto),
+            };
+            let d = self.descend(end)?;
+            let mut run = Vec::new();
+            self.walk(d.leaf, Pos { key, tid: None }, Some(end), |hits| {
+                run.extend(hits.into_iter().map(|(_, tid)| tid));
+                Ok(true)
+            })?;
+            for tid in run.into_iter().rev() {
+                if !f(tid)? {
+                    return Ok(());
+                }
+            }
+            let fence_tid = match d.lower {
+                Some((k, Some(t))) if cmp_keys(&k, key) == Ordering::Equal => t,
+                _ => return Ok(()),
+            };
+            match tid_before(fence_tid) {
+                Some(t) => upto = t,
+                None => return Ok(()),
+            }
+        }
+    }
+
+    /// Whether the entry `(key, tid)` is present: one descent, however many
+    /// versions the key has.
+    pub fn contains(&self, key: &[Datum], tid: Tid) -> DbResult<bool> {
+        self.stats.btree.searches.bump();
+        let at = Pos {
+            key,
+            tid: Some(tid),
         };
+        let mut found = false;
+        self.walk(self.descend(at)?.leaf, at, Some(at), |hits| {
+            found |= !hits.is_empty();
+            Ok(true)
+        })?;
+        Ok(found)
+    }
+
+    /// Walks leaves rightward from `from`, handing `batch` each leaf's live
+    /// entries within `[lo, hi]` until an entry sorts after `hi`, the chain
+    /// ends, or `batch` returns `false`. It always looks one leaf past the
+    /// last entry at or below `hi`, so a split that moved entries right
+    /// between the caller's descent and this read loses nothing.
+    fn walk(
+        &self,
+        from: u64,
+        lo: Pos<'_>,
+        hi: Option<Pos<'_>>,
+        mut batch: impl FnMut(Vec<(Key, Tid)>) -> DbResult<bool>,
+    ) -> DbResult<()> {
+        let mut blk = from;
         loop {
             let pref = self.pool.get_page(self.smgr, self.dev, self.rel, blk)?;
             let mut hits = Vec::new();
@@ -677,78 +839,59 @@ impl<'a> BTree<'a> {
                 let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
                 let pbuf = pref.read();
                 let data = pbuf.data();
-                let meta = read_node_meta(data)?;
-                right = meta.right;
+                right = read_node_meta(data)?.right;
                 for (_, item) in page::iter(data) {
                     let (k, payload) = decode_item(item)?;
-                    if let Some(lo) = lo {
-                        if cmp_keys(&k, lo) == Ordering::Less {
-                            continue;
-                        }
+                    let tid = payload_tid(payload, true);
+                    if cmp_pos(&k, tid, lo) == Ordering::Less {
+                        continue;
                     }
-                    if let Some(hi) = hi {
-                        if cmp_keys(&k, hi) == Ordering::Greater {
-                            past_hi = true;
-                            break;
-                        }
+                    if hi.is_some_and(|hi| cmp_pos(&k, tid, hi) == Ordering::Greater) {
+                        past_hi = true;
+                        break;
                     }
-                    let tid = Tid::decode(payload)
-                        .ok_or_else(|| DbError::Corrupt("bad tid in leaf".into()))?;
+                    let tid = tid.ok_or_else(|| DbError::Corrupt("bad tid in leaf".into()))?;
                     hits.push((k, tid));
                 }
             }
             // The callback fetches heap pages, so it must run with the
             // btree latch released (heap-page ranks below btree-page).
-            if !Self::drain(&mut hits, &mut f)? || past_hi || right == 0 {
+            if !batch(hits)? || past_hi || right == 0 {
                 return Ok(());
             }
             blk = right;
         }
     }
 
-    fn drain(
-        hits: &mut Vec<(Key, Tid)>,
-        f: &mut impl FnMut(&[Datum], Tid) -> DbResult<bool>,
-    ) -> DbResult<bool> {
-        for (k, tid) in hits.drain(..) {
-            if !f(&k, tid)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
     /// Removes the entry `(key, tid)` if present; returns whether it was.
     pub fn delete(&self, key: &[Datum], tid: Tid) -> DbResult<bool> {
-        let (mut blk, _) = self.descend(key)?;
+        let at = Pos {
+            key,
+            tid: Some(tid),
+        };
+        let mut blk = self.descend(at)?.leaf;
         loop {
             let pref = self.pool.get_page(self.smgr, self.dev, self.rel, blk)?;
             let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
             let mut pbuf = pref.write();
             let data = pbuf.data_mut();
             let meta = read_node_meta(data)?;
-            let mut past = false;
             for s in 0..page::nslots(data) {
                 let Some(item) = page::item(data, s) else {
                     continue;
                 };
                 let (k, payload) = decode_item(item)?;
-                match cmp_keys(&k, key) {
-                    Ordering::Less => continue,
-                    Ordering::Greater => {
-                        past = true;
-                        break;
-                    }
+                match cmp_pos(&k, payload_tid(payload, true), at) {
+                    Ordering::Less => {}
                     Ordering::Equal => {
-                        if Tid::decode(payload) == Some(tid) {
-                            page::set_dead(data, s)?;
-                            self.log_image(data, blk)?;
-                            return Ok(true);
-                        }
+                        page::set_dead(data, s)?;
+                        self.log_image(data, blk)?;
+                        return Ok(true);
                     }
+                    Ordering::Greater => return Ok(false),
                 }
             }
-            if past || meta.right == 0 {
+            if meta.right == 0 {
                 return Ok(false);
             }
             blk = meta.right;
@@ -925,6 +1068,174 @@ mod tests {
         assert_eq!(bt.search(&ikey(42)).unwrap().len(), 2000);
         assert!(bt.search(&ikey(41)).unwrap().is_empty());
         assert!(bt.search(&ikey(43)).unwrap().is_empty());
+    }
+
+    fn newest_first(bt: &BTree<'_>, key: &Key) -> Vec<Tid> {
+        let mut out = Vec::new();
+        bt.scan_key_newest_first(key, |tid| {
+            out.push(tid);
+            Ok(true)
+        })
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn a_long_run_stays_tid_ordered_across_leaf_splits() {
+        let fx = Fixture::new();
+        let bt = fx.btree();
+        // Neighbours on both sides, then 2 000 versions of one key, oldest
+        // first as the heap hands them out: the run splits many times.
+        bt.insert(&ikey(41), Tid::new(0, 0)).unwrap();
+        bt.insert(&ikey(43), Tid::new(0, 1)).unwrap();
+        let tids: Vec<Tid> = (0..2000u32).map(|v| Tid::new(1 + v / 4, (v % 4) as u16)).collect();
+        for &tid in &tids {
+            bt.insert(&ikey(42), tid).unwrap();
+        }
+        assert!(fx.stats.btree.splits.get() >= 4, "the run must span leaves");
+        assert_eq!(bt.search(&ikey(42)).unwrap(), tids, "ascending tid order");
+        let (findings, entries) = bt.check("t");
+        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(entries.len(), 2002);
+        assert!(entries.windows(2).all(|w| {
+            let (k, t) = &w[1];
+            cmp_pos(&w[0].0, Some(w[0].1), Pos { key: k, tid: Some(*t) }) == Ordering::Less
+        }));
+    }
+
+    #[test]
+    fn newest_first_crosses_leaves_and_stops_on_request() {
+        let fx = Fixture::new();
+        let bt = fx.btree();
+        let tids: Vec<Tid> = (0..2000u32).map(|v| Tid::new(v, 0)).collect();
+        for &tid in &tids {
+            bt.insert(&ikey(42), tid).unwrap();
+        }
+        let mut want = tids.clone();
+        want.reverse();
+        assert_eq!(newest_first(&bt, &ikey(42)), want);
+        assert!(newest_first(&bt, &ikey(41)).is_empty());
+        assert!(newest_first(&bt, &ikey(43)).is_empty());
+        // Stopping at the first entry reads one leaf, not the run.
+        let accesses = || {
+            let s = fx.pool.stats();
+            s.hits + s.misses
+        };
+        let before = accesses();
+        let mut seen = Vec::new();
+        bt.scan_key_newest_first(&ikey(42), |tid| {
+            seen.push(tid);
+            Ok(false)
+        })
+        .unwrap();
+        assert_eq!(seen, [Tid::new(1999, 0)]);
+        let pages = accesses() - before;
+        assert!(pages <= 4, "meta + root + leaf, not {pages} pages");
+    }
+
+    #[test]
+    fn newest_first_goes_on_left_of_a_leaf_whose_part_of_the_run_is_deleted() {
+        let fx = Fixture::new();
+        let bt = fx.btree();
+        for v in 0..2000u32 {
+            bt.insert(&ikey(42), Tid::new(v, 0)).unwrap();
+        }
+        // Lazily delete the newest 700 entries: at least one whole leaf of
+        // the run is now empty, and the walk must still find what is left.
+        for v in 1300..2000u32 {
+            assert!(bt.delete(&ikey(42), Tid::new(v, 0)).unwrap());
+        }
+        let want: Vec<Tid> = (0..1300u32).rev().map(|v| Tid::new(v, 0)).collect();
+        assert_eq!(newest_first(&bt, &ikey(42)), want);
+    }
+
+    #[test]
+    fn interleaved_keys_keep_to_their_own_runs() {
+        let fx = Fixture::new();
+        let bt = fx.btree();
+        // Versions of 40 keys arrive round-robin, as overwrites of a file's
+        // chunks do; every run ends up interleaved with the others' splits.
+        let mut want: Vec<Vec<Tid>> = vec![Vec::new(); 40];
+        for v in 0..4000u32 {
+            let k = (v * 7) % 40;
+            let tid = Tid::new(v, (v % 3) as u16);
+            bt.insert(&ikey(k as i32), tid).unwrap();
+            want[k as usize].push(tid);
+        }
+        for (k, run) in want.iter().enumerate() {
+            assert_eq!(&bt.search(&ikey(k as i32)).unwrap(), run, "key {k}");
+            let mut newest = run.clone();
+            newest.reverse();
+            assert_eq!(newest_first(&bt, &ikey(k as i32)), newest, "key {k}");
+            for &tid in run.iter().step_by(17) {
+                assert!(bt.contains(&ikey(k as i32), tid).unwrap());
+                assert!(!bt.contains(&ikey(k as i32 + 1), tid).unwrap());
+            }
+        }
+        assert!(!bt.contains(&ikey(3), Tid::MAX).unwrap());
+        let (findings, _) = bt.check("t");
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn check_reports_a_run_out_of_tid_order() {
+        let fx = Fixture::new();
+        let bt = fx.btree();
+        for v in 0..10u32 {
+            bt.insert(&ikey(7), Tid::new(v, 0)).unwrap();
+        }
+        assert!(bt.check("t").0.is_empty());
+        // Append a version whose tid is below the run's last, behind
+        // `insert`'s back: equal keys, so only the tiebreak can object.
+        let root = bt.root().unwrap();
+        let pref = fx.pool.get_page(&fx.smgr, DeviceId::DEFAULT, fx.rel, root).unwrap();
+        page::insert(
+            pref.write().data_mut(),
+            &encode_item(&ikey(7), &Tid::new(3, 1).encode()),
+        )
+        .unwrap();
+        let (findings, _) = bt.check("t");
+        assert!(
+            findings.iter().any(|f| f.code == "btree-key-order"),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
+    fn check_reports_a_fence_that_hides_entries() {
+        let fx = Fixture::new();
+        let bt = fx.btree();
+        for v in 0..2000u32 {
+            bt.insert(&ikey(42), Tid::new(v, 0)).unwrap();
+        }
+        assert!(bt.check("t").0.is_empty());
+        // Drop the tids from the root's fences: every fence of the run now
+        // sorts below the entries of the leaf to its left.
+        let root = bt.root().unwrap();
+        let pref = fx.pool.get_page(&fx.smgr, DeviceId::DEFAULT, fx.rel, root).unwrap();
+        {
+            let mut pbuf = pref.write();
+            let data = pbuf.data_mut();
+            let meta = read_node_meta(data).unwrap();
+            assert!(!meta.leaf);
+            let fences: Vec<Vec<u8>> = page::iter(data)
+                .map(|(_, it)| {
+                    let (k, payload) = decode_item(it).unwrap();
+                    encode_item(&k, &payload[..8])
+                })
+                .collect();
+            page::init(data, SPECIAL_SIZE);
+            write_node_meta(data, &meta);
+            for f in &fences {
+                page::insert(data, f).unwrap();
+            }
+        }
+        let (findings, _) = bt.check("t");
+        assert!(
+            findings.iter().any(|f| f.code == "btree-key-order"),
+            "{findings:?}"
+        );
+        assert!(!bt.contains(&ikey(42), Tid::new(10, 0)).unwrap());
     }
 
     #[test]

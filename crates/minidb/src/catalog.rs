@@ -45,6 +45,14 @@ pub struct IndexInfo {
     pub table: RelId,
     /// Key column positions within the heap schema, in key order.
     pub key_columns: Vec<usize>,
+    /// Versioned-unique: under any one snapshot at most one version per key
+    /// is visible. The heap keeps every version, so the index holds many
+    /// entries per key; what is unique is the key among the versions alive
+    /// at one instant. Declared by the index's creator, whose writers keep
+    /// it (an existence probe under the relation's exclusive lock), and
+    /// verified by `pg_check` — not enforced on insert. Probes rely on it to
+    /// stop at the first visible version.
+    pub unique: bool,
 }
 
 /// One catalog row describing a relation.
@@ -138,6 +146,9 @@ pub const PG_RULE: RelId = Oid(4);
 /// same way). Not relations: the loader folds them into the allocator.
 const OID_CEILING_KIND: &str = "s";
 
+/// Columns of a `pg_class` row.
+const PG_CLASS_WIDTH: usize = 10;
+
 fn system_relations() -> [(RelId, &'static str, Schema); 4] {
     use TypeId as T;
     [
@@ -152,6 +163,7 @@ fn system_relations() -> [(RelId, &'static str, Schema); 4] {
                 ("relschema", T::BYTES),
                 ("indrelid", T::OID),
                 ("indkey", T::TEXT),
+                ("indisunique", T::BOOL),
                 ("relarchive", T::OID),
                 ("relnohistory", T::BOOL),
             ]),
@@ -214,12 +226,12 @@ fn opt_oid(raw: u32) -> Option<Oid> {
 impl RelationEntry {
     /// This entry as a `pg_class` row. `indexes` is derived, not stored.
     pub fn to_row(&self) -> Row {
-        let (indrelid, indkey) = match &self.index {
+        let (indrelid, indkey, indisunique) = match &self.index {
             Some(info) => {
                 let cols: Vec<String> = info.key_columns.iter().map(usize::to_string).collect();
-                (info.table.0, cols.join(" "))
+                (info.table.0, cols.join(" "), info.unique)
             }
-            None => (0, String::new()),
+            None => (0, String::new(), false),
         };
         vec![
             Datum::Oid(self.id.0),
@@ -235,6 +247,7 @@ impl RelationEntry {
             Datum::Bytes(self.schema.encode()),
             Datum::Oid(indrelid),
             Datum::Text(indkey),
+            Datum::Bool(indisunique),
             Datum::Oid(self.archive.map_or(0, |a| a.0)),
             Datum::Bool(self.no_history),
         ]
@@ -242,7 +255,7 @@ impl RelationEntry {
 
     /// Decodes a `pg_class` row written by [`RelationEntry::to_row`].
     pub fn from_row(row: &[Datum]) -> DbResult<RelationEntry> {
-        from_row("pg_class", row, 9, |r| {
+        from_row("pg_class", row, PG_CLASS_WIDTH, |r| {
             let kind = match r[2].as_text()? {
                 "r" => RelKind::Heap,
                 "i" => RelKind::BTreeIndex,
@@ -258,6 +271,7 @@ impl RelationEntry {
                         table,
                         key_columns: key_columns
                             .map_err(|_| DbError::Corrupt("bad index key list".into()))?,
+                        unique: r[7].as_bool()?,
                     })
                 }
                 None => None,
@@ -270,8 +284,8 @@ impl RelationEntry {
                 schema: Schema::decode(r[4].as_bytes()?, &mut 0)?,
                 index,
                 indexes: vec![],
-                archive: opt_oid(r[7].as_oid()?),
-                no_history: r[8].as_bool()?,
+                archive: opt_oid(r[8].as_oid()?),
+                no_history: r[9].as_bool()?,
             })
         })
     }
@@ -425,7 +439,7 @@ impl Catalog {
         let mut rels = Vec::with_capacity(class.len());
         for (tid, row) in class {
             if row.get(2) == Some(&Datum::Text(OID_CEILING_KIND.into())) {
-                self.raise_oid_ceiling(from_row("pg_class", &row, 9, |r| r[0].as_oid())?);
+                self.raise_oid_ceiling(from_row("pg_class", &row, PG_CLASS_WIDTH, |r| r[0].as_oid())?);
             } else {
                 rels.push((tid, RelationEntry::from_row(&row)?));
             }
@@ -473,7 +487,7 @@ impl Catalog {
     /// The `pg_class` row announcing that no oid at or above `ceiling` has
     /// been handed out: an entry's row, of a kind that is not a relation's.
     pub(crate) fn oid_ceiling_row(ceiling: u32) -> Row {
-        let mut row = vec![Datum::Null; 9];
+        let mut row = vec![Datum::Null; PG_CLASS_WIDTH];
         row[0] = Datum::Oid(ceiling);
         row[1] = Datum::Text("pg_oid_ceiling".into());
         row[2] = Datum::Text(OID_CEILING_KIND.into());
@@ -764,6 +778,7 @@ mod tests {
             index: Some(IndexInfo {
                 table,
                 key_columns: cols.to_vec(),
+                unique: false,
             }),
             indexes: vec![],
             archive: None,

@@ -47,6 +47,7 @@ use crate::error::DbResult;
 use crate::heap::Heap;
 use crate::ids::Tid;
 use crate::xact::{TupleHeader, XactState};
+use simdev::SimInstant;
 
 /// One structural problem found by the verifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -245,6 +246,10 @@ fn relation(rels: &[RelationEntry], id: crate::ids::RelId) -> Option<&RelationEn
 /// agree with the tuple's key bytes. Entries whose tid does not resolve are
 /// legal crash debris (the index page reached disk, the heap page did not)
 /// and are skipped — see the module docs.
+///
+/// A unique index is also held to its declaration: the committed versions
+/// filed under one key must have disjoint lifetimes (`index-unique-
+/// violation`), or some snapshot sees two rows where probes stop at one.
 fn index_to_heap(
     db: &Db,
     index_rel: &RelationEntry,
@@ -273,7 +278,15 @@ fn index_to_heap(
             return;
         }
     };
+    // Committed versions of the current key of a unique index, as
+    // (created, deleted-or-never, tid). `entries` arrive in key order.
+    let mut lifetimes: Vec<(SimInstant, Option<SimInstant>, Tid)> = Vec::new();
+    let mut run_key: Option<crate::btree::Key> = None;
     for (key, tid) in entries {
+        if info.unique && run_key.as_ref() != Some(&key) {
+            unique_violations(index_rel, run_key.as_ref(), &mut lifetimes, out);
+            run_key = Some(key.clone());
+        }
         if u64::from(tid.blkno) >= nblocks {
             continue; // Dangling tid: crash debris.
         }
@@ -292,8 +305,15 @@ fn index_to_heap(
                 return Ok(None); // Crash debris (or reported by the heap pass).
             };
             let hdr = TupleHeader::decode(item)?;
-            if !matches!(db.inner.xlog.state(hdr.xmin), XactState::Committed(_)) {
+            let XactState::Committed(created) = db.inner.xlog.state(hdr.xmin) else {
                 return Ok(None); // Uncommitted writer: nothing to cross-check.
+            };
+            if info.unique {
+                let deleted = match db.inner.xlog.state(hdr.xmax) {
+                    XactState::Committed(t) => Some(t),
+                    _ => None, // Never deleted, or by a transaction that failed.
+                };
+                lifetimes.push((created, deleted, tid));
             }
             let row = decode_row(&item[TupleHeader::SIZE.min(item.len())..])?;
             let mut local = Vec::new();
@@ -330,6 +350,39 @@ fn index_to_heap(
             ),
         }
     }
+    unique_violations(index_rel, run_key.as_ref(), &mut lifetimes, out);
+}
+
+/// Reports each pair of neighbouring lifetimes under one key of a unique
+/// index that overlap, and empties `lifetimes` for the next key. A version
+/// deleted by the transaction that created it was never visible to anyone
+/// else and is left out; a version still live lasts forever.
+fn unique_violations(
+    index_rel: &RelationEntry,
+    key: Option<&crate::btree::Key>,
+    lifetimes: &mut Vec<(SimInstant, Option<SimInstant>, Tid)>,
+    out: &mut Vec<Finding>,
+) {
+    lifetimes.retain(|&(created, deleted, _)| deleted.is_none_or(|d| d > created));
+    lifetimes.sort_by_key(|&(created, deleted, _)| (created, deleted.is_none(), deleted));
+    for pair in lifetimes.windows(2) {
+        let ((_, a_deleted, a), (b_created, _, b)) = (pair[0], pair[1]);
+        if a_deleted.is_none_or(|d| d > b_created) {
+            out.push(
+                Finding::new(
+                    &index_rel.name,
+                    "index-unique-violation",
+                    format!(
+                        "key {key:?}: the version at {a} is still visible when the one \
+                         at {b} appears"
+                    ),
+                )
+                .on_page(b.blkno.into())
+                .on_slot(b.slot),
+            );
+        }
+    }
+    lifetimes.clear();
 }
 
 /// Heap → index: every tuple whose inserting transaction committed must have
@@ -389,9 +442,9 @@ fn heap_to_index(
                 rel: ie.id,
                 stats: &db.inner.stats,
             };
-            match bt.search(&key) {
-                Ok(tids) if tids.contains(&tid) => {}
-                Ok(_) => out.push(
+            match bt.contains(&key, tid) {
+                Ok(true) => {}
+                Ok(false) => out.push(
                     Finding::new(
                         &ie.name,
                         "index-missing-entry",
@@ -406,7 +459,7 @@ fn heap_to_index(
                 Err(err) => out.push(Finding::new(
                     &ie.name,
                     "check-error",
-                    format!("search for {key:?} failed: {err}"),
+                    format!("lookup of ({key:?}, {tid}) failed: {err}"),
                 )),
             }
         }
@@ -545,6 +598,100 @@ mod tests {
             findings.iter().any(|f| f.code == "index-missing-entry"),
             "missing index entry not detected: {findings:?}"
         );
+    }
+
+    /// A one-column table with an index on it, unique or not.
+    fn keyed_table(unique: bool) -> (Db, crate::ids::RelId, RelationEntry) {
+        let db = Db::open_in_memory().unwrap();
+        let rel = db
+            .create_table("t", Schema::new([("k", TypeId::INT4), ("v", TypeId::INT4)]))
+            .unwrap();
+        let idx = if unique {
+            db.create_unique_index("t_k", rel, &["k"]).unwrap()
+        } else {
+            db.create_index("t_k", rel, &["k"]).unwrap()
+        };
+        let ie = db.catalog().relation(idx).unwrap().clone();
+        (db, rel, ie)
+    }
+
+    fn codes(db: &Db) -> Vec<String> {
+        db.check_all().into_iter().map(|f| f.code).collect()
+    }
+
+    #[test]
+    fn detects_a_version_run_out_of_tid_order() {
+        let (db, rel, ie) = keyed_table(false);
+        // Four versions of one row: one key, four entries, told apart and
+        // ordered by tid alone.
+        let mut s = db.begin().unwrap();
+        let mut tid = s.insert(rel, vec![Datum::Int4(7), Datum::Int4(0)]).unwrap();
+        for v in 1..4 {
+            tid = s.update(rel, tid, vec![Datum::Int4(7), Datum::Int4(v)]).unwrap();
+        }
+        s.commit().unwrap();
+        assert_eq!(codes(&db), [] as [&str; 0]);
+        // Move the oldest entry behind the newest, as a run that grew in
+        // arrival order across an unlucky split would have it.
+        let root = 1;
+        let pref = db.inner.pool.get_page(&db.inner.smgr, ie.device, ie.id, root).unwrap();
+        {
+            let mut pbuf = pref.write();
+            let data = pbuf.data_mut();
+            let oldest = crate::page::item(data, 0).unwrap().to_vec();
+            crate::page::set_dead(data, 0).unwrap();
+            crate::page::insert(data, &oldest).unwrap();
+        }
+        // Out of order, and so out of reach of a descent to its position.
+        assert_eq!(codes(&db), ["btree-key-order", "index-missing-entry"]);
+    }
+
+    #[test]
+    fn detects_two_live_rows_under_one_key_of_a_unique_index() {
+        let (db, rel, _) = keyed_table(true);
+        let mut s = db.begin().unwrap();
+        let tid = s.insert(rel, vec![Datum::Int4(7), Datum::Int4(0)]).unwrap();
+        s.insert(rel, vec![Datum::Int4(8), Datum::Int4(0)]).unwrap();
+        s.commit().unwrap();
+        // A version chain is what uniqueness allows: each version ends as
+        // the next begins, whoever replaced it — even its own creator.
+        let mut s = db.begin().unwrap();
+        let tid = s.update(rel, tid, vec![Datum::Int4(7), Datum::Int4(1)]).unwrap();
+        s.update(rel, tid, vec![Datum::Int4(7), Datum::Int4(2)]).unwrap();
+        s.commit().unwrap();
+        assert_eq!(codes(&db), [] as [&str; 0]);
+        // Nothing stops a writer that does not look first.
+        let mut s = db.begin().unwrap();
+        s.insert(rel, vec![Datum::Int4(7), Datum::Int4(3)]).unwrap();
+        s.commit().unwrap();
+        let findings = db.check_all();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].code, "index-unique-violation");
+        assert_eq!(findings[0].relation, "t_k");
+        // The same history under an index that promises nothing is clean.
+        let (db, rel, _) = keyed_table(false);
+        let mut s = db.begin().unwrap();
+        s.insert(rel, vec![Datum::Int4(7), Datum::Int4(0)]).unwrap();
+        s.insert(rel, vec![Datum::Int4(7), Datum::Int4(3)]).unwrap();
+        s.commit().unwrap();
+        assert_eq!(codes(&db), [] as [&str; 0]);
+    }
+
+    #[test]
+    fn detects_overlapping_past_lifetimes_under_a_unique_index() {
+        let (db, rel, _) = keyed_table(true);
+        let mut s = db.begin().unwrap();
+        let first = s.insert(rel, vec![Datum::Int4(7), Datum::Int4(0)]).unwrap();
+        s.commit().unwrap();
+        let mut s = db.begin().unwrap();
+        s.insert(rel, vec![Datum::Int4(7), Datum::Int4(1)]).unwrap();
+        s.commit().unwrap();
+        // Deleting the first leaves one live row, but a snapshot between the
+        // second commit and this one saw two.
+        let mut s = db.begin().unwrap();
+        s.delete(rel, first).unwrap();
+        s.commit().unwrap();
+        assert_eq!(codes(&db), ["index-unique-violation"]);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! *on first touch* of each stale page while new sessions run — the
 //! paper's "essentially instantaneous" recovery.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Weak};
 
@@ -651,7 +652,7 @@ impl Db {
     /// 5. Truncate `[epoch, cut)`. Records at or above the cut (appended
     ///    while we flushed) survive in the log.
     fn checkpoint_locked(inner: &DbInner) -> DbResult<()> {
-        let cut = inner.wal.next_lsn();
+        let cut = inner.wal.mark_cut();
         for (dev, rel, blkno) in inner.redo.pages() {
             let present = inner.smgr.devices().contains(&dev)
                 && inner.smgr.with(dev, |m| Ok(m.has_rel(rel)))?;
@@ -781,6 +782,30 @@ impl Db {
     /// same device as the table, backfilling entries for every existing
     /// tuple version (historical versions stay reachable through it).
     pub fn create_index(&self, name: &str, table: RelId, columns: &[&str]) -> DbResult<RelId> {
+        self.build_index(name, table, columns, false)
+    }
+
+    /// [`Db::create_index`] for a *versioned-unique* key: the caller
+    /// declares that under any one snapshot at most one version per key is
+    /// visible (see [`IndexInfo::unique`]), and keeps it so — nothing here
+    /// probes on insert. In return a probe stops at the first visible
+    /// version instead of fetching every version the key ever had.
+    pub fn create_unique_index(
+        &self,
+        name: &str,
+        table: RelId,
+        columns: &[&str],
+    ) -> DbResult<RelId> {
+        self.build_index(name, table, columns, true)
+    }
+
+    fn build_index(
+        &self,
+        name: &str,
+        table: RelId,
+        columns: &[&str],
+        unique: bool,
+    ) -> DbResult<RelId> {
         let (dev, key_columns) = {
             let _order = crate::lock::order::token(crate::lock::order::CATALOG);
             let cat = self.inner.catalog.read();
@@ -806,6 +831,7 @@ impl Db {
             index: Some(IndexInfo {
                 table,
                 key_columns: key_columns.clone(),
+                unique,
             }),
             indexes: vec![],
             archive: None,
@@ -1031,6 +1057,24 @@ impl Db {
 
 /// A heap's device plus its indices with their key columns.
 pub(crate) type HeapParts = (DeviceId, Vec<(RelId, Vec<usize>)>);
+
+/// What an index probe needs to know of its index.
+struct IndexMeta {
+    index: RelId,
+    table: RelId,
+    dev: DeviceId,
+    key_columns: Vec<usize>,
+    unique: bool,
+}
+
+/// The keys an index probe covers.
+#[derive(Clone, Copy)]
+enum Keys<'a> {
+    /// Exactly this key.
+    Eq(&'a [Datum]),
+    /// Every key in `lo..=hi` (`None` = unbounded).
+    Between(Option<&'a [Datum]>, Option<&'a [Datum]>),
+}
 
 /// One client's transactional (or historical) view of a [`Db`].
 pub struct Session {
@@ -1330,7 +1374,7 @@ impl Session {
     }
 
     /// Point lookup through an index: rows of `rel` where the indexed
-    /// columns equal `key`, filtered by visibility.
+    /// columns equal `key`, filtered by visibility, newest version first.
     pub fn index_scan_eq(&mut self, index: RelId, key: &[Datum]) -> DbResult<Vec<(Tid, Row)>> {
         let snap = self.snapshot.clone();
         self.index_scan_eq_with(index, key, &snap)
@@ -1347,46 +1391,55 @@ impl Session {
         key: &[Datum],
         snap: &Snapshot,
     ) -> DbResult<Vec<(Tid, Row)>> {
-        let (table, dev, key_columns) = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.db.inner.catalog.read();
-            let ie = cat.relation(index)?;
-            let info = ie
-                .index
-                .as_ref()
-                .ok_or_else(|| DbError::Invalid(format!("{index} is not an index")))?;
-            (info.table, ie.device, info.key_columns.clone())
-        };
-        self.lock_for(table, LockMode::Shared, snap)?;
-        let tids = self.btree(index, dev).search(key)?;
+        let ix = self.index_meta(index)?;
         let mut out = Vec::new();
-        {
-            let heap = self.heap(table, dev);
-            for tid in tids {
-                if let Some(row) = heap.fetch(snap, tid)? {
-                    out.push((tid, row));
-                }
-            }
-        }
-        if let Snapshot::AsOf(t) = snap {
-            let matches = |row: &Row| {
-                key_columns.len() == key.len()
-                    && key_columns
-                        .iter()
-                        .zip(key)
-                        .all(|(&c, k)| row[c].cmp_total(k) == std::cmp::Ordering::Equal)
-            };
-            self.for_each_archived(table, |amin, amax, tid, row| {
-                if amin <= *t && *t < amax {
-                    let orig = decode_row(row)?;
-                    if matches(&orig) {
-                        out.push((tid, orig));
-                    }
-                }
-                Ok(())
-            })?;
-        }
+        self.index_probe(ix, Keys::Eq(key), snap, decode_row, |tid, row| {
+            out.push((tid, row));
+            Ok(true)
+        })?;
         Ok(out)
+    }
+
+    /// The one row `key` names in a unique index under `snap` (`None` = the
+    /// session's own snapshot), or `None` if no version is visible. Costs
+    /// one heap fetch per version newer than the visible one, plus one.
+    pub fn index_lookup_unique(
+        &mut self,
+        index: RelId,
+        key: &[Datum],
+        snap: Option<&Snapshot>,
+    ) -> DbResult<Option<(Tid, Row)>> {
+        self.lookup_unique(index, key, snap, decode_row)
+    }
+
+    /// [`Session::index_lookup_unique`] for a caller about to replace or
+    /// delete the row: its tuple id alone. The heap page is still read
+    /// (visibility lives in the tuple header) but the row is not decoded.
+    pub fn index_lookup_unique_tid(&mut self, index: RelId, key: &[Datum]) -> DbResult<Option<Tid>> {
+        let hit = self.lookup_unique(index, key, None, |_| Ok(()))?;
+        Ok(hit.map(|(tid, ())| tid))
+    }
+
+    fn lookup_unique<T>(
+        &self,
+        index: RelId,
+        key: &[Datum],
+        snap: Option<&Snapshot>,
+        read: impl Fn(&[u8]) -> DbResult<T>,
+    ) -> DbResult<Option<(Tid, T)>> {
+        let ix = self.index_meta(index)?;
+        if !ix.unique {
+            return Err(DbError::Invalid(format!(
+                "{index} is not a unique index: a key may have several visible rows"
+            )));
+        }
+        let snap = snap.unwrap_or(&self.snapshot);
+        let mut hit = None;
+        self.index_probe(ix, Keys::Eq(key), snap, read, |tid, v| {
+            hit = Some((tid, v));
+            Ok(false)
+        })?;
+        Ok(hit)
     }
 
     /// Range scan through an index (`lo..=hi`, `None` = unbounded), calling
@@ -1397,25 +1450,134 @@ impl Session {
         index: RelId,
         lo: Option<&[Datum]>,
         hi: Option<&[Datum]>,
-        mut f: impl FnMut(Tid, Row) -> DbResult<bool>,
+        f: impl FnMut(Tid, Row) -> DbResult<bool>,
     ) -> DbResult<()> {
-        let snap = self.snapshot.clone();
-        let (table, dev) = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.db.inner.catalog.read();
-            let ie = cat.relation(index)?;
-            let info = ie
-                .index
-                .as_ref()
-                .ok_or_else(|| DbError::Invalid(format!("{index} is not an index")))?;
-            (info.table, ie.device)
+        let ix = self.index_meta(index)?;
+        self.index_probe(ix, Keys::Between(lo, hi), &self.snapshot, decode_row, f)
+    }
+
+    /// The tuple ids [`Session::index_scan_range`] would visit, without
+    /// decoding a row — what a truncate needs of the chunks it drops.
+    pub fn index_range_tids(
+        &mut self,
+        index: RelId,
+        lo: Option<&[Datum]>,
+        hi: Option<&[Datum]>,
+    ) -> DbResult<Vec<Tid>> {
+        let ix = self.index_meta(index)?;
+        let mut out = Vec::new();
+        let tid_only = |_: &[u8]| Ok(());
+        self.index_probe(ix, Keys::Between(lo, hi), &self.snapshot, tid_only, |tid, ()| {
+            out.push(tid);
+            Ok(true)
+        })?;
+        Ok(out)
+    }
+
+    fn index_meta(&self, index: RelId) -> DbResult<IndexMeta> {
+        let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+        let cat = self.db.inner.catalog.read();
+        let ie = cat.relation(index)?;
+        let info = ie
+            .index
+            .as_ref()
+            .ok_or_else(|| DbError::Invalid(format!("{index} is not an index")))?;
+        Ok(IndexMeta {
+            index,
+            table: info.table,
+            dev: ie.device,
+            key_columns: info.key_columns.clone(),
+            unique: info.unique,
+        })
+    }
+
+    /// The one index probe: every index read of a session comes through
+    /// here. For each key in `keys`, in key order, it visits the versions
+    /// filed under that key newest first, fetches each from the heap
+    /// through `read` (see [`Heap::fetch_with`]) and hands the ones visible
+    /// under `snap` to `emit`, which returns `false` to end the probe.
+    ///
+    /// On a unique index at most one version per key is visible to a
+    /// `Current` or `AsOf` snapshot, so a key is done at its first visible
+    /// version: one heap fetch for a current reader however long the
+    /// version chain, (versions newer than *t*) + 1 for `AsOf(t)`.
+    /// `Snapshot::Dirty` sees every version, and a non-unique index may
+    /// hold several visible rows per key; for those no key ends early.
+    ///
+    /// A historical point probe also searches the table's archive — the
+    /// vacuum cleaner may have moved the version visible at that instant
+    /// out of the heap and rebuilt the index without it — unless the index
+    /// is unique and the heap already answered.
+    fn index_probe<T>(
+        &self,
+        ix: IndexMeta,
+        keys: Keys<'_>,
+        snap: &Snapshot,
+        read: impl Fn(&[u8]) -> DbResult<T>,
+        mut emit: impl FnMut(Tid, T) -> DbResult<bool>,
+    ) -> DbResult<()> {
+        self.lock_for(ix.table, LockMode::Shared, snap)?;
+        let one_per_key = ix.unique && !matches!(snap, Snapshot::Dirty);
+        let bt = self.btree(ix.index, ix.dev);
+        let heap = self.heap(ix.table, ix.dev);
+        let found = Cell::new(false);
+        let go_on = Cell::new(true);
+        // One version; says whether to go on to the key's next older one.
+        let mut visit = |tid: Tid| -> DbResult<bool> {
+            let Some(v) = heap.fetch_with(snap, tid, &read)? else {
+                return Ok(true);
+            };
+            found.set(true);
+            go_on.set(emit(tid, v)?);
+            Ok(go_on.get() && !one_per_key)
         };
-        self.lock(table, LockMode::Shared)?;
-        let bt = self.btree(index, dev);
-        let heap = self.heap(table, dev);
-        bt.scan(lo, hi, |_k, tid| match heap.fetch(&snap, tid)? {
-            Some(row) => f(tid, row),
-            None => Ok(true),
+        match keys {
+            Keys::Eq(key) => bt.scan_key_newest_first(key, &mut visit)?,
+            Keys::Between(lo, hi) => {
+                // Leaf order is (key, tid) ascending: collect each key's
+                // run, then visit it from its newest end.
+                let mut run: Vec<Tid> = Vec::new();
+                let mut run_key: Vec<Datum> = Vec::new();
+                let mut flush = |run: &mut Vec<Tid>| -> DbResult<bool> {
+                    for tid in run.drain(..).rev() {
+                        if !visit(tid)? {
+                            break;
+                        }
+                    }
+                    Ok(go_on.get())
+                };
+                bt.scan(lo, hi, |k, tid| {
+                    if run_key != k {
+                        if !flush(&mut run)? {
+                            return Ok(false);
+                        }
+                        run_key = k.to_vec();
+                    }
+                    run.push(tid);
+                    Ok(true)
+                })?;
+                flush(&mut run)?;
+            }
+        }
+        let (Snapshot::AsOf(t), Keys::Eq(key)) = (snap, keys) else {
+            return Ok(());
+        };
+        if !go_on.get() || (one_per_key && found.get()) {
+            return Ok(());
+        }
+        let matches = |row: &Row| {
+            ix.key_columns.len() == key.len()
+                && ix
+                    .key_columns
+                    .iter()
+                    .zip(key)
+                    .all(|(&c, k)| row[c].cmp_total(k) == std::cmp::Ordering::Equal)
+        };
+        self.for_each_archived(ix.table, |amin, amax, tid, row| {
+            if go_on.get() && amin <= *t && *t < amax && matches(&decode_row(row)?) {
+                go_on.set(emit(tid, read(row)?)?);
+            }
+            Ok(())
         })
     }
 

@@ -291,6 +291,20 @@ impl<'a> Heap<'a> {
 
     /// Fetches the row at `tid` if it is visible under `snap`.
     pub fn fetch(&self, snap: &Snapshot, tid: Tid) -> DbResult<Option<Row>> {
+        self.fetch_with(snap, tid, decode_row)
+    }
+
+    /// Reads the tuple at `tid`, if it is visible under `snap`, through
+    /// `read`, which is handed the encoded row. Visibility comes from the
+    /// tuple header, so the page is read either way; a caller that wants
+    /// only to know the version exists passes a `read` that ignores the
+    /// bytes and saves the decode and the copy.
+    pub fn fetch_with<T>(
+        &self,
+        snap: &Snapshot,
+        tid: Tid,
+        read: impl FnOnce(&[u8]) -> DbResult<T>,
+    ) -> DbResult<Option<T>> {
         self.stats.heap.fetches.bump();
         if matches!(snap, Snapshot::AsOf(_)) {
             self.stats.xact.time_travel_reads.bump();
@@ -315,7 +329,7 @@ impl<'a> Heap<'a> {
         if !snap.visible(hdr, self.xlog) {
             return Ok(None);
         }
-        Ok(Some(decode_row(&item[TupleHeader::SIZE..])?))
+        read(&item[TupleHeader::SIZE..]).map(Some)
     }
 
     /// Calls `f` for every tuple visible under `snap`, in physical order.

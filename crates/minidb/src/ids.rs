@@ -77,6 +77,12 @@ pub struct Tid {
 }
 
 impl Tid {
+    /// Sorts after every tuple id a heap can hand out.
+    pub const MAX: Tid = Tid {
+        blkno: u32::MAX,
+        slot: u16::MAX,
+    };
+
     /// Creates a tuple id.
     pub fn new(blkno: u32, slot: u16) -> Self {
         Tid { blkno, slot }

@@ -35,7 +35,11 @@
 //! then flips the control block: a crash on either side of the flip finds
 //! one half that is a complete, self-consistent epoch. (Rewriting the tail
 //! in place would scribble over the old epoch's blocks before the control
-//! write made the new epoch authoritative.)
+//! write made the new epoch authoritative.) The tail is copied from memory:
+//! from the moment a checkpoint takes its cut ([`Wal::mark_cut`]) the log
+//! keeps every byte at or above it, forced or not, so truncation never
+//! reads the log device — how much a checkpoint's flush let the writers
+//! append is a matter of timing, and the device's read count must not be.
 //!
 //! ## The torn-force rule
 //!
@@ -402,6 +406,11 @@ struct WalInner {
     buf_base: u64,
     /// Bytes `[buf_base, next_lsn)` — retained until a sync *succeeds*.
     buf: Vec<u8>,
+    /// `Some` from [`Wal::mark_cut`] to the truncation it announces: the
+    /// whole blocks forced since, `[buf_base - kept.len(), buf_base)`,
+    /// which `buf` alone would have let go. `kept ++ buf` then holds every
+    /// byte from the marked cut on.
+    kept: Option<Vec<u8>>,
 }
 
 /// The write-ahead log: an append buffer over a block region of the log
@@ -505,6 +514,7 @@ impl Wal {
                 durable_lsn: epoch,
                 buf_base: epoch,
                 buf: Vec::new(),
+                kept: None,
             }),
             pressure: AtomicBool::new(false),
             buffer_cap: AtomicU64::new(0),
@@ -617,21 +627,24 @@ impl Wal {
     fn publish(&self, g: &mut WalInner, forced: usize) {
         g.durable_lsn = g.buf_base + forced as u64;
         let whole = (forced / BLOCK_PAYLOAD) * BLOCK_PAYLOAD;
-        g.buf.drain(..whole);
+        let done = g.buf.drain(..whole);
+        if let Some(kept) = &mut g.kept {
+            kept.extend(done);
+        }
         g.buf_base += whole as u64;
         self.stats.wal.log_forces.bump();
     }
 
-    /// Advances the epoch to `cut`, discarding `[epoch, cut)` and keeping
-    /// `[cut, next)`. Legal only when every page change below `cut` is
-    /// durably on the data devices and every commit below `cut` is in the
-    /// persisted status file (i.e. at the end of a checkpoint whose flush
-    /// began after `cut` was read). Forces the tail first if the caller has
-    /// not; see the module docs for why the survivors move to the other
-    /// half of the data area.
+    /// Advances the epoch to `cut` — the latest [`Wal::mark_cut`] —
+    /// discarding `[epoch, cut)` and keeping `[cut, next)`. Legal only when
+    /// every page change below `cut` is durably on the data devices and
+    /// every commit below `cut` is in the persisted status file (i.e. at
+    /// the end of a checkpoint whose flush began after the cut was marked).
+    /// Forces the tail first if the caller has not; see the module docs
+    /// for why the survivors move to the other half of the data area.
     pub fn truncate_to(&self, cut: u64) -> DbResult<()> {
         // Both locks for the whole switch: nothing may be appended between
-        // reading the survivors back and installing the new epoch.
+        // taking the survivors and installing the new epoch.
         let _order = crate::lock::order::token(crate::lock::order::WAL_FLUSH);
         let _flush = self.flush.lock();
         let _order = crate::lock::order::token(crate::lock::order::WAL);
@@ -641,12 +654,23 @@ impl Wal {
             let forced = g.buf.len();
             self.publish(&mut g, forced);
         }
+        let kept = g.kept.take().unwrap_or_default();
         let cut = cut.clamp(g.epoch_lsn, g.next_lsn);
         if cut == g.epoch_lsn {
             return Ok(()); // Nothing to discard.
         }
-        // Read the surviving tail back from the (now fully durable) epoch.
-        let survivors = self.read_stream(&g, cut)?;
+        // The surviving tail: everything kept since the mark, then the
+        // partial block still buffered.
+        let kept_base = g.buf_base - kept.len() as u64;
+        if cut < kept_base {
+            return Err(DbError::Invalid(format!(
+                "WAL truncation to {cut}, but the log was kept only from {kept_base}: \
+                 no cut was marked there"
+            )));
+        }
+        let mut survivors = kept;
+        survivors.extend_from_slice(&g.buf);
+        survivors.drain(..(cut - kept_base) as usize);
         let other = 1 - g.half;
         self.write_blocks(other, cut, cut, &survivors)?;
         // The survivors are stable in the other half; flipping the control
@@ -661,34 +685,6 @@ impl Wal {
             self.pressure.store(false, SeqCst);
         }
         Ok(())
-    }
-
-    /// Reads the durable stream bytes `[from, next)` back from the current
-    /// epoch's half.
-    fn read_stream(&self, g: &WalInner, from: u64) -> DbResult<Vec<u8>> {
-        let mut out = Vec::with_capacity((g.next_lsn - from) as usize);
-        if g.next_lsn == from {
-            return Ok(out);
-        }
-        let _dev = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
-        let mut d = self.dev.lock();
-        let mut blk = vec![0u8; BLOCK_SIZE];
-        let first = g.epoch_lsn + (from - g.epoch_lsn) / BLOCK_PAYLOAD as u64 * BLOCK_PAYLOAD as u64;
-        let mut start = first;
-        while start < g.next_lsn {
-            d.read_block(self.data_block(g.half, g.epoch_lsn, start), &mut blk)?;
-            let used = crate::bytes::le_u16(&blk, 2)? as usize;
-            let lo = if start < from { (from - start) as usize } else { 0 };
-            let hi = used.min((g.next_lsn - start) as usize);
-            if crate::bytes::le_u16(&blk, 0)? != BLOCK_MAGIC || hi < lo {
-                return Err(DbError::Corrupt(format!(
-                    "WAL block for offset {start} unreadable during truncation"
-                )));
-            }
-            out.extend_from_slice(&blk[BLOCK_HDR + lo..BLOCK_HDR + hi]);
-            start += BLOCK_PAYLOAD as u64;
-        }
-        Ok(out)
     }
 
     fn write_control(&self, epoch: u64, half: u8) -> DbResult<()> {
@@ -724,13 +720,22 @@ impl Wal {
         self.inner.lock().durable_lsn
     }
 
-    /// The end of the stream — the next record's start LSN. A checkpoint
-    /// reads this *before* flushing to learn where its truncation cut may
-    /// go: every record below it describes a page already dirty in the
-    /// pool, which the flush will write.
+    /// The end of the stream — the next record's start LSN.
     pub fn next_lsn(&self) -> u64 {
         let _order = crate::lock::order::token(crate::lock::order::WAL);
         self.inner.lock().next_lsn
+    }
+
+    /// Marks the end of the stream as the cut of a checkpoint about to
+    /// flush, and returns it: every record below it describes a page
+    /// already dirty in the pool, which the flush will write. From here to
+    /// [`Wal::truncate_to`] the log keeps every byte at or above the cut
+    /// in memory; a later mark replaces this one.
+    pub fn mark_cut(&self) -> u64 {
+        let _order = crate::lock::order::token(crate::lock::order::WAL);
+        let mut g = self.inner.lock();
+        g.kept = Some(Vec::new());
+        g.next_lsn
     }
 
     /// Reads the on-device epoch back as `(end_lsn, record)` pairs, and
@@ -947,7 +952,7 @@ mod tests {
         wal.force_up_to(wal.next_lsn()).unwrap();
         let before = wal.epoch_bytes();
         assert!(before > 0);
-        wal.truncate_to(wal.next_lsn()).unwrap();
+        wal.truncate_to(wal.mark_cut()).unwrap();
         assert_eq!(wal.epoch_bytes(), 0);
         let (wal, recs) = Wal::recover(dev.clone(), reg()).unwrap();
         assert!(recs.is_empty(), "truncated log must scan empty");
@@ -970,7 +975,7 @@ mod tests {
             for i in 0..6 {
                 wal.append(&insert_rec(round * 100 + i, 0, 2500)).unwrap();
             }
-            let cut = wal.next_lsn();
+            let cut = wal.mark_cut();
             wal.append(&insert_rec(round * 100 + 90, 0, 2500)).unwrap();
             wal.append(&WalRecord::Commit {
                 xid: XactId(round as u32 + 2),
@@ -988,6 +993,69 @@ mod tests {
             assert_eq!(wal2.next_lsn(), wal.next_lsn());
             drop(wal2);
         }
+    }
+
+    /// A device that counts the blocks read from it.
+    struct CountReads(MagneticDisk, Arc<AtomicU64>);
+
+    impl simdev::BlockDevice for CountReads {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn block_size(&self) -> usize {
+            self.0.block_size()
+        }
+        fn nblocks(&self) -> u64 {
+            self.0.nblocks()
+        }
+        fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> simdev::DevResult<()> {
+            self.1.fetch_add(1, SeqCst);
+            self.0.read_block(blkno, buf)
+        }
+        fn write_block(&mut self, blkno: u64, buf: &[u8]) -> simdev::DevResult<()> {
+            self.0.write_block(blkno, buf)
+        }
+    }
+
+    #[test]
+    fn truncation_copies_a_long_forced_tail_without_reading_the_device() {
+        // A checkpoint that flushes for a while lets writers append — and
+        // force — many blocks past its cut. They survive the truncation,
+        // and come from memory: the log device is written, never read.
+        let reads = Arc::new(AtomicU64::new(0));
+        let disk = MagneticDisk::new("log", SimClock::new(), DiskProfile::tiny_for_tests(4096));
+        let dev = shared_device(CountReads(disk, Arc::clone(&reads)));
+        let wal = Wal::create(dev.clone(), reg()).unwrap();
+        for round in 0..3u64 {
+            for i in 0..5 {
+                wal.append(&insert_rec(round * 100 + i, 0, 3000)).unwrap();
+            }
+            let cut = wal.mark_cut();
+            for i in 0..12 {
+                wal.append(&insert_rec(round * 100 + 50 + i, 0, 3000)).unwrap();
+                if i % 4 == 3 {
+                    wal.force_up_to(wal.next_lsn()).unwrap();
+                }
+            }
+            wal.truncate_to(cut).unwrap();
+            assert_eq!(reads.load(SeqCst), 0, "round {round}: truncation read the device");
+
+            let (wal2, recs) = Wal::recover(dev.clone(), reg()).unwrap();
+            reads.store(0, SeqCst);
+            let want: Vec<WalRecord> =
+                (0..12).map(|i| insert_rec(round * 100 + 50 + i, 0, 3000)).collect();
+            let got: Vec<WalRecord> = recs.into_iter().map(|(_, r)| r).collect();
+            assert_eq!(got, want, "round {round}: exactly the tail survives");
+            assert_eq!(wal2.next_lsn(), wal.next_lsn());
+        }
+        // A cut nobody marked has no tail in memory to copy.
+        wal.append(&insert_rec(7, 0, 3000)).unwrap();
+        let unmarked = wal.next_lsn();
+        for i in 0..8 {
+            wal.append(&insert_rec(i, 0, 3000)).unwrap();
+        }
+        wal.force_up_to(wal.next_lsn()).unwrap();
+        assert!(wal.truncate_to(unmarked).is_err());
     }
 
     #[test]

@@ -39,6 +39,9 @@ cargo test --release -q --test properties
 echo "== scale: 6 000 files, past the old one-blob catalog's ceiling =="
 cargo test --release -q --test scale endurance_six_thousand_files -- --ignored
 
+echo "== version chains: a probe costs the same after 1, 10 and 100 overwrites =="
+cargo test --release -q --test version_chains
+
 echo "== differential query oracle (planned executor vs reference interpreter) =="
 cargo test --release -q --test properties planned_
 

@@ -171,6 +171,124 @@ proptest! {
     }
 }
 
+/// One transaction against a table `(k, v)` whose index on `k` is declared
+/// unique; each keeps `k` unique by looking before it writes.
+#[derive(Debug, Clone)]
+enum KeyOp {
+    /// Set `k` to `v`: replace the visible row, or insert the first one.
+    Put { k: i32, v: i32, commit: bool },
+    /// Set `k` twice in one transaction: the first new version dies with
+    /// the transaction that made it.
+    PutTwice { k: i32, v: i32, commit: bool },
+    /// Delete `k`'s row, if it has one.
+    Delete { k: i32, commit: bool },
+    /// Archive every dead version (the system is quiescent between ops).
+    Vacuum,
+}
+
+fn key_op_strategy() -> impl Strategy<Value = KeyOp> {
+    let k = || 0i32..5;
+    prop_oneof![
+        (k(), any::<i32>(), any::<bool>()).prop_map(|(k, v, commit)| KeyOp::Put { k, v, commit }),
+        (k(), any::<i32>(), any::<bool>()).prop_map(|(k, v, commit)| KeyOp::Put { k, v, commit }),
+        (k(), any::<i32>(), any::<bool>()).prop_map(|(k, v, commit)| KeyOp::Put { k, v, commit }),
+        (k(), any::<i32>(), any::<bool>())
+            .prop_map(|(k, v, commit)| KeyOp::PutTwice { k, v, commit }),
+        (k(), any::<bool>()).prop_map(|(k, commit)| KeyOp::Delete { k, commit }),
+        Just(KeyOp::Vacuum),
+    ]
+}
+
+// The unique lookup (newest version first, stop at the first visible one,
+// skip the archive when the heap answered) against its definition: scan
+// the heap and the archive under the same snapshot and keep the rows whose
+// key matches. Under every snapshot there is at most one, and the lookup
+// returns exactly it — after aborted newest versions, versions created and
+// replaced inside one transaction, deletions, and vacuums that moved the
+// answer to the archive.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn unique_lookup_equals_filtering_every_version(
+        ops in prop::collection::vec(key_op_strategy(), 1..40)
+    ) {
+        use minidb::{Datum, Snapshot};
+        let db = minidb::Db::open_in_memory().unwrap();
+        let rel = db.create_table(
+            "t",
+            minidb::Schema::new([("k", minidb::TypeId::INT4), ("v", minidb::TypeId::INT4)]),
+        ).unwrap();
+        let idx = db.create_unique_index("t_k", rel, &["k"]).unwrap();
+        let row = |k: i32, v: i32| vec![Datum::Int4(k), Datum::Int4(v)];
+        let put = |s: &mut minidb::Session, k: i32, v: i32| {
+            s.lock_exclusive(rel).unwrap();
+            let fresh = s.fresh_snapshot();
+            match s.index_lookup_unique(idx, &[Datum::Int4(k)], Some(&fresh)).unwrap() {
+                Some((tid, _)) => s.update(rel, tid, row(k, v)).unwrap(),
+                None => s.insert(rel, row(k, v)).unwrap(),
+            };
+        };
+        let mut stamps = vec![db.now()];
+        for op in &ops {
+            let mut s = db.begin().unwrap();
+            let commit = match *op {
+                KeyOp::Put { k, v, commit } => {
+                    put(&mut s, k, v);
+                    commit
+                }
+                KeyOp::PutTwice { k, v, commit } => {
+                    put(&mut s, k, v);
+                    put(&mut s, k, v.wrapping_add(1));
+                    commit
+                }
+                KeyOp::Delete { k, commit } => {
+                    if let Some(tid) = s.index_lookup_unique_tid(idx, &[Datum::Int4(k)]).unwrap() {
+                        s.delete(rel, tid).unwrap();
+                    }
+                    commit
+                }
+                KeyOp::Vacuum => {
+                    s.abort().unwrap();
+                    minidb::vacuum::vacuum(&db, rel, minidb::DeviceId::DEFAULT).unwrap();
+                    continue;
+                }
+            };
+            if commit { s.commit().unwrap() } else { s.abort().unwrap() }
+            stamps.push(db.now());
+        }
+        // A writer still in progress holds the newest version of key 0:
+        // readers of the past take no locks and must fall through it.
+        let mut writer = db.begin().unwrap();
+        put(&mut writer, 0, 424242);
+        stamps.push(db.now());
+
+        for t in stamps {
+            let snap = Snapshot::AsOf(t);
+            let mut h = db.snapshot_at(t);
+            let all = h.scan_with_snapshot(rel, &snap).unwrap();
+            for k in 0..5 {
+                let want: Vec<_> =
+                    all.iter().filter(|(_, r)| r[0] == Datum::Int4(k)).map(|(_, r)| r.clone()).collect();
+                prop_assert!(want.len() <= 1, "key {} has {} rows as of {}", k, want.len(), t);
+                let got = h.index_lookup_unique(idx, &[Datum::Int4(k)], None).unwrap();
+                prop_assert_eq!(got.map(|(_, r)| r), want.into_iter().next(), "key {} as of {}", k, t);
+            }
+        }
+        writer.abort().unwrap();
+        // The present, through a current snapshot.
+        let mut s = db.begin().unwrap();
+        let all = s.seq_scan(rel).unwrap();
+        for k in 0..5 {
+            let want = all.iter().find(|(_, r)| r[0] == Datum::Int4(k)).cloned();
+            let got = s.index_lookup_unique(idx, &[Datum::Int4(k)], None).unwrap();
+            prop_assert_eq!(got, want, "key {} now", k);
+        }
+        s.commit().unwrap();
+        prop_assert_eq!(db.check_all(), vec![]);
+    }
+}
+
 /// Operations for the buffer-pool model check.
 #[derive(Debug, Clone)]
 enum PoolOp {
