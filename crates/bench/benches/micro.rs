@@ -19,6 +19,39 @@ fn bench_page(c: &mut Criterion) {
     });
 }
 
+/// Appending one heap-insert record to the log: encode, copy into the
+/// append buffer, count. Nothing forces, so nothing touches the device;
+/// when the epoch is full the log is thrown away for a fresh one.
+fn bench_wal(c: &mut Criterion) {
+    let fresh_log = || {
+        let disk = simdev::MagneticDisk::new(
+            "log",
+            simdev::SimClock::new(),
+            simdev::DiskProfile::tiny_for_tests(1 << 12),
+        );
+        minidb::Wal::create(minidb::shared_device(disk), Default::default()).unwrap()
+    };
+    for (name, len) in [("64", 64), ("8k", 8000)] {
+        c.bench_function(&format!("wal_append/{name}"), |b| {
+            let mut wal = fresh_log();
+            let rec = minidb::WalRecord::Insert {
+                dev: minidb::DeviceId::DEFAULT,
+                rel: minidb::Oid(7),
+                blkno: 0,
+                slot: 0,
+                tuple: vec![7u8; len],
+            };
+            b.iter(|| {
+                if wal.append(&rec).is_err() {
+                    wal = fresh_log();
+                    wal.append(&rec).unwrap();
+                }
+                black_box(wal.next_lsn())
+            })
+        });
+    }
+}
+
 fn bench_datum(c: &mut Criterion) {
     let row = vec![
         Datum::Int4(42),
@@ -196,6 +229,7 @@ fn bench_compress(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_page,
+    bench_wal,
     bench_datum,
     bench_btree,
     bench_query,

@@ -18,12 +18,15 @@
 //! entry points at breaks ties between equal keys, in leaves, at splits and
 //! in the fences a split propagates. The heap only ever appends, so a key's
 //! versions form one run in insertion order — a new version lands after its
-//! predecessors, which for a growing index is the cheap slot-order append —
-//! and the newest version is the run's last entry, wherever leaf boundaries
-//! fall. [`BTree::scan_key_newest_first`] walks a run from that end, so a
-//! reader that needs only the version visible to it stops after one heap
-//! fetch however long the run is; [`BTree::contains`] and [`BTree::delete`]
-//! descend straight to one entry.
+//! predecessors — and the newest version is the run's last entry, wherever
+//! leaf boundaries fall. [`BTree::scan_key_newest_first`] walks a run from
+//! that end, so a reader that needs only the version visible to it stops
+//! after one heap fetch however long the run is; [`BTree::contains`] and
+//! [`BTree::delete`] descend straight to one entry.
+//!
+//! Wherever in a node an insert lands it is one [`page::insert_at`], logged
+//! as slot + item; page images are for splits, root and meta changes and
+//! lazy deletes.
 
 use crate::buffer::BufferPool;
 use crate::datum::{decode_row, encode_row, Datum};
@@ -178,18 +181,9 @@ pub struct BTree<'a> {
     pub wal: Option<&'a crate::wal::Wal>,
 }
 
-/// How [`BTree::insert_sorted`] placed an item — the cheap append case logs
-/// an item-sized record, a rewrite logs the page image.
-enum Sorted {
-    /// Appended in slot order; the new item landed in this slot.
-    Appended(u16),
-    /// The page was rewritten to restore key order.
-    Rewrote,
-}
-
 impl<'a> BTree<'a> {
-    /// Logs a full after-image of `data` (structure changes — splits, page
-    /// rewrites, meta updates) and stamps its page LSN.
+    /// Logs a full after-image of `data` (structure changes — splits, root
+    /// and meta updates, lazy deletes) and stamps its page LSN.
     fn log_image(&self, data: &mut [u8], blkno: u64) -> DbResult<()> {
         if let Some(wal) = self.wal {
             let end = wal.append(&crate::wal::WalRecord::PageImage {
@@ -203,9 +197,9 @@ impl<'a> BTree<'a> {
         Ok(())
     }
 
-    /// Logs a slot-order append of `item` (the common sequential-insert
-    /// case) and stamps the page LSN.
-    fn log_append(&self, data: &mut [u8], blkno: u64, slot: u16, item: &[u8]) -> DbResult<()> {
+    /// Logs `page::insert_at(data, slot, item)` — the bytes that changed,
+    /// wherever in the node the item went — and stamps the page LSN.
+    fn log_insert(&self, data: &mut [u8], blkno: u64, slot: u16, item: &[u8]) -> DbResult<()> {
         if let Some(wal) = self.wal {
             let end = wal.append(&crate::wal::WalRecord::Insert {
                 dev: self.dev,
@@ -341,11 +335,9 @@ impl<'a> BTree<'a> {
         let mut pbuf = pref.write();
         let data = pbuf.data_mut();
         if page::fits(data, item.len()) {
-            match Self::insert_sorted(data, at, item)? {
-                Sorted::Appended(slot) => self.log_append(data, blk, slot, item)?,
-                Sorted::Rewrote => self.log_image(data, blk)?,
-            }
-            return Ok(());
+            let slot = Self::slot_for(data, at)?;
+            page::insert_at(data, slot, item)?;
+            return self.log_insert(data, blk, slot, item);
         }
         // Split: collect all items (plus the new one) in order, keep the
         // lower half here, move the upper half to a fresh right sibling.
@@ -439,35 +431,25 @@ impl<'a> BTree<'a> {
         Ok(items)
     }
 
-    /// Inserts `item` into a node page, keeping slot order sorted by
-    /// `(key, tid)`.
-    ///
-    /// Slotted pages append items; to preserve sorted order under arbitrary
-    /// interleavings we rewrite the page when the insertion point is not at
-    /// the end. Pages are 8 KB and in cache, so this is a memcpy, not I/O.
-    fn insert_sorted(data: &mut [u8], at: Pos<'_>, item: &[u8]) -> DbResult<Sorted> {
-        let meta = read_node_meta(data)?;
-        // Compare against the last *live* item; a dead trailing slot must
-        // not mask an ordering violation.
-        let n = page::nslots(data);
-        let at_end = match (0..n).rev().find_map(|s| page::item(data, s)) {
-            Some(last) => {
-                let (k, payload) = decode_item(last)?;
-                cmp_pos(&k, payload_tid(payload, meta.leaf), at) != Ordering::Greater
+    /// The slot at which an item at position `at` keeps a node's slot array
+    /// in `(key, tid)` order: after everything at or below it. Dead slots
+    /// were placed in order too and never move relative to their
+    /// neighbours, so the whole array is sorted and this is a binary search.
+    fn slot_for(data: &[u8], at: Pos<'_>) -> DbResult<u16> {
+        let leaf = read_node_meta(data)?.leaf;
+        let (mut lo, mut hi) = (0, page::nslots(data));
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let item = page::item_even_dead(data, mid)
+                .ok_or_else(|| DbError::Corrupt(format!("index slot {mid} unreadable")))?;
+            let (k, payload) = decode_item(item)?;
+            if cmp_pos(&k, payload_tid(payload, leaf), at) == Ordering::Greater {
+                hi = mid;
+            } else {
+                lo = mid + 1;
             }
-            None => true,
-        };
-        if at_end {
-            let slot = page::insert(data, item)?;
-            return Ok(Sorted::Appended(slot));
         }
-        let items = Self::items_with(data, meta.leaf, at, item)?;
-        page::init(data, SPECIAL_SIZE);
-        write_node_meta(data, &meta);
-        for (_, it) in &items {
-            page::insert(data, it)?;
-        }
-        Ok(Sorted::Rewrote)
+        Ok(lo)
     }
 
     /// Structurally verifies the whole tree, returning findings plus every

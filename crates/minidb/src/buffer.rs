@@ -393,7 +393,9 @@ impl BufferPool {
             return Ok(());
         }
         if let Some(wal) = self.wal.read().as_ref() {
-            wal.force_up_to(lsn)?;
+            if wal.force_up_to(lsn)? {
+                wal.stats().wal.forces_writeback.bump();
+            }
         }
         Ok(())
     }
@@ -869,8 +871,11 @@ impl BufferPool {
         self.flush_matching(smgr, None)
     }
 
-    /// Writes back every dirty cached page belonging to `rel` (eager index
-    /// write-through uses this). Returns the number of pages written.
+    /// Writes back every dirty cached page belonging to `rel`, forcing the
+    /// log first for each page whose last change is not yet durable — so
+    /// not for an insert path: `xtask lint` (`wal-force-site`) confines it
+    /// to `db.rs`'s POSTGRES 4.0.1 write-through emulation and unlogged
+    /// index build. Returns the number of pages written.
     pub fn flush_rel(&self, smgr: &Smgr, rel: RelId) -> DbResult<usize> {
         self.flush_matching(smgr, Some(rel))
     }

@@ -54,13 +54,18 @@ use crate::xact::{Snapshot, XactLog, XactState};
 pub struct DbConfig {
     /// Buffer cache size in 8 KB frames (POSTGRES shipped with 64).
     pub buffers: usize,
-    /// When the buffer pool is under replacement pressure, write B-tree
-    /// pages through to the device as index entries are added, as
-    /// POSTGRES 4.0.1's buffer manager did. This is the behaviour behind
-    /// the paper's create-time result: "Btree writes are interleaved with
-    /// data file writes, penalizing Inversion by forcing the disk head to
-    /// move frequently." Transactions whose working set fits in the pool
-    /// still coalesce index writes to commit. Disable for an ablation.
+    /// A model of POSTGRES 4.0.1's buffer manager, for reproducing the
+    /// paper's Figure 3 and nothing else: when the pool is under
+    /// replacement pressure, every insert writes the relation's B-tree
+    /// pages through to the device. This is the behaviour behind the
+    /// paper's create-time result: "Btree writes are interleaved with data
+    /// file writes, penalizing Inversion by forcing the disk head to move
+    /// frequently." POSTGRES 4.0.1 had no log; here each of those pages
+    /// was dirtied a moment earlier, so the LSN-before-write rule makes
+    /// every such insert pay a log write and sync on top of the page
+    /// write. Off by default — a commit then forces the log once and
+    /// index pages drain by checkpoint and eviction like any other; the
+    /// paper testbed (`bench::InversionTestbed::paper`) turns it on.
     pub eager_index_writes: bool,
     /// Blocks of sequential read-ahead past a detected scan run
     /// (0 disables prefetching).
@@ -75,16 +80,12 @@ impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             buffers: DEFAULT_BUFFERS,
-            eager_index_writes: true,
+            eager_index_writes: false,
             prefetch_window: crate::buffer::DEFAULT_PREFETCH_WINDOW,
             checkpoint_interval: SimDuration::from_millis(100),
         }
     }
 }
-
-/// Unforced log bytes that may accumulate before an append forces the log
-/// inline, bounding what one force has to write.
-const WAL_BUFFER_SIZE: u64 = 256 * 1024;
 
 /// Blocks allocated per relation extent on the generic disk manager: > 1
 /// lays relations out in sequential runs so the simulated disk's seek model
@@ -149,16 +150,20 @@ pub(crate) struct DbInner {
 }
 
 impl DbInner {
-    /// Wakes the checkpointer when the log is under space pressure or the
-    /// checkpoint interval has elapsed — called from the write paths, so a
-    /// long transaction's log appetite triggers draining mid-transaction.
+    /// Whether a checkpoint is wanted now: the log is under space pressure
+    /// or the checkpoint interval has elapsed since the last one finished.
+    fn checkpoint_wanted(&self) -> bool {
+        let interval = self.config.checkpoint_interval;
+        self.wal.over_pressure()
+            || (interval.as_nanos() > 0
+                && self.clock.now().since(*self.ckpt.last.lock()) >= interval)
+    }
+
+    /// Wakes the checkpointer when a checkpoint is wanted — called from the
+    /// write paths, so a long transaction's log appetite triggers draining
+    /// mid-transaction.
     pub(crate) fn maybe_signal_checkpoint(&self) {
-        let due = {
-            let interval = self.config.checkpoint_interval;
-            interval.as_nanos() > 0
-                && self.clock.now().since(*self.ckpt.last.lock()) >= interval
-        };
-        if self.wal.over_pressure() || due {
+        if self.checkpoint_wanted() {
             self.ckpt.signal();
         }
     }
@@ -334,7 +339,6 @@ impl Db {
         config: DbConfig,
     ) -> DbResult<Db> {
         let (wal, redo) = (Arc::new(wal), Arc::new(redo));
-        wal.set_buffer_cap(WAL_BUFFER_SIZE);
         smgr.attach_stats(clock.clone(), Arc::clone(&stats));
         smgr.attach_redo(Arc::clone(&redo));
         for dev in smgr.devices() {
@@ -713,7 +717,12 @@ impl Db {
             // the final drop (and its join) can land on this thread — the
             // shutdown path self-join-guards for exactly that.
             let Some(inner) = weak.upgrade() else { return };
-            Self::checkpoint_cycle(&inner).ok();
+            // Every write during a cycle raises the flag again, for the
+            // crossing that cycle is already serving: ask again now, so one
+            // crossing is one cycle and not a second, nearly empty one.
+            if inner.checkpoint_wanted() {
+                Self::checkpoint_cycle(&inner).ok();
+            }
         }
     }
 
@@ -1224,10 +1233,9 @@ impl Session {
             let key: Vec<Datum> = cols.iter().map(|&i| row[i].clone()).collect();
             self.btree(*idx, dev).insert(&key, tid)?;
         }
-        // Under replacement pressure (pool full), POSTGRES 4 forced index
-        // pages out interleaved with data pages — the effect behind the
-        // paper's slow 25 MB create. Transactions that fit in the cache
-        // coalesce index writes until commit instead.
+        // The POSTGRES 4.0.1 emulation (see `DbConfig`): under replacement
+        // pressure (pool full), index pages go out interleaved with data
+        // pages — the effect behind the paper's slow 25 MB create.
         if self.db.inner.config.eager_index_writes
             && self.db.inner.pool.len() + 1 >= self.db.inner.pool.capacity()
         {
@@ -1644,6 +1652,7 @@ impl Session {
         stats.batched_records.bump();
         if forced {
             stats.sync_calls.bump();
+            inner.stats.wal.forces_commit.bump();
         } else {
             stats.group_commits.bump();
         }
@@ -2051,6 +2060,58 @@ mod readonly_commit_tests {
             elapsed < simdev::SimDuration::from_millis(1),
             "took {elapsed}"
         );
+    }
+
+    /// Every write while a checkpoint runs signals the checkpointer again,
+    /// for the pressure that checkpoint is already relieving. The wake-up
+    /// those signals leave behind must find nothing wanted and go back to
+    /// sleep: one pressure crossing, one cycle.
+    #[test]
+    fn signals_during_a_checkpoint_do_not_buy_a_second_one() {
+        let db = Db::open_in_memory_with(DbConfig {
+            checkpoint_interval: SimDuration::ZERO, // pressure only
+            ..DbConfig::default()
+        })
+        .unwrap();
+        let (inner, ckpt) = (&db.inner, &db.inner.ckpt);
+        let before = inner.stats.wal.checkpoints.get();
+        // Hold the cycle: the thread will take the wake-up and block here.
+        let cycle = ckpt.cycle.lock();
+        let filler = WalRecord::PageImage {
+            dev: DeviceId::DEFAULT,
+            rel: crate::ids::Oid(u32::MAX),
+            blkno: 0,
+            image: vec![0; crate::page::PAGE_SIZE],
+        };
+        while !inner.wal.over_pressure() {
+            inner.wal.append(&filler).unwrap();
+        }
+        let consumed = || {
+            while *ckpt.wake.lock() {
+                std::thread::yield_now();
+            }
+        };
+        inner.maybe_signal_checkpoint();
+        consumed();
+        // The cycle is "running" (the thread is at its door): signal on.
+        for _ in 0..100 {
+            inner.maybe_signal_checkpoint();
+        }
+        assert!(*ckpt.wake.lock());
+        drop(cycle);
+        while inner.stats.wal.checkpoints.get() == before {
+            std::thread::yield_now();
+        }
+        assert!(!inner.wal.over_pressure(), "the checkpoint relieved the pressure");
+        // The thread takes the stale wake-up; whatever it makes of it is
+        // over once the cycle lock has been ours and the thread is joined.
+        consumed();
+        drop(ckpt.cycle.lock());
+        ckpt.stop.store(true, SeqCst);
+        ckpt.signal();
+        let thread = ckpt.thread.lock().take().expect("the checkpointer was spawned");
+        thread.join().unwrap();
+        assert_eq!(inner.stats.wal.checkpoints.get(), before + 1);
     }
 
     #[test]

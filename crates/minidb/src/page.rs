@@ -10,8 +10,10 @@
 //! 0        20                lower      upper              special_off
 //! ```
 //!
-//! Items are never moved while live (tuple identifiers embed the slot
-//! number); deleting marks the slot dead, and the vacuum cleaner reclaims
+//! Item bytes are never moved, and a heap only appends slots (tuple
+//! identifiers embed the slot number); a B-tree node keeps its slot array
+//! in key order with [`insert_at`], which shifts slot entries and nothing
+//! else. Deleting marks the slot dead, and the vacuum cleaner reclaims
 //! space by rewriting relations wholesale, as POSTGRES's did.
 
 use crate::error::{DbError, DbResult};
@@ -102,8 +104,19 @@ pub fn fits(buf: &[u8], len: usize) -> bool {
     free_space(buf) >= len
 }
 
-/// Inserts `item`, returning its slot number.
+/// Appends `item` after the last slot, returning its slot number.
 pub fn insert(buf: &mut [u8], item: &[u8]) -> DbResult<u16> {
+    let n = nslots(buf);
+    insert_at(buf, n, item)?;
+    Ok(n)
+}
+
+/// Inserts `item` as slot `slot`, moving the slot entries from `slot` on one
+/// place right; `slot == nslots` appends. Item bytes never move: the new
+/// item goes below `upper` like any other, only the slot array shifts — so
+/// this is for pages whose slot numbers nobody outside the page remembers
+/// (B-tree nodes), or for appends (heaps, whose tids embed the slot).
+pub fn insert_at(buf: &mut [u8], slot: u16, item: &[u8]) -> DbResult<()> {
     if item.len() > LEN_MASK as usize {
         return Err(DbError::TupleTooBig {
             size: item.len(),
@@ -117,15 +130,22 @@ pub fn insert(buf: &mut [u8], item: &[u8]) -> DbResult<u16> {
         });
     }
     let n = nslots(buf);
+    if slot > n {
+        return Err(DbError::Corrupt(format!(
+            "insert at slot {slot} of a page with {n} slots"
+        )));
+    }
     let lower = get_u16(buf, OFF_LOWER) as usize;
     let upper = get_u16(buf, OFF_UPPER) as usize - item.len();
     buf[upper..upper + item.len()].copy_from_slice(item);
-    put_u16(buf, lower, upper as u16);
-    put_u16(buf, lower + 2, item.len() as u16);
+    let at = HEADER_SIZE + slot as usize * SLOT_SIZE;
+    buf.copy_within(at..lower, at + SLOT_SIZE);
+    put_u16(buf, at, upper as u16);
+    put_u16(buf, at + 2, item.len() as u16);
     put_u16(buf, OFF_LOWER, (lower + SLOT_SIZE) as u16);
     put_u16(buf, OFF_UPPER, upper as u16);
     put_u16(buf, OFF_NSLOTS, n + 1);
-    Ok(n)
+    Ok(())
 }
 
 fn slot_entry(buf: &[u8], slot: u16) -> Option<(usize, usize, bool)> {
@@ -309,6 +329,41 @@ mod tests {
         assert_eq!(item(&buf, 0).unwrap(), b"hello");
         assert_eq!(item(&buf, 1).unwrap(), b"world!");
         assert_eq!(nslots(&buf), 2);
+    }
+
+    #[test]
+    fn insert_at_keeps_items_in_place_and_shifts_only_slots() {
+        let mut buf = new_page();
+        insert(&mut buf, b"bb").unwrap();
+        insert(&mut buf, b"dddd").unwrap();
+        let d_off = slot_entry(&buf, 1).unwrap().0;
+        insert_at(&mut buf, 1, b"ccc").unwrap();
+        insert_at(&mut buf, 0, b"a").unwrap();
+        insert_at(&mut buf, 4, b"eeeee").unwrap(); // slot == nslots appends
+        let items: Vec<&[u8]> = iter(&buf).map(|(_, it)| it).collect();
+        assert_eq!(items, [&b"a"[..], b"bb", b"ccc", b"dddd", b"eeeee"]);
+        assert_eq!(slot_entry(&buf, 3).unwrap().0, d_off, "item bytes moved");
+        assert!(verify(&buf).is_empty(), "{:?}", verify(&buf));
+        // Past the end is a hole in the slot array, not an append.
+        assert!(matches!(insert_at(&mut buf, 6, b"x"), Err(DbError::Corrupt(_))));
+        assert_eq!(nslots(&buf), 5);
+    }
+
+    #[test]
+    fn insert_at_carries_dead_slots_along_and_respects_free_space() {
+        let mut buf = new_page();
+        insert(&mut buf, b"keep").unwrap();
+        insert(&mut buf, b"kill").unwrap();
+        set_dead(&mut buf, 1).unwrap();
+        insert_at(&mut buf, 0, b"first").unwrap();
+        assert!(is_dead(&buf, 2) && !is_dead(&buf, 1));
+        assert_eq!(item_even_dead(&buf, 2).unwrap(), b"kill");
+        let room = free_space(&buf);
+        assert!(insert_at(&mut buf, 1, &vec![0u8; room + 1]).is_err());
+        insert_at(&mut buf, 1, &vec![9u8; room]).unwrap();
+        assert_eq!(free_space(&buf), 0);
+        assert_eq!(item(&buf, 2).unwrap(), b"keep");
+        assert!(verify(&buf).is_empty());
     }
 
     #[test]

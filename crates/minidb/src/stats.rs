@@ -441,7 +441,17 @@ stat_table! {
     bytes_appended: Counter,
     /// Log forces: block writes plus one sync that advanced the durable
     /// horizon. One force covers every record appended before it began.
+    /// The sum of the three `forces_*` counters, which say who asked.
     log_forces: Counter,
+    /// Forces by a committer making its `Commit` record durable.
+    forces_commit: Counter,
+    /// Forces by the buffer manager before it wrote a page whose last
+    /// change was not yet durable (eviction, a checkpoint's drain, the
+    /// index write-through emulation): the LSN-before-write rule.
+    forces_writeback: Counter,
+    /// Forces by log truncation of whatever tail its checkpoint's drain
+    /// left unforced.
+    forces_checkpoint: Counter,
     /// Checkpoint cycles completed.
     checkpoints: Counter,
     /// Dirty pages written out by checkpoint cycles.
@@ -964,6 +974,9 @@ mod tests {
                 records_appended: 20,
                 bytes_appended: 21,
                 log_forces: 22,
+                forces_commit: 68,
+                forces_writeback: 69,
+                forces_checkpoint: 70,
                 checkpoints: 23,
                 ckpt_pages_drained: 24,
                 replayed_pages: 25,
@@ -1025,7 +1038,7 @@ mod tests {
     /// `minidb_stats_delta` section of every `BENCH_*.json`).
     #[test]
     fn json_matches_the_golden_string() {
-        const GOLDEN: &str = r#"{"buffer":{"hits":1,"misses":2,"evictions":3,"writebacks":4,"prefetches":5,"prefetch_hits":6},"lock":{"acquisitions":34,"waits":35,"deadlocks":36,"timeouts":37},"xact":{"commits":7,"aborts":8,"time_travel_reads":9,"group_commits":10,"batched_records":11,"sync_calls":12,"commit_latency":[13,14,15,16,17,18,19]},"wal":{"records_appended":20,"bytes_appended":21,"log_forces":22,"checkpoints":23,"ckpt_pages_drained":24,"replayed_pages":25,"replayed_records":26},"heap":{"scans":27,"fetches":28,"appends":29},"btree":{"searches":30,"inserts":31,"splits":32,"page_writes":33},"planner":{"plans_built":38,"index_scans_chosen":39,"seq_scans_chosen":40,"joins_planned":41},"vacuum_passes":42,"devices":[{"device":0,"name":"rz\"58","reads":43,"writes":44,"read_ns":45,"write_ns":46,"read_hist":[47,48,49,50,51,52,53],"write_hist":[54,55,56,57,58,59,60],"io_submitted":61,"io_completed":62,"io_batched_neighbors":63,"io_elevator_passes":64,"io_queue_depth_hw":65,"io_barrier_waits":66},{"device":3,"name":"juke\\box","reads":67,"writes":0,"read_ns":0,"write_ns":0,"read_hist":[0,0,0,0,0,0,0],"write_hist":[0,0,0,0,0,0,0],"io_submitted":0,"io_completed":0,"io_batched_neighbors":0,"io_elevator_passes":0,"io_queue_depth_hw":0,"io_barrier_waits":0}]}"#;
+        const GOLDEN: &str = r#"{"buffer":{"hits":1,"misses":2,"evictions":3,"writebacks":4,"prefetches":5,"prefetch_hits":6},"lock":{"acquisitions":34,"waits":35,"deadlocks":36,"timeouts":37},"xact":{"commits":7,"aborts":8,"time_travel_reads":9,"group_commits":10,"batched_records":11,"sync_calls":12,"commit_latency":[13,14,15,16,17,18,19]},"wal":{"records_appended":20,"bytes_appended":21,"log_forces":22,"forces_commit":68,"forces_writeback":69,"forces_checkpoint":70,"checkpoints":23,"ckpt_pages_drained":24,"replayed_pages":25,"replayed_records":26},"heap":{"scans":27,"fetches":28,"appends":29},"btree":{"searches":30,"inserts":31,"splits":32,"page_writes":33},"planner":{"plans_built":38,"index_scans_chosen":39,"seq_scans_chosen":40,"joins_planned":41},"vacuum_passes":42,"devices":[{"device":0,"name":"rz\"58","reads":43,"writes":44,"read_ns":45,"write_ns":46,"read_hist":[47,48,49,50,51,52,53],"write_hist":[54,55,56,57,58,59,60],"io_submitted":61,"io_completed":62,"io_batched_neighbors":63,"io_elevator_passes":64,"io_queue_depth_hw":65,"io_barrier_waits":66},{"device":3,"name":"juke\\box","reads":67,"writes":0,"read_ns":0,"write_ns":0,"read_hist":[0,0,0,0,0,0,0],"write_hist":[0,0,0,0,0,0,0],"io_submitted":0,"io_completed":0,"io_batched_neighbors":0,"io_elevator_passes":0,"io_queue_depth_hw":0,"io_barrier_waits":0}]}"#;
         assert_eq!(synthetic().to_json(), GOLDEN);
     }
 

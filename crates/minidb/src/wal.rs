@@ -52,7 +52,7 @@
 //! records. Within one epoch, blocks are written in ascending order, so a
 //! destaged prefix of a force is always an LSN prefix of the stream.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -99,7 +99,9 @@ pub enum WalRecord {
         /// Bytes reserved for the special area.
         special_size: u16,
     },
-    /// A slotted-page insert that produced `slot`.
+    /// `page::insert_at(buf, slot, tuple)`. A heap appends, so its `slot`
+    /// is the page's slot count at the time; a B-tree node inserts wherever
+    /// key order puts the item.
     Insert {
         /// Device holding the page.
         dev: DeviceId,
@@ -107,7 +109,7 @@ pub enum WalRecord {
         rel: RelId,
         /// Logical block number within the relation.
         blkno: u64,
-        /// Slot the insert produced (replay must reproduce it).
+        /// Slot the item went into (replay refuses a page too short for it).
         slot: u16,
         /// The full item bytes.
         tuple: Vec<u8>,
@@ -164,18 +166,20 @@ impl WalRecord {
         }
     }
 
-    /// Encodes the record (header + body) onto `out`.
+    /// Encodes the record (header + body) onto `out`: the header with a
+    /// placeholder length, the body in place, then the length back-patched.
     fn encode(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::new();
-        let kind = match self {
+        let start = out.len();
+        out.extend_from_slice(&[0; REC_HDR]);
+        out[start] = match self {
             WalRecord::PageInit {
                 dev,
                 rel,
                 blkno,
                 special_size,
             } => {
-                put_addr(&mut body, *dev, *rel, *blkno);
-                body.extend_from_slice(&special_size.to_le_bytes());
+                put_addr(out, *dev, *rel, *blkno);
+                out.extend_from_slice(&special_size.to_le_bytes());
                 K_PAGE_INIT
             }
             WalRecord::Insert {
@@ -185,9 +189,9 @@ impl WalRecord {
                 slot,
                 tuple,
             } => {
-                put_addr(&mut body, *dev, *rel, *blkno);
-                body.extend_from_slice(&slot.to_le_bytes());
-                body.extend_from_slice(tuple);
+                put_addr(out, *dev, *rel, *blkno);
+                out.extend_from_slice(&slot.to_le_bytes());
+                out.extend_from_slice(tuple);
                 K_INSERT
             }
             WalRecord::Overwrite {
@@ -198,10 +202,10 @@ impl WalRecord {
                 offset,
                 bytes,
             } => {
-                put_addr(&mut body, *dev, *rel, *blkno);
-                body.extend_from_slice(&slot.to_le_bytes());
-                body.extend_from_slice(&offset.to_le_bytes());
-                body.extend_from_slice(bytes);
+                put_addr(out, *dev, *rel, *blkno);
+                out.extend_from_slice(&slot.to_le_bytes());
+                out.extend_from_slice(&offset.to_le_bytes());
+                out.extend_from_slice(bytes);
                 K_OVERWRITE
             }
             WalRecord::PageImage {
@@ -210,23 +214,22 @@ impl WalRecord {
                 blkno,
                 image,
             } => {
-                put_addr(&mut body, *dev, *rel, *blkno);
-                body.extend_from_slice(image);
+                put_addr(out, *dev, *rel, *blkno);
+                out.extend_from_slice(image);
                 K_PAGE_IMAGE
             }
             WalRecord::Commit { xid, time_ns } => {
-                body.extend_from_slice(&xid.0.to_le_bytes());
-                body.extend_from_slice(&time_ns.to_le_bytes());
+                out.extend_from_slice(&xid.0.to_le_bytes());
+                out.extend_from_slice(&time_ns.to_le_bytes());
                 K_COMMIT
             }
             WalRecord::Abort { xid } => {
-                body.extend_from_slice(&xid.0.to_le_bytes());
+                out.extend_from_slice(&xid.0.to_le_bytes());
                 K_ABORT
             }
         };
-        out.push(kind);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
+        let body = (out.len() - start - REC_HDR) as u32;
+        out[start + 1..start + REC_HDR].copy_from_slice(&body.to_le_bytes());
     }
 
     /// Decodes one record from `buf`, returning it and the bytes consumed.
@@ -327,13 +330,15 @@ impl WalRecord {
                 Ok(())
             }
             WalRecord::Insert { slot, tuple, .. } => {
-                let got = page::insert(buf, tuple)?;
-                if got != *slot {
+                // A page with no special area is a heap page, whose slot
+                // numbers are tuple ids: only an append may replay there.
+                let n = page::nslots(buf);
+                if page::special(buf).is_empty() && *slot != n {
                     return Err(DbError::Corrupt(format!(
-                        "REDO insert landed in slot {got}, logged {slot}"
+                        "REDO insert landed in slot {n}, logged {slot}"
                     )));
                 }
-                Ok(())
+                page::insert_at(buf, *slot, tuple)
             }
             WalRecord::Overwrite {
                 slot,
@@ -436,9 +441,6 @@ pub struct Wal {
     inner: Mutex<WalInner>,
     /// Set when the epoch has grown past half the region (checkpoint cue).
     pressure: AtomicBool,
-    /// Unforced-byte threshold past which `append` forces inline; 0
-    /// disables the inline force.
-    buffer_cap: AtomicU64,
 }
 
 impl Wal {
@@ -517,14 +519,7 @@ impl Wal {
                 kept: None,
             }),
             pressure: AtomicBool::new(false),
-            buffer_cap: AtomicU64::new(0),
         })
-    }
-
-    /// Caps how many unforced bytes the append buffer may hold before an
-    /// append forces the log inline.
-    pub fn set_buffer_cap(&self, bytes: u64) {
-        self.buffer_cap.store(bytes, SeqCst);
     }
 
     /// Device block holding stream offset `start` (block-aligned within the
@@ -533,51 +528,52 @@ impl Wal {
         self.region + 1 + half as u64 * self.half_blocks + (start - epoch) / BLOCK_PAYLOAD as u64
     }
 
+    /// The registry this log counts into; a caller whose
+    /// [`Wal::force_up_to`] forced counts it there under its own name.
+    pub(crate) fn stats(&self) -> &StatsRegistry {
+        &self.stats
+    }
+
     /// Record-stream capacity of one epoch, in bytes.
     pub fn capacity(&self) -> u64 {
         self.half_blocks * BLOCK_PAYLOAD as u64
     }
 
     /// Appends `rec`, returning its end LSN. The record is volatile until
-    /// a force covers it.
+    /// a force covers it; appending never touches the device. The record
+    /// is encoded straight into the append buffer — one copy of its bytes.
     pub fn append(&self, rec: &WalRecord) -> DbResult<u64> {
-        let mut bytes = Vec::new();
-        rec.encode(&mut bytes);
-        let (end, over_cap) = {
-            let _order = crate::lock::order::token(crate::lock::order::WAL);
-            let mut g = self.inner.lock();
-            let used = g.next_lsn - g.epoch_lsn;
-            if used + bytes.len() as u64 > self.capacity() {
-                return Err(DbError::Invalid(format!(
-                    "WAL full: epoch holds {used} of {} bytes and the record needs {}",
-                    self.capacity(),
-                    bytes.len()
-                )));
-            }
-            g.buf.extend_from_slice(&bytes);
-            g.next_lsn += bytes.len() as u64;
-            if used + bytes.len() as u64 > self.capacity() / 2 {
-                self.pressure.store(true, SeqCst);
-            }
-            self.stats.wal.records_appended.bump();
-            self.stats.wal.bytes_appended.add(bytes.len() as u64);
-            let cap = self.buffer_cap.load(SeqCst);
-            (g.next_lsn, cap > 0 && g.next_lsn - g.durable_lsn > cap)
-        };
-        if over_cap {
-            // Best effort: the append itself succeeded, and the force that
-            // matters for durability is the one at commit, which reports
-            // its own failures. A failed force retries on the next one.
-            self.force_up_to(end).ok();
+        let _order = crate::lock::order::token(crate::lock::order::WAL);
+        let mut g = self.inner.lock();
+        let start = g.buf.len();
+        rec.encode(&mut g.buf);
+        let len = (g.buf.len() - start) as u64;
+        let used = g.next_lsn - g.epoch_lsn;
+        if used + len > self.capacity() {
+            g.buf.truncate(start);
+            return Err(DbError::Invalid(format!(
+                "WAL full: epoch holds {used} of {} bytes and the record needs {len}",
+                self.capacity(),
+            )));
         }
-        Ok(end)
+        g.next_lsn += len;
+        if used + len > self.capacity() / 2 {
+            self.pressure.store(true, SeqCst);
+        }
+        self.stats.wal.records_appended.bump();
+        self.stats.wal.bytes_appended.add(len);
+        Ok(g.next_lsn)
     }
 
     /// Makes the stream durable up to `lsn` — the one durability
     /// primitive: commit calls it with its `Commit` record's end LSN, the
     /// buffer manager with a page's stamped LSN before writing the page
-    /// (the LSN-before-write rule). Returns whether *this call* wrote and
-    /// synced; `false` means an earlier force had already covered `lsn`.
+    /// (the LSN-before-write rule). Those two and the checkpoint's
+    /// [`Wal::truncate_to`] are the only things that force the log, and
+    /// `xtask lint` (`wal-force-site`) keeps it so. Returns whether *this
+    /// call* wrote and synced — the caller then counts the force under its
+    /// own name in `pg_stat_wal`; `false` means an earlier force had
+    /// already covered `lsn`.
     pub fn force_up_to(&self, lsn: u64) -> DbResult<bool> {
         let _order = crate::lock::order::token(crate::lock::order::WAL_FLUSH);
         let _flush = self.flush.lock();
@@ -653,6 +649,7 @@ impl Wal {
             self.write_blocks(g.half, g.epoch_lsn, g.buf_base, &g.buf)?;
             let forced = g.buf.len();
             self.publish(&mut g, forced);
+            self.stats.wal.forces_checkpoint.bump();
         }
         let kept = g.kept.take().unwrap_or_default();
         let cut = cut.clamp(g.epoch_lsn, g.next_lsn);
@@ -803,6 +800,7 @@ mod tests {
     use super::*;
     use crate::smgr::shared_device;
     use simdev::{DiskProfile, MagneticDisk, SimClock};
+    use std::sync::atomic::AtomicU64;
 
     fn log_device(nblocks: u64) -> SharedDevice {
         shared_device(MagneticDisk::new(

@@ -19,6 +19,9 @@
 //!   assert that no buffer shard latch is held across them.
 //! * `meta-blob` — `write_meta(` / `read_meta(` (whole-structure in-place
 //!   persistence) only in `minidb/src/smgr.rs`.
+//! * `wal-force-site` — `.force_up_to(` only in `wal.rs`, the buffer
+//!   manager's `force_wal_for` and `db.rs`'s commit; `.flush_rel(` only in
+//!   `db.rs` behind the `eager_index_writes` test or an unlogged build.
 
 mod rules;
 mod scrub;
@@ -91,6 +94,7 @@ fn lint(update_budget: bool) -> ExitCode {
         violations.extend(rules::lock_order_sites(&rel, &cleaned, &exempt));
         violations.extend(rules::io_wait_guard_sites(&rel, &cleaned));
         violations.extend(rules::meta_blob_sites(&rel, &cleaned));
+        violations.extend(rules::wal_force_sites(&rel, &cleaned));
     }
 
     let budget_file = root.join(BUDGET_PATH);

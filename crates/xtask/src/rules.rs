@@ -186,6 +186,65 @@ pub fn meta_blob_sites(file: &str, text: &str) -> Vec<Violation> {
     out
 }
 
+/// Rule `wal-force-site`: the log is forced by a commit, by the buffer
+/// manager before it writes back a page whose last change is not yet
+/// durable, and by a checkpoint's truncation — nothing else, so an insert
+/// path can never again pay a log write and sync per row unnoticed.
+/// `.force_up_to(` may be called in `minidb/src/wal.rs`, in
+/// `buffer.rs::force_wal_for` and in `db.rs::commit_written`; `.flush_rel(`
+/// (a writeback, hence a force, per dirty page of one relation) only in
+/// `db.rs`, in a function that tests `eager_index_writes` (the POSTGRES
+/// 4.0.1 emulation) or builds through an unlogged handle (`wal: None`:
+/// pages with no LSN, nothing to force).
+pub fn wal_force_sites(file: &str, text: &str) -> Vec<Violation> {
+    let b = text.as_bytes();
+    let in_file = |name: &str| file.ends_with(&format!("minidb/src/{name}"));
+    let mut out = Vec::new();
+    // Chunk the file at function starts, as `io-wait-guard` does: a call
+    // is judged by the function it sits in.
+    let starts: Vec<usize> = ident_matches(text, "fn").collect();
+    for (i, &s) in starts.iter().enumerate() {
+        let end = starts.get(i + 1).copied().unwrap_or(text.len());
+        let body = &text[s..end];
+        let fn_name = body[2..]
+            .trim_start()
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .next()
+            .unwrap_or("");
+        let allowed = |callee: &str| match callee {
+            "force_up_to" => {
+                in_file("wal.rs")
+                    || (in_file("buffer.rs") && fn_name == "force_wal_for")
+                    || (in_file("db.rs") && fn_name == "commit_written")
+            }
+            "flush_rel" => {
+                in_file("db.rs")
+                    && (body.contains("eager_index_writes") || body.contains("wal: None"))
+            }
+            _ => false,
+        };
+        for callee in ["force_up_to", "flush_rel"] {
+            for p in ident_matches(body, callee) {
+                let p = s + p;
+                let is_call = p > 0 && b[p - 1] == b'.' && b.get(p + callee.len()) == Some(&b'(');
+                if is_call && !allowed(callee) {
+                    out.push(Violation {
+                        file: file.into(),
+                        line: line_of(text, p),
+                        rule: "wal-force-site",
+                        msg: format!(
+                            "`{callee}` in `{fn_name}`: only commit, a WAL-before-data \
+                             writeback and the checkpoint force the log"
+                        ),
+                    });
+                }
+            }
+        }
+    }
+    out.sort_by_key(|v| v.line);
+    out
+}
+
 /// Rule `lock-order`: audits the declared lock-acquisition markers
 /// (`lock::order::token(LEVEL)`) against the hierarchy exported by
 /// `minidb::lock::order`. Tokens are live until their enclosing brace
@@ -347,6 +406,32 @@ mod tests {
         // Prose, longer identifiers and test code are not calls.
         let ok = "// write_meta(x)\nfn f() { rewrite_meta(); write_meta_v2(); }\n#[cfg(test)]\nmod t { fn g() { write_meta(); } }\n";
         assert!(meta_blob_sites("crates/minidb/src/db.rs", &clean(ok)).is_empty());
+    }
+
+    #[test]
+    fn wal_force_sites_are_commit_writeback_and_the_emulation() {
+        let forces = |file: &str, src: &str| wal_force_sites(file, &clean(src)).len();
+        let commit = "fn commit_written(inner: &DbInner) { inner.wal.force_up_to(lsn)?; }";
+        assert_eq!(forces("crates/minidb/src/db.rs", commit), 0);
+        let insert = "fn insert(&mut self) { self.db.inner.wal.force_up_to(lsn)?; }";
+        assert_eq!(forces("crates/minidb/src/db.rs", insert), 1);
+        assert_eq!(forces("crates/inversion/src/api.rs", commit), 1);
+        let writeback = "fn force_wal_for(&self) { wal.force_up_to(lsn)?; }\nfn evict(&self) { wal.force_up_to(lsn)?; }";
+        let v = wal_force_sites("crates/minidb/src/buffer.rs", &clean(writeback));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), ("wal-force-site", 2));
+        assert_eq!(forces("crates/minidb/src/wal.rs", insert), 0);
+        // A flush of one relation's pages forces per page: emulation only.
+        let eager = "fn insert(&mut self) { if self.config.eager_index_writes { pool.flush_rel(smgr, idx)?; } }";
+        assert_eq!(forces("crates/minidb/src/db.rs", eager), 0);
+        let unlogged = "fn build_index(&self) { let bt = BTree { wal: None }; self.pool.flush_rel(smgr, id)?; }";
+        assert_eq!(forces("crates/minidb/src/db.rs", unlogged), 0);
+        let bare = "fn insert(&mut self) { pool.flush_rel(smgr, idx)?; }";
+        assert_eq!(forces("crates/minidb/src/db.rs", bare), 1);
+        assert_eq!(forces("crates/minidb/src/vacuum.rs", eager), 1);
+        // Definitions, prose and test code are not calls.
+        let ok = "// x.flush_rel(y)\npub fn flush_rel(&self) {}\npub fn force_up_to(&self) {}\n#[cfg(test)]\nmod t { fn g() { w.force_up_to(1); p.flush_rel(a, b); } }\n";
+        assert_eq!(forces("crates/minidb/src/heap.rs", ok), 0);
     }
 
     #[test]

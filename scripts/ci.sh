@@ -42,6 +42,9 @@ cargo test --release -q --test scale endurance_six_thousand_files -- --ignored
 echo "== version chains: a probe costs the same after 1, 10 and 100 overwrites =="
 cargo test --release -q --test version_chains
 
+echo "== log forces: an insert forces nothing, a commit forces once =="
+cargo test --release -q --test log_forces
+
 echo "== differential query oracle (planned executor vs reference interpreter) =="
 cargo test --release -q --test properties planned_
 

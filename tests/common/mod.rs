@@ -44,6 +44,11 @@ impl Devices {
 
     /// Formats a fresh database on these devices.
     pub fn format(&self) -> Db {
+        self.format_with(DbConfig::default())
+    }
+
+    /// [`Devices::format`] with explicit tunables.
+    pub fn format_with(&self, config: DbConfig) -> Db {
         let mut smgr = Smgr::new();
         smgr.register(
             DeviceId::DEFAULT,
@@ -55,7 +60,7 @@ impl Devices {
             smgr,
             self.log.clone(),
             self.catalog.clone(),
-            DbConfig::default(),
+            config,
         )
         .unwrap()
     }
@@ -156,6 +161,16 @@ pub fn data_page_writes(d: &StatsSnapshot) -> u64 {
         "a checkpoint ran inside the measured window"
     );
     d.devices.iter().map(|dev| dev.writes).sum()
+}
+
+/// Syncs the probed log device has carried out — the other half of the
+/// no-force gate: inside a transaction this must stand still (an insert
+/// forces nothing), and across its `commit()` move by one. The log device
+/// is also synced by a checkpoint (status file, control block), so measure
+/// it in a window [`data_page_writes`] has accepted.
+#[allow(dead_code)]
+pub fn log_syncs(probe: &Probe) -> u64 {
+    probe.syncs.load(SeqCst)
 }
 
 /// What a test sees of, and does to, a [`ProbedDisk`].

@@ -1,0 +1,166 @@
+//! Who forces the log, and when.
+//!
+//! The paper's commit is one force: "when the status file is forced, the
+//! transaction is durable". Here that force is of the write-ahead log, and
+//! exactly three things may ask for it — a commit, the buffer manager
+//! writing back a page whose last change is not yet durable, and a
+//! checkpoint's truncation. An insert is none of them: however many index
+//! entries a transaction adds and however much log it appends, the log
+//! device sees nothing until the commit, and then one write-and-sync.
+
+mod common;
+
+use std::sync::atomic::Ordering::SeqCst;
+use std::time::Duration;
+
+use common::{data_page_writes, log_syncs, Devices, Probe, ProbedDisk};
+use minidb::{Datum, Db, DbConfig, RelId, Schema, TypeId, Wal};
+use simdev::SimDuration;
+
+/// A database on a probed log device whose pool is full of clean pages and
+/// whose log is empty, with an indexed relation `t(k)` whose own pages are
+/// resident and referenced: the inserts that follow replace nothing.
+fn full_pool(config: DbConfig) -> (Devices, std::sync::Arc<Probe>, Db, RelId) {
+    let mut devices = Devices::new();
+    let (log, probe) = ProbedDisk::log(&devices.clock, Duration::ZERO);
+    devices.log = log;
+    let frames = config.buffers;
+    let db = devices.format_with(config);
+    let t = db
+        .create_table("t", Schema::new([("k", TypeId::INT4), ("v", TypeId::TEXT)]))
+        .unwrap();
+    let t_k = db.create_index("t_k", t, &["k"]).unwrap();
+    let filler = db
+        .create_table("filler", Schema::new([("v", TypeId::TEXT)]))
+        .unwrap();
+    let mut s = db.begin().unwrap();
+    for i in 0..2 * frames {
+        // One row per page.
+        s.insert(filler, vec![Datum::Text(format!("{i:0>7000}"))]).unwrap();
+    }
+    assert!(db.buffer_stats().evictions > 0, "the pool must be under replacement");
+    // A page enters the pool unreferenced, under the clock hand, and is
+    // the next miss's victim unless something hits it first: insert and
+    // read back until an insert misses nothing.
+    let warm = (1000..1008).any(|k| {
+        let misses = db.buffer_stats().misses;
+        s.insert(t, row(k)).unwrap();
+        let settled = db.buffer_stats().misses == misses;
+        assert_eq!(s.index_scan_eq(t_k, &[Datum::Int4(k)]).unwrap().len(), 1);
+        settled
+    });
+    assert!(warm, "t's pages never settled in the pool");
+    s.commit().unwrap();
+    db.checkpoint().unwrap();
+    (devices, probe, db, t)
+}
+
+fn row(k: i32) -> Vec<Datum> {
+    vec![Datum::Int4(k), Datum::Text("v".into())]
+}
+
+/// Sixteen inserts into `t`, each adding an index entry; returns the
+/// session, uncommitted.
+fn sixteen_indexed_inserts(db: &Db, t: RelId) -> minidb::Session {
+    let mut s = db.begin().unwrap();
+    for k in 0..16 {
+        // Descending keys: every entry goes in front of the last one, not
+        // at the end of the leaf.
+        s.insert(t, row(100 - k)).unwrap();
+    }
+    s
+}
+
+/// The default configuration: the inserts of a transaction cost the log
+/// device nothing, its commit costs one sync, and no index page is written
+/// through on the way.
+#[test]
+fn inserts_force_nothing_and_the_commit_forces_once() {
+    let (_devices, probe, db, t) = full_pool(DbConfig::default());
+    let before = db.stats();
+    let syncs = log_syncs(&probe);
+
+    let mut s = sixteen_indexed_inserts(&db, t);
+    let d = db.stats().delta(&before);
+    assert_eq!(data_page_writes(&d), 0, "no index page is written through");
+    assert_eq!(d.btree.page_writes, 0);
+    assert_eq!(log_syncs(&probe), syncs, "an insert must not force the log");
+    assert_eq!(d.wal.log_forces, 0);
+
+    s.commit().unwrap();
+    let d = db.stats().delta(&before);
+    assert_eq!(data_page_writes(&d), 0, "no-force commit");
+    assert_eq!(log_syncs(&probe), syncs + 1, "the commit is the one force");
+    assert_eq!(
+        (d.wal.log_forces, d.wal.forces_commit, d.wal.forces_writeback, d.wal.forces_checkpoint),
+        (1, 1, 0, 0),
+        "and pg_stat_wal says the committer asked for it"
+    );
+}
+
+/// The paper configuration stays what it was: with the POSTGRES 4.0.1
+/// emulation on and the pool under replacement, every insert writes the
+/// index through — and, under a WAL, pays a log force for the privilege.
+#[test]
+fn the_write_through_emulation_writes_the_index_on_every_insert() {
+    let (_devices, probe, db, t) = full_pool(DbConfig {
+        eager_index_writes: true,
+        ..DbConfig::default()
+    });
+    let before = db.stats();
+    let syncs = log_syncs(&probe);
+    let mut s = sixteen_indexed_inserts(&db, t);
+    let d = db.stats().delta(&before);
+    assert!(d.btree.page_writes >= 16, "got {}", d.btree.page_writes);
+    assert_eq!(d.wal.forces_writeback, 16, "one force per written-through page");
+    assert_eq!(log_syncs(&probe), syncs + 16);
+    assert_eq!(d.buffer.misses, 0, "and none of them was an eviction's");
+    s.commit().unwrap();
+}
+
+/// A megabyte of log appended by one transaction stays in memory — no
+/// inline force however large the tail grows — until the commit writes it
+/// in one force; and all of it is there after a crash.
+#[test]
+fn a_megabyte_of_log_waits_in_memory_for_its_commit() {
+    let mut devices = Devices::new();
+    let (log, probe) = ProbedDisk::log(&devices.clock, Duration::ZERO);
+    devices.log = log;
+    // Room for every page the transaction dirties, and no checkpoint timer:
+    // neither an eviction nor a checkpoint forces the log in the window.
+    let db = devices.format_with(DbConfig {
+        buffers: 256,
+        checkpoint_interval: SimDuration::ZERO,
+        ..DbConfig::default()
+    });
+    let rel = db
+        .create_table("blob", Schema::new([("v", TypeId::TEXT)]))
+        .unwrap();
+    db.checkpoint().unwrap();
+
+    let before = db.stats();
+    let (writes, syncs) = (probe.writes.load(SeqCst), log_syncs(&probe));
+    let mut s = db.begin().unwrap();
+    for i in 0..132 {
+        s.insert(rel, vec![Datum::Text(format!("{i:0>8000}"))]).unwrap();
+    }
+    let d = db.stats().delta(&before);
+    assert!(d.wal.bytes_appended >= 1 << 20, "{} bytes", d.wal.bytes_appended);
+    assert_eq!(d.wal.log_forces, 0, "appending never forces");
+    assert_eq!(d.wal.checkpoints, 0);
+    assert_eq!(
+        (probe.writes.load(SeqCst), log_syncs(&probe)),
+        (writes, syncs),
+        "the log device is untouched until the commit"
+    );
+
+    s.commit().unwrap();
+    let d = db.stats().delta(&before);
+    assert_eq!(d.wal.log_forces, 1, "one force carries the megabyte");
+    assert_eq!(log_syncs(&probe), syncs + 1);
+
+    db.simulate_crash();
+    drop(db);
+    let (_, records) = Wal::recover(devices.log.clone(), Default::default()).unwrap();
+    assert_eq!(records.len() as u64, d.wal.records_appended, "every record survives");
+}

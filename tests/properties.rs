@@ -171,6 +171,66 @@ proptest! {
     }
 }
 
+// `page::insert_at` against the page rebuild it replaced (decode every live
+// item, re-initialise the page, re-insert them in order with the new one in
+// its place): the same live items in the same order, a page `verify`
+// accepts — lazily deleted slots included, which the rebuild dropped and
+// `insert_at` carries along — and a log of `Insert { slot, item }` records
+// whose replay reproduces the page byte for byte.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn insert_at_equals_the_page_rebuild_and_replays_exactly(
+        ops in prop::collection::vec(
+            (any::<u16>(), prop::collection::vec(any::<u8>(), 1..300), 0u8..4),
+            1..80,
+        )
+    ) {
+        use minidb::{page, DeviceId, Oid, WalRecord};
+        let addr = (DeviceId::DEFAULT, Oid(7), 3u64);
+        let mut live = vec![0u8; page::PAGE_SIZE];
+        page::init(&mut live, 12); // a B-tree node's special area
+        let mut log = vec![WalRecord::PageInit {
+            dev: addr.0, rel: addr.1, blkno: addr.2, special_size: 12,
+        }];
+        // What the rebuild would hold: the live items, in slot order.
+        let mut rebuilt: Vec<Vec<u8>> = Vec::new();
+        for (at, item, kill) in ops {
+            if !page::fits(&live, item.len()) {
+                continue;
+            }
+            let slot = at % (page::nslots(&live) + 1);
+            let live_before = (0..slot).filter(|&s| !page::is_dead(&live, s)).count();
+            page::insert_at(&mut live, slot, &item).unwrap();
+            log.push(WalRecord::Insert {
+                dev: addr.0, rel: addr.1, blkno: addr.2, slot, tuple: item.clone(),
+            });
+            rebuilt.insert(live_before, item);
+            if kill == 0 {
+                // A lazy delete, logged as the B-tree logs it: an image.
+                let victim = at % page::nslots(&live);
+                if !page::is_dead(&live, victim) {
+                    let nth = (0..victim).filter(|&s| !page::is_dead(&live, s)).count();
+                    rebuilt.remove(nth);
+                    page::set_dead(&mut live, victim).unwrap();
+                    log.push(WalRecord::PageImage {
+                        dev: addr.0, rel: addr.1, blkno: addr.2, image: live.clone(),
+                    });
+                }
+            }
+            prop_assert!(page::verify(&live).is_empty(), "{:?}", page::verify(&live));
+        }
+        let items: Vec<Vec<u8>> = page::iter(&live).map(|(_, it)| it.to_vec()).collect();
+        prop_assert_eq!(items, rebuilt);
+        let mut replayed = vec![0u8; page::PAGE_SIZE];
+        for rec in &log {
+            rec.redo(&mut replayed).unwrap();
+        }
+        prop_assert!(replayed == live, "replay diverged from the live page");
+    }
+}
+
 /// One transaction against a table `(k, v)` whose index on `k` is declared
 /// unique; each keeps `k` unique by looking before it writes.
 #[derive(Debug, Clone)]

@@ -482,3 +482,76 @@ fn an_oid_is_never_handed_out_twice_across_crashes() {
     }
     assert_clean(&db);
 }
+
+/// 200 committed index inserts that each go in *front* of the leaf's other
+/// entries, existing only in the log when the power goes — and, for
+/// `torn_tail`, a further transaction whose commit force is torn after one
+/// block. Such an insert is logged as slot + item, not as an image of the
+/// page it shifted: replay must rebuild the leaf from 200 of them, in
+/// order, on top of whatever the torn tail left.
+fn mid_leaf_index_inserts_survive(torn_tail: bool) {
+    let rig = common::CrashRig::new();
+    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let schema = Schema::new([("v", TypeId::INT4), ("pad", TypeId::TEXT)]);
+    let rel = db.create_table("t", schema).unwrap();
+    let idx = db.create_index("t_v", rel, &["v"]).unwrap();
+    db.flush_caches().unwrap();
+    // Descending: every key goes in front of all the others.
+    let insert = |db: &minidb::Db, vals: std::ops::Range<i32>, pad: &str| {
+        let mut s = db.begin().unwrap();
+        for v in vals.rev() {
+            s.insert(rel, vec![Datum::Int4(v), Datum::Text(pad.into())]).unwrap();
+        }
+        s.commit()
+    };
+    for batch in 0..4 {
+        insert(&db, 1000 - 50 * (batch + 1)..1000 - 50 * batch, "").unwrap();
+    }
+    if torn_tail {
+        // Ten more entries in front, behind 30 KB of heap log: the force
+        // dies after its first block.
+        rig.log_faults.fail_after_writes(1);
+        assert!(insert(&db, 0..10, &"p".repeat(3000)).is_err(), "the commit force is torn");
+        rig.log_faults.clear_write_fault();
+    }
+    rig.crash(db);
+
+    let (_, records) = minidb::Wal::recover(rig.log.clone(), Default::default()).unwrap();
+    let of_index: Vec<&minidb::WalRecord> = records
+        .iter()
+        .map(|(_, rec)| rec)
+        .filter(|rec| rec.page_addr().is_some_and(|(_, r, _)| r == idx))
+        .collect();
+    assert!(of_index.len() >= 200, "{} index records survive", of_index.len());
+    for rec in of_index {
+        assert!(
+            matches!(rec, minidb::WalRecord::Insert { slot: 0, .. }),
+            "a non-split insert was not logged as slot 0 + item (as a page image: {})",
+            matches!(rec, minidb::WalRecord::PageImage { .. })
+        );
+    }
+
+    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    assert_clean(&db);
+    let mut s = db.begin().unwrap();
+    for v in 800..1000 {
+        assert_eq!(s.index_scan_eq(idx, &[Datum::Int4(v)]).unwrap().len(), 1, "key {v}");
+    }
+    for v in 0..10 {
+        assert!(s.index_scan_eq(idx, &[Datum::Int4(v)]).unwrap().is_empty(), "torn key {v}");
+    }
+    s.commit().unwrap();
+    assert!(db.stats().wal.replayed_records >= 200);
+    insert(&db, 700..800, "").unwrap();
+    assert_clean(&db);
+}
+
+#[test]
+fn mid_leaf_index_inserts_replay_from_slot_and_item_records() {
+    mid_leaf_index_inserts_survive(false);
+}
+
+#[test]
+fn mid_leaf_index_inserts_replay_under_a_torn_log_tail() {
+    mid_leaf_index_inserts_survive(true);
+}
