@@ -28,7 +28,7 @@ use crate::chunk::{self, Coalescer, CHUNK_SIZE};
 use crate::compress;
 use crate::fs::{
     stat_to_row, CreateMode, FileKind, FileStat, InvError, InvResult, InversionFs, SliceRange,
-    A_ATIME, A_MTIME, A_SIZE,
+    ATIME_PENDING_MAX, A_ATIME, A_MTIME, A_SIZE,
 };
 
 /// A file descriptor.
@@ -256,17 +256,31 @@ impl InvClient {
         })
     }
 
-    /// Closes a descriptor, flushing buffered writes and metadata.
+    /// Closes a descriptor, flushing buffered writes and metadata. A
+    /// descriptor that was only read owes the database nothing — its access
+    /// time is written back lazily — so outside a transaction its close
+    /// starts none.
     pub fn p_close(&mut self, fd: Fd) -> InvResult<()> {
         self.fs.stats.closes.bump();
-        if !self.fds.contains_key(&fd) {
-            return Err(InvError::BadFd(fd));
+        let st = self.fds.get(&fd).ok_or(InvError::BadFd(fd))?;
+        let res = if st.coalescer.is_active() || st.meta_dirty {
+            self.run(|fs, s, fds| flush_fd(fs, s, fds.get_mut(&fd).expect("checked above")))
+        } else {
+            Ok(())
+        };
+        // An access time alone never opens a write transaction: the mount
+        // keeps it. (A failed flush marked the descriptor stale, and a
+        // historical one never writes back: neither has one to keep.)
+        if let Some(st) = self.fds.remove(&fd) {
+            if st.accessed && st.asof.is_none() {
+                self.fs.defer_atime(st.stat.oid);
+            }
         }
-        let res = self.run(|fs, s, fds| {
-            let st = fds.get_mut(&fd).expect("checked above");
-            flush_fd(fs, s, st, true)
-        });
-        self.fds.remove(&fd);
+        // The map's bound. Not inside an explicit transaction, whose own
+        // session may hold the `fileatt` lock the write-back would wait for.
+        if self.session.is_none() && self.fs.pending_atime_count() >= ATIME_PENDING_MAX {
+            self.fs.flush_atimes()?;
+        }
         res
     }
 
@@ -668,18 +682,18 @@ fn refresh_if_stale(fs: &InversionFs, s: &mut Session, st: &mut FileState) -> In
 }
 
 /// Flushes one descriptor's buffered chunk and metadata into the session.
-/// `closing` additionally persists a pure access-time change; like
-/// contemporary UNIX systems, Inversion defers atime-only updates to close
-/// rather than forcing a metadata write per read.
-fn flush_fd(fs: &InversionFs, s: &mut Session, st: &mut FileState, closing: bool) -> InvResult<()> {
+/// A pure access-time change is not among them: like contemporary UNIX
+/// systems, Inversion defers it to close rather than forcing a metadata
+/// write per read, and — like `lazytime` — the close only notes the time.
+fn flush_fd(fs: &InversionFs, s: &mut Session, st: &mut FileState) -> InvResult<()> {
     flush_coalescer(fs, s, st)?;
-    flush_meta(fs, s, st, closing)
+    flush_meta(fs, s, st)
 }
 
 /// Flushes every descriptor (transaction boundary).
 fn flush_all(fs: &InversionFs, s: &mut Session, fds: &mut HashMap<Fd, FileState>) -> InvResult<()> {
     for st in fds.values_mut() {
-        flush_fd(fs, s, st, false)?;
+        flush_fd(fs, s, st)?;
     }
     Ok(())
 }
@@ -692,34 +706,18 @@ fn flush_coalescer(fs: &InversionFs, s: &mut Session, st: &mut FileState) -> Inv
     Ok(())
 }
 
-/// Writes metadata (size, mtime, atime) if anything changed. Pure
-/// atime-only changes are deferred until `closing`.
-fn flush_meta(
-    fs: &InversionFs,
-    s: &mut Session,
-    st: &mut FileState,
-    closing: bool,
-) -> InvResult<()> {
-    let atime_due = st.accessed && closing;
-    if !st.meta_dirty && !atime_due {
-        return Ok(());
-    }
-    if st.asof.is_some() {
-        // Historical descriptors never write back (not even atime).
-        st.accessed = false;
+/// Writes metadata (size, mtime, atime) if a write changed it.
+fn flush_meta(fs: &InversionFs, s: &mut Session, st: &mut FileState) -> InvResult<()> {
+    if !st.meta_dirty {
         return Ok(());
     }
     let now = fs.db().now();
     fs.update_fileatt(s, st.stat.oid, |row| {
-        if st.meta_dirty {
-            row[A_SIZE] = Datum::Int8(st.stat.size as i64);
-            row[A_MTIME] = Datum::Time(now.as_nanos());
-        }
+        row[A_SIZE] = Datum::Int8(st.stat.size as i64);
+        row[A_MTIME] = Datum::Time(now.as_nanos());
         row[A_ATIME] = Datum::Time(now.as_nanos());
     })?;
-    if st.meta_dirty {
-        st.stat.mtime = now;
-    }
+    st.stat.mtime = now;
     st.stat.atime = now;
     st.meta_dirty = false;
     st.accessed = false;

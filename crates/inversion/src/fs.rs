@@ -15,10 +15,12 @@
 //! chunk index oids (the paper computes `inv<oid>` from the file id; we keep
 //! that name at creation and use the catalog for indirection afterwards).
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use minidb::{Datum, Db, DbError, DeviceId, Oid, RelId, Schema, Session, Snapshot, Tid, TypeId};
+use parking_lot::Mutex;
 use simdev::SimInstant;
 
 use crate::stats::{register_inv_stat, InvStats};
@@ -248,7 +250,15 @@ pub struct InversionFs {
     /// Operation counters shared by every client of this mount; queryable
     /// as the `inv_stat` virtual relation.
     pub(crate) stats: Arc<InvStats>,
+    /// Access times not yet in `fileatt` (lazytime): file → the latest
+    /// time a reader closed it. Shared by every clone of the mount.
+    atimes: Arc<Mutex<BTreeMap<Oid, SimInstant>>>,
 }
+
+/// Pending access times at which an auto-commit `p_close` writes them back
+/// itself ([`InversionFs::flush_atimes`]) instead of waiting for one of the
+/// other write-back points: bounds the map, and what a crash can lose.
+pub(crate) const ATIME_PENDING_MAX: usize = 1024;
 
 // Column positions in `naming`.
 pub(crate) const N_FILENAME: usize = 0;
@@ -337,6 +347,7 @@ impl InversionFs {
             rels,
             root,
             stats,
+            atimes: Arc::default(),
         })
     }
 
@@ -371,6 +382,7 @@ impl InversionFs {
             rels,
             root,
             stats,
+            atimes: Arc::default(),
         })
     }
 
@@ -409,13 +421,15 @@ impl InversionFs {
             + Sync
             + 'static,
     ) {
-        let (rels, root, stats) = (self.rels, self.root, Arc::clone(&self.stats));
+        let (rels, root) = (self.rels, self.root);
+        let (stats, atimes) = (Arc::clone(&self.stats), Arc::clone(&self.atimes));
         self.db.functions().register(key, move |s, args| {
             let fs = InversionFs {
                 db: s.db().clone(),
                 rels,
                 root,
                 stats: Arc::clone(&stats),
+                atimes: Arc::clone(&atimes),
             };
             f(&fs, s, args)
         });
@@ -468,7 +482,7 @@ impl InversionFs {
             size: row[A_SIZE].as_int()?.max(0) as u64,
             ctime: SimInstant::from_nanos(row[A_CTIME].as_int()? as u64),
             mtime: SimInstant::from_nanos(row[A_MTIME].as_int()? as u64),
-            atime: SimInstant::from_nanos(row[A_ATIME].as_int()? as u64),
+            atime: row_atime(row)?,
             compressed: flags & FLAG_COMPRESSED != 0,
             self_identifying: flags & FLAG_SELF_ID != 0,
             datarel: Oid(row[A_DATAREL].as_oid()?),
@@ -492,6 +506,11 @@ impl InversionFs {
     /// declared *before* the read: fetching the row first would take the
     /// relation's shared lock and then upgrade it, and two sessions that
     /// both do that close a wait cycle one of them is refused for.
+    ///
+    /// Any real metadata write carries the file's pending access time with
+    /// it. The pending entry stays: this transaction may yet abort, and
+    /// [`InversionFs::flush_atimes`] drops entries the row has caught up
+    /// with.
     pub(crate) fn update_fileatt(
         &self,
         session: &mut Session,
@@ -503,11 +522,15 @@ impl InversionFs {
             .fileatt_row(session, oid, None)?
             .ok_or_else(|| InvError::NoSuchPath(format!("oid {oid}")))?;
         edit(&mut row);
+        if let Some(pending) = self.pending_atime(oid) {
+            row[A_ATIME] = Datum::Time(row_atime(&row)?.max(pending).as_nanos());
+        }
         session.update(self.rels.fileatt, tid, row)?;
         Ok(())
     }
 
-    /// Stats a file by oid.
+    /// Stats a file by oid. A current stat shows the pending access time;
+    /// a historical one shows what `fileatt` held.
     pub(crate) fn stat_oid(
         &self,
         session: &mut Session,
@@ -517,8 +540,100 @@ impl InversionFs {
         let (_, row) = self
             .fileatt_row(session, oid, snap)?
             .ok_or_else(|| InvError::NoSuchPath(format!("oid {oid}")))?;
-        Self::stat_from_row(&row)
+        let mut stat = Self::stat_from_row(&row)?;
+        if snap.is_none() {
+            if let Some(pending) = self.pending_atime(oid) {
+                stat.atime = stat.atime.max(pending);
+            }
+        }
+        Ok(stat)
     }
+
+    fn pending_atime(&self, oid: Oid) -> Option<SimInstant> {
+        self.atimes.lock().get(&oid).copied()
+    }
+
+    /// Records that `oid` was read, now. Touches no relation: a read stays
+    /// a read.
+    pub(crate) fn defer_atime(&self, oid: Oid) {
+        self.stats.atimes_deferred.bump();
+        let now = self.db.now();
+        let mut atimes = self.atimes.lock();
+        let at = atimes.entry(oid).or_insert(now);
+        *at = (*at).max(now);
+    }
+
+    /// How many files have an access time waiting for write-back.
+    pub(crate) fn pending_atime_count(&self) -> usize {
+        self.atimes.lock().len()
+    }
+
+    /// Writes every pending access time that is ahead of its file's
+    /// `fileatt` row into that row, through `s`, in oid order; files with no
+    /// current row (unlinked since) are passed over. Returns the entries it
+    /// looked at and how many rows it wrote. Nothing leaves the map here.
+    pub(crate) fn write_atimes(&self, s: &mut Session) -> InvResult<(Vec<(Oid, SimInstant)>, u64)> {
+        let batch: Vec<(Oid, SimInstant)> =
+            self.atimes.lock().iter().map(|(&oid, &at)| (oid, at)).collect();
+        let mut written = 0;
+        if !batch.is_empty() {
+            // Ahead of the reads' shared lock; see `update_fileatt`.
+            s.lock_exclusive(self.rels.fileatt)?;
+        }
+        for &(oid, at) in &batch {
+            let Some((tid, mut row)) = self.fileatt_row(s, oid, None)? else {
+                continue;
+            };
+            if row_atime(&row)? < at {
+                row[A_ATIME] = Datum::Time(at.as_nanos());
+                s.update(self.rels.fileatt, tid, row)?;
+                written += 1;
+            }
+        }
+        Ok((batch, written))
+    }
+
+    /// The write-back step of lazytime: one transaction that brings
+    /// `fileatt` up to every pending access time, then forgets the entries
+    /// it covered — after its commit, so a failure loses nothing, and only
+    /// where no later read has moved the entry on. Returns the number of
+    /// rows written; with nothing pending, or nothing behind, it writes and
+    /// forces nothing.
+    ///
+    /// Called before a migration rule reads `atime`, by the maintenance
+    /// sweep, at server shutdown, and by an auto-commit `p_close` that finds
+    /// [`ATIME_PENDING_MAX`] entries waiting. A crash loses the access times
+    /// still pending and nothing else.
+    pub fn flush_atimes(&self) -> InvResult<u64> {
+        if self.pending_atime_count() == 0 {
+            return Ok(0);
+        }
+        let mut s = self.db.begin()?;
+        let (batch, written) = match self.write_atimes(&mut s) {
+            Ok(done) => done,
+            Err(e) => {
+                s.abort().ok();
+                return Err(e);
+            }
+        };
+        s.commit()?;
+        let mut atimes = self.atimes.lock();
+        for (oid, at) in batch {
+            if atimes.get(&oid) == Some(&at) {
+                atimes.remove(&oid);
+            }
+        }
+        if written > 0 {
+            self.stats.atime_flushes.bump();
+            self.stats.atimes_written.add(written);
+        }
+        Ok(written)
+    }
+}
+
+/// The access time a `fileatt` row records.
+fn row_atime(row: &[Datum]) -> InvResult<SimInstant> {
+    Ok(SimInstant::from_nanos(row[A_ATIME].as_int()? as u64))
 }
 
 /// Builds a `fileatt` row for a fresh regular file.

@@ -20,11 +20,13 @@ use crate::fs::{InvResult, InversionFs, A_CHUNKIDX, A_DATAREL};
 
 /// Vacuums every user heap relation, archiving dead versions onto
 /// `archive_dev`. Returns per-relation statistics. Requires a quiescent
-/// system. The system relations are left alone: see [`vacuum`].
+/// system. The system relations are left alone: see [`vacuum`]. The sweep
+/// is also a write-back point for pending access times.
 pub fn vacuum_all(
     fs: &InversionFs,
     archive_dev: DeviceId,
 ) -> InvResult<Vec<(String, VacuumStats)>> {
+    fs.flush_atimes()?;
     let heaps: Vec<(RelId, String)> = fs
         .db()
         .catalog()

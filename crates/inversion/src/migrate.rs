@@ -89,8 +89,13 @@ pub fn register_migration(fs: &InversionFs) -> InvResult<()> {
 }
 
 /// Runs every periodic migration rule registered against `fileatt` — the
-/// migration daemon's sweep.
+/// migration daemon's sweep. A rule's `where atime < …` reads the relation,
+/// so pending access times are written back first: through `s`, the rules'
+/// own transaction (which may already hold `fileatt`'s lock), and so with
+/// the migrations or not at all. The entries stay pending until a
+/// [`InversionFs::flush_atimes`] finds the rows caught up.
 pub fn run_migration_rules(fs: &InversionFs, s: &mut Session) -> InvResult<RuleRun> {
+    fs.write_atimes(s)?;
     run_rules(s, fs.rels.fileatt, RuleEvent::Periodic).map_err(InvError::Db)
 }
 
@@ -236,9 +241,16 @@ mod tests {
         let mut c = fs.client();
         c.write_all("/cold", CreateMode::default(), &vec![1u8; 10_000])
             .unwrap();
+        c.write_all("/read", CreateMode::default(), &vec![3u8; 10_000])
+            .unwrap();
         fs.db().clock().advance(SimDuration::from_secs(100));
         c.write_all("/hot", CreateMode::default(), &vec![2u8; 10_000])
             .unwrap();
+        // Only read since: its access time is pending, not in `fileatt`,
+        // until the rule run writes it back.
+        let fd = c.p_open("/read", crate::OpenMode::Read, None).unwrap();
+        c.p_read(fd, &mut [0u8; 16]).unwrap();
+        c.p_close(fd).unwrap();
 
         // Migrate files not accessed in the last 50 simulated seconds.
         let mut s = fs.db().begin().unwrap();
@@ -254,6 +266,7 @@ mod tests {
 
         assert_eq!(c.p_stat("/cold", None).unwrap().device, DeviceId(1));
         assert_eq!(c.p_stat("/hot", None).unwrap().device, DeviceId(0));
+        assert_eq!(c.p_stat("/read", None).unwrap().device, DeviceId(0));
         assert_eq!(c.read_to_vec("/cold", None).unwrap(), vec![1u8; 10_000]);
     }
 }

@@ -315,8 +315,8 @@ impl InvServerPool {
     }
 
     /// Stops the pool: closes every connection, aborts in-flight
-    /// transactions via the normal disconnect path, and joins all threads.
-    /// Idempotent; also runs on drop.
+    /// transactions via the normal disconnect path, joins all threads, and
+    /// writes pending access times back. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         if self.stopped.swap(true, SeqCst) {
             return;
@@ -348,6 +348,9 @@ impl InvServerPool {
         for h in workers {
             h.join().ok();
         }
+        // No session is left to read: write the pending access times back.
+        // A database that has already crashed refuses, and loses only them.
+        self.shared.fs.flush_atimes().ok();
     }
 }
 

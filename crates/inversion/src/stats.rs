@@ -69,6 +69,15 @@ stat_table! {
     chunks_coalesced: Counter,
     /// Coalescing-buffer flushes that actually wrote a chunk.
     coalesce_flushes: Counter,
+    /// Closes of a descriptor that was only read: the access time went to
+    /// the mount's pending map and `fileatt` was not touched (lazytime).
+    atimes_deferred: Counter,
+    /// `flush_atimes` calls that wrote at least one row.
+    atime_flushes: Counter,
+    /// `fileatt` rows `flush_atimes` wrote. Deferred access times not
+    /// counted here rode along with a real metadata write of their file,
+    /// were overtaken by a later read of it, or are still pending.
+    atimes_written: Counter,
     /// Requests executed by the client/server dispatcher.
     rpcs: Counter,
     /// Request bytes received by the server (wire sizes).

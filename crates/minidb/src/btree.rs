@@ -8,11 +8,13 @@
 //! all of the file's available data, including both old and current blocks".
 //! Readers filter index hits through tuple visibility.
 //!
-//! Structure: a meta page (block 0) pointing at the root; internal nodes
-//! hold `(min_key, min_tid, child)` fence entries; leaves hold `(key, tid)`
-//! and are chained left-to-right for range scans. Deletion is lazy (no
-//! rebalancing); the vacuum cleaner rebuilds indices when it rewrites a
-//! relation.
+//! Structure: the root is block 0 of the index relation for the life of
+//! the index — there is no meta page, and a probe reads nothing to find
+//! where to start. Internal nodes hold `(min_key, min_tid, child)` fence
+//! entries; leaves hold `(key, tid)` and are chained left-to-right for range
+//! scans. A full root moves both its halves to new pages and becomes, in
+//! place, the internal node over them. Deletion is lazy (no rebalancing);
+//! the vacuum cleaner rebuilds indices when it rewrites a relation.
 //!
 //! Entries are totally ordered by `(key, tid)`, ascending: the heap tid an
 //! entry points at breaks ties between equal keys, in leaves, at splits and
@@ -25,8 +27,7 @@
 //! [`BTree::delete`] descend straight to one entry.
 //!
 //! Wherever in a node an insert lands it is one [`page::insert_at`], logged
-//! as slot + item; page images are for splits, root and meta changes and
-//! lazy deletes.
+//! as slot + item; page images are for splits and lazy deletes.
 
 use crate::buffer::BufferPool;
 use crate::datum::{decode_row, encode_row, Datum};
@@ -41,8 +42,8 @@ use std::cmp::Ordering;
 const SPECIAL_SIZE: usize = 12;
 const LEAF_FLAG: u8 = 1;
 
-/// Meta-page special layout: magic + root block.
-const META_MAGIC: u32 = 0x4254_5245; // "BTRE"
+/// The root's block, for the life of the index.
+const ROOT: u64 = 0;
 
 /// A key is a sequence of datums compared lexicographically.
 pub type Key = Vec<Datum>;
@@ -89,7 +90,7 @@ fn tid_before(tid: Tid) -> Option<Tid> {
 
 struct NodeMeta {
     leaf: bool,
-    right: u64, // 0 = none (block 0 is always the meta page).
+    right: u64, // 0 = none (block 0 is the root, which is nobody's sibling).
 }
 
 fn read_node_meta(data: &[u8]) -> DbResult<NodeMeta> {
@@ -213,62 +214,50 @@ impl<'a> BTree<'a> {
         Ok(())
     }
 
-    /// Initializes an empty index: a meta page and one empty leaf root.
+    /// Initializes `data` as a node holding `items` in order, logs its
+    /// image and stamps its page LSN.
+    fn write_node<'i>(
+        &self,
+        data: &mut [u8],
+        blkno: u64,
+        meta: NodeMeta,
+        items: impl IntoIterator<Item = &'i [u8]>,
+    ) -> DbResult<()> {
+        page::init(data, SPECIAL_SIZE);
+        write_node_meta(data, &meta);
+        for item in items {
+            page::insert(data, item)?;
+        }
+        self.log_image(data, blkno)
+    }
+
+    /// Appends a page to the index and writes a node into it.
+    fn new_node<'i>(
+        &self,
+        meta: NodeMeta,
+        items: impl IntoIterator<Item = &'i [u8]>,
+    ) -> DbResult<u64> {
+        let (blkno, pref) = self.pool.new_page(self.smgr, self.dev, self.rel)?;
+        let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
+        self.write_node(pref.write().data_mut(), blkno, meta, items)?;
+        Ok(blkno)
+    }
+
+    /// Initializes an empty index: one page, the empty leaf root.
     pub fn create(&self) -> DbResult<()> {
-        let (meta_blk, meta_ref) = self.pool.new_page(self.smgr, self.dev, self.rel)?;
-        if meta_blk != 0 {
+        if self.smgr.with(self.dev, |m| m.nblocks(self.rel))? != 0 {
             return Err(DbError::Invalid(
                 "index relation not empty at create".into(),
             ));
         }
-        let (root_blk, root_ref) = self.pool.new_page(self.smgr, self.dev, self.rel)?;
-        {
-            let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
-            let mut root = root_ref.write();
-            let data = root.data_mut();
-            page::init(data, SPECIAL_SIZE);
-            write_node_meta(
-                data,
-                &NodeMeta {
-                    leaf: true,
-                    right: 0,
-                },
-            );
-            self.log_image(data, root_blk)?;
-        }
-        let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
-        let mut meta = meta_ref.write();
-        let data = meta.data_mut();
-        page::init(data, 16);
-        let sp = page::special_mut(data);
-        sp[..4].copy_from_slice(&META_MAGIC.to_le_bytes());
-        sp[4..12].copy_from_slice(&root_blk.to_le_bytes());
-        self.log_image(data, meta_blk)?;
-        Ok(())
-    }
-
-    fn root(&self) -> DbResult<u64> {
-        let meta_ref = self.pool.get_page(self.smgr, self.dev, self.rel, 0)?;
-        let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
-        let meta = meta_ref.read();
-        let sp = page::special(meta.data());
-        if sp.len() < 12 || crate::bytes::le_u32(sp, 0)? != META_MAGIC {
-            return Err(DbError::Corrupt(format!(
-                "bad btree meta page in {}",
-                self.rel
-            )));
-        }
-        crate::bytes::le_u64(sp, 4)
-    }
-
-    fn set_root(&self, root: u64) -> DbResult<()> {
-        let meta_ref = self.pool.get_page(self.smgr, self.dev, self.rel, 0)?;
-        let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
-        let mut meta = meta_ref.write();
-        let data = meta.data_mut();
-        let sp = page::special_mut(data);
-        sp[4..12].copy_from_slice(&root.to_le_bytes());
-        self.log_image(data, 0)?;
+        let root = self.new_node(
+            NodeMeta {
+                leaf: true,
+                right: 0,
+            },
+            [],
+        )?;
+        debug_assert_eq!(root, ROOT);
         Ok(())
     }
 
@@ -276,7 +265,7 @@ impl<'a> BTree<'a> {
     /// level, the last child whose fence is at or below it (an entry equal
     /// to a fence is the first one under that fence).
     fn descend(&self, to: Pos<'_>) -> DbResult<Descent> {
-        let mut blk = self.root()?;
+        let mut blk = ROOT;
         let mut path = Vec::new();
         let mut lower = None;
         loop {
@@ -339,78 +328,71 @@ impl<'a> BTree<'a> {
             page::insert_at(data, slot, item)?;
             return self.log_insert(data, blk, slot, item);
         }
-        // Split: collect all items (plus the new one) in order, keep the
-        // lower half here, move the upper half to a fresh right sibling.
+        // Split: collect all items (plus the new one) in order. The fence
+        // for the upper half is the position of its first entry, tid
+        // included, so that a run of one key that spans the split is still
+        // found on the correct side.
         self.stats.btree.splits.bump();
         let meta = read_node_meta(data)?;
         let items = Self::items_with(data, meta.leaf, at, item)?;
         let mid = items.len() / 2;
-
-        let (right_blk, right_ref) = self.pool.new_page(self.smgr, self.dev, self.rel)?;
-        let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
-        let mut right = right_ref.write();
-        let rdata = right.data_mut();
-        page::init(rdata, SPECIAL_SIZE);
-        write_node_meta(
-            rdata,
-            &NodeMeta {
-                leaf: meta.leaf,
-                right: meta.right,
-            },
-        );
-        for (_, it) in &items[mid..] {
-            page::insert(rdata, it)?;
-        }
-        self.log_image(rdata, right_blk)?;
-
-        // Rewrite the left node with the lower half.
-        page::init(data, SPECIAL_SIZE);
-        write_node_meta(
-            data,
-            &NodeMeta {
-                leaf: meta.leaf,
-                right: right_blk,
-            },
-        );
-        for (_, it) in &items[..mid] {
-            page::insert(data, it)?;
-        }
-        self.log_image(data, blk)?;
-        drop(pbuf);
-        drop(right);
-
-        // Propagate the fence for the new right node: the position of its
-        // first entry, tid included, so that a run of one key that spans
-        // the split is still found on the correct side.
+        let lower = items[..mid].iter().map(|(_, it)| it.as_slice());
+        let upper = items[mid..].iter().map(|(_, it)| it.as_slice());
         let ((split_key, split_tid), _) = &items[mid];
         let split_at = Pos {
             key: split_key,
             tid: *split_tid,
         };
-        let fence = encode_fence(split_at, right_blk);
-        match path.pop() {
-            Some(parent) => self.insert_into_node(parent, path, split_at, &fence),
-            None => {
-                // Splitting the root: make a new root over both halves.
-                let (new_root, root_ref) = self.pool.new_page(self.smgr, self.dev, self.rel)?;
-                let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
-                let mut root = root_ref.write();
-                let rdata = root.data_mut();
-                page::init(rdata, SPECIAL_SIZE);
-                write_node_meta(
-                    rdata,
-                    &NodeMeta {
-                        leaf: false,
-                        right: 0,
-                    },
-                );
-                page::insert(rdata, &encode_fence(Pos::FIRST, blk))?;
-                page::insert(rdata, &fence)?;
-                self.log_image(rdata, new_root)?;
-                drop(root);
-                self.set_root(new_root)
-            }
-        }
+        let Some(parent) = path.pop() else {
+            // The root stays where it is: both halves move to new pages and
+            // block 0 becomes the internal node over them. Its image is
+            // logged last, so a log that ends inside the split replays to
+            // the unsplit root and two pages nothing points at.
+            let right = self.new_node(
+                NodeMeta {
+                    leaf: meta.leaf,
+                    right: 0,
+                },
+                upper,
+            )?;
+            let left = self.new_node(
+                NodeMeta {
+                    leaf: meta.leaf,
+                    right,
+                },
+                lower,
+            )?;
+            let fences = [encode_fence(Pos::FIRST, left), encode_fence(split_at, right)];
+            return self.write_node(
+                data,
+                blk,
+                NodeMeta {
+                    leaf: false,
+                    right: 0,
+                },
+                fences.iter().map(Vec::as_slice),
+            );
+        };
+        // Keep the lower half here, move the upper half to a fresh right
+        // sibling, and hand the parent its fence.
+        let right = self.new_node(
+            NodeMeta {
+                leaf: meta.leaf,
+                right: meta.right,
+            },
+            upper,
+        )?;
+        self.write_node(
+            data,
+            blk,
+            NodeMeta {
+                leaf: meta.leaf,
+                right,
+            },
+            lower,
+        )?;
+        drop(pbuf);
+        self.insert_into_node(parent, path, split_at, &encode_fence(split_at, right))
     }
 
     /// Every live item of a node as `(position, bytes)`, with `item` added
@@ -455,7 +437,7 @@ impl<'a> BTree<'a> {
     /// Structurally verifies the whole tree, returning findings plus every
     /// live leaf entry (for the caller's heap cross-reference).
     ///
-    /// Checked invariants: the meta page is sane and points at a real root;
+    /// Checked invariants: block 0 is a node with no sibling (the root);
     /// every node passes [`page::verify`]; levels are uniform (no leaf mixed
     /// into an internal level); items are in `(key, tid)` order — a leaf
     /// entry's heap tid, a fence's separator tid — within each node *and*
@@ -479,41 +461,23 @@ impl<'a> BTree<'a> {
             }
         };
         if nblocks == 0 {
-            out.push(Finding::new(name, "btree-meta", "index has no meta page"));
-            return (out, entries);
-        }
-        let root = match self.root() {
-            Ok(r) => r,
-            Err(e) => {
-                out.push(Finding::new(name, "btree-meta", e.to_string()).on_page(0));
-                return (out, entries);
-            }
-        };
-        if root == 0 || root >= nblocks {
-            out.push(
-                Finding::new(
-                    name,
-                    "btree-root-range",
-                    format!("root block {root} outside [1, {nblocks})"),
-                )
-                .on_page(0),
-            );
+            out.push(Finding::new(name, "btree-root", "index has no root page"));
             return (out, entries);
         }
         let mut visited = std::collections::HashSet::new();
-        let mut level_start = root;
+        let mut level_start = ROOT;
         // Child block -> the fence its parent holds for it, one level up.
         let mut fences: std::collections::HashMap<u64, OwnedPos> = Default::default();
         for _depth in 0..64 {
             // Walk one level left-to-right along the sibling chain, then
             // descend to the first node's first child.
-            let mut blk = level_start;
+            let mut next = Some(level_start);
             let mut level_leaf: Option<bool> = None;
             let mut next_level: Option<u64> = None;
             let mut prev: Option<OwnedPos> = None;
             let mut first_node = true;
             let mut child_fences = std::collections::HashMap::new();
-            'chain: while blk != 0 {
+            'chain: while let Some(blk) = next {
                 if blk >= nblocks {
                     out.push(Finding::new(
                         name,
@@ -680,8 +644,19 @@ impl<'a> BTree<'a> {
                         }
                     }
                 }
+                if blk == ROOT && meta.right != 0 {
+                    out.push(
+                        Finding::new(
+                            name,
+                            "btree-root",
+                            format!("the root has a right sibling, block {}", meta.right),
+                        )
+                        .on_page(ROOT),
+                    );
+                    break 'chain;
+                }
                 first_node = false;
-                blk = meta.right;
+                next = (meta.right != 0).then_some(meta.right);
             }
             fences = child_fences;
             match (level_leaf, next_level) {
@@ -803,7 +778,8 @@ impl<'a> BTree<'a> {
     /// entries within `[lo, hi]` until an entry sorts after `hi`, the chain
     /// ends, or `batch` returns `false`. It always looks one leaf past the
     /// last entry at or below `hi`, so a split that moved entries right
-    /// between the caller's descent and this read loses nothing.
+    /// between the caller's descent and this read loses nothing; a root
+    /// that split in that window is descended again, to `lo`.
     fn walk(
         &self,
         from: u64,
@@ -821,7 +797,16 @@ impl<'a> BTree<'a> {
                 let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
                 let pbuf = pref.read();
                 let data = pbuf.data();
-                right = read_node_meta(data)?.right;
+                let meta = read_node_meta(data)?;
+                if !meta.leaf {
+                    // Only the root changes kind, and only under a reader
+                    // that takes no relation lock: it split, in place,
+                    // between that reader's descent and this read.
+                    drop(pbuf);
+                    blk = self.descend(lo)?.leaf;
+                    continue;
+                }
+                right = meta.right;
                 for (_, item) in page::iter(data) {
                     let (k, payload) = decode_item(item)?;
                     let tid = payload_tid(payload, true);
@@ -1112,7 +1097,7 @@ mod tests {
         .unwrap();
         assert_eq!(seen, [Tid::new(1999, 0)]);
         let pages = accesses() - before;
-        assert!(pages <= 4, "meta + root + leaf, not {pages} pages");
+        assert!(pages <= 3, "root, then the leaf for the descent and the walk, not {pages} pages");
     }
 
     #[test]
@@ -1169,8 +1154,7 @@ mod tests {
         assert!(bt.check("t").0.is_empty());
         // Append a version whose tid is below the run's last, behind
         // `insert`'s back: equal keys, so only the tiebreak can object.
-        let root = bt.root().unwrap();
-        let pref = fx.pool.get_page(&fx.smgr, DeviceId::DEFAULT, fx.rel, root).unwrap();
+        let pref = fx.pool.get_page(&fx.smgr, DeviceId::DEFAULT, fx.rel, ROOT).unwrap();
         page::insert(
             pref.write().data_mut(),
             &encode_item(&ikey(7), &Tid::new(3, 1).encode()),
@@ -1193,8 +1177,7 @@ mod tests {
         assert!(bt.check("t").0.is_empty());
         // Drop the tids from the root's fences: every fence of the run now
         // sorts below the entries of the leaf to its left.
-        let root = bt.root().unwrap();
-        let pref = fx.pool.get_page(&fx.smgr, DeviceId::DEFAULT, fx.rel, root).unwrap();
+        let pref = fx.pool.get_page(&fx.smgr, DeviceId::DEFAULT, fx.rel, ROOT).unwrap();
         {
             let mut pbuf = pref.write();
             let data = pbuf.data_mut();

@@ -161,7 +161,12 @@ struct Frame {
     /// Every holder of the page lock (`buf`) holds a pin, so `pins == 0`
     /// observed under the shard latch implies the page lock is free.
     pins: AtomicU32,
-    /// Second-chance bit: set on every hit, cleared by the sweep.
+    /// Second-chance bit: set on load and on every hit, cleared by the
+    /// sweep. A frame is born referenced because its loader is about to use
+    /// it: born cold, at the ring's end — where the hand is left whenever
+    /// the last victim was the last entry — it was the next miss's victim,
+    /// and two pages each touched once per operation evicted each other
+    /// forever while the rest of the shard sat cold.
     refbit: AtomicBool,
     /// Set when the frame was loaded by read-ahead and not yet demanded.
     from_prefetch: AtomicBool,
@@ -186,7 +191,7 @@ impl Frame {
         Frame {
             wait: Arc::clone(wait),
             pins: AtomicU32::new(1), // Born pinned by its creator.
-            refbit: AtomicBool::new(false),
+            refbit: AtomicBool::new(true),
             from_prefetch: AtomicBool::new(false),
             state: AtomicU8::new(state),
             buf: RwLock::new(PageBuf {
@@ -796,7 +801,6 @@ impl BufferPool {
         }
         let frame = self.load_frame(tok, shard, smgr, dev, rel, blkno)?;
         frame.from_prefetch.store(true, Ordering::SeqCst);
-        frame.refbit.store(true, Ordering::SeqCst);
         {
             let _order = order::token(order::BUFFER_SHARD);
             self.shards[si].lock().stats.prefetches += 1;
@@ -1091,32 +1095,34 @@ mod tests {
     }
 
     #[test]
-    fn clock_sweep_evicts_cold_page_not_recent() {
+    fn clock_sweep_evicts_cold_page_not_recent_nor_the_newcomer() {
         let (smgr, pool, rel) = setup(4);
         let mut blknos = Vec::new();
         for _ in 0..4 {
             let (b, _) = pool.new_page(&smgr, DeviceId::DEFAULT, rel).unwrap();
             blknos.push(b);
         }
-        // Touch block 0 (sets its reference bit) so block 1 is the first
-        // cold frame the hand reaches.
-        pool.get_page(&smgr, DeviceId::DEFAULT, rel, blknos[0])
+        // All four were born referenced: the sweep clears every bit, takes
+        // the oldest (block 0), and is left pointing at the newcomer.
+        let (newcomer, _) = pool.new_page(&smgr, DeviceId::DEFAULT, rel).unwrap();
+        // Touch block 1 so block 2 is the first cold frame the hand reaches.
+        pool.get_page(&smgr, DeviceId::DEFAULT, rel, blknos[1])
             .unwrap();
         pool.new_page(&smgr, DeviceId::DEFAULT, rel).unwrap(); // Evicts one.
         let misses_before = pool.stats().misses;
-        pool.get_page(&smgr, DeviceId::DEFAULT, rel, blknos[0])
-            .unwrap();
-        assert_eq!(
-            pool.stats().misses,
-            misses_before,
-            "block 0 should still be cached"
-        );
-        pool.get_page(&smgr, DeviceId::DEFAULT, rel, blknos[1])
+        for (blk, why) in [
+            (blknos[1], "block 1 was touched"),
+            (newcomer, "a page is born referenced, even under the hand"),
+        ] {
+            pool.get_page(&smgr, DeviceId::DEFAULT, rel, blk).unwrap();
+            assert_eq!(pool.stats().misses, misses_before, "{why}: still cached");
+        }
+        pool.get_page(&smgr, DeviceId::DEFAULT, rel, blknos[2])
             .unwrap();
         assert_eq!(
             pool.stats().misses,
             misses_before + 1,
-            "block 1 was the victim"
+            "block 2 was the victim"
         );
     }
 

@@ -633,7 +633,7 @@ mod tests {
         assert_eq!(codes(&db), [] as [&str; 0]);
         // Move the oldest entry behind the newest, as a run that grew in
         // arrival order across an unlucky split would have it.
-        let root = 1;
+        let root = 0;
         let pref = db.inner.pool.get_page(&db.inner.smgr, ie.device, ie.id, root).unwrap();
         {
             let mut pbuf = pref.write();
@@ -695,7 +695,7 @@ mod tests {
     }
 
     #[test]
-    fn detects_corrupt_btree_meta() {
+    fn detects_a_root_that_is_not_one() {
         let (db, rel) = sample_db();
         let idx = {
             let cat = db.catalog();
@@ -708,15 +708,15 @@ mod tests {
             .get_page(&db.inner.smgr, idx.device, idx.id, 0)
             .unwrap();
         {
+            // Block 0 with a right sibling: the root has none.
             let mut pbuf = pref.write();
-            let data = pbuf.data_mut();
-            let sp = crate::page::special_mut(data);
-            sp[..4].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+            let sp = crate::page::special_mut(pbuf.data_mut());
+            sp[4..12].copy_from_slice(&7u64.to_le_bytes());
         }
         let findings = db.check_all();
         assert!(
-            findings.iter().any(|f| f.relation == idx.name && f.code == "btree-meta"),
-            "corrupt meta not detected: {findings:?}"
+            findings.iter().any(|f| f.relation == idx.name && f.code == "btree-root"),
+            "corrupt root not detected: {findings:?}"
         );
     }
 

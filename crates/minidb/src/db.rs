@@ -874,7 +874,7 @@ impl Db {
                 let key: Vec<Datum> = key_columns.iter().map(|&i| row[i].clone()).collect();
                 bt.insert(&key, tid)
             })?;
-            // The index (meta page included) must be durable before a
+            // The index (its empty root included) must be durable before a
             // committed row advertises it, or a crash leaves a catalogued
             // index with no on-disk structure.
             self.inner.pool.flush_rel(&self.inner.smgr, id)?;
@@ -1036,11 +1036,14 @@ impl Db {
         None
     }
 
-    /// Number of pages allocated to a heap relation. The count comes from
-    /// the storage manager's in-memory block map, so reading it costs no
-    /// device I/O — the planner uses it as its cardinality input.
+    /// Number of pages allocated to a relation, heap or index. The count
+    /// comes from the storage manager's in-memory block map, so reading it
+    /// costs no device I/O — the planner uses it as its cardinality input.
     pub fn relation_pages(&self, rel: RelId) -> DbResult<u64> {
-        let (dev, _) = self.heap_parts(rel)?;
+        let dev = {
+            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+            self.inner.catalog.read().relation(rel)?.device
+        };
         self.inner.smgr.with(dev, |m| m.nblocks(rel))
     }
 

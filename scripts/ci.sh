@@ -45,6 +45,9 @@ cargo test --release -q --test version_chains
 echo "== log forces: an insert forces nothing, a commit forces once =="
 cargo test --release -q --test log_forces
 
+echo "== lazytime: a read's close writes nothing; access times go back in one commit =="
+cargo test --release -q --test lazytime
+
 echo "== differential query oracle (planned executor vs reference interpreter) =="
 cargo test --release -q --test properties planned_
 

@@ -208,8 +208,9 @@ fn isolation_no_dirty_reads_through_time_travel() {
     assert_eq!(c.read_to_vec("/x", None).unwrap(), b"clean");
 }
 
-/// `p_close` rewrites the file's `fileatt` row. It must take the relation's
-/// exclusive lock *before* it reads the row: reading first takes the shared
+/// A `p_close` that owes a size or mtime change rewrites the file's
+/// `fileatt` row. It must take the relation's exclusive lock *before* it
+/// reads the row: reading first takes the shared
 /// lock, and two sessions that each hold it and each want the upgrade wait
 /// on one another until one is refused with `Deadlock`.
 #[test]
@@ -219,16 +220,20 @@ fn close_declares_its_fileatt_write_before_reading() {
     a.write_all("/a", CreateMode::default(), b"a").unwrap();
     a.write_all("/b", CreateMode::default(), b"b").unwrap();
 
-    // B, auto-commit, owes an atime update at close.
-    let fd_b = b.p_open("/b", OpenMode::Read, None).unwrap();
-    b.p_read(fd_b, &mut [0u8; 1]).unwrap();
+    // B owes a size change at close: a write buffered in a transaction
+    // begun after its open, so B holds no `fileatt` lock yet. (An access
+    // time alone would not do: it is written back lazily and queues behind
+    // nobody — `tests/lazytime.rs`.)
+    let fd_b = b.p_open("/b", OpenMode::ReadWrite, None).unwrap();
+    b.p_begin().unwrap();
+    b.p_write(fd_b, b"grown").unwrap();
     // A's transaction holds `fileatt` shared from its open.
     a.p_begin().unwrap();
     let fd_a = a.p_open("/a", OpenMode::ReadWrite, None).unwrap();
     a.p_write(fd_a, b"A").unwrap();
 
     let before = fs.db().stats();
-    let closer = std::thread::spawn(move || b.p_close(fd_b));
+    let closer = std::thread::spawn(move || b.p_close(fd_b).and_then(|()| b.p_commit()));
     assert!(
         wait_until(|| fs.db().stats().delta(&before).lock.waits > 0),
         "B's close must queue behind A's transaction"
@@ -240,6 +245,7 @@ fn close_declares_its_fileatt_write_before_reading() {
     closer.join().unwrap().unwrap();
     assert_eq!(fs.db().stats().delta(&before).lock.deadlocks, 0);
     assert_eq!(a.read_to_vec("/a", None).unwrap(), b"A");
+    assert_eq!(a.p_stat("/b", None).unwrap().size, 5);
 }
 
 /// `flush_caches` checkpoints and then empties the pool, which refuses while

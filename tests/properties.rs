@@ -171,6 +171,77 @@ proptest! {
     }
 }
 
+// A B-tree's root never moves: wide keys (seven or so to a node) make a few
+// hundred inserts, with lazy deletes among them, split the root at least
+// twice, and after every split the verifier must find the whole tree —
+// every entry, in order — by starting from block 0.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn the_root_is_block_0_through_every_split(
+        ops in prop::collection::vec((0u16..300, 0u8..4), 350..450),
+    ) {
+        use minidb::btree::BTree;
+        use minidb::buffer::BufferPool;
+        use minidb::smgr::{shared_device, GenericManager, Smgr};
+        use minidb::stats::StatsRegistry;
+        use minidb::{page, Datum, DeviceId, Oid, Tid};
+        use simdev::{DiskProfile, MagneticDisk, SimClock};
+
+        let (dev, rel) = (DeviceId::DEFAULT, Oid(42));
+        let disk = shared_device(MagneticDisk::new(
+            "prop", SimClock::new(), DiskProfile::tiny_for_tests(4096),
+        ));
+        let mut smgr = Smgr::new();
+        smgr.register(dev, Box::new(GenericManager::format(disk).unwrap())).unwrap();
+        smgr.with(dev, |m| m.create_rel(rel)).unwrap();
+        let (pool, stats) = (BufferPool::new(64), StatsRegistry::new());
+        let bt = BTree { pool: &pool, smgr: &smgr, dev, rel, stats: &stats, wal: None };
+        bt.create().unwrap();
+        let nblocks = || smgr.with(dev, |m| m.nblocks(rel)).unwrap();
+        prop_assert_eq!(nblocks(), 1, "an empty index is its root and nothing else");
+
+        let key = |k: u16| vec![Datum::Text(format!("{k:0>1000}"))];
+        let mut model = std::collections::BTreeSet::new();
+        for (i, (k, kill)) in ops.into_iter().enumerate() {
+            let splits = stats.btree.splits.get();
+            let tid = Tid::new(i as u32, 0);
+            bt.insert(&key(k), tid).unwrap();
+            model.insert((k, tid));
+            if kill == 0 {
+                // Lazily delete the entry at or after this one's key.
+                let victim = *model.range((k, Tid::new(0, 0))..).next().unwrap();
+                prop_assert!(bt.delete(&key(victim.0), victim.1).unwrap());
+                model.remove(&victim);
+            }
+            if stats.btree.splits.get() > splits {
+                let (findings, entries) = bt.check("t");
+                prop_assert!(findings.is_empty(), "after split {}: {:?}", splits + 1, findings);
+                let found: Vec<(Vec<Datum>, Tid)> = model.iter().map(|&(k, t)| (key(k), t)).collect();
+                prop_assert_eq!(entries, found);
+            }
+        }
+        // A split of the root adds two pages, any other split one.
+        let root_splits = nblocks() - 1 - stats.btree.splits.get();
+        prop_assert!(root_splits >= 2, "{} root splits", root_splits);
+        let root = pool.get_page(&smgr, dev, rel, 0).unwrap();
+        prop_assert_eq!(page::special(root.read().data())[0] & 1, 0, "block 0 is the internal root");
+        for &(k, tid) in &model {
+            prop_assert!(bt.contains(&key(k), tid).unwrap(), "({}, {})", k, tid);
+        }
+    }
+}
+
+#[test]
+fn the_chunk_index_of_a_one_chunk_file_is_one_page() {
+    let fs = InversionFs::format(Devices::new().format()).unwrap();
+    let mut c = fs.client();
+    c.write_all("/small", CreateMode::default(), &[7u8; 4096]).unwrap();
+    let stat = c.p_stat("/small", None).unwrap();
+    assert_eq!(fs.db().relation_pages(stat.chunkidx).unwrap(), 1);
+}
+
 // `page::insert_at` against the page rebuild it replaced (decode every live
 // item, re-initialise the page, re-insert them in order with the new one in
 // its place): the same live items in the same order, a page `verify`

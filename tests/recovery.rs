@@ -555,3 +555,81 @@ fn mid_leaf_index_inserts_replay_from_slot_and_item_records() {
 fn mid_leaf_index_inserts_replay_under_a_torn_log_tail() {
     mid_leaf_index_inserts_survive(true);
 }
+
+/// A B-tree's root is block 0 for life: a full root moves its halves to two
+/// new pages and is rewritten in place as the node over them — three page
+/// images, the root's last. The root of `t_k` is on the device unsplit and
+/// the split exists only in the log when the power goes: whole, behind a
+/// commit that succeeded (`torn_after: None`), or cut short by a commit
+/// force that died after that many blocks, somewhere among the images.
+/// Returns how many of the three images outlived the crash.
+fn a_root_split_meets_a_crash(torn_after: Option<u64>) -> usize {
+    let rig = common::CrashRig::new();
+    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let rel = db.create_table("t", Schema::new([("k", TypeId::TEXT)])).unwrap();
+    let idx = db.create_index("t_k", rel, &["k"]).unwrap();
+    // Seven or so to a node.
+    let key = |k: usize| Datum::Text(format!("{k:0>1000}"));
+    let mut s = db.begin().unwrap();
+    for k in 0..5 {
+        s.insert(rel, vec![key(k)]).unwrap();
+    }
+    s.commit().unwrap();
+    db.flush_caches().unwrap();
+    assert_eq!(db.relation_pages(idx).unwrap(), 1, "the root is still a leaf");
+
+    // One more transaction: it fills the root and splits it.
+    let mut s = db.begin().unwrap();
+    let mut last = 5;
+    while db.relation_pages(idx).unwrap() == 1 {
+        s.insert(rel, vec![key(last)]).unwrap();
+        last += 1;
+    }
+    assert_eq!(db.relation_pages(idx).unwrap(), 3, "both halves moved out");
+    match torn_after {
+        None => s.commit().unwrap(),
+        Some(blocks) => {
+            rig.log_faults.fail_after_writes(blocks);
+            assert!(s.commit().is_err(), "the commit force is torn");
+            rig.log_faults.clear_write_fault();
+        }
+    }
+    drop(s);
+    rig.crash(db);
+
+    let (_, records) = minidb::Wal::recover(rig.log.clone(), Default::default()).unwrap();
+    let images = records
+        .iter()
+        .filter(|(_, rec)| matches!(rec, minidb::WalRecord::PageImage { rel, .. } if *rel == idx))
+        .count();
+
+    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    assert_clean(&db);
+    let committed = if torn_after.is_some() { 5 } else { last };
+    let mut s = db.begin().unwrap();
+    for k in 0..last {
+        let hits = s.index_scan_eq(idx, &[key(k)]).unwrap().len();
+        assert_eq!(hits, usize::from(k < committed), "key {k} of {committed} committed");
+    }
+    // The tree goes on growing from whichever root it recovered to.
+    for k in last..last + 40 {
+        s.insert(rel, vec![key(k)]).unwrap();
+    }
+    s.commit().unwrap();
+    assert_clean(&db);
+    images
+}
+
+#[test]
+fn a_root_split_that_exists_only_in_the_log_replays_over_the_unsplit_root() {
+    assert_eq!(a_root_split_meets_a_crash(None), 3);
+}
+
+#[test]
+fn a_force_torn_among_a_root_splits_images_recovers_to_the_unsplit_root() {
+    let survived: Vec<usize> = (1..=3).map(|blocks| a_root_split_meets_a_crash(Some(blocks))).collect();
+    assert!(
+        survived.iter().any(|n| (1..3).contains(n)),
+        "no tear fell between the images: {survived:?} survived"
+    );
+}

@@ -95,14 +95,16 @@ fn a_stat_costs_the_same_after_1_10_and_100_atime_write_backs() {
     let mut reads = 0;
     for upto in [1, 10, 100] {
         while reads < upto {
-            // Every read through a descriptor leaves a new `fileatt`
-            // version behind: close writes the access time back.
+            // A read through a descriptor leaves a pending access time, and
+            // each write-back of one leaves a new `fileatt` version behind.
             reads += 1;
+            fs.db().clock().advance(simdev::SimDuration::from_millis(1));
             c.p_begin().unwrap();
             let fd = c.p_open("/d/f", OpenMode::Read, None).unwrap();
             assert_eq!(c.p_read(fd, &mut [0u8; 8]).unwrap(), 1);
             c.p_close(fd).unwrap();
             c.p_commit().unwrap();
+            assert_eq!(fs.flush_atimes().unwrap(), 1, "write-back {reads}");
         }
         let (fetches, stat) = fetches_in(&fs, || c.p_stat("/d/f", None).unwrap());
         assert_eq!(stat.size, 1);
