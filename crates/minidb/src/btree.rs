@@ -177,8 +177,8 @@ pub struct BTree<'a> {
     /// Where search/insert/split counts go.
     pub stats: &'a StatsRegistry,
     /// The write-ahead log, when mutations must be logged. `None` runs
-    /// unlogged — read paths, checks, and bulk builds that flush and sync
-    /// explicitly before the index becomes reachable.
+    /// unlogged — read paths, checks, and vacuum's index rebuild, which
+    /// flushes and syncs explicitly.
     pub wal: Option<&'a crate::wal::Wal>,
 }
 

@@ -878,8 +878,8 @@ impl BufferPool {
     /// Writes back every dirty cached page belonging to `rel`, forcing the
     /// log first for each page whose last change is not yet durable — so
     /// not for an insert path: `xtask lint` (`wal-force-site`) confines it
-    /// to `db.rs`'s POSTGRES 4.0.1 write-through emulation and unlogged
-    /// index build. Returns the number of pages written.
+    /// to `db.rs`'s POSTGRES 4.0.1 write-through emulation. Returns the
+    /// number of pages written.
     pub fn flush_rel(&self, smgr: &Smgr, rel: RelId) -> DbResult<usize> {
         self.flush_matching(smgr, Some(rel))
     }

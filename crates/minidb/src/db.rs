@@ -25,6 +25,7 @@
 //! paper's "essentially instantaneous" recovery.
 
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Weak};
 
@@ -107,7 +108,8 @@ struct CheckpointState {
     cv: Condvar,
     /// Tells the thread to exit.
     stop: AtomicBool,
-    /// Set by [`Db::simulate_crash`]: shutdown must not write anything.
+    /// Set by [`Db::simulate_crash`], and while recovery reconciles the
+    /// devices with the catalog: shutdown must not write anything.
     crashed: AtomicBool,
     /// Virtual time of the last completed checkpoint.
     last: Mutex<SimInstant>,
@@ -220,7 +222,9 @@ impl Db {
         let stats = Arc::new(StatsRegistry::new());
         let wal = Wal::create(log_dev, Arc::clone(&stats))?;
         let redo = Redo::empty(Arc::clone(&stats));
-        Db::assemble(clock, smgr, stats, (xlog, wal, redo), config)
+        let db = Db::assemble(clock, smgr, stats, (xlog, wal, redo), config)?;
+        db.spawn_checkpointer();
+        Ok(db)
     }
 
     /// Reopens a database after a shutdown or crash.
@@ -233,9 +237,9 @@ impl Db {
     /// Catalog changes are ordinary logged rows, so they recover the way
     /// user data does: the catalog cache is filled by scanning the system
     /// relations once the database is assembled, first-touch REDO bringing
-    /// each page up to date as the scan reaches it. What no committed row
-    /// names is then dropped from its device — the storage of a DDL the
-    /// crash caught between its device step and its commit.
+    /// each page up to date as the scan reaches it. Then
+    /// [`Db::reconcile_storage`] gives the devices what the rows name, and
+    /// only then may the checkpointer run.
     pub fn recover(
         clock: SimClock,
         mut smgr: Smgr,
@@ -264,32 +268,18 @@ impl Db {
             }
         }
         let redo = Redo::from_records(&records, Arc::clone(&stats));
-        // Allocation fixup: a logged page may lie past the relation's
-        // current end (the extension never hit the disk) — extend with
-        // blank blocks so first-touch replay finds a readable page. Pages
-        // of relations whose storage was released after their records were
-        // logged are unreachable — forget them rather than resurrect
-        // storage.
-        for (dev, rel, blkno) in redo.pages() {
-            let present = smgr.devices().contains(&dev)
-                && smgr.with(dev, |m| Ok(m.has_rel(rel)))?;
-            if !present {
-                redo.forget((dev, rel, blkno));
-                continue;
-            }
-            smgr.with(dev, |m| {
-                let mut n = m.nblocks(rel)?;
-                while n <= blkno {
-                    m.extend_blank(rel)?;
-                    n += 1;
-                }
-                Ok(())
-            })?;
-        }
+        // The catalog scan below reads only the catalog device.
+        cover_logged_pages(&smgr, &redo, &[DeviceId::CATALOG])?;
         let db = Db::assemble(clock, smgr, stats, (xlog, wal, redo), config)?;
+        // Until the devices hold what the catalog names, the log holds
+        // pages no device has: a failure here must go down as a crash
+        // does, writing nothing, so the next attempt still has them.
+        db.inner.ckpt.crashed.store(true, SeqCst);
         let rows = db.scan_catalog()?;
         db.inner.catalog.write().load(rows)?;
-        db.drop_uncatalogued()?;
+        db.reconcile_storage()?;
+        db.inner.ckpt.crashed.store(false, SeqCst);
+        db.spawn_checkpointer();
         Ok(db)
     }
 
@@ -307,29 +297,46 @@ impl Db {
         Ok(rows)
     }
 
-    /// Releases every device relation the catalog does not name. DDL makes
-    /// a relation durable on its device before its row commits and deletes
-    /// the row before releasing the storage, so a crash in either window
-    /// leaves exactly this: storage without a row.
-    fn drop_uncatalogued(&self) -> DbResult<()> {
-        for dev in self.inner.smgr.devices() {
-            let on_device = self.inner.smgr.with(dev, |m| Ok(m.relations()))?;
-            let orphans: Vec<RelId> = {
-                let cat = self.inner.catalog.read();
-                let stray = |r: &RelId| cat.relation(*r).map_or(true, |e| e.device != dev);
-                on_device.into_iter().filter(stray).collect()
-            };
-            for rel in orphans {
-                self.inner.pool.discard_rel(rel);
-                self.inner.smgr.with(dev, |m| m.drop_rel(rel))?;
+    /// Makes each device hold exactly the relations the catalog names on
+    /// it. Its map reaches it only at checkpoints, so after a crash it may
+    /// lack a relation a committed row names (one created since), which is
+    /// created, or list storage no row names (a create that never
+    /// committed, a drop that did), which is released and its logged pages
+    /// forgotten. Nothing the catalog does not name comes back.
+    fn reconcile_storage(&self) -> DbResult<()> {
+        let inner = &self.inner;
+        let named: HashSet<(DeviceId, RelId)> = {
+            let cat = inner.catalog.read();
+            cat.relations().map(|e| (e.device, e.id)).collect()
+        };
+        for dev in inner.smgr.devices() {
+            inner.smgr.with(dev, |m| {
+                // Release first, so creating never needs more metadata room
+                // than the map had before the crash.
+                for rel in m.relations() {
+                    if !named.contains(&(dev, rel)) {
+                        m.drop_rel(rel)?;
+                    }
+                }
+                for &(_, rel) in named.iter().filter(|&&(d, _)| d == dev) {
+                    if !m.has_rel(rel) {
+                        m.create_rel(rel)?;
+                    }
+                }
+                Ok(())
+            })?;
+        }
+        for (dev, rel, blkno) in inner.redo.pages() {
+            if !named.contains(&(dev, rel)) {
+                inner.redo.forget((dev, rel, blkno));
             }
         }
-        Ok(())
+        cover_logged_pages(&inner.smgr, &inner.redo, &inner.smgr.devices())
     }
 
     /// The tail [`Db::open`] and [`Db::recover`] share: wires the storage
     /// manager, lock manager and buffer pool to the shared counters and
-    /// the log, registers the engine's virtual relations, and
+    /// the log and registers the engine's virtual relations. The caller
     /// starts the checkpointer.
     fn assemble(
         clock: SimClock,
@@ -371,7 +378,6 @@ impl Db {
                 config,
             }),
         };
-        db.spawn_checkpointer();
         Ok(db)
     }
 
@@ -755,11 +761,12 @@ impl Db {
     }
 
     /// The one sequence that creates a relation: cache entry (which claims
-    /// the name), storage made durable on its device, `build` (an index's
-    /// bulk load), committed `pg_class` row. Storage before row: a crash in
-    /// between leaves storage that no row names, which reopening releases —
-    /// never a row pointing at nothing. On failure the entry and its
-    /// storage are taken back.
+    /// the name), storage registered on its device, `build` (an index's
+    /// bulk load, logged like any insert), committed `pg_class` row. Nothing
+    /// here syncs a device: the row's commit force makes the relation
+    /// durable, and recovery gives a committed row its storage back (see
+    /// [`Db::reconcile_storage`]). On failure the entry and its storage are
+    /// taken back.
     fn create_relation(
         &self,
         entry: RelationEntry,
@@ -773,10 +780,7 @@ impl Db {
         let created = self
             .inner
             .smgr
-            .with(dev, |m| {
-                m.create_rel(id)?;
-                m.sync()
-            })
+            .with(dev, |m| m.create_rel(id))
             .and_then(|()| build())
             .and_then(|()| self.store_class_rows(&[id]));
         if created.is_err() {
@@ -847,16 +851,14 @@ impl Db {
             no_history: false,
         };
         self.create_relation(entry, || {
+            let wal = Some(&*self.inner.wal);
             let bt = BTree {
                 pool: &self.inner.pool,
                 smgr: &self.inner.smgr,
                 stats: &self.inner.stats,
                 dev,
                 rel: id,
-                // Unlogged on purpose: the bulk build below flushes the
-                // relation and syncs the device before the index's row
-                // commits.
-                wal: None,
+                wal,
             };
             bt.create()?;
             // Backfill from every tuple version in the heap.
@@ -867,18 +869,13 @@ impl Db {
                 stats: &self.inner.stats,
                 dev,
                 rel: table,
-                wal: None,
+                wal,
             };
             heap.scan_all_raw(|tid, _hdr, row_bytes| {
                 let row = decode_row(row_bytes)?;
                 let key: Vec<Datum> = key_columns.iter().map(|&i| row[i].clone()).collect();
                 bt.insert(&key, tid)
-            })?;
-            // The index (its empty root included) must be durable before a
-            // committed row advertises it, or a crash leaves a catalogued
-            // index with no on-disk structure.
-            self.inner.pool.flush_rel(&self.inner.smgr, id)?;
-            self.inner.smgr.sync_devices(&[dev])
+            })
         })
     }
 
@@ -1065,6 +1062,30 @@ impl Db {
         }
         Ok((e.device, indexes))
     }
+}
+
+/// Recovery's allocation fixup: every logged page on `devices` past its
+/// relation's end gets a block, so first-touch replay finds a page to read
+/// — zero-filled, because open extents are not persisted: the block may be
+/// one an eviction before the crash filled with another relation's newer
+/// page, whose LSN would gate out every record of this one. Address order
+/// makes each relation's new blocks one run of the map.
+fn cover_logged_pages(smgr: &Smgr, redo: &Redo, devices: &[DeviceId]) -> DbResult<()> {
+    let zeros = vec![0u8; simdev::BLOCK_SIZE];
+    let mut pages = redo.pages();
+    pages.retain(|(dev, _, _)| devices.contains(dev));
+    pages.sort_unstable();
+    for (dev, rel, blkno) in pages {
+        smgr.with(dev, |m| {
+            if m.has_rel(rel) {
+                for _ in m.nblocks(rel)?..=blkno {
+                    m.extend(rel, &zeros)?;
+                }
+            }
+            Ok(())
+        })?;
+    }
+    Ok(())
 }
 
 /// A heap's device plus its indices with their key columns.

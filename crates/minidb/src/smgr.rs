@@ -54,16 +54,17 @@ pub trait DeviceManager: Send {
     /// Number of logical blocks currently allocated to `rel`.
     fn nblocks(&self, rel: RelId) -> DbResult<u64>;
 
-    /// Appends a new logical block containing `page`, returning its number.
-    fn extend(&mut self, rel: RelId, page: &[u8]) -> DbResult<u64>;
-
     /// Appends a new logical block without transferring any data; its
     /// contents are undefined until the first [`DeviceManager::write`]. The
     /// buffer cache uses this so that freshly allocated pages cost one device
     /// write (at flush), not two.
-    fn extend_blank(&mut self, rel: RelId) -> DbResult<u64> {
-        let page = vec![0u8; simdev::BLOCK_SIZE];
-        self.extend(rel, &page)
+    fn extend_blank(&mut self, rel: RelId) -> DbResult<u64>;
+
+    /// Appends a new logical block containing `page`, returning its number.
+    fn extend(&mut self, rel: RelId, page: &[u8]) -> DbResult<u64> {
+        let blkno = self.extend_blank(rel)?;
+        self.write(rel, blkno, page)?;
+        Ok(blkno)
     }
 
     /// Reads logical block `blkno` of `rel`.
@@ -93,10 +94,217 @@ pub trait DeviceManager: Send {
 const META_BLOCKS: u64 = 64;
 const META_MAGIC: u32 = 0x534D_4752; // "SMGR"
 
-#[derive(Debug, Default, Clone)]
+/// What [`RelMap::encode`] spends on its header (magic, `next_free`,
+/// relation count), per relation (oid, block count, run count) and per run
+/// of contiguous blocks (start, length).
+const MAP_HEADER_BYTES: usize = 16;
+const REL_BYTES: usize = 20;
+const RUN_BYTES: usize = 16;
+
+/// The most metadata bytes [`write_meta`] stores on a device with
+/// `block_size`-byte blocks (the first reserved block is its header).
+fn meta_capacity(block_size: usize) -> usize {
+    (META_BLOCKS as usize - 1) * block_size
+}
+
+/// A manager's relation → physical block map: the block lists, the bump
+/// allocator that fills them, and the one place either changes.
+#[derive(Debug, Clone)]
 struct RelMap {
     next_free: u64,
     rels: HashMap<RelId, Vec<u64>>,
+    /// Partially filled extent per relation: (first physical block, used).
+    /// Not persisted — a restart wastes the tail of each open extent, which
+    /// the run-length encoding absorbs for free.
+    open_extents: HashMap<RelId, (u64, u64)>,
+    /// Whether the map changed since it was last persisted.
+    dirty: bool,
+    /// `encode().len()`, kept current by every change.
+    encoded_len: usize,
+    /// The most bytes the encoding may take. Growth past it is refused when
+    /// asked for, not at the next sync, which would then fail every time.
+    capacity: usize,
+    /// The relations grown since the map was persisted, each with whether
+    /// one of its new blocks started a run. One that did not owes recovery
+    /// a run, and room is kept for it: the persisted map does not know the
+    /// open extent the blocks came from, so recovery covers them with a run
+    /// of their own.
+    grown: HashMap<RelId, bool>,
+}
+
+/// `blocks` as maximal `(start, len)` runs of contiguous physical blocks.
+fn runs(blocks: &[u64]) -> Vec<(u64, u64)> {
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for &b in blocks {
+        match runs.last_mut() {
+            Some((start, len)) if *start + *len == b => *len += 1,
+            _ => runs.push((b, 1)),
+        }
+    }
+    runs
+}
+
+impl RelMap {
+    fn new(next_free: u64, capacity: usize) -> RelMap {
+        RelMap {
+            next_free,
+            rels: HashMap::new(),
+            open_extents: HashMap::new(),
+            dirty: true,
+            encoded_len: MAP_HEADER_BYTES,
+            capacity,
+            grown: HashMap::new(),
+        }
+    }
+
+    fn room_for(&self, bytes: usize) -> DbResult<()> {
+        let owed = self.grown.values().filter(|&&paid| !paid).count();
+        if self.encoded_len + RUN_BYTES * owed + bytes > self.capacity {
+            return Err(DbError::Device(DevError::NoSpace));
+        }
+        Ok(())
+    }
+
+    fn create(&mut self, rel: RelId) -> DbResult<()> {
+        if self.rels.contains_key(&rel) {
+            return Err(DbError::AlreadyExists(format!("relation {rel}")));
+        }
+        self.room_for(REL_BYTES)?;
+        self.rels.insert(rel, Vec::new());
+        self.encoded_len += REL_BYTES;
+        self.dirty = true;
+        Ok(())
+    }
+
+    fn drop(&mut self, rel: RelId) -> DbResult<()> {
+        self.truncate(rel)?;
+        self.rels.remove(&rel);
+        self.encoded_len -= REL_BYTES;
+        Ok(())
+    }
+
+    /// Empties `rel`, returning the physical blocks it held.
+    fn truncate(&mut self, rel: RelId) -> DbResult<Vec<u64>> {
+        let blocks = std::mem::take(self.blocks_mut(rel)?);
+        self.encoded_len -= RUN_BYTES * runs(&blocks).len();
+        self.open_extents.remove(&rel);
+        self.grown.remove(&rel);
+        self.dirty = true;
+        Ok(blocks)
+    }
+
+    fn blocks(&self, rel: RelId) -> DbResult<&[u64]> {
+        self.rels
+            .get(&rel)
+            .map(Vec::as_slice)
+            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))
+    }
+
+    fn blocks_mut(&mut self, rel: RelId) -> DbResult<&mut Vec<u64>> {
+        self.rels
+            .get_mut(&rel)
+            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))
+    }
+
+    /// The physical block behind logical block `blkno` of `rel`.
+    fn physical(&self, rel: RelId, blkno: u64) -> DbResult<u64> {
+        let blocks = self.blocks(rel)?;
+        blocks
+            .get(blkno as usize)
+            .copied()
+            .ok_or(DbError::Device(DevError::OutOfRange {
+                blkno,
+                nblocks: blocks.len() as u64,
+            }))
+    }
+
+    /// The next physical block for `rel`, and how many blocks taking it
+    /// claims from the bump allocator: none while the relation's open
+    /// extent has room, else a fresh extent of `extent` blocks — or of one
+    /// when a whole extent no longer fits in `device_blocks`, so the last
+    /// stretch of a device is still usable.
+    fn next_block(&self, rel: RelId, extent: u64, device_blocks: u64) -> DbResult<(u64, u64)> {
+        if let Some(&(first, used)) = self.open_extents.get(&rel) {
+            if used < extent {
+                return Ok((first + used, 0));
+            }
+        }
+        let first = self.next_free;
+        let span = if first + extent <= device_blocks { extent } else { 1 };
+        if first + span > device_blocks {
+            return Err(DbError::Device(DevError::NoSpace));
+        }
+        Ok((first, span))
+    }
+
+    /// Takes the block [`RelMap::next_block`] offered `rel`.
+    fn take(&mut self, rel: RelId, (phys, span): (u64, u64)) -> u64 {
+        if span == 0 {
+            if let Some(open) = self.open_extents.get_mut(&rel) {
+                open.1 += 1;
+            }
+        } else {
+            self.next_free = phys + span;
+            if span > 1 {
+                self.open_extents.insert(rel, (phys, 1));
+            }
+        }
+        phys
+    }
+
+    /// Appends a fresh block to `rel` and returns its logical number, or
+    /// refuses, changing nothing, when the map would outgrow its capacity.
+    /// A block that starts a run costs one; a relation's first block since
+    /// the map was persisted that starts none costs recovery one (see
+    /// `grown`), which a later run of its own pays off.
+    fn grow(&mut self, rel: RelId, extent: u64, device_blocks: u64) -> DbResult<u64> {
+        let next = self.next_block(rel, extent, device_blocks)?;
+        let blocks = self.blocks(rel)?;
+        let starts_run = blocks.last().is_none_or(|&b| b + 1 != next.0);
+        let paid = self.grown.get(&rel).copied();
+        let owes = !starts_run && paid != Some(true);
+        let owed = paid == Some(false);
+        self.room_for(RUN_BYTES * (usize::from(starts_run) + usize::from(owes) - usize::from(owed)))?;
+        self.grown.insert(rel, !owes);
+        if starts_run {
+            self.encoded_len += RUN_BYTES;
+        }
+        self.dirty = true;
+        let phys = self.take(rel, next);
+        let blocks = self.blocks_mut(rel)?;
+        blocks.push(phys);
+        Ok(blocks.len() as u64 - 1)
+    }
+
+    /// Points logical block `blkno` of `rel` at a fresh physical block (a
+    /// rewrite on write-once media) and returns it.
+    fn remap(&mut self, rel: RelId, blkno: u64, extent: u64, device_blocks: u64) -> DbResult<u64> {
+        self.physical(rel, blkno)?;
+        let next = self.next_block(rel, extent, device_blocks)?;
+        let phys = self.take(rel, next);
+        let blocks = self.blocks_mut(rel)?;
+        let before = runs(blocks).len();
+        blocks[blkno as usize] = phys;
+        let after = runs(blocks).len();
+        self.encoded_len = self.encoded_len + RUN_BYTES * after - RUN_BYTES * before;
+        self.dirty = true;
+        Ok(phys)
+    }
+
+    /// Records that the map as it stands reached its device.
+    fn persisted(&mut self) {
+        debug_assert_eq!(
+            self.encode().len(),
+            self.encoded_len,
+            "tracked map length drifted"
+        );
+        self.dirty = false;
+        self.grown = HashMap::new();
+    }
+
+    fn relations(&self) -> Vec<RelId> {
+        self.rels.keys().copied().collect()
+    }
 }
 
 /// Bounds-checked little-endian cursor over a metadata byte string.
@@ -134,13 +342,7 @@ impl RelMap {
         for (rel, blocks) in rels {
             out.extend_from_slice(&rel.0.to_le_bytes());
             out.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
-            let mut runs: Vec<(u64, u64)> = Vec::new();
-            for &b in blocks {
-                match runs.last_mut() {
-                    Some((start, len)) if *start + *len == b => *len += 1,
-                    _ => runs.push((b, 1)),
-                }
-            }
+            let runs = runs(blocks);
             out.extend_from_slice(&(runs.len() as u64).to_le_bytes());
             for (start, len) in runs {
                 out.extend_from_slice(&start.to_le_bytes());
@@ -150,7 +352,7 @@ impl RelMap {
         out
     }
 
-    fn decode(buf: &[u8]) -> DbResult<RelMap> {
+    fn decode(buf: &[u8], capacity: usize) -> DbResult<RelMap> {
         let corrupt = || DbError::Corrupt("truncated device metadata".into());
         // A tiny cursor over `buf`; every read is bounds-checked so a
         // truncated or scribbled metadata region decodes to `Corrupt`.
@@ -179,7 +381,15 @@ impl RelMap {
             }
             rels.insert(rel, blocks);
         }
-        Ok(RelMap { next_free, rels })
+        let mut map = RelMap {
+            rels,
+            dirty: false,
+            ..RelMap::new(next_free, capacity)
+        };
+        // Measured, not taken from the stored header: a torn destage can
+        // leave a longer header over an older, shorter map.
+        map.encoded_len = map.encode().len();
+        Ok(map)
     }
 }
 
@@ -190,8 +400,7 @@ fn write_meta(dev: &SharedDevice, first_block: u64, meta: &[u8]) -> DbResult<()>
     let _order = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
     let mut d = dev.lock();
     let bs = d.block_size();
-    let capacity = (META_BLOCKS as usize - 1) * bs;
-    if meta.len() > capacity {
+    if meta.len() > meta_capacity(bs) {
         return Err(DbError::Device(DevError::NoSpace));
     }
     let mut hdr = vec![0u8; bs];
@@ -217,7 +426,7 @@ fn read_meta(dev: &SharedDevice, first_block: u64) -> DbResult<Option<Vec<u8>>> 
     if len == 0 {
         return Ok(None);
     }
-    if len > (META_BLOCKS as usize - 1) * bs {
+    if len > meta_capacity(bs) {
         return Err(DbError::Corrupt("metadata length out of range".into()));
     }
     let mut out = vec![0u8; len];
@@ -233,34 +442,19 @@ fn read_meta(dev: &SharedDevice, first_block: u64) -> DbResult<Option<Vec<u8>>> 
 pub struct GenericManager {
     dev: SharedDevice,
     map: RelMap,
-    meta_dirty: bool,
     /// Whether a block was written since the last sync. A sync with nothing
     /// to make durable is skipped, so an idle device — the catalog device
     /// between DDL — costs a checkpoint nothing.
     unsynced: bool,
     /// Pages claimed per allocation; 1 keeps the legacy bump allocator.
     extent_size: u64,
-    /// Partially filled extent per relation: (first physical block, used).
-    /// Not persisted — a restart wastes the tail of each open extent, which
-    /// the run-length meta encoding absorbs for free.
-    open_extents: HashMap<RelId, (u64, u64)>,
 }
 
 impl GenericManager {
     /// Formats `dev` (reserving the metadata region) and returns a manager.
     pub fn format(dev: SharedDevice) -> DbResult<GenericManager> {
-        let map = RelMap {
-            next_free: META_BLOCKS,
-            rels: HashMap::new(),
-        };
-        let mut mgr = GenericManager {
-            dev,
-            map,
-            meta_dirty: true,
-            unsynced: false,
-            extent_size: 1,
-            open_extents: HashMap::new(),
-        };
+        let map = RelMap::new(META_BLOCKS, meta_capacity(dev.lock().block_size()));
+        let mut mgr = GenericManager { dev, map, unsynced: false, extent_size: 1 };
         mgr.sync()?;
         Ok(mgr)
     }
@@ -269,61 +463,8 @@ impl GenericManager {
     pub fn attach(dev: SharedDevice) -> DbResult<GenericManager> {
         let meta = read_meta(&dev, 0)?
             .ok_or_else(|| DbError::Corrupt("device was never formatted".into()))?;
-        let map = RelMap::decode(&meta)?;
-        Ok(GenericManager {
-            dev,
-            map,
-            meta_dirty: false,
-            unsynced: false,
-            extent_size: 1,
-            open_extents: HashMap::new(),
-        })
-    }
-
-    /// Allocates the next physical block for `rel`: from the relation's
-    /// open extent when one has room, otherwise by claiming a fresh extent
-    /// from the bump allocator. Falls back to single-block allocation when
-    /// the device cannot fit a whole extent, so the last stretch of a disk
-    /// is still usable.
-    fn alloc_physical(&mut self, rel: RelId) -> DbResult<u64> {
-        let extent = self.extent_size.max(1);
-        if extent > 1 {
-            if let Some((first, used)) = self.open_extents.get_mut(&rel) {
-                if *used < extent {
-                    let phys = *first + *used;
-                    *used += 1;
-                    return Ok(phys);
-                }
-            }
-        }
-        let first = self.map.next_free;
-        let nblocks = self.dev.lock().nblocks();
-        let span = if extent > 1 && first + extent <= nblocks {
-            extent
-        } else {
-            1
-        };
-        if first + span > nblocks {
-            return Err(DbError::Device(DevError::NoSpace));
-        }
-        self.map.next_free = first + span;
-        if span > 1 {
-            self.open_extents.insert(rel, (first, 1));
-        }
-        Ok(first)
-    }
-
-    fn physical(&self, rel: RelId, blkno: u64) -> DbResult<u64> {
-        let blocks = self.map.rels.get(&rel).ok_or_else(|| {
-            DbError::NotFound(format!("relation {rel} on {}", self.device_name()))
-        })?;
-        blocks
-            .get(blkno as usize)
-            .copied()
-            .ok_or(DbError::Device(DevError::OutOfRange {
-                blkno,
-                nblocks: blocks.len() as u64,
-            }))
+        let map = RelMap::decode(&meta, meta_capacity(dev.lock().block_size()))?;
+        Ok(GenericManager { dev, map, unsynced: false, extent_size: 1 })
     }
 }
 
@@ -333,22 +474,11 @@ impl DeviceManager for GenericManager {
     }
 
     fn create_rel(&mut self, rel: RelId) -> DbResult<()> {
-        if self.map.rels.contains_key(&rel) {
-            return Err(DbError::AlreadyExists(format!("relation {rel}")));
-        }
-        self.map.rels.insert(rel, Vec::new());
-        self.meta_dirty = true;
-        Ok(())
+        self.map.create(rel)
     }
 
     fn drop_rel(&mut self, rel: RelId) -> DbResult<()> {
-        self.map
-            .rels
-            .remove(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        self.open_extents.remove(&rel);
-        self.meta_dirty = true;
-        Ok(())
+        self.map.drop(rel)
     }
 
     fn has_rel(&self, rel: RelId) -> bool {
@@ -356,78 +486,37 @@ impl DeviceManager for GenericManager {
     }
 
     fn nblocks(&self, rel: RelId) -> DbResult<u64> {
-        Ok(self
-            .map
-            .rels
-            .get(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?
-            .len() as u64)
-    }
-
-    fn extend(&mut self, rel: RelId, page: &[u8]) -> DbResult<u64> {
-        if !self.map.rels.contains_key(&rel) {
-            return Err(DbError::NotFound(format!("relation {rel}")));
-        }
-        let phys = self.alloc_physical(rel)?;
-        self.dev.lock().write_block(phys, page)?;
-        self.unsynced = true;
-        let blocks = self
-            .map
-            .rels
-            .get_mut(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        blocks.push(phys);
-        self.meta_dirty = true;
-        Ok(blocks.len() as u64 - 1)
+        Ok(self.map.blocks(rel)?.len() as u64)
     }
 
     fn extend_blank(&mut self, rel: RelId) -> DbResult<u64> {
-        if !self.map.rels.contains_key(&rel) {
-            return Err(DbError::NotFound(format!("relation {rel}")));
-        }
-        let phys = self.alloc_physical(rel)?;
-        let blocks = self
-            .map
-            .rels
-            .get_mut(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        blocks.push(phys);
-        self.meta_dirty = true;
-        Ok(blocks.len() as u64 - 1)
+        self.map.grow(rel, self.extent_size, self.dev.lock().nblocks())
     }
 
     fn read(&mut self, rel: RelId, blkno: u64, buf: &mut [u8]) -> DbResult<()> {
-        let phys = self.physical(rel, blkno)?;
+        let phys = self.map.physical(rel, blkno)?;
         self.dev.lock().read_block(phys, buf)?;
         Ok(())
     }
 
     fn write(&mut self, rel: RelId, blkno: u64, buf: &[u8]) -> DbResult<()> {
-        let phys = self.physical(rel, blkno)?;
+        let phys = self.map.physical(rel, blkno)?;
         self.dev.lock().write_block(phys, buf)?;
         self.unsynced = true;
         Ok(())
     }
 
     fn truncate(&mut self, rel: RelId) -> DbResult<()> {
-        let blocks = self
-            .map
-            .rels
-            .get_mut(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        blocks.clear();
-        self.open_extents.remove(&rel);
-        self.meta_dirty = true;
-        Ok(())
+        self.map.truncate(rel).map(drop)
     }
 
     fn sync(&mut self) -> DbResult<()> {
-        if !self.meta_dirty && !self.unsynced {
+        if !self.map.dirty && !self.unsynced {
             return Ok(());
         }
-        if self.meta_dirty {
+        if self.map.dirty {
             write_meta(&self.dev, 0, &self.map.encode())?;
-            self.meta_dirty = false;
+            self.map.persisted();
         }
         self.dev.lock().sync()?;
         self.unsynced = false;
@@ -435,7 +524,7 @@ impl DeviceManager for GenericManager {
     }
 
     fn relations(&self) -> Vec<RelId> {
-        self.map.rels.keys().copied().collect()
+        self.map.relations()
     }
 
     fn set_extent_size(&mut self, pages: u64) {
@@ -484,11 +573,8 @@ pub struct JukeboxManager {
     cache: HashMap<u64, (u64, StageState)>,
     lru: std::collections::VecDeque<u64>,
     free_staging: Vec<u64>,
+    /// Whether `burned` changed since the metadata was last written.
     meta_dirty: bool,
-    /// Next unallocated extent number.
-    next_extent: u64,
-    /// Partially filled extent per relation: (first physical block, used).
-    open_extents: HashMap<RelId, (u64, u64)>,
 }
 
 impl JukeboxManager {
@@ -500,22 +586,10 @@ impl JukeboxManager {
         staging: SharedDevice,
         config: JukeboxConfig,
     ) -> DbResult<JukeboxManager> {
-        let free_staging = (META_BLOCKS..META_BLOCKS + config.cache_blocks)
-            .rev()
-            .collect();
-        let mut mgr = JukeboxManager {
-            jukebox,
-            staging,
-            config,
-            map: RelMap::default(),
-            burned: std::collections::HashSet::new(),
-            cache: HashMap::new(),
-            lru: std::collections::VecDeque::new(),
-            free_staging,
-            meta_dirty: true,
-            next_extent: 0,
-            open_extents: HashMap::new(),
-        };
+        // The metadata region also holds the burned list, which the map
+        // does not account: the jukebox's cap is `write_meta`'s, at sync.
+        let map = RelMap::new(0, usize::MAX);
+        let mut mgr = JukeboxManager::with_meta(jukebox, staging, config, map, Default::default());
         mgr.sync()?;
         Ok(mgr)
     }
@@ -532,11 +606,21 @@ impl JukeboxManager {
     ) -> DbResult<JukeboxManager> {
         let meta = read_meta(&staging, 0)?
             .ok_or_else(|| DbError::Corrupt("jukebox staging disk was never formatted".into()))?;
-        let (map, burned, next_extent) = Self::decode_meta(&meta)?;
+        let (map, burned) = Self::decode_meta(&meta)?;
+        Ok(JukeboxManager::with_meta(jukebox, staging, config, map, burned))
+    }
+
+    fn with_meta(
+        jukebox: SharedDevice,
+        staging: SharedDevice,
+        config: JukeboxConfig,
+        map: RelMap,
+        burned: std::collections::HashSet<u64>,
+    ) -> JukeboxManager {
         let free_staging = (META_BLOCKS..META_BLOCKS + config.cache_blocks)
             .rev()
             .collect();
-        Ok(JukeboxManager {
+        JukeboxManager {
             jukebox,
             staging,
             config,
@@ -546,14 +630,11 @@ impl JukeboxManager {
             lru: std::collections::VecDeque::new(),
             free_staging,
             meta_dirty: false,
-            next_extent,
-            open_extents: HashMap::new(),
-        })
+        }
     }
 
     fn encode_meta(&self) -> Vec<u8> {
         let mut out = self.map.encode();
-        out.extend_from_slice(&self.next_extent.to_le_bytes());
         out.extend_from_slice(&(self.burned.len() as u64).to_le_bytes());
         let mut burned: Vec<_> = self.burned.iter().copied().collect();
         burned.sort_unstable();
@@ -563,39 +644,17 @@ impl JukeboxManager {
         out
     }
 
-    fn decode_meta(buf: &[u8]) -> DbResult<(RelMap, std::collections::HashSet<u64>, u64)> {
-        let map = RelMap::decode(buf)?;
-        // Re-encode to find where the RelMap ended.
-        let map_len = map.encode().len();
+    fn decode_meta(buf: &[u8]) -> DbResult<(RelMap, std::collections::HashSet<u64>)> {
+        let map = RelMap::decode(buf, usize::MAX)?;
         let corrupt = || DbError::Corrupt("truncated jukebox metadata".into());
-        let rest = buf.get(map_len..).ok_or_else(corrupt)?;
+        let rest = buf.get(map.encoded_len..).ok_or_else(corrupt)?;
         let mut cur = Cursor { buf: rest, pos: 0 };
-        let next_extent = cur.u64()?;
         let n = cur.u64()? as usize;
         let mut burned = std::collections::HashSet::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             burned.insert(cur.u64()?);
         }
-        Ok((map, burned, next_extent))
-    }
-
-    /// Allocates a fresh physical platter block for `rel`, extent-wise.
-    fn alloc_physical(&mut self, rel: RelId) -> DbResult<u64> {
-        let extent_pages = self.config.extent_pages;
-        if let Some((first, used)) = self.open_extents.get_mut(&rel) {
-            if *used < extent_pages {
-                let phys = *first + *used;
-                *used += 1;
-                return Ok(phys);
-            }
-        }
-        let first = self.next_extent * extent_pages;
-        if first + extent_pages > self.jukebox.lock().nblocks() {
-            return Err(DbError::Device(DevError::NoSpace));
-        }
-        self.next_extent += 1;
-        self.open_extents.insert(rel, (first, 1));
-        Ok(first)
+        Ok((map, burned))
     }
 
     fn touch_lru(&mut self, phys: u64) {
@@ -624,16 +683,29 @@ impl JukeboxManager {
         Ok(slot)
     }
 
-    /// Writes a staged block to its platter location (consuming write-once
-    /// budget for that physical block).
-    fn burn(&mut self, phys: u64, staging_slot: u64) -> DbResult<()> {
-        let bs = self.jukebox.lock().block_size();
-        let mut buf = vec![0u8; bs];
+    /// Writes a staged block to the platter (consuming write-once budget)
+    /// and returns where it went. A block already burned was rewritten
+    /// since: burning the same spot again would violate write-once, so its
+    /// logical block moves to fresh platter space first. A rewritten block
+    /// no relation holds any more is not burned.
+    fn burn(&mut self, phys: u64, staging_slot: u64) -> DbResult<u64> {
+        let target = if self.burned.contains(&phys) {
+            let Some((rel, idx)) = self.map.rels.iter().find_map(|(&r, blocks)| {
+                blocks.iter().position(|&p| p == phys).map(|i| (r, i as u64))
+            }) else {
+                return Ok(phys);
+            };
+            let platter_blocks = self.jukebox.lock().nblocks();
+            self.map.remap(rel, idx, self.config.extent_pages, platter_blocks)?
+        } else {
+            phys
+        };
+        let mut buf = vec![0u8; self.jukebox.lock().block_size()];
         self.staging.lock().read_block(staging_slot, &mut buf)?;
-        self.jukebox.lock().write_block(phys, &buf)?;
-        self.burned.insert(phys);
+        self.jukebox.lock().write_block(target, &buf)?;
+        self.burned.insert(target);
         self.meta_dirty = true;
-        Ok(())
+        Ok(target)
     }
 }
 
@@ -643,22 +715,11 @@ impl DeviceManager for JukeboxManager {
     }
 
     fn create_rel(&mut self, rel: RelId) -> DbResult<()> {
-        if self.map.rels.contains_key(&rel) {
-            return Err(DbError::AlreadyExists(format!("relation {rel}")));
-        }
-        self.map.rels.insert(rel, Vec::new());
-        self.meta_dirty = true;
-        Ok(())
+        self.map.create(rel)
     }
 
     fn drop_rel(&mut self, rel: RelId) -> DbResult<()> {
-        self.map
-            .rels
-            .remove(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        self.open_extents.remove(&rel);
-        self.meta_dirty = true;
-        Ok(())
+        self.map.drop(rel)
     }
 
     fn has_rel(&self, rel: RelId) -> bool {
@@ -666,45 +727,17 @@ impl DeviceManager for JukeboxManager {
     }
 
     fn nblocks(&self, rel: RelId) -> DbResult<u64> {
-        Ok(self
-            .map
-            .rels
-            .get(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?
-            .len() as u64)
+        Ok(self.map.blocks(rel)?.len() as u64)
     }
 
-    fn extend(&mut self, rel: RelId, page: &[u8]) -> DbResult<u64> {
-        if !self.map.rels.contains_key(&rel) {
-            return Err(DbError::NotFound(format!("relation {rel}")));
-        }
-        let phys = self.alloc_physical(rel)?;
-        let slot = self.grab_staging_slot()?;
-        self.staging.lock().write_block(slot, page)?;
-        self.cache.insert(phys, (slot, StageState::Dirty));
-        self.touch_lru(phys);
-        let blocks = self
-            .map
-            .rels
-            .get_mut(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        blocks.push(phys);
-        self.meta_dirty = true;
-        Ok(blocks.len() as u64 - 1)
+    /// The block is staged (dirty) by its first [`DeviceManager::write`];
+    /// until then it is platter space only.
+    fn extend_blank(&mut self, rel: RelId) -> DbResult<u64> {
+        self.map.grow(rel, self.config.extent_pages, self.jukebox.lock().nblocks())
     }
 
     fn read(&mut self, rel: RelId, blkno: u64, buf: &mut [u8]) -> DbResult<()> {
-        let blocks = self
-            .map
-            .rels
-            .get(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        let phys = *blocks
-            .get(blkno as usize)
-            .ok_or(DbError::Device(DevError::OutOfRange {
-                blkno,
-                nblocks: blocks.len() as u64,
-            }))?;
+        let phys = self.map.physical(rel, blkno)?;
         if let Some(&(slot, _)) = self.cache.get(&phys) {
             self.staging.lock().read_block(slot, buf)?;
             self.touch_lru(phys);
@@ -719,62 +752,21 @@ impl DeviceManager for JukeboxManager {
         Ok(())
     }
 
+    /// A block already burned is staged like any other: its burn moves it.
     fn write(&mut self, rel: RelId, blkno: u64, buf: &[u8]) -> DbResult<()> {
-        let blocks = self
-            .map
-            .rels
-            .get(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        let phys = *blocks
-            .get(blkno as usize)
-            .ok_or(DbError::Device(DevError::OutOfRange {
-                blkno,
-                nblocks: blocks.len() as u64,
-            }))?;
-        if self.burned.contains(&phys) && !self.cache.contains_key(&phys) {
-            // Write-once medium: remap the logical block to fresh platter
-            // space; the old copy remains burned forever (and remains
-            // reachable by any as-of reader holding the old map — the vacuum
-            // archiver is the intended writer here, so in practice this path
-            // handles metadata-style rewrites).
-            let new_phys = self.alloc_physical(rel)?;
-            let blocks = self
-                .map
-                .rels
-                .get_mut(&rel)
-                .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-            blocks[blkno as usize] = new_phys;
-            let slot = self.grab_staging_slot()?;
-            self.staging.lock().write_block(slot, buf)?;
-            self.cache.insert(new_phys, (slot, StageState::Dirty));
-            self.touch_lru(new_phys);
-            self.meta_dirty = true;
-            return Ok(());
-        }
-        match self.cache.get(&phys).copied() {
-            Some((slot, _)) => {
-                self.staging.lock().write_block(slot, buf)?;
-                self.cache.insert(phys, (slot, StageState::Dirty));
-                self.touch_lru(phys);
-            }
-            None => {
-                let slot = self.grab_staging_slot()?;
-                self.staging.lock().write_block(slot, buf)?;
-                self.cache.insert(phys, (slot, StageState::Dirty));
-                self.touch_lru(phys);
-            }
-        }
+        let phys = self.map.physical(rel, blkno)?;
+        let slot = match self.cache.get(&phys) {
+            Some(&(slot, _)) => slot,
+            None => self.grab_staging_slot()?,
+        };
+        self.staging.lock().write_block(slot, buf)?;
+        self.cache.insert(phys, (slot, StageState::Dirty));
+        self.touch_lru(phys);
         Ok(())
     }
 
     fn truncate(&mut self, rel: RelId) -> DbResult<()> {
-        let blocks = self
-            .map
-            .rels
-            .get_mut(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        let dropped: Vec<u64> = std::mem::take(blocks);
-        for phys in dropped {
+        for phys in self.map.truncate(rel)? {
             if let Some((slot, _)) = self.cache.remove(&phys) {
                 self.free_staging.push(slot);
                 if let Some(pos) = self.lru.iter().position(|&p| p == phys) {
@@ -782,8 +774,6 @@ impl DeviceManager for JukeboxManager {
                 }
             }
         }
-        self.open_extents.remove(&rel);
-        self.meta_dirty = true;
         Ok(())
     }
 
@@ -797,41 +787,25 @@ impl DeviceManager for JukeboxManager {
             .map(|(&phys, &(slot, _))| (phys, slot))
             .collect();
         for (phys, slot) in dirty {
-            // A dirty staged copy of an already-burned block means the page
-            // was rewritten after its platter copy was burned. Burning the
-            // same spot again would violate write-once, so remap the
-            // logical block to fresh platter space and burn there.
-            let target = if self.burned.contains(&phys) {
-                let Some((rel, idx)) = self.map.rels.iter().find_map(|(&r, blocks)| {
-                    blocks.iter().position(|&p| p == phys).map(|i| (r, i))
-                }) else {
-                    continue; // Orphaned staged block (relation dropped).
-                };
-                let new_phys = self.alloc_physical(rel)?;
-                if let Some(blocks) = self.map.rels.get_mut(&rel) {
-                    blocks[idx] = new_phys;
-                }
-                self.meta_dirty = true;
+            let target = self.burn(phys, slot)?;
+            if target != phys {
                 if let Some(e) = self.cache.remove(&phys) {
-                    self.cache.insert(new_phys, e);
+                    self.cache.insert(target, e);
                 }
                 for p in &mut self.lru {
                     if *p == phys {
-                        *p = new_phys;
+                        *p = target;
                     }
                 }
-                new_phys
-            } else {
-                phys
-            };
-            self.burn(target, slot)?;
+            }
             if let Some(e) = self.cache.get_mut(&target) {
                 e.1 = StageState::Clean;
             }
         }
-        if self.meta_dirty {
+        if self.meta_dirty || self.map.dirty {
             write_meta(&self.staging, 0, &self.encode_meta())?;
             self.meta_dirty = false;
+            self.map.persisted();
         }
         self.staging.lock().sync()?;
         self.jukebox.lock().sync()?;
@@ -839,7 +813,7 @@ impl DeviceManager for JukeboxManager {
     }
 
     fn relations(&self) -> Vec<RelId> {
-        self.map.rels.keys().copied().collect()
+        self.map.relations()
     }
 }
 
@@ -1047,18 +1021,12 @@ impl Smgr {
         self.accounted(dev, PageIo::Write, || self.with(dev, |m| m.extend_blank(rel)))
     }
 
-    /// Syncs every registered device (checkpoint and shutdown).
+    /// Syncs every registered device (checkpoint, vacuum and shutdown).
+    /// With the scheduler on each is a *queue barrier* first: every write
+    /// submitted before this call reaches the device before the manager
+    /// `sync()` runs.
     pub fn sync_all(&self) -> DbResult<()> {
-        let devs = self.devices();
-        self.sync_devices(&devs)
-    }
-
-    /// Syncs exactly the listed devices. `devs` should be deduplicated by
-    /// the caller; unknown ids are an error. With the
-    /// scheduler on this is a *queue barrier* first: every write submitted
-    /// before this call reaches the device before the manager `sync()` runs.
-    pub fn sync_devices(&self, devs: &[DeviceId]) -> DbResult<()> {
-        for &dev in devs {
+        for dev in self.devices() {
             if let Some(q) = self.io_queue(dev) {
                 q.barrier()?;
             }
@@ -1262,6 +1230,24 @@ mod tests {
     }
 
     #[test]
+    fn jukebox_rewrite_of_a_staged_burned_block_remaps_when_evicted() {
+        let mut m = jukebox_mgr(2);
+        let rel = Oid(9);
+        m.create_rel(rel).unwrap();
+        m.extend(rel, &page_of(1)).unwrap();
+        m.sync().unwrap(); // Burns block 0, which stays staged, clean.
+        m.write(rel, 0, &page_of(2)).unwrap();
+        for i in 0..3 {
+            // Evicts the rewritten block: burning it in place would violate
+            // write-once (the parent failed here).
+            m.extend(rel, &page_of(10 + i)).unwrap();
+        }
+        let mut buf = page_of(0);
+        m.read(rel, 0, &mut buf).unwrap();
+        assert_eq!(buf, page_of(2));
+    }
+
+    #[test]
     fn jukebox_metadata_survives_reattach() {
         let clock = SimClock::new();
         let jb = shared_device(OpticalJukebox::new(
@@ -1341,15 +1327,68 @@ mod tests {
 
     #[test]
     fn relmap_encoding_roundtrips() {
-        let mut map = RelMap {
-            next_free: 99,
-            rels: HashMap::new(),
-        };
-        map.rels.insert(Oid(1), vec![64, 65, 70]);
-        map.rels.insert(Oid(2), vec![]);
-        let dec = RelMap::decode(&map.encode()).unwrap();
-        assert_eq!(dec.next_free, 99);
+        let mut map = RelMap::new(64, usize::MAX);
+        map.create(Oid(1)).unwrap();
+        map.create(Oid(2)).unwrap();
+        for rel in [1, 1, 2, 1, 1] {
+            map.grow(Oid(rel), 2, 1000).unwrap(); // Extents of two.
+        }
+        map.remap(Oid(1), 3, 2, 1000).unwrap();
+        assert_eq!(map.rels[&Oid(1)], [64, 65, 68, 70]);
+        assert_eq!(map.encoded_len, map.encode().len());
+        let dec = RelMap::decode(&map.encode(), usize::MAX).unwrap();
+        assert_eq!(dec.next_free, 72);
         assert_eq!(dec.rels, map.rels);
-        assert!(RelMap::decode(&[1, 2, 3]).is_err());
+        assert_eq!(dec.encoded_len, map.encoded_len);
+        map.truncate(Oid(1)).unwrap();
+        map.drop(Oid(2)).unwrap();
+        assert_eq!(map.encoded_len, map.encode().len());
+        assert!(RelMap::decode(&[1, 2, 3], usize::MAX).is_err());
+    }
+
+    #[test]
+    fn growth_into_an_extent_claimed_before_the_sync_owes_recovery_a_run() {
+        let mut map = RelMap::new(64, usize::MAX);
+        let owed = |map: &RelMap| map.grown.values().filter(|&&paid| !paid).count();
+        map.create(Oid(1)).unwrap();
+        map.grow(Oid(1), 16, 1000).unwrap(); // Claims an extent: a new run.
+        map.persisted();
+        let len = map.encoded_len;
+        for _ in 0..3 {
+            // The same extent: the map does not grow, but recovery, which
+            // does not know the extent, would cover these with a run.
+            map.grow(Oid(1), 16, 1000).unwrap();
+            assert_eq!((map.encoded_len, owed(&map)), (len, 1));
+        }
+        map.persisted();
+        assert_eq!(owed(&map), 0);
+    }
+
+    #[test]
+    fn a_map_that_would_outgrow_its_region_is_refused_up_front() {
+        let mut m = disk_mgr();
+        let mut created = 0u32;
+        let refused = loop {
+            match m.create_rel(Oid(created)) {
+                Ok(()) => created += 1,
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            matches!(refused, DbError::Device(DevError::NoSpace)),
+            "{refused}"
+        );
+        let room = meta_capacity(simdev::BLOCK_SIZE) - MAP_HEADER_BYTES;
+        assert_eq!(created as usize, room / REL_BYTES);
+        // A block that starts a run is refused too; the map still persists.
+        m.drop_rel(Oid(0)).unwrap();
+        m.create_rel(Oid(0)).unwrap();
+        assert!(matches!(
+            m.extend_blank(Oid(0)),
+            Err(DbError::Device(DevError::NoSpace))
+        ));
+        m.sync().unwrap();
+        let reattached = GenericManager::attach(m.dev.clone()).unwrap();
+        assert_eq!(reattached.relations().len(), created as usize);
     }
 }

@@ -21,7 +21,7 @@
 //!   persistence) only in `minidb/src/smgr.rs`.
 //! * `wal-force-site` — `.force_up_to(` only in `wal.rs`, the buffer
 //!   manager's `force_wal_for` and `db.rs`'s commit; `.flush_rel(` only in
-//!   `db.rs` behind the `eager_index_writes` test or an unlogged build.
+//!   `db.rs` behind the `eager_index_writes` test.
 
 mod rules;
 mod scrub;

@@ -194,8 +194,7 @@ pub fn meta_blob_sites(file: &str, text: &str) -> Vec<Violation> {
 /// `buffer.rs::force_wal_for` and in `db.rs::commit_written`; `.flush_rel(`
 /// (a writeback, hence a force, per dirty page of one relation) only in
 /// `db.rs`, in a function that tests `eager_index_writes` (the POSTGRES
-/// 4.0.1 emulation) or builds through an unlogged handle (`wal: None`:
-/// pages with no LSN, nothing to force).
+/// 4.0.1 emulation).
 pub fn wal_force_sites(file: &str, text: &str) -> Vec<Violation> {
     let b = text.as_bytes();
     let in_file = |name: &str| file.ends_with(&format!("minidb/src/{name}"));
@@ -217,10 +216,7 @@ pub fn wal_force_sites(file: &str, text: &str) -> Vec<Violation> {
                     || (in_file("buffer.rs") && fn_name == "force_wal_for")
                     || (in_file("db.rs") && fn_name == "commit_written")
             }
-            "flush_rel" => {
-                in_file("db.rs")
-                    && (body.contains("eager_index_writes") || body.contains("wal: None"))
-            }
+            "flush_rel" => in_file("db.rs") && body.contains("eager_index_writes"),
             _ => false,
         };
         for callee in ["force_up_to", "flush_rel"] {
@@ -424,8 +420,10 @@ mod tests {
         // A flush of one relation's pages forces per page: emulation only.
         let eager = "fn insert(&mut self) { if self.config.eager_index_writes { pool.flush_rel(smgr, idx)?; } }";
         assert_eq!(forces("crates/minidb/src/db.rs", eager), 0);
+        // An index build is logged like any insert: its row's commit makes
+        // it durable, and no unlogged handle excuses a flush.
         let unlogged = "fn build_index(&self) { let bt = BTree { wal: None }; self.pool.flush_rel(smgr, id)?; }";
-        assert_eq!(forces("crates/minidb/src/db.rs", unlogged), 0);
+        assert_eq!(forces("crates/minidb/src/db.rs", unlogged), 1);
         let bare = "fn insert(&mut self) { pool.flush_rel(smgr, idx)?; }";
         assert_eq!(forces("crates/minidb/src/db.rs", bare), 1);
         assert_eq!(forces("crates/minidb/src/vacuum.rs", eager), 1);

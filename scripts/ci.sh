@@ -39,6 +39,9 @@ cargo test --release -q --test properties
 echo "== scale: 6 000 files, past the old one-blob catalog's ceiling =="
 cargo test --release -q --test scale endurance_six_thousand_files -- --ignored
 
+echo "== scale: files until the relation map is full; a crash there recovers =="
+cargo test --release -q --test scale creating_files_until_the_relation_map_is_full -- --ignored
+
 echo "== version chains: a probe costs the same after 1, 10 and 100 overwrites =="
 cargo test --release -q --test version_chains
 

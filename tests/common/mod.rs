@@ -188,9 +188,10 @@ pub struct Probe {
     pub hold_sync: AtomicBool,
 }
 
-/// A log-sized disk that counts its writes and syncs and whose `sync`
-/// blocks the caller for `sync_delay` of *wall* time, as a real fsync
-/// does. The log device is not behind the storage manager, so
+/// A disk that counts its writes and syncs and whose `sync` blocks the
+/// caller for `sync_delay` of *wall* time, as a real fsync does: a log
+/// device, or a data device seen below its manager's metadata writes. The
+/// log device is not behind the storage manager, so
 /// `pg_stat_device` does not see it; and the simulated disks only advance
 /// the virtual clock, which gives concurrent committers no interval to
 /// pile up in.
@@ -203,9 +204,18 @@ pub struct ProbedDisk {
 #[allow(dead_code)]
 impl ProbedDisk {
     pub fn log(clock: &SimClock, sync_delay: Duration) -> (SharedDevice, Arc<Probe>) {
+        Self::probed("log", clock, 1 << 12, sync_delay)
+    }
+
+    /// A data-sized probed disk whose `sync` costs no wall time.
+    pub fn data(clock: &SimClock) -> (SharedDevice, Arc<Probe>) {
+        Self::probed("data", clock, 1 << 16, Duration::ZERO)
+    }
+
+    fn probed(name: &str, clock: &SimClock, nblocks: u64, sync_delay: Duration) -> (SharedDevice, Arc<Probe>) {
         let probe = Arc::new(Probe::default());
         let disk = ProbedDisk {
-            inner: MagneticDisk::new("log", clock.clone(), DiskProfile::tiny_for_tests(1 << 12)),
+            inner: MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(nblocks)),
             probe: Arc::clone(&probe),
             sync_delay,
         };

@@ -109,6 +109,46 @@ fn the_write_through_emulation_writes_the_index_on_every_insert() {
     s.commit().unwrap();
 }
 
+/// A new relation is made durable by its row's commit force and nothing
+/// else. With no checkpoint in the window, creating a table and building an
+/// index over rows writes and syncs nothing on the data device, and the log
+/// device syncs once per DDL commit. (The parent rewrote and synced the
+/// device's relation map at every create, and flushed and synced the index
+/// after its unlogged build.)
+#[test]
+fn ddl_is_log_appends_and_one_force_per_commit() {
+    let mut devices = Devices::new();
+    let (log, log_probe) = ProbedDisk::log(&devices.clock, Duration::ZERO);
+    let (data, data_probe) = ProbedDisk::data(&devices.clock);
+    (devices.log, devices.data) = (log, data);
+    let db = devices.format_with(DbConfig {
+        checkpoint_interval: SimDuration::ZERO,
+        ..DbConfig::default()
+    });
+    let t = db
+        .create_table("t", Schema::new([("k", TypeId::INT4), ("v", TypeId::TEXT)]))
+        .unwrap();
+    let mut s = db.begin().unwrap();
+    for k in 0..500 {
+        s.insert(t, row(k)).unwrap();
+    }
+    s.commit().unwrap();
+    db.checkpoint().unwrap();
+
+    let before = db.stats();
+    let data_io = || (data_probe.writes.load(SeqCst), data_probe.syncs.load(SeqCst));
+    let (data_before, syncs) = (data_io(), log_syncs(&log_probe));
+    db.create_table("u", Schema::new([("k", TypeId::INT4)])).unwrap();
+    let idx = db.create_index("t_k", t, &["k"]).unwrap();
+    let d = db.stats().delta(&before);
+    assert_eq!(d.wal.checkpoints, 0, "a checkpoint ran inside the window");
+    assert_eq!(data_io(), data_before, "the data device saw a write or a sync");
+    assert_eq!(d.xact.commits, 2, "one commit per DDL");
+    assert_eq!(log_syncs(&log_probe), syncs + 2, "and one log force per commit");
+    assert_eq!(d.wal.forces_commit, 2);
+    assert!(db.relation_pages(idx).unwrap() > 1, "the build split its root");
+}
+
 /// A megabyte of log appended by one transaction stays in memory — no
 /// inline force however large the tail grows — until the commit writes it
 /// in one force; and all of it is there after a crash.

@@ -428,41 +428,190 @@ fn a_torn_catalog_destage_under_create_index_loses_nothing() {
     assert_clean(&db);
 }
 
+/// The relations the data device's map lists, as last synced.
+fn on_device(rig: &common::CrashRig) -> Vec<minidb::RelId> {
+    use minidb::smgr::DeviceManager;
+    let mut rels = minidb::GenericManager::attach(rig.data.clone()).unwrap().relations();
+    rels.sort();
+    rels
+}
+
 #[test]
 fn storage_a_crash_left_without_a_row_is_released_on_reopening() {
     let rig = common::CrashRig::new();
     let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
     let keep = db.create_table("keep", int_table()).unwrap();
     insert_ints(&db, keep, 0..10);
-    db.create_table("gone", int_table()).unwrap();
+    let gone = db.create_table("gone", int_table()).unwrap();
+    insert_ints(&db, gone, 0..10);
     db.flush_caches().unwrap();
-    // A create caught between its device step (done, synced) and its
-    // commit: the log force fails.
+    // A create whose row never commits: the log force fails, after the
+    // index's storage was registered and its build logged. The next commit
+    // carries those records to the device, with the abort behind them.
     rig.log_faults.fail_after_writes(0);
-    assert!(db.create_table("half_made", int_table()).is_err());
+    assert!(db.create_index("half_made", keep, &["v"]).is_err());
     rig.log_faults.clear_write_fault();
     assert!(db.relation_id("half_made").is_err(), "a failed create is taken back");
-    // A drop caught between its commit and the device step: the row is
+    // A drop caught between its commit and the next checkpoint: the row is
     // gone for good, the device's map still lists the relation.
     db.drop_relation("gone").unwrap();
     rig.crash(db);
+    assert_eq!(on_device(&rig), [keep, gone]);
 
-    let on_device = |rig: &common::CrashRig| {
-        use minidb::smgr::DeviceManager;
-        minidb::GenericManager::attach(rig.data.clone()).unwrap().relations().len()
-    };
-    let before = on_device(&rig);
     let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
     assert!(db.relation_id("half_made").is_err() && db.relation_id("gone").is_err());
     assert_clean(&db);
     assert_eq!(ints_of(&db, keep), (0..10).collect::<Vec<i64>>());
+    assert_eq!(db.find_index(keep, &[0]), None);
+    db.checkpoint().unwrap();
+    assert_eq!(on_device(&rig), [keep], "neither leftover is on the device");
     for name in ["half_made", "gone"] {
         db.create_table(name, int_table()).expect("the name is free");
     }
-    db.drop_relation("half_made").unwrap();
-    db.drop_relation("gone").unwrap();
+    assert_clean(&db);
+}
+
+/// Pages born since the last checkpoint have no block on the device's
+/// synced map, and open extents are not persisted: reopening hands them
+/// blocks from the checkpointed `next_free` on, where evictions before the
+/// crash may have written other relations' newer pages. Four tables grow
+/// in turns through a 32-frame pool with nothing cached in front of the
+/// data device, so those evictions survive the crash. The parent gave each
+/// such page a blank block, read another table's page there, and its LSN
+/// gate skipped every record of the page being rebuilt (`t0` came back
+/// without rows 0–55, among others).
+#[test]
+fn pages_born_after_the_checkpoint_replay_onto_blocks_of_their_own() {
+    let devices = Devices::new();
+    let db = devices.format_with(minidb::DbConfig {
+        buffers: 32,
+        ..no_timed_checkpoints()
+    });
+    let schema = || Schema::new([("k", TypeId::INT4), ("pad", TypeId::TEXT)]);
+    let tables: Vec<minidb::RelId> =
+        (0..4).map(|t| db.create_table(&format!("t{t}"), schema()).unwrap()).collect();
     db.flush_caches().unwrap();
-    assert_eq!(on_device(&rig), before - 2, "both leftovers were on the device, and went");
+    let pad = "p".repeat(1000);
+    for round in 0..40 {
+        for &t in &tables {
+            let mut s = db.begin().unwrap();
+            for k in round * 8..(round + 1) * 8 {
+                s.insert(t, vec![Datum::Int4(k), Datum::Text(pad.clone())]).unwrap();
+            }
+            s.commit().unwrap();
+        }
+    }
+    db.simulate_crash();
+    drop(db);
+
+    let db = devices.recover();
+    for (i, &t) in tables.iter().enumerate() {
+        assert_eq!(ints_of(&db, t), (0..320).collect::<Vec<i64>>(), "t{i}");
+    }
+    assert_clean(&db);
+}
+
+/// A committed empty table and a committed index over rows, with no
+/// checkpoint since: the device's map has never heard of either, and the
+/// log is all there is of them. With `torn_tail`, a further transaction's
+/// commit force dies after its first block.
+fn ddl_since_the_last_checkpoint_survives_a_crash(torn_tail: bool) {
+    let rig = common::CrashRig::new();
+    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let t = db.create_table("t", int_table()).unwrap();
+    insert_ints(&db, t, 0..300);
+    db.flush_caches().unwrap();
+    let empty = db.create_table("empty", int_table()).unwrap();
+    let idx = db.create_index("t_v", t, &["v"]).unwrap();
+    if torn_tail {
+        let mut s = db.begin().unwrap();
+        for v in 300..600 {
+            s.insert(t, vec![Datum::Int4(v)]).unwrap();
+        }
+        rig.log_faults.fail_after_writes(1);
+        assert!(s.commit().is_err(), "the commit force is torn");
+        rig.log_faults.clear_write_fault();
+    }
+    rig.crash(db);
+    assert_eq!(on_device(&rig), [t], "only the log knows the new relations");
+
+    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    assert_clean(&db);
+    assert_eq!(db.relation_id("empty").unwrap(), empty);
+    assert!(ints_of(&db, empty).is_empty());
+    assert_eq!(db.find_index(t, &[0]), Some(idx));
+    let mut s = db.begin().unwrap();
+    for v in 0..600 {
+        let hits = s.index_scan_eq(idx, &[Datum::Int4(v)]).unwrap().len();
+        assert_eq!(hits, usize::from(v < 300), "key {v}");
+    }
+    s.commit().unwrap();
+    insert_ints(&db, empty, 0..10);
+    insert_ints(&db, t, 1000..1010);
+    db.checkpoint().unwrap();
+    assert_eq!(on_device(&rig), [t, empty, idx]);
+    assert_clean(&db);
+}
+
+#[test]
+fn ddl_since_the_last_checkpoint_is_recovered_from_the_log() {
+    ddl_since_the_last_checkpoint_survives_a_crash(false);
+}
+
+#[test]
+fn ddl_since_the_last_checkpoint_is_recovered_under_a_torn_log_tail() {
+    ddl_since_the_last_checkpoint_survives_a_crash(true);
+}
+
+/// An index built over rows whose `pg_class` row never commits: its log
+/// force fails outright and a later commit carries the build's records to
+/// the device (`torn: false`), or the force dies partway (`torn: true`),
+/// among the build's page records. Either way the crash finds logged pages
+/// of a relation no row names; reopening must not bring it back.
+fn an_index_whose_row_never_committed_leaves_no_storage(torn: bool) {
+    let rig = common::CrashRig::new();
+    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let t = db.create_table("t", int_table()).unwrap();
+    insert_ints(&db, t, 0..3000);
+    db.flush_caches().unwrap();
+    let before = db.stats();
+    rig.log_faults.fail_after_writes(if torn { 2 } else { 0 });
+    assert!(db.create_index("t_v", t, &["v"]).is_err());
+    rig.log_faults.clear_write_fault();
+    assert!(db.stats().delta(&before).wal.records_appended > 100, "the build was logged");
+    if !torn {
+        insert_ints(&db, t, 3000..3001);
+    }
+    rig.crash(db);
+
+    let (_, records) = minidb::Wal::recover(rig.log.clone(), Default::default()).unwrap();
+    let stray = records
+        .iter()
+        .filter_map(|(_, rec)| rec.page_addr())
+        .filter(|&(_, rel, _)| rel != t && !minidb::catalog::Catalog::is_system(rel))
+        .count();
+    assert!(stray > 0, "the log holds pages of the index");
+    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    assert!(db.relation_id("t_v").is_err());
+    assert_eq!(db.find_index(t, &[0]), None);
+    assert_clean(&db);
+    db.checkpoint().unwrap();
+    assert_eq!(on_device(&rig), [t], "no storage came back for it");
+    let idx = db.create_index("t_v", t, &["v"]).expect("the name is free");
+    let mut s = db.begin().unwrap();
+    assert_eq!(s.index_scan_eq(idx, &[Datum::Int4(2999)]).unwrap().len(), 1);
+    s.commit().unwrap();
+    assert_clean(&db);
+}
+
+#[test]
+fn an_index_whose_row_never_committed_is_released_on_reopening() {
+    an_index_whose_row_never_committed_leaves_no_storage(false);
+}
+
+#[test]
+fn an_index_whose_row_never_committed_is_released_under_a_torn_log_tail() {
+    an_index_whose_row_never_committed_leaves_no_storage(true);
 }
 
 #[test]

@@ -151,21 +151,29 @@ fn endurance_large_file() {
     assert_eq!(c.p_stat("/huge", None).unwrap().size as usize, size);
 }
 
-#[test]
-#[ignore = "long-running: 6 000 files, past the 5 491 the one-blob catalog could hold"]
-fn endurance_six_thousand_files() {
-    // Stay under ~7 000: each device's relation map is still one blob with
-    // the catalog's old 63-block cap, at ~36 bytes per relation.
+/// Devices whose data disk has room for more files than its relation map.
+fn big_data_disk() -> Devices {
     let small = Devices::new();
-    let devices = Devices {
+    Devices {
         data: minidb::shared_device(simdev::MagneticDisk::new(
             "data",
             small.clock.clone(),
             simdev::DiskProfile::tiny_for_tests(1 << 18),
         )),
         ..small
-    };
-    let name = |i: usize| format!("/f{i:05}");
+    }
+}
+
+fn name(i: usize) -> String {
+    format!("/f{i:05}")
+}
+
+#[test]
+#[ignore = "long-running: 6 000 files, past the 5 491 the one-blob catalog could hold"]
+fn endurance_six_thousand_files() {
+    // Stay under ~7 000: each device's relation map is still one blob with
+    // the catalog's old 63-block cap, at ~36 bytes per relation.
+    let devices = big_data_disk();
     {
         let fs = InversionFs::format(devices.format()).unwrap();
         let mut c = fs.client();
@@ -187,4 +195,46 @@ fn endurance_six_thousand_files() {
     for i in (0..6000).step_by(120) {
         assert_eq!(c.read_to_vec(&name(i), None).unwrap(), [i as u8], "file {i}");
     }
+}
+
+/// Files `creating_files_until_the_relation_map_is_full` makes before the
+/// refusal: the parent's 7 161, when the map was synced at every create,
+/// less one — the room kept for the runs recovery adds back for relations
+/// that grew since the last checkpoint, without which reopening this
+/// database failed with `device full`.
+const FILES_THE_RELATION_MAP_HOLDS: usize = 7160;
+
+/// A device's relation map is still one blob in its 63-block metadata
+/// region, written at checkpoints. The create that would outgrow it is
+/// refused there and then, with `device full`, and a crash at that moment
+/// recovers: the map recovery rebuilds from the log fits the region, and
+/// its first checkpoint writes it.
+#[test]
+#[ignore = "long-running: creates files until the device's relation map is full"]
+fn creating_files_until_the_relation_map_is_full() {
+    let devices = big_data_disk();
+    {
+        let fs = InversionFs::format(devices.format()).unwrap();
+        let mut c = fs.client();
+        let mut made = 0;
+        let refused = loop {
+            match c.write_all(&name(made), CreateMode::default(), &[made as u8]) {
+                Ok(()) => made += 1,
+                Err(e) => break e,
+            }
+        };
+        assert!(refused.to_string().contains("device full"), "file {}: {refused}", made + 1);
+        assert_eq!(made, FILES_THE_RELATION_MAP_HOLDS);
+        fs.db().simulate_crash();
+    }
+    let fs = InversionFs::attach(devices.recover()).unwrap();
+    let mut c = fs.client();
+    let listed: Vec<String> = c.p_readdir("/", None).unwrap().into_iter().map(|(n, _)| n).collect();
+    let want: Vec<String> = (0..FILES_THE_RELATION_MAP_HOLDS).map(|i| name(i)[1..].to_string()).collect();
+    assert_eq!(listed, want);
+    fs.db().checkpoint().expect("the recovered map fits its region");
+    assert!(fs.db().check_all().is_empty(), "{:?}", fs.db().check_all());
+    assert!(fs.check().is_empty(), "{:?}", fs.check());
+    let again = c.write_all("/one_more", CreateMode::default(), b"x").unwrap_err();
+    assert!(again.to_string().contains("device full"), "{again}");
 }
