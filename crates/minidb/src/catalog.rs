@@ -141,11 +141,6 @@ pub const PG_PROC: RelId = Oid(3);
 /// See [`PG_CLASS`].
 pub const PG_RULE: RelId = Oid(4);
 
-/// `relkind` of the `pg_class` rows that carry a durable oid-allocation
-/// ceiling in their `oid` column (POSTGRES keeps sequences in `pg_class` the
-/// same way). Not relations: the loader folds them into the allocator.
-const OID_CEILING_KIND: &str = "s";
-
 /// Columns of a `pg_class` row.
 const PG_CLASS_WIDTH: usize = 10;
 
@@ -376,12 +371,6 @@ impl RuleEntry {
 /// The catalog proper: the in-memory cache of the four system relations.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    /// Next oid to hand out; only ever below `oid_ceiling`.
-    next_oid: u32,
-    /// First oid not covered by a committed ceiling row. A reopened
-    /// database resumes allocation here, so an oid handed out before a
-    /// crash is never handed out again — whatever became of its owner.
-    oid_ceiling: u32,
     relations: HashMap<RelId, RelationEntry>,
     rel_by_name: HashMap<String, RelId>,
     /// Where each user relation's committed `pg_class` row sits: a drop or
@@ -398,23 +387,14 @@ impl Catalog {
     /// relation.
     pub const FIRST_OID: u32 = 1000;
 
-    /// How many oids one committed ceiling row covers: at most this many
-    /// are skipped after a crash.
-    const OID_CEILING_STEP: u32 = 1024;
-
     /// Whether `rel` is one of the bootstrap relations.
     pub fn is_system(rel: RelId) -> bool {
         rel.0 < Self::FIRST_OID
     }
 
-    /// A catalog holding only the bootstrap relations, with no oid
-    /// allocatable until a ceiling has been made durable.
+    /// A catalog holding only the bootstrap relations.
     pub fn new() -> Catalog {
-        let mut cat = Catalog {
-            next_oid: Self::FIRST_OID,
-            oid_ceiling: Self::FIRST_OID,
-            ..Default::default()
-        };
+        let mut cat = Catalog::default();
         for (id, name, schema) in system_relations() {
             cat.add_relation(RelationEntry {
                 id,
@@ -436,15 +416,10 @@ impl Catalog {
     /// (in `pg_class`, `pg_type`, `pg_proc`, `pg_rule` order), as scanned
     /// when a database is reopened.
     pub fn load(&mut self, [class, types, procs, rules]: [Vec<(Tid, Row)>; 4]) -> DbResult<()> {
-        let mut rels = Vec::with_capacity(class.len());
-        for (tid, row) in class {
-            if row.get(2) == Some(&Datum::Text(OID_CEILING_KIND.into())) {
-                self.raise_oid_ceiling(from_row("pg_class", &row, PG_CLASS_WIDTH, |r| r[0].as_oid())?);
-            } else {
-                rels.push((tid, RelationEntry::from_row(&row)?));
-            }
-        }
-        self.next_oid = self.oid_ceiling;
+        let mut rels = class
+            .into_iter()
+            .map(|(tid, row)| Ok((tid, RelationEntry::from_row(&row)?)))
+            .collect::<DbResult<Vec<_>>>()?;
         // A heap's oid is below those of its indices, so in oid order every
         // index finds its heap already present to attach to.
         rels.sort_by_key(|(_, e)| e.id);
@@ -462,36 +437,6 @@ impl Catalog {
             self.define_rule(RuleEntry::from_row(&row)?)?;
         }
         Ok(())
-    }
-
-    /// Allocates a fresh oid, or `None` when the next one is not yet
-    /// covered by the durable ceiling ([`crate::Db::alloc_oid`] raises it).
-    pub fn alloc_oid(&mut self) -> Option<Oid> {
-        (self.next_oid < self.oid_ceiling).then(|| {
-            self.next_oid += 1;
-            Oid(self.next_oid - 1)
-        })
-    }
-
-    /// The ceiling to commit before another oid can be handed out, if the
-    /// current one is used up.
-    pub(crate) fn next_oid_ceiling(&self) -> Option<u32> {
-        (self.next_oid >= self.oid_ceiling).then(|| self.next_oid + Self::OID_CEILING_STEP)
-    }
-
-    /// Takes note of a committed ceiling row; the highest one counts.
-    pub(crate) fn raise_oid_ceiling(&mut self, ceiling: u32) {
-        self.oid_ceiling = self.oid_ceiling.max(ceiling);
-    }
-
-    /// The `pg_class` row announcing that no oid at or above `ceiling` has
-    /// been handed out: an entry's row, of a kind that is not a relation's.
-    pub(crate) fn oid_ceiling_row(ceiling: u32) -> Row {
-        let mut row = vec![Datum::Null; PG_CLASS_WIDTH];
-        row[0] = Datum::Oid(ceiling);
-        row[1] = Datum::Text("pg_oid_ceiling".into());
-        row[2] = Datum::Text(OID_CEILING_KIND.into());
-        row
     }
 
     /// Where `id`'s committed `pg_class` row sits, if it has one.
@@ -747,16 +692,9 @@ impl Catalog {
 mod tests {
     use super::*;
 
-    /// A catalog with oids to hand out, as after the first ceiling raise.
-    fn catalog() -> Catalog {
-        let mut cat = Catalog::new();
-        cat.raise_oid_ceiling(Catalog::FIRST_OID + 100);
-        cat
-    }
-
-    fn heap_entry(cat: &mut Catalog, name: &str) -> RelationEntry {
+    fn heap_entry(id: u32, name: &str) -> RelationEntry {
         RelationEntry {
-            id: cat.alloc_oid().unwrap(),
+            id: Oid(id),
             name: name.into(),
             kind: RelKind::Heap,
             device: DeviceId::DEFAULT,
@@ -768,9 +706,9 @@ mod tests {
         }
     }
 
-    fn index_entry(cat: &mut Catalog, name: &str, table: RelId, cols: &[usize]) -> RelationEntry {
+    fn index_entry(id: u32, name: &str, table: RelId, cols: &[usize]) -> RelationEntry {
         RelationEntry {
-            id: cat.alloc_oid().unwrap(),
+            id: Oid(id),
             name: name.into(),
             kind: RelKind::BTreeIndex,
             device: DeviceId(2),
@@ -787,18 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn oids_are_unique_and_stop_at_the_ceiling() {
-        let mut cat = Catalog::new();
-        assert_eq!(cat.alloc_oid(), None, "nothing durable covers an oid yet");
-        cat.raise_oid_ceiling(Catalog::FIRST_OID + 2);
-        let a = cat.alloc_oid().unwrap();
-        let b = cat.alloc_oid().unwrap();
-        assert_ne!(a, b);
-        assert!(a.0 >= Catalog::FIRST_OID);
-        assert_eq!(cat.alloc_oid(), None);
-    }
-
-    #[test]
     fn bootstrap_relations_are_present() {
         let cat = Catalog::new();
         for (id, name, schema) in system_relations() {
@@ -811,15 +737,15 @@ mod tests {
 
     #[test]
     fn relation_registration_and_lookup() {
-        let mut cat = catalog();
-        let e = heap_entry(&mut cat, "naming");
+        let mut cat = Catalog::new();
+        let e = heap_entry(1000, "naming");
         let id = e.id;
         cat.add_relation(e).unwrap();
         assert_eq!(cat.relation(id).unwrap().name, "naming");
         assert_eq!(cat.relation_by_name("naming").unwrap().id, id);
         assert!(cat.relation_by_name("nope").is_err());
         // Duplicate name rejected.
-        let dup = heap_entry(&mut cat, "naming");
+        let dup = heap_entry(1001, "naming");
         assert!(matches!(
             cat.add_relation(dup),
             Err(DbError::AlreadyExists(_))
@@ -828,11 +754,11 @@ mod tests {
 
     #[test]
     fn an_index_attaches_to_its_heap_and_detaches_on_removal() {
-        let mut cat = catalog();
-        let table = heap_entry(&mut cat, "t");
+        let mut cat = Catalog::new();
+        let table = heap_entry(1000, "t");
         let tid = table.id;
         cat.add_relation(table).unwrap();
-        let idx = index_entry(&mut cat, "t_idx", tid, &[0]);
+        let idx = index_entry(1001, "t_idx", tid, &[0]);
         let idx_id = idx.id;
         cat.add_relation(idx).unwrap();
         assert_eq!(cat.relation(tid).unwrap().indexes, vec![idx_id]);
@@ -843,9 +769,9 @@ mod tests {
 
     #[test]
     fn types_builtin_and_user() {
-        let mut cat = catalog();
+        let mut cat = Catalog::new();
         assert_eq!(cat.type_by_name("int4").unwrap(), TypeId::INT4);
-        let tm = TypeId(cat.alloc_oid().unwrap().0);
+        let tm = TypeId(1000);
         let named = |id, name: &str| TypeEntry { id, name: name.into() };
         cat.define_type(named(tm, "tm")).unwrap();
         assert!(!tm.is_builtin());
@@ -881,7 +807,7 @@ mod tests {
 
     #[test]
     fn procs_and_rules() {
-        let mut cat = catalog();
+        let mut cat = Catalog::new();
         cat.define_proc(snow()).unwrap();
         assert_eq!(cat.proc("snow").unwrap().impl_key, "inversion.snow");
         assert!(cat.proc("rain").is_err());
@@ -895,14 +821,14 @@ mod tests {
     /// One populated catalog and the rows that make it durable, in the
     /// shape a reopened database scans them.
     fn populated() -> (Catalog, [Vec<(Tid, Row)>; 4]) {
-        let mut cat = catalog();
-        let mut t = heap_entry(&mut cat, "fileatt");
-        let arch = heap_entry(&mut cat, "fileatt,arch");
+        let mut cat = Catalog::new();
+        let mut t = heap_entry(1000, "fileatt");
+        let arch = heap_entry(1001, "fileatt,arch");
         t.archive = Some(arch.id);
         t.no_history = true;
-        let idx = index_entry(&mut cat, "fileatt_idx", t.id, &[0, 2]);
+        let idx = index_entry(1002, "fileatt_idx", t.id, &[0, 2]);
         let ty = TypeEntry {
-            id: TypeId(cat.alloc_oid().unwrap().0),
+            id: TypeId(1003),
             name: "avhrr".into(),
         };
         let every = [RuleEvent::OnAccess, RuleEvent::OnUpdate, RuleEvent::Periodic];
@@ -915,13 +841,7 @@ mod tests {
         let at = |i: usize| Tid::new(i as u32, 7);
         // The index row precedes its heap's, as after an archive attach
         // moved the heap's row to the tail.
-        let class = vec![
-            (at(0), idx.to_row()),
-            (at(1), Catalog::oid_ceiling_row(1500)),
-            (at(2), t.to_row()),
-            (at(3), Catalog::oid_ceiling_row(1400)),
-            (at(4), arch.to_row()),
-        ];
+        let class = vec![(at(0), idx.to_row()), (at(1), t.to_row()), (at(2), arch.to_row())];
         let rows = [
             class,
             vec![(at(0), ty.to_row())],
@@ -954,10 +874,6 @@ mod tests {
         assert_eq!(loaded.proc("snow").unwrap(), &snow());
         assert_eq!(loaded.rules(), cat.rules());
         assert!(loaded.check().is_empty());
-        // Allocation resumes at the highest ceiling row, past every oid
-        // the old incarnation can have handed out.
-        assert_eq!(loaded.alloc_oid(), None);
-        assert_eq!(loaded.next_oid_ceiling(), Some(1500 + Catalog::OID_CEILING_STEP));
     }
 
     #[test]
@@ -1002,7 +918,7 @@ mod tests {
             RelationEntry::from_row(&bad),
             Err(DbError::Corrupt(_))
         ));
-        let (_, heap_row) = &rows[0][2];
+        let (_, heap_row) = &rows[0][1];
         let schema = heap_row[4].as_bytes().unwrap().to_vec();
         for cut in 0..schema.len() {
             let mut bad = heap_row.clone();
@@ -1014,7 +930,7 @@ mod tests {
         }
         let mut loaded = Catalog::new();
         let mut rows = rows;
-        rows[0][2].1.truncate(4);
+        rows[0][1].1.truncate(4);
         assert!(matches!(loaded.load(rows), Err(DbError::Corrupt(_))));
     }
 }

@@ -45,7 +45,7 @@ use crate::datum::decode_row;
 use crate::db::Db;
 use crate::error::DbResult;
 use crate::heap::Heap;
-use crate::ids::Tid;
+use crate::ids::{RelId, Tid};
 use crate::xact::{TupleHeader, XactState};
 use simdev::SimInstant;
 
@@ -131,7 +131,8 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
             .map(|detail| Finding::new("buffer-pool", "buffer-inconsistent", detail)),
     );
 
-    catalog_rows(db, &rels, &mut out);
+    let by_id: HashMap<RelId, &RelationEntry> = rels.iter().map(|e| (e.id, e)).collect();
+    catalog_rows(db, &by_id, &mut out);
     for e in &rels {
         match db.inner.smgr.with(e.device, |m| Ok(m.has_rel(e.id))) {
             Ok(true) => {}
@@ -176,14 +177,14 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
                 };
                 let (findings, entries) = bt.check(&e.name);
                 out.extend(findings);
-                index_to_heap(db, e, &rels, entries, &mut out);
+                index_to_heap(db, e, &by_id, entries, &mut out);
             }
         }
     }
 
     for e in rels.iter().filter(|e| e.kind == RelKind::Heap) {
         if !e.indexes.is_empty() {
-            if let Err(err) = heap_to_index(db, e, &rels, &mut out) {
+            if let Err(err) = heap_to_index(db, e, &by_id, &mut out) {
                 out.push(Finding::new(
                     &e.name,
                     "check-error",
@@ -203,8 +204,7 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
 /// (`device-orphan-rel`): the reverse of the per-relation
 /// `catalog-dangling-rel` check, and the verifier of the sweep
 /// [`crate::Db::recover`] ends with.
-fn catalog_rows(db: &Db, rels: &[RelationEntry], out: &mut Vec<Finding>) {
-    let by_id: HashMap<_, _> = rels.iter().map(|e| (e.id, e)).collect();
+fn catalog_rows(db: &Db, by_id: &HashMap<RelId, &RelationEntry>, out: &mut Vec<Finding>) {
     let mut stored = Catalog::new();
     match db.scan_catalog().and_then(|rows| stored.load(rows)) {
         Err(err) => out.push(Finding::new("pg_class", "catalog-row", err.to_string())),
@@ -238,10 +238,6 @@ fn catalog_rows(db: &Db, rels: &[RelationEntry], out: &mut Vec<Finding>) {
     }
 }
 
-fn relation(rels: &[RelationEntry], id: crate::ids::RelId) -> Option<&RelationEntry> {
-    rels.iter().find(|e| e.id == id)
-}
-
 /// Index → heap: every index entry that *resolves* to an on-disk tuple must
 /// agree with the tuple's key bytes. Entries whose tid does not resolve are
 /// legal crash debris (the index page reached disk, the heap page did not)
@@ -253,14 +249,14 @@ fn relation(rels: &[RelationEntry], id: crate::ids::RelId) -> Option<&RelationEn
 fn index_to_heap(
     db: &Db,
     index_rel: &RelationEntry,
-    rels: &[RelationEntry],
+    by_id: &HashMap<RelId, &RelationEntry>,
     entries: Vec<(crate::btree::Key, Tid)>,
     out: &mut Vec<Finding>,
 ) {
     let Some(info) = &index_rel.index else {
         return; // Catalog::check already reported the missing IndexInfo.
     };
-    let Some(table) = relation(rels, info.table) else {
+    let Some(table) = by_id.get(&info.table) else {
         return; // Catalog::check already reported the dangling table.
     };
     let nblocks = match db
@@ -392,12 +388,12 @@ fn unique_violations(
 fn heap_to_index(
     db: &Db,
     heap_rel: &RelationEntry,
-    rels: &[RelationEntry],
+    by_id: &HashMap<RelId, &RelationEntry>,
     out: &mut Vec<Finding>,
 ) -> DbResult<()> {
     let mut indexes = Vec::new();
     for &idx in &heap_rel.indexes {
-        let Some(ie) = relation(rels, idx) else {
+        let Some(&ie) = by_id.get(&idx) else {
             continue; // Catalog::check reports dangling index ids.
         };
         let Some(info) = &ie.index else { continue };

@@ -48,7 +48,7 @@ use crate::recovery::Redo;
 use crate::smgr::{shared_device, DeviceManager, GenericManager, SharedDevice, Smgr};
 use crate::stats::{StatsRegistry, StatsSnapshot, VirtualTable, VirtualTables};
 use crate::wal::{Wal, WalRecord};
-use crate::xact::{Snapshot, XactLog, XactState};
+use crate::xact::{Snapshot, XactLog};
 
 /// Tunables for a [`Db`].
 #[derive(Debug, Clone)]
@@ -254,18 +254,11 @@ impl Db {
         let xlog = XactLog::recover(log_dev.clone())?;
         let stats = Arc::new(StatsRegistry::new());
         let (wal, records) = Wal::recover(log_dev, Arc::clone(&stats))?;
-        // Transaction outcomes come from the log, not the status file: the
-        // forced `Commit` record *is* the commit point, and the on-device
-        // status file only reflects outcomes up to the last checkpoint.
+        // Outcomes and id ceilings come from the log too: the forced
+        // `Commit` record *is* the commit point, and the status file on
+        // the device is only as new as the last checkpoint.
         for (_end, rec) in &records {
-            match rec {
-                WalRecord::Commit { xid, time_ns } => xlog.apply_recovered(
-                    *xid,
-                    XactState::Committed(SimInstant::from_nanos(*time_ns)),
-                ),
-                WalRecord::Abort { xid } => xlog.apply_recovered(*xid, XactState::Aborted),
-                _ => {}
-            }
+            xlog.apply_recovered(rec);
         }
         let redo = Redo::from_records(&records, Arc::clone(&stats));
         // The catalog scan below reads only the catalog device.
@@ -509,37 +502,12 @@ impl Db {
         self.inner.virtuals.names()
     }
 
-    /// Allocates a fresh object identifier. Oids come from an in-memory
-    /// counter kept below a durable ceiling — a `pg_class` row raised
-    /// 1 024 ahead, the trick the status file plays for xids — so allocation costs I/O once per step, and a reopened
-    /// database resumes at the ceiling and never repeats an oid.
+    /// Allocates a fresh object identifier: [`XactLog::alloc_oid`], the xid
+    /// counter's twin under the same unforced `Ceiling` log record, so it
+    /// costs no I/O. After a crash no oid that a committed row or a device
+    /// names is handed out again; one that nothing durable names may be.
     pub fn alloc_oid(&self) -> DbResult<crate::ids::Oid> {
-        loop {
-            if let Some(oid) = self.inner.catalog.write().alloc_oid() {
-                return Ok(oid);
-            }
-            self.raise_oid_ceiling()?;
-        }
-    }
-
-    /// Commits a higher oid ceiling, then lets the allocator use it.
-    /// `pg_class`'s exclusive lock serialises raisers; one that finds the
-    /// ceiling already raised has nothing to do. Ceiling rows are only ever
-    /// added (the highest counts): replacing the previous one would mean
-    /// reading back whichever old page holds it.
-    fn raise_oid_ceiling(&self) -> DbResult<()> {
-        let raised = self.catalog_txn(|s| {
-            s.lock_exclusive(PG_CLASS)?;
-            let ceiling = self.inner.catalog.read().next_oid_ceiling();
-            if let Some(ceiling) = ceiling {
-                s.insert(PG_CLASS, Catalog::oid_ceiling_row(ceiling))?;
-            }
-            Ok(ceiling)
-        })?;
-        if let Some(ceiling) = raised {
-            self.inner.catalog.write().raise_oid_ceiling(ceiling);
-        }
-        Ok(())
+        self.inner.xlog.alloc_oid(&self.inner.wal)
     }
 
     /// Runs `f` as one short internal transaction allowed to write the
@@ -657,8 +625,8 @@ impl Db {
     /// 3. Flush every dirty page (LSN-before-write forces the log first)
     ///    and sync the data devices — now every record below the cut is
     ///    reflected in durable pages.
-    /// 4. Persist the status file's dirty blocks — now every commit below
-    ///    the cut is durable there.
+    /// 4. Persist the status file's dirty blocks — now every commit and
+    ///    every id ceiling below the cut is durable there.
     /// 5. Truncate `[epoch, cut)`. Records at or above the cut (appended
     ///    while we flushed) survive in the log.
     fn checkpoint_locked(inner: &DbInner) -> DbResult<()> {
@@ -681,7 +649,7 @@ impl Db {
         let drained = inner.pool.flush_all(&inner.smgr)?;
         inner.stats.wal.ckpt_pages_drained.add(drained as u64);
         inner.smgr.sync_all()?;
-        inner.xlog.persist_dirty()?;
+        inner.xlog.persist_dirty(&inner.wal)?;
         inner.wal.truncate_to(cut)?;
         inner.redo.clear();
         inner.stats.wal.checkpoints.bump();
@@ -980,7 +948,7 @@ impl Db {
 
     /// Begins a read/write transaction.
     pub fn begin(&self) -> DbResult<Session> {
-        let xid = self.inner.xlog.start()?;
+        let xid = self.inner.xlog.start(&self.inner.wal)?;
         let mut active = self.inner.xlog.active_set();
         active.remove(&xid);
         Ok(Session {

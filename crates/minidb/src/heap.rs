@@ -422,12 +422,14 @@ mod tests {
     use crate::datum::Datum;
     use crate::ids::Oid;
     use crate::smgr::{shared_device, GenericManager};
+    use crate::wal::Wal;
     use simdev::{DiskProfile, MagneticDisk, SimClock};
 
     struct Fixture {
         pool: BufferPool,
         smgr: Smgr,
         xlog: XactLog,
+        wal: Wal,
         rel: RelId,
         stats: StatsRegistry,
     }
@@ -456,7 +458,8 @@ mod tests {
             Fixture {
                 pool: BufferPool::new(16),
                 smgr,
-                xlog: XactLog::create(logdev).unwrap(),
+                xlog: XactLog::create(logdev.clone()).unwrap(),
+                wal: Wal::create(logdev, Default::default()).unwrap(),
                 rel,
                 stats: StatsRegistry::new(),
             }
@@ -475,7 +478,7 @@ mod tests {
         }
 
         fn begin(&self) -> (XactId, Snapshot) {
-            let xid = self.xlog.start().unwrap();
+            let xid = self.xlog.start(&self.wal).unwrap();
             let mut active = self.xlog.active_set();
             active.remove(&xid);
             (xid, Snapshot::Current { xid, active })

@@ -264,7 +264,8 @@ pub mod order {
     /// status log, the buffer pool, the WAL, and the devices, so it sits
     /// outside all of those.
     pub const CHECKPOINTER: usize = 4;
-    /// Rank of the transaction status log mutex.
+    /// Rank of the transaction status log mutex. An id ceiling's raise
+    /// appends its log record under it, so it ranks outside `wal`.
     pub const XACT_LOG: usize = 5;
     /// Rank of the buffer pool's per-shard latches.
     pub const BUFFER_SHARD: usize = 6;

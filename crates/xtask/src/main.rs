@@ -20,8 +20,11 @@
 //! * `meta-blob` — `write_meta(` / `read_meta(` (whole-structure in-place
 //!   persistence) only in `minidb/src/smgr.rs`.
 //! * `wal-force-site` — `.force_up_to(` only in `wal.rs`, the buffer
-//!   manager's `force_wal_for` and `db.rs`'s commit; `.flush_rel(` only in
-//!   `db.rs` behind the `eager_index_writes` test.
+//!   manager's `force_wal_for`, `db.rs`'s commit and the status file's
+//!   checkpoint write; `.flush_rel(` only in `db.rs` behind the
+//!   `eager_index_writes` test.
+//! * `status-file-site` — `persist_blocks(` (the status file's one writer)
+//!   only in `XactLog::create` and `XactLog::persist_dirty`.
 
 mod rules;
 mod scrub;
@@ -95,6 +98,7 @@ fn lint(update_budget: bool) -> ExitCode {
         violations.extend(rules::io_wait_guard_sites(&rel, &cleaned));
         violations.extend(rules::meta_blob_sites(&rel, &cleaned));
         violations.extend(rules::wal_force_sites(&rel, &cleaned));
+        violations.extend(rules::status_file_sites(&rel, &cleaned));
     }
 
     let budget_file = root.join(BUDGET_PATH);

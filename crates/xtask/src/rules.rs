@@ -139,12 +139,8 @@ pub fn io_wait_guard_sites(file: &str, text: &str) -> Vec<Violation> {
         return Vec::new();
     }
     let mut out = Vec::new();
-    // Chunk the file at function starts; the guard must appear in the
-    // same function as the wait it protects.
-    let starts: Vec<usize> = ident_matches(text, "fn").collect();
-    for (i, &s) in starts.iter().enumerate() {
-        let end = starts.get(i + 1).copied().unwrap_or(text.len());
-        let body = &text[s..end];
+    // The guard must appear in the same function as the wait it protects.
+    for (s, _, body) in functions(text) {
         if body.contains("cv_done.wait(") && !body.contains("is_held(order::BUFFER_SHARD)") {
             out.push(Violation {
                 file: file.into(),
@@ -186,12 +182,33 @@ pub fn meta_blob_sites(file: &str, text: &str) -> Vec<Violation> {
     out
 }
 
+/// Splits scrubbed source at every `fn` keyword into `(start offset,
+/// function name, body up to the next `fn`)`: a call is judged by the
+/// function it sits in.
+fn functions(text: &str) -> Vec<(usize, &str, &str)> {
+    let starts: Vec<usize> = ident_matches(text, "fn").collect();
+    starts
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| {
+            let body = &text[s..starts.get(i + 1).copied().unwrap_or(text.len())];
+            let name = body[2..]
+                .trim_start()
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .next()
+                .unwrap_or("");
+            (s, name, body)
+        })
+        .collect()
+}
+
 /// Rule `wal-force-site`: the log is forced by a commit, by the buffer
 /// manager before it writes back a page whose last change is not yet
-/// durable, and by a checkpoint's truncation — nothing else, so an insert
-/// path can never again pay a log write and sync per row unnoticed.
-/// `.force_up_to(` may be called in `minidb/src/wal.rs`, in
-/// `buffer.rs::force_wal_for` and in `db.rs::commit_written`; `.flush_rel(`
+/// durable, and by a checkpoint — before it writes the status file and at
+/// its truncation — nothing else, so an insert path can never again pay a
+/// log write and sync per row unnoticed. `.force_up_to(` may be called in
+/// `minidb/src/wal.rs`, in `buffer.rs::force_wal_for`, in
+/// `db.rs::commit_written` and in `xact.rs::persist_dirty`; `.flush_rel(`
 /// (a writeback, hence a force, per dirty page of one relation) only in
 /// `db.rs`, in a function that tests `eager_index_writes` (the POSTGRES
 /// 4.0.1 emulation).
@@ -199,22 +216,13 @@ pub fn wal_force_sites(file: &str, text: &str) -> Vec<Violation> {
     let b = text.as_bytes();
     let in_file = |name: &str| file.ends_with(&format!("minidb/src/{name}"));
     let mut out = Vec::new();
-    // Chunk the file at function starts, as `io-wait-guard` does: a call
-    // is judged by the function it sits in.
-    let starts: Vec<usize> = ident_matches(text, "fn").collect();
-    for (i, &s) in starts.iter().enumerate() {
-        let end = starts.get(i + 1).copied().unwrap_or(text.len());
-        let body = &text[s..end];
-        let fn_name = body[2..]
-            .trim_start()
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-            .next()
-            .unwrap_or("");
+    for (s, fn_name, body) in functions(text) {
         let allowed = |callee: &str| match callee {
             "force_up_to" => {
                 in_file("wal.rs")
                     || (in_file("buffer.rs") && fn_name == "force_wal_for")
                     || (in_file("db.rs") && fn_name == "commit_written")
+                    || (in_file("xact.rs") && fn_name == "persist_dirty")
             }
             "flush_rel" => in_file("db.rs") && body.contains("eager_index_writes"),
             _ => false,
@@ -238,6 +246,34 @@ pub fn wal_force_sites(file: &str, text: &str) -> Vec<Violation> {
         }
     }
     out.sort_by_key(|v| v.line);
+    out
+}
+
+/// Rule `status-file-site`: `.persist_blocks(`, the status file's one
+/// writer, is called only from `XactLog::create` and a checkpoint's
+/// `XactLog::persist_dirty` in `minidb/src/xact.rs`. The xid allocator used
+/// to write and sync block 0 inline at every 1 024th `begin`; this keeps
+/// such a sync from coming back.
+pub fn status_file_sites(file: &str, text: &str) -> Vec<Violation> {
+    let b = text.as_bytes();
+    let in_xact = file.ends_with("minidb/src/xact.rs");
+    let mut out = Vec::new();
+    for (s, fn_name, body) in functions(text) {
+        for p in ident_matches(body, "persist_blocks").map(|p| s + p) {
+            let is_call = b[p - 1] == b'.' && b.get(p + "persist_blocks".len()) == Some(&b'(');
+            if is_call && !(in_xact && matches!(fn_name, "create" | "persist_dirty")) {
+                out.push(Violation {
+                    file: file.into(),
+                    line: line_of(text, p),
+                    rule: "status-file-site",
+                    msg: format!(
+                        "`persist_blocks` in `{fn_name}`: only a fresh log and a checkpoint \
+                         write the status file"
+                    ),
+                });
+            }
+        }
+    }
     out
 }
 
@@ -430,6 +466,29 @@ mod tests {
         // Definitions, prose and test code are not calls.
         let ok = "// x.flush_rel(y)\npub fn flush_rel(&self) {}\npub fn force_up_to(&self) {}\n#[cfg(test)]\nmod t { fn g() { w.force_up_to(1); p.flush_rel(a, b); } }\n";
         assert_eq!(forces("crates/minidb/src/heap.rs", ok), 0);
+        // A checkpoint forces before it writes the status file.
+        let status = "pub fn persist_dirty(&self, wal: &Wal) { wal.force_up_to(lsn)?; }";
+        assert_eq!(forces("crates/minidb/src/xact.rs", status), 0);
+        assert_eq!(forces("crates/minidb/src/xact.rs", insert), 1);
+    }
+
+    #[test]
+    fn the_status_file_is_written_by_create_and_the_checkpoint_only() {
+        let sites = |file: &str, src: &str| status_file_sites(file, &clean(src));
+        let xact = "crates/minidb/src/xact.rs";
+        let allowed = "pub fn create(dev: D) { log.persist_blocks(&[(0, b)])?; }\n\
+                       pub fn persist_dirty(&self) { self.persist_blocks(&blocks)?; }\n\
+                       fn persist_blocks(&self, blocks: &[B]) {}";
+        assert!(sites(xact, allowed).is_empty(), "{:?}", sites(xact, allowed));
+        // The inline ceiling sync this rule exists to keep out.
+        let inline = "pub fn start(&self) { if full { self.persist_blocks(&[(0, b)])?; } }";
+        let v = sites(xact, inline);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), ("status-file-site", 1));
+        assert_eq!(sites("crates/minidb/src/db.rs", allowed).len(), 2);
+        // Prose, longer identifiers and test code are not calls.
+        let ok = "// self.persist_blocks(x)\nfn f() { persist_blocks_v2(); }\n#[cfg(test)]\nmod t { fn g() { log.persist_blocks(&b); } }\n";
+        assert!(sites(xact, ok).is_empty());
     }
 
     #[test]

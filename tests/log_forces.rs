@@ -149,6 +149,63 @@ fn ddl_is_log_appends_and_one_force_per_commit() {
     assert!(db.relation_pages(idx).unwrap() > 1, "the build split its root");
 }
 
+/// Handing out ids costs no I/O. On a warmed database, with no checkpoint
+/// in the window, 3 000 read-only transactions and 3 000 oids write and
+/// sync nothing on any device and add no catalog row: every 1 024th id of
+/// either kind appends one `Ceiling` record to the log, unforced. (It
+/// used to write and sync the status file's block 0 inline at every
+/// 1 024th `begin`, and commit a transaction inserting a `pg_class` row at
+/// every 1 024th oid.)
+#[test]
+fn ids_are_handed_out_without_io() {
+    let mut devices = Devices::new();
+    let (log, log_probe) = ProbedDisk::log(&devices.clock, Duration::ZERO);
+    let (data, data_probe) = ProbedDisk::data(&devices.clock);
+    (devices.log, devices.data) = (log, data);
+    let db = devices.format_with(DbConfig {
+        checkpoint_interval: SimDuration::ZERO,
+        ..DbConfig::default()
+    });
+    let t = db.create_table("t", Schema::new([("k", TypeId::INT4), ("v", TypeId::TEXT)])).unwrap();
+    db.create_index("t_k", t, &["k"]).unwrap();
+    let mut s = db.begin().unwrap();
+    for k in 0..100 {
+        s.insert(t, row(k)).unwrap();
+    }
+    s.commit().unwrap();
+    db.checkpoint().unwrap();
+    let class_rows = |db: &Db| {
+        let mut s = db.begin().unwrap();
+        let n = s.seq_scan(minidb::catalog::PG_CLASS).unwrap().len();
+        s.commit().unwrap();
+        n
+    };
+    let rows = class_rows(&db);
+
+    let before = db.stats();
+    let io = || {
+        let probes = [&log_probe, &data_probe];
+        probes.map(|p| (p.writes.load(SeqCst), p.syncs.load(SeqCst)))
+    };
+    let io_before = io();
+    for _ in 0..3000 {
+        let mut s = db.begin().unwrap();
+        s.commit().unwrap();
+    }
+    for _ in 0..3000 {
+        db.alloc_oid().unwrap();
+    }
+    let d = db.stats().delta(&before);
+    assert_eq!(d.wal.checkpoints, 0, "a checkpoint ran inside the window");
+    assert_eq!(io(), io_before, "the log or data device saw a write or a sync");
+    for dev in &d.devices {
+        assert_eq!((dev.reads, dev.writes), (0, 0), "{} saw I/O", dev.name);
+    }
+    assert_eq!(d.wal.log_forces, 0);
+    assert_eq!(d.xact.commits, 3000, "the begins' own commits and nothing else");
+    assert_eq!(class_rows(&db), rows, "a new pg_class row");
+}
+
 /// A megabyte of log appended by one transaction stays in memory — no
 /// inline force however large the tail grows — until the commit writes it
 /// in one force; and all of it is there after a crash.

@@ -614,6 +614,9 @@ enum CrashOp {
     /// transaction, then pull the plug: the commit's log force tears
     /// partway through its destage.
     CrashDuringCommit { t: u8, fuse: u64 },
+    /// About 1 100 read-only transactions and as many oids: past a raise
+    /// of either ceiling, so crash points land on both sides of one.
+    Burn,
 }
 
 fn crash_op_strategy() -> impl Strategy<Value = CrashOp> {
@@ -627,6 +630,7 @@ fn crash_op_strategy() -> impl Strategy<Value = CrashOp> {
         Just(CrashOp::Checkpoint),
         (1u64..8).prop_map(CrashOp::CrashDuringCheckpoint),
         (0u8..2, 1u64..5).prop_map(|(t, fuse)| CrashOp::CrashDuringCommit { t, fuse }),
+        Just(CrashOp::Burn),
     ]
 }
 
@@ -696,8 +700,51 @@ impl CrashRig {
     }
 }
 
+/// The largest xid and oid that anything a crash left behind carries: the
+/// tuple headers on the data and catalog devices, the relations their maps
+/// list, and the outcomes and tuples in the durable log. (No relation here
+/// has an index, so every logged `Insert` is a heap tuple.)
+fn surviving_ids(rig: &CrashRig) -> (minidb::XactId, minidb::Oid) {
+    use minidb::smgr::DeviceManager;
+    use minidb::{page, WalRecord, XactId};
+    let mut xids = vec![XactId::FROZEN];
+    let mut oids = vec![minidb::Oid(0)];
+    let headers = |item: &[u8], xids: &mut Vec<XactId>| {
+        let h = minidb::xact::TupleHeader::decode(item).unwrap();
+        xids.extend([h.xmin, h.xmax]);
+    };
+    let mut buf = vec![0u8; page::PAGE_SIZE];
+    for dev in [&rig.data, &rig.catalog] {
+        let mut mgr = minidb::GenericManager::attach(dev.clone()).unwrap();
+        for rel in mgr.relations() {
+            oids.push(rel);
+            for blkno in 0..mgr.nblocks(rel).unwrap() {
+                mgr.read(rel, blkno, &mut buf).unwrap();
+                if page::is_initialized(&buf) {
+                    for slot in 0..page::nslots(&buf) {
+                        headers(page::item_even_dead(&buf, slot).unwrap(), &mut xids);
+                    }
+                }
+            }
+        }
+    }
+    let (_, records) = minidb::Wal::recover(rig.log.clone(), Default::default()).unwrap();
+    for (_, rec) in records {
+        match rec {
+            WalRecord::Commit { xid, .. } | WalRecord::Abort { xid } => xids.push(xid),
+            WalRecord::Insert { tuple, .. } => headers(&tuple, &mut xids),
+            WalRecord::Overwrite { offset: 4, bytes, .. } => {
+                xids.push(XactId(u32::from_le_bytes(bytes[..4].try_into().unwrap())));
+            }
+            _ => {}
+        }
+    }
+    (xids.into_iter().max().unwrap(), oids.into_iter().max().unwrap())
+}
+
 /// The process dies: leak open sessions, stop the checkpointer without a
-/// final flush, drop the volatile caches, reattach.
+/// final flush, drop the volatile caches, reattach. No id that something
+/// surviving the crash carries may be handed out again, of either kind.
 fn crash_and_reopen(
     rig: &CrashRig,
     db: minidb::Db,
@@ -713,7 +760,17 @@ fn crash_and_reopen(
     db.simulate_crash();
     rig.crash();
     drop(db);
-    rig.open(false)
+    let (xid, oid) = surviving_ids(rig);
+    let db = rig.open(false);
+    let named = db.catalog().relations().map(|e| e.id).max().unwrap();
+    let mut s = db.begin().unwrap();
+    let new = s.xid().unwrap();
+    assert!(new > xid, "xid {new} handed out again: a survivor carries {xid}");
+    s.commit().unwrap();
+    let new = db.alloc_oid().unwrap();
+    let oid = oid.max(named);
+    assert!(new > oid, "oid {new} handed out again: a survivor names {oid}");
+    db
 }
 
 /// Runs one interleaving and checks, after every crash and at the end,
@@ -820,6 +877,12 @@ fn run_crash_ops(ops: Vec<CrashOp>) {
             CrashOp::Checkpoint => {
                 db.checkpoint().unwrap();
             }
+            CrashOp::Burn => {
+                for _ in 0..1100 {
+                    db.begin().unwrap().commit().unwrap();
+                    db.alloc_oid().unwrap();
+                }
+            }
             CrashOp::CrashDuringCheckpoint(fuse) => {
                 // The cycle dies mid-drain: some data pages destage, the
                 // rest are lost, and the log is never truncated. Recovery
@@ -861,9 +924,12 @@ fn run_crash_ops(ops: Vec<CrashOp>) {
 
 // The commit path's whole durability contract: it must never acknowledge
 // a commit the devices can lose, and must never resurrect work that was
-// aborted or in flight at the crash.
+// aborted or in flight at the crash — in particular by handing its xid to
+// a new transaction. 64 cases: a crash must land after a `Burn` crossed a
+// raise and before a checkpoint wrote the status file, with a writer's
+// rows durable in between.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn acknowledged_commits_survive_crashes(
