@@ -104,6 +104,12 @@ pub struct CrashRig {
 #[allow(dead_code)]
 impl CrashRig {
     pub fn new() -> CrashRig {
+        CrashRig::with_log_blocks(1 << 12)
+    }
+
+    /// A rig whose log device has `nblocks` blocks: a quarter of them, at
+    /// least 64, hold the status file, and the log epoch gets half the rest.
+    pub fn with_log_blocks(nblocks: u64) -> CrashRig {
         let clock = SimClock::new();
         let mut handles = Vec::new();
         let mut cached = |name: &str, nblocks: u64| {
@@ -114,7 +120,7 @@ impl CrashRig {
             (shared_device(dev), plan)
         };
         let (data, data_faults) = cached("data", 1 << 16);
-        let (log, log_faults) = cached("log", 1 << 12);
+        let (log, log_faults) = cached("log", nblocks);
         let (catalog, catalog_faults) = cached("catalog", 1 << 12);
         CrashRig { clock, data, log, catalog, handles, data_faults, log_faults, catalog_faults }
     }
