@@ -43,7 +43,7 @@ impl InversionTestbed {
             clock.clone(),
             DiskProfile::rz58(),
         ));
-        // The status file and catalog live on their own small disk regions;
+        // The log and the catalog live on their own small disk regions;
         // model them as separate fast spindles so log forces do not collide
         // with data-head position (ULTRIX put them in different partitions).
         let log = shared_device(MagneticDisk::new(

@@ -421,45 +421,23 @@ mod tests {
     use super::*;
     use crate::datum::Datum;
     use crate::ids::Oid;
-    use crate::smgr::{shared_device, GenericManager};
-    use crate::wal::Wal;
-    use simdev::{DiskProfile, MagneticDisk, SimClock};
+    use crate::xact::rig::Rig;
 
     struct Fixture {
-        pool: BufferPool,
-        smgr: Smgr,
+        rig: Rig,
         xlog: XactLog,
-        wal: Wal,
         rel: RelId,
         stats: StatsRegistry,
     }
 
     impl Fixture {
         fn new() -> Fixture {
-            let clock = SimClock::new();
-            let dev = shared_device(MagneticDisk::new(
-                "d",
-                clock.clone(),
-                DiskProfile::tiny_for_tests(16384),
-            ));
-            let logdev = shared_device(MagneticDisk::new(
-                "log",
-                clock,
-                DiskProfile::tiny_for_tests(256),
-            ));
-            let mut smgr = Smgr::new();
-            smgr.register(
-                DeviceId::DEFAULT,
-                Box::new(GenericManager::format(dev).unwrap()),
-            )
-            .unwrap();
+            let rig = Rig::new(256);
             let rel = Oid(50);
-            smgr.with(DeviceId::DEFAULT, |m| m.create_rel(rel)).unwrap();
+            rig.smgr.with(DeviceId::DEFAULT, |m| m.create_rel(rel)).unwrap();
             Fixture {
-                pool: BufferPool::new(16),
-                smgr,
-                xlog: XactLog::create(logdev.clone()).unwrap(),
-                wal: Wal::create(logdev, Default::default()).unwrap(),
+                rig,
+                xlog: XactLog::default(),
                 rel,
                 stats: StatsRegistry::new(),
             }
@@ -467,8 +445,8 @@ mod tests {
 
         fn heap(&self) -> Heap<'_> {
             Heap {
-                pool: &self.pool,
-                smgr: &self.smgr,
+                pool: &self.rig.pool,
+                smgr: &self.rig.smgr,
                 xlog: &self.xlog,
                 dev: DeviceId::DEFAULT,
                 rel: self.rel,
@@ -478,7 +456,7 @@ mod tests {
         }
 
         fn begin(&self) -> (XactId, Snapshot) {
-            let xid = self.xlog.start(&self.wal).unwrap();
+            let xid = self.xlog.start(self.rig.io()).unwrap();
             let mut active = self.xlog.active_set();
             active.remove(&xid);
             (xid, Snapshot::Current { xid, active })

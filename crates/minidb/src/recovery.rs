@@ -2,7 +2,7 @@
 //!
 //! Restart does not replay the log into the data files before opening for
 //! business. Instead, [`crate::wal::Wal::recover`] scans the log once and
-//! this module indexes the page records into a [`Redo`] map keyed by page
+//! this module indexes its records into a [`Redo`] map keyed by page
 //! address. The storage manager consults the map on every page read: the
 //! first touch of a stale page replays exactly the records that page is
 //! missing (the per-page LSN gate makes this idempotent), while new
@@ -53,13 +53,11 @@ impl Redo {
         }
     }
 
-    /// Indexes the page records of a recovered log by page address.
+    /// Indexes the records of a recovered log by the page each changes.
     pub fn from_records(records: &[(u64, WalRecord)], stats: Arc<StatsRegistry>) -> Redo {
         let mut map: HashMap<PageAddr, Vec<(u64, WalRecord)>> = HashMap::new();
         for (end, rec) in records {
-            if let Some(addr) = rec.page_addr() {
-                map.entry(addr).or_default().push((*end, rec.clone()));
-            }
+            map.entry(rec.page_addr()).or_default().push((*end, rec.clone()));
         }
         let pending = map.len();
         Redo {
@@ -151,7 +149,7 @@ mod tests {
     }
 
     #[test]
-    fn indexes_only_page_records() {
+    fn indexes_records_by_page() {
         let recs = vec![
             (10, insert_at(0, 0, 1)),
             (
@@ -165,10 +163,11 @@ mod tests {
             (40, insert_at(0, 1, 3)),
         ];
         let redo = Redo::from_records(&recs, stats());
-        assert_eq!(redo.pending_pages(), 2);
+        assert_eq!(redo.pending_pages(), 3);
         let mut pages = redo.pages();
         pages.sort();
-        assert_eq!(pages, vec![addr(0), addr(1)]);
+        let status = (DeviceId::CATALOG, crate::catalog::PG_LOG, 0);
+        assert_eq!(pages, vec![addr(0), addr(1), status]);
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //!
 //! ## On-device layout
 //!
-//! The WAL shares the log device with the transaction status file: status
-//! blocks grow up from block 0, and the WAL owns a region in the upper part
-//! of the device. The region starts with one *control block* holding the
-//! epoch LSN (where the current on-device log begins) and which *half* of
-//! the data area holds it; the data area is split into two equal halves.
+//! The log device holds the log and nothing else. Block 0 is the *control
+//! block*, holding the epoch LSN (where the current on-device log begins)
+//! and which *half* of the data area holds it; the rest of the device is the
+//! data area, split into two equal halves.
 //!
 //! ```text
 //! block:   [ctrl]  [half A: data 0..n)  [half B: data 0..n)
@@ -144,7 +143,9 @@ pub enum WalRecord {
         /// The complete [`page::PAGE_SIZE`] image.
         image: Vec<u8>,
     },
-    /// Transaction commit; forcing this record *is* the commit point.
+    /// Transaction commit; forcing this record *is* the commit point. Like
+    /// the two records below it changes one page of the status relation
+    /// ([`crate::xact`]).
     Commit {
         /// The committing transaction.
         xid: XactId,
@@ -158,7 +159,8 @@ pub enum WalRecord {
     },
     /// The id allocation ceilings, raised: no xid or oid at or above these
     /// has been handed out. Appended, never forced — anything durable that
-    /// carries an id was logged after the record that covers it.
+    /// carries an id was logged after the record that covers it. Status page
+    /// 0 keeps the highest.
     Ceiling {
         /// First xid not yet covered.
         xid: XactId,
@@ -168,14 +170,19 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// The page this record modifies, if it is a page record.
-    pub fn page_addr(&self) -> Option<(DeviceId, RelId, u64)> {
+    /// The page this record modifies. Every record modifies one: an
+    /// outcome its xid's status page, a `Ceiling` status page 0.
+    pub fn page_addr(&self) -> (DeviceId, RelId, u64) {
+        let status = |blkno| (DeviceId::CATALOG, crate::catalog::PG_LOG, blkno);
         match *self {
             WalRecord::PageInit { dev, rel, blkno, .. }
             | WalRecord::Insert { dev, rel, blkno, .. }
             | WalRecord::Overwrite { dev, rel, blkno, .. }
-            | WalRecord::PageImage { dev, rel, blkno, .. } => Some((dev, rel, blkno)),
-            WalRecord::Commit { .. } | WalRecord::Abort { .. } | WalRecord::Ceiling { .. } => None,
+            | WalRecord::PageImage { dev, rel, blkno, .. } => (dev, rel, blkno),
+            WalRecord::Commit { xid, .. } | WalRecord::Abort { xid } => {
+                status(crate::xact::status_page(xid))
+            }
+            WalRecord::Ceiling { .. } => status(0),
         }
     }
 
@@ -376,8 +383,9 @@ impl WalRecord {
                 buf.copy_from_slice(image);
                 Ok(())
             }
-            // Outcomes and ceilings change no page.
-            _ => Ok(()),
+            WalRecord::Commit { .. } | WalRecord::Abort { .. } | WalRecord::Ceiling { .. } => {
+                crate::xact::redo(self, buf)
+            }
         }
     }
 }
@@ -407,12 +415,6 @@ fn fnv1a(data: &[u8]) -> u32 {
         h = h.wrapping_mul(0x0100_0193);
     }
     h
-}
-
-/// Where the WAL region starts on a log device of `nblocks`: a quarter of
-/// the device, clamped — the status file keeps the low blocks.
-pub fn region_start(nblocks: u64) -> u64 {
-    (nblocks / 4).clamp(64, 1024).min(nblocks.saturating_sub(2))
 }
 
 struct WalInner {
@@ -445,8 +447,6 @@ struct WalInner {
 /// commit.
 pub struct Wal {
     dev: SharedDevice,
-    /// Device block of the control block; data blocks follow.
-    region: u64,
     /// Number of data blocks in each half of the data area.
     half_blocks: u64,
     stats: Arc<StatsRegistry>,
@@ -461,15 +461,15 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Formats a fresh, empty log region on `dev` and syncs the control
-    /// block so recovery always finds a valid epoch.
+    /// Formats a fresh, empty log on `dev` and syncs the control block so
+    /// recovery always finds a valid epoch.
     pub fn create(dev: SharedDevice, stats: Arc<StatsRegistry>) -> DbResult<Wal> {
         let wal = Wal::on_device(dev, stats, 0, 0)?;
         wal.write_control(0, 0)?;
         Ok(wal)
     }
 
-    /// Re-attaches to an existing log region, scanning the record stream
+    /// Re-attaches to an existing log, scanning the record stream
     /// from the stored epoch. Returns the log (positioned to keep
     /// appending after the last whole record) and every decoded record
     /// with its end LSN, in order.
@@ -479,10 +479,8 @@ impl Wal {
     ) -> DbResult<(Wal, Vec<(u64, WalRecord)>)> {
         let (epoch, half) = {
             let _order = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
-            let mut d = dev.lock();
-            let region = region_start(d.nblocks());
             let mut blk = vec![0u8; BLOCK_SIZE];
-            d.read_block(region, &mut blk)?;
+            dev.lock().read_block(0, &mut blk)?;
             let magic = crate::bytes::le_u32(&blk, 0)?;
             if magic == CTRL_MAGIC {
                 let epoch = crate::bytes::le_u64(&blk, 4)?;
@@ -513,16 +511,14 @@ impl Wal {
             let _order = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
             dev.lock().nblocks()
         };
-        let region = region_start(nblocks);
-        let half_blocks = nblocks.saturating_sub(region + 1) / 2;
+        let half_blocks = nblocks.saturating_sub(1) / 2;
         if half_blocks == 0 {
             return Err(DbError::Invalid(format!(
-                "log device of {nblocks} blocks leaves no WAL region"
+                "log device of {nblocks} blocks has no room for a log"
             )));
         }
         Ok(Wal {
             dev,
-            region,
             half_blocks,
             stats,
             flush: Mutex::new(()),
@@ -542,7 +538,7 @@ impl Wal {
     /// Device block holding stream offset `start` (block-aligned within the
     /// epoch) for the given half.
     fn data_block(&self, half: u8, epoch: u64, start: u64) -> u64 {
-        self.region + 1 + half as u64 * self.half_blocks + (start - epoch) / BLOCK_PAYLOAD as u64
+        1 + half as u64 * self.half_blocks + (start - epoch) / BLOCK_PAYLOAD as u64
     }
 
     /// The registry this log counts into; a caller whose
@@ -585,11 +581,9 @@ impl Wal {
     }
 
     /// Makes the stream durable up to `lsn` — the one durability
-    /// primitive: commit calls it with its `Commit` record's end LSN, the
-    /// buffer manager with a page's stamped LSN before writing the page
-    /// (the LSN-before-write rule), and the status file with the end LSN of
-    /// its last `Ceiling` record before a checkpoint writes it. Those and the
-    /// checkpoint's
+    /// primitive: commit calls it with its `Commit` record's end LSN, and
+    /// the buffer manager with a page's stamped LSN before writing the page
+    /// (the LSN-before-write rule). Those and the checkpoint's
     /// [`Wal::truncate_to`] are the only things that force the log, and
     /// `xtask lint` (`wal-force-site`) keeps it so. Returns whether *this
     /// call* wrote and synced — the caller then counts the force under its
@@ -654,9 +648,9 @@ impl Wal {
 
     /// Advances the epoch to `cut` — the latest [`Wal::mark_cut`] —
     /// discarding `[epoch, cut)` and keeping `[cut, next)`. Legal only when
-    /// every page change below `cut` is durably on the data devices and
-    /// every commit below `cut` is in the persisted status file (i.e. at
-    /// the end of a checkpoint whose flush began after the cut was marked).
+    /// every page change below `cut` — outcomes and ceilings on status pages
+    /// included — is durably on its device (i.e. at the end of a checkpoint
+    /// whose flush began after the cut was marked).
     /// Forces the tail first if the caller has not; see the module docs
     /// for why the survivors move to the other half of the data area.
     pub fn truncate_to(&self, cut: u64) -> DbResult<()> {
@@ -714,7 +708,7 @@ impl Wal {
         blk[13..17].copy_from_slice(&ck.to_le_bytes());
         let _dev = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
         let mut d = self.dev.lock();
-        d.write_block(self.region, &blk)?;
+        d.write_block(0, &blk)?;
         d.sync()?;
         Ok(())
     }
@@ -1083,7 +1077,7 @@ mod tests {
 
     #[test]
     fn full_epoch_rejects_appends() {
-        let dev = log_device(80); // region_start=64 ⇒ 7 data blocks per half.
+        let dev = log_device(16); // 7 data blocks per half.
         let wal = Wal::create(dev, reg()).unwrap();
         let mut appended = 0u64;
         let err = loop {
@@ -1099,7 +1093,7 @@ mod tests {
 
     #[test]
     fn the_end_of_an_epoch_is_kept_for_ceiling_records() {
-        let wal = Wal::create(log_device(80), reg()).unwrap();
+        let wal = Wal::create(log_device(16), reg()).unwrap();
         for filler in [insert_rec(0, 0, 4000), WalRecord::Abort { xid: XactId(2) }] {
             while wal.append(&filler).is_ok() {}
         }
@@ -1158,14 +1152,5 @@ mod tests {
         page::init(&mut bad, 0);
         page::insert(&mut bad, b"stray").unwrap();
         assert!(log[0].redo(&mut bad).is_err());
-    }
-
-    #[test]
-    fn region_start_clamps() {
-        assert_eq!(region_start(4096), 1024);
-        assert_eq!(region_start(1 << 10), 256);
-        assert_eq!(region_start(100), 64);
-        assert_eq!(region_start(1 << 20), 1024);
-        assert_eq!(region_start(168_457), 1024); // the RZ58
     }
 }

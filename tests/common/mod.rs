@@ -107,8 +107,8 @@ impl CrashRig {
         CrashRig::with_log_blocks(1 << 12)
     }
 
-    /// A rig whose log device has `nblocks` blocks: a quarter of them, at
-    /// least 64, hold the status file, and the log epoch gets half the rest.
+    /// A rig whose log device has `nblocks` blocks: one control block, and
+    /// a log epoch of half the rest.
     pub fn with_log_blocks(nblocks: u64) -> CrashRig {
         let clock = SimClock::new();
         let mut handles = Vec::new();
@@ -172,8 +172,9 @@ pub fn data_page_writes(d: &StatsSnapshot) -> u64 {
 /// Syncs the probed log device has carried out — the other half of the
 /// no-force gate: inside a transaction this must stand still (an insert
 /// forces nothing), and across its `commit()` move by one. The log device
-/// is also synced by a checkpoint (status file, control block), so measure
-/// it in a window [`data_page_writes`] has accepted.
+/// is also synced by a checkpoint's truncation (the surviving tail, the
+/// control block), so measure it in a window [`data_page_writes`] has
+/// accepted.
 #[allow(dead_code)]
 pub fn log_syncs(probe: &Probe) -> u64 {
     probe.syncs.load(SeqCst)
@@ -216,6 +217,11 @@ impl ProbedDisk {
     /// A data-sized probed disk whose `sync` costs no wall time.
     pub fn data(clock: &SimClock) -> (SharedDevice, Arc<Probe>) {
         Self::probed("data", clock, 1 << 16, Duration::ZERO)
+    }
+
+    /// A catalog-sized probed disk whose `sync` costs no wall time.
+    pub fn catalog(clock: &SimClock) -> (SharedDevice, Arc<Probe>) {
+        Self::probed("catalog", clock, 1 << 12, Duration::ZERO)
     }
 
     fn probed(name: &str, clock: &SimClock, nblocks: u64, sync_delay: Duration) -> (SharedDevice, Arc<Probe>) {

@@ -206,6 +206,52 @@ fn ids_are_handed_out_without_io() {
     assert_eq!(class_rows(&db), rows, "a new pg_class row");
 }
 
+/// The log device holds only the log. A thousand one-row commits fill two
+/// status pages; the checkpoint after them writes those pages to the
+/// catalog device like any other page, and syncs the log device only to
+/// truncate it: the surviving tail's half, then the control block. The log
+/// then holds nothing, and a crash recovers every row from the devices.
+/// (The status file used to live on the log device, which each such
+/// checkpoint synced once more for it.)
+#[test]
+fn a_checkpoint_writes_outcomes_to_the_catalog_device_and_syncs_the_log_only_to_truncate() {
+    let mut devices = Devices::new();
+    let (log, log_probe) = ProbedDisk::log(&devices.clock, Duration::ZERO);
+    let (catalog, catalog_probe) = ProbedDisk::catalog(&devices.clock);
+    (devices.log, devices.catalog) = (log, catalog);
+    let db = devices.format_with(DbConfig {
+        checkpoint_interval: SimDuration::ZERO,
+        ..DbConfig::default()
+    });
+    let t = db.create_table("t", Schema::new([("k", TypeId::INT4), ("v", TypeId::TEXT)])).unwrap();
+    db.checkpoint().unwrap();
+    for k in 0..1000 {
+        let mut s = db.begin().unwrap();
+        s.insert(t, row(k)).unwrap();
+        s.commit().unwrap();
+    }
+    let (syncs, catalog_writes) = (log_syncs(&log_probe), catalog_probe.writes.load(SeqCst));
+    let before = db.stats();
+    db.checkpoint().unwrap();
+    let d = db.stats().delta(&before);
+    assert_eq!(log_syncs(&log_probe), syncs + 2, "the truncation's two syncs and no other");
+    assert_eq!(d.wal.log_forces, 0, "every status page's outcomes were durable");
+    assert!(
+        catalog_probe.writes.load(SeqCst) >= catalog_writes + 2,
+        "the two status pages went to the catalog device"
+    );
+    let (_, records) = Wal::recover(devices.log.clone(), Default::default()).unwrap();
+    assert!(records.is_empty(), "the log still holds {} records", records.len());
+
+    db.simulate_crash();
+    drop(db);
+    let db = devices.recover();
+    let mut s = db.begin().unwrap();
+    assert_eq!(s.seq_scan(t).unwrap().len(), 1000);
+    s.commit().unwrap();
+    assert_eq!(db.check_all(), []);
+}
+
 /// A megabyte of log appended by one transaction stays in memory — no
 /// inline force however large the tail grows — until the commit writes it
 /// in one force; and all of it is there after a crash.

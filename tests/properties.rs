@@ -926,7 +926,7 @@ fn run_crash_ops(ops: Vec<CrashOp>) {
 // a commit the devices can lose, and must never resurrect work that was
 // aborted or in flight at the crash — in particular by handing its xid to
 // a new transaction. 64 cases: a crash must land after a `Burn` crossed a
-// raise and before a checkpoint wrote the status file, with a writer's
+// raise and before a checkpoint wrote status page 0, with a writer's
 // rows durable in between.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
