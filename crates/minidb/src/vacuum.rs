@@ -238,7 +238,7 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
     // and the heap's row now naming it, in one transaction. (The rewrite
     // was unlogged, so its durability is this flush, not the log.)
     db.inner.pool.flush_all(&db.inner.smgr)?;
-    db.inner.smgr.sync_all()?;
+    db.inner.sync_devices()?;
     if let Some(arch_id) = attached {
         db.store_class_rows(&[arch_id, rel])?;
     }
