@@ -280,21 +280,16 @@ impl<'a> BTree<'a> {
                     lower,
                 });
             }
-            // The first live child stands in when every fence is above `to`.
-            let mut next = None;
-            for (_, item) in page::iter(data) {
-                let (k, payload) = decode_item(item)?;
-                let tid = payload_tid(payload, false);
-                if next.is_some() && cmp_pos(&k, tid, to) == Ordering::Greater {
-                    break;
-                }
-                next = Some((crate::bytes::le_u64(payload, 0)?, (k, tid)));
-            }
-            let (child, fence) =
-                next.ok_or_else(|| DbError::Corrupt("internal node with no children".into()))?;
+            // The last fence at or below `to`, found by `slot_for`'s binary
+            // search (an internal node has no dead slots); the first child
+            // stands in when every fence is above it.
+            let slot = Self::slot_for(data, to)?.saturating_sub(1);
+            let item = page::item(data, slot)
+                .ok_or_else(|| DbError::Corrupt("internal node with no children".into()))?;
+            let (k, payload) = decode_item(item)?;
             path.push(blk);
-            blk = child;
-            lower = Some(fence);
+            blk = crate::bytes::le_u64(payload, 0)?;
+            lower = Some((k, payload_tid(payload, false)));
         }
     }
 

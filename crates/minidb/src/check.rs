@@ -281,6 +281,7 @@ fn index_to_heap(
     };
     // Committed versions of the current key of a unique index, as
     // (created, deleted-or-never, tid). `entries` arrive in key order.
+    let state = |xid| db.inner.xlog.state(&db.inner.pool, &db.inner.smgr, xid);
     let mut lifetimes: Vec<(SimInstant, Option<SimInstant>, Tid)> = Vec::new();
     let mut run_key: Option<crate::btree::Key> = None;
     for (key, tid) in entries {
@@ -306,11 +307,11 @@ fn index_to_heap(
                 return Ok(None); // Crash debris (or reported by the heap pass).
             };
             let hdr = TupleHeader::decode(item)?;
-            let XactState::Committed(created) = db.inner.xlog.state(hdr.xmin) else {
+            let XactState::Committed(created) = state(hdr.xmin)? else {
                 return Ok(None); // Uncommitted writer: nothing to cross-check.
             };
             if info.unique {
-                let deleted = match db.inner.xlog.state(hdr.xmax) {
+                let deleted = match state(hdr.xmax)? {
                     XactState::Committed(t) => Some(t),
                     _ => None, // Never deleted, or by a transaction that failed.
                 };
@@ -417,7 +418,7 @@ fn heap_to_index(
         stats: &db.inner.stats,
     };
     heap.scan_all_raw(|tid, hdr, bytes| {
-        if !matches!(db.inner.xlog.state(hdr.xmin), XactState::Committed(_)) {
+        if !matches!(heap.state(hdr.xmin)?, XactState::Committed(_)) {
             return Ok(()); // Uncommitted or crashed writer: no entry required.
         }
         let Ok(row) = decode_row(bytes) else {

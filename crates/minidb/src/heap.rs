@@ -15,7 +15,7 @@ use crate::ids::{DeviceId, RelId, Tid, XactId};
 use crate::page;
 use crate::smgr::Smgr;
 use crate::stats::StatsRegistry;
-use crate::xact::{Snapshot, TupleHeader, XactLog};
+use crate::xact::{Snapshot, TupleHeader, XactLog, XactState};
 
 /// The largest encoded row that fits in one heap tuple.
 pub const MAX_ROW: usize = page::MAX_ITEM - TupleHeader::SIZE;
@@ -57,6 +57,11 @@ impl<'a> Heap<'a> {
         self.smgr.with(self.dev, |m| m.nblocks(self.rel))
     }
 
+    /// The state of `xid` ([`XactLog::state`]), through this heap's pool.
+    pub fn state(&self, xid: XactId) -> DbResult<XactState> {
+        self.xlog.state(self.pool, self.smgr, xid)
+    }
+
     /// Structurally verifies every page and tuple of this heap, reporting
     /// problems as [`crate::check::Finding`]s (empty = clean).
     ///
@@ -66,7 +71,6 @@ impl<'a> Heap<'a> {
     /// arity.
     pub fn check(&self, name: &str, schema: &crate::datum::Schema) -> Vec<crate::check::Finding> {
         use crate::check::Finding;
-        use crate::xact::XactState;
         let mut out = Vec::new();
         let nblocks = match self.nblocks() {
             Ok(n) => n,
@@ -122,7 +126,14 @@ impl<'a> Heap<'a> {
                     );
                     continue;
                 }
-                if matches!(self.xlog.state(hdr.xmin), XactState::Committed(_)) {
+                let committed = match self.state(hdr.xmin) {
+                    Ok(state) => matches!(state, XactState::Committed(_)),
+                    Err(e) => {
+                        out.push(Finding::new(name, "check-error", e.to_string()).on_page(blkno).on_slot(slot));
+                        continue;
+                    }
+                };
+                if committed {
                     match decode_row(&item[TupleHeader::SIZE..]) {
                         Ok(row) => {
                             if row.len() != schema.len() {
@@ -254,8 +265,8 @@ impl<'a> Heap<'a> {
         let hdr = TupleHeader::decode(item)?;
         if hdr.xmax.is_valid() {
             // An aborted deleter leaves a stale xmax we may overwrite.
-            match self.xlog.state(hdr.xmax) {
-                crate::xact::XactState::Aborted | crate::xact::XactState::Unknown => {}
+            match self.state(hdr.xmax)? {
+                XactState::Aborted | XactState::Unknown => {}
                 _ => return Ok(false),
             }
         }
@@ -326,7 +337,7 @@ impl<'a> Heap<'a> {
             return Ok(None);
         };
         let hdr = TupleHeader::decode(item)?;
-        if !snap.visible(hdr, self.xlog) {
+        if !snap.visible(hdr, |x| self.state(x))? {
             return Ok(None);
         }
         read(&item[TupleHeader::SIZE..]).map(Some)
@@ -358,7 +369,7 @@ impl<'a> Heap<'a> {
                 }
                 for (slot, item) in page::iter(data) {
                     let hdr = TupleHeader::decode(item)?;
-                    if snap.visible(hdr, self.xlog) {
+                    if snap.visible(hdr, |x| self.state(x))? {
                         visible_rows.push((
                             Tid::new(blkno as u32, slot),
                             decode_row(&item[TupleHeader::SIZE..])?,
@@ -461,6 +472,14 @@ mod tests {
             active.remove(&xid);
             (xid, Snapshot::Current { xid, active })
         }
+
+        /// Commits `xid` as a writer does: its `Commit` onto its status
+        /// page, then out of the running set.
+        fn commit(&self, xid: XactId, time_ns: u64) {
+            let rec = crate::wal::WalRecord::Commit { xid, time_ns };
+            self.xlog.log_outcome(self.rig.io(), &rec).unwrap();
+            self.xlog.finish(xid).unwrap();
+        }
     }
 
     fn row(n: i32) -> Row {
@@ -485,9 +504,7 @@ mod tests {
         let (_, snap2) = fx.begin();
         assert_eq!(h.fetch(&snap2, tid).unwrap(), None);
         // After commit, a *new* snapshot sees it.
-        fx.xlog
-            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
-            .unwrap();
+        fx.commit(x1, 10);
         let (_, snap3) = fx.begin();
         assert_eq!(h.fetch(&snap3, tid).unwrap(), Some(row(1)));
     }
@@ -498,9 +515,7 @@ mod tests {
         let h = fx.heap();
         let (x1, _) = fx.begin();
         let tid = h.insert(x1, &row(7)).unwrap();
-        fx.xlog
-            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
-            .unwrap();
+        fx.commit(x1, 10);
 
         let (x2, snap2) = fx.begin();
         assert!(h.delete(x2, tid).unwrap());
@@ -509,9 +524,7 @@ mod tests {
             None,
             "deleter no longer sees it"
         );
-        fx.xlog
-            .mark_committed(x2, simdev::SimInstant::from_nanos(20))
-            .unwrap();
+        fx.commit(x2, 20);
 
         let (_, snap3) = fx.begin();
         assert_eq!(h.fetch(&snap3, tid).unwrap(), None);
@@ -530,13 +543,11 @@ mod tests {
         let h = fx.heap();
         let (x1, _) = fx.begin();
         let tid = h.insert(x1, &row(3)).unwrap();
-        fx.xlog
-            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
-            .unwrap();
+        fx.commit(x1, 10);
 
         let (x2, _) = fx.begin();
         assert!(h.delete(x2, tid).unwrap());
-        fx.xlog.mark_aborted(x2).unwrap();
+        fx.xlog.finish(x2).unwrap();
 
         let (x3, snap3) = fx.begin();
         assert_eq!(h.fetch(&snap3, tid).unwrap(), Some(row(3)));
@@ -550,9 +561,7 @@ mod tests {
         let h = fx.heap();
         let (x1, _) = fx.begin();
         let tid = h.insert(x1, &row(3)).unwrap();
-        fx.xlog
-            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
-            .unwrap();
+        fx.commit(x1, 10);
         let (x2, _) = fx.begin();
         assert!(h.delete(x2, tid).unwrap());
         assert!(!h.delete(x2, tid).unwrap());
@@ -564,18 +573,14 @@ mod tests {
         let h = fx.heap();
         let (x1, _) = fx.begin();
         let t1 = h.insert(x1, &row(1)).unwrap();
-        fx.xlog
-            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
-            .unwrap();
+        fx.commit(x1, 10);
 
         let (x2, snap2) = fx.begin();
         let t2 = h.update(x2, t1, &row(2)).unwrap();
         assert_ne!(t1, t2);
         assert_eq!(h.fetch(&snap2, t1).unwrap(), None);
         assert_eq!(h.fetch(&snap2, t2).unwrap(), Some(row(2)));
-        fx.xlog
-            .mark_committed(x2, simdev::SimInstant::from_nanos(20))
-            .unwrap();
+        fx.commit(x2, 20);
 
         // Both versions reachable through time travel.
         let t15 = Snapshot::AsOf(simdev::SimInstant::from_nanos(15));
@@ -592,9 +597,7 @@ mod tests {
         for i in 0..5 {
             h.insert(x1, &row(i)).unwrap();
         }
-        fx.xlog
-            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
-            .unwrap();
+        fx.commit(x1, 10);
         let (x2, _) = fx.begin();
         h.insert(x2, &row(99)).unwrap(); // Uncommitted.
 
@@ -680,14 +683,10 @@ mod tests {
         let h = fx.heap();
         let (x1, _) = fx.begin();
         let tid = h.insert(x1, &row(1)).unwrap();
-        fx.xlog
-            .mark_committed(x1, simdev::SimInstant::from_nanos(10))
-            .unwrap();
+        fx.commit(x1, 10);
         let (x2, _) = fx.begin();
         h.delete(x2, tid).unwrap();
-        fx.xlog
-            .mark_committed(x2, simdev::SimInstant::from_nanos(20))
-            .unwrap();
+        fx.commit(x2, 20);
 
         let mut count = 0;
         h.scan_all_raw(|_, hdr, _| {

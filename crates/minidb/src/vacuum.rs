@@ -93,14 +93,14 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
             rel,
         };
         heap.scan_all_raw(|_tid, hdr, row_bytes| {
-            let xmin_state = db.inner.xlog.state(hdr.xmin);
+            let xmin_state = heap.state(hdr.xmin)?;
             let XactState::Committed(amin) = xmin_state else {
                 // Aborted or crashed inserter: the version never existed.
                 stats.discarded += 1;
                 return Ok(());
             };
             if hdr.xmax.is_valid() {
-                if let XactState::Committed(amax) = db.inner.xlog.state(hdr.xmax) {
+                if let XactState::Committed(amax) = heap.state(hdr.xmax)? {
                     // Dead to everyone: archive (or discard).
                     if entry.no_history {
                         stats.discarded += 1;

@@ -20,10 +20,8 @@ fi
 echo "== build (release) =="
 cargo build --release
 
-echo "== tests =="
-cargo test -q
-
-echo "== workspace tests =="
+# The root package is a workspace member: this runs its suites too.
+echo "== tests (workspace) =="
 cargo test --workspace -q
 
 echo "== buffer manager stress =="
