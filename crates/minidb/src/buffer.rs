@@ -499,47 +499,8 @@ impl BufferPool {
         let si = self.shard_index(rel, blkno);
         let key = (rel, blkno);
         loop {
-            // Lookup: pin under the shard latch, then wait (if at all) on
-            // the frame with the latch released.
-            let hit: Option<(Arc<Frame>, bool)> = {
-                let _order = order::token(order::BUFFER_SHARD);
-                let mut shard = self.shards[si].lock();
-                match shard.map.get(&key) {
-                    Some(frame) => {
-                        let frame = Arc::clone(frame);
-                        frame.pins.fetch_add(1, Ordering::SeqCst);
-                        frame.refbit.store(true, Ordering::SeqCst);
-                        let was_prefetch = frame.from_prefetch.swap(false, Ordering::SeqCst);
-                        shard.stats.hits += 1;
-                        if was_prefetch {
-                            shard.stats.prefetch_hits += 1;
-                        }
-                        Some((frame, was_prefetch))
-                    }
-                    None => None,
-                }
-            };
-            if let Some((frame, was_prefetch)) = hit {
-                loop {
-                    match frame.state() {
-                        READY => return Ok((PinnedPage { frame }, was_prefetch)),
-                        LOADING => {
-                            // Block on the frame until the loader drops its
-                            // write lock, then re-check.
-                            let _fl = order::token(order::BUFFER_FRAME);
-                            drop(frame.buf.read());
-                        }
-                        _ => break, // FAILED
-                    }
-                }
-                // The load failed and the loader unmapped the frame. Undo
-                // the hit we recorded and retry as a fresh lookup.
-                {
-                    let _order = order::token(order::BUFFER_SHARD);
-                    self.shards[si].lock().stats.hits -= 1;
-                }
-                frame.unpin();
-                continue;
+            if let Some(hit) = self.pin_cached(rel, blkno) {
+                return Ok(hit);
             }
             // Miss: make room, then load with the latch released.
             let (tok, mut shard) = self.lock_with_room(si, smgr)?;
@@ -551,6 +512,46 @@ impl BufferPool {
             let frame = self.load_frame(tok, shard, smgr, dev, rel, blkno)?;
             return Ok((PinnedPage { frame }, true));
         }
+    }
+
+    /// The hit path, which never reads a device: pin under the shard latch,
+    /// then wait (if at all) on the frame with the latch released. Also
+    /// returns whether the frame came from read-ahead. `None` on a miss, or
+    /// when the frame's load failed and its loader unmapped it.
+    pub(crate) fn pin_cached(&self, rel: RelId, blkno: u64) -> Option<(PinnedPage, bool)> {
+        let si = self.shard_index(rel, blkno);
+        let (frame, was_prefetch) = {
+            let _order = order::token(order::BUFFER_SHARD);
+            let mut shard = self.shards[si].lock();
+            let frame = Arc::clone(shard.map.get(&(rel, blkno))?);
+            frame.pins.fetch_add(1, Ordering::SeqCst);
+            frame.refbit.store(true, Ordering::SeqCst);
+            let was_prefetch = frame.from_prefetch.swap(false, Ordering::SeqCst);
+            shard.stats.hits += 1;
+            if was_prefetch {
+                shard.stats.prefetch_hits += 1;
+            }
+            (frame, was_prefetch)
+        };
+        loop {
+            match frame.state() {
+                READY => return Some((PinnedPage { frame }, was_prefetch)),
+                LOADING => {
+                    // Block on the frame until the loader drops its write
+                    // lock, then re-check.
+                    let _fl = order::token(order::BUFFER_FRAME);
+                    drop(frame.buf.read());
+                }
+                _ => break, // FAILED
+            }
+        }
+        // Undo the hit we recorded.
+        {
+            let _order = order::token(order::BUFFER_SHARD);
+            self.shards[si].lock().stats.hits -= 1;
+        }
+        frame.unpin();
+        None
     }
 
     /// Inserts a `LOADING` frame for the block into the locked shard, then

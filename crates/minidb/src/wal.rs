@@ -86,7 +86,7 @@ const REC_HDR: usize = 5;
 const MAX_BODY: usize = 13 + crate::page::PAGE_SIZE;
 /// The end of every epoch, kept for 64 `Ceiling` records: reopening takes
 /// an xid before its checkpointer may truncate a log a crash left full.
-const CEILING_RESERVE: u64 = 64 * (REC_HDR as u64 + 8);
+pub(crate) const CEILING_RESERVE: u64 =64 * (REC_HDR as u64 + 8);
 
 /// One physiological REDO record.
 #[derive(Debug, Clone, PartialEq, Eq)]
