@@ -474,16 +474,17 @@ impl InvClient {
     pub fn p_undelete(&mut self, path: &str, t: SimInstant) -> InvResult<()> {
         let path = path.to_string();
         self.run(move |fs, s, _| {
-            let (cur_parent, cur_name) = fs.resolve_parent(s, &path, None)?;
-            if !fs.name_free_for_write(s, cur_parent, &cur_name)? {
+            let (parent, name) = fs.resolve_parent(s, &path, None)?;
+            if !fs.name_free_for_write(s, parent, &name)? {
                 return Err(InvError::Exists(path.clone()));
             }
+            // `naming` is ours exclusively from here on: the entry stays free
+            // for the inserts below.
             let snap = Snapshot::AsOf(t);
             let oid = fs.resolve(s, &path, Some(&snap))?;
             let stat_then = fs.stat_oid(s, oid, Some(&snap))?;
             if stat_then.kind == FileKind::Directory {
                 // Directories: restore the entry only.
-                let (parent, name) = fs.resolve_parent(s, &path, None)?;
                 s.insert(
                     fs.rels.naming,
                     vec![Datum::Text(name), Datum::Oid(parent.0), Datum::Oid(oid.0)],
@@ -514,7 +515,6 @@ impl InvClient {
                 s.delete(stat_then.datarel, tid)?;
             }
             // Restore the namespace entries.
-            let (parent, name) = fs.resolve_parent(s, &path, None)?;
             s.insert(
                 fs.rels.naming,
                 vec![Datum::Text(name), Datum::Oid(parent.0), Datum::Oid(oid.0)],

@@ -64,7 +64,7 @@ pub fn collect_orphans(fs: &InversionFs) -> InvResult<Vec<String>> {
         // Archived fileatt versions count too.
         let arch = fs.db().catalog().relation(fs.rels.fileatt)?.archive;
         if let Some(arch) = arch {
-            let arows = s.scan_with_snapshot(arch, &Snapshot::Dirty)?;
+            let arows = s.scan_with_snapshot(arch, Some(&Snapshot::Dirty))?;
             for (_, row) in arows {
                 let orig = minidb::decode_row(row[2].as_bytes()?)?;
                 referenced.insert(orig[A_DATAREL].as_oid()?);

@@ -50,12 +50,11 @@ impl InversionFs {
 
     /// Checks that `(parent, name)` is free *for this transaction to claim*.
     ///
-    /// The session's begin-time snapshot cannot see a conflicting entry
-    /// committed after this transaction began, so checking against it lets
-    /// two racing sessions both conclude the name is free and both insert
-    /// it (write skew on the uniqueness check). Taking `naming`'s exclusive
-    /// lock first means any conflicting writer has either committed —
-    /// visible to the fresh snapshot — or aborted.
+    /// The lookup is an ordinary read: under `naming`'s lock it sees the
+    /// latest committed entries. Taking the *exclusive* lock before it is a
+    /// lock-order choice: two creators that each read under the shared
+    /// lock and upgrade at the insert would wait on one another until one
+    /// is refused with `Deadlock`.
     pub(crate) fn name_free_for_write(
         &self,
         session: &mut Session,
@@ -63,10 +62,7 @@ impl InversionFs {
         name: &str,
     ) -> InvResult<bool> {
         session.lock_exclusive(self.rels.naming)?;
-        let snap = session.fresh_snapshot();
-        Ok(self
-            .lookup_child(session, parent, name, Some(&snap))?
-            .is_none())
+        Ok(self.lookup_child(session, parent, name, None)?.is_none())
     }
 
     /// Resolves `path` to a file oid under `snap` (or the session's view).
@@ -135,10 +131,7 @@ impl InversionFs {
         let mut cur = oid;
         for _depth in 0..4096 {
             let key = [Datum::Oid(cur.0)];
-            let hits = match snap {
-                Some(s) => session.index_scan_eq_with(self.rels.naming_file_idx, &key, s)?,
-                None => session.index_scan_eq(self.rels.naming_file_idx, &key)?,
-            };
+            let hits = session.index_scan_eq_with(self.rels.naming_file_idx, &key, snap)?;
             let (_, row) = hits
                 .into_iter()
                 .next()
@@ -178,7 +171,7 @@ impl InversionFs {
             Some(s) => {
                 // Historical readdir: no index-range-with-snapshot helper, so
                 // filter a full scan of naming under the snapshot.
-                let rows = session.scan_with_snapshot(self.rels.naming, s)?;
+                let rows = session.scan_with_snapshot(self.rels.naming, Some(s))?;
                 for (_, row) in rows {
                     if row[N_PARENTID].as_oid()? == dir.0 {
                         out.push((

@@ -975,12 +975,9 @@ impl Db {
     /// Begins a read/write transaction.
     pub fn begin(&self) -> DbResult<Session> {
         let xid = self.inner.xlog.start(self.inner.status_io())?;
-        let mut active = self.inner.xlog.active_set();
-        active.remove(&xid);
         Ok(Session {
             db: self.clone(),
-            xid: Some(xid),
-            snapshot: Snapshot::Current { xid, active },
+            view: View::Xact(xid),
             done: false,
             wrote: false,
             system: false,
@@ -992,8 +989,7 @@ impl Db {
     pub fn snapshot_at(&self, t: SimInstant) -> Session {
         Session {
             db: self.clone(),
-            xid: None,
-            snapshot: Snapshot::AsOf(t),
+            view: View::AsOf(t),
             done: false,
             wrote: false,
             system: false,
@@ -1103,11 +1099,19 @@ enum Keys<'a> {
     Between(Option<&'a [Datum]>, Option<&'a [Datum]>),
 }
 
+/// What a session reads.
+#[derive(Clone, Copy)]
+enum View {
+    /// The present, through a running transaction.
+    Xact(XactId),
+    /// The database as it was at an instant: read-only, and lock-free.
+    AsOf(SimInstant),
+}
+
 /// One client's transactional (or historical) view of a [`Db`].
 pub struct Session {
     pub(crate) db: Db,
-    xid: Option<XactId>,
-    snapshot: Snapshot,
+    view: View,
     done: bool,
     wrote: bool,
     /// Set only by [`Db::catalog_txn`]: this session may write the system
@@ -1123,24 +1127,22 @@ impl Session {
 
     /// The session's transaction id, if it is a writing session.
     pub fn xid(&self) -> Option<XactId> {
-        self.xid
+        match self.view {
+            View::Xact(xid) => Some(xid),
+            View::AsOf(_) => None,
+        }
     }
 
-    /// The session's snapshot.
-    pub fn snapshot(&self) -> &Snapshot {
-        &self.snapshot
-    }
-
-    /// Whether this session can write.
+    /// Whether this session can write: it has a transaction, not yet ended.
     pub fn is_writable(&self) -> bool {
-        !self.done && self.snapshot.is_writable()
+        self.writable_xid().is_ok()
     }
 
     fn writable_xid(&self) -> DbResult<XactId> {
         if self.done {
             return Err(DbError::NoTransaction);
         }
-        self.xid.ok_or(DbError::ReadOnly)
+        self.xid().ok_or(DbError::ReadOnly)
     }
 
     /// [`Session::writable_xid`] for a write to `rel`. The system
@@ -1157,7 +1159,7 @@ impl Session {
 
     fn lock(&self, rel: RelId, mode: LockMode) -> DbResult<()> {
         // Purely historical sessions read immutable versions: no locks.
-        let Some(xid) = self.xid else { return Ok(()) };
+        let Some(xid) = self.xid() else { return Ok(()) };
         // Catalog reads are plain snapshot reads. A shared lock held to
         // commit would block the DDL transaction that the reader's own
         // `create_table` runs — a wait no deadlock detector can see.
@@ -1168,40 +1170,31 @@ impl Session {
     }
 
     /// Takes `rel`'s exclusive lock ahead of a write, without touching any
-    /// page. Write paths take this lock implicitly; taking it *before* an
-    /// existence check lets the check run under [`Session::fresh_snapshot`]
-    /// with no conflicting writer still in flight.
+    /// page. Write paths take this lock implicitly; taking it before a read
+    /// that decides the write avoids upgrading a shared lock later.
     pub fn lock_exclusive(&self, rel: RelId) -> DbResult<()> {
         self.writable_xid()?;
         self.lock(rel, LockMode::Exclusive)
     }
 
-    /// A snapshot refreshed to the present: this transaction's own writes
-    /// plus everything committed *by now*, not just by transaction start.
-    /// Uniqueness-style checks ahead of a write must re-read under this
-    /// (holding the relation's exclusive lock): the begin-time snapshot
-    /// cannot see a conflicting row committed after this transaction
-    /// began, so checking against it lets two sessions both conclude a
-    /// key is free and both claim it (write skew on the check).
-    pub fn fresh_snapshot(&self) -> Snapshot {
-        match self.xid {
-            Some(xid) => {
-                let mut active = self.db.inner.xlog.active_set();
-                active.remove(&xid);
-                Snapshot::Current { xid, active }
+    /// The snapshot a read of `rel` runs under: `explicit` if given (an
+    /// `AsOf` or `Dirty` one; old versions are immutable, so it takes no
+    /// lock), else the session's own view. That is the one isolation rule:
+    /// a transaction takes `rel`'s shared lock, held to commit, and *then*
+    /// a statement snapshot ([`XactLog::snapshot`]). Under the lock no
+    /// writer of `rel` is in flight, and a transaction leaves the running
+    /// set before it releases its locks, so the snapshot shows the latest
+    /// committed state: strict 2PL, and serializable. Catalog reads take no
+    /// lock; each still sees a DDL commit whole or not at all.
+    fn read_snapshot(&self, rel: RelId, explicit: Option<&Snapshot>) -> DbResult<Snapshot> {
+        Ok(match (explicit, self.view) {
+            (Some(snap), _) => snap.clone(),
+            (None, View::Xact(xid)) => {
+                self.lock(rel, LockMode::Shared)?;
+                self.db.inner.xlog.snapshot(xid)
             }
-            None => self.snapshot.clone(),
-        }
-    }
-
-    /// Like [`Session::lock`], but skipped entirely when the operation runs
-    /// under an explicit historical snapshot — old committed versions are
-    /// immutable, so readers of the past need no 2PL and never block.
-    fn lock_for(&self, rel: RelId, mode: LockMode, snap: &Snapshot) -> DbResult<()> {
-        match snap {
-            Snapshot::Current { .. } => self.lock(rel, mode),
-            Snapshot::AsOf(_) | Snapshot::Dirty => Ok(()),
-        }
+            (None, View::AsOf(t)) => Snapshot::AsOf(t),
+        })
     }
 
     fn heap<'a>(&'a self, rel: RelId, dev: DeviceId) -> Heap<'a> {
@@ -1291,27 +1284,31 @@ impl Session {
     /// Fetches the row at `tid` if visible to this session.
     pub fn fetch(&mut self, rel: RelId, tid: Tid) -> DbResult<Option<Row>> {
         let (dev, _) = self.db.heap_parts(rel)?;
-        self.lock(rel, LockMode::Shared)?;
-        let snap = self.snapshot.clone();
+        let snap = self.read_snapshot(rel, None)?;
         self.heap(rel, dev).fetch(&snap, tid)
     }
 
     /// Scans `rel`, returning every visible row (with its tuple id).
     pub fn seq_scan(&mut self, rel: RelId) -> DbResult<Vec<(Tid, Row)>> {
-        let snap = self.snapshot.clone();
-        self.scan_with_snapshot(rel, &snap)
+        self.scan_with_snapshot(rel, None)
     }
 
-    /// Scans `rel` under an explicit snapshot (time-travel queries inside a
-    /// current session use this). Historical scans also search the archive
-    /// relation the vacuum cleaner may have moved old versions to.
-    pub fn scan_with_snapshot(&mut self, rel: RelId, snap: &Snapshot) -> DbResult<Vec<(Tid, Row)>> {
+    /// Scans `rel` under `snap` (`None` = the session's own view: for a
+    /// transaction, `rel`'s shared lock and then a statement snapshot).
+    /// Time-travel queries inside a current session pass one. Historical
+    /// scans also search the archive relation the vacuum cleaner may have
+    /// moved old versions to.
+    pub fn scan_with_snapshot(
+        &mut self,
+        rel: RelId,
+        snap: Option<&Snapshot>,
+    ) -> DbResult<Vec<(Tid, Row)>> {
         let (dev, _) = self.db.heap_parts(rel)?;
-        self.lock_for(rel, LockMode::Shared, snap)?;
-        let mut out = self.heap(rel, dev).scan_collect(snap)?;
+        let snap = self.read_snapshot(rel, snap)?;
+        let mut out = self.heap(rel, dev).scan_collect(&snap)?;
         if let Snapshot::AsOf(t) = snap {
             self.for_each_archived(rel, |amin, amax, tid, row| {
-                if amin <= *t && *t < amax {
+                if amin <= t && t < amax {
                     out.push((tid, decode_row(row)?));
                 }
                 Ok(())
@@ -1400,11 +1397,11 @@ impl Session {
     /// Point lookup through an index: rows of `rel` where the indexed
     /// columns equal `key`, filtered by visibility, newest version first.
     pub fn index_scan_eq(&mut self, index: RelId, key: &[Datum]) -> DbResult<Vec<(Tid, Row)>> {
-        let snap = self.snapshot.clone();
-        self.index_scan_eq_with(index, key, &snap)
+        self.index_scan_eq_with(index, key, None)
     }
 
-    /// [`Session::index_scan_eq`] under an explicit snapshot.
+    /// [`Session::index_scan_eq`] under `snap` (`None` = the session's own
+    /// view).
     ///
     /// Historical snapshots also search the table's archive relation: the
     /// vacuum cleaner may have moved the versions visible at that instant
@@ -1413,7 +1410,7 @@ impl Session {
         &mut self,
         index: RelId,
         key: &[Datum],
-        snap: &Snapshot,
+        snap: Option<&Snapshot>,
     ) -> DbResult<Vec<(Tid, Row)>> {
         let ix = self.index_meta(index)?;
         let mut out = Vec::new();
@@ -1425,7 +1422,7 @@ impl Session {
     }
 
     /// The one row `key` names in a unique index under `snap` (`None` = the
-    /// session's own snapshot), or `None` if no version is visible. Costs
+    /// session's own view), or `None` if no version is visible. Costs
     /// one heap fetch per version newer than the visible one, plus one.
     pub fn index_lookup_unique(
         &mut self,
@@ -1457,7 +1454,6 @@ impl Session {
                 "{index} is not a unique index: a key may have several visible rows"
             )));
         }
-        let snap = snap.unwrap_or(&self.snapshot);
         let mut hit = None;
         self.index_probe(ix, Keys::Eq(key), snap, read, |tid, v| {
             hit = Some((tid, v));
@@ -1477,7 +1473,7 @@ impl Session {
         f: impl FnMut(Tid, Row) -> DbResult<bool>,
     ) -> DbResult<()> {
         let ix = self.index_meta(index)?;
-        self.index_probe(ix, Keys::Between(lo, hi), &self.snapshot, decode_row, f)
+        self.index_probe(ix, Keys::Between(lo, hi), None, decode_row, f)
     }
 
     /// The tuple ids [`Session::index_scan_range`] would visit, without
@@ -1491,7 +1487,7 @@ impl Session {
         let ix = self.index_meta(index)?;
         let mut out = Vec::new();
         let tid_only = |_: &[u8]| Ok(());
-        self.index_probe(ix, Keys::Between(lo, hi), &self.snapshot, tid_only, |tid, ()| {
+        self.index_probe(ix, Keys::Between(lo, hi), None, tid_only, |tid, ()| {
             out.push(tid);
             Ok(true)
         })?;
@@ -1519,7 +1515,8 @@ impl Session {
     /// here. For each key in `keys`, in key order, it visits the versions
     /// filed under that key newest first, fetches each from the heap
     /// through `read` (see [`Heap::fetch_with`]) and hands the ones visible
-    /// under `snap` to `emit`, which returns `false` to end the probe.
+    /// under `snap` (`None`: the session's own view, under the table's
+    /// lock) to `emit`, which returns `false` to end the probe.
     ///
     /// On a unique index at most one version per key is visible to a
     /// `Current` or `AsOf` snapshot, so a key is done at its first visible
@@ -1536,11 +1533,11 @@ impl Session {
         &self,
         ix: IndexMeta,
         keys: Keys<'_>,
-        snap: &Snapshot,
+        snap: Option<&Snapshot>,
         read: impl Fn(&[u8]) -> DbResult<T>,
         mut emit: impl FnMut(Tid, T) -> DbResult<bool>,
     ) -> DbResult<()> {
-        self.lock_for(ix.table, LockMode::Shared, snap)?;
+        let snap = &self.read_snapshot(ix.table, snap)?;
         let one_per_key = ix.unique && !matches!(snap, Snapshot::Dirty);
         let bt = self.btree(ix.index, ix.dev);
         let heap = self.heap(ix.table, ix.dev);
@@ -1615,7 +1612,7 @@ impl Session {
             return Err(DbError::NoTransaction);
         }
         self.done = true;
-        let Some(xid) = self.xid else {
+        let Some(xid) = self.xid() else {
             return Ok(()); // Historical sessions end trivially.
         };
         let inner = &self.db.inner;
@@ -1706,7 +1703,7 @@ impl Session {
             return Err(DbError::NoTransaction);
         }
         self.done = true;
-        match self.xid {
+        match self.xid() {
             Some(xid) => Self::end_aborted(&self.db.inner, xid, false),
             None => Ok(()),
         }
@@ -1716,7 +1713,7 @@ impl Session {
 impl Drop for Session {
     fn drop(&mut self) {
         if !self.done {
-            if let Some(xid) = self.xid {
+            if let Some(xid) = self.xid() {
                 Self::end_aborted(&self.db.inner, xid, false).ok();
             }
         }
@@ -1817,6 +1814,23 @@ mod tests {
         assert_eq!(rows[0].1[1], Datum::Int4(29));
         assert!(!h.is_writable());
         assert!(matches!(h.insert(rel, emp("x", 1)), Err(DbError::ReadOnly)));
+    }
+
+    /// A session writes while its transaction runs, and only then. Reads
+    /// under an explicit historical or dirty snapshot take no lock: they are
+    /// outside 2PL, and no write goes through them.
+    #[test]
+    fn a_session_is_writable_while_its_transaction_runs() {
+        let (db, rel) = db_with_table();
+        let mut s = db.begin().unwrap();
+        assert!(s.is_writable());
+        s.scan_with_snapshot(rel, Some(&Snapshot::AsOf(db.now()))).unwrap();
+        s.scan_with_snapshot(rel, Some(&Snapshot::Dirty)).unwrap();
+        assert_eq!(db.held_lock_count(), 0);
+        s.commit().unwrap();
+        assert!(!s.is_writable());
+        assert!(matches!(s.insert(rel, emp("x", 1)), Err(DbError::NoTransaction)));
+        assert!(!db.snapshot_at(db.now()).is_writable());
     }
 
     #[test]

@@ -468,9 +468,7 @@ mod tests {
 
         fn begin(&self) -> (XactId, Snapshot) {
             let xid = self.xlog.start(self.rig.io()).unwrap();
-            let mut active = self.xlog.active_set();
-            active.remove(&xid);
-            (xid, Snapshot::Current { xid, active })
+            (xid, self.xlog.snapshot(xid))
         }
 
         /// Commits `xid` as a writer does: its `Commit` onto its status

@@ -821,16 +821,9 @@ fn build_scan(s: &mut Session, sp: &ScanPlan) -> DbResult<TupleExec> {
                 None => None,
             };
             match access {
-                Access::Seq => match &snap {
-                    Some(sn) => s.scan_with_snapshot(rel, sn)?,
-                    None => s.seq_scan(rel)?,
-                },
+                Access::Seq => s.scan_with_snapshot(rel, snap.as_ref())?,
                 Access::IndexEq { index, key, .. } => {
-                    let key = [key.clone()];
-                    match &snap {
-                        Some(sn) => s.index_scan_eq_with(*index, &key, sn)?,
-                        None => s.index_scan_eq(*index, &key)?,
-                    }
+                    s.index_scan_eq_with(*index, std::slice::from_ref(key), snap.as_ref())?
                 }
                 Access::IndexRange { index, lo, hi, .. } => {
                     let lo_key: Option<Vec<Datum>> = lo.as_ref().map(|d| vec![d.clone()]);

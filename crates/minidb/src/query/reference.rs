@@ -132,11 +132,7 @@ fn bind_from(s: &mut Session, item: &FromItem, qual: Option<&Expr>) -> DbResult<
                 if key.type_id() != Some(ty) {
                     continue;
                 }
-                let key = [key];
-                let rows = match &snap {
-                    Some(sn) => s.index_scan_eq_with(idx, &key, sn)?,
-                    None => s.index_scan_eq(idx, &key)?,
-                };
+                let rows = s.index_scan_eq_with(idx, &[key], snap.as_ref())?;
                 return Ok(BoundRel {
                     var: item.var.clone(),
                     schema,
@@ -145,10 +141,7 @@ fn bind_from(s: &mut Session, item: &FromItem, qual: Option<&Expr>) -> DbResult<
             }
         }
     }
-    let rows = match &snap {
-        Some(sn) => s.scan_with_snapshot(rel, sn)?,
-        None => s.seq_scan(rel)?,
-    };
+    let rows = s.scan_with_snapshot(rel, snap.as_ref())?;
     Ok(BoundRel {
         var: item.var.clone(),
         schema,

@@ -425,6 +425,16 @@ impl XactLog {
         }
     }
 
+    /// The statement snapshot of the running transaction `xid`: the other
+    /// running xids and the next xid, read together under the `xact-log`
+    /// mutex. It allocates only when another transaction is running.
+    pub(crate) fn snapshot(&self, xid: XactId) -> Snapshot {
+        let _order = token(XACT_LOG);
+        let g = self.inner.lock();
+        let running = g.running.iter().copied().filter(|&x| x != xid).collect();
+        Snapshot::Current(Statement { xid, running, xmax: XactId(g.next_xid) })
+    }
+
     /// The set of transaction ids currently in progress.
     pub fn active_set(&self) -> HashSet<XactId> {
         let _order = token(XACT_LOG);
@@ -468,35 +478,39 @@ impl TupleHeader {
 /// What a reader is allowed to see.
 #[derive(Debug, Clone)]
 pub enum Snapshot {
-    /// The view of a running transaction: its own updates plus everything
-    /// committed before it started.
-    Current {
-        /// The reading transaction.
-        xid: XactId,
-        /// Transactions in progress when the snapshot was taken.
-        active: HashSet<XactId>,
-    },
+    /// The present, as one read of a running transaction sees it: taken
+    /// under the read's relation lock, by `XactLog::snapshot` alone.
+    Current(Statement),
     /// Time travel: the transaction-consistent state at a past instant.
     AsOf(SimInstant),
     /// Every tuple version regardless of state (vacuum, debugging).
     Dirty,
 }
 
-impl Snapshot {
-    /// Whether this snapshot permits writes.
-    pub fn is_writable(&self) -> bool {
-        matches!(self, Snapshot::Current { .. })
-    }
+/// A statement snapshot: the reading transaction's own updates plus every
+/// transaction that had committed when the snapshot was taken. A committed
+/// xid is in its past only if it is below `xmax` and was not running then.
+#[derive(Debug, Clone)]
+pub struct Statement {
+    /// The reading transaction, whose own updates it sees.
+    xid: XactId,
+    /// The other transactions running when the snapshot was taken.
+    running: Vec<XactId>,
+    /// The next xid when the snapshot was taken: every xid from here on
+    /// started after it.
+    xmax: XactId,
+}
 
+impl Snapshot {
     /// Decides visibility of a tuple under this snapshot, asking `state`
     /// ([`XactLog::state`]) for the outcomes it needs.
     pub fn visible(&self, hdr: TupleHeader, state: impl Fn(XactId) -> DbResult<XactState>) -> DbResult<bool> {
         match self {
             Snapshot::Dirty => Ok(true),
-            Snapshot::Current { xid, active } => {
-                // Committed in our past: not running when we started.
+            Snapshot::Current(Statement { xid, running, xmax }) => {
                 let committed = |x: XactId| -> DbResult<bool> {
-                    Ok(!active.contains(&x) && matches!(state(x)?, XactState::Committed(_)))
+                    let past = x < *xmax && !running.contains(&x);
+                    Ok(past && matches!(state(x)?, XactState::Committed(_)))
                 };
                 if hdr.xmin != *xid && !committed(hdr.xmin)? {
                     return Ok(false);
@@ -954,10 +968,7 @@ mod tests {
         commit(&log, &rig, committed, 5);
         let other_active = log.start(rig.io()).unwrap();
         let me = log.start(rig.io()).unwrap();
-        let snap = Snapshot::Current {
-            xid: me,
-            active: log.active_set(),
-        };
+        let snap = log.snapshot(me);
         let sees = |h| visible(&snap, h, &log, &rig);
 
         // Own insert visible; own delete invisible.
@@ -978,13 +989,45 @@ mod tests {
         let (log, rig) = fresh();
         let other = log.start(rig.io()).unwrap();
         let me = log.start(rig.io()).unwrap();
-        let snap = Snapshot::Current {
-            xid: me,
-            active: log.active_set(),
-        };
+        let snap = log.snapshot(me);
         commit(&log, &rig, other, 50);
-        // `other` committed *after* our snapshot: still invisible.
+        // `other` was running when the snapshot was taken and committed
+        // after it: still invisible, its inserts and its deletes alike.
         assert!(!visible(&snap, hdr(other.0, 0), &log, &rig));
+        assert!(visible(&snap, hdr(1, other.0), &log, &rig));
+        // The next snapshot has it in its past.
+        assert!(visible(&log.snapshot(me), hdr(other.0, 0), &log, &rig));
+    }
+
+    #[test]
+    fn a_transaction_that_starts_after_the_snapshot_stays_invisible() {
+        let (log, rig) = fresh();
+        let me = log.start(rig.io()).unwrap();
+        let snap = log.snapshot(me);
+        // Not running when the snapshot was taken, but at or past its xmax.
+        let later = log.start(rig.io()).unwrap();
+        commit(&log, &rig, later, 50);
+        assert!(!visible(&snap, hdr(later.0, 0), &log, &rig));
+        assert!(visible(&snap, hdr(1, later.0), &log, &rig));
+        assert!(visible(&log.snapshot(me), hdr(later.0, 0), &log, &rig));
+    }
+
+    #[test]
+    fn the_readers_own_xid_is_always_ours() {
+        let (log, rig) = fresh();
+        let me = log.start(rig.io()).unwrap();
+        let other = log.start(rig.io()).unwrap();
+        // Both running: the reader's own xid is not among those hidden, and
+        // no outcome is asked for it.
+        let snap = log.snapshot(me);
+        let own = |x| match x == me {
+            true => panic!("asked for the reader's own state"),
+            false => log.state(&rig.pool, &rig.smgr, x),
+        };
+        assert!(snap.visible(hdr(me.0, 0), own).unwrap());
+        assert!(snap.visible(hdr(me.0, other.0), own).unwrap());
+        assert!(!snap.visible(hdr(me.0, me.0), own).unwrap());
+        assert!(!snap.visible(hdr(1, me.0), own).unwrap());
     }
 
     #[test]
@@ -1022,16 +1065,5 @@ mod tests {
     #[test]
     fn dirty_sees_everything() {
         assert!(Snapshot::Dirty.visible(hdr(424242, 999), |_| Ok(XactState::Unknown)).unwrap());
-    }
-
-    #[test]
-    fn snapshot_writability() {
-        assert!(Snapshot::Current {
-            xid: XactId(2),
-            active: HashSet::new()
-        }
-        .is_writable());
-        assert!(!Snapshot::AsOf(SimInstant::EPOCH).is_writable());
-        assert!(!Snapshot::Dirty.is_writable());
     }
 }

@@ -274,3 +274,64 @@ fn flush_caches_never_collides_with_the_background_checkpointer() {
         }
     }
 }
+
+/// A table `name` of one `v` column holding one row, 0, committed.
+fn one_row_table(db: &minidb::Db, name: &str) -> minidb::RelId {
+    let rel = db.create_table(name, Schema::new([("v", TypeId::INT4)])).unwrap();
+    let mut s = db.begin().unwrap();
+    s.insert(rel, vec![Datum::Int4(0)]).unwrap();
+    s.commit().unwrap();
+    rel
+}
+
+/// The values of `rel`'s visible rows, as `s` reads them now.
+fn values(s: &mut minidb::Session, rel: minidb::RelId) -> Vec<i32> {
+    let rows = s.seq_scan(rel).unwrap();
+    rows.iter().map(|(_, row)| row[0].as_int().unwrap() as i32).collect()
+}
+
+/// Read skew, the schedule strict 2PL rules out. s1 begins while s0 has r
+/// updated; s0 commits; s2 reads r's new version, writes S from it and
+/// commits; then s1 reads S and R. In every serial order that gives s1
+/// s2's write to S, s1 comes after s0 too, so it must read r's new value.
+/// Nothing here waits on a lock, so one thread runs it.
+#[test]
+fn a_read_sees_the_present_not_its_transactions_start() {
+    let db = Devices::new().format();
+    let (r, s) = (one_row_table(&db, "r"), one_row_table(&db, "s"));
+    let mut s0 = db.begin().unwrap();
+    let (tid, _) = s0.seq_scan(r).unwrap().pop().unwrap();
+    s0.update(r, tid, vec![Datum::Int4(1)]).unwrap();
+    let mut s1 = db.begin().unwrap();
+    s0.commit().unwrap();
+
+    let mut s2 = db.begin().unwrap();
+    assert_eq!(values(&mut s2, r), [1]);
+    let (tid, _) = s2.seq_scan(s).unwrap().pop().unwrap();
+    s2.update(s, tid, vec![Datum::Int4(1)]).unwrap();
+    s2.commit().unwrap();
+
+    let seen = (values(&mut s1, s), values(&mut s1, r));
+    assert_eq!(seen, (vec![1], vec![1]), "s1 saw s2's write but not s0's, which s2 read");
+    s1.commit().unwrap();
+}
+
+/// A writer that began while another transaction held its row updates the
+/// version that transaction committed: under 2PL a conflict is a wait,
+/// never "concurrently deleted". One thread runs it: the lookup comes after
+/// the other commit, so nothing waits.
+#[test]
+fn an_update_after_a_conflicting_commit_updates_the_committed_version() {
+    let db = Devices::new().format();
+    let r = one_row_table(&db, "r");
+    let mut s0 = db.begin().unwrap();
+    let mut s1 = db.begin().unwrap();
+    let (tid, _) = s0.seq_scan(r).unwrap().pop().unwrap();
+    s0.update(r, tid, vec![Datum::Int4(1)]).unwrap();
+    s0.commit().unwrap();
+
+    let (tid, _) = s1.seq_scan(r).unwrap().pop().unwrap();
+    s1.update(r, tid, vec![Datum::Int4(2)]).unwrap();
+    s1.commit().unwrap();
+    assert_eq!(values(&mut db.begin().unwrap(), r), [2]);
+}
