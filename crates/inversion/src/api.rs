@@ -19,16 +19,17 @@
 //! have one transaction active at any time"; operations issued outside an
 //! explicit transaction auto-commit individually.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use minidb::{Datum, DbError, Oid, Session, Snapshot, Tid};
+use minidb::catalog::RelKind;
+use minidb::{Datum, DbError, Oid, RelId, Session, Snapshot, Tid};
 use simdev::SimInstant;
 
 use crate::chunk::{self, Coalescer, CHUNK_SIZE};
 use crate::compress;
 use crate::fs::{
     stat_to_row, CreateMode, FileKind, FileStat, InvError, InvResult, InversionFs, SliceRange,
-    ATIME_PENDING_MAX, A_ATIME, A_MTIME, A_SIZE,
+    ATIME_PENDING_MAX, A_ATIME, A_DATAREL, A_MTIME, A_SIZE,
 };
 
 /// A file descriptor.
@@ -978,7 +979,9 @@ impl InversionFs {
     /// is longer than [`CHUNK_SIZE`], and no chunk extends past the size
     /// recorded in `fileatt`. Sparse files are legal — a seek past EOF plus
     /// a write leaves holes, which readers fill with zeros — so chunk
-    /// *density* is deliberately not required.
+    /// *density* is deliberately not required. Checked across files:
+    /// `orphan-rel`, every `inv*` heap is named by a committed `fileatt`
+    /// version.
     pub fn check(&self) -> Vec<minidb::Finding> {
         use minidb::Finding;
         let mut out = Vec::new();
@@ -1100,19 +1103,126 @@ impl InversionFs {
                 }
             }
         }
+        match self.orphan_rels(&mut s) {
+            Ok(found) => out.extend(found),
+            Err(e) => out.push(Finding::new("fileatt", "check-error", e.to_string())),
+        }
         s.abort().ok();
         out
+    }
+
+    /// Rule `orphan-rel`: every `inv*` heap in the catalog is named by a
+    /// committed `fileatt` version — live, dead or archived, since history
+    /// still reads an unlinked file's data and a migrated file's old
+    /// relation. A relation whose creating transaction still runs is
+    /// exempt. Any other is storage that no file will ever reach. The
+    /// caller holds `fileatt`'s shared lock, so no creator commits a row
+    /// while this runs.
+    fn orphan_rels(&self, s: &mut Session) -> InvResult<Vec<minidb::Finding>> {
+        let mut versions = s.scan_committed_versions(self.rels.fileatt)?;
+        let archive = self.db().catalog().relation(self.rels.fileatt)?.archive;
+        if let Some(arch) = archive {
+            for (_, row) in s.scan_with_snapshot(arch, Some(&Snapshot::Dirty))? {
+                versions.push(minidb::decode_row(row[2].as_bytes()?)?);
+            }
+        }
+        let named: HashSet<u32> =
+            versions.iter().map(|v| v[A_DATAREL].as_oid()).collect::<Result<_, _>>()?;
+        let unnamed: Vec<(RelId, String)> = self
+            .db()
+            .catalog()
+            .relations()
+            .filter(|r| r.kind == RelKind::Heap && r.name.starts_with("inv"))
+            .filter(|r| !r.name.ends_with(",arch") && !named.contains(&r.id.0))
+            .map(|r| (r.id, r.name.clone()))
+            .collect();
+        let mut out = Vec::new();
+        for (id, rel_name) in unnamed {
+            // An aborting creator takes the relation out of the catalog
+            // before its transaction leaves the running set.
+            if !self.db().is_being_created(id)? && self.db().catalog().relation(id).is_ok() {
+                let detail = format!("relation {id} is named by no committed fileatt version");
+                out.push(minidb::Finding::new(rel_name, "orphan-rel", detail));
+            }
+        }
+        Ok(out)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use minidb::catalog::PG_CLASS;
+    use minidb::DeviceId;
 
     fn fs_client() -> (InversionFs, InvClient) {
         let fs = InversionFs::open_in_memory().unwrap();
         let c = fs.client();
         (fs, c)
+    }
+
+    /// Nothing of a file relation is left: no `inv*` entry in the catalog
+    /// cache, no `pg_class` row naming one that is visible or committed,
+    /// and — `check_all`'s `device-orphan-rel` — no relation on a device
+    /// that the cache lacks.
+    pub(crate) fn assert_no_file_relations(fs: &InversionFs) {
+        let cat = fs.db().catalog();
+        let cached: Vec<&str> =
+            cat.relations().map(|r| r.name.as_str()).filter(|n| n.starts_with("inv")).collect();
+        assert_eq!(cached, Vec::<&str>::new(), "catalog cache entries");
+        drop(cat);
+        let mut s = fs.db().begin().unwrap();
+        let visible: Vec<_> = s.seq_scan(PG_CLASS).unwrap().into_iter().map(|(_, r)| r).collect();
+        let committed = s.scan_committed_versions(PG_CLASS).unwrap();
+        s.commit().unwrap();
+        for row in visible.iter().chain(&committed) {
+            let name = row[1].as_text().unwrap();
+            assert!(!name.starts_with("inv"), "a pg_class row names {name}");
+        }
+        assert_eq!(fs.db().check_all(), []);
+        assert_eq!(fs.check(), []);
+    }
+
+    #[test]
+    fn an_aborted_creat_leaves_no_relation() {
+        let (fs, mut c) = fs_client();
+        c.p_begin().unwrap();
+        let fd = c.p_creat("/doomed", CreateMode::default()).unwrap();
+        c.p_write(fd, &vec![3u8; CHUNK_SIZE + 1]).unwrap();
+        c.p_close(fd).unwrap();
+        assert!(fs.db().catalog().relations().any(|r| r.name.starts_with("inv")));
+        c.p_abort().unwrap();
+        assert_no_file_relations(&fs);
+        assert!(c.p_stat("/doomed", None).is_err());
+        // The path is free again.
+        c.write_all("/doomed", CreateMode::default(), b"second try").unwrap();
+        assert_eq!(c.read_to_vec("/doomed", None).unwrap(), b"second try");
+    }
+
+    #[test]
+    fn a_failed_auto_commit_creat_leaves_no_relation() {
+        let (fs, mut c) = fs_client();
+        // No page holds this `fileatt` row. Its insert fails after the data
+        // relation was created, and the auto-commit transaction aborts.
+        let mode = CreateMode::default().owned_by("o".repeat(9000));
+        assert!(c.p_creat("/too_big", mode).is_err());
+        assert_no_file_relations(&fs);
+    }
+
+    #[test]
+    fn fs_check_finds_a_relation_no_file_names() {
+        let (fs, mut c) = fs_client();
+        c.write_all("/kept", CreateMode::default(), b"stay").unwrap();
+        let schema = minidb::Schema::new([("chunkno", minidb::TypeId::INT4)]);
+        // While its creating transaction runs, a relation is exempt.
+        let mut s = fs.db().begin().unwrap();
+        s.create_table_on("inv998", schema.clone(), DeviceId::DEFAULT, false).unwrap();
+        assert_eq!(fs.check(), []);
+        s.abort().unwrap();
+        fs.db().create_table_on("inv999", schema, DeviceId::DEFAULT, false).unwrap();
+        let found: Vec<(String, String)> =
+            fs.check().into_iter().map(|f| (f.code, f.relation)).collect();
+        assert_eq!(found, [("orphan-rel".into(), "inv999".into())]);
     }
 
     #[test]

@@ -440,16 +440,17 @@ impl InversionFs {
         crate::api::InvClient::new(self.clone())
     }
 
-    /// Creates the data relation and chunk index for a new regular file.
+    /// Creates the data relation and chunk index for a new regular file,
+    /// in `session`'s transaction: an abort takes both back.
     pub(crate) fn create_data_rel(
         &self,
+        session: &mut Session,
         oid: Oid,
         device: DeviceId,
         no_history: bool,
     ) -> InvResult<(RelId, RelId)> {
-        let table_name = format!("inv{}", oid.0);
-        let datarel = self.db.create_table_on(
-            &table_name,
+        let datarel = session.create_table_on(
+            &format!("inv{}", oid.0),
             Schema::new([("chunkno", TypeId::INT4), ("data", TypeId::BYTES)]),
             device,
             no_history,
@@ -457,8 +458,7 @@ impl InversionFs {
         // One version of a chunk is current at a time: `store_chunk`
         // replaces the version its caller looked up.
         let chunkidx =
-            self.db
-                .create_unique_index(&format!("inv{}_idx", oid.0), datarel, &["chunkno"])?;
+            session.create_unique_index(&format!("inv{}_idx", oid.0), datarel, &["chunkno"])?;
         Ok((datarel, chunkidx))
     }
 

@@ -27,7 +27,7 @@ impl LargeObject {
     /// Creates a new, anonymous large object.
     pub fn create(fs: &InversionFs, s: &mut Session, mode: &CreateMode) -> InvResult<LargeObject> {
         let oid = fs.db().alloc_oid()?;
-        let (datarel, chunkidx) = fs.create_data_rel(oid, mode.device, mode.no_history)?;
+        let (datarel, chunkidx) = fs.create_data_rel(s, oid, mode.device, mode.no_history)?;
         let now = fs.db().now();
         let row = file_fileatt_row(oid, mode, now, datarel, chunkidx);
         s.insert(fs.rels.fileatt, row)?;

@@ -1,22 +1,15 @@
-//! Administrative maintenance: database-wide vacuuming and orphan
-//! collection.
+//! Administrative maintenance: database-wide vacuuming — the periodic
+//! sweep the paper's vacuum-cleaner process performed.
 //!
-//! Like POSTGRES, relation creation is not transactional. DDL is a logged
-//! transaction on the system relations, but one *of its own*, committed
-//! before the caller's: a `p_creat` whose transaction aborts leaves
-//! invisible `naming`/`fileatt` rows (harmless) and an orphaned `inv<oid>`
-//! data relation (leaked storage) with a perfectly good `pg_class` row.
-//! [`collect_orphans`] is the garbage collector for the latter, and
-//! [`vacuum_all`] runs the vacuum cleaner over every heap in the database —
-//! the periodic sweep the paper's vacuum-cleaner process performed.
-
-use std::collections::HashSet;
+//! There is no orphan collection: a `p_creat` creates its data relation in
+//! the client's transaction, so an abort takes the relation back with the
+//! rest. [`InversionFs::check`] asserts as much (`orphan-rel`).
 
 use minidb::catalog::{Catalog, RelKind};
 use minidb::vacuum::{vacuum, VacuumStats};
-use minidb::{DeviceId, RelId, Snapshot};
+use minidb::{DeviceId, RelId};
 
-use crate::fs::{InvResult, InversionFs, A_CHUNKIDX, A_DATAREL};
+use crate::fs::{InvResult, InversionFs};
 
 /// Vacuums every user heap relation, archiving dead versions onto
 /// `archive_dev`. Returns per-relation statistics. Requires a quiescent
@@ -43,81 +36,12 @@ pub fn vacuum_all(
     Ok(out)
 }
 
-/// Finds and drops `inv*` data relations (and their chunk indices) that no
-/// version of any `fileatt` row references — the debris of aborted creates.
-///
-/// Relations referenced by *historical* `fileatt` versions (e.g. the
-/// pre-migration data relation of a migrated file) are kept: time travel
-/// still needs them.
-pub fn collect_orphans(fs: &InversionFs) -> InvResult<Vec<String>> {
-    // Everything any fileatt version has ever referenced, dead or alive.
-    let mut referenced: HashSet<u32> = HashSet::new();
-    {
-        let mut s = fs.db().begin()?;
-        // Only versions whose inserter committed count as references; the
-        // whole point is to discard what aborted transactions left behind.
-        let rows = s.scan_committed_versions(fs.rels.fileatt)?;
-        for row in rows {
-            referenced.insert(row[A_DATAREL].as_oid()?);
-            referenced.insert(row[A_CHUNKIDX].as_oid()?);
-        }
-        // Archived fileatt versions count too.
-        let arch = fs.db().catalog().relation(fs.rels.fileatt)?.archive;
-        if let Some(arch) = arch {
-            let arows = s.scan_with_snapshot(arch, Some(&Snapshot::Dirty))?;
-            for (_, row) in arows {
-                let orig = minidb::decode_row(row[2].as_bytes()?)?;
-                referenced.insert(orig[A_DATAREL].as_oid()?);
-                referenced.insert(orig[A_CHUNKIDX].as_oid()?);
-            }
-        }
-        s.commit()?;
-    }
-
-    // Candidate orphans: inv* heaps (their indices go with them).
-    let victims: Vec<String> = fs
-        .db()
-        .catalog()
-        .relations()
-        .filter(|r| {
-            r.kind == RelKind::Heap
-                && r.name.starts_with("inv")
-                && !r.name.ends_with(",arch")
-                && !referenced.contains(&r.id.0)
-        })
-        .map(|r| r.name.clone())
-        .collect();
-    for name in &victims {
-        fs.db().drop_relation(name)?;
-    }
-    Ok(victims)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fs::CreateMode;
     use crate::migrate::migrate_file;
     use crate::OpenMode;
-
-    #[test]
-    fn aborted_create_leaves_orphan_which_is_collected() {
-        let fs = InversionFs::open_in_memory().unwrap();
-        let mut c = fs.client();
-        c.p_begin().unwrap();
-        c.p_creat("/doomed", CreateMode::default()).unwrap();
-        c.p_abort().unwrap();
-        c.write_all("/kept", CreateMode::default(), b"stay")
-            .unwrap();
-
-        let victims = collect_orphans(&fs).unwrap();
-        assert_eq!(victims.len(), 1, "exactly the aborted file's relation");
-        assert!(victims[0].starts_with("inv"));
-        // The live file is untouched.
-        assert_eq!(c.read_to_vec("/kept", None).unwrap(), b"stay");
-        // Idempotent.
-        assert!(collect_orphans(&fs).unwrap().is_empty());
-    }
 
     #[test]
     fn unlinked_files_are_not_orphans() {
@@ -129,7 +53,7 @@ mod tests {
             .unwrap();
         let t_alive = fs.db().now();
         c.p_unlink("/deleted").unwrap();
-        assert!(collect_orphans(&fs).unwrap().is_empty());
+        assert_eq!(fs.check(), []);
         c.p_undelete("/deleted", t_alive).unwrap();
         assert_eq!(c.read_to_vec("/deleted", None).unwrap(), b"bytes");
     }
@@ -174,10 +98,7 @@ mod tests {
         migrate_file(&fs, &mut s, oid, DeviceId(1)).unwrap();
         s.commit().unwrap();
 
-        assert!(
-            collect_orphans(&fs).unwrap().is_empty(),
-            "old relation is history, not garbage"
-        );
+        assert_eq!(fs.check(), [], "the old relation is history, not an orphan");
         assert_eq!(c.read_to_vec("/data", Some(t_before)).unwrap(), b"payload");
     }
 

@@ -44,13 +44,13 @@ pub fn migrate_file(
     // A fresh relation on the target device; the name embeds the current
     // time so repeated migrations never collide.
     let suffix = fs.db().now().as_nanos();
-    let new_rel = fs.db().create_table_on(
+    let new_rel = s.create_table_on(
         &format!("inv{}_m{}", oid.0, suffix),
         Schema::new([("chunkno", TypeId::INT4), ("data", TypeId::BYTES)]),
         target,
         false,
     )?;
-    let new_idx = fs.db().create_unique_index(
+    let new_idx = s.create_unique_index(
         &format!("inv{}_m{}_idx", oid.0, suffix),
         new_rel,
         &["chunkno"],

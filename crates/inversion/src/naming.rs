@@ -200,8 +200,9 @@ impl InversionFs {
         Ok(out)
     }
 
-    /// Creates a directory entry plus `fileatt` row for a new regular file;
-    /// returns its stat. The caller supplies the session (transaction).
+    /// Creates a new regular file — data relation, chunk index, directory
+    /// entry, `fileatt` row — all in the caller's session (transaction);
+    /// returns its stat.
     pub(crate) fn create_file_at(
         &self,
         session: &mut Session,
@@ -217,7 +218,7 @@ impl InversionFs {
             return Err(InvError::NotADirectory(path.to_string()));
         }
         let oid = self.db().alloc_oid()?;
-        let (datarel, chunkidx) = self.create_data_rel(oid, mode.device, mode.no_history)?;
+        let (datarel, chunkidx) = self.create_data_rel(session, oid, mode.device, mode.no_history)?;
         let now = self.db().now();
         session.insert(
             self.rels.naming,

@@ -889,6 +889,7 @@ mod tests {
         }
         let mut probe = fs.client();
         assert!(probe.p_stat("/doomed", None).is_err(), "rows leaked");
+        crate::api::tests::assert_no_file_relations(&fs);
         pool.shutdown();
     }
 }

@@ -4,9 +4,10 @@
 //! heaps at fixed oids below [`Catalog::FIRST_OID`] — `pg_class`,
 //! `pg_type`, `pg_proc`, `pg_rule` — live on the catalog device
 //! ([`DeviceId::CATALOG`]), and a committed row in one of them is the only
-//! durable form a catalog entry has. DDL is therefore an ordinary
-//! WAL-logged transaction (see [`crate::Db::create_table_on`]): it is
-//! replayed by first-touch REDO, drained by checkpoints, audited by
+//! durable form a catalog entry has. DDL is therefore ordinary WAL-logged
+//! row changes inside a transaction (see
+//! [`crate::Session::create_table_on`]): they are replayed by first-touch
+//! REDO, drained by checkpoints, audited by
 //! `pg_check` and queryable (`retrieve (c.relname) from c in pg_class`) by
 //! the code that does those things for every other table. There is no
 //! other persistence path and no size limit but the device's.
@@ -377,8 +378,9 @@ impl RuleEntry {
 pub struct Catalog {
     relations: HashMap<RelId, RelationEntry>,
     rel_by_name: HashMap<String, RelId>,
-    /// Where each user relation's committed `pg_class` row sits: a drop or
-    /// a replace finds the row here, never by scanning.
+    /// Where each user relation's `pg_class` row sits — committed, or
+    /// inserted by the transaction creating the relation: a drop, a replace
+    /// or the verifier finds the row here, never by scanning.
     class_tids: HashMap<RelId, Tid>,
     types: HashMap<TypeId, TypeEntry>,
     type_by_name: HashMap<String, TypeId>,
@@ -443,12 +445,12 @@ impl Catalog {
         Ok(())
     }
 
-    /// Where `id`'s committed `pg_class` row sits, if it has one.
+    /// Where `id`'s `pg_class` row sits, if it has one.
     pub(crate) fn class_tid(&self, id: RelId) -> Option<Tid> {
         self.class_tids.get(&id).copied()
     }
 
-    /// Records where `id`'s committed `pg_class` row now sits.
+    /// Records where `id`'s `pg_class` row now sits.
     pub(crate) fn set_class_tid(&mut self, id: RelId, tid: Tid) {
         self.class_tids.insert(id, tid);
     }

@@ -199,7 +199,8 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
 /// Cache ↔ rows ↔ devices. The catalog cache must be what reopening the
 /// database would load from the visible system-relation rows — a row that
 /// does not decode, a row the cache lacks or contradicts, a cached relation
-/// with no row (it would not survive a restart) are all `catalog-row` —
+/// with no row (it would not survive a restart) are all `catalog-row`,
+/// except a relation whose creating transaction still runs —
 /// and every relation a device holds must be in the catalog's `storage`
 /// (`device-orphan-rel`): the reverse of the per-relation
 /// `catalog-dangling-rel` check, and the verifier of the sweep
@@ -217,7 +218,9 @@ fn catalog_rows(
             let ids: HashSet<_> = stored.relations().map(|e| e.id).chain(by_id.keys().copied()).collect();
             for id in ids {
                 let (row, cached) = (stored.relation(id).ok(), by_id.get(&id).copied());
-                if row != cached {
+                // A create still in flight has its entry and an uncommitted row.
+                let in_flight = || row.is_none() && db.is_being_created(id).unwrap_or(false);
+                if row != cached && !in_flight() {
                     out.push(Finding::new(
                         row.or(cached).map_or_else(String::new, |e| e.name.clone()),
                         "catalog-row",
@@ -754,20 +757,28 @@ mod tests {
             .with(DeviceId::DEFAULT, |m| m.create_rel(ghost.id))
             .unwrap();
         assert_eq!(codes(&db), [("catalog-row".into(), "ghost".into())]);
-        db.store_class_rows(&[ghost.id]).unwrap();
+        db.catalog_txn(|s| s.store_class_rows(&[ghost.id])).unwrap();
+        assert_eq!(codes(&db), []);
+
+        // Not so one whose creating transaction still runs, and nothing is
+        // left of it once that transaction aborts.
+        let mut s = db.begin().unwrap();
+        s.create_table_on("pending", ghost.schema.clone(), DeviceId::DEFAULT, false).unwrap();
+        assert_eq!(codes(&db), []);
+        s.abort().unwrap();
         assert_eq!(codes(&db), []);
 
         // A row the cache does not know: an index naming no heap at that.
         let mut stray = db.catalog().relation_by_name("emp_name_idx").unwrap().clone();
         (stray.id, stray.name) = (Oid(777_779), "stray_idx".into());
         stray.index.as_mut().unwrap().table = Oid(777_780);
-        db.catalog_txn(|s| s.insert(PG_CLASS, stray.to_row())).unwrap();
+        db.catalog_txn(|s| s.insert_row(PG_CLASS, stray.to_row())).unwrap();
         assert_eq!(codes(&db), [("catalog-row".into(), "stray_idx".into())]);
 
         // A row that does not decode.
         let mut bad = ghost.to_row();
         bad[2] = Datum::Text("?".into());
-        db.catalog_txn(|s| s.insert(PG_CLASS, bad)).unwrap();
+        db.catalog_txn(|s| s.insert_row(PG_CLASS, bad)).unwrap();
         assert_eq!(codes(&db), [("catalog-row".into(), "pg_class".into())]);
     }
 

@@ -188,6 +188,20 @@ impl DbInner {
         synced
     }
 
+    /// Takes back the relations an aborted transaction created, newest
+    /// first: cache entry, cached pages, storage. Their `pg_class` rows
+    /// need nothing: the abort leaves them invisible for good.
+    fn undo_creates(&self, created: &[(RelId, DeviceId)]) {
+        for &(id, dev) in created.iter().rev() {
+            {
+                let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+                self.catalog.write().remove_relation(id).ok();
+            }
+            self.pool.discard_rel(id);
+            self.smgr.with(dev, |m| m.drop_rel(id)).ok();
+        }
+    }
+
     /// Wakes the checkpointer when a checkpoint is wanted — called from the
     /// write paths, so a long transaction's log appetite triggers draining
     /// mid-transaction.
@@ -530,50 +544,20 @@ impl Db {
         self.inner.xlog.alloc_oid(self.inner.status_io())
     }
 
-    /// Runs `f` as one short internal transaction allowed to write the
-    /// system relations, and commits it: the one way a catalog change
-    /// becomes durable. It is a transaction of its own even when the caller
-    /// is inside one — a relation created by a `p_creat` that later aborts
-    /// still exists (hence `maintenance::collect_orphans`). Never called
-    /// with the catalog lock held: `f` waits for relation locks.
+    /// Runs `f` as one short transaction of its own and commits it: the
+    /// `Db::create_*` wrappers (bootstrap and tests), drops, `define_*` and
+    /// vacuum's archive attach. A client's `creat` does not come through
+    /// here: it creates in its own [`Session`]'s transaction. Never called
+    /// with the catalog lock held, nor on a thread whose open transaction
+    /// has written a system relation: `f` waits for relation locks.
     pub(crate) fn catalog_txn<T>(
         &self,
         f: impl FnOnce(&mut Session) -> DbResult<T>,
     ) -> DbResult<T> {
         let mut s = self.begin()?;
-        s.system = true;
         let out = f(&mut s)?;
         s.commit()?;
         Ok(out)
-    }
-
-    /// Makes the cache's current entries for `ids` durable as `pg_class`
-    /// rows, in one transaction. An entry that already has a row gets it
-    /// replaced; the row is found by its remembered tid, so the cost does
-    /// not grow with the catalog.
-    pub(crate) fn store_class_rows(&self, ids: &[RelId]) -> DbResult<()> {
-        let rows: Vec<(RelId, Option<Tid>, Row)> = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.inner.catalog.read();
-            ids.iter()
-                .map(|&id| Ok((id, cat.class_tid(id), cat.relation(id)?.to_row())))
-                .collect::<DbResult<_>>()?
-        };
-        let stored = self.catalog_txn(|s| {
-            rows.into_iter()
-                .map(|(id, old, row)| {
-                    if let Some(tid) = old {
-                        s.delete(PG_CLASS, tid)?;
-                    }
-                    Ok((id, s.insert(PG_CLASS, row)?))
-                })
-                .collect::<DbResult<Vec<_>>>()
-        })?;
-        let mut cat = self.inner.catalog.write();
-        for (id, tid) in stored {
-            cat.set_class_tid(id, tid);
-        }
-        Ok(())
     }
 
     /// Flushes and empties every cache (buffer pool, device managers) —
@@ -731,8 +715,7 @@ impl Db {
         self.create_table_on(name, schema, DeviceId::DEFAULT, false)
     }
 
-    /// Creates a heap table on a chosen device; `no_history` asks the vacuum
-    /// cleaner to discard (not archive) dead versions.
+    /// [`Session::create_table_on`] in a transaction of its own.
     pub fn create_table_on(
         &self,
         name: &str,
@@ -740,137 +723,22 @@ impl Db {
         dev: DeviceId,
         no_history: bool,
     ) -> DbResult<RelId> {
-        let entry = RelationEntry {
-            id: self.alloc_oid()?,
-            name: name.to_string(),
-            kind: RelKind::Heap,
-            device: dev,
-            schema,
-            index: None,
-            indexes: vec![],
-            archive: None,
-            no_history,
-        };
-        self.create_relation(entry, || Ok(()))
+        self.catalog_txn(|s| s.create_table_on(name, schema, dev, no_history))
     }
 
-    /// The one sequence that creates a relation: cache entry (which claims
-    /// the name), storage registered on its device, `build` (an index's
-    /// bulk load, logged like any insert), committed `pg_class` row. Nothing
-    /// here syncs a device: the row's commit force makes the relation
-    /// durable, and recovery gives a committed row its storage back (see
-    /// [`Db::reconcile_storage`]). On failure the entry and its storage are
-    /// taken back.
-    fn create_relation(
-        &self,
-        entry: RelationEntry,
-        build: impl FnOnce() -> DbResult<()>,
-    ) -> DbResult<RelId> {
-        let (id, dev) = (entry.id, entry.device);
-        {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            self.inner.catalog.write().add_relation(entry)?;
-        }
-        let created = self
-            .inner
-            .smgr
-            .with(dev, |m| m.create_rel(id))
-            .and_then(|()| build())
-            .and_then(|()| self.store_class_rows(&[id]));
-        if created.is_err() {
-            self.inner.catalog.write().remove_relation(id).ok();
-            self.inner.pool.discard_rel(id);
-            self.inner.smgr.with(dev, |m| m.drop_rel(id)).ok();
-        }
-        created.map(|()| id)
-    }
-
-    /// Creates a B-tree index named `name` on `table(columns...)`, on the
-    /// same device as the table, backfilling entries for every existing
-    /// tuple version (historical versions stay reachable through it).
+    /// [`Session::create_index`] in a transaction of its own.
     pub fn create_index(&self, name: &str, table: RelId, columns: &[&str]) -> DbResult<RelId> {
-        self.build_index(name, table, columns, false)
+        self.catalog_txn(|s| s.create_index(name, table, columns))
     }
 
-    /// [`Db::create_index`] for a *versioned-unique* key: the caller
-    /// declares that under any one snapshot at most one version per key is
-    /// visible (see [`IndexInfo::unique`]), and keeps it so — nothing here
-    /// probes on insert. In return a probe stops at the first visible
-    /// version instead of fetching every version the key ever had.
+    /// [`Session::create_unique_index`] in a transaction of its own.
     pub fn create_unique_index(
         &self,
         name: &str,
         table: RelId,
         columns: &[&str],
     ) -> DbResult<RelId> {
-        self.build_index(name, table, columns, true)
-    }
-
-    fn build_index(
-        &self,
-        name: &str,
-        table: RelId,
-        columns: &[&str],
-        unique: bool,
-    ) -> DbResult<RelId> {
-        let (dev, key_columns) = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.inner.catalog.read();
-            let t = cat.relation(table)?;
-            if t.kind != RelKind::Heap {
-                return Err(DbError::Invalid(format!("{name}: {table} is not a heap")));
-            }
-            let mut key_columns = Vec::with_capacity(columns.len());
-            for c in columns {
-                key_columns.push(t.schema.column_index(c).ok_or_else(|| {
-                    DbError::NotFound(format!("column \"{c}\" of \"{}\"", t.name))
-                })?);
-            }
-            (t.device, key_columns)
-        };
-        let id = self.alloc_oid()?;
-        let entry = RelationEntry {
-            id,
-            name: name.to_string(),
-            kind: RelKind::BTreeIndex,
-            device: dev,
-            schema: Schema::default(),
-            index: Some(IndexInfo {
-                table,
-                key_columns: key_columns.clone(),
-                unique,
-            }),
-            indexes: vec![],
-            archive: None,
-            no_history: false,
-        };
-        self.create_relation(entry, || {
-            let wal = Some(&*self.inner.wal);
-            let bt = BTree {
-                pool: &self.inner.pool,
-                smgr: &self.inner.smgr,
-                stats: &self.inner.stats,
-                dev,
-                rel: id,
-                wal,
-            };
-            bt.create()?;
-            // Backfill from every tuple version in the heap.
-            let heap = Heap {
-                pool: &self.inner.pool,
-                smgr: &self.inner.smgr,
-                xlog: &self.inner.xlog,
-                stats: &self.inner.stats,
-                dev,
-                rel: table,
-                wal,
-            };
-            heap.scan_all_raw(|tid, _hdr, row_bytes| {
-                let row = decode_row(row_bytes)?;
-                let key: Vec<Datum> = key_columns.iter().map(|&i| row[i].clone()).collect();
-                bt.insert(&key, tid)
-            })
-        })
+        self.catalog_txn(|s| s.create_unique_index(name, table, columns))
     }
 
     /// Drops a table (and its indices and archive) or a single index.
@@ -898,7 +766,7 @@ impl Db {
         // point at nothing; a failed commit leaves everything as it was.
         self.catalog_txn(|s| {
             for tid in victims.iter().filter_map(|(_, tid)| *tid) {
-                s.delete(PG_CLASS, tid)?;
+                s.delete_row(PG_CLASS, tid)?;
             }
             Ok(())
         })?;
@@ -924,7 +792,7 @@ impl Db {
         };
         let (id, row) = (entry.id, entry.to_row());
         self.inner.catalog.write().define_type(entry)?;
-        self.catalog_txn(|s| s.insert(PG_TYPE, row))?;
+        self.catalog_txn(|s| s.insert_row(PG_TYPE, row))?;
         Ok(id)
     }
 
@@ -947,14 +815,14 @@ impl Db {
         };
         let row = entry.to_row();
         self.inner.catalog.write().define_proc(entry)?;
-        self.catalog_txn(|s| s.insert(PG_PROC, row)).map(drop)
+        self.catalog_txn(|s| s.insert_row(PG_PROC, row)).map(drop)
     }
 
     /// Registers a predicate rule (see [`crate::rules`]).
     pub fn define_rule(&self, rule: RuleEntry) -> DbResult<()> {
         let row = rule.to_row();
         self.inner.catalog.write().define_rule(rule)?;
-        self.catalog_txn(|s| s.insert(PG_RULE, row)).map(drop)
+        self.catalog_txn(|s| s.insert_row(PG_RULE, row)).map(drop)
     }
 
     /// Resolves a function by query-language name to a callable.
@@ -980,7 +848,7 @@ impl Db {
             view: View::Xact(xid),
             done: false,
             wrote: false,
-            system: false,
+            created: Vec::new(),
         })
     }
 
@@ -992,7 +860,7 @@ impl Db {
             view: View::AsOf(t),
             done: false,
             wrote: false,
-            system: false,
+            created: Vec::new(),
         }
     }
 
@@ -1034,6 +902,25 @@ impl Db {
         self.inner.smgr.with(dev, |m| m.nblocks(rel))
     }
 
+    /// Whether `rel` is being created: the transaction that inserted its
+    /// `pg_class` row is still running. Until it ends, the relation is in
+    /// the catalog cache, locked by its creator, and named by no committed
+    /// row.
+    pub fn is_being_created(&self, rel: RelId) -> DbResult<bool> {
+        let Some(tid) = self.catalog().class_tid(rel) else {
+            return Ok(false);
+        };
+        let (pool, smgr) = (&self.inner.pool, &self.inner.smgr);
+        let page = pool.get_page(smgr, DeviceId::CATALOG, PG_CLASS, tid.blkno.into())?;
+        let _order = crate::lock::order::token(crate::lock::order::HEAP_PAGE);
+        let buf = page.read();
+        let Some(item) = crate::page::item(buf.data(), tid.slot) else {
+            return Ok(false);
+        };
+        let xmin = crate::xact::TupleHeader::decode(item)?.xmin;
+        Ok(self.inner.xlog.state(pool, smgr, xmin)? == crate::xact::XactState::InProgress)
+    }
+
     pub(crate) fn heap_parts(&self, rel: RelId) -> DbResult<HeapParts> {
         let _order = crate::lock::order::token(crate::lock::order::CATALOG);
         let cat = self.inner.catalog.read();
@@ -1052,6 +939,18 @@ impl Db {
         }
         Ok((e.device, indexes))
     }
+}
+
+/// Refuses a client's write to a system relation: those change only
+/// through DDL, which keeps the catalog cache and the devices in step with
+/// the rows.
+fn refuse_system(rel: RelId) -> DbResult<()> {
+    if Catalog::is_system(rel) {
+        return Err(DbError::Invalid(format!(
+            "{rel} is a system relation: it changes only through DDL"
+        )));
+    }
+    Ok(())
 }
 
 /// Recovery's allocation fixup: every logged page on `devices` past its
@@ -1114,9 +1013,9 @@ pub struct Session {
     view: View,
     done: bool,
     wrote: bool,
-    /// Set only by [`Db::catalog_txn`]: this session may write the system
-    /// relations.
-    system: bool,
+    /// The relations this transaction created, oldest first: an abort
+    /// takes them back ([`DbInner::undo_creates`]).
+    created: Vec<(RelId, DeviceId)>,
 }
 
 impl Session {
@@ -1145,24 +1044,13 @@ impl Session {
         self.xid().ok_or(DbError::ReadOnly)
     }
 
-    /// [`Session::writable_xid`] for a write to `rel`. The system
-    /// relations change only through the DDL entry points, which keep the
-    /// catalog cache and the devices in step with the rows.
-    fn writable_xid_on(&self, rel: RelId) -> DbResult<XactId> {
-        if Catalog::is_system(rel) && !self.system {
-            return Err(DbError::Invalid(format!(
-                "{rel} is a system relation: it changes only through DDL"
-            )));
-        }
-        self.writable_xid()
-    }
-
     fn lock(&self, rel: RelId, mode: LockMode) -> DbResult<()> {
         // Purely historical sessions read immutable versions: no locks.
         let Some(xid) = self.xid() else { return Ok(()) };
         // Catalog reads are plain snapshot reads. A shared lock held to
-        // commit would block the DDL transaction that the reader's own
-        // `create_table` runs — a wait no deadlock detector can see.
+        // commit would block a drop run on the reader's own thread (a
+        // transaction of its own, see `Db::catalog_txn`) — a wait no
+        // deadlock detector can see.
         if mode == LockMode::Shared && Catalog::is_system(rel) {
             return Ok(());
         }
@@ -1222,7 +1110,14 @@ impl Session {
 
     /// Inserts `row` into `rel`, maintaining its indices.
     pub fn insert(&mut self, rel: RelId, row: Row) -> DbResult<Tid> {
-        let xid = self.writable_xid_on(rel)?;
+        refuse_system(rel)?;
+        self.insert_row(rel, row)
+    }
+
+    /// [`Session::insert`] into any relation, the system ones included: how
+    /// DDL writes its rows.
+    pub(crate) fn insert_row(&mut self, rel: RelId, row: Row) -> DbResult<Tid> {
+        let xid = self.writable_xid()?;
         let (dev, indexes) = self.db.heap_parts(rel)?;
         {
             let _order = crate::lock::order::token(crate::lock::order::CATALOG);
@@ -1261,7 +1156,13 @@ impl Session {
 
     /// Deletes the tuple at `tid`. Returns `false` if already deleted.
     pub fn delete(&mut self, rel: RelId, tid: Tid) -> DbResult<bool> {
-        let xid = self.writable_xid_on(rel)?;
+        refuse_system(rel)?;
+        self.delete_row(rel, tid)
+    }
+
+    /// [`Session::delete`] from any relation, the system ones included.
+    pub(crate) fn delete_row(&mut self, rel: RelId, tid: Tid) -> DbResult<bool> {
+        let xid = self.writable_xid()?;
         let (dev, _) = self.db.heap_parts(rel)?;
         self.lock(rel, LockMode::Exclusive)?;
         self.wrote = true;
@@ -1279,6 +1180,168 @@ impl Session {
             )));
         }
         self.insert(rel, row)
+    }
+
+    /// Creates a heap table on `dev` in this transaction; `no_history`
+    /// asks the vacuum cleaner to discard (not archive) dead versions.
+    pub fn create_table_on(
+        &mut self,
+        name: &str,
+        schema: Schema,
+        dev: DeviceId,
+        no_history: bool,
+    ) -> DbResult<RelId> {
+        let entry = RelationEntry {
+            id: self.db.alloc_oid()?,
+            name: name.to_string(),
+            kind: RelKind::Heap,
+            device: dev,
+            schema,
+            index: None,
+            indexes: vec![],
+            archive: None,
+            no_history,
+        };
+        self.create_relation(entry, |_| Ok(()))
+    }
+
+    /// Creates a B-tree index named `name` on `table(columns...)` in this
+    /// transaction, on the table's device, backfilling entries for every
+    /// existing tuple version (historical versions stay reachable through
+    /// it).
+    pub fn create_index(&mut self, name: &str, table: RelId, columns: &[&str]) -> DbResult<RelId> {
+        self.build_index(name, table, columns, false)
+    }
+
+    /// [`Session::create_index`] for a *versioned-unique* key: the caller
+    /// declares that under any one snapshot at most one version per key is
+    /// visible (see [`IndexInfo::unique`]), and keeps it so — nothing here
+    /// probes on insert. In return a probe stops at the first visible
+    /// version instead of fetching every version the key ever had.
+    pub fn create_unique_index(
+        &mut self,
+        name: &str,
+        table: RelId,
+        columns: &[&str],
+    ) -> DbResult<RelId> {
+        self.build_index(name, table, columns, true)
+    }
+
+    /// Takes `table`'s exclusive lock (a new index changes what each of its
+    /// writers maintains) and creates the index, bulk-loaded from every
+    /// version in the heap.
+    fn build_index(
+        &mut self,
+        name: &str,
+        table: RelId,
+        columns: &[&str],
+        unique: bool,
+    ) -> DbResult<RelId> {
+        self.lock_exclusive(table)?;
+        let (dev, key_columns) = {
+            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+            let cat = self.db.inner.catalog.read();
+            let t = cat.relation(table)?;
+            if t.kind != RelKind::Heap {
+                return Err(DbError::Invalid(format!("{name}: {table} is not a heap")));
+            }
+            let mut key_columns = Vec::with_capacity(columns.len());
+            for c in columns {
+                key_columns.push(t.schema.column_index(c).ok_or_else(|| {
+                    DbError::NotFound(format!("column \"{c}\" of \"{}\"", t.name))
+                })?);
+            }
+            (t.device, key_columns)
+        };
+        let id = self.db.alloc_oid()?;
+        let entry = RelationEntry {
+            id,
+            name: name.to_string(),
+            kind: RelKind::BTreeIndex,
+            device: dev,
+            schema: Schema::default(),
+            index: Some(IndexInfo {
+                table,
+                key_columns: key_columns.clone(),
+                unique,
+            }),
+            indexes: vec![],
+            archive: None,
+            no_history: false,
+        };
+        self.create_relation(entry, |s| {
+            let bt = s.btree(id, dev);
+            bt.create()?;
+            s.heap(table, dev).scan_all_raw(|tid, _hdr, row_bytes| {
+                let row = decode_row(row_bytes)?;
+                let key: Vec<Datum> = key_columns.iter().map(|&i| row[i].clone()).collect();
+                bt.insert(&key, tid)
+            })
+        })
+    }
+
+    /// The one sequence that creates a relation, inside this transaction:
+    /// the relation's exclusive lock (a fresh oid, so never a wait), the
+    /// cache entry (which claims the name), storage on its device, `build`
+    /// (an index's bulk load, logged like any insert), the `pg_class` row
+    /// under this transaction's xid. The lock is held until the
+    /// transaction ends, so no other transaction reads or writes the
+    /// relation before it commits; an abort takes the entry and the
+    /// storage back ([`DbInner::undo_creates`]), and so does a failure
+    /// here. Nothing syncs a device: the commit's force makes the relation
+    /// durable, and recovery gives a committed row its storage back and
+    /// releases storage no committed row names ([`Db::reconcile_storage`]).
+    fn create_relation(
+        &mut self,
+        entry: RelationEntry,
+        build: impl FnOnce(&Session) -> DbResult<()>,
+    ) -> DbResult<RelId> {
+        let (id, dev) = (entry.id, entry.device);
+        self.lock_exclusive(id)?;
+        {
+            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+            self.db.inner.catalog.write().add_relation(entry)?;
+        }
+        let created = self
+            .db
+            .inner
+            .smgr
+            .with(dev, |m| m.create_rel(id))
+            .and_then(|()| build(self))
+            .and_then(|()| self.store_class_rows(&[id]));
+        match created {
+            Ok(()) => {
+                self.created.push((id, dev));
+                Ok(id)
+            }
+            Err(e) => {
+                self.db.inner.undo_creates(&[(id, dev)]);
+                Err(e)
+            }
+        }
+    }
+
+    /// Writes the cache's current entries for `ids` as `pg_class` rows in
+    /// this transaction. An entry that already has a row gets it replaced;
+    /// the row is found by its remembered tid, so the cost does not grow
+    /// with the catalog.
+    pub(crate) fn store_class_rows(&mut self, ids: &[RelId]) -> DbResult<()> {
+        let rows: Vec<(RelId, Option<Tid>, Row)> = {
+            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+            let cat = self.db.inner.catalog.read();
+            ids.iter()
+                .map(|&id| Ok((id, cat.class_tid(id), cat.relation(id)?.to_row())))
+                .collect::<DbResult<_>>()?
+        };
+        for (id, old, row) in rows {
+            if let Some(tid) = old {
+                self.delete_row(PG_CLASS, tid)?;
+            }
+            let tid = self.insert_row(PG_CLASS, row)?;
+            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+            self.db.inner.catalog.write().set_class_tid(id, tid);
+        }
+        Ok(())
     }
 
     /// Fetches the row at `tid` if visible to this session.
@@ -1615,6 +1678,7 @@ impl Session {
         let Some(xid) = self.xid() else {
             return Ok(()); // Historical sessions end trivially.
         };
+        let created = std::mem::take(&mut self.created);
         let inner = &self.db.inner;
         let t0 = inner.clock.now();
         // A hair of commit processing keeps commit timestamps strictly
@@ -1622,7 +1686,7 @@ impl Session {
         inner.clock.advance(SimDuration::from_micros(1));
         let result = if self.wrote {
             // Aborts the transaction itself if it fails.
-            Self::commit_written(inner, xid)
+            Self::commit_written(inner, xid, &created)
         } else {
             // Read-only: nothing to log, no force, no status page touched.
             inner.xlog.finish(xid)
@@ -1650,13 +1714,13 @@ impl Session {
     /// sync of its own. A commit whose record never became durable is
     /// aborted by definition; the abort takes back a `Commit` only if one
     /// reached the status page.
-    fn commit_written(inner: &DbInner, xid: XactId) -> DbResult<()> {
+    fn commit_written(inner: &DbInner, xid: XactId, created: &[(RelId, DeviceId)]) -> DbResult<()> {
         let now = inner.clock.now();
         let commit = WalRecord::Commit {
             xid,
             time_ns: now.as_nanos(),
         };
-        let aborted = |after_commit| drop(Self::end_aborted(inner, xid, after_commit));
+        let aborted = |after_commit| drop(Self::end_aborted(inner, xid, after_commit, created));
         let lsn = inner.xlog.log_outcome(inner.status_io(), &commit).inspect_err(|_| aborted(false))?;
         let forced = inner.wal.force_up_to(lsn).inspect_err(|_| aborted(true))?;
         inner.xlog.finish(xid)?;
@@ -1672,9 +1736,11 @@ impl Session {
     }
 
     /// The one sequence that aborts any transaction — an explicit
-    /// [`Session::abort`], a dropped session, a commit that failed: take it
-    /// out of the running set and release the locks. Nothing is written or
-    /// synced, because after a crash the absence of a durable `Commit`
+    /// [`Session::abort`], a dropped session, a commit that failed: take
+    /// back the relations it `created`, take it out of the running set and
+    /// release the locks. A session waiting on a created relation's lock
+    /// wakes to find it gone. Nothing is written or synced, because after
+    /// a crash the absence of a durable `Commit`
     /// record already means aborted. An unforced `Abort` record is logged
     /// in one case only, `after_commit`: behind the `Commit` record of a
     /// commit whose *force* failed, so that if a later force carries both
@@ -1683,7 +1749,12 @@ impl Session {
     /// the transaction stays running, so no snapshot reads the `Commit` its
     /// status page holds, and it blocks vacuum and writes to the rows it
     /// deleted until the reopen that the refused checkpoints demand.
-    fn end_aborted(inner: &DbInner, xid: XactId, after_commit: bool) -> DbResult<()> {
+    fn end_aborted(
+        inner: &DbInner,
+        xid: XactId,
+        after_commit: bool,
+        created: &[(RelId, DeviceId)],
+    ) -> DbResult<()> {
         let logged = match after_commit {
             true => inner.xlog.log_outcome(inner.status_io(), &WalRecord::Abort { xid }).map(drop),
             false => Ok(()),
@@ -1691,6 +1762,7 @@ impl Session {
         if logged.is_err() {
             inner.ckpt.crashed.store(true, SeqCst);
         }
+        inner.undo_creates(created);
         let result = logged.and_then(|()| inner.xlog.finish(xid));
         inner.stats.xact.aborts.bump();
         inner.locks.release_all(xid);
@@ -1704,7 +1776,7 @@ impl Session {
         }
         self.done = true;
         match self.xid() {
-            Some(xid) => Self::end_aborted(&self.db.inner, xid, false),
+            Some(xid) => Self::end_aborted(&self.db.inner, xid, false, &self.created),
             None => Ok(()),
         }
     }
@@ -1714,7 +1786,7 @@ impl Drop for Session {
     fn drop(&mut self) {
         if !self.done {
             if let Some(xid) = self.xid() {
-                Self::end_aborted(&self.db.inner, xid, false).ok();
+                Self::end_aborted(&self.db.inner, xid, false, &self.created).ok();
             }
         }
     }
@@ -2032,6 +2104,39 @@ mod tests {
         r.commit().unwrap();
         let refused = db.checkpoint().unwrap_err();
         assert!(refused.to_string().contains("reopen the database"), "{refused}");
+    }
+
+    /// A commit whose log force fails aborts, and the abort takes back the
+    /// relations the transaction created: cache entry and storage.
+    #[test]
+    fn a_failed_commit_takes_back_the_relations_it_created() {
+        let clock = SimClock::new();
+        let disk = |name, blocks| {
+            MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(blocks))
+        };
+        let log = disk("log", 1 << 12);
+        let log_faults = log.fault_plan();
+        let mut smgr = Smgr::new();
+        let data = GenericManager::format(shared_device(disk("data", 1 << 16))).unwrap();
+        smgr.register(DeviceId::DEFAULT, Box::new(data)).unwrap();
+        let cat = shared_device(disk("cat", 1 << 12));
+        let db = Db::open(clock.clone(), smgr, shared_device(log), cat, DbConfig::default())
+            .unwrap();
+        let mut s = db.begin().unwrap();
+        let schema = Schema::new([("v", TypeId::INT4)]);
+        let rel = s.create_table_on("t", schema, DeviceId::DEFAULT, false).unwrap();
+        let idx = s.create_index("t_v", rel, &["v"]).unwrap();
+        s.insert(rel, vec![Datum::Int4(1)]).unwrap();
+
+        log_faults.fail_after_writes(0);
+        assert!(s.commit().is_err());
+        log_faults.clear_write_fault();
+        for id in [rel, idx] {
+            assert!(db.catalog().relation(id).is_err(), "{id} is still cached");
+            let stored = db.inner.smgr.with(DeviceId::DEFAULT, |m| Ok(m.has_rel(id)));
+            assert!(!stored.unwrap(), "{id} still has storage");
+        }
+        assert_eq!(db.check_all(), []);
     }
 
     #[test]

@@ -173,9 +173,9 @@ impl Session {
     }
 
     /// `retrieve into name (...)`: creates a table named `name` with the
-    /// result's columns and appends every result row. Column types come
-    /// from the first non-null datum in each column (all-null columns
-    /// become text).
+    /// result's columns and appends every result row, all in this
+    /// session's transaction. Column types come from the first non-null
+    /// datum in each column (all-null columns become text).
     pub(crate) fn materialize_into(
         &mut self,
         name: &str,
@@ -196,7 +196,7 @@ impl Session {
                 .map(|(n, t)| crate::datum::Column::new(n.clone(), *t))
                 .collect(),
         };
-        let rel = self.db().create_table(name, schema)?;
+        let rel = self.create_table_on(name, schema, crate::ids::DeviceId::DEFAULT, false)?;
         let affected = result.rows.len();
         for row in result.rows {
             self.insert(rel, row)?;

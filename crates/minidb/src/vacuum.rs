@@ -240,7 +240,7 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
     db.inner.pool.flush_all(&db.inner.smgr)?;
     db.inner.sync_devices()?;
     if let Some(arch_id) = attached {
-        db.store_class_rows(&[arch_id, rel])?;
+        db.catalog_txn(|s| s.store_class_rows(&[arch_id, rel]))?;
     }
     db.inner.stats.maintenance.vacuum_passes.bump();
     Ok(stats)

@@ -335,3 +335,215 @@ fn an_update_after_a_conflicting_commit_updates_the_committed_version() {
     s1.commit().unwrap();
     assert_eq!(values(&mut db.begin().unwrap(), r), [2]);
 }
+
+/// A relation another transaction is creating is in the catalog cache from
+/// the start, under its creator's exclusive lock. A reader that finds it
+/// waits for that transaction to end, then sees the relation and the row
+/// its creator inserted meanwhile (commit) or finds nothing there (abort).
+#[test]
+fn a_reader_waits_on_an_uncommitted_create() {
+    let db = Devices::new().format();
+    for commit in [true, false] {
+        let name = if commit { "kept" } else { "dropped" };
+        let mut creator = db.begin().unwrap();
+        let schema = Schema::new([("v", TypeId::INT4)]);
+        let rel = creator.create_table_on(name, schema, minidb::DeviceId::DEFAULT, false).unwrap();
+        let before = db.stats();
+        let reader_db = db.clone();
+        let reader = std::thread::spawn(move || {
+            let rel = reader_db.relation_id(name)?;
+            let mut s = reader_db.begin()?;
+            let rows = s.seq_scan(rel)?;
+            s.commit()?;
+            Ok::<_, minidb::DbError>(rows.len())
+        });
+        assert!(
+            wait_until(|| db.stats().delta(&before).lock.waits > 0),
+            "the reader must queue behind the creator"
+        );
+        assert!(!reader.is_finished(), "the reader cannot pass the creator");
+        if commit {
+            creator.insert(rel, vec![Datum::Int4(7)]).unwrap();
+            creator.commit().unwrap();
+            assert_eq!(reader.join().unwrap(), Ok(1));
+        } else {
+            creator.abort().unwrap();
+            assert!(matches!(reader.join().unwrap(), Err(minidb::DbError::NotFound(_))));
+            assert!(db.relation_id(name).is_err());
+        }
+    }
+    assert_eq!(db.check_all(), []);
+}
+
+/// Two clients each commit 200 `creat` transactions in directories of
+/// their own. Every creator takes `naming` exclusively before it creates a
+/// relation, so its `pg_class` insert never waits behind another creator's:
+/// no wait runs into the lock timeout, the backstop for a wait no deadlock
+/// detector sees. Each commit is the one log force that makes the file
+/// durable, so after a crash every file is back with its data.
+#[test]
+fn two_clients_creating_files_never_time_out() {
+    let rig = common::CrashRig::new();
+    let fs = InversionFs::format(rig.open(true)).unwrap();
+    let before = fs.db().stats();
+    let workers: Vec<_> = (0..2)
+        .map(|w| {
+            let fs = fs.clone();
+            std::thread::spawn(move || {
+                let mut c = fs.client();
+                c.p_mkdir(&format!("/w{w}")).unwrap();
+                for i in 0..200 {
+                    let path = format!("/w{w}/f{i}");
+                    retry_deadlocks(&mut c, &path, |c| {
+                        let fd = c.p_creat(&path, CreateMode::default())?;
+                        c.p_write(fd, format!("{w}:{i}").as_bytes())?;
+                        c.p_close(fd)?;
+                        c.p_commit()
+                    });
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    assert_eq!(fs.db().stats().delta(&before).lock.timeouts, 0);
+    rig.crash(fs.db().clone());
+    drop(fs);
+
+    let fs = InversionFs::attach(rig.open(false)).unwrap();
+    let mut c = fs.client();
+    for w in 0..2 {
+        assert_eq!(c.p_readdir(&format!("/w{w}"), None).unwrap().len(), 200);
+        for i in 0..200 {
+            let data = c.read_to_vec(&format!("/w{w}/f{i}"), None).unwrap();
+            assert_eq!(data, format!("{w}:{i}").as_bytes());
+        }
+    }
+    assert_eq!(fs.check(), []);
+    assert_eq!(fs.db().check_all(), []);
+}
+
+/// Runs `op` in a transaction of its own, again after each deadlock.
+fn retry_deadlocks(
+    c: &mut inversion::InvClient,
+    what: &str,
+    mut op: impl FnMut(&mut inversion::InvClient) -> inversion::InvResult<()>,
+) {
+    loop {
+        c.p_begin().unwrap();
+        match op(c) {
+            Ok(()) => return,
+            Err(inversion::InvError::Db(minidb::DbError::Deadlock)) => {
+                c.p_abort().ok();
+            }
+            Err(e) => panic!("{what}: {e}"),
+        }
+    }
+}
+
+/// An abort takes its relations back — cache entry, cached pages, storage —
+/// while eviction and the checkpointer may be writing their dirty pages.
+/// Two clients run 300 `creat` transactions each through a 32-frame pool,
+/// every one writing 16 KB and only every 8th committing, while a third
+/// thread checkpoints in a loop. Every checkpoint succeeds, every committed
+/// file reads back, and nothing of an aborted one is left.
+#[test]
+fn aborted_creates_race_eviction_and_checkpoints() {
+    let db = Devices::new().format_with(minidb::DbConfig { buffers: 32, ..Default::default() });
+    let fs = InversionFs::format(db.clone()).unwrap();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let checkpointer = {
+        let (db, stop) = (db.clone(), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut n = 0;
+            while !stop.load(Ordering::SeqCst) {
+                db.checkpoint().unwrap();
+                n += 1;
+            }
+            n
+        })
+    };
+    let kept = |i: usize| i % 8 == 7;
+    let body = |w: usize, i: usize| vec![(w * 31 + i) as u8; 16 << 10];
+    let workers: Vec<_> = (0..2)
+        .map(|w| {
+            let fs = fs.clone();
+            std::thread::spawn(move || {
+                let mut c = fs.client();
+                c.p_mkdir(&format!("/w{w}")).unwrap();
+                for i in 0..300 {
+                    let path = format!("/w{w}/f{i}");
+                    retry_deadlocks(&mut c, &path, |c| {
+                        let fd = c.p_creat(&path, CreateMode::default())?;
+                        c.p_write(fd, &body(w, i))?;
+                        c.p_close(fd)?;
+                        match kept(i) {
+                            true => c.p_commit(),
+                            false => c.p_abort(),
+                        }
+                    });
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    stop.store(true, Ordering::SeqCst);
+    assert!(checkpointer.join().unwrap() > 0, "no checkpoint ran");
+
+    let mut c = fs.client();
+    for w in 0..2 {
+        assert_eq!(c.p_readdir(&format!("/w{w}"), None).unwrap().len(), 300 / 8);
+        for i in 0..300 {
+            let path = format!("/w{w}/f{i}");
+            match kept(i) {
+                true => assert_eq!(c.read_to_vec(&path, None).unwrap(), body(w, i)),
+                false => assert!(c.p_stat(&path, None).is_err(), "{path} survived its abort"),
+            }
+        }
+    }
+    let files = db.catalog().relations().filter(|r| r.name.starts_with("inv")).count();
+    assert_eq!(files, 2 * 2 * (300 / 8), "a heap and an index per committed file");
+    assert_eq!(fs.check(), []);
+    assert_eq!(db.check_all(), []);
+}
+
+/// `migrate_file` creates the file's new relation in the caller's
+/// transaction. Inside a transaction that has already created a file — and
+/// so holds that file's relations and `fileatt` — it neither waits nor
+/// times out, and everything commits together.
+#[test]
+fn a_migration_inside_a_creating_transaction_does_not_wait_on_itself() {
+    let clock = simdev::SimClock::new();
+    let disk = |name: &str, blocks: u64| {
+        let profile = simdev::DiskProfile::tiny_for_tests(blocks);
+        minidb::shared_device(simdev::MagneticDisk::new(name, clock.clone(), profile))
+    };
+    let mut smgr = minidb::Smgr::new();
+    for dev in [0, 1] {
+        let mgr = minidb::GenericManager::format(disk(&format!("d{dev}"), 1 << 14)).unwrap();
+        smgr.register(minidb::DeviceId(dev), Box::new(mgr)).unwrap();
+    }
+    let (log, cat) = (disk("log", 1 << 12), disk("cat", 1 << 12));
+    let db = minidb::Db::open(clock.clone(), smgr, log, cat, minidb::DbConfig::default()).unwrap();
+    let fs = InversionFs::format(db).unwrap();
+
+    let before = fs.db().stats();
+    let mut s = fs.db().begin().unwrap();
+    let lo = inversion::LargeObject::create(&fs, &mut s, &CreateMode::default()).unwrap();
+    lo.write_at(&mut s, 0, b"moves before it commits").unwrap();
+    inversion::migrate::migrate_file(&fs, &mut s, lo.oid(), minidb::DeviceId(1)).unwrap();
+    s.commit().unwrap();
+    let d = fs.db().stats().delta(&before);
+    assert_eq!((d.lock.waits, d.lock.timeouts), (0, 0));
+    assert_eq!(d.xact.commits, 1, "one transaction");
+
+    let mut s = fs.db().begin().unwrap();
+    assert_eq!(lo.stat(&mut s).unwrap().device, minidb::DeviceId(1));
+    assert_eq!(lo.read_all(&mut s).unwrap(), b"moves before it commits");
+    s.commit().unwrap();
+    assert_eq!(fs.check(), []);
+    assert_eq!(fs.db().check_all(), []);
+}

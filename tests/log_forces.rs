@@ -14,6 +14,7 @@ use std::sync::atomic::Ordering::SeqCst;
 use std::time::Duration;
 
 use common::{data_page_writes, log_syncs, Devices, Probe, ProbedDisk};
+use inversion::{CreateMode, InversionFs};
 use minidb::{Datum, Db, DbConfig, RelId, Schema, TypeId, Wal};
 use simdev::SimDuration;
 
@@ -147,6 +148,51 @@ fn ddl_is_log_appends_and_one_force_per_commit() {
     assert_eq!(log_syncs(&log_probe), syncs + 2, "and one log force per commit");
     assert_eq!(d.wal.forces_commit, 2);
     assert!(db.relation_pages(idx).unwrap() > 1, "the build split its root");
+}
+
+/// A `creat` is one transaction. Its data relation and chunk index are
+/// created in the client's transaction, so `begin` / `p_creat` / a 1 KB
+/// write / `commit` costs one xid, one commit and one log force, and an
+/// auto-commit `p_creat` is one commit too.
+#[test]
+fn a_creat_is_one_commit_and_one_log_force() {
+    let mut devices = Devices::new();
+    let (log, probe) = ProbedDisk::log(&devices.clock, Duration::ZERO);
+    devices.log = log;
+    let db = devices.format_with(DbConfig {
+        checkpoint_interval: SimDuration::ZERO,
+        ..DbConfig::default()
+    });
+    let fs = InversionFs::format(db.clone()).unwrap();
+    let mut c = fs.client();
+    c.write_all("/warm", CreateMode::default(), b"first file").unwrap();
+    let next_xid = || {
+        let mut s = db.begin().unwrap();
+        let xid = s.xid().unwrap();
+        s.commit().unwrap();
+        xid.0
+    };
+
+    let xid = next_xid();
+    let (before, syncs) = (db.stats(), log_syncs(&probe));
+    c.p_begin().unwrap();
+    let fd = c.p_creat("/one", CreateMode::default()).unwrap();
+    c.p_write(fd, &[7u8; 1024]).unwrap();
+    c.p_close(fd).unwrap();
+    c.p_commit().unwrap();
+    let d = db.stats().delta(&before);
+    assert_eq!(d.wal.checkpoints, 0, "a checkpoint ran inside the window");
+    assert_eq!((d.xact.commits, d.xact.aborts), (1, 0), "one transaction");
+    assert_eq!((d.wal.log_forces, d.wal.forces_commit), (1, 1), "one log force");
+    assert_eq!(log_syncs(&probe), syncs + 1);
+    assert_eq!(next_xid(), xid + 2, "one xid between the two probes");
+
+    let before = db.stats();
+    c.p_creat("/two", CreateMode::default()).unwrap();
+    let d = db.stats().delta(&before);
+    assert_eq!((d.xact.commits, d.xact.aborts, d.wal.forces_commit), (1, 0, 1));
+    assert_eq!(c.read_to_vec("/one", None).unwrap(), [7u8; 1024]);
+    assert_eq!(fs.check(), []);
 }
 
 /// Handing out ids costs no I/O. On a warmed database, with no checkpoint

@@ -614,6 +614,66 @@ fn an_index_whose_row_never_committed_is_released_under_a_torn_log_tail() {
     an_index_whose_row_never_committed_leaves_no_storage(true);
 }
 
+/// A `creat` whose records reached the log but whose transaction did not
+/// commit: another session's commit forces the log past them (`commit:
+/// false`), or it commits itself (`commit: true`). A file's relations are
+/// created in its transaction, so reopening brings back both with their
+/// data, or neither — no relation in the cache, none on the device.
+fn a_creat_meets_a_crash(commit: bool) {
+    let rig = common::CrashRig::new();
+    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let fs = InversionFs::format(db.clone()).unwrap();
+    let other = db.create_table("other", int_table()).unwrap();
+    db.flush_caches().unwrap();
+    let data = vec![0x5Au8; inversion::CHUNK_SIZE + 300];
+    let mut c = fs.client();
+    c.p_begin().unwrap();
+    let fd = c.p_creat("/f", CreateMode::default()).unwrap();
+    c.p_write(fd, &data).unwrap();
+    c.p_close(fd).unwrap();
+    let stat = c.p_stat("/f", None).unwrap();
+    let rels = [stat.datarel, stat.chunkidx];
+    if commit {
+        c.p_commit().unwrap();
+    } else {
+        insert_ints(&db, other, 0..1); // Its force carries the creat's records.
+    }
+    let (_, records) = minidb::Wal::recover(rig.log.clone(), Default::default()).unwrap();
+    let logged = records.iter().filter(|(_, rec)| rels.contains(&rec.page_addr().1)).count();
+    assert!(logged > 0, "the log device holds the new relations' pages");
+    db.simulate_crash();
+    rig.power_cut();
+    drop((c, fs, db));
+
+    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let fs = InversionFs::attach(db.clone()).unwrap();
+    assert_clean(&db);
+    assert_eq!(fs.check(), []);
+    db.checkpoint().unwrap();
+    let stored = on_device(&rig);
+    for rel in rels {
+        assert_eq!(db.catalog().relation(rel).is_ok(), commit, "{rel} in the catalog");
+        assert_eq!(stored.contains(&rel), commit, "{rel} on the device");
+    }
+    let mut c = fs.client();
+    match commit {
+        true => assert_eq!(c.read_to_vec("/f", None).unwrap(), data),
+        false => assert!(c.p_stat("/f", None).is_err()),
+    }
+    assert_eq!(ints_of(&db, other), if commit { vec![] } else { vec![0] });
+    assert_clean(&db);
+}
+
+#[test]
+fn a_creat_that_never_committed_leaves_no_relation_after_a_crash() {
+    a_creat_meets_a_crash(false);
+}
+
+#[test]
+fn a_committed_creat_comes_back_with_its_data_after_a_crash() {
+    a_creat_meets_a_crash(true);
+}
+
 /// Read-only transactions: each takes an xid, writes nothing and forces
 /// nothing.
 fn burn_xids(db: &minidb::Db, n: usize) {
