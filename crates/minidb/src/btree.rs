@@ -39,7 +39,7 @@ use crate::stats::StatsRegistry;
 use std::cmp::Ordering;
 
 /// Special-area layout for B-tree node pages.
-const SPECIAL_SIZE: usize = 12;
+pub(crate) const SPECIAL_SIZE: usize = 12;
 const LEAF_FLAG: u8 = 1;
 
 /// The root's block, for the life of the index.

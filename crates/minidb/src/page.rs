@@ -69,6 +69,20 @@ pub fn is_initialized(buf: &[u8]) -> bool {
     buf.len() == PAGE_SIZE && get_u16(buf, OFF_MAGIC) == MAGIC
 }
 
+/// The free gap `[lower, upper)` between the slot array and the tuple space
+/// as `(start, len)`, when `buf` is an initialized page and every byte of
+/// the gap is zero; else an empty hole. A page image in the log leaves it
+/// out, so putting it back as zeros restores the page byte for byte.
+pub fn zero_hole(buf: &[u8]) -> (usize, usize) {
+    if is_initialized(buf) {
+        let (lower, upper) = (get_u16(buf, OFF_LOWER) as usize, get_u16(buf, OFF_UPPER) as usize);
+        if lower <= upper && upper <= PAGE_SIZE && buf[lower..upper].iter().all(|&b| b == 0) {
+            return (lower, upper - lower);
+        }
+    }
+    (0, 0)
+}
+
 /// The LSN of the last WAL record applied to this page (0 = never logged).
 ///
 /// Stored in the header so the buffer manager can enforce the

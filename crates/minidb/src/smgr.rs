@@ -114,8 +114,11 @@ struct RelMap {
     next_free: u64,
     rels: HashMap<RelId, Vec<u64>>,
     /// Partially filled extent per relation: (first physical block, used).
-    /// Not persisted — a restart wastes the tail of each open extent, which
-    /// the run-length encoding absorbs for free.
+    /// Only a span of more than one block opens one: a relation's first
+    /// block, and the last stretch of a device, are spans of one, so every
+    /// open extent is `extent` blocks long. Not persisted — a restart
+    /// wastes the tail of each open extent, which the run-length encoding
+    /// absorbs for free.
     open_extents: HashMap<RelId, (u64, u64)>,
     /// Whether the map changed since it was last persisted.
     dirty: bool,
@@ -220,15 +223,17 @@ impl RelMap {
 
     /// The next physical block for `rel`, and how many blocks taking it
     /// claims from the bump allocator: none while the relation's open
-    /// extent has room, else a fresh extent of `extent` blocks — or of one
-    /// when a whole extent no longer fits in `device_blocks`, so the last
-    /// stretch of a device is still usable.
+    /// extent has room, else a fresh extent of `extent` blocks. A relation
+    /// with no blocks takes a span of one, so a file of one page costs one
+    /// block, and a span of one is taken too when a whole extent no longer
+    /// fits in `device_blocks`, so the last stretch of a device is usable.
     fn next_block(&self, rel: RelId, extent: u64, device_blocks: u64) -> DbResult<(u64, u64)> {
         if let Some(&(first, used)) = self.open_extents.get(&rel) {
             if used < extent {
                 return Ok((first + used, 0));
             }
         }
+        let extent = if self.blocks(rel)?.is_empty() { 1 } else { extent };
         let first = self.next_free;
         let span = if first + extent <= device_blocks { extent } else { 1 };
         if first + span > device_blocks {
@@ -1334,10 +1339,10 @@ mod tests {
             map.grow(Oid(rel), 2, 1000).unwrap(); // Extents of two.
         }
         map.remap(Oid(1), 3, 2, 1000).unwrap();
-        assert_eq!(map.rels[&Oid(1)], [64, 65, 68, 70]);
+        assert_eq!(map.rels[&Oid(1)], [64, 65, 66, 69]);
         assert_eq!(map.encoded_len, map.encode().len());
         let dec = RelMap::decode(&map.encode(), usize::MAX).unwrap();
-        assert_eq!(dec.next_free, 72);
+        assert_eq!(dec.next_free, 70);
         assert_eq!(dec.rels, map.rels);
         assert_eq!(dec.encoded_len, map.encoded_len);
         map.truncate(Oid(1)).unwrap();
@@ -1351,7 +1356,8 @@ mod tests {
         let mut map = RelMap::new(64, usize::MAX);
         let owed = |map: &RelMap| map.grown.values().filter(|&&paid| !paid).count();
         map.create(Oid(1)).unwrap();
-        map.grow(Oid(1), 16, 1000).unwrap(); // Claims an extent: a new run.
+        map.grow(Oid(1), 16, 1000).unwrap(); // A span of one: a new run.
+        map.grow(Oid(1), 16, 1000).unwrap(); // Claims an extent.
         map.persisted();
         let len = map.encoded_len;
         for _ in 0..3 {
@@ -1362,6 +1368,36 @@ mod tests {
         }
         map.persisted();
         assert_eq!(owed(&map), 0);
+    }
+
+    /// Two relations grown in turn, a block at a time: each one's first
+    /// block claims one block, every later extent is whole, and no physical
+    /// block is handed to both — an open extent is only ever one of
+    /// `extent` blocks, never the span of one a first block took.
+    #[test]
+    fn a_first_block_claims_one_block_and_later_extents_stay_whole() {
+        let mut map = RelMap::new(64, usize::MAX);
+        let (a, b) = (Oid(1), Oid(2));
+        map.create(a).unwrap();
+        map.create(b).unwrap();
+        for i in 0..40 {
+            for rel in [a, b] {
+                let before = map.next_free;
+                map.grow(rel, 16, 10_000).unwrap();
+                if i == 0 {
+                    assert_eq!(map.next_free - before, 1, "{rel}'s first block claims one");
+                }
+            }
+        }
+        // Two first blocks, then three extents of 16 for each 39 more.
+        assert_eq!(map.next_free, 64 + 2 + 2 * 3 * 16);
+        let mut all: Vec<u64> = map.rels[&a].iter().chain(&map.rels[&b]).copied().collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 80, "a physical block belongs to both relations");
+        let dec = RelMap::decode(&map.encode(), usize::MAX).unwrap();
+        assert_eq!((dec.next_free, &dec.rels), (map.next_free, &map.rels));
+        assert_eq!(dec.encoded_len, map.encoded_len);
     }
 
     #[test]

@@ -82,8 +82,9 @@ const K_CEILING: u8 = 7;
 
 /// Record header: kind (1) + body length (4).
 const REC_HDR: usize = 5;
-/// Largest legal record body: a full page image plus its page address.
-const MAX_BODY: usize = 13 + crate::page::PAGE_SIZE;
+/// Largest legal record body: a page image with no hole — its page
+/// address, the hole's place and length, and the whole page.
+const MAX_BODY: usize = 13 + 4 + crate::page::PAGE_SIZE;
 /// The end of every epoch, kept for 64 `Ceiling` records: reopening takes
 /// an xid before its checkpointer may truncate a log a crash left full.
 pub(crate) const CEILING_RESERVE: u64 =64 * (REC_HDR as u64 + 8);
@@ -132,7 +133,10 @@ pub enum WalRecord {
         /// Replacement bytes.
         bytes: Vec<u8>,
     },
-    /// A full after-image of one page (B-tree structure changes).
+    /// A full after-image of one page (B-tree structure changes). The log
+    /// stores it without its hole ([`page::zero_hole`]): the page address,
+    /// the hole's start and length (`u16` each), then the bytes outside
+    /// it. An empty index root costs tens of bytes, not 8 KB.
     PageImage {
         /// Device holding the page.
         dev: DeviceId,
@@ -140,7 +144,8 @@ pub enum WalRecord {
         rel: RelId,
         /// Logical block number within the relation.
         blkno: u64,
-        /// The complete [`page::PAGE_SIZE`] image.
+        /// The complete [`page::PAGE_SIZE`] image, hole and all: decoding
+        /// puts the hole back as zeros.
         image: Vec<u8>,
     },
     /// Transaction commit; forcing this record *is* the commit point. Like
@@ -235,7 +240,11 @@ impl WalRecord {
                 image,
             } => {
                 put_addr(out, *dev, *rel, *blkno);
-                out.extend_from_slice(image);
+                let (start, len) = page::zero_hole(image);
+                out.extend_from_slice(&(start as u16).to_le_bytes());
+                out.extend_from_slice(&(len as u16).to_le_bytes());
+                out.extend_from_slice(&image[..start]);
+                out.extend_from_slice(&image[start + len..]);
                 K_PAGE_IMAGE
             }
             WalRecord::Commit { xid, time_ns } => {
@@ -311,10 +320,15 @@ impl WalRecord {
             }
             K_PAGE_IMAGE => {
                 let (dev, rel, blkno) = get_addr(body)?;
-                let image = body
-                    .get(13..)
-                    .ok_or_else(|| DbError::Corrupt("short page image".into()))?
-                    .to_vec();
+                let start = crate::bytes::le_u16(body, 13)? as usize;
+                let len = crate::bytes::le_u16(body, 15)? as usize;
+                let rest = &body[17..];
+                let head = rest
+                    .get(..start)
+                    .ok_or_else(|| DbError::Corrupt("page image hole runs past its record".into()))?;
+                let mut image = head.to_vec();
+                image.resize(start + len, 0);
+                image.extend_from_slice(&rest[start..]);
                 if image.len() != page::PAGE_SIZE {
                     return Err(DbError::Corrupt(format!(
                         "page image of {} bytes",
@@ -1106,6 +1120,48 @@ mod tests {
         }
         assert_eq!(raises, 64);
         assert!(wal.capacity() - wal.epoch_bytes() < 13);
+    }
+
+    /// A page image is logged without its zero hole: an empty B-tree root
+    /// costs tens of bytes. A page with anything in its hole is logged
+    /// whole, and either way decoding restores it byte for byte; a hole
+    /// the record cannot hold is corruption, not a panic.
+    #[test]
+    fn page_images_leave_out_their_zero_hole() {
+        let image_rec = |image: &[u8]| WalRecord::PageImage {
+            dev: DeviceId::DEFAULT,
+            rel: Oid(8),
+            blkno: 0,
+            image: image.to_vec(),
+        };
+        let roundtrip = |rec: &WalRecord| {
+            let mut bytes = Vec::new();
+            rec.encode(&mut bytes);
+            let (back, n) = WalRecord::decode(&bytes).unwrap().unwrap();
+            assert_eq!((&back, n), (rec, bytes.len()));
+            bytes
+        };
+        let mut root = vec![0u8; page::PAGE_SIZE];
+        page::init(&mut root, crate::btree::SPECIAL_SIZE);
+        let empty_root = roundtrip(&image_rec(&root));
+        assert!(empty_root.len() < 100, "an empty root logs {} bytes", empty_root.len());
+
+        page::insert(&mut root, &[5u8; 300]).unwrap();
+        assert!(roundtrip(&image_rec(&root)).len() < 500);
+        root[page::PAGE_SIZE / 2] = 1; // Inside the hole.
+        let whole = roundtrip(&image_rec(&root));
+        assert_eq!(whole.len(), REC_HDR + MAX_BODY);
+
+        // The hole's start (body offset 13) past the bytes that follow it,
+        // then its length one byte too long.
+        let mut past = empty_root.clone();
+        past[REC_HDR + 13..REC_HDR + 15].copy_from_slice(&1000u16.to_le_bytes());
+        let mut long = empty_root;
+        let hole_len = crate::bytes::le_u16(&long, REC_HDR + 15).unwrap() + 1;
+        long[REC_HDR + 15..REC_HDR + 17].copy_from_slice(&hole_len.to_le_bytes());
+        for bad in [past, long] {
+            assert!(matches!(WalRecord::decode(&bad), Err(DbError::Corrupt(_))));
+        }
     }
 
     #[test]

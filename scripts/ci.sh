@@ -73,11 +73,11 @@ echo "== benchmark crate: unit tests + smoke =="
 cargo test --release --quiet --manifest-path benchmark/Cargo.toml
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- smoke
 
-# BENCHMARK.json's own command (`run --workload W`) for the two workloads
-# that create and abort files: a full run with its verification, which
-# exits non-zero on any finding, at a seed other than the default one.
+# BENCHMARK.json's own command (`run --workload W`) for every workload: a
+# full run with its verification, which exits non-zero on any finding, at a
+# seed other than the default one.
 echo "== benchmark: the pipeline's command at a seed the code was not written against =="
-for workload in create_churn two_client_mix; do
+for workload in hot_small seq_read txn_write create_churn two_client_mix; do
     cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
         run --workload "$workload" --seed 7 --seconds 2
 done

@@ -99,6 +99,9 @@ pub struct CrashRig {
     pub data_faults: simdev::FaultPlan,
     pub log_faults: simdev::FaultPlan,
     pub catalog_faults: simdev::FaultPlan,
+    /// The blocks that reached the log's disk from under its write cache:
+    /// the unit `log_faults.fail_after_writes` counts in.
+    pub log_probe: Arc<Probe>,
 }
 
 #[allow(dead_code)]
@@ -112,17 +115,26 @@ impl CrashRig {
     pub fn with_log_blocks(nblocks: u64) -> CrashRig {
         let clock = SimClock::new();
         let mut handles = Vec::new();
+        let log_probe = Arc::new(Probe::default());
         let mut cached = |name: &str, nblocks: u64| {
             let disk = MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(nblocks));
             let plan = disk.fault_plan();
-            let (dev, handle) = simdev::WriteCacheDisk::new(Box::new(disk));
+            let disk: Box<dyn BlockDevice> = match name {
+                "log" => Box::new(ProbedDisk {
+                    inner: disk,
+                    probe: Arc::clone(&log_probe),
+                    sync_delay: Duration::ZERO,
+                }),
+                _ => Box::new(disk),
+            };
+            let (dev, handle) = simdev::WriteCacheDisk::new(disk);
             handles.push(handle);
             (shared_device(dev), plan)
         };
         let (data, data_faults) = cached("data", 1 << 16);
         let (log, log_faults) = cached("log", nblocks);
         let (catalog, catalog_faults) = cached("catalog", 1 << 12);
-        CrashRig { clock, data, log, catalog, handles, data_faults, log_faults, catalog_faults }
+        CrashRig { clock, data, log, catalog, handles, data_faults, log_faults, catalog_faults, log_probe }
     }
 
     /// Formats (`fresh`) or recovers the database on these devices.

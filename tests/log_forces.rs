@@ -195,6 +195,32 @@ fn a_creat_is_one_commit_and_one_log_force() {
     assert_eq!(fs.check(), []);
 }
 
+/// A `creat` logs about what it writes. `begin` / `p_creat` / a 1 KB
+/// write / `commit` appends at most 3 KB of log (`pg_stat_wal`'s
+/// `bytes_appended`): the new chunk index's empty root is logged without
+/// its free hole, not as an 8 KB page image.
+#[test]
+fn a_creat_logs_about_what_it_writes() {
+    let db = Devices::new().format_with(DbConfig {
+        checkpoint_interval: SimDuration::ZERO,
+        ..DbConfig::default()
+    });
+    let fs = InversionFs::format(db.clone()).unwrap();
+    let mut c = fs.client();
+    c.write_all("/warm", CreateMode::default(), b"first file").unwrap();
+
+    let before = db.stats();
+    c.p_begin().unwrap();
+    let fd = c.p_creat("/one", CreateMode::default()).unwrap();
+    c.p_write(fd, &[7u8; 1024]).unwrap();
+    c.p_close(fd).unwrap();
+    c.p_commit().unwrap();
+    let d = db.stats().delta(&before);
+    assert_eq!(d.wal.checkpoints, 0, "a checkpoint ran inside the window");
+    assert!(d.wal.bytes_appended <= 3 * 1024, "a 1 KB creat logged {} bytes", d.wal.bytes_appended);
+    assert_eq!(c.read_to_vec("/one", None).unwrap(), [7u8; 1024]);
+}
+
 /// Handing out ids costs no I/O. On a warmed database, with no checkpoint
 /// in the window, 3 000 read-only transactions and 3 000 oids write and
 /// sync nothing on any device and add no catalog row: every 1 024th id of

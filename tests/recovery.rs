@@ -674,6 +674,74 @@ fn a_committed_creat_comes_back_with_its_data_after_a_crash() {
     a_creat_meets_a_crash(true);
 }
 
+/// Two hundred small files after a checkpoint, each a `creat` and a 1 KB
+/// write in a transaction of its own: a one-block heap and an index root
+/// logged without its hole, on blocks the device's map has never heard of.
+/// A crash brings back every committed file. With `torn_last`, every
+/// commit from the 200th on is armed to fail after one log block, so the
+/// first whose force needs two is torn, and that file is absent.
+fn small_files_since_the_checkpoint_meet_a_crash(torn_last: bool) {
+    let rig = common::CrashRig::new();
+    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let fs = InversionFs::format(db.clone()).unwrap();
+    db.checkpoint().unwrap();
+    let name = |i: usize| format!("/f{i}");
+    let body = |i: usize| vec![i as u8; 1024];
+    let mut c = fs.client();
+    let mut files = 0;
+    while torn_last || files < 200 {
+        assert!(files < 240, "no commit force of a creat needed two blocks");
+        c.p_begin().unwrap();
+        let fd = c.p_creat(&name(files), CreateMode::default()).unwrap();
+        c.p_write(fd, &body(files)).unwrap();
+        c.p_close(fd).unwrap();
+        let armed = torn_last && files >= 199;
+        if armed {
+            rig.log_faults.fail_after_writes(1);
+        }
+        let outcome = c.p_commit();
+        rig.log_faults.clear_write_fault();
+        match outcome {
+            Ok(()) => files += 1,
+            Err(e) => {
+                assert!(armed, "{e}");
+                break;
+            }
+        }
+    }
+    let (_, records) = minidb::Wal::recover(rig.log.clone(), Default::default()).unwrap();
+    let images = records.iter().filter(|(_, rec)| matches!(rec, minidb::WalRecord::PageImage { .. }));
+    assert!(images.count() >= files, "a root image per file");
+    db.simulate_crash();
+    rig.power_cut();
+    drop((c, fs, db));
+
+    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let fs = InversionFs::attach(db.clone()).unwrap();
+    let mut c = fs.client();
+    for i in 0..files {
+        assert_eq!(c.read_to_vec(&name(i), None).unwrap(), body(i), "file {i}");
+    }
+    if torn_last {
+        assert!(c.p_stat(&name(files), None).is_err(), "the torn creat is absent");
+    }
+    assert!(db.stats().wal.replayed_pages >= files as u64);
+    assert_clean(&db);
+    assert_eq!(fs.check(), []);
+    db.checkpoint().unwrap();
+    assert_clean(&db);
+}
+
+#[test]
+fn small_files_since_the_checkpoint_come_back_after_a_crash() {
+    small_files_since_the_checkpoint_meet_a_crash(false);
+}
+
+#[test]
+fn small_files_since_the_checkpoint_come_back_under_a_torn_last_force() {
+    small_files_since_the_checkpoint_meet_a_crash(true);
+}
+
 /// Read-only transactions: each takes an xid, writes nothing and forces
 /// nothing.
 fn burn_xids(db: &minidb::Db, n: usize) {
@@ -1057,6 +1125,12 @@ fn mid_leaf_index_inserts_replay_under_a_torn_log_tail() {
 /// force that died after that many blocks, somewhere among the images.
 /// Returns how many of the three images outlived the crash.
 fn a_root_split_meets_a_crash(torn_after: Option<u64>) -> usize {
+    a_root_split_and_its_force(torn_after).0
+}
+
+/// [`a_root_split_meets_a_crash`], also returning how many log blocks the
+/// split's commit force wrote before it finished or was torn.
+fn a_root_split_and_its_force(torn_after: Option<u64>) -> (usize, u64) {
     let rig = common::CrashRig::new();
     let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
     let rel = db.create_table("t", Schema::new([("k", TypeId::TEXT)])).unwrap();
@@ -1079,6 +1153,8 @@ fn a_root_split_meets_a_crash(torn_after: Option<u64>) -> usize {
         last += 1;
     }
     assert_eq!(db.relation_pages(idx).unwrap(), 3, "both halves moved out");
+    let log_writes = || rig.log_probe.writes.load(std::sync::atomic::Ordering::SeqCst);
+    let before = log_writes();
     match torn_after {
         None => s.commit().unwrap(),
         Some(blocks) => {
@@ -1087,6 +1163,7 @@ fn a_root_split_meets_a_crash(torn_after: Option<u64>) -> usize {
             rig.log_faults.clear_write_fault();
         }
     }
+    let force_blocks = log_writes() - before;
     drop(s);
     rig.crash(db);
 
@@ -1110,7 +1187,7 @@ fn a_root_split_meets_a_crash(torn_after: Option<u64>) -> usize {
     }
     s.commit().unwrap();
     assert_clean(&db);
-    images
+    (images, force_blocks)
 }
 
 #[test]
@@ -1120,7 +1197,9 @@ fn a_root_split_that_exists_only_in_the_log_replays_over_the_unsplit_root() {
 
 #[test]
 fn a_force_torn_among_a_root_splits_images_recovers_to_the_unsplit_root() {
-    let survived: Vec<usize> = (1..=3).map(|blocks| a_root_split_meets_a_crash(Some(blocks))).collect();
+    // Tear the force after every block but its last.
+    let (_, force_blocks) = a_root_split_and_its_force(None);
+    let survived: Vec<usize> = (1..force_blocks).map(|blocks| a_root_split_meets_a_crash(Some(blocks))).collect();
     assert!(
         survived.iter().any(|n| (1..3).contains(n)),
         "no tear fell between the images: {survived:?} survived"
