@@ -421,7 +421,7 @@ impl Catalog {
     /// Fills the cache from the visible rows of the four system relations
     /// (in `pg_class`, `pg_type`, `pg_proc`, `pg_rule` order), as scanned
     /// when a database is reopened.
-    pub fn load(&mut self, [class, types, procs, rules]: [Vec<(Tid, Row)>; 4]) -> DbResult<()> {
+    pub(crate) fn load(&mut self, [class, types, procs, rules]: [Vec<(Tid, Row)>; 4]) -> DbResult<()> {
         let mut rels = class
             .into_iter()
             .map(|(tid, row)| Ok((tid, RelationEntry::from_row(&row)?)))
@@ -457,7 +457,7 @@ impl Catalog {
 
     /// Registers a relation entry; an index is attached to its heap's
     /// `indexes` (a dangling one is left for [`Catalog::check`] to report).
-    pub fn add_relation(&mut self, entry: RelationEntry) -> DbResult<()> {
+    pub(crate) fn add_relation(&mut self, entry: RelationEntry) -> DbResult<()> {
         if self.rel_by_name.contains_key(&entry.name) {
             return Err(DbError::AlreadyExists(format!(
                 "relation \"{}\"",
@@ -473,7 +473,7 @@ impl Catalog {
     }
 
     /// Removes a relation entry.
-    pub fn remove_relation(&mut self, id: RelId) -> DbResult<RelationEntry> {
+    pub(crate) fn remove_relation(&mut self, id: RelId) -> DbResult<RelationEntry> {
         let entry = self
             .relations
             .remove(&id)
@@ -497,7 +497,7 @@ impl Catalog {
     }
 
     /// Mutable lookup by oid.
-    pub fn relation_mut(&mut self, id: RelId) -> DbResult<&mut RelationEntry> {
+    pub(crate) fn relation_mut(&mut self, id: RelId) -> DbResult<&mut RelationEntry> {
         self.relations
             .get_mut(&id)
             .ok_or_else(|| DbError::NotFound(format!("relation {id}")))
@@ -525,7 +525,7 @@ impl Catalog {
     }
 
     /// Registers a user-defined type (its id a fresh oid).
-    pub fn define_type(&mut self, entry: TypeEntry) -> DbResult<()> {
+    pub(crate) fn define_type(&mut self, entry: TypeEntry) -> DbResult<()> {
         let name = &entry.name;
         if self.type_by_name.contains_key(name) || TypeId::from_builtin_name(name).is_some() {
             return Err(DbError::AlreadyExists(format!("type \"{name}\"")));
@@ -558,7 +558,7 @@ impl Catalog {
     }
 
     /// Registers a function's persistent definition.
-    pub fn define_proc(&mut self, entry: ProcEntry) -> DbResult<()> {
+    pub(crate) fn define_proc(&mut self, entry: ProcEntry) -> DbResult<()> {
         if self.procs.contains_key(&entry.name) {
             return Err(DbError::AlreadyExists(format!(
                 "function \"{}\"",
@@ -582,12 +582,28 @@ impl Catalog {
     }
 
     /// Registers a rule.
-    pub fn define_rule(&mut self, rule: RuleEntry) -> DbResult<()> {
+    pub(crate) fn define_rule(&mut self, rule: RuleEntry) -> DbResult<()> {
         if self.rules.iter().any(|r| r.name == rule.name) {
             return Err(DbError::AlreadyExists(format!("rule \"{}\"", rule.name)));
         }
         self.rules.push(rule);
         Ok(())
+    }
+
+    /// Removes the type (`rel` = [`PG_TYPE`]), function ([`PG_PROC`]) or
+    /// rule ([`PG_RULE`]) named `name`.
+    pub(crate) fn undefine(&mut self, rel: RelId, name: &str) {
+        match rel {
+            PG_TYPE => {
+                if let Some(id) = self.type_by_name.remove(name) {
+                    self.types.remove(&id);
+                }
+            }
+            PG_PROC => {
+                self.procs.remove(name);
+            }
+            _ => self.rules.retain(|r| r.name != name),
+        }
     }
 
     /// Rules watching `rel` for `event`.
@@ -601,6 +617,16 @@ impl Catalog {
     /// All rules.
     pub fn rules(&self) -> &[RuleEntry] {
         &self.rules
+    }
+
+    /// The `pg_type`, `pg_proc` and `pg_rule` rows this cache stands for,
+    /// in that order, each keyed by the name its entry defines.
+    pub(crate) fn defined_rows(&self) -> [HashMap<String, Row>; 3] {
+        [
+            self.types.values().map(|e| (e.name.clone(), e.to_row())).collect(),
+            self.procs.values().map(|e| (e.name.clone(), e.to_row())).collect(),
+            self.rules.iter().map(|e| (e.name.clone(), e.to_row())).collect(),
+        ]
     }
 
     /// Cross-checks the catalog's internal references.

@@ -36,12 +36,12 @@
 //! and must be present in every index on the relation; every index entry
 //! that resolves to a heap tuple must agree with that tuple's key bytes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 use crate::btree::BTree;
-use crate::catalog::{Catalog, RelKind, RelationEntry};
-use crate::datum::decode_row;
+use crate::catalog::{Catalog, RelKind, RelationEntry, PG_CLASS, PG_PROC, PG_RULE, PG_TYPE};
+use crate::datum::{decode_row, Datum, Row};
 use crate::db::Db;
 use crate::error::DbResult;
 use crate::heap::Heap;
@@ -114,11 +114,12 @@ impl fmt::Display for Finding {
 /// produces a full report.
 pub fn check_all(db: &Db) -> Vec<Finding> {
     let mut out = Vec::new();
-    let (rels, storage): (Vec<RelationEntry>, HashSet<(DeviceId, RelId)>) = {
+    let (rels, storage, defined) = {
         let _order = crate::lock::order::token(crate::lock::order::CATALOG);
         let cat = db.inner.catalog.read();
         out.extend(cat.check());
-        (cat.relations().cloned().collect(), cat.storage().collect())
+        let storage: HashSet<(DeviceId, RelId)> = cat.storage().collect();
+        (cat.relations().cloned().collect::<Vec<_>>(), storage, cat.defined_rows())
     };
     out.extend(db.inner.xlog.check(db.inner.status_io()));
     // The buffer pool's structural self-audit: every shard's map and clock
@@ -132,7 +133,7 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
     );
 
     let by_id: HashMap<RelId, &RelationEntry> = rels.iter().map(|e| (e.id, e)).collect();
-    catalog_rows(db, &by_id, &storage, &mut out);
+    catalog_rows(db, &by_id, defined, &storage, &mut out);
     for e in &rels {
         match db.inner.smgr.with(e.device, |m| Ok(m.has_rel(e.id))) {
             Ok(true) => {}
@@ -200,7 +201,8 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
 /// database would load from the visible system-relation rows — a row that
 /// does not decode, a row the cache lacks or contradicts, a cached relation
 /// with no row (it would not survive a restart) are all `catalog-row`,
-/// except a relation whose creating transaction still runs —
+/// except an entry whose row's inserting transaction still runs. That
+/// holds for relations, types, functions and rules alike —
 /// and every relation a device holds must be in the catalog's `storage`
 /// (`device-orphan-rel`): the reverse of the per-relation
 /// `catalog-dangling-rel` check, and the verifier of the sweep
@@ -208,6 +210,7 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
 fn catalog_rows(
     db: &Db,
     by_id: &HashMap<RelId, &RelationEntry>,
+    defined: [HashMap<String, Row>; 3],
     storage: &HashSet<(DeviceId, RelId)>,
     out: &mut Vec<Finding>,
 ) {
@@ -215,17 +218,37 @@ fn catalog_rows(
     match db.scan_catalog().and_then(|rows| stored.load(rows)) {
         Err(err) => out.push(Finding::new("pg_class", "catalog-row", err.to_string())),
         Ok(()) => {
+            // An entry with no committed row is in flight, not wrong, while
+            // the inserter of its row still runs.
+            let in_flight = |rel, key: usize, value: Datum| {
+                let rows = rows_in_flight(db, rel);
+                rows.is_ok_and(|rows| rows.iter().any(|r| r.get(key) == Some(&value)))
+            };
             let ids: HashSet<_> = stored.relations().map(|e| e.id).chain(by_id.keys().copied()).collect();
             for id in ids {
                 let (row, cached) = (stored.relation(id).ok(), by_id.get(&id).copied());
-                // A create still in flight has its entry and an uncommitted row.
-                let in_flight = || row.is_none() && db.is_being_created(id).unwrap_or(false);
-                if row != cached && !in_flight() {
+                if row != cached && !(row.is_none() && in_flight(PG_CLASS, 0, Datum::Oid(id.0))) {
                     out.push(Finding::new(
                         row.or(cached).map_or_else(String::new, |e| e.name.clone()),
                         "catalog-row",
                         format!("relation {id}: pg_class says {row:?}, the catalog cache {cached:?}"),
                     ));
+                }
+            }
+            let rels = [(PG_TYPE, "pg_type", 1), (PG_PROC, "pg_proc", 0), (PG_RULE, "pg_rule", 0)];
+            for (((rel, relname, key), cached), stored) in
+                rels.into_iter().zip(defined).zip(stored.defined_rows())
+            {
+                let names: BTreeSet<&String> = cached.keys().chain(stored.keys()).collect();
+                for name in names {
+                    let (row, entry) = (stored.get(name), cached.get(name));
+                    if row != entry && !(row.is_none() && in_flight(rel, key, Datum::Text(name.clone()))) {
+                        out.push(Finding::new(
+                            name,
+                            "catalog-row",
+                            format!("{relname} says {row:?}, the catalog cache {entry:?}"),
+                        ));
+                    }
                 }
             }
         }
@@ -244,6 +267,28 @@ fn catalog_rows(
             }
         }
     }
+}
+
+/// The rows of the system relation `rel` whose inserting transaction still
+/// runs: DDL in flight.
+fn rows_in_flight(db: &Db, rel: RelId) -> DbResult<Vec<Row>> {
+    let heap = Heap {
+        wal: None,
+        pool: &db.inner.pool,
+        smgr: &db.inner.smgr,
+        xlog: &db.inner.xlog,
+        dev: DeviceId::CATALOG,
+        rel,
+        stats: &db.inner.stats,
+    };
+    let mut rows = Vec::new();
+    heap.scan_all_raw(|_tid, hdr, bytes| {
+        if heap.state(hdr.xmin)? == XactState::InProgress {
+            rows.push(decode_row(bytes)?);
+        }
+        Ok(())
+    })?;
+    Ok(rows)
 }
 
 /// Index → heap: every index entry that *resolves* to an on-disk tuple must
@@ -767,6 +812,23 @@ mod tests {
         assert_eq!(codes(&db), []);
         s.abort().unwrap();
         assert_eq!(codes(&db), []);
+
+        // Types, functions and rules are held to their rows the same way:
+        // a definition in flight passes, an entry with no row does not.
+        let mut s = db.begin().unwrap();
+        s.define_type("pending_type").unwrap();
+        assert_eq!(codes(&db), []);
+        s.abort().unwrap();
+        let ghost_fn = crate::catalog::ProcEntry {
+            name: "ghost_fn".into(),
+            nargs: 0,
+            ret: TypeId::INT4,
+            impl_key: "t.ghost".into(),
+            operates_on: None,
+        };
+        db.inner.catalog.write().define_proc(ghost_fn).unwrap();
+        assert_eq!(codes(&db), [("catalog-row".into(), "ghost_fn".into())]);
+        db.inner.catalog.write().undefine(crate::catalog::PG_PROC, "ghost_fn");
 
         // A row the cache does not know: an index naming no heap at that.
         let mut stray = db.catalog().relation_by_name("emp_name_idx").unwrap().clone();

@@ -35,11 +35,9 @@ use simdev::{DiskProfile, MagneticDisk, SimClock, SimDuration, SimInstant};
 
 use crate::btree::BTree;
 use crate::buffer::{BufferPool, DEFAULT_BUFFERS};
-use crate::catalog::{
-    Catalog, IndexInfo, ProcEntry, RelKind, RelationEntry, RuleEntry, TypeEntry, PG_CLASS,
-    PG_LOG, PG_PROC, PG_RULE, PG_TYPE,
-};
+use crate::catalog::{Catalog, RelKind, RuleEntry, PG_CLASS, PG_LOG, PG_PROC, PG_RULE, PG_TYPE};
 use crate::datum::{decode_row, Datum, Row, Schema, TypeId};
+use crate::ddl::Ddl;
 use crate::error::{DbError, DbResult};
 use crate::funcs::{FuncDef, FunctionRegistry};
 use crate::heap::Heap;
@@ -186,20 +184,6 @@ impl DbInner {
             self.ckpt.crashed.store(true, SeqCst);
         }
         synced
-    }
-
-    /// Takes back the relations an aborted transaction created, newest
-    /// first: cache entry, cached pages, storage. Their `pg_class` rows
-    /// need nothing: the abort leaves them invisible for good.
-    fn undo_creates(&self, created: &[(RelId, DeviceId)]) {
-        for &(id, dev) in created.iter().rev() {
-            {
-                let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-                self.catalog.write().remove_relation(id).ok();
-            }
-            self.pool.discard_rel(id);
-            self.smgr.with(dev, |m| m.drop_rel(id)).ok();
-        }
     }
 
     /// Wakes the checkpointer when a checkpoint is wanted — called from the
@@ -545,11 +529,12 @@ impl Db {
     }
 
     /// Runs `f` as one short transaction of its own and commits it: the
-    /// `Db::create_*` wrappers (bootstrap and tests), drops, `define_*` and
-    /// vacuum's archive attach. A client's `creat` does not come through
-    /// here: it creates in its own [`Session`]'s transaction. Never called
-    /// with the catalog lock held, nor on a thread whose open transaction
-    /// has written a system relation: `f` waits for relation locks.
+    /// `Db::create_*`, `define_*` and `drop_relation` wrappers (bootstrap,
+    /// tests, type registration) and vacuum's archive attach. Client DDL
+    /// (`creat`, POSTQUEL's `define`) does not come through here: it runs
+    /// in the client's own [`Session`]. Never called with the catalog lock
+    /// held, nor on a thread whose open transaction holds a lock `f` needs
+    /// (a system relation's, after DDL): it would wait on itself.
     pub(crate) fn catalog_txn<T>(
         &self,
         f: impl FnOnce(&mut Session) -> DbResult<T>,
@@ -741,63 +726,17 @@ impl Db {
         self.catalog_txn(|s| s.create_unique_index(name, table, columns))
     }
 
-    /// Drops a table (and its indices and archive) or a single index.
+    /// [`Session::drop_relation`] in a transaction of its own.
     pub fn drop_relation(&self, name: &str) -> DbResult<()> {
-        let victims: Vec<(RelationEntry, Option<Tid>)> = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.inner.catalog.read();
-            let entry = cat.relation_by_name(name)?;
-            if Catalog::is_system(entry.id) {
-                return Err(DbError::Invalid(format!(
-                    "\"{name}\" is a system relation"
-                )));
-            }
-            let mut ids = vec![entry.id];
-            if entry.kind == RelKind::Heap {
-                ids.extend(entry.indexes.iter().chain(&entry.archive));
-            }
-            ids.into_iter()
-                .map(|id| Ok((cat.relation(id)?.clone(), cat.class_tid(id))))
-                .collect::<DbResult<_>>()?
-        };
-        // Mirror image of the create ordering: the rows go first, in one
-        // transaction, then the storage. A crash in between leaves storage
-        // that no row names (released on reopening) instead of rows that
-        // point at nothing; a failed commit leaves everything as it was.
-        self.catalog_txn(|s| {
-            for tid in victims.iter().filter_map(|(_, tid)| *tid) {
-                s.delete_row(PG_CLASS, tid)?;
-            }
-            Ok(())
-        })?;
-        {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let mut cat = self.inner.catalog.write();
-            for (v, _) in &victims {
-                cat.remove_relation(v.id)?;
-            }
-        }
-        for (v, _) in &victims {
-            self.inner.pool.discard_rel(v.id);
-            self.inner.smgr.with(v.device, |m| m.drop_rel(v.id))?;
-        }
-        Ok(())
+        self.catalog_txn(|s| s.drop_relation(name))
     }
 
-    /// Registers a new file/database type (`define type` in the paper).
+    /// [`Session::define_type`] in a transaction of its own.
     pub fn define_type(&self, name: &str) -> DbResult<TypeId> {
-        let entry = TypeEntry {
-            id: TypeId(self.alloc_oid()?.0),
-            name: name.to_string(),
-        };
-        let (id, row) = (entry.id, entry.to_row());
-        self.inner.catalog.write().define_type(entry)?;
-        self.catalog_txn(|s| s.insert_row(PG_TYPE, row))?;
-        Ok(id)
+        self.catalog_txn(|s| s.define_type(name))
     }
 
-    /// Registers a function definition; its implementation must be (or
-    /// become) available in [`Db::functions`] under `impl_key`.
+    /// [`Session::define_function`] in a transaction of its own.
     pub fn define_function(
         &self,
         name: &str,
@@ -806,23 +745,12 @@ impl Db {
         impl_key: &str,
         operates_on: Option<TypeId>,
     ) -> DbResult<()> {
-        let entry = ProcEntry {
-            name: name.to_string(),
-            nargs,
-            ret,
-            impl_key: impl_key.to_string(),
-            operates_on,
-        };
-        let row = entry.to_row();
-        self.inner.catalog.write().define_proc(entry)?;
-        self.catalog_txn(|s| s.insert_row(PG_PROC, row)).map(drop)
+        self.catalog_txn(|s| s.define_function(name, nargs, ret, impl_key, operates_on))
     }
 
-    /// Registers a predicate rule (see [`crate::rules`]).
+    /// [`Session::define_rule`] in a transaction of its own.
     pub fn define_rule(&self, rule: RuleEntry) -> DbResult<()> {
-        let row = rule.to_row();
-        self.inner.catalog.write().define_rule(rule)?;
-        self.catalog_txn(|s| s.insert_row(PG_RULE, row)).map(drop)
+        self.catalog_txn(|s| s.define_rule(rule))
     }
 
     /// Resolves a function by query-language name to a callable.
@@ -848,7 +776,7 @@ impl Db {
             view: View::Xact(xid),
             done: false,
             wrote: false,
-            created: Vec::new(),
+            ddl: Vec::new(),
         })
     }
 
@@ -860,7 +788,7 @@ impl Db {
             view: View::AsOf(t),
             done: false,
             wrote: false,
-            created: Vec::new(),
+            ddl: Vec::new(),
         }
     }
 
@@ -1013,9 +941,9 @@ pub struct Session {
     view: View,
     done: bool,
     wrote: bool,
-    /// The relations this transaction created, oldest first: an abort
-    /// takes them back ([`DbInner::undo_creates`]).
-    created: Vec<(RelId, DeviceId)>,
+    /// This transaction's catalog changes, oldest first: its end applies
+    /// or takes them back ([`DbInner::end_ddl`]).
+    pub(crate) ddl: Vec<Ddl>,
 }
 
 impl Session {
@@ -1044,13 +972,13 @@ impl Session {
         self.xid().ok_or(DbError::ReadOnly)
     }
 
-    fn lock(&self, rel: RelId, mode: LockMode) -> DbResult<()> {
+    pub(crate) fn lock(&self, rel: RelId, mode: LockMode) -> DbResult<()> {
         // Purely historical sessions read immutable versions: no locks.
         let Some(xid) = self.xid() else { return Ok(()) };
-        // Catalog reads are plain snapshot reads. A shared lock held to
-        // commit would block a drop run on the reader's own thread (a
-        // transaction of its own, see `Db::catalog_txn`) — a wait no
-        // deadlock detector can see.
+        // Catalog reads are plain snapshot reads. Every DDL holds its
+        // system relation's exclusive lock to its end, so a shared one would
+        // stall each reader of the catalog behind each DDL in flight, and a
+        // reader on the DDL's own thread (`check_all`) forever.
         if mode == LockMode::Shared && Catalog::is_system(rel) {
             return Ok(());
         }
@@ -1085,7 +1013,7 @@ impl Session {
         })
     }
 
-    fn heap<'a>(&'a self, rel: RelId, dev: DeviceId) -> Heap<'a> {
+    pub(crate) fn heap<'a>(&'a self, rel: RelId, dev: DeviceId) -> Heap<'a> {
         Heap {
             pool: &self.db.inner.pool,
             smgr: &self.db.inner.smgr,
@@ -1097,7 +1025,7 @@ impl Session {
         }
     }
 
-    fn btree<'a>(&'a self, rel: RelId, dev: DeviceId) -> BTree<'a> {
+    pub(crate) fn btree<'a>(&'a self, rel: RelId, dev: DeviceId) -> BTree<'a> {
         BTree {
             pool: &self.db.inner.pool,
             smgr: &self.db.inner.smgr,
@@ -1180,168 +1108,6 @@ impl Session {
             )));
         }
         self.insert(rel, row)
-    }
-
-    /// Creates a heap table on `dev` in this transaction; `no_history`
-    /// asks the vacuum cleaner to discard (not archive) dead versions.
-    pub fn create_table_on(
-        &mut self,
-        name: &str,
-        schema: Schema,
-        dev: DeviceId,
-        no_history: bool,
-    ) -> DbResult<RelId> {
-        let entry = RelationEntry {
-            id: self.db.alloc_oid()?,
-            name: name.to_string(),
-            kind: RelKind::Heap,
-            device: dev,
-            schema,
-            index: None,
-            indexes: vec![],
-            archive: None,
-            no_history,
-        };
-        self.create_relation(entry, |_| Ok(()))
-    }
-
-    /// Creates a B-tree index named `name` on `table(columns...)` in this
-    /// transaction, on the table's device, backfilling entries for every
-    /// existing tuple version (historical versions stay reachable through
-    /// it).
-    pub fn create_index(&mut self, name: &str, table: RelId, columns: &[&str]) -> DbResult<RelId> {
-        self.build_index(name, table, columns, false)
-    }
-
-    /// [`Session::create_index`] for a *versioned-unique* key: the caller
-    /// declares that under any one snapshot at most one version per key is
-    /// visible (see [`IndexInfo::unique`]), and keeps it so — nothing here
-    /// probes on insert. In return a probe stops at the first visible
-    /// version instead of fetching every version the key ever had.
-    pub fn create_unique_index(
-        &mut self,
-        name: &str,
-        table: RelId,
-        columns: &[&str],
-    ) -> DbResult<RelId> {
-        self.build_index(name, table, columns, true)
-    }
-
-    /// Takes `table`'s exclusive lock (a new index changes what each of its
-    /// writers maintains) and creates the index, bulk-loaded from every
-    /// version in the heap.
-    fn build_index(
-        &mut self,
-        name: &str,
-        table: RelId,
-        columns: &[&str],
-        unique: bool,
-    ) -> DbResult<RelId> {
-        self.lock_exclusive(table)?;
-        let (dev, key_columns) = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.db.inner.catalog.read();
-            let t = cat.relation(table)?;
-            if t.kind != RelKind::Heap {
-                return Err(DbError::Invalid(format!("{name}: {table} is not a heap")));
-            }
-            let mut key_columns = Vec::with_capacity(columns.len());
-            for c in columns {
-                key_columns.push(t.schema.column_index(c).ok_or_else(|| {
-                    DbError::NotFound(format!("column \"{c}\" of \"{}\"", t.name))
-                })?);
-            }
-            (t.device, key_columns)
-        };
-        let id = self.db.alloc_oid()?;
-        let entry = RelationEntry {
-            id,
-            name: name.to_string(),
-            kind: RelKind::BTreeIndex,
-            device: dev,
-            schema: Schema::default(),
-            index: Some(IndexInfo {
-                table,
-                key_columns: key_columns.clone(),
-                unique,
-            }),
-            indexes: vec![],
-            archive: None,
-            no_history: false,
-        };
-        self.create_relation(entry, |s| {
-            let bt = s.btree(id, dev);
-            bt.create()?;
-            s.heap(table, dev).scan_all_raw(|tid, _hdr, row_bytes| {
-                let row = decode_row(row_bytes)?;
-                let key: Vec<Datum> = key_columns.iter().map(|&i| row[i].clone()).collect();
-                bt.insert(&key, tid)
-            })
-        })
-    }
-
-    /// The one sequence that creates a relation, inside this transaction:
-    /// the relation's exclusive lock (a fresh oid, so never a wait), the
-    /// cache entry (which claims the name), storage on its device, `build`
-    /// (an index's bulk load, logged like any insert), the `pg_class` row
-    /// under this transaction's xid. The lock is held until the
-    /// transaction ends, so no other transaction reads or writes the
-    /// relation before it commits; an abort takes the entry and the
-    /// storage back ([`DbInner::undo_creates`]), and so does a failure
-    /// here. Nothing syncs a device: the commit's force makes the relation
-    /// durable, and recovery gives a committed row its storage back and
-    /// releases storage no committed row names ([`Db::reconcile_storage`]).
-    fn create_relation(
-        &mut self,
-        entry: RelationEntry,
-        build: impl FnOnce(&Session) -> DbResult<()>,
-    ) -> DbResult<RelId> {
-        let (id, dev) = (entry.id, entry.device);
-        self.lock_exclusive(id)?;
-        {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            self.db.inner.catalog.write().add_relation(entry)?;
-        }
-        let created = self
-            .db
-            .inner
-            .smgr
-            .with(dev, |m| m.create_rel(id))
-            .and_then(|()| build(self))
-            .and_then(|()| self.store_class_rows(&[id]));
-        match created {
-            Ok(()) => {
-                self.created.push((id, dev));
-                Ok(id)
-            }
-            Err(e) => {
-                self.db.inner.undo_creates(&[(id, dev)]);
-                Err(e)
-            }
-        }
-    }
-
-    /// Writes the cache's current entries for `ids` as `pg_class` rows in
-    /// this transaction. An entry that already has a row gets it replaced;
-    /// the row is found by its remembered tid, so the cost does not grow
-    /// with the catalog.
-    pub(crate) fn store_class_rows(&mut self, ids: &[RelId]) -> DbResult<()> {
-        let rows: Vec<(RelId, Option<Tid>, Row)> = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.db.inner.catalog.read();
-            ids.iter()
-                .map(|&id| Ok((id, cat.class_tid(id), cat.relation(id)?.to_row())))
-                .collect::<DbResult<_>>()?
-        };
-        for (id, old, row) in rows {
-            if let Some(tid) = old {
-                self.delete_row(PG_CLASS, tid)?;
-            }
-            let tid = self.insert_row(PG_CLASS, row)?;
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            self.db.inner.catalog.write().set_class_tid(id, tid);
-        }
-        Ok(())
     }
 
     /// Fetches the row at `tid` if visible to this session.
@@ -1678,7 +1444,7 @@ impl Session {
         let Some(xid) = self.xid() else {
             return Ok(()); // Historical sessions end trivially.
         };
-        let created = std::mem::take(&mut self.created);
+        let ddl = std::mem::take(&mut self.ddl);
         let inner = &self.db.inner;
         let t0 = inner.clock.now();
         // A hair of commit processing keeps commit timestamps strictly
@@ -1686,13 +1452,16 @@ impl Session {
         inner.clock.advance(SimDuration::from_micros(1));
         let result = if self.wrote {
             // Aborts the transaction itself if it fails.
-            Self::commit_written(inner, xid, &created)
+            Self::commit_written(inner, xid, &ddl)
         } else {
             // Read-only: nothing to log, no force, no status page touched.
             inner.xlog.finish(xid)
         };
         if result.is_ok() {
             inner.stats.xact.commits.bump();
+            // The commit is durable: what it dropped goes, before the
+            // locks that keep everyone else off it.
+            inner.end_ddl(&ddl, true);
         }
         inner.locks.release_all(xid);
         inner
@@ -1714,13 +1483,13 @@ impl Session {
     /// sync of its own. A commit whose record never became durable is
     /// aborted by definition; the abort takes back a `Commit` only if one
     /// reached the status page.
-    fn commit_written(inner: &DbInner, xid: XactId, created: &[(RelId, DeviceId)]) -> DbResult<()> {
+    fn commit_written(inner: &DbInner, xid: XactId, ddl: &[Ddl]) -> DbResult<()> {
         let now = inner.clock.now();
         let commit = WalRecord::Commit {
             xid,
             time_ns: now.as_nanos(),
         };
-        let aborted = |after_commit| drop(Self::end_aborted(inner, xid, after_commit, created));
+        let aborted = |after_commit| drop(Self::end_aborted(inner, xid, after_commit, ddl));
         let lsn = inner.xlog.log_outcome(inner.status_io(), &commit).inspect_err(|_| aborted(false))?;
         let forced = inner.wal.force_up_to(lsn).inspect_err(|_| aborted(true))?;
         inner.xlog.finish(xid)?;
@@ -1737,9 +1506,10 @@ impl Session {
 
     /// The one sequence that aborts any transaction — an explicit
     /// [`Session::abort`], a dropped session, a commit that failed: take
-    /// back the relations it `created`, take it out of the running set and
-    /// release the locks. A session waiting on a created relation's lock
-    /// wakes to find it gone. Nothing is written or synced, because after
+    /// back what its DDL created and defined ([`DbInner::end_ddl`]), take
+    /// it out of the running set and release the locks. A session waiting
+    /// on a created relation's lock wakes to find it gone; its drops never
+    /// happened. Nothing is written or synced, because after
     /// a crash the absence of a durable `Commit`
     /// record already means aborted. An unforced `Abort` record is logged
     /// in one case only, `after_commit`: behind the `Commit` record of a
@@ -1753,7 +1523,7 @@ impl Session {
         inner: &DbInner,
         xid: XactId,
         after_commit: bool,
-        created: &[(RelId, DeviceId)],
+        ddl: &[Ddl],
     ) -> DbResult<()> {
         let logged = match after_commit {
             true => inner.xlog.log_outcome(inner.status_io(), &WalRecord::Abort { xid }).map(drop),
@@ -1762,7 +1532,7 @@ impl Session {
         if logged.is_err() {
             inner.ckpt.crashed.store(true, SeqCst);
         }
-        inner.undo_creates(created);
+        inner.end_ddl(ddl, false);
         let result = logged.and_then(|()| inner.xlog.finish(xid));
         inner.stats.xact.aborts.bump();
         inner.locks.release_all(xid);
@@ -1776,7 +1546,7 @@ impl Session {
         }
         self.done = true;
         match self.xid() {
-            Some(xid) => Self::end_aborted(&self.db.inner, xid, false, &self.created),
+            Some(xid) => Self::end_aborted(&self.db.inner, xid, false, &self.ddl),
             None => Ok(()),
         }
     }
@@ -1786,7 +1556,7 @@ impl Drop for Session {
     fn drop(&mut self) {
         if !self.done {
             if let Some(xid) = self.xid() {
-                Self::end_aborted(&self.db.inner, xid, false, &self.created).ok();
+                Self::end_aborted(&self.db.inner, xid, false, &self.ddl).ok();
             }
         }
     }

@@ -59,6 +59,7 @@ pub mod catalog;
 pub mod check;
 pub mod datum;
 pub mod db;
+mod ddl;
 pub mod error;
 pub mod funcs;
 pub mod heap;

@@ -104,7 +104,7 @@ impl Session {
             }
             Stmt::Explain { analyze, inner } => self.exec_explain(analyze, *inner),
             Stmt::DefineType { name } => {
-                self.db().define_type(&name)?;
+                self.define_type(&name)?;
                 Ok(QueryResult::default())
             }
             Stmt::DefineFunction {
@@ -119,8 +119,7 @@ impl Session {
                     Some(t) => Some(self.db().catalog().type_by_name(&t)?),
                     None => None,
                 };
-                self.db()
-                    .define_function(&name, nargs, ret, &impl_key, for_ty)?;
+                self.define_function(&name, nargs, ret, &impl_key, for_ty)?;
                 Ok(QueryResult::default())
             }
             Stmt::DefineRule {
@@ -137,7 +136,7 @@ impl Session {
                     other => return Err(DbError::Parse(format!("unknown rule event \"{other}\""))),
                 };
                 let on_rel = self.db().relation_id(&rel)?;
-                self.db().define_rule(crate::catalog::RuleEntry {
+                self.define_rule(crate::catalog::RuleEntry {
                     name,
                     on_rel,
                     event,

@@ -18,6 +18,7 @@ use crate::datum::Datum;
 use crate::db::Session;
 use crate::error::DbResult;
 use crate::ids::RelId;
+use crate::lock::LockMode;
 use crate::query::{eval, parse_expr, Binding};
 
 /// The outcome of one rules sweep.
@@ -36,6 +37,10 @@ pub struct RuleRun {
 /// this at the corresponding moment; `Periodic` rules are evaluated by
 /// administrative sweeps (e.g. a migration daemon).
 pub fn run_rules(session: &mut Session, rel: RelId, event: RuleEvent) -> DbResult<RuleRun> {
+    // Lock, then read: `define rule` holds `rel`'s exclusive lock until its
+    // transaction ends, so the rules read under this one are committed (or
+    // this transaction's own).
+    session.lock(rel, LockMode::Shared)?;
     let rules: Vec<(String, String, String)> = {
         let cat = session.db().catalog();
         cat.rules_for(rel, event)

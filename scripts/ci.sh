@@ -64,6 +64,9 @@ cargo test --release -q --test server_stress
 echo "== isolation: a read under its lock sees the present =="
 cargo test --release -q --test concurrency
 
+echo "== DDL: an abort takes every catalog change back =="
+cargo test --release -q --test ddl
+
 # The benchmark is a crate of its own (benchmark/, outside the workspace)
 # built against WireClient, wire and PoolConfig: build it, run its unit
 # tests and its smoke mode (every workload once, metric names and units

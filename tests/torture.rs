@@ -408,22 +408,36 @@ fn run_schedule(sched: Schedule) {
         FaultKind::CatalogDeviceFault => {
             // The fault is armed first: DDL itself writes only the log, so
             // whichever checkpoint next drains the dirtied `pg_class` and
-            // `pg_type` pages — the background one or ours — tears.
+            // `pg_type` pages — the background one or ours — tears. Each
+            // DDL runs inside a client session's transaction.
             let db = fs.db();
             let before = rig.catalog_faults.write_trips();
             let schema = minidb::Schema::new([("v", minidb::TypeId::INT4)]);
-            let doomed = db.create_table("torture_doomed", schema.clone()).unwrap();
-            rig.catalog_faults.fail_after_writes(sched.seed % 2);
-            let t = db.create_table("torture_ddl", schema).unwrap();
+            let dev = minidb::DeviceId::DEFAULT;
             let mut s = db.begin().unwrap();
+            let doomed = s.create_table_on("torture_doomed", schema.clone(), dev, false).unwrap();
+            let gone = s.create_table_on("torture_gone", schema.clone(), dev, false).unwrap();
+            s.commit().unwrap();
+            rig.catalog_faults.fail_after_writes(sched.seed % 2);
+            let mut s = db.begin().unwrap();
+            let t = s.create_table_on("torture_ddl", schema.clone(), dev, false).unwrap();
             for v in 0..40 {
-                s.insert(t, vec![minidb::Datum::Int4(v)]).unwrap();
-                s.insert(doomed, vec![minidb::Datum::Int4(v)]).unwrap();
+                for rel in [t, doomed, gone] {
+                    s.insert(rel, vec![minidb::Datum::Int4(v)]).unwrap();
+                }
             }
             s.commit().unwrap();
-            db.create_index("torture_ddl_v", t, &["v"]).unwrap();
-            db.drop_relation("torture_doomed").unwrap();
-            db.define_type("torture_type").unwrap();
+            // Creates, defines and drops, then aborts: none of it happened.
+            let mut s = db.begin().unwrap();
+            s.create_table_on("torture_aborted", schema, dev, false).unwrap();
+            s.define_type("torture_aborted_type").unwrap();
+            s.drop_relation("torture_doomed").unwrap();
+            s.abort().unwrap();
+            let mut s = db.begin().unwrap();
+            s.create_index("torture_ddl_v", t, &["v"]).unwrap();
+            s.drop_relation("torture_gone").unwrap();
+            s.define_type("torture_type").unwrap();
+            s.commit().unwrap();
             let _ = db.checkpoint();
             rig.catalog_faults.clear_write_fault();
             assert!(
@@ -475,18 +489,32 @@ fn run_schedule(sched: Schedule) {
     if sched.fault == FaultKind::CatalogDeviceFault {
         // Every acknowledged DDL is wholly there: the index is catalogued,
         // attached and built; the dropped table is gone and its name free.
+        // The aborted transaction left nothing: its names are free and the
+        // table it dropped still holds its rows.
         let db = fs.db();
         let t = db.relation_id("torture_ddl").unwrap();
         let idx = db.relation_id("torture_ddl_v").unwrap();
         assert_eq!(db.find_index(t, &[0]), Some(idx));
+        let doomed = db.relation_id("torture_doomed").unwrap();
         let mut s = db.begin().unwrap();
         assert_eq!(s.index_scan_eq(idx, &[minidb::Datum::Int4(17)]).unwrap().len(), 1);
+        assert_eq!(s.seq_scan(doomed).unwrap().len(), 40);
         s.commit().unwrap();
         assert!(db.catalog().type_by_name("torture_type").is_ok());
-        assert!(db.relation_id("torture_doomed").is_err());
-        db.create_table("torture_doomed", minidb::Schema::default()).unwrap();
+        assert!(db.catalog().type_by_name("torture_aborted_type").is_err());
+        assert!(db.relation_id("torture_gone").is_err());
+        assert!(db.relation_id("torture_aborted").is_err());
+        let mut s = db.begin().unwrap();
+        for name in ["torture_gone", "torture_aborted"] {
+            let (schema, dev) = (minidb::Schema::default(), minidb::DeviceId::DEFAULT);
+            s.create_table_on(name, schema, dev, false).unwrap();
+        }
+        s.define_type("torture_aborted_type").unwrap();
+        s.commit().unwrap();
         let findings = db.check_all();
         assert!(findings.is_empty(), "verifier: {findings:?}");
+        let findings = fs.check();
+        assert!(findings.is_empty(), "fs.check: {findings:?}");
     }
 }
 
