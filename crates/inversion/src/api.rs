@@ -1114,7 +1114,7 @@ impl InversionFs {
     /// Rule `orphan-rel`: every `inv*` heap in the catalog is named by a
     /// committed `fileatt` version — live, dead or archived, since history
     /// still reads an unlinked file's data and a migrated file's old
-    /// relation. A relation whose creating transaction still runs is
+    /// relation. A relation a running transaction creates or drops is
     /// exempt. Any other is storage that no file will ever reach. The
     /// caller holds `fileatt`'s shared lock, so no creator commits a row
     /// while this runs.
@@ -1139,8 +1139,8 @@ impl InversionFs {
         let mut out = Vec::new();
         for (id, rel_name) in unnamed {
             // An aborting creator takes the relation out of the catalog
-            // before its transaction leaves the running set.
-            if !self.db().is_being_created(id)? && self.db().catalog().relation(id).is_ok() {
+            // before it releases the relation's lock.
+            if !self.db().ddl_in_flight(id) && self.db().catalog().relation(id).is_ok() {
                 let detail = format!("relation {id} is named by no committed fileatt version");
                 out.push(minidb::Finding::new(rel_name, "orphan-rel", detail));
             }

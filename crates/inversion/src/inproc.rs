@@ -14,7 +14,7 @@
 //! registers such a closure in the catalog so it can be *invoked from the
 //! query language* like any other user-defined function.
 
-use minidb::{Datum, DbError, DbResult, TypeId};
+use minidb::{Datum, DbResult, TypeId};
 
 use crate::api::InvClient;
 use crate::fs::{InvResult, InversionFs};
@@ -44,16 +44,14 @@ pub fn register_procedure(
         let mut client = fs.client();
         f(&mut client, args)
     });
-    match fs.db().define_function(name, nargs, ret, &key, None) {
-        Ok(()) | Err(DbError::AlreadyExists(_)) => Ok(()),
-        Err(e) => Err(e.into()),
-    }
+    crate::types::ensure_defined(fs.db().define_function(name, nargs, ret, &key, None))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fs::CreateMode;
+    use minidb::DbError;
 
     #[test]
     fn run_in_manager_is_direct() {

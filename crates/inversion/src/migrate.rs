@@ -79,13 +79,8 @@ pub fn register_migration(fs: &InversionFs) -> InvResult<()> {
             .map(|_| Datum::Bool(true))
             .map_err(|e| DbError::Eval(e.to_string()))
     });
-    match fs
-        .db()
-        .define_function("migrate", 2, TypeId::BOOL, "inversion.migrate", None)
-    {
-        Ok(()) | Err(DbError::AlreadyExists(_)) => Ok(()),
-        Err(e) => Err(e.into()),
-    }
+    let defined = fs.db().define_function("migrate", 2, TypeId::BOOL, "inversion.migrate", None);
+    crate::types::ensure_defined(defined)
 }
 
 /// Runs every periodic migration rule registered against `fileatt` — the

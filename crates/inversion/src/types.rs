@@ -21,7 +21,7 @@
 //! controllable snow fraction, and troff-like documents with `.KW`, `.ft`,
 //! and `.ps` macros.
 
-use minidb::{Datum, DbError, Oid, TypeId};
+use minidb::{Datum, DbError, DbResult, Oid, TypeId};
 
 use crate::fs::{InvError, InvResult, InversionFs};
 
@@ -277,6 +277,15 @@ pub fn wordcount(text: &str) -> u64 {
         .sum()
 }
 
+/// A definition's outcome, "already defined" counting as success: defining
+/// again after a restart finds the persisted entry.
+pub(crate) fn ensure_defined<T>(defined: DbResult<T>) -> InvResult<()> {
+    match defined {
+        Ok(_) | Err(DbError::AlreadyExists(_)) => Ok(()),
+        Err(e) => Err(e.into()),
+    }
+}
+
 /// The standard type names registered by [`register_standard`].
 pub const TYPE_NAMES: [&str; 5] = ["ascii", "troff", "czcs", "avhrr", "tm"];
 
@@ -289,10 +298,7 @@ pub const TYPE_NAMES: [&str; 5] = ["ascii", "troff", "czcs", "avhrr", "tm"];
 pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     let db = fs.db();
     for t in TYPE_NAMES {
-        match db.define_type(t) {
-            Ok(_) | Err(DbError::AlreadyExists(_)) => {}
-            Err(e) => return Err(e.into()),
-        }
+        ensure_defined(db.define_type(t))?;
     }
 
     // "would find all the files stored by Inversion *for which the keywords
@@ -553,10 +559,7 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
             Some(t) => Some(db.catalog().type_by_name(t)?),
             None => None,
         };
-        match db.define_function(name, nargs, ret, key, operates_on) {
-            Ok(()) | Err(DbError::AlreadyExists(_)) => {}
-            Err(e) => return Err(e.into()),
-        }
+        ensure_defined(db.define_function(name, nargs, ret, key, operates_on))?;
     }
     Ok(())
 }

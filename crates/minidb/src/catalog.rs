@@ -224,6 +224,22 @@ fn opt_oid(raw: u32) -> Option<Oid> {
 }
 
 impl RelationEntry {
+    /// A heap named `name` on `dev` with no index, archive or
+    /// `no_history`: the base the other kinds of entry are built on.
+    pub fn heap(id: RelId, name: &str, device: DeviceId, schema: Schema) -> RelationEntry {
+        RelationEntry {
+            id,
+            name: name.to_string(),
+            kind: RelKind::Heap,
+            device,
+            schema,
+            index: None,
+            indexes: vec![],
+            archive: None,
+            no_history: false,
+        }
+    }
+
     /// This entry as a `pg_class` row. `indexes` is derived, not stored.
     pub fn to_row(&self) -> Row {
         let (indrelid, indkey, indisunique) = match &self.index {
@@ -402,18 +418,8 @@ impl Catalog {
     pub fn new() -> Catalog {
         let mut cat = Catalog::default();
         for (id, name, schema) in system_relations() {
-            cat.add_relation(RelationEntry {
-                id,
-                name: name.to_string(),
-                kind: RelKind::Heap,
-                device: DeviceId::CATALOG,
-                schema,
-                index: None,
-                indexes: vec![],
-                archive: None,
-                no_history: false,
-            })
-            .expect("system relation names are distinct");
+            cat.add_relation(RelationEntry::heap(id, name, DeviceId::CATALOG, schema))
+                .expect("system relation names are distinct");
         }
         cat
     }
@@ -590,18 +596,12 @@ impl Catalog {
         Ok(())
     }
 
-    /// Removes the type (`rel` = [`PG_TYPE`]), function ([`PG_PROC`]) or
-    /// rule ([`PG_RULE`]) named `name`.
+    /// Removes the type ([`PG_TYPE`]), function ([`PG_PROC`]) or rule
+    /// ([`PG_RULE`]) named `name`, by the system relation `rel` it is in.
     pub(crate) fn undefine(&mut self, rel: RelId, name: &str) {
         match rel {
-            PG_TYPE => {
-                if let Some(id) = self.type_by_name.remove(name) {
-                    self.types.remove(&id);
-                }
-            }
-            PG_PROC => {
-                self.procs.remove(name);
-            }
+            PG_TYPE => drop(self.type_by_name.remove(name).map(|id| self.types.remove(&id))),
+            PG_PROC => drop(self.procs.remove(name)),
             _ => self.rules.retain(|r| r.name != name),
         }
     }

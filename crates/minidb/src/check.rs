@@ -39,12 +39,10 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
-use crate::btree::BTree;
-use crate::catalog::{Catalog, RelKind, RelationEntry, PG_CLASS, PG_PROC, PG_RULE, PG_TYPE};
+use crate::catalog::{Catalog, RelKind, RelationEntry, PG_PROC, PG_RULE, PG_TYPE};
 use crate::datum::{decode_row, Datum, Row};
 use crate::db::Db;
 use crate::error::DbResult;
-use crate::heap::Heap;
 use crate::ids::{DeviceId, RelId, Tid};
 use crate::xact::{TupleHeader, XactState};
 use simdev::SimInstant;
@@ -156,26 +154,11 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
         }
         match e.kind {
             RelKind::Heap => {
-                let heap = Heap {
-                    wal: None,
-                    pool: &db.inner.pool,
-                    smgr: &db.inner.smgr,
-                    xlog: &db.inner.xlog,
-                    dev: e.device,
-                    rel: e.id,
-                    stats: &db.inner.stats,
-                };
+                let heap = db.inner.heap(e.id, e.device, false);
                 out.extend(heap.check(&e.name, &e.schema));
             }
             RelKind::BTreeIndex => {
-                let bt = BTree {
-                    wal: None,
-                    pool: &db.inner.pool,
-                    smgr: &db.inner.smgr,
-                    dev: e.device,
-                    rel: e.id,
-                    stats: &db.inner.stats,
-                };
+                let bt = db.inner.btree(e.id, e.device, false);
                 let (findings, entries) = bt.check(&e.name);
                 out.extend(findings);
                 index_to_heap(db, e, &by_id, entries, &mut out);
@@ -201,8 +184,9 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
 /// database would load from the visible system-relation rows — a row that
 /// does not decode, a row the cache lacks or contradicts, a cached relation
 /// with no row (it would not survive a restart) are all `catalog-row`,
-/// except an entry whose row's inserting transaction still runs. That
-/// holds for relations, types, functions and rules alike —
+/// except a relation a running transaction creates or drops
+/// ([`Db::ddl_in_flight`]) and a type, function or rule whose row's
+/// inserting transaction still runs —
 /// and every relation a device holds must be in the catalog's `storage`
 /// (`device-orphan-rel`): the reverse of the per-relation
 /// `catalog-dangling-rel` check, and the verifier of the sweep
@@ -218,16 +202,10 @@ fn catalog_rows(
     match db.scan_catalog().and_then(|rows| stored.load(rows)) {
         Err(err) => out.push(Finding::new("pg_class", "catalog-row", err.to_string())),
         Ok(()) => {
-            // An entry with no committed row is in flight, not wrong, while
-            // the inserter of its row still runs.
-            let in_flight = |rel, key: usize, value: Datum| {
-                let rows = rows_in_flight(db, rel);
-                rows.is_ok_and(|rows| rows.iter().any(|r| r.get(key) == Some(&value)))
-            };
             let ids: HashSet<_> = stored.relations().map(|e| e.id).chain(by_id.keys().copied()).collect();
             for id in ids {
                 let (row, cached) = (stored.relation(id).ok(), by_id.get(&id).copied());
-                if row != cached && !(row.is_none() && in_flight(PG_CLASS, 0, Datum::Oid(id.0))) {
+                if row != cached && !(row.is_none() && db.ddl_in_flight(id)) {
                     out.push(Finding::new(
                         row.or(cached).map_or_else(String::new, |e| e.name.clone()),
                         "catalog-row",
@@ -235,6 +213,12 @@ fn catalog_rows(
                     ));
                 }
             }
+            // A definition with no committed row is in flight, not wrong,
+            // while the inserter of its row still runs.
+            let in_flight = |rel, key: usize, value: Datum| {
+                let rows = rows_in_flight(db, rel);
+                rows.is_ok_and(|rows| rows.iter().any(|r| r.get(key) == Some(&value)))
+            };
             let rels = [(PG_TYPE, "pg_type", 1), (PG_PROC, "pg_proc", 0), (PG_RULE, "pg_rule", 0)];
             for (((rel, relname, key), cached), stored) in
                 rels.into_iter().zip(defined).zip(stored.defined_rows())
@@ -272,15 +256,7 @@ fn catalog_rows(
 /// The rows of the system relation `rel` whose inserting transaction still
 /// runs: DDL in flight.
 fn rows_in_flight(db: &Db, rel: RelId) -> DbResult<Vec<Row>> {
-    let heap = Heap {
-        wal: None,
-        pool: &db.inner.pool,
-        smgr: &db.inner.smgr,
-        xlog: &db.inner.xlog,
-        dev: DeviceId::CATALOG,
-        rel,
-        stats: &db.inner.stats,
-    };
+    let heap = db.inner.heap(rel, DeviceId::CATALOG, false);
     let mut rows = Vec::new();
     heap.scan_all_raw(|_tid, hdr, bytes| {
         if heap.state(hdr.xmin)? == XactState::InProgress {
@@ -456,15 +432,7 @@ fn heap_to_index(
     if indexes.is_empty() {
         return Ok(());
     }
-    let heap = Heap {
-        wal: None,
-        pool: &db.inner.pool,
-        smgr: &db.inner.smgr,
-        xlog: &db.inner.xlog,
-        dev: heap_rel.device,
-        rel: heap_rel.id,
-        stats: &db.inner.stats,
-    };
+    let heap = db.inner.heap(heap_rel.id, heap_rel.device, false);
     heap.scan_all_raw(|tid, hdr, bytes| {
         if !matches!(heap.state(hdr.xmin)?, XactState::Committed(_)) {
             return Ok(()); // Uncommitted or crashed writer: no entry required.
@@ -484,14 +452,7 @@ fn heap_to_index(
             if skip {
                 continue;
             }
-            let bt = BTree {
-                wal: None,
-                pool: &db.inner.pool,
-                smgr: &db.inner.smgr,
-                dev: ie.device,
-                rel: ie.id,
-                stats: &db.inner.stats,
-            };
+            let bt = db.inner.btree(ie.id, ie.device, false);
             match bt.contains(&key, tid) {
                 Ok(true) => {}
                 Ok(false) => out.push(
@@ -634,14 +595,7 @@ mod tests {
             s.commit().unwrap();
             (ie, vec![row[0].clone()], tid)
         };
-        let bt = BTree {
-            wal: None,
-            pool: &db.inner.pool,
-            smgr: &db.inner.smgr,
-            dev: idx_entry.device,
-            rel: idx_entry.id,
-            stats: &db.inner.stats,
-        };
+        let bt = db.inner.btree(idx_entry.id, idx_entry.device, false);
         assert!(bt.delete(&key, tid).unwrap());
         let findings = db.check_all();
         assert!(

@@ -186,6 +186,20 @@ impl DbInner {
         synced
     }
 
+    /// `rel` on `dev` as a heap whose changes are logged if `logged`.
+    /// Unlogged access is for reads, checks and vacuum's rewrite, which
+    /// flushes and syncs on its own.
+    pub(crate) fn heap(&self, rel: RelId, dev: DeviceId, logged: bool) -> Heap<'_> {
+        let (pool, smgr, xlog, stats) = (&self.pool, &self.smgr, &self.xlog, &self.stats);
+        Heap { pool, smgr, xlog, stats, dev, rel, wal: logged.then_some(&self.wal) }
+    }
+
+    /// [`DbInner::heap`] for a B-tree index.
+    pub(crate) fn btree(&self, rel: RelId, dev: DeviceId, logged: bool) -> BTree<'_> {
+        let (pool, smgr, stats) = (&self.pool, &self.smgr, &self.stats);
+        BTree { pool, smgr, stats, dev, rel, wal: logged.then_some(&self.wal) }
+    }
+
     /// Wakes the checkpointer when a checkpoint is wanted — called from the
     /// write paths, so a long transaction's log appetite triggers draining
     /// mid-transaction.
@@ -794,6 +808,7 @@ impl Db {
 
     /// Looks up a relation id by name.
     pub fn relation_id(&self, name: &str) -> DbResult<RelId> {
+        let _order = crate::lock::order::token(crate::lock::order::CATALOG);
         Ok(self.inner.catalog.read().relation_by_name(name)?.id)
     }
 
@@ -830,23 +845,11 @@ impl Db {
         self.inner.smgr.with(dev, |m| m.nblocks(rel))
     }
 
-    /// Whether `rel` is being created: the transaction that inserted its
-    /// `pg_class` row is still running. Until it ends, the relation is in
-    /// the catalog cache, locked by its creator, and named by no committed
-    /// row.
-    pub fn is_being_created(&self, rel: RelId) -> DbResult<bool> {
-        let Some(tid) = self.catalog().class_tid(rel) else {
-            return Ok(false);
-        };
-        let (pool, smgr) = (&self.inner.pool, &self.inner.smgr);
-        let page = pool.get_page(smgr, DeviceId::CATALOG, PG_CLASS, tid.blkno.into())?;
-        let _order = crate::lock::order::token(crate::lock::order::HEAP_PAGE);
-        let buf = page.read();
-        let Some(item) = crate::page::item(buf.data(), tid.slot) else {
-            return Ok(false);
-        };
-        let xmin = crate::xact::TupleHeader::decode(item)?.xmin;
-        Ok(self.inner.xlog.state(pool, smgr, xmin)? == crate::xact::XactState::InProgress)
+    /// Whether a running transaction may be creating or dropping `rel`, so
+    /// that its cache entry and `pg_class` row disagree for now: DDL holds
+    /// `rel`'s exclusive lock until the two agree again (a writer does too).
+    pub fn ddl_in_flight(&self, rel: RelId) -> bool {
+        self.inner.locks.held_exclusive(rel)
     }
 
     pub(crate) fn heap_parts(&self, rel: RelId) -> DbResult<HeapParts> {
@@ -1013,29 +1016,6 @@ impl Session {
         })
     }
 
-    pub(crate) fn heap<'a>(&'a self, rel: RelId, dev: DeviceId) -> Heap<'a> {
-        Heap {
-            pool: &self.db.inner.pool,
-            smgr: &self.db.inner.smgr,
-            xlog: &self.db.inner.xlog,
-            stats: &self.db.inner.stats,
-            dev,
-            rel,
-            wal: Some(&self.db.inner.wal),
-        }
-    }
-
-    pub(crate) fn btree<'a>(&'a self, rel: RelId, dev: DeviceId) -> BTree<'a> {
-        BTree {
-            pool: &self.db.inner.pool,
-            smgr: &self.db.inner.smgr,
-            stats: &self.db.inner.stats,
-            dev,
-            rel,
-            wal: Some(&self.db.inner.wal),
-        }
-    }
-
     /// Inserts `row` into `rel`, maintaining its indices.
     pub fn insert(&mut self, rel: RelId, row: Row) -> DbResult<Tid> {
         refuse_system(rel)?;
@@ -1062,10 +1042,10 @@ impl Session {
         }
         self.lock(rel, LockMode::Exclusive)?;
         self.wrote = true;
-        let tid = self.heap(rel, dev).insert(xid, &row)?;
+        let tid = self.db.inner.heap(rel, dev, true).insert(xid, &row)?;
         for (idx, cols) in &indexes {
             let key: Vec<Datum> = cols.iter().map(|&i| row[i].clone()).collect();
-            self.btree(*idx, dev).insert(&key, tid)?;
+            self.db.inner.btree(*idx, dev, true).insert(&key, tid)?;
         }
         // The POSTGRES 4.0.1 emulation (see `DbConfig`): under replacement
         // pressure (pool full), index pages go out interleaved with data
@@ -1094,7 +1074,7 @@ impl Session {
         let (dev, _) = self.db.heap_parts(rel)?;
         self.lock(rel, LockMode::Exclusive)?;
         self.wrote = true;
-        let deleted = self.heap(rel, dev).delete(xid, tid)?;
+        let deleted = self.db.inner.heap(rel, dev, true).delete(xid, tid)?;
         self.db.inner.maybe_signal_checkpoint();
         Ok(deleted)
     }
@@ -1114,7 +1094,7 @@ impl Session {
     pub fn fetch(&mut self, rel: RelId, tid: Tid) -> DbResult<Option<Row>> {
         let (dev, _) = self.db.heap_parts(rel)?;
         let snap = self.read_snapshot(rel, None)?;
-        self.heap(rel, dev).fetch(&snap, tid)
+        self.db.inner.heap(rel, dev, true).fetch(&snap, tid)
     }
 
     /// Scans `rel`, returning every visible row (with its tuple id).
@@ -1134,7 +1114,7 @@ impl Session {
     ) -> DbResult<Vec<(Tid, Row)>> {
         let (dev, _) = self.db.heap_parts(rel)?;
         let snap = self.read_snapshot(rel, snap)?;
-        let mut out = self.heap(rel, dev).scan_collect(&snap)?;
+        let mut out = self.db.inner.heap(rel, dev, true).scan_collect(&snap)?;
         if let Snapshot::AsOf(t) = snap {
             self.for_each_archived(rel, |amin, amax, tid, row| {
                 if amin <= t && t < amax {
@@ -1153,7 +1133,7 @@ impl Session {
     pub fn scan_committed_versions(&mut self, rel: RelId) -> DbResult<Vec<Row>> {
         let (dev, _) = self.db.heap_parts(rel)?;
         self.lock(rel, LockMode::Shared)?;
-        let heap = self.heap(rel, dev);
+        let heap = self.db.inner.heap(rel, dev, true);
         let mut out = Vec::new();
         heap.scan_all_raw(|_tid, hdr, bytes| {
             if matches!(heap.state(hdr.xmin)?, crate::xact::XactState::Committed(_)) {
@@ -1176,7 +1156,7 @@ impl Session {
         self.lock(rel, LockMode::Shared)?;
         let mut out = Vec::new();
         {
-            let heap = self.heap(rel, dev);
+            let heap = self.db.inner.heap(rel, dev, true);
             heap.scan_all_raw(|_tid, hdr, bytes| {
                 let crate::xact::XactState::Committed(t0) = heap.state(hdr.xmin)? else {
                     return Ok(());
@@ -1215,7 +1195,7 @@ impl Session {
                 None => return Ok(()),
             }
         };
-        self.heap(arch, arch_dev).scan_visible(&Snapshot::Dirty, |tid, row| {
+        self.db.inner.heap(arch, arch_dev, true).scan_visible(&Snapshot::Dirty, |tid, row| {
             let amin = SimInstant::from_nanos(row[0].as_int()? as u64);
             let amax = SimInstant::from_nanos(row[1].as_int()? as u64);
             f(amin, amax, tid, row[2].as_bytes()?)?;
@@ -1368,8 +1348,8 @@ impl Session {
     ) -> DbResult<()> {
         let snap = &self.read_snapshot(ix.table, snap)?;
         let one_per_key = ix.unique && !matches!(snap, Snapshot::Dirty);
-        let bt = self.btree(ix.index, ix.dev);
-        let heap = self.heap(ix.table, ix.dev);
+        let bt = self.db.inner.btree(ix.index, ix.dev, true);
+        let heap = self.db.inner.heap(ix.table, ix.dev, true);
         let found = Cell::new(false);
         let go_on = Cell::new(true);
         // One version; says whether to go on to the key's next older one.

@@ -1,8 +1,8 @@
 //! DDL as [`Session`] operations: each locks what it changes, changes the
-//! catalog cache, writes its `pg_*` rows under the session's xid and goes on
-//! the session's DDL list, which the transaction's end applies (a durable
-//! commit releases what it dropped) or takes back (an abort, what it created
-//! and defined) before the locks go.
+//! catalog cache, writes its `pg_*` rows under the session's xid and goes
+//! on the session's DDL list. The transaction's end applies the list (a
+//! durable commit frees what it dropped) or takes it back (an abort, what
+//! it created and defined) before the locks go.
 
 use crate::catalog::{
     Catalog, IndexInfo, ProcEntry, RelKind, RelationEntry, RuleEntry, TypeEntry, PG_CLASS,
@@ -19,8 +19,8 @@ pub(crate) enum Ddl {
     Created(RelId, DeviceId),
     /// A relation it dropped: a commit releases the same three.
     Dropped(RelId, DeviceId),
-    /// A type, function or rule (`pg_type`, `pg_proc`, `pg_rule`) it
-    /// defined, by name: an abort removes the entry.
+    /// A type, function or rule it defined in `pg_type`, `pg_proc` or
+    /// `pg_rule`, by name: an abort removes the entry.
     Defined(RelId, String),
 }
 
@@ -30,19 +30,15 @@ impl DbInner {
     /// which of them are visible.
     pub(crate) fn end_ddl(&self, ddl: &[Ddl], committed: bool) {
         for step in ddl.iter().rev() {
+            let order = crate::lock::order::token(crate::lock::order::CATALOG);
             match (step, committed) {
                 (Ddl::Created(id, dev), false) | (Ddl::Dropped(id, dev), true) => {
-                    {
-                        let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-                        self.catalog.write().remove_relation(*id).ok();
-                    }
+                    self.catalog.write().remove_relation(*id).ok();
+                    drop(order);
                     self.pool.discard_rel(*id);
                     self.smgr.with(*dev, |m| m.drop_rel(*id)).ok();
                 }
-                (Ddl::Defined(rel, name), false) => {
-                    let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-                    self.catalog.write().undefine(*rel, name);
-                }
+                (Ddl::Defined(rel, name), false) => self.catalog.write().undefine(*rel, name),
                 _ => {}
             }
         }
@@ -59,18 +55,8 @@ impl Session {
         dev: DeviceId,
         no_history: bool,
     ) -> DbResult<RelId> {
-        let entry = RelationEntry {
-            id: self.db.alloc_oid()?,
-            name: name.to_string(),
-            kind: RelKind::Heap,
-            device: dev,
-            schema,
-            index: None,
-            indexes: vec![],
-            archive: None,
-            no_history,
-        };
-        self.create_relation(entry, |_| Ok(()))
+        let entry = RelationEntry::heap(self.db.alloc_oid()?, name, dev, schema);
+        self.create_relation(RelationEntry { no_history, ..entry }, |_| Ok(()))
     }
 
     /// Creates a B-tree index named `name` on `table(columns...)` in this
@@ -106,10 +92,7 @@ impl Session {
         unique: bool,
     ) -> DbResult<RelId> {
         self.lock_exclusive(table)?;
-        let (dev, key_columns) = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.db.inner.catalog.read();
-            let t = cat.relation(table)?;
+        let (dev, key_columns) = self.target(table, |_, t| {
             if t.kind != RelKind::Heap {
                 return Err(DbError::Invalid(format!("{name}: {table} is not a heap")));
             }
@@ -119,28 +102,22 @@ impl Session {
                     DbError::NotFound(format!("column \"{c}\" of \"{}\"", t.name))
                 })?);
             }
-            (t.device, key_columns)
-        };
+            Ok((t.device, key_columns))
+        })?;
         let id = self.db.alloc_oid()?;
         let entry = RelationEntry {
-            id,
-            name: name.to_string(),
             kind: RelKind::BTreeIndex,
-            device: dev,
-            schema: Schema::default(),
             index: Some(IndexInfo {
                 table,
                 key_columns: key_columns.clone(),
                 unique,
             }),
-            indexes: vec![],
-            archive: None,
-            no_history: false,
+            ..RelationEntry::heap(id, name, dev, Schema::default())
         };
         self.create_relation(entry, |s| {
-            let bt = s.btree(id, dev);
+            let bt = s.db.inner.btree(id, dev, true);
             bt.create()?;
-            s.heap(table, dev).scan_all_raw(|tid, _hdr, row_bytes| {
+            s.db.inner.heap(table, dev, true).scan_all_raw(|tid, _hdr, row_bytes| {
                 let row = decode_row(row_bytes)?;
                 let key: Vec<Datum> = key_columns.iter().map(|&i| row[i].clone()).collect();
                 bt.insert(&key, tid)
@@ -165,7 +142,6 @@ impl Session {
         build: impl FnOnce(&Session) -> DbResult<()>,
     ) -> DbResult<RelId> {
         let (id, dev) = (entry.id, entry.device);
-        self.lock_exclusive(id)?;
         self.change_catalog(Ddl::Created(id, dev), |cat| cat.add_relation(entry), |s| {
             s.db.inner.smgr.with(dev, |m| m.create_rel(id))?;
             build(s)?;
@@ -181,7 +157,8 @@ impl Session {
             name: name.to_string(),
         };
         let (id, row) = (entry.id, entry.to_row());
-        self.define(PG_TYPE, name, row, |cat| cat.define_type(entry))?;
+        let step = Ddl::Defined(PG_TYPE, name.to_string());
+        self.change_catalog(step, |cat| cat.define_type(entry), |s| s.insert_row(PG_TYPE, row).map(drop))?;
         Ok(id)
     }
 
@@ -202,30 +179,19 @@ impl Session {
             impl_key: impl_key.to_string(),
             operates_on,
         };
-        self.define(PG_PROC, name, entry.to_row(), |cat| cat.define_proc(entry))
+        let (step, row) = (Ddl::Defined(PG_PROC, name.to_string()), entry.to_row());
+        self.change_catalog(step, |cat| cat.define_proc(entry), |s| s.insert_row(PG_PROC, row).map(drop))
     }
 
     /// Registers a predicate rule (see [`crate::rules`]). A rule changes
     /// what every access to the relation it watches does, so this first
-    /// takes that relation's exclusive lock, as an index build does.
+    /// takes that relation's exclusive lock, as an index build does, and
+    /// under it finds the relation still there.
     pub fn define_rule(&mut self, rule: RuleEntry) -> DbResult<()> {
         self.lock_exclusive(rule.on_rel)?;
-        let (name, row) = (rule.name.clone(), rule.to_row());
-        self.define(PG_RULE, &name, row, |cat| cat.define_rule(rule))
-    }
-
-    /// Defines `name` in the system relation `rel` under `rel`'s exclusive
-    /// lock, so a second definer of the name waits for this one to end.
-    fn define(
-        &mut self,
-        rel: RelId,
-        name: &str,
-        row: Row,
-        install: impl FnOnce(&mut Catalog) -> DbResult<()>,
-    ) -> DbResult<()> {
-        self.lock_exclusive(rel)?;
-        let step = Ddl::Defined(rel, name.to_string());
-        self.change_catalog(step, install, |s| s.insert_row(rel, row).map(drop))
+        self.target(rule.on_rel, |_, _| Ok(()))?;
+        let (step, row) = (Ddl::Defined(PG_RULE, rule.name.clone()), rule.to_row());
+        self.change_catalog(step, |cat| cat.define_rule(rule), |s| s.insert_row(PG_RULE, row).map(drop))
     }
 
     /// Drops a table (and its indices and archive) or a single index. It
@@ -235,29 +201,22 @@ impl Session {
     /// the commit is durable (a crash before then leaves storage no
     /// committed row names, which reopening releases).
     pub fn drop_relation(&mut self, name: &str) -> DbResult<()> {
-        let entry = self.db.inner.catalog.read().relation_by_name(name)?.clone();
-        if Catalog::is_system(entry.id) {
+        let id = self.db.relation_id(name)?;
+        if Catalog::is_system(id) {
             return Err(DbError::Invalid(format!("\"{name}\" is a system relation")));
         }
-        self.lock_exclusive(entry.index.as_ref().map_or(entry.id, |i| i.table))?;
-        self.lock_exclusive(entry.id)?;
-        let dropped = |id| self.ddl.iter().any(|d| matches!(d, Ddl::Dropped(v, _) if *v == id));
-        // Under the lock no other transaction builds or drops a part of it;
+        let table = self.target(id, |_, e| Ok(e.index.as_ref().map_or(id, |i| i.table)))?;
+        self.lock_exclusive(table)?;
+        self.lock_exclusive(id)?;
+        // Under the locks no other transaction builds or drops a part of it;
         // one that dropped it while this one waited left nothing to find.
-        let victims: Vec<(RelId, DeviceId, Option<Tid>)> = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.db.inner.catalog.read();
-            let e = match cat.relation(entry.id) {
-                Ok(e) if !dropped(e.id) => e,
-                _ => return Err(DbError::NotFound(format!("relation \"{name}\""))),
-            };
-            let mut ids = vec![e.id];
+        let victims: Vec<(RelId, DeviceId, Option<Tid>)> = self.target(id, |cat, e| {
+            let mut ids = vec![id];
             if e.kind == RelKind::Heap {
-                ids.extend(e.indexes.iter().chain(&e.archive).filter(|&&v| !dropped(v)));
+                ids.extend(e.indexes.iter().chain(&e.archive).filter(|&&v| !self.dropped(v)));
             }
-            let parts = ids.into_iter().map(|v| Ok((v, cat.relation(v)?.device, cat.class_tid(v))));
-            parts.collect::<DbResult<_>>()?
-        };
+            ids.into_iter().map(|v| Ok((v, cat.relation(v)?.device, cat.class_tid(v)))).collect()
+        })?;
         for (v, dev, tid) in victims {
             self.lock_exclusive(v)?;
             if let Some(tid) = tid {
@@ -268,8 +227,30 @@ impl Session {
         Ok(())
     }
 
-    /// The one way DDL changes the cache: `install` the change (which may
-    /// refuse it, a taken name say), then `write` its rows under this
+    /// Reads the cache entry of `id`, a relation DDL acts on, under the
+    /// catalog lock. One this transaction dropped is gone already.
+    fn target<T>(
+        &self,
+        id: RelId,
+        f: impl FnOnce(&Catalog, &RelationEntry) -> DbResult<T>,
+    ) -> DbResult<T> {
+        let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+        let cat = self.db.inner.catalog.read();
+        match cat.relation(id) {
+            Ok(e) if !self.dropped(id) => f(&cat, e),
+            _ => Err(DbError::NotFound(format!("relation {id}"))),
+        }
+    }
+
+    fn dropped(&self, id: RelId) -> bool {
+        self.ddl.iter().any(|d| matches!(d, Ddl::Dropped(v, _) if *v == id))
+    }
+
+    /// The one way a create or define changes the cache: it takes the
+    /// exclusive lock on the relation `step` names (the new relation; the
+    /// system relation a definition goes in, so a second definer of a name
+    /// waits for this one to end), lets `install` change the cache (which
+    /// may refuse, a taken name say), then `write` its rows under this
     /// transaction's xid. From then on the change is on the DDL list and
     /// goes with the transaction; a failed `write` takes it back at once.
     fn change_catalog(
@@ -278,6 +259,8 @@ impl Session {
         install: impl FnOnce(&mut Catalog) -> DbResult<()>,
         write: impl FnOnce(&mut Session) -> DbResult<()>,
     ) -> DbResult<()> {
+        let (Ddl::Created(rel, _) | Ddl::Dropped(rel, _) | Ddl::Defined(rel, _)) = &step;
+        self.lock_exclusive(*rel)?;
         {
             let _order = crate::lock::order::token(crate::lock::order::CATALOG);
             install(&mut self.db.inner.catalog.write())?;

@@ -190,6 +190,13 @@ impl LockManager {
             .copied()
     }
 
+    /// Whether some transaction holds `rel`'s exclusive lock.
+    pub fn held_exclusive(&self, rel: RelId) -> bool {
+        let _order = order::token(order::LOCK_MANAGER);
+        let inner = self.inner.lock();
+        inner.holders.get(&rel).is_some_and(|h| h.values().any(|&m| m == LockMode::Exclusive))
+    }
+
     /// Total locks currently held across all transactions. Zero once every
     /// session has committed, aborted, or been disconnected — the invariant
     /// the server's teardown tests assert.

@@ -37,9 +37,8 @@ pub struct RuleRun {
 /// this at the corresponding moment; `Periodic` rules are evaluated by
 /// administrative sweeps (e.g. a migration daemon).
 pub fn run_rules(session: &mut Session, rel: RelId, event: RuleEvent) -> DbResult<RuleRun> {
-    // Lock, then read: `define rule` holds `rel`'s exclusive lock until its
-    // transaction ends, so the rules read under this one are committed (or
-    // this transaction's own).
+    // Lock, then read: `define rule` holds `rel`'s exclusive lock to its
+    // end, so the rules read under this one are committed or our own.
     session.lock(rel, LockMode::Shared)?;
     let rules: Vec<(String, String, String)> = {
         let cat = session.db().catalog();

@@ -17,12 +17,10 @@
 
 use simdev::SimInstant;
 
-use crate::btree::BTree;
 use crate::catalog::{Catalog, RelKind, RelationEntry};
 use crate::datum::{decode_row, Datum, Schema, TypeId};
 use crate::db::Db;
 use crate::error::{DbError, DbResult};
-use crate::heap::Heap;
 use crate::ids::{DeviceId, RelId};
 use crate::xact::{TupleHeader, XactState};
 
@@ -83,15 +81,7 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
     let mut fates = Vec::new();
     let mut stats = VacuumStats::default();
     {
-        let heap = Heap {
-            wal: None,
-            pool: &db.inner.pool,
-            smgr: &db.inner.smgr,
-            xlog: &db.inner.xlog,
-            stats: &db.inner.stats,
-            dev: entry.device,
-            rel,
-        };
+        let heap = db.inner.heap(rel, entry.device, false);
         heap.scan_all_raw(|_tid, hdr, row_bytes| {
             let xmin_state = heap.state(hdr.xmin)?;
             let XactState::Committed(amin) = xmin_state else {
@@ -141,21 +131,13 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
                 let id = db.alloc_oid()?;
                 let arch_id = {
                     let mut cat = db.inner.catalog.write();
-                    cat.add_relation(RelationEntry {
-                        id,
-                        name: format!("{},arch", entry.name),
-                        kind: RelKind::Heap,
-                        device: archive_dev,
-                        schema: Schema::new([
-                            ("amin", TypeId::TIME),
-                            ("amax", TypeId::TIME),
-                            ("data", TypeId::BYTES),
-                        ]),
-                        index: None,
-                        indexes: vec![],
-                        archive: None,
-                        no_history: true,
-                    })?;
+                    let schema = Schema::new([
+                        ("amin", TypeId::TIME),
+                        ("amax", TypeId::TIME),
+                        ("data", TypeId::BYTES),
+                    ]);
+                    let arch = RelationEntry::heap(id, &format!("{},arch", entry.name), archive_dev, schema);
+                    cat.add_relation(RelationEntry { no_history: true, ..arch })?;
                     cat.relation_mut(rel)?.archive = Some(id);
                     id
                 };
@@ -169,15 +151,7 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
 
     // Move dead versions to the archive.
     if let Some((arch_id, arch_dev)) = archive {
-        let arch_heap = Heap {
-            wal: None,
-            pool: &db.inner.pool,
-            smgr: &db.inner.smgr,
-            xlog: &db.inner.xlog,
-            stats: &db.inner.stats,
-            dev: arch_dev,
-            rel: arch_id,
-        };
+        let arch_heap = db.inner.heap(arch_id, arch_dev, false);
         for f in &fates {
             if let Fate::Archive(amin, amax, bytes) = f {
                 arch_heap.insert(
@@ -195,15 +169,7 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
     // Rewrite the heap with only the kept versions.
     db.inner.pool.discard_rel(rel);
     db.inner.smgr.with(entry.device, |m| m.truncate(rel))?;
-    let heap = Heap {
-        wal: None,
-        pool: &db.inner.pool,
-        smgr: &db.inner.smgr,
-        xlog: &db.inner.xlog,
-        stats: &db.inner.stats,
-        dev: entry.device,
-        rel,
-    };
+    let heap = db.inner.heap(rel, entry.device, false);
     let mut kept_rows: Vec<(crate::ids::Tid, Vec<u8>)> = Vec::new();
     for f in &fates {
         if let Fate::Keep(hdr, bytes) = f {
@@ -218,14 +184,7 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
         let idx_dev = db.inner.catalog.read().relation(idx)?.device;
         db.inner.pool.discard_rel(idx);
         db.inner.smgr.with(idx_dev, |m| m.truncate(idx))?;
-        let bt = BTree {
-            wal: None,
-            pool: &db.inner.pool,
-            smgr: &db.inner.smgr,
-            stats: &db.inner.stats,
-            dev: idx_dev,
-            rel: idx,
-        };
+        let bt = db.inner.btree(idx, idx_dev, false);
         bt.create()?;
         for (tid, bytes) in &kept_rows {
             let row = decode_row(bytes)?;

@@ -281,17 +281,42 @@ fn a_relation_created_and_dropped_in_one_transaction_leaves_nothing() {
         s.insert(t, vec![Datum::Int4(1)]).unwrap();
         s.drop_relation("brief").unwrap();
         assert!(matches!(s.drop_relation("brief"), Err(DbError::NotFound(_))));
+        // Nothing attaches to a relation this transaction dropped.
+        assert!(matches!(s.create_index("brief_w", t, &["v"]), Err(DbError::NotFound(_))));
+        let rule = "define rule late on periodic to brief where v > 0 do seven()";
+        assert!(matches!(s.query(rule), Err(DbError::NotFound(m)) if m == format!("relation {t}")));
         if commit {
             s.commit().unwrap();
         } else {
             s.abort().unwrap();
         }
-        assert!(db.relation_id("brief").is_err() && db.relation_id("brief_v").is_err());
+        assert!(["brief", "brief_v", "brief_w"].iter().all(|n| db.relation_id(n).is_err()));
+        assert!(db.catalog().rules().is_empty());
         assert!(!catalog_texts(db).iter().any(|t| t.starts_with("brief")));
         assert_clean(&fs);
     }
     let t = db.create_table("brief", int_table()).expect("the name is free");
     db.create_index("brief_v", t, &["v"]).expect("so is the index's");
+    assert_clean(&fs);
+}
+
+/// A rule on a relation being dropped waits for the drop's lock, and once
+/// the drop commits finds the relation gone.
+#[test]
+fn a_define_rule_waits_for_a_drop_then_finds_its_relation_gone() {
+    let (_rig, fs, victim) = fixture();
+    let db = fs.db().clone();
+    let mut dropper = db.begin().unwrap();
+    Ddl::Drop.run(&mut dropper, victim).unwrap();
+    let definer = thread::spawn({
+        let db = db.clone();
+        move || Ddl::DefineRule.run(&mut db.begin().unwrap(), victim)
+    });
+    thread::sleep(Duration::from_millis(100));
+    assert!(!definer.is_finished(), "the rule did not wait for the drop");
+    dropper.commit().unwrap();
+    assert!(matches!(definer.join().unwrap(), Err(DbError::NotFound(_))));
+    assert!(db.catalog().rules().is_empty());
     assert_clean(&fs);
 }
 
