@@ -1,21 +1,21 @@
 //! The concurrent session server: many client connections, one
 //! [`crate::InversionFs`].
 //!
-//! The paper ran Inversion client/server over TCP/IP; this module is that
-//! server side made real. [`InvServerPool`] accepts connections carrying
+//! The paper ran Inversion client/server over TCP/IP, and POSTGRES served
+//! each connection with a backend of its own; this module is that server
+//! side made real. [`InvServerPool`] accepts connections carrying
 //! [`crate::wire`] frames over any byte stream (the in-memory
 //! [`simdev::DuplexStream`] pair in tests and benchmarks, or `std::net` TCP
-//! via [`InvServerPool::listen_tcp`]). Each connection gets its own
-//! server-side session — its own [`InvServer`], fd table, and transaction
-//! scope — while a shared worker pool executes requests.
+//! via [`InvServerPool::listen_tcp`]) and serves each with a thread of its
+//! own. That thread owns the connection's [`InvServer`] — its fd table and
+//! transaction scope — and loops: read a frame, run it, write the response.
+//! A session's requests therefore run in order, and a session that waits on
+//! a lock holds up no thread but its own.
 //!
-//! Flow control is explicit: a per-session request queue is bounded by
-//! [`PoolConfig::queue_bound`]; when it fills, the connection's reader
-//! thread stops reading (backpressure propagates to the client through the
-//! transport) and the stall is counted, once, in `queue_full`. Requests from
-//! one session execute strictly in order — a session is serviced by at most
-//! one worker at a time — so pipelined bulk reads and writes (one frame per
-//! 256 KB window) stream responses back in request order.
+//! Flow control is the transport's: there is no request queue. Pipelined
+//! bulk reads and writes (one frame per 256 KB window) keep working because
+//! the client sends every window before it reads a response, so the thread
+//! blocks on a full transport only once the client has finished sending.
 //!
 //! Disconnects are first-class: when a connection drops (clean EOF, fatal
 //! framing damage, or transport failure), the session's in-flight
@@ -27,15 +27,14 @@
 //! Every session publishes wire counters through the `pg_stat_net` virtual
 //! relation (see [`crate::stats`]).
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use minidb::stats::Counter;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use simdev::DuplexStream;
 
 use crate::fs::{InvError, InvResult, InversionFs};
@@ -43,167 +42,73 @@ use crate::server::{InvServer, Request, Response};
 use crate::stats::SessionNetStats;
 use crate::wire::{self, FrameEvent, WireError};
 
-/// Tuning knobs for [`InvServerPool`].
-#[derive(Clone)]
+/// Settings for [`InvServerPool`]; none of them changes what it does.
+#[derive(Clone, Default)]
 pub struct PoolConfig {
-    /// Worker threads shared by all sessions.
+    /// Has no effect: every connection is served by a thread of its own,
+    /// so there is no shared worker pool to size. Kept because the
+    /// benchmark crate, whose source is fixed, sets it.
     pub workers: usize,
-    /// Per-session request queue bound; a full queue blocks the
-    /// connection's reader (backpressure) and counts one `queue_full` event
-    /// per stall.
-    pub queue_bound: usize,
-    /// Test hook: while paused, workers stop draining queues so
-    /// backpressure can be observed deterministically.
-    pub service_gate: Option<Arc<ServiceGate>>,
 }
 
-impl Default for PoolConfig {
-    fn default() -> PoolConfig {
-        PoolConfig {
-            workers: 4,
-            queue_bound: 64,
-            service_gate: None,
-        }
-    }
-}
-
-/// A pause switch for the worker pool (test instrumentation).
-#[derive(Default)]
-pub struct ServiceGate {
-    paused: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl ServiceGate {
-    /// A new, open gate.
-    pub fn new() -> ServiceGate {
-        ServiceGate::default()
-    }
-
-    /// Stops workers from draining session queues.
-    pub fn pause(&self) {
-        *self.paused.lock() = true;
-    }
-
-    /// Lets workers run again.
-    pub fn resume(&self) {
-        *self.paused.lock() = false;
-        self.cv.notify_all();
-    }
-
-    fn wait_ready(&self, stop: &AtomicBool) {
-        let mut paused = self.paused.lock();
-        while *paused && !stop.load(SeqCst) {
-            // Re-check the stop flag periodically so shutdown cannot hang
-            // behind a gate nobody reopens.
-            self.cv.wait_for(&mut paused, Duration::from_millis(10));
-        }
-    }
-}
-
-/// One queued unit of work for a session.
-enum Item {
-    /// A decoded request.
-    Req(Request),
-    /// A frame that arrived but did not decode; answered with an error.
-    Malformed(WireError),
-    /// The connection is gone; tear the session down.
-    Eof,
-}
-
-struct SessQueue {
-    items: VecDeque<Item>,
-    /// A worker currently owns this session (in-order execution).
-    in_service: bool,
-    /// The session is already on the run queue.
-    enqueued: bool,
-    /// Teardown ran; nothing further will be serviced.
-    closed: bool,
-}
-
-/// Server-side state for one connection.
-struct SessionState {
-    q: Mutex<SessQueue>,
-    /// Signalled when the queue drains below the bound (reader wakes).
-    space: Condvar,
-    /// The response side of the connection.
-    writer: Mutex<Box<dyn Write + Send>>,
-    /// The session's executor: own fd table, own transaction scope.
-    server: Mutex<InvServer>,
-    stats: Arc<SessionNetStats>,
-    /// Closes the session's transport. Invoked at teardown so a client
-    /// blocked draining pipelined responses (bulk read/write streams) sees
-    /// EOF promptly instead of hanging until pool shutdown, and at shutdown
-    /// to unblock the reader thread.
-    closer: Box<dyn Fn() + Send + Sync>,
-}
-
-/// What idle workers wait on.
-struct RunQueue {
-    /// Sessions with work, in arrival order.
-    ready: VecDeque<Arc<SessionState>>,
-    /// Every reader has queued its `Eof`: a worker that finds nothing ready
-    /// exits. Set and signalled under the lock, so a worker that has just
-    /// found it clear cannot sleep through the signal.
-    stop: bool,
-}
+/// Closes a connection's transport: at shutdown it ends the session
+/// thread's read, at teardown a client's wait for responses.
+type Closer = Arc<dyn Fn() + Send + Sync>;
 
 struct Shared {
     fs: InversionFs,
-    config: PoolConfig,
-    runq: Mutex<RunQueue>,
-    runq_cv: Condvar,
-    sessions: Mutex<Vec<Arc<SessionState>>>,
+    next_session: AtomicU64,
+    /// Every thread the pool started (session threads and accept loops),
+    /// with its connection's closer. `serve` checks `shutdown` under this
+    /// lock, so no connection is served after shutdown has taken the list.
+    threads: Mutex<Vec<(Closer, JoinHandle<()>)>>,
     shutdown: AtomicBool,
 }
 
 impl Shared {
-    /// Puts `sess` on the run queue unless a worker already owns it or it
-    /// is already queued. Caller holds the session's queue lock.
-    fn schedule(&self, sess: &Arc<SessionState>, q: &mut SessQueue) {
-        if !q.in_service && !q.enqueued && !q.closed {
-            q.enqueued = true;
-            self.runq.lock().ready.push_back(Arc::clone(sess));
-            self.runq_cv.notify_one();
+    /// Starts the thread that serves one connection. Returns the session
+    /// number.
+    fn serve(
+        self: &Arc<Shared>,
+        reader: Box<dyn Read + Send>,
+        writer: Box<dyn Write + Send>,
+        closer: Closer,
+    ) -> u64 {
+        let id = self.next_session.fetch_add(1, SeqCst) + 1;
+        let mut threads = self.threads.lock();
+        if self.shutdown.load(SeqCst) {
+            closer();
+            return id;
         }
+        // A connection whose thread has ended needs neither closing nor
+        // joining; dropping it releases its transport.
+        threads.retain(|(_, h)| !h.is_finished());
+        let inv = self.fs.stats();
+        inv.sessions_opened.bump();
+        let stats = inv.net.register(id);
+        let (sh, close) = (Arc::clone(self), Arc::clone(&closer));
+        let handle = std::thread::spawn(move || session_main(&sh, &stats, reader, writer, &*close));
+        threads.push((closer, handle));
+        id
     }
 }
 
-/// A multi-session Inversion server: shared worker pool, per-connection
-/// sessions, bounded queues, disconnect-abort semantics.
+/// A multi-session Inversion server: one thread per connection,
+/// disconnect-abort semantics.
 pub struct InvServerPool {
     shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    readers: Mutex<Vec<JoinHandle<()>>>,
-    next_session: Mutex<u64>,
-    stopped: AtomicBool,
 }
 
 impl InvServerPool {
-    /// Starts a pool serving `fs` with `config.workers` worker threads.
-    pub fn new(fs: &InversionFs, config: PoolConfig) -> InvServerPool {
-        let shared = Arc::new(Shared {
-            fs: fs.clone(),
-            config: config.clone(),
-            runq: Mutex::new(RunQueue {
-                ready: VecDeque::new(),
-                stop: false,
-            }),
-            runq_cv: Condvar::new(),
-            sessions: Mutex::new(Vec::new()),
-            shutdown: AtomicBool::new(false),
-        });
-        let mut workers = Vec::new();
-        for _ in 0..config.workers.max(1) {
-            let sh = Arc::clone(&shared);
-            workers.push(std::thread::spawn(move || worker_main(&sh)));
-        }
+    /// A pool serving `fs`. It starts no thread until a connection comes.
+    pub fn new(fs: &InversionFs, _config: PoolConfig) -> InvServerPool {
         InvServerPool {
-            shared,
-            workers: Mutex::new(workers),
-            readers: Mutex::new(Vec::new()),
-            next_session: Mutex::new(0),
-            stopped: AtomicBool::new(false),
+            shared: Arc::new(Shared {
+                fs: fs.clone(),
+                next_session: AtomicU64::new(0),
+                threads: Mutex::new(Vec::new()),
+                shutdown: AtomicBool::new(false),
+            }),
         }
     }
 
@@ -213,39 +118,14 @@ impl InvServerPool {
     }
 
     /// Accepts one connection given its transport halves and a closer that
-    /// unblocks the reader at shutdown. Returns the session number.
+    /// ends its reads. Returns the session number.
     pub fn serve(
         &self,
         reader: Box<dyn Read + Send>,
         writer: Box<dyn Write + Send>,
         closer: Box<dyn Fn() + Send + Sync>,
     ) -> u64 {
-        let id = {
-            let mut next = self.next_session.lock();
-            *next += 1;
-            *next
-        };
-        let inv = self.shared.fs.stats();
-        inv.sessions_opened.bump();
-        let stats = inv.net.register(id);
-        let sess = Arc::new(SessionState {
-            q: Mutex::new(SessQueue {
-                items: VecDeque::new(),
-                in_service: false,
-                enqueued: false,
-                closed: false,
-            }),
-            space: Condvar::new(),
-            writer: Mutex::new(writer),
-            server: Mutex::new(InvServer::new(&self.shared.fs)),
-            stats,
-            closer,
-        });
-        self.shared.sessions.lock().push(Arc::clone(&sess));
-        let sh = Arc::clone(&self.shared);
-        let handle = std::thread::spawn(move || reader_main(&sh, &sess, reader));
-        self.readers.lock().push(handle);
-        id
+        self.shared.serve(reader, writer, Arc::from(closer))
     }
 
     /// Accepts an in-memory duplex connection (the test/bench transport).
@@ -266,7 +146,6 @@ impl InvServerPool {
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let sh = Arc::clone(&self.shared);
-        let pool = self.clone_for_accept();
         let handle = std::thread::spawn(move || {
             while !sh.shutdown.load(SeqCst) {
                 match listener.accept() {
@@ -277,19 +156,17 @@ impl InvServerPool {
                         // under Nagle the second one waits out the client's
                         // delayed ACK (40 ms on Linux) before it leaves.
                         stream.set_nodelay(true).ok();
-                        if let Ok(rd) = stream.try_clone() {
-                            let closer_stream = match stream.try_clone() {
-                                Ok(s) => s,
-                                Err(_) => continue,
-                            };
-                            pool.serve(
-                                Box::new(rd),
-                                Box::new(stream),
-                                Box::new(move || {
-                                    closer_stream.shutdown(std::net::Shutdown::Both).ok();
-                                }),
-                            );
-                        }
+                        let (Ok(rd), Ok(closer_stream)) = (stream.try_clone(), stream.try_clone())
+                        else {
+                            continue;
+                        };
+                        sh.serve(
+                            Box::new(rd),
+                            Box::new(stream),
+                            Arc::new(move || {
+                                closer_stream.shutdown(std::net::Shutdown::Both).ok();
+                            }),
+                        );
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(5));
@@ -298,54 +175,27 @@ impl InvServerPool {
                 }
             }
         });
-        self.readers.lock().push(handle);
+        // The accept loop watches `shutdown` itself: it has nothing to close.
+        self.shared.threads.lock().push((Arc::new(|| {}), handle));
         Ok(local)
     }
 
-    /// A handle sharing this pool's state, for the accept thread.
-    fn clone_for_accept(&self) -> InvServerPool {
-        InvServerPool {
-            shared: Arc::clone(&self.shared),
-            workers: Mutex::new(Vec::new()),
-            readers: Mutex::new(Vec::new()),
-            next_session: Mutex::new(1_000_000),
-            // The accept-side clone must not re-run shutdown on drop.
-            stopped: AtomicBool::new(true),
-        }
-    }
-
-    /// Stops the pool: closes every connection, aborts in-flight
-    /// transactions via the normal disconnect path, joins all threads, and
-    /// writes pending access times back. Idempotent; also runs on drop.
+    /// Stops the pool: closes every connection, so each session thread
+    /// aborts its in-flight transaction through the normal disconnect path,
+    /// joins all threads, and writes pending access times back. Idempotent;
+    /// also runs on drop.
     pub fn shutdown(&self) {
-        if self.stopped.swap(true, SeqCst) {
-            return;
+        let threads = {
+            let mut threads = self.shared.threads.lock();
+            if self.shared.shutdown.swap(true, SeqCst) {
+                return;
+            }
+            std::mem::take(&mut *threads)
+        };
+        for (closer, _) in &threads {
+            closer();
         }
-        self.shared.shutdown.store(true, SeqCst);
-        // Unblock readers stuck in read() and clients stuck on responses,
-        // then readers stuck waiting for queue space. A reader checks the
-        // flag with its queue locked, so signalling under that lock finds it
-        // either not yet checking or already waiting.
-        for sess in self.shared.sessions.lock().iter() {
-            (sess.closer)();
-            let _q = sess.q.lock();
-            sess.space.notify_all();
-        }
-        if let Some(gate) = &self.shared.config.service_gate {
-            gate.cv.notify_all();
-        }
-        let readers: Vec<_> = self.readers.lock().drain(..).collect();
-        for h in readers {
-            h.join().ok();
-        }
-        // Readers have enqueued their Eof items; let the workers drain.
-        {
-            let mut runq = self.shared.runq.lock();
-            runq.stop = true;
-            self.shared.runq_cv.notify_all();
-        }
-        let workers: Vec<_> = self.workers.lock().drain(..).collect();
-        for h in workers {
+        for (_, h) in threads {
             h.join().ok();
         }
         // No session is left to read: write the pending access times back.
@@ -360,195 +210,81 @@ impl Drop for InvServerPool {
     }
 }
 
-/// Reads frames off one connection into its session queue.
-fn reader_main(sh: &Shared, sess: &Arc<SessionState>, mut reader: Box<dyn Read + Send>) {
+/// Serves one connection: read a frame, run it, write the response, until
+/// the client hangs up, the framing breaks, or a response cannot be written
+/// (which shutdown's closer causes). Then tears the session down: abort the
+/// in-flight transaction (releasing locks), reclaim fds, retire the stats
+/// row, close the transport.
+fn session_main(
+    sh: &Shared,
+    stats: &SessionNetStats,
+    mut reader: Box<dyn Read + Send>,
+    mut writer: Box<dyn Write + Send>,
+    closer: &(dyn Fn() + Send + Sync),
+) {
     let inv = sh.fs.stats();
+    let decode_error = || {
+        stats.decode_errors.bump();
+        inv.net_decode_errors.bump();
+    };
+    let mut server = InvServer::new(&sh.fs);
     loop {
-        match wire::read_frame(&mut reader) {
-            Ok(FrameEvent::Eof) => {
-                enqueue(sh, sess, Item::Eof);
-                return;
-            }
+        let res: InvResult<Response> = match wire::read_frame(&mut reader) {
+            Ok(FrameEvent::Eof) => break,
             Ok(FrameEvent::Frame { opcode, payload }) => {
                 let nbytes = (wire::HEADER_LEN + payload.len()) as u64;
-                sess.stats.frames_in.bump();
-                sess.stats.bytes_in.add(nbytes);
+                stats.frames_in.bump();
+                stats.bytes_in.add(nbytes);
                 inv.net_frames_in.bump();
                 inv.net_bytes_in.add(nbytes);
                 match wire::decode_request_frame(opcode, &payload) {
-                    Ok(req) => enqueue(sh, sess, Item::Req(req)),
+                    Ok(req) => server.handle(req),
                     Err(e) => {
-                        sess.stats.decode_errors.bump();
-                        inv.net_decode_errors.bump();
-                        enqueue(sh, sess, Item::Malformed(e));
+                        decode_error();
+                        Err(InvError::from(e))
                     }
                 }
             }
+            // The frame was consumed; the stream is still in sync.
             Ok(FrameEvent::Corrupt(e)) => {
-                // The frame was consumed; the stream is still in sync.
-                sess.stats.decode_errors.bump();
-                inv.net_decode_errors.bump();
-                enqueue(sh, sess, Item::Malformed(e));
+                decode_error();
+                Err(InvError::from(e))
             }
             Err(e) => {
                 // Framing is untrustworthy: count protocol damage (anything
                 // but a plain transport failure) and tear the session down.
                 if !matches!(e, WireError::Io(_)) {
-                    sess.stats.decode_errors.bump();
-                    inv.net_decode_errors.bump();
+                    decode_error();
                 }
-                enqueue(sh, sess, Item::Eof);
-                return;
-            }
-        }
-        if sh.shutdown.load(SeqCst) {
-            enqueue(sh, sess, Item::Eof);
-            return;
-        }
-    }
-}
-
-/// Queues `item` for `sess`, blocking while the queue is at its bound
-/// (backpressure). `Eof` bypasses the bound so teardown always lands.
-fn enqueue(sh: &Shared, sess: &Arc<SessionState>, item: Item) {
-    let inv = sh.fs.stats();
-    let bound = sh.config.queue_bound.max(1);
-    let mut q = sess.q.lock();
-    if q.closed {
-        return;
-    }
-    if !matches!(item, Item::Eof) {
-        let full = |q: &SessQueue| q.items.len() >= bound && !sh.shutdown.load(SeqCst);
-        if full(&q) {
-            sess.stats.queue_full.bump();
-            inv.net_queue_full.bump();
-            while full(&q) {
-                sess.space.wait(&mut q);
-            }
-        }
-        if q.closed {
-            return;
-        }
-    }
-    q.items.push_back(item);
-    sh.schedule(sess, &mut q);
-}
-
-/// Worker loop: claim a runnable session, drain a batch of its queue in
-/// order, hand it back.
-fn worker_main(sh: &Shared) {
-    loop {
-        let sess = {
-            let mut runq = sh.runq.lock();
-            loop {
-                if let Some(s) = runq.ready.pop_front() {
-                    break s;
-                }
-                if runq.stop {
-                    return;
-                }
-                sh.runq_cv.wait(&mut runq);
+                break;
             }
         };
-        {
-            let mut q = sess.q.lock();
-            q.enqueued = false;
-            if q.in_service || q.closed {
-                continue;
-            }
-            q.in_service = true;
-        }
-        service(sh, &sess);
-    }
-}
-
-/// Drains one session's queue (the session is exclusively owned by this
-/// worker until `in_service` is cleared).
-fn service(sh: &Shared, sess: &Arc<SessionState>) {
-    let batch = sh.config.queue_bound.max(1);
-    let mut done = 0usize;
-    loop {
-        if let Some(gate) = &sh.config.service_gate {
-            gate.wait_ready(&sh.shutdown);
-        }
-        let item = {
-            let mut q = sess.q.lock();
-            match q.items.pop_front() {
-                Some(it) => it,
-                None => {
-                    q.in_service = false;
-                    return;
-                }
-            }
-        };
-        sess.space.notify_all();
-        match item {
-            Item::Req(req) => respond(sh, sess, {
-                let mut srv = sess.server.lock();
-                srv.handle(req)
-            }),
-            Item::Malformed(e) => respond(sh, sess, Err(InvError::from(e))),
-            Item::Eof => {
-                teardown(sh, sess);
-                return;
-            }
-        }
-        done += 1;
-        if done >= batch {
-            // Yield the worker so other sessions make progress; requeue if
-            // work remains.
-            let mut q = sess.q.lock();
-            q.in_service = false;
-            if !q.items.is_empty() {
-                sh.schedule(sess, &mut q);
-            }
-            return;
+        let bytes = wire::encode_response(&res);
+        stats.frames_out.bump();
+        stats.bytes_out.add(bytes.len() as u64);
+        inv.net_frames_out.bump();
+        inv.net_bytes_out.add(bytes.len() as u64);
+        // A write failure means the client is gone.
+        if wire::write_frame(&mut writer, &bytes).is_err() {
+            break;
         }
     }
-}
-
-/// Encodes and writes one response, charging the session's wire counters.
-fn respond(sh: &Shared, sess: &SessionState, res: InvResult<Response>) {
-    let bytes = wire::encode_response(&res);
-    let inv = sh.fs.stats();
-    sess.stats.frames_out.bump();
-    sess.stats.bytes_out.add(bytes.len() as u64);
-    inv.net_frames_out.bump();
-    inv.net_bytes_out.add(bytes.len() as u64);
-    let mut w = sess.writer.lock();
-    // A write failure means the client is gone; the reader side will
-    // observe the same disconnect and queue the teardown.
-    wire::write_frame(&mut *w, &bytes).ok();
-}
-
-/// Tears a session down after its connection vanished: abort the in-flight
-/// transaction (releasing locks), reclaim fds, retire the stats row.
-fn teardown(sh: &Shared, sess: &SessionState) {
-    {
-        let mut q = sess.q.lock();
-        q.closed = true;
-        q.items.clear();
-        q.in_service = false;
-        sess.space.notify_all();
-    }
-    let inv = sh.fs.stats();
-    let aborted = sess.server.lock().disconnect();
-    if aborted {
-        sess.stats.disconnect_aborts.bump();
+    if server.disconnect() {
+        stats.disconnect_aborts.bump();
         inv.net_disconnect_aborts.bump();
     }
-    sess.stats.mark_closed();
+    stats.mark_closed();
     inv.sessions_closed.bump();
     // Close the transport last: any client still blocked on a pipelined
     // response (mid-bulk fatal framing damage) must see EOF, not hang.
-    (sess.closer)();
+    closer();
 }
 
 /// Bytes one bulk frame asks for or carries. Every request frame costs the
-/// server a transaction, a trip through the session queue and a part-chunk
+/// server a transaction, a round of its session loop and a part-chunk
 /// lookup at either end, so windows this large bring a megabyte down to four
 /// of each; four in flight still let the client checksum one response while
-/// the server produces the next, and a queued window is a quarter of
+/// the server produces the next, and a window is a quarter of
 /// [`wire::MAX_PAYLOAD`].
 pub(crate) const BULK_WINDOW: usize = 256 * 1024;
 // A window travels behind an `fd` and a byte count.

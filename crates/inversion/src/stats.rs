@@ -98,7 +98,9 @@ stat_table! {
     net_bytes_out: Counter,
     /// Frames that failed to decode (bad opcode, checksum, malformed body).
     net_decode_errors: Counter,
-    /// Times a reader blocked because its session queue was full.
+    /// Always 0: a session's requests wait in no queue, so none fills.
+    /// Kept because the benchmark's trace, whose source is fixed, looks the
+    /// counter up by name.
     net_queue_full: Counter,
     /// In-flight transactions aborted because the client disconnected.
     net_disconnect_aborts: Counter,
@@ -165,8 +167,6 @@ stat_table! {
     bytes_out: Counter,
     /// Frames that arrived but failed to decode.
     decode_errors: Counter,
-    /// Times the reader blocked on a full request queue (backpressure).
-    queue_full: Counter,
     /// 1 if the session's transaction was aborted by a disconnect.
     disconnect_aborts: Counter,
 }

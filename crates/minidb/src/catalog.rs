@@ -478,7 +478,7 @@ impl Catalog {
         Ok(())
     }
 
-    /// Removes a relation entry.
+    /// Removes a relation entry and the rules that watch it.
     pub(crate) fn remove_relation(&mut self, id: RelId) -> DbResult<RelationEntry> {
         let entry = self
             .relations
@@ -486,6 +486,7 @@ impl Catalog {
             .ok_or_else(|| DbError::NotFound(format!("relation {id}")))?;
         self.rel_by_name.remove(&entry.name);
         self.class_tids.remove(&id);
+        self.rules.retain(|r| r.on_rel != id);
         // Detach from any table that listed this as an index.
         if let Some(info) = &entry.index {
             if let Some(table) = self.relations.get_mut(&info.table) {
@@ -633,7 +634,8 @@ impl Catalog {
     ///
     /// Every index ↔ heap link must be bidirectional, index key columns must
     /// fall inside the indexed heap's schema, archives must exist and be
-    /// heaps, and `kind` must agree with the presence of `index` metadata.
+    /// heaps, `kind` must agree with the presence of `index` metadata, and
+    /// every rule must watch a relation that exists.
     pub fn check(&self) -> Vec<crate::check::Finding> {
         use crate::check::Finding;
         let mut out = Vec::new();
@@ -723,6 +725,13 @@ impl Catalog {
                 }
             }
         }
+        for r in self.rules.iter().filter(|r| self.relation(r.on_rel).is_err()) {
+            out.push(Finding::new(
+                &r.name,
+                "catalog-dangling-rel",
+                format!("rule watches relation {:?}, which is not in the catalog", r.on_rel),
+            ));
+        }
         out
     }
 }
@@ -804,6 +813,21 @@ mod tests {
         assert!(cat.check().is_empty());
         cat.remove_relation(idx_id).unwrap();
         assert!(cat.relation(tid).unwrap().indexes.is_empty());
+    }
+
+    #[test]
+    fn a_removed_relation_takes_its_rules_and_a_dangling_rule_is_a_finding() {
+        let mut cat = Catalog::new();
+        cat.add_relation(heap_entry(1000, "t")).unwrap();
+        let on = |name: &str, rel| RuleEntry { name: name.into(), on_rel: rel, ..migrate_cold() };
+        cat.define_rule(on("watch_t", Oid(1000))).unwrap();
+        assert!(cat.check().is_empty());
+        cat.remove_relation(Oid(1000)).unwrap();
+        assert!(cat.rules().is_empty());
+        cat.define_rule(on("orphan", Oid(1000))).unwrap();
+        let findings = cat.check();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].code, "catalog-dangling-rel");
     }
 
     #[test]

@@ -197,7 +197,8 @@ impl Session {
     /// Drops a table (and its indices and archive) or a single index. It
     /// takes the exclusive lock on each relation it drops, and on an
     /// index's table, whose writers maintain the index, and deletes their
-    /// `pg_class` rows; the cache entries, cached pages and storage go once
+    /// `pg_class` rows and the `pg_rule` rows of the rules that watch them;
+    /// the cache entries (rules included), cached pages and storage go once
     /// the commit is durable (a crash before then leaves storage no
     /// committed row names, which reopening releases).
     pub fn drop_relation(&mut self, name: &str) -> DbResult<()> {
@@ -217,12 +218,26 @@ impl Session {
             }
             ids.into_iter().map(|v| Ok((v, cat.relation(v)?.device, cat.class_tid(v)))).collect()
         })?;
-        for (v, dev, tid) in victims {
+        for &(v, dev, tid) in &victims {
             self.lock_exclusive(v)?;
             if let Some(tid) = tid {
                 self.delete_row(PG_CLASS, tid)?;
             }
             self.ddl.push(Ddl::Dropped(v, dev));
+        }
+        // The rules that watch a victim go with it. Under its lock no rule
+        // on it is being defined, so the cache lists every one.
+        let watched = |rel: RelId| victims.iter().any(|&(v, ..)| v == rel);
+        let has_rules = {
+            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+            self.db.inner.catalog.read().rules().iter().any(|r| watched(r.on_rel))
+        };
+        if has_rules {
+            for (tid, row) in self.seq_scan(PG_RULE)? {
+                if watched(RuleEntry::from_row(&row)?.on_rel) {
+                    self.delete_row(PG_RULE, tid)?;
+                }
+            }
         }
         Ok(())
     }

@@ -100,6 +100,11 @@ cargo test --release -q --test torture battery_link_drop
 echo "== smoke: p_slice shares chunk rows without copying =="
 cargo test --release -q -p inversion --lib slice
 
+# The server's runnable documentation: two sessions over in-memory
+# transports, fd isolation, a disconnect abort and pg_stat_net.
+echo "== smoke: remote_sessions example =="
+cargo run --release -q --example remote_sessions
+
 echo "== smoke: pg_check clean after crash recovery =="
 cargo run --release -q --example pg_check_smoke
 

@@ -357,3 +357,41 @@ fn a_rule_run_waits_on_an_uncommitted_define_rule_and_fires_nothing_after_its_ab
     assert_eq!(fired.load(SeqCst), 0);
     assert_clean(&fs);
 }
+
+/// A drop takes the rules that watch its relation with it: after the
+/// drop's commit, and after a crash behind that commit, neither the cache
+/// nor a visible `pg_rule` row holds the rule; an abort leaves it as it was.
+#[test]
+fn a_drop_takes_the_rules_on_its_relation_with_it() {
+    for end in ["commit", "abort", "crash-and-reopen"] {
+        let (rig, fs, victim) = fixture();
+        let db = fs.db().clone();
+        let mut s = db.begin().unwrap();
+        Ddl::DefineRule.run(&mut s, victim).unwrap();
+        s.commit().unwrap();
+        let mut s = db.begin().unwrap();
+        Ddl::Drop.run(&mut s, victim).unwrap();
+        let fs = match end {
+            "abort" => {
+                s.abort().unwrap();
+                fs
+            }
+            "commit" => {
+                s.commit().unwrap();
+                fs
+            }
+            _ => {
+                s.commit().unwrap();
+                db.simulate_crash();
+                rig.power_cut();
+                drop((fs, db));
+                InversionFs::attach(rig.open(false)).unwrap()
+            }
+        };
+        let kept = end == "abort";
+        assert_eq!(Ddl::DefineRule.cached(fs.db()), kept, "{end}: the cached rule");
+        assert_eq!(catalog_texts(fs.db()).iter().any(|t| t == "cold"), kept, "{end}: its row");
+        assert_eq!(fs.db().relation_id("victim").is_ok(), kept, "{end}: the victim");
+        assert_clean(&fs);
+    }
+}

@@ -3,11 +3,13 @@
 //! counter, descriptor-table isolation, and a client that vanishes with a
 //! transaction open. After the dust settles, the database must pass the
 //! structural verifier with no held locks and the session accounting must
-//! balance. The last tests pin what a bulk read costs over loopback TCP:
-//! one request frame and one transaction per window, and no delayed-ACK
-//! stall.
+//! balance. Sessions waiting on a lock must not hold up the lock's holder,
+//! and a pipelined bulk transfer must not wedge a transport far smaller
+//! than its data. The last tests pin what a bulk read costs over loopback
+//! TCP: one request frame and one transaction per window, and no
+//! delayed-ACK stall.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -16,7 +18,7 @@ use inversion::server::Request;
 use inversion::{
     CreateMode, InvError, InvServerPool, InversionFs, OpenMode, PoolConfig, SeekWhence, WireClient,
 };
-use simdev::{duplex_pair, DuplexStream};
+use simdev::{duplex_pair, duplex_pair_with_capacity, DuplexStream};
 
 const THREADS: usize = 4;
 const FILES_PER_THREAD: usize = 8;
@@ -243,6 +245,92 @@ fn vanished_client_leaves_no_rows_no_locks_no_fds() {
     assert!(st.net_disconnect_aborts.get() >= 1);
     let findings = fs.db().check_all();
     assert!(findings.is_empty(), "verifier findings: {findings:?}");
+}
+
+/// A session waiting on a lock holds up no other session: the holder's
+/// `commit` comes back at once, with one waiter under a one-worker
+/// configuration and with five under the default one, and then every
+/// waiter's own `creat` gets the lock in turn.
+#[test]
+fn a_lock_holders_commit_is_not_held_up_by_sessions_waiting_on_it() {
+    for (config, waiters) in [(PoolConfig { workers: 1 }, 1), (PoolConfig::default(), 5)] {
+        let fs = InversionFs::open_in_memory().unwrap();
+        let pool = InvServerPool::new(&fs, config);
+        let mut holder = connect(&pool);
+        holder.begin().unwrap();
+        holder.creat("/f", CreateMode::default()).unwrap();
+
+        let waits = fs.db().stats().lock.waits;
+        let handles: Vec<_> = (0..waiters)
+            .map(|i| {
+                let mut c = connect(&pool);
+                thread::spawn(move || c.creat(&format!("/g{i}"), CreateMode::default()))
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while fs.db().stats().lock.waits < waits + waiters as u64 {
+            assert!(Instant::now() < deadline, "not every waiter was served and waited on the holder");
+            thread::sleep(Duration::from_millis(1));
+        }
+
+        let t = Instant::now();
+        holder.commit().unwrap();
+        let took = t.elapsed();
+        assert!(took < Duration::from_secs(1), "{waiters} waiter(s): commit took {took:?}");
+        for h in handles {
+            h.join().unwrap().expect("a waiter's creat");
+        }
+        for i in 0..waiters {
+            assert!(holder.stat(&format!("/g{i}")).is_ok(), "/g{i} missing");
+        }
+        drop(holder);
+        pool.shutdown();
+        assert_eq!(fs.db().held_lock_count(), 0, "locks leaked");
+    }
+}
+
+/// Pipelining needs no request queue: the client sends every window before
+/// it reads a response, so a session blocks on a full transport only once
+/// the client is done sending. 16 MB cross a 4 KB pipe each way, byte for
+/// byte, while a second session is served alongside.
+#[test]
+fn pipelined_bulk_transfers_cross_a_small_transport() {
+    const LEN: usize = 16 << 20;
+    let fs = InversionFs::open_in_memory().unwrap();
+    let pool = InvServerPool::new(&fs, PoolConfig::default());
+    let (client_end, server_end) = duplex_pair_with_capacity(4096);
+    pool.serve_duplex(server_end);
+    let mut bulk = WireClient::new(client_end);
+    let done = Arc::new(AtomicBool::new(false));
+    let (tx, rx) = mpsc::channel();
+    thread::spawn({
+        let done = Arc::clone(&done);
+        move || {
+            let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+            let fd = bulk.creat("/big", CreateMode::default()).unwrap();
+            assert_eq!(bulk.write_bulk(fd, &data).unwrap(), LEN);
+            bulk.call(&Request::Lseek(fd, 0, SeekWhence::Set)).unwrap();
+            let back = bulk.read_bulk(fd, LEN).unwrap();
+            done.store(true, Ordering::SeqCst);
+            tx.send(back == data).unwrap();
+        }
+    });
+
+    let mut other = connect(&pool);
+    let mut served_alongside = 0;
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !done.load(Ordering::SeqCst) {
+        assert!(Instant::now() < deadline, "the bulk transfer never finished");
+        other.stat("/").unwrap();
+        if !done.load(Ordering::SeqCst) {
+            served_alongside += 1;
+        }
+    }
+    assert!(rx.recv().unwrap(), "16 MB came back different");
+    assert!(served_alongside > 0, "the second session was not served during the transfer");
+    drop(other);
+    pool.shutdown();
+    assert!(fs.db().check_all().is_empty());
 }
 
 /// The same protocol over a real TCP socket on loopback: connect, run a

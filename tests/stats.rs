@@ -766,50 +766,6 @@ fn net_counters_match_the_client_exactly() {
     pool.shutdown();
 }
 
-/// With a one-slot queue and the workers paused, a burst of pipelined
-/// requests must block the connection's reader and count `queue_full`
-/// events; once the gate opens, every queued request is still answered.
-#[test]
-fn tiny_queue_bound_counts_queue_full_events() {
-    use inversion::pool::ServiceGate;
-    use inversion::server::Request;
-    use inversion::{InvServerPool, PoolConfig, WireClient};
-    use simdev::duplex_pair;
-    use std::time::{Duration, Instant};
-
-    let gate = Arc::new(ServiceGate::new());
-    let fs = InversionFs::open_in_memory().unwrap();
-    let pool = InvServerPool::new(
-        &fs,
-        PoolConfig {
-            workers: 1,
-            queue_bound: 1,
-            service_gate: Some(Arc::clone(&gate)),
-        },
-    );
-    let (client_end, server_end) = duplex_pair();
-    pool.serve_duplex(server_end);
-    let mut c = WireClient::new(client_end);
-
-    gate.pause();
-    const BURST: usize = 6;
-    for _ in 0..BURST {
-        c.send(&Request::Stat("/".into())).unwrap();
-    }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while fs.stats().net_queue_full.get() == 0 {
-        assert!(Instant::now() < deadline, "queue_full never counted");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    gate.resume();
-    for _ in 0..BURST {
-        c.recv().unwrap();
-    }
-    drop(c);
-    pool.shutdown();
-    assert!(fs.stats().net_queue_full.get() >= 1);
-}
-
 /// Malformed frames are counted per session and in the aggregate, and the
 /// session keeps serving; the `pg_stat_net` row carries the tally.
 #[test]
