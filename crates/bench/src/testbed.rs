@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use inversion::{types, InvClient, InversionFs, RemoteClient};
+use inversion::{types, InvClient, InversionFs, SimLink, WireClient};
 use minidb::{
     shared_device, Db, DbConfig, DeviceId, GenericManager, JukeboxConfig, JukeboxManager, Smgr,
     BERKELEY_BUFFERS,
@@ -97,13 +97,13 @@ impl InversionTestbed {
         Self::with_config(BERKELEY_BUFFERS, true)
     }
 
-    /// A remote client over TCP/IP on the shared Ethernet (the measured
-    /// client/server configuration).
-    pub fn remote_client(&self) -> RemoteClient {
+    /// A remote client speaking frames over TCP/IP on the shared Ethernet
+    /// (the measured client/server configuration).
+    pub fn remote_client(&self) -> WireClient<SimLink> {
         let net = Network::ethernet_10mbit(self.clock.clone());
         let ep = Endpoint::new(net, NetProfile::tcp_1993());
         let cpu = CpuModel::decsystem5900(self.clock.clone());
-        RemoteClient::connect(&self.fs, ep, cpu)
+        WireClient::new(SimLink::connect(&self.fs, ep, cpu))
     }
 
     /// A client inside the data manager (the "single process" configuration).

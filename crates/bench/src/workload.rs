@@ -13,7 +13,9 @@
 //! "All caches were flushed before each test. ... The measurements shown are
 //! the means of ten runs."
 
-use inversion::{CreateMode, InvClient, RemoteClient, SeekWhence};
+use inversion::client::SEGMENT;
+use inversion::server::{Request, Response};
+use inversion::{CreateMode, Fd, InvClient, SeekWhence, SimLink, WireClient};
 use nfssim::InodeNo;
 use simdev::SimClock;
 
@@ -59,100 +61,124 @@ pub trait BenchFs {
     }
 }
 
+/// The calls the benchmark makes of an Inversion client. The paper's two
+/// configurations differ only in how a call reaches the data manager.
+pub trait InvCalls {
+    /// The configuration's display label.
+    const LABEL: &'static str;
+    /// Connects a client of this kind to `tb`.
+    fn connect(tb: &InversionTestbed) -> Self;
+    /// Begins a transaction.
+    fn begin(&mut self);
+    /// Commits the open transaction.
+    fn commit(&mut self);
+    /// Creates `path` and returns its descriptor.
+    fn creat(&mut self, path: &str) -> Fd;
+    /// Moves `fd` to the file offset `offset`.
+    fn seek(&mut self, fd: Fd, offset: u64);
+    /// Reads into `buf` from `fd`'s offset.
+    fn read(&mut self, fd: Fd, buf: &mut [u8]);
+    /// Writes `data` at `fd`'s offset.
+    fn write(&mut self, fd: Fd, data: &[u8]);
+}
+
+/// The client/server path speaks the paper's protocol: one round trip per
+/// [`SEGMENT`] of bulk data, not [`WireClient`]'s bulk windows.
+impl InvCalls for WireClient<SimLink> {
+    const LABEL: &'static str = "Inversion client/server";
+
+    fn connect(tb: &InversionTestbed) -> Self {
+        tb.remote_client()
+    }
+
+    fn begin(&mut self) {
+        WireClient::begin(self).unwrap();
+    }
+
+    fn commit(&mut self) {
+        WireClient::commit(self).unwrap();
+    }
+
+    fn creat(&mut self, path: &str) -> Fd {
+        WireClient::creat(self, path, CreateMode::default()).unwrap()
+    }
+
+    fn seek(&mut self, fd: Fd, offset: u64) {
+        self.call(&Request::Lseek(fd, offset as i64, SeekWhence::Set))
+            .unwrap();
+    }
+
+    fn read(&mut self, fd: Fd, buf: &mut [u8]) {
+        let mut done = 0;
+        while done < buf.len() {
+            let want = (buf.len() - done).min(SEGMENT);
+            let Response::Data(data) = self.call(&Request::Read(fd, want)).unwrap() else {
+                panic!("a read answers with data");
+            };
+            buf[done..done + data.len()].copy_from_slice(&data);
+            done += data.len();
+            if data.len() < want {
+                break; // Short read: end of file.
+            }
+        }
+    }
+
+    fn write(&mut self, fd: Fd, data: &[u8]) {
+        for segment in data.chunks(SEGMENT) {
+            self.call(&Request::Write(fd, segment.to_vec())).unwrap();
+        }
+    }
+}
+
+impl InvCalls for InvClient {
+    const LABEL: &'static str = "Inversion single process";
+
+    fn connect(tb: &InversionTestbed) -> Self {
+        tb.local_client()
+    }
+
+    fn begin(&mut self) {
+        self.p_begin().unwrap();
+    }
+
+    fn commit(&mut self) {
+        self.p_commit().unwrap();
+    }
+
+    fn creat(&mut self, path: &str) -> Fd {
+        self.p_creat(path, CreateMode::default()).unwrap()
+    }
+
+    fn seek(&mut self, fd: Fd, offset: u64) {
+        self.p_lseek(fd, offset as i64, SeekWhence::Set).unwrap();
+    }
+
+    fn read(&mut self, fd: Fd, buf: &mut [u8]) {
+        self.p_read(fd, buf).unwrap();
+    }
+
+    fn write(&mut self, fd: Fd, data: &[u8]) {
+        self.p_write(fd, data).unwrap();
+    }
+}
+
+/// Inversion under benchmark through the client `C`.
+pub struct Inversion<C> {
+    tb: InversionTestbed,
+    client: C,
+    fd: Fd,
+}
+
 /// Inversion through the remote (TCP client/server) path.
-pub struct InversionRemote {
-    tb: InversionTestbed,
-    client: RemoteClient,
-    fd: i32,
-}
-
-impl InversionRemote {
-    /// Builds the paper's client/server configuration.
-    pub fn new(tb: InversionTestbed) -> InversionRemote {
-        let client = tb.remote_client();
-        InversionRemote { tb, client, fd: -1 }
-    }
-
-    /// The underlying testbed (for statistics snapshots).
-    pub fn testbed(&self) -> &InversionTestbed {
-        &self.tb
-    }
-}
-
-impl BenchFs for InversionRemote {
-    fn label(&self) -> &'static str {
-        "Inversion client/server"
-    }
-
-    fn clock(&self) -> SimClock {
-        self.tb.clock.clone()
-    }
-
-    fn create_file(&mut self, total: u64) {
-        self.client.p_begin().unwrap();
-        let fd = self
-            .client
-            .p_creat("/bench", CreateMode::default())
-            .unwrap();
-        let page = vec![0xA5u8; PAGE];
-        let mut written = 0u64;
-        while written < total {
-            let take = (total - written).min(PAGE as u64) as usize;
-            self.client.p_write(fd, &page[..take]).unwrap();
-            written += take as u64;
-        }
-        self.client.p_commit().unwrap();
-        self.fd = fd;
-    }
-
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) {
-        self.client
-            .p_lseek(self.fd, offset as i64, SeekWhence::Set)
-            .unwrap();
-        self.client.p_read(self.fd, buf).unwrap();
-    }
-
-    fn write_at(&mut self, offset: u64, data: &[u8]) {
-        self.client.p_begin().unwrap();
-        self.client
-            .p_lseek(self.fd, offset as i64, SeekWhence::Set)
-            .unwrap();
-        self.client.p_write(self.fd, data).unwrap();
-        self.client.p_commit().unwrap();
-    }
-
-    fn write_batch(&mut self, writes: &[(u64, &[u8])]) {
-        self.client.p_begin().unwrap();
-        for (off, data) in writes {
-            self.client
-                .p_lseek(self.fd, *off as i64, SeekWhence::Set)
-                .unwrap();
-            self.client.p_write(self.fd, data).unwrap();
-        }
-        self.client.p_commit().unwrap();
-    }
-
-    fn flush_caches(&mut self) {
-        self.tb.fs.db().flush_caches().unwrap();
-    }
-
-    fn page_unit(&self) -> usize {
-        INV_PAGE
-    }
-}
-
+pub type InversionRemote = Inversion<WireClient<SimLink>>;
 /// Inversion running the benchmark inside the data manager.
-pub struct InversionLocal {
-    tb: InversionTestbed,
-    client: InvClient,
-    fd: i32,
-}
+pub type InversionLocal = Inversion<InvClient>;
 
-impl InversionLocal {
-    /// Builds the paper's single-process configuration.
-    pub fn new(tb: InversionTestbed) -> InversionLocal {
-        let client = tb.local_client();
-        InversionLocal { tb, client, fd: -1 }
+impl<C: InvCalls> Inversion<C> {
+    /// Builds the configuration on `tb`.
+    pub fn new(tb: InversionTestbed) -> Inversion<C> {
+        let client = C::connect(&tb);
+        Inversion { tb, client, fd: -1 }
     }
 
     /// The underlying testbed (for statistics snapshots).
@@ -161,9 +187,9 @@ impl InversionLocal {
     }
 }
 
-impl BenchFs for InversionLocal {
+impl<C: InvCalls> BenchFs for Inversion<C> {
     fn label(&self) -> &'static str {
-        "Inversion single process"
+        C::LABEL
     }
 
     fn clock(&self) -> SimClock {
@@ -171,47 +197,34 @@ impl BenchFs for InversionLocal {
     }
 
     fn create_file(&mut self, total: u64) {
-        self.client.p_begin().unwrap();
-        let fd = self
-            .client
-            .p_creat("/bench", CreateMode::default())
-            .unwrap();
+        self.client.begin();
+        self.fd = self.client.creat("/bench");
         let page = vec![0xA5u8; PAGE];
         let mut written = 0u64;
         while written < total {
             let take = (total - written).min(PAGE as u64) as usize;
-            self.client.p_write(fd, &page[..take]).unwrap();
+            self.client.write(self.fd, &page[..take]);
             written += take as u64;
         }
-        self.client.p_commit().unwrap();
-        self.fd = fd;
+        self.client.commit();
     }
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) {
-        self.client
-            .p_lseek(self.fd, offset as i64, SeekWhence::Set)
-            .unwrap();
-        self.client.p_read(self.fd, buf).unwrap();
+        self.client.seek(self.fd, offset);
+        self.client.read(self.fd, buf);
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) {
-        self.client.p_begin().unwrap();
-        self.client
-            .p_lseek(self.fd, offset as i64, SeekWhence::Set)
-            .unwrap();
-        self.client.p_write(self.fd, data).unwrap();
-        self.client.p_commit().unwrap();
+        self.write_batch(&[(offset, data)]);
     }
 
     fn write_batch(&mut self, writes: &[(u64, &[u8])]) {
-        self.client.p_begin().unwrap();
+        self.client.begin();
         for (off, data) in writes {
-            self.client
-                .p_lseek(self.fd, *off as i64, SeekWhence::Set)
-                .unwrap();
-            self.client.p_write(self.fd, data).unwrap();
+            self.client.seek(self.fd, *off);
+            self.client.write(self.fd, data);
         }
-        self.client.p_commit().unwrap();
+        self.client.commit();
     }
 
     fn flush_caches(&mut self) {

@@ -1,4 +1,4 @@
-//! The remote client: the paper's "special library" linked by applications.
+//! The client side of client/server Inversion over the paper's network.
 //!
 //! "The current implementation requires programmers to link a special
 //! library in order to access Inversion file data. ... Client/server
@@ -6,242 +6,182 @@
 //! evaluation concludes that "the client/server communication protocol used
 //! by the file system is much too heavy-weight".
 //!
-//! [`RemoteClient`] reproduces that cost structure: every call pays the
-//! TCP/IP per-message and per-byte charges on the simulated network, bulk
-//! data moves in 8 KB protocol segments, and buffer copies on both hosts are
-//! charged to the CPU model ("profiling reveals that extra work is done in
-//! allocating and copying buffers in Inversion"). The actual execution then
-//! happens in the server ([`crate::InvServer`]), charging real device time
-//! on the same simulated clock.
+//! The library is [`crate::WireClient`]: it encodes every call as a
+//! [`crate::wire`] frame. [`SimLink`] is the transport that puts the paper's
+//! network under it. Each frame pays the TCP/IP per-message and per-byte
+//! charges of the simulated Ethernet for its real length, and the buffer
+//! copies on both hosts are charged to the CPU model ("profiling reveals
+//! that extra work is done in allocating and copying buffers in
+//! Inversion"). The server runs each request on the same simulated clock,
+//! charging real device time.
 
-use minidb::Oid;
-use simdev::{CpuModel, Endpoint, SimInstant};
+use std::collections::VecDeque;
+use std::io::{self, Read, Write};
 
-use crate::api::{Fd, OpenMode, SeekWhence};
-use crate::fs::{CreateMode, FileStat, InvError, InvResult, InversionFs};
-use crate::server::{InvServer, Request, Response};
+use simdev::net::EndpointStats;
+use simdev::{CpuModel, Endpoint};
 
-/// Protocol segment size for bulk data (one data page per message).
+use crate::fs::InversionFs;
+use crate::server::InvServer;
+use crate::wire::{self, WireError};
+
+/// Protocol segment size for bulk data in the paper's protocol (one data
+/// page per message).
 pub const SEGMENT: usize = 8192;
 
-/// A client talking to an Inversion server across the simulated network.
-pub struct RemoteClient {
+/// A simulated network link with an Inversion server session at its far
+/// end.
+///
+/// Bytes written are request frames. `flush` serves each complete frame on
+/// the calling thread, through the [`InvServer::serve_frame`] step that a
+/// pool session runs, and queues the response frame for `read`. Each frame
+/// charges the simulated clock one library call on the client host, one RPC
+/// of the request and response frames' lengths on the [`Endpoint`], and a
+/// copy of both frames on either host. Nothing runs on another thread, so
+/// virtual time is deterministic.
+pub struct SimLink {
     server: InvServer,
     ep: Endpoint,
     cpu: CpuModel,
+    /// Request bytes not yet served: after a flush, at most part of a frame.
+    sent: Vec<u8>,
+    /// Response bytes not yet read.
+    replies: VecDeque<u8>,
+    /// The framing broke and the server hung up.
+    closed: bool,
 }
 
-impl RemoteClient {
-    /// Connects a remote client: `ep` models the transport (TCP for the
-    /// paper's configuration), `cpu` the client host.
-    pub fn connect(fs: &InversionFs, ep: Endpoint, cpu: CpuModel) -> RemoteClient {
-        RemoteClient {
+impl SimLink {
+    /// Connects to a new server session on `fs`: `ep` models the transport
+    /// (TCP for the paper's configuration), `cpu` the hosts.
+    pub fn connect(fs: &InversionFs, ep: Endpoint, cpu: CpuModel) -> SimLink {
+        SimLink {
             server: InvServer::new(fs),
             ep,
             cpu,
+            sent: Vec::new(),
+            replies: VecDeque::new(),
+            closed: false,
         }
     }
 
     /// Network endpoint statistics.
-    pub fn net_stats(&self) -> simdev::net::EndpointStats {
+    pub fn net_stats(&self) -> EndpointStats {
         self.ep.stats()
     }
+}
 
-    fn call(&mut self, req: Request) -> InvResult<Response> {
-        // Library entry + marshalling.
-        self.cpu.charge_call();
-        let req_size = req.wire_size();
-        let resp = self.server.handle(req)?;
-        let resp_size = resp.wire_size();
-        self.ep.rpc(req_size, resp_size);
-        Ok(resp)
-    }
-
-    fn bad(what: &str, got: Response) -> InvError {
-        InvError::Invalid(format!("protocol error: expected {what}, got {got:?}"))
-    }
-
-    /// Remote `p_begin`.
-    pub fn p_begin(&mut self) -> InvResult<()> {
-        self.call(Request::Begin).map(|_| ())
-    }
-
-    /// Remote `p_commit`.
-    pub fn p_commit(&mut self) -> InvResult<()> {
-        self.call(Request::Commit).map(|_| ())
-    }
-
-    /// Remote `p_abort`.
-    pub fn p_abort(&mut self) -> InvResult<()> {
-        self.call(Request::Abort).map(|_| ())
-    }
-
-    /// Remote `p_creat`.
-    pub fn p_creat(&mut self, path: &str, mode: CreateMode) -> InvResult<Fd> {
-        match self.call(Request::Creat(path.into(), mode))? {
-            Response::Fd(fd) => Ok(fd),
-            other => Err(Self::bad("fd", other)),
+impl Write for SimLink {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.closed {
+            return Err(io::ErrorKind::BrokenPipe.into());
         }
+        self.sent.extend_from_slice(buf);
+        Ok(buf.len())
     }
 
-    /// Remote `p_open`.
-    pub fn p_open(
-        &mut self,
-        path: &str,
-        mode: OpenMode,
-        timestamp: Option<SimInstant>,
-    ) -> InvResult<Fd> {
-        match self.call(Request::Open(path.into(), mode, timestamp))? {
-            Response::Fd(fd) => Ok(fd),
-            other => Err(Self::bad("fd", other)),
-        }
-    }
-
-    /// Remote `p_close`.
-    pub fn p_close(&mut self, fd: Fd) -> InvResult<()> {
-        self.call(Request::Close(fd)).map(|_| ())
-    }
-
-    /// Remote `p_read`: bulk data returns in [`SEGMENT`]-sized protocol
-    /// messages, each paying network and copy costs.
-    pub fn p_read(&mut self, fd: Fd, buf: &mut [u8]) -> InvResult<usize> {
-        self.cpu.charge_call();
-        let mut done = 0usize;
-        while done < buf.len() {
-            let want = (buf.len() - done).min(SEGMENT);
-            // Server executes (device time accrues)...
-            let resp = self.server.handle(Request::Read(fd, want))?;
-            let Response::Data(data) = resp else {
-                return Err(Self::bad("data", resp));
-            };
-            // ...then the segment crosses the wire...
-            self.ep
-                .rpc(Request::Read(fd, want).wire_size(), 40 + data.len());
-            // ...and is copied server-side into the message and client-side
-            // into the user buffer.
-            self.cpu.charge_copy(data.len());
-            self.cpu.charge_copy(data.len());
-            buf[done..done + data.len()].copy_from_slice(&data);
-            done += data.len();
-            if data.len() < want {
-                break; // Short read: end of file.
+    fn flush(&mut self) -> io::Result<()> {
+        let mut served = 0;
+        while served < self.sent.len() && !self.closed {
+            let mut rest = &self.sent[served..];
+            let read = wire::read_frame(&mut rest);
+            if matches!(read, Err(WireError::Truncated)) {
+                break; // The rest of the frame is still to be written.
+            }
+            let request_len = self.sent.len() - served - rest.len();
+            served += request_len;
+            self.cpu.charge_call();
+            match self.server.serve_frame(read).0 {
+                Some(response) => {
+                    self.ep.rpc(request_len, response.len());
+                    // The sender copies a frame into the message, the
+                    // receiver copies it out.
+                    self.cpu.charge_copy(2 * (request_len + response.len()));
+                    self.replies.extend(response);
+                }
+                None => {
+                    self.server.disconnect();
+                    self.closed = true;
+                }
             }
         }
-        Ok(done)
-    }
-
-    /// Remote `p_write`: bulk data ships in [`SEGMENT`]-sized messages.
-    pub fn p_write(&mut self, fd: Fd, data: &[u8]) -> InvResult<usize> {
-        self.cpu.charge_call();
-        let mut done = 0usize;
-        while done < data.len() {
-            let take = (data.len() - done).min(SEGMENT);
-            let seg = data[done..done + take].to_vec();
-            // Client-side copy into the message, wire, server-side copy out.
-            self.cpu.charge_copy(take);
-            self.ep.rpc(40 + take + 12, 48);
-            self.cpu.charge_copy(take);
-            let resp = self.server.handle(Request::Write(fd, seg))?;
-            let Response::Count(n) = resp else {
-                return Err(Self::bad("count", resp));
-            };
-            done += n as usize;
+        self.sent.drain(..served);
+        if self.closed {
+            return Err(io::ErrorKind::BrokenPipe.into());
         }
-        Ok(done)
+        Ok(())
     }
+}
 
-    /// Remote `p_lseek`.
-    pub fn p_lseek(&mut self, fd: Fd, offset: i64, whence: SeekWhence) -> InvResult<u64> {
-        match self.call(Request::Lseek(fd, offset, whence))? {
-            Response::Count(o) => Ok(o),
-            other => Err(Self::bad("offset", other)),
-        }
-    }
-
-    /// Remote `p_stat`.
-    pub fn p_stat(&mut self, path: &str) -> InvResult<FileStat> {
-        match self.call(Request::Stat(path.into()))? {
-            Response::Stat(s) => Ok(*s),
-            other => Err(Self::bad("stat", other)),
-        }
-    }
-
-    /// Remote `p_mkdir`.
-    pub fn p_mkdir(&mut self, path: &str) -> InvResult<()> {
-        self.call(Request::Mkdir(path.into())).map(|_| ())
-    }
-
-    /// Remote `p_unlink`.
-    pub fn p_unlink(&mut self, path: &str) -> InvResult<()> {
-        self.call(Request::Unlink(path.into())).map(|_| ())
-    }
-
-    /// Remote `p_readdir`.
-    pub fn p_readdir(&mut self, path: &str) -> InvResult<Vec<(String, Oid)>> {
-        match self.call(Request::Readdir(path.into()))? {
-            Response::Entries(e) => Ok(e),
-            other => Err(Self::bad("entries", other)),
-        }
+impl Read for SimLink {
+    /// Reads queued response bytes; with none queued, reads end of stream.
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.replies.read(buf)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::SeekWhence;
+    use crate::fs::CreateMode;
+    use crate::server::{Request, Response};
+    use crate::WireClient;
     use simdev::{NetProfile, Network, SimClock};
 
-    fn remote_fs() -> (SimClock, InversionFs, RemoteClient) {
-        let fs = InversionFs::open_in_memory().unwrap();
+    fn link(fs: &InversionFs) -> SimLink {
         let clock = fs.db().clock().clone();
         let net = Network::ethernet_10mbit(clock.clone());
         let ep = Endpoint::new(net, NetProfile::tcp_1993());
-        let cpu = CpuModel::decsystem5900(clock.clone());
-        let rc = RemoteClient::connect(&fs, ep, cpu);
-        (clock, fs, rc)
+        SimLink::connect(fs, ep, CpuModel::decsystem5900(clock))
+    }
+
+    fn remote_fs() -> (SimClock, InversionFs, WireClient<SimLink>) {
+        let fs = InversionFs::open_in_memory().unwrap();
+        let rc = WireClient::new(link(&fs));
+        (fs.db().clock().clone(), fs, rc)
     }
 
     #[test]
     fn remote_roundtrip() {
         let (_clock, _fs, mut rc) = remote_fs();
-        rc.p_begin().unwrap();
-        let fd = rc.p_creat("/remote.dat", CreateMode::default()).unwrap();
+        rc.begin().unwrap();
+        let fd = rc.creat("/remote.dat", CreateMode::default()).unwrap();
         let data: Vec<u8> = (0..20_000).map(|i| (i % 101) as u8).collect();
-        assert_eq!(rc.p_write(fd, &data).unwrap(), data.len());
-        rc.p_lseek(fd, 0, SeekWhence::Set).unwrap();
-        let mut buf = vec![0u8; data.len()];
-        assert_eq!(rc.p_read(fd, &mut buf).unwrap(), data.len());
-        assert_eq!(buf, data);
-        rc.p_close(fd).unwrap();
-        rc.p_commit().unwrap();
-        assert_eq!(rc.p_stat("/remote.dat").unwrap().size as usize, data.len());
+        assert_eq!(rc.write_bulk(fd, &data).unwrap(), data.len());
+        rc.call(&Request::Lseek(fd, 0, SeekWhence::Set)).unwrap();
+        assert_eq!(rc.read_bulk(fd, data.len()).unwrap(), data);
+        rc.close(fd).unwrap();
+        rc.commit().unwrap();
+        assert_eq!(rc.stat("/remote.dat").unwrap().size as usize, data.len());
     }
 
     #[test]
     fn network_time_is_charged() {
         let (clock, _fs, mut rc) = remote_fs();
-        rc.p_begin().unwrap();
-        let fd = rc.p_creat("/t", CreateMode::default()).unwrap();
+        rc.begin().unwrap();
+        let fd = rc.creat("/t", CreateMode::default()).unwrap();
         let t0 = clock.now();
         let megabyte = vec![7u8; 1 << 20];
-        rc.p_write(fd, &megabyte).unwrap();
+        rc.write_bulk(fd, &megabyte).unwrap();
         let took = clock.now().since(t0).as_secs_f64();
         // 1 MB over 10 Mbit/s TCP with copies: well over the raw 0.84 s
         // wire time, well under a minute.
         assert!(took > 0.9, "took {took}s");
         assert!(took < 60.0, "took {took}s");
-        rc.p_close(fd).unwrap();
-        rc.p_commit().unwrap();
-        assert!(rc.net_stats().rpcs >= 128);
+        rc.close(fd).unwrap();
+        rc.commit().unwrap();
+        assert!(rc.stream().net_stats().bytes_out > 1 << 20);
     }
 
     #[test]
     fn remote_and_local_clients_share_files() {
         let (_clock, fs, mut rc) = remote_fs();
-        rc.p_begin().unwrap();
-        let fd = rc.p_creat("/shared", CreateMode::default()).unwrap();
-        rc.p_write(fd, b"from the network").unwrap();
-        rc.p_close(fd).unwrap();
-        rc.p_commit().unwrap();
+        rc.begin().unwrap();
+        let fd = rc.creat("/shared", CreateMode::default()).unwrap();
+        rc.write_bulk(fd, b"from the network").unwrap();
+        rc.close(fd).unwrap();
+        rc.commit().unwrap();
 
         let mut local = fs.client();
         assert_eq!(
@@ -253,26 +193,126 @@ mod tests {
     #[test]
     fn remote_errors_propagate() {
         let (_clock, _fs, mut rc) = remote_fs();
-        assert!(rc.p_stat("/missing").is_err());
-        assert!(rc.p_close(99).is_err());
+        assert!(rc.stat("/missing").is_err());
+        assert!(rc.close(99).is_err());
+        // The link is still in step after the errors.
+        assert!(rc.readdir("/").unwrap().is_empty());
     }
 
     #[test]
     fn remote_dir_ops() {
         let (_clock, _fs, mut rc) = remote_fs();
-        rc.p_mkdir("/d").unwrap();
-        rc.p_begin().unwrap();
-        let fd = rc.p_creat("/d/f", CreateMode::default()).unwrap();
-        rc.p_close(fd).unwrap();
-        rc.p_commit().unwrap();
+        rc.mkdir("/d").unwrap();
+        rc.begin().unwrap();
+        let fd = rc.creat("/d/f", CreateMode::default()).unwrap();
+        rc.close(fd).unwrap();
+        rc.commit().unwrap();
         let names: Vec<String> = rc
-            .p_readdir("/d")
+            .readdir("/d")
             .unwrap()
             .into_iter()
             .map(|(n, _)| n)
             .collect();
         assert_eq!(names, vec!["f"]);
-        rc.p_unlink("/d/f").unwrap();
-        assert!(rc.p_readdir("/d").unwrap().is_empty());
+        rc.unlink("/d/f").unwrap();
+        assert!(rc.readdir("/d").unwrap().is_empty());
+    }
+
+    #[test]
+    fn the_network_charges_the_frames_it_carries() {
+        let (_clock, fs, mut rc) = remote_fs();
+        rc.mkdir("/n").unwrap();
+        rc.begin().unwrap();
+        let fd = rc.creat("/n/f", CreateMode::default()).unwrap();
+        let page = vec![0x5Au8; SEGMENT];
+        for _ in 0..3 {
+            rc.call(&Request::Write(fd, page.clone())).unwrap();
+        }
+        rc.call(&Request::Write(fd, b"tail".to_vec())).unwrap();
+        rc.call(&Request::Lseek(fd, 0, SeekWhence::Set)).unwrap();
+        let mut read = 0;
+        loop {
+            let Response::Data(d) = rc.call(&Request::Read(fd, SEGMENT)).unwrap() else {
+                panic!("a read answers with data");
+            };
+            read += d.len();
+            if d.len() < SEGMENT {
+                break;
+            }
+        }
+        assert_eq!(read, 3 * SEGMENT + 4);
+        rc.close(fd).unwrap();
+        rc.commit().unwrap();
+        rc.stat("/n/f").unwrap();
+        assert!(rc.stat("/n/missing").is_err());
+
+        let net = rc.stream().net_stats();
+        let wire = rc.stats();
+        assert_eq!(net.bytes_out, wire.bytes_out.get());
+        assert_eq!(net.bytes_in, wire.bytes_in.get());
+        assert_eq!(net.rpcs, wire.frames_out.get());
+        assert_eq!(net.rpcs, wire.frames_in.get());
+        // The server counted the same frames and bytes, one RPC each.
+        let inv = fs.stats();
+        assert_eq!(inv.rpcs.get(), net.rpcs);
+        assert_eq!(inv.net_bytes_in.get(), net.bytes_out);
+        assert_eq!(inv.net_bytes_out.get(), net.bytes_in);
+    }
+
+    #[test]
+    fn a_frame_is_served_once_it_is_whole() {
+        let fs = InversionFs::open_in_memory().unwrap();
+        let mut link = link(&fs);
+        let frame = wire::encode_request(&Request::Stat("/".into()));
+        let (head, tail) = frame.split_at(wire::HEADER_LEN + 2);
+        link.write_all(head).unwrap();
+        link.flush().unwrap();
+        assert_eq!(fs.stats().rpcs.get(), 0);
+        assert_eq!(
+            link.read(&mut [0u8; 4]).unwrap(),
+            0,
+            "nothing to answer yet"
+        );
+        link.write_all(tail).unwrap();
+        link.flush().unwrap();
+        assert_eq!(fs.stats().rpcs.get(), 1);
+        assert_eq!(link.net_stats().bytes_out, frame.len() as u64);
+        let wire::FrameEvent::Frame { opcode, payload } = wire::read_frame(&mut link).unwrap()
+        else {
+            panic!("a whole response frame");
+        };
+        let Ok(Ok(Response::Stat(st))) = wire::decode_response_frame(opcode, &payload) else {
+            panic!("stat answers with attributes");
+        };
+        assert_eq!(st.kind, crate::fs::FileKind::Directory);
+    }
+
+    #[test]
+    fn broken_framing_hangs_up() {
+        let fs = InversionFs::open_in_memory().unwrap();
+        let mut link = link(&fs);
+        for req in [
+            Request::Begin,
+            Request::Creat("/doomed".into(), CreateMode::default()),
+        ] {
+            wire::write_frame(&mut link, &wire::encode_request(&req)).unwrap();
+        }
+        link.write_all(&[0xEE; wire::HEADER_LEN]).unwrap();
+        assert!(link.flush().is_err(), "bad magic ends the session");
+        assert!(link.write_all(b"x").is_err());
+        assert_eq!(fs.stats().net_decode_errors.get(), 1);
+        assert_eq!(fs.db().held_lock_count(), 0, "the transaction was aborted");
+        // The two responses sent before the damage still arrive, then EOF.
+        for _ in 0..2 {
+            assert!(matches!(
+                wire::read_frame(&mut link),
+                Ok(wire::FrameEvent::Frame { .. })
+            ));
+        }
+        assert!(matches!(
+            wire::read_frame(&mut link),
+            Ok(wire::FrameEvent::Eof)
+        ));
+        assert!(fs.client().p_stat("/doomed", None).is_err());
     }
 }

@@ -75,7 +75,7 @@ pub mod wire;
 
 pub use api::{Fd, InvClient, OpenMode, SeekWhence};
 pub use chunk::CHUNK_SIZE;
-pub use client::RemoteClient;
+pub use client::SimLink;
 pub use fs::{CreateMode, FileKind, FileStat, InvError, InvResult, InversionFs, SliceRange};
 pub use largeobj::LargeObject;
 pub use nfsfront::{NfsFront, NfsHandle};

@@ -40,7 +40,7 @@ use simdev::DuplexStream;
 use crate::fs::{InvError, InvResult, InversionFs};
 use crate::server::{InvServer, Request, Response};
 use crate::stats::SessionNetStats;
-use crate::wire::{self, FrameEvent, WireError};
+use crate::wire::{self, FrameEvent};
 
 /// Settings for [`InvServerPool`]; none of them changes what it does.
 #[derive(Clone, Default)]
@@ -210,9 +210,10 @@ impl Drop for InvServerPool {
     }
 }
 
-/// Serves one connection: read a frame, run it, write the response, until
-/// the client hangs up, the framing breaks, or a response cannot be written
-/// (which shutdown's closer causes). Then tears the session down: abort the
+/// Serves one connection: read a frame, run it through
+/// [`InvServer::serve_frame`], write the response, until the client hangs
+/// up, the framing breaks, or a response cannot be written (which
+/// shutdown's closer causes). Then tears the session down: abort the
 /// in-flight transaction (releasing locks), reclaim fds, retire the stats
 /// row, close the transport.
 fn session_main(
@@ -223,47 +224,22 @@ fn session_main(
     closer: &(dyn Fn() + Send + Sync),
 ) {
     let inv = sh.fs.stats();
-    let decode_error = || {
-        stats.decode_errors.bump();
-        inv.net_decode_errors.bump();
-    };
     let mut server = InvServer::new(&sh.fs);
     loop {
-        let res: InvResult<Response> = match wire::read_frame(&mut reader) {
-            Ok(FrameEvent::Eof) => break,
-            Ok(FrameEvent::Frame { opcode, payload }) => {
-                let nbytes = (wire::HEADER_LEN + payload.len()) as u64;
-                stats.frames_in.bump();
-                stats.bytes_in.add(nbytes);
-                inv.net_frames_in.bump();
-                inv.net_bytes_in.add(nbytes);
-                match wire::decode_request_frame(opcode, &payload) {
-                    Ok(req) => server.handle(req),
-                    Err(e) => {
-                        decode_error();
-                        Err(InvError::from(e))
-                    }
-                }
-            }
-            // The frame was consumed; the stream is still in sync.
-            Ok(FrameEvent::Corrupt(e)) => {
-                decode_error();
-                Err(InvError::from(e))
-            }
-            Err(e) => {
-                // Framing is untrustworthy: count protocol damage (anything
-                // but a plain transport failure) and tear the session down.
-                if !matches!(e, WireError::Io(_)) {
-                    decode_error();
-                }
-                break;
-            }
-        };
-        let bytes = wire::encode_response(&res);
+        let read = wire::read_frame(&mut reader);
+        if let Ok(FrameEvent::Frame { payload, .. }) = &read {
+            stats.frames_in.bump();
+            stats
+                .bytes_in
+                .add((wire::HEADER_LEN + payload.len()) as u64);
+        }
+        let (response, damaged) = server.serve_frame(read);
+        if damaged {
+            stats.decode_errors.bump();
+        }
+        let Some(bytes) = response else { break };
         stats.frames_out.bump();
         stats.bytes_out.add(bytes.len() as u64);
-        inv.net_frames_out.bump();
-        inv.net_bytes_out.add(bytes.len() as u64);
         // A write failure means the client is gone.
         if wire::write_frame(&mut writer, &bytes).is_err() {
             break;
@@ -328,6 +304,11 @@ impl<S: Read + Write> WireClient<S> {
     /// This client's wire counters.
     pub fn stats(&self) -> &ClientWireStats {
         &self.stats
+    }
+
+    /// The byte stream this client speaks over.
+    pub fn stream(&self) -> &S {
+        &self.stream
     }
 
     /// Sends one request without waiting for its response (pipelining).
@@ -465,27 +446,17 @@ impl<S: Read + Write> WireClient<S> {
             inflight += 1;
         }
         let mut out = Vec::with_capacity(len);
-        let mut first_err = None;
-        for _ in 0..inflight {
-            match self.recv() {
-                Ok(Response::Data(d)) => out.extend_from_slice(&d),
-                Ok(other) => {
-                    first_err.get_or_insert(unexpected(&other));
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
+        for resp in self.recv_all(inflight)? {
+            let Response::Data(d) = resp else {
+                return Err(unexpected(&resp));
+            };
+            out.extend_from_slice(&d);
         }
-        match first_err {
-            None => Ok(out),
-            Some(e) => Err(e),
-        }
+        Ok(out)
     }
 
     /// Writes all of `data` to `fd`, pipelining one frame per 256 KB
-    /// window. Responses are drained after every frame is on the wire; the
-    /// first error (if any) is surfaced once the stream is back in sync.
+    /// window. Responses are drained after every frame is on the wire.
     pub fn write_bulk(&mut self, fd: crate::api::Fd, data: &[u8]) -> InvResult<usize> {
         let mut inflight = 0usize;
         for chunk in data.chunks(BULK_WINDOW) {
@@ -493,22 +464,29 @@ impl<S: Read + Write> WireClient<S> {
             inflight += 1;
         }
         let mut total = 0usize;
+        for resp in self.recv_all(inflight)? {
+            let Response::Count(n) = resp else {
+                return Err(unexpected(&resp));
+            };
+            total += n as usize;
+        }
+        Ok(total)
+    }
+
+    /// Receives `n` pipelined responses. All `n` are read, so the stream is
+    /// back in sync, before the first error (if any) is returned.
+    fn recv_all(&mut self, n: usize) -> InvResult<Vec<Response>> {
+        let mut out = Vec::with_capacity(n);
         let mut first_err = None;
-        for _ in 0..inflight {
+        for _ in 0..n {
             match self.recv() {
-                Ok(Response::Count(n)) => total += n as usize,
-                Ok(other) => {
-                    first_err.get_or_insert(unexpected(&other));
-                }
+                Ok(resp) => out.push(resp),
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
             }
         }
-        match first_err {
-            None => Ok(total),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(out), Err)
     }
 }
 

@@ -5,16 +5,18 @@
 //! system data call these routines." [`InvServer`] is that data-manager-side
 //! dispatcher: it owns a server-side [`crate::InvClient`] per connection and
 //! executes decoded requests against it. The wire protocol lives in
-//! [`crate::client`].
+//! [`crate::wire`]; [`InvServer::serve_frame`] is the one server step that
+//! every transport runs, the pool's session threads ([`crate::pool`]) and
+//! the simulated network link ([`crate::client::SimLink`]) alike.
 
 use minidb::Oid;
 use simdev::SimInstant;
 
 use crate::api::{Fd, InvClient, OpenMode, SeekWhence};
 use crate::fs::{CreateMode, FileStat, InvResult, InversionFs, SliceRange};
+use crate::wire::{self, FrameEvent, WireError};
 
-/// A request as carried by the client/server protocol. Sizes on the wire
-/// are computed by [`Request::wire_size`].
+/// A request as carried by the client/server protocol.
 #[derive(Debug, Clone)]
 pub enum Request {
     /// `p_begin`
@@ -51,16 +53,7 @@ pub enum Request {
     Slice(String, CreateMode, Vec<SliceRange>),
 }
 
-impl Request {
-    /// Exact encoded size in bytes (header + payload), counted by the real
-    /// [`crate::wire`] encoder so the simulated network and the framing can
-    /// never disagree.
-    pub fn wire_size(&self) -> usize {
-        crate::wire::request_wire_size(self)
-    }
-}
-
-/// A server response; sized by [`Response::wire_size`].
+/// A server response.
 #[derive(Debug, Clone)]
 pub enum Response {
     /// Success with no payload.
@@ -77,14 +70,6 @@ pub enum Response {
     Entries(Vec<(String, Oid)>),
 }
 
-impl Response {
-    /// Exact encoded size in bytes, counted by the real [`crate::wire`]
-    /// encoder.
-    pub fn wire_size(&self) -> usize {
-        crate::wire::response_wire_size(Ok(self))
-    }
-}
-
 /// The data-manager-side request executor for one connection.
 pub struct InvServer {
     client: InvClient,
@@ -98,24 +83,6 @@ impl InvServer {
         }
     }
 
-    /// Direct access to the server-side client (the in-process benchmark
-    /// path uses this; "the same files can be used simultaneously by
-    /// dynamically-loaded code and by the more conventional client/server
-    /// architecture").
-    pub fn local(&mut self) -> &mut InvClient {
-        &mut self.client
-    }
-
-    /// Whether this session has an explicit transaction open.
-    pub fn in_transaction(&self) -> bool {
-        self.client.in_transaction()
-    }
-
-    /// How many descriptors this session holds open.
-    pub fn open_fd_count(&self) -> usize {
-        self.client.open_fd_count()
-    }
-
     /// Tears the session down after its connection dropped: aborts any
     /// in-flight transaction (releasing locks), discards buffered writes and
     /// reclaims every fd. Returns `true` when a transaction was aborted.
@@ -123,15 +90,49 @@ impl InvServer {
         self.client.disconnect()
     }
 
-    /// Executes one request, charging the RPC and its wire bytes to the
-    /// file system's [`crate::InvStats`].
-    pub fn handle(&mut self, req: Request) -> InvResult<Response> {
-        {
-            let stats = self.client.fs().stats();
-            stats.rpcs.bump();
-            stats.rpc_bytes_in.add(req.wire_size() as u64);
+    /// One turn of a connection: runs the frame [`wire::read_frame`] read
+    /// and encodes the response frame, counting both in `inv_stat`'s `net_*`
+    /// rows. Returns the response, `None` once the session is over (the
+    /// client hung up, or the framing broke), and whether the frame was
+    /// damaged. A damaged frame that left the stream in sync (checksum
+    /// mismatch, unknown opcode, bad payload) is answered with an error.
+    pub fn serve_frame(&mut self, read: Result<FrameEvent, WireError>) -> (Option<Vec<u8>>, bool) {
+        let res = match read {
+            Ok(FrameEvent::Eof) => return (None, false),
+            Ok(FrameEvent::Frame { opcode, payload }) => {
+                let stats = self.client.fs().stats();
+                stats.net_frames_in.bump();
+                stats
+                    .net_bytes_in
+                    .add((wire::HEADER_LEN + payload.len()) as u64);
+                wire::decode_request_frame(opcode, &payload).map(|req| self.handle(req))
+            }
+            Ok(FrameEvent::Corrupt(e)) => Err(e),
+            Err(e) => {
+                // Framing is untrustworthy: count protocol damage (anything
+                // but a plain transport failure) and end the session.
+                let damaged = !matches!(e, WireError::Io(_));
+                if damaged {
+                    self.client.fs().stats().net_decode_errors.bump();
+                }
+                return (None, damaged);
+            }
+        };
+        let stats = self.client.fs().stats();
+        let damaged = res.is_err();
+        if damaged {
+            stats.net_decode_errors.bump();
         }
-        let resp = match req {
+        let bytes = wire::encode_response(&res.unwrap_or_else(|e| Err(e.into())));
+        stats.net_frames_out.bump();
+        stats.net_bytes_out.add(bytes.len() as u64);
+        (Some(bytes), damaged)
+    }
+
+    /// Executes one request, counting it in `inv_stat`'s `rpcs`.
+    pub fn handle(&mut self, req: Request) -> InvResult<Response> {
+        self.client.fs().stats().rpcs.bump();
+        match req {
             Request::Begin => self.client.p_begin().map(|_| Response::Ok),
             Request::Commit => self.client.p_commit().map(|_| Response::Ok),
             Request::Abort => self.client.p_abort().map(|_| Response::Ok),
@@ -166,13 +167,7 @@ impl InvServer {
                 .client
                 .p_slice(&dest, mode, &ranges)
                 .map(|s| Response::Stat(Box::new(s))),
-        }?;
-        self.client
-            .fs()
-            .stats()
-            .rpc_bytes_out
-            .add(resp.wire_size() as u64);
-        Ok(resp)
+        }
     }
 }
 
@@ -210,13 +205,14 @@ mod tests {
 
     #[test]
     fn wire_sizes_scale_with_payload() {
-        let small = Request::Write(3, vec![0; 10]).wire_size();
-        let big = Request::Write(3, vec![0; 8192]).wire_size();
+        use crate::wire::{request_wire_size as req_size, response_wire_size as resp_size};
+        let small = req_size(&Request::Write(3, vec![0; 10]));
+        let big = req_size(&Request::Write(3, vec![0; 8192]));
         assert!(big > small + 8000);
-        assert!(Response::Data(vec![0; 100]).wire_size() > Response::Ok.wire_size());
-        assert!(Request::Stat("/a/long/path".into()).wire_size() > Request::Begin.wire_size());
-        let entries = Response::Entries(vec![("file".into(), Oid(1))]).wire_size();
-        assert!(entries > Response::Ok.wire_size());
+        let ok = resp_size(Ok(&Response::Ok));
+        assert!(resp_size(Ok(&Response::Data(vec![0; 100]))) > ok);
+        assert!(req_size(&Request::Stat("/a/long/path".into())) > req_size(&Request::Begin));
+        assert!(resp_size(Ok(&Response::Entries(vec![("file".into(), Oid(1))]))) > ok);
     }
 
     #[test]
@@ -252,7 +248,7 @@ mod tests {
             .chain(bulk.map(|n| Request::Write(3, vec![0xA5; n])));
         for req in requests {
             assert_eq!(
-                req.wire_size(),
+                crate::wire::request_wire_size(&req),
                 crate::wire::encode_request(&req).len(),
                 "{req:?}"
             );
@@ -276,7 +272,7 @@ mod tests {
             .chain(bulk.map(|n| Response::Data(vec![0x5A; n])));
         for resp in responses {
             assert_eq!(
-                resp.wire_size(),
+                crate::wire::response_wire_size(Ok(&resp)),
                 crate::wire::encode_response(&Ok(resp.clone())).len(),
                 "{resp:?}"
             );
@@ -301,13 +297,23 @@ mod tests {
         let fs = InversionFs::open_in_memory().unwrap();
         let mut srv = InvServer::new(&fs);
         srv.handle(Request::Begin).unwrap();
-        srv.handle(Request::Creat("/gone".into(), CreateMode::default()))
-            .unwrap();
-        assert!(srv.in_transaction());
-        assert_eq!(srv.open_fd_count(), 1);
+        let Response::Fd(fd) = srv
+            .handle(Request::Creat("/gone".into(), CreateMode::default()))
+            .unwrap()
+        else {
+            panic!()
+        };
+        assert!(fs.db().held_lock_count() > 0);
         assert!(srv.disconnect());
-        assert!(!srv.in_transaction());
-        assert_eq!(srv.open_fd_count(), 0);
+        assert_eq!(fs.db().held_lock_count(), 0);
+        assert!(matches!(
+            srv.handle(Request::Close(fd)),
+            Err(crate::InvError::BadFd(_))
+        ));
+        assert!(matches!(
+            srv.handle(Request::Commit),
+            Err(crate::InvError::Db(minidb::DbError::NoTransaction))
+        ));
         assert!(srv.handle(Request::Stat("/gone".into())).is_err());
         assert!(!srv.disconnect());
     }

@@ -80,10 +80,6 @@ stat_table! {
     atimes_written: Counter,
     /// Requests executed by the client/server dispatcher.
     rpcs: Counter,
-    /// Request bytes received by the server (wire sizes).
-    rpc_bytes_in: Counter,
-    /// Response bytes sent by the server (wire sizes).
-    rpc_bytes_out: Counter,
     /// Connections accepted by the session pool.
     sessions_opened: Counter,
     /// Sessions torn down (clean close or disconnect).
@@ -297,11 +293,18 @@ mod tests {
         srv.handle(Request::Commit).unwrap();
         let st = fs.stats();
         assert_eq!(st.rpcs.get(), 5);
-        assert!(st.rpc_bytes_in.get() > 1000, "write payload counted");
-        assert!(
-            st.rpc_bytes_out.get() >= 5 * crate::wire::HEADER_LEN as u64,
-            "response headers counted"
-        );
+        assert_eq!(st.net_bytes_in.get(), 0, "no frame crossed a wire");
+
+        // A frame counts as one RPC and its two frames' real lengths.
+        let frame = crate::wire::encode_request(&Request::Stat("/r".into()));
+        let (response, damaged) = srv.serve_frame(crate::wire::read_frame(&mut &frame[..]));
+        let response = response.unwrap();
+        assert!(!damaged);
+        assert_eq!(st.rpcs.get(), 6);
+        assert_eq!(st.net_frames_in.get(), 1);
+        assert_eq!(st.net_bytes_in.get(), frame.len() as u64);
+        assert_eq!(st.net_frames_out.get(), 1);
+        assert_eq!(st.net_bytes_out.get(), response.len() as u64);
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! Ethernet" and found the protocol "much too heavy-weight". Reproducing
 //! that verdict honestly requires a *real* protocol, not a size estimate:
 //! this module defines the byte-exact encoding of every [`Request`] and
-//! every response, and everything that talks about message sizes —
-//! [`Request::wire_size`], the simulated network charges, the `pg_stat_net`
-//! byte counters — derives them from this one encoder, so the simulation and
-//! the real framing can never disagree. A size is the encoder run over a
-//! byte counter instead of a buffer: no frame is built, no payload copied
-//! or checksummed, just to learn how long it would have been.
+//! every response. Every client of the server sends these frames, the
+//! simulated network link ([`crate::client::SimLink`]) included, so what
+//! the simulated network charges and what the `pg_stat_net` and `inv_stat`
+//! byte counters count are the lengths of the frames sent.
+//! [`request_wire_size`] and [`response_wire_size`] are the encoder run over
+//! a byte counter instead of a buffer, which the encoder uses to size its
+//! buffer.
 //!
 //! # Frame layout
 //!
@@ -701,16 +702,14 @@ fn put_response(out: &mut impl Sink, res: Result<&Response, &InvError>) -> u16 {
     }
 }
 
-/// The encoded size of a request (header + payload) — what
-/// [`Request::wire_size`] and the network charges are derived from.
+/// The encoded size of a request (header + payload), without encoding it.
 pub fn request_wire_size(req: &Request) -> usize {
     let mut n = ByteCount(HEADER_LEN);
     put_request(&mut n, req);
     n.0
 }
 
-/// The encoded size of a server result — what [`Response::wire_size`] and
-/// the network charges are derived from.
+/// The encoded size of a server result, without encoding it.
 pub fn response_wire_size(res: Result<&Response, &InvError>) -> usize {
     let mut n = ByteCount(HEADER_LEN);
     put_response(&mut n, res);

@@ -35,12 +35,12 @@ fn main() {
     let fd = alice
         .creat("/shared/report", CreateMode::default().owned_by("alice"))
         .unwrap();
+    let frames_before = alice.stats().frames_out.get();
     let n = alice.write_bulk(fd, &report).unwrap();
+    let frames = alice.stats().frames_out.get() - frames_before;
     alice.close(fd).unwrap();
-    println!(
-        "alice streamed {n} bytes in {} frames",
-        alice.stats().frames_out.get()
-    );
+    assert_eq!(frames, 1, "50 000 bytes fit one 256 KB window");
+    println!("alice streamed {n} bytes in {frames} frame");
 
     // 2. Descriptor tables are session state: bob cannot use alice's fd.
     println!("\n== per-session descriptor isolation ==");

@@ -153,6 +153,25 @@ grep -q '"index_scan_chosen":true' BENCH_fig4_random_byte.json || {
     exit 1
 }
 
+# The paper: "Inversion is between 30 and 80 percent as fast as the native
+# ULTRIX file system over NFS". Each of fig5's three read shares must stay
+# in that band (virtual time; the read rows repeat run to run).
+echo "== fig5_reads: every read share within the paper's 30-80 % of NFS =="
+fig5_shares=$(cargo run --release -q -p bench --bin fig5_reads \
+    | grep 'Inversion throughput vs NFS' \
+    | grep -oE '(single|sequential|random): [0-9]+%' || true)
+test "$(grep -c . <<<"$fig5_shares")" -eq 3 || {
+    echo "fig5_reads did not print its three read shares" >&2
+    exit 1
+}
+while read -r kind pct; do
+    kind=${kind%:} pct=${pct%\%}
+    if ((pct < 30 || pct > 80)); then
+        echo "fig5_reads: $kind read is $pct % of NFS, outside the paper's 30-80 %" >&2
+        exit 1
+    fi
+done <<<"$fig5_shares"
+
 mkdir -p results
 mv BENCH_fig3_create.json BENCH_fig4_random_byte.json results/
 echo "CI OK"

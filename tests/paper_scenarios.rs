@@ -5,7 +5,7 @@
 mod common;
 
 use common::Devices;
-use inversion::{CreateMode, InvServer, InversionFs, LargeObject, RemoteClient};
+use inversion::{CreateMode, InvServer, InversionFs, LargeObject, SimLink, WireClient};
 use minidb::Datum;
 use simdev::{CpuModel, Endpoint, NetProfile, Network};
 
@@ -86,17 +86,17 @@ fn remote_clients_and_direct_clients_share_one_database() {
     let fs = fresh_fs();
     let clock = fs.db().clock().clone();
     let net = Network::ethernet_10mbit(clock.clone());
-    let mut remote = RemoteClient::connect(
+    let mut remote = WireClient::new(SimLink::connect(
         &fs,
         Endpoint::new(net, NetProfile::tcp_1993()),
         CpuModel::decsystem5900(clock),
-    );
+    ));
 
-    remote.p_begin().unwrap();
-    let fd = remote.p_creat("/shared", CreateMode::default()).unwrap();
-    remote.p_write(fd, b"written remotely").unwrap();
-    remote.p_close(fd).unwrap();
-    remote.p_commit().unwrap();
+    remote.begin().unwrap();
+    let fd = remote.creat("/shared", CreateMode::default()).unwrap();
+    remote.write_bulk(fd, b"written remotely").unwrap();
+    remote.close(fd).unwrap();
+    remote.commit().unwrap();
 
     let mut local = fs.client();
     assert_eq!(
