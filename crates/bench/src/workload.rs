@@ -549,6 +549,29 @@ mod tests {
         assert!(rr.create > rl.create);
     }
 
+    /// The figures' client/server path keeps the paper's protocol: a
+    /// megabyte moved either way costs at least one round trip per 8 KB
+    /// segment, never a few bulk windows.
+    #[test]
+    fn remote_transfers_take_one_round_trip_per_segment() {
+        let mut remote = InversionRemote::new(InversionTestbed::with_config(64, true));
+        remote.create_file(2 * MB);
+        let rpcs = |r: &InversionRemote| r.client.stream().net_stats().rpcs;
+        let segments = MB / SEGMENT as u64;
+
+        let before = rpcs(&remote);
+        remote.write_at(MB, &vec![0x5Au8; MB as usize]);
+        let wrote = rpcs(&remote) - before;
+        assert!(wrote >= segments, "a 1 MB write took {wrote} RPCs");
+
+        let before = rpcs(&remote);
+        let mut buf = vec![0u8; MB as usize];
+        remote.read_at(MB, &mut buf);
+        let read = rpcs(&remote) - before;
+        assert!(read >= segments, "a 1 MB read took {read} RPCs");
+        assert!(buf.iter().all(|&b| b == 0x5A));
+    }
+
     #[test]
     fn rng_offsets_in_bounds() {
         let mut rng = Rng(42);

@@ -97,6 +97,11 @@ impl InvClient {
         self.session.is_some()
     }
 
+    /// How many file descriptors are currently open.
+    pub fn open_fd_count(&self) -> usize {
+        self.fds.len()
+    }
+
     /// Tears the client down after its connection vanished: any open
     /// transaction is aborted (releasing its locks), buffered writes are
     /// discarded, and every descriptor is reclaimed. Returns `true` when an

@@ -83,6 +83,24 @@ impl InvServer {
         }
     }
 
+    /// Direct access to the server-side client (the in-process benchmark
+    /// path uses this; "the same files can be used simultaneously by
+    /// dynamically-loaded code and by the more conventional client/server
+    /// architecture").
+    pub fn local(&mut self) -> &mut InvClient {
+        &mut self.client
+    }
+
+    /// Whether this session has an explicit transaction open.
+    pub fn in_transaction(&self) -> bool {
+        self.client.in_transaction()
+    }
+
+    /// How many descriptors this session holds open.
+    pub fn open_fd_count(&self) -> usize {
+        self.client.open_fd_count()
+    }
+
     /// Tears the session down after its connection dropped: aborts any
     /// in-flight transaction (releasing locks), discards buffered writes and
     /// reclaims every fd. Returns `true` when a transaction was aborted.
@@ -297,23 +315,13 @@ mod tests {
         let fs = InversionFs::open_in_memory().unwrap();
         let mut srv = InvServer::new(&fs);
         srv.handle(Request::Begin).unwrap();
-        let Response::Fd(fd) = srv
-            .handle(Request::Creat("/gone".into(), CreateMode::default()))
-            .unwrap()
-        else {
-            panic!()
-        };
-        assert!(fs.db().held_lock_count() > 0);
+        srv.handle(Request::Creat("/gone".into(), CreateMode::default()))
+            .unwrap();
+        assert!(srv.in_transaction());
+        assert_eq!(srv.open_fd_count(), 1);
         assert!(srv.disconnect());
-        assert_eq!(fs.db().held_lock_count(), 0);
-        assert!(matches!(
-            srv.handle(Request::Close(fd)),
-            Err(crate::InvError::BadFd(_))
-        ));
-        assert!(matches!(
-            srv.handle(Request::Commit),
-            Err(crate::InvError::Db(minidb::DbError::NoTransaction))
-        ));
+        assert!(!srv.in_transaction());
+        assert_eq!(srv.open_fd_count(), 0);
         assert!(srv.handle(Request::Stat("/gone".into())).is_err());
         assert!(!srv.disconnect());
     }
