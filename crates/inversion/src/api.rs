@@ -97,11 +97,6 @@ impl InvClient {
         self.session.is_some()
     }
 
-    /// How many file descriptors are currently open.
-    pub fn open_fd_count(&self) -> usize {
-        self.fds.len()
-    }
-
     /// Tears the client down after its connection vanished: any open
     /// transaction is aborted (releasing its locks), buffered writes are
     /// discarded, and every descriptor is reclaimed. Returns `true` when an
@@ -1119,15 +1114,9 @@ impl InversionFs {
     /// caller holds `fileatt`'s shared lock, so no creator commits a row
     /// while this runs.
     fn orphan_rels(&self, s: &mut Session) -> InvResult<Vec<minidb::Finding>> {
-        let mut versions = s.scan_committed_versions(self.rels.fileatt)?;
-        let archive = self.db().catalog().relation(self.rels.fileatt)?.archive;
-        if let Some(arch) = archive {
-            for (_, row) in s.scan_with_snapshot(arch, Some(&Snapshot::Dirty))? {
-                versions.push(minidb::decode_row(row[2].as_bytes()?)?);
-            }
-        }
+        let versions = s.scan_version_history(self.rels.fileatt)?;
         let named: HashSet<u32> =
-            versions.iter().map(|v| v[A_DATAREL].as_oid()).collect::<Result<_, _>>()?;
+            versions.iter().map(|(_, _, v)| v[A_DATAREL].as_oid()).collect::<Result<_, _>>()?;
         let unnamed: Vec<(RelId, String)> = self
             .db()
             .catalog()

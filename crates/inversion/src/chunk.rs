@@ -19,6 +19,9 @@
 /// at 2^31 x 8128 bytes ≈ 17.5 TB — the paper's "17.6 TBytes".
 pub const CHUNK_SIZE: usize = 8128;
 
+// An archived full chunk, `(amin, amax, chunkno, data)`, fits a heap tuple.
+const _: () = assert!(2 + 2 * 9 + 5 + (5 + CHUNK_SIZE) <= minidb::heap::MAX_ROW);
+
 /// The chunk containing byte `offset`.
 pub fn chunk_of(offset: u64) -> u32 {
     (offset / CHUNK_SIZE as u64) as u32

@@ -11,10 +11,10 @@ use minidb::{DeviceId, RelId};
 
 use crate::fs::{InvResult, InversionFs};
 
-/// Vacuums every user heap relation, archiving dead versions onto
-/// `archive_dev`. Returns per-relation statistics. Requires a quiescent
-/// system. The system relations are left alone: see [`vacuum`]. The sweep
-/// is also a write-back point for pending access times.
+/// Vacuums every user heap relation, one transaction each, archiving dead
+/// versions onto `archive_dev`; returns per-relation statistics. Clients
+/// keep working; system relations are left alone (see [`vacuum`]). The
+/// sweep is also a write-back point for pending access times.
 pub fn vacuum_all(
     fs: &InversionFs,
     archive_dev: DeviceId,

@@ -83,24 +83,6 @@ impl InvServer {
         }
     }
 
-    /// Direct access to the server-side client (the in-process benchmark
-    /// path uses this; "the same files can be used simultaneously by
-    /// dynamically-loaded code and by the more conventional client/server
-    /// architecture").
-    pub fn local(&mut self) -> &mut InvClient {
-        &mut self.client
-    }
-
-    /// Whether this session has an explicit transaction open.
-    pub fn in_transaction(&self) -> bool {
-        self.client.in_transaction()
-    }
-
-    /// How many descriptors this session holds open.
-    pub fn open_fd_count(&self) -> usize {
-        self.client.open_fd_count()
-    }
-
     /// Tears the session down after its connection dropped: aborts any
     /// in-flight transaction (releasing locks), discards buffered writes and
     /// reclaims every fd. Returns `true` when a transaction was aborted.
@@ -192,6 +174,8 @@ impl InvServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::InvError;
+    use minidb::DbError;
 
     #[test]
     fn server_executes_requests() {
@@ -315,13 +299,14 @@ mod tests {
         let fs = InversionFs::open_in_memory().unwrap();
         let mut srv = InvServer::new(&fs);
         srv.handle(Request::Begin).unwrap();
-        srv.handle(Request::Creat("/gone".into(), CreateMode::default()))
-            .unwrap();
-        assert!(srv.in_transaction());
-        assert_eq!(srv.open_fd_count(), 1);
+        let Response::Fd(fd) = srv.handle(Request::Creat("/gone".into(), CreateMode::default())).unwrap() else {
+            panic!("creat answers a descriptor");
+        };
+        assert!(fs.db().held_lock_count() > 0);
         assert!(srv.disconnect());
-        assert!(!srv.in_transaction());
-        assert_eq!(srv.open_fd_count(), 0);
+        assert_eq!(fs.db().held_lock_count(), 0, "the abort released every lock");
+        assert!(matches!(srv.handle(Request::Close(fd)), Err(InvError::BadFd(f)) if f == fd));
+        assert!(matches!(srv.handle(Request::Commit), Err(InvError::Db(DbError::NoTransaction))));
         assert!(srv.handle(Request::Stat("/gone".into())).is_err());
         assert!(!srv.disconnect());
     }

@@ -14,7 +14,8 @@
 //! entries; leaves hold `(key, tid)` and are chained left-to-right for range
 //! scans. A full root moves both its halves to new pages and becomes, in
 //! place, the internal node over them. Deletion is lazy (no rebalancing);
-//! the vacuum cleaner rebuilds indices when it rewrites a relation.
+//! the vacuum cleaner builds each index anew on the storage it moves a
+//! relation to.
 //!
 //! Entries are totally ordered by `(key, tid)`, ascending: the heap tid an
 //! entry points at breaks ties between equal keys, in leaves, at splits and
@@ -176,41 +177,35 @@ pub struct BTree<'a> {
     pub rel: RelId,
     /// Where search/insert/split counts go.
     pub stats: &'a StatsRegistry,
-    /// The write-ahead log, when mutations must be logged. `None` runs
-    /// unlogged — read paths, checks, and vacuum's index rebuild, which
-    /// flushes and syncs explicitly.
-    pub wal: Option<&'a crate::wal::Wal>,
+    /// The write-ahead log every change is logged to.
+    pub wal: &'a crate::wal::Wal,
 }
 
 impl<'a> BTree<'a> {
     /// Logs a full after-image of `data` (structure changes — splits, root
     /// and meta updates, lazy deletes) and stamps its page LSN.
     fn log_image(&self, data: &mut [u8], blkno: u64) -> DbResult<()> {
-        if let Some(wal) = self.wal {
-            let end = wal.append(&crate::wal::WalRecord::PageImage {
-                dev: self.dev,
-                rel: self.rel,
-                blkno,
-                image: data.to_vec(),
-            })?;
-            page::set_lsn(data, end);
-        }
+        let end = self.wal.append(&crate::wal::WalRecord::PageImage {
+            dev: self.dev,
+            rel: self.rel,
+            blkno,
+            image: data.to_vec(),
+        })?;
+        page::set_lsn(data, end);
         Ok(())
     }
 
     /// Logs `page::insert_at(data, slot, item)` — the bytes that changed,
     /// wherever in the node the item went — and stamps the page LSN.
     fn log_insert(&self, data: &mut [u8], blkno: u64, slot: u16, item: &[u8]) -> DbResult<()> {
-        if let Some(wal) = self.wal {
-            let end = wal.append(&crate::wal::WalRecord::Insert {
-                dev: self.dev,
-                rel: self.rel,
-                blkno,
-                slot,
-                tuple: item.to_vec(),
-            })?;
-            page::set_lsn(data, end);
-        }
+        let end = self.wal.append(&crate::wal::WalRecord::Insert {
+            dev: self.dev,
+            rel: self.rel,
+            blkno,
+            slot,
+            tuple: item.to_vec(),
+        })?;
+        page::set_lsn(data, end);
         Ok(())
     }
 
@@ -880,35 +875,21 @@ impl<'a> BTree<'a> {
 mod tests {
     use super::*;
     use crate::ids::Oid;
-    use crate::smgr::{shared_device, GenericManager};
-    use simdev::{DiskProfile, MagneticDisk, SimClock};
+    use crate::xact::rig::Rig;
 
     struct Fixture {
-        pool: BufferPool,
-        smgr: Smgr,
+        rig: Rig,
         rel: RelId,
         stats: StatsRegistry,
     }
 
     impl Fixture {
         fn new() -> Fixture {
-            let clock = SimClock::new();
-            let dev = shared_device(MagneticDisk::new(
-                "d",
-                clock,
-                DiskProfile::tiny_for_tests(65536),
-            ));
-            let mut smgr = Smgr::new();
-            smgr.register(
-                DeviceId::DEFAULT,
-                Box::new(GenericManager::format(dev).unwrap()),
-            )
-            .unwrap();
+            let rig = Rig::new(1 << 10);
             let rel = Oid(60);
-            smgr.with(DeviceId::DEFAULT, |m| m.create_rel(rel)).unwrap();
+            rig.smgr.with(DeviceId::DEFAULT, |m| m.create_rel(rel)).unwrap();
             let fx = Fixture {
-                pool: BufferPool::new(64),
-                smgr,
+                rig,
                 rel,
                 stats: StatsRegistry::new(),
             };
@@ -918,9 +899,9 @@ mod tests {
 
         fn btree(&self) -> BTree<'_> {
             BTree {
-                wal: None,
-                pool: &self.pool,
-                smgr: &self.smgr,
+                wal: &self.rig.wal,
+                pool: &self.rig.pool,
+                smgr: &self.rig.smgr,
                 dev: DeviceId::DEFAULT,
                 rel: self.rel,
                 stats: &self.stats,
@@ -1080,7 +1061,7 @@ mod tests {
         assert!(newest_first(&bt, &ikey(43)).is_empty());
         // Stopping at the first entry reads one leaf, not the run.
         let accesses = || {
-            let s = fx.pool.stats();
+            let s = fx.rig.pool.stats();
             s.hits + s.misses
         };
         let before = accesses();
@@ -1149,7 +1130,7 @@ mod tests {
         assert!(bt.check("t").0.is_empty());
         // Append a version whose tid is below the run's last, behind
         // `insert`'s back: equal keys, so only the tiebreak can object.
-        let pref = fx.pool.get_page(&fx.smgr, DeviceId::DEFAULT, fx.rel, ROOT).unwrap();
+        let pref = fx.rig.pool.get_page(&fx.rig.smgr, DeviceId::DEFAULT, fx.rel, ROOT).unwrap();
         page::insert(
             pref.write().data_mut(),
             &encode_item(&ikey(7), &Tid::new(3, 1).encode()),
@@ -1172,7 +1153,7 @@ mod tests {
         assert!(bt.check("t").0.is_empty());
         // Drop the tids from the root's fences: every fence of the run now
         // sorts below the entries of the leaf to its left.
-        let pref = fx.pool.get_page(&fx.smgr, DeviceId::DEFAULT, fx.rel, ROOT).unwrap();
+        let pref = fx.rig.pool.get_page(&fx.rig.smgr, DeviceId::DEFAULT, fx.rel, ROOT).unwrap();
         {
             let mut pbuf = pref.write();
             let data = pbuf.data_mut();

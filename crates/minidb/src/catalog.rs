@@ -67,6 +67,10 @@ pub struct RelationEntry {
     pub kind: RelKind,
     /// The device it lives on.
     pub device: DeviceId,
+    /// The storage its pages are addressed by on `device`, as PostgreSQL's
+    /// `relfilenode`: the oid at creation. A vacuum moves a relation onto
+    /// fresh storage at its commit; a system relation never moves.
+    pub storage: RelId,
     /// Column layout (heaps; indices reuse their table's key columns).
     pub schema: Schema,
     /// For indices: what they index.
@@ -147,7 +151,7 @@ pub const PG_RULE: RelId = Oid(4);
 pub const PG_LOG: RelId = Oid(5);
 
 /// Columns of a `pg_class` row.
-const PG_CLASS_WIDTH: usize = 10;
+const PG_CLASS_WIDTH: usize = 11;
 
 fn system_relations() -> [(RelId, &'static str, Schema); 4] {
     use TypeId as T;
@@ -166,6 +170,7 @@ fn system_relations() -> [(RelId, &'static str, Schema); 4] {
                 ("indisunique", T::BOOL),
                 ("relarchive", T::OID),
                 ("relnohistory", T::BOOL),
+                ("relfilenode", T::OID),
             ]),
         ),
         (
@@ -232,6 +237,7 @@ impl RelationEntry {
             name: name.to_string(),
             kind: RelKind::Heap,
             device,
+            storage: id,
             schema,
             index: None,
             indexes: vec![],
@@ -266,6 +272,7 @@ impl RelationEntry {
             Datum::Bool(indisunique),
             Datum::Oid(self.archive.map_or(0, |a| a.0)),
             Datum::Bool(self.no_history),
+            Datum::Oid(self.storage.0),
         ]
     }
 
@@ -297,6 +304,7 @@ impl RelationEntry {
                 name: r[1].as_text()?.to_string(),
                 kind,
                 device: DeviceId(device),
+                storage: Oid(r[10].as_oid()?),
                 schema: Schema::decode(r[4].as_bytes()?, &mut 0)?,
                 index,
                 indexes: vec![],
@@ -524,11 +532,11 @@ impl Catalog {
         self.relations.values()
     }
 
-    /// Every `(device, relation)` the database keeps storage for: each
-    /// catalogued relation, and the status relation, which no row names.
+    /// Every `(device, storage)` the database keeps: each catalogued
+    /// relation's, and the status relation's, which no row names.
     pub fn storage(&self) -> impl Iterator<Item = (DeviceId, RelId)> + '_ {
         let status = std::iter::once((DeviceId::CATALOG, PG_LOG));
-        self.relations().map(|e| (e.device, e.id)).chain(status)
+        self.relations().map(|e| (e.device, e.storage)).chain(status)
     }
 
     /// Registers a user-defined type (its id a fresh oid).
@@ -741,34 +749,19 @@ mod tests {
     use super::*;
 
     fn heap_entry(id: u32, name: &str) -> RelationEntry {
-        RelationEntry {
-            id: Oid(id),
-            name: name.into(),
-            kind: RelKind::Heap,
-            device: DeviceId::DEFAULT,
-            schema: Schema::new([("a", TypeId::INT4), ("b", TypeId::TEXT), ("c", TypeId::OID)]),
-            index: None,
-            indexes: vec![],
-            archive: None,
-            no_history: false,
-        }
+        let schema = Schema::new([("a", TypeId::INT4), ("b", TypeId::TEXT), ("c", TypeId::OID)]);
+        RelationEntry::heap(Oid(id), name, DeviceId::DEFAULT, schema)
     }
 
     fn index_entry(id: u32, name: &str, table: RelId, cols: &[usize]) -> RelationEntry {
         RelationEntry {
-            id: Oid(id),
-            name: name.into(),
             kind: RelKind::BTreeIndex,
-            device: DeviceId(2),
-            schema: Schema::default(),
             index: Some(IndexInfo {
                 table,
                 key_columns: cols.to_vec(),
                 unique: false,
             }),
-            indexes: vec![],
-            archive: None,
-            no_history: false,
+            ..RelationEntry::heap(Oid(id), name, DeviceId(2), Schema::default())
         }
     }
 
@@ -888,6 +881,7 @@ mod tests {
         let mut t = heap_entry(1000, "fileatt");
         let arch = heap_entry(1001, "fileatt,arch");
         t.archive = Some(arch.id);
+        t.storage = Oid(1004); // Moved by a vacuum.
         t.no_history = true;
         let idx = index_entry(1002, "fileatt_idx", t.id, &[0, 2]);
         let ty = TypeEntry {

@@ -112,12 +112,15 @@ impl fmt::Display for Finding {
 /// produces a full report.
 pub fn check_all(db: &Db) -> Vec<Finding> {
     let mut out = Vec::new();
-    let (rels, storage, defined) = {
+    // The storage is pinned: a vacuum or drop that commits meanwhile frees
+    // what this run reads only once it is done.
+    let (rels, storage, defined, _pins) = {
         let _order = crate::lock::order::token(crate::lock::order::CATALOG);
         let cat = db.inner.catalog.read();
         out.extend(cat.check());
         let storage: HashSet<(DeviceId, RelId)> = cat.storage().collect();
-        (cat.relations().cloned().collect::<Vec<_>>(), storage, cat.defined_rows())
+        let pins = db.inner.pin(storage.iter().copied().collect());
+        (cat.relations().cloned().collect::<Vec<_>>(), storage, cat.defined_rows(), pins)
     };
     out.extend(db.inner.xlog.check(db.inner.status_io()));
     // The buffer pool's structural self-audit: every shard's map and clock
@@ -133,13 +136,13 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
     let by_id: HashMap<RelId, &RelationEntry> = rels.iter().map(|e| (e.id, e)).collect();
     catalog_rows(db, &by_id, defined, &storage, &mut out);
     for e in &rels {
-        match db.inner.smgr.with(e.device, |m| Ok(m.has_rel(e.id))) {
+        match db.inner.smgr.with(e.device, |m| Ok(m.has_rel(e.storage))) {
             Ok(true) => {}
             Ok(false) => {
                 out.push(Finding::new(
                     &e.name,
                     "catalog-dangling-rel",
-                    format!("relation {} is catalogued but absent from {}", e.id, e.device),
+                    format!("relation {} is catalogued but its storage {} is absent from {}", e.id, e.storage, e.device),
                 ));
                 continue;
             }
@@ -154,11 +157,11 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
         }
         match e.kind {
             RelKind::Heap => {
-                let heap = db.inner.heap(e.id, e.device, false);
+                let heap = db.inner.heap(e.storage, e.device);
                 out.extend(heap.check(&e.name, &e.schema));
             }
             RelKind::BTreeIndex => {
-                let bt = db.inner.btree(e.id, e.device, false);
+                let bt = db.inner.btree(e.storage, e.device);
                 let (findings, entries) = bt.check(&e.name);
                 out.extend(findings);
                 index_to_heap(db, e, &by_id, entries, &mut out);
@@ -188,9 +191,10 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
 /// ([`Db::ddl_in_flight`]) and a type, function or rule whose row's
 /// inserting transaction still runs —
 /// and every relation a device holds must be in the catalog's `storage`
-/// (`device-orphan-rel`): the reverse of the per-relation
-/// `catalog-dangling-rel` check, and the verifier of the sweep
-/// [`crate::Db::recover`] ends with.
+/// (`device-orphan-rel`), but for storage a running vacuum is building
+/// (it holds the new storage id's exclusive lock): the reverse of the
+/// per-relation `catalog-dangling-rel` check, and the verifier of the
+/// sweep [`crate::Db::recover`] ends with.
 fn catalog_rows(
     db: &Db,
     by_id: &HashMap<RelId, &RelationEntry>,
@@ -242,7 +246,7 @@ fn catalog_rows(
             continue; // Reported per relation, as `check-error`.
         };
         for rel in on_device {
-            if !storage.contains(&(dev, rel)) {
+            if !storage.contains(&(dev, rel)) && !db.ddl_in_flight(rel) {
                 out.push(Finding::new(
                     dev.to_string(),
                     "device-orphan-rel",
@@ -256,7 +260,7 @@ fn catalog_rows(
 /// The rows of the system relation `rel` whose inserting transaction still
 /// runs: DDL in flight.
 fn rows_in_flight(db: &Db, rel: RelId) -> DbResult<Vec<Row>> {
-    let heap = db.inner.heap(rel, DeviceId::CATALOG, false);
+    let heap = db.inner.heap(rel, DeviceId::CATALOG);
     let mut rows = Vec::new();
     heap.scan_all_raw(|_tid, hdr, bytes| {
         if heap.state(hdr.xmin)? == XactState::InProgress {
@@ -291,7 +295,7 @@ fn index_to_heap(
     let nblocks = match db
         .inner
         .smgr
-        .with(table.device, |m| m.nblocks(info.table))
+        .with(table.device, |m| m.nblocks(table.storage))
     {
         Ok(n) => n,
         Err(err) => {
@@ -320,7 +324,7 @@ fn index_to_heap(
             let pref =
                 db.inner
                     .pool
-                    .get_page(&db.inner.smgr, table.device, info.table, tid.blkno.into())?;
+                    .get_page(&db.inner.smgr, table.device, table.storage, tid.blkno.into())?;
             let _order = crate::lock::order::token(crate::lock::order::HEAP_PAGE);
             let pbuf = pref.read();
             let data = pbuf.data();
@@ -432,7 +436,7 @@ fn heap_to_index(
     if indexes.is_empty() {
         return Ok(());
     }
-    let heap = db.inner.heap(heap_rel.id, heap_rel.device, false);
+    let heap = db.inner.heap(heap_rel.storage, heap_rel.device);
     heap.scan_all_raw(|tid, hdr, bytes| {
         if !matches!(heap.state(hdr.xmin)?, XactState::Committed(_)) {
             return Ok(()); // Uncommitted or crashed writer: no entry required.
@@ -452,7 +456,7 @@ fn heap_to_index(
             if skip {
                 continue;
             }
-            let bt = db.inner.btree(ie.id, ie.device, false);
+            let bt = db.inner.btree(ie.storage, ie.device);
             match bt.contains(&key, tid) {
                 Ok(true) => {}
                 Ok(false) => out.push(
@@ -595,7 +599,7 @@ mod tests {
             s.commit().unwrap();
             (ie, vec![row[0].clone()], tid)
         };
-        let bt = db.inner.btree(idx_entry.id, idx_entry.device, false);
+        let bt = db.inner.btree(idx_entry.storage, idx_entry.device);
         assert!(bt.delete(&key, tid).unwrap());
         let findings = db.check_all();
         assert!(
@@ -749,14 +753,14 @@ mod tests {
         // A cached relation whose row never committed would vanish at the
         // next restart.
         let mut ghost = db.catalog().relation(rel).unwrap().clone();
-        (ghost.id, ghost.name, ghost.indexes) = (Oid(777_778), "ghost".into(), vec![]);
+        (ghost.id, ghost.storage, ghost.name, ghost.indexes) = (Oid(777_778), Oid(777_778), "ghost".into(), vec![]);
         db.inner.catalog.write().add_relation(ghost.clone()).unwrap();
         db.inner
             .smgr
             .with(DeviceId::DEFAULT, |m| m.create_rel(ghost.id))
             .unwrap();
         assert_eq!(codes(&db), [("catalog-row".into(), "ghost".into())]);
-        db.catalog_txn(|s| s.store_class_rows(&[ghost.id])).unwrap();
+        db.catalog_txn(|s| s.insert_row(PG_CLASS, ghost.to_row())).unwrap();
         assert_eq!(codes(&db), []);
 
         // Not so one whose creating transaction still runs, and nothing is

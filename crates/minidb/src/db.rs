@@ -36,8 +36,8 @@ use simdev::{DiskProfile, MagneticDisk, SimClock, SimDuration, SimInstant};
 use crate::btree::BTree;
 use crate::buffer::{BufferPool, DEFAULT_BUFFERS};
 use crate::catalog::{Catalog, RelKind, RuleEntry, PG_CLASS, PG_LOG, PG_PROC, PG_RULE, PG_TYPE};
-use crate::datum::{decode_row, Datum, Row, Schema, TypeId};
-use crate::ddl::Ddl;
+use crate::datum::{decode_row, encode_row, Datum, Row, Schema, TypeId};
+use crate::ddl::{Ddl, Pinned, Pins};
 use crate::error::{DbError, DbResult};
 use crate::funcs::{FuncDef, FunctionRegistry};
 use crate::heap::Heap;
@@ -150,6 +150,8 @@ pub(crate) struct DbInner {
     pub(crate) virtuals: VirtualTables,
     pub(crate) wal: Arc<Wal>,
     pub(crate) redo: Arc<Redo>,
+    /// Storage that reads taking no lock are using ([`DbInner::pin`]).
+    pub(crate) pins: Pins,
     ckpt: Arc<CheckpointState>,
 }
 
@@ -186,18 +188,18 @@ impl DbInner {
         synced
     }
 
-    /// `rel` on `dev` as a heap whose changes are logged if `logged`.
-    /// Unlogged access is for reads, checks and vacuum's rewrite, which
-    /// flushes and syncs on its own.
-    pub(crate) fn heap(&self, rel: RelId, dev: DeviceId, logged: bool) -> Heap<'_> {
-        let (pool, smgr, xlog, stats) = (&self.pool, &self.smgr, &self.xlog, &self.stats);
-        Heap { pool, smgr, xlog, stats, dev, rel, wal: logged.then_some(&self.wal) }
+    /// The heap on `dev` whose pages are addressed by `storage` (a
+    /// relation's [`crate::catalog::RelationEntry::storage`]); every change
+    /// through it is logged.
+    pub(crate) fn heap(&self, storage: RelId, dev: DeviceId) -> Heap<'_> {
+        let (pool, smgr, xlog, stats, wal) = (&self.pool, &self.smgr, &self.xlog, &self.stats, &self.wal);
+        Heap { pool, smgr, xlog, stats, dev, rel: storage, wal }
     }
 
     /// [`DbInner::heap`] for a B-tree index.
-    pub(crate) fn btree(&self, rel: RelId, dev: DeviceId, logged: bool) -> BTree<'_> {
-        let (pool, smgr, stats) = (&self.pool, &self.smgr, &self.stats);
-        BTree { pool, smgr, stats, dev, rel, wal: logged.then_some(&self.wal) }
+    pub(crate) fn btree(&self, storage: RelId, dev: DeviceId) -> BTree<'_> {
+        let (pool, smgr, stats, wal) = (&self.pool, &self.smgr, &self.stats, &self.wal);
+        BTree { pool, smgr, stats, dev, rel: storage, wal }
     }
 
     /// Wakes the checkpointer when a checkpoint is wanted — called from the
@@ -399,6 +401,7 @@ impl Db {
                 virtuals: VirtualTables::with_engine_relations(),
                 wal,
                 redo,
+                pins: Pins::default(),
                 ckpt,
                 config,
             }),
@@ -441,11 +444,11 @@ impl Db {
     /// about to walk a relation sequentially; errors are swallowed (it is
     /// only a hint).
     pub fn prefetch_relation(&self, rel: RelId, start: u64, count: usize) {
-        let dev = match self.inner.catalog.read().relation(rel) {
-            Ok(entry) => entry.device,
+        let (dev, storage) = match self.inner.catalog.read().relation(rel) {
+            Ok(entry) => (entry.device, entry.storage),
             Err(_) => return,
         };
-        self.inner.pool.prefetch(&self.inner.smgr, dev, rel, start, count);
+        self.inner.pool.prefetch(&self.inner.smgr, dev, storage, start, count);
     }
 
     /// The simulated clock shared with the devices.
@@ -544,7 +547,7 @@ impl Db {
 
     /// Runs `f` as one short transaction of its own and commits it: the
     /// `Db::create_*`, `define_*` and `drop_relation` wrappers (bootstrap,
-    /// tests, type registration) and vacuum's archive attach. Client DDL
+    /// tests, type registration) and vacuum. Client DDL
     /// (`creat`, POSTQUEL's `define`) does not come through here: it runs
     /// in the client's own [`Session`]. Never called with the catalog lock
     /// held, nor on a thread whose open transaction holds a lock `f` needs
@@ -838,11 +841,13 @@ impl Db {
     /// comes from the storage manager's in-memory block map, so reading it
     /// costs no device I/O — the planner uses it as its cardinality input.
     pub fn relation_pages(&self, rel: RelId) -> DbResult<u64> {
-        let dev = {
+        let (dev, storage) = {
             let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            self.inner.catalog.read().relation(rel)?.device
+            let cat = self.inner.catalog.read();
+            let e = cat.relation(rel)?;
+            (e.device, e.storage)
         };
-        self.inner.smgr.with(dev, |m| m.nblocks(rel))
+        self.inner.smgr.with(dev, |m| m.nblocks(storage))
     }
 
     /// Whether a running transaction may be creating or dropping `rel`, so
@@ -852,12 +857,23 @@ impl Db {
         self.inner.locks.held_exclusive(rel)
     }
 
-    pub(crate) fn heap_parts(&self, rel: RelId) -> DbResult<HeapParts> {
+    /// What a write of `rel` changes: its heap's device and storage, and
+    /// each index's storage with its key columns. The caller holds `rel`'s
+    /// exclusive lock, so no vacuum or drop moves them meanwhile; `width`,
+    /// if given, is the arity a row must have.
+    fn heap_parts(&self, rel: RelId, width: Option<usize>) -> DbResult<HeapParts> {
         let _order = crate::lock::order::token(crate::lock::order::CATALOG);
         let cat = self.inner.catalog.read();
         let e = cat.relation(rel)?;
         if e.kind != RelKind::Heap {
             return Err(DbError::Invalid(format!("{rel} is not a heap")));
+        }
+        if let Some(n) = width.filter(|&n| n != e.schema.len()) {
+            return Err(DbError::Bind(format!(
+                "relation \"{}\" has {} columns, row has {n}",
+                e.name,
+                e.schema.len()
+            )));
         }
         let mut indexes = Vec::new();
         for &idx in &e.indexes {
@@ -866,9 +882,9 @@ impl Db {
                 .index
                 .as_ref()
                 .ok_or_else(|| DbError::Corrupt(format!("index {idx} without index info")))?;
-            indexes.push((idx, info.key_columns.clone()));
+            indexes.push((ie.storage, info.key_columns.clone()));
         }
-        Ok((e.device, indexes))
+        Ok((e.device, e.storage, indexes))
     }
 }
 
@@ -908,16 +924,50 @@ pub(crate) fn cover_logged_pages(smgr: &Smgr, redo: &Redo, devices: &[DeviceId])
     Ok(())
 }
 
-/// A heap's device plus its indices with their key columns.
-pub(crate) type HeapParts = (DeviceId, Vec<(RelId, Vec<usize>)>);
+/// A heap's device and storage, plus its indices' storage with their key
+/// columns.
+type HeapParts = (DeviceId, RelId, Vec<(RelId, Vec<usize>)>);
 
 /// What an index probe needs to know of its index.
 struct IndexMeta {
     index: RelId,
     table: RelId,
-    dev: DeviceId,
     key_columns: Vec<usize>,
     unique: bool,
+}
+
+/// What one read of a heap reads, found under the catalog lock once the
+/// read holds its relation lock: the storage of the heap, of the index it
+/// probes and of the archive. Vacuum and drop move or free storage only
+/// under the exclusive lock; a read that takes no lock (a view of the
+/// past, an explicit snapshot) pins it instead ([`DbInner::pin`]).
+struct Read<'a> {
+    snap: Snapshot,
+    heap: Heap<'a>,
+    index: Option<BTree<'a>>,
+    /// The archive, and the snapshot its rows count under: taken with the
+    /// heap's storage, so each version shows once, from either.
+    archive: Option<(Heap<'a>, Snapshot)>,
+    _pins: Pinned<'a>,
+}
+
+impl Read<'_> {
+    /// Calls `f(amin, amax, tid, row)` for every version the vacuum
+    /// cleaner moved to the archive, whose rows are `(amin, amax, <the
+    /// heap's columns>)`: the version was current from `amin` up to
+    /// `amax`. A heap without an archive has none.
+    fn archived(&self, mut f: impl FnMut(SimInstant, SimInstant, Tid, Row) -> DbResult<()>) -> DbResult<()> {
+        let Some((arch, counted)) = &self.archive else { return Ok(()) };
+        arch.scan_visible(counted, |tid, mut row| {
+            if row.len() < 2 {
+                return Err(DbError::Corrupt(format!("archive row {tid} has no lifetime")));
+            }
+            let rest = row.split_off(2);
+            let time = |d: &Datum| Ok::<_, DbError>(SimInstant::from_nanos(d.as_int()? as u64));
+            f(time(&row[0])?, time(&row[1])?, tid, rest)?;
+            Ok(true)
+        })
+    }
 }
 
 /// The keys an index probe covers.
@@ -997,7 +1047,7 @@ impl Session {
     }
 
     /// The snapshot a read of `rel` runs under: `explicit` if given (an
-    /// `AsOf` or `Dirty` one; old versions are immutable, so it takes no
+    /// `AsOf` one; old versions are immutable, so it takes no
     /// lock), else the session's own view. That is the one isolation rule:
     /// a transaction takes `rel`'s shared lock, held to commit, and *then*
     /// a statement snapshot ([`XactLog::snapshot`]). Under the lock no
@@ -1016,6 +1066,35 @@ impl Session {
         })
     }
 
+    /// Opens a read of the heap `rel`, and of `index`, an index on it,
+    /// under `explicit` or this session's own view
+    /// ([`Session::read_snapshot`]).
+    fn read(&self, rel: RelId, index: Option<RelId>, explicit: Option<&Snapshot>) -> DbResult<Read<'_>> {
+        let snap = self.read_snapshot(rel, explicit)?;
+        let locked = explicit.is_none() && matches!(self.view, View::Xact(_));
+        let inner = &self.db.inner;
+        let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+        let cat = inner.catalog.read();
+        let e = cat.relation(rel)?;
+        if e.kind != RelKind::Heap {
+            return Err(DbError::Invalid(format!("{rel} is not a heap")));
+        }
+        let ie = index.map(|i| cat.relation(i)).transpose()?;
+        let ae = e.archive.map(|a| cat.relation(a)).transpose()?;
+        let used = match locked {
+            true => Vec::new(),
+            false => [Some(e), ie, ae].into_iter().flatten().map(|e| (e.device, e.storage)).collect(),
+        };
+        let counted = || inner.xlog.snapshot(self.xid().unwrap_or(XactId::INVALID));
+        Ok(Read {
+            snap,
+            heap: inner.heap(e.storage, e.device),
+            index: ie.map(|ie| inner.btree(ie.storage, ie.device)),
+            archive: ae.map(|ae| (inner.heap(ae.storage, ae.device), counted())),
+            _pins: inner.pin(used),
+        })
+    }
+
     /// Inserts `row` into `rel`, maintaining its indices.
     pub fn insert(&mut self, rel: RelId, row: Row) -> DbResult<Tid> {
         refuse_system(rel)?;
@@ -1026,26 +1105,13 @@ impl Session {
     /// DDL writes its rows.
     pub(crate) fn insert_row(&mut self, rel: RelId, row: Row) -> DbResult<Tid> {
         let xid = self.writable_xid()?;
-        let (dev, indexes) = self.db.heap_parts(rel)?;
-        {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.db.inner.catalog.read();
-            let schema = &cat.relation(rel)?.schema;
-            if row.len() != schema.len() {
-                return Err(DbError::Bind(format!(
-                    "relation \"{}\" has {} columns, row has {}",
-                    cat.relation(rel)?.name,
-                    schema.len(),
-                    row.len()
-                )));
-            }
-        }
         self.lock(rel, LockMode::Exclusive)?;
+        let (dev, storage, indexes) = self.db.heap_parts(rel, Some(row.len()))?;
         self.wrote = true;
-        let tid = self.db.inner.heap(rel, dev, true).insert(xid, &row)?;
+        let tid = self.db.inner.heap(storage, dev).insert(xid, &row)?;
         for (idx, cols) in &indexes {
             let key: Vec<Datum> = cols.iter().map(|&i| row[i].clone()).collect();
-            self.db.inner.btree(*idx, dev, true).insert(&key, tid)?;
+            self.db.inner.btree(*idx, dev).insert(&key, tid)?;
         }
         // The POSTGRES 4.0.1 emulation (see `DbConfig`): under replacement
         // pressure (pool full), index pages go out interleaved with data
@@ -1071,10 +1137,10 @@ impl Session {
     /// [`Session::delete`] from any relation, the system ones included.
     pub(crate) fn delete_row(&mut self, rel: RelId, tid: Tid) -> DbResult<bool> {
         let xid = self.writable_xid()?;
-        let (dev, _) = self.db.heap_parts(rel)?;
         self.lock(rel, LockMode::Exclusive)?;
+        let (dev, storage, _) = self.db.heap_parts(rel, None)?;
         self.wrote = true;
-        let deleted = self.db.inner.heap(rel, dev, true).delete(xid, tid)?;
+        let deleted = self.db.inner.heap(storage, dev).delete(xid, tid)?;
         self.db.inner.maybe_signal_checkpoint();
         Ok(deleted)
     }
@@ -1092,9 +1158,8 @@ impl Session {
 
     /// Fetches the row at `tid` if visible to this session.
     pub fn fetch(&mut self, rel: RelId, tid: Tid) -> DbResult<Option<Row>> {
-        let (dev, _) = self.db.heap_parts(rel)?;
-        let snap = self.read_snapshot(rel, None)?;
-        self.db.inner.heap(rel, dev, true).fetch(&snap, tid)
+        let r = self.read(rel, None, None)?;
+        r.heap.fetch(&r.snap, tid)
     }
 
     /// Scans `rel`, returning every visible row (with its tuple id).
@@ -1112,13 +1177,12 @@ impl Session {
         rel: RelId,
         snap: Option<&Snapshot>,
     ) -> DbResult<Vec<(Tid, Row)>> {
-        let (dev, _) = self.db.heap_parts(rel)?;
-        let snap = self.read_snapshot(rel, snap)?;
-        let mut out = self.db.inner.heap(rel, dev, true).scan_collect(&snap)?;
-        if let Snapshot::AsOf(t) = snap {
-            self.for_each_archived(rel, |amin, amax, tid, row| {
+        let r = self.read(rel, None, snap)?;
+        let mut out = r.heap.scan_collect(&r.snap)?;
+        if let Snapshot::AsOf(t) = r.snap {
+            r.archived(|amin, amax, tid, row| {
                 if amin <= t && t < amax {
-                    out.push((tid, decode_row(row)?));
+                    out.push((tid, row));
                 }
                 Ok(())
             })?;
@@ -1127,21 +1191,12 @@ impl Session {
     }
 
     /// Scans every tuple version whose inserting transaction *committed*,
-    /// regardless of later deletion — "everything that was ever real".
-    /// Garbage collectors use this to distinguish historical references
-    /// from the debris of aborted transactions.
+    /// regardless of later deletion, archived ones included — "everything
+    /// that was ever real": [`Session::scan_version_history`] without the
+    /// lifetimes. Garbage collectors use this to distinguish historical
+    /// references from the debris of aborted transactions.
     pub fn scan_committed_versions(&mut self, rel: RelId) -> DbResult<Vec<Row>> {
-        let (dev, _) = self.db.heap_parts(rel)?;
-        self.lock(rel, LockMode::Shared)?;
-        let heap = self.db.inner.heap(rel, dev, true);
-        let mut out = Vec::new();
-        heap.scan_all_raw(|_tid, hdr, bytes| {
-            if matches!(heap.state(hdr.xmin)?, crate::xact::XactState::Committed(_)) {
-                out.push(decode_row(bytes)?);
-            }
-            Ok(())
-        })?;
-        Ok(out)
+        Ok(self.scan_version_history(rel)?.into_iter().map(|(_, _, row)| row).collect())
     }
 
     /// Scans every committed tuple version of `rel` with its lifetime:
@@ -1152,55 +1207,27 @@ impl Session {
         &mut self,
         rel: RelId,
     ) -> DbResult<Vec<(SimInstant, Option<SimInstant>, Row)>> {
-        let (dev, _) = self.db.heap_parts(rel)?;
-        self.lock(rel, LockMode::Shared)?;
+        let r = self.read(rel, None, None)?;
+        let heap = &r.heap;
         let mut out = Vec::new();
-        {
-            let heap = self.db.inner.heap(rel, dev, true);
-            heap.scan_all_raw(|_tid, hdr, bytes| {
-                let crate::xact::XactState::Committed(t0) = heap.state(hdr.xmin)? else {
-                    return Ok(());
-                };
-                let t1 = match heap.state(hdr.xmax)? {
-                    crate::xact::XactState::Committed(t) => Some(t),
-                    _ => None,
-                };
-                out.push((t0, t1, decode_row(bytes)?));
-                Ok(())
-            })?;
-        }
+        heap.scan_all_raw(|_tid, hdr, bytes| {
+            let crate::xact::XactState::Committed(t0) = heap.state(hdr.xmin)? else {
+                return Ok(());
+            };
+            let t1 = match heap.state(hdr.xmax)? {
+                crate::xact::XactState::Committed(t) => Some(t),
+                _ => None,
+            };
+            out.push((t0, t1, decode_row(bytes)?));
+            Ok(())
+        })?;
         // Archived versions carry explicit lifetimes.
-        self.for_each_archived(rel, |t0, t1, _tid, row| {
-            out.push((t0, Some(t1), decode_row(row)?));
+        r.archived(|t0, t1, _tid, row| {
+            out.push((t0, Some(t1), row));
             Ok(())
         })?;
         out.sort_by_key(|(t0, _, _)| *t0);
         Ok(out)
-    }
-
-    /// Calls `f(amin, amax, tid, row bytes)` for every version the vacuum
-    /// cleaner moved to `rel`'s archive, whose tuples are `(amin time, amax
-    /// time, original row bytes)`: the version was current from `amin` up
-    /// to `amax`. A relation without an archive has none.
-    fn for_each_archived(
-        &self,
-        rel: RelId,
-        mut f: impl FnMut(SimInstant, SimInstant, Tid, &[u8]) -> DbResult<()>,
-    ) -> DbResult<()> {
-        let (arch, arch_dev) = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.db.inner.catalog.read();
-            match cat.relation(rel)?.archive {
-                Some(a) => (a, cat.relation(a)?.device),
-                None => return Ok(()),
-            }
-        };
-        self.db.inner.heap(arch, arch_dev, true).scan_visible(&Snapshot::Dirty, |tid, row| {
-            let amin = SimInstant::from_nanos(row[0].as_int()? as u64);
-            let amax = SimInstant::from_nanos(row[1].as_int()? as u64);
-            f(amin, amax, tid, row[2].as_bytes()?)?;
-            Ok(true)
-        })
     }
 
     /// Point lookup through an index: rows of `rel` where the indexed
@@ -1314,7 +1341,6 @@ impl Session {
         Ok(IndexMeta {
             index,
             table: info.table,
-            dev: ie.device,
             key_columns: info.key_columns.clone(),
             unique: info.unique,
         })
@@ -1331,8 +1357,8 @@ impl Session {
     /// `Current` or `AsOf` snapshot, so a key is done at its first visible
     /// version: one heap fetch for a current reader however long the
     /// version chain, (versions newer than *t*) + 1 for `AsOf(t)`.
-    /// `Snapshot::Dirty` sees every version, and a non-unique index may
-    /// hold several visible rows per key; for those no key ends early.
+    /// A non-unique index may hold several visible rows per key; for those
+    /// no key ends early.
     ///
     /// A historical point probe also searches the table's archive — the
     /// vacuum cleaner may have moved the version visible at that instant
@@ -1346,10 +1372,11 @@ impl Session {
         read: impl Fn(&[u8]) -> DbResult<T>,
         mut emit: impl FnMut(Tid, T) -> DbResult<bool>,
     ) -> DbResult<()> {
-        let snap = &self.read_snapshot(ix.table, snap)?;
-        let one_per_key = ix.unique && !matches!(snap, Snapshot::Dirty);
-        let bt = self.db.inner.btree(ix.index, ix.dev, true);
-        let heap = self.db.inner.heap(ix.table, ix.dev, true);
+        let r = self.read(ix.table, Some(ix.index), snap)?;
+        let (Some(bt), heap, snap) = (&r.index, &r.heap, &r.snap) else {
+            return Err(DbError::Invalid(format!("{} has no index {}", ix.table, ix.index)));
+        };
+        let one_per_key = ix.unique;
         let found = Cell::new(false);
         let go_on = Cell::new(true);
         // One version; says whether to go on to the key's next older one.
@@ -1403,9 +1430,9 @@ impl Session {
                     .zip(key)
                     .all(|(&c, k)| row[c].cmp_total(k) == std::cmp::Ordering::Equal)
         };
-        self.for_each_archived(ix.table, |amin, amax, tid, row| {
-            if go_on.get() && amin <= *t && *t < amax && matches(&decode_row(row)?) {
-                go_on.set(emit(tid, read(row)?)?);
+        r.archived(|amin, amax, tid, row| {
+            if go_on.get() && amin <= *t && *t < amax && matches(&row) {
+                go_on.set(emit(tid, read(&encode_row(&row))?)?);
             }
             Ok(())
         })
@@ -1430,18 +1457,15 @@ impl Session {
         // A hair of commit processing keeps commit timestamps strictly
         // monotone even if no device advanced the clock.
         inner.clock.advance(SimDuration::from_micros(1));
-        let result = if self.wrote {
-            // Aborts the transaction itself if it fails.
-            Self::commit_written(inner, xid, &ddl)
-        } else {
-            // Read-only: nothing to log, no force, no status page touched.
-            inner.xlog.finish(xid)
-        };
+        // A write commit aborts the transaction itself if it fails; a
+        // read-only one has nothing to log, no force, no status page.
+        let durable = if self.wrote { Self::commit_written(inner, xid, &ddl) } else { Ok(()) };
+        // The commit is durable: the transaction leaves the running set,
+        // and what it dropped goes, before the locks that keep everyone
+        // else off it.
+        let result = durable.and_then(|()| inner.end_ddl(&ddl, true, || inner.xlog.finish(xid)));
         if result.is_ok() {
             inner.stats.xact.commits.bump();
-            // The commit is durable: what it dropped goes, before the
-            // locks that keep everyone else off it.
-            inner.end_ddl(&ddl, true);
         }
         inner.locks.release_all(xid);
         inner
@@ -1453,10 +1477,10 @@ impl Session {
         result
     }
 
-    /// The one sequence that commits a write transaction: log the `Commit`
-    /// record onto its status page, make the log durable up to it, take the
-    /// transaction out of the running set. That follows the force, never
-    /// precedes it: no
+    /// The one sequence that makes a write transaction's commit durable:
+    /// log the `Commit` record onto its status page and make the log
+    /// durable up to it. The caller then takes the transaction out of the
+    /// running set: that follows the force, never precedes it, for no
     /// snapshot may see a transaction whose commit record could still be
     /// lost. `forced` is false when a concurrent committer's force already
     /// covered this record — the commit is just as durable, and cost no
@@ -1472,7 +1496,6 @@ impl Session {
         let aborted = |after_commit| drop(Self::end_aborted(inner, xid, after_commit, ddl));
         let lsn = inner.xlog.log_outcome(inner.status_io(), &commit).inspect_err(|_| aborted(false))?;
         let forced = inner.wal.force_up_to(lsn).inspect_err(|_| aborted(true))?;
-        inner.xlog.finish(xid)?;
         let stats = &inner.stats.xact;
         stats.batched_records.bump();
         if forced {
@@ -1497,8 +1520,8 @@ impl Session {
     /// to the device, restart reads the outcome the client was told. If
     /// that append fails, the database goes down as after a failed sync:
     /// the transaction stays running, so no snapshot reads the `Commit` its
-    /// status page holds, and it blocks vacuum and writes to the rows it
-    /// deleted until the reopen that the refused checkpoints demand.
+    /// status page holds, and vacuum and writers leave its versions alone
+    /// until the reopen that the refused checkpoints demand.
     fn end_aborted(
         inner: &DbInner,
         xid: XactId,
@@ -1512,8 +1535,7 @@ impl Session {
         if logged.is_err() {
             inner.ckpt.crashed.store(true, SeqCst);
         }
-        inner.end_ddl(ddl, false);
-        let result = logged.and_then(|()| inner.xlog.finish(xid));
+        let result = inner.end_ddl(ddl, false, || logged.and_then(|()| inner.xlog.finish(xid)));
         inner.stats.xact.aborts.bump();
         inner.locks.release_all(xid);
         result
@@ -1639,15 +1661,14 @@ mod tests {
     }
 
     /// A session writes while its transaction runs, and only then. Reads
-    /// under an explicit historical or dirty snapshot take no lock: they are
-    /// outside 2PL, and no write goes through them.
+    /// under an explicit historical snapshot take no lock: they are outside
+    /// 2PL, and no write goes through them.
     #[test]
     fn a_session_is_writable_while_its_transaction_runs() {
         let (db, rel) = db_with_table();
         let mut s = db.begin().unwrap();
         assert!(s.is_writable());
         s.scan_with_snapshot(rel, Some(&Snapshot::AsOf(db.now()))).unwrap();
-        s.scan_with_snapshot(rel, Some(&Snapshot::Dirty)).unwrap();
         assert_eq!(db.held_lock_count(), 0);
         s.commit().unwrap();
         assert!(!s.is_writable());

@@ -1,14 +1,19 @@
 //! DDL as [`Session`] operations: each locks what it changes, changes the
 //! catalog cache, writes its `pg_*` rows under the session's xid and goes
 //! on the session's DDL list. The transaction's end applies the list (a
-//! durable commit frees what it dropped) or takes it back (an abort, what
-//! it created and defined) before the locks go.
+//! durable commit frees what it dropped and moves what a vacuum rebuilt
+//! onto its new storage) or takes it back (an abort, what it created,
+//! defined and built) before the locks go.
+
+use std::collections::HashMap;
+
+use parking_lot::Mutex;
 
 use crate::catalog::{
     Catalog, IndexInfo, ProcEntry, RelKind, RelationEntry, RuleEntry, TypeEntry, PG_CLASS,
     PG_PROC, PG_RULE, PG_TYPE,
 };
-use crate::datum::{decode_row, Datum, Row, Schema, TypeId};
+use crate::datum::{decode_row, Datum, Schema, TypeId};
 use crate::db::{DbInner, Session};
 use crate::error::{DbError, DbResult};
 use crate::ids::{DeviceId, RelId, Tid};
@@ -16,32 +21,118 @@ use crate::ids::{DeviceId, RelId, Tid};
 /// One catalog change of a running transaction, on its session's DDL list.
 pub(crate) enum Ddl {
     /// A relation it created: an abort releases entry, cached pages, storage.
-    Created(RelId, DeviceId),
+    Created(RelId),
     /// A relation it dropped: a commit releases the same three.
-    Dropped(RelId, DeviceId),
+    Dropped(RelId),
     /// A type, function or rule it defined in `pg_type`, `pg_proc` or
     /// `pg_rule`, by name: an abort removes the entry.
     Defined(RelId, String),
+    /// Fresh storage a vacuum built `rel` into, and the `pg_class` row
+    /// that names it (with `archive`, the heap's archive link): a commit
+    /// moves `rel` onto it and frees the old storage; an abort frees it.
+    Swapped { rel: RelId, storage: RelId, archive: Option<RelId>, row: Tid },
+}
+
+/// Storage that reads taking no lock are using, by `(device, storage)`:
+/// how many, and whether a commit has let it go meanwhile, so that the
+/// last unpin frees it.
+pub(crate) type Pins = Mutex<HashMap<(DeviceId, RelId), (usize, bool)>>;
+
+/// One read's pins ([`DbInner::pin`]), released when it is dropped.
+pub(crate) struct Pinned<'a> {
+    db: &'a DbInner,
+    storage: Vec<(DeviceId, RelId)>,
+}
+
+impl Drop for Pinned<'_> {
+    fn drop(&mut self) {
+        for s in std::mem::take(&mut self.storage) {
+            let mut pins = self.db.pins.lock();
+            let Some(pin) = pins.get_mut(&s) else { continue };
+            pin.0 -= 1;
+            if pin.0 == 0 && pins.remove(&s).is_some_and(|(_, let_go)| let_go) {
+                drop(pins);
+                self.db.free_storage(s);
+            }
+        }
+    }
 }
 
 impl DbInner {
-    /// Ends a transaction's DDL list, newest first, after a durable commit
-    /// or an abort. The rows need nothing: the outcome decides for good
-    /// which of them are visible.
-    pub(crate) fn end_ddl(&self, ddl: &[Ddl], committed: bool) {
-        for step in ddl.iter().rev() {
-            let order = crate::lock::order::token(crate::lock::order::CATALOG);
-            match (step, committed) {
-                (Ddl::Created(id, dev), false) | (Ddl::Dropped(id, dev), true) => {
-                    self.catalog.write().remove_relation(*id).ok();
-                    drop(order);
-                    self.pool.discard_rel(*id);
-                    self.smgr.with(*dev, |m| m.drop_rel(*id)).ok();
-                }
-                (Ddl::Defined(rel, name), false) => self.catalog.write().undefine(*rel, name),
-                _ => {}
+    /// Pins `storage` for a read that takes no lock. The caller found it
+    /// named in the cache and still holds the catalog lock, so no commit
+    /// has let it go yet, and one that does before the read ends leaves it
+    /// to the read's last unpin.
+    pub(crate) fn pin(&self, storage: Vec<(DeviceId, RelId)>) -> Pinned<'_> {
+        if !storage.is_empty() {
+            let mut pins = self.pins.lock();
+            for s in &storage {
+                pins.entry(*s).or_default().0 += 1;
             }
         }
+        Pinned { db: self, storage }
+    }
+
+    /// Frees storage no cache entry names any more, its cached pages and
+    /// its blocks; a pinned one at its last unpin.
+    pub(crate) fn free_storage(&self, (dev, storage): (DeviceId, RelId)) {
+        if let Some(pin) = self.pins.lock().get_mut(&(dev, storage)) {
+            pin.1 = true;
+            return;
+        }
+        self.pool.discard_rel(storage);
+        self.smgr.with(dev, |m| m.drop_rel(storage)).ok();
+    }
+
+    /// Ends a transaction's DDL list, newest first, after a durable commit
+    /// or an abort. The rows need nothing: the outcome decides for good
+    /// which of them are visible. `finish`, which takes the transaction out
+    /// of the running set, runs under the same catalog lock: a read that
+    /// finds its storage under that lock sees the outcome that goes with
+    /// it, so a version a vacuum archived shows from the old heap or from
+    /// the archive, never both.
+    pub(crate) fn end_ddl(
+        &self,
+        ddl: &[Ddl],
+        committed: bool,
+        finish: impl FnOnce() -> DbResult<()>,
+    ) -> DbResult<()> {
+        if ddl.is_empty() {
+            return finish();
+        }
+        let mut freed = Vec::new();
+        let finished = {
+            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+            let mut cat = self.catalog.write();
+            for step in ddl.iter().rev() {
+                match (step, committed) {
+                    (Ddl::Created(id), false) | (Ddl::Dropped(id), true) => {
+                        if let Ok(e) = cat.remove_relation(*id) {
+                            freed.push((e.device, e.storage));
+                        }
+                    }
+                    (Ddl::Defined(rel, name), false) => cat.undefine(*rel, name),
+                    (&Ddl::Swapped { rel, storage, archive, row }, true) => {
+                        if let Ok(e) = cat.relation_mut(rel) {
+                            freed.push((e.device, std::mem::replace(&mut e.storage, storage)));
+                            e.archive = archive;
+                            cat.set_class_tid(rel, row);
+                        }
+                    }
+                    (&Ddl::Swapped { rel, storage, .. }, false) => {
+                        if let Ok(e) = cat.relation(rel) {
+                            freed.push((e.device, storage));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            finish()
+        };
+        for s in freed {
+            self.free_storage(s);
+        }
+        finished
     }
 }
 
@@ -92,7 +183,7 @@ impl Session {
         unique: bool,
     ) -> DbResult<RelId> {
         self.lock_exclusive(table)?;
-        let (dev, key_columns) = self.target(table, |_, t| {
+        let (dev, storage, key_columns) = self.target(table, |_, t| {
             if t.kind != RelKind::Heap {
                 return Err(DbError::Invalid(format!("{name}: {table} is not a heap")));
             }
@@ -102,7 +193,7 @@ impl Session {
                     DbError::NotFound(format!("column \"{c}\" of \"{}\"", t.name))
                 })?);
             }
-            Ok((t.device, key_columns))
+            Ok((t.device, t.storage, key_columns))
         })?;
         let id = self.db.alloc_oid()?;
         let entry = RelationEntry {
@@ -115,9 +206,9 @@ impl Session {
             ..RelationEntry::heap(id, name, dev, Schema::default())
         };
         self.create_relation(entry, |s| {
-            let bt = s.db.inner.btree(id, dev, true);
+            let bt = s.db.inner.btree(id, dev);
             bt.create()?;
-            s.db.inner.heap(table, dev, true).scan_all_raw(|tid, _hdr, row_bytes| {
+            s.db.inner.heap(storage, dev).scan_all_raw(|tid, _hdr, row_bytes| {
                 let row = decode_row(row_bytes)?;
                 let key: Vec<Datum> = key_columns.iter().map(|&i| row[i].clone()).collect();
                 bt.insert(&key, tid)
@@ -141,11 +232,14 @@ impl Session {
         entry: RelationEntry,
         build: impl FnOnce(&Session) -> DbResult<()>,
     ) -> DbResult<RelId> {
-        let (id, dev) = (entry.id, entry.device);
-        self.change_catalog(Ddl::Created(id, dev), |cat| cat.add_relation(entry), |s| {
+        let (id, dev, row) = (entry.id, entry.device, entry.to_row());
+        self.change_catalog(Ddl::Created(id), |cat| cat.add_relation(entry), |s| {
             s.db.inner.smgr.with(dev, |m| m.create_rel(id))?;
             build(s)?;
-            s.store_class_rows(&[id])
+            let tid = s.insert_row(PG_CLASS, row)?;
+            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+            s.db.inner.catalog.write().set_class_tid(id, tid);
+            Ok(())
         })?;
         Ok(id)
     }
@@ -211,23 +305,23 @@ impl Session {
         self.lock_exclusive(id)?;
         // Under the locks no other transaction builds or drops a part of it;
         // one that dropped it while this one waited left nothing to find.
-        let victims: Vec<(RelId, DeviceId, Option<Tid>)> = self.target(id, |cat, e| {
+        let victims: Vec<(RelId, Option<Tid>)> = self.target(id, |cat, e| {
             let mut ids = vec![id];
             if e.kind == RelKind::Heap {
                 ids.extend(e.indexes.iter().chain(&e.archive).filter(|&&v| !self.dropped(v)));
             }
-            ids.into_iter().map(|v| Ok((v, cat.relation(v)?.device, cat.class_tid(v)))).collect()
+            Ok(ids.into_iter().map(|v| (v, cat.class_tid(v))).collect())
         })?;
-        for &(v, dev, tid) in &victims {
+        for &(v, tid) in &victims {
             self.lock_exclusive(v)?;
             if let Some(tid) = tid {
                 self.delete_row(PG_CLASS, tid)?;
             }
-            self.ddl.push(Ddl::Dropped(v, dev));
+            self.ddl.push(Ddl::Dropped(v));
         }
         // The rules that watch a victim go with it. Under its lock no rule
         // on it is being defined, so the cache lists every one.
-        let watched = |rel: RelId| victims.iter().any(|&(v, ..)| v == rel);
+        let watched = |rel: RelId| victims.iter().any(|&(v, _)| v == rel);
         let has_rules = {
             let _order = crate::lock::order::token(crate::lock::order::CATALOG);
             self.db.inner.catalog.read().rules().iter().any(|r| watched(r.on_rel))
@@ -244,7 +338,7 @@ impl Session {
 
     /// Reads the cache entry of `id`, a relation DDL acts on, under the
     /// catalog lock. One this transaction dropped is gone already.
-    fn target<T>(
+    pub(crate) fn target<T>(
         &self,
         id: RelId,
         f: impl FnOnce(&Catalog, &RelationEntry) -> DbResult<T>,
@@ -258,7 +352,7 @@ impl Session {
     }
 
     fn dropped(&self, id: RelId) -> bool {
-        self.ddl.iter().any(|d| matches!(d, Ddl::Dropped(v, _) if *v == id))
+        self.ddl.iter().any(|d| matches!(d, Ddl::Dropped(v) if *v == id))
     }
 
     /// The one way a create or define changes the cache: it takes the
@@ -274,8 +368,9 @@ impl Session {
         install: impl FnOnce(&mut Catalog) -> DbResult<()>,
         write: impl FnOnce(&mut Session) -> DbResult<()>,
     ) -> DbResult<()> {
-        let (Ddl::Created(rel, _) | Ddl::Dropped(rel, _) | Ddl::Defined(rel, _)) = &step;
-        self.lock_exclusive(*rel)?;
+        let (Ddl::Created(rel) | Ddl::Dropped(rel) | Ddl::Defined(rel, _) | Ddl::Swapped { rel, .. }) =
+            step;
+        self.lock_exclusive(rel)?;
         {
             let _order = crate::lock::order::token(crate::lock::order::CATALOG);
             install(&mut self.db.inner.catalog.write())?;
@@ -283,31 +378,8 @@ impl Session {
         let written = write(self);
         match written {
             Ok(()) => self.ddl.push(step),
-            Err(_) => self.db.inner.end_ddl(&[step], false),
+            Err(_) => self.db.inner.end_ddl(&[step], false, || Ok(()))?,
         }
         written
-    }
-
-    /// Writes the cache's current entries for `ids` as `pg_class` rows in
-    /// this transaction. An entry that already has a row gets it replaced;
-    /// the row is found by its remembered tid, so the cost does not grow
-    /// with the catalog.
-    pub(crate) fn store_class_rows(&mut self, ids: &[RelId]) -> DbResult<()> {
-        let rows: Vec<(RelId, Option<Tid>, Row)> = {
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            let cat = self.db.inner.catalog.read();
-            ids.iter()
-                .map(|&id| Ok((id, cat.class_tid(id), cat.relation(id)?.to_row())))
-                .collect::<DbResult<_>>()?
-        };
-        for (id, old, row) in rows {
-            if let Some(tid) = old {
-                self.delete_row(PG_CLASS, tid)?;
-            }
-            let tid = self.insert_row(PG_CLASS, row)?;
-            let _order = crate::lock::order::token(crate::lock::order::CATALOG);
-            self.db.inner.catalog.write().set_class_tid(id, tid);
-        }
-        Ok(())
     }
 }

@@ -34,21 +34,17 @@ pub struct Heap<'a> {
     pub rel: RelId,
     /// Where scan/fetch/append counts go.
     pub stats: &'a StatsRegistry,
-    /// The write-ahead log, when mutations must be logged. `None` runs
-    /// unlogged — read paths, integrity checks, and vacuum rewrites that
-    /// checkpoint before and after instead.
-    pub wal: Option<&'a crate::wal::Wal>,
+    /// The write-ahead log every change is logged to.
+    pub wal: &'a crate::wal::Wal,
 }
 
 impl<'a> Heap<'a> {
-    /// Appends `rec` to the WAL (if one is attached) and stamps `data`'s
-    /// page LSN with the record's end, upholding the LSN-before-write rule
-    /// the buffer manager enforces on writeback.
+    /// Appends `rec` to the WAL and stamps `data`'s page LSN with the
+    /// record's end, upholding the LSN-before-write rule the buffer manager
+    /// enforces on writeback.
     fn log(&self, data: &mut [u8], rec: &crate::wal::WalRecord) -> DbResult<()> {
-        if let Some(wal) = self.wal {
-            let end = wal.append(rec)?;
-            page::set_lsn(data, end);
-        }
+        let end = self.wal.append(rec)?;
+        page::set_lsn(data, end);
         Ok(())
     }
 
@@ -182,7 +178,7 @@ impl<'a> Heap<'a> {
     }
 
     /// Inserts a pre-encoded row under an explicit header (vacuum uses this
-    /// to move tuples while preserving their visibility information).
+    /// to copy tuples while preserving their visibility information).
     pub fn insert_bytes(&self, hdr: TupleHeader, row_bytes: &[u8]) -> DbResult<Tid> {
         self.stats.heap.appends.bump();
         if row_bytes.len() > MAX_ROW {
@@ -287,17 +283,6 @@ impl<'a> Heap<'a> {
             },
         )?;
         Ok(true)
-    }
-
-    /// Replaces the tuple at `tid` with `row`: stamps the old version and
-    /// appends the new one, returning its id.
-    pub fn update(&self, xid: XactId, tid: Tid, row: &[crate::datum::Datum]) -> DbResult<Tid> {
-        if !self.delete(xid, tid)? {
-            return Err(DbError::Invalid(format!(
-                "tuple {tid} concurrently deleted"
-            )));
-        }
-        self.insert(xid, row)
     }
 
     /// Fetches the row at `tid` if it is visible under `snap`.
@@ -462,7 +447,7 @@ mod tests {
                 dev: DeviceId::DEFAULT,
                 rel: self.rel,
                 stats: &self.stats,
-                wal: None,
+                wal: &self.rig.wal,
             }
         }
 
@@ -574,7 +559,8 @@ mod tests {
         fx.commit(x1, 10);
 
         let (x2, snap2) = fx.begin();
-        let t2 = h.update(x2, t1, &row(2)).unwrap();
+        assert!(h.delete(x2, t1).unwrap());
+        let t2 = h.insert(x2, &row(2)).unwrap();
         assert_ne!(t1, t2);
         assert_eq!(h.fetch(&snap2, t1).unwrap(), None);
         assert_eq!(h.fetch(&snap2, t2).unwrap(), Some(row(2)));

@@ -8,8 +8,8 @@
 //! back-to-back, and the simdev seek model charges track-to-track
 //! sequential transfers instead of full random strokes.
 //!
-//! The queue carries **writes only**: dirty clock-sweep victims,
-//! checkpointer drains, and vacuum rewrites submit a page copy and continue.
+//! The queue carries **writes only**: dirty clock-sweep victims and
+//! checkpointer drains submit a page copy and continue.
 //! The WAL-before-data rule is enforced at the *submission site* (the buffer
 //! pool forces the log up to the page's LSN before it calls
 //! [`crate::smgr::Smgr::write_page_back`]), so a queued page is always
@@ -498,18 +498,12 @@ mod tests {
 
     const DEV: DeviceId = DeviceId(0);
 
+    /// A device manager as the scheduler holds it.
+    type SharedManager = Arc<Mutex<Box<dyn DeviceManager>>>;
+
     /// A formatted disk manager with `nblocks` pre-extended blocks of one
     /// relation, wrapped for the scheduler.
-    fn rig(
-        profile: DiskProfile,
-        extent: u64,
-        nblocks: u64,
-    ) -> (
-        SimClock,
-        Arc<Mutex<Box<dyn DeviceManager>>>,
-        Arc<StatsRegistry>,
-        RelId,
-    ) {
+    fn rig(profile: DiskProfile, extent: u64, nblocks: u64) -> (SimClock, SharedManager, Arc<StatsRegistry>, RelId) {
         let clock = SimClock::new();
         let dev = shared_device(MagneticDisk::new("d", clock.clone(), profile));
         let mut m = GenericManager::format(dev).expect("format");
@@ -520,7 +514,7 @@ mod tests {
         for _ in 0..nblocks {
             m.extend(rel, &page).expect("extend");
         }
-        let mgr: Arc<Mutex<Box<dyn DeviceManager>>> = Arc::new(Mutex::new(Box::new(m)));
+        let mgr: SharedManager = Arc::new(Mutex::new(Box::new(m)));
         (clock, mgr, Arc::new(StatsRegistry::new()), rel)
     }
 

@@ -20,7 +20,7 @@
 //! * **B-tree indices** ([`btree`]).
 //! * **Two-phase locking** ([`lock`]) with deadlock detection.
 //! * **The vacuum cleaner** ([`vacuum`]): moves obsolete record versions to
-//!   archive relations so history survives garbage collection.
+//!   archive relations, in one logged transaction, so history survives.
 //! * **Type and function extensibility** ([`funcs`], [`catalog`]): users
 //!   register Rust callables invokable from the query language.
 //! * **A POSTQUEL-style query language** ([`query`]): `retrieve`, `append`,

@@ -245,8 +245,8 @@ pub fn iter(buf: &[u8]) -> impl Iterator<Item = (u16, &[u8])> {
 /// * no two items overlap,
 /// * free-space accounting: item bytes exactly tile `[upper, special)`
 ///   (items are allocated downward and never moved, so the tuple space has
-///   no holes — dead items keep their space until vacuum rewrites the
-///   relation).
+///   no holes — dead items keep their space until vacuum copies the
+///   relation's live versions onto fresh storage).
 pub fn verify(buf: &[u8]) -> Vec<String> {
     let mut findings = Vec::new();
     if buf.len() != PAGE_SIZE {

@@ -529,8 +529,8 @@ mod tests {
             assert_eq!(planned.columns, refr.columns, "{q}");
             let mut p = planned.rows.clone();
             let mut r = refr.rows.clone();
-            p.sort_by(|a, b| crate::datum::encode_row(a).cmp(&crate::datum::encode_row(b)));
-            r.sort_by(|a, b| crate::datum::encode_row(a).cmp(&crate::datum::encode_row(b)));
+            p.sort_by_key(|a| crate::datum::encode_row(a));
+            r.sort_by_key(|a| crate::datum::encode_row(a));
             assert_eq!(p, r, "{q}");
         }
         s.commit().unwrap();

@@ -73,12 +73,6 @@ pub trait DeviceManager: Send {
     /// Writes logical block `blkno` of `rel`.
     fn write(&mut self, rel: RelId, blkno: u64, buf: &[u8]) -> DbResult<()>;
 
-    /// Drops every block of `rel`, leaving it registered but empty. The
-    /// vacuum cleaner uses this before rewriting a relation compactly.
-    /// Freed physical blocks are not reused (no-overwrite media may not
-    /// allow it); space accounting is the archive's problem.
-    fn truncate(&mut self, rel: RelId) -> DbResult<()>;
-
     /// Flushes manager metadata and device caches to stable storage.
     fn sync(&mut self) -> DbResult<()>;
 
@@ -511,10 +505,6 @@ impl DeviceManager for GenericManager {
         Ok(())
     }
 
-    fn truncate(&mut self, rel: RelId) -> DbResult<()> {
-        self.map.truncate(rel).map(drop)
-    }
-
     fn sync(&mut self) -> DbResult<()> {
         if !self.map.dirty && !self.unsynced {
             return Ok(());
@@ -770,18 +760,6 @@ impl DeviceManager for JukeboxManager {
         Ok(())
     }
 
-    fn truncate(&mut self, rel: RelId) -> DbResult<()> {
-        for phys in self.map.truncate(rel)? {
-            if let Some((slot, _)) = self.cache.remove(&phys) {
-                self.free_staging.push(slot);
-                if let Some(pos) = self.lru.iter().position(|&p| p == phys) {
-                    self.lru.remove(pos);
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn sync(&mut self) -> DbResult<()> {
         // Burn every dirty staged block so committed data reaches stable,
         // robot-managed media.
@@ -1026,7 +1004,7 @@ impl Smgr {
         self.accounted(dev, PageIo::Write, || self.with(dev, |m| m.extend_blank(rel)))
     }
 
-    /// Syncs every registered device (checkpoint, vacuum and shutdown).
+    /// Syncs every registered device (checkpoint, `flush_caches`, shutdown).
     /// With the scheduler on each is a *queue barrier* first: every write
     /// submitted before this call reaches the device before the manager
     /// `sync()` runs.

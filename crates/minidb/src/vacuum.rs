@@ -6,22 +6,27 @@
 //! archives records. Obsolete records are physically removed from the table
 //! in which they originally appeared, and are moved to an archive."
 //!
-//! Archive rows are `(amin, amax, original-row-bytes)` where `amin`/`amax`
-//! are the *commit times* of the inserting and deleting transactions —
-//! materializing times at archive time means historical visibility no longer
-//! needs the originals' transaction-status entries. Historical scans
-//! ([`crate::db::Session::scan_with_snapshot`]) merge the archive back in.
-//!
-//! Vacuuming rewrites the heap compactly and rebuilds its indices, so it
-//! requires a quiescent system (no active transactions).
+//! A pass is one transaction under the heap's exclusive lock, so it waits
+//! only for the heap's writers and readers. A dead version goes to the
+//! archive as the row `(amin, amax, <the heap's columns>)`, `amin`/`amax`
+//! being the *commit times* of its inserter and deleter, so historical
+//! visibility no longer needs their status entries. The live versions are
+//! copied, headers and all, into fresh storage, and each index is built
+//! anew on fresh storage of its own, logged like any insert. The same
+//! transaction rewrites the `pg_class` rows to name the new storage; its
+//! commit swaps it in and frees the old ([`crate::ddl`]). Until then, and
+//! after any failure, the heap and its history are as they were. Historical
+//! scans ([`crate::db::Session::scan_with_snapshot`]) merge the archive
+//! back in.
 
 use simdev::SimInstant;
 
-use crate::catalog::{Catalog, RelKind, RelationEntry};
-use crate::datum::{decode_row, Datum, Schema, TypeId};
-use crate::db::Db;
+use crate::catalog::{Catalog, RelKind, RelationEntry, PG_CLASS};
+use crate::datum::{decode_row, Column, Datum, Schema, TypeId};
+use crate::db::{Db, Session};
+use crate::ddl::Ddl;
 use crate::error::{DbError, DbResult};
-use crate::ids::{DeviceId, RelId};
+use crate::ids::{DeviceId, RelId, XactId};
 use crate::xact::{TupleHeader, XactState};
 
 /// What one vacuum pass did.
@@ -35,181 +40,157 @@ pub struct VacuumStats {
     pub discarded: u64,
 }
 
-/// Vacuums `rel`, archiving dead versions onto `archive_dev`.
+/// Vacuums `rel` in a transaction of its own, archiving dead versions onto
+/// `archive_dev`.
 ///
 /// Dead versions (insert and delete both committed) move to the archive
-/// relation — created on first need as `"<name>,arch"` with schema
-/// `(amin time, amax time, data bytes)` — unless the relation was created
-/// with `no_history`, in which case they are discarded. Tuples from aborted
-/// transactions are always discarded. The heap is rewritten compactly and
-/// every index on it rebuilt.
+/// relation — created on first need as `"<name>,arch"` with the schema
+/// `(amin time, amax time, <rel's columns>)` — unless the relation was
+/// created with `no_history`, in which case they are discarded. Tuples from
+/// aborted transactions are always discarded. A heap with nothing to
+/// remove is left as it is; otherwise it and every index on it move onto
+/// fresh storage holding only the kept versions.
 ///
-/// System relations are skipped (nothing is done, nothing is counted): the
-/// rewrite below is in place and unlogged, and the archive attach that ends
-/// it writes `pg_class`. Their dead rows come only from drops and archive
-/// attaches.
-///
-/// Errors with [`DbError::Invalid`] if any transaction is active.
+/// System relations are skipped (nothing is done, nothing is counted):
+/// `pg_class` and the status relation must stay at fixed storage, where a
+/// reopening database finds them before it has read a row.
 pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStats> {
     if Catalog::is_system(rel) {
         return Ok(VacuumStats::default());
     }
-    if !db.inner.xlog.active_set().is_empty() {
-        return Err(DbError::Invalid(
-            "vacuum requires a quiescent system (transactions active)".into(),
-        ));
-    }
-    // The rewrite below is unlogged, and it reformats pages the log may
-    // still hold records for. Checkpointing first drains those pages and
-    // truncates the log, so a crash mid-vacuum replays nothing stale onto
-    // the rewritten relation.
-    db.checkpoint()?;
-    let entry = {
-        let cat = db.inner.catalog.read();
-        let e = cat.relation(rel)?.clone();
-        if e.kind != RelKind::Heap {
-            return Err(DbError::Invalid(format!("{rel} is not a heap")));
-        }
-        e
-    };
-
-    // Classify every tuple version.
-    enum Fate {
-        Keep(TupleHeader, Vec<u8>),
-        Archive(SimInstant, SimInstant, Vec<u8>),
-    }
-    let mut fates = Vec::new();
-    let mut stats = VacuumStats::default();
-    {
-        let heap = db.inner.heap(rel, entry.device, false);
-        heap.scan_all_raw(|_tid, hdr, row_bytes| {
-            let xmin_state = heap.state(hdr.xmin)?;
-            let XactState::Committed(amin) = xmin_state else {
-                // Aborted or crashed inserter: the version never existed.
-                stats.discarded += 1;
-                return Ok(());
-            };
-            if hdr.xmax.is_valid() {
-                if let XactState::Committed(amax) = heap.state(hdr.xmax)? {
-                    // Dead to everyone: archive (or discard).
-                    if entry.no_history {
-                        stats.discarded += 1;
-                    } else {
-                        stats.archived += 1;
-                        fates.push(Fate::Archive(amin, amax, row_bytes.to_vec()));
-                    }
-                    return Ok(());
-                }
-                // Deleter aborted: clear the stale xmax on the kept copy.
-                stats.kept += 1;
-                fates.push(Fate::Keep(
-                    TupleHeader {
-                        xmin: hdr.xmin,
-                        xmax: crate::ids::XactId::INVALID,
-                    },
-                    row_bytes.to_vec(),
-                ));
-                return Ok(());
-            }
-            stats.kept += 1;
-            fates.push(Fate::Keep(hdr, row_bytes.to_vec()));
-            Ok(())
-        })?;
-    }
-
-    // Ensure the archive relation exists if we need it.
-    let mut archive: Option<(RelId, DeviceId)> = None;
-    let mut attached: Option<RelId> = None;
-    if fates.iter().any(|f| matches!(f, Fate::Archive(..))) {
-        let existing = entry.archive;
-        let (arch_id, arch_dev) = match existing {
-            Some(a) => {
-                let cat = db.inner.catalog.read();
-                (a, cat.relation(a)?.device)
-            }
-            None => {
-                let id = db.alloc_oid()?;
-                let arch_id = {
-                    let mut cat = db.inner.catalog.write();
-                    let schema = Schema::new([
-                        ("amin", TypeId::TIME),
-                        ("amax", TypeId::TIME),
-                        ("data", TypeId::BYTES),
-                    ]);
-                    let arch = RelationEntry::heap(id, &format!("{},arch", entry.name), archive_dev, schema);
-                    cat.add_relation(RelationEntry { no_history: true, ..arch })?;
-                    cat.relation_mut(rel)?.archive = Some(id);
-                    id
-                };
-                db.inner.smgr.with(archive_dev, |m| m.create_rel(arch_id))?;
-                attached = Some(arch_id);
-                (arch_id, archive_dev)
-            }
-        };
-        archive = Some((arch_id, arch_dev));
-    }
-
-    // Move dead versions to the archive.
-    if let Some((arch_id, arch_dev)) = archive {
-        let arch_heap = db.inner.heap(arch_id, arch_dev, false);
-        for f in &fates {
-            if let Fate::Archive(amin, amax, bytes) = f {
-                arch_heap.insert(
-                    crate::ids::XactId::FROZEN,
-                    &[
-                        Datum::Time(amin.as_nanos()),
-                        Datum::Time(amax.as_nanos()),
-                        Datum::Bytes(bytes.clone()),
-                    ],
-                )?;
-            }
-        }
-    }
-
-    // Rewrite the heap with only the kept versions.
-    db.inner.pool.discard_rel(rel);
-    db.inner.smgr.with(entry.device, |m| m.truncate(rel))?;
-    let heap = db.inner.heap(rel, entry.device, false);
-    let mut kept_rows: Vec<(crate::ids::Tid, Vec<u8>)> = Vec::new();
-    for f in &fates {
-        if let Fate::Keep(hdr, bytes) = f {
-            let tid = heap.insert_bytes(*hdr, bytes)?;
-            kept_rows.push((tid, bytes.clone()));
-        }
-    }
-
-    // Rebuild every index on the heap.
-    let (_, indexes) = db.heap_parts(rel)?;
-    for (idx, cols) in indexes {
-        let idx_dev = db.inner.catalog.read().relation(idx)?.device;
-        db.inner.pool.discard_rel(idx);
-        db.inner.smgr.with(idx_dev, |m| m.truncate(idx))?;
-        let bt = db.inner.btree(idx, idx_dev, false);
-        bt.create()?;
-        for (tid, bytes) in &kept_rows {
-            let row = decode_row(bytes)?;
-            let key: Vec<Datum> = cols.iter().map(|&i| row[i].clone()).collect();
-            bt.insert(&key, *tid)?;
-        }
-    }
-
-    // Make the rewrite durable, then the catalog change: the archive's row
-    // and the heap's row now naming it, in one transaction. (The rewrite
-    // was unlogged, so its durability is this flush, not the log.)
-    db.inner.pool.flush_all(&db.inner.smgr)?;
-    db.inner.sync_devices()?;
-    if let Some(arch_id) = attached {
-        db.catalog_txn(|s| s.store_class_rows(&[arch_id, rel]))?;
-    }
+    let stats = db.catalog_txn(|s| s.vacuum(rel, archive_dev))?;
     db.inner.stats.maintenance.vacuum_passes.bump();
     Ok(stats)
+}
+
+impl Session {
+    /// One vacuum pass over `rel` in this transaction ([`vacuum`]).
+    fn vacuum(&mut self, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStats> {
+        self.lock_exclusive(rel)?;
+        let (heap, indexes) = self.target(rel, |cat, e| {
+            if e.kind != RelKind::Heap {
+                return Err(DbError::Invalid(format!("{rel} is not a heap")));
+            }
+            let indexes = e.indexes.iter().map(|&i| cat.relation(i).cloned());
+            Ok((e.clone(), indexes.collect::<DbResult<Vec<_>>>()?))
+        })?;
+        // Sort every version: live ones are kept, dead ones archived (or
+        // discarded, `no_history`), those of aborted inserters discarded.
+        let (mut live, mut dead, mut stats) = (Vec::new(), Vec::new(), VacuumStats::default());
+        let old = self.db.inner.heap(heap.storage, heap.device);
+        // A writer whose outcome is unknown (its commit force failed, and
+        // so did the `Abort` behind it) left its versions as they are.
+        old.scan_all_raw(|_tid, mut hdr, bytes| {
+            let deleted = match old.state(hdr.xmin)? {
+                XactState::Committed(amin) if hdr.xmax.is_valid() => match old.state(hdr.xmax)? {
+                    XactState::Committed(amax) => Some((amin, amax)),
+                    XactState::InProgress => None,
+                    _ => {
+                        hdr.xmax = XactId::INVALID; // Its deleter aborted.
+                        None
+                    }
+                },
+                XactState::Committed(_) | XactState::InProgress => None,
+                _ => {
+                    stats.discarded += 1; // The version never existed.
+                    return Ok(());
+                }
+            };
+            match deleted {
+                None => live.push((hdr, bytes.to_vec())),
+                Some(_) if heap.no_history => stats.discarded += 1,
+                Some((amin, amax)) => dead.push((amin, amax, bytes.to_vec())),
+            }
+            Ok(())
+        })?;
+        (stats.kept, stats.archived) = (live.len() as u64, dead.len() as u64);
+        if stats.archived + stats.discarded == 0 {
+            return Ok(stats);
+        }
+        let mut built = Vec::new();
+        let swapped = self.swap(&heap, &indexes, &live, &dead, archive_dev, &mut built);
+        for (e, storage) in built {
+            self.db.inner.free_storage((e.device, storage));
+        }
+        swapped.map(|()| stats)
+    }
+
+    /// Builds the `live` versions of `heap` and each of its `indexes` into
+    /// fresh storage, moves the `dead` ones to the archive (creating it if
+    /// needed) and rewrites the `pg_class` rows to name the new storage.
+    /// `built` holds each new storage until its swap is on the DDL list.
+    fn swap(
+        &mut self,
+        heap: &RelationEntry,
+        indexes: &[RelationEntry],
+        live: &[(TupleHeader, Vec<u8>)],
+        dead: &[(SimInstant, SimInstant, Vec<u8>)],
+        archive_dev: DeviceId,
+        built: &mut Vec<(RelationEntry, RelId)>,
+    ) -> DbResult<()> {
+        let db = self.db.clone();
+        let new_heap = db.inner.heap(self.new_storage(heap, built)?, heap.device);
+        let mut tids = Vec::with_capacity(live.len());
+        for (hdr, bytes) in live {
+            tids.push(new_heap.insert_bytes(*hdr, bytes)?);
+            db.inner.maybe_signal_checkpoint();
+        }
+        for ie in indexes {
+            let info = ie.index.as_ref().ok_or_else(|| DbError::Corrupt(format!("index {} without index info", ie.id)))?;
+            let bt = db.inner.btree(self.new_storage(ie, built)?, ie.device);
+            bt.create()?;
+            for (tid, (_, bytes)) in tids.iter().zip(live) {
+                let row = decode_row(bytes)?;
+                bt.insert(&info.key_columns.iter().map(|&c| row[c].clone()).collect::<Vec<_>>(), *tid)?;
+                db.inner.maybe_signal_checkpoint();
+            }
+        }
+        let archive = match heap.archive {
+            None if !dead.is_empty() => {
+                let times = [Column::new("amin", TypeId::TIME), Column::new("amax", TypeId::TIME)];
+                let columns = times.into_iter().chain(heap.schema.columns.iter().cloned()).collect();
+                let name = format!("{},arch", heap.name);
+                Some(self.create_table_on(&name, Schema { columns }, archive_dev, true)?)
+            }
+            archive => archive,
+        };
+        if let Some(arch) = archive {
+            for (amin, amax, bytes) in dead {
+                let mut row = vec![Datum::Time(amin.as_nanos()), Datum::Time(amax.as_nanos())];
+                row.extend(decode_row(bytes)?);
+                self.insert_row(arch, row)?;
+            }
+        }
+        // The rows that name the new storage; the commit swaps it in.
+        while let Some((e, storage)) = built.last() {
+            let (rel, storage) = (e.id, *storage);
+            let archive = if rel == heap.id { archive } else { e.archive };
+            let old = self.target(rel, |cat, _| Ok(cat.class_tid(rel)))?;
+            if let Some(tid) = old {
+                self.delete_row(PG_CLASS, tid)?;
+            }
+            let row = self.insert_row(PG_CLASS, RelationEntry { storage, archive, ..e.clone() }.to_row())?;
+            self.ddl.push(Ddl::Swapped { rel, storage, archive, row });
+            built.pop();
+        }
+        Ok(())
+    }
+
+    /// Fresh storage for `e` on its device, under a fresh oid whose
+    /// exclusive lock marks it as being built (`pg_check` does not report
+    /// it as an orphan). It goes on `built`.
+    fn new_storage(&self, e: &RelationEntry, built: &mut Vec<(RelationEntry, RelId)>) -> DbResult<RelId> {
+        let storage = self.db.alloc_oid()?;
+        self.lock_exclusive(storage)?;
+        self.db.inner.smgr.with(e.device, |m| m.create_rel(storage))?;
+        built.push((e.clone(), storage));
+        Ok(storage)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datum::Schema;
-    use crate::db::Db;
 
     fn setup() -> (Db, RelId) {
         let db = Db::open_in_memory().unwrap();
@@ -326,14 +307,120 @@ mod tests {
     }
 
     #[test]
-    fn vacuum_refuses_during_active_transaction() {
+    fn vacuum_runs_beside_a_writer_of_another_relation() {
         let (db, rel) = setup();
-        let s = db.begin().unwrap();
-        assert!(matches!(
-            vacuum(&db, rel, DeviceId::DEFAULT),
-            Err(DbError::Invalid(_))
-        ));
-        drop(s);
+        let other = db.create_table("u", Schema::new([("k", TypeId::INT4)])).unwrap();
+        let mut s = db.begin().unwrap();
+        let tid = s.insert(rel, row(1, "old")).unwrap();
+        s.commit().unwrap();
+        let mut s = db.begin().unwrap();
+        s.update(rel, tid, row(1, "new")).unwrap();
+        s.commit().unwrap();
+
+        let mut writer = db.begin().unwrap();
+        writer.insert(other, vec![Datum::Int4(7)]).unwrap();
+        let stats = vacuum(&db, rel, DeviceId::DEFAULT).unwrap();
+        assert_eq!((stats.kept, stats.archived), (1, 1));
+        writer.commit().unwrap();
+        assert_eq!(db.check_all(), []);
+    }
+
+    #[test]
+    fn vacuum_waits_for_the_holder_of_the_heap_lock() {
+        let (db, rel) = setup();
+        let mut s = db.begin().unwrap();
+        let tid = s.insert(rel, row(1, "old")).unwrap();
+        s.commit().unwrap();
+        let mut holder = db.begin().unwrap();
+        holder.update(rel, tid, row(1, "new")).unwrap();
+
+        let waits = db.stats().lock.waits;
+        let vacuumer = {
+            let db = db.clone();
+            std::thread::spawn(move || vacuum(&db, rel, DeviceId::DEFAULT))
+        };
+        while db.stats().lock.waits == waits && !vacuumer.is_finished() {
+            std::thread::yield_now();
+        }
+        assert!(!vacuumer.is_finished(), "vacuum ran under a writer's lock");
+        holder.commit().unwrap();
+        let stats = vacuumer.join().unwrap().unwrap();
+        assert_eq!((stats.kept, stats.archived), (1, 1), "it sorted what the writer committed");
+        let mut r = db.begin().unwrap();
+        assert_eq!(r.seq_scan(rel).unwrap()[0].1, row(1, "new"));
+        r.commit().unwrap();
+        assert_eq!(db.check_all(), []);
+    }
+
+    /// A table of 40 rows under an index on wide keys (so the index spans
+    /// several leaves), every row then replaced: the instant between the two
+    /// and the rows that were current then.
+    fn replaced_rows(db: &Db, rel: RelId) -> (RelId, SimInstant, Vec<Vec<Datum>>) {
+        let idx = db.create_index("t_v", rel, &["v"]).unwrap();
+        let wide = |k: i32, tag: &str| row(k, &format!("{k:03}{tag}{}", "x".repeat(600)));
+        let mut s = db.begin().unwrap();
+        let tids: Vec<_> = (0..40).map(|k| s.insert(rel, wide(k, "a")).unwrap()).collect();
+        s.commit().unwrap();
+        let then = db.now();
+        let mut s = db.begin().unwrap();
+        for (k, tid) in (0..40).zip(tids) {
+            s.update(rel, tid, wide(k, "b")).unwrap();
+        }
+        s.commit().unwrap();
+        (idx, then, (0..40).map(|k| wide(k, "a")).collect())
+    }
+
+    /// The rows an `AsOf(then)` range scan of `idx` returns when `during`
+    /// runs on another thread while the scan is at its first row.
+    fn scan_across(db: &Db, idx: RelId, then: SimInstant, during: impl FnOnce() + Send) -> Vec<Vec<Datum>> {
+        let (mut during, mut rows) = (Some(during), Vec::new());
+        let mut h = db.snapshot_at(then);
+        h.index_scan_range(idx, None, None, |_, row| {
+            if let Some(f) = during.take() {
+                std::thread::scope(|s| drop(s.spawn(f)));
+            }
+            rows.push(row);
+            Ok(true)
+        })
+        .unwrap();
+        rows
+    }
+
+    fn on_device(db: &Db, storage: RelId) -> bool {
+        db.inner.smgr.with(DeviceId::DEFAULT, |m| Ok(m.has_rel(storage))).unwrap()
+    }
+
+    #[test]
+    fn an_as_of_scan_in_flight_across_a_vacuum_commit_reads_what_it_began_with() {
+        let (db, rel) = setup();
+        let (idx, then, rows) = replaced_rows(&db, rel);
+        let storage = |id| db.catalog().relation(id).unwrap().storage;
+        let old = [storage(rel), storage(idx)];
+        let seen = scan_across(&db, idx, then, || {
+            assert_eq!(vacuum(&db, rel, DeviceId::DEFAULT).unwrap().archived, 40);
+            assert!(old.iter().all(|&s| on_device(&db, s)), "the scan's pins keep the old storage");
+        });
+        assert_eq!(seen, rows);
+        assert_ne!([storage(rel), storage(idx)], old, "the vacuum moved heap and index");
+        assert!(!old.iter().any(|&s| on_device(&db, s)), "the last unpin freed the old storage");
+        let mut h = db.snapshot_at(then);
+        assert_eq!(h.seq_scan(rel).unwrap().len(), 40, "the archive serves the past once");
+        assert_eq!(db.check_all(), []);
+    }
+
+    #[test]
+    fn an_as_of_scan_in_flight_across_a_drop_commit_reads_what_it_began_with() {
+        let (db, rel) = setup();
+        let (idx, then, rows) = replaced_rows(&db, rel);
+        let old = [rel, idx];
+        let seen = scan_across(&db, idx, then, || {
+            db.drop_relation("t").unwrap();
+            assert!(old.iter().all(|&s| on_device(&db, s)), "the scan's pins keep the storage");
+        });
+        assert_eq!(seen, rows);
+        assert!(db.relation_id("t").is_err());
+        assert!(!old.iter().any(|&s| on_device(&db, s)), "the last unpin freed the storage");
+        assert_eq!(db.check_all(), []);
     }
 
     #[test]
@@ -373,17 +460,9 @@ mod tests {
             s.delete(rel, *tid).unwrap();
         }
         s.commit().unwrap();
-        let before = db
-            .inner
-            .smgr
-            .with(DeviceId::DEFAULT, |m| m.nblocks(rel))
-            .unwrap();
+        let before = db.relation_pages(rel).unwrap();
         vacuum(&db, rel, DeviceId::DEFAULT).unwrap();
-        let after = db
-            .inner
-            .smgr
-            .with(DeviceId::DEFAULT, |m| m.nblocks(rel))
-            .unwrap();
+        let after = db.relation_pages(rel).unwrap();
         assert!(after < before, "heap should shrink: {before} -> {after}");
         let mut r = db.begin().unwrap();
         assert_eq!(r.seq_scan(rel).unwrap().len(), 10);

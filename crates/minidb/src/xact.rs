@@ -483,8 +483,6 @@ pub enum Snapshot {
     Current(Statement),
     /// Time travel: the transaction-consistent state at a past instant.
     AsOf(SimInstant),
-    /// Every tuple version regardless of state (vacuum, debugging).
-    Dirty,
 }
 
 /// A statement snapshot: the reading transaction's own updates plus every
@@ -506,7 +504,6 @@ impl Snapshot {
     /// ([`XactLog::state`]) for the outcomes it needs.
     pub fn visible(&self, hdr: TupleHeader, state: impl Fn(XactId) -> DbResult<XactState>) -> DbResult<bool> {
         match self {
-            Snapshot::Dirty => Ok(true),
             Snapshot::Current(Statement { xid, running, xmax }) => {
                 let committed = |x: XactId| -> DbResult<bool> {
                     let past = x < *xmax && !running.contains(&x);
@@ -1060,10 +1057,5 @@ mod tests {
         assert!(!visible(&snap, hdr(run.0, 0), &log, &rig));
         // Delete by an aborted transaction never takes effect.
         assert!(visible(&snap, hdr(1, ab.0), &log, &rig));
-    }
-
-    #[test]
-    fn dirty_sees_everything() {
-        assert!(Snapshot::Dirty.visible(hdr(424242, 999), |_| Ok(XactState::Unknown)).unwrap());
     }
 }

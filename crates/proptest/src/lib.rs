@@ -68,8 +68,10 @@ macro_rules! __proptest_impl {
                         concat!($("  ", stringify!($arg), " = {:?}\n"),+),
                         $(&$arg),+
                     );
-                    let result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                        (move || { $body ::std::result::Result::Ok(()) })();
+                    let run = move || -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
+                        $body ::std::result::Result::Ok(())
+                    };
+                    let result = run();
                     if let ::std::result::Result::Err(e) = result {
                         panic!(
                             "property failed on case {}/{}: {}\ninputs:\n{}",

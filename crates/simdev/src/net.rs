@@ -8,10 +8,6 @@
 //! processing cost, which differ sharply between 1993 TCP/IP stacks and the
 //! leaner NFS UDP RPC path).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
 use crate::clock::{SimClock, SimDuration};
 
 /// Per-protocol cost parameters layered on a [`Network`].
@@ -50,19 +46,12 @@ impl NetProfile {
     }
 }
 
-#[derive(Debug, Default)]
-struct WireStats {
-    messages: u64,
-    bytes: u64,
-}
-
 /// A shared network segment with finite bandwidth and propagation latency.
 #[derive(Clone)]
 pub struct Network {
     clock: SimClock,
     bandwidth_bps: f64,
     latency: SimDuration,
-    stats: Arc<Mutex<WireStats>>,
 }
 
 impl Network {
@@ -73,7 +62,6 @@ impl Network {
             clock,
             bandwidth_bps,
             latency,
-            stats: Arc::new(Mutex::new(WireStats::default())),
         }
     }
 
@@ -87,16 +75,6 @@ impl Network {
         &self.clock
     }
 
-    /// Total messages carried.
-    pub fn messages(&self) -> u64 {
-        self.stats.lock().messages
-    }
-
-    /// Total payload bytes carried.
-    pub fn bytes(&self) -> u64 {
-        self.stats.lock().bytes
-    }
-
     /// Charges the wire cost of moving `bytes` in one direction.
     fn charge_wire(&self, bytes: usize) {
         // Frame overhead: ~58 bytes of Ethernet+IP+transport headers per
@@ -107,9 +85,6 @@ impl Network {
             on_wire * 8.0 / self.bandwidth_bps,
         ));
         self.clock.advance(cost);
-        let mut s = self.stats.lock();
-        s.messages += 1;
-        s.bytes += bytes as u64;
     }
 }
 
@@ -149,11 +124,6 @@ impl Endpoint {
     /// Accumulated counters.
     pub fn stats(&self) -> EndpointStats {
         self.stats
-    }
-
-    /// The underlying network.
-    pub fn network(&self) -> &Network {
-        &self.net
     }
 
     /// Charges one synchronous RPC of `req_bytes` out and `resp_bytes` back.
@@ -217,14 +187,12 @@ mod tests {
     fn stats_accumulate() {
         let clock = SimClock::new();
         let net = Network::ethernet_10mbit(clock);
-        let mut ep = Endpoint::new(net.clone(), NetProfile::nfs_udp());
+        let mut ep = Endpoint::new(net, NetProfile::nfs_udp());
         ep.rpc(10, 20);
         ep.rpc(30, 40);
         assert_eq!(ep.stats().rpcs, 2);
         assert_eq!(ep.stats().bytes_out, 40);
         assert_eq!(ep.stats().bytes_in, 60);
-        assert_eq!(net.messages(), 4);
-        assert_eq!(net.bytes(), 100);
     }
 
     #[test]

@@ -51,10 +51,10 @@ fn main() {
 
     // Check out revision 2 by its commit time.
     let r2 = &hist[1];
-    let text = c.read_to_vec("/notebook", Some(r2.committed_at)).unwrap();
+    let r2_text = c.read_to_vec("/notebook", Some(r2.committed_at)).unwrap();
     println!(
         "  checkout of r2: {}",
-        String::from_utf8_lossy(&text).trim_end()
+        String::from_utf8_lossy(&r2_text).trim_end()
     );
 
     // The same history is reachable through the NFS namespace extension.
@@ -111,4 +111,7 @@ fn main() {
         "  r2 after vacuum (from the archive): {}",
         String::from_utf8_lossy(&text).trim_end()
     );
+    assert_eq!(text, r2_text, "the archive serves r2 as it was");
+    assert_eq!(fs.db().check_all(), [], "pg_check after the sweep");
+    assert_eq!(fs.check(), [], "the file system's own check after the sweep");
 }

@@ -12,7 +12,7 @@ cargo run -q -p xtask -- lint
 # offline build image may not ship it).
 if cargo clippy --version >/dev/null 2>&1; then
     echo "== clippy =="
-    cargo clippy --workspace --quiet -- -D warnings
+    cargo clippy --workspace --all-targets --quiet -- -D warnings
 else
     echo "== clippy: not installed, skipping =="
 fi
@@ -104,6 +104,11 @@ cargo test --release -q -p inversion --lib slice
 # transports, fd isolation, a disconnect abort and pg_stat_net.
 echo "== smoke: remote_sessions example =="
 cargo run --release -q --example remote_sessions
+
+# Vacuums files that have history, then reads the past through the archive;
+# it asserts the old bytes come back and both verifiers are clean.
+echo "== smoke: time_machine example (vacuum, then history from the archive) =="
+cargo run --release -q --example time_machine
 
 echo "== smoke: pg_check clean after crash recovery =="
 cargo run --release -q --example pg_check_smoke

@@ -197,7 +197,11 @@ proptest! {
         smgr.register(dev, Box::new(GenericManager::format(disk).unwrap())).unwrap();
         smgr.with(dev, |m| m.create_rel(rel)).unwrap();
         let (pool, stats) = (BufferPool::new(64), StatsRegistry::new());
-        let bt = BTree { pool: &pool, smgr: &smgr, dev, rel, stats: &stats, wal: None };
+        let log = shared_device(MagneticDisk::new(
+            "log", SimClock::new(), DiskProfile::tiny_for_tests(1 << 10),
+        ));
+        let wal = minidb::Wal::create(log, Default::default()).unwrap();
+        let bt = BTree { pool: &pool, smgr: &smgr, dev, rel, stats: &stats, wal: &wal };
         bt.create().unwrap();
         let nblocks = || smgr.with(dev, |m| m.nblocks(rel)).unwrap();
         prop_assert_eq!(nblocks(), 1, "an empty index is its root and nothing else");
@@ -434,11 +438,11 @@ enum PoolOp {
     Discard,
     /// Read-ahead hint over the whole relation.
     Prefetch,
-    /// Discard the relation's pages, truncate it on the device (or drop and
-    /// re-create it), and grow it back with fresh bytes — what vacuum and
-    /// drop do. Whatever the cache held, demanded or merely read ahead,
-    /// describes blocks that no longer exist.
-    Regrow { recreate: bool, fill: u8 },
+    /// Discard the relation's pages, drop and re-create it on the device,
+    /// and grow it back with fresh bytes — what a drop and a create do.
+    /// Whatever the cache held, demanded or merely read ahead, describes
+    /// blocks that no longer exist.
+    Regrow { fill: u8 },
 }
 
 fn pool_op_strategy(nblocks: u8) -> impl Strategy<Value = PoolOp> {
@@ -453,7 +457,7 @@ fn pool_op_strategy(nblocks: u8) -> impl Strategy<Value = PoolOp> {
         Just(PoolOp::FlushClear),
         Just(PoolOp::Discard),
         Just(PoolOp::Prefetch),
-        (any::<bool>(), any::<u8>()).prop_map(|(recreate, fill)| PoolOp::Regrow { recreate, fill }),
+        any::<u8>().prop_map(|fill| PoolOp::Regrow { fill }),
     ]
 }
 
@@ -558,15 +562,11 @@ proptest! {
                 PoolOp::Prefetch => {
                     pool.prefetch(&smgr, dev, rel, 0, NBLOCKS as usize);
                 }
-                PoolOp::Regrow { recreate, fill } => {
+                PoolOp::Regrow { fill } => {
                     pool.discard_rel(rel);
                     smgr.with(dev, |m| {
-                        if recreate {
-                            m.drop_rel(rel)?;
-                            m.create_rel(rel)
-                        } else {
-                            m.truncate(rel)
-                        }
+                        m.drop_rel(rel)?;
+                        m.create_rel(rel)
                     })
                     .unwrap();
                     for b in 0..NBLOCKS as u64 {
@@ -666,7 +666,6 @@ impl CrashRig {
         let data = cached("data", 1 << 16);
         let log = cached("log", 1 << 12);
         let catalog = cached("catalog", 1 << 12);
-        drop(cached);
         let data_faults = plans[0].clone();
         let log_faults = plans[1].clone();
         CrashRig { clock, data, log, catalog, handles, data_faults, log_faults }

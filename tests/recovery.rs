@@ -5,7 +5,8 @@ mod common;
 
 use common::Devices;
 use inversion::{CreateMode, InversionFs, OpenMode};
-use minidb::{Datum, Schema, TypeId};
+use minidb::vacuum::vacuum;
+use minidb::{Datum, DeviceId, Schema, TypeId};
 
 #[test]
 fn repeated_crash_recover_cycles_are_stable() {
@@ -1204,4 +1205,187 @@ fn a_force_torn_among_a_root_splits_images_recovers_to_the_unsplit_root() {
         survived.iter().any(|n| (1..3).contains(n)),
         "no tear fell between the images: {survived:?} survived"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The vacuum cleaner is one logged transaction: it builds new storage and
+// swaps it in at its commit, so every way it can end leaves one state.
+
+/// The ints of `rel` as of `t`, sorted.
+fn ints_at(db: &minidb::Db, rel: minidb::RelId, t: simdev::SimInstant) -> Vec<i64> {
+    let mut h = db.snapshot_at(t);
+    let mut got: Vec<i64> =
+        h.seq_scan(rel).unwrap().iter().map(|(_, row)| row[0].as_int().unwrap()).collect();
+    got.sort_unstable();
+    got
+}
+
+/// A fresh database on `rig` whose table `t` holds 1 and 2 at the instant
+/// returned; then 1 became 10, and a checkpoint drained everything.
+fn history_to_vacuum(rig: &common::CrashRig) -> (minidb::Db, minidb::RelId, simdev::SimInstant) {
+    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let t = db.create_table("t", int_table()).unwrap();
+    insert_ints(&db, t, 1..3);
+    let cp1 = db.now();
+    let mut s = db.begin().unwrap();
+    let (tid, _) = s.seq_scan(t).unwrap().into_iter().find(|(_, row)| row[0] == Datum::Int4(1)).unwrap();
+    s.update(t, tid, vec![Datum::Int4(10)]).unwrap();
+    s.commit().unwrap();
+    db.checkpoint().unwrap();
+    (db, t, cp1)
+}
+
+/// What every test below ends on: the present once, the past whole, and
+/// nothing the verifier objects to.
+fn assert_vacuumed_or_not(db: &minidb::Db, t: minidb::RelId, cp1: simdev::SimInstant) {
+    assert_eq!(ints_of(db, t), [2, 10]);
+    assert_eq!(ints_at(db, t, cp1), [1, 2]);
+    assert_clean(db);
+}
+
+/// A vacuum whose commit cannot reach the log is aborted whole, and so is
+/// what it wrote when the power goes.
+#[test]
+fn history_survives_a_failed_vacuum_and_a_crash() {
+    let rig = common::CrashRig::new();
+    let (db, t, cp1) = history_to_vacuum(&rig);
+    rig.log_faults.fail_after_writes(0);
+    assert!(vacuum(&db, t, DeviceId::DEFAULT).is_err(), "its commit cannot reach the log");
+    assert_vacuumed_or_not(&db, t, cp1);
+    rig.crash(db);
+    rig.log_faults.clear_write_fault();
+    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    assert_vacuumed_or_not(&db, t, cp1);
+}
+
+/// The vacuum writes nothing to the data device itself, so a write fault
+/// armed there while it fills the archive does not fail it: it commits,
+/// and the fault trips at the next checkpoint's sync, which takes the
+/// database down. The catalog is consistent at every step, and the reopen
+/// replays the vacuum from the log.
+#[test]
+fn a_data_device_write_fault_under_a_vacuum_leaves_the_catalog_consistent() {
+    let rig = common::CrashRig::new();
+    let (db, t, cp1) = history_to_vacuum(&rig);
+    rig.data_faults.fail_after_writes(0);
+    assert_eq!(vacuum(&db, t, DeviceId::DEFAULT).unwrap().archived, 1);
+    assert_vacuumed_or_not(&db, t, cp1);
+    assert!(db.checkpoint().is_err(), "the fault trips at the sync");
+    assert_vacuumed_or_not(&db, t, cp1);
+    rig.crash(db);
+    rig.data_faults.clear_write_fault();
+    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    assert_vacuumed_or_not(&db, t, cp1);
+    assert!(db.catalog().relation(t).unwrap().archive.is_some(), "the vacuum committed");
+}
+
+/// A vacuum that fails part-way through filling its archive: with a pool
+/// of 16 frames the archive's pages evict one another, and each eviction
+/// must force the log first, which fails. Everything it built goes.
+#[test]
+fn a_vacuum_that_fails_while_it_fills_the_archive_takes_everything_back() {
+    let rig = common::CrashRig::new();
+    let db = rig.try_open(true, minidb::DbConfig { buffers: 16, ..no_timed_checkpoints() }).unwrap();
+    let t = db.create_table("t", Schema::new([("v", TypeId::INT4), ("pad", TypeId::TEXT)])).unwrap();
+    let mut s = db.begin().unwrap();
+    let pad = "p".repeat(1000);
+    let tids: Vec<_> =
+        (0..200).map(|v| s.insert(t, vec![Datum::Int4(v), Datum::Text(pad.clone())]).unwrap()).collect();
+    s.commit().unwrap();
+    let mut s = db.begin().unwrap();
+    for &tid in &tids[10..] {
+        s.delete(t, tid).unwrap();
+    }
+    s.commit().unwrap();
+    db.checkpoint().unwrap();
+    let before = on_device(&rig);
+    rig.log_faults.fail_after_writes(0);
+    assert!(vacuum(&db, t, DeviceId::DEFAULT).is_err());
+    rig.log_faults.clear_write_fault();
+    assert!(db.relation_id("t,arch").is_err(), "the archive it created is taken back");
+    assert_eq!(ints_of(&db, t), (0..10).collect::<Vec<i64>>());
+    assert_clean(&db);
+    db.checkpoint().unwrap();
+    assert_eq!(on_device(&rig), before, "the storage it built is released");
+    let stats = vacuum(&db, t, DeviceId::DEFAULT).unwrap();
+    assert_eq!((stats.kept, stats.archived), (10, 190));
+    assert_clean(&db);
+}
+
+/// A vacuum's commit is durable once its force returns; the old storage
+/// goes later, at the last unpin of a read in flight, and leaves the
+/// device's map at the checkpoint after that. A crash in between finds
+/// both storages on the device and one row in `pg_class` naming the new:
+/// reopening reads every row once and releases the old storage.
+#[test]
+fn a_crash_after_a_vacuum_commits_but_before_its_old_storage_goes_recovers_once() {
+    let rig = common::CrashRig::new();
+    let (db, t, cp1) = history_to_vacuum(&rig);
+    let idx = db.create_index("t_v", t, &["v"]).unwrap();
+    let old = db.catalog().relation(t).unwrap().storage;
+    let mut new = old;
+    let mut h = db.snapshot_at(cp1);
+    let mut seen = Vec::new();
+    h.index_scan_range(idx, None, None, |_, row| {
+        if seen.is_empty() {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    vacuum(&db, t, DeviceId::DEFAULT).unwrap();
+                    new = db.catalog().relation(t).unwrap().storage;
+                    db.checkpoint().unwrap();
+                });
+            });
+            db.simulate_crash();
+        }
+        seen.push(row[0].as_int().unwrap());
+        Ok(true)
+    })
+    .unwrap();
+    assert_eq!(seen, [1, 2], "the read in flight kept its storage");
+    drop(h);
+    rig.crash(db);
+    assert!(old != new && on_device(&rig).contains(&old) && on_device(&rig).contains(&new));
+
+    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    assert_eq!(db.catalog().relation(t).unwrap().storage, new);
+    assert_vacuumed_or_not(&db, t, cp1);
+    let mut s = db.begin().unwrap();
+    assert_eq!(s.index_scan_eq(idx, &[Datum::Int4(10)]).unwrap().len(), 1);
+    s.commit().unwrap();
+    db.checkpoint().unwrap();
+    assert!(!on_device(&rig).contains(&old), "reopening released the old storage");
+}
+
+/// A crash in the middle of a vacuum, after a checkpoint put the storage it
+/// built on the device: a transaction holding `pg_class`'s lock parks the
+/// vacuum at its archive's create, once the new heap is built. Nothing
+/// names that storage, so reopening releases it and reads the heap as it
+/// was.
+#[test]
+fn a_crash_in_the_middle_of_a_vacuum_recovers_the_heap_as_it_was() {
+    let rig = common::CrashRig::new();
+    let (db, t, cp1) = history_to_vacuum(&rig);
+    let before = on_device(&rig);
+    let mut ddl = db.begin().unwrap();
+    ddl.create_table_on("other", int_table(), DeviceId::DEFAULT, false).unwrap();
+    let waits = db.stats().lock.waits;
+    std::thread::scope(|s| {
+        let vacuumer = s.spawn(|| vacuum(&db, t, DeviceId::DEFAULT));
+        assert!(common::wait_until(|| db.stats().lock.waits > waits), "the vacuum parks");
+        db.checkpoint().unwrap();
+        // The new heap and the archive, and `other`.
+        assert_eq!(on_device(&rig).len(), before.len() + 3, "the build is on the device");
+        // Nothing from here on reaches the log: the vacuum never commits.
+        rig.log_faults.fail_after_writes(0);
+        ddl.abort().unwrap();
+        assert!(vacuumer.join().unwrap().is_err());
+    });
+    rig.crash(db);
+    rig.log_faults.clear_write_fault();
+
+    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    assert_vacuumed_or_not(&db, t, cp1);
+    assert!(db.relation_id("t,arch").is_err() && db.relation_id("other").is_err());
+    db.checkpoint().unwrap();
+    assert_eq!(on_device(&rig), before, "reopening released what the vacuum built");
 }

@@ -4,7 +4,8 @@
 mod common;
 
 use common::Devices;
-use inversion::{CreateMode, InversionFs, OpenMode, SeekWhence};
+use inversion::maintenance::vacuum_all;
+use inversion::{CreateMode, InversionFs, OpenMode, SeekWhence, CHUNK_SIZE};
 use minidb::vacuum::vacuum;
 use minidb::{Datum, DeviceId};
 use simdev::SimInstant;
@@ -121,6 +122,32 @@ fn history_survives_the_vacuum_cleaner_via_archive() {
     assert_eq!(c.read_to_vec("/f", None).unwrap(), b"bravo");
     // ...historical reads are served from the archive.
     assert_eq!(c.read_to_vec("/f", Some(t_alpha)).unwrap(), b"alpha");
+}
+
+/// A full chunk archives as `(amin, amax, chunkno, data)`, which still
+/// fits a heap tuple: `vacuum_all` over a file of two full chunks written
+/// over once moves both old chunks to the archive, and history reads them
+/// from there.
+#[test]
+fn vacuum_all_archives_an_overwritten_file_of_full_chunks() {
+    let fs = fresh_fs();
+    let mut c = fs.client();
+    let (old, new) = (vec![1u8; 2 * CHUNK_SIZE], vec![2u8; 2 * CHUNK_SIZE]);
+    c.write_all("/full", CreateMode::default(), &old).unwrap();
+    let then = fs.db().now();
+    c.p_begin().unwrap();
+    let fd = c.p_open("/full", OpenMode::ReadWrite, None).unwrap();
+    c.p_write(fd, &new).unwrap();
+    c.p_close(fd).unwrap();
+    c.p_commit().unwrap();
+
+    let report = vacuum_all(&fs, DeviceId::DEFAULT).unwrap();
+    let (_, data) = report.iter().find(|(name, _)| name.starts_with("inv")).unwrap();
+    assert_eq!((data.kept, data.archived), (2, 2));
+    assert_eq!(c.read_to_vec("/full", Some(then)).unwrap(), old);
+    assert_eq!(c.read_to_vec("/full", None).unwrap(), new);
+    assert_eq!(fs.db().check_all(), []);
+    assert_eq!(fs.check(), []);
 }
 
 #[test]
