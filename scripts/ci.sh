@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 echo "== lint (xtask static analysis) =="
 cargo run -q -p xtask -- lint
 
+# Printed for the line trajectory in ROADMAP.md; not a gate.
+echo "== non-test Rust lines under crates/ =="
+scripts/loc.sh
+
 # Clippy is a bonus gate: run it when the component is installed (the
 # offline build image may not ship it).
 if cargo clippy --version >/dev/null 2>&1; then
