@@ -38,7 +38,7 @@ use parking_lot::Mutex;
 use simdev::DuplexStream;
 
 use crate::fs::{InvError, InvResult, InversionFs};
-use crate::server::{InvServer, Request, Response};
+use crate::server::{InvServer, Reply, Request, Response};
 use crate::stats::SessionNetStats;
 use crate::wire::{self, FrameEvent};
 
@@ -312,8 +312,10 @@ impl<S: Read + Write> WireClient<S> {
     }
 
     /// Sends one request without waiting for its response (pipelining).
+    /// A request too large for one frame is refused before a byte is sent.
     pub fn send(&mut self, req: &Request) -> InvResult<()> {
         let bytes = wire::encode_request(req);
+        wire::check_size(&bytes)?;
         wire::write_frame(&mut self.stream, &bytes)
             .map_err(|e| InvError::Invalid(format!("wire: send failed: {e}")))?;
         self.stats.frames_out.bump();
@@ -342,97 +344,6 @@ impl<S: Read + Write> WireClient<S> {
         self.recv()
     }
 
-    /// `p_begin` over the wire.
-    pub fn begin(&mut self) -> InvResult<()> {
-        self.call(&Request::Begin).map(|_| ())
-    }
-
-    /// `p_commit` over the wire.
-    pub fn commit(&mut self) -> InvResult<()> {
-        self.call(&Request::Commit).map(|_| ())
-    }
-
-    /// `p_abort` over the wire.
-    pub fn abort(&mut self) -> InvResult<()> {
-        self.call(&Request::Abort).map(|_| ())
-    }
-
-    /// `p_creat` over the wire.
-    pub fn creat(&mut self, path: &str, mode: crate::fs::CreateMode) -> InvResult<crate::api::Fd> {
-        match self.call(&Request::Creat(path.into(), mode))? {
-            Response::Fd(fd) => Ok(fd),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// `p_open` over the wire.
-    pub fn open(
-        &mut self,
-        path: &str,
-        mode: crate::api::OpenMode,
-        asof: Option<simdev::SimInstant>,
-    ) -> InvResult<crate::api::Fd> {
-        match self.call(&Request::Open(path.into(), mode, asof))? {
-            Response::Fd(fd) => Ok(fd),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// `p_close` over the wire.
-    pub fn close(&mut self, fd: crate::api::Fd) -> InvResult<()> {
-        self.call(&Request::Close(fd)).map(|_| ())
-    }
-
-    /// `p_stat` over the wire.
-    pub fn stat(&mut self, path: &str) -> InvResult<crate::fs::FileStat> {
-        match self.call(&Request::Stat(path.into()))? {
-            Response::Stat(s) => Ok(*s),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// `p_mkdir` over the wire.
-    pub fn mkdir(&mut self, path: &str) -> InvResult<()> {
-        self.call(&Request::Mkdir(path.into())).map(|_| ())
-    }
-
-    /// `p_unlink` over the wire.
-    pub fn unlink(&mut self, path: &str) -> InvResult<()> {
-        self.call(&Request::Unlink(path.into())).map(|_| ())
-    }
-
-    /// `p_readdir` over the wire.
-    pub fn readdir(&mut self, path: &str) -> InvResult<Vec<(String, minidb::Oid)>> {
-        match self.call(&Request::Readdir(path.into()))? {
-            Response::Entries(es) => Ok(es),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// `p_rename` over the wire.
-    pub fn rename(&mut self, from: &str, to: &str) -> InvResult<()> {
-        self.call(&Request::Rename(from.into(), to.into()))
-            .map(|_| ())
-    }
-
-    /// `p_undelete` over the wire.
-    pub fn undelete(&mut self, path: &str, t: simdev::SimInstant) -> InvResult<()> {
-        self.call(&Request::Undelete(path.into(), t)).map(|_| ())
-    }
-
-    /// `p_slice` over the wire.
-    pub fn slice(
-        &mut self,
-        dest: &str,
-        mode: crate::fs::CreateMode,
-        ranges: &[crate::fs::SliceRange],
-    ) -> InvResult<crate::fs::FileStat> {
-        match self.call(&Request::Slice(dest.into(), mode, ranges.to_vec()))? {
-            Response::Stat(s) => Ok(*s),
-            other => Err(unexpected(&other)),
-        }
-    }
-
     /// Reads `len` bytes from `fd`, pipelining one request per 256 KB
     /// window: every request frame is sent before the first response is
     /// read. Short reads (EOF) end the result early.
@@ -447,10 +358,7 @@ impl<S: Read + Write> WireClient<S> {
         }
         let mut out = Vec::with_capacity(len);
         for resp in self.recv_all(inflight)? {
-            let Response::Data(d) = resp else {
-                return Err(unexpected(&resp));
-            };
-            out.extend_from_slice(&d);
+            out.extend_from_slice(&Vec::<u8>::from_response(resp)?);
         }
         Ok(out)
     }
@@ -465,10 +373,7 @@ impl<S: Read + Write> WireClient<S> {
         }
         let mut total = 0usize;
         for resp in self.recv_all(inflight)? {
-            let Response::Count(n) = resp else {
-                return Err(unexpected(&resp));
-            };
-            total += n as usize;
+            total += usize::from_response(resp)?;
         }
         Ok(total)
     }
@@ -488,10 +393,6 @@ impl<S: Read + Write> WireClient<S> {
         }
         first_err.map_or(Ok(out), Err)
     }
-}
-
-fn unexpected(resp: &Response) -> InvError {
-    InvError::Invalid(format!("wire: unexpected response {resp:?}"))
 }
 
 #[cfg(test)]

@@ -9,49 +9,15 @@
 //! every transport runs, the pool's session threads ([`crate::pool`]) and
 //! the simulated network link ([`crate::client::SimLink`]) alike.
 
+use std::io::{Read, Write};
+
 use minidb::Oid;
 use simdev::SimInstant;
 
 use crate::api::{Fd, InvClient, OpenMode, SeekWhence};
-use crate::fs::{CreateMode, FileStat, InvResult, InversionFs, SliceRange};
+use crate::fs::{CreateMode, FileStat, InvError, InvResult, InversionFs, SliceRange};
+use crate::pool::WireClient;
 use crate::wire::{self, FrameEvent, WireError};
-
-/// A request as carried by the client/server protocol.
-#[derive(Debug, Clone)]
-pub enum Request {
-    /// `p_begin`
-    Begin,
-    /// `p_commit`
-    Commit,
-    /// `p_abort`
-    Abort,
-    /// `p_creat(path, mode)`
-    Creat(String, CreateMode),
-    /// `p_open(path, mode, timestamp)`
-    Open(String, OpenMode, Option<SimInstant>),
-    /// `p_close(fd)`
-    Close(Fd),
-    /// `p_read(fd, len)`
-    Read(Fd, usize),
-    /// `p_write(fd, data)`
-    Write(Fd, Vec<u8>),
-    /// `p_lseek(fd, offset, whence)`
-    Lseek(Fd, i64, SeekWhence),
-    /// `p_stat(path)`
-    Stat(String),
-    /// `p_mkdir(path)`
-    Mkdir(String),
-    /// `p_unlink(path)`
-    Unlink(String),
-    /// `p_readdir(path)`
-    Readdir(String),
-    /// `p_rename(from, to)`
-    Rename(String, String),
-    /// `p_undelete(path, t)`
-    Undelete(String, SimInstant),
-    /// `p_slice(dest, mode, ranges)`
-    Slice(String, CreateMode, Vec<SliceRange>),
-}
 
 /// A server response.
 #[derive(Debug, Clone)]
@@ -123,53 +89,99 @@ impl InvServer {
         if damaged {
             stats.net_decode_errors.bump();
         }
-        let bytes = wire::encode_response(&res.unwrap_or_else(|e| Err(e.into())));
+        let mut bytes = wire::encode_response(&res.unwrap_or_else(|e| Err(e.into())));
+        if let Err(e) = wire::check_size(&bytes) {
+            bytes = wire::encode_response(&Err(e));
+        }
         stats.net_frames_out.bump();
         stats.net_bytes_out.add(bytes.len() as u64);
         (Some(bytes), damaged)
     }
-
-    /// Executes one request, counting it in `inv_stat`'s `rpcs`.
-    pub fn handle(&mut self, req: Request) -> InvResult<Response> {
-        self.client.fs().stats().rpcs.bump();
-        match req {
-            Request::Begin => self.client.p_begin().map(|_| Response::Ok),
-            Request::Commit => self.client.p_commit().map(|_| Response::Ok),
-            Request::Abort => self.client.p_abort().map(|_| Response::Ok),
-            Request::Creat(path, mode) => self.client.p_creat(&path, mode).map(Response::Fd),
-            Request::Open(path, mode, ts) => self.client.p_open(&path, mode, ts).map(Response::Fd),
-            Request::Close(fd) => self.client.p_close(fd).map(|_| Response::Ok),
-            Request::Read(fd, len) => {
-                let mut buf = vec![0u8; len];
-                let n = self.client.p_read(fd, &mut buf)?;
-                buf.truncate(n);
-                Ok(Response::Data(buf))
-            }
-            Request::Write(fd, data) => self
-                .client
-                .p_write(fd, &data)
-                .map(|n| Response::Count(n as u64)),
-            Request::Lseek(fd, off, whence) => {
-                self.client.p_lseek(fd, off, whence).map(Response::Count)
-            }
-            Request::Stat(path) => self
-                .client
-                .p_stat(&path, None)
-                .map(|s| Response::Stat(Box::new(s))),
-            Request::Mkdir(path) => self.client.p_mkdir(&path).map(|_| Response::Ok),
-            Request::Unlink(path) => self.client.p_unlink(&path).map(|_| Response::Ok),
-            Request::Readdir(path) => self.client.p_readdir(&path, None).map(Response::Entries),
-            Request::Rename(from, to) => self.client.p_rename(&from, &to).map(|_| Response::Ok),
-            Request::Undelete(path, t) => {
-                self.client.p_undelete(&path, t).map(|_| Response::Ok)
-            }
-            Request::Slice(dest, mode, ranges) => self
-                .client
-                .p_slice(&dest, mode, &ranges)
-                .map(|s| Response::Stat(Box::new(s))),
-        }
-    }
 }
+
+/// A request's result: how the server answers with it, and how
+/// [`WireClient`] takes it back out of the answer.
+pub(crate) trait Reply: Sized {
+    fn into_response(self) -> Response;
+    fn from_response(r: Response) -> InvResult<Self>;
+}
+
+/// Implements [`Reply`] for each `Type: value => response, pattern => value;`.
+macro_rules! replies {
+    ($($ty:ty: $v:ident => $response:expr, $pat:pat => $back:expr;)*) => {$(
+        impl Reply for $ty {
+            fn into_response(self) -> Response {
+                let $v = self;
+                $response
+            }
+            fn from_response(r: Response) -> InvResult<$ty> {
+                match r {
+                    $pat => Ok($back),
+                    other => Err(InvError::Invalid(format!("wire: unexpected response {other:?}"))),
+                }
+            }
+        }
+    )*};
+}
+
+replies! {
+    (): _unit => Response::Ok, Response::Ok => ();
+    Fd: fd => Response::Fd(fd), Response::Fd(fd) => fd;
+    u64: n => Response::Count(n), Response::Count(n) => n;
+    usize: n => Response::Count(n as u64), Response::Count(n) => n as usize;
+    Vec<u8>: data => Response::Data(data), Response::Data(data) => data;
+    FileStat: s => Response::Stat(Box::new(s)), Response::Stat(s) => *s;
+    Vec<(String, Oid)>: es => Response::Entries(es), Response::Entries(es) => es;
+}
+
+/// A client method's parameter type for a field: the field's own type, or
+/// the `Arg` of `Type as Arg`.
+macro_rules! arg_type {
+    ($ty:ty) => { $ty };
+    ($ty:ty as $arg:ty) => { $arg };
+}
+
+/// Generates [`Request`], [`InvServer::handle`] and one [`WireClient`]
+/// method per request from the op table (see [`crate::wire`]).
+macro_rules! request_api {
+    ($(
+        $(#[$doc:meta])*
+        $op:ident = $code:literal: $variant:ident $(($($field:ident: $ty:ty $(as $arg:ty)?),*))?
+            => fn $method:ident -> $reply:ty, |$c:ident| $call:expr;
+    )*) => {
+        /// A request as carried by the client/server protocol.
+        #[derive(Debug, Clone)]
+        pub enum Request {
+            $($(#[$doc])* $variant $(($($ty),*))?,)*
+        }
+
+        impl InvServer {
+            /// Executes one request, counting it in `inv_stat`'s `rpcs`.
+            pub fn handle(&mut self, req: Request) -> InvResult<Response> {
+                self.client.fs().stats().rpcs.bump();
+                match req {
+                    $(Request::$variant $(($($field),*))? => {
+                        let $c = &mut self.client;
+                        $call.map(<$reply>::into_response)
+                    })*
+                }
+            }
+        }
+
+        impl<S: Read + Write> WireClient<S> {
+            $(
+                $(#[$doc])*
+                pub fn $method(
+                    &mut self $($(, $field: arg_type!($ty $(as $arg)?))*)?
+                ) -> InvResult<$reply> {
+                    <$reply>::from_response(self.call(&Request::$variant $(($($field.into()),*))?)?)
+                }
+            )*
+        }
+    };
+}
+
+wire::op_table!(request_api);
 
 #[cfg(test)]
 mod tests {

@@ -31,14 +31,30 @@
 //! garbage, and classifies every failure as either *recoverable* (the frame
 //! was fully consumed, the stream is still in sync — e.g. a checksum
 //! mismatch) or *fatal* (framing itself is untrustworthy — bad magic, a
-//! truncated header, an oversized length prefix).
+//! truncated header, an oversized length prefix). No sender puts such a
+//! length on the wire: [`WireClient::send`] refuses a request whose payload
+//! would exceed [`MAX_PAYLOAD`] before writing a byte, and
+//! [`crate::InvServer::serve_frame`] answers an error in place of a response
+//! that would.
+//!
+//! # The op table
+//!
+//! Each request is declared once, as one row of the table at the
+//! [`requests!`] invocation below: its opcode, its [`Request`] variant and
+//! field types, the [`WireClient`] method and its result type, and the
+//! [`InvClient`] call the server makes. The macro generates the variant, the
+//! payload encoder (which is also the sizer), [`decode_request_frame`], the
+//! server's dispatch and the client method, so adding a request is adding a
+//! row. A field type has one encoding ([`Field`]); a result type has one way
+//! into and out of a [`Response`] ([`Reply`]). The seven responses are
+//! written out by hand.
 
 use std::io::{self, Read, Write};
 
 use minidb::{DbError, Oid, TypeId};
 use simdev::SimInstant;
 
-use crate::api::{OpenMode, SeekWhence};
+use crate::api::{Fd, OpenMode, SeekWhence};
 use crate::fs::{CreateMode, FileKind, FileStat, InvError, InvResult, SliceRange};
 use crate::server::{Request, Response};
 
@@ -54,25 +70,7 @@ pub const HEADER_LEN: usize = 16;
 /// length prefix cannot drive allocation.
 pub const MAX_PAYLOAD: usize = 1 << 20;
 
-// Request opcodes.
-const OP_BEGIN: u16 = 1;
-const OP_COMMIT: u16 = 2;
-const OP_ABORT: u16 = 3;
-const OP_CREAT: u16 = 4;
-const OP_OPEN: u16 = 5;
-const OP_CLOSE: u16 = 6;
-const OP_READ: u16 = 7;
-const OP_WRITE: u16 = 8;
-const OP_LSEEK: u16 = 9;
-const OP_STAT: u16 = 10;
-const OP_MKDIR: u16 = 11;
-const OP_UNLINK: u16 = 12;
-const OP_READDIR: u16 = 13;
-const OP_RENAME: u16 = 14;
-const OP_UNDELETE: u16 = 15;
-const OP_SLICE: u16 = 16;
-
-// Response opcodes.
+// Response opcodes. Request opcodes are in the op table.
 const OP_R_OK: u16 = 100;
 const OP_R_FD: u16 = 101;
 const OP_R_DATA: u16 = 102;
@@ -309,93 +307,138 @@ impl<'a> Cursor<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Domain type encodings.
+// Request field encodings: one `put`/`get` pair per field type.
+
+/// How a request field of this type travels.
+trait Field: Sized {
+    fn put(&self, out: &mut impl Sink);
+    fn get(c: &mut Cursor<'_>) -> Result<Self, WireError>;
+}
+
+/// Implements [`Field`] for each `Type: |out, value| put, |cursor| get;`.
+macro_rules! fields {
+    ($($ty:ty: |$out:ident, $v:ident| $put:expr, |$c:ident| $get:expr;)*) => {$(
+        impl Field for $ty {
+            fn put(&self, $out: &mut impl Sink) {
+                let $v = self;
+                $put
+            }
+            fn get($c: &mut Cursor<'_>) -> Result<$ty, WireError> {
+                $get
+            }
+        }
+    )*};
+}
 
 const CM_COMPRESSED: u8 = 1;
 const CM_SELF_ID: u8 = 2;
 const CM_NO_HISTORY: u8 = 4;
 
-fn put_create_mode(out: &mut impl Sink, m: &CreateMode) {
-    put_u8(out, m.device.0);
-    let mut flags = 0u8;
-    if m.compressed {
-        flags |= CM_COMPRESSED;
-    }
-    if m.self_identifying {
-        flags |= CM_SELF_ID;
-    }
-    if m.no_history {
-        flags |= CM_NO_HISTORY;
-    }
-    put_u8(out, flags);
-    put_u32(out, m.ftype.map(|t| t.0).unwrap_or(0));
-    put_str(out, &m.owner);
-}
-
-fn get_create_mode(c: &mut Cursor<'_>) -> Result<CreateMode, WireError> {
-    let device = minidb::DeviceId(c.u8()?);
-    let flags = c.u8()?;
-    let ftype = c.u32()?;
-    let owner = c.str()?;
-    Ok(CreateMode {
-        device,
-        owner,
-        ftype: if ftype == 0 { None } else { Some(TypeId(ftype)) },
-        compressed: flags & CM_COMPRESSED != 0,
-        self_identifying: flags & CM_SELF_ID != 0,
-        no_history: flags & CM_NO_HISTORY != 0,
-    })
-}
-
-fn put_open_mode(out: &mut impl Sink, m: OpenMode) {
-    put_u8(out, if m == OpenMode::ReadWrite { 1 } else { 0 });
-}
-
-fn get_open_mode(c: &mut Cursor<'_>) -> Result<OpenMode, WireError> {
-    match c.u8()? {
-        0 => Ok(OpenMode::Read),
-        1 => Ok(OpenMode::ReadWrite),
-        other => Err(WireError::Malformed(format!("open mode {other}"))),
-    }
-}
-
-fn put_whence(out: &mut impl Sink, w: SeekWhence) {
-    put_u8(
-        out,
-        match w {
-            SeekWhence::Set => 0,
-            SeekWhence::Cur => 1,
-            SeekWhence::End => 2,
-        },
-    );
-}
-
-fn get_whence(c: &mut Cursor<'_>) -> Result<SeekWhence, WireError> {
-    match c.u8()? {
+fields! {
+    // A descriptor.
+    i32: |out, fd| put_i32(out, *fd), |c| c.i32();
+    // A seek offset.
+    i64: |out, off| put_i64(out, *off), |c| c.i64();
+    String: |out, s| put_str(out, s), |c| c.str();
+    Vec<u8>: |out, data| put_bytes(out, data), |c| c.bytes();
+    // A read's length: its answer is the bytes behind a `u32` count, in one
+    // frame.
+    usize: |out, len| put_u64(out, *len as u64), |c| {
+        let len = c.u64()?;
+        if len > (MAX_PAYLOAD - 4) as u64 {
+            return Err(WireError::Malformed(format!("read of {len} bytes")));
+        }
+        Ok(len as usize)
+    };
+    SimInstant: |out, t| put_u64(out, t.as_nanos()), |c| Ok(SimInstant::from_nanos(c.u64()?));
+    // An `AsOf` timestamp: a tag, then the instant.
+    Option<SimInstant>: |out, t| match t {
+        None => put_u8(out, 0),
+        Some(t) => {
+            put_u8(out, 1);
+            t.put(out);
+        }
+    }, |c| match c.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(SimInstant::get(c)?)),
+        other => Err(WireError::Malformed(format!("timestamp tag {other}"))),
+    };
+    CreateMode: |out, m| {
+        put_u8(out, m.device.0);
+        let mut flags = 0u8;
+        if m.compressed {
+            flags |= CM_COMPRESSED;
+        }
+        if m.self_identifying {
+            flags |= CM_SELF_ID;
+        }
+        if m.no_history {
+            flags |= CM_NO_HISTORY;
+        }
+        put_u8(out, flags);
+        put_u32(out, m.ftype.map(|t| t.0).unwrap_or(0));
+        put_str(out, &m.owner);
+    }, |c| {
+        let device = minidb::DeviceId(c.u8()?);
+        let flags = c.u8()?;
+        let ftype = c.u32()?;
+        let owner = c.str()?;
+        Ok(CreateMode {
+            device,
+            owner,
+            ftype: if ftype == 0 { None } else { Some(TypeId(ftype)) },
+            compressed: flags & CM_COMPRESSED != 0,
+            self_identifying: flags & CM_SELF_ID != 0,
+            no_history: flags & CM_NO_HISTORY != 0,
+        })
+    };
+    OpenMode: |out, m| put_u8(out, if *m == OpenMode::ReadWrite { 1 } else { 0 }), |c| {
+        match c.u8()? {
+            0 => Ok(OpenMode::Read),
+            1 => Ok(OpenMode::ReadWrite),
+            other => Err(WireError::Malformed(format!("open mode {other}"))),
+        }
+    };
+    SeekWhence: |out, w| {
+        put_u8(
+            out,
+            match w {
+                SeekWhence::Set => 0,
+                SeekWhence::Cur => 1,
+                SeekWhence::End => 2,
+            },
+        )
+    }, |c| match c.u8()? {
         0 => Ok(SeekWhence::Set),
         1 => Ok(SeekWhence::Cur),
         2 => Ok(SeekWhence::End),
         other => Err(WireError::Malformed(format!("whence {other}"))),
-    }
-}
-
-fn put_timestamp(out: &mut impl Sink, t: &Option<SimInstant>) {
-    match t {
-        None => put_u8(out, 0),
-        Some(t) => {
-            put_u8(out, 1);
-            put_u64(out, t.as_nanos());
+    };
+    Vec<SliceRange>: |out, ranges| {
+        put_u32(out, ranges.len() as u32);
+        for r in ranges {
+            put_str(out, &r.path);
+            put_u64(out, r.offset);
+            put_u64(out, r.len);
         }
-    }
+    }, |c| {
+        let n = c.u32()? as usize;
+        if n > MAX_PAYLOAD / 20 {
+            return Err(WireError::Malformed(format!("{n} slice ranges")));
+        }
+        let mut ranges = Vec::with_capacity(n);
+        for _ in 0..n {
+            let path = c.str()?;
+            let offset = c.u64()?;
+            let len = c.u64()?;
+            ranges.push(SliceRange { path, offset, len });
+        }
+        Ok(ranges)
+    };
 }
 
-fn get_timestamp(c: &mut Cursor<'_>) -> Result<Option<SimInstant>, WireError> {
-    match c.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(SimInstant::from_nanos(c.u64()?))),
-        other => Err(WireError::Malformed(format!("timestamp tag {other}"))),
-    }
-}
+// ---------------------------------------------------------------------------
+// Response encodings.
 
 const FS_COMPRESSED: u8 = 1;
 const FS_SELF_ID: u8 = 2;
@@ -562,6 +605,115 @@ fn get_error(c: &mut Cursor<'_>) -> Result<InvError, WireError> {
 }
 
 // ---------------------------------------------------------------------------
+// The op table.
+
+/// The op table: every request, one row each. `op_table!(expand)` hands
+/// the rows to the macro `expand`: `request_codec!` below generates the
+/// opcodes, the encoder and [`decode_request_frame`] from them, and
+/// `crate::server`'s `request_api!` generates [`Request`],
+/// [`crate::InvServer::handle`] and the [`crate::WireClient`] methods.
+///
+/// A row is `OPCODE = n: Variant(field: Type, ...) => fn method -> Result, |c| call;`.
+/// The fields travel in order, each in its type's [`Field`] encoding. The
+/// server runs `call` with its [`crate::InvClient`] as `c` and the fields
+/// bound by name, and answers with the `Result` it returns; the client
+/// method returns that `Result`. `Type as Arg` has the client method take
+/// an `Arg` and convert it with `Into`.
+macro_rules! op_table {
+    ($expand:ident) => {
+        $expand! {
+            /// `p_begin`
+            OP_BEGIN = 1: Begin => fn begin -> (), |c| c.p_begin();
+            /// `p_commit`
+            OP_COMMIT = 2: Commit => fn commit -> (), |c| c.p_commit();
+            /// `p_abort`
+            OP_ABORT = 3: Abort => fn abort -> (), |c| c.p_abort();
+            /// `p_creat(path, mode)`
+            OP_CREAT = 4: Creat(path: String as &str, mode: CreateMode)
+                => fn creat -> Fd, |c| c.p_creat(&path, mode);
+            /// `p_open(path, mode, timestamp)`
+            OP_OPEN = 5: Open(path: String as &str, mode: OpenMode, asof: Option<SimInstant>)
+                => fn open -> Fd, |c| c.p_open(&path, mode, asof);
+            /// `p_close(fd)`
+            OP_CLOSE = 6: Close(fd: Fd) => fn close -> (), |c| c.p_close(fd);
+            /// `p_read(fd, len)`
+            OP_READ = 7: Read(fd: Fd, len: usize) => fn read -> Vec<u8>, |c| {
+                let mut buf = vec![0u8; len];
+                let n = c.p_read(fd, &mut buf)?;
+                buf.truncate(n);
+                Ok(buf)
+            };
+            /// `p_write(fd, data)`
+            OP_WRITE = 8: Write(fd: Fd, data: Vec<u8> as &[u8])
+                => fn write -> usize, |c| c.p_write(fd, &data);
+            /// `p_lseek(fd, offset, whence)`
+            OP_LSEEK = 9: Lseek(fd: Fd, offset: i64, whence: SeekWhence)
+                => fn lseek -> u64, |c| c.p_lseek(fd, offset, whence);
+            /// `p_stat(path)`
+            OP_STAT = 10: Stat(path: String as &str)
+                => fn stat -> FileStat, |c| c.p_stat(&path, None);
+            /// `p_mkdir(path)`
+            OP_MKDIR = 11: Mkdir(path: String as &str)
+                => fn mkdir -> (), |c| c.p_mkdir(&path).map(drop);
+            /// `p_unlink(path)`
+            OP_UNLINK = 12: Unlink(path: String as &str)
+                => fn unlink -> (), |c| c.p_unlink(&path);
+            /// `p_readdir(path)`
+            OP_READDIR = 13: Readdir(path: String as &str)
+                => fn readdir -> Vec<(String, Oid)>, |c| c.p_readdir(&path, None);
+            /// `p_rename(from, to)`
+            OP_RENAME = 14: Rename(from: String as &str, to: String as &str)
+                => fn rename -> (), |c| c.p_rename(&from, &to);
+            /// `p_undelete(path, t)`
+            OP_UNDELETE = 15: Undelete(path: String as &str, t: SimInstant)
+                => fn undelete -> (), |c| c.p_undelete(&path, t);
+            /// `p_slice(dest, mode, ranges)`
+            OP_SLICE = 16: Slice(
+                dest: String as &str,
+                mode: CreateMode,
+                ranges: Vec<SliceRange> as &[SliceRange]
+            ) => fn slice -> FileStat, |c| c.p_slice(&dest, mode, &ranges);
+        }
+    };
+}
+pub(crate) use op_table;
+
+/// Generates the request opcodes, `put_request` and [`decode_request_frame`]
+/// from the op table.
+macro_rules! request_codec {
+    ($(
+        $(#[$doc:meta])*
+        $op:ident = $code:literal: $variant:ident $(($($field:ident: $ty:ty $(as $arg:ty)?),*))?
+            => fn $method:ident -> $reply:ty, |$c:ident| $call:expr;
+    )*) => {
+        $(const $op: u16 = $code;)*
+
+        /// Encodes a request's payload into `out`; returns its opcode.
+        fn put_request(out: &mut impl Sink, req: &Request) -> u16 {
+            match req {
+                $(Request::$variant $(($($field),*))? => {
+                    $($($field.put(out);)*)?
+                    $op
+                })*
+            }
+        }
+
+        /// Decodes a request payload under its opcode.
+        pub fn decode_request_frame(opcode: u16, payload: &[u8]) -> Result<Request, WireError> {
+            let mut c = Cursor::new(payload);
+            let req = match opcode {
+                $($op => Request::$variant $(($(<$ty>::get(&mut c)?),*))?,)*
+                other => return Err(WireError::BadOpcode(other)),
+            };
+            c.finish()?;
+            Ok(req)
+        }
+    };
+}
+
+op_table!(request_codec);
+
+// ---------------------------------------------------------------------------
 // Frame assembly.
 
 /// Starts a frame: room for the header, then the payload is appended.
@@ -586,85 +738,21 @@ fn seal_frame(mut out: Vec<u8>, opcode: u16) -> Vec<u8> {
 /// Builds a complete frame (header + payload) for `opcode`.
 pub fn frame(opcode: u16, payload: &[u8]) -> Vec<u8> {
     let mut out = begin_frame(HEADER_LEN + payload.len());
-    out.put(payload);
+    out.extend_from_slice(payload);
     seal_frame(out, opcode)
 }
 
-/// Encodes a request's payload into `out`; returns its opcode.
-fn put_request(out: &mut impl Sink, req: &Request) -> u16 {
-    match req {
-        Request::Begin => OP_BEGIN,
-        Request::Commit => OP_COMMIT,
-        Request::Abort => OP_ABORT,
-        Request::Creat(path, mode) => {
-            put_str(out, path);
-            put_create_mode(out, mode);
-            OP_CREAT
-        }
-        Request::Open(path, mode, ts) => {
-            put_str(out, path);
-            put_open_mode(out, *mode);
-            put_timestamp(out, ts);
-            OP_OPEN
-        }
-        Request::Close(fd) => {
-            put_i32(out, *fd);
-            OP_CLOSE
-        }
-        Request::Read(fd, len) => {
-            put_i32(out, *fd);
-            put_u64(out, *len as u64);
-            OP_READ
-        }
-        Request::Write(fd, data) => {
-            put_i32(out, *fd);
-            put_bytes(out, data);
-            OP_WRITE
-        }
-        Request::Lseek(fd, off, whence) => {
-            put_i32(out, *fd);
-            put_i64(out, *off);
-            put_whence(out, *whence);
-            OP_LSEEK
-        }
-        Request::Stat(path) => {
-            put_str(out, path);
-            OP_STAT
-        }
-        Request::Mkdir(path) => {
-            put_str(out, path);
-            OP_MKDIR
-        }
-        Request::Unlink(path) => {
-            put_str(out, path);
-            OP_UNLINK
-        }
-        Request::Readdir(path) => {
-            put_str(out, path);
-            OP_READDIR
-        }
-        Request::Rename(from, to) => {
-            put_str(out, from);
-            put_str(out, to);
-            OP_RENAME
-        }
-        Request::Undelete(path, t) => {
-            put_str(out, path);
-            put_u64(out, t.as_nanos());
-            OP_UNDELETE
-        }
-        Request::Slice(dest, mode, ranges) => {
-            put_str(out, dest);
-            put_create_mode(out, mode);
-            put_u32(out, ranges.len() as u32);
-            for r in ranges {
-                put_str(out, &r.path);
-                put_u64(out, r.offset);
-                put_u64(out, r.len);
-            }
-            OP_SLICE
-        }
+/// Refuses a frame its receiver would refuse as fatal damage: one whose
+/// payload exceeds [`MAX_PAYLOAD`]. Each sender checks the frames it has
+/// encoded before writing them.
+pub(crate) fn check_size(frame: &[u8]) -> InvResult<()> {
+    let payload = frame.len() - HEADER_LEN;
+    if payload > MAX_PAYLOAD {
+        return Err(InvError::Invalid(format!(
+            "wire: a {payload}-byte payload exceeds {MAX_PAYLOAD}"
+        )));
     }
+    Ok(())
 }
 
 /// Encodes a server result's payload into `out`; returns its opcode.
@@ -728,81 +816,6 @@ pub fn encode_response(res: &InvResult<Response>) -> Vec<u8> {
     let mut out = begin_frame(response_wire_size(res.as_ref()));
     let op = put_response(&mut out, res.as_ref());
     seal_frame(out, op)
-}
-
-/// Decodes a request payload under its opcode.
-pub fn decode_request_frame(opcode: u16, payload: &[u8]) -> Result<Request, WireError> {
-    let mut c = Cursor::new(payload);
-    let req = match opcode {
-        OP_BEGIN => Request::Begin,
-        OP_COMMIT => Request::Commit,
-        OP_ABORT => Request::Abort,
-        OP_CREAT => {
-            let path = c.str()?;
-            let mode = get_create_mode(&mut c)?;
-            Request::Creat(path, mode)
-        }
-        OP_OPEN => {
-            let path = c.str()?;
-            let mode = get_open_mode(&mut c)?;
-            let ts = get_timestamp(&mut c)?;
-            Request::Open(path, mode, ts)
-        }
-        OP_CLOSE => Request::Close(c.i32()?),
-        OP_READ => {
-            let fd = c.i32()?;
-            let len = c.u64()?;
-            // The answer is the bytes behind a `u32` count, in one frame.
-            if len > (MAX_PAYLOAD - 4) as u64 {
-                return Err(WireError::Malformed(format!("read of {len} bytes")));
-            }
-            Request::Read(fd, len as usize)
-        }
-        OP_WRITE => {
-            let fd = c.i32()?;
-            let data = c.bytes()?;
-            Request::Write(fd, data)
-        }
-        OP_LSEEK => {
-            let fd = c.i32()?;
-            let off = c.i64()?;
-            let whence = get_whence(&mut c)?;
-            Request::Lseek(fd, off, whence)
-        }
-        OP_STAT => Request::Stat(c.str()?),
-        OP_MKDIR => Request::Mkdir(c.str()?),
-        OP_UNLINK => Request::Unlink(c.str()?),
-        OP_READDIR => Request::Readdir(c.str()?),
-        OP_RENAME => {
-            let from = c.str()?;
-            let to = c.str()?;
-            Request::Rename(from, to)
-        }
-        OP_UNDELETE => {
-            let path = c.str()?;
-            let t = SimInstant::from_nanos(c.u64()?);
-            Request::Undelete(path, t)
-        }
-        OP_SLICE => {
-            let dest = c.str()?;
-            let mode = get_create_mode(&mut c)?;
-            let n = c.u32()? as usize;
-            if n > MAX_PAYLOAD / 20 {
-                return Err(WireError::Malformed(format!("{n} slice ranges")));
-            }
-            let mut ranges = Vec::with_capacity(n);
-            for _ in 0..n {
-                let path = c.str()?;
-                let offset = c.u64()?;
-                let len = c.u64()?;
-                ranges.push(SliceRange { path, offset, len });
-            }
-            Request::Slice(dest, mode, ranges)
-        }
-        other => return Err(WireError::BadOpcode(other)),
-    };
-    c.finish()?;
-    Ok(req)
 }
 
 /// Decodes a response payload under its opcode.

@@ -15,8 +15,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use inversion::server::Request;
+use inversion::wire::MAX_PAYLOAD;
 use inversion::{
-    CreateMode, InvError, InvServerPool, InversionFs, OpenMode, PoolConfig, SeekWhence, WireClient,
+    CreateMode, FileKind, InvError, InvServerPool, InversionFs, OpenMode, PoolConfig, SeekWhence,
+    WireClient,
 };
 use simdev::{duplex_pair, duplex_pair_with_capacity, DuplexStream};
 
@@ -245,6 +247,55 @@ fn vanished_client_leaves_no_rows_no_locks_no_fds() {
     assert!(st.net_disconnect_aborts.get() >= 1);
     let findings = fs.db().check_all();
     assert!(findings.is_empty(), "verifier findings: {findings:?}");
+}
+
+/// A request too large for one frame is refused by the client before it
+/// writes a byte: the server never sees it, the transaction it was sent in
+/// goes on and commits, and the connection stays in step.
+#[test]
+fn a_request_too_large_for_one_frame_is_refused_before_it_is_sent() {
+    let fs = InversionFs::open_in_memory().unwrap();
+    let pool = InvServerPool::new(&fs, PoolConfig::default());
+    let mut c = connect(&pool);
+    c.begin().unwrap();
+    let fd = c.creat("/kept", CreateMode::default()).unwrap();
+    let (frames, bytes) = (c.stats().frames_out.get(), c.stats().bytes_out.get());
+    let refused = c.call(&Request::Write(fd, vec![1; MAX_PAYLOAD]));
+    assert!(matches!(refused, Err(InvError::Invalid(_))), "{refused:?}");
+    assert_eq!(c.stats().frames_out.get(), frames, "no frame went out");
+    assert_eq!(c.stats().bytes_out.get(), bytes, "no byte went out");
+    c.call(&Request::Write(fd, b"small".to_vec())).unwrap();
+    c.close(fd).unwrap();
+    c.commit().unwrap();
+    assert_eq!(c.stat("/kept").unwrap().size, 5);
+    pool.shutdown();
+    assert_eq!(fs.stats().net_disconnect_aborts.get(), 0);
+    assert_eq!(fs.stats().net_decode_errors.get(), 0);
+}
+
+/// A reply too large for one frame (a listing of 600 names of 1 900 bytes
+/// each) is answered with an error frame in its place: the client gets the
+/// error, and its next call on the same connection is answered as usual.
+#[test]
+fn a_reply_too_large_for_one_frame_is_answered_with_an_error() {
+    let fs = InversionFs::open_in_memory().unwrap();
+    let mut local = fs.client();
+    local.p_begin().unwrap();
+    local.p_mkdir("/wide").unwrap();
+    for i in 0..600 {
+        let name = format!("/wide/{i:04}{}", "n".repeat(1896));
+        let fd = local.p_creat(&name, CreateMode::default()).unwrap();
+        local.p_close(fd).unwrap();
+    }
+    local.p_commit().unwrap();
+
+    let pool = InvServerPool::new(&fs, PoolConfig::default());
+    let mut c = connect(&pool);
+    let listing = c.readdir("/wide");
+    assert!(matches!(listing, Err(InvError::Invalid(_))), "{listing:?}");
+    assert_eq!(c.stat("/wide").unwrap().kind, FileKind::Directory);
+    pool.shutdown();
+    assert_eq!(fs.stats().net_disconnect_aborts.get(), 0);
 }
 
 /// A session waiting on a lock holds up no other session: the holder's
