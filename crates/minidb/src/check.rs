@@ -194,7 +194,9 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
 /// (`device-orphan-rel`), but for storage a running vacuum is building
 /// (it holds the new storage id's exclusive lock): the reverse of the
 /// per-relation `catalog-dangling-rel` check, and the verifier of the
-/// sweep [`crate::Db::recover`] ends with.
+/// sweep [`crate::Db::recover`] ends with. What a device manager finds
+/// wrong with its own bookkeeping ([`crate::smgr::DeviceManager::check`]:
+/// a jukebox block staged for no relation) is `device-manager`.
 fn catalog_rows(
     db: &Db,
     by_id: &HashMap<RelId, &RelationEntry>,
@@ -242,9 +244,13 @@ fn catalog_rows(
         }
     }
     for dev in db.inner.smgr.devices() {
-        let Ok(on_device) = db.inner.smgr.with(dev, |m| Ok(m.relations())) else {
+        let Ok((on_device, problems)) = db.inner.smgr.with(dev, |m| Ok((m.relations(), m.check())))
+        else {
             continue; // Reported per relation, as `check-error`.
         };
+        for detail in problems {
+            out.push(Finding::new(dev.to_string(), "device-manager", detail));
+        }
         for rel in on_device {
             if !storage.contains(&(dev, rel)) && !db.ddl_in_flight(rel) {
                 out.push(Finding::new(

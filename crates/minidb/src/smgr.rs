@@ -82,6 +82,11 @@ pub trait DeviceManager: Send {
     /// Sets the allocation extent size in pages (1 = block-at-a-time).
     /// Managers whose allocator is not extent-based ignore it.
     fn set_extent_size(&mut self, _pages: u64) {}
+
+    /// What is wrong with the manager's own bookkeeping, one line each.
+    fn check(&self) -> Vec<String> {
+        Vec::new()
+    }
 }
 
 /// Blocks reserved at the front of a device for manager metadata.
@@ -713,7 +718,16 @@ impl DeviceManager for JukeboxManager {
         self.map.create(rel)
     }
 
+    /// The relation's staged blocks go with it: nothing of theirs is
+    /// burned, and their staging slots come back.
     fn drop_rel(&mut self, rel: RelId) -> DbResult<()> {
+        for phys in self.map.blocks(rel)? {
+            if let Some((slot, _)) = self.cache.remove(phys) {
+                self.free_staging.push(slot);
+            }
+        }
+        let cache = &self.cache;
+        self.lru.retain(|phys| cache.contains_key(phys));
         self.map.drop(rel)
     }
 
@@ -797,6 +811,18 @@ impl DeviceManager for JukeboxManager {
 
     fn relations(&self) -> Vec<RelId> {
         self.map.relations()
+    }
+
+    /// A staged block that no relation maps would hold its slot and be
+    /// burned to write-once space at the next sync or eviction.
+    fn check(&self) -> Vec<String> {
+        let mapped: std::collections::HashSet<u64> = self.map.rels.values().flatten().copied().collect();
+        let mut orphans: Vec<u64> = self.cache.keys().copied().filter(|p| !mapped.contains(p)).collect();
+        orphans.sort_unstable();
+        orphans
+            .into_iter()
+            .map(|phys| format!("staged platter block {phys} belongs to no relation"))
+            .collect()
     }
 }
 
@@ -1189,6 +1215,34 @@ mod tests {
             m.read(rel, i as u64, &mut buf).unwrap();
             assert_eq!(buf, page_of(i), "block {i}");
         }
+    }
+
+    #[test]
+    fn jukebox_drop_releases_staged_blocks_unburned() {
+        let mut m = jukebox_mgr(4);
+        let rel = Oid(9);
+        m.create_rel(rel).unwrap();
+        for i in 0..3 {
+            m.extend(rel, &page_of(i)).unwrap();
+        }
+        m.drop_rel(rel).unwrap();
+        m.sync().unwrap();
+        assert!(m.burned.is_empty(), "burned {:?}", m.burned);
+        assert!(m.cache.is_empty(), "still staged: {:?}", m.cache);
+        assert!(m.lru.is_empty());
+        assert_eq!(m.free_staging.len(), 4, "every staging slot is free again");
+    }
+
+    #[test]
+    fn jukebox_check_reports_a_staged_block_no_relation_maps() {
+        let mut m = jukebox_mgr(4);
+        let rel = Oid(9);
+        m.create_rel(rel).unwrap();
+        m.extend(rel, &page_of(1)).unwrap();
+        assert_eq!(m.check(), Vec::<String>::new());
+        let slot = m.free_staging.pop().unwrap();
+        m.cache.insert(999, (slot, StageState::Dirty));
+        assert_eq!(m.check(), ["staged platter block 999 belongs to no relation"]);
     }
 
     #[test]

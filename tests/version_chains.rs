@@ -142,9 +142,7 @@ fn a_read_of_the_past_fetches_only_the_versions_newer_than_it() {
 fn a_read_of_the_past_scans_the_archive_only_for_what_was_archived() {
     let fs = fresh_fs();
     let mut c = fs.client();
-    // Two short chunks (an archive row wraps the original row, so a full
-    // chunk would not fit in one): 100 bytes at the start of chunk 0 and of
-    // chunk 1.
+    // Two short chunks: 100 bytes at the start of chunk 0 and of chunk 1.
     c.write_all("/f", CreateMode::default(), &[10; 100])
         .unwrap();
     overwrite(&mut c, "/f", 1, &[20; 100]);
