@@ -26,6 +26,12 @@
 //!
 //! Every session publishes wire counters through the `pg_stat_net` virtual
 //! relation (see [`crate::stats`]).
+//!
+//! [`WireClient`] is the client end. Its framing (`send`, `recv`, `call`)
+//! and the pipelined `read_bulk`/`write_bulk` are written here; its one
+//! method per request is generated from the op table (see [`crate::wire`]).
+//! `send` refuses a request too large for one frame before writing a byte,
+//! so the session and its transaction carry on.
 
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
@@ -282,11 +288,11 @@ pub struct ClientWireStats {
 
 /// A client speaking the real wire protocol over any byte stream.
 ///
-/// Mirrors the `p_*` API of [`crate::InvClient`], but every call is encoded
-/// into a [`crate::wire`] frame, sent to an [`InvServerPool`] session, and
-/// the response decoded back. Bulk reads and writes pipeline one request per
-/// 256 KB window: all frames are sent before any response is awaited, so the
-/// transport stays full.
+/// Mirrors the `p_*` API of [`crate::InvClient`] with one method per request
+/// of the op table, but every call is encoded into a [`crate::wire`] frame,
+/// sent to an [`InvServerPool`] session, and the response decoded back.
+/// Bulk reads and writes pipeline one request per 256 KB window: all frames
+/// are sent before any response is awaited, so the transport stays full.
 pub struct WireClient<S> {
     stream: S,
     stats: ClientWireStats,

@@ -7,7 +7,15 @@
 //! executes decoded requests against it. The wire protocol lives in
 //! [`crate::wire`]; [`InvServer::serve_frame`] is the one server step that
 //! every transport runs, the pool's session threads ([`crate::pool`]) and
-//! the simulated network link ([`crate::client::SimLink`]) alike.
+//! the simulated network link ([`crate::client::SimLink`]) alike. It answers
+//! an error in place of a response too large for one frame, which the
+//! client would have to refuse.
+//!
+//! [`Request`], [`InvServer::handle`] and the [`WireClient`] method of each
+//! request are generated here, by `request_api!`, from the op table in
+//! [`crate::wire`]: a row names the variant, its fields, the method and its
+//! result type, and the [`crate::InvClient`] call `handle` makes. A result
+//! type travels in a [`Response`] through its `Reply` impl.
 
 use std::io::{Read, Write};
 
@@ -137,8 +145,12 @@ replies! {
 /// A client method's parameter type for a field: the field's own type, or
 /// the `Arg` of `Type as Arg`.
 macro_rules! arg_type {
-    ($ty:ty) => { $ty };
-    ($ty:ty as $arg:ty) => { $arg };
+    ($ty:ty) => {
+        $ty
+    };
+    ($ty:ty as $arg:ty) => {
+        $arg
+    };
 }
 
 /// Generates [`Request`], [`InvServer::handle`] and one [`WireClient`]

@@ -32,22 +32,23 @@
 //! was fully consumed, the stream is still in sync — e.g. a checksum
 //! mismatch) or *fatal* (framing itself is untrustworthy — bad magic, a
 //! truncated header, an oversized length prefix). No sender puts such a
-//! length on the wire: [`WireClient::send`] refuses a request whose payload
-//! would exceed [`MAX_PAYLOAD`] before writing a byte, and
+//! length on the wire: [`crate::WireClient::send`] refuses a request whose
+//! payload would exceed [`MAX_PAYLOAD`] before writing a byte, and
 //! [`crate::InvServer::serve_frame`] answers an error in place of a response
 //! that would.
 //!
 //! # The op table
 //!
-//! Each request is declared once, as one row of the table at the
-//! [`requests!`] invocation below: its opcode, its [`Request`] variant and
-//! field types, the [`WireClient`] method and its result type, and the
-//! [`InvClient`] call the server makes. The macro generates the variant, the
-//! payload encoder (which is also the sizer), [`decode_request_frame`], the
-//! server's dispatch and the client method, so adding a request is adding a
-//! row. A field type has one encoding ([`Field`]); a result type has one way
-//! into and out of a [`Response`] ([`Reply`]). The seven responses are
-//! written out by hand.
+//! Each request is declared once, as one row of `op_table!` below: its
+//! opcode, its [`Request`] variant and field types, the
+//! [`crate::WireClient`] method and its result type, and the
+//! [`crate::InvClient`] call the server makes. From the rows, this module
+//! generates the opcodes, the payload encoder (which is also the sizer) and
+//! [`decode_request_frame`]; [`crate::server`] generates [`Request`],
+//! [`crate::InvServer::handle`] and the client methods. Adding a request is
+//! adding a row. A field type has one encoding, its `Field` impl here; a
+//! result type has one way into and out of a [`Response`]. The seven
+//! responses are written out by hand.
 
 use std::io::{self, Read, Write};
 
@@ -392,12 +393,10 @@ fields! {
             no_history: flags & CM_NO_HISTORY != 0,
         })
     };
-    OpenMode: |out, m| put_u8(out, if *m == OpenMode::ReadWrite { 1 } else { 0 }), |c| {
-        match c.u8()? {
-            0 => Ok(OpenMode::Read),
-            1 => Ok(OpenMode::ReadWrite),
-            other => Err(WireError::Malformed(format!("open mode {other}"))),
-        }
+    OpenMode: |out, m| put_u8(out, u8::from(*m == OpenMode::ReadWrite)), |c| match c.u8()? {
+        0 => Ok(OpenMode::Read),
+        1 => Ok(OpenMode::ReadWrite),
+        other => Err(WireError::Malformed(format!("open mode {other}"))),
     };
     SeekWhence: |out, w| {
         put_u8(

@@ -816,9 +816,9 @@ impl DeviceManager for JukeboxManager {
     /// A staged block that no relation maps would hold its slot and be
     /// burned to write-once space at the next sync or eviction.
     fn check(&self) -> Vec<String> {
-        let mapped: std::collections::HashSet<u64> = self.map.rels.values().flatten().copied().collect();
-        let mut orphans: Vec<u64> = self.cache.keys().copied().filter(|p| !mapped.contains(p)).collect();
-        orphans.sort_unstable();
+        let mapped: std::collections::HashSet<&u64> = self.map.rels.values().flatten().collect();
+        let orphans: std::collections::BTreeSet<&u64> =
+            self.cache.keys().filter(|p| !mapped.contains(p)).collect();
         orphans
             .into_iter()
             .map(|phys| format!("staged platter block {phys} belongs to no relation"))
@@ -1242,7 +1242,10 @@ mod tests {
         assert_eq!(m.check(), Vec::<String>::new());
         let slot = m.free_staging.pop().unwrap();
         m.cache.insert(999, (slot, StageState::Dirty));
-        assert_eq!(m.check(), ["staged platter block 999 belongs to no relation"]);
+        assert_eq!(
+            m.check(),
+            ["staged platter block 999 belongs to no relation"]
+        );
     }
 
     #[test]
