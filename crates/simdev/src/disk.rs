@@ -15,8 +15,8 @@
 
 use crate::block::{BlockDevice, MemBlockStore};
 use crate::clock::{SimClock, SimDuration};
-use crate::error::DevResult;
-use crate::fault::FaultPlan;
+use crate::error::{DevError, DevResult};
+use crate::fault::{FaultPlan, TORN_BYTES};
 
 /// Timing and geometry parameters for a [`MagneticDisk`].
 #[derive(Debug, Clone)]
@@ -190,12 +190,22 @@ impl BlockDevice for MagneticDisk {
     fn write_block(&mut self, blkno: u64, buf: &[u8]) -> DevResult<()> {
         if let Err(e) = self.faults.check_write() {
             self.stats.fault_trips += 1;
+            if e == DevError::TornWrite {
+                let mut torn = vec![0u8; buf.len()];
+                self.store.read(blkno, &mut torn)?;
+                torn[..TORN_BYTES].copy_from_slice(&buf[..TORN_BYTES]);
+                self.store.write(blkno, &torn)?;
+            }
             return Err(e);
         }
         self.charge(blkno);
         self.store.write(blkno, buf)?;
         self.stats.writes += 1;
         Ok(())
+    }
+
+    fn sync(&mut self) -> DevResult<()> {
+        self.faults.check_sync()
     }
 }
 

@@ -31,6 +31,9 @@ pub enum DevError {
         /// Human-readable description of the injected fault.
         what: String,
     },
+    /// Power failed in the middle of a write: only the first
+    /// [`crate::fault::TORN_BYTES`] of the block reached the medium.
+    TornWrite,
     /// The device was administratively taken offline.
     Offline,
 }
@@ -52,6 +55,7 @@ impl fmt::Display for DevError {
             }
             DevError::NoSpace => write!(f, "device full"),
             DevError::InjectedFault { what } => write!(f, "injected fault: {what}"),
+            DevError::TornWrite => write!(f, "torn write: power failed mid-block"),
             DevError::Offline => write!(f, "device offline"),
         }
     }

@@ -7,10 +7,17 @@ use parking_lot::Mutex;
 
 use crate::error::{DevError, DevResult};
 
+/// Bytes of its block that a torn write stores: the first half of 8 KB.
+pub const TORN_BYTES: usize = 4096;
+
 #[derive(Debug, Default)]
 struct Inner {
     offline: bool,
     fail_after_writes: Option<u64>,
+    /// The armed write fault tears the write that trips it.
+    tear: bool,
+    /// A write has torn: every later sync fails.
+    torn: bool,
     writes_seen: u64,
     fail_after_reads: Option<u64>,
     reads_seen: u64,
@@ -46,11 +53,23 @@ impl FaultPlan {
         let mut g = self.inner.lock();
         g.fail_after_writes = Some(n);
         g.writes_seen = 0;
+        g.tear = false;
+    }
+
+    /// Arms a power cut in the middle of a write: after `n` more writes
+    /// succeed, the next stores only the first [`TORN_BYTES`] of its block
+    /// over the old bytes ([`DevError::TornWrite`]), and every later write
+    /// and sync fails. A device that cannot tear fails that write whole.
+    pub fn tear_after_writes(&self, n: u64) {
+        self.fail_after_writes(n);
+        self.inner.lock().tear = true;
     }
 
     /// Disarms the write-failure fault.
     pub fn clear_write_fault(&self) {
-        self.inner.lock().fail_after_writes = None;
+        let mut g = self.inner.lock();
+        g.fail_after_writes = None;
+        g.torn = false;
     }
 
     /// Arms a fault that fails every read after `n` more reads succeed.
@@ -119,11 +138,25 @@ impl FaultPlan {
         if let Some(n) = g.fail_after_writes {
             if g.writes_seen >= n {
                 g.write_trips += 1;
+                if std::mem::take(&mut g.tear) {
+                    g.torn = true;
+                    return Err(DevError::TornWrite);
+                }
                 return Err(DevError::InjectedFault {
                     what: format!("write failure armed after {n} writes"),
                 });
             }
             g.writes_seen += 1;
+        }
+        Ok(())
+    }
+
+    /// Gate for device syncs: after a torn write, every sync fails.
+    pub fn check_sync(&self) -> DevResult<()> {
+        if self.inner.lock().torn {
+            return Err(DevError::InjectedFault {
+                what: "sync after a torn write".into(),
+            });
         }
         Ok(())
     }
@@ -186,6 +219,18 @@ mod tests {
         assert!(p.check_write().is_err());
         assert_eq!(p.write_trips(), 1);
         assert_eq!(p.trips(), 3);
+    }
+
+    #[test]
+    fn a_tear_trips_once_then_fails_writes_and_syncs() {
+        let p = FaultPlan::none();
+        p.tear_after_writes(1);
+        assert!(p.check_write().is_ok() && p.check_sync().is_ok());
+        assert_eq!(p.check_write(), Err(DevError::TornWrite));
+        assert!(matches!(p.check_write(), Err(DevError::InjectedFault { .. })));
+        assert!(p.check_sync().is_err());
+        p.clear_write_fault();
+        assert!(p.check_write().is_ok() && p.check_sync().is_ok());
     }
 
     #[test]

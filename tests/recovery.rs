@@ -429,6 +429,31 @@ fn a_torn_catalog_destage_under_create_index_loses_nothing() {
     assert_clean(&db);
 }
 
+/// Commit A (one row) is acknowledged. Commit B (300 rows) forces the log,
+/// and its rewrite of A's partly filled block tears: only the block's first
+/// 4 KB land, and every later write and sync fails. A comes back.
+#[test]
+fn a_torn_tail_rewrite_keeps_the_commits_acknowledged_before_it() {
+    let rig = common::CrashRig::new();
+    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let t = db.create_table("t", int_table()).unwrap();
+    db.checkpoint().unwrap();
+    insert_ints(&db, t, 0..1);
+    let mut s = db.begin().unwrap();
+    for v in 1..301 {
+        s.insert(t, vec![Datum::Int4(v)]).unwrap();
+    }
+    rig.log_faults.tear_after_writes(0);
+    assert!(s.commit().is_err(), "B's force tears");
+    assert_eq!(rig.log_faults.write_trips(), 1, "the tear was the force's first write");
+    rig.log_faults.clear_write_fault();
+    rig.crash(db);
+
+    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    assert_eq!(ints_of(&db, t), [0], "the acknowledged commit A is lost");
+    assert_clean(&db);
+}
+
 /// The relations the data device's map lists, as last synced.
 fn on_device(rig: &common::CrashRig) -> Vec<minidb::RelId> {
     use minidb::smgr::DeviceManager;
