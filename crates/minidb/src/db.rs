@@ -72,7 +72,7 @@ pub struct DbConfig {
     pub prefetch_window: usize,
     /// How often (virtual time) the background checkpointer drains dirty
     /// pages and truncates the log, absent log-space pressure. Pressure
-    /// (the log epoch passing half its region) wakes it regardless.
+    /// (the log epoch passing half its capacity) wakes it regardless.
     pub checkpoint_interval: SimDuration,
 }
 
@@ -631,8 +631,9 @@ impl Db {
     ///    and sync the devices — now every record below the cut, outcomes
     ///    and id ceilings on status pages included, is reflected in durable
     ///    pages.
-    /// 4. Truncate `[epoch, cut)`. Records at or above the cut (appended
-    ///    while we flushed) survive in the log.
+    /// 4. Truncate `[epoch, cut)`: the log's control block moves its epoch
+    ///    to the cut. Records at or above the cut (appended while we
+    ///    flushed) stay where they are in the log's ring.
     ///
     /// After a failed device sync none runs: the log is all that holds
     /// what that sync may have dropped. Nor after a commit left a `Commit`
@@ -643,7 +644,7 @@ impl Db {
                 "no checkpoint after a failed device sync or commit: reopen the database".into(),
             ));
         }
-        let cut = inner.wal.mark_cut();
+        let cut = inner.wal.next_lsn();
         for (dev, rel, blkno) in inner.redo.pages() {
             let present = inner.smgr.devices().contains(&dev)
                 && inner.smgr.with(dev, |m| Ok(m.has_rel(rel)))?;
@@ -1847,7 +1848,7 @@ mod tests {
         s.insert(rel, vec![Datum::Int4(1)]).unwrap();
 
         // Fill the log to 20 bytes short of its reserve: a `Commit` takes
-        // 17, an `Abort` 9.
+        // 19, an `Abort` 11.
         let wal = &db.inner.wal;
         let room = || wal.capacity() - wal.epoch_bytes() - crate::wal::CEILING_RESERVE;
         let filler = |len: u64| WalRecord::Insert {

@@ -12,14 +12,15 @@
 //! ## On-device layout
 //!
 //! The log device holds the log and nothing else. Block 0 is the *control
-//! block*, holding the epoch LSN (where the current on-device log begins)
-//! and which *half* of the data area holds it; the rest of the device is the
-//! data area, split into two equal halves.
+//! block*: the epoch LSN, where the on-device log begins, and its checksum.
+//! The other `N` blocks are one ring of record-stream bytes with no block
+//! header: stream offset `lsn` lives in block `1 + (lsn / P) mod N`, at
+//! byte `lsn mod P`, where `P` is the block size.
 //!
 //! ```text
-//! block:   [ctrl]  [half A: data 0..n)  [half B: data 0..n)
-//! header:  16 bytes per data block: magic, used, start LSN, checksum
-//! payload: 8176 bytes of the record stream; records span blocks freely
+//! block:   [ctrl]  [ring 0] [ring 1] ... [ring N-1]
+//! record:  kind (1), body length (2), check (4), body; records span blocks
+//! check:   FNV-1a over the record's start LSN, kind, length and body
 //! ```
 //!
 //! LSNs are byte offsets into the virtual record stream and are *never*
@@ -28,28 +29,33 @@
 //! nonzero) is what gets stamped into pages, so a never-logged page
 //! (LSN 0) sorts before every record.
 //!
-//! Truncation ([`Wal::truncate_to`]) discards `[epoch, cut)` but must keep
-//! `[cut, next)` — records appended while the checkpoint was flushing. It
-//! copies the surviving tail into the *inactive* half, syncs it, and only
-//! then flips the control block: a crash on either side of the flip finds
-//! one half that is a complete, self-consistent epoch. (Rewriting the tail
-//! in place would scribble over the old epoch's blocks before the control
-//! write made the new epoch authoritative.) The tail is copied from memory:
-//! from the moment a checkpoint takes its cut ([`Wal::mark_cut`]) the log
-//! keeps every byte at or above it, forced or not, so truncation never
-//! reads the log device — how much a checkpoint's flush let the writers
-//! append is a matter of timing, and the device's read count must not be.
+//! ## The record check
+//!
+//! A record proves itself valid. Recovery reads the ring from the epoch LSN
+//! and stops at the first record whose check fails: zeros, a record cut
+//! short, and bytes an earlier lap left at the same place (they were
+//! written at another LSN) all fail it. That check is the only one; a
+//! record that passes it but does not decode is corruption, not the end of
+//! the log. An epoch holds at most `(N - 1) * P` bytes, so the stream never
+//! laps the block where the epoch begins.
+//!
+//! Truncation ([`Wal::truncate_to`]) discards `[epoch, cut)`. The records
+//! at and past the cut already sit where they belong, so it writes the
+//! control block with the new epoch LSN, syncs, and is done: one block.
 //!
 //! ## The torn-force rule
 //!
 //! The log device may sit behind a volatile write cache that loses pending
 //! blocks on a failed sync. The log therefore keeps every byte from the
-//! durable horizon forward in memory and rewrites *all* non-durable blocks
-//! on every force; block contents are a deterministic function of the
-//! stream, so the rewrite is idempotent, and a failed force followed by a
-//! successful one can never leave a hole in the middle of acknowledged
-//! records. Within one epoch, blocks are written in ascending order, so a
-//! destaged prefix of a force is always an LSN prefix of the stream.
+//! durable horizon's block forward in memory and rewrites *all* non-durable
+//! blocks on every force, the partly filled last one included. Block
+//! contents are a deterministic function of the stream, so the rewrite is
+//! idempotent: acknowledged bytes are the same in a block's old and new
+//! image, and a write torn anywhere keeps them. A failed force followed by
+//! a successful one can never leave a hole in the middle of acknowledged
+//! records. A force writes its blocks in LSN order and syncs before it
+//! wraps from the ring's last block to its first, so whatever prefix of it
+//! a cache destages (in block order) is an LSN prefix of the stream.
 
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
@@ -63,13 +69,10 @@ use crate::page;
 use crate::smgr::SharedDevice;
 use crate::stats::StatsRegistry;
 
-/// Per-data-block header: magic (2) + used (2) + start LSN (8) + cksum (4).
-const BLOCK_HDR: usize = 16;
-/// Record-stream bytes per data block.
-pub const BLOCK_PAYLOAD: usize = BLOCK_SIZE - BLOCK_HDR;
+/// Record-stream bytes per ring block.
+const BLOCK: u64 = BLOCK_SIZE as u64;
 
-const BLOCK_MAGIC: u16 = 0x4C57; // "WL"
-const CTRL_MAGIC: u32 = 0x574C_4331; // "WLC1"
+const CTRL_MAGIC: u32 = 0x574C_4332; // "WLC2"
 
 /// Record kind tags on the wire.
 const K_PAGE_INIT: u8 = 1;
@@ -80,14 +83,15 @@ const K_COMMIT: u8 = 5;
 const K_ABORT: u8 = 6;
 const K_CEILING: u8 = 7;
 
-/// Record header: kind (1) + body length (4).
-const REC_HDR: usize = 5;
+/// Record header: kind (1) + body length (2) + check (4).
+const REC_HDR: usize = 7;
 /// Largest legal record body: a page image with no hole — its page
 /// address, the hole's place and length, and the whole page.
 const MAX_BODY: usize = 13 + 4 + crate::page::PAGE_SIZE;
+const _: () = assert!(MAX_BODY <= u16::MAX as usize);
 /// The end of every epoch, kept for 64 `Ceiling` records: reopening takes
 /// an xid before its checkpointer may truncate a log a crash left full.
-pub(crate) const CEILING_RESERVE: u64 =64 * (REC_HDR as u64 + 8);
+pub(crate) const CEILING_RESERVE: u64 = 64 * (REC_HDR as u64 + 8);
 
 /// One physiological REDO record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,6 +197,7 @@ impl WalRecord {
 
     /// Encodes the record (header + body) onto `out`: the header with a
     /// placeholder length, the body in place, then the length back-patched.
+    /// The check stays zero: only [`Wal::append`] knows the start LSN.
     fn encode(&self, out: &mut Vec<u8>) {
         let start = out.len();
         out.extend_from_slice(&[0; REC_HDR]);
@@ -262,18 +267,18 @@ impl WalRecord {
                 K_CEILING
             }
         };
-        let body = (out.len() - start - REC_HDR) as u32;
-        out[start + 1..start + REC_HDR].copy_from_slice(&body.to_le_bytes());
+        let body = (out.len() - start - REC_HDR) as u16;
+        out[start + 1..start + 3].copy_from_slice(&body.to_le_bytes());
     }
 
     /// Decodes one record from `buf`, returning it and the bytes consumed.
-    /// `None` means `buf` ends mid-record (a torn tail, not corruption).
+    /// `None` means `buf` ends mid-record. The check is the caller's.
     fn decode(buf: &[u8]) -> DbResult<Option<(WalRecord, usize)>> {
         if buf.len() < REC_HDR {
             return Ok(None);
         }
         let kind = buf[0];
-        let len = crate::bytes::le_u32(buf, 1)? as usize;
+        let len = crate::bytes::le_u16(buf, 1)? as usize;
         if len > MAX_BODY {
             return Err(DbError::Corrupt(format!("bad WAL record length {len} (kind {kind})")));
         }
@@ -421,37 +426,37 @@ fn get_addr(body: &[u8]) -> DbResult<(DeviceId, RelId, u64)> {
     ))
 }
 
-/// FNV-1a over `data` (same family the wire protocol uses).
-fn fnv1a(data: &[u8]) -> u32 {
+/// FNV-1a over the concatenation of `parts` (same family the wire
+/// protocol uses).
+fn fnv1a(parts: &[&[u8]]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
+    for &b in parts.iter().copied().flatten() {
         h ^= b as u32;
         h = h.wrapping_mul(0x0100_0193);
     }
     h
 }
 
+/// The check of the encoded record `rec` that starts at stream offset
+/// `lsn`: over the LSN, the kind and length, and the body.
+fn check(lsn: u64, rec: &[u8]) -> u32 {
+    fnv1a(&[&lsn.to_le_bytes(), &rec[..3], &rec[REC_HDR..]])
+}
+
 struct WalInner {
     /// Stream offset where the on-device epoch begins.
     epoch_lsn: u64,
-    /// Which half of the data area holds the current epoch (0 or 1).
-    half: u8,
     /// Next byte to append.
     next_lsn: u64,
     /// Everything below this is on stable storage.
     durable_lsn: u64,
-    /// Stream offset of `buf[0]`; always block-aligned within the epoch.
+    /// Stream offset of `buf[0]`; always a multiple of the block size.
     buf_base: u64,
     /// Bytes `[buf_base, next_lsn)` — retained until a sync *succeeds*.
     buf: Vec<u8>,
-    /// `Some` from [`Wal::mark_cut`] to the truncation it announces: the
-    /// whole blocks forced since, `[buf_base - kept.len(), buf_base)`,
-    /// which `buf` alone would have let go. `kept ++ buf` then holds every
-    /// byte from the marked cut on.
-    kept: Option<Vec<u8>>,
 }
 
-/// The write-ahead log: an append buffer over a block region of the log
+/// The write-ahead log: an append buffer over a ring of blocks on the log
 /// device. Appends are cheap memory copies under the `wal` rank; forces
 /// rewrite every non-durable block and sync once, serialised by the
 /// `wal-flush` rank and with the `wal` mutex *released* during the I/O —
@@ -461,16 +466,16 @@ struct WalInner {
 /// commit.
 pub struct Wal {
     dev: SharedDevice,
-    /// Number of data blocks in each half of the data area.
-    half_blocks: u64,
+    /// Blocks in the ring: every block of the device but the control block.
+    ring: u64,
     stats: Arc<StatsRegistry>,
-    /// Serialises forces and truncation. While it is held, `epoch_lsn`,
-    /// `half`, `buf_base` and `durable_lsn` do not change and `buf` only
-    /// grows, so a tail snapshotted under `inner` stays a valid image of
-    /// the device blocks it maps to.
+    /// Serialises forces and truncation. While it is held, `buf_base` and
+    /// `durable_lsn` do not change and `buf` only grows, so a tail
+    /// snapshotted under `inner` stays a valid image of the device blocks
+    /// it maps to.
     flush: Mutex<()>,
     inner: Mutex<WalInner>,
-    /// Set when the epoch has grown past half the region (checkpoint cue).
+    /// Set when the epoch has grown past half the capacity (checkpoint cue).
     pressure: AtomicBool,
 }
 
@@ -478,8 +483,8 @@ impl Wal {
     /// Formats a fresh, empty log on `dev` and syncs the control block so
     /// recovery always finds a valid epoch.
     pub fn create(dev: SharedDevice, stats: Arc<StatsRegistry>) -> DbResult<Wal> {
-        let wal = Wal::on_device(dev, stats, 0, 0)?;
-        wal.write_control(0, 0)?;
+        let wal = Wal::on_device(dev, stats, 0)?;
+        wal.write_control(0)?;
         Ok(wal)
     }
 
@@ -491,68 +496,56 @@ impl Wal {
         dev: SharedDevice,
         stats: Arc<StatsRegistry>,
     ) -> DbResult<(Wal, Vec<(u64, WalRecord)>)> {
-        let (epoch, half) = {
+        let epoch = {
             let _order = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
             let mut blk = vec![0u8; BLOCK_SIZE];
             dev.lock().read_block(0, &mut blk)?;
-            let magic = crate::bytes::le_u32(&blk, 0)?;
-            if magic == CTRL_MAGIC {
-                let epoch = crate::bytes::le_u64(&blk, 4)?;
-                let half = blk[12];
-                let ck = crate::bytes::le_u32(&blk, 13)?;
-                if ck != fnv1a(&blk[0..13]) || half > 1 {
+            if crate::bytes::le_u32(&blk, 0)? == CTRL_MAGIC {
+                if crate::bytes::le_u32(&blk, 12)? != fnv1a(&[&blk[0..12]]) {
                     return Err(DbError::Corrupt("WAL control block checksum".into()));
                 }
-                (epoch, half)
+                crate::bytes::le_u64(&blk, 4)?
             } else {
                 // Never formatted (crash before the first control sync):
                 // nothing was acknowledged, so an empty epoch-0 log is right.
-                (0, 0)
+                0
             }
         };
-        let wal = Wal::on_device(dev, stats, epoch, half)?;
+        let wal = Wal::on_device(dev, stats, epoch)?;
         let records = wal.scan()?;
         Ok((wal, records))
     }
 
-    fn on_device(
-        dev: SharedDevice,
-        stats: Arc<StatsRegistry>,
-        epoch: u64,
-        half: u8,
-    ) -> DbResult<Wal> {
+    fn on_device(dev: SharedDevice, stats: Arc<StatsRegistry>, epoch: u64) -> DbResult<Wal> {
         let nblocks = {
             let _order = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
             dev.lock().nblocks()
         };
-        let half_blocks = nblocks.saturating_sub(1) / 2;
-        if half_blocks == 0 {
+        let ring = nblocks.saturating_sub(1);
+        if ring < 2 {
             return Err(DbError::Invalid(format!(
                 "log device of {nblocks} blocks has no room for a log"
             )));
         }
         Ok(Wal {
             dev,
-            half_blocks,
+            ring,
             stats,
             flush: Mutex::new(()),
             inner: Mutex::new(WalInner {
                 epoch_lsn: epoch,
-                half,
                 next_lsn: epoch,
                 durable_lsn: epoch,
-                buf_base: epoch,
+                buf_base: epoch - epoch % BLOCK,
                 buf: Vec::new(),
-                kept: None,
             }),
             pressure: AtomicBool::new(false),
         })
     }
 
-    /// Device block holding stream offset `start` (block-aligned within the
-    /// epoch) for the given half.
-    fn data_block(&self, half: u8, epoch: u64, start: u64) -> u64 {
-        1 + half as u64 * self.half_blocks + (start - epoch) / BLOCK_PAYLOAD as u64
+    /// Device block holding stream offset `lsn`.
+    fn block_of(&self, lsn: u64) -> u64 {
+        1 + (lsn / BLOCK) % self.ring
     }
 
     /// The registry this log counts into; a caller whose
@@ -561,9 +554,10 @@ impl Wal {
         &self.stats
     }
 
-    /// Record-stream capacity of one epoch, in bytes.
+    /// Record-stream capacity of one epoch, in bytes: the ring less one
+    /// block, so the stream never laps the block its epoch begins in.
     pub fn capacity(&self) -> u64 {
-        self.half_blocks * BLOCK_PAYLOAD as u64
+        (self.ring - 1) * BLOCK
     }
 
     /// Appends `rec`, returning its end LSN. The record is volatile until
@@ -585,6 +579,8 @@ impl Wal {
                 self.capacity() - kept,
             )));
         }
+        let ck = check(g.next_lsn, &g.buf[start..]);
+        g.buf[start + 3..start + REC_HDR].copy_from_slice(&ck.to_le_bytes());
         g.next_lsn += len;
         if used + len > self.capacity() / 2 {
             self.pressure.store(true, SeqCst);
@@ -597,129 +593,108 @@ impl Wal {
     /// Makes the stream durable up to `lsn` — the one durability
     /// primitive: commit calls it with its `Commit` record's end LSN, and
     /// the buffer manager with a page's stamped LSN before writing the page
-    /// (the LSN-before-write rule). Those and the checkpoint's
-    /// [`Wal::truncate_to`] are the only things that force the log, and
-    /// `xtask lint` (`wal-force-site`) keeps it so. Returns whether *this
-    /// call* wrote and synced — the caller then counts the force under its
-    /// own name in `pg_stat_wal`; `false` means an earlier force had
-    /// already covered `lsn`.
+    /// (the LSN-before-write rule). Those are the only things that force
+    /// the log, and `xtask lint` (`wal-force-site`) keeps it so. Returns
+    /// whether *this call* wrote and synced — the caller then counts the
+    /// force under its own name in `pg_stat_wal`; `false` means an earlier
+    /// force had already covered `lsn`.
     pub fn force_up_to(&self, lsn: u64) -> DbResult<bool> {
         let _order = crate::lock::order::token(crate::lock::order::WAL_FLUSH);
         let _flush = self.flush.lock();
-        let (half, epoch, base, tail) = {
+        let (base, tail) = {
             let _order = crate::lock::order::token(crate::lock::order::WAL);
             let g = self.inner.lock();
             if lsn <= g.durable_lsn {
                 return Ok(false);
             }
-            (g.half, g.epoch_lsn, g.buf_base, g.buf.clone())
+            (g.buf_base, g.buf.clone())
         };
         // The device I/O runs with `inner` released: appenders keep going.
         // A failure leaves `durable_lsn` (and the buffer) untouched, so a
         // later force retries the whole tail.
-        self.write_blocks(half, epoch, base, &tail)?;
+        self.write_blocks(base, &tail)?;
         let _order = crate::lock::order::token(crate::lock::order::WAL);
-        self.publish(&mut self.inner.lock(), tail.len());
+        let mut g = self.inner.lock();
+        g.durable_lsn = base + tail.len() as u64;
+        // Complete blocks are never rewritten again; only the partly filled
+        // last block's bytes stay for the next force.
+        let whole = tail.len() - tail.len() % BLOCK_SIZE;
+        g.buf.drain(..whole);
+        g.buf_base += whole as u64;
+        self.stats.wal.log_forces.bump();
         Ok(true)
     }
 
-    /// Writes stream bytes `[base, base + bytes.len())` of the epoch that
-    /// starts at `epoch` into `half`, block by block in ascending order,
-    /// and syncs. `base` is block-aligned within the epoch. Every call
-    /// rewrites every block it is given — see the torn-force rule above.
-    fn write_blocks(&self, half: u8, epoch: u64, base: u64, bytes: &[u8]) -> DbResult<()> {
+    /// Writes stream bytes `[base, base + bytes.len())` into the ring,
+    /// block by block in LSN order, and syncs. `base` is a multiple of the
+    /// block size. Every call rewrites every block it is given — see the
+    /// torn-force rule above.
+    fn write_blocks(&self, base: u64, bytes: &[u8]) -> DbResult<()> {
         let _dev = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
         let mut d = self.dev.lock();
-        let mut blk = vec![0u8; BLOCK_SIZE];
-        for (i, chunk) in bytes.chunks(BLOCK_PAYLOAD).enumerate() {
-            let start = base + (i * BLOCK_PAYLOAD) as u64;
-            blk.fill(0);
-            blk[0..2].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
-            blk[2..4].copy_from_slice(&(chunk.len() as u16).to_le_bytes());
-            blk[4..12].copy_from_slice(&start.to_le_bytes());
-            blk[BLOCK_HDR..BLOCK_HDR + chunk.len()].copy_from_slice(chunk);
-            let ck = fnv1a(&blk[0..12]) ^ fnv1a(chunk);
-            blk[12..16].copy_from_slice(&ck.to_le_bytes());
-            d.write_block(self.data_block(half, epoch, start), &blk)?;
+        let mut last = Vec::new();
+        for (i, chunk) in bytes.chunks(BLOCK_SIZE).enumerate() {
+            let blkno = self.block_of(base + (i * BLOCK_SIZE) as u64);
+            if blkno == 1 && i > 0 {
+                d.sync()?; // The wrap: see the torn-force rule.
+            }
+            let block = if chunk.len() == BLOCK_SIZE {
+                chunk
+            } else {
+                last.extend_from_slice(chunk);
+                last.resize(BLOCK_SIZE, 0);
+                &last
+            };
+            d.write_block(blkno, block)?;
         }
         d.sync()?;
         Ok(())
     }
 
-    /// Records that the first `forced` buffered bytes are on stable
-    /// storage. Complete blocks are never rewritten again; only the
-    /// partial tail block's bytes stay for the next force.
-    fn publish(&self, g: &mut WalInner, forced: usize) {
-        g.durable_lsn = g.buf_base + forced as u64;
-        let whole = (forced / BLOCK_PAYLOAD) * BLOCK_PAYLOAD;
-        let done = g.buf.drain(..whole);
-        if let Some(kept) = &mut g.kept {
-            kept.extend(done);
-        }
-        g.buf_base += whole as u64;
-        self.stats.wal.log_forces.bump();
-    }
-
-    /// Advances the epoch to `cut` — the latest [`Wal::mark_cut`] —
+    /// Advances the epoch to `cut` — an earlier [`Wal::next_lsn`] —
     /// discarding `[epoch, cut)` and keeping `[cut, next)`. Legal only when
     /// every page change below `cut` — outcomes and ceilings on status pages
     /// included — is durably on its device (i.e. at the end of a checkpoint
-    /// whose flush began after the cut was marked).
-    /// Forces the tail first if the caller has not; see the module docs
-    /// for why the survivors move to the other half of the data area.
+    /// whose flush began after the cut was taken). Writes and syncs the
+    /// control block, and nothing else.
     pub fn truncate_to(&self, cut: u64) -> DbResult<()> {
-        // Both locks for the whole switch: nothing may be appended between
-        // taking the survivors and installing the new epoch.
+        // Held throughout: no force may publish a tail taken before the
+        // buffer below the cut is let go.
         let _order = crate::lock::order::token(crate::lock::order::WAL_FLUSH);
         let _flush = self.flush.lock();
+        let cut = {
+            let _order = crate::lock::order::token(crate::lock::order::WAL);
+            let g = self.inner.lock();
+            if cut <= g.epoch_lsn {
+                return Ok(()); // Nothing to discard.
+            }
+            cut.min(g.next_lsn)
+        };
+        self.write_control(cut)?;
         let _order = crate::lock::order::token(crate::lock::order::WAL);
         let mut g = self.inner.lock();
-        if g.durable_lsn < g.next_lsn {
-            self.write_blocks(g.half, g.epoch_lsn, g.buf_base, &g.buf)?;
-            let forced = g.buf.len();
-            self.publish(&mut g, forced);
-            self.stats.wal.forces_checkpoint.bump();
-        }
-        let kept = g.kept.take().unwrap_or_default();
-        let cut = cut.clamp(g.epoch_lsn, g.next_lsn);
-        if cut == g.epoch_lsn {
-            return Ok(()); // Nothing to discard.
-        }
-        // The surviving tail: everything kept since the mark, then the
-        // partial block still buffered.
-        let kept_base = g.buf_base - kept.len() as u64;
-        if cut < kept_base {
-            return Err(DbError::Invalid(format!(
-                "WAL truncation to {cut}, but the log was kept only from {kept_base}: \
-                 no cut was marked there"
-            )));
-        }
-        let mut survivors = kept;
-        survivors.extend_from_slice(&g.buf);
-        survivors.drain(..(cut - kept_base) as usize);
-        let other = 1 - g.half;
-        self.write_blocks(other, cut, cut, &survivors)?;
-        // The survivors are stable in the other half; flipping the control
-        // block is the atomic switch between the two complete epochs.
-        self.write_control(cut, other)?;
         g.epoch_lsn = cut;
-        g.half = other;
-        let whole = (survivors.len() / BLOCK_PAYLOAD) * BLOCK_PAYLOAD;
-        g.buf_base = cut + whole as u64;
-        g.buf = survivors[whole..].to_vec();
-        if g.next_lsn - g.epoch_lsn <= self.capacity() / 2 {
+        if g.durable_lsn < cut {
+            // What lies below the cut is in durable pages: it need never
+            // reach the log.
+            let from = cut - cut % BLOCK;
+            let drop = (from - g.buf_base) as usize;
+            g.buf.drain(..drop);
+            g.buf_base = from;
+            g.durable_lsn = cut;
+        }
+        if g.next_lsn - cut <= self.capacity() / 2 {
             self.pressure.store(false, SeqCst);
         }
         Ok(())
     }
 
-    fn write_control(&self, epoch: u64, half: u8) -> DbResult<()> {
+    fn write_control(&self, epoch: u64) -> DbResult<()> {
         let mut blk = vec![0u8; BLOCK_SIZE];
         blk[0..4].copy_from_slice(&CTRL_MAGIC.to_le_bytes());
         blk[4..12].copy_from_slice(&epoch.to_le_bytes());
-        blk[12] = half;
-        let ck = fnv1a(&blk[0..13]);
-        blk[13..17].copy_from_slice(&ck.to_le_bytes());
+        let ck = fnv1a(&[&blk[0..12]]);
+        blk[12..16].copy_from_slice(&ck.to_le_bytes());
         let _dev = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
         let mut d = self.dev.lock();
         d.write_block(0, &blk)?;
@@ -727,7 +702,7 @@ impl Wal {
         Ok(())
     }
 
-    /// Whether the epoch has outgrown half the region since the last
+    /// Whether the epoch has outgrown half the capacity since the last
     /// truncation — the checkpointer's wake-up cue.
     pub fn over_pressure(&self) -> bool {
         self.pressure.load(SeqCst)
@@ -746,80 +721,64 @@ impl Wal {
         self.inner.lock().durable_lsn
     }
 
-    /// The end of the stream — the next record's start LSN.
+    /// The end of the stream — the next record's start LSN, and the cut a
+    /// checkpoint takes before it flushes: every record below it describes
+    /// a page already dirty in the pool.
     pub fn next_lsn(&self) -> u64 {
         let _order = crate::lock::order::token(crate::lock::order::WAL);
         self.inner.lock().next_lsn
     }
 
-    /// Marks the end of the stream as the cut of a checkpoint about to
-    /// flush, and returns it: every record below it describes a page
-    /// already dirty in the pool, which the flush will write. From here to
-    /// [`Wal::truncate_to`] the log keeps every byte at or above the cut
-    /// in memory; a later mark replaces this one.
-    pub fn mark_cut(&self) -> u64 {
-        let _order = crate::lock::order::token(crate::lock::order::WAL);
-        let mut g = self.inner.lock();
-        g.kept = Some(Vec::new());
-        g.next_lsn
-    }
-
     /// Reads the on-device epoch back as `(end_lsn, record)` pairs, and
-    /// repositions the in-memory stream to continue after the last whole
-    /// record. The scan stops — without error — at the first block that is
-    /// unformatted, checksum-damaged, or out of sequence, and at a record
-    /// that runs past the recovered bytes: all of those are torn tails in
-    /// unacknowledged territory (a successful force destages every block,
-    /// in order, before acknowledging).
+    /// repositions the in-memory stream to continue after the last one.
+    /// The scan stops, without error, at the first record whose check
+    /// fails (see the module docs); a record past that point was never
+    /// acknowledged, since a successful force destages every block, in
+    /// LSN order, before it returns.
     fn scan(&self) -> DbResult<Vec<(u64, WalRecord)>> {
         let _order = crate::lock::order::token(crate::lock::order::WAL);
         let mut g = self.inner.lock();
-        let epoch = g.epoch_lsn;
+        let (epoch, base) = (g.epoch_lsn, g.buf_base);
+        let end = epoch + self.capacity();
+        // The stream's bytes from `base`, read a block at a time as needed.
         let mut stream = Vec::new();
+        let mut records = Vec::new();
+        let mut at = epoch;
         {
             let _dev = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
             let mut d = self.dev.lock();
             let mut blk = vec![0u8; BLOCK_SIZE];
-            for i in 0..self.half_blocks {
-                let want = epoch + i * BLOCK_PAYLOAD as u64;
-                d.read_block(self.data_block(g.half, epoch, want), &mut blk)?;
-                let magic = crate::bytes::le_u16(&blk, 0)?;
-                let used = crate::bytes::le_u16(&blk, 2)? as usize;
-                let start = crate::bytes::le_u64(&blk, 4)?;
-                let ck = crate::bytes::le_u32(&blk, 12)?;
-                if magic != BLOCK_MAGIC
-                    || used > BLOCK_PAYLOAD
-                    || start != want
-                    || ck != fnv1a(&blk[0..12]) ^ fnv1a(&blk[BLOCK_HDR..BLOCK_HDR + used])
-                {
+            // Whether the stream now covers `[base, upto)`: false past the
+            // end of the epoch, where no record reaches.
+            let mut cover = |stream: &mut Vec<u8>, upto: u64| -> DbResult<bool> {
+                while upto <= end && base + (stream.len() as u64) < upto {
+                    d.read_block(self.block_of(base + stream.len() as u64), &mut blk)?;
+                    stream.extend_from_slice(&blk);
+                }
+                Ok(upto <= end)
+            };
+            while cover(&mut stream, at + REC_HDR as u64)? {
+                let from = (at - base) as usize;
+                let len = REC_HDR + crate::bytes::le_u16(&stream, from + 1)? as usize;
+                if len > REC_HDR + MAX_BODY || !cover(&mut stream, at + len as u64)? {
                     break;
                 }
-                stream.extend_from_slice(&blk[BLOCK_HDR..BLOCK_HDR + used]);
-                if used < BLOCK_PAYLOAD {
+                let rec = &stream[from..from + len];
+                if crate::bytes::le_u32(rec, 3)? != check(at, rec) {
                     break;
                 }
+                let (rec, _) = WalRecord::decode(rec)?
+                    .ok_or_else(|| DbError::Corrupt("WAL record cut short".into()))?;
+                at += len as u64;
+                records.push((at, rec));
             }
         }
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        while pos < stream.len() {
-            match WalRecord::decode(&stream[pos..]) {
-                Ok(Some((rec, n))) => {
-                    pos += n;
-                    records.push((epoch + pos as u64, rec));
-                }
-                // A record that doesn't finish, or scribbled header bytes
-                // past the last force, are both torn tail: stop here.
-                Ok(None) | Err(_) => break,
-            }
-        }
-        g.next_lsn = epoch + pos as u64;
-        g.durable_lsn = g.next_lsn;
-        // Keep the partial tail block in memory so the next force can
-        // rewrite that block in full.
-        let whole = (pos / BLOCK_PAYLOAD) * BLOCK_PAYLOAD;
-        g.buf_base = epoch + whole as u64;
-        g.buf = stream[whole..pos].to_vec();
+        g.next_lsn = at;
+        g.durable_lsn = at;
+        // Keep the partly filled last block in memory so the next force
+        // can rewrite that block in full.
+        g.buf_base = at - at % BLOCK;
+        g.buf = stream[(g.buf_base - base) as usize..(at - base) as usize].to_vec();
         Ok(records)
     }
 }
@@ -983,7 +942,7 @@ mod tests {
         wal.force_up_to(wal.next_lsn()).unwrap();
         let before = wal.epoch_bytes();
         assert!(before > 0);
-        wal.truncate_to(wal.mark_cut()).unwrap();
+        wal.truncate_to(wal.next_lsn()).unwrap();
         assert_eq!(wal.epoch_bytes(), 0);
         let (wal, recs) = Wal::recover(dev.clone(), reg()).unwrap();
         assert!(recs.is_empty(), "truncated log must scan empty");
@@ -999,14 +958,14 @@ mod tests {
     fn truncate_preserves_the_tail_past_the_cut() {
         // Records appended while a checkpoint flushes land after the cut
         // and must survive the truncation — across repeated truncations,
-        // which alternate data-area halves.
+        // which move the epoch along the ring.
         let dev = log_device(4096);
         let wal = Wal::create(dev.clone(), reg()).unwrap();
         for round in 0..3u64 {
             for i in 0..6 {
                 wal.append(&insert_rec(round * 100 + i, 0, 2500)).unwrap();
             }
-            let cut = wal.mark_cut();
+            let cut = wal.next_lsn();
             wal.append(&insert_rec(round * 100 + 90, 0, 2500)).unwrap();
             wal.append(&WalRecord::Commit {
                 xid: XactId(round as u32 + 2),
@@ -1026,10 +985,10 @@ mod tests {
         }
     }
 
-    /// A device that counts the blocks read from it.
-    struct CountReads(MagneticDisk, Arc<AtomicU64>);
+    /// A device that counts the blocks read and written, and the syncs.
+    struct CountIo(MagneticDisk, Arc<[AtomicU64; 3]>);
 
-    impl simdev::BlockDevice for CountReads {
+    impl simdev::BlockDevice for CountIo {
         fn name(&self) -> &str {
             self.0.name()
         }
@@ -1040,58 +999,247 @@ mod tests {
             self.0.nblocks()
         }
         fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> simdev::DevResult<()> {
-            self.1.fetch_add(1, SeqCst);
+            self.1[0].fetch_add(1, SeqCst);
             self.0.read_block(blkno, buf)
         }
         fn write_block(&mut self, blkno: u64, buf: &[u8]) -> simdev::DevResult<()> {
+            self.1[1].fetch_add(1, SeqCst);
             self.0.write_block(blkno, buf)
+        }
+        fn sync(&mut self) -> simdev::DevResult<()> {
+            self.1[2].fetch_add(1, SeqCst);
+            self.0.sync()
         }
     }
 
     #[test]
-    fn truncation_copies_a_long_forced_tail_without_reading_the_device() {
+    fn truncation_keeps_a_long_forced_tail_without_reading_the_device() {
         // A checkpoint that flushes for a while lets writers append — and
         // force — many blocks past its cut. They survive the truncation,
-        // and come from memory: the log device is written, never read.
-        let reads = Arc::new(AtomicU64::new(0));
+        // which reads nothing and writes and syncs the control block alone.
+        let io = Arc::new([0, 0, 0].map(AtomicU64::new));
+        let count = |i: usize| io[i].load(SeqCst);
         let disk = MagneticDisk::new("log", SimClock::new(), DiskProfile::tiny_for_tests(4096));
-        let dev = shared_device(CountReads(disk, Arc::clone(&reads)));
+        let dev = shared_device(CountIo(disk, Arc::clone(&io)));
         let wal = Wal::create(dev.clone(), reg()).unwrap();
         for round in 0..3u64 {
             for i in 0..5 {
                 wal.append(&insert_rec(round * 100 + i, 0, 3000)).unwrap();
             }
-            let cut = wal.mark_cut();
+            let cut = wal.next_lsn();
             for i in 0..12 {
                 wal.append(&insert_rec(round * 100 + 50 + i, 0, 3000)).unwrap();
                 if i % 4 == 3 {
                     wal.force_up_to(wal.next_lsn()).unwrap();
                 }
             }
+            let (writes, syncs) = (count(1), count(2));
             wal.truncate_to(cut).unwrap();
-            assert_eq!(reads.load(SeqCst), 0, "round {round}: truncation read the device");
+            assert_eq!(count(0), 0, "round {round}: truncation read the device");
+            assert_eq!((count(1), count(2)), (writes + 1, syncs + 1), "round {round}");
 
             let (wal2, recs) = Wal::recover(dev.clone(), reg()).unwrap();
-            reads.store(0, SeqCst);
+            io[0].store(0, SeqCst);
             let want: Vec<WalRecord> =
                 (0..12).map(|i| insert_rec(round * 100 + 50 + i, 0, 3000)).collect();
             let got: Vec<WalRecord> = recs.into_iter().map(|(_, r)| r).collect();
             assert_eq!(got, want, "round {round}: exactly the tail survives");
             assert_eq!(wal2.next_lsn(), wal.next_lsn());
         }
-        // A cut nobody marked has no tail in memory to copy.
+        // Any record boundary is a cut: nothing is kept in memory for one.
         wal.append(&insert_rec(7, 0, 3000)).unwrap();
-        let unmarked = wal.next_lsn();
+        let cut = wal.next_lsn();
         for i in 0..8 {
             wal.append(&insert_rec(i, 0, 3000)).unwrap();
         }
         wal.force_up_to(wal.next_lsn()).unwrap();
-        assert!(wal.truncate_to(unmarked).is_err());
+        wal.truncate_to(cut).unwrap();
+        assert_eq!(Wal::recover(dev, reg()).unwrap().1.len(), 8);
+    }
+
+    fn records(recs: Vec<(u64, WalRecord)>) -> Vec<WalRecord> {
+        recs.into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// Round the ring four times, one checkpoint's worth at a time: each
+    /// truncation is followed by a crash, and the log goes on from what
+    /// recovery found.
+    #[test]
+    fn records_survive_laps_round_the_ring_with_a_crash_after_each_truncation() {
+        let dev = log_device(8); // 7 ring blocks: an epoch of 6.
+        let mut wal = Wal::create(dev.clone(), reg()).unwrap();
+        let mut n = 0u64;
+        let mut next = || {
+            n += 1;
+            insert_rec(n, 0, 3000 + (n % 7) as usize * 100)
+        };
+        let mut truncations = 0;
+        while wal.next_lsn() < 4 * 7 * BLOCK {
+            for _ in 0..6 {
+                wal.append(&next()).unwrap();
+            }
+            let cut = wal.next_lsn();
+            let tail: Vec<WalRecord> = (0..3).map(|_| next()).collect();
+            for rec in &tail {
+                wal.append(rec).unwrap();
+            }
+            wal.force_up_to(wal.next_lsn()).unwrap();
+            wal.truncate_to(cut).unwrap();
+            truncations += 1;
+            let (back, recs) = Wal::recover(dev.clone(), reg()).unwrap();
+            assert_eq!(records(recs), tail, "after truncation {truncations}");
+            assert_eq!(back.next_lsn(), wal.next_lsn());
+            wal = back;
+        }
+        assert!(truncations >= 7, "{truncations} truncations");
+    }
+
+    /// A lap of ten records over five blocks, then — one lap on — a lap of
+    /// four over the first two of them. Every record is half a block, so
+    /// the first lap's fifth record starts exactly where the second lap
+    /// ends, in a block the second lap never wrote. Its LSN gives it away.
+    #[test]
+    fn a_shorter_lap_over_a_longer_one_recovers_only_its_own_records() {
+        let dev = log_device(8); // 7 ring blocks.
+        let wal = Wal::create(dev.clone(), reg()).unwrap();
+        let half = |i: u64| insert_rec(i, 0, BLOCK_SIZE / 2 - REC_HDR - 15);
+        for i in 0..10 {
+            wal.append(&half(i)).unwrap();
+        }
+        wal.force_up_to(wal.next_lsn()).unwrap();
+        // Four unforced fillers carry the stream round to the ring's start.
+        wal.truncate_to(wal.next_lsn()).unwrap();
+        for i in 10..14 {
+            wal.append(&half(i)).unwrap();
+        }
+        let lap = wal.next_lsn();
+        assert_eq!(lap, 7 * BLOCK);
+        wal.truncate_to(lap).unwrap();
+        let second: Vec<WalRecord> = (100..104).map(half).collect();
+        for rec in &second {
+            wal.append(rec).unwrap();
+        }
+        wal.force_up_to(wal.next_lsn()).unwrap();
+
+        let (back, recs) = Wal::recover(dev, reg()).unwrap();
+        assert_eq!(recs.last().map(|r| r.0), Some(lap + 2 * BLOCK));
+        assert_eq!(records(recs), second, "the first lap's records were replayed");
+        assert_eq!(back.next_lsn(), lap + 2 * BLOCK);
+    }
+
+    /// A record whose check passes is the log's: if it does not decode,
+    /// recovery fails. The same bytes with a wrong check end the log.
+    #[test]
+    fn a_record_that_passes_its_check_but_does_not_decode_is_corruption() {
+        for check_passes in [true, false] {
+            let dev = log_device(16);
+            Wal::create(dev.clone(), reg()).unwrap();
+            let mut rec = Vec::new();
+            WalRecord::Abort { xid: XactId(9) }.encode(&mut rec);
+            rec[0] = 99; // No such kind.
+            let ck = check(0, &rec) ^ u32::from(!check_passes);
+            rec[3..REC_HDR].copy_from_slice(&ck.to_le_bytes());
+            let mut blk = vec![0u8; BLOCK_SIZE];
+            blk[..rec.len()].copy_from_slice(&rec);
+            dev.lock().write_block(1, &blk).unwrap();
+            match Wal::recover(dev, reg()) {
+                Err(DbError::Corrupt(_)) => assert!(check_passes),
+                Ok((_, recs)) => assert!(!check_passes && recs.is_empty()),
+                Err(e) => panic!("{e}"),
+            }
+        }
+    }
+
+    /// What a [`Tearing`] disk does to its next write.
+    enum Tear {
+        Off,
+        /// Store only these bytes of the next block written.
+        Armed(std::ops::Range<usize>),
+        /// Torn: every write and sync fails.
+        Torn,
+    }
+
+    /// A log disk whose armed write lands only in part, as when power fails
+    /// in the middle of it.
+    struct Tearing(MagneticDisk, Arc<Mutex<Tear>>);
+
+    impl simdev::BlockDevice for Tearing {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn block_size(&self) -> usize {
+            self.0.block_size()
+        }
+        fn nblocks(&self) -> u64 {
+            self.0.nblocks()
+        }
+        fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> simdev::DevResult<()> {
+            self.0.read_block(blkno, buf)
+        }
+        fn write_block(&mut self, blkno: u64, buf: &[u8]) -> simdev::DevResult<()> {
+            let mut tear = self.1.lock();
+            match std::mem::replace(&mut *tear, Tear::Torn) {
+                Tear::Off => {
+                    *tear = Tear::Off;
+                    return self.0.write_block(blkno, buf);
+                }
+                Tear::Armed(keep) => {
+                    let mut block = vec![0u8; buf.len()];
+                    self.0.read_block(blkno, &mut block)?;
+                    block[keep.clone()].copy_from_slice(&buf[keep]);
+                    self.0.write_block(blkno, &block)?;
+                }
+                Tear::Torn => {}
+            }
+            Err(simdev::DevError::TornWrite)
+        }
+        fn sync(&mut self) -> simdev::DevResult<()> {
+            match *self.1.lock() {
+                Tear::Torn => Err(simdev::DevError::TornWrite),
+                _ => self.0.sync(),
+            }
+        }
+    }
+
+    /// An acknowledged record in the second half of a block, then a force
+    /// of 300 more whose rewrite of that block tears: first with only its
+    /// first 4 KB new, then with only its second. Either way the
+    /// acknowledged records come back, and nothing that is not a prefix of
+    /// the stream does.
+    #[test]
+    fn a_torn_rewrite_of_either_half_keeps_the_acknowledged_records() {
+        let torn = simdev::fault::TORN_BYTES;
+        for keep in [0..torn, torn..BLOCK_SIZE] {
+            let tear = Arc::new(Mutex::new(Tear::Off));
+            let disk = MagneticDisk::new("log", SimClock::new(), DiskProfile::tiny_for_tests(64));
+            let dev = shared_device(Tearing(disk, Arc::clone(&tear)));
+            let wal = Wal::create(dev.clone(), reg()).unwrap();
+            let mut stream = vec![
+                insert_rec(0, 0, 5000),
+                WalRecord::Commit { xid: XactId(2), time_ns: 1 },
+            ];
+            for rec in &stream {
+                wal.append(rec).unwrap();
+            }
+            wal.force_up_to(wal.next_lsn()).unwrap();
+            assert!(wal.durable_lsn() > torn as u64, "the commit lies in the second half");
+            stream.extend((1..=300).map(|i| insert_rec(i, 0, 40)));
+            for rec in &stream[2..] {
+                wal.append(rec).unwrap();
+            }
+            *tear.lock() = Tear::Armed(keep.clone());
+            assert!(wal.force_up_to(wal.next_lsn()).is_err());
+            *tear.lock() = Tear::Off;
+
+            let got = records(Wal::recover(dev, reg()).unwrap().1);
+            assert!(got.len() >= 2, "{keep:?}: {} records back", got.len());
+            assert!(stream.starts_with(&got), "{keep:?}: records not of the stream");
+        }
     }
 
     #[test]
     fn full_epoch_rejects_appends() {
-        let dev = log_device(16); // 7 data blocks per half.
+        let dev = log_device(16); // 15 ring blocks.
         let wal = Wal::create(dev, reg()).unwrap();
         let mut appended = 0u64;
         let err = loop {

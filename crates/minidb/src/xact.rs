@@ -598,7 +598,7 @@ pub(crate) mod rig {
         /// A checkpoint: every dirty page written, the devices synced, the
         /// log truncated.
         pub(crate) fn checkpoint(&self) {
-            let cut = self.wal.mark_cut();
+            let cut = self.wal.next_lsn();
             self.pool.flush_all(&self.smgr).unwrap();
             self.smgr.sync_all().unwrap();
             self.wal.truncate_to(cut).unwrap();
@@ -879,7 +879,7 @@ mod tests {
 
     #[test]
     fn a_raise_the_log_has_no_room_for_leaves_both_ceilings_where_they_were() {
-        // 7 log blocks per half.
+        // 15 log blocks in the ring.
         let (log, rig) = (XactLog::default(), Rig::new(16));
         let wal = &rig.wal;
         let big = WalRecord::Insert {
@@ -910,7 +910,7 @@ mod tests {
         let (xid, oid) = (XactId(2 + CEILING_STEP), Oid(Catalog::FIRST_OID + CEILING_STEP));
         assert_eq!(state(&log, &rig, xid), XactState::Unknown);
         // Room again: allocation goes on where it stood.
-        wal.truncate_to(wal.mark_cut()).unwrap();
+        wal.truncate_to(wal.next_lsn()).unwrap();
         assert_eq!(log.start(rig.io()).unwrap(), xid);
         assert_eq!(log.alloc_oid(rig.io()).unwrap(), oid);
     }

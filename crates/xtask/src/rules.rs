@@ -202,10 +202,10 @@ fn functions(text: &str) -> Vec<(usize, &str, &str)> {
         .collect()
 }
 
-/// Rule `wal-force-site`: the log is forced by a commit, by the buffer
+/// Rule `wal-force-site`: the log is forced by a commit and by the buffer
 /// manager before it writes back a page whose last change is not yet
-/// durable, and by a checkpoint's truncation — nothing else, so an insert
-/// path can never again pay a log write and sync per row unnoticed.
+/// durable — nothing else, so an insert path can never again pay a log
+/// write and sync per row unnoticed.
 /// `.force_up_to(` may be called in `minidb/src/wal.rs`, in
 /// `buffer.rs::force_wal_for` and in `db.rs::commit_written`; `.flush_rel(`
 /// (a writeback, hence a force, per dirty page of one relation) only in

@@ -111,7 +111,7 @@ impl CrashRig {
     }
 
     /// A rig whose log device has `nblocks` blocks: one control block, and
-    /// a log epoch of half the rest.
+    /// a ring of the rest that holds a log epoch one block shorter.
     pub fn with_log_blocks(nblocks: u64) -> CrashRig {
         let clock = SimClock::new();
         let mut handles = Vec::new();
@@ -184,9 +184,8 @@ pub fn data_page_writes(d: &StatsSnapshot) -> u64 {
 /// Syncs the probed log device has carried out — the other half of the
 /// no-force gate: inside a transaction this must stand still (an insert
 /// forces nothing), and across its `commit()` move by one. The log device
-/// is also synced by a checkpoint's truncation (the surviving tail, the
-/// control block), so measure it in a window [`data_page_writes`] has
-/// accepted.
+/// is also synced by a checkpoint's truncation (the control block), so
+/// measure it in a window [`data_page_writes`] has accepted.
 #[allow(dead_code)]
 pub fn log_syncs(probe: &Probe) -> u64 {
     probe.syncs.load(SeqCst)
