@@ -150,6 +150,70 @@ fn vacuum_all_archives_an_overwritten_file_of_full_chunks() {
     assert_eq!(fs.check(), []);
 }
 
+/// `2 * CHUNK_SIZE` bytes that do not compress.
+fn noise(seed: u64) -> Vec<u8> {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..2 * CHUNK_SIZE)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect()
+}
+
+/// Writes each `(path, mode)` file, overwrites it whole in one transaction,
+/// runs `vacuum_all`, and reads both versions back.
+fn vacuum_all_archives_overwritten_files(files: &[(&str, CreateMode)]) {
+    let fs = fresh_fs();
+    let mut c = fs.client();
+    for (path, mode) in files {
+        c.write_all(path, mode.clone(), &noise(1)).unwrap();
+    }
+    let then = fs.db().now();
+    c.p_begin().unwrap();
+    for (path, _) in files {
+        let fd = c.p_open(path, OpenMode::ReadWrite, None).unwrap();
+        c.p_write(fd, &noise(2)).unwrap();
+        c.p_close(fd).unwrap();
+    }
+    c.p_commit().unwrap();
+
+    let report = vacuum_all(&fs, DeviceId::DEFAULT).unwrap();
+    let archived = report.iter().filter(|(name, _)| name.starts_with("inv"));
+    assert!(archived.map(|(_, data)| data.archived).sum::<u64>() >= 2 * files.len() as u64);
+    for (path, _) in files {
+        assert_eq!(c.read_to_vec(path, Some(then)).unwrap(), noise(1), "{path} then");
+        assert_eq!(c.read_to_vec(path, None).unwrap(), noise(2), "{path} now");
+    }
+    assert_eq!(fs.db().check_all(), []);
+    assert_eq!(fs.check(), []);
+}
+
+/// A self-identifying chunk carries a 16-byte tag, and the archive wraps
+/// its row in `(amin, amax, ...)`: the file's chunks are sized so that a
+/// full one still archives into one heap tuple. A plain file beside it is
+/// vacuumed in the same sweep.
+#[test]
+fn vacuum_all_archives_an_overwritten_self_identifying_file() {
+    vacuum_all_archives_overwritten_files(&[
+        ("/tagged", CreateMode::default().self_identifying()),
+        ("/plain", CreateMode::default()),
+    ]);
+}
+
+/// Bytes that do not compress grow a little under the chunk codec. The
+/// chunks of a compressed file are sized for that growth, so they store,
+/// and archive, as one heap tuple each, with or without a tag.
+#[test]
+fn vacuum_all_archives_overwritten_compressed_files_of_incompressible_bytes() {
+    vacuum_all_archives_overwritten_files(&[
+        ("/packed", CreateMode::default().compressed()),
+        ("/both", CreateMode::default().compressed().self_identifying()),
+    ]);
+}
+
 #[test]
 fn no_history_files_forget_after_vacuum() {
     let fs = fresh_fs();
