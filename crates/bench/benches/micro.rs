@@ -187,7 +187,7 @@ fn bench_inversion(c: &mut Criterion) {
     c.bench_function("inversion/coalescer_64k_in_256b", |b| {
         let data = [7u8; 256];
         b.iter(|| {
-            let mut co = Coalescer::new();
+            let mut co = Coalescer::new(inversion::CHUNK_SIZE);
             let mut off = 0u64;
             let mut flushed = 0usize;
             for _ in 0..256 {

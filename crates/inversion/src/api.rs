@@ -25,7 +25,9 @@ use minidb::catalog::RelKind;
 use minidb::{Datum, DbError, Oid, RelId, Session, Snapshot, Tid};
 use simdev::SimInstant;
 
-use crate::chunk::{self, Coalescer, CHUNK_SIZE};
+use crate::chunk::{self, Coalescer};
+#[cfg(test)]
+use crate::chunk::CHUNK_SIZE;
 use crate::compress;
 use crate::fs::{
     stat_to_row, CreateMode, FileKind, FileStat, InvError, InvResult, InversionFs, SliceRange,
@@ -194,6 +196,7 @@ impl InvClient {
         let path = path.to_string();
         self.run(move |fs, s, fds| {
             let stat = fs.create_file_at(s, &path, &mode)?;
+            let coalescer = Coalescer::new(stat.chunk_size());
             fds.insert(
                 fd,
                 FileState {
@@ -201,7 +204,7 @@ impl InvClient {
                     mode: OpenMode::ReadWrite,
                     offset: 0,
                     asof: None,
-                    coalescer: Coalescer::new(),
+                    coalescer,
                     meta_dirty: false,
                     accessed: false,
                     stale: false,
@@ -235,6 +238,7 @@ impl InvClient {
             if stat.kind == FileKind::Directory {
                 return Err(InvError::IsADirectory(path.clone()));
             }
+            let coalescer = Coalescer::new(stat.chunk_size());
             fds.insert(
                 fd,
                 FileState {
@@ -242,7 +246,7 @@ impl InvClient {
                     mode,
                     offset: 0,
                     asof: snap,
-                    coalescer: Coalescer::new(),
+                    coalescer,
                     meta_dirty: false,
                     accessed: false,
                     stale: false,
@@ -330,7 +334,7 @@ impl InvClient {
                 written += n;
                 // Full chunk: flush eagerly so the buffer stays one chunk.
                 if let Some((_, start, bytes)) = st.coalescer.pending() {
-                    if start + bytes.len() == CHUNK_SIZE {
+                    if start + bytes.len() == st.stat.chunk_size() {
                         flush_coalescer(fs, s, st)?;
                     }
                 }
@@ -381,7 +385,8 @@ impl InvClient {
                 }
                 return Ok(());
             }
-            let keep_chunks = len.div_ceil(CHUNK_SIZE as u64) as u32;
+            let size = st.stat.chunk_size() as u64;
+            let keep_chunks = len.div_ceil(size) as u32;
             // Delete whole chunks beyond the new end.
             let victims = s.index_range_tids(
                 st.stat.chunkidx,
@@ -392,9 +397,9 @@ impl InvClient {
                 s.delete(st.stat.datarel, tid)?;
             }
             // Trim the final partial chunk, if any.
-            let tail = (len % CHUNK_SIZE as u64) as usize;
+            let tail = (len % size) as usize;
             if tail > 0 {
-                let last = chunk::chunk_of(len - 1);
+                let last = ((len - 1) / size) as u32;
                 if let Some(content) = fetch_chunk(fs, s, &st.stat, last, None)? {
                     if content.len() > tail {
                         write_chunk_exact(fs, s, &st.stat, last, &content[..tail])?;
@@ -490,9 +495,10 @@ impl InvClient {
             }
             // Restore the content to its state at `t`.
             let bytes_then = read_file_bytes(fs, s, &stat_then, Some(&snap))?;
-            let nchunks = bytes_then.len().div_ceil(CHUNK_SIZE) as u32;
-            for (chunkno, _, take) in chunk::split_range(0, bytes_then.len()) {
-                let startb = chunk::chunk_start(chunkno) as usize;
+            let size = stat_then.chunk_size();
+            let nchunks = bytes_then.len().div_ceil(size) as u32;
+            for (chunkno, _, take) in chunk::split_range(size, 0, bytes_then.len()) {
+                let startb = chunkno as usize * size;
                 write_chunk_exact(
                     fs,
                     s,
@@ -566,21 +572,22 @@ impl InvClient {
             for (r, src) in ranges.iter().zip(&srcs) {
                 // Self-identifying rows embed (oid, chunkno): they only
                 // verify in their original position. Compression must match
-                // or the stored encoding differs between the two tables.
+                // or the stored encoding (and the chunk size) differs
+                // between the two tables.
                 let shareable = !src.self_identifying
                     && !dst.self_identifying
                     && src.compressed == dst.compressed;
-                for (chunkno, start, take) in chunk::split_range(r.offset, r.len as usize) {
-                    let aligned = start == 0
-                        && take == CHUNK_SIZE
-                        && dest_off.is_multiple_of(CHUNK_SIZE as u64);
+                let (size, dsize) = (src.chunk_size(), dst.chunk_size());
+                for (chunkno, start, take) in chunk::split_range(size, r.offset, r.len as usize) {
+                    let aligned =
+                        start == 0 && take == size && dest_off.is_multiple_of(size as u64);
                     if shareable && aligned {
                         // Zero-copy: move the stored row as-is. A missing
                         // source row is a hole, which stays a hole.
                         let key = [Datum::Int4(chunkno as i32)];
                         if let Some((_, row)) = s.index_lookup_unique(src.chunkidx, &key, None)? {
                             let raw = row[1].as_bytes()?.to_vec();
-                            let dchunk = chunk::chunk_of(dest_off);
+                            let dchunk = (dest_off / dsize as u64) as u32;
                             s.insert(
                                 dst.datarel,
                                 vec![Datum::Int4(dchunk as i32), Datum::Bytes(raw)],
@@ -589,10 +596,10 @@ impl InvClient {
                         }
                     } else {
                         let mut piece = vec![0u8; take];
-                        let at = chunk::chunk_start(chunkno) + start as u64;
+                        let at = chunkno as u64 * size as u64 + start as u64;
                         read_range(fs, s, src, None, at, &mut piece)?;
                         let mut done = 0usize;
-                        for (dchunk, dstart, dtake) in chunk::split_range(dest_off, take) {
+                        for (dchunk, dstart, dtake) in chunk::split_range(dsize, dest_off, take) {
                             write_chunk(fs, s, &dst, dchunk, dstart, &piece[done..done + dtake])?;
                             done += dtake;
                         }
@@ -749,7 +756,7 @@ pub(crate) fn read_range(
     buf: &mut [u8],
 ) -> InvResult<()> {
     let mut done = 0usize;
-    for (chunkno, start, take) in chunk::split_range(offset, buf.len()) {
+    for (chunkno, start, take) in chunk::split_range(stat.chunk_size(), offset, buf.len()) {
         let dst = &mut buf[done..done + take];
         let content = fetch_chunk(fs, s, stat, chunkno, snap)?.unwrap_or_default();
         let src = content.get(start..).unwrap_or_default();
@@ -763,7 +770,6 @@ pub(crate) fn read_range(
 
 /// Self-identifying tag: magic, file oid, chunk number, payload checksum.
 const SELF_ID_MAGIC: u32 = 0x1253_4944; // "\x12SID"
-const SELF_ID_LEN: usize = 16;
 
 fn payload_checksum(data: &[u8]) -> u32 {
     // FNV-1a: cheap, deterministic, adequate for detecting media garbage.
@@ -776,7 +782,7 @@ fn payload_checksum(data: &[u8]) -> u32 {
 }
 
 fn tag_chunk(stat: &FileStat, chunkno: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SELF_ID_LEN + payload.len());
+    let mut out = Vec::with_capacity(chunk::SELF_ID_LEN + payload.len());
     out.extend_from_slice(&SELF_ID_MAGIC.to_le_bytes());
     out.extend_from_slice(&stat.oid.0.to_le_bytes());
     out.extend_from_slice(&chunkno.to_le_bytes());
@@ -795,7 +801,7 @@ fn untag_chunk<'a>(stat: &FileStat, chunkno: u32, raw: &'a [u8]) -> InvResult<&'
             stat.oid
         )))
     };
-    if raw.len() < SELF_ID_LEN {
+    if raw.len() < chunk::SELF_ID_LEN {
         return Err(corrupt("tag truncated"));
     }
     let magic = u32::from_le_bytes(raw[0..4].try_into().unwrap());
@@ -811,7 +817,7 @@ fn untag_chunk<'a>(stat: &FileStat, chunkno: u32, raw: &'a [u8]) -> InvResult<&'
     if stored_chunk != chunkno {
         return Err(corrupt("block is a different chunk"));
     }
-    let payload = &raw[SELF_ID_LEN..];
+    let payload = &raw[chunk::SELF_ID_LEN..];
     if payload_checksum(payload) != sum {
         return Err(corrupt("checksum mismatch"));
     }
@@ -840,7 +846,7 @@ pub(crate) fn write_chunk(
     start: usize,
     data: &[u8],
 ) -> InvResult<()> {
-    if start == 0 && data.len() == CHUNK_SIZE {
+    if start == 0 && data.len() == stat.chunk_size() {
         // Nothing of the stored chunk survives: it need not be read.
         return write_chunk_exact(fs, s, stat, chunkno, data);
     }
@@ -873,7 +879,7 @@ pub(crate) fn write_range(
         return Err(InvError::IsADirectory(format!("oid {oid}")));
     }
     let mut pos = 0usize;
-    for (chunkno, start, take) in chunk::split_range(offset, data.len()) {
+    for (chunkno, start, take) in chunk::split_range(stat.chunk_size(), offset, data.len()) {
         write_chunk(fs, s, &stat, chunkno, start, &data[pos..pos + take])?;
         pos += take;
     }
@@ -956,7 +962,7 @@ pub(crate) fn read_file_bytes(
     let mut out = vec![0u8; size];
     // A whole-file read walks the chunk relation front to back; tell the
     // buffer cache so later chunks are already resident when we get there.
-    if size > chunk::CHUNK_SIZE {
+    if size > stat.chunk_size() {
         fs.db().prefetch_relation(stat.datarel, 0, usize::MAX);
     }
     read_range(fs, s, stat, snap, 0, &mut out)?;
@@ -970,8 +976,9 @@ impl InversionFs {
     ///
     /// Checked per file: the chunk relation is readable, every chunk row
     /// decodes (self-identifying tag and compression included), chunk
-    /// numbers are unique and inside `0..ceil(size / CHUNK_SIZE)`, no chunk
-    /// is longer than [`CHUNK_SIZE`], and no chunk extends past the size
+    /// numbers are unique and inside `0..ceil(size / chunk size)`, no chunk
+    /// is longer than the file's [`FileStat::chunk_size`], and no chunk
+    /// extends past the size
     /// recorded in `fileatt`. Sparse files are legal — a seek past EOF plus
     /// a write leaves holes, which readers fill with zeros — so chunk
     /// *density* is deliberately not required. Checked across files:
@@ -1018,7 +1025,8 @@ impl InversionFs {
                     continue;
                 }
             };
-            let nchunks = stat.size.div_ceil(CHUNK_SIZE as u64);
+            let size = stat.chunk_size();
+            let nchunks = stat.size.div_ceil(size as u64);
             let mut seen = HashMap::new();
             for (tid, crow) in chunks {
                 let chunkno = match crow.first().map(|d| d.as_int()) {
@@ -1060,7 +1068,7 @@ impl InversionFs {
                 }
                 match decode_chunk(&stat, chunkno as u32, &crow) {
                     Ok(content) => {
-                        if content.len() > CHUNK_SIZE {
+                        if content.len() > size {
                             out.push(
                                 Finding::new(
                                     &name,
@@ -1071,8 +1079,7 @@ impl InversionFs {
                                 .on_slot(tid.slot),
                             );
                         }
-                        let extent =
-                            chunk::chunk_start(chunkno as u32) + content.len() as u64;
+                        let extent = chunkno as u64 * size as u64 + content.len() as u64;
                         if extent > stat.size {
                             out.push(
                                 Finding::new(

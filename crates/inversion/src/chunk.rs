@@ -8,7 +8,7 @@
 //! writes during a single transaction are coalesced to maximize the size of
 //! the chunk stored in each database record."
 
-/// Bytes of user data per chunk.
+/// Bytes of user data per chunk of a plain file.
 ///
 /// A chunk record is `(chunkno int4, data bytes)` plus the tuple header; on
 /// an 8192-byte page with our encodings the record could hold up to 8156
@@ -19,44 +19,89 @@
 /// at 2^31 x 8128 bytes ≈ 17.5 TB — the paper's "17.6 TBytes".
 pub const CHUNK_SIZE: usize = 8128;
 
-// An archived full chunk, `(amin, amax, chunkno, data)`, fits a heap tuple.
-const _: () = assert!(2 + 2 * 9 + 5 + (5 + CHUNK_SIZE) <= minidb::heap::MAX_ROW);
+/// Bytes of a self-identifying chunk's tag: magic, file oid, chunk number
+/// and payload checksum.
+pub(crate) const SELF_ID_LEN: usize = 16;
 
-/// The chunk containing byte `offset`.
+/// Encoded bytes of an archived chunk row, `(amin, amax, chunkno, data)`,
+/// besides the stored data: the column count, two times of 9 bytes, the
+/// chunk number's 5, and the data's own tag and length.
+const ARCHIVED_ROW: usize = 2 + 2 * 9 + 5 + 5;
+
+/// The most bytes `n` data bytes store as in a layout.
+const fn stored_max(n: usize, compressed: bool, self_identifying: bool) -> usize {
+    let body = if compressed { crate::compress::bound(n) } else { n };
+    body + if self_identifying { SELF_ID_LEN } else { 0 }
+}
+
+/// Data bytes per chunk of a file with this layout: as many as still
+/// archive into one heap tuple after the codec's worst case and the tag.
+/// A plain file's chunk is [`CHUNK_SIZE`], one record per page; the others
+/// give up a little (8 114 bytes self-identifying, 8 062 compressed, 8 046
+/// both). [`crate::InvClient::p_slice`] shares rows only between files of
+/// one layout, so shared rows always meet chunks of their own size.
+pub const fn chunk_size(compressed: bool, self_identifying: bool) -> usize {
+    if !compressed && !self_identifying {
+        return CHUNK_SIZE;
+    }
+    let room = minidb::heap::MAX_ROW - ARCHIVED_ROW - stored_max(0, compressed, self_identifying);
+    // The codec adds 2 bytes per 255 it cannot compress.
+    if compressed {
+        room - 2 * room.div_ceil(257)
+    } else {
+        room
+    }
+}
+
+// Every layout's full chunk archives into one heap tuple.
+const _: () = {
+    let mut layout = 0;
+    while layout < 4 {
+        let (compressed, tagged) = (layout & 1 == 1, layout & 2 == 2);
+        let n = chunk_size(compressed, tagged);
+        assert!(ARCHIVED_ROW + stored_max(n, compressed, tagged) <= minidb::heap::MAX_ROW);
+        layout += 1;
+    }
+};
+
+/// The chunk of a plain file containing byte `offset`.
 pub fn chunk_of(offset: u64) -> u32 {
     (offset / CHUNK_SIZE as u64) as u32
 }
 
-/// Byte offset within its chunk.
+/// Byte offset within its chunk, in a plain file.
 pub fn offset_in_chunk(offset: u64) -> usize {
     (offset % CHUNK_SIZE as u64) as usize
 }
 
-/// The first byte offset of chunk `chunkno`.
+/// The first byte offset of chunk `chunkno` of a plain file.
 pub fn chunk_start(chunkno: u32) -> u64 {
     chunkno as u64 * CHUNK_SIZE as u64
 }
 
 /// Splits the byte range `[offset, offset + len)` into per-chunk
-/// `(chunkno, start_within_chunk, len_within_chunk)` pieces, in order.
-pub fn split_range(offset: u64, len: usize) -> Vec<(u32, usize, usize)> {
+/// `(chunkno, start_within_chunk, len_within_chunk)` pieces, in order, for
+/// chunks of `size` bytes.
+pub fn split_range(size: usize, offset: u64, len: usize) -> Vec<(u32, usize, usize)> {
+    let size = size as u64;
     let mut out = Vec::new();
     let mut pos = offset;
     let end = offset + len as u64;
     while pos < end {
-        let c = chunk_of(pos);
-        let in_chunk = offset_in_chunk(pos);
-        let take = ((CHUNK_SIZE - in_chunk) as u64).min(end - pos) as usize;
-        out.push((c, in_chunk, take));
-        pos += take as u64;
+        let in_chunk = pos % size;
+        let take = (size - in_chunk).min(end - pos);
+        out.push(((pos / size) as u32, in_chunk as usize, take as usize));
+        pos += take;
     }
     out
 }
 
 /// A per-file-descriptor buffer that coalesces sequential writes within a
 /// transaction into whole chunks before they hit the database.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Coalescer {
+    /// Data bytes per chunk of the file.
+    size: usize,
     /// Chunk currently being accumulated.
     chunkno: u32,
     /// Start offset of valid data within the chunk.
@@ -68,9 +113,9 @@ pub struct Coalescer {
 }
 
 impl Coalescer {
-    /// Creates an empty coalescer.
-    pub fn new() -> Coalescer {
-        Coalescer::default()
+    /// Creates an empty coalescer for chunks of `size` bytes.
+    pub fn new(size: usize) -> Coalescer {
+        Coalescer { size, chunkno: 0, start: 0, buf: Vec::new(), active: false }
     }
 
     /// Whether data is buffered.
@@ -95,20 +140,20 @@ impl Coalescer {
         if data.is_empty() {
             return 0;
         }
-        let c = chunk_of(offset);
-        let in_chunk = offset_in_chunk(offset);
+        let c = (offset / self.size as u64) as u32;
+        let in_chunk = (offset % self.size as u64) as usize;
         if !self.active {
             self.chunkno = c;
             self.start = in_chunk;
             self.buf.clear();
-            let take = (CHUNK_SIZE - in_chunk).min(data.len());
+            let take = (self.size - in_chunk).min(data.len());
             self.buf.extend_from_slice(&data[..take]);
             self.active = true;
             return take;
         }
         // Sequential continuation within the same chunk?
         if c == self.chunkno && in_chunk == self.start + self.buf.len() {
-            let take = (CHUNK_SIZE - in_chunk).min(data.len());
+            let take = (self.size - in_chunk).min(data.len());
             self.buf.extend_from_slice(&data[..take]);
             return take;
         }
@@ -121,7 +166,7 @@ impl Coalescer {
         if !self.active {
             return false;
         }
-        let buf_start = chunk_start(self.chunkno) + self.start as u64;
+        let buf_start = self.chunkno as u64 * self.size as u64 + self.start as u64;
         let buf_end = buf_start + self.buf.len() as u64;
         let end = offset + len as u64;
         offset < buf_end && buf_start < end
@@ -159,16 +204,16 @@ mod tests {
 
     #[test]
     fn split_range_within_one_chunk() {
-        assert_eq!(split_range(10, 20), vec![(0, 10, 20)]);
-        assert_eq!(split_range(0, CHUNK_SIZE), vec![(0, 0, CHUNK_SIZE)]);
+        assert_eq!(split_range(CHUNK_SIZE, 10, 20), vec![(0, 10, 20)]);
+        assert_eq!(split_range(CHUNK_SIZE, 0, CHUNK_SIZE), vec![(0, 0, CHUNK_SIZE)]);
     }
 
     #[test]
     fn split_range_spanning_chunks() {
         let cs = CHUNK_SIZE as u64;
-        let parts = split_range(cs - 10, 30);
+        let parts = split_range(CHUNK_SIZE, cs - 10, 30);
         assert_eq!(parts, vec![(0, CHUNK_SIZE - 10, 10), (1, 0, 20)]);
-        let parts = split_range(cs, 2 * CHUNK_SIZE + 7);
+        let parts = split_range(CHUNK_SIZE, cs, 2 * CHUNK_SIZE + 7);
         assert_eq!(
             parts,
             vec![(1, 0, CHUNK_SIZE), (2, 0, CHUNK_SIZE), (3, 0, 7)]
@@ -179,12 +224,12 @@ mod tests {
 
     #[test]
     fn split_range_empty() {
-        assert!(split_range(100, 0).is_empty());
+        assert!(split_range(CHUNK_SIZE, 100, 0).is_empty());
     }
 
     #[test]
     fn coalescer_absorbs_sequential_writes() {
-        let mut c = Coalescer::new();
+        let mut c = Coalescer::new(CHUNK_SIZE);
         assert_eq!(c.absorb(0, b"hello"), 5);
         assert_eq!(c.absorb(5, b" world"), 6);
         let (chunk, start, buf) = c.take().unwrap();
@@ -196,7 +241,7 @@ mod tests {
 
     #[test]
     fn coalescer_rejects_non_sequential() {
-        let mut c = Coalescer::new();
+        let mut c = Coalescer::new(CHUNK_SIZE);
         c.absorb(0, b"aaa");
         assert_eq!(c.absorb(10, b"bbb"), 0, "gap");
         assert_eq!(c.absorb(1, b"bbb"), 0, "overlap");
@@ -206,7 +251,7 @@ mod tests {
 
     #[test]
     fn coalescer_stops_at_chunk_boundary() {
-        let mut c = Coalescer::new();
+        let mut c = Coalescer::new(CHUNK_SIZE);
         let big = vec![7u8; CHUNK_SIZE + 100];
         let absorbed = c.absorb(0, &big);
         assert_eq!(absorbed, CHUNK_SIZE);
@@ -220,7 +265,7 @@ mod tests {
 
     #[test]
     fn coalescer_mid_chunk_start() {
-        let mut c = Coalescer::new();
+        let mut c = Coalescer::new(CHUNK_SIZE);
         let off = CHUNK_SIZE as u64 * 2 + 100;
         assert_eq!(c.absorb(off, b"xyz"), 3);
         let (chunk, start, buf) = c.take().unwrap();
@@ -230,13 +275,13 @@ mod tests {
 
     #[test]
     fn overlap_detection() {
-        let mut c = Coalescer::new();
+        let mut c = Coalescer::new(CHUNK_SIZE);
         c.absorb(100, b"0123456789");
         assert!(c.overlaps(100, 1));
         assert!(c.overlaps(109, 5));
         assert!(c.overlaps(95, 6));
         assert!(!c.overlaps(95, 5));
         assert!(!c.overlaps(110, 10));
-        assert!(!Coalescer::new().overlaps(0, usize::MAX));
+        assert!(!Coalescer::new(CHUNK_SIZE).overlaps(0, usize::MAX));
     }
 }

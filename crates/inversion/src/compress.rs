@@ -15,7 +15,13 @@
 //! models the CPU/storage trade the paper investigates, with no external
 //! dependencies.
 
-/// Compresses `data`. Output format: `[ulen u32 le][stream]` where stream
+/// The most bytes [`compress`] turns `n` bytes into: all of them as
+/// literals, 2 bytes of op header per 255, after the 4-byte length.
+pub const fn bound(n: usize) -> usize {
+    4 + n + 2 * n.div_ceil(255)
+}
+
+/// Compresses `data`, into at most [`bound`] bytes. Output format: `[ulen u32 le][stream]` where stream
 /// is a sequence of ops: `0x00 <len u8> <literal bytes>` or
 /// `0x01 <dist u16 le> <len u8>` (match of `len+4` bytes at `dist` back).
 pub fn compress(data: &[u8]) -> Vec<u8> {
@@ -69,6 +75,11 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         }
     }
     flush_lits(&mut out, &data[lit_start..]);
+    if out.len() > bound(data.len()) {
+        // Short matches between single literals cost more than they save.
+        out.truncate(4);
+        flush_lits(&mut out, data);
+    }
     out
 }
 
@@ -129,6 +140,17 @@ mod tests {
         roundtrip(b"");
         roundtrip(b"a");
         roundtrip(b"abc");
+    }
+
+    /// One literal byte between five-byte matches costs 7 bytes per 6
+    /// as LZ ops; the codec stores such a chunk as literals instead.
+    #[test]
+    fn output_never_exceeds_the_bound() {
+        let data: Vec<u8> = (0..8062u32)
+            .map(|i| [(i / 6) as u8, (i / 6 >> 8) as u8, 0xAA, 0xBB, 0xCC, 0xDD][i as usize % 6])
+            .collect();
+        assert_eq!(compress(&data).len(), bound(data.len()));
+        roundtrip(&data);
     }
 
     #[test]

@@ -118,6 +118,13 @@ pub struct FileStat {
     pub device: DeviceId,
 }
 
+impl FileStat {
+    /// Data bytes per chunk of this file's layout ([`crate::chunk::chunk_size`]).
+    pub fn chunk_size(&self) -> usize {
+        crate::chunk::chunk_size(self.compressed, self.self_identifying)
+    }
+}
+
 const FLAG_COMPRESSED: i32 = 1;
 const FLAG_DIRECTORY: i32 = 2;
 const FLAG_SELF_ID: i32 = 4;

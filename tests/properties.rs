@@ -123,7 +123,7 @@ proptest! {
 
     #[test]
     fn split_range_partitions_exactly(offset in 0u64..10_000_000, len in 0usize..100_000) {
-        let parts = inversion::chunk::split_range(offset, len);
+        let parts = inversion::chunk::split_range(inversion::CHUNK_SIZE, offset, len);
         // Lengths sum to the request.
         prop_assert_eq!(parts.iter().map(|p| p.2).sum::<usize>(), len);
         // Pieces are contiguous and in order.
