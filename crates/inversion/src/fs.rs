@@ -609,7 +609,7 @@ impl InversionFs {
     ///
     /// Called before a migration rule reads `atime`, by the maintenance
     /// sweep, at server shutdown, and by an auto-commit `p_close` that finds
-    /// [`ATIME_PENDING_MAX`] entries waiting. A crash loses the access times
+    /// `ATIME_PENDING_MAX` entries waiting. A crash loses the access times
     /// still pending and nothing else.
     pub fn flush_atimes(&self) -> InvResult<u64> {
         if self.pending_atime_count() == 0 {

@@ -151,7 +151,7 @@ fn mix_block(lanes: &mut [u32; CHECKSUM_LANES], block: &[u8; CHECKSUM_BLOCK]) {
 }
 
 /// The frame checksum: the payload is cut into 16-byte blocks (the last one
-/// zero-padded), word `i` of each block is [`mix`]ed into lane `i`, and the
+/// zero-padded), word `i` of each block is mixed (`mix`) into lane `i`, and the
 /// four lanes are then mixed, in order, into the payload length.
 ///
 /// The lanes carry no dependency on one another, so the four multiplies of

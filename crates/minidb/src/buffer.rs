@@ -370,7 +370,7 @@ impl BufferPool {
         }
     }
 
-    /// Adds a shard of [`SYSTEM_SHARD_FRAMES`] frames, beyond `capacity`,
+    /// Adds a shard of `SYSTEM_SHARD_FRAMES` frames, beyond `capacity`,
     /// that caches the system relations' pages and nothing else. Catalog
     /// pages are few and written only at their tails; kept apart, a DDL
     /// never evicts a data page and a scan of user data never evicts the

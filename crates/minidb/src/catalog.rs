@@ -14,7 +14,7 @@
 //!
 //! [`Catalog`] itself is the in-memory *cache* of those rows that every hot
 //! path reads. It is filled by four sequential scans when a database is
-//! reopened ([`Catalog::load`]); each entry kind has one `to_row`/`from_row`
+//! reopened (`Catalog::load`); each entry kind has one `to_row`/`from_row`
 //! pair over the ordinary [`Datum`] row encoding. Derived state — a heap's
 //! list of indices — is rebuilt at load, not stored.
 //!

@@ -280,7 +280,7 @@ impl Db {
     /// the status relation is loaded, then the catalog cache is filled by
     /// scanning the system relations, first-touch REDO bringing each page
     /// up to date as the reads reach it. Then
-    /// [`Db::reconcile_storage`] gives the devices what the rows name, and
+    /// `Db::reconcile_storage` gives the devices what the rows name, and
     /// only then may the checkpointer run.
     pub fn recover(
         clock: SimClock,

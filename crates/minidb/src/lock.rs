@@ -94,7 +94,7 @@ impl Default for LockManager {
 const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
 
 impl LockManager {
-    /// Creates a lock manager with the [`LOCK_TIMEOUT`] wait backstop.
+    /// Creates a lock manager with the `LOCK_TIMEOUT` wait backstop.
     pub fn new() -> LockManager {
         LockManager::with_timeout(LOCK_TIMEOUT)
     }

@@ -1,7 +1,7 @@
 //! Statement execution: the volcano executor over optimizer plans.
 //!
 //! DML statements run through the planned pipeline — [`super::bind`] →
-//! [`super::optimize`] → [`run_plan`] — with one iterator per plan node.
+//! [`super::optimize`] → `run_plan` — with one iterator per plan node.
 //! Join-side nodes pull `Tuple`s (one `(tid, row)` per range variable in
 //! scope order); output-side nodes pull finished result rows. Every node
 //! counts the rows it emits so `explain analyze` can annotate the plan.

@@ -26,7 +26,7 @@
 //! nesting loops in `from`-clause order), and [`exec`] runs it with a
 //! volcano-style iterator per node. `explain [analyze] <stmt>` renders the
 //! chosen plan; `pg_stat_planner` counts its decisions. The pre-planner
-//! interpreter survives in [`reference`] as the differential-testing
+//! interpreter survives in [`reference`](mod@reference) as the differential-testing
 //! oracle.
 
 pub mod ast;

@@ -14,7 +14,7 @@
 //! copied, headers and all, into fresh storage, and each index is built
 //! anew on fresh storage of its own, logged like any insert. The same
 //! transaction rewrites the `pg_class` rows to name the new storage; its
-//! commit swaps it in and frees the old ([`crate::ddl`]). Until then, and
+//! commit swaps it in and frees the old (`crate::ddl`). Until then, and
 //! after any failure, the heap and its history are as they were. Historical
 //! scans ([`crate::db::Session::scan_with_snapshot`]) merge the archive
 //! back in.

@@ -1,7 +1,7 @@
 //! A vendored, dependency-free stand-in for the `proptest` crate.
 //!
 //! The build environment has no crates.io access, so this workspace ships
-//! the slice of the proptest API its tests use: the [`Strategy`] trait with
+//! the slice of the proptest API its tests use: the [`Strategy`](strategy::Strategy) trait with
 //! `prop_map`, range/tuple/`vec`/`any`/`Just`/regex-string strategies, the
 //! [`proptest!`]/[`prop_oneof!`]/[`prop_assert!`]/[`prop_assert_eq!`]
 //! macros, and [`test_runner::ProptestConfig`].

@@ -89,7 +89,7 @@ pub fn vec<S: Strategy>(elem: S, len: Range<usize>) -> VecStrategy<S> {
     VecStrategy { elem, len }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S> {
     elem: S,
     len: Range<usize>,

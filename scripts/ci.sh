@@ -21,6 +21,10 @@ else
     echo "== clippy: not installed, skipping =="
 fi
 
+# Every intra-doc link resolves and names a public item.
+echo "== rustdoc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
 echo "== build (release) =="
 cargo build --release
 
