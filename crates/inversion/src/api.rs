@@ -26,8 +26,6 @@ use minidb::{Datum, DbError, Oid, RelId, Session, Snapshot, Tid};
 use simdev::SimInstant;
 
 use crate::chunk::{self, Coalescer};
-#[cfg(test)]
-use crate::chunk::CHUNK_SIZE;
 use crate::compress;
 use crate::fs::{
     stat_to_row, CreateMode, FileKind, FileStat, InvError, InvResult, InversionFs, SliceRange,
@@ -770,6 +768,7 @@ pub(crate) fn read_range(
 
 /// Self-identifying tag: magic, file oid, chunk number, payload checksum.
 const SELF_ID_MAGIC: u32 = 0x1253_4944; // "\x12SID"
+pub(crate) const SELF_ID_LEN: usize = 16;
 
 fn payload_checksum(data: &[u8]) -> u32 {
     // FNV-1a: cheap, deterministic, adequate for detecting media garbage.
@@ -782,7 +781,7 @@ fn payload_checksum(data: &[u8]) -> u32 {
 }
 
 fn tag_chunk(stat: &FileStat, chunkno: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(chunk::SELF_ID_LEN + payload.len());
+    let mut out = Vec::with_capacity(SELF_ID_LEN + payload.len());
     out.extend_from_slice(&SELF_ID_MAGIC.to_le_bytes());
     out.extend_from_slice(&stat.oid.0.to_le_bytes());
     out.extend_from_slice(&chunkno.to_le_bytes());
@@ -801,7 +800,7 @@ fn untag_chunk<'a>(stat: &FileStat, chunkno: u32, raw: &'a [u8]) -> InvResult<&'
             stat.oid
         )))
     };
-    if raw.len() < chunk::SELF_ID_LEN {
+    if raw.len() < SELF_ID_LEN {
         return Err(corrupt("tag truncated"));
     }
     let magic = u32::from_le_bytes(raw[0..4].try_into().unwrap());
@@ -817,7 +816,7 @@ fn untag_chunk<'a>(stat: &FileStat, chunkno: u32, raw: &'a [u8]) -> InvResult<&'
     if stored_chunk != chunkno {
         return Err(corrupt("block is a different chunk"));
     }
-    let payload = &raw[chunk::SELF_ID_LEN..];
+    let payload = &raw[SELF_ID_LEN..];
     if payload_checksum(payload) != sum {
         return Err(corrupt("checksum mismatch"));
     }
@@ -977,10 +976,9 @@ impl InversionFs {
     /// Checked per file: the chunk relation is readable, every chunk row
     /// decodes (self-identifying tag and compression included), chunk
     /// numbers are unique and inside `0..ceil(size / chunk size)`, no chunk
-    /// is longer than the file's [`FileStat::chunk_size`], and no chunk
-    /// extends past the size
-    /// recorded in `fileatt`. Sparse files are legal — a seek past EOF plus
-    /// a write leaves holes, which readers fill with zeros — so chunk
+    /// is longer than [`FileStat::chunk_size`], and no chunk extends past the
+    /// size recorded in `fileatt`. Sparse files are legal — a seek past EOF
+    /// plus a write leaves holes, which readers fill with zeros — so chunk
     /// *density* is deliberately not required. Checked across files:
     /// `orphan-rel`, every `inv*` heap is named by a committed `fileatt`
     /// version.
@@ -1148,6 +1146,7 @@ impl InversionFs {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::chunk::CHUNK_SIZE;
     use minidb::catalog::PG_CLASS;
     use minidb::DeviceId;
 
@@ -1806,6 +1805,7 @@ pub(crate) mod tests {
 #[cfg(test)]
 mod self_id_tests {
     use super::*;
+    use crate::chunk::CHUNK_SIZE;
     use crate::fs::CreateMode;
 
     #[test]
@@ -2038,6 +2038,7 @@ mod history_tests {
 #[cfg(test)]
 mod truncate_tests {
     use super::*;
+    use crate::chunk::CHUNK_SIZE;
     use crate::fs::CreateMode;
 
     fn setup(data: &[u8]) -> (InversionFs, InvClient) {

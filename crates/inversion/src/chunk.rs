@@ -19,65 +19,38 @@
 /// at 2^31 x 8128 bytes ≈ 17.5 TB — the paper's "17.6 TBytes".
 pub const CHUNK_SIZE: usize = 8128;
 
-/// Bytes of a self-identifying chunk's tag: magic, file oid, chunk number
-/// and payload checksum.
-pub(crate) const SELF_ID_LEN: usize = 16;
-
 /// Encoded bytes of an archived chunk row, `(amin, amax, chunkno, data)`,
-/// besides the stored data: the column count, two times of 9 bytes, the
-/// chunk number's 5, and the data's own tag and length.
+/// besides the stored data.
 const ARCHIVED_ROW: usize = 2 + 2 * 9 + 5 + 5;
 
-/// The most bytes `n` data bytes store as in a layout.
-const fn stored_max(n: usize, compressed: bool, self_identifying: bool) -> usize {
-    let body = if compressed { crate::compress::bound(n) } else { n };
-    body + if self_identifying { SELF_ID_LEN } else { 0 }
-}
-
-/// Data bytes per chunk of a file with this layout: as many as still
-/// archive into one heap tuple after the codec's worst case and the tag.
-/// A plain file's chunk is [`CHUNK_SIZE`], one record per page; the others
-/// give up a little (8 114 bytes self-identifying, 8 062 compressed, 8 046
-/// both). [`crate::InvClient::p_slice`] shares rows only between files of
-/// one layout, so shared rows always meet chunks of their own size.
+/// Data bytes per chunk of a file with this layout: as many as archive into
+/// one heap tuple after the codec's worst case and the self-identifying
+/// tag. Plain files keep [`CHUNK_SIZE`]; the others hold 8 114
+/// (self-identifying), 8 062 (compressed) or 8 046 (both).
+/// [`crate::InvClient::p_slice`] shares rows only within one layout.
 pub const fn chunk_size(compressed: bool, self_identifying: bool) -> usize {
-    if !compressed && !self_identifying {
-        return CHUNK_SIZE;
-    }
-    let room = minidb::heap::MAX_ROW - ARCHIVED_ROW - stored_max(0, compressed, self_identifying);
-    // The codec adds 2 bytes per 255 it cannot compress.
-    if compressed {
-        room - 2 * room.div_ceil(257)
-    } else {
-        room
+    let tag = if self_identifying { crate::api::SELF_ID_LEN } else { 0 };
+    let room = minidb::heap::MAX_ROW - ARCHIVED_ROW - tag;
+    match compressed {
+        // The codec's 4-byte length, then 2 bytes per 255 it cannot shrink.
+        true => room - 4 - 2 * (room - 4).div_ceil(257),
+        false if self_identifying => room,
+        false => CHUNK_SIZE,
     }
 }
 
-// Every layout's full chunk archives into one heap tuple.
+// Every layout's full chunk, stored at its largest, archives into one tuple.
 const _: () = {
     let mut layout = 0;
     while layout < 4 {
         let (compressed, tagged) = (layout & 1 == 1, layout & 2 == 2);
         let n = chunk_size(compressed, tagged);
-        assert!(ARCHIVED_ROW + stored_max(n, compressed, tagged) <= minidb::heap::MAX_ROW);
+        let stored = if compressed { crate::compress::bound(n) } else { n };
+        let tag = if tagged { crate::api::SELF_ID_LEN } else { 0 };
+        assert!(ARCHIVED_ROW + stored + tag <= minidb::heap::MAX_ROW);
         layout += 1;
     }
 };
-
-/// The chunk of a plain file containing byte `offset`.
-pub fn chunk_of(offset: u64) -> u32 {
-    (offset / CHUNK_SIZE as u64) as u32
-}
-
-/// Byte offset within its chunk, in a plain file.
-pub fn offset_in_chunk(offset: u64) -> usize {
-    (offset % CHUNK_SIZE as u64) as usize
-}
-
-/// The first byte offset of chunk `chunkno` of a plain file.
-pub fn chunk_start(chunkno: u32) -> u64 {
-    chunkno as u64 * CHUNK_SIZE as u64
-}
 
 /// Splits the byte range `[offset, offset + len)` into per-chunk
 /// `(chunkno, start_within_chunk, len_within_chunk)` pieces, in order, for
@@ -185,15 +158,6 @@ impl Coalescer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunk_math() {
-        assert_eq!(chunk_of(0), 0);
-        assert_eq!(chunk_of(CHUNK_SIZE as u64 - 1), 0);
-        assert_eq!(chunk_of(CHUNK_SIZE as u64), 1);
-        assert_eq!(offset_in_chunk(CHUNK_SIZE as u64 + 5), 5);
-        assert_eq!(chunk_start(3), 3 * CHUNK_SIZE as u64);
-    }
 
     #[test]
     fn seventeen_terabyte_limit() {

@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn output_never_exceeds_the_bound() {
         let data: Vec<u8> = (0..8062u32)
-            .map(|i| [(i / 6) as u8, (i / 6 >> 8) as u8, 0xAA, 0xBB, 0xCC, 0xDD][i as usize % 6])
+            .map(|i| [(i / 6) as u8, ((i / 6) >> 8) as u8, 0xAA, 0xBB, 0xCC, 0xDD][i as usize % 6])
             .collect();
         assert_eq!(compress(&data).len(), bound(data.len()));
         roundtrip(&data);

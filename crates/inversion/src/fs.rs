@@ -119,7 +119,7 @@ pub struct FileStat {
 }
 
 impl FileStat {
-    /// Data bytes per chunk of this file's layout ([`crate::chunk::chunk_size`]).
+    /// Data bytes per chunk of this file ([`crate::chunk::chunk_size`]).
     pub fn chunk_size(&self) -> usize {
         crate::chunk::chunk_size(self.compressed, self.self_identifying)
     }

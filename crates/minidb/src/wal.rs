@@ -11,17 +11,12 @@
 //!
 //! ## On-device layout
 //!
-//! The log device holds the log and nothing else. Block 0 is the *control
-//! block*: the epoch LSN, where the on-device log begins, and its checksum.
-//! The other `N` blocks are one ring of record-stream bytes with no block
-//! header: stream offset `lsn` lives in block `1 + (lsn / P) mod N`, at
-//! byte `lsn mod P`, where `P` is the block size.
-//!
-//! ```text
-//! block:   [ctrl]  [ring 0] [ring 1] ... [ring N-1]
-//! record:  kind (1), body length (2), check (4), body; records span blocks
-//! check:   FNV-1a over the record's start LSN, kind, length and body
-//! ```
+//! The log device holds the log alone. Block 0 is the *control block*: the
+//! epoch LSN, where the on-device log begins, and its checksum. The other
+//! `N` blocks are one ring with no block header: stream offset `lsn` lives
+//! in block `1 + (lsn / P) mod N` at byte `lsn mod P`, `P` the block size.
+//! A record is `kind (1), body length (2), check (4), body`, and may span
+//! blocks.
 //!
 //! LSNs are byte offsets into the virtual record stream and are *never*
 //! reset — truncation advances the epoch LSN instead, so a page's stamped
@@ -31,17 +26,14 @@
 //!
 //! ## The record check
 //!
-//! A record proves itself valid. Recovery reads the ring from the epoch LSN
-//! and stops at the first record whose check fails: zeros, a record cut
-//! short, and bytes an earlier lap left at the same place (they were
-//! written at another LSN) all fail it. That check is the only one; a
-//! record that passes it but does not decode is corruption, not the end of
-//! the log. An epoch holds at most `(N - 1) * P` bytes, so the stream never
-//! laps the block where the epoch begins.
-//!
-//! Truncation ([`Wal::truncate_to`]) discards `[epoch, cut)`. The records
-//! at and past the cut already sit where they belong, so it writes the
-//! control block with the new epoch LSN, syncs, and is done: one block.
+//! The check is FNV-1a over the record's start LSN, kind, length and body,
+//! and it alone decides validity: recovery reads from the epoch LSN and
+//! stops at the first record that fails it — zeros, a record cut short, or
+//! one an earlier lap left at the same place, written at another LSN. A
+//! record that passes but does not decode is corruption. An epoch holds at
+//! most `(N - 1) * P` bytes, so the stream never laps the block it begins
+//! in, and truncation ([`Wal::truncate_to`]) writes the control block and
+//! syncs: one block, since the records past the cut already sit in place.
 //!
 //! ## The torn-force rule
 //!
@@ -565,18 +557,18 @@ impl Wal {
     /// is encoded straight into the append buffer — one copy of its bytes.
     /// Only a `Ceiling` record may use the epoch's last `CEILING_RESERVE`.
     pub fn append(&self, rec: &WalRecord) -> DbResult<u64> {
-        let kept = if matches!(rec, WalRecord::Ceiling { .. }) { 0 } else { CEILING_RESERVE };
+        let reserve = if matches!(rec, WalRecord::Ceiling { .. }) { 0 } else { CEILING_RESERVE };
         let _order = crate::lock::order::token(crate::lock::order::WAL);
         let mut g = self.inner.lock();
         let start = g.buf.len();
         rec.encode(&mut g.buf);
         let len = (g.buf.len() - start) as u64;
         let used = g.next_lsn - g.epoch_lsn;
-        if used + len + kept > self.capacity() {
+        if used + len + reserve > self.capacity() {
             g.buf.truncate(start);
             return Err(DbError::Invalid(format!(
                 "WAL full: epoch holds {used} of {} bytes and the record needs {len}",
-                self.capacity() - kept,
+                self.capacity() - reserve,
             )));
         }
         let ck = check(g.next_lsn, &g.buf[start..]);
@@ -632,20 +624,15 @@ impl Wal {
     fn write_blocks(&self, base: u64, bytes: &[u8]) -> DbResult<()> {
         let _dev = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
         let mut d = self.dev.lock();
-        let mut last = Vec::new();
+        let mut blk = vec![0u8; BLOCK_SIZE];
         for (i, chunk) in bytes.chunks(BLOCK_SIZE).enumerate() {
             let blkno = self.block_of(base + (i * BLOCK_SIZE) as u64);
             if blkno == 1 && i > 0 {
                 d.sync()?; // The wrap: see the torn-force rule.
             }
-            let block = if chunk.len() == BLOCK_SIZE {
-                chunk
-            } else {
-                last.extend_from_slice(chunk);
-                last.resize(BLOCK_SIZE, 0);
-                &last
-            };
-            d.write_block(blkno, block)?;
+            blk[..chunk.len()].copy_from_slice(chunk);
+            blk[chunk.len()..].fill(0);
+            d.write_block(blkno, &blk)?;
         }
         d.sync()?;
         Ok(())
@@ -1102,20 +1089,20 @@ mod tests {
     fn a_shorter_lap_over_a_longer_one_recovers_only_its_own_records() {
         let dev = log_device(8); // 7 ring blocks.
         let wal = Wal::create(dev.clone(), reg()).unwrap();
-        let half = |i: u64| insert_rec(i, 0, BLOCK_SIZE / 2 - REC_HDR - 15);
+        let record = |i: u64| insert_rec(i, 0, BLOCK_SIZE / 2 - REC_HDR - 15);
         for i in 0..10 {
-            wal.append(&half(i)).unwrap();
+            wal.append(&record(i)).unwrap();
         }
         wal.force_up_to(wal.next_lsn()).unwrap();
         // Four unforced fillers carry the stream round to the ring's start.
         wal.truncate_to(wal.next_lsn()).unwrap();
         for i in 10..14 {
-            wal.append(&half(i)).unwrap();
+            wal.append(&record(i)).unwrap();
         }
         let lap = wal.next_lsn();
         assert_eq!(lap, 7 * BLOCK);
         wal.truncate_to(lap).unwrap();
-        let second: Vec<WalRecord> = (100..104).map(half).collect();
+        let second: Vec<WalRecord> = (100..104).map(record).collect();
         for rec in &second {
             wal.append(rec).unwrap();
         }
@@ -1125,6 +1112,48 @@ mod tests {
         assert_eq!(recs.last().map(|r| r.0), Some(lap + 2 * BLOCK));
         assert_eq!(records(recs), second, "the first lap's records were replayed");
         assert_eq!(back.next_lsn(), lap + 2 * BLOCK);
+    }
+
+    /// A force that wraps from the ring's last block to its first, behind a
+    /// write cache that destages in block order and fails after two
+    /// blocks. Whatever lands is a prefix of the stream: the force syncs
+    /// before it wraps, so the first blocks never land ahead of the last.
+    /// A later stream that reaches the wrap then finds nothing of the
+    /// failed force past it.
+    #[test]
+    fn a_force_that_wraps_the_ring_lands_in_stream_order() {
+        let disk = MagneticDisk::new("log", SimClock::new(), DiskProfile::tiny_for_tests(8));
+        let faults = disk.fault_plan();
+        let (cache, power) = simdev::WriteCacheDisk::new(Box::new(disk));
+        let dev = shared_device(cache);
+        let wal = Wal::create(dev.clone(), reg()).unwrap();
+        let record = |i: u64| insert_rec(i, 0, BLOCK_SIZE / 2 - REC_HDR - 15);
+        for i in 0..10 {
+            wal.append(&record(i)).unwrap();
+        }
+        wal.force_up_to(wal.next_lsn()).unwrap();
+        wal.truncate_to(wal.next_lsn()).unwrap();
+        // Five blocks in, eight half-block records run round the wrap.
+        let stream: Vec<WalRecord> = (10..18).map(record).collect();
+        for rec in &stream {
+            wal.append(rec).unwrap();
+        }
+        faults.fail_after_writes(2);
+        assert!(wal.force_up_to(wal.next_lsn()).is_err());
+        faults.clear_write_fault();
+        power.drop_unsynced();
+
+        let (wal, recs) = Wal::recover(dev.clone(), reg()).unwrap();
+        let mut want = records(recs);
+        assert!(stream.starts_with(&want), "not a prefix of the stream");
+        let mut i = 100;
+        while wal.next_lsn() < 7 * BLOCK {
+            want.push(record(i));
+            wal.append(&record(i)).unwrap();
+            i += 1;
+        }
+        wal.force_up_to(wal.next_lsn()).unwrap();
+        assert_eq!(records(Wal::recover(dev, reg()).unwrap().1), want);
     }
 
     /// A record whose check passes is the log's: if it does not decode,

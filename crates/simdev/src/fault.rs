@@ -153,12 +153,10 @@ impl FaultPlan {
 
     /// Gate for device syncs: after a torn write, every sync fails.
     pub fn check_sync(&self) -> DevResult<()> {
-        if self.inner.lock().torn {
-            return Err(DevError::InjectedFault {
-                what: "sync after a torn write".into(),
-            });
+        match self.inner.lock().torn {
+            true => Err(DevError::TornWrite),
+            false => Ok(()),
         }
-        Ok(())
     }
 }
 

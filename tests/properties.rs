@@ -129,7 +129,7 @@ proptest! {
         // Pieces are contiguous and in order.
         let mut pos = offset;
         for (chunkno, start, take) in parts {
-            prop_assert_eq!(inversion::chunk::chunk_start(chunkno) + start as u64, pos);
+            prop_assert_eq!(chunkno as u64 * CHUNK_SIZE as u64 + start as u64, pos);
             prop_assert!(start + take <= CHUNK_SIZE);
             pos += take as u64;
         }
