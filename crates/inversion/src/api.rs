@@ -519,7 +519,9 @@ impl InvClient {
                 fs.rels.naming,
                 vec![Datum::Text(name), Datum::Oid(parent.0), Datum::Oid(oid.0)],
             )?;
-            s.insert(fs.rels.fileatt, stat_to_row(&stat_then))?;
+            // A migration since `t` moved the data relation, not renamed it.
+            let device = fs.db().catalog().relation(stat_then.datarel)?.device;
+            s.insert(fs.rels.fileatt, stat_to_row(&FileStat { device, ..stat_then }))?;
             Ok(())
         })
     }
@@ -1113,11 +1115,10 @@ impl InversionFs {
 
     /// Rule `orphan-rel`: every `inv*` heap in the catalog is named by a
     /// committed `fileatt` version — live, dead or archived, since history
-    /// still reads an unlinked file's data and a migrated file's old
-    /// relation. A relation a running transaction creates or drops is
-    /// exempt. Any other is storage that no file will ever reach. The
-    /// caller holds `fileatt`'s shared lock, so no creator commits a row
-    /// while this runs.
+    /// still reads an unlinked file's data. A relation a running
+    /// transaction creates or drops is exempt. Any other is storage that no
+    /// file will ever reach. The caller holds `fileatt`'s shared lock, so no
+    /// creator commits a row while this runs.
     fn orphan_rels(&self, s: &mut Session) -> InvResult<Vec<minidb::Finding>> {
         let versions = s.scan_version_history(self.rels.fileatt)?;
         let named: HashSet<u32> =

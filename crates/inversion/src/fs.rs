@@ -9,11 +9,10 @@
 //! ```
 //!
 //! File *data* live in one table per file, named `inv<oid>`, with schema
-//! `(chunkno int4, data bytes)` and a B-tree index on `chunkno`. Because
-//! file migration can move a file's data to a new relation on another
-//! device, `fileatt` additionally records the current data relation and
-//! chunk index oids (the paper computes `inv<oid>` from the file id; we keep
-//! that name at creation and use the catalog for indirection afterwards).
+//! `(chunkno int4, data bytes)` and a B-tree index on `chunkno`. `fileatt`
+//! additionally records the data relation and chunk index oids, fixed at
+//! creation, and the device they live on, which a migration changes (the
+//! paper computes `inv<oid>` from the file id).
 
 use std::collections::BTreeMap;
 use std::fmt;

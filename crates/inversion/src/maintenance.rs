@@ -59,7 +59,8 @@ mod tests {
     }
 
     #[test]
-    fn migrated_files_keep_their_old_relation() {
+    fn a_migrated_file_keeps_its_relation_and_leaves_the_old_device() {
+        use minidb::smgr::DeviceManager;
         // Two devices so migration has somewhere to go.
         let clock = simdev::SimClock::new();
         let mk = |name: &str, blocks: u64| {
@@ -69,37 +70,55 @@ mod tests {
                 simdev::DiskProfile::tiny_for_tests(blocks),
             ))
         };
+        let (d0, d1) = (mk("d0", 1 << 14), mk("d1", 1 << 14));
         let mut smgr = minidb::Smgr::new();
-        smgr.register(
-            DeviceId(0),
-            Box::new(minidb::GenericManager::format(mk("d0", 1 << 14)).unwrap()),
-        )
-        .unwrap();
-        smgr.register(
-            DeviceId(1),
-            Box::new(minidb::GenericManager::format(mk("d1", 1 << 14)).unwrap()),
-        )
-        .unwrap();
-        let db = minidb::Db::open(
-            clock.clone(),
-            smgr,
-            mk("log", 1 << 10),
-            mk("cat", 1 << 10),
-            minidb::DbConfig::default(),
-        )
-        .unwrap();
+        for (dev, disk) in [(0, &d0), (1, &d1)] {
+            let mgr = minidb::GenericManager::format(disk.clone()).unwrap();
+            smgr.register(DeviceId(dev), Box::new(mgr)).unwrap();
+        }
+        let (log, cat) = (mk("log", 1 << 10), mk("cat", 1 << 10));
+        let db = minidb::Db::open(clock.clone(), smgr, log, cat, minidb::DbConfig::default()).unwrap();
         let fs = InversionFs::format(db).unwrap();
         let mut c = fs.client();
-        c.write_all("/data", CreateMode::default(), b"payload")
-            .unwrap();
+        c.write_all("/data", CreateMode::default(), b"payload").unwrap();
+        let t_first = fs.db().now();
+        c.p_begin().unwrap();
+        let fd = c.p_open("/data", OpenMode::ReadWrite, None).unwrap();
+        c.p_write(fd, b"PAY").unwrap();
+        c.p_close(fd).unwrap();
+        c.p_commit().unwrap();
         let t_before = fs.db().now();
+        let before = c.p_stat("/data", None).unwrap();
+        let history = c.p_history("/data").unwrap();
+        let storage = |rel| fs.db().catalog().relation(rel).unwrap().storage;
+        let old = [storage(before.datarel), storage(before.chunkidx)];
+
         let mut s = fs.db().begin().unwrap();
-        let oid = fs.resolve(&mut s, "/data", None).unwrap();
-        migrate_file(&fs, &mut s, oid, DeviceId(1)).unwrap();
+        migrate_file(&fs, &mut s, before.oid, DeviceId(1)).unwrap();
         s.commit().unwrap();
 
-        assert_eq!(fs.check(), [], "the old relation is history, not an orphan");
-        assert_eq!(c.read_to_vec("/data", Some(t_before)).unwrap(), b"payload");
+        let after = c.p_stat("/data", None).unwrap();
+        assert_eq!((after.device, after.datarel, after.chunkidx), (DeviceId(1), before.datarel, before.chunkidx));
+        let cat = fs.db().catalog();
+        for rel in [before.datarel, before.chunkidx] {
+            assert_eq!(cat.relation(rel).unwrap().device, DeviceId(1), "{rel} moved");
+        }
+        let prefix = format!("inv{}_m", before.oid.0);
+        assert!(!cat.relations().any(|r| r.name.starts_with(&prefix)), "no relation of its own");
+        drop(cat);
+        fs.db().checkpoint().unwrap();
+        let on = |disk: &minidb::SharedDevice| minidb::GenericManager::attach(disk.clone()).unwrap().relations();
+        assert!(!on(&d0).iter().any(|r| old.contains(r)), "the old storage left device 0");
+        assert!(on(&d1).contains(&storage(before.datarel)));
+
+        assert_eq!(c.read_to_vec("/data", None).unwrap(), b"PAYload");
+        assert_eq!(c.read_to_vec("/data", Some(t_before)).unwrap(), b"PAYload");
+        assert_eq!(c.read_to_vec("/data", Some(t_first)).unwrap(), b"payload", "the archive serves it");
+        let sizes = |h: &[crate::api::FileVersion]| h.iter().map(|v| (v.committed_at, v.size)).collect::<Vec<_>>();
+        let now = c.p_history("/data").unwrap();
+        assert_eq!(sizes(&now[..history.len()]), sizes(&history), "one version more: the device's");
+        assert_eq!(fs.check(), []);
+        assert_eq!(fs.db().check_all(), []);
     }
 
     #[test]

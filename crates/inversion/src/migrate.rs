@@ -6,12 +6,12 @@
 //! predicate rules system to allow users and administrators to define
 //! migration policies."
 //!
-//! [`migrate_file`] moves a file's *current* data to a new relation on the
-//! target device and repoints `fileatt`. Because `fileatt` itself is a
-//! no-overwrite relation, historical snapshots still see the old `fileatt`
-//! version — which references the old data relation — so time travel across
-//! a migration keeps working without copying history. The old relation is
-//! retained (the vacuum cleaner may archive it).
+//! [`migrate_file`] is a vacuum pass over the file's data relation whose
+//! fresh storage sits on the target device ([`minidb::Session::vacuum`]):
+//! the live versions, headers and all, and the chunk index move there, the
+//! dead ones go to the file's archive, and the commit frees the old storage.
+//! The data relation keeps its oid, so every `fileatt` version still names
+//! it, and a read of the past finds it on the new device or in the archive.
 //!
 //! [`register_migration`] exposes `migrate(file, device)` to the query
 //! language, making the paper's vision concrete:
@@ -23,11 +23,13 @@
 
 use minidb::catalog::RuleEvent;
 use minidb::rules::{run_rules, RuleRun};
-use minidb::{Datum, DbError, DeviceId, Oid, Schema, Session, TypeId};
+use minidb::{Datum, DbError, DeviceId, Oid, Session, TypeId};
 
-use crate::fs::{FileKind, InvError, InvResult, InversionFs, A_CHUNKIDX, A_DATAREL, A_DEVICE};
+use crate::fs::{FileKind, InvError, InvResult, InversionFs, A_DEVICE};
 
-/// Moves the current contents of file `oid` to `target`, transactionally.
+/// Moves file `oid`, its present and its past, to `target` in `s`'s
+/// transaction. Its archive, if a vacuum has not made one yet, goes on
+/// `target` too.
 pub fn migrate_file(
     fs: &InversionFs,
     s: &mut Session,
@@ -41,33 +43,8 @@ pub fn migrate_file(
     if stat.device == target {
         return Ok(());
     }
-    // A fresh relation on the target device; the name embeds the current
-    // time so repeated migrations never collide.
-    let suffix = fs.db().now().as_nanos();
-    let new_rel = s.create_table_on(
-        &format!("inv{}_m{}", oid.0, suffix),
-        Schema::new([("chunkno", TypeId::INT4), ("data", TypeId::BYTES)]),
-        target,
-        false,
-    )?;
-    let new_idx = s.create_unique_index(
-        &format!("inv{}_m{}_idx", oid.0, suffix),
-        new_rel,
-        &["chunkno"],
-    )?;
-
-    // Copy the *current* chunks.
-    let rows = s.seq_scan(stat.datarel)?;
-    for (_, row) in rows {
-        s.insert(new_rel, row)?;
-    }
-
-    // Repoint fileatt (no-overwrite: historical stats keep the old rel).
-    fs.update_fileatt(s, oid, |row| {
-        row[A_DATAREL] = Datum::Oid(new_rel.0);
-        row[A_CHUNKIDX] = Datum::Oid(new_idx.0);
-        row[A_DEVICE] = Datum::Int4(target.0 as i32);
-    })
+    s.vacuum(stat.datarel, target, target)?;
+    fs.update_fileatt(s, oid, |row| row[A_DEVICE] = Datum::Int4(target.0 as i32))
 }
 
 /// Registers the `migrate(file, device)` function with the database.
@@ -175,6 +152,10 @@ mod tests {
 
         let stat = c.p_stat("/dataset", None).unwrap();
         assert_eq!(stat.device, DeviceId(1));
+        // Nothing was dead, yet the relation and its index moved.
+        for rel in [stat.datarel, stat.chunkidx] {
+            assert_eq!(fs.db().catalog().relation(rel).unwrap().device, DeviceId(1));
+        }
         assert_eq!(c.read_to_vec("/dataset", None).unwrap(), data);
         // Idempotent.
         let mut s = fs.db().begin().unwrap();
@@ -203,11 +184,30 @@ mod tests {
         c.p_commit().unwrap();
 
         assert_eq!(&c.read_to_vec("/f", None).unwrap()[..5], b"AFTER");
-        // The pre-migration state still reads through the *old* relation.
+        // The pre-migration state reads from the same relation, now on
+        // device 1.
         assert_eq!(
             c.read_to_vec("/f", Some(t_before)).unwrap(),
             b"before migration"
         );
+    }
+
+    #[test]
+    fn undeleting_a_migrated_file_finds_it_on_its_new_device() {
+        let fs = two_device_fs();
+        let mut c = fs.client();
+        c.write_all("/f", CreateMode::default(), b"moved, then unlinked").unwrap();
+        let t_alive = fs.db().now();
+        let mut s = fs.db().begin().unwrap();
+        let oid = fs.resolve(&mut s, "/f", None).unwrap();
+        migrate_file(&fs, &mut s, oid, DeviceId(1)).unwrap();
+        s.commit().unwrap();
+        c.p_unlink("/f").unwrap();
+
+        c.p_undelete("/f", t_alive).unwrap();
+        assert_eq!(c.p_stat("/f", None).unwrap().device, DeviceId(1), "the row names where it is");
+        assert_eq!(c.read_to_vec("/f", None).unwrap(), b"moved, then unlinked");
+        assert_eq!(fs.check(), []);
     }
 
     #[test]

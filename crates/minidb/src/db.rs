@@ -1107,6 +1107,7 @@ impl Session {
     pub(crate) fn insert_row(&mut self, rel: RelId, row: Row) -> DbResult<Tid> {
         let xid = self.writable_xid()?;
         self.lock(rel, LockMode::Exclusive)?;
+        self.refuse_swapped(rel)?;
         let (dev, storage, indexes) = self.db.heap_parts(rel, Some(row.len()))?;
         self.wrote = true;
         let tid = self.db.inner.heap(storage, dev).insert(xid, &row)?;
@@ -1139,6 +1140,7 @@ impl Session {
     pub(crate) fn delete_row(&mut self, rel: RelId, tid: Tid) -> DbResult<bool> {
         let xid = self.writable_xid()?;
         self.lock(rel, LockMode::Exclusive)?;
+        self.refuse_swapped(rel)?;
         let (dev, storage, _) = self.db.heap_parts(rel, None)?;
         self.wrote = true;
         let deleted = self.db.inner.heap(storage, dev).delete(xid, tid)?;

@@ -27,10 +27,11 @@ pub(crate) enum Ddl {
     /// A type, function or rule it defined in `pg_type`, `pg_proc` or
     /// `pg_rule`, by name: an abort removes the entry.
     Defined(RelId, String),
-    /// Fresh storage a vacuum built `rel` into, and the `pg_class` row
-    /// that names it (with `archive`, the heap's archive link): a commit
-    /// moves `rel` onto it and frees the old storage; an abort frees it.
-    Swapped { rel: RelId, storage: RelId, archive: Option<RelId>, row: Tid },
+    /// Fresh storage on `device` a vacuum built `rel` into, and the
+    /// `pg_class` row that names it (with `archive`, the heap's archive
+    /// link): a commit moves `rel` onto it and frees the old storage; an
+    /// abort frees it.
+    Swapped { rel: RelId, device: DeviceId, storage: RelId, archive: Option<RelId>, row: Tid },
 }
 
 /// Storage that reads taking no lock are using, by `(device, storage)`:
@@ -112,18 +113,14 @@ impl DbInner {
                         }
                     }
                     (Ddl::Defined(rel, name), false) => cat.undefine(*rel, name),
-                    (&Ddl::Swapped { rel, storage, archive, row }, true) => {
+                    (&Ddl::Swapped { rel, device, storage, archive, row }, true) => {
                         if let Ok(e) = cat.relation_mut(rel) {
-                            freed.push((e.device, std::mem::replace(&mut e.storage, storage)));
-                            e.archive = archive;
+                            freed.push((e.device, e.storage));
+                            (e.device, e.storage, e.archive) = (device, storage, archive);
                             cat.set_class_tid(rel, row);
                         }
                     }
-                    (&Ddl::Swapped { rel, storage, .. }, false) => {
-                        if let Ok(e) = cat.relation(rel) {
-                            freed.push((e.device, storage));
-                        }
-                    }
+                    (&Ddl::Swapped { device, storage, .. }, false) => freed.push((device, storage)),
                     _ => {}
                 }
             }
@@ -353,6 +350,16 @@ impl Session {
 
     fn dropped(&self, id: RelId) -> bool {
         self.ddl.iter().any(|d| matches!(d, Ddl::Dropped(v) if *v == id))
+    }
+
+    /// Refuses a write of, or a second pass over, `rel` once a vacuum pass
+    /// of this transaction has swapped it: the cache names the old storage
+    /// until the commit frees it.
+    pub(crate) fn refuse_swapped(&self, rel: RelId) -> DbResult<()> {
+        match self.ddl.iter().any(|d| matches!(d, Ddl::Swapped { rel: r, .. } if *r == rel)) {
+            true => Err(DbError::Invalid(format!("{rel} was vacuumed in this transaction"))),
+            false => Ok(()),
+        }
     }
 
     /// The one way a create or define changes the cache: it takes the

@@ -17,7 +17,8 @@
 //! commit swaps it in and frees the old (`crate::ddl`). Until then, and
 //! after any failure, the heap and its history are as they were. Historical
 //! scans ([`crate::db::Session::scan_with_snapshot`]) merge the archive
-//! back in.
+//! back in. A pass whose fresh storage is on another device migrates the
+//! relation, indexes and all, under the same oid ([`Session::vacuum`]).
 
 use simdev::SimInstant;
 
@@ -58,15 +59,26 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
     if Catalog::is_system(rel) {
         return Ok(VacuumStats::default());
     }
-    let stats = db.catalog_txn(|s| s.vacuum(rel, archive_dev))?;
+    let stats = db.catalog_txn(|s| {
+        s.lock_exclusive(rel)?;
+        let dev = s.target(rel, |_, e| Ok(e.device))?;
+        s.vacuum(rel, dev, archive_dev)
+    })?;
     db.inner.stats.maintenance.vacuum_passes.bump();
     Ok(stats)
 }
 
 impl Session {
-    /// One vacuum pass over `rel` in this transaction ([`vacuum`]).
-    fn vacuum(&mut self, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStats> {
+    /// One vacuum pass over the heap `rel` in this transaction ([`vacuum`])
+    /// onto fresh storage on `dev`. One onto another device runs even with
+    /// nothing to remove: it moves `rel`. A later write of `rel` in this
+    /// transaction is refused, as it would go to the storage the commit frees.
+    pub fn vacuum(&mut self, rel: RelId, dev: DeviceId, archive_dev: DeviceId) -> DbResult<VacuumStats> {
+        if Catalog::is_system(rel) {
+            return Err(DbError::Invalid(format!("{rel} is a system relation: its storage stays put")));
+        }
         self.lock_exclusive(rel)?;
+        self.refuse_swapped(rel)?;
         let (heap, indexes) = self.target(rel, |cat, e| {
             if e.kind != RelKind::Heap {
                 return Err(DbError::Invalid(format!("{rel} is not a heap")));
@@ -104,32 +116,33 @@ impl Session {
             Ok(())
         })?;
         (stats.kept, stats.archived) = (live.len() as u64, dead.len() as u64);
-        if stats.archived + stats.discarded == 0 {
+        if stats.archived + stats.discarded == 0 && dev == heap.device {
             return Ok(stats);
         }
         let mut built = Vec::new();
-        let swapped = self.swap(&heap, &indexes, &live, &dead, archive_dev, &mut built);
-        for (e, storage) in built {
-            self.db.inner.free_storage((e.device, storage));
+        let swapped = self.swap(&heap, &indexes, &live, &dead, (dev, archive_dev), &mut built);
+        for e in built {
+            self.db.inner.free_storage((e.device, e.storage));
         }
         swapped.map(|()| stats)
     }
 
     /// Builds the `live` versions of `heap` and each of its `indexes` into
-    /// fresh storage, moves the `dead` ones to the archive (creating it if
-    /// needed) and rewrites the `pg_class` rows to name the new storage.
-    /// `built` holds each new storage until its swap is on the DDL list.
+    /// fresh storage on `dev`, moves the `dead` ones to the archive
+    /// (creating it on `archive_dev` if needed) and rewrites the `pg_class`
+    /// rows to name the new storage. `built` holds each new storage, under
+    /// the entry that names it, until its swap is on the DDL list.
     fn swap(
         &mut self,
         heap: &RelationEntry,
         indexes: &[RelationEntry],
         live: &[(TupleHeader, Vec<u8>)],
         dead: &[(SimInstant, SimInstant, Vec<u8>)],
-        archive_dev: DeviceId,
-        built: &mut Vec<(RelationEntry, RelId)>,
+        (dev, archive_dev): (DeviceId, DeviceId),
+        built: &mut Vec<RelationEntry>,
     ) -> DbResult<()> {
         let db = self.db.clone();
-        let new_heap = db.inner.heap(self.new_storage(heap, built)?, heap.device);
+        let new_heap = db.inner.heap(self.new_storage(heap, dev, built)?, dev);
         let mut tids = Vec::with_capacity(live.len());
         for (hdr, bytes) in live {
             tids.push(new_heap.insert_bytes(*hdr, bytes)?);
@@ -137,7 +150,7 @@ impl Session {
         }
         for ie in indexes {
             let info = ie.index.as_ref().ok_or_else(|| DbError::Corrupt(format!("index {} without index info", ie.id)))?;
-            let bt = db.inner.btree(self.new_storage(ie, built)?, ie.device);
+            let bt = db.inner.btree(self.new_storage(ie, dev, built)?, dev);
             bt.create()?;
             for (tid, (_, bytes)) in tids.iter().zip(live) {
                 let row = decode_row(bytes)?;
@@ -162,28 +175,30 @@ impl Session {
             }
         }
         // The rows that name the new storage; the commit swaps it in.
-        while let Some((e, storage)) = built.last() {
-            let (rel, storage) = (e.id, *storage);
-            let archive = if rel == heap.id { archive } else { e.archive };
+        while let Some(e) = built.last_mut() {
+            if e.id == heap.id {
+                e.archive = archive;
+            }
+            let rel = e.id;
             let old = self.target(rel, |cat, _| Ok(cat.class_tid(rel)))?;
             if let Some(tid) = old {
                 self.delete_row(PG_CLASS, tid)?;
             }
-            let row = self.insert_row(PG_CLASS, RelationEntry { storage, archive, ..e.clone() }.to_row())?;
-            self.ddl.push(Ddl::Swapped { rel, storage, archive, row });
+            let row = self.insert_row(PG_CLASS, e.to_row())?;
+            self.ddl.push(Ddl::Swapped { rel, device: e.device, storage: e.storage, archive: e.archive, row });
             built.pop();
         }
         Ok(())
     }
 
-    /// Fresh storage for `e` on its device, under a fresh oid whose
-    /// exclusive lock marks it as being built (`pg_check` does not report
-    /// it as an orphan). It goes on `built`.
-    fn new_storage(&self, e: &RelationEntry, built: &mut Vec<(RelationEntry, RelId)>) -> DbResult<RelId> {
+    /// Fresh storage for `e` on `dev`, under a fresh oid whose exclusive
+    /// lock marks it as being built (`pg_check` does not report it as an
+    /// orphan). Its entry, `e` moved onto it, goes on `built`.
+    fn new_storage(&self, e: &RelationEntry, dev: DeviceId, built: &mut Vec<RelationEntry>) -> DbResult<RelId> {
         let storage = self.db.alloc_oid()?;
         self.lock_exclusive(storage)?;
-        self.db.inner.smgr.with(e.device, |m| m.create_rel(storage))?;
-        built.push((e.clone(), storage));
+        self.db.inner.smgr.with(dev, |m| m.create_rel(storage))?;
+        built.push(RelationEntry { device: dev, storage, ..e.clone() });
         Ok(storage)
     }
 }

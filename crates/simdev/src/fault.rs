@@ -94,13 +94,6 @@ impl FaultPlan {
         self.inner.lock().read_trips
     }
 
-    /// Total injected-fault trips (reads + writes) — the battery asserts
-    /// this to prove an armed fault actually fired.
-    pub fn trips(&self) -> u64 {
-        let g = self.inner.lock();
-        g.write_trips + g.read_trips
-    }
-
     /// Marks `blkno` as corrupted: reads of it yield garbage (see device impls).
     pub fn corrupt_block(&self, blkno: u64) {
         self.inner.lock().corrupt_blocks.insert(blkno);
@@ -211,12 +204,11 @@ mod tests {
         p.clear_read_fault();
         assert!(p.check_read().is_ok());
         // Trip counters persist past disarming — they record history.
-        assert_eq!(p.trips(), 2);
+        assert_eq!(p.read_trips(), 2);
 
         p.fail_after_writes(0);
         assert!(p.check_write().is_err());
         assert_eq!(p.write_trips(), 1);
-        assert_eq!(p.trips(), 3);
     }
 
     #[test]

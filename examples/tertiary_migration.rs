@@ -74,7 +74,9 @@ fn main() {
     )
     .unwrap();
 
-    let cutoff = fs.db().now().as_nanos() - SimDuration::from_secs(600).as_nanos();
+    let before = c.p_stat("/cold_dataset.dat", None).unwrap();
+    let t_before = fs.db().now();
+    let cutoff = t_before.as_nanos() - SimDuration::from_secs(600).as_nanos();
     let mut s = fs.db().begin().unwrap();
     s.query(&format!(
         "define rule cold_to_tertiary on periodic to fileatt \
@@ -93,15 +95,17 @@ fn main() {
     for path in ["/cold_dataset.dat", "/hot_dataset.dat"] {
         println!("  {path}: now on {}", device_name(&fs, path, &mut c));
     }
+    let after = c.p_stat("/cold_dataset.dat", None).unwrap();
+    assert_eq!(after.device, DEV_JUKEBOX);
+    assert_eq!(after.datarel, before.datarel, "a file keeps its relation");
     assert_eq!(
         c.read_to_vec("/cold_dataset.dat", None).unwrap(),
         vec![3u8; 500_000]
     );
 
-    // Time travel across the migration still reads the *old* location's
-    // relation — history did not move.
+    // The migration moved the file's relation, past and present: a read as
+    // of before it finds the same bytes, now on the jukebox.
     println!("\n== reading a migrated file, present and past ==");
-    let t_before = fs.db().now();
     c.p_begin().unwrap();
     let fd = c
         .p_open("/cold_dataset.dat", inversion::OpenMode::ReadWrite, None)
@@ -115,7 +119,12 @@ fn main() {
         "  head starts with: {:?}",
         String::from_utf8_lossy(&now[..19.min(now.len())])
     );
-    println!("  pre-edit version intact: {}", then == vec![3u8; 500_000]);
+    assert_eq!(&now[..19], b"POST-MIGRATION EDIT");
+    assert_eq!(then, vec![3u8; 500_000], "the read as of before the migration");
+    println!("  as of before the migration: the original 500 000 bytes");
+    assert_eq!(fs.check(), []);
+    assert_eq!(fs.db().check_all(), []);
+    println!("  fs.check() and check_all(): clean");
 
     // The WORM jukebox is append-only media: the manager stages writes on
     // magnetic disk and burns platters on commit; reads of jukebox files go

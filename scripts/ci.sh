@@ -118,6 +118,11 @@ cargo run --release -q --example remote_sessions
 echo "== smoke: time_machine example (vacuum, then history from the archive) =="
 cargo run --release -q --example time_machine
 
+# Migrates a cold file to the jukebox by rule, then asserts the present, a
+# read as of before the migration, and that both verifiers are clean.
+echo "== smoke: tertiary_migration example (rule-driven migration, present and past) =="
+cargo run --release -q --example tertiary_migration
+
 echo "== smoke: pg_check clean after crash recovery =="
 cargo run --release -q --example pg_check_smoke
 

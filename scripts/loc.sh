@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # Non-test Rust lines under crates/, the measure ROADMAP.md's line
 # trajectory uses: each tracked .rs file is counted up to the first line
-# that contains `#[cfg(test)]` (the whole file when none does), then summed
-# per crate and in total. The match is textual, so a comment naming the
-# attribute ends the count too (crates/xtask/src/scrub.rs has one); keep it
-# that way, or the trajectory's earlier numbers stop being comparable.
+# that starts with `#[cfg(test)]`, after any leading whitespace (the whole
+# file when none does), then summed per crate and in total. A line that
+# only mentions the attribute, a comment say, does not end the count.
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 git ls-files 'crates/*.rs' | while read -r f; do
     crate=${f#crates/}
-    n=$(awk 'index($0, "#[cfg(test)]") { exit } { n++ } END { print n + 0 }' "$f")
+    n=$(awk '/^[ \t]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
     echo "${crate%%/*} $n"
 done | awk '
     { lines[$1] += $2; total += $2 }

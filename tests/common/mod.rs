@@ -95,6 +95,9 @@ pub struct CrashRig {
     pub data: SharedDevice,
     pub log: SharedDevice,
     pub catalog: SharedDevice,
+    /// A second data device, registered as device 1, when the rig was
+    /// made [`CrashRig::with_two_data_devices`]: somewhere to migrate to.
+    pub data1: Option<SharedDevice>,
     handles: Vec<simdev::CacheCrashHandle>,
     pub data_faults: simdev::FaultPlan,
     pub log_faults: simdev::FaultPlan,
@@ -113,6 +116,15 @@ impl CrashRig {
     /// A rig whose log device has `nblocks` blocks: one control block, and
     /// a ring of the rest that holds a log epoch one block shorter.
     pub fn with_log_blocks(nblocks: u64) -> CrashRig {
+        CrashRig::build(nblocks, false)
+    }
+
+    /// A rig with a second data device, of the first one's size.
+    pub fn with_two_data_devices() -> CrashRig {
+        CrashRig::build(1 << 12, true)
+    }
+
+    fn build(nblocks: u64, two_data_devices: bool) -> CrashRig {
         let clock = SimClock::new();
         let mut handles = Vec::new();
         let log_probe = Arc::new(Probe::default());
@@ -134,18 +146,22 @@ impl CrashRig {
         let (data, data_faults) = cached("data", 1 << 16);
         let (log, log_faults) = cached("log", nblocks);
         let (catalog, catalog_faults) = cached("catalog", 1 << 12);
-        CrashRig { clock, data, log, catalog, handles, data_faults, log_faults, catalog_faults, log_probe }
+        let data1 = two_data_devices.then(|| cached("data1", 1 << 16).0);
+        CrashRig { clock, data, log, catalog, data1, handles, data_faults, log_faults, catalog_faults, log_probe }
     }
 
     /// Formats (`fresh`) or recovers the database on these devices.
     pub fn try_open(&self, fresh: bool, config: DbConfig) -> minidb::DbResult<Db> {
         let mut smgr = Smgr::new();
-        let mgr = if fresh {
-            GenericManager::format(self.data.clone())?
-        } else {
-            GenericManager::attach(self.data.clone())?
-        };
-        smgr.register(DeviceId::DEFAULT, Box::new(mgr))?;
+        for (dev, disk) in [Some(&self.data), self.data1.as_ref()].into_iter().enumerate() {
+            let Some(disk) = disk else { continue };
+            let mgr = if fresh {
+                GenericManager::format(disk.clone())?
+            } else {
+                GenericManager::attach(disk.clone())?
+            };
+            smgr.register(DeviceId(dev as u8), Box::new(mgr))?;
+        }
         let open = if fresh { Db::open } else { Db::recover };
         open(self.clock.clone(), smgr, self.log.clone(), self.catalog.clone(), config)
     }
@@ -293,4 +309,51 @@ pub fn wait_until(mut cond: impl FnMut() -> bool) -> bool {
         std::thread::sleep(Duration::from_micros(100));
     }
     true
+}
+
+/// The relations the map of `disk`, a data device, lists as last synced.
+#[allow(dead_code)]
+pub fn relations_on(disk: &SharedDevice) -> Vec<minidb::RelId> {
+    use minidb::smgr::DeviceManager;
+    let mut rels = GenericManager::attach(disk.clone()).unwrap().relations();
+    rels.sort();
+    rels
+}
+
+/// What a migration leaves as it was of a file: its bytes now and as of
+/// each of some instants before it, and its revision log (when each
+/// version committed, and its size).
+#[derive(Debug, PartialEq)]
+pub struct FileView {
+    pub now: Vec<u8>,
+    pub past: Vec<Vec<u8>>,
+    pub history: Vec<(simdev::SimInstant, u64)>,
+}
+
+#[allow(dead_code)]
+impl FileView {
+    pub fn of(fs: &inversion::InversionFs, path: &str, times: &[simdev::SimInstant]) -> FileView {
+        let mut c = fs.client();
+        FileView {
+            now: c.read_to_vec(path, None).unwrap(),
+            past: times.iter().map(|&t| c.read_to_vec(path, Some(t)).unwrap()).collect(),
+            history: c.p_history(path).unwrap().iter().map(|v| (v.committed_at, v.size)).collect(),
+        }
+    }
+
+    /// Asserts that `path` reads as this view, on device 1 if `moved` and
+    /// on device 0 if not, and that both verifiers are clean. A committed
+    /// migration adds one version to the history, of the same size: the
+    /// one that names the new device.
+    pub fn assert_moved_or_not(&self, fs: &inversion::InversionFs, path: &str, times: &[simdev::SimInstant], moved: bool) {
+        let now = FileView::of(fs, path, times);
+        assert_eq!((&now.now, &now.past), (&self.now, &self.past), "{path} reads as it did");
+        let (kept, added) = now.history.split_at(self.history.len().min(now.history.len()));
+        assert_eq!(kept, self.history, "{path}'s history before the migration");
+        let size = self.history.last().map(|v| v.1);
+        assert_eq!(added.iter().map(|v| Some(v.1)).collect::<Vec<_>>(), [size].repeat(moved as usize));
+        assert_eq!(fs.client().p_stat(path, None).unwrap().device, DeviceId(moved as u8));
+        assert_eq!(fs.check(), []);
+        assert_eq!(fs.db().check_all(), []);
+    }
 }

@@ -510,10 +510,10 @@ fn aborted_creates_race_eviction_and_checkpoints() {
     assert_eq!(db.check_all(), []);
 }
 
-/// `migrate_file` creates the file's new relation in the caller's
-/// transaction. Inside a transaction that has already created a file — and
-/// so holds that file's relations and `fileatt` — it neither waits nor
-/// times out, and everything commits together.
+/// `migrate_file` moves the file's relation onto new storage in the
+/// caller's transaction. Inside a transaction that has already created a
+/// file — and so holds that file's relations and `fileatt` — it neither
+/// waits nor times out, and everything commits together.
 #[test]
 fn a_migration_inside_a_creating_transaction_does_not_wait_on_itself() {
     let clock = simdev::SimClock::new();

@@ -395,3 +395,47 @@ fn a_drop_takes_the_rules_on_its_relation_with_it() {
         assert_clean(&fs);
     }
 }
+
+/// A migration inside the transaction that created the file puts both a
+/// `Created` and a `Swapped` on its DDL list, and one of an older file a
+/// `Swapped` alone. A write of a moved file later in that transaction is
+/// refused: it would go to the storage the commit frees. The abort takes
+/// back the new file and both builds on device 1, and leaves the older
+/// file on device 0 as it read.
+#[test]
+fn a_migration_aborted_in_the_creating_transaction_leaves_nothing_on_either_device() {
+    use inversion::migrate::migrate_file;
+    let rig = CrashRig::with_two_data_devices();
+    let data1 = rig.data1.clone().unwrap();
+    let fs = InversionFs::format(rig.open(true)).unwrap();
+    let db = fs.db();
+    let mut c = fs.client();
+    c.write_all("/old", inversion::CreateMode::default(), b"first").unwrap();
+    let first = db.now();
+    c.p_begin().unwrap();
+    let fd = c.p_open("/old", inversion::OpenMode::ReadWrite, None).unwrap();
+    c.p_write(fd, b"FIRST, then more").unwrap();
+    c.p_close(fd).unwrap();
+    c.p_commit().unwrap();
+    let times = [first, db.now()];
+    let before = common::FileView::of(&fs, "/old", &times);
+    db.checkpoint().unwrap();
+    let stored = [common::relations_on(&rig.data), common::relations_on(&data1)];
+
+    let mut s = db.begin().unwrap();
+    let lo = inversion::LargeObject::create(&fs, &mut s, &inversion::CreateMode::default()).unwrap();
+    lo.write_at(&mut s, 0, b"never committed").unwrap();
+    migrate_file(&fs, &mut s, lo.oid(), DeviceId(1)).unwrap();
+    let old = fs.resolve(&mut s, "/old", None).unwrap();
+    migrate_file(&fs, &mut s, old, DeviceId(1)).unwrap();
+    assert!(lo.write_at(&mut s, 0, b"lost").is_err(), "a write after the swap is refused");
+    db.checkpoint().unwrap();
+    assert!(common::relations_on(&data1).len() > stored[1].len(), "the builds are on device 1");
+    s.abort().unwrap();
+
+    let name = format!("inv{}", lo.oid().0);
+    assert!(db.relation_id(&name).is_err(), "the new file's relation is taken back");
+    db.checkpoint().unwrap();
+    assert_eq!([common::relations_on(&rig.data), common::relations_on(&data1)], stored);
+    before.assert_moved_or_not(&fs, "/old", &times, false);
+}

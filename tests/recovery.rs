@@ -456,10 +456,7 @@ fn a_torn_tail_rewrite_keeps_the_commits_acknowledged_before_it() {
 
 /// The relations the data device's map lists, as last synced.
 fn on_device(rig: &common::CrashRig) -> Vec<minidb::RelId> {
-    use minidb::smgr::DeviceManager;
-    let mut rels = minidb::GenericManager::attach(rig.data.clone()).unwrap().relations();
-    rels.sort();
-    rels
+    common::relations_on(&rig.data)
 }
 
 #[test]
@@ -1414,4 +1411,130 @@ fn a_crash_in_the_middle_of_a_vacuum_recovers_the_heap_as_it_was() {
     assert!(db.relation_id("t,arch").is_err() && db.relation_id("other").is_err());
     db.checkpoint().unwrap();
     assert_eq!(on_device(&rig), before, "reopening released what the vacuum built");
+}
+
+// ---------------------------------------------------------------------------
+// A migration is a vacuum pass onto another device: the same one swap, so
+// every way it can end leaves the file on one device, its past whole.
+
+/// A fresh database on `rig`'s two data devices whose file `/f`, on device
+/// 0, was two chunks at the first instant returned; then its head was
+/// overwritten, at the second, and a checkpoint drained everything. With
+/// the file as it reads then.
+fn file_to_migrate(
+    rig: &common::CrashRig,
+) -> (minidb::Db, InversionFs, [simdev::SimInstant; 2], common::FileView) {
+    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let fs = InversionFs::format(db.clone()).unwrap();
+    let mut c = fs.client();
+    c.write_all("/f", CreateMode::default(), &vec![7u8; inversion::CHUNK_SIZE + 300]).unwrap();
+    let first = db.now();
+    c.p_begin().unwrap();
+    let fd = c.p_open("/f", OpenMode::ReadWrite, None).unwrap();
+    c.p_write(fd, b"HEAD").unwrap();
+    c.p_close(fd).unwrap();
+    c.p_commit().unwrap();
+    let times = [first, db.now()];
+    db.checkpoint().unwrap();
+    let view = common::FileView::of(&fs, "/f", &times);
+    (db, fs, times, view)
+}
+
+/// Migrates `/f` to device 1 in a transaction of its own.
+fn migrate(fs: &InversionFs) -> inversion::InvResult<()> {
+    let mut s = fs.db().begin()?;
+    let oid = fs.resolve(&mut s, "/f", None)?;
+    inversion::migrate::migrate_file(fs, &mut s, oid, DeviceId(1))?;
+    Ok(s.commit()?)
+}
+
+fn reopen_fs(rig: &common::CrashRig) -> (minidb::Db, InversionFs) {
+    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    (db.clone(), InversionFs::attach(db).unwrap())
+}
+
+/// A crash in the middle of a migration, after a checkpoint put what it
+/// built on device 1: a transaction holding `pg_class`'s lock parks it at
+/// its archive's create, once the new heap and index are built. Nothing
+/// names that storage, so reopening releases it and reads the file as it
+/// was, on device 0.
+#[test]
+fn a_crash_in_the_middle_of_a_migration_recovers_the_file_as_it_was() {
+    let rig = common::CrashRig::with_two_data_devices();
+    let data1 = rig.data1.clone().unwrap();
+    let (db, fs, times, before) = file_to_migrate(&rig);
+    let stored = [on_device(&rig), common::relations_on(&data1)];
+    let mut ddl = db.begin().unwrap();
+    ddl.create_table_on("other", int_table(), DeviceId::DEFAULT, false).unwrap();
+    let waits = db.stats().lock.waits;
+    std::thread::scope(|s| {
+        let migrator = s.spawn(|| migrate(&fs));
+        assert!(common::wait_until(|| db.stats().lock.waits > waits), "the migration parks");
+        db.checkpoint().unwrap();
+        // The new heap, index and archive on device 1; `other` on device 0.
+        assert_eq!(on_device(&rig).len(), stored[0].len() + 1);
+        assert_eq!(common::relations_on(&data1).len(), stored[1].len() + 3, "the build is on device 1");
+        assert_clean(&db);
+        // Nothing from here on reaches the log: the migration never commits.
+        rig.log_faults.fail_after_writes(0);
+        ddl.abort().unwrap();
+        assert!(migrator.join().unwrap().is_err());
+    });
+    db.simulate_crash();
+    rig.power_cut();
+    drop((fs, db));
+    rig.log_faults.clear_write_fault();
+
+    let (db, fs) = reopen_fs(&rig);
+    before.assert_moved_or_not(&fs, "/f", &times, false);
+    assert!(db.relation_id("other").is_err());
+    db.checkpoint().unwrap();
+    assert_eq!([on_device(&rig), common::relations_on(&data1)], stored, "reopening released the build");
+}
+
+/// A migration's commit is durable once its force returns; the old storage
+/// on device 0 goes at the last unpin of a read in flight, and leaves the
+/// device's map at the checkpoint after that. A crash in between finds the
+/// old storage on device 0 and the new on device 1: reopening reads the
+/// file once, from device 1, and releases the old storage.
+#[test]
+fn a_crash_after_a_migration_commits_but_before_its_old_storage_goes_recovers_once() {
+    let rig = common::CrashRig::with_two_data_devices();
+    let data1 = rig.data1.clone().unwrap();
+    let (db, fs, times, before) = file_to_migrate(&rig);
+    let stat = fs.client().p_stat("/f", None).unwrap();
+    let rels = [stat.datarel, stat.chunkidx];
+    let storage = |db: &minidb::Db| rels.map(|rel| db.catalog().relation(rel).unwrap().storage);
+    let old = storage(&db);
+    let mut new = old;
+    let mut h = db.snapshot_at(times[1]);
+    let mut seen = 0;
+    h.index_scan_range(stat.chunkidx, None, None, |_, _| {
+        if seen == 0 {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    migrate(&fs).unwrap();
+                    new = storage(&db);
+                    db.checkpoint().unwrap();
+                });
+            });
+            db.simulate_crash();
+        }
+        seen += 1;
+        Ok(true)
+    })
+    .unwrap();
+    assert_eq!(seen, 2, "the read in flight kept its storage");
+    drop(h);
+    rig.power_cut();
+    drop((fs, db));
+    assert!(old.iter().all(|s| on_device(&rig).contains(s)), "the old storage is on device 0");
+    assert!(new.iter().all(|s| common::relations_on(&data1).contains(s)), "the new on device 1");
+
+    let (db, fs) = reopen_fs(&rig);
+    assert_eq!(storage(&db), new);
+    assert!(rels.iter().all(|&rel| db.catalog().relation(rel).unwrap().device == DeviceId(1)));
+    before.assert_moved_or_not(&fs, "/f", &times, true);
+    db.checkpoint().unwrap();
+    assert!(!old.iter().any(|s| on_device(&rig).contains(s)), "reopening released the old storage");
 }
