@@ -417,7 +417,7 @@ impl InversionFs {
     /// function registry. The stored closure keeps only the parts of this
     /// handle that do not own the database: a [`Db`] held inside its own
     /// registry is a reference cycle, and a database in one is never freed
-    /// and never stops its checkpointer. `f` is handed a mount rebuilt
+    /// and never stops its device workers. `f` is handed a mount rebuilt
     /// around the database of the session it runs in.
     pub(crate) fn register_function(
         &self,

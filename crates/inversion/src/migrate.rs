@@ -163,6 +163,25 @@ mod tests {
         s.commit().unwrap();
     }
 
+    /// A migration is a vacuum pass, and counts as one: a committed
+    /// `migrate_file` raises `vacuum_passes` by one, as a `vacuum` does.
+    #[test]
+    fn a_migration_counts_one_vacuum_pass() {
+        let fs = two_device_fs();
+        let mut c = fs.client();
+        c.write_all("/f", CreateMode::default(), b"moving").unwrap();
+        let passes = || fs.db().stats().maintenance.vacuum_passes;
+        let before = passes();
+        let mut s = fs.db().begin().unwrap();
+        let oid = fs.resolve(&mut s, "/f", None).unwrap();
+        migrate_file(&fs, &mut s, oid, DeviceId(1)).unwrap();
+        s.commit().unwrap();
+        assert_eq!(passes(), before + 1, "the migration");
+        let datarel = c.p_stat("/f", None).unwrap().datarel;
+        minidb::vacuum::vacuum(fs.db(), datarel, DeviceId(0)).unwrap();
+        assert_eq!(passes(), before + 2, "and the vacuum after it");
+    }
+
     #[test]
     fn time_travel_across_migration() {
         let fs = two_device_fs();

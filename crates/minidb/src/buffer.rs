@@ -610,8 +610,8 @@ impl BufferPool {
     ) -> DbResult<(order::LevelToken, MutexGuard<'_, ShardInner>)> {
         // A sweep that finds every frame pinned parks until one is unpinned:
         // foreground pins are short, so an all-pinned shard is usually
-        // transient. (The checkpointer is not a cause: its flush holds one
-        // pin at a time.)
+        // transient. (A checkpoint is not a cause: its flush holds one pin
+        // at a time.)
         let capacity = self.frames_in(si);
         let mut parked: Option<PinWaiter<'_>> = None;
         'retry: loop {
@@ -870,8 +870,8 @@ impl BufferPool {
         result.map(|()| total)
     }
 
-    /// Writes every dirty page back through `smgr` (the checkpointer's
-    /// drain; the count is its drain count).
+    /// Writes every dirty page back through `smgr` (a checkpoint's drain;
+    /// the count is its drain count).
     pub fn flush_all(&self, smgr: &Smgr) -> DbResult<usize> {
         self.flush_matching(smgr, None)
     }

@@ -20,7 +20,7 @@
 //!
 //! ## What is corruption, and what is legal crash debris?
 //!
-//! Because dirty pages reach the disk whenever the checkpointer or the
+//! Because dirty pages reach the disk whenever a checkpoint or the
 //! eviction sweep writes them, independently of commit, a crash
 //! legitimately leaves behind:
 //!

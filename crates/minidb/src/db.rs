@@ -18,19 +18,20 @@
 //! ([`crate::xact`]), applied to its status page as it is appended; the
 //! transaction leaves the running set, and so shows other snapshots that
 //! page's outcome, only after the force succeeds. Abort is leaving the
-//! running set alone. Dirty pages, status pages
-//! among them, drain through the background checkpointer, which then
-//! truncates the log. Crash recovery is reopening the database
-//! ([`Db::recover`]): the log is scanned once, and its records replay *on
-//! first touch* of each stale page while new sessions run — the paper's
-//! "essentially instantaneous" recovery.
+//! running set alone. Dirty pages, status pages among them, drain at a
+//! checkpoint, which then truncates the log: the writer whose append left
+//! the log under space pressure runs one before its write returns, and
+//! [`Db::checkpoint`] runs one on request. Crash recovery is reopening the
+//! database ([`Db::recover`]): the log is scanned once, and its records
+//! replay *on first touch* of each stale page while new sessions run — the
+//! paper's "essentially instantaneous" recovery.
 
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use simdev::{DiskProfile, MagneticDisk, SimClock, SimDuration, SimInstant};
 
 use crate::btree::BTree;
@@ -70,10 +71,6 @@ pub struct DbConfig {
     /// Blocks of sequential read-ahead past a detected scan run
     /// (0 disables prefetching).
     pub prefetch_window: usize,
-    /// How often (virtual time) the background checkpointer drains dirty
-    /// pages and truncates the log, absent log-space pressure. Pressure
-    /// (the log epoch passing half its capacity) wakes it regardless.
-    pub checkpoint_interval: SimDuration,
 }
 
 impl Default for DbConfig {
@@ -82,7 +79,6 @@ impl Default for DbConfig {
             buffers: DEFAULT_BUFFERS,
             eager_index_writes: false,
             prefetch_window: crate::buffer::DEFAULT_PREFETCH_WINDOW,
-            checkpoint_interval: SimDuration::from_millis(100),
         }
     }
 }
@@ -92,49 +88,19 @@ impl Default for DbConfig {
 /// rewards scans (1 would be a block-at-a-time bump allocator).
 const EXTENT_SIZE: u64 = 16;
 
-/// Shared state between a database and its background checkpointer thread.
-/// Lives in its own `Arc` so the thread can park on the condvar holding
-/// only a [`Weak`] reference to the database itself.
+/// What every thread that may run a checkpoint cycle shares.
+#[derive(Default)]
 struct CheckpointState {
-    /// Serializes checkpoint cycles (the thread vs. explicit
-    /// [`Db::checkpoint`] calls). Rank: `checkpointer`.
+    /// Serializes checkpoint cycles: a writer's pressure checkpoint,
+    /// [`Db::checkpoint`], [`Db::flush_caches`] and the shutdown drain.
+    /// Rank: `checkpointer`.
     cycle: Mutex<()>,
-    /// The background thread's handle, joined on shutdown.
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Wake flag the thread sleeps on (leaf mutex: nothing is acquired
-    /// while it is held).
-    wake: Mutex<bool>,
-    cv: Condvar,
-    /// Tells the thread to exit.
-    stop: AtomicBool,
     /// Set by [`Db::simulate_crash`], while recovery reconciles the
     /// devices with the catalog, by a failed device sync
     /// ([`DbInner::sync_devices`]) and by a failed commit force whose
     /// `Abort` the log refused: shutdown must not write anything, and no
     /// checkpoint may truncate the log.
     crashed: AtomicBool,
-    /// Virtual time of the last completed checkpoint.
-    last: Mutex<SimInstant>,
-}
-
-impl CheckpointState {
-    fn new(now: SimInstant) -> Arc<CheckpointState> {
-        Arc::new(CheckpointState {
-            cycle: Mutex::new(()),
-            thread: Mutex::new(None),
-            wake: Mutex::new(false),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            crashed: AtomicBool::new(false),
-            last: Mutex::new(now),
-        })
-    }
-
-    fn signal(&self) {
-        let mut wake = self.wake.lock();
-        *wake = true;
-        self.cv.notify_all();
-    }
 }
 
 pub(crate) struct DbInner {
@@ -152,19 +118,10 @@ pub(crate) struct DbInner {
     pub(crate) redo: Arc<Redo>,
     /// Storage that reads taking no lock are using ([`DbInner::pin`]).
     pub(crate) pins: Pins,
-    ckpt: Arc<CheckpointState>,
+    ckpt: CheckpointState,
 }
 
 impl DbInner {
-    /// Whether a checkpoint is wanted now: the log is under space pressure
-    /// or the checkpoint interval has elapsed since the last one finished.
-    fn checkpoint_wanted(&self) -> bool {
-        let interval = self.config.checkpoint_interval;
-        self.wal.over_pressure()
-            || (interval.as_nanos() > 0
-                && self.clock.now().since(*self.ckpt.last.lock()) >= interval)
-    }
-
     /// What the status relation is read and written through.
     pub(crate) fn status_io(&self) -> StatusIo<'_> {
         StatusIo {
@@ -202,28 +159,28 @@ impl DbInner {
         BTree { pool, smgr, stats, dev, rel: storage, wal }
     }
 
-    /// Wakes the checkpointer when a checkpoint is wanted — called from the
-    /// write paths, so a long transaction's log appetite triggers draining
-    /// mid-transaction.
-    pub(crate) fn maybe_signal_checkpoint(&self) {
-        if self.checkpoint_wanted() {
-            self.ckpt.signal();
+    /// Runs a checkpoint cycle on the calling writer when the log is under
+    /// space pressure (its epoch past half the capacity) — called from the
+    /// write paths, so a long transaction's log appetite drains pages
+    /// mid-transaction, at one fixed place in its sequence of writes. A
+    /// writer that finds a cycle running goes on: that cycle is relieving
+    /// the same pressure. A failed cycle is not the write's failure; the
+    /// log keeps what it did not drain.
+    pub(crate) fn maybe_checkpoint(&self) {
+        if !self.wal.over_pressure() {
+            return;
+        }
+        let _order = crate::lock::order::token(crate::lock::order::CHECKPOINTER);
+        let Some(_cycle) = self.ckpt.cycle.try_lock() else { return };
+        // The cycle that held the lock may have relieved it already.
+        if self.wal.over_pressure() {
+            Db::checkpoint_locked(self).ok();
         }
     }
 }
 
 impl Drop for DbInner {
     fn drop(&mut self) {
-        self.ckpt.stop.store(true, SeqCst);
-        self.ckpt.signal();
-        let handle = self.ckpt.thread.lock().take();
-        if let Some(h) = handle {
-            // The last reference can die on the checkpointer thread itself
-            // (it upgrades its Weak during a cycle); never self-join.
-            if h.thread().id() != std::thread::current().id() {
-                h.join().ok();
-            }
-        }
         if !self.ckpt.crashed.load(SeqCst) {
             // Clean shutdown: one final drain leaves every page durable and
             // the log empty. Best effort — recovery replays whatever this
@@ -263,9 +220,7 @@ impl Db {
         let stats = Arc::new(StatsRegistry::new());
         let wal = Wal::create(log_dev, Arc::clone(&stats))?;
         let redo = Redo::empty(Arc::clone(&stats));
-        let db = Db::assemble(clock, smgr, stats, (wal, redo), config)?;
-        db.spawn_checkpointer();
-        Ok(db)
+        Db::assemble(clock, smgr, stats, (wal, redo), config)
     }
 
     /// Reopens a database after a shutdown or crash.
@@ -281,7 +236,7 @@ impl Db {
     /// scanning the system relations, first-touch REDO bringing each page
     /// up to date as the reads reach it. Then
     /// `Db::reconcile_storage` gives the devices what the rows name, and
-    /// only then may the checkpointer run.
+    /// only then may a checkpoint run.
     pub fn recover(
         clock: SimClock,
         mut smgr: Smgr,
@@ -308,7 +263,6 @@ impl Db {
         db.inner.catalog.write().load(rows)?;
         db.reconcile_storage()?;
         db.inner.ckpt.crashed.store(false, SeqCst);
-        db.spawn_checkpointer();
         Ok(db)
     }
 
@@ -363,8 +317,7 @@ impl Db {
 
     /// The tail [`Db::open`] and [`Db::recover`] share: wires the storage
     /// manager, lock manager and buffer pool to the shared counters and
-    /// the log and registers the engine's virtual relations. The caller
-    /// starts the checkpointer.
+    /// the log and registers the engine's virtual relations.
     fn assemble(
         clock: SimClock,
         mut smgr: Smgr,
@@ -387,7 +340,6 @@ impl Db {
         let pool = BufferPool::new(config.buffers).with_system_shard();
         pool.set_prefetch_window(config.prefetch_window);
         pool.attach_wal(Arc::clone(&wal));
-        let ckpt = CheckpointState::new(clock.now());
         let db = Db {
             inner: Arc::new(DbInner {
                 clock,
@@ -402,7 +354,7 @@ impl Db {
                 wal,
                 redo,
                 pins: Pins::default(),
-                ckpt,
+                ckpt: CheckpointState::default(),
                 config,
             }),
         };
@@ -565,7 +517,7 @@ impl Db {
     /// Flushes and empties every cache (buffer pool, device managers) —
     /// the benchmark's "all caches were flushed before each test". Runs a
     /// checkpoint first so the cleared pages' log records are not needed,
-    /// and holds the cycle lock throughout: a background cycle starting
+    /// and holds the cycle lock throughout: a writer's cycle starting
     /// between the checkpoint and the clear would pin the frames it flushes,
     /// and the clear refuses a pool with pins.
     pub fn flush_caches(&self) -> DbResult<()> {
@@ -582,23 +534,20 @@ impl Db {
         Self::checkpoint_cycle(&self.inner)
     }
 
-    /// Drops the database abruptly, as a crash would: the background
-    /// checkpointer stops and the shutdown path is forbidden from writing
-    /// anything (no final checkpoint). Crash tests call this before
-    /// dropping the [`Db`] and discarding the devices' volatile caches.
+    /// Drops the database abruptly, as a crash would: no checkpoint runs
+    /// again and the shutdown path is forbidden from writing anything (no
+    /// final checkpoint). Crash tests call this before dropping the [`Db`]
+    /// and discarding the devices' volatile caches.
     pub fn simulate_crash(&self) {
         self.inner.ckpt.crashed.store(true, SeqCst);
-        self.inner.ckpt.stop.store(true, SeqCst);
-        // Abort the I/O scheduler *before* joining the checkpointer: it may
-        // be blocked in a queue barrier, and the abort is what unblocks it
-        // (with an error). Queued-but-unwritten pages die here, exactly as
-        // a crash with requests in flight would lose them.
+        // Abort the I/O scheduler *before* waiting for a cycle another
+        // thread runs: it may be blocked in a queue barrier, and the abort
+        // is what unblocks it (with an error). Queued-but-unwritten pages
+        // die here, exactly as a crash with requests in flight would lose
+        // them.
         self.inner.smgr.io_abort();
-        self.inner.ckpt.signal();
-        let handle = self.inner.ckpt.thread.lock().take();
-        if let Some(h) = handle {
-            h.join().ok();
-        }
+        let _order = crate::lock::order::token(crate::lock::order::CHECKPOINTER);
+        drop(self.inner.ckpt.cycle.lock());
     }
 
     /// Pauses or resumes the device workers — torture tests use this to
@@ -666,51 +615,7 @@ impl Db {
         inner.wal.truncate_to(cut)?;
         inner.redo.clear();
         inner.stats.wal.checkpoints.bump();
-        *inner.ckpt.last.lock() = inner.clock.now();
         Ok(())
-    }
-
-    /// Starts the background checkpointer. It parks on a condvar; the
-    /// write paths signal it on log-space pressure or when the checkpoint
-    /// interval has elapsed ([`DbInner::maybe_signal_checkpoint`]).
-    fn spawn_checkpointer(&self) {
-        let weak = Arc::downgrade(&self.inner);
-        let ckpt = Arc::clone(&self.inner.ckpt);
-        let spawned = std::thread::Builder::new()
-            .name("checkpointer".into())
-            .spawn(move || Self::checkpointer_loop(weak, ckpt));
-        // A spawn failure (OS thread exhaustion) degrades gracefully: pages
-        // drain through explicit checkpoints and eviction instead, and
-        // recovery replays whatever never drained.
-        if let Ok(handle) = spawned {
-            *self.inner.ckpt.thread.lock() = Some(handle);
-        }
-    }
-
-    fn checkpointer_loop(weak: Weak<DbInner>, ckpt: Arc<CheckpointState>) {
-        loop {
-            {
-                let mut wake = ckpt.wake.lock();
-                while !*wake && !ckpt.stop.load(SeqCst) {
-                    ckpt.cv.wait(&mut wake);
-                }
-                *wake = false;
-            }
-            if ckpt.stop.load(SeqCst) {
-                return;
-            }
-            // Holding only a Weak while parked lets the database die while
-            // the thread sleeps; holding an Arc only inside a cycle means
-            // the final drop (and its join) can land on this thread — the
-            // shutdown path self-join-guards for exactly that.
-            let Some(inner) = weak.upgrade() else { return };
-            // Every write during a cycle raises the flag again, for the
-            // crossing that cycle is already serving: ask again now, so one
-            // crossing is one cycle and not a second, nearly empty one.
-            if inner.checkpoint_wanted() {
-                Self::checkpoint_cycle(&inner).ok();
-            }
-        }
     }
 
     /// Creates a heap table on the default device.
@@ -1126,7 +1031,7 @@ impl Session {
                 self.db.inner.stats.btree.page_writes.add(written as u64);
             }
         }
-        self.db.inner.maybe_signal_checkpoint();
+        self.db.inner.maybe_checkpoint();
         Ok(tid)
     }
 
@@ -1144,7 +1049,7 @@ impl Session {
         let (dev, storage, _) = self.db.heap_parts(rel, None)?;
         self.wrote = true;
         let deleted = self.db.inner.heap(storage, dev).delete(xid, tid)?;
-        self.db.inner.maybe_signal_checkpoint();
+        self.db.inner.maybe_checkpoint();
         Ok(deleted)
     }
 
@@ -1476,7 +1381,7 @@ impl Session {
             .xact
             .commit_latency
             .record(inner.clock.now().since(t0).as_nanos());
-        inner.maybe_signal_checkpoint();
+        inner.maybe_checkpoint();
         result
     }
 
@@ -1837,12 +1742,9 @@ mod tests {
         let mut smgr = Smgr::new();
         let data = GenericManager::format(shared_device(disk("data", 1 << 16))).unwrap();
         smgr.register(DeviceId::DEFAULT, Box::new(data)).unwrap();
-        let config = DbConfig {
-            checkpoint_interval: SimDuration::from_nanos(0),
-            ..DbConfig::default()
-        };
         let cat = shared_device(disk("cat", 1 << 12));
-        let db = Db::open(clock.clone(), smgr, shared_device(log), cat, config).unwrap();
+        let db = Db::open(clock.clone(), smgr, shared_device(log), cat, DbConfig::default())
+            .unwrap();
         let rel = db.create_table("t", Schema::new([("v", TypeId::INT4)])).unwrap();
         db.checkpoint().unwrap();
         let mut s = db.begin().unwrap();
@@ -2038,21 +1940,17 @@ mod readonly_commit_tests {
         );
     }
 
-    /// Every write while a checkpoint runs signals the checkpointer again,
-    /// for the pressure that checkpoint is already relieving. The wake-up
-    /// those signals leave behind must find nothing wanted and go back to
-    /// sleep: one pressure crossing, one cycle.
+    /// A writer under log pressure that finds a cycle running goes on
+    /// without one of its own: that cycle is relieving the pressure it saw.
+    /// Once the cycle is over, the next writer under pressure runs one, and
+    /// the writers after it, the pressure gone, none: one pressure
+    /// crossing, one cycle.
     #[test]
-    fn signals_during_a_checkpoint_do_not_buy_a_second_one() {
-        let db = Db::open_in_memory_with(DbConfig {
-            checkpoint_interval: SimDuration::ZERO, // pressure only
-            ..DbConfig::default()
-        })
-        .unwrap();
-        let (inner, ckpt) = (&db.inner, &db.inner.ckpt);
-        let before = inner.stats.wal.checkpoints.get();
-        // Hold the cycle: the thread will take the wake-up and block here.
-        let cycle = ckpt.cycle.lock();
+    fn writers_during_a_checkpoint_do_not_buy_a_second_one() {
+        let db = Db::open_in_memory().unwrap();
+        let inner = &db.inner;
+        let checkpoints = || inner.stats.wal.checkpoints.get();
+        let before = checkpoints();
         let filler = WalRecord::PageImage {
             dev: DeviceId::DEFAULT,
             rel: crate::ids::Oid(u32::MAX),
@@ -2062,32 +1960,20 @@ mod readonly_commit_tests {
         while !inner.wal.over_pressure() {
             inner.wal.append(&filler).unwrap();
         }
-        let consumed = || {
-            while *ckpt.wake.lock() {
-                std::thread::yield_now();
-            }
-        };
-        inner.maybe_signal_checkpoint();
-        consumed();
-        // The cycle is "running" (the thread is at its door): signal on.
-        for _ in 0..100 {
-            inner.maybe_signal_checkpoint();
-        }
-        assert!(*ckpt.wake.lock());
+        // The cycle is "running": writers on another thread go on.
+        let cycle = inner.ckpt.cycle.lock();
+        let writer = db.clone();
+        std::thread::spawn(move || (0..100).for_each(|_| writer.inner.maybe_checkpoint()))
+            .join()
+            .unwrap();
+        assert_eq!(checkpoints(), before, "a writer ran a cycle of its own");
+        assert!(inner.wal.over_pressure());
         drop(cycle);
-        while inner.stats.wal.checkpoints.get() == before {
-            std::thread::yield_now();
+        for _ in 0..100 {
+            inner.maybe_checkpoint();
         }
         assert!(!inner.wal.over_pressure(), "the checkpoint relieved the pressure");
-        // The thread takes the stale wake-up; whatever it makes of it is
-        // over once the cycle lock has been ours and the thread is joined.
-        consumed();
-        drop(ckpt.cycle.lock());
-        ckpt.stop.store(true, SeqCst);
-        ckpt.signal();
-        let thread = ckpt.thread.lock().take().expect("the checkpointer was spawned");
-        thread.join().unwrap();
-        assert_eq!(inner.stats.wal.checkpoints.get(), before + 1);
+        assert_eq!(checkpoints(), before + 1);
     }
 
     #[test]

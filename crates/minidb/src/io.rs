@@ -9,7 +9,7 @@
 //! sequential transfers instead of full random strokes.
 //!
 //! The queue carries **writes only**: dirty clock-sweep victims and
-//! checkpointer drains submit a page copy and continue.
+//! checkpoint drains submit a page copy and continue.
 //! The WAL-before-data rule is enforced at the *submission site* (the buffer
 //! pool forces the log up to the page's LSN before it calls
 //! [`crate::smgr::Smgr::write_page_back`]), so a queued page is always

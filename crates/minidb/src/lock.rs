@@ -267,9 +267,12 @@ pub mod order {
     pub const HEAP_PAGE: usize = 2;
     /// Rank of b-tree page latches (meta, internal, and leaf pages).
     pub const BTREE_PAGE: usize = 3;
-    /// Rank of the checkpointer's cycle mutex. A checkpoint drains the
-    /// status log, the buffer pool, the WAL, and the devices, so it sits
-    /// outside all of those.
+    /// Rank of the checkpoint cycle mutex, taken by whichever thread runs
+    /// a cycle: the writer that put the log under pressure (with
+    /// `try_lock`, so a writer never waits for another's cycle), an
+    /// explicit checkpoint, `flush_caches`, shutdown. A checkpoint drains
+    /// the status log, the buffer pool, the WAL, and the devices, so it
+    /// sits outside all of those.
     pub const CHECKPOINTER: usize = 4;
     /// Rank of the transaction status log mutex. An id ceiling's raise
     /// appends its log record under it, so it ranks outside `wal`.

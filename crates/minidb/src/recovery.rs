@@ -13,7 +13,10 @@
 //! a re-read after eviction replays again. The first checkpoint after
 //! recovery sweeps every still-pending page through the buffer pool,
 //! flushes them, and empties the map — the "fall back to a full sweep"
-//! half of instant recovery.
+//! half of instant recovery. No timer brings that checkpoint on: it runs
+//! once writes put the log under pressure, or when one is asked for
+//! (`Db::checkpoint`, `Db::flush_caches`, a clean shutdown); until then
+//! every stale page is replayed on its first touch.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};

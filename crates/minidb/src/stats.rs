@@ -431,7 +431,7 @@ stat_table! {
 }
 
 stat_table! {
-    /// Write-ahead-log and checkpointer counters.
+    /// Write-ahead-log and checkpoint counters.
     live WalCounters;
     #[derive(Copy)]
     frozen WalStats;
@@ -604,7 +604,7 @@ impl DeviceIoCounters {
 pub struct StatsRegistry {
     /// Transaction counters.
     pub xact: XactCounters,
-    /// Write-ahead-log and checkpointer counters.
+    /// Write-ahead-log and checkpoint counters.
     pub wal: WalCounters,
     /// Heap counters.
     pub heap: HeapCounters,
@@ -657,7 +657,7 @@ pub struct StatsSnapshot {
     pub buffer: BufferStats,
     /// Transaction counters.
     pub xact: XactStats,
-    /// WAL and checkpointer counters.
+    /// WAL and checkpoint counters.
     pub wal: WalStats,
     /// Heap counters.
     pub heap: HeapOpStats,

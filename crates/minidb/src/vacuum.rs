@@ -59,13 +59,11 @@ pub fn vacuum(db: &Db, rel: RelId, archive_dev: DeviceId) -> DbResult<VacuumStat
     if Catalog::is_system(rel) {
         return Ok(VacuumStats::default());
     }
-    let stats = db.catalog_txn(|s| {
+    db.catalog_txn(|s| {
         s.lock_exclusive(rel)?;
         let dev = s.target(rel, |_, e| Ok(e.device))?;
         s.vacuum(rel, dev, archive_dev)
-    })?;
-    db.inner.stats.maintenance.vacuum_passes.bump();
-    Ok(stats)
+    })
 }
 
 impl Session {
@@ -73,6 +71,7 @@ impl Session {
     /// onto fresh storage on `dev`. One onto another device runs even with
     /// nothing to remove: it moves `rel`. A later write of `rel` in this
     /// transaction is refused, as it would go to the storage the commit frees.
+    /// Each pass that completes counts in `vacuum_passes`, a migration's too.
     pub fn vacuum(&mut self, rel: RelId, dev: DeviceId, archive_dev: DeviceId) -> DbResult<VacuumStats> {
         if Catalog::is_system(rel) {
             return Err(DbError::Invalid(format!("{rel} is a system relation: its storage stays put")));
@@ -116,15 +115,16 @@ impl Session {
             Ok(())
         })?;
         (stats.kept, stats.archived) = (live.len() as u64, dead.len() as u64);
-        if stats.archived + stats.discarded == 0 && dev == heap.device {
-            return Ok(stats);
+        if stats.archived + stats.discarded > 0 || dev != heap.device {
+            let mut built = Vec::new();
+            let swapped = self.swap(&heap, &indexes, &live, &dead, (dev, archive_dev), &mut built);
+            for e in built {
+                self.db.inner.free_storage((e.device, e.storage));
+            }
+            swapped?;
         }
-        let mut built = Vec::new();
-        let swapped = self.swap(&heap, &indexes, &live, &dead, (dev, archive_dev), &mut built);
-        for e in built {
-            self.db.inner.free_storage((e.device, e.storage));
-        }
-        swapped.map(|()| stats)
+        self.db.inner.stats.maintenance.vacuum_passes.bump();
+        Ok(stats)
     }
 
     /// Builds the `live` versions of `heap` and each of its `indexes` into
@@ -146,7 +146,7 @@ impl Session {
         let mut tids = Vec::with_capacity(live.len());
         for (hdr, bytes) in live {
             tids.push(new_heap.insert_bytes(*hdr, bytes)?);
-            db.inner.maybe_signal_checkpoint();
+            db.inner.maybe_checkpoint();
         }
         for ie in indexes {
             let info = ie.index.as_ref().ok_or_else(|| DbError::Corrupt(format!("index {} without index info", ie.id)))?;
@@ -155,7 +155,7 @@ impl Session {
             for (tid, (_, bytes)) in tids.iter().zip(live) {
                 let row = decode_row(bytes)?;
                 bt.insert(&info.key_columns.iter().map(|&c| row[c].clone()).collect::<Vec<_>>(), *tid)?;
-                db.inner.maybe_signal_checkpoint();
+                db.inner.maybe_checkpoint();
             }
         }
         let archive = match heap.archive {

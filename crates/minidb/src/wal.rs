@@ -6,7 +6,8 @@
 //! Sauer/Härder single-pass-REDO style: writers append *physiological* REDO
 //! records (logical within a page, physical across pages), commit becomes
 //! one sequential force of the log's tail, and dirty data pages drain
-//! lazily through the background checkpointer. The commit point is the
+//! lazily through checkpoints, run by the writer whose append puts the log
+//! under pressure ([`Wal::over_pressure`]). The commit point is the
 //! force that makes a transaction's `Commit` record stable.
 //!
 //! ## On-device layout
@@ -82,7 +83,7 @@ const REC_HDR: usize = 7;
 const MAX_BODY: usize = 13 + 4 + crate::page::PAGE_SIZE;
 const _: () = assert!(MAX_BODY <= u16::MAX as usize);
 /// The end of every epoch, kept for 64 `Ceiling` records: reopening takes
-/// an xid before its checkpointer may truncate a log a crash left full.
+/// an xid before a checkpoint may truncate a log a crash left full.
 pub(crate) const CEILING_RESERVE: u64 = 64 * (REC_HDR as u64 + 8);
 
 /// One physiological REDO record.
@@ -690,7 +691,7 @@ impl Wal {
     }
 
     /// Whether the epoch has outgrown half the capacity since the last
-    /// truncation — the checkpointer's wake-up cue.
+    /// truncation — the cue for the writer that sees it to checkpoint.
     pub fn over_pressure(&self) -> bool {
         self.pressure.load(SeqCst)
     }

@@ -7,6 +7,8 @@
 //! * guards are returned directly (no `Result`), and a poisoned lock is
 //!   recovered instead of panicking — like `parking_lot`, lock acquisition
 //!   never fails;
+//! * [`Mutex::try_lock`] returns an `Option`, `None` while the lock is
+//!   held;
 //! * [`Condvar::wait_for`] takes the guard by `&mut` and returns a
 //!   [`WaitTimeoutResult`];
 //! * `Mutex<T>` and `RwLock<T>` support `T: ?Sized`, so
@@ -47,6 +49,18 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
+        }
+    }
+
+    /// Attempts to acquire the lock without blocking: `None` if another
+    /// guard holds it.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.inner.try_lock() {
+            Ok(g) => Some(MutexGuard { inner: Some(g) }),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
+                inner: Some(e.into_inner()),
+            }),
+            Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
 
@@ -253,6 +267,16 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn try_lock_takes_a_free_mutex_and_refuses_a_held_one() {
+        let m = Mutex::new(1);
+        *m.try_lock().expect("a free mutex") += 1;
+        let held = m.lock();
+        assert!(m.try_lock().is_none(), "the mutex is held");
+        drop(held);
+        assert_eq!(*m.try_lock().expect("free again"), 2);
     }
 
     #[test]

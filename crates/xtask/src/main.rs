@@ -22,6 +22,8 @@
 //! * `wal-force-site` — `.force_up_to(` only in `wal.rs`, the buffer
 //!   manager's `force_wal_for` and `db.rs`'s commit; `.flush_rel(` only in
 //!   `db.rs` behind the `eager_index_writes` test.
+//! * `thread-site` — in `crates/minidb`, only `io.rs` (the device
+//!   scheduler's workers) starts a thread.
 
 mod rules;
 mod scrub;
@@ -95,6 +97,7 @@ fn lint(update_budget: bool) -> ExitCode {
         violations.extend(rules::io_wait_guard_sites(&rel, &cleaned));
         violations.extend(rules::meta_blob_sites(&rel, &cleaned));
         violations.extend(rules::wal_force_sites(&rel, &cleaned));
+        violations.extend(rules::thread_sites(&rel, &cleaned));
     }
 
     let budget_file = root.join(BUDGET_PATH);

@@ -182,6 +182,27 @@ pub fn meta_blob_sites(file: &str, text: &str) -> Vec<Violation> {
     out
 }
 
+/// Rule `thread-site`: in `crates/minidb` only the device scheduler
+/// (`io.rs`) starts threads, its per-device workers. Everything else runs
+/// on the thread that asked for it — a checkpoint on the writer that put
+/// the log under pressure — so where the engine's work lands in the order
+/// of writes and syncs never depends on the host's thread scheduling.
+pub fn thread_sites(file: &str, text: &str) -> Vec<Violation> {
+    if !file.contains("crates/minidb/") || file.ends_with("minidb/src/io.rs") {
+        return Vec::new();
+    }
+    let b = text.as_bytes();
+    ident_matches(text, "spawn")
+        .filter(|&p| b.get(p + "spawn".len()) == Some(&b'(') && !text[..p].trim_end().ends_with("fn"))
+        .map(|p| Violation {
+            file: file.into(),
+            line: line_of(text, p),
+            rule: "thread-site",
+            msg: "a thread started outside minidb/src/io.rs".into(),
+        })
+        .collect()
+}
+
 /// Splits scrubbed source at every `fn` keyword into `(start offset,
 /// function name, body up to the next `fn`)`: a call is judged by the
 /// function it sits in.
@@ -441,6 +462,22 @@ mod tests {
         let status = "pub fn persist_dirty(&self, wal: &Wal) { wal.force_up_to(lsn)?; }";
         assert_eq!(forces("crates/minidb/src/xact.rs", status), 1);
         assert_eq!(forces("crates/minidb/src/xact.rs", insert), 1);
+    }
+
+    #[test]
+    fn threads_start_only_in_the_io_scheduler() {
+        let sites = |file: &str, src: &str| thread_sites(file, &clean(src)).len();
+        let spawns = "fn start(&self) { std::thread::spawn(move || run()); }\n\
+                      fn named(&self) { std::thread::Builder::new().name(n).spawn(move || run()); }\n\
+                      fn scoped(&self) { std::thread::scope(|s| { s.spawn(f); }); }";
+        let v = thread_sites("crates/minidb/src/db.rs", &clean(spawns));
+        let found: Vec<_> = v.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(found, [("thread-site", 1), ("thread-site", 2), ("thread-site", 3)]);
+        assert_eq!(sites("crates/minidb/src/io.rs", spawns), 0);
+        assert_eq!(sites("crates/inversion/src/server.rs", spawns), 0);
+        // Definitions, longer identifiers, prose and test code are not starts.
+        let ok = "// thread::spawn(f)\nfn spawn(&self) {}\nfn f() { respawn(); spawn_all; }\n#[cfg(test)]\nmod t { fn g() { std::thread::spawn(f); } }\n";
+        assert_eq!(sites("crates/minidb/src/vacuum.rs", ok), 0);
     }
 
     #[test]

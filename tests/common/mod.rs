@@ -187,7 +187,7 @@ impl CrashRig {
 /// Data-page writes in the counter delta `d`, summed over every registered
 /// device — the no-force gate: across a `commit()` this must be 0 while
 /// `d.wal.log_forces` accounts for the durability. Refuses a window the
-/// checkpointer ran in, so a write can never be excused as "the drain".
+/// checkpoint ran in, so a write can never be excused as "the drain".
 #[allow(dead_code)]
 pub fn data_page_writes(d: &StatsSnapshot) -> u64 {
     assert_eq!(

@@ -3,7 +3,7 @@
 
 mod common;
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use common::{wait_until, Devices};
@@ -249,19 +249,25 @@ fn close_declares_its_fileatt_write_before_reading() {
 }
 
 /// `flush_caches` checkpoints and then empties the pool, which refuses while
-/// any frame is pinned — and a background checkpoint cycle pins the frame it
-/// is flushing. With a cycle due on every write the two must still never
-/// collide: the whole of `flush_caches` runs under the cycle lock.
+/// any frame is pinned — and a checkpoint cycle on another thread pins the
+/// frame it is flushing. With cycles running back to back beside it the two
+/// must still never collide: the whole of `flush_caches` runs under the
+/// cycle lock.
 #[test]
-fn flush_caches_never_collides_with_the_background_checkpointer() {
-    let db = minidb::Db::open_in_memory_with(minidb::DbConfig {
-        checkpoint_interval: simdev::SimDuration::from_nanos(1),
-        ..minidb::DbConfig::default()
-    })
-    .unwrap();
+fn flush_caches_never_collides_with_a_concurrent_checkpoint() {
+    let db = minidb::Db::open_in_memory().unwrap();
     let rel = db
         .create_table("t", Schema::new([("v", TypeId::TEXT)]))
         .unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let checkpointer = {
+        let (db, stop) = (db.clone(), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                db.checkpoint().unwrap();
+            }
+        })
+    };
     for round in 0..1500 {
         let mut s = db.begin().unwrap();
         // A few pages' worth, so a racing cycle has frames to hold.
@@ -273,6 +279,8 @@ fn flush_caches_never_collides_with_the_background_checkpointer() {
             panic!("round {round}: {e}");
         }
     }
+    stop.store(true, Ordering::SeqCst);
+    checkpointer.join().unwrap();
 }
 
 /// A table `name` of one `v` column holding one row, 0, committed.
@@ -443,7 +451,7 @@ fn retry_deadlocks(
 }
 
 /// An abort takes its relations back — cache entry, cached pages, storage —
-/// while eviction and the checkpointer may be writing their dirty pages.
+/// while eviction and a checkpoint may be writing their dirty pages.
 /// Two clients run 300 `creat` transactions each through a 32-frame pool,
 /// every one writing 16 KB and only every 8th committing, while a third
 /// thread checkpoints in a loop. Every checkpoint succeeds, every committed

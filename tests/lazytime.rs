@@ -18,17 +18,14 @@ use inversion::{CreateMode, InvClient, InversionFs, LargeObject, OpenMode};
 use minidb::{Datum, Oid};
 use simdev::{SimDuration, SimInstant};
 
-/// A file system on a probed log device, with no checkpoint timer: the
-/// tests move the clock by seconds, and every log sync they count must be
-/// one the code under test asked for.
+/// A file system on a probed log device. The tests move the clock by
+/// seconds, and every log sync they count must be one the code under test
+/// asked for: only log pressure, which they stay far below, checkpoints.
 fn probed_fs() -> (InversionFs, std::sync::Arc<common::Probe>) {
     let mut devices = Devices::new();
     let (log, probe) = ProbedDisk::log(&devices.clock, Duration::ZERO);
     devices.log = log;
-    let db = devices.format_with(minidb::DbConfig {
-        checkpoint_interval: SimDuration::ZERO,
-        ..minidb::DbConfig::default()
-    });
+    let db = devices.format_with(minidb::DbConfig::default());
     (InversionFs::format(db).unwrap(), probe)
 }
 

@@ -16,7 +16,6 @@ use std::time::Duration;
 use common::{data_page_writes, log_syncs, Devices, Probe, ProbedDisk};
 use inversion::{CreateMode, InversionFs};
 use minidb::{Datum, Db, DbConfig, RelId, Schema, TypeId, Wal};
-use simdev::SimDuration;
 
 /// A database on a probed log device whose pool is full of clean pages and
 /// whose log is empty, with an indexed relation `t(k)` that has its first
@@ -122,10 +121,7 @@ fn ddl_is_log_appends_and_one_force_per_commit() {
     let (log, log_probe) = ProbedDisk::log(&devices.clock, Duration::ZERO);
     let (data, data_probe) = ProbedDisk::data(&devices.clock);
     (devices.log, devices.data) = (log, data);
-    let db = devices.format_with(DbConfig {
-        checkpoint_interval: SimDuration::ZERO,
-        ..DbConfig::default()
-    });
+    let db = devices.format_with(DbConfig::default());
     let t = db
         .create_table("t", Schema::new([("k", TypeId::INT4), ("v", TypeId::TEXT)]))
         .unwrap();
@@ -159,10 +155,7 @@ fn a_creat_is_one_commit_and_one_log_force() {
     let mut devices = Devices::new();
     let (log, probe) = ProbedDisk::log(&devices.clock, Duration::ZERO);
     devices.log = log;
-    let db = devices.format_with(DbConfig {
-        checkpoint_interval: SimDuration::ZERO,
-        ..DbConfig::default()
-    });
+    let db = devices.format_with(DbConfig::default());
     let fs = InversionFs::format(db.clone()).unwrap();
     let mut c = fs.client();
     c.write_all("/warm", CreateMode::default(), b"first file").unwrap();
@@ -201,10 +194,7 @@ fn a_creat_is_one_commit_and_one_log_force() {
 /// its free hole, not as an 8 KB page image.
 #[test]
 fn a_creat_logs_about_what_it_writes() {
-    let db = Devices::new().format_with(DbConfig {
-        checkpoint_interval: SimDuration::ZERO,
-        ..DbConfig::default()
-    });
+    let db = Devices::new().format_with(DbConfig::default());
     let fs = InversionFs::format(db.clone()).unwrap();
     let mut c = fs.client();
     c.write_all("/warm", CreateMode::default(), b"first file").unwrap();
@@ -234,10 +224,7 @@ fn ids_are_handed_out_without_io() {
     let (log, log_probe) = ProbedDisk::log(&devices.clock, Duration::ZERO);
     let (data, data_probe) = ProbedDisk::data(&devices.clock);
     (devices.log, devices.data) = (log, data);
-    let db = devices.format_with(DbConfig {
-        checkpoint_interval: SimDuration::ZERO,
-        ..DbConfig::default()
-    });
+    let db = devices.format_with(DbConfig::default());
     let t = db.create_table("t", Schema::new([("k", TypeId::INT4), ("v", TypeId::TEXT)])).unwrap();
     db.create_index("t_k", t, &["k"]).unwrap();
     let mut s = db.begin().unwrap();
@@ -291,10 +278,7 @@ fn a_checkpoint_writes_outcomes_to_the_catalog_device_and_syncs_the_log_only_to_
     let (log, log_probe) = ProbedDisk::log(&devices.clock, Duration::ZERO);
     let (catalog, catalog_probe) = ProbedDisk::catalog(&devices.clock);
     (devices.log, devices.catalog) = (log, catalog);
-    let db = devices.format_with(DbConfig {
-        checkpoint_interval: SimDuration::ZERO,
-        ..DbConfig::default()
-    });
+    let db = devices.format_with(DbConfig::default());
     let t = db.create_table("t", Schema::new([("k", TypeId::INT4), ("v", TypeId::TEXT)])).unwrap();
     db.checkpoint().unwrap();
     for k in 0..1000 {
@@ -332,13 +316,10 @@ fn a_megabyte_of_log_waits_in_memory_for_its_commit() {
     let mut devices = Devices::new();
     let (log, probe) = ProbedDisk::log(&devices.clock, Duration::ZERO);
     devices.log = log;
-    // Room for every page the transaction dirties, and no checkpoint timer:
-    // neither an eviction nor a checkpoint forces the log in the window.
-    let db = devices.format_with(DbConfig {
-        buffers: 256,
-        checkpoint_interval: SimDuration::ZERO,
-        ..DbConfig::default()
-    });
+    // Room for every page the transaction dirties, and a 32 MB log, under
+    // pressure only past half of it: neither an eviction nor a checkpoint
+    // forces the log in the window.
+    let db = devices.format_with(DbConfig { buffers: 256, ..DbConfig::default() });
     let rel = db
         .create_table("blob", Schema::new([("v", TypeId::TEXT)]))
         .unwrap();
@@ -369,4 +350,45 @@ fn a_megabyte_of_log_waits_in_memory_for_its_commit() {
     drop(db);
     let (_, records) = Wal::recover(devices.log.clone(), Default::default()).unwrap();
     assert_eq!(records.len() as u64, d.wal.records_appended, "every record survives");
+}
+
+/// The write whose log append carries the epoch past half the log's
+/// capacity runs the checkpoint itself, before it returns: no write below
+/// the mark ran one, and when the crossing insert returns the checkpoint
+/// has drained the pages and truncated the log, so the writes after it,
+/// in a fresh epoch, run none.
+#[test]
+fn the_write_that_crosses_the_pressure_mark_has_checkpointed_when_it_returns() {
+    let mut devices = Devices::new();
+    // 64 blocks: a ring of 63, an epoch of 62, under pressure past 31.
+    devices.log = minidb::shared_device(simdev::MagneticDisk::new(
+        "log",
+        devices.clock.clone(),
+        simdev::DiskProfile::tiny_for_tests(64),
+    ));
+    let half = 31 * simdev::BLOCK_SIZE as u64;
+    let db = devices.format();
+    let t = db.create_table("t", Schema::new([("v", TypeId::TEXT)])).unwrap();
+    db.checkpoint().unwrap();
+    let start = db.stats();
+    let row = |i: u32| vec![Datum::Text(format!("{i:0>2000}"))];
+    let mut s = db.begin().unwrap();
+    let mut i = 0;
+    loop {
+        assert_eq!(db.stats().delta(&start).wal.checkpoints, 0, "a write below the mark checkpointed");
+        s.insert(t, row(i)).unwrap();
+        i += 1;
+        if db.stats().delta(&start).wal.bytes_appended > half {
+            break;
+        }
+    }
+    let d = db.stats().delta(&start);
+    assert_eq!(d.wal.checkpoints, 1, "insert {i} crossed the mark and returned unchecked");
+    assert!(d.wal.ckpt_pages_drained > 0, "the checkpoint drained nothing");
+    for j in i..i + 50 {
+        s.insert(t, row(j)).unwrap();
+    }
+    s.commit().unwrap();
+    assert_eq!(db.stats().delta(&start).wal.checkpoints, 1, "one crossing, one checkpoint");
+    assert_eq!(db.check_all(), []);
 }

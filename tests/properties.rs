@@ -740,9 +740,10 @@ fn surviving_ids(rig: &CrashRig) -> (minidb::XactId, minidb::Oid) {
     (xids.into_iter().max().unwrap(), oids.into_iter().max().unwrap())
 }
 
-/// The process dies: leak open sessions, stop the checkpointer without a
-/// final flush, drop the volatile caches, reattach. No id that something
-/// surviving the crash carries may be handed out again, of either kind.
+/// The process dies: leak open sessions, forbid every checkpoint, the
+/// final one included, drop the volatile caches, reattach. No id that
+/// something surviving the crash carries may be handed out again, of
+/// either kind.
 fn crash_and_reopen(
     rig: &CrashRig,
     db: minidb::Db,

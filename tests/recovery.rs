@@ -79,19 +79,14 @@ fn recovery_needs_no_scan_of_data() {
         c.write_all("/big", CreateMode::default(), &vec![7u8; data_len])
             .unwrap();
     }
-    // Dropping the last handle frees the database (and so stops its
-    // checkpointer): no built-in relation producer or function keeps it
-    // alive through the registry it is stored in. The last reference may die a moment
-    // later on the checkpointer thread, if it was mid-cycle; a reference
-    // cycle never would.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while std::sync::Arc::strong_count(&registry_alive) > 1 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "the database outlived its last handle"
-        );
-        std::thread::yield_now();
-    }
+    // Dropping the last handle frees the database there and then: no
+    // built-in relation producer or function keeps it alive through the
+    // registry it is stored in, and no thread of its own holds a handle.
+    assert_eq!(
+        std::sync::Arc::strong_count(&registry_alive),
+        1,
+        "the database outlived its last handle"
+    );
     let t0 = devices.clock.now();
     let db = devices.recover();
     let fs = InversionFs::attach(db).unwrap();
@@ -171,12 +166,11 @@ fn instant_recovery_replays_pages_on_first_touch() {
     // away — while each stale page is replayed the first time someone
     // touches it, and a checkpoint finishes the sweep so a second crash
     // needs no replay at all.
-    // Timed checkpoints are off so nothing drains the dirty pages before
-    // we pull the plug.
+    // The log stays far below pressure, so nothing drains the dirty pages
+    // before we pull the plug.
     let rig = common::CrashRig::new();
-    let open = |fresh: bool| rig.try_open(fresh, no_timed_checkpoints()).unwrap();
 
-    let db = open(true);
+    let db = rig.open(true);
     let rel = db.create_table("t", Schema::new([("v", TypeId::INT8)])).unwrap();
     db.flush_caches().unwrap(); // The empty table survives the crash.
     let mut want = Vec::new();
@@ -191,7 +185,7 @@ fn instant_recovery_replays_pages_on_first_touch() {
     }
     rig.crash(db);
 
-    let db = open(false);
+    let db = rig.open(false);
     let after_recover = db.stats();
     // A brand-new transaction commits before any old page was replayed:
     // restart did not wait for a REDO sweep.
@@ -233,7 +227,7 @@ fn instant_recovery_replays_pages_on_first_touch() {
     // second crash there is nothing left to replay.
     db.checkpoint().unwrap();
     rig.crash(db);
-    let db = open(false);
+    let db = rig.open(false);
     let before_scan = db.stats();
     let mut s = db.begin().unwrap();
     assert_eq!(s.seq_scan(rel).unwrap().len(), want.len());
@@ -294,15 +288,6 @@ fn open_descriptors_do_not_survive_crashes_but_files_do() {
     assert_eq!(c.read_to_vec("/f", None).unwrap(), b"before");
 }
 
-/// Timed checkpoints off: nothing drains a dirty page or syncs a device
-/// map behind the test's back.
-fn no_timed_checkpoints() -> minidb::DbConfig {
-    minidb::DbConfig {
-        checkpoint_interval: simdev::SimDuration::from_nanos(0),
-        ..minidb::DbConfig::default()
-    }
-}
-
 fn int_table() -> Schema {
     Schema::new([("v", TypeId::INT4)])
 }
@@ -313,6 +298,28 @@ fn insert_ints(db: &minidb::Db, rel: minidb::RelId, vals: std::ops::Range<i32>) 
         s.insert(rel, vec![Datum::Int4(v)]).unwrap();
     }
     s.commit().unwrap();
+}
+
+/// Parks a checkpoint where a filling log cannot reach it: a row goes into
+/// `rel`, device I/O pauses, and a checkpoint on another thread takes the
+/// cycle lock and blocks in its drain, the row's page queued. A writer that
+/// puts the log under pressure then finds a cycle running and goes on, so
+/// commits fill the log. The parked checkpoint ends when I/O resumes or a
+/// crash aborts the queue.
+fn park_a_checkpoint(
+    db: &minidb::Db,
+    rel: minidb::RelId,
+) -> std::thread::JoinHandle<minidb::DbResult<()>> {
+    insert_ints(db, rel, 0..1);
+    db.pause_io(true);
+    let parked = db.clone();
+    let thread = std::thread::spawn(move || parked.checkpoint());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while db.io_queue_depth() == 0 {
+        assert!(std::time::Instant::now() < deadline, "the checkpoint queued no write");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    thread
 }
 
 fn ints_of(db: &minidb::Db, rel: minidb::RelId) -> Vec<i64> {
@@ -355,7 +362,7 @@ fn a_catalog_of_many_blocks_survives_a_crash() {
 /// exist only in the log, and everything so far durable.
 fn rig_with_a_wide_catalog() -> (common::CrashRig, minidb::Db, minidb::RelId) {
     let rig = common::CrashRig::new();
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     for i in 0..400 {
         db.create_table(&format!("t{i}"), int_table()).unwrap();
     }
@@ -382,7 +389,7 @@ fn recover_from_a_torn_catalog_destage<T>(
     // recovery failed with `corrupt data: truncated catalog` and every
     // committed transaction was gone with it.
     let db = rig
-        .try_open(false, no_timed_checkpoints())
+        .try_open(false, minidb::DbConfig::default())
         .expect("recovery after a torn catalog destage");
     (db, outcome)
 }
@@ -435,7 +442,7 @@ fn a_torn_catalog_destage_under_create_index_loses_nothing() {
 #[test]
 fn a_torn_tail_rewrite_keeps_the_commits_acknowledged_before_it() {
     let rig = common::CrashRig::new();
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let t = db.create_table("t", int_table()).unwrap();
     db.checkpoint().unwrap();
     insert_ints(&db, t, 0..1);
@@ -449,7 +456,7 @@ fn a_torn_tail_rewrite_keeps_the_commits_acknowledged_before_it() {
     rig.log_faults.clear_write_fault();
     rig.crash(db);
 
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     assert_eq!(ints_of(&db, t), [0], "the acknowledged commit A is lost");
     assert_clean(&db);
 }
@@ -462,7 +469,7 @@ fn on_device(rig: &common::CrashRig) -> Vec<minidb::RelId> {
 #[test]
 fn storage_a_crash_left_without_a_row_is_released_on_reopening() {
     let rig = common::CrashRig::new();
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let keep = db.create_table("keep", int_table()).unwrap();
     insert_ints(&db, keep, 0..10);
     let gone = db.create_table("gone", int_table()).unwrap();
@@ -481,7 +488,7 @@ fn storage_a_crash_left_without_a_row_is_released_on_reopening() {
     rig.crash(db);
     assert_eq!(on_device(&rig), [keep, gone]);
 
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     assert!(db.relation_id("half_made").is_err() && db.relation_id("gone").is_err());
     assert_clean(&db);
     assert_eq!(ints_of(&db, keep), (0..10).collect::<Vec<i64>>());
@@ -508,7 +515,7 @@ fn pages_born_after_the_checkpoint_replay_onto_blocks_of_their_own() {
     let devices = Devices::new();
     let db = devices.format_with(minidb::DbConfig {
         buffers: 32,
-        ..no_timed_checkpoints()
+        ..minidb::DbConfig::default()
     });
     let schema = || Schema::new([("k", TypeId::INT4), ("pad", TypeId::TEXT)]);
     let tables: Vec<minidb::RelId> =
@@ -540,7 +547,7 @@ fn pages_born_after_the_checkpoint_replay_onto_blocks_of_their_own() {
 /// commit force dies after its first block.
 fn ddl_since_the_last_checkpoint_survives_a_crash(torn_tail: bool) {
     let rig = common::CrashRig::new();
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let t = db.create_table("t", int_table()).unwrap();
     insert_ints(&db, t, 0..300);
     db.flush_caches().unwrap();
@@ -558,7 +565,7 @@ fn ddl_since_the_last_checkpoint_survives_a_crash(torn_tail: bool) {
     rig.crash(db);
     assert_eq!(on_device(&rig), [t], "only the log knows the new relations");
 
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     assert_clean(&db);
     assert_eq!(db.relation_id("empty").unwrap(), empty);
     assert!(ints_of(&db, empty).is_empty());
@@ -593,7 +600,7 @@ fn ddl_since_the_last_checkpoint_is_recovered_under_a_torn_log_tail() {
 /// of a relation no row names; reopening must not bring it back.
 fn an_index_whose_row_never_committed_leaves_no_storage(torn: bool) {
     let rig = common::CrashRig::new();
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let t = db.create_table("t", int_table()).unwrap();
     insert_ints(&db, t, 0..3000);
     db.flush_caches().unwrap();
@@ -614,7 +621,7 @@ fn an_index_whose_row_never_committed_leaves_no_storage(torn: bool) {
         .filter(|&(_, rel, _)| rel != t && !minidb::catalog::Catalog::is_system(rel))
         .count();
     assert!(stray > 0, "the log holds pages of the index");
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     assert!(db.relation_id("t_v").is_err());
     assert_eq!(db.find_index(t, &[0]), None);
     assert_clean(&db);
@@ -644,7 +651,7 @@ fn an_index_whose_row_never_committed_is_released_under_a_torn_log_tail() {
 /// data, or neither — no relation in the cache, none on the device.
 fn a_creat_meets_a_crash(commit: bool) {
     let rig = common::CrashRig::new();
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let fs = InversionFs::format(db.clone()).unwrap();
     let other = db.create_table("other", int_table()).unwrap();
     db.flush_caches().unwrap();
@@ -668,7 +675,7 @@ fn a_creat_meets_a_crash(commit: bool) {
     rig.power_cut();
     drop((c, fs, db));
 
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     let fs = InversionFs::attach(db.clone()).unwrap();
     assert_clean(&db);
     assert_eq!(fs.check(), []);
@@ -705,7 +712,7 @@ fn a_committed_creat_comes_back_with_its_data_after_a_crash() {
 /// first whose force needs two is torn, and that file is absent.
 fn small_files_since_the_checkpoint_meet_a_crash(torn_last: bool) {
     let rig = common::CrashRig::new();
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let fs = InversionFs::format(db.clone()).unwrap();
     db.checkpoint().unwrap();
     let name = |i: usize| format!("/f{i}");
@@ -739,7 +746,7 @@ fn small_files_since_the_checkpoint_meet_a_crash(torn_last: bool) {
     rig.power_cut();
     drop((c, fs, db));
 
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     let fs = InversionFs::attach(db.clone()).unwrap();
     let mut c = fs.client();
     for i in 0..files {
@@ -783,13 +790,13 @@ fn burn_xids(db: &minidb::Db, n: usize) {
 fn reopening_reads_no_more_status_pages_after_60_000_xids_than_after_1_000() {
     let reads = [1_000, 60_000].map(|xids| {
         let rig = common::CrashRig::new();
-        let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+        let db = rig.open(true);
         let t = db.create_table("t", int_table()).unwrap();
         insert_ints(&db, t, 0..1);
         burn_xids(&db, xids);
         insert_ints(&db, t, 1..2);
         rig.crash(db);
-        let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+        let db = rig.open(false);
         let stats = db.stats();
         let catalog = stats.devices.iter().find(|d| d.device == minidb::DeviceId::CATALOG.0).unwrap();
         let reads = catalog.reads;
@@ -809,7 +816,7 @@ fn reopening_reads_no_more_status_pages_after_60_000_xids_than_after_1_000() {
 /// own `x`'s rows.
 fn a_page_carries_an_xid_the_status_file_never_covered(torn_tail: bool) {
     let rig = common::CrashRig::new();
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let t = db.create_table("t", int_table()).unwrap();
     let u = db.create_table("u", int_table()).unwrap();
     insert_ints(&db, t, 0..10);
@@ -844,7 +851,7 @@ fn a_page_carries_an_xid_the_status_file_never_covered(torn_tail: bool) {
     std::mem::forget(x);
     rig.crash(db);
 
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     assert_clean(&db);
     for _ in 0..2100 {
         let mut s = db.begin().unwrap();
@@ -869,23 +876,22 @@ fn an_xid_carried_by_a_page_on_the_device_is_never_handed_out_again_under_a_torn
 }
 
 /// A crash that leaves the log as full as anything but a `Ceiling` record
-/// can make it: one-row transactions commit until the log refuses one (the
-/// data device's I/O is paused, so no checkpoint truncates), then aborts
-/// of the refused transaction fill what is left, forced, as a later commit
-/// would have carried them out. Reopening takes an xid — a raise of the id
-/// ceilings, one more record — before its checkpointer may truncate
+/// can make it: one-row transactions commit until the log refuses one (a
+/// checkpoint is parked on the paused data device, so none truncates), then
+/// aborts of the refused transaction fill what is left, forced, as a later
+/// commit would have carried them out. Reopening takes an xid — a raise of
+/// the id ceilings, one more record — before a checkpoint may truncate
 /// anything. When the log could be filled to the last byte, every
 /// reopening of such a database failed with `WAL full`.
 #[test]
 fn a_crash_that_leaves_the_log_full_recovers() {
     // 32 blocks: a log epoch of 15 blocks, about 120 KB.
     let rig = common::CrashRig::with_log_blocks(32);
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let t = db.create_table("t", int_table()).unwrap();
+    let parked = db.create_table("parked", int_table()).unwrap();
     db.flush_caches().unwrap();
-    // The first checkpoint the log's filling wakes waits on the data device
-    // until the crash; the log device is written directly, and commits go on.
-    db.pause_io(true);
+    let parked = park_a_checkpoint(&db, parked);
     let mut committed = 0;
     let (refused, last) = loop {
         let mut s = db.begin().unwrap();
@@ -898,12 +904,13 @@ fn a_crash_that_leaves_the_log_full_recovers() {
     assert!(refused.to_string().contains("WAL full"), "{refused}");
     assert!(committed > 1000, "{committed} commits filled the log");
     rig.crash(db);
+    assert!(parked.join().unwrap().is_err(), "the parked checkpoint outlived the crash");
     {
         let (wal, _) = minidb::Wal::recover(rig.log.clone(), Default::default()).unwrap();
         while wal.append(&minidb::WalRecord::Abort { xid: last }).is_ok() {}
         wal.force_up_to(wal.next_lsn()).unwrap();
     }
-    let db = rig.try_open(false, no_timed_checkpoints()).expect("reopening a full log");
+    let db = rig.try_open(false, minidb::DbConfig::default()).expect("reopening a full log");
     let mut s = db.begin().unwrap();
     assert!(s.xid().unwrap() > last, "{:?} handed out again", s.xid());
     s.commit().unwrap();
@@ -924,7 +931,7 @@ fn a_crash_that_leaves_the_log_full_recovers() {
 #[test]
 fn a_commit_the_full_log_refuses_leaves_nothing_running() {
     let rig = common::CrashRig::with_log_blocks(32);
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let t = db.create_table("t", int_table()).unwrap();
     let fill = db.create_table("fill", int_table()).unwrap();
     let held: Vec<minidb::RelId> =
@@ -944,7 +951,7 @@ fn a_commit_the_full_log_refuses_leaves_nothing_running() {
             s
         })
         .collect();
-    db.pause_io(true);
+    let parked = park_a_checkpoint(&db, fill);
     loop {
         let mut s = db.begin().unwrap();
         if s.insert(fill, vec![Datum::Int4(0)]).and_then(|_| s.commit()).is_err() {
@@ -958,6 +965,7 @@ fn a_commit_the_full_log_refuses_leaves_nothing_running() {
     let refused = deleter.commit().unwrap_err();
     assert!(refused.to_string().contains("WAL full"), "{refused}");
     db.pause_io(false);
+    parked.join().unwrap().expect("the parked checkpoint, resumed");
     db.checkpoint().unwrap();
     let mut s = db.begin().unwrap();
     let (tid, _) = s.seq_scan(t).unwrap()[0].clone();
@@ -977,7 +985,7 @@ fn a_commit_the_full_log_refuses_leaves_nothing_running() {
 /// still go to the log, and reopening replays all of it.
 fn a_failed_sync_loses_nothing(faulty: impl Fn(&common::CrashRig) -> &simdev::FaultPlan) {
     let rig = common::CrashRig::new();
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let t = db.create_table("t", int_table()).unwrap();
     insert_ints(&db, t, 0..10);
     db.flush_caches().unwrap();
@@ -994,7 +1002,7 @@ fn a_failed_sync_loses_nothing(faulty: impl Fn(&common::CrashRig) -> &simdev::Fa
     }
     rig.crash(db);
 
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     assert_eq!(ints_of(&db, t), (0..30).collect::<Vec<i64>>());
     assert_clean(&db);
     db.checkpoint().expect("a reopened database checkpoints again");
@@ -1028,7 +1036,7 @@ fn surviving_oids(rig: &common::CrashRig, db: &minidb::Db) -> Vec<minidb::Oid> {
 fn an_oid_is_never_handed_out_twice_across_crashes() {
     let rig = common::CrashRig::new();
     let mut survivors = std::collections::HashSet::new();
-    let mut db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let mut db = rig.open(true);
     let mut created = Vec::new();
     for round in 0..4 {
         // Enough to cross a ceiling, few enough to stop short of the next.
@@ -1054,7 +1062,7 @@ fn an_oid_is_never_handed_out_twice_across_crashes() {
             rig.log_faults.clear_write_fault();
         }
         rig.crash(db);
-        db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+        db = rig.open(false);
         for (rel, name) in &created {
             assert_eq!(db.relation_id(name).unwrap(), *rel, "round {round}: {name} lost");
         }
@@ -1075,7 +1083,7 @@ fn an_oid_is_never_handed_out_twice_across_crashes() {
 /// order, on top of whatever the torn tail left.
 fn mid_leaf_index_inserts_survive(torn_tail: bool) {
     let rig = common::CrashRig::new();
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let schema = Schema::new([("v", TypeId::INT4), ("pad", TypeId::TEXT)]);
     let rel = db.create_table("t", schema).unwrap();
     let idx = db.create_index("t_v", rel, &["v"]).unwrap();
@@ -1115,7 +1123,7 @@ fn mid_leaf_index_inserts_survive(torn_tail: bool) {
         );
     }
 
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     assert_clean(&db);
     let mut s = db.begin().unwrap();
     for v in 800..1000 {
@@ -1155,7 +1163,7 @@ fn a_root_split_meets_a_crash(torn_after: Option<u64>) -> usize {
 /// split's commit force wrote before it finished or was torn.
 fn a_root_split_and_its_force(torn_after: Option<u64>) -> (usize, u64) {
     let rig = common::CrashRig::new();
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let rel = db.create_table("t", Schema::new([("k", TypeId::TEXT)])).unwrap();
     let idx = db.create_index("t_k", rel, &["k"]).unwrap();
     // Seven or so to a node.
@@ -1196,7 +1204,7 @@ fn a_root_split_and_its_force(torn_after: Option<u64>) -> (usize, u64) {
         .filter(|(_, rec)| matches!(rec, minidb::WalRecord::PageImage { rel, .. } if *rel == idx))
         .count();
 
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     assert_clean(&db);
     let committed = if torn_after.is_some() { 5 } else { last };
     let mut s = db.begin().unwrap();
@@ -1245,7 +1253,7 @@ fn ints_at(db: &minidb::Db, rel: minidb::RelId, t: simdev::SimInstant) -> Vec<i6
 /// A fresh database on `rig` whose table `t` holds 1 and 2 at the instant
 /// returned; then 1 became 10, and a checkpoint drained everything.
 fn history_to_vacuum(rig: &common::CrashRig) -> (minidb::Db, minidb::RelId, simdev::SimInstant) {
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let t = db.create_table("t", int_table()).unwrap();
     insert_ints(&db, t, 1..3);
     let cp1 = db.now();
@@ -1276,7 +1284,7 @@ fn history_survives_a_failed_vacuum_and_a_crash() {
     assert_vacuumed_or_not(&db, t, cp1);
     rig.crash(db);
     rig.log_faults.clear_write_fault();
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     assert_vacuumed_or_not(&db, t, cp1);
 }
 
@@ -1296,7 +1304,7 @@ fn a_data_device_write_fault_under_a_vacuum_leaves_the_catalog_consistent() {
     assert_vacuumed_or_not(&db, t, cp1);
     rig.crash(db);
     rig.data_faults.clear_write_fault();
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     assert_vacuumed_or_not(&db, t, cp1);
     assert!(db.catalog().relation(t).unwrap().archive.is_some(), "the vacuum committed");
 }
@@ -1307,7 +1315,7 @@ fn a_data_device_write_fault_under_a_vacuum_leaves_the_catalog_consistent() {
 #[test]
 fn a_vacuum_that_fails_while_it_fills_the_archive_takes_everything_back() {
     let rig = common::CrashRig::new();
-    let db = rig.try_open(true, minidb::DbConfig { buffers: 16, ..no_timed_checkpoints() }).unwrap();
+    let db = rig.try_open(true, minidb::DbConfig { buffers: 16, ..minidb::DbConfig::default() }).unwrap();
     let t = db.create_table("t", Schema::new([("v", TypeId::INT4), ("pad", TypeId::TEXT)])).unwrap();
     let mut s = db.begin().unwrap();
     let pad = "p".repeat(1000);
@@ -1368,7 +1376,7 @@ fn a_crash_after_a_vacuum_commits_but_before_its_old_storage_goes_recovers_once(
     rig.crash(db);
     assert!(old != new && on_device(&rig).contains(&old) && on_device(&rig).contains(&new));
 
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     assert_eq!(db.catalog().relation(t).unwrap().storage, new);
     assert_vacuumed_or_not(&db, t, cp1);
     let mut s = db.begin().unwrap();
@@ -1406,7 +1414,7 @@ fn a_crash_in_the_middle_of_a_vacuum_recovers_the_heap_as_it_was() {
     rig.crash(db);
     rig.log_faults.clear_write_fault();
 
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     assert_vacuumed_or_not(&db, t, cp1);
     assert!(db.relation_id("t,arch").is_err() && db.relation_id("other").is_err());
     db.checkpoint().unwrap();
@@ -1424,7 +1432,7 @@ fn a_crash_in_the_middle_of_a_vacuum_recovers_the_heap_as_it_was() {
 fn file_to_migrate(
     rig: &common::CrashRig,
 ) -> (minidb::Db, InversionFs, [simdev::SimInstant; 2], common::FileView) {
-    let db = rig.try_open(true, no_timed_checkpoints()).unwrap();
+    let db = rig.open(true);
     let fs = InversionFs::format(db.clone()).unwrap();
     let mut c = fs.client();
     c.write_all("/f", CreateMode::default(), &vec![7u8; inversion::CHUNK_SIZE + 300]).unwrap();
@@ -1449,7 +1457,7 @@ fn migrate(fs: &InversionFs) -> inversion::InvResult<()> {
 }
 
 fn reopen_fs(rig: &common::CrashRig) -> (minidb::Db, InversionFs) {
-    let db = rig.try_open(false, no_timed_checkpoints()).unwrap();
+    let db = rig.open(false);
     (db.clone(), InversionFs::attach(db).unwrap())
 }
 

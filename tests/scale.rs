@@ -213,20 +213,14 @@ const FILES_THE_RELATION_MAP_HOLDS: usize = 7159;
 /// region, written at checkpoints. The create that would outgrow it is
 /// refused there and then, with `device full`, and a crash at that moment
 /// recovers: the map recovery rebuilds from the log fits the region, and
-/// its first checkpoint writes it. Returns the number of files made before
-/// the refusal. With `checkpoint_every`, timed checkpoints are off and one
-/// runs before every that many creates instead.
-fn fill_the_relation_map_then_crash(checkpoint_every: Option<usize>) -> usize {
+/// its first checkpoint writes it. With `checkpoint_every`, one checkpoint
+/// runs before every that many creates; without it, only log pressure
+/// checkpoints. Returns the number of files made before the refusal, and
+/// then the number made after recovery before the next.
+fn fill_the_relation_map_then_crash(checkpoint_every: Option<usize>) -> (usize, usize) {
     let devices = big_data_disk();
     let made = {
-        let config = match checkpoint_every {
-            Some(_) => minidb::DbConfig {
-                checkpoint_interval: simdev::SimDuration::ZERO,
-                ..minidb::DbConfig::default()
-            },
-            None => minidb::DbConfig::default(),
-        };
-        let fs = InversionFs::format(devices.format_with(config)).unwrap();
+        let fs = InversionFs::format(devices.format()).unwrap();
         let mut c = fs.client();
         let mut made = 0;
         let refused = loop {
@@ -250,29 +244,36 @@ fn fill_the_relation_map_then_crash(checkpoint_every: Option<usize>) -> usize {
     fs.db().checkpoint().expect("the recovered map fits its region");
     assert!(fs.db().check_all().is_empty(), "{:?}", fs.db().check_all());
     assert!(fs.check().is_empty(), "{:?}", fs.check());
-    let again = c.write_all("/one_more", CreateMode::default(), b"x").unwrap_err();
+    let mut more = 0;
+    let again = loop {
+        match c.write_all(&format!("/more{more}"), CreateMode::default(), b"x") {
+            Ok(()) => more += 1,
+            Err(e) => break e,
+        }
+    };
     assert!(again.to_string().contains("device full"), "{again}");
-    made
+    (made, more)
 }
 
-/// Checkpoints at fixed points and none in the background: which relations
-/// grew since the map was last synced, and so the room it keeps for them,
-/// is the same on every run.
+/// Checkpoints at fixed points: which relations grew since the map was
+/// last synced, and so the room it keeps for them, is the same on every
+/// run, and recovery gives none of it back.
 #[test]
 #[ignore = "long-running: creates files until the device's relation map is full"]
 fn creating_files_until_the_relation_map_is_full() {
-    assert_eq!(fill_the_relation_map_then_crash(Some(200)), FILES_THE_RELATION_MAP_HOLDS);
+    assert_eq!(fill_the_relation_map_then_crash(Some(200)), (FILES_THE_RELATION_MAP_HOLDS, 0));
 }
 
-/// The default configuration, with timed checkpoints: the room the map
-/// keeps for relations that grew since it was last synced depends on when
-/// the last checkpoint landed, so on some runs it holds one file more.
+/// The default configuration, where only log pressure checkpoints. The
+/// files stay below the log's pressure mark, so no checkpoint runs while
+/// they are made, and the counts are exact. The map holds as many files as
+/// under fixed checkpoints. After the crash, 6 more fit: every relation
+/// grew since the map was last synced, and recovery covers each one's
+/// logged blocks with one contiguous run, where a relation that grew by
+/// several extents held a run per extent, interleaved with the one-block
+/// relations of the files made between them.
 #[test]
 #[ignore = "long-running: creates files until the device's relation map is full"]
-fn creating_files_until_the_relation_map_is_full_under_timed_checkpoints() {
-    let made = fill_the_relation_map_then_crash(None);
-    assert!(
-        (FILES_THE_RELATION_MAP_HOLDS..=FILES_THE_RELATION_MAP_HOLDS + 1).contains(&made),
-        "the map held {made} files"
-    );
+fn creating_files_until_the_relation_map_is_full_under_pressure_checkpoints() {
+    assert_eq!(fill_the_relation_map_then_crash(None), (FILES_THE_RELATION_MAP_HOLDS, 6));
 }

@@ -343,7 +343,7 @@ fn single_table_commit_costs_one_log_force() {
         data_page_writes(&d),
         0,
         "no-force commit: the bystander's dirty pages (and our own) stay \
-         cached for the checkpointer"
+         cached for a checkpoint"
     );
     assert_eq!(d.wal.log_forces, 1, "and the log sees exactly one force");
     bystander.abort().unwrap();

@@ -318,7 +318,7 @@ fn run_schedule(sched: Schedule) {
         FaultKind::DeviceWriteFault => {
             // Dirty a page, arm the data device's write path, and flush:
             // the destage must trip the fault and surface the error. The
-            // loop tolerates the background checkpointer having drained
+            // loop tolerates a pressure checkpoint having drained
             // between the commit and the arming.
             let mut c = fs.client();
             let before = rig.data_faults.write_trips();
