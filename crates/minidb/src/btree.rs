@@ -29,9 +29,18 @@
 //!
 //! Wherever in a node an insert lands it is one [`page::insert_at`], logged
 //! as slot + item; page images are for splits and lazy deletes.
+//!
+//! Search compares in place. Every walk — `slot_for` for an insert, the
+//! descent, the leaf walk behind [`BTree::scan`], [`BTree::contains`] and
+//! [`BTree::scan_key_newest_first`], and [`BTree::delete`] — binary-searches
+//! a node's slot array (dead slots included: they were placed in order and
+//! never move) and compares each item against the probe with
+//! `datum::cmp_encoded_row`, which reads text and bytes as borrowed slices
+//! and scalars on the stack. A key is decoded only where a caller receives
+//! one (`scan`), at a split (its fence key) and in the verifier.
 
 use crate::buffer::BufferPool;
-use crate::datum::{decode_row, encode_row, Datum};
+use crate::datum::{cmp_encoded_row, decode_row, encode_row, Datum};
 use crate::error::{DbError, DbResult};
 use crate::ids::{DeviceId, RelId, Tid};
 use crate::page;
@@ -125,16 +134,26 @@ fn encode_item(key: &[Datum], payload: &[u8]) -> Vec<u8> {
     out
 }
 
-fn decode_item(item: &[u8]) -> DbResult<(Key, &[u8])> {
-    if item.len() < 2 {
-        return Err(DbError::Corrupt("index item too short".into()));
-    }
-    let klen = crate::bytes::le_u16(item, 0)? as usize;
+/// An index item's encoded key and its payload.
+fn split_item(item: &[u8]) -> DbResult<(&[u8], &[u8])> {
+    let klen = crate::bytes::le_u16(item, 0)
+        .map_err(|_| DbError::Corrupt("index item too short".into()))? as usize;
     let kbytes = item
         .get(2..2 + klen)
         .ok_or_else(|| DbError::Corrupt("index item key truncated".into()))?;
-    let key = decode_row(kbytes)?;
-    Ok((key, &item[2 + klen..]))
+    Ok((kbytes, &item[2 + klen..]))
+}
+
+fn decode_item(item: &[u8]) -> DbResult<(Key, &[u8])> {
+    let (kbytes, payload) = split_item(item)?;
+    Ok((decode_row(kbytes)?, payload))
+}
+
+/// Where an item sits against `to`, compared in place: equal to
+/// [`cmp_pos`] on the decoded item, with nothing decoded onto the heap.
+fn cmp_item(item: &[u8], leaf: bool, to: Pos<'_>) -> DbResult<Ordering> {
+    let (kbytes, payload) = split_item(item)?;
+    Ok(cmp_encoded_row(kbytes, to.key)?.then_with(|| payload_tid(payload, leaf).cmp(&to.tid)))
 }
 
 /// A fence: the position of the first entry under `child` — its key, then a
@@ -160,9 +179,9 @@ struct Descent {
     leaf: u64,
     /// The internal blocks walked, root first.
     path: Vec<u64>,
-    /// The leaf's fence in its parent — the lower bound of its range. `None`
-    /// when the root is the leaf.
-    lower: Option<OwnedPos>,
+    /// The leaf's fence item in its parent, as stored — the lower bound of
+    /// its range. `None` when the root is the leaf.
+    lower: Option<Vec<u8>>,
 }
 
 /// A handle binding a B-tree index relation to its machinery.
@@ -278,13 +297,12 @@ impl<'a> BTree<'a> {
             // The last fence at or below `to`, found by `slot_for`'s binary
             // search (an internal node has no dead slots); the first child
             // stands in when every fence is above it.
-            let slot = Self::slot_for(data, to)?.saturating_sub(1);
+            let slot = Self::slot_for(data, false, to)?.saturating_sub(1);
             let item = page::item(data, slot)
                 .ok_or_else(|| DbError::Corrupt("internal node with no children".into()))?;
-            let (k, payload) = decode_item(item)?;
             path.push(blk);
-            blk = crate::bytes::le_u64(payload, 0)?;
-            lower = Some((k, payload_tid(payload, false)));
+            blk = crate::bytes::le_u64(split_item(item)?.1, 0)?;
+            lower = Some(item.to_vec());
         }
     }
 
@@ -313,8 +331,9 @@ impl<'a> BTree<'a> {
         let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
         let mut pbuf = pref.write();
         let data = pbuf.data_mut();
+        let meta = read_node_meta(data)?;
         if page::fits(data, item.len()) {
-            let slot = Self::slot_for(data, at)?;
+            let slot = Self::slot_for(data, meta.leaf, at)?;
             page::insert_at(data, slot, item)?;
             return self.log_insert(data, blk, slot, item);
         }
@@ -323,15 +342,15 @@ impl<'a> BTree<'a> {
         // included, so that a run of one key that spans the split is still
         // found on the correct side.
         self.stats.btree.splits.bump();
-        let meta = read_node_meta(data)?;
         let items = Self::items_with(data, meta.leaf, at, item)?;
         let mid = items.len() / 2;
-        let lower = items[..mid].iter().map(|(_, it)| it.as_slice());
-        let upper = items[mid..].iter().map(|(_, it)| it.as_slice());
-        let ((split_key, split_tid), _) = &items[mid];
+        let lower = items[..mid].iter().map(Vec::as_slice);
+        let upper = items[mid..].iter().map(Vec::as_slice);
+        // The one key a split decodes: its fence goes to the parent.
+        let (split_key, payload) = decode_item(&items[mid])?;
         let split_at = Pos {
-            key: split_key,
-            tid: *split_tid,
+            key: &split_key,
+            tid: payload_tid(payload, meta.leaf),
         };
         let Some(parent) = path.pop() else {
             // The root stays where it is: both halves move to new pages and
@@ -385,40 +404,50 @@ impl<'a> BTree<'a> {
         self.insert_into_node(parent, path, split_at, &encode_fence(split_at, right))
     }
 
-    /// Every live item of a node as `(position, bytes)`, with `item` added
-    /// at position `at`: after everything at or below it.
-    fn items_with(
-        data: &[u8],
-        leaf: bool,
-        at: Pos<'_>,
-        item: &[u8],
-    ) -> DbResult<Vec<(OwnedPos, Vec<u8>)>> {
+    /// Every live item of a node, in order, with `item` added at position
+    /// `at`: after everything at or below it.
+    fn items_with(data: &[u8], leaf: bool, at: Pos<'_>, item: &[u8]) -> DbResult<Vec<Vec<u8>>> {
+        let slot = Self::slot_for(data, leaf, at)?;
         let mut items = Vec::with_capacity(page::nslots(data) as usize + 1);
-        for (_, it) in page::iter(data) {
-            let (k, payload) = decode_item(it)?;
-            items.push(((k, payload_tid(payload, leaf)), it.to_vec()));
+        let mut pos = 0;
+        for (s, it) in page::iter(data) {
+            pos += usize::from(s < slot);
+            items.push(it.to_vec());
         }
-        let pos = items.partition_point(|((k, t), _)| cmp_pos(k, *t, at) != Ordering::Greater);
-        items.insert(pos, ((at.key.to_vec(), at.tid), item.to_vec()));
+        items.insert(pos, item.to_vec());
         Ok(items)
     }
 
     /// The slot at which an item at position `at` keeps a node's slot array
-    /// in `(key, tid)` order: after everything at or below it. Dead slots
-    /// were placed in order too and never move relative to their
-    /// neighbours, so the whole array is sorted and this is a binary search.
-    fn slot_for(data: &[u8], at: Pos<'_>) -> DbResult<u16> {
-        let leaf = read_node_meta(data)?.leaf;
+    /// in `(key, tid)` order: after everything at or below it.
+    fn slot_for(data: &[u8], leaf: bool, at: Pos<'_>) -> DbResult<u16> {
+        Self::partition(data, leaf, at, |o| o != Ordering::Greater)
+    }
+
+    /// A leaf's first slot, dead or live, at or after `at`.
+    fn first_from(data: &[u8], at: Pos<'_>) -> DbResult<u16> {
+        Self::partition(data, true, at, |o| o == Ordering::Less)
+    }
+
+    /// The first slot whose item's place against `at` is not `before`.
+    /// Dead slots were placed in order too and never move relative to their
+    /// neighbours, so the whole slot array is sorted and this is a binary
+    /// search, each step comparing one item in place.
+    fn partition(
+        data: &[u8],
+        leaf: bool,
+        at: Pos<'_>,
+        before: impl Fn(Ordering) -> bool,
+    ) -> DbResult<u16> {
         let (mut lo, mut hi) = (0, page::nslots(data));
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let item = page::item_even_dead(data, mid)
                 .ok_or_else(|| DbError::Corrupt(format!("index slot {mid} unreadable")))?;
-            let (k, payload) = decode_item(item)?;
-            if cmp_pos(&k, payload_tid(payload, leaf), at) == Ordering::Greater {
-                hi = mid;
-            } else {
+            if before(cmp_item(item, leaf, at)?) {
                 lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
         Ok(lo)
@@ -696,7 +725,8 @@ impl<'a> BTree<'a> {
             tid: Some(Tid::MAX),
         });
         let from = self.descend(lo)?.leaf;
-        self.walk(from, lo, hi, |hits| {
+        let take = |kbytes: &[u8], tid| Ok((decode_row(kbytes)?, tid));
+        self.walk(from, lo, hi, take, |hits| {
             for (k, tid) in hits {
                 if !f(&k, tid)? {
                     return Ok(false);
@@ -728,8 +758,9 @@ impl<'a> BTree<'a> {
             };
             let d = self.descend(end)?;
             let mut run = Vec::new();
-            self.walk(d.leaf, Pos { key, tid: None }, Some(end), |hits| {
-                run.extend(hits.into_iter().map(|(_, tid)| tid));
+            let take = |_: &[u8], tid| Ok(tid);
+            self.walk(d.leaf, Pos { key, tid: None }, Some(end), take, |hits| {
+                run.extend(hits);
                 Ok(true)
             })?;
             for tid in run.into_iter().rev() {
@@ -737,8 +768,12 @@ impl<'a> BTree<'a> {
                     return Ok(());
                 }
             }
-            let fence_tid = match d.lower {
-                Some((k, Some(t))) if cmp_keys(&k, key) == Ordering::Equal => t,
+            let Some(fence) = d.lower else {
+                return Ok(());
+            };
+            let (fence_key, payload) = split_item(&fence)?;
+            let fence_tid = match payload_tid(payload, false) {
+                Some(t) if cmp_encoded_row(fence_key, key)? == Ordering::Equal => t,
                 _ => return Ok(()),
             };
             match tid_before(fence_tid) {
@@ -757,7 +792,8 @@ impl<'a> BTree<'a> {
             tid: Some(tid),
         };
         let mut found = false;
-        self.walk(self.descend(at)?.leaf, at, Some(at), |hits| {
+        let take = |_: &[u8], tid| Ok(tid);
+        self.walk(self.descend(at)?.leaf, at, Some(at), take, |hits| {
             found |= !hits.is_empty();
             Ok(true)
         })?;
@@ -765,17 +801,21 @@ impl<'a> BTree<'a> {
     }
 
     /// Walks leaves rightward from `from`, handing `batch` each leaf's live
-    /// entries within `[lo, hi]` until an entry sorts after `hi`, the chain
-    /// ends, or `batch` returns `false`. It always looks one leaf past the
-    /// last entry at or below `hi`, so a split that moved entries right
-    /// between the caller's descent and this read loses nothing; a root
-    /// that split in that window is descended again, to `lo`.
-    fn walk(
+    /// entries within `[lo, hi]`, each as `take(encoded key, tid)` makes it,
+    /// until an entry sorts after `hi`, the chain ends, or `batch` returns
+    /// `false`. In each leaf it starts at the binary-searched first slot at
+    /// or after `lo` and compares entries in place, so only `take` decodes
+    /// a key. It always looks one leaf past the last entry at or below
+    /// `hi`, so a split that moved entries right between the caller's
+    /// descent and this read loses nothing; a root that split in that
+    /// window is descended again, to `lo`.
+    fn walk<T>(
         &self,
         from: u64,
         lo: Pos<'_>,
         hi: Option<Pos<'_>>,
-        mut batch: impl FnMut(Vec<(Key, Tid)>) -> DbResult<bool>,
+        mut take: impl FnMut(&[u8], Tid) -> DbResult<T>,
+        mut batch: impl FnMut(Vec<T>) -> DbResult<bool>,
     ) -> DbResult<()> {
         let mut blk = from;
         loop {
@@ -797,18 +837,20 @@ impl<'a> BTree<'a> {
                     continue;
                 }
                 right = meta.right;
-                for (_, item) in page::iter(data) {
-                    let (k, payload) = decode_item(item)?;
-                    let tid = payload_tid(payload, true);
-                    if cmp_pos(&k, tid, lo) == Ordering::Less {
-                        continue;
+                for slot in Self::first_from(data, lo)?..page::nslots(data) {
+                    let Some(item) = page::item(data, slot) else {
+                        continue; // Dead (lazily deleted).
+                    };
+                    if let Some(hi) = hi {
+                        if cmp_item(item, true, hi)? == Ordering::Greater {
+                            past_hi = true;
+                            break;
+                        }
                     }
-                    if hi.is_some_and(|hi| cmp_pos(&k, tid, hi) == Ordering::Greater) {
-                        past_hi = true;
-                        break;
-                    }
-                    let tid = tid.ok_or_else(|| DbError::Corrupt("bad tid in leaf".into()))?;
-                    hits.push((k, tid));
+                    let (kbytes, payload) = split_item(item)?;
+                    let tid = payload_tid(payload, true)
+                        .ok_or_else(|| DbError::Corrupt("bad tid in leaf".into()))?;
+                    hits.push(take(kbytes, tid)?);
                 }
             }
             // The callback fetches heap pages, so it must run with the
@@ -833,20 +875,17 @@ impl<'a> BTree<'a> {
             let mut pbuf = pref.write();
             let data = pbuf.data_mut();
             let meta = read_node_meta(data)?;
-            for s in 0..page::nslots(data) {
+            // The first live entry at or after `at` is it, or it is absent.
+            for s in Self::first_from(data, at)?..page::nslots(data) {
                 let Some(item) = page::item(data, s) else {
                     continue;
                 };
-                let (k, payload) = decode_item(item)?;
-                match cmp_pos(&k, payload_tid(payload, true), at) {
-                    Ordering::Less => {}
-                    Ordering::Equal => {
-                        page::set_dead(data, s)?;
-                        self.log_image(data, blk)?;
-                        return Ok(true);
-                    }
-                    Ordering::Greater => return Ok(false),
+                if cmp_item(item, true, at)? != Ordering::Equal {
+                    return Ok(false);
                 }
+                page::set_dead(data, s)?;
+                self.log_image(data, blk)?;
+                return Ok(true);
             }
             if meta.right == 0 {
                 return Ok(false);
@@ -911,6 +950,66 @@ mod tests {
 
     fn ikey(n: i32) -> Key {
         vec![Datum::Int4(n)]
+    }
+
+    /// Datums of every kind from small value spaces, so that equal keys,
+    /// mixed-numeric ties (`Int4(1)`, `Int8(1)`, `Float8(1.0)`) and
+    /// cross-type pairs (text against the same bytes) all come up.
+    fn datum() -> impl proptest::strategy::Strategy<Value = Datum> {
+        use proptest::prelude::*;
+        let text = |v: Vec<u8>| v.into_iter().map(|b| ['a', 'b', 'é'][usize::from(b)]).collect();
+        prop_oneof![
+            Just(Datum::Null),
+            prop::bool::ANY.prop_map(Datum::Bool),
+            (-2..3i32).prop_map(Datum::Int4),
+            (-2..3i64).prop_map(Datum::Int8),
+            (-4..5i32).prop_map(|v| Datum::Float8(f64::from(v) / 2.0)),
+            Just(Datum::Float8(f64::NAN)),
+            (0..3u32).prop_map(Datum::Oid),
+            (0..3u64).prop_map(Datum::Time),
+            prop::collection::vec(0..3u8, 0..3).prop_map(move |v| Datum::Text(text(v))),
+            prop::collection::vec(0..3u8, 0..3)
+                .prop_map(|v| Datum::Bytes(v.into_iter().map(|b| b"ab\xc3"[usize::from(b)]).collect())),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn comparing_in_place_equals_comparing_decoded(
+            row in proptest::prop::collection::vec(datum(), 0..4),
+            other in proptest::prop::collection::vec(datum(), 0..4),
+            prefix in (proptest::prop::bool::ANY, 0..4usize),
+            tids in (0..3u32, 0..3u32),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            // Half the probes are a prefix of the row, as a range bound is.
+            let key = if prefix.0 { row[..prefix.1.min(row.len())].to_vec() } else { other };
+            let enc = encode_row(&row);
+            prop_assert_eq!(cmp_encoded_row(&enc, &key).unwrap(), cmp_keys(&row, &key));
+            for len in 0..enc.len() {
+                let cut = cmp_encoded_row(&enc[..len], &key);
+                prop_assert!(matches!(cut, Err(DbError::Corrupt(_))), "cut at {}: {:?}", len, cut);
+            }
+            let tid = Tid::new(tids.0, 0);
+            let item = encode_item(&row, &tid.encode());
+            let key_end = item.len() - tid.encode().len();
+            for at_tid in [None, Some(Tid::new(tids.1, 0)), Some(Tid::MAX)] {
+                let at = Pos { key: &key, tid: at_tid };
+                prop_assert_eq!(cmp_item(&item, true, at).unwrap(), cmp_pos(&row, Some(tid), at));
+                // A cut into the key is corrupt; a cut tid reads as none,
+                // as it does decoded.
+                for len in 0..item.len() {
+                    let cut = cmp_item(&item[..len], true, at);
+                    if len < key_end {
+                        prop_assert!(matches!(cut, Err(DbError::Corrupt(_))), "cut at {}: {:?}", len, cut);
+                    } else {
+                        prop_assert_eq!(cut.unwrap(), cmp_pos(&row, None, at));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -576,7 +576,10 @@ impl BufferPool {
         drop(shard);
         drop(tok);
         match smgr.read_page(dev, rel, blkno, &mut fbuf.data) {
-            Ok(()) => {
+            Ok(replayed) => {
+                // A replayed page is newer than the device's copy: eviction
+                // must write it back, or the next miss replays it again.
+                fbuf.dirty = replayed;
                 frame.set_state(READY);
                 drop(fbuf);
                 drop(ftok);

@@ -162,54 +162,30 @@ impl Datum {
     }
 
     /// Total ordering across comparable datums (used by B-tree keys and
-    /// qualifications). Nulls sort first; cross-type numeric comparisons are
-    /// performed on `f64`; incomparable pairs order by type tag.
+    /// qualifications); `DatumRef::cmp_total` defines it.
     pub fn cmp_total(&self, other: &Datum) -> Ordering {
-        use Datum::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Null, _) => Ordering::Less,
-            (_, Null) => Ordering::Greater,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Text(a), Text(b)) => a.cmp(b),
-            (Bytes(a), Bytes(b)) => a.cmp(b),
-            (Oid(a), Oid(b)) => a.cmp(b),
-            (Time(a), Time(b)) => a.cmp(b),
-            (a, b) => match (a.as_float_quiet(), b.as_float_quiet()) {
-                (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
-                _ => a.type_tag().cmp(&b.type_tag()),
-            },
-        }
+        self.view().cmp_total(other.view())
     }
 
-    fn as_float_quiet(&self) -> Option<f64> {
+    /// This datum as a [`DatumRef`]: text and bytes borrowed, nothing copied
+    /// onto the heap.
+    pub(crate) fn view(&self) -> DatumRef<'_> {
         match self {
-            Datum::Int4(v) => Some(*v as f64),
-            Datum::Int8(v) => Some(*v as f64),
-            Datum::Float8(v) => Some(*v),
-            Datum::Oid(v) => Some(*v as f64),
-            Datum::Time(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    fn type_tag(&self) -> u8 {
-        match self {
-            Datum::Null => 0,
-            Datum::Bool(_) => 1,
-            Datum::Int4(_) => 2,
-            Datum::Int8(_) => 3,
-            Datum::Float8(_) => 4,
-            Datum::Text(_) => 5,
-            Datum::Bytes(_) => 6,
-            Datum::Oid(_) => 7,
-            Datum::Time(_) => 8,
+            Datum::Null => DatumRef::Null,
+            Datum::Bool(b) => DatumRef::Bool(*b),
+            Datum::Int4(v) => DatumRef::Int4(*v),
+            Datum::Int8(v) => DatumRef::Int8(*v),
+            Datum::Float8(v) => DatumRef::Float8(*v),
+            Datum::Text(s) => DatumRef::Text(s.as_bytes()),
+            Datum::Bytes(b) => DatumRef::Bytes(b),
+            Datum::Oid(v) => DatumRef::Oid(*v),
+            Datum::Time(v) => DatumRef::Time(*v),
         }
     }
 
     /// Appends the encoded form of this datum to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(self.type_tag());
+        out.push(self.view().type_tag());
         match self {
             Datum::Null => {}
             Datum::Bool(b) => out.push(*b as u8),
@@ -231,36 +207,7 @@ impl Datum {
 
     /// Decodes one datum from `buf[*pos..]`, advancing `pos`.
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> DbResult<Datum> {
-        let corrupt = || DbError::Corrupt("truncated datum".into());
-        let tag = *buf.get(*pos).ok_or_else(corrupt)?;
-        *pos += 1;
-        let take = |pos: &mut usize, n: usize| -> DbResult<&[u8]> {
-            let s = buf.get(*pos..*pos + n).ok_or_else(corrupt)?;
-            *pos += n;
-            Ok(s)
-        };
-        Ok(match tag {
-            0 => Datum::Null,
-            1 => Datum::Bool(take(pos, 1)?[0] != 0),
-            2 => Datum::Int4(i32::from_le_bytes(take(pos, 4)?.try_into().unwrap())),
-            3 => Datum::Int8(i64::from_le_bytes(take(pos, 8)?.try_into().unwrap())),
-            4 => Datum::Float8(f64::from_le_bytes(take(pos, 8)?.try_into().unwrap())),
-            5 => {
-                let len = u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()) as usize;
-                let s = take(pos, len)?;
-                Datum::Text(
-                    String::from_utf8(s.to_vec())
-                        .map_err(|_| DbError::Corrupt("invalid utf8 in text datum".into()))?,
-                )
-            }
-            6 => {
-                let len = u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()) as usize;
-                Datum::Bytes(take(pos, len)?.to_vec())
-            }
-            7 => Datum::Oid(u32::from_le_bytes(take(pos, 4)?.try_into().unwrap())),
-            8 => Datum::Time(u64::from_le_bytes(take(pos, 8)?.try_into().unwrap())),
-            t => return Err(DbError::Corrupt(format!("unknown datum tag {t}"))),
-        })
+        DatumRef::decode_from(buf, pos)?.to_datum()
     }
 
     /// The encoded size of this datum in bytes.
@@ -292,6 +239,124 @@ impl fmt::Display for Datum {
     }
 }
 
+/// A datum read in place from its encoding: text and bytes borrow the
+/// encoded bytes, scalars are copied onto the stack. B-tree probes compare
+/// these, so a probe decodes nothing onto the heap; [`DatumRef::to_datum`]
+/// makes the owned [`Datum`] a caller receives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum DatumRef<'a> {
+    Null,
+    Bool(bool),
+    Int4(i32),
+    Int8(i64),
+    Float8(f64),
+    /// A text datum's UTF-8 bytes, not yet validated. `String` orders by
+    /// bytes, so comparing these orders as the decoded text would.
+    Text(&'a [u8]),
+    Bytes(&'a [u8]),
+    Oid(u32),
+    Time(u64),
+}
+
+/// The next `N` bytes of `buf` at `*pos`, advancing `pos`.
+fn take<const N: usize>(buf: &[u8], pos: &mut usize) -> Option<[u8; N]> {
+    let bytes = buf.get(*pos..pos.checked_add(N)?)?.try_into().ok()?;
+    *pos += N;
+    Some(bytes)
+}
+
+/// The `u32`-length-prefixed byte string at `*pos`, advancing `pos`.
+fn take_var<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
+    let len = u32::from_le_bytes(take(buf, pos)?) as usize;
+    let bytes = buf.get(*pos..pos.checked_add(len)?)?;
+    *pos += len;
+    Some(bytes)
+}
+
+impl<'a> DatumRef<'a> {
+    /// Total ordering across comparable datums. Nulls sort first;
+    /// cross-type numeric comparisons are performed on `f64`; incomparable
+    /// pairs order by type tag.
+    pub fn cmp_total(self, other: DatumRef<'_>) -> Ordering {
+        use DatumRef::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Null, _) => Ordering::Less,
+            (_, Null) => Ordering::Greater,
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Text(a), Text(b)) => a.cmp(b),
+            (Bytes(a), Bytes(b)) => a.cmp(b),
+            (Oid(a), Oid(b)) => a.cmp(&b),
+            (Time(a), Time(b)) => a.cmp(&b),
+            (a, b) => match (a.as_float_quiet(), b.as_float_quiet()) {
+                (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
+                _ => a.type_tag().cmp(&b.type_tag()),
+            },
+        }
+    }
+
+    fn as_float_quiet(self) -> Option<f64> {
+        match self {
+            DatumRef::Int4(v) => Some(v as f64),
+            DatumRef::Int8(v) => Some(v as f64),
+            DatumRef::Float8(v) => Some(v),
+            DatumRef::Oid(v) => Some(v as f64),
+            DatumRef::Time(v) => Some(v as f64),
+            _ => None,
+        }
+    }
+
+    fn type_tag(self) -> u8 {
+        match self {
+            DatumRef::Null => 0,
+            DatumRef::Bool(_) => 1,
+            DatumRef::Int4(_) => 2,
+            DatumRef::Int8(_) => 3,
+            DatumRef::Float8(_) => 4,
+            DatumRef::Text(_) => 5,
+            DatumRef::Bytes(_) => 6,
+            DatumRef::Oid(_) => 7,
+            DatumRef::Time(_) => 8,
+        }
+    }
+
+    /// The owned datum; text must be valid UTF-8.
+    pub fn to_datum(self) -> DbResult<Datum> {
+        Ok(match self {
+            DatumRef::Null => Datum::Null,
+            DatumRef::Bool(b) => Datum::Bool(b),
+            DatumRef::Int4(v) => Datum::Int4(v),
+            DatumRef::Int8(v) => Datum::Int8(v),
+            DatumRef::Float8(v) => Datum::Float8(v),
+            DatumRef::Text(s) => Datum::Text(
+                String::from_utf8(s.to_vec())
+                    .map_err(|_| DbError::Corrupt("invalid utf8 in text datum".into()))?,
+            ),
+            DatumRef::Bytes(b) => Datum::Bytes(b.to_vec()),
+            DatumRef::Oid(v) => Datum::Oid(v),
+            DatumRef::Time(v) => Datum::Time(v),
+        })
+    }
+
+    /// Reads one datum in place from `buf[*pos..]`, advancing `pos`.
+    pub fn decode_from(buf: &'a [u8], pos: &mut usize) -> DbResult<DatumRef<'a>> {
+        let corrupt = || DbError::Corrupt("truncated datum".into());
+        let [tag] = take(buf, pos).ok_or_else(corrupt)?;
+        Ok(match tag {
+            0 => DatumRef::Null,
+            1 => DatumRef::Bool(take::<1>(buf, pos).ok_or_else(corrupt)? != [0]),
+            2 => DatumRef::Int4(i32::from_le_bytes(take(buf, pos).ok_or_else(corrupt)?)),
+            3 => DatumRef::Int8(i64::from_le_bytes(take(buf, pos).ok_or_else(corrupt)?)),
+            4 => DatumRef::Float8(f64::from_le_bytes(take(buf, pos).ok_or_else(corrupt)?)),
+            5 => DatumRef::Text(take_var(buf, pos).ok_or_else(corrupt)?),
+            6 => DatumRef::Bytes(take_var(buf, pos).ok_or_else(corrupt)?),
+            7 => DatumRef::Oid(u32::from_le_bytes(take(buf, pos).ok_or_else(corrupt)?)),
+            8 => DatumRef::Time(u64::from_le_bytes(take(buf, pos).ok_or_else(corrupt)?)),
+            t => return Err(DbError::Corrupt(format!("unknown datum tag {t}"))),
+        })
+    }
+}
+
 /// A row of datums.
 pub type Row = Vec<Datum>;
 
@@ -305,18 +370,40 @@ pub fn encode_row(row: &[Datum]) -> Vec<u8> {
     out
 }
 
+/// The column count in a row's header.
+fn row_len(buf: &[u8]) -> DbResult<usize> {
+    let ncols = take(buf, &mut 0)
+        .ok_or_else(|| DbError::Corrupt("row shorter than header".into()))?;
+    Ok(u16::from_le_bytes(ncols) as usize)
+}
+
 /// Decodes a row produced by [`encode_row`].
 pub fn decode_row(buf: &[u8]) -> DbResult<Row> {
-    if buf.len() < 2 {
-        return Err(DbError::Corrupt("row shorter than header".into()));
-    }
-    let ncols = u16::from_le_bytes(buf[0..2].try_into().unwrap()) as usize;
+    let ncols = row_len(buf)?;
     let mut pos = 2;
     let mut row = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         row.push(Datum::decode_from(buf, &mut pos)?);
     }
     Ok(row)
+}
+
+/// Orders the row [`encode_row`] wrote into `buf` against `key` in place,
+/// as comparing the decoded row would: datum by datum with
+/// [`Datum::cmp_total`], then the shorter row first. Every column is read,
+/// so a truncated row is `Corrupt` just as [`decode_row`] finds it; text
+/// is not checked for UTF-8.
+pub(crate) fn cmp_encoded_row(buf: &[u8], key: &[Datum]) -> DbResult<Ordering> {
+    let ncols = row_len(buf)?;
+    let mut pos = 2;
+    let mut order = Ordering::Equal;
+    for i in 0..ncols {
+        let d = DatumRef::decode_from(buf, &mut pos)?;
+        if let (Ordering::Equal, Some(k)) = (order, key.get(i)) {
+            order = d.cmp_total(k.view());
+        }
+    }
+    Ok(order.then(ncols.cmp(&key.len())))
 }
 
 /// A named, typed column.
@@ -383,18 +470,15 @@ impl Schema {
     /// Deserializes a schema from [`Schema::encode`] output.
     pub fn decode(buf: &[u8], pos: &mut usize) -> DbResult<Schema> {
         let corrupt = || DbError::Corrupt("truncated schema".into());
-        let take = |pos: &mut usize, n: usize| -> DbResult<&[u8]> {
-            let s = buf.get(*pos..*pos + n).ok_or_else(corrupt)?;
-            *pos += n;
-            Ok(s)
-        };
-        let ncols = u16::from_le_bytes(take(pos, 2)?.try_into().unwrap()) as usize;
+        let ncols = u16::from_le_bytes(take(buf, pos).ok_or_else(corrupt)?) as usize;
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            let nlen = u16::from_le_bytes(take(pos, 2)?.try_into().unwrap()) as usize;
-            let name = String::from_utf8(take(pos, nlen)?.to_vec())
+            let nlen = u16::from_le_bytes(take(buf, pos).ok_or_else(corrupt)?) as usize;
+            let name = buf.get(*pos..*pos + nlen).ok_or_else(corrupt)?;
+            *pos += nlen;
+            let name = String::from_utf8(name.to_vec())
                 .map_err(|_| DbError::Corrupt("invalid utf8 in schema".into()))?;
-            let ty = TypeId(u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()));
+            let ty = TypeId(u32::from_le_bytes(take(buf, pos).ok_or_else(corrupt)?));
             columns.push(Column { name, ty });
         }
         Ok(Schema { columns })

@@ -575,7 +575,8 @@ impl Db {
     ///    Every record below the cut stamped its page and marked it dirty
     ///    before this instant.
     /// 2. Sweep the pending-REDO map: touching each page runs first-touch
-    ///    replay, and dirty-marking it puts it in the flush set.
+    ///    replay, which marks the page dirty and so puts it in the flush
+    ///    set.
     /// 3. Flush every dirty page (LSN-before-write forces the log first)
     ///    and sync the devices — now every record below the cut, outcomes
     ///    and id ceilings on status pages included, is reflected in durable
@@ -602,12 +603,7 @@ impl Db {
                 inner.redo.forget((dev, rel, blkno));
                 continue;
             }
-            let frame = inner.pool.get_page(&inner.smgr, dev, rel, blkno)?;
-            let _fl = crate::lock::order::token(crate::lock::order::BUFFER_FRAME);
-            let mut guard = frame.write();
-            // Replay ran inside the read; dirty-mark so the flush below
-            // writes the replayed image out.
-            guard.data_mut();
+            inner.pool.get_page(&inner.smgr, dev, rel, blkno)?;
         }
         let drained = inner.pool.flush_all(&inner.smgr)?;
         inner.stats.wal.ckpt_pages_drained.add(drained as u64);

@@ -9,14 +9,17 @@
 //! sessions run concurrently — the paper's "essentially instantaneous"
 //! recovery, upgraded to survive unflushed data pages.
 //!
-//! Replay changes the *in-memory* copy only; the map keeps its entries so
-//! a re-read after eviction replays again. The first checkpoint after
-//! recovery sweeps every still-pending page through the buffer pool,
-//! flushes them, and empties the map — the "fall back to a full sweep"
-//! half of instant recovery. No timer brings that checkpoint on: it runs
-//! once writes put the log under pressure, or when one is asked for
-//! (`Db::checkpoint`, `Db::flush_caches`, a clean shutdown); until then
-//! every stale page is replayed on its first touch.
+//! A replayed page is a dirty page: the buffer pool marks the frame dirty,
+//! so eviction writes the replayed image back like any other, and the
+//! page's entry leaves the map when that write is submitted
+//! (`Smgr::write_page_back`). A page whose device copy already holds all
+//! its records leaves the map at its first touch. So each stale page is
+//! replayed once, however often it is evicted, with no checkpoint needed.
+//! Forgetting at submission is safe because the log is truncated only
+//! after a checkpoint has synced the data devices: a crash before the
+//! write lands rebuilds the entry from the log. A checkpoint sweeps the
+//! pages no one touched through the buffer pool, flushes them, and empties
+//! the map — the "fall back to a full sweep" half of instant recovery.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
@@ -88,14 +91,14 @@ impl Redo {
 
     /// Replays onto `buf` (just read from `addr`) every pending record the
     /// page has not seen, gated by the page LSN; stamps the LSN of the last
-    /// record applied. Entries stay mapped — replay mutates only the
-    /// caller's in-memory copy, so a later re-read of the same device page
-    /// must replay again; [`Redo::clear`] retires them once a checkpoint
-    /// has made the replayed pages durable.
-    pub fn replay_into(&self, addr: PageAddr, buf: &mut [u8]) -> DbResult<()> {
-        let map = self.map.lock();
+    /// record applied. Returns whether it applied any: then `buf` is newer
+    /// than the device's copy and must be written back, and the entry stays
+    /// until [`Redo::forget`] is told that write was submitted. A page that
+    /// needed none of its records leaves the map here.
+    pub fn replay_into(&self, addr: PageAddr, buf: &mut [u8]) -> DbResult<bool> {
+        let mut map = self.map.lock();
         let Some(records) = map.get(&addr) else {
-            return Ok(());
+            return Ok(false);
         };
         let mut applied = 0u64;
         for (end, rec) in records {
@@ -105,25 +108,30 @@ impl Redo {
                 applied += 1;
             }
         }
-        if applied > 0 {
-            self.stats.wal.replayed_pages.bump();
-            self.stats.wal.replayed_records.add(applied);
+        if applied == 0 {
+            map.remove(&addr);
+            self.pending.fetch_sub(1, SeqCst);
+            return Ok(false);
         }
-        Ok(())
+        self.stats.wal.replayed_pages.bump();
+        self.stats.wal.replayed_records.add(applied);
+        Ok(true)
     }
 
-    /// Drops one page's pending records — recovery's allocation fixup calls
-    /// this for pages of relations that were dropped after their records
-    /// were logged (the records are unreachable, not missing).
+    /// Drops one page's pending records: its replayed image was submitted
+    /// for writing, or (recovery's allocation fixup) its relation was
+    /// dropped after the records were logged, so they are unreachable.
     pub fn forget(&self, addr: PageAddr) {
-        if self.map.lock().remove(&addr).is_some() {
+        let mut map = self.map.lock();
+        if map.remove(&addr).is_some() {
             self.pending.fetch_sub(1, SeqCst);
         }
     }
 
     /// Empties the map once a checkpoint has flushed every pending page.
     pub fn clear(&self) {
-        self.map.lock().clear();
+        let mut map = self.map.lock();
+        map.clear();
         self.pending.store(0, SeqCst);
     }
 }
@@ -197,19 +205,21 @@ mod tests {
         page::insert(&mut buf, &[7u8; 32]).unwrap();
         page::set_lsn(&mut buf, 20);
 
-        redo.replay_into(addr(0), &mut buf).unwrap();
+        assert!(redo.replay_into(addr(0), &mut buf).unwrap(), "a record applied");
         assert_eq!(page::nslots(&buf), 2);
         assert_eq!(page::lsn(&buf), 30);
         assert_eq!(reg.wal.replayed_records.get(), 1);
 
-        // Replaying again applies nothing (the LSN gate holds).
-        redo.replay_into(addr(0), &mut buf).unwrap();
+        // Replaying again applies nothing (the LSN gate holds), and a page
+        // that holds all its records needs its entry no longer.
+        assert!(!redo.replay_into(addr(0), &mut buf).unwrap());
         assert_eq!(page::nslots(&buf), 2);
         assert_eq!(reg.wal.replayed_records.get(), 1);
+        assert!(redo.is_empty());
 
         // A page with no pending records is untouched.
         let before = buf.clone();
-        redo.replay_into(addr(9), &mut buf).unwrap();
+        assert!(!redo.replay_into(addr(9), &mut buf).unwrap());
         assert_eq!(buf, before);
 
         redo.clear();

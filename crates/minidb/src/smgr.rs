@@ -960,13 +960,15 @@ impl Smgr {
     /// Reads a page on the caller's thread. A write still queued in the
     /// scheduler carries the *newest* bytes (the device copy is stale until
     /// the worker drains it), so those win; otherwise the device is read.
+    /// Returns whether recovery replayed records onto the page: then it is
+    /// newer than any copy below and must be written back.
     pub fn read_page(
         &self,
         dev: DeviceId,
         rel: RelId,
         blkno: u64,
         buf: &mut [u8],
-    ) -> DbResult<()> {
+    ) -> DbResult<bool> {
         debug_assert!(
             !crate::lock::order::is_held(crate::lock::order::BUFFER_SHARD),
             "device read while holding a buffer shard latch"
@@ -983,18 +985,18 @@ impl Smgr {
         // Instant recovery: a page read from the device may predate the
         // crash; replay its pending REDO records before anyone sees it.
         // (LSN-gated, so replaying over fresher queued bytes is a no-op.)
-        if let Some(redo) = &self.redo {
-            if !redo.is_empty() {
-                redo.replay_into((dev, rel, blkno), buf)?;
-            }
+        match &self.redo {
+            Some(redo) if !redo.is_empty() => redo.replay_into((dev, rel, blkno), buf),
+            _ => Ok(false),
         }
-        Ok(())
     }
 
     /// Write-behind: queues the page for the device worker and returns
     /// immediately. WAL-before-data is the *caller's* job — force the WAL up
     /// to the page's LSN before calling this. Falls back to a synchronous
     /// [`Smgr::write_page`] when the scheduler is off or shutting down.
+    /// Once the write is submitted, the page's pending REDO records are
+    /// retired: the bytes carry them, and a read finds the queued write.
     pub fn write_page_back(
         &self,
         dev: DeviceId,
@@ -1002,12 +1004,14 @@ impl Smgr {
         blkno: u64,
         buf: &[u8],
     ) -> DbResult<()> {
-        if let Some(q) = self.io_queue(dev) {
-            if q.submit_write(rel, blkno, buf) {
-                return Ok(());
-            }
+        let queued = self.io_queue(dev).is_some_and(|q| q.submit_write(rel, blkno, buf));
+        if !queued {
+            self.write_page(dev, rel, blkno, buf)?;
         }
-        self.write_page(dev, rel, blkno, buf)
+        if let Some(redo) = self.redo.as_ref().filter(|r| !r.is_empty()) {
+            redo.forget((dev, rel, blkno));
+        }
+        Ok(())
     }
 
     /// Writes a page through the switch, recording per-device counters and

@@ -24,6 +24,10 @@
 //!   `db.rs` behind the `eager_index_writes` test.
 //! * `thread-site` — in `crates/minidb`, only `io.rs` (the device
 //!   scheduler's workers) starts a thread.
+//!
+//! It also checks the documents: `doc-names` — every backticked Rust-shaped
+//! name in README.md and DESIGN.md is a word of a tracked `.rs`, `.sh`,
+//! `.toml` or `.json` file (or of its path), or on the rule's allow list.
 
 mod rules;
 mod scrub;
@@ -34,6 +38,9 @@ use std::process::ExitCode;
 
 /// The crates the lint governs, relative to the repo root.
 const LINT_ROOTS: &[&str] = &["crates/minidb/src", "crates/inversion/src"];
+
+/// The documents `doc-names` checks, relative to the repo root.
+const DOCS: &[&str] = &["README.md", "DESIGN.md"];
 
 /// Repo-relative location of the ratchet budget.
 const BUDGET_PATH: &str = "crates/xtask/lint-budget.toml";
@@ -100,6 +107,14 @@ fn lint(update_budget: bool) -> ExitCode {
         violations.extend(rules::thread_sites(&rel, &cleaned));
     }
 
+    match doc_name_violations(&root) {
+        Ok(v) => violations.extend(v),
+        Err(e) => {
+            eprintln!("xtask: doc-names: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+
     let budget_file = root.join(BUDGET_PATH);
     let budget = match load_budget(&budget_file) {
         Ok(b) => b,
@@ -146,6 +161,36 @@ fn lint(update_budget: bool) -> ExitCode {
         println!("xtask lint: OK ({} files)", files.len());
         ExitCode::SUCCESS
     }
+}
+
+/// Runs `doc-names` over [`DOCS`] against the words of every source file
+/// git tracks or would track (`git ls-files`, ignored files left out).
+fn doc_name_violations(root: &Path) -> Result<Vec<rules::Violation>, String> {
+    let listed = std::process::Command::new("git")
+        .args(["ls-files", "-z", "--cached", "--others", "--exclude-standard"])
+        .current_dir(root)
+        .output()
+        .map_err(|e| format!("cannot run git ls-files: {e}"))?;
+    if !listed.status.success() {
+        return Err("git ls-files failed".into());
+    }
+    let mut corpus = String::new();
+    for path in String::from_utf8_lossy(&listed.stdout).split('\0') {
+        if [".rs", ".sh", ".toml", ".json"].iter().any(|ext| path.ends_with(ext)) {
+            corpus.push_str(path);
+            corpus.push('\n');
+            // A listed file that is gone from the tree is simply skipped.
+            corpus.push_str(&std::fs::read_to_string(root.join(path)).unwrap_or_default());
+            corpus.push('\n');
+        }
+    }
+    let known = rules::words(&corpus).collect();
+    let mut out = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).map_err(|e| format!("{doc}: {e}"))?;
+        out.extend(rules::doc_name_sites(doc, &text, &known));
+    }
+    Ok(out)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -3,6 +3,7 @@
 //! numbers. String matching is safe here precisely because comment and
 //! literal text has already been blanked out.
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// One rule violation at a source location.
@@ -337,6 +338,74 @@ pub fn lock_order_sites(file: &str, text: &str, exempt_lines: &[usize]) -> Vec<V
     out
 }
 
+/// Names a document may use though no source file has them: other
+/// systems' (PostgreSQL's, NFS's, the C library's and Linux's).
+const DOC_NAME_ALLOW: &[&str] = &[
+    "XLogPutNextOid",
+    "XLOG_NEXTOID",
+    "dlopen",
+    "relatime",
+];
+
+/// The identifier-shaped words of `text`: what `doc-names` looks names up in.
+pub fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).filter(|w| !w.is_empty())
+}
+
+/// The name a code span refers to, if it is Rust-shaped: `a`, `a::b`,
+/// `a.b`, `a()` or `a!`, each segment an identifier. That is its last
+/// segment, when 4 or more characters long: shorter ones are too common
+/// to tell anything.
+fn doc_name(span: &str) -> Option<&str> {
+    let path = span.strip_suffix("()").or_else(|| span.strip_suffix('!')).unwrap_or(span);
+    let mut last = None;
+    for seg in path.split("::").flat_map(|p| p.split('.')) {
+        let b = seg.as_bytes();
+        let ident = !b.is_empty() && !b[0].is_ascii_digit() && b.iter().all(|&c| is_ident(c));
+        if !ident {
+            return None;
+        }
+        last = Some(seg);
+    }
+    last.filter(|l| l.len() >= 4)
+}
+
+/// Rule `doc-names`: every Rust-shaped name a document puts in backticks
+/// must be a word of the tracked sources (`known`) or on
+/// [`DOC_NAME_ALLOW`], so a document cannot go on naming code that was
+/// renamed or deleted. Fenced blocks hold commands and output, not names,
+/// and are skipped.
+pub fn doc_name_sites(file: &str, doc: &str, known: &HashSet<&str>) -> Vec<Violation> {
+    let mut prose = String::with_capacity(doc.len());
+    let mut fenced = false;
+    for line in doc.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            prose.push_str(line);
+        }
+        prose.push('\n');
+    }
+    let mut out = Vec::new();
+    let mut at = 0;
+    for (i, piece) in prose.split('`').enumerate() {
+        if i % 2 == 1 {
+            if let Some(name) = doc_name(piece) {
+                if !known.contains(name) && !DOC_NAME_ALLOW.contains(&name) {
+                    out.push(Violation {
+                        file: file.into(),
+                        line: line_of(&prose, at),
+                        rule: "doc-names",
+                        msg: format!("`{piece}` names nothing in the sources"),
+                    });
+                }
+            }
+        }
+        at += piece.len() + 1;
+    }
+    out
+}
+
 /// Maps a const name (`HEAP_PAGE`) to its rank in the shared hierarchy.
 fn level_by_const(name: &str) -> Option<usize> {
     minidb::lock::order::HIERARCHY
@@ -478,6 +547,26 @@ mod tests {
         // Definitions, longer identifiers, prose and test code are not starts.
         let ok = "// thread::spawn(f)\nfn spawn(&self) {}\nfn f() { respawn(); spawn_all; }\n#[cfg(test)]\nmod t { fn g() { std::thread::spawn(f); } }\n";
         assert_eq!(sites("crates/minidb/src/vacuum.rs", ok), 0);
+    }
+
+    #[test]
+    fn doc_names_must_name_a_source_word() {
+        let src = "pub fn checkpoint_locked() {}\nconst CEILING_RESERVE: u64 = 960;\n";
+        let known: HashSet<&str> = words(src).collect();
+        let doc = "Runs `Db::checkpoint_locked()` under `CEILING_RESERVE`.\n\
+                   It once called `gone_helper` and `Wal::gone_method`,\n\
+                   like PostgreSQL's `XLogPutNextOid`.\n\
+                   ```\n`fenced_away` is output\n```\n\
+                   Not names: `cargo test -q`, `tests/recovery.rs`, `Vec<u8>`, `lsn`, `a.b()`.\n";
+        let v = doc_name_sites("DESIGN.md", doc, &known);
+        let found: Vec<_> = v.iter().map(|v| (v.rule, v.line, v.msg.as_str())).collect();
+        assert_eq!(
+            found,
+            [
+                ("doc-names", 2, "`gone_helper` names nothing in the sources"),
+                ("doc-names", 2, "`Wal::gone_method` names nothing in the sources"),
+            ]
+        );
     }
 
     #[test]

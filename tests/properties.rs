@@ -224,6 +224,19 @@ proptest! {
                 prop_assert!(findings.is_empty(), "after split {}: {:?}", splits + 1, findings);
                 let found: Vec<(Vec<Datum>, Tid)> = model.iter().map(|&(k, t)| (key(k), t)).collect();
                 prop_assert_eq!(entries, found);
+                // Each key's run, newest first, wherever the splits cut it.
+                let keys: std::collections::BTreeSet<u16> = model.iter().map(|&(k, _)| k).collect();
+                for k in keys {
+                    let mut newest = Vec::new();
+                    bt.scan_key_newest_first(&key(k), |tid| {
+                        newest.push(tid);
+                        Ok(true)
+                    })
+                    .unwrap();
+                    let run = model.range((k, Tid::new(0, 0))..=(k, Tid::MAX));
+                    let want: Vec<Tid> = run.rev().map(|&(_, t)| t).collect();
+                    prop_assert_eq!(newest, want, "key {}", k);
+                }
             }
         }
         // A split of the root adds two pages, any other split one.

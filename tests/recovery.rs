@@ -288,6 +288,46 @@ fn open_descriptors_do_not_survive_crashes_but_files_do() {
     assert_eq!(c.read_to_vec("/f", None).unwrap(), b"before");
 }
 
+#[test]
+fn a_read_only_restart_replays_each_stale_page_once() {
+    // Nothing checkpoints a server that only reads after a restart, so a
+    // replayed page must reach the device through eviction: replay marks
+    // its frame dirty, and its write-back retires its records. A 16-frame
+    // pool evicts most of the table on every pass.
+    let rig = common::CrashRig::new();
+    let db = rig.open(true);
+    let rel = db.create_table("t", Schema::new([("v", TypeId::INT8)])).unwrap();
+    db.flush_caches().unwrap();
+    for batch in 0..40i64 {
+        let mut s = db.begin().unwrap();
+        for i in 0..200i64 {
+            s.insert(rel, vec![Datum::Int8(batch * 200 + i)]).unwrap();
+        }
+        s.commit().unwrap();
+    }
+    rig.crash(db);
+
+    let db = rig.try_open(false, minidb::DbConfig { buffers: 16, ..minidb::DbConfig::default() }).unwrap();
+    for pass in 0..4 {
+        let before = db.stats();
+        let mut s = db.begin().unwrap();
+        assert_eq!(s.seq_scan(rel).unwrap().len(), 8_000, "pass {pass}");
+        s.commit().unwrap();
+        let d = db.stats().delta(&before);
+        if pass == 0 {
+            assert!(d.wal.replayed_pages > 0, "the first pass replays the stale pages");
+        } else {
+            assert_eq!(
+                (d.wal.replayed_pages, d.wal.replayed_records),
+                (0, 0),
+                "pass {pass} replays again what an earlier pass replayed"
+            );
+        }
+    }
+    assert_eq!(db.stats().wal.checkpoints, 0, "no checkpoint did the work");
+    assert_clean(&db);
+}
+
 fn int_table() -> Schema {
     Schema::new([("v", TypeId::INT4)])
 }
