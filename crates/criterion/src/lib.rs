@@ -3,7 +3,9 @@
 //! The build environment has no crates.io access, so this workspace ships
 //! the macro/type surface its `harness = false` benches use:
 //! [`Criterion::bench_function`], [`Bencher::iter`], [`black_box`], and the
-//! [`criterion_group!`]/[`criterion_main!`] macros.
+//! [`criterion_group!`]/[`criterion_main!`] macros. Like the real crate, a
+//! group runs only the benchmarks whose name contains the first non-flag
+//! command-line argument (`cargo bench --bench micro -- wal_append`).
 //!
 //! Timing is a plain median-of-samples wall-clock measurement — good enough
 //! to rank implementations and catch order-of-magnitude regressions, with
@@ -21,15 +23,31 @@ const SAMPLES: usize = 11;
 /// The benchmark driver.
 #[derive(Default)]
 pub struct Criterion {
-    _private: (),
+    /// Only benchmarks whose name contains this run.
+    filter: Option<String>,
 }
 
 impl Criterion {
-    /// Runs `f` as the benchmark `name`, printing a per-iteration time.
+    /// Takes the name filter from the command line, as `cargo bench --
+    /// <filter>` passes it: the first argument that is not a flag.
+    pub fn configure_from_args(self) -> Self {
+        self.with_args(std::env::args().skip(1))
+    }
+
+    fn with_args(mut self, args: impl IntoIterator<Item = String>) -> Self {
+        self.filter = args.into_iter().find(|a| !a.starts_with('-'));
+        self
+    }
+
+    /// Runs `f` as the benchmark `name`, printing a per-iteration time,
+    /// unless the name does not contain the filter.
     pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
+        if self.filter.as_ref().is_some_and(|want| !name.contains(want.as_str())) {
+            return self;
+        }
         let mut b = Bencher {
             iters: 1,
             elapsed: Duration::ZERO,
@@ -100,7 +118,7 @@ impl Bencher {
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         fn $group() {
-            let mut c = $crate::Criterion::default();
+            let mut c = $crate::Criterion::default().configure_from_args();
             $($target(&mut c);)+
         }
     };
@@ -129,6 +147,21 @@ mod tests {
             b.iter(|| black_box(1 + 1))
         });
         assert!(calls > 0);
+    }
+
+    #[test]
+    fn a_filter_skips_names_that_do_not_contain_it() {
+        let args = ["--bench", "wal_append", "--nocapture"].map(String::from);
+        let mut c = Criterion::default().with_args(args);
+        let mut ran = Vec::new();
+        for name in ["wal_append/64", "page/insert", "wal_append/8k"] {
+            c.bench_function(name, |b| {
+                ran.push(name);
+                b.iter(|| black_box(1 + 1))
+            });
+        }
+        ran.dedup();
+        assert_eq!(ran, ["wal_append/64", "wal_append/8k"]);
     }
 
     #[test]

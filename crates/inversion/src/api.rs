@@ -22,6 +22,7 @@
 use std::collections::{HashMap, HashSet};
 
 use minidb::catalog::RelKind;
+use minidb::checksum::checksum;
 use minidb::{Datum, DbError, Oid, RelId, Session, Snapshot, Tid};
 use simdev::SimInstant;
 
@@ -768,26 +769,17 @@ pub(crate) fn read_range(
     Ok(())
 }
 
-/// Self-identifying tag: magic, file oid, chunk number, payload checksum.
+/// Self-identifying tag: magic, file oid, chunk number, payload
+/// [`checksum`].
 const SELF_ID_MAGIC: u32 = 0x1253_4944; // "\x12SID"
 pub(crate) const SELF_ID_LEN: usize = 16;
-
-fn payload_checksum(data: &[u8]) -> u32 {
-    // FNV-1a: cheap, deterministic, adequate for detecting media garbage.
-    let mut h = 0x811C_9DC5u32;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(16_777_619);
-    }
-    h
-}
 
 fn tag_chunk(stat: &FileStat, chunkno: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(SELF_ID_LEN + payload.len());
     out.extend_from_slice(&SELF_ID_MAGIC.to_le_bytes());
     out.extend_from_slice(&stat.oid.0.to_le_bytes());
     out.extend_from_slice(&chunkno.to_le_bytes());
-    out.extend_from_slice(&payload_checksum(payload).to_le_bytes());
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -819,7 +811,7 @@ fn untag_chunk<'a>(stat: &FileStat, chunkno: u32, raw: &'a [u8]) -> InvResult<&'
         return Err(corrupt("block is a different chunk"));
     }
     let payload = &raw[SELF_ID_LEN..];
-    if payload_checksum(payload) != sum {
+    if checksum(payload) != sum {
         return Err(corrupt("checksum mismatch"));
     }
     Ok(payload)

@@ -130,59 +130,8 @@ impl From<WireError> for InvError {
     }
 }
 
-const CHECKSUM_LANES: usize = 4;
-/// Payload bytes per checksum step: one little-endian `u32` for each lane.
-const CHECKSUM_BLOCK: usize = 4 * CHECKSUM_LANES;
-const CHECKSUM_PRIME: u32 = 16_777_619;
-
-/// One mixing step. For a fixed `w` it is a bijection of `h`, and for a
-/// fixed `h` a bijection of `w` (xor, multiplication by an odd constant and
-/// rotation each are) — the property [`checksum`]'s guarantee rests on.
-#[inline(always)]
-fn mix(h: u32, w: u32) -> u32 {
-    (h ^ w).wrapping_mul(CHECKSUM_PRIME).rotate_left(15)
-}
-
-fn mix_block(lanes: &mut [u32; CHECKSUM_LANES], block: &[u8; CHECKSUM_BLOCK]) {
-    let (words, _) = block.as_chunks::<4>();
-    for (lane, word) in lanes.iter_mut().zip(words) {
-        *lane = mix(*lane, u32::from_le_bytes(*word));
-    }
-}
-
-/// The frame checksum: the payload is cut into 16-byte blocks (the last one
-/// zero-padded), word `i` of each block is mixed (`mix`) into lane `i`, and the
-/// four lanes are then mixed, in order, into the payload length.
-///
-/// The lanes carry no dependency on one another, so the four multiplies of
-/// a block overlap; byte-serial FNV-1a, which this replaces, spent a full
-/// multiply latency on every byte.
-///
-/// **Every single-byte substitution changes the result.** Changing one byte
-/// changes exactly one word; that lane's state differs after the step that
-/// takes the word in, every later step maps distinct states to distinct
-/// states, so the lane ends different while the other three and the length
-/// end the same; the final fold takes the lanes in through the same
-/// bijective step, so its result differs too. Transport garbage beyond
-/// that is caught with the usual 2⁻³² odds; a wrong length is the length
-/// prefix's business.
-pub fn checksum(data: &[u8]) -> u32 {
-    let mut lanes = [0x811C_9DC5, 0x0100_0193, 0x9E37_79B9, 0x85EB_CA6B];
-    let (blocks, tail) = data.as_chunks::<CHECKSUM_BLOCK>();
-    for block in blocks {
-        mix_block(&mut lanes, block);
-    }
-    if !tail.is_empty() {
-        let mut last = [0u8; CHECKSUM_BLOCK];
-        last[..tail.len()].copy_from_slice(tail);
-        mix_block(&mut lanes, &last);
-    }
-    // Only the low 32 bits of the length take part; a payload is at most
-    // MAX_PAYLOAD bytes.
-    lanes
-        .iter()
-        .fold(data.len() as u32, |h, &lane| mix(h, lane))
-}
+/// The frame checksum: [`minidb::checksum`]'s lane sum of the payload.
+pub use minidb::checksum::checksum;
 
 // ---------------------------------------------------------------------------
 // Primitive payload encoding.

@@ -57,6 +57,7 @@ pub mod buffer;
 pub(crate) mod bytes;
 pub mod catalog;
 pub mod check;
+pub mod checksum;
 pub mod datum;
 pub mod db;
 mod ddl;

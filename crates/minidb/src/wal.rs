@@ -27,8 +27,17 @@
 //!
 //! ## The record check
 //!
-//! The check is FNV-1a over the record's start LSN, kind, length and body,
-//! and it alone decides validity: recovery reads from the epoch LSN and
+//! The check is the lane sum of [`crate::checksum`] over the body, with the
+//! record's start LSN (two words) and its header word (kind and length)
+//! mixed into the lane seeds first. Every single-byte substitution in kind,
+//! length or body changes it, and so does a start LSN that differs in just
+//! one of its two 32-bit words; one that differs in both passes with 2⁻³²
+//! odds. The control block carries the same kernel's sum of its first 12
+//! bytes, and its magic (`WLC3`) names the record check: a `WLC2` log,
+//! checked with FNV-1a, is refused as corrupt rather than read as never
+//! formatted.
+//!
+//! The check alone decides validity: recovery reads from the epoch LSN and
 //! stops at the first record that fails it — zeros, a record cut short, or
 //! one an earlier lap left at the same place, written at another LSN. A
 //! record that passes but does not decode is corruption. An epoch holds at
@@ -56,6 +65,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simdev::BLOCK_SIZE;
 
+use crate::checksum::{checksum, seeded_checksum};
 use crate::error::{DbError, DbResult};
 use crate::ids::{DeviceId, Oid, RelId, XactId};
 use crate::page;
@@ -65,7 +75,10 @@ use crate::stats::StatsRegistry;
 /// Record-stream bytes per ring block.
 const BLOCK: u64 = BLOCK_SIZE as u64;
 
-const CTRL_MAGIC: u32 = 0x574C_4332; // "WLC2"
+const CTRL_MAGIC: u32 = 0x574C_4333; // "WLC3"
+/// The control block of a log whose record checks are FNV-1a: recovery
+/// refuses it, as it cannot tell that log's records from garbage.
+const CTRL_MAGIC_FNV: u32 = 0x574C_4332; // "WLC2"
 
 /// Record kind tags on the wire.
 const K_PAGE_INIT: u8 = 1;
@@ -419,21 +432,12 @@ fn get_addr(body: &[u8]) -> DbResult<(DeviceId, RelId, u64)> {
     ))
 }
 
-/// FNV-1a over the concatenation of `parts` (same family the wire
-/// protocol uses).
-fn fnv1a(parts: &[&[u8]]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in parts.iter().copied().flatten() {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
 /// The check of the encoded record `rec` that starts at stream offset
-/// `lsn`: over the LSN, the kind and length, and the body.
+/// `lsn`: the body's [`checksum`] with the LSN's two words and the header
+/// word (kind and length) mixed into the lane seeds first.
 fn check(lsn: u64, rec: &[u8]) -> u32 {
-    fnv1a(&[&lsn.to_le_bytes(), &rec[..3], &rec[REC_HDR..]])
+    let head = u32::from_le_bytes([rec[0], rec[1], rec[2], 0]);
+    seeded_checksum([lsn as u32, (lsn >> 32) as u32, head, 0], &rec[REC_HDR..])
 }
 
 struct WalInner {
@@ -493,15 +497,23 @@ impl Wal {
             let _order = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
             let mut blk = vec![0u8; BLOCK_SIZE];
             dev.lock().read_block(0, &mut blk)?;
-            if crate::bytes::le_u32(&blk, 0)? == CTRL_MAGIC {
-                if crate::bytes::le_u32(&blk, 12)? != fnv1a(&[&blk[0..12]]) {
-                    return Err(DbError::Corrupt("WAL control block checksum".into()));
+            match crate::bytes::le_u32(&blk, 0)? {
+                CTRL_MAGIC => {
+                    if crate::bytes::le_u32(&blk, 12)? != checksum(&blk[0..12]) {
+                        return Err(DbError::Corrupt("WAL control block checksum".into()));
+                    }
+                    crate::bytes::le_u64(&blk, 4)?
                 }
-                crate::bytes::le_u64(&blk, 4)?
-            } else {
+                CTRL_MAGIC_FNV => {
+                    return Err(DbError::Corrupt(
+                        "WAL control block is format WLC2, whose records carry FNV-1a \
+                         checks; this log format (WLC3) cannot read them"
+                            .into(),
+                    ))
+                }
                 // Never formatted (crash before the first control sync):
                 // nothing was acknowledged, so an empty epoch-0 log is right.
-                0
+                _ => 0,
             }
         };
         let wal = Wal::on_device(dev, stats, epoch)?;
@@ -681,7 +693,7 @@ impl Wal {
         let mut blk = vec![0u8; BLOCK_SIZE];
         blk[0..4].copy_from_slice(&CTRL_MAGIC.to_le_bytes());
         blk[4..12].copy_from_slice(&epoch.to_le_bytes());
-        let ck = fnv1a(&[&blk[0..12]]);
+        let ck = checksum(&blk[0..12]);
         blk[12..16].copy_from_slice(&ck.to_le_bytes());
         let _dev = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
         let mut d = self.dev.lock();
@@ -1177,6 +1189,52 @@ mod tests {
                 Ok((_, recs)) => assert!(!check_passes && recs.is_empty()),
                 Err(e) => panic!("{e}"),
             }
+        }
+    }
+
+    /// The record check's guarantee, exhaustively on short records: every
+    /// single-byte substitution in kind, length or body changes it, at every
+    /// body length from an empty tail block to past two full ones, and so
+    /// does every other start LSN tried, a lap of the ring among them.
+    #[test]
+    fn record_checks_change_for_every_substitution_and_every_other_lsn() {
+        let lsn = 3 * BLOCK + 5;
+        for len in 0..=40usize {
+            let mut rec = vec![K_INSERT, len as u8, 0, 0, 0, 0, 0];
+            rec.extend((0..len).map(|i| (i * 37 + len) as u8));
+            let ck = check(lsn, &rec);
+            for idx in (0..3).chain(REC_HDR..rec.len()) {
+                let original = rec[idx];
+                for other in (0..=255u8).filter(|&b| b != original) {
+                    rec[idx] = other;
+                    assert_ne!(check(lsn, &rec), ck, "len {len}, byte {idx} -> {other:#04x}");
+                }
+                rec[idx] = original;
+            }
+            for at in [0, lsn - 1, lsn + 1, lsn + 14 * BLOCK, lsn + (1 << 32)] {
+                assert_ne!(check(at, &rec), ck, "len {len}, at {at}");
+            }
+        }
+    }
+
+    /// A control block of the FNV-1a format (`WLC2`), written by hand with
+    /// a valid check of its own, is refused as corrupt: read as "never
+    /// formatted" it would drop every acknowledged commit.
+    #[test]
+    fn a_wlc2_control_block_is_refused() {
+        let dev = log_device(16);
+        let mut blk = vec![0u8; BLOCK_SIZE];
+        blk[0..4].copy_from_slice(&0x574C_4332u32.to_le_bytes());
+        blk[4..12].copy_from_slice(&(2 * BLOCK).to_le_bytes());
+        let fnv = blk[0..12]
+            .iter()
+            .fold(0x811c_9dc5u32, |h, &b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193));
+        blk[12..16].copy_from_slice(&fnv.to_le_bytes());
+        dev.lock().write_block(0, &blk).unwrap();
+        match Wal::recover(dev, reg()) {
+            Err(DbError::Corrupt(msg)) => assert!(msg.contains("WLC2"), "{msg}"),
+            Err(e) => panic!("{e}"),
+            Ok(_) => panic!("a WLC2 log was read"),
         }
     }
 

@@ -24,6 +24,8 @@
 //!   `db.rs` behind the `eager_index_writes` test.
 //! * `thread-site` — in `crates/minidb`, only `io.rs` (the device
 //!   scheduler's workers) starts a thread.
+//! * `checksum-site` — the checksum kernel's multiplier (`16_777_619`)
+//!   only in `minidb/src/checksum.rs`: one checksum, no byte-serial loop.
 //!
 //! It also checks the documents: `doc-names` — every backticked Rust-shaped
 //! name in README.md and DESIGN.md is a word of a tracked `.rs`, `.sh`,
@@ -105,6 +107,7 @@ fn lint(update_budget: bool) -> ExitCode {
         violations.extend(rules::meta_blob_sites(&rel, &cleaned));
         violations.extend(rules::wal_force_sites(&rel, &cleaned));
         violations.extend(rules::thread_sites(&rel, &cleaned));
+        violations.extend(rules::checksum_sites(&rel, &cleaned));
     }
 
     match doc_name_violations(&root) {

@@ -204,6 +204,45 @@ pub fn thread_sites(file: &str, text: &str) -> Vec<Violation> {
         .collect()
 }
 
+/// Rule `checksum-site`: the checksum kernel's multiplier (16 777 619, FNV's
+/// prime, in any spelling of the literal) appears only in the kernel's
+/// module, `minidb/src/checksum.rs`. Every check runs the lane sum, and a
+/// byte-serial loop that multiplies by it on every byte cannot creep back.
+pub fn checksum_sites(file: &str, text: &str) -> Vec<Violation> {
+    if file.ends_with("minidb/src/checksum.rs") {
+        return Vec::new();
+    }
+    let b = text.as_bytes();
+    text.match_indices(|c: char| c.is_ascii_digit())
+        .map(|(p, _)| p)
+        .filter(|&p| p == 0 || !is_ident(b[p - 1]))
+        .filter(|&p| {
+            let end = b[p..].iter().position(|&c| !is_ident(c)).map_or(b.len(), |n| p + n);
+            literal_value(&text[p..end]) == Some(16_777_619)
+        })
+        .map(|p| Violation {
+            file: file.into(),
+            line: line_of(text, p),
+            rule: "checksum-site",
+            msg: "the checksum multiplier outside minidb/src/checksum.rs: \
+                  call minidb::checksum"
+                .into(),
+        })
+        .collect()
+}
+
+/// The value of an integer literal: `_` separators, a `0x` prefix and a
+/// type suffix allowed.
+fn literal_value(lit: &str) -> Option<u64> {
+    let lit = lit.replace('_', "").to_ascii_lowercase();
+    let (digits, radix) = match lit.strip_prefix("0x") {
+        Some(hex) => (hex, 16),
+        None => (lit.as_str(), 10),
+    };
+    let end = digits.find(|c: char| !c.is_digit(radix)).unwrap_or(digits.len());
+    u64::from_str_radix(&digits[..end], radix).ok()
+}
+
 /// Splits scrubbed source at every `fn` keyword into `(start offset,
 /// function name, body up to the next `fn`)`: a call is judged by the
 /// function it sits in.
@@ -547,6 +586,27 @@ mod tests {
         // Definitions, longer identifiers, prose and test code are not starts.
         let ok = "// thread::spawn(f)\nfn spawn(&self) {}\nfn f() { respawn(); spawn_all; }\n#[cfg(test)]\nmod t { fn g() { std::thread::spawn(f); } }\n";
         assert_eq!(sites("crates/minidb/src/vacuum.rs", ok), 0);
+    }
+
+    #[test]
+    fn the_checksum_multiplier_lives_only_in_the_kernel() {
+        let sites = |file: &str, src: &str| checksum_sites(file, &clean(src)).len();
+        let spellings = "fn a(h: u32) -> u32 { h.wrapping_mul(16_777_619) }\n\
+                         fn b(h: u32) -> u32 { h.wrapping_mul(0x0100_0193) }\n\
+                         fn c(h: u32) -> u32 { h.wrapping_mul(16777619u32) }\n\
+                         const P: u32 = 0x1000193;";
+        let v = checksum_sites("crates/minidb/src/wal.rs", &clean(spellings));
+        let found: Vec<_> = v.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(
+            found,
+            [("checksum-site", 1), ("checksum-site", 2), ("checksum-site", 3), ("checksum-site", 4)]
+        );
+        assert_eq!(sites("crates/inversion/src/api.rs", spellings), 4);
+        assert_eq!(sites("crates/minidb/src/checksum.rs", spellings), 0);
+        // Other numbers, identifiers, prose, strings and test code are not
+        // the multiplier.
+        let ok = "// h * 16_777_619\nfn f() { g(167_776_190, 0x811C_9DC5); x16777619(); let s = \"0x01000193\"; }\n#[cfg(test)]\nmod t { fn g() { h.wrapping_mul(16_777_619); } }\n";
+        assert_eq!(sites("crates/minidb/src/wal.rs", ok), 0);
     }
 
     #[test]
