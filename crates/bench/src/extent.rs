@@ -22,8 +22,8 @@ use simdev::{DiskProfile, MagneticDisk, SimClock};
 /// Pages each client scans; small enough that setup stays fast, large
 /// enough that seek-vs-sequential pricing dominates fixed costs.
 const PAGES_PER_CLIENT: u64 = 64;
-/// Pages a client appends per growth turn — the burst a write-behind
-/// flush produces, so the bump allocator interleaves *runs* of blocks.
+/// Pages a client appends per growth turn — the burst a flush produces,
+/// so the bump allocator interleaves *runs* of blocks.
 const GROWTH_BURST: u64 = 4;
 
 /// The order the cold scan visits the relations' blocks in.

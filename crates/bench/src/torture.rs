@@ -147,10 +147,9 @@ pub enum FaultKind {
     /// The data device fails partway through a checkpoint's dirty-page
     /// drain, then the power goes out with the log intact.
     CrashMidCheckpoint,
-    /// The power goes out while the I/O scheduler still holds queued
-    /// write-behind requests: the queue is paused, a checkpoint blocks in
-    /// the drain barrier, and the cut aborts the queue with WAL-covered
-    /// pages still in flight. Recovery must replay them from the log.
+    /// The power goes out while eviction write-backs sit unsynced in the
+    /// data device's write cache: the cut drops those WAL-covered pages,
+    /// and recovery must replay them from the log.
     CrashInFlight,
     /// The catalog device fails partway through the destage that follows a
     /// burst of DDL (create, index build, drop, type definition), then the

@@ -2020,7 +2020,8 @@ mod history_tests {
         c.p_write(fd, b"two++").unwrap();
         c.p_close(fd).unwrap();
         c.p_commit().unwrap();
-        crate::maintenance::vacuum_all(&fs, minidb::DeviceId::DEFAULT).unwrap();
+        let report = crate::maintenance::vacuum_all(&fs, minidb::DeviceId::DEFAULT).unwrap();
+        assert!(report.failed.is_empty(), "{:?}", report.failed);
         let hist = c.p_history("/v").unwrap();
         assert_eq!(hist.len(), 2, "archived versions included");
         assert_eq!(hist[0].size, 3);

@@ -7,20 +7,28 @@
 
 use minidb::catalog::{Catalog, RelKind};
 use minidb::vacuum::{vacuum, VacuumStats};
-use minidb::{DeviceId, RelId};
+use minidb::{DbError, DeviceId, RelId};
 
 use crate::fs::{InvResult, InversionFs};
 
-/// Vacuums every user heap relation, one transaction each, archiving dead
-/// versions onto `archive_dev`; returns per-relation statistics. Clients
-/// keep working; system relations are left alone (see [`vacuum`]). The
-/// sweep is also a write-back point for pending access times.
-pub fn vacuum_all(
-    fs: &InversionFs,
-    archive_dev: DeviceId,
-) -> InvResult<Vec<(String, VacuumStats)>> {
+/// What one [`vacuum_all`] sweep did, per relation by name.
+#[derive(Debug, Default)]
+pub struct VacuumReport {
+    /// The relations vacuumed, with what each pass did.
+    pub vacuumed: Vec<(String, VacuumStats)>,
+    /// The relations whose pass failed, with the error. Their transaction
+    /// aborted, so each is as it was before the sweep.
+    pub failed: Vec<(String, DbError)>,
+}
+
+/// Vacuums every user heap relation in relation-id order, one transaction
+/// each, archiving dead versions onto `archive_dev`. A relation whose pass
+/// fails is reported and the sweep goes on. Clients keep working; system
+/// relations are left alone (see [`vacuum`]). The sweep is also a
+/// write-back point for pending access times.
+pub fn vacuum_all(fs: &InversionFs, archive_dev: DeviceId) -> InvResult<VacuumReport> {
     fs.flush_atimes()?;
-    let heaps: Vec<(RelId, String)> = fs
+    let mut heaps: Vec<(RelId, String)> = fs
         .db()
         .catalog()
         .relations()
@@ -28,12 +36,15 @@ pub fn vacuum_all(
         .filter(|r| !Catalog::is_system(r.id))
         .map(|r| (r.id, r.name.clone()))
         .collect();
-    let mut out = Vec::with_capacity(heaps.len());
+    heaps.sort_unstable();
+    let mut report = VacuumReport::default();
     for (rel, name) in heaps {
-        let stats = vacuum(fs.db(), rel, archive_dev)?;
-        out.push((name, stats));
+        match vacuum(fs.db(), rel, archive_dev) {
+            Ok(stats) => report.vacuumed.push((name, stats)),
+            Err(e) => report.failed.push((name, e)),
+        }
     }
-    Ok(out)
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -58,27 +69,70 @@ mod tests {
         assert_eq!(c.read_to_vec("/deleted", None).unwrap(), b"bytes");
     }
 
+    /// A file system on two data devices, the devices, and device 1's
+    /// fault plan.
+    fn two_device_fs() -> (InversionFs, [minidb::SharedDevice; 2], simdev::FaultPlan) {
+        let clock = simdev::SimClock::new();
+        let disk = |name: &str, blocks: u64| {
+            simdev::MagneticDisk::new(name, clock.clone(), simdev::DiskProfile::tiny_for_tests(blocks))
+        };
+        let d1 = disk("d1", 1 << 14);
+        let faults = d1.fault_plan();
+        let (d0, d1) = (minidb::shared_device(disk("d0", 1 << 14)), minidb::shared_device(d1));
+        let mut smgr = minidb::Smgr::new();
+        for (dev, d) in [(0, &d0), (1, &d1)] {
+            let mgr = minidb::GenericManager::format(d.clone()).unwrap();
+            smgr.register(DeviceId(dev), Box::new(mgr)).unwrap();
+        }
+        let (log, cat) = (minidb::shared_device(disk("log", 1 << 10)), minidb::shared_device(disk("cat", 1 << 10)));
+        let db = minidb::Db::open(clock.clone(), smgr, log, cat, minidb::DbConfig::default()).unwrap();
+        (InversionFs::format(db).unwrap(), [d0, d1], faults)
+    }
+
+    /// Writes `path` on `device`, then overwrites it: one dead version.
+    fn write_twice(fs: &InversionFs, path: &str, device: DeviceId) {
+        let mut c = fs.client();
+        c.write_all(path, CreateMode { device, ..CreateMode::default() }, b"v1").unwrap();
+        c.p_begin().unwrap();
+        let fd = c.p_open(path, OpenMode::ReadWrite, None).unwrap();
+        c.p_write(fd, b"v2").unwrap();
+        c.p_close(fd).unwrap();
+        c.p_commit().unwrap();
+    }
+
+    #[test]
+    fn vacuum_all_goes_on_past_a_relation_that_fails() {
+        let (fs, _, faults) = two_device_fs();
+        write_twice(&fs, "/far", DeviceId(1));
+        write_twice(&fs, "/near", DeviceId::DEFAULT);
+        let mut c = fs.client();
+        let mut data = |path| {
+            let rel = c.p_stat(path, None).unwrap().datarel;
+            (rel, fs.db().catalog().relation(rel).unwrap().name.clone())
+        };
+        let ((far_rel, far), (near_rel, near)) = (data("/far"), data("/near"));
+        assert!(far_rel < near_rel, "/far's relation comes first in the sweep");
+        fs.db().flush_caches().unwrap();
+        faults.set_offline(true);
+        let report = vacuum_all(&fs, DeviceId::DEFAULT).unwrap();
+        faults.set_offline(false);
+        let failed: Vec<&str> = report.failed.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(failed, [far.as_str()], "{:?}", report.failed);
+        assert!(matches!(report.failed[0].1, minidb::DbError::Device(_)), "{:?}", report.failed);
+        let (_, stats) = report.vacuumed.iter().find(|(n, _)| *n == near).expect("/near vacuumed");
+        assert_eq!(stats.archived, 1, "the dead v1 chunk of /near was archived");
+        for path in ["/far", "/near"] {
+            assert_eq!(c.read_to_vec(path, None).unwrap(), b"v2");
+        }
+        assert_eq!(fs.check(), []);
+        assert_eq!(fs.db().check_all(), []);
+    }
+
     #[test]
     fn a_migrated_file_keeps_its_relation_and_leaves_the_old_device() {
         use minidb::smgr::DeviceManager;
         // Two devices so migration has somewhere to go.
-        let clock = simdev::SimClock::new();
-        let mk = |name: &str, blocks: u64| {
-            minidb::shared_device(simdev::MagneticDisk::new(
-                name,
-                clock.clone(),
-                simdev::DiskProfile::tiny_for_tests(blocks),
-            ))
-        };
-        let (d0, d1) = (mk("d0", 1 << 14), mk("d1", 1 << 14));
-        let mut smgr = minidb::Smgr::new();
-        for (dev, disk) in [(0, &d0), (1, &d1)] {
-            let mgr = minidb::GenericManager::format(disk.clone()).unwrap();
-            smgr.register(DeviceId(dev), Box::new(mgr)).unwrap();
-        }
-        let (log, cat) = (mk("log", 1 << 10), mk("cat", 1 << 10));
-        let db = minidb::Db::open(clock.clone(), smgr, log, cat, minidb::DbConfig::default()).unwrap();
-        let fs = InversionFs::format(db).unwrap();
+        let (fs, [d0, d1], _) = two_device_fs();
         let mut c = fs.client();
         c.write_all("/data", CreateMode::default(), b"payload").unwrap();
         let t_first = fs.db().now();
@@ -133,6 +187,8 @@ mod tests {
         c.p_commit().unwrap();
 
         let report = vacuum_all(&fs, DeviceId::DEFAULT).unwrap();
+        assert!(report.failed.is_empty(), "{:?}", report.failed);
+        let report = report.vacuumed;
         // naming, fileatt, and the file's data relation were all swept.
         assert!(report.iter().any(|(n, _)| n == "naming"));
         assert!(report.iter().any(|(n, _)| n == "fileatt"));

@@ -688,13 +688,10 @@ impl BufferPool {
                 frame.pins.fetch_add(1, Ordering::SeqCst);
                 drop(shard);
                 drop(tok);
-                let vdev = vbuf.dev;
                 let io = {
                     let (d, r, b) = (vbuf.dev, vbuf.rel, vbuf.blkno);
-                    // WAL-before-data, enforced at the submission site: the
-                    // log is forced up to the page's LSN *before* the write
-                    // is queued. The enqueue itself never blocks, so holding
-                    // the frame lock here is fine.
+                    // WAL-before-data: the log is forced up to the page's
+                    // LSN *before* the page is written, here, on this thread.
                     let res = self
                         .force_wal_for(&vbuf.data)
                         .and_then(|()| smgr.write_page_back(d, r, b, &vbuf.data));
@@ -705,9 +702,6 @@ impl BufferPool {
                 };
                 drop(vbuf);
                 drop(ftok);
-                // Backpressure with every latch released: wait for the
-                // device queue to drain below its depth bound.
-                smgr.io_throttle(vdev);
                 let _order = order::token(order::BUFFER_SHARD);
                 let mut shard = self.shards[si].lock();
                 frame.unpin();
@@ -814,9 +808,9 @@ impl BufferPool {
     }
 
     /// Writes back every dirty cached page (optionally only `rel`'s)
-    /// without evicting, in (relation, block) order — the elevator sweep a
-    /// real sync performs so flushes stream rather than seek. Returns the
-    /// number of pages written.
+    /// without evicting, in (relation, block) order, so each relation's
+    /// blocks reach its device ascending and a drain streams rather than
+    /// seeks. Returns the number of pages written.
     ///
     /// The sweep snapshots *keys* and then holds **one pin at a time**.
     /// Pins are not in the lock hierarchy, and a B-tree split holds its
@@ -980,7 +974,7 @@ impl BufferPool {
 mod tests {
     use super::*;
     use crate::ids::Oid;
-    use crate::smgr::{shared_device, GenericManager};
+    use crate::smgr::{shared_device, DeviceManager, GenericManager};
     use simdev::{DiskProfile, MagneticDisk, SimClock};
 
     fn setup(capacity: usize) -> (Smgr, BufferPool, RelId) {
@@ -1003,6 +997,77 @@ mod tests {
         let rel = Oid(10);
         smgr.with(DeviceId::DEFAULT, |m| m.create_rel(rel)).unwrap();
         (smgr, BufferPool::with_shards(capacity, nshards), rel)
+    }
+
+    /// A disk manager that records the (relation, block) of every write.
+    struct Recording {
+        inner: GenericManager,
+        writes: Arc<Mutex<Vec<(RelId, u64)>>>,
+    }
+
+    impl DeviceManager for Recording {
+        fn device_name(&self) -> String {
+            self.inner.device_name()
+        }
+        fn create_rel(&mut self, rel: RelId) -> DbResult<()> {
+            self.inner.create_rel(rel)
+        }
+        fn drop_rel(&mut self, rel: RelId) -> DbResult<()> {
+            self.inner.drop_rel(rel)
+        }
+        fn has_rel(&self, rel: RelId) -> bool {
+            self.inner.has_rel(rel)
+        }
+        fn nblocks(&self, rel: RelId) -> DbResult<u64> {
+            self.inner.nblocks(rel)
+        }
+        fn extend_blank(&mut self, rel: RelId) -> DbResult<u64> {
+            self.inner.extend_blank(rel)
+        }
+        fn read(&mut self, rel: RelId, blkno: u64, buf: &mut [u8]) -> DbResult<()> {
+            self.inner.read(rel, blkno, buf)
+        }
+        fn write(&mut self, rel: RelId, blkno: u64, buf: &[u8]) -> DbResult<()> {
+            self.writes.lock().push((rel, blkno));
+            self.inner.write(rel, blkno, buf)
+        }
+        fn sync(&mut self) -> DbResult<()> {
+            self.inner.sync()
+        }
+        fn relations(&self) -> Vec<RelId> {
+            self.inner.relations()
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_drains_in_relation_block_order() {
+        let dev = shared_device(MagneticDisk::new("d", SimClock::new(), DiskProfile::tiny_for_tests(4096)));
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        let recording = Recording { inner: GenericManager::format(dev).unwrap(), writes: Arc::clone(&writes) };
+        let mut smgr = Smgr::new();
+        smgr.register(DeviceId::DEFAULT, Box::new(recording)).unwrap();
+        let (a, b) = (Oid(10), Oid(11));
+        for rel in [b, a] {
+            smgr.with(DeviceId::DEFAULT, |m| m.create_rel(rel)).unwrap();
+        }
+        // Four shards, pages of the two relations born interleaved, then
+        // redirtied newest first: no order the pool keeps is the drain's.
+        let pool = BufferPool::with_shards(64, 4);
+        for _ in 0..8 {
+            for rel in [b, a] {
+                pool.new_page(&smgr, DeviceId::DEFAULT, rel).unwrap();
+            }
+        }
+        pool.flush_all(&smgr).unwrap();
+        writes.lock().clear();
+        for blkno in (0..8).rev() {
+            for rel in [b, a] {
+                pool.get_page(&smgr, DeviceId::DEFAULT, rel, blkno).unwrap().write().data_mut()[0] = 1;
+            }
+        }
+        assert_eq!(pool.flush_all(&smgr).unwrap(), 16);
+        let want: Vec<(RelId, u64)> = [a, b].iter().flat_map(|&rel| (0..8).map(move |blk| (rel, blk))).collect();
+        assert_eq!(*writes.lock(), want, "each relation's blocks, ascending");
     }
 
     #[test]

@@ -133,10 +133,9 @@ impl DbInner {
 
     /// Syncs every device. A failed sync may have dropped writes the pool
     /// already counts as done — a device's write cache empties before it
-    /// destages, and a queued write-back reports its failure here — so
-    /// their records must stay in the log: the database goes down as a
-    /// crash does. No checkpoint runs again and shutdown writes nothing;
-    /// reopening replays the log.
+    /// destages — so their records must stay in the log: the database goes
+    /// down as a crash does. No checkpoint runs again and shutdown writes
+    /// nothing; reopening replays the log.
     pub(crate) fn sync_devices(&self) -> DbResult<()> {
         let synced = self.smgr.sync_all();
         if synced.is_err() {
@@ -334,7 +333,6 @@ impl Db {
                 Ok(())
             })?;
         }
-        smgr.start_io();
         let mut locks = LockManager::new();
         locks.share_stats(Arc::clone(&stats));
         let pool = BufferPool::new(config.buffers).with_system_shard();
@@ -540,25 +538,8 @@ impl Db {
     /// and discarding the devices' volatile caches.
     pub fn simulate_crash(&self) {
         self.inner.ckpt.crashed.store(true, SeqCst);
-        // Abort the I/O scheduler *before* waiting for a cycle another
-        // thread runs: it may be blocked in a queue barrier, and the abort
-        // is what unblocks it (with an error). Queued-but-unwritten pages
-        // die here, exactly as a crash with requests in flight would lose
-        // them.
-        self.inner.smgr.io_abort();
         let _order = crate::lock::order::token(crate::lock::order::CHECKPOINTER);
         drop(self.inner.ckpt.cycle.lock());
-    }
-
-    /// Pauses or resumes the device workers — torture tests use this to
-    /// pin requests in the queue while they arrange a crash.
-    pub fn pause_io(&self, paused: bool) {
-        self.inner.smgr.io_pause(paused);
-    }
-
-    /// Writes currently queued in the I/O scheduler across all devices.
-    pub fn io_queue_depth(&self) -> usize {
-        self.inner.smgr.io_depth()
     }
 
     /// Runs one checkpoint cycle under the cycle lock.

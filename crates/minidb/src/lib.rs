@@ -65,7 +65,6 @@ pub mod error;
 pub mod funcs;
 pub mod heap;
 pub mod ids;
-pub mod io;
 pub mod lock;
 pub mod page;
 pub mod query;

@@ -244,7 +244,7 @@ impl LockManager {
 /// cycle-free.
 pub mod order {
     /// Lock families, outermost first. Index = rank.
-    pub const HIERARCHY: [&str; 12] = [
+    pub const HIERARCHY: [&str; 11] = [
         "catalog",
         "lock-manager",
         "heap-page",
@@ -255,7 +255,6 @@ pub mod order {
         "buffer-frame",
         "wal-flush",
         "wal",
-        "io-queue",
         "smgr-device",
     ];
 
@@ -296,18 +295,8 @@ pub mod order {
     /// devices because truncation reads and writes the log device under
     /// it. An appender never holds it across a force.
     pub const WAL: usize = 9;
-    /// Rank of the per-device I/O scheduler's queue mutex. Submissions
-    /// happen during frame writeback (under `buffer-frame`) and after a
-    /// WAL force, so the queue ranks inside both; the worker thread takes
-    /// the queue lock and the device lock strictly alternately (never
-    /// nested), but submission-side code may peek the queue right before
-    /// falling back to a synchronous device call, so the queue ranks
-    /// outside `smgr-device`. The queue lock is never held across a wait:
-    /// waits (barriers, backpressure throttles) assert that no shard or
-    /// frame latch is held.
-    pub const IO_QUEUE: usize = 10;
     /// Rank of per-device locks (the smgr switch and `SharedDevice`s).
-    pub const SMGR_DEVICE: usize = 11;
+    pub const SMGR_DEVICE: usize = 10;
 
     #[cfg(debug_assertions)]
     thread_local! {

@@ -11,13 +11,13 @@
 //!
 //! A replayed page is a dirty page: the buffer pool marks the frame dirty,
 //! so eviction writes the replayed image back like any other, and the
-//! page's entry leaves the map when that write is submitted
+//! page's entry leaves the map when that write is made
 //! (`Smgr::write_page_back`). A page whose device copy already holds all
 //! its records leaves the map at its first touch. So each stale page is
 //! replayed once, however often it is evicted, with no checkpoint needed.
-//! Forgetting at submission is safe because the log is truncated only
+//! Forgetting at the write is safe because the log is truncated only
 //! after a checkpoint has synced the data devices: a crash before the
-//! write lands rebuilds the entry from the log. A checkpoint sweeps the
+//! write is synced rebuilds the entry from the log. A checkpoint sweeps the
 //! pages no one touched through the buffer pool, flushes them, and empties
 //! the map — the "fall back to a full sweep" half of instant recovery.
 
@@ -93,7 +93,7 @@ impl Redo {
     /// page has not seen, gated by the page LSN; stamps the LSN of the last
     /// record applied. Returns whether it applied any: then `buf` is newer
     /// than the device's copy and must be written back, and the entry stays
-    /// until [`Redo::forget`] is told that write was submitted. A page that
+    /// until [`Redo::forget`] is told that write was made. A page that
     /// needed none of its records leaves the map here.
     pub fn replay_into(&self, addr: PageAddr, buf: &mut [u8]) -> DbResult<bool> {
         let mut map = self.map.lock();
@@ -118,8 +118,8 @@ impl Redo {
         Ok(true)
     }
 
-    /// Drops one page's pending records: its replayed image was submitted
-    /// for writing, or (recovery's allocation fixup) its relation was
+    /// Drops one page's pending records: its replayed image was written
+    /// back, or (recovery's allocation fixup) its relation was
     /// dropped after the records were logged, so they are unreachable.
     pub fn forget(&self, addr: PageAddr) {
         let mut map = self.map.lock();

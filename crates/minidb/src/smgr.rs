@@ -828,13 +828,11 @@ impl DeviceManager for JukeboxManager {
 
 /// The device manager switch: routes relation I/O to the device's manager.
 pub struct Smgr {
-    mgrs: HashMap<DeviceId, Arc<Mutex<Box<dyn DeviceManager>>>>,
+    mgrs: HashMap<DeviceId, Mutex<Box<dyn DeviceManager>>>,
     /// Set by [`crate::Db::open`]: the simulated clock and the database's
     /// stats registry, used to count and time page I/O per device.
     instr: Option<(simdev::SimClock, Arc<crate::stats::StatsRegistry>)>,
     redo: Option<Arc<crate::recovery::Redo>>,
-    /// The per-device write-behind scheduler, once [`Smgr::start_io`] ran.
-    io: Option<crate::io::IoLayer>,
 }
 
 impl Smgr {
@@ -844,7 +842,6 @@ impl Smgr {
             mgrs: HashMap::new(),
             instr: None,
             redo: None,
-            io: None,
         }
     }
 
@@ -867,63 +864,8 @@ impl Smgr {
         if self.mgrs.contains_key(&id) {
             return Err(DbError::AlreadyExists(format!("{id}")));
         }
-        let mgr = Arc::new(Mutex::new(mgr));
-        if let (Some(io), Some((clock, stats))) = (&mut self.io, &self.instr) {
-            io.add_device(id, Arc::clone(&mgr), clock.clone(), Arc::clone(stats));
-        }
-        self.mgrs.insert(id, mgr);
+        self.mgrs.insert(id, Mutex::new(mgr));
         Ok(())
-    }
-
-    /// Starts the write-behind scheduler: one elevator worker per
-    /// registered device. Requires [`Smgr::attach_stats`] (the workers
-    /// account their I/O); without it every write stays synchronous.
-    pub fn start_io(&mut self) {
-        if self.io.is_some() {
-            return;
-        }
-        let Some((clock, stats)) = &self.instr else {
-            return;
-        };
-        let mut io = crate::io::IoLayer::new();
-        for (&dev, mgr) in &self.mgrs {
-            io.add_device(dev, Arc::clone(mgr), clock.clone(), Arc::clone(stats));
-        }
-        self.io = Some(io);
-    }
-
-    /// The scheduler queue for `dev`, when the scheduler is running.
-    pub fn io_queue(&self, dev: DeviceId) -> Option<&Arc<crate::io::DevQueue>> {
-        self.io.as_ref().and_then(|io| io.queue(dev))
-    }
-
-    /// Crash: aborts every device queue (in-flight requests are dropped,
-    /// waiters get errors). Used by `Db::simulate_crash` *before* joining
-    /// background threads that may be blocked in a barrier.
-    pub fn io_abort(&self) {
-        if let Some(io) = &self.io {
-            io.abort();
-        }
-    }
-
-    /// Pauses or resumes every device worker (torture-test hook).
-    pub fn io_pause(&self, paused: bool) {
-        if let Some(io) = &self.io {
-            io.pause(paused);
-        }
-    }
-
-    /// Requests currently queued across all devices.
-    pub fn io_depth(&self) -> usize {
-        self.io.as_ref().map_or(0, |io| io.depth())
-    }
-
-    /// Eviction backpressure: waits until `dev`'s queue drains below its
-    /// depth bound. Call with no latch held.
-    pub fn io_throttle(&self, dev: DeviceId) {
-        if let Some(q) = self.io_queue(dev) {
-            q.throttle();
-        }
     }
 
     /// The registered device ids.
@@ -957,11 +899,9 @@ impl Smgr {
         }
     }
 
-    /// Reads a page on the caller's thread. A write still queued in the
-    /// scheduler carries the *newest* bytes (the device copy is stale until
-    /// the worker drains it), so those win; otherwise the device is read.
-    /// Returns whether recovery replayed records onto the page: then it is
-    /// newer than any copy below and must be written back.
+    /// Reads a page on the caller's thread. Returns whether recovery
+    /// replayed records onto the page: then it is newer than the device's
+    /// copy and must be written back.
     pub fn read_page(
         &self,
         dev: DeviceId,
@@ -973,30 +913,21 @@ impl Smgr {
             !crate::lock::order::is_held(crate::lock::order::BUFFER_SHARD),
             "device read while holding a buffer shard latch"
         );
-        match self.io_queue(dev).and_then(|q| q.claim(rel, blkno)) {
-            Some(bytes) => {
-                let n = bytes.len().min(buf.len());
-                buf[..n].copy_from_slice(&bytes[..n]);
-            }
-            None => self.accounted(dev, PageIo::Read, || {
-                self.with(dev, |m| m.read(rel, blkno, buf))
-            })?,
-        }
+        self.accounted(dev, PageIo::Read, || self.with(dev, |m| m.read(rel, blkno, buf)))?;
         // Instant recovery: a page read from the device may predate the
         // crash; replay its pending REDO records before anyone sees it.
-        // (LSN-gated, so replaying over fresher queued bytes is a no-op.)
         match &self.redo {
             Some(redo) if !redo.is_empty() => redo.replay_into((dev, rel, blkno), buf),
             _ => Ok(false),
         }
     }
 
-    /// Write-behind: queues the page for the device worker and returns
-    /// immediately. WAL-before-data is the *caller's* job — force the WAL up
-    /// to the page's LSN before calling this. Falls back to a synchronous
-    /// [`Smgr::write_page`] when the scheduler is off or shutting down.
-    /// Once the write is submitted, the page's pending REDO records are
-    /// retired: the bytes carry them, and a read finds the queued write.
+    /// Writes a dirty page back on the caller's thread (an eviction or a
+    /// checkpoint's drain) and retires its pending REDO records: the device
+    /// copy now carries them. WAL-before-data is the *caller's* job — force
+    /// the log up to the page's LSN first. A relation dropped or truncated
+    /// underneath the write (`NotFound`, `OutOfRange`) has nothing left to
+    /// write to, so the write counts as done.
     pub fn write_page_back(
         &self,
         dev: DeviceId,
@@ -1004,9 +935,12 @@ impl Smgr {
         blkno: u64,
         buf: &[u8],
     ) -> DbResult<()> {
-        let queued = self.io_queue(dev).is_some_and(|q| q.submit_write(rel, blkno, buf));
-        if !queued {
-            self.write_page(dev, rel, blkno, buf)?;
+        if let Some((_, stats)) = &self.instr {
+            stats.device(dev).io_submitted.bump();
+        }
+        match self.write_page(dev, rel, blkno, buf) {
+            Ok(()) | Err(DbError::NotFound(_) | DbError::Device(DevError::OutOfRange { .. })) => {}
+            Err(e) => return Err(e),
         }
         if let Some(redo) = self.redo.as_ref().filter(|r| !r.is_empty()) {
             redo.forget((dev, rel, blkno));
@@ -1034,14 +968,13 @@ impl Smgr {
         self.accounted(dev, PageIo::Write, || self.with(dev, |m| m.extend_blank(rel)))
     }
 
-    /// Syncs every registered device (checkpoint, `flush_caches`, shutdown).
-    /// With the scheduler on each is a *queue barrier* first: every write
-    /// submitted before this call reaches the device before the manager
-    /// `sync()` runs.
+    /// Syncs every registered device (checkpoint, `flush_caches`,
+    /// shutdown). Every write-back has reached its device before it
+    /// returned, so the sync covers all of them.
     pub fn sync_all(&self) -> DbResult<()> {
         for dev in self.devices() {
-            if let Some(q) = self.io_queue(dev) {
-                q.barrier()?;
+            if let Some((_, stats)) = &self.instr {
+                stats.device(dev).io_barrier_waits.bump();
             }
             self.with(dev, |m| m.sync())?;
         }
@@ -1339,34 +1272,36 @@ mod tests {
     }
 
     #[test]
-    fn read_page_takes_a_queued_write_over_the_device_copy() {
+    fn write_page_back_reaches_the_device_before_it_returns_and_retires_the_redo_entry() {
         let dev = DeviceId(0);
         let rel = Oid(7);
         let stats = Arc::new(crate::stats::StatsRegistry::new());
+        let init = |blkno| crate::wal::WalRecord::PageInit { dev, rel, blkno, special_size: 0 };
+        let redo = Arc::new(crate::recovery::Redo::from_records(
+            &[(10, init(0)), (20, init(1))],
+            Arc::clone(&stats),
+        ));
         let mut smgr = Smgr::new();
         smgr.register(dev, Box::new(disk_mgr())).unwrap();
         smgr.attach_stats(SimClock::new(), Arc::clone(&stats));
-        smgr.start_io();
+        smgr.attach_redo(Arc::clone(&redo));
         smgr.with(dev, |m| {
             m.create_rel(rel)?;
             m.extend(rel, &page_of(1)).map(|_| ())
         })
         .unwrap();
-        // Hold the write in the queue: the device keeps the old image.
-        smgr.io_pause(true);
         smgr.write_page_back(dev, rel, 0, &page_of(2)).unwrap();
         let mut buf = page_of(0);
-        smgr.read_page(dev, rel, 0, &mut buf).unwrap();
-        assert_eq!(buf, page_of(2), "the read must see the queued bytes");
-        assert_eq!(stats.device(dev).reads.get(), 0, "and never touch the device");
         smgr.with(dev, |m| m.read(rel, 0, &mut buf)).unwrap();
-        assert_eq!(buf, page_of(1));
-        // Drained: the same read is now an ordinary device read.
-        smgr.io_pause(false);
-        smgr.sync_all().unwrap();
-        smgr.read_page(dev, rel, 0, &mut buf).unwrap();
-        assert_eq!(buf, page_of(2));
-        assert_eq!(stats.device(dev).reads.get(), 1);
+        assert_eq!(buf, page_of(2), "the device holds the bytes once the call returns");
+        let io = stats.device(dev);
+        assert_eq!((io.writes.get(), io.io_submitted.get()), (1, 1));
+        assert_eq!(redo.pages(), [(dev, rel, 1)], "block 0's records are retired, block 1's stay");
+        // A write whose relation went away underneath it counts as done.
+        smgr.with(dev, |m| m.drop_rel(rel)).unwrap();
+        smgr.write_page_back(dev, rel, 1, &page_of(3)).unwrap();
+        assert!(redo.is_empty());
+        assert!(smgr.write_page(dev, rel, 1, &page_of(3)).is_err(), "a plain write still fails");
     }
 
     #[test]

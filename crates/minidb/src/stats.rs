@@ -535,8 +535,8 @@ pub const DEVICE_SLOTS: usize = 16;
 
 stat_table! {
     /// Per-device counters: the storage manager's page I/O, then (`io_*`)
-    /// the device's I/O scheduler queue (see [`crate::io`]). The first part
-    /// is the `pg_stat_device` relation, the second `pg_stat_io`.
+    /// its write-backs and syncs. The first part is the `pg_stat_device`
+    /// relation, the second `pg_stat_io`.
     live DeviceIoCounters;
     frozen DeviceIoStats [
         /// The device id.
@@ -556,18 +556,15 @@ stat_table! {
     read_hist: LatencyHistogram,
     /// Write latency distribution.
     write_hist: LatencyHistogram,
-    /// Writes submitted to the queue (new requests and in-place combines).
+    /// Dirty pages written back (evictions and checkpoint drains).
     io_submitted: Counter,
-    /// Requests that left the queue (served or benignly dropped).
-    io_completed: Counter,
-    /// Requests serviced at the same or the next elevator key as their
-    /// predecessor — the sequential runs the C-SCAN sweep manufactured.
+    /// Always 0: no write is queued, so none is batched with a neighbour.
+    /// Kept for readers that still look it up.
     io_batched_neighbors: Counter,
-    /// Elevator wraps (the hand ran past the top of the key space).
-    io_elevator_passes: Counter,
-    /// High-water mark of the queue depth.
+    /// Always 0: no write is queued. Kept for readers that still look it
+    /// up.
     io_queue_depth_hw: MaxGauge,
-    /// Queue barriers executed (`sync` drains).
+    /// Device syncs run by [`crate::Smgr::sync_all`].
     io_barrier_waits: Counter,
 }
 
@@ -847,7 +844,7 @@ impl VirtualTables {
             |db| vec![db.inner.stats.planner.freeze().datums(&all)],
         );
 
-        // One row per mounted device; the `io_` fields are the scheduler's.
+        // One row per mounted device; the `io_` fields are its write-backs.
         type ViewFn = fn(&str) -> Option<String>;
         let views: [(&str, ViewFn); 2] = [
             ("pg_stat_device", |label| {
@@ -1013,9 +1010,7 @@ mod tests {
                     read_hist: [47, 48, 49, 50, 51, 52, 53],
                     write_hist: [54, 55, 56, 57, 58, 59, 60],
                     io_submitted: 61,
-                    io_completed: 62,
                     io_batched_neighbors: 63,
-                    io_elevator_passes: 64,
                     io_queue_depth_hw: 65,
                     io_barrier_waits: 66,
                 },
@@ -1034,7 +1029,7 @@ mod tests {
     /// `minidb_stats_delta` section of every `BENCH_*.json`).
     #[test]
     fn json_matches_the_golden_string() {
-        const GOLDEN: &str = r#"{"buffer":{"hits":1,"misses":2,"evictions":3,"writebacks":4,"prefetches":5,"prefetch_hits":6},"lock":{"acquisitions":34,"waits":35,"deadlocks":36,"timeouts":37},"xact":{"commits":7,"aborts":8,"time_travel_reads":9,"group_commits":10,"batched_records":11,"sync_calls":12,"commit_latency":[13,14,15,16,17,18,19]},"wal":{"records_appended":20,"bytes_appended":21,"log_forces":22,"forces_commit":68,"forces_writeback":69,"checkpoints":23,"ckpt_pages_drained":24,"replayed_pages":25,"replayed_records":26},"heap":{"scans":27,"fetches":28,"appends":29},"btree":{"searches":30,"inserts":31,"splits":32,"page_writes":33},"planner":{"plans_built":38,"index_scans_chosen":39,"seq_scans_chosen":40,"joins_planned":41},"vacuum_passes":42,"devices":[{"device":0,"name":"rz\"58","reads":43,"writes":44,"read_ns":45,"write_ns":46,"read_hist":[47,48,49,50,51,52,53],"write_hist":[54,55,56,57,58,59,60],"io_submitted":61,"io_completed":62,"io_batched_neighbors":63,"io_elevator_passes":64,"io_queue_depth_hw":65,"io_barrier_waits":66},{"device":3,"name":"juke\\box","reads":67,"writes":0,"read_ns":0,"write_ns":0,"read_hist":[0,0,0,0,0,0,0],"write_hist":[0,0,0,0,0,0,0],"io_submitted":0,"io_completed":0,"io_batched_neighbors":0,"io_elevator_passes":0,"io_queue_depth_hw":0,"io_barrier_waits":0}]}"#;
+        const GOLDEN: &str = r#"{"buffer":{"hits":1,"misses":2,"evictions":3,"writebacks":4,"prefetches":5,"prefetch_hits":6},"lock":{"acquisitions":34,"waits":35,"deadlocks":36,"timeouts":37},"xact":{"commits":7,"aborts":8,"time_travel_reads":9,"group_commits":10,"batched_records":11,"sync_calls":12,"commit_latency":[13,14,15,16,17,18,19]},"wal":{"records_appended":20,"bytes_appended":21,"log_forces":22,"forces_commit":68,"forces_writeback":69,"checkpoints":23,"ckpt_pages_drained":24,"replayed_pages":25,"replayed_records":26},"heap":{"scans":27,"fetches":28,"appends":29},"btree":{"searches":30,"inserts":31,"splits":32,"page_writes":33},"planner":{"plans_built":38,"index_scans_chosen":39,"seq_scans_chosen":40,"joins_planned":41},"vacuum_passes":42,"devices":[{"device":0,"name":"rz\"58","reads":43,"writes":44,"read_ns":45,"write_ns":46,"read_hist":[47,48,49,50,51,52,53],"write_hist":[54,55,56,57,58,59,60],"io_submitted":61,"io_batched_neighbors":63,"io_queue_depth_hw":65,"io_barrier_waits":66},{"device":3,"name":"juke\\box","reads":67,"writes":0,"read_ns":0,"write_ns":0,"read_hist":[0,0,0,0,0,0,0],"write_hist":[0,0,0,0,0,0,0],"io_submitted":0,"io_batched_neighbors":0,"io_queue_depth_hw":0,"io_barrier_waits":0}]}"#;
         assert_eq!(synthetic().to_json(), GOLDEN);
     }
 

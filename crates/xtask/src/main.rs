@@ -15,15 +15,12 @@
 //! * `lock-order` — `lock::order::token(...)` markers must acquire levels
 //!   in the hierarchy order exported by `minidb::lock::order` (the same
 //!   table the debug-build runtime assertions use).
-//! * `io-wait-guard` — the device scheduler's submission-side waits must
-//!   assert that no buffer shard latch is held across them.
 //! * `meta-blob` — `write_meta(` / `read_meta(` (whole-structure in-place
 //!   persistence) only in `minidb/src/smgr.rs`.
 //! * `wal-force-site` — `.force_up_to(` only in `wal.rs`, the buffer
 //!   manager's `force_wal_for` and `db.rs`'s commit; `.flush_rel(` only in
 //!   `db.rs` behind the `eager_index_writes` test.
-//! * `thread-site` — in `crates/minidb`, only `io.rs` (the device
-//!   scheduler's workers) starts a thread.
+//! * `thread-site` — no file in `crates/minidb` starts a thread.
 //! * `checksum-site` — the checksum kernel's multiplier (`16_777_619`)
 //!   only in `minidb/src/checksum.rs`: one checksum, no byte-serial loop.
 //!
@@ -103,7 +100,6 @@ fn lint(update_budget: bool) -> ExitCode {
         violations.extend(rules::relaxed_sites(&rel, &cleaned));
         violations.extend(rules::let_underscore_sites(&rel, &cleaned));
         violations.extend(rules::lock_order_sites(&rel, &cleaned, &exempt));
-        violations.extend(rules::io_wait_guard_sites(&rel, &cleaned));
         violations.extend(rules::meta_blob_sites(&rel, &cleaned));
         violations.extend(rules::wal_force_sites(&rel, &cleaned));
         violations.extend(rules::thread_sites(&rel, &cleaned));

@@ -129,33 +129,6 @@ pub fn let_underscore_sites(file: &str, text: &str) -> Vec<Violation> {
     out
 }
 
-/// Rule `io-wait-guard`: in the device scheduler (`minidb/src/io.rs`),
-/// every function that blocks on the completion condvar `cv_done` — the
-/// submission-side waits (throttle, barrier) — must carry a `BUFFER_SHARD`
-/// guard assertion: waiting on the worker while holding a buffer shard
-/// latch could deadlock the eviction path. The worker's own `cv_worker`
-/// park is exempt; it holds no latches by construction.
-pub fn io_wait_guard_sites(file: &str, text: &str) -> Vec<Violation> {
-    if !file.ends_with("minidb/src/io.rs") {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    // The guard must appear in the same function as the wait it protects.
-    for (s, _, body) in functions(text) {
-        if body.contains("cv_done.wait(") && !body.contains("is_held(order::BUFFER_SHARD)") {
-            out.push(Violation {
-                file: file.into(),
-                line: line_of(text, s),
-                rule: "io-wait-guard",
-                msg: "waits on the io queue without asserting no buffer \
-                      shard latch is held"
-                    .into(),
-            });
-        }
-    }
-    out
-}
-
 /// Rule `meta-blob`: `write_meta` / `read_meta` persist a structure by
 /// rewriting it whole and in place — unlogged, unchecksummed, torn by one
 /// failed destage. The device relation maps in `minidb/src/smgr.rs` are the
@@ -183,13 +156,14 @@ pub fn meta_blob_sites(file: &str, text: &str) -> Vec<Violation> {
     out
 }
 
-/// Rule `thread-site`: in `crates/minidb` only the device scheduler
-/// (`io.rs`) starts threads, its per-device workers. Everything else runs
-/// on the thread that asked for it — a checkpoint on the writer that put
+/// Rule `thread-site`: no file in `crates/minidb` starts a thread. Work
+/// runs on the thread that asked for it — a page write-back on the thread
+/// that evicts or checkpoints the page, a checkpoint on the writer that put
 /// the log under pressure — so where the engine's work lands in the order
-/// of writes and syncs never depends on the host's thread scheduling.
+/// of writes and syncs, and on the simulated clock, never depends on the
+/// host's thread scheduling.
 pub fn thread_sites(file: &str, text: &str) -> Vec<Violation> {
-    if !file.contains("crates/minidb/") || file.ends_with("minidb/src/io.rs") {
+    if !file.contains("crates/minidb/") {
         return Vec::new();
     }
     let b = text.as_bytes();
@@ -199,7 +173,7 @@ pub fn thread_sites(file: &str, text: &str) -> Vec<Violation> {
             file: file.into(),
             line: line_of(text, p),
             rule: "thread-site",
-            msg: "a thread started outside minidb/src/io.rs".into(),
+            msg: "a thread started in minidb".into(),
         })
         .collect()
 }
@@ -573,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_start_only_in_the_io_scheduler() {
+    fn no_file_in_minidb_starts_a_thread() {
         let sites = |file: &str, src: &str| thread_sites(file, &clean(src)).len();
         let spawns = "fn start(&self) { std::thread::spawn(move || run()); }\n\
                       fn named(&self) { std::thread::Builder::new().name(n).spawn(move || run()); }\n\
@@ -581,7 +555,7 @@ mod tests {
         let v = thread_sites("crates/minidb/src/db.rs", &clean(spawns));
         let found: Vec<_> = v.iter().map(|v| (v.rule, v.line)).collect();
         assert_eq!(found, [("thread-site", 1), ("thread-site", 2), ("thread-site", 3)]);
-        assert_eq!(sites("crates/minidb/src/io.rs", spawns), 0);
+        assert_eq!(sites("crates/minidb/src/smgr.rs", spawns), 3);
         assert_eq!(sites("crates/inversion/src/server.rs", spawns), 0);
         // Definitions, longer identifiers, prose and test code are not starts.
         let ok = "// thread::spawn(f)\nfn spawn(&self) {}\nfn f() { respawn(); spawn_all; }\n#[cfg(test)]\nmod t { fn g() { std::thread::spawn(f); } }\n";
@@ -627,23 +601,5 @@ mod tests {
                 ("doc-names", 2, "`Wal::gone_method` names nothing in the sources"),
             ]
         );
-    }
-
-    #[test]
-    fn io_wait_guard_requires_the_shard_assert() {
-        let bad = "fn wait(&self) { self.cv_done.wait(&mut st); }";
-        let v = io_wait_guard_sites("crates/minidb/src/io.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "io-wait-guard");
-        let good = "fn wait(&self) { debug_assert!(!order::is_held(order::BUFFER_SHARD)); self.cv_done.wait(&mut st); }";
-        assert!(io_wait_guard_sites("crates/minidb/src/io.rs", good).is_empty());
-    }
-
-    #[test]
-    fn io_wait_guard_exempts_the_worker_park_and_other_files() {
-        let worker = "fn run(&self) { self.cv_worker.wait(&mut st); }";
-        assert!(io_wait_guard_sites("crates/minidb/src/io.rs", worker).is_empty());
-        let other = "fn f(&self) { self.cv_done.wait(&mut st); }";
-        assert!(io_wait_guard_sites("crates/minidb/src/wal.rs", other).is_empty());
     }
 }

@@ -98,7 +98,9 @@ fn main() {
 
     // Run the vacuum cleaner; history keeps working, served from archives.
     println!("\n== vacuum cleaner sweep ==");
-    for (name, stats) in vacuum_all(&fs, DeviceId::DEFAULT).unwrap() {
+    let report = vacuum_all(&fs, DeviceId::DEFAULT).unwrap();
+    assert!(report.failed.is_empty(), "vacuum failed: {:?}", report.failed);
+    for (name, stats) in report.vacuumed {
         if stats.archived + stats.discarded > 0 {
             println!(
                 "  {name}: kept {}, archived {}, discarded {}",

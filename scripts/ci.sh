@@ -94,10 +94,10 @@ for workload in hot_small seq_read txn_write create_churn two_client_mix; do
 done
 
 # Bounded-time torture smoke: covers at least one crash-during-commit and
-# one crash-during-checkpoint schedule, a crash with write-behind requests
-# still queued in the I/O scheduler, a torn destage on the catalog device
-# behind a burst of DDL, and both link-drop transports; the full 9-kind
-# battery runs under "cargo test -q" above.
+# one crash-during-checkpoint schedule, a crash with eviction write-backs
+# unsynced in the data device's write cache, a torn destage on the catalog
+# device behind a burst of DDL, and both link-drop transports; the full
+# 9-kind battery runs under "cargo test -q" above.
 echo "== torture battery smoke (crash mid-commit / mid-checkpoint / in-flight / catalog fault) =="
 cargo test --release -q --test torture battery_crash_mid_commit
 cargo test --release -q --test torture battery_crash_mid_checkpoint
@@ -189,6 +189,18 @@ while read -r kind pct; do
         exit 1
     fi
 done <<<"$fig5_shares"
+
+# Every figure runs on one simulated clock that only the calling thread
+# advances, so its stdout repeats byte for byte: any change in a figure row
+# is a change in the code, and shows here until results/ is regenerated.
+echo "== figures: stdout matches results/<bin>.txt exactly =="
+for bin in fig3_create fig4_random_byte fig5_reads fig6_writes table1_naming \
+    table2_types table3_full ston93_local ablations; do
+    cargo run --release -q -p bench --bin "$bin" 2>/dev/null | diff -u "results/$bin.txt" - || {
+        echo "$bin printed other figures than results/$bin.txt" >&2
+        exit 1
+    }
+done
 
 mkdir -p results
 mv BENCH_fig3_create.json BENCH_fig4_random_byte.json results/

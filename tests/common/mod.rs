@@ -98,6 +98,8 @@ pub struct CrashRig {
     /// A second data device, registered as device 1, when the rig was
     /// made [`CrashRig::with_two_data_devices`]: somewhere to migrate to.
     pub data1: Option<SharedDevice>,
+    /// Holds the writes that reach `data1`, when a test asks it to.
+    pub data1_hold: Arc<Hold>,
     handles: Vec<simdev::CacheCrashHandle>,
     pub data_faults: simdev::FaultPlan,
     pub log_faults: simdev::FaultPlan,
@@ -124,7 +126,9 @@ impl CrashRig {
         CrashRig::build(1 << 12, true)
     }
 
-    fn build(nblocks: u64, two_data_devices: bool) -> CrashRig {
+    /// A rig whose log device has `nblocks` blocks, with a second data
+    /// device when `two_data_devices`.
+    pub fn build(nblocks: u64, two_data_devices: bool) -> CrashRig {
         let clock = SimClock::new();
         let mut handles = Vec::new();
         let log_probe = Arc::new(Probe::default());
@@ -146,8 +150,14 @@ impl CrashRig {
         let (data, data_faults) = cached("data", 1 << 16);
         let (log, log_faults) = cached("log", nblocks);
         let (catalog, catalog_faults) = cached("catalog", 1 << 12);
-        let data1 = two_data_devices.then(|| cached("data1", 1 << 16).0);
-        CrashRig { clock, data, log, catalog, data1, handles, data_faults, log_faults, catalog_faults, log_probe }
+        let data1_hold = Arc::new(Hold::default());
+        let data1 = two_data_devices.then(|| {
+            let disk = MagneticDisk::new("data1", clock.clone(), DiskProfile::tiny_for_tests(1 << 16));
+            let (dev, handle) = simdev::WriteCacheDisk::new(Box::new(disk));
+            handles.push(handle);
+            shared_device(HeldDisk { inner: dev, hold: Arc::clone(&data1_hold) })
+        });
+        CrashRig { clock, data, log, catalog, data1, data1_hold, handles, data_faults, log_faults, catalog_faults, log_probe }
     }
 
     /// Formats (`fresh`) or recovers the database on these devices.
@@ -293,6 +303,80 @@ impl BlockDevice for ProbedDisk {
         self.inner.sync()?;
         self.probe.syncs.fetch_add(1, SeqCst);
         Ok(())
+    }
+}
+
+/// What a test does to a [`HeldDisk`].
+#[derive(Default)]
+#[allow(dead_code)]
+pub struct Hold {
+    /// While set, a write waits inside the device — so under its storage
+    /// manager's device lock, which blocks every other access to it.
+    held: AtomicBool,
+    /// Writes waiting inside the device now.
+    pub waiting: AtomicU64,
+    /// Set to make the writes waiting now fail, as a power cut would.
+    cut: AtomicBool,
+}
+
+#[allow(dead_code)]
+impl Hold {
+    /// Writes from now on wait until [`Hold::release`] or [`Hold::cut`].
+    pub fn hold(&self) {
+        self.cut.store(false, SeqCst);
+        self.held.store(true, SeqCst);
+    }
+
+    /// The waiting writes go through.
+    pub fn release(&self) {
+        self.held.store(false, SeqCst);
+    }
+
+    /// The waiting writes fail.
+    pub fn cut(&self) {
+        self.cut.store(true, SeqCst);
+        self.held.store(false, SeqCst);
+    }
+}
+
+/// A write-cached disk whose writes a test can hold in place: somewhere to
+/// park a thread that is writing a page back.
+pub struct HeldDisk {
+    inner: simdev::WriteCacheDisk,
+    hold: Arc<Hold>,
+}
+
+impl BlockDevice for HeldDisk {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn nblocks(&self) -> u64 {
+        self.inner.nblocks()
+    }
+    fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> DevResult<()> {
+        self.inner.read_block(blkno, buf)
+    }
+    fn write_block(&mut self, blkno: u64, buf: &[u8]) -> DevResult<()> {
+        if self.hold.held.load(SeqCst) {
+            self.hold.waiting.fetch_add(1, SeqCst);
+            while self.hold.held.load(SeqCst) {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            self.hold.waiting.fetch_sub(1, SeqCst);
+            if self.hold.cut.load(SeqCst) {
+                return Err(DevError::InjectedFault { what: "power cut under a held write".into() });
+            }
+        }
+        self.inner.write_block(blkno, buf)
+    }
+    fn sync(&mut self) -> DevResult<()> {
+        self.inner.sync()
+    }
+    fn is_stable(&self) -> bool {
+        self.inner.is_stable()
     }
 }
 

@@ -341,25 +341,31 @@ fn insert_ints(db: &minidb::Db, rel: minidb::RelId, vals: std::ops::Range<i32>) 
 }
 
 /// Parks a checkpoint where a filling log cannot reach it: a row goes into
-/// `rel`, device I/O pauses, and a checkpoint on another thread takes the
-/// cycle lock and blocks in its drain, the row's page queued. A writer that
-/// puts the log under pressure then finds a cycle running and goes on, so
-/// commits fill the log. The parked checkpoint ends when I/O resumes or a
-/// crash aborts the queue.
+/// `rel`, which lives on device 1; that device starts holding its writes,
+/// and a checkpoint on another thread takes the cycle lock and blocks in
+/// its drain, writing the row's page under device 1's lock. A writer on
+/// device 0 that puts the log under pressure then finds a cycle running and
+/// goes on, so commits fill the log. The parked checkpoint ends when the
+/// hold is released, or cut.
 fn park_a_checkpoint(
+    rig: &common::CrashRig,
     db: &minidb::Db,
     rel: minidb::RelId,
 ) -> std::thread::JoinHandle<minidb::DbResult<()>> {
     insert_ints(db, rel, 0..1);
-    db.pause_io(true);
+    rig.data1_hold.hold();
     let parked = db.clone();
     let thread = std::thread::spawn(move || parked.checkpoint());
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while db.io_queue_depth() == 0 {
-        assert!(std::time::Instant::now() < deadline, "the checkpoint queued no write");
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
+    assert!(
+        common::wait_until(|| rig.data1_hold.waiting.load(std::sync::atomic::Ordering::SeqCst) > 0),
+        "the checkpoint wrote nothing to device 1"
+    );
     thread
+}
+
+/// A table on device 1, where [`park_a_checkpoint`] holds the writes.
+fn parked_table(db: &minidb::Db, name: &str) -> minidb::RelId {
+    db.create_table_on(name, int_table(), minidb::DeviceId(1), false).unwrap()
 }
 
 fn ints_of(db: &minidb::Db, rel: minidb::RelId) -> Vec<i64> {
@@ -917,7 +923,7 @@ fn an_xid_carried_by_a_page_on_the_device_is_never_handed_out_again_under_a_torn
 
 /// A crash that leaves the log as full as anything but a `Ceiling` record
 /// can make it: one-row transactions commit until the log refuses one (a
-/// checkpoint is parked on the paused data device, so none truncates), then
+/// checkpoint is parked on a held data device, so none truncates), then
 /// aborts of the refused transaction fill what is left, forced, as a later
 /// commit would have carried them out. Reopening takes an xid — a raise of
 /// the id ceilings, one more record — before a checkpoint may truncate
@@ -926,12 +932,12 @@ fn an_xid_carried_by_a_page_on_the_device_is_never_handed_out_again_under_a_torn
 #[test]
 fn a_crash_that_leaves_the_log_full_recovers() {
     // 32 blocks: a log epoch of 15 blocks, about 120 KB.
-    let rig = common::CrashRig::with_log_blocks(32);
+    let rig = common::CrashRig::build(32, true);
     let db = rig.open(true);
     let t = db.create_table("t", int_table()).unwrap();
-    let parked = db.create_table("parked", int_table()).unwrap();
+    let parked = parked_table(&db, "parked");
     db.flush_caches().unwrap();
-    let parked = park_a_checkpoint(&db, parked);
+    let parked = park_a_checkpoint(&rig, &db, parked);
     let mut committed = 0;
     let (refused, last) = loop {
         let mut s = db.begin().unwrap();
@@ -943,8 +949,11 @@ fn a_crash_that_leaves_the_log_full_recovers() {
     };
     assert!(refused.to_string().contains("WAL full"), "{refused}");
     assert!(committed > 1000, "{committed} commits filled the log");
+    // The power goes under the held write: the parked checkpoint fails
+    // before it syncs anything or truncates the log.
+    rig.data1_hold.cut();
+    assert!(parked.join().unwrap().is_err(), "the parked checkpoint outlived the cut");
     rig.crash(db);
-    assert!(parked.join().unwrap().is_err(), "the parked checkpoint outlived the crash");
     {
         let (wal, _) = minidb::Wal::recover(rig.log.clone(), Default::default()).unwrap();
         while wal.append(&minidb::WalRecord::Abort { xid: last }).is_ok() {}
@@ -970,10 +979,11 @@ fn a_crash_that_leaves_the_log_full_recovers() {
 /// "concurrently deleted" to every update.
 #[test]
 fn a_commit_the_full_log_refuses_leaves_nothing_running() {
-    let rig = common::CrashRig::with_log_blocks(32);
+    let rig = common::CrashRig::build(32, true);
     let db = rig.open(true);
     let t = db.create_table("t", int_table()).unwrap();
     let fill = db.create_table("fill", int_table()).unwrap();
+    let parked = parked_table(&db, "parked");
     let held: Vec<minidb::RelId> =
         (0..8).map(|i| db.create_table(&format!("h{i}"), int_table()).unwrap()).collect();
     insert_ints(&db, t, 0..1);
@@ -991,7 +1001,7 @@ fn a_commit_the_full_log_refuses_leaves_nothing_running() {
             s
         })
         .collect();
-    let parked = park_a_checkpoint(&db, fill);
+    let parked = park_a_checkpoint(&rig, &db, parked);
     loop {
         let mut s = db.begin().unwrap();
         if s.insert(fill, vec![Datum::Int4(0)]).and_then(|_| s.commit()).is_err() {
@@ -1004,7 +1014,7 @@ fn a_commit_the_full_log_refuses_leaves_nothing_running() {
     assert!(full.is_some(), "eight commits did not fill the log");
     let refused = deleter.commit().unwrap_err();
     assert!(refused.to_string().contains("WAL full"), "{refused}");
-    db.pause_io(false);
+    rig.data1_hold.release();
     parked.join().unwrap().expect("the parked checkpoint, resumed");
     db.checkpoint().unwrap();
     let mut s = db.begin().unwrap();

@@ -142,7 +142,8 @@ fn vacuum_all_archives_an_overwritten_file_of_full_chunks() {
     c.p_commit().unwrap();
 
     let report = vacuum_all(&fs, DeviceId::DEFAULT).unwrap();
-    let (_, data) = report.iter().find(|(name, _)| name.starts_with("inv")).unwrap();
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    let (_, data) = report.vacuumed.iter().find(|(name, _)| name.starts_with("inv")).unwrap();
     assert_eq!((data.kept, data.archived), (2, 2));
     assert_eq!(c.read_to_vec("/full", Some(then)).unwrap(), old);
     assert_eq!(c.read_to_vec("/full", None).unwrap(), new);
@@ -181,7 +182,8 @@ fn vacuum_all_archives_overwritten_files(files: &[(&str, CreateMode)]) {
     c.p_commit().unwrap();
 
     let report = vacuum_all(&fs, DeviceId::DEFAULT).unwrap();
-    let archived = report.iter().filter(|(name, _)| name.starts_with("inv"));
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    let archived = report.vacuumed.iter().filter(|(name, _)| name.starts_with("inv"));
     assert!(archived.map(|(_, data)| data.archived).sum::<u64>() >= 2 * files.len() as u64);
     for (path, _) in files {
         assert_eq!(c.read_to_vec(path, Some(then)).unwrap(), noise(1), "{path} then");

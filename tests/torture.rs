@@ -312,7 +312,6 @@ fn run_schedule(sched: Schedule) {
     // Fault layering before the power cut.
     let mut pads: Vec<(String, Vec<u8>)> = Vec::new();
     let mut torn: Option<(Vec<u8>, bool)> = None;
-    let mut inflight_ckpt: Option<thread::JoinHandle<()>> = None;
     match sched.fault {
         FaultKind::None | FaultKind::LinkDropDuplex | FaultKind::LinkDropTcp => {}
         FaultKind::DeviceWriteFault => {
@@ -380,30 +379,27 @@ fn run_schedule(sched: Schedule) {
             rig.data_faults.clear_write_fault();
         }
         FaultKind::CrashInFlight => {
-            // Commit a pad (WAL-durable, data pages dirty in the pool),
-            // pause the I/O scheduler so write-behind requests sit queued,
-            // and start a checkpoint that blocks in the drain barrier. The
-            // power cut below aborts the queue with those requests still
-            // in flight; recovery must replay the pages from the log.
+            // Cut the power while eviction write-backs sit unsynced in the
+            // data device's write cache. A checkpoint makes the last device
+            // sync; then a pad commits (WAL-durable, its pages dirty in the
+            // pool) and a read of a file larger than the pool evicts it.
+            // Each eviction forces the log and writes the page on this
+            // thread, and nothing syncs it: the cut drops those writes, and
+            // recovery must replay the pages from the log.
             let mut c = fs.client();
+            let filler = fill(96 * CHUNK_SIZE, 0x2E);
+            c.write_all("/crash/filler", CreateMode::default(), &filler).unwrap();
+            fs.db().checkpoint().unwrap();
+            let before = fs.db().stats();
             let bytes = fill(2 * CHUNK_SIZE + 31, 0x1F);
             c.write_all("/crash/inflight", CreateMode::default(), &bytes).unwrap();
             pads.push(("/crash/inflight".into(), bytes));
-            fs.db().pause_io(true);
-            let fs_t = fs.clone();
-            inflight_ckpt = Some(thread::spawn(move || {
-                // The drain barrier errors out when the crash aborts the
-                // queue; that error is the expected shape of this cycle.
-                let _ = fs_t.db().checkpoint();
-            }));
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while fs.db().io_queue_depth() == 0 {
-                assert!(
-                    Instant::now() < deadline,
-                    "the paused checkpoint never queued a write-behind request"
-                );
-                thread::sleep(Duration::from_millis(1));
-            }
+            assert!(c.read_to_vec("/crash/filler", None).unwrap() == filler, "filler diverged");
+            pads.push(("/crash/filler".into(), filler));
+            let d = fs.db().stats().delta(&before);
+            let syncs: u64 = d.devices.iter().map(|dev| dev.io_barrier_waits).sum();
+            assert_eq!((d.wal.checkpoints, syncs), (0, 0), "a device sync covered the write-backs");
+            assert!(d.buffer.writebacks > 0, "reading past the pool wrote nothing back");
         }
         FaultKind::CatalogDeviceFault => {
             // The fault is armed first: DDL itself writes only the log, so
@@ -449,11 +445,6 @@ fn run_schedule(sched: Schedule) {
 
     // Power cut, then the paper's instant recovery: just reattach.
     fs.db().simulate_crash();
-    if let Some(h) = inflight_ckpt.take() {
-        // The abort inside `simulate_crash` is what unblocked it; join
-        // before dropping unsynced writes so nothing races the crash.
-        h.join().unwrap();
-    }
     rig.power_cut();
     drop(pool);
     drop(fs);
