@@ -3,7 +3,10 @@
 //! measure the implementation itself).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use inversion::{chunk::Coalescer, compress, types::SatelliteImage, CreateMode, InversionFs};
+use inversion::{
+    chunk::Coalescer, compress, types::SatelliteImage, CreateMode, InversionFs, OpenMode,
+    SeekWhence,
+};
 use minidb::{decode_row, encode_row, Datum, Db, Schema, TypeId};
 
 fn bench_page(c: &mut Criterion) {
@@ -182,6 +185,27 @@ fn bench_inversion(c: &mut Criterion) {
                 .write_all(&path, CreateMode::default(), &data)
                 .unwrap();
             black_box(client.read_to_vec(&path, None).unwrap())
+        });
+    });
+    // The server's share of one `read_bulk` window: a 256 KB `p_read` of a
+    // 1 MB file whose pages are all in the pool.
+    c.bench_function("read_range/window_256k", |b| {
+        const WINDOW: usize = 256 << 10;
+        let config = minidb::DbConfig {
+            buffers: minidb::BERKELEY_BUFFERS,
+            ..Default::default()
+        };
+        let fs = InversionFs::format(Db::open_in_memory_with(config).unwrap()).unwrap();
+        let mut client = fs.client();
+        let data: Vec<u8> = (0..4 * WINDOW).map(|i| (i % 251) as u8).collect();
+        client.write_all("/f", CreateMode::default(), &data).unwrap();
+        let fd = client.p_open("/f", OpenMode::Read, None).unwrap();
+        let mut buf = vec![0u8; WINDOW];
+        let mut at = 0;
+        b.iter(|| {
+            client.p_lseek(fd, at, SeekWhence::Set).unwrap();
+            at = (at + WINDOW as i64) % data.len() as i64;
+            black_box(client.p_read(fd, &mut buf).unwrap())
         });
     });
     c.bench_function("inversion/coalescer_64k_in_256b", |b| {

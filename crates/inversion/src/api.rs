@@ -19,11 +19,12 @@
 //! have one transaction active at any time"; operations issued outside an
 //! explicit transaction auto-commit individually.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use minidb::catalog::RelKind;
 use minidb::checksum::checksum;
-use minidb::{Datum, DbError, Oid, RelId, Session, Snapshot, Tid};
+use minidb::{column_in_place, Datum, DatumRef, DbError, DbResult, Oid, RelId, Session, Snapshot, Tid};
 use simdev::SimInstant;
 
 use crate::chunk::{self, Coalescer};
@@ -728,8 +729,10 @@ fn flush_meta(fs: &InversionFs, s: &mut Session, st: &mut FileState) -> InvResul
     Ok(())
 }
 
-/// Fetches one chunk's (decompressed) content under the given snapshot.
-pub(crate) fn fetch_chunk(
+/// Fetches one chunk's (decompressed) content under the given snapshot
+/// (`None`: the session's own view): one index probe. The per-chunk
+/// reference [`read_range`] agrees with.
+pub fn fetch_chunk(
     fs: &InversionFs,
     s: &mut Session,
     stat: &FileStat,
@@ -738,17 +741,24 @@ pub(crate) fn fetch_chunk(
 ) -> InvResult<Option<Vec<u8>>> {
     fs.stats.chunk_reads.bump();
     let key = [Datum::Int4(chunkno as i32)];
-    let Some((_, row)) = s.index_lookup_unique(stat.chunkidx, &key, snap)? else {
-        return Ok(None);
-    };
-    decode_chunk(stat, chunkno, &row).map(Some)
+    let hit = s.index_lookup_unique_in_place(stat.chunkidx, &key, snap, |row| {
+        Ok(chunk_content(stat, chunkno, row)?.into_owned())
+    })?;
+    Ok(hit.map(|(_, content)| content))
 }
 
-/// Fills `buf` with the file's bytes from `offset` on, under `snap` — one
-/// chunk fetch per chunk the range touches, whatever the file's size. The
-/// caller clamps the range to the file; holes, and whatever a short stored
-/// chunk does not cover (sparse writes produce both), read as zeros.
-pub(crate) fn read_range(
+/// Fills `buf` with the file's bytes from `offset` on, under `snap` (`None`:
+/// the session's own view). The caller clamps the range to the file;
+/// holes, and whatever a short stored chunk does not cover (sparse writes
+/// produce both), read as zeros.
+///
+/// Each chunk's bytes are copied once, from its heap page straight into
+/// `buf` (a compressed chunk is decompressed from them). Under the
+/// session's own view one walk of the chunk index covers the whole range,
+/// and a chunk it does not visit is a hole. An `AsOf` read probes each
+/// chunk's key instead: only a point probe also searches the archive the
+/// vacuum cleaner moved old versions to.
+pub fn read_range(
     fs: &InversionFs,
     s: &mut Session,
     stat: &FileStat,
@@ -756,16 +766,75 @@ pub(crate) fn read_range(
     offset: u64,
     buf: &mut [u8],
 ) -> InvResult<()> {
-    let mut done = 0usize;
-    for (chunkno, start, take) in chunk::split_range(stat.chunk_size(), offset, buf.len()) {
-        let dst = &mut buf[done..done + take];
-        let content = fetch_chunk(fs, s, stat, chunkno, snap)?.unwrap_or_default();
-        let src = content.get(start..).unwrap_or_default();
-        let have = src.len().min(take);
-        dst[..have].copy_from_slice(&src[..have]);
-        dst[have..].fill(0);
-        done += take;
+    if buf.is_empty() {
+        return Ok(());
     }
+    let size = stat.chunk_size() as u64;
+    let end = offset + buf.len() as u64;
+    let (first, last) = (offset / size, (end - 1) / size);
+    fs.stats.chunk_reads.add(last - first + 1);
+    // Where chunk `c`'s bytes go in `buf`, and where in the chunk they start.
+    let place = |c: u64| {
+        let (lo, hi) = ((c * size).max(offset), ((c + 1) * size).min(end));
+        ((lo - offset) as usize..(hi - offset) as usize, (lo - c * size) as usize)
+    };
+    if let Some(snap) = snap {
+        for c in first..=last {
+            let (at, start) = place(c);
+            let dst = &mut buf[at];
+            let key = [Datum::Int4(c as i32)];
+            let hit = s.index_lookup_unique_in_place(stat.chunkidx, &key, Some(snap), |row| {
+                copy_chunk(stat, c as u32, row, start, dst)
+            })?;
+            if hit.is_none() {
+                dst.fill(0);
+            }
+        }
+        return Ok(());
+    }
+    // The walk yields each chunk at most once, in chunk order.
+    let mut filled = 0;
+    let (lo, hi) = ([Datum::Int4(first as i32)], [Datum::Int4(last as i32)]);
+    s.index_scan_range_in_place(stat.chunkidx, Some(&lo), Some(&hi), |row| {
+        let DatumRef::Int4(c) = column_in_place(row, 0)? else {
+            return Err(DbError::Corrupt(format!("file {}: a chunk number is not int4", stat.oid)));
+        };
+        let c = c as u32;
+        let stray = || {
+            let what = format!("file {}: the chunk index yielded chunk {c} out of order", stat.oid);
+            Err(DbError::Corrupt(what))
+        };
+        if !(first..=last).contains(&u64::from(c)) {
+            return stray();
+        }
+        let (at, start) = place(u64::from(c));
+        if at.start < filled {
+            return stray();
+        }
+        buf[filled..at.start].fill(0);
+        copy_chunk(stat, c, row, start, &mut buf[at.clone()])?;
+        filled = at.end;
+        Ok(true)
+    })?;
+    buf[filled..].fill(0);
+    Ok(())
+}
+
+/// Copies chunk `chunkno`'s content from byte `start` on into `dst`,
+/// straight from its stored row `row` (in place); what the stored chunk
+/// does not cover reads as zeros.
+fn copy_chunk(
+    stat: &FileStat,
+    chunkno: u32,
+    row: &[u8],
+    start: usize,
+    dst: &mut [u8],
+) -> DbResult<()> {
+    let content = chunk_content(stat, chunkno, row)?;
+    let src = content.get(start..).unwrap_or_default();
+    let have = src.len().min(dst.len());
+    dst[..have].copy_from_slice(&src[..have]);
+    dst[have..].fill(0);
     Ok(())
 }
 
@@ -787,12 +856,12 @@ fn tag_chunk(stat: &FileStat, chunkno: u32, payload: &[u8]) -> Vec<u8> {
 /// Verifies and strips a self-identifying tag. "Every block could be tagged
 /// with its file identifier and block number" — plus a checksum, so garbage
 /// written by failing hardware is detected instead of returned.
-fn untag_chunk<'a>(stat: &FileStat, chunkno: u32, raw: &'a [u8]) -> InvResult<&'a [u8]> {
+fn untag_chunk<'a>(stat: &FileStat, chunkno: u32, raw: &'a [u8]) -> DbResult<&'a [u8]> {
     let corrupt = |what: &str| {
-        InvError::Db(DbError::Corrupt(format!(
+        DbError::Corrupt(format!(
             "self-identifying check failed for file {} chunk {chunkno}: {what}",
             stat.oid
-        )))
+        ))
     };
     if raw.len() < SELF_ID_LEN {
         return Err(corrupt("tag truncated"));
@@ -817,17 +886,29 @@ fn untag_chunk<'a>(stat: &FileStat, chunkno: u32, raw: &'a [u8]) -> InvResult<&'
     Ok(payload)
 }
 
-fn decode_chunk(stat: &FileStat, chunkno: u32, row: &[Datum]) -> InvResult<Vec<u8>> {
-    let mut raw = row[1].as_bytes()?;
+/// A chunk's content from its stored bytes: the tag checked and stripped,
+/// a compressed chunk decompressed. Borrowed unless decompressed.
+fn unpack_chunk<'a>(stat: &FileStat, chunkno: u32, mut raw: &'a [u8]) -> DbResult<Cow<'a, [u8]>> {
     if stat.self_identifying {
         raw = untag_chunk(stat, chunkno, raw)?;
     }
-    if stat.compressed {
-        compress::decompress(raw)
-            .ok_or_else(|| InvError::Db(DbError::Corrupt("bad compressed chunk".into())))
-    } else {
-        Ok(raw.to_vec())
+    if !stat.compressed {
+        return Ok(Cow::Borrowed(raw));
     }
+    compress::decompress(raw)
+        .map(Cow::Owned)
+        .ok_or_else(|| DbError::Corrupt("bad compressed chunk".into()))
+}
+
+/// [`unpack_chunk`] of a chunk row handed over in place.
+fn chunk_content<'a>(stat: &FileStat, chunkno: u32, row: &'a [u8]) -> DbResult<Cow<'a, [u8]>> {
+    let DatumRef::Bytes(raw) = column_in_place(row, 1)? else {
+        return Err(DbError::Corrupt(format!(
+            "file {} chunk {chunkno}: content is not bytes",
+            stat.oid
+        )));
+    };
+    unpack_chunk(stat, chunkno, raw)
 }
 
 /// Read-modify-writes a byte range within one chunk.
@@ -844,10 +925,10 @@ pub(crate) fn write_chunk(
         return write_chunk_exact(fs, s, stat, chunkno, data);
     }
     let key = [Datum::Int4(chunkno as i32)];
-    let (tid, mut content) = match s.index_lookup_unique(stat.chunkidx, &key, None)? {
-        Some((tid, row)) => (Some(tid), decode_chunk(stat, chunkno, &row)?),
-        None => (None, Vec::new()),
-    };
+    let hit = s.index_lookup_unique_in_place(stat.chunkidx, &key, None, |row| {
+        Ok(chunk_content(stat, chunkno, row)?.into_owned())
+    })?;
+    let (tid, mut content) = hit.map_or((None, Vec::new()), |(tid, c)| (Some(tid), c));
     if content.len() < start + data.len() {
         content.resize(start + data.len(), 0);
     }
@@ -1058,7 +1139,8 @@ impl InversionFs {
                         .on_slot(tid.slot),
                     );
                 }
-                match decode_chunk(&stat, chunkno as u32, &crow) {
+                let raw = crow[1].as_bytes();
+                match raw.and_then(|raw| unpack_chunk(&stat, chunkno as u32, raw)) {
                     Ok(content) => {
                         if content.len() > size {
                             out.push(

@@ -33,7 +33,7 @@
 //! `send` refuses a request too large for one frame before writing a byte,
 //! so the session and its transaction carry on.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -225,12 +225,13 @@ impl Drop for InvServerPool {
 fn session_main(
     sh: &Shared,
     stats: &SessionNetStats,
-    mut reader: Box<dyn Read + Send>,
+    reader: Box<dyn Read + Send>,
     mut writer: Box<dyn Write + Send>,
     closer: &(dyn Fn() + Send + Sync),
 ) {
     let inv = sh.fs.stats();
     let mut server = InvServer::new(&sh.fs);
+    let mut reader = BufReader::with_capacity(FRAME_READ_BUFFER, reader);
     loop {
         let read = wire::read_frame(&mut reader);
         if let Ok(FrameEvent::Frame { payload, .. }) = &read {
@@ -272,6 +273,12 @@ pub(crate) const BULK_WINDOW: usize = 256 * 1024;
 // A window travels behind an `fd` and a byte count.
 const _: () = assert!(BULK_WINDOW + 8 <= wire::MAX_PAYLOAD);
 
+/// Bytes either end of a connection reads ahead of the frame it is on: at
+/// most one page. A small frame, or the header of a large one, then costs
+/// one read call, and so do the requests a client pipelines; a bulk
+/// payload is read past the buffer, straight into its destination.
+const FRAME_READ_BUFFER: usize = 8 * 1024;
+
 /// Client-side wire counters (mirror of the server's per-session row, for
 /// cross-checking in tests).
 #[derive(Debug, Default)]
@@ -294,7 +301,8 @@ pub struct ClientWireStats {
 /// Bulk reads and writes pipeline one request per 256 KB window: all frames
 /// are sent before any response is awaited, so the transport stays full.
 pub struct WireClient<S> {
-    stream: S,
+    /// Responses are read through the buffer, requests written past it.
+    stream: BufReader<S>,
     stats: ClientWireStats,
 }
 
@@ -302,7 +310,7 @@ impl<S: Read + Write> WireClient<S> {
     /// Wraps a connected byte stream.
     pub fn new(stream: S) -> WireClient<S> {
         WireClient {
-            stream,
+            stream: BufReader::with_capacity(FRAME_READ_BUFFER, stream),
             stats: ClientWireStats::default(),
         }
     }
@@ -314,7 +322,7 @@ impl<S: Read + Write> WireClient<S> {
 
     /// The byte stream this client speaks over.
     pub fn stream(&self) -> &S {
-        &self.stream
+        self.stream.get_ref()
     }
 
     /// Sends one request without waiting for its response (pipelining).
@@ -322,7 +330,7 @@ impl<S: Read + Write> WireClient<S> {
     pub fn send(&mut self, req: &Request) -> InvResult<()> {
         let bytes = wire::encode_request(req);
         wire::check_size(&bytes)?;
-        wire::write_frame(&mut self.stream, &bytes)
+        wire::write_frame(self.stream.get_mut(), &bytes)
             .map_err(|e| InvError::Invalid(format!("wire: send failed: {e}")))?;
         self.stats.frames_out.bump();
         self.stats.bytes_out.add(bytes.len() as u64);
@@ -331,17 +339,23 @@ impl<S: Read + Write> WireClient<S> {
 
     /// Receives one response (pairs with an earlier [`WireClient::send`]).
     pub fn recv(&mut self) -> InvResult<Response> {
-        match wire::read_frame(&mut self.stream).map_err(InvError::from)? {
-            FrameEvent::Eof => Err(InvError::Invalid("wire: server closed connection".into())),
-            FrameEvent::Corrupt(e) => Err(e.into()),
-            FrameEvent::Frame { opcode, payload } => {
-                self.stats.frames_in.bump();
-                self.stats
-                    .bytes_in
-                    .add((wire::HEADER_LEN + payload.len()) as u64);
-                wire::decode_response_frame(opcode, &payload).map_err(InvError::from)?
-            }
+        let mut data = Vec::new();
+        match self.recv_into(&mut data)? {
+            Response::Data(_) => Ok(Response::Data(data)),
+            other => Ok(other),
         }
+    }
+
+    /// Receives one response; a `Data` reply's bytes are appended to `out`
+    /// where they land ([`wire::read_response_into`]), and its response is
+    /// empty.
+    fn recv_into(&mut self, out: &mut Vec<u8>) -> InvResult<Response> {
+        let Some((len, res)) = wire::read_response_into(&mut self.stream, out)? else {
+            return Err(InvError::Invalid("wire: server closed connection".into()));
+        };
+        self.stats.frames_in.bump();
+        self.stats.bytes_in.add(len as u64);
+        res
     }
 
     /// One synchronous round trip.
@@ -352,7 +366,8 @@ impl<S: Read + Write> WireClient<S> {
 
     /// Reads `len` bytes from `fd`, pipelining one request per 256 KB
     /// window: every request frame is sent before the first response is
-    /// read. Short reads (EOF) end the result early.
+    /// read, and each response's bytes are read straight into the result.
+    /// Short reads (EOF) end the result early.
     pub fn read_bulk(&mut self, fd: crate::api::Fd, len: usize) -> InvResult<Vec<u8>> {
         let mut sent = 0usize;
         let mut inflight = 0usize;
@@ -363,9 +378,7 @@ impl<S: Read + Write> WireClient<S> {
             inflight += 1;
         }
         let mut out = Vec::with_capacity(len);
-        for resp in self.recv_all(inflight)? {
-            out.extend_from_slice(&Vec::<u8>::from_response(resp)?);
-        }
+        self.recv_all(inflight, &mut out, |resp| Vec::<u8>::from_response(resp).map(drop))?;
         Ok(out)
     }
 
@@ -378,26 +391,29 @@ impl<S: Read + Write> WireClient<S> {
             inflight += 1;
         }
         let mut total = 0usize;
-        for resp in self.recv_all(inflight)? {
+        self.recv_all(inflight, &mut Vec::new(), |resp| {
             total += usize::from_response(resp)?;
-        }
+            Ok(())
+        })?;
         Ok(total)
     }
 
-    /// Receives `n` pipelined responses. All `n` are read, so the stream is
-    /// back in sync, before the first error (if any) is returned.
-    fn recv_all(&mut self, n: usize) -> InvResult<Vec<Response>> {
-        let mut out = Vec::with_capacity(n);
+    /// Receives `n` pipelined responses, appending `Data` replies' bytes to
+    /// `out` and handing each response to `take`. All `n` are read, so the
+    /// stream is back in sync, before the first error (if any) is returned.
+    fn recv_all(
+        &mut self,
+        n: usize,
+        out: &mut Vec<u8>,
+        mut take: impl FnMut(Response) -> InvResult<()>,
+    ) -> InvResult<()> {
         let mut first_err = None;
         for _ in 0..n {
-            match self.recv() {
-                Ok(resp) => out.push(resp),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
+            if let Err(e) = self.recv_into(out).and_then(&mut take) {
+                first_err.get_or_insert(e);
             }
         }
-        first_err.map_or(Ok(out), Err)
+        first_err.map_or(Ok(()), Err)
     }
 }
 

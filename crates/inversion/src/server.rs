@@ -71,7 +71,7 @@ impl InvServer {
     /// damaged. A damaged frame that left the stream in sync (checksum
     /// mismatch, unknown opcode, bad payload) is answered with an error.
     pub fn serve_frame(&mut self, read: Result<FrameEvent, WireError>) -> (Option<Vec<u8>>, bool) {
-        let res = match read {
+        let req = match read {
             Ok(FrameEvent::Eof) => return (None, false),
             Ok(FrameEvent::Frame { opcode, payload }) => {
                 let stats = self.client.fs().stats();
@@ -79,7 +79,7 @@ impl InvServer {
                 stats
                     .net_bytes_in
                     .add((wire::HEADER_LEN + payload.len()) as u64);
-                wire::decode_request_frame(opcode, &payload).map(|req| self.handle(req))
+                wire::decode_request_frame(opcode, &payload)
             }
             Ok(FrameEvent::Corrupt(e)) => Err(e),
             Err(e) => {
@@ -92,18 +92,34 @@ impl InvServer {
                 return (None, damaged);
             }
         };
-        let stats = self.client.fs().stats();
-        let damaged = res.is_err();
+        let damaged = req.is_err();
         if damaged {
-            stats.net_decode_errors.bump();
+            self.client.fs().stats().net_decode_errors.bump();
         }
-        let mut bytes = wire::encode_response(&res.unwrap_or_else(|e| Err(e.into())));
+        let mut bytes = match req {
+            Ok(req) => self.answer(req),
+            Err(e) => wire::encode_response(&Err(e.into())),
+        };
+        let stats = self.client.fs().stats();
         if let Err(e) = wire::check_size(&bytes) {
             bytes = wire::encode_response(&Err(e));
         }
         stats.net_frames_out.bump();
         stats.net_bytes_out.add(bytes.len() as u64);
         (Some(bytes), damaged)
+    }
+
+    /// Runs one request and encodes its response frame. A read's bytes
+    /// land in the frame itself ([`wire::encode_data_reply`]): the frame is
+    /// the one [`InvServer::handle`]'s response encodes to, without the
+    /// response in between.
+    fn answer(&mut self, req: Request) -> Vec<u8> {
+        let Request::Read(fd, len) = req else {
+            return wire::encode_response(&self.handle(req));
+        };
+        self.client.fs().stats().rpcs.bump();
+        let client = &mut self.client;
+        wire::encode_data_reply(len, |buf| client.p_read(fd, buf))
     }
 }
 

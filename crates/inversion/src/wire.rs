@@ -132,6 +132,7 @@ impl From<WireError> for InvError {
 
 /// The frame checksum: [`minidb::checksum`]'s lane sum of the payload.
 pub use minidb::checksum::checksum;
+use minidb::checksum::Checksum;
 
 // ---------------------------------------------------------------------------
 // Primitive payload encoding.
@@ -759,6 +760,27 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     seal_frame(out, op)
 }
 
+/// The frame [`encode_response`] makes of `Ok(Response::Data(d))`, where
+/// `d` is what `fill` reads into a buffer of `len` bytes (it returns how
+/// many it filled), assembled in place: `fill` writes into the frame
+/// itself, behind its header and byte count, and the frame is sealed
+/// around what it wrote. A failed `fill` is answered with its error.
+pub(crate) fn encode_data_reply(
+    len: usize,
+    fill: impl FnOnce(&mut [u8]) -> InvResult<usize>,
+) -> Vec<u8> {
+    const AT: usize = HEADER_LEN + 4;
+    let mut out = vec![0u8; AT + len];
+    match fill(&mut out[AT..]) {
+        Ok(n) => {
+            out.truncate(AT + n);
+            out[HEADER_LEN..AT].copy_from_slice(&(n as u32).to_le_bytes());
+            seal_frame(out, OP_R_DATA)
+        }
+        Err(e) => encode_response(&Err(e)),
+    }
+}
+
 /// Encodes a server result (success or error) as a complete frame.
 pub fn encode_response(res: &InvResult<Response>) -> Vec<u8> {
     let mut out = begin_frame(response_wire_size(res.as_ref()));
@@ -844,11 +866,85 @@ pub enum FrameEvent {
 /// trustworthy (bad magic, truncated frame, oversized length, i/o failure)
 /// and the connection should be torn down.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<FrameEvent, WireError> {
+    let Some(h) = read_header(r)? else {
+        return Ok(FrameEvent::Eof);
+    };
+    let mut payload = vec![0u8; h.len];
+    read_payload(r, &mut payload)?;
+    if checksum(&payload) != h.sum {
+        return Ok(FrameEvent::Corrupt(WireError::Checksum));
+    }
+    Ok(FrameEvent::Frame {
+        opcode: h.opcode,
+        payload,
+    })
+}
+
+/// Reads one response frame from `r` and decodes it, as [`read_frame`] and
+/// [`decode_response_frame`] do, except that a `Data` reply's bytes are
+/// appended to `out`: read where they land and checked there, never copied
+/// again. The reply is then answered as an empty `Response::Data`. Returns
+/// the frame's length with the response, `None` at a clean end of stream;
+/// a frame that fails its checksum is [`WireError::Checksum`] and leaves
+/// `out` as it was.
+pub(crate) fn read_response_into<R: Read>(
+    r: &mut R,
+    out: &mut Vec<u8>,
+) -> Result<Option<(usize, InvResult<Response>)>, WireError> {
+    let Some(h) = read_header(r)? else {
+        return Ok(None);
+    };
+    let frame_len = HEADER_LEN + h.len;
+    if h.opcode != OP_R_DATA || h.len < 4 {
+        let mut payload = vec![0u8; h.len];
+        read_payload(r, &mut payload)?;
+        if checksum(&payload) != h.sum {
+            return Err(WireError::Checksum);
+        }
+        return Ok(Some((frame_len, decode_response_frame(h.opcode, &payload)?)));
+    }
+    // A `Data` payload is the byte count, then the bytes.
+    let mut count = [0u8; 4];
+    read_payload(r, &mut count)?;
+    let start = out.len();
+    out.resize(start + h.len - 4, 0);
+    let landed = read_payload(r, &mut out[start..]).and_then(|()| {
+        let mut sum = Checksum::new();
+        sum.update(&count);
+        sum.update(&out[start..]);
+        let n = u32::from_le_bytes(count) as usize;
+        if sum.finish() != h.sum {
+            return Err(WireError::Checksum);
+        }
+        if n != h.len - 4 {
+            let what = format!("{n} data bytes in a {}-byte payload", h.len);
+            return Err(WireError::Malformed(what));
+        }
+        Ok(())
+    });
+    if let Err(e) = landed {
+        out.truncate(start);
+        return Err(e);
+    }
+    Ok(Some((frame_len, Ok(Response::Data(Vec::new())))))
+}
+
+/// A frame header whose magic, version and length passed.
+struct Header {
+    opcode: u16,
+    /// Payload bytes that follow.
+    len: usize,
+    /// The payload's checksum.
+    sum: u32,
+}
+
+/// Reads one frame header from `r`; `None` at a clean end of stream.
+fn read_header<R: Read>(r: &mut R) -> Result<Option<Header>, WireError> {
     let mut hdr = [0u8; HEADER_LEN];
     let mut got = 0usize;
     while got < HEADER_LEN {
         match r.read(&mut hdr[got..]) {
-            Ok(0) if got == 0 => return Ok(FrameEvent::Eof),
+            Ok(0) if got == 0 => return Ok(None),
             Ok(0) => return Err(WireError::Truncated),
             Ok(n) => got += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -868,20 +964,19 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<FrameEvent, WireError> {
     if len as usize > MAX_PAYLOAD {
         return Err(WireError::Oversize(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    let mut got = 0usize;
-    while got < payload.len() {
-        match r.read(&mut payload[got..]) {
-            Ok(0) => return Err(WireError::Truncated),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    if checksum(&payload) != sum {
-        return Ok(FrameEvent::Corrupt(WireError::Checksum));
-    }
-    Ok(FrameEvent::Frame { opcode, payload })
+    Ok(Some(Header {
+        opcode,
+        len: len as usize,
+        sum,
+    }))
+}
+
+/// Fills `buf` with the next bytes of a payload.
+fn read_payload<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), WireError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => WireError::Truncated,
+        _ => e.into(),
+    })
 }
 
 /// Writes a pre-encoded frame to `w`, flushing it onto the wire.
@@ -981,6 +1076,34 @@ mod tests {
             let back = decode_response(&bytes).unwrap();
             assert_eq!(format!("{res:?}"), format!("{back:?}"));
         }
+    }
+
+    #[test]
+    fn a_data_reply_lands_in_place_and_is_checked_there() {
+        let reply = encode_response(&Ok(Response::Data(vec![7u8; 300])));
+        let mut out = b"head".to_vec();
+        let (len, res) = read_response_into(&mut &reply[..], &mut out).unwrap().unwrap();
+        assert_eq!(len, reply.len());
+        assert!(matches!(res, Ok(Response::Data(d)) if d.is_empty()));
+        assert_eq!(out[..4], *b"head");
+        assert_eq!(out[4..], [7u8; 300]);
+        // A flipped byte, or a count the frame's length disagrees with,
+        // leaves `out` as it was.
+        let mut flipped = reply.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        let res = read_response_into(&mut &flipped[..], &mut out);
+        assert!(matches!(res, Err(WireError::Checksum)));
+        let mut payload = Vec::new();
+        put_bytes(&mut payload, &[7u8; 300]);
+        payload[0] -= 1;
+        let res = read_response_into(&mut &frame(OP_R_DATA, &payload)[..], &mut out);
+        assert!(matches!(res, Err(WireError::Malformed(_))));
+        assert_eq!(out.len(), 304);
+        // Any other reply decodes as `decode_response` decodes it.
+        let err = encode_response(&Err(InvError::BadFd(3)));
+        let res = read_response_into(&mut &err[..], &mut out).unwrap();
+        assert!(matches!(res, Some((_, Err(InvError::BadFd(3))))));
+        assert!(read_response_into(&mut &[][..], &mut out).unwrap().is_none());
     }
 
     #[test]

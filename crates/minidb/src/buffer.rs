@@ -617,6 +617,12 @@ impl BufferPool {
         // at a time.)
         let capacity = self.frames_in(si);
         let mut parked: Option<PinWaiter<'_>> = None;
+        // Victims whose write-back failed in this call, and the first
+        // failure: the sweep passes over them, and the error is returned
+        // only when nothing else can be evicted. Each stays cached and
+        // dirty, so the next checkpoint meets the failure again.
+        let mut failed: Vec<(RelId, u64)> = Vec::new();
+        let mut first_err: Option<DbError> = None;
         'retry: loop {
             let tok = order::token(order::BUFFER_SHARD);
             let mut shard = self.shards[si].lock();
@@ -630,6 +636,9 @@ impl BufferPool {
             let max_steps = 2 * shard.ring.len() + 1;
             loop {
                 if steps > max_steps {
+                    if let Some(e) = first_err {
+                        return Err(e);
+                    }
                     drop(shard);
                     drop(tok);
                     // Register first and sweep once more; sleep only if
@@ -660,6 +669,7 @@ impl BufferPool {
                 };
                 if frame.pins.load(Ordering::SeqCst) > 0
                     || frame.refbit.swap(false, Ordering::SeqCst)
+                    || failed.contains(&key)
                 {
                     shard.hand = pos + 1;
                     continue;
@@ -706,7 +716,15 @@ impl BufferPool {
                 let mut shard = self.shards[si].lock();
                 frame.unpin();
                 shard.stats.writebacks += 1;
-                io?;
+                if let Err(e) = io {
+                    // Sweep on past it.
+                    if let Some(at) = shard.ring.iter().position(|k| *k == key) {
+                        shard.hand = at + 1;
+                    }
+                    failed.push(key);
+                    first_err.get_or_insert(e);
+                    continue 'retry;
+                }
                 // Unmap only if still ours, unpinned, and still clean —
                 // a re-pin or re-dirty in the writeback window wins.
                 if frame.pins.load(Ordering::SeqCst) == 0
@@ -1125,6 +1143,41 @@ mod tests {
         assert!(pool.new_page(&smgr, DeviceId::DEFAULT, rel).is_err());
         pins.clear();
         assert!(pool.new_page(&smgr, DeviceId::DEFAULT, rel).is_ok());
+    }
+
+    /// A victim whose write-back fails does not wedge its shard: the sweep
+    /// passes it by and evicts another frame, and the page stays cached and
+    /// dirty, so a flush still reports the failure.
+    #[test]
+    fn a_failed_write_back_leaves_the_rest_of_its_shard_usable() {
+        let clock = SimClock::new();
+        let disk = |name| MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(4096));
+        let (d0, d1) = (disk("d0"), disk("d1"));
+        let faults = d1.fault_plan();
+        let mut smgr = Smgr::new();
+        for (id, d) in [(DeviceId(0), d0), (DeviceId(1), d1)] {
+            let mgr = GenericManager::format(shared_device(d)).unwrap();
+            smgr.register(id, Box::new(mgr)).unwrap();
+        }
+        // Two shards of two frames. Every page below is block 0 of a
+        // relation of its own, picked to land in shard 0.
+        let pool = BufferPool::with_shards(4, 2);
+        let mut rels = (100..).map(Oid).filter(|&r| pool.shard_index(r, 0) == 0);
+        let mut new_page = |dev: DeviceId| {
+            let rel = rels.next().unwrap();
+            smgr.with(dev, |m| m.create_rel(rel)).unwrap();
+            pool.new_page(&smgr, dev, rel).map(drop)
+        };
+        new_page(DeviceId(1)).unwrap();
+        new_page(DeviceId(0)).unwrap();
+        faults.set_offline(true);
+        for i in 1..=5 {
+            if let Err(e) = new_page(DeviceId(0)) {
+                panic!("new_page {i} on the healthy device: {e}");
+            }
+        }
+        let err = pool.flush_all(&smgr).unwrap_err();
+        assert!(err.to_string().contains("offline"), "{err}");
     }
 
     #[test]

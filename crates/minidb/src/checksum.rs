@@ -61,17 +61,94 @@ pub fn seeded_checksum(seed: [u32; LANES], data: &[u8]) -> u32 {
     sum(lanes, data)
 }
 
-fn sum(mut lanes: [u32; LANES], data: &[u8]) -> u32 {
-    let (blocks, tail) = data.as_chunks::<BLOCK>();
-    for block in blocks {
-        mix_block(&mut lanes, block);
-    }
-    if !tail.is_empty() {
-        let mut last = [0u8; BLOCK];
-        last[..tail.len()].copy_from_slice(tail);
-        mix_block(&mut lanes, &last);
-    }
-    // Only the low 32 bits of the length take part.
-    lanes.iter().fold(data.len() as u32, |h, &lane| mix(h, lane))
+fn sum(lanes: [u32; LANES], data: &[u8]) -> u32 {
+    let mut sum = Checksum { lanes, ..Checksum::new() };
+    sum.update(data);
+    sum.finish()
 }
 
+/// [`checksum`] over data that arrives in pieces: fed the pieces of `data`
+/// in order, [`Checksum::finish`] returns `checksum(data)`. A wire reader
+/// uses it to check a payload whose pieces land in different buffers.
+pub struct Checksum {
+    lanes: [u32; LANES],
+    /// The start of a block not yet mixed in: `held` bytes of it.
+    block: [u8; BLOCK],
+    held: usize,
+    len: usize,
+}
+
+impl Default for Checksum {
+    fn default() -> Checksum {
+        Checksum::new()
+    }
+}
+
+impl Checksum {
+    /// The checksum of no data so far.
+    pub fn new() -> Checksum {
+        Checksum {
+            lanes: START,
+            block: [0; BLOCK],
+            held: 0,
+            len: 0,
+        }
+    }
+
+    /// Takes in the next piece of the data.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.len += data.len();
+        if self.held > 0 {
+            let take = (BLOCK - self.held).min(data.len());
+            self.block[self.held..self.held + take].copy_from_slice(&data[..take]);
+            self.held += take;
+            data = &data[take..];
+            if self.held < BLOCK {
+                return;
+            }
+            mix_block(&mut self.lanes, &self.block);
+            self.held = 0;
+        }
+        let (blocks, tail) = data.as_chunks::<BLOCK>();
+        let mut lanes = self.lanes;
+        for block in blocks {
+            mix_block(&mut lanes, block);
+        }
+        self.lanes = lanes;
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.held = tail.len();
+    }
+
+    /// The checksum of everything taken in.
+    pub fn finish(mut self) -> u32 {
+        if self.held > 0 {
+            // The last block is zero-padded.
+            self.block[self.held..].fill(0);
+            mix_block(&mut self.lanes, &self.block);
+        }
+        // Only the low 32 bits of the length take part.
+        self.lanes.iter().fold(self.len as u32, |h, &lane| mix(h, lane))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pieces_sum_as_the_whole() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in [0, 1, 15, 16, 17, 33, 200] {
+            let whole = checksum(&data[..len]);
+            for cut in 0..=len {
+                for cut2 in cut..=len {
+                    let mut sum = Checksum::new();
+                    sum.update(&data[..cut]);
+                    sum.update(&data[cut..cut2]);
+                    sum.update(&data[cut2..len]);
+                    assert_eq!(sum.finish(), whole, "len {len} cut at {cut}, {cut2}");
+                }
+            }
+        }
+    }
+}

@@ -241,20 +241,29 @@ impl fmt::Display for Datum {
 
 /// A datum read in place from its encoding: text and bytes borrow the
 /// encoded bytes, scalars are copied onto the stack. B-tree probes compare
-/// these, so a probe decodes nothing onto the heap; [`DatumRef::to_datum`]
-/// makes the owned [`Datum`] a caller receives.
+/// these, so a probe decodes nothing onto the heap; a caller handed a row
+/// in place ([`column_in_place`]) borrows a column's bytes through one;
+/// [`DatumRef::to_datum`] makes the owned [`Datum`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum DatumRef<'a> {
+pub enum DatumRef<'a> {
+    /// [`Datum::Null`].
     Null,
+    /// [`Datum::Bool`].
     Bool(bool),
+    /// [`Datum::Int4`].
     Int4(i32),
+    /// [`Datum::Int8`].
     Int8(i64),
+    /// [`Datum::Float8`].
     Float8(f64),
     /// A text datum's UTF-8 bytes, not yet validated. `String` orders by
     /// bytes, so comparing these orders as the decoded text would.
     Text(&'a [u8]),
+    /// [`Datum::Bytes`], borrowed.
     Bytes(&'a [u8]),
+    /// [`Datum::Oid`].
     Oid(u32),
+    /// [`Datum::Time`].
     Time(u64),
 }
 
@@ -386,6 +395,20 @@ pub fn decode_row(buf: &[u8]) -> DbResult<Row> {
         row.push(Datum::decode_from(buf, &mut pos)?);
     }
     Ok(row)
+}
+
+/// Column `i` of the row [`encode_row`] wrote into `buf`, read in place:
+/// the columns before it are stepped over, nothing is copied.
+pub fn column_in_place(buf: &[u8], i: usize) -> DbResult<DatumRef<'_>> {
+    let ncols = row_len(buf)?;
+    if i >= ncols {
+        return Err(DbError::Invalid(format!("a {ncols}-column row has no column {i}")));
+    }
+    let mut pos = 2;
+    for _ in 0..i {
+        DatumRef::decode_from(buf, &mut pos)?;
+    }
+    DatumRef::decode_from(buf, &mut pos)
 }
 
 /// Orders the row [`encode_row`] wrote into `buf` against `key` in place,

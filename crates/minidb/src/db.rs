@@ -1151,23 +1151,29 @@ impl Session {
         key: &[Datum],
         snap: Option<&Snapshot>,
     ) -> DbResult<Option<(Tid, Row)>> {
-        self.lookup_unique(index, key, snap, decode_row)
+        self.index_lookup_unique_in_place(index, key, snap, decode_row)
     }
 
     /// [`Session::index_lookup_unique`] for a caller about to replace or
     /// delete the row: its tuple id alone. The heap page is still read
     /// (visibility lives in the tuple header) but the row is not decoded.
     pub fn index_lookup_unique_tid(&mut self, index: RelId, key: &[Datum]) -> DbResult<Option<Tid>> {
-        let hit = self.lookup_unique(index, key, None, |_| Ok(()))?;
+        let hit = self.index_lookup_unique_in_place(index, key, None, |_| Ok(()))?;
         Ok(hit.map(|(tid, ())| tid))
     }
 
-    fn lookup_unique<T>(
-        &self,
+    /// [`Session::index_lookup_unique`] that hands the visible row to
+    /// `read` in place: its encoding ([`crate::encode_row`]) as it sits
+    /// on the heap page, under the page's latch. `read` borrows what it
+    /// needs ([`crate::column_in_place`]) and returns what it made of it.
+    /// For an `AsOf` snapshot, a version the vacuum cleaner archived is
+    /// re-encoded first.
+    pub fn index_lookup_unique_in_place<T>(
+        &mut self,
         index: RelId,
         key: &[Datum],
         snap: Option<&Snapshot>,
-        read: impl Fn(&[u8]) -> DbResult<T>,
+        read: impl FnMut(&[u8]) -> DbResult<T>,
     ) -> DbResult<Option<(Tid, T)>> {
         let ix = self.index_meta(index)?;
         if !ix.unique {
@@ -1195,6 +1201,21 @@ impl Session {
     ) -> DbResult<()> {
         let ix = self.index_meta(index)?;
         self.index_probe(ix, Keys::Between(lo, hi), None, decode_row, f)
+    }
+
+    /// [`Session::index_scan_range`] that hands each visible row to `read`
+    /// in place, as [`Session::index_lookup_unique_in_place`] does: one
+    /// index walk for the whole range, nothing decoded or copied but what
+    /// `read` takes. `read` returns `false` to stop early.
+    pub fn index_scan_range_in_place(
+        &mut self,
+        index: RelId,
+        lo: Option<&[Datum]>,
+        hi: Option<&[Datum]>,
+        read: impl FnMut(&[u8]) -> DbResult<bool>,
+    ) -> DbResult<()> {
+        let ix = self.index_meta(index)?;
+        self.index_probe(ix, Keys::Between(lo, hi), None, read, |_, go_on| Ok(go_on))
     }
 
     /// The tuple ids [`Session::index_scan_range`] would visit, without
@@ -1254,7 +1275,7 @@ impl Session {
         ix: IndexMeta,
         keys: Keys<'_>,
         snap: Option<&Snapshot>,
-        read: impl Fn(&[u8]) -> DbResult<T>,
+        mut read: impl FnMut(&[u8]) -> DbResult<T>,
         mut emit: impl FnMut(Tid, T) -> DbResult<bool>,
     ) -> DbResult<()> {
         let r = self.read(ix.table, Some(ix.index), snap)?;
@@ -1266,7 +1287,7 @@ impl Session {
         let go_on = Cell::new(true);
         // One version; says whether to go on to the key's next older one.
         let mut visit = |tid: Tid| -> DbResult<bool> {
-            let Some(v) = heap.fetch_with(snap, tid, &read)? else {
+            let Some(v) = heap.fetch_with(snap, tid, &mut read)? else {
                 return Ok(true);
             };
             found.set(true);

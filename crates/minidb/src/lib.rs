@@ -79,7 +79,7 @@ pub mod xact;
 pub use buffer::{BufferPool, BufferStats, PinnedPage, BERKELEY_BUFFERS, DEFAULT_BUFFERS};
 pub use catalog::{IndexInfo, RelKind, RelationEntry};
 pub use check::Finding;
-pub use datum::{decode_row, encode_row, Column, Datum, Row, Schema, TypeId};
+pub use datum::{column_in_place, decode_row, encode_row, Column, Datum, DatumRef, Row, Schema, TypeId};
 pub use db::{Db, DbConfig, Session};
 pub use error::{DbError, DbResult};
 pub use funcs::{FuncDef, FunctionRegistry};

@@ -1433,3 +1433,99 @@ fn coalescer_equivalence_small_vs_large_writes() {
         assert_eq!(c.read_to_vec(&path, None).unwrap(), data, "piece size {sz}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// A bulk read against the per-chunk path. `api::read_range` walks the chunk
+// index once per range (or probes each chunk's key, as of an instant) and
+// copies each chunk's bytes straight from its heap page; `api::fetch_chunk`
+// probes one chunk and decodes it. Over files with holes (sparse writes),
+// version chains (overwrites, some inside the writing transaction), and
+// every chunk layout, the two must read the same bytes: in the writing
+// transaction, after its commit, and as of an instant before a second
+// transaction, once the vacuum cleaner has archived what that one replaced.
+
+/// `(offset, len, salt)` of one write.
+type Write = (u64, usize, u8);
+
+fn write_strategy() -> impl Strategy<Value = Vec<Write>> {
+    prop::collection::vec((0u64..60_000, 1usize..20_000, any::<u8>()), 1..6)
+}
+
+fn salted(len: usize, salt: u8) -> Vec<u8> {
+    (0..len).map(|i| (i % 253) as u8 ^ salt).collect()
+}
+
+/// Reads every window both ways and compares.
+fn read_range_agrees(
+    fs: &InversionFs,
+    s: &mut minidb::Session,
+    stat: &inversion::FileStat,
+    snap: Option<&minidb::Snapshot>,
+    windows: &[(u64, usize)],
+) {
+    use inversion::api::{fetch_chunk, read_range};
+    for &(offset, len) in windows {
+        // Not zeros: a byte the read leaves alone shows.
+        let mut got = vec![0xEE; len];
+        read_range(fs, s, stat, snap, offset, &mut got).unwrap();
+        let mut want = Vec::with_capacity(len);
+        for (chunkno, start, take) in inversion::chunk::split_range(stat.chunk_size(), offset, len) {
+            let content = fetch_chunk(fs, s, stat, chunkno, snap).unwrap().unwrap_or_default();
+            let src = content.get(start..).unwrap_or_default();
+            let have = src.len().min(take);
+            want.extend_from_slice(&src[..have]);
+            want.resize(want.len() + take - have, 0);
+        }
+        assert!(got == want, "{snap:?}: window {offset}+{len} differs from the per-chunk read");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn read_range_equals_the_per_chunk_path(
+        layout in (any::<bool>(), any::<bool>()),
+        first in write_strategy(),
+        overwrites in write_strategy(),
+        second in write_strategy(),
+        windows in prop::collection::vec((0u64..70_000, 0usize..30_000), 1..8),
+    ) {
+        use inversion::LargeObject;
+        use minidb::{DeviceId, Snapshot};
+        let fs = InversionFs::open_in_memory().unwrap();
+        let mut mode = CreateMode::default();
+        if layout.0 {
+            mode = mode.compressed();
+        }
+        if layout.1 {
+            mode = mode.self_identifying();
+        }
+        let write = |s: &mut minidb::Session, lo: &LargeObject, writes: &[Write]| {
+            for &(offset, len, salt) in writes {
+                lo.write_at(s, offset, &salted(len, salt)).unwrap();
+            }
+        };
+        let mut s = fs.db().begin().unwrap();
+        let lo = LargeObject::create(&fs, &mut s, &mode).unwrap();
+        write(&mut s, &lo, &first);
+        write(&mut s, &lo, &overwrites);
+        let stat = lo.stat(&mut s).unwrap();
+        read_range_agrees(&fs, &mut s, &stat, None, &windows);
+        s.commit().unwrap();
+        let before = fs.db().now();
+
+        let mut s = fs.db().begin().unwrap();
+        write(&mut s, &lo, &second);
+        s.commit().unwrap();
+        let mut s = fs.db().begin().unwrap();
+        read_range_agrees(&fs, &mut s, &stat, None, &windows);
+        s.commit().unwrap();
+
+        minidb::vacuum::vacuum(fs.db(), stat.datarel, DeviceId::DEFAULT).unwrap();
+        let mut s = fs.db().begin().unwrap();
+        read_range_agrees(&fs, &mut s, &stat, Some(&Snapshot::AsOf(before)), &windows);
+        read_range_agrees(&fs, &mut s, &stat, None, &windows);
+        s.commit().unwrap();
+    }
+}

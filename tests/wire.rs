@@ -13,8 +13,8 @@ use std::io::{self, Read, Write};
 use inversion::server::{Request, Response};
 use inversion::wire::{self, FrameEvent, WireError, HEADER_LEN, MAX_PAYLOAD};
 use inversion::{
-    CreateMode, FileKind, FileStat, InvError, InvServerPool, InversionFs, OpenMode, PoolConfig,
-    SeekWhence, SliceRange, WireClient,
+    CreateMode, FileKind, FileStat, InvError, InvServer, InvServerPool, InversionFs, OpenMode,
+    PoolConfig, SeekWhence, SliceRange, WireClient,
 };
 use minidb::{DbError, DeviceId, Oid, TypeId};
 use proptest::prelude::*;
@@ -814,5 +814,114 @@ fn session_dies_cleanly_on_unrecoverable_framing_damage() {
     );
     assert_eq!(fs.db().held_lock_count(), 0, "locks leaked");
     assert!(fs.db().check_all().is_empty());
+    pool.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// A read answered in its frame.
+
+/// The frame `serve_frame` answers `Read(fd, len)` with, from `offset`.
+fn served_read(srv: &mut InvServer, fd: i32, offset: u64, len: usize) -> Vec<u8> {
+    srv.handle(Request::Lseek(fd, offset as i64, SeekWhence::Set)).unwrap();
+    let frame = wire::encode_request(&Request::Read(fd, len));
+    srv.serve_frame(wire::read_frame(&mut &frame[..])).0.unwrap()
+}
+
+/// The frame the encoder makes of what `handle` answers the same read with.
+fn encoded_read(srv: &mut InvServer, fd: i32, offset: u64, len: usize) -> Vec<u8> {
+    srv.handle(Request::Lseek(fd, offset as i64, SeekWhence::Set)).unwrap();
+    wire::encode_response(&srv.handle(Request::Read(fd, len)))
+}
+
+/// `serve_frame` assembles a read's reply in the frame itself; the bytes
+/// must be those `encode_response(Ok(Response::Data(..)))` makes: for
+/// reads of 0, 1, one chunk, one page and one bulk window, at and past
+/// EOF, over a hole, of a compressed and of a self-identifying file, and
+/// for a descriptor that does not exist.
+#[test]
+fn a_read_reply_assembled_in_its_frame_is_the_encoders_frame() {
+    let fs = InversionFs::open_in_memory().unwrap();
+    let mut srv = InvServer::new(&fs);
+    let size = WINDOW + 40_000;
+    let mut open = |path: &str, mode: CreateMode, at: u64, len: usize| {
+        let Response::Fd(fd) = srv.handle(Request::Creat(path.into(), mode)).unwrap() else {
+            panic!("creat answered no fd")
+        };
+        srv.handle(Request::Lseek(fd, at as i64, SeekWhence::Set)).unwrap();
+        let data = (0..len).map(|i| (i % 251) as u8 ^ path.len() as u8).collect();
+        srv.handle(Request::Write(fd, data)).unwrap();
+        fd
+    };
+    let plain = open("/plain", CreateMode::default(), 0, size);
+    let packed = open("/packed", CreateMode::default().compressed(), 0, size);
+    let tagged = open("/tagged", CreateMode::default().self_identifying(), 0, size);
+    // Ten bytes behind a hole of twelve chunks.
+    let sparse = open("/sparse", CreateMode::default(), 100_000, 10);
+    let mut cases = Vec::new();
+    for fd in [plain, packed, tagged] {
+        for len in [0, 1, 8_128, 8_192, WINDOW] {
+            cases.push((fd, 3, len));
+        }
+        cases.push((fd, size as u64 - 100, 8_192)); // Short at EOF.
+        cases.push((fd, size as u64 + 5, 8_192)); // Past EOF: no bytes.
+    }
+    cases.push((sparse, 0, 8_192)); // All hole.
+    cases.push((sparse, 99_000, WINDOW)); // Hole, then the bytes, then EOF.
+    for (fd, offset, len) in cases {
+        let served = served_read(&mut srv, fd, offset, len);
+        assert_eq!(
+            served,
+            encoded_read(&mut srv, fd, offset, len),
+            "fd {fd}: read of {len} at {offset}"
+        );
+        let Ok(Ok(Response::Data(data))) = wire::decode_response(&served) else {
+            panic!("fd {fd}: read of {len} at {offset} answered no data")
+        };
+        let expect = (size as u64).saturating_sub(offset).min(len as u64);
+        if fd != sparse {
+            assert_eq!(data.len() as u64, expect, "fd {fd}: read of {len} at {offset}");
+        }
+    }
+    let bad = wire::encode_request(&Request::Read(999, 10));
+    let served = srv.serve_frame(wire::read_frame(&mut &bad[..])).0.unwrap();
+    assert_eq!(served, wire::encode_response(&srv.handle(Request::Read(999, 10))));
+    assert!(matches!(wire::decode_response(&served), Ok(Err(InvError::BadFd(999)))));
+}
+
+/// A chunk whose self-identifying tag is broken fails the bulk read that
+/// meets it with `Corrupt` — the reply is an error frame, not damaged
+/// bytes — and the connection stays in sync: the next call is answered.
+#[test]
+fn a_corrupt_chunk_fails_its_bulk_read_and_the_connection_carries_on() {
+    use minidb::Datum;
+    let fs = InversionFs::open_in_memory().unwrap();
+    let pool = InvServerPool::new(&fs, PoolConfig::default());
+    let (client_end, server_end) = duplex_pair();
+    pool.serve_duplex(server_end);
+    let mut c = WireClient::new(client_end);
+    let data: Vec<u8> = (0..3 * WINDOW).map(|i| (i % 239) as u8).collect();
+    let fd = c.creat("/tagged", CreateMode::default().self_identifying()).unwrap();
+    c.write_bulk(fd, &data).unwrap();
+    c.close(fd).unwrap();
+
+    // Break the tag magic of a chunk in the second window.
+    let stat = c.stat("/tagged").unwrap();
+    let chunkno = (WINDOW + WINDOW / 2) / stat.chunk_size();
+    let mut s = fs.db().begin().unwrap();
+    let key = [Datum::Int4(chunkno as i32)];
+    let (tid, row) = s.index_lookup_unique(stat.chunkidx, &key, None).unwrap().unwrap();
+    let mut raw = row[1].as_bytes().unwrap().to_vec();
+    raw[0] ^= 0xFF;
+    s.update(stat.datarel, tid, vec![row[0].clone(), Datum::Bytes(raw)]).unwrap();
+    s.commit().unwrap();
+
+    let fd = c.open("/tagged", OpenMode::Read, None).unwrap();
+    match c.read_bulk(fd, data.len()) {
+        Err(InvError::Db(DbError::Corrupt(msg))) => assert!(msg.contains("bad magic"), "{msg}"),
+        other => panic!("a broken tag must fail the read with Corrupt, got {other:?}"),
+    }
+    c.lseek(fd, 0, SeekWhence::Set).unwrap();
+    assert_eq!(c.read_bulk(fd, WINDOW).unwrap(), data[..WINDOW]);
+    c.close(fd).unwrap();
     pool.shutdown();
 }
