@@ -9,9 +9,8 @@
 //!
 //! Like the rest of the crate, the result is virtual time on the rz58
 //! profile. The measured loop is the read path that ships —
-//! [`BufferPool::get_page`] with its run detector and read-ahead, reading
-//! the device on the caller's thread — and the device's own seek model
-//! prices the layouts.
+//! [`BufferPool::get_page`], reading each block on demand on the caller's
+//! thread — and the device's own seek model prices the layouts.
 
 use minidb::buffer::{BufferPool, BERKELEY_BUFFERS};
 use minidb::page::PAGE_SIZE;
@@ -136,8 +135,7 @@ pub fn print_extent_speedup(threads: usize) {
     println!(
         "cold read bandwidth with extents: {:.2}x the fragmented layout scanning \
          each relation front to back, {:.2}x with the {threads} scans interleaved \
-         block by block ({PAGES_PER_CLIENT} pages each, buffer pool read path, \
-         read-ahead on)",
+         block by block ({PAGES_PER_CLIENT} pages each, buffer pool read path)",
         ratios[0], ratios[1]
     );
 }

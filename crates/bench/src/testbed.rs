@@ -82,7 +82,6 @@ impl InversionTestbed {
             DbConfig {
                 buffers,
                 eager_index_writes,
-                ..DbConfig::default()
             },
         )
         .unwrap();

@@ -1034,11 +1034,6 @@ pub(crate) fn read_file_bytes(
 ) -> InvResult<Vec<u8>> {
     let size = stat.size as usize;
     let mut out = vec![0u8; size];
-    // A whole-file read walks the chunk relation front to back; tell the
-    // buffer cache so later chunks are already resident when we get there.
-    if size > stat.chunk_size() {
-        fs.db().prefetch_relation(stat.datarel, 0, usize::MAX);
-    }
     read_range(fs, s, stat, snap, 0, &mut out)?;
     Ok(out)
 }

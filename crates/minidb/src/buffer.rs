@@ -7,32 +7,28 @@
 //! regardless of the device from which they came. Dirty pages are written to
 //! backing store before being deleted from the cache."
 //!
-//! This implementation shards the cache by `hash(rel, blkno)` so concurrent
-//! scans contend on different latches, replaces strict LRU with a per-shard
-//! clock sweep (second chance), and keeps **all device I/O outside the
-//! shard latches**:
+//! This implementation is that one list, with a clock sweep (second
+//! chance) standing in for strict LRU: one map and one clock ring over all
+//! `capacity` frames, behind one latch. A page is read only when it is
+//! asked for, and **all device I/O happens outside the latch**:
 //!
 //! * a miss inserts a "loading" frame and reads the device with only that
 //!   frame's lock held, so concurrent requesters of the same block wait on
-//!   the frame, not the shard;
-//! * a dirty eviction victim is written back after the shard latch is
-//!   dropped, while the frame stays mapped and pinned so concurrent lookups
-//!   keep hitting the cached (newest) bytes; it is unmapped only once the
+//!   the frame, not the pool;
+//! * a dirty eviction victim is written back after the latch is dropped,
+//!   while the frame stays mapped and pinned so concurrent lookups keep
+//!   hitting the cached (newest) bytes; it is unmapped only once the
 //!   writeback succeeded and nobody re-pinned or re-dirtied it.
 //!
 //! Pages are pinned by explicit counts carried by the [`PinnedPage`] guard;
-//! a frame with `pins > 0` is never evicted. Sequential misses trigger
-//! read-ahead of the next few blocks of the relation (see
-//! [`BufferPool::set_prefetch_window`]).
+//! a frame with `pins > 0` is never evicted.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-use crate::catalog::Catalog;
 
 use crate::error::{DbError, DbResult};
 use crate::ids::{DeviceId, RelId};
@@ -45,21 +41,14 @@ use crate::stats::Counter;
 pub const DEFAULT_BUFFERS: usize = 64;
 /// The number of buffers the Berkeley installation used.
 pub const BERKELEY_BUFFERS: usize = 300;
-/// Default read-ahead window: blocks prefetched past a sequential run.
-pub const DEFAULT_PREFETCH_WINDOW: usize = 8;
-/// Sequential accesses (last blkno + 1) required before read-ahead starts.
-const RUN_THRESHOLD: u32 = 3;
-/// Frames in the shard a database's pool reserves for system-relation
-/// pages (see [`BufferPool::with_system_shard`]).
-const SYSTEM_SHARD_FRAMES: usize = 16;
-/// How long a sweep that found every frame of its shard pinned waits for an
+/// How long a sweep that found every frame pinned waits for an
 /// unpin before reporting the pool exhausted. Foreground pins are short, so
 /// only a pin held forever — a leak, or genuinely more concurrent pins than
 /// frames — runs this out.
 const PIN_WAIT_LIMIT: Duration = Duration::from_millis(250);
 
-/// Where a sweep that found its whole shard pinned parks until a frame of
-/// that shard is unpinned: an eventcount. The sweeper registers, notes the
+/// Where a sweep that found every frame pinned parks until one is
+/// unpinned: an eventcount. The sweeper registers, notes the
 /// epoch, sweeps once more, and only then sleeps until the epoch moves — so
 /// an unpin between its sweep and its sleep is never missed.
 #[derive(Default)]
@@ -73,7 +62,7 @@ struct PinWait {
     cv: Condvar,
 }
 
-/// A sweep's registration with its shard's [`PinWait`], withdrawn on drop.
+/// A sweep's registration with the pool's [`PinWait`], withdrawn on drop.
 struct PinWaiter<'a> {
     spot: &'a PinWait,
     seen: u64,
@@ -159,22 +148,20 @@ const FAILED: u8 = 2;
 struct Frame {
     /// Explicit pin count. Non-zero means the frame may not be evicted.
     /// Every holder of the page lock (`buf`) holds a pin, so `pins == 0`
-    /// observed under the shard latch implies the page lock is free.
+    /// observed under the pool latch implies the page lock is free.
     pins: AtomicU32,
     /// Second-chance bit: set on load and on every hit, cleared by the
     /// sweep. A frame is born referenced because its loader is about to use
     /// it: born cold, at the ring's end — where the hand is left whenever
     /// the last victim was the last entry — it was the next miss's victim,
     /// and two pages each touched once per operation evicted each other
-    /// forever while the rest of the shard sat cold.
+    /// forever while the rest of the ring sat cold.
     refbit: AtomicBool,
-    /// Set when the frame was loaded by read-ahead and not yet demanded.
-    from_prefetch: AtomicBool,
     /// I/O-in-progress state: `LOADING` until the filling read completes.
     /// The loader holds `buf`'s write lock for the whole load, so waiters
-    /// block on the frame — never on the shard latch.
+    /// block on the frame — never on the pool latch.
     state: AtomicU8,
-    /// The frame's shard's parking spot for all-pinned sweeps.
+    /// The pool's parking spot for all-pinned sweeps.
     wait: Arc<PinWait>,
     buf: RwLock<PageBuf>,
 }
@@ -192,7 +179,6 @@ impl Frame {
             wait: Arc::clone(wait),
             pins: AtomicU32::new(1), // Born pinned by its creator.
             refbit: AtomicBool::new(true),
-            from_prefetch: AtomicBool::new(false),
             state: AtomicU8::new(state),
             buf: RwLock::new(PageBuf {
                 data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
@@ -213,7 +199,7 @@ impl Frame {
     }
 
     /// Drops one pin. The last pin off a frame makes it evictable, which
-    /// is what a sweep parked on the shard is waiting for. (`SeqCst` on
+    /// is what a parked sweep is waiting for. (`SeqCst` on
     /// both sides: an unpin that reads no waiter precedes the waiter's
     /// registration, hence its sweep, which then sees the zero count.)
     fn unpin(&self) {
@@ -252,7 +238,7 @@ impl PinnedPage {
 
 impl Clone for PinnedPage {
     fn clone(&self) -> PinnedPage {
-        // 1 -> 2, never 0 -> 1: a frame seen unpinned under the shard
+        // 1 -> 2, never 0 -> 1: a frame seen unpinned under the pool
         // latch cannot be resurrected by a clone.
         self.frame.pins.fetch_add(1, Ordering::SeqCst);
         PinnedPage {
@@ -268,8 +254,8 @@ impl Drop for PinnedPage {
 }
 
 crate::stat_table! {
-    /// Cache effectiveness counters. Each shard keeps its own tally as plain
-    /// integers under the shard latch; [`BufferPool::stats`] merges them.
+    /// Cache effectiveness counters, kept as plain integers under the pool
+    /// latch.
     #[derive(Copy)]
     frozen BufferStats;
     /// Lookups satisfied from the cache.
@@ -280,32 +266,25 @@ crate::stat_table! {
     evictions: Counter,
     /// Dirty pages written back (at eviction or flush).
     writebacks: Counter,
-    /// Blocks loaded by sequential read-ahead.
+    /// Blocks loaded ahead of demand. The pool reads a page only when it
+    /// is asked for, so this reads 0; it stays for the readers that name it.
     prefetches: Counter,
-    /// Hits on pages that were resident only because of read-ahead.
+    /// Hits on pages loaded ahead of demand: 0, like `prefetches`.
     prefetch_hits: Counter,
 }
 
-/// One shard: a map from `(rel, blkno)` to frames plus the clock ring.
-/// Invariant (audited by [`BufferPool::check_consistency`]): `ring` lists
-/// exactly the keys of `map`, each once.
-struct ShardInner {
+/// The pool's latched state: a map from `(rel, blkno)` to frames plus the
+/// clock ring. Invariant (audited by [`BufferPool::check_consistency`]):
+/// `ring` lists exactly the keys of `map`, each once.
+#[derive(Default)]
+struct PoolInner {
     map: HashMap<(RelId, u64), Arc<Frame>>,
     ring: Vec<(RelId, u64)>,
     hand: usize,
     stats: BufferStats,
 }
 
-impl ShardInner {
-    fn new() -> ShardInner {
-        ShardInner {
-            map: HashMap::new(),
-            ring: Vec::new(),
-            hand: 0,
-            stats: BufferStats::default(),
-        }
-    }
-
+impl PoolInner {
     fn insert(&mut self, key: (RelId, u64), frame: Arc<Frame>) {
         self.map.insert(key, frame);
         self.ring.push(key);
@@ -322,22 +301,13 @@ impl ShardInner {
     }
 }
 
-/// The shared buffer cache: sharded, clock-swept, pin-counted.
+/// The shared buffer cache: one clock over every frame, pin-counted.
 pub struct BufferPool {
     capacity: usize,
-    shard_capacity: usize,
-    /// The data shards; then, in a database's pool, the system shard.
-    shards: Vec<Mutex<ShardInner>>,
-    /// Per shard, where all-pinned sweeps wait.
-    waits: Vec<Arc<PinWait>>,
-    system_shard: bool,
-    /// Blocks of read-ahead past a detected run; 0 disables it. Atomic so
-    /// the hot (hit) path never touches the run-detector lock.
-    prefetch_window: AtomicUsize,
-    /// Sequential-run detector: per-relation (last block, run length).
-    /// Consulted only on misses and prefetch hits — cache hits need no
-    /// read-ahead, so they skip this lock entirely.
-    runs: Mutex<HashMap<RelId, (u64, u32)>>,
+    /// The map, the clock ring and the counters. Rank: `buffer-shard`.
+    inner: Mutex<PoolInner>,
+    /// Where all-pinned sweeps wait.
+    wait: Arc<PinWait>,
     /// The write-ahead log, when one governs this pool: every writeback
     /// forces the log up to the page's stamped LSN first (the
     /// LSN-before-write rule). Read-mostly and unranked — the ranked WAL
@@ -346,41 +316,21 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Creates a pool of `capacity` page frames, sharded adaptively: small
-    /// pools (tests) stay single-sharded so capacity bounds stay exact;
-    /// production-sized pools get up to 16 shards.
+    /// Creates a pool of `capacity` page frames (at least 4).
     pub fn new(capacity: usize) -> BufferPool {
-        let capacity = capacity.max(4);
-        Self::with_shards(capacity, (capacity / 16).clamp(1, 16))
-    }
-
-    /// Creates a pool with an explicit shard count (tests and benchmarks).
-    pub fn with_shards(capacity: usize, nshards: usize) -> BufferPool {
-        let capacity = capacity.max(4);
-        let nshards = nshards.clamp(1, 64);
         BufferPool {
-            capacity,
-            shard_capacity: capacity.div_ceil(nshards),
-            shards: (0..nshards).map(|_| Mutex::new(ShardInner::new())).collect(),
-            waits: (0..nshards).map(|_| Arc::default()).collect(),
-            system_shard: false,
-            prefetch_window: AtomicUsize::new(DEFAULT_PREFETCH_WINDOW),
-            runs: Mutex::new(HashMap::new()),
+            capacity: capacity.max(4),
+            inner: Mutex::default(),
+            wait: Arc::default(),
             wal: RwLock::new(None),
         }
     }
 
-    /// Adds a shard of `SYSTEM_SHARD_FRAMES` frames, beyond `capacity`,
-    /// that caches the system relations' pages and nothing else. Catalog
-    /// pages are few and written only at their tails; kept apart, a DDL
-    /// never evicts a data page and a scan of user data never evicts the
-    /// `pg_class` page the next DDL appends to — the data shards behave
-    /// exactly as if the catalog were not paged at all.
-    pub fn with_system_shard(mut self) -> BufferPool {
-        self.shards.push(Mutex::new(ShardInner::new()));
-        self.waits.push(Arc::default());
-        self.system_shard = true;
-        self
+    /// Takes the pool latch, with its lock-order token. Bind both
+    /// (`let (_order, inner) = …`): the guard drops first.
+    fn latch(&self) -> (order::LevelToken, MutexGuard<'_, PoolInner>) {
+        let tok = order::token(order::BUFFER_SHARD);
+        (tok, self.inner.lock())
     }
 
     /// Attaches the write-ahead log: from here on, no dirty page reaches a
@@ -410,35 +360,16 @@ impl BufferPool {
         self.capacity
     }
 
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Sets the read-ahead window (0 disables read-ahead).
-    pub fn set_prefetch_window(&self, window: usize) {
-        self.prefetch_window.store(window, Ordering::SeqCst);
-    }
-
-    /// Snapshot of the counters, summed across shards.
+    /// Snapshot of the counters.
     pub fn stats(&self) -> BufferStats {
-        let mut total = BufferStats::default();
-        for shard in &self.shards {
-            let _order = order::token(order::BUFFER_SHARD);
-            total.merge(&shard.lock().stats);
-        }
-        total
+        let (_order, inner) = self.latch();
+        inner.stats
     }
 
     /// Number of pages currently cached.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let _order = order::token(order::BUFFER_SHARD);
-                s.lock().map.len()
-            })
-            .sum()
+        let (_order, inner) = self.latch();
+        inner.map.len()
     }
 
     /// Whether the cache is empty.
@@ -446,32 +377,8 @@ impl BufferPool {
         self.len() == 0
     }
 
-    fn shard_index(&self, rel: RelId, blkno: u64) -> usize {
-        let data_shards = self.shards.len() - usize::from(self.system_shard);
-        if self.system_shard && Catalog::is_system(rel) {
-            return data_shards;
-        }
-        if data_shards == 1 {
-            return 0;
-        }
-        // splitmix64-style finisher over the packed key.
-        let mut h = ((rel.0 as u64) << 32) ^ blkno;
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (h ^ (h >> 31)) as usize % data_shards
-    }
-
-    /// How many frames shard `si` may hold.
-    fn frames_in(&self, si: usize) -> usize {
-        if self.system_shard && si + 1 == self.shards.len() {
-            SYSTEM_SHARD_FRAMES
-        } else {
-            self.shard_capacity
-        }
-    }
-
     /// Fetches block `blkno` of `rel` (which lives on `dev`), reading it
-    /// from the device on a miss. May kick off sequential read-ahead.
+    /// from the device on a miss.
     pub fn get_page(
         &self,
         smgr: &Smgr,
@@ -479,63 +386,37 @@ impl BufferPool {
         rel: RelId,
         blkno: u64,
     ) -> DbResult<PinnedPage> {
-        let (pin, sequential_io) = self.pin_block(smgr, dev, rel, blkno)?;
-        if sequential_io {
-            self.note_access(smgr, dev, rel, blkno);
-        }
-        Ok(pin)
-    }
-
-    /// The demand-fetch path. Returns the pin plus whether this access
-    /// touched a block that was not demand-resident (a miss, or a hit on a
-    /// read-ahead page) — the signal the run detector extends prefetch on.
-    fn pin_block(
-        &self,
-        smgr: &Smgr,
-        dev: DeviceId,
-        rel: RelId,
-        blkno: u64,
-    ) -> DbResult<(PinnedPage, bool)> {
-        let si = self.shard_index(rel, blkno);
-        let key = (rel, blkno);
         loop {
             if let Some(hit) = self.pin_cached(rel, blkno) {
                 return Ok(hit);
             }
             // Miss: make room, then load with the latch released.
-            let (tok, mut shard) = self.lock_with_room(si, smgr)?;
-            if shard.map.contains_key(&key) {
+            let (tok, mut inner) = self.lock_with_room(smgr)?;
+            if inner.map.contains_key(&(rel, blkno)) {
                 // Raced with another loader while evicting; retry lookup.
                 continue;
             }
-            shard.stats.misses += 1;
-            let frame = self.load_frame(tok, shard, smgr, dev, rel, blkno)?;
-            return Ok((PinnedPage { frame }, true));
+            inner.stats.misses += 1;
+            let frame = self.load_frame(tok, inner, smgr, dev, rel, blkno)?;
+            return Ok(PinnedPage { frame });
         }
     }
 
-    /// The hit path, which never reads a device: pin under the shard latch,
-    /// then wait (if at all) on the frame with the latch released. Also
-    /// returns whether the frame came from read-ahead. `None` on a miss, or
-    /// when the frame's load failed and its loader unmapped it.
-    pub(crate) fn pin_cached(&self, rel: RelId, blkno: u64) -> Option<(PinnedPage, bool)> {
-        let si = self.shard_index(rel, blkno);
-        let (frame, was_prefetch) = {
-            let _order = order::token(order::BUFFER_SHARD);
-            let mut shard = self.shards[si].lock();
-            let frame = Arc::clone(shard.map.get(&(rel, blkno))?);
+    /// The hit path, which never reads a device: pin under the latch, then
+    /// wait (if at all) on the frame with the latch released. `None` on a
+    /// miss, or when the frame's load failed and its loader unmapped it.
+    pub(crate) fn pin_cached(&self, rel: RelId, blkno: u64) -> Option<PinnedPage> {
+        let frame = {
+            let (_order, mut inner) = self.latch();
+            let frame = Arc::clone(inner.map.get(&(rel, blkno))?);
             frame.pins.fetch_add(1, Ordering::SeqCst);
             frame.refbit.store(true, Ordering::SeqCst);
-            let was_prefetch = frame.from_prefetch.swap(false, Ordering::SeqCst);
-            shard.stats.hits += 1;
-            if was_prefetch {
-                shard.stats.prefetch_hits += 1;
-            }
-            (frame, was_prefetch)
+            inner.stats.hits += 1;
+            frame
         };
         loop {
             match frame.state() {
-                READY => return Some((PinnedPage { frame }, was_prefetch)),
+                READY => return Some(PinnedPage { frame }),
                 LOADING => {
                     // Block on the frame until the loader drops its write
                     // lock, then re-check.
@@ -546,34 +427,30 @@ impl BufferPool {
             }
         }
         // Undo the hit we recorded.
-        {
-            let _order = order::token(order::BUFFER_SHARD);
-            self.shards[si].lock().stats.hits -= 1;
-        }
+        self.latch().1.stats.hits -= 1;
         frame.unpin();
         None
     }
 
-    /// Inserts a `LOADING` frame for the block into the locked shard, then
+    /// Inserts a `LOADING` frame for the block under the held latch, then
     /// releases the latch and fills it from the device. The device read
     /// happens with only the frame's lock held; waiters block there.
     fn load_frame(
         &self,
         tok: order::LevelToken,
-        mut shard: MutexGuard<'_, ShardInner>,
+        mut inner: MutexGuard<'_, PoolInner>,
         smgr: &Smgr,
         dev: DeviceId,
         rel: RelId,
         blkno: u64,
     ) -> DbResult<Arc<Frame>> {
-        let si = self.shard_index(rel, blkno);
         let key = (rel, blkno);
-        let frame = Arc::new(Frame::new(&self.waits[si], dev, rel, blkno, LOADING, false));
+        let frame = Arc::new(Frame::new(&self.wait, dev, rel, blkno, LOADING, false));
         let ftok = order::token(order::BUFFER_FRAME);
         // Uncontended: the frame is not published yet.
         let mut fbuf = frame.buf.write();
-        shard.insert(key, Arc::clone(&frame));
-        drop(shard);
+        inner.insert(key, Arc::clone(&frame));
+        drop(inner);
         drop(tok);
         match smgr.read_page(dev, rel, blkno, &mut fbuf.data) {
             Ok(replayed) => {
@@ -591,10 +468,9 @@ impl BufferPool {
                 drop(ftok);
                 // Unmap the failed frame so retries reload it. Waiters
                 // that already pinned it will observe FAILED and retry.
-                let _order = order::token(order::BUFFER_SHARD);
-                let mut shard = self.shards[si].lock();
-                if shard.map.get(&key).is_some_and(|f| Arc::ptr_eq(f, &frame)) {
-                    shard.remove(key);
+                let (_order, mut inner) = self.latch();
+                if inner.map.get(&key).is_some_and(|f| Arc::ptr_eq(f, &frame)) {
+                    inner.remove(key);
                 }
                 frame.unpin();
                 Err(e)
@@ -602,20 +478,15 @@ impl BufferPool {
         }
     }
 
-    /// Locks shard `si` with room for one more frame, running the clock
+    /// Takes the latch with room for one more frame, running the clock
     /// sweep as needed. Dirty victims are written back with the latch
     /// *released* and stay mapped (and pinned) throughout, so concurrent
     /// lookups hit the cached bytes instead of re-reading stale ones.
-    fn lock_with_room(
-        &self,
-        si: usize,
-        smgr: &Smgr,
-    ) -> DbResult<(order::LevelToken, MutexGuard<'_, ShardInner>)> {
+    fn lock_with_room(&self, smgr: &Smgr) -> DbResult<(order::LevelToken, MutexGuard<'_, PoolInner>)> {
         // A sweep that finds every frame pinned parks until one is unpinned:
-        // foreground pins are short, so an all-pinned shard is usually
+        // foreground pins are short, so an all-pinned pool is usually
         // transient. (A checkpoint is not a cause: its flush holds one pin
         // at a time.)
-        let capacity = self.frames_in(si);
         let mut parked: Option<PinWaiter<'_>> = None;
         // Victims whose write-back failed in this call, and the first
         // failure: the sweep passes over them, and the error is returned
@@ -624,27 +495,26 @@ impl BufferPool {
         let mut failed: Vec<(RelId, u64)> = Vec::new();
         let mut first_err: Option<DbError> = None;
         'retry: loop {
-            let tok = order::token(order::BUFFER_SHARD);
-            let mut shard = self.shards[si].lock();
-            if shard.map.len() < capacity {
-                return Ok((tok, shard));
+            let (tok, mut inner) = self.latch();
+            if inner.map.len() < self.capacity {
+                return Ok((tok, inner));
             }
             // Two full passes: the first clears reference bits, the second
             // takes the first frame that stayed cold. Only pins block
             // eviction beyond that.
             let mut steps = 0;
-            let max_steps = 2 * shard.ring.len() + 1;
+            let max_steps = 2 * inner.ring.len() + 1;
             loop {
                 if steps > max_steps {
                     if let Some(e) = first_err {
                         return Err(e);
                     }
-                    drop(shard);
+                    drop(inner);
                     drop(tok);
                     // Register first and sweep once more; sleep only if
                     // that sweep, too, finds everything pinned.
                     match &mut parked {
-                        None => parked = Some(PinWaiter::register(&self.waits[si])),
+                        None => parked = Some(PinWaiter::register(&self.wait)),
                         Some(waiter) => {
                             if !waiter.wait() {
                                 return Err(DbError::Invalid(
@@ -656,22 +526,22 @@ impl BufferPool {
                     continue 'retry;
                 }
                 steps += 1;
-                if shard.ring.is_empty() {
-                    return Ok((tok, shard));
+                if inner.ring.is_empty() {
+                    return Ok((tok, inner));
                 }
-                let pos = shard.hand % shard.ring.len();
-                let key = shard.ring[pos];
-                let Some(frame) = shard.map.get(&key).map(Arc::clone) else {
+                let pos = inner.hand % inner.ring.len();
+                let key = inner.ring[pos];
+                let Some(frame) = inner.map.get(&key).map(Arc::clone) else {
                     // Ring/map drift (should not happen; the consistency
                     // check reports it). Self-heal by dropping the entry.
-                    shard.ring.remove(pos);
+                    inner.ring.remove(pos);
                     continue;
                 };
                 if frame.pins.load(Ordering::SeqCst) > 0
                     || frame.refbit.swap(false, Ordering::SeqCst)
                     || failed.contains(&key)
                 {
-                    shard.hand = pos + 1;
+                    inner.hand = pos + 1;
                     continue;
                 }
                 // Victim. `pins == 0` under the latch means nobody holds
@@ -680,23 +550,23 @@ impl BufferPool {
                 let ftok = order::token(order::BUFFER_FRAME);
                 let Some(mut vbuf) = frame.buf.try_write() else {
                     drop(ftok);
-                    shard.hand = pos + 1;
+                    inner.hand = pos + 1;
                     continue;
                 };
                 if !vbuf.dirty {
                     drop(vbuf);
                     drop(ftok);
-                    shard.remove(key);
-                    shard.stats.evictions += 1;
-                    if shard.map.len() < capacity {
-                        return Ok((tok, shard));
+                    inner.remove(key);
+                    inner.stats.evictions += 1;
+                    if inner.map.len() < self.capacity {
+                        return Ok((tok, inner));
                     }
                     continue;
                 }
                 // Dirty: pin (so no concurrent sweep picks it), release
                 // the latch, write back under the frame lock only.
                 frame.pins.fetch_add(1, Ordering::SeqCst);
-                drop(shard);
+                drop(inner);
                 drop(tok);
                 let io = {
                     let (d, r, b) = (vbuf.dev, vbuf.rel, vbuf.blkno);
@@ -712,14 +582,13 @@ impl BufferPool {
                 };
                 drop(vbuf);
                 drop(ftok);
-                let _order = order::token(order::BUFFER_SHARD);
-                let mut shard = self.shards[si].lock();
+                let (_order, mut inner) = self.latch();
                 frame.unpin();
-                shard.stats.writebacks += 1;
+                inner.stats.writebacks += 1;
                 if let Err(e) = io {
                     // Sweep on past it.
-                    if let Some(at) = shard.ring.iter().position(|k| *k == key) {
-                        shard.hand = at + 1;
+                    if let Some(at) = inner.ring.iter().position(|k| *k == key) {
+                        inner.hand = at + 1;
                     }
                     failed.push(key);
                     first_err.get_or_insert(e);
@@ -728,101 +597,31 @@ impl BufferPool {
                 // Unmap only if still ours, unpinned, and still clean —
                 // a re-pin or re-dirty in the writeback window wins.
                 if frame.pins.load(Ordering::SeqCst) == 0
-                    && shard.map.get(&key).is_some_and(|f| Arc::ptr_eq(f, &frame))
+                    && inner.map.get(&key).is_some_and(|f| Arc::ptr_eq(f, &frame))
                 {
                     let clean = {
                         let _fl = order::token(order::BUFFER_FRAME);
                         frame.buf.try_read().map(|b| !b.dirty).unwrap_or(false)
                     };
                     if clean {
-                        shard.remove(key);
-                        shard.stats.evictions += 1;
+                        inner.remove(key);
+                        inner.stats.evictions += 1;
                     }
                 }
-                drop(shard);
                 continue 'retry;
             }
         }
     }
 
     /// Appends a fresh block to `rel`, returning its number and a pinned,
-    /// dirty, zero-filled page for it. The extend happens *before* any
-    /// latch is taken (the block number decides the shard).
+    /// dirty, zero-filled page for it. The extend happens *before* the
+    /// latch is taken: no device I/O runs under it.
     pub fn new_page(&self, smgr: &Smgr, dev: DeviceId, rel: RelId) -> DbResult<(u64, PinnedPage)> {
         let blkno = smgr.extend_page(dev, rel)?;
-        let si = self.shard_index(rel, blkno);
-        let frame = Arc::new(Frame::new(&self.waits[si], dev, rel, blkno, READY, true));
-        let (_tok, mut shard) = self.lock_with_room(si, smgr)?;
-        shard.insert((rel, blkno), Arc::clone(&frame));
+        let frame = Arc::new(Frame::new(&self.wait, dev, rel, blkno, READY, true));
+        let (_tok, mut inner) = self.lock_with_room(smgr)?;
+        inner.insert((rel, blkno), Arc::clone(&frame));
         Ok((blkno, PinnedPage { frame }))
-    }
-
-    /// Records a non-resident access (miss or prefetch hit) for the
-    /// sequential-run detector and prefetches ahead of an established run.
-    /// Called only on the cold path — which does device I/O anyway — so the
-    /// run-detector lock never slows a cache hit. Runs with no pool locks
-    /// held.
-    fn note_access(&self, smgr: &Smgr, dev: DeviceId, rel: RelId, blkno: u64) {
-        let window = self.prefetch_window.load(Ordering::SeqCst);
-        if window == 0 {
-            return;
-        }
-        let fetch = {
-            let _order = order::token(order::BUFFER_SHARD);
-            let mut runs = self.runs.lock();
-            let run = match runs.get(&rel) {
-                Some(&(last, run)) if blkno == last + 1 => run.saturating_add(1),
-                Some(&(last, run)) if blkno == last => run,
-                _ => 1,
-            };
-            runs.insert(rel, (blkno, run));
-            run >= RUN_THRESHOLD
-        };
-        if fetch {
-            self.prefetch(smgr, dev, rel, blkno + 1, window);
-        }
-    }
-
-    /// Loads up to `count` blocks of `rel` starting at `start` that are not
-    /// already resident, without counting them as demand misses. A hint:
-    /// errors (including pool exhaustion) end the prefetch silently, and
-    /// read-ahead never claims more than half the pool in one call.
-    pub fn prefetch(&self, smgr: &Smgr, dev: DeviceId, rel: RelId, start: u64, count: usize) {
-        let count = count.min((self.capacity / 2).max(1));
-        if count == 0 {
-            return;
-        }
-        let Ok(nblocks) = smgr.with(dev, |m| m.nblocks(rel)) else {
-            return;
-        };
-        for blkno in start..nblocks.min(start.saturating_add(count as u64)) {
-            if self.prefetch_block(smgr, dev, rel, blkno).is_err() {
-                break;
-            }
-        }
-    }
-
-    fn prefetch_block(&self, smgr: &Smgr, dev: DeviceId, rel: RelId, blkno: u64) -> DbResult<()> {
-        let si = self.shard_index(rel, blkno);
-        let key = (rel, blkno);
-        {
-            let _order = order::token(order::BUFFER_SHARD);
-            if self.shards[si].lock().map.contains_key(&key) {
-                return Ok(());
-            }
-        }
-        let (tok, shard) = self.lock_with_room(si, smgr)?;
-        if shard.map.contains_key(&key) {
-            return Ok(());
-        }
-        let frame = self.load_frame(tok, shard, smgr, dev, rel, blkno)?;
-        frame.from_prefetch.store(true, Ordering::SeqCst);
-        {
-            let _order = order::token(order::BUFFER_SHARD);
-            self.shards[si].lock().stats.prefetches += 1;
-        }
-        frame.unpin(); // Read-ahead holds no pin once loaded.
-        Ok(())
     }
 
     /// Writes back every dirty cached page (optionally only `rel`'s)
@@ -837,21 +636,17 @@ impl BufferPool {
     /// leave the split no victim, and neither could move. A key that is no
     /// longer mapped when its turn comes was written back by its eviction.
     fn flush_matching(&self, smgr: &Smgr, rel: Option<RelId>) -> DbResult<usize> {
-        let mut keys: Vec<(RelId, u64)> = Vec::new();
-        for shard in &self.shards {
-            let _order = order::token(order::BUFFER_SHARD);
-            let shard = shard.lock();
-            keys.extend(shard.map.keys().filter(|(r, _)| rel.is_none_or(|want| want == *r)));
-        }
+        let mut keys: Vec<(RelId, u64)> = {
+            let (_order, inner) = self.latch();
+            inner.map.keys().filter(|(r, _)| rel.is_none_or(|want| want == *r)).copied().collect()
+        };
         keys.sort_unstable();
         let mut result = Ok(());
-        let mut written = vec![0u64; self.shards.len()];
+        let mut written = 0;
         for key in keys {
-            let si = self.shard_index(key.0, key.1);
             let frame = {
-                let _order = order::token(order::BUFFER_SHARD);
-                let shard = self.shards[si].lock();
-                let Some(frame) = shard.map.get(&key) else {
+                let (_order, inner) = self.latch();
+                let Some(frame) = inner.map.get(&key) else {
                     continue;
                 };
                 frame.pins.fetch_add(1, Ordering::SeqCst);
@@ -866,7 +661,7 @@ impl BufferPool {
                         .and_then(|()| smgr.write_page_back(buf.dev, key.0, key.1, &buf.data));
                     if result.is_ok() {
                         buf.dirty = false;
-                        written[si] += 1;
+                        written += 1;
                     }
                 }
             }
@@ -875,14 +670,8 @@ impl BufferPool {
                 break;
             }
         }
-        let total = written.iter().sum::<u64>() as usize;
-        for (si, w) in written.into_iter().enumerate() {
-            if w > 0 {
-                let _order = order::token(order::BUFFER_SHARD);
-                self.shards[si].lock().stats.writebacks += w;
-            }
-        }
-        result.map(|()| total)
+        self.latch().1.stats.writebacks += written as u64;
+        result.map(|()| written)
     }
 
     /// Writes every dirty page back through `smgr` (a checkpoint's drain;
@@ -902,85 +691,67 @@ impl BufferPool {
 
     /// Flushes dirty pages and then empties the cache entirely — the
     /// "all caches were flushed before each test" step of the benchmark.
+    /// The clear checks, in the same hold of the latch, that no frame is
+    /// pinned and none is dirty: a page dirtied after its flush sends the
+    /// call back to flush, instead of being dropped with its change.
     pub fn flush_and_clear(&self, smgr: &Smgr) -> DbResult<()> {
-        self.flush_all(smgr)?;
-        for shard in &self.shards {
-            let _order = order::token(order::BUFFER_SHARD);
-            let shard = shard.lock();
-            if shard
-                .map
-                .values()
-                .any(|f| f.pins.load(Ordering::SeqCst) > 0)
-            {
+        loop {
+            self.flush_all(smgr)?;
+            let (_order, mut inner) = self.latch();
+            if inner.map.values().any(|f| f.pins.load(Ordering::SeqCst) > 0) {
                 return Err(DbError::Invalid("cannot clear cache: pages pinned".into()));
             }
+            // No pins under the latch, so no page lock is held either.
+            let _fl = order::token(order::BUFFER_FRAME);
+            if inner.map.values().any(|f| f.buf.try_read().is_none_or(|b| b.dirty)) {
+                continue;
+            }
+            inner.map.clear();
+            inner.ring.clear();
+            inner.hand = 0;
+            return Ok(());
         }
-        for shard in &self.shards {
-            let _order = order::token(order::BUFFER_SHARD);
-            let mut shard = shard.lock();
-            shard.map.clear();
-            shard.ring.clear();
-            shard.hand = 0;
-        }
-        let _order = order::token(order::BUFFER_SHARD);
-        self.runs.lock().clear();
-        Ok(())
     }
 
     /// Discards every cached page for `rel` *without* writing them back
     /// (used when dropping a relation). Map and clock ring shed the
     /// relation's keys together, so neither drifts.
     pub fn discard_rel(&self, rel: RelId) {
-        for shard in &self.shards {
-            let _order = order::token(order::BUFFER_SHARD);
-            let mut shard = shard.lock();
-            shard.map.retain(|&(r, _), _| r != rel);
-            shard.ring.retain(|&(r, _)| r != rel);
-            shard.hand = 0;
-        }
-        let _order = order::token(order::BUFFER_SHARD);
-        self.runs.lock().remove(&rel);
+        let (_order, mut inner) = self.latch();
+        inner.map.retain(|&(r, _), _| r != rel);
+        inner.ring.retain(|&(r, _)| r != rel);
+        inner.hand = 0;
     }
 
-    /// Structural self-audit: the map and clock ring of every shard must
-    /// list exactly the same keys (each once), every frame must agree with
-    /// its key, and every key must hash to the shard holding it. Returns
-    /// human-readable violations (empty = consistent).
+    /// Structural self-audit: the map and the clock ring must list exactly
+    /// the same keys (each once), and every frame must agree with its key.
+    /// Returns human-readable violations (empty = consistent).
     pub fn check_consistency(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            let _order = order::token(order::BUFFER_SHARD);
-            let shard = shard.lock();
-            if shard.ring.len() != shard.map.len() {
-                problems.push(format!(
-                    "shard {si}: clock ring has {} entries but map has {}",
-                    shard.ring.len(),
-                    shard.map.len()
-                ));
+        let (_order, inner) = self.latch();
+        if inner.ring.len() != inner.map.len() {
+            problems.push(format!(
+                "clock ring has {} entries but map has {}",
+                inner.ring.len(),
+                inner.map.len()
+            ));
+        }
+        let mut seen = std::collections::HashSet::new();
+        for &key in &inner.ring {
+            if !seen.insert(key) {
+                problems.push(format!("{key:?} appears twice in the ring"));
             }
-            let mut seen = std::collections::HashSet::new();
-            for &key in &shard.ring {
-                if !seen.insert(key) {
-                    problems.push(format!("shard {si}: {key:?} appears twice in the ring"));
-                }
-                if !shard.map.contains_key(&key) {
-                    problems.push(format!("shard {si}: ring entry {key:?} not in the map"));
-                }
+            if !inner.map.contains_key(&key) {
+                problems.push(format!("ring entry {key:?} not in the map"));
             }
-            for (&(rel, blkno), frame) in &shard.map {
-                if self.shard_index(rel, blkno) != si {
+        }
+        for (&(rel, blkno), frame) in &inner.map {
+            if let Some(buf) = frame.buf.try_read() {
+                if (buf.rel, buf.blkno) != (rel, blkno) {
                     problems.push(format!(
-                        "shard {si}: key ({rel}, {blkno}) hashes to shard {}",
-                        self.shard_index(rel, blkno)
+                        "frame keyed ({rel}, {blkno}) says ({}, {})",
+                        buf.rel, buf.blkno
                     ));
-                }
-                if let Some(buf) = frame.buf.try_read() {
-                    if (buf.rel, buf.blkno) != (rel, blkno) {
-                        problems.push(format!(
-                            "shard {si}: frame keyed ({rel}, {blkno}) says ({}, {})",
-                            buf.rel, buf.blkno
-                        ));
-                    }
                 }
             }
         }
@@ -996,10 +767,6 @@ mod tests {
     use simdev::{DiskProfile, MagneticDisk, SimClock};
 
     fn setup(capacity: usize) -> (Smgr, BufferPool, RelId) {
-        setup_sharded(capacity, 1)
-    }
-
-    fn setup_sharded(capacity: usize, nshards: usize) -> (Smgr, BufferPool, RelId) {
         let clock = SimClock::new();
         let dev = shared_device(MagneticDisk::new(
             "d",
@@ -1014,7 +781,7 @@ mod tests {
         .unwrap();
         let rel = Oid(10);
         smgr.with(DeviceId::DEFAULT, |m| m.create_rel(rel)).unwrap();
-        (smgr, BufferPool::with_shards(capacity, nshards), rel)
+        (smgr, BufferPool::new(capacity), rel)
     }
 
     /// A disk manager that records the (relation, block) of every write.
@@ -1068,9 +835,9 @@ mod tests {
         for rel in [b, a] {
             smgr.with(DeviceId::DEFAULT, |m| m.create_rel(rel)).unwrap();
         }
-        // Four shards, pages of the two relations born interleaved, then
-        // redirtied newest first: no order the pool keeps is the drain's.
-        let pool = BufferPool::with_shards(64, 4);
+        // Pages of the two relations born interleaved, then redirtied
+        // newest first: no order the pool keeps is the drain's.
+        let pool = BufferPool::new(64);
         for _ in 0..8 {
             for rel in [b, a] {
                 pool.new_page(&smgr, DeviceId::DEFAULT, rel).unwrap();
@@ -1145,11 +912,11 @@ mod tests {
         assert!(pool.new_page(&smgr, DeviceId::DEFAULT, rel).is_ok());
     }
 
-    /// A victim whose write-back fails does not wedge its shard: the sweep
+    /// A victim whose write-back fails does not wedge the pool: the sweep
     /// passes it by and evicts another frame, and the page stays cached and
     /// dirty, so a flush still reports the failure.
     #[test]
-    fn a_failed_write_back_leaves_the_rest_of_its_shard_usable() {
+    fn a_failed_write_back_leaves_the_rest_of_the_pool_usable() {
         let clock = SimClock::new();
         let disk = |name| MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(4096));
         let (d0, d1) = (disk("d0"), disk("d1"));
@@ -1159,10 +926,10 @@ mod tests {
             let mgr = GenericManager::format(shared_device(d)).unwrap();
             smgr.register(id, Box::new(mgr)).unwrap();
         }
-        // Two shards of two frames. Every page below is block 0 of a
-        // relation of its own, picked to land in shard 0.
-        let pool = BufferPool::with_shards(4, 2);
-        let mut rels = (100..).map(Oid).filter(|&r| pool.shard_index(r, 0) == 0);
+        // Four frames. Every page below is block 0 of a relation of its
+        // own; the first, on the failing device, is the sweep's first victim.
+        let pool = BufferPool::new(4);
+        let mut rels = (100..).map(Oid);
         let mut new_page = |dev: DeviceId| {
             let rel = rels.next().unwrap();
             smgr.with(dev, |m| m.create_rel(rel)).unwrap();
@@ -1270,68 +1037,12 @@ mod tests {
     }
 
     #[test]
-    fn sequential_misses_trigger_prefetch() {
-        let (smgr, pool, rel) = setup(16);
-        for _ in 0..12 {
-            pool.new_page(&smgr, DeviceId::DEFAULT, rel).unwrap();
-        }
-        pool.flush_and_clear(&smgr).unwrap();
-        // A cold sequential scan: after RUN_THRESHOLD misses the pool
-        // reads ahead, so later blocks hit.
-        for b in 0..12u64 {
-            pool.get_page(&smgr, DeviceId::DEFAULT, rel, b).unwrap();
-        }
-        let s = pool.stats();
-        assert_eq!(s.hits + s.misses, 12, "every access counted once: {s:?}");
-        assert!(s.prefetches > 0, "{s:?}");
-        assert!(s.prefetch_hits > 0, "{s:?}");
-        assert!(s.misses < 12, "read-ahead must absorb some misses: {s:?}");
-    }
-
-    #[test]
-    fn prefetch_window_zero_disables_readahead() {
-        let (smgr, pool, rel) = setup(16);
-        pool.set_prefetch_window(0);
-        for _ in 0..12 {
-            pool.new_page(&smgr, DeviceId::DEFAULT, rel).unwrap();
-        }
-        pool.flush_and_clear(&smgr).unwrap();
-        for b in 0..12u64 {
-            pool.get_page(&smgr, DeviceId::DEFAULT, rel, b).unwrap();
-        }
-        let s = pool.stats();
-        assert_eq!(s.prefetches, 0);
-        assert_eq!(s.prefetch_hits, 0);
-        assert_eq!(s.misses, 12);
-    }
-
-    #[test]
-    fn sharded_pool_spreads_and_stays_consistent() {
-        let (smgr, pool, rel) = setup_sharded(64, 4);
-        assert_eq!(pool.shard_count(), 4);
-        for _ in 0..40 {
-            pool.new_page(&smgr, DeviceId::DEFAULT, rel).unwrap();
-        }
-        assert_eq!(pool.check_consistency(), Vec::<String>::new());
-        let populated = (0..pool.shard_count())
-            .filter(|&si| {
-                let _order = order::token(order::BUFFER_SHARD);
-                !pool.shards[si].lock().map.is_empty()
-            })
-            .count();
-        assert!(populated >= 2, "keys must spread across shards");
-        pool.flush_and_clear(&smgr).unwrap();
-        assert!(pool.is_empty());
-    }
-
-    #[test]
     fn concurrent_requests_for_one_cold_block_read_device_once() {
-        let (smgr, pool, rel) = setup_sharded(16, 4);
+        let (smgr, pool, rel) = setup(16);
         let (blkno, page) = pool.new_page(&smgr, DeviceId::DEFAULT, rel).unwrap();
         page.write().data_mut()[7] = 0x5A;
         drop(page);
         pool.flush_and_clear(&smgr).unwrap();
-        pool.set_prefetch_window(0);
         let smgr = std::sync::Arc::new(smgr);
         let pool = std::sync::Arc::new(pool);
         let mut handles = Vec::new();

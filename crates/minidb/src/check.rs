@@ -123,8 +123,8 @@ pub fn check_all(db: &Db) -> Vec<Finding> {
         (cat.relations().cloned().collect::<Vec<_>>(), storage, cat.defined_rows(), pins)
     };
     out.extend(db.inner.xlog.check(db.inner.status_io()));
-    // The buffer pool's structural self-audit: every shard's map and clock
-    // ring must describe the same set of cached pages.
+    // The buffer pool's structural self-audit: its map and clock ring must
+    // describe the same set of cached pages.
     out.extend(
         db.inner
             .pool

@@ -68,9 +68,6 @@ pub struct DbConfig {
     /// index pages drain by checkpoint and eviction like any other; the
     /// paper testbed (`bench::InversionTestbed::paper`) turns it on.
     pub eager_index_writes: bool,
-    /// Blocks of sequential read-ahead past a detected scan run
-    /// (0 disables prefetching).
-    pub prefetch_window: usize,
 }
 
 impl Default for DbConfig {
@@ -78,7 +75,6 @@ impl Default for DbConfig {
         DbConfig {
             buffers: DEFAULT_BUFFERS,
             eager_index_writes: false,
-            prefetch_window: crate::buffer::DEFAULT_PREFETCH_WINDOW,
         }
     }
 }
@@ -335,8 +331,7 @@ impl Db {
         }
         let mut locks = LockManager::new();
         locks.share_stats(Arc::clone(&stats));
-        let pool = BufferPool::new(config.buffers).with_system_shard();
-        pool.set_prefetch_window(config.prefetch_window);
+        let pool = BufferPool::new(config.buffers);
         pool.attach_wal(Arc::clone(&wal));
         let db = Db {
             inner: Arc::new(DbInner {
@@ -365,8 +360,8 @@ impl Db {
         Db::open_in_memory_with(DbConfig::default())
     }
 
-    /// [`Db::open_in_memory`] with explicit tunables (pool size, prefetch
-    /// window, …) — for tests that need a specific cache configuration.
+    /// [`Db::open_in_memory`] with explicit tunables (pool size, index
+    /// write-through) — for tests that need a specific cache configuration.
     pub fn open_in_memory_with(config: DbConfig) -> DbResult<Db> {
         let clock = SimClock::new();
         let data = shared_device(MagneticDisk::new(
@@ -387,18 +382,6 @@ impl Db {
         let mut smgr = Smgr::new();
         smgr.register(DeviceId::DEFAULT, Box::new(GenericManager::format(data)?))?;
         Db::open(clock, smgr, log, cat, config)
-    }
-
-    /// Hints the buffer cache to read `count` blocks of `rel` ahead,
-    /// starting at `start`. Used by large-object readers that know they are
-    /// about to walk a relation sequentially; errors are swallowed (it is
-    /// only a hint).
-    pub fn prefetch_relation(&self, rel: RelId, start: u64, count: usize) {
-        let (dev, storage) = match self.inner.catalog.read().relation(rel) {
-            Ok(entry) => (entry.device, entry.storage),
-            Err(_) => return,
-        };
-        self.inner.pool.prefetch(&self.inner.smgr, dev, storage, start, count);
     }
 
     /// The simulated clock shared with the devices.

@@ -223,14 +223,14 @@ impl LockManager {
 /// is derived from the code's actual nesting, which the audit verified:
 ///
 /// * a b-tree split holds a page latch while asking the buffer pool for a
-///   fresh page, so page latches are *outside* the shard latches (page
+///   fresh page, so page latches are *outside* the pool latch (page
 ///   *pins* are counts, not locks, and have no rank: whoever may block on
 ///   a latch must not be sitting on pins the latch holder's `new_page`
 ///   needs freed — the pool's flush therefore holds one pin at a time);
 /// * the pool locks a frame (to load it or to write a victim back) while
-///   holding a shard latch, so shard latches are *outside* frame locks —
-///   and it always releases the shard latch before any device I/O, so no
-///   device lock is ever taken under a shard latch (a debug assertion in
+///   holding its latch, so the pool latch is *outside* frame locks —
+///   and it always releases the latch before any device I/O, so no
+///   device lock is ever taken under the pool latch (a debug assertion in
 ///   the smgr read/write/extend paths enforces this);
 /// * the heap consults the transaction log while holding a page latch, so
 ///   page latches are *outside* the log mutex.
@@ -238,9 +238,9 @@ impl LockManager {
 /// `heap-page`/`btree-page` and `buffer-frame` name the *same* physical
 /// `RwLock` (a frame's page lock) in two acquisition contexts: access
 /// methods latch pages they have already pinned (outside the pool, low
-/// rank), while the pool itself locks frames under a shard latch during
-/// loads, writebacks, and flushes (high rank). The pool never acquires a
-/// shard latch while holding a frame lock, which keeps both contexts
+/// rank), while the pool itself locks frames under its latch during
+/// loads, writebacks, and flushes (high rank). The pool never acquires
+/// its latch while holding a frame lock, which keeps both contexts
 /// cycle-free.
 pub mod order {
     /// Lock families, outermost first. Index = rank.
@@ -276,7 +276,8 @@ pub mod order {
     /// Rank of the transaction status log mutex. An id ceiling's raise
     /// appends its log record under it, so it ranks outside `wal`.
     pub const XACT_LOG: usize = 5;
-    /// Rank of the buffer pool's per-shard latches.
+    /// Rank of the buffer pool's latch (one for the whole pool; the name
+    /// is from when the pool had a latch per shard).
     pub const BUFFER_SHARD: usize = 6;
     /// Rank of frame locks taken *by the pool itself* (load, writeback,
     /// flush) — access methods lock the same frames as `heap-page` /
@@ -353,7 +354,7 @@ pub mod order {
 
     /// Whether the current thread holds a lock of rank `level` (debug
     /// builds only; always `false` in release). The smgr uses this to
-    /// assert that no device I/O happens under a buffer-shard latch.
+    /// assert that no device I/O happens under the buffer pool latch.
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub fn is_held(level: usize) -> bool {
         #[cfg(debug_assertions)]

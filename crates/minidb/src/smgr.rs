@@ -911,7 +911,7 @@ impl Smgr {
     ) -> DbResult<bool> {
         debug_assert!(
             !crate::lock::order::is_held(crate::lock::order::BUFFER_SHARD),
-            "device read while holding a buffer shard latch"
+            "device read while holding the buffer pool latch"
         );
         self.accounted(dev, PageIo::Read, || self.with(dev, |m| m.read(rel, blkno, buf)))?;
         // Instant recovery: a page read from the device may predate the
@@ -953,7 +953,7 @@ impl Smgr {
     pub fn write_page(&self, dev: DeviceId, rel: RelId, blkno: u64, buf: &[u8]) -> DbResult<()> {
         debug_assert!(
             !crate::lock::order::is_held(crate::lock::order::BUFFER_SHARD),
-            "device write while holding a buffer shard latch"
+            "device write while holding the buffer pool latch"
         );
         self.accounted(dev, PageIo::Write, || self.with(dev, |m| m.write(rel, blkno, buf)))
     }
@@ -963,7 +963,7 @@ impl Smgr {
     pub fn extend_page(&self, dev: DeviceId, rel: RelId) -> DbResult<u64> {
         debug_assert!(
             !crate::lock::order::is_held(crate::lock::order::BUFFER_SHARD),
-            "device extend while holding a buffer shard latch"
+            "device extend while holding the buffer pool latch"
         );
         self.accounted(dev, PageIo::Write, || self.with(dev, |m| m.extend_blank(rel)))
     }

@@ -177,7 +177,7 @@ impl Value for [u64; LATENCY_BUCKETS] {
 }
 
 /// The per-kind behaviour of one [`stat_table!`](crate::stat_table) field:
-/// how the live metric freezes, and how two frozen values subtract and add.
+/// how the live metric freezes, and how two frozen values subtract.
 pub trait Metric {
     /// The frozen, plain-data value.
     type Frozen: Value + Clone + Default + PartialEq + Eq + std::fmt::Debug;
@@ -185,8 +185,6 @@ pub trait Metric {
     fn freeze(&self) -> Self::Frozen;
     /// The growth from `base` to `cur`.
     fn delta(cur: &Self::Frozen, base: &Self::Frozen) -> Self::Frozen;
-    /// Two tallies of the same metric kept apart (per buffer shard), as one.
-    fn merge(a: &Self::Frozen, b: &Self::Frozen) -> Self::Frozen;
 }
 
 impl Metric for Counter {
@@ -196,9 +194,6 @@ impl Metric for Counter {
     }
     fn delta(cur: &u64, base: &u64) -> u64 {
         cur.saturating_sub(*base)
-    }
-    fn merge(a: &u64, b: &u64) -> u64 {
-        a + b
     }
 }
 
@@ -212,9 +207,6 @@ impl Metric for MaxGauge {
     fn delta(cur: &u64, _base: &u64) -> u64 {
         *cur
     }
-    fn merge(a: &u64, b: &u64) -> u64 {
-        *a.max(b)
-    }
 }
 
 impl Metric for LatencyHistogram {
@@ -224,9 +216,6 @@ impl Metric for LatencyHistogram {
     }
     fn delta(cur: &Self::Frozen, base: &Self::Frozen) -> Self::Frozen {
         std::array::from_fn(|i| cur[i].saturating_sub(base[i]))
-    }
-    fn merge(a: &Self::Frozen, b: &Self::Frozen) -> Self::Frozen {
-        std::array::from_fn(|i| a[i] + b[i])
     }
 }
 
@@ -279,7 +268,7 @@ macro_rules! stat_label {
 /// * `pub struct LockCounters { pub acquisitions: Counter, … }` (`Default`)
 ///   with `freeze(&self) -> LockStats`;
 /// * `pub struct LockStats { pub acquisitions: u64, … }` with
-///   `delta(&self, base)`, `merge(&mut self, other)`, `to_json()` (keys are
+///   `delta(&self, base)`, `to_json()` (keys are
 ///   the field names), `columns(view)` / `datums(&self, view)` (the group's
 ///   relation schema and row — see [`View`](crate::stats::View)) and
 ///   `LABELS`.
@@ -348,11 +337,6 @@ macro_rules! stat_table {
                     $($( $key: self.$key.clone(), )*)?
                     $( $field: <$Kind as $crate::stats::Metric>::delta(&self.$field, &base.$field), )*
                 }
-            }
-
-            /// Folds in `other`, a tally of the same metrics kept apart.
-            pub fn merge(&mut self, other: &Self) {
-                $( self.$field = <$Kind as $crate::stats::Metric>::merge(&self.$field, &other.$field); )*
             }
 
             /// One `(key, JSON value)` pair per field.

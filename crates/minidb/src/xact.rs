@@ -148,7 +148,7 @@ fn log_to(buf: &mut PageBuf, wal: &Wal, rec: &WalRecord) -> DbResult<u64> {
 /// never grows the relation. Only a page the pool misses costs asking the
 /// catalog device's manager, whose mutex its I/O holds, for the length.
 fn existing_page(pool: &BufferPool, smgr: &Smgr, blkno: u64) -> DbResult<Option<PinnedPage>> {
-    if let Some((page, _)) = pool.pin_cached(PG_LOG, blkno) {
+    if let Some(page) = pool.pin_cached(PG_LOG, blkno) {
         return Ok(Some(page));
     }
     if blkno >= smgr.with(DeviceId::CATALOG, |m| m.nblocks(PG_LOG))? {

@@ -5,6 +5,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every `cargo test` step runs under a time limit (seconds; build included):
+# every cached page is behind one buffer pool latch, and a deadlock must fail
+# the gate, not hang it.
+TEST_TIMEOUT_S=1200
+run_tests() {
+    local status=0
+    timeout "$TEST_TIMEOUT_S" cargo test "$@" || status=$?
+    if ((status == 124)); then
+        echo "timed out after $TEST_TIMEOUT_S s: cargo test $*" >&2
+    fi
+    return "$status"
+}
+
 echo "== lint (xtask static analysis) =="
 cargo run -q -p xtask -- lint
 
@@ -30,50 +43,50 @@ cargo build --release
 
 # The root package is a workspace member: this runs its suites too.
 echo "== tests (workspace) =="
-cargo test --workspace -q
+run_tests --workspace -q
 
 echo "== buffer manager stress =="
-cargo test --release -q --test buffer_stress
+run_tests --release -q --test buffer_stress
 
 echo "== commit path stress (group commit) =="
-cargo test --release -q --test commit_stress
+run_tests --release -q --test commit_stress
 
 echo "== crash-recovery battery (WAL + checkpointer + instant recovery) =="
-cargo test --release -q --test recovery
-cargo test --release -q --test properties
+run_tests --release -q --test recovery
+run_tests --release -q --test properties
 
 echo "== scale: 6 000 files, past the old one-blob catalog's ceiling =="
-cargo test --release -q --test scale endurance_six_thousand_files -- --ignored
+run_tests --release -q --test scale endurance_six_thousand_files -- --ignored
 
 echo "== scale: files until the relation map is full; a crash there recovers =="
-cargo test --release -q --test scale creating_files_until_the_relation_map_is_full -- --ignored
+run_tests --release -q --test scale creating_files_until_the_relation_map_is_full -- --ignored
 
 echo "== version chains: a probe costs the same after 1, 10 and 100 overwrites =="
-cargo test --release -q --test version_chains
+run_tests --release -q --test version_chains
 
 echo "== log forces: an insert forces nothing, a commit forces once =="
-cargo test --release -q --test log_forces
+run_tests --release -q --test log_forces
 
 echo "== lazytime: a read's close writes nothing; access times go back in one commit =="
-cargo test --release -q --test lazytime
+run_tests --release -q --test lazytime
 
 echo "== differential query oracle (planned executor vs reference interpreter) =="
-cargo test --release -q --test properties planned_
+run_tests --release -q --test properties planned_
 
 echo "== golden plan corpus (pinned EXPLAIN for the planner query set) =="
-cargo test --release -q --test explain
+run_tests --release -q --test explain
 
 echo "== wire protocol fuzz battery =="
-cargo test --release -q --test wire
+run_tests --release -q --test wire
 
 echo "== multi-session server stress =="
-cargo test --release -q --test server_stress
+run_tests --release -q --test server_stress
 
 echo "== isolation: a read under its lock sees the present =="
-cargo test --release -q --test concurrency
+run_tests --release -q --test concurrency
 
 echo "== DDL: an abort takes every catalog change back =="
-cargo test --release -q --test ddl
+run_tests --release -q --test ddl
 
 # The benchmark is a crate of its own (benchmark/, outside the workspace)
 # built against WireClient, wire and PoolConfig: build it, run its unit
@@ -81,7 +94,7 @@ cargo test --release -q --test ddl
 # against BENCHMARK.json, all verification) so a change that breaks it
 # fails here rather than at the acceptance run.
 echo "== benchmark crate: unit tests + smoke =="
-cargo test --release --quiet --manifest-path benchmark/Cargo.toml
+run_tests --release --quiet --manifest-path benchmark/Cargo.toml
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- smoke
 
 # BENCHMARK.json's own command (`run --workload W`) for every workload: a
@@ -99,14 +112,14 @@ done
 # device behind a burst of DDL, and both link-drop transports; the full
 # 9-kind battery runs under "cargo test -q" above.
 echo "== torture battery smoke (crash mid-commit / mid-checkpoint / in-flight / catalog fault) =="
-cargo test --release -q --test torture battery_crash_mid_commit
-cargo test --release -q --test torture battery_crash_mid_checkpoint
-cargo test --release -q --test torture battery_crash_in_flight
-cargo test --release -q --test torture battery_catalog_device_fault
-cargo test --release -q --test torture battery_link_drop
+run_tests --release -q --test torture battery_crash_mid_commit
+run_tests --release -q --test torture battery_crash_mid_checkpoint
+run_tests --release -q --test torture battery_crash_in_flight
+run_tests --release -q --test torture battery_catalog_device_fault
+run_tests --release -q --test torture battery_link_drop
 
 echo "== smoke: p_slice shares chunk rows without copying =="
-cargo test --release -q -p inversion --lib slice
+run_tests --release -q -p inversion --lib slice
 
 # The server's runnable documentation: two sessions over in-memory
 # transports, fd isolation, a disconnect abort and pg_stat_net.

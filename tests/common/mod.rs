@@ -152,10 +152,9 @@ impl CrashRig {
         let (catalog, catalog_faults) = cached("catalog", 1 << 12);
         let data1_hold = Arc::new(Hold::default());
         let data1 = two_data_devices.then(|| {
-            let disk = MagneticDisk::new("data1", clock.clone(), DiskProfile::tiny_for_tests(1 << 16));
-            let (dev, handle) = simdev::WriteCacheDisk::new(Box::new(disk));
+            let (dev, handle) = HeldDisk::shared("data1", &clock, &data1_hold);
             handles.push(handle);
-            shared_device(HeldDisk { inner: dev, hold: Arc::clone(&data1_hold) })
+            dev
         });
         CrashRig { clock, data, log, catalog, data1, data1_hold, handles, data_faults, log_faults, catalog_faults, log_probe }
     }
@@ -344,6 +343,17 @@ impl Hold {
 pub struct HeldDisk {
     inner: simdev::WriteCacheDisk,
     hold: Arc<Hold>,
+}
+
+#[allow(dead_code)]
+impl HeldDisk {
+    /// A write-cached disk of 65 536 blocks named `name`, whose writes
+    /// `hold` holds, and the handle that drops its unsynced writes.
+    pub fn shared(name: &str, clock: &SimClock, hold: &Arc<Hold>) -> (SharedDevice, simdev::CacheCrashHandle) {
+        let disk = MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(1 << 16));
+        let (inner, handle) = simdev::WriteCacheDisk::new(Box::new(disk));
+        (shared_device(HeldDisk { inner, hold: Arc::clone(hold) }), handle)
+    }
 }
 
 impl BlockDevice for HeldDisk {

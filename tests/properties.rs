@@ -449,12 +449,9 @@ enum PoolOp {
     FlushClear,
     /// Drop one relation's pages without writeback.
     Discard,
-    /// Read-ahead hint over the whole relation.
-    Prefetch,
     /// Discard the relation's pages, drop and re-create it on the device,
     /// and grow it back with fresh bytes — what a drop and a create do.
-    /// Whatever the cache held, demanded or merely read ahead, describes
-    /// blocks that no longer exist.
+    /// Whatever the cache held describes blocks that no longer exist.
     Regrow { fill: u8 },
 }
 
@@ -469,17 +466,15 @@ fn pool_op_strategy(nblocks: u8) -> impl Strategy<Value = PoolOp> {
         Just(PoolOp::Flush),
         Just(PoolOp::FlushClear),
         Just(PoolOp::Discard),
-        Just(PoolOp::Prefetch),
         any::<u8>().prop_map(|fill| PoolOp::Regrow { fill }),
     ]
 }
 
-// Model-checks the sharded buffer pool against a flat shadow map: whatever
-// interleaving of get/dirty/flush/clear/discard/prefetch/regrow runs (with a
-// pool far smaller than the block set, so evictions are constant), a read
-// must never serve stale bytes — in particular never a page read ahead
-// before its relation was truncated or dropped — and a flush must never
-// lose a dirty page.
+// Model-checks the buffer pool against a flat shadow map: whatever
+// interleaving of get/dirty/flush/clear/discard/regrow runs (with a pool far
+// smaller than the block set, so evictions are constant), a read must never
+// serve stale bytes — in particular never a page cached before its relation
+// was truncated or dropped — and a flush must never lose a dirty page.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -487,7 +482,6 @@ proptest! {
     fn buffer_pool_matches_shadow_map(
         ops in prop::collection::vec(pool_op_strategy(24), 1..60),
         capacity in 4usize..10,
-        nshards in 1usize..4,
     ) {
         use minidb::buffer::BufferPool;
         use minidb::smgr::{shared_device, GenericManager, Smgr};
@@ -505,7 +499,7 @@ proptest! {
         smgr.register(dev, Box::new(GenericManager::format(disk).unwrap())).unwrap();
         smgr.with(dev, |m| m.create_rel(rel)).unwrap();
 
-        let pool = BufferPool::with_shards(capacity, nshards);
+        let pool = BufferPool::new(capacity);
         // The shadows: `mem` is what a reader through the pool must see,
         // `disk_shadow` what the device may hold — the last flushed value
         // plus every value dirtied since, any of which an eviction may have
@@ -571,9 +565,6 @@ proptest! {
                         mem.insert(b, on_disk);
                         disk_shadow.insert(b, vec![on_disk]);
                     }
-                }
-                PoolOp::Prefetch => {
-                    pool.prefetch(&smgr, dev, rel, 0, NBLOCKS as usize);
                 }
                 PoolOp::Regrow { fill } => {
                     pool.discard_rel(rel);
