@@ -55,14 +55,24 @@ pub fn print_comparison(systems: &[&str], rows: &[Comparison]) {
         for i in 0..systems.len() {
             let p = row.paper.get(i).copied().unwrap_or(f64::NAN);
             let m = row.measured.get(i).copied().unwrap_or(f64::NAN);
-            print!("{:>13.3}s {:>13.3}s", p, m);
+            print!("{} {}", cell(p, 13, 3, 's'), cell(m, 13, 3, 's'));
         }
         if systems.len() >= 2 {
             let paper_ratio = row.paper[0] / row.paper[1];
             let our_ratio = row.measured[0] / row.measured[1];
-            print!("{:>11.2}x {:>9.2}x", paper_ratio, our_ratio);
+            print!("{} {}", cell(paper_ratio, 11, 2, 'x'), cell(our_ratio, 9, 2, 'x'));
         }
         println!();
+    }
+}
+
+/// `v` right-aligned in `width` columns with `prec` decimals and `unit`
+/// after it, or `-` in their place when there is no number (a cell the
+/// paper does not give).
+fn cell(v: f64, width: usize, prec: usize, unit: char) -> String {
+    match v.is_finite() {
+        true => format!("{v:>width$.prec$}{unit}"),
+        false => format!("{:>w$}", "-", w = width + 1),
     }
 }
 

@@ -76,8 +76,7 @@ mod tests {
         let disk = |name: &str, blocks: u64| {
             simdev::MagneticDisk::new(name, clock.clone(), simdev::DiskProfile::tiny_for_tests(blocks))
         };
-        let d1 = disk("d1", 1 << 14);
-        let faults = d1.fault_plan();
+        let (d1, faults) = simdev::Faulty::new(disk("d1", 1 << 14));
         let (d0, d1) = (minidb::shared_device(disk("d0", 1 << 14)), minidb::shared_device(d1));
         let mut smgr = minidb::Smgr::new();
         for (dev, d) in [(0, &d0), (1, &d1)] {

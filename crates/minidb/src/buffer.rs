@@ -919,11 +919,10 @@ mod tests {
     fn a_failed_write_back_leaves_the_rest_of_the_pool_usable() {
         let clock = SimClock::new();
         let disk = |name| MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(4096));
-        let (d0, d1) = (disk("d0"), disk("d1"));
-        let faults = d1.fault_plan();
+        let (d1, faults) = simdev::Faulty::new(disk("d1"));
         let mut smgr = Smgr::new();
-        for (id, d) in [(DeviceId(0), d0), (DeviceId(1), d1)] {
-            let mgr = GenericManager::format(shared_device(d)).unwrap();
+        for (id, d) in [(DeviceId(0), shared_device(disk("d0"))), (DeviceId(1), shared_device(d1))] {
+            let mgr = GenericManager::format(d).unwrap();
             smgr.register(id, Box::new(mgr)).unwrap();
         }
         // Four frames. Every page below is block 0 of a relation of its

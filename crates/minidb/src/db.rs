@@ -1718,8 +1718,7 @@ mod tests {
         let disk = |name, blocks| {
             MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(blocks))
         };
-        let log = disk("log", 64);
-        let log_faults = log.fault_plan();
+        let (log, log_faults) = simdev::Faulty::new(disk("log", 64));
         let mut smgr = Smgr::new();
         let data = GenericManager::format(shared_device(disk("data", 1 << 16))).unwrap();
         smgr.register(DeviceId::DEFAULT, Box::new(data)).unwrap();
@@ -1771,8 +1770,7 @@ mod tests {
         let disk = |name, blocks| {
             MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(blocks))
         };
-        let log = disk("log", 1 << 12);
-        let log_faults = log.fault_plan();
+        let (log, log_faults) = simdev::Faulty::new(disk("log", 1 << 12));
         let mut smgr = Smgr::new();
         let data = GenericManager::format(shared_device(disk("data", 1 << 16))).unwrap();
         smgr.register(DeviceId::DEFAULT, Box::new(data)).unwrap();

@@ -912,7 +912,7 @@ mod tests {
         // earlier records: everything non-durable is rewritten every time.
         let clock = SimClock::new();
         let disk = MagneticDisk::new("log", clock.clone(), DiskProfile::tiny_for_tests(4096));
-        let faults = disk.fault_plan();
+        let (disk, faults) = simdev::Faulty::new(disk);
         let (cache, _handle) = simdev::WriteCacheDisk::new(Box::new(disk));
         let dev = shared_device(cache);
         let wal = Wal::create(dev.clone(), reg()).unwrap();
@@ -1136,7 +1136,7 @@ mod tests {
     #[test]
     fn a_force_that_wraps_the_ring_lands_in_stream_order() {
         let disk = MagneticDisk::new("log", SimClock::new(), DiskProfile::tiny_for_tests(8));
-        let faults = disk.fault_plan();
+        let (disk, faults) = simdev::Faulty::new(disk);
         let (cache, power) = simdev::WriteCacheDisk::new(Box::new(disk));
         let dev = shared_device(cache);
         let wal = Wal::create(dev.clone(), reg()).unwrap();
@@ -1238,57 +1238,6 @@ mod tests {
         }
     }
 
-    /// What a [`Tearing`] disk does to its next write.
-    enum Tear {
-        Off,
-        /// Store only these bytes of the next block written.
-        Armed(std::ops::Range<usize>),
-        /// Torn: every write and sync fails.
-        Torn,
-    }
-
-    /// A log disk whose armed write lands only in part, as when power fails
-    /// in the middle of it.
-    struct Tearing(MagneticDisk, Arc<Mutex<Tear>>);
-
-    impl simdev::BlockDevice for Tearing {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn block_size(&self) -> usize {
-            self.0.block_size()
-        }
-        fn nblocks(&self) -> u64 {
-            self.0.nblocks()
-        }
-        fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> simdev::DevResult<()> {
-            self.0.read_block(blkno, buf)
-        }
-        fn write_block(&mut self, blkno: u64, buf: &[u8]) -> simdev::DevResult<()> {
-            let mut tear = self.1.lock();
-            match std::mem::replace(&mut *tear, Tear::Torn) {
-                Tear::Off => {
-                    *tear = Tear::Off;
-                    return self.0.write_block(blkno, buf);
-                }
-                Tear::Armed(keep) => {
-                    let mut block = vec![0u8; buf.len()];
-                    self.0.read_block(blkno, &mut block)?;
-                    block[keep.clone()].copy_from_slice(&buf[keep]);
-                    self.0.write_block(blkno, &block)?;
-                }
-                Tear::Torn => {}
-            }
-            Err(simdev::DevError::TornWrite)
-        }
-        fn sync(&mut self) -> simdev::DevResult<()> {
-            match *self.1.lock() {
-                Tear::Torn => Err(simdev::DevError::TornWrite),
-                _ => self.0.sync(),
-            }
-        }
-    }
-
     /// An acknowledged record in the second half of a block, then a force
     /// of 300 more whose rewrite of that block tears: first with only its
     /// first 4 KB new, then with only its second. Either way the
@@ -1298,9 +1247,9 @@ mod tests {
     fn a_torn_rewrite_of_either_half_keeps_the_acknowledged_records() {
         let torn = simdev::fault::TORN_BYTES;
         for keep in [0..torn, torn..BLOCK_SIZE] {
-            let tear = Arc::new(Mutex::new(Tear::Off));
             let disk = MagneticDisk::new("log", SimClock::new(), DiskProfile::tiny_for_tests(64));
-            let dev = shared_device(Tearing(disk, Arc::clone(&tear)));
+            let (disk, faults) = simdev::Faulty::new(disk);
+            let dev = shared_device(disk);
             let wal = Wal::create(dev.clone(), reg()).unwrap();
             let mut stream = vec![
                 insert_rec(0, 0, 5000),
@@ -1315,9 +1264,9 @@ mod tests {
             for rec in &stream[2..] {
                 wal.append(rec).unwrap();
             }
-            *tear.lock() = Tear::Armed(keep.clone());
+            faults.tear_after_writes(0, keep.clone());
             assert!(wal.force_up_to(wal.next_lsn()).is_err());
-            *tear.lock() = Tear::Off;
+            faults.clear_write_fault();
 
             let got = records(Wal::recover(dev, reg()).unwrap().1);
             assert!(got.len() >= 2, "{keep:?}: {} records back", got.len());

@@ -1,5 +1,7 @@
-//! The block device abstraction and its in-memory backing store.
+//! The block device abstraction, its in-memory backing store, and the one
+//! simulated device every medium is: a store behind a cost model.
 
+use crate::clock::{SimClock, SimDuration};
 use crate::error::{DevError, DevResult};
 
 /// A fixed-block-size random-access storage device.
@@ -32,11 +34,6 @@ pub trait BlockDevice: Send {
     /// mode) override it.
     fn sync(&mut self) -> DevResult<()> {
         Ok(())
-    }
-
-    /// Whether the medium is write-once (WORM optical platters).
-    fn is_write_once(&self) -> bool {
-        false
     }
 
     /// Whether the device contents survive a power failure.
@@ -76,11 +73,6 @@ impl MemBlockStore {
         self.nblocks
     }
 
-    /// Number of blocks actually materialized (written at least once).
-    pub fn blocks_written(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Whether `blkno` has ever been written.
     pub fn is_written(&self, blkno: u64) -> bool {
         self.blocks.contains_key(&blkno)
@@ -118,10 +110,74 @@ impl MemBlockStore {
         self.blocks.insert(blkno, buf.into());
         Ok(())
     }
+}
 
-    /// Discards all contents (models a volatile device losing power).
-    pub fn clear(&mut self) {
-        self.blocks.clear();
+/// How a medium's mechanism spends time: the cost model a [`SimDevice`]
+/// charges before each access.
+pub trait Mechanics: Send {
+    /// Whether a written block may be written again (`false` for WORM
+    /// platters, which refuse with [`DevError::WriteOnceViolation`]).
+    const REWRITABLE: bool = true;
+
+    /// The time to reach and transfer block `blkno`, leaving the mechanism
+    /// (head, mounted platter, tape position) there.
+    fn cost(&mut self, blkno: u64) -> SimDuration;
+}
+
+/// A simulated storage device: a [`MemBlockStore`] whose every access first
+/// charges its [`Mechanics`]' cost to the shared clock. Each medium of the
+/// paper is one of these (`MagneticDisk`, `Nvram`, `OpticalJukebox`,
+/// `TapeJukebox`); faults and caches wrap it ([`crate::Faulty`],
+/// [`crate::WriteCacheDisk`]).
+pub struct SimDevice<M> {
+    name: String,
+    clock: SimClock,
+    store: MemBlockStore,
+    mechanics: M,
+}
+
+impl<M: Mechanics> SimDevice<M> {
+    /// A blank device of `nblocks` blocks of `block_size` bytes.
+    pub fn with_mechanics(
+        name: impl Into<String>,
+        clock: SimClock,
+        block_size: usize,
+        nblocks: u64,
+        mechanics: M,
+    ) -> Self {
+        SimDevice {
+            name: name.into(),
+            clock,
+            store: MemBlockStore::new(block_size, nblocks),
+            mechanics,
+        }
+    }
+}
+
+impl<M: Mechanics> BlockDevice for SimDevice<M> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn block_size(&self) -> usize {
+        self.store.block_size()
+    }
+
+    fn nblocks(&self) -> u64 {
+        self.store.nblocks()
+    }
+
+    fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> DevResult<()> {
+        self.clock.advance(self.mechanics.cost(blkno));
+        self.store.read(blkno, buf)
+    }
+
+    fn write_block(&mut self, blkno: u64, buf: &[u8]) -> DevResult<()> {
+        if !M::REWRITABLE && self.store.is_written(blkno) {
+            return Err(DevError::WriteOnceViolation { blkno });
+        }
+        self.clock.advance(self.mechanics.cost(blkno));
+        self.store.write(blkno, buf)
     }
 }
 
@@ -145,7 +201,7 @@ mod tests {
         let mut buf = [0u8; 4];
         store.read(1, &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3, 4]);
-        assert_eq!(store.blocks_written(), 1);
+        assert!(store.is_written(1));
     }
 
     #[test]
@@ -172,15 +228,5 @@ mod tests {
         ));
         let mut small = [0u8; 2];
         assert!(store.read(0, &mut small).is_err());
-    }
-
-    #[test]
-    fn clear_drops_contents() {
-        let mut store = MemBlockStore::new(4, 4);
-        store.write(0, &[9; 4]).unwrap();
-        store.clear();
-        let mut buf = [9u8; 4];
-        store.read(0, &mut buf).unwrap();
-        assert_eq!(buf, [0; 4]);
     }
 }

@@ -13,10 +13,8 @@
 //! penalizing Inversion by forcing the disk head to move frequently", while
 //! NFS "writes the data file sequentially, improving throughput".
 
-use crate::block::{BlockDevice, MemBlockStore};
+use crate::block::{Mechanics, SimDevice};
 use crate::clock::{SimClock, SimDuration};
-use crate::error::{DevError, DevResult};
-use crate::fault::{FaultPlan, TORN_BYTES};
 
 /// Timing and geometry parameters for a [`MagneticDisk`].
 #[derive(Debug, Clone)]
@@ -74,74 +72,19 @@ impl DiskProfile {
     }
 }
 
-/// A seek/rotate/transfer model of a magnetic disk.
-pub struct MagneticDisk {
-    name: String,
-    clock: SimClock,
+/// The head of a magnetic disk: the block it touched last, if any.
+pub struct Disk {
     profile: DiskProfile,
-    store: MemBlockStore,
-    faults: FaultPlan,
-    head: u64,
-    last_was: Option<u64>,
-    stats: DiskStats,
+    head: Option<u64>,
 }
 
-/// Operation counters for a [`MagneticDisk`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DiskStats {
-    /// Blocks read.
-    pub reads: u64,
-    /// Blocks written.
-    pub writes: u64,
-    /// Accesses that required head movement.
-    pub seeks: u64,
-    /// Accesses that continued sequentially from the previous access.
-    pub sequential: u64,
-    /// Operations failed by an armed [`FaultPlan`] fault (reads + writes).
-    pub fault_trips: u64,
-}
-
-impl MagneticDisk {
-    /// Creates a disk with the given profile on a fresh zeroed medium.
-    pub fn new(name: impl Into<String>, clock: SimClock, profile: DiskProfile) -> Self {
-        let store = MemBlockStore::new(profile.block_size, profile.nblocks);
-        MagneticDisk {
-            name: name.into(),
-            clock,
-            profile,
-            store,
-            faults: FaultPlan::none(),
-            head: 0,
-            last_was: None,
-            stats: DiskStats::default(),
-        }
-    }
-
-    /// The fault-injection plan attached to this disk.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.faults.clone()
-    }
-
-    /// Accumulated operation counters.
-    pub fn stats(&self) -> DiskStats {
-        self.stats
-    }
-
-    /// The disk's timing profile.
-    pub fn profile(&self) -> &DiskProfile {
-        &self.profile
-    }
-
-    /// Charges the positioning + transfer cost of accessing `blkno`.
-    fn charge(&mut self, blkno: u64) {
+impl Mechanics for Disk {
+    fn cost(&mut self, blkno: u64) -> SimDuration {
         let mut cost = self.profile.controller_overhead;
-        let sequential =
-            self.last_was == Some(blkno.wrapping_sub(1)) || self.last_was == Some(blkno);
-        if sequential {
-            self.stats.sequential += 1;
-        } else {
-            self.stats.seeks += 1;
-            let dist = self.head.abs_diff(blkno) as f64 / self.profile.nblocks.max(1) as f64;
+        let head = self.head.replace(blkno);
+        let sequential = head == Some(blkno.wrapping_sub(1)) || head == Some(blkno);
+        if !sequential {
+            let dist = head.unwrap_or(0).abs_diff(blkno) as f64 / self.profile.nblocks.max(1) as f64;
             // Seek time scales between min and max with sqrt of distance, the
             // classic accelerate/decelerate head model.
             let span =
@@ -150,68 +93,25 @@ impl MagneticDisk {
             cost += SimDuration::from_nanos(seek_ns as u64);
             cost += self.profile.rotational_latency;
         }
-        cost += self.profile.transfer_time();
-        self.head = blkno;
-        self.last_was = Some(blkno);
-        self.clock.advance(cost);
+        cost + self.profile.transfer_time()
     }
 }
 
-impl BlockDevice for MagneticDisk {
-    fn name(&self) -> &str {
-        &self.name
-    }
+/// A seek/rotate/transfer model of a magnetic disk.
+pub type MagneticDisk = SimDevice<Disk>;
 
-    fn block_size(&self) -> usize {
-        self.profile.block_size
-    }
-
-    fn nblocks(&self) -> u64 {
-        self.profile.nblocks
-    }
-
-    fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> DevResult<()> {
-        if let Err(e) = self.faults.check_read() {
-            self.stats.fault_trips += 1;
-            return Err(e);
-        }
-        self.charge(blkno);
-        self.store.read(blkno, buf)?;
-        if self.faults.is_corrupt(blkno) {
-            // Media corruption: hand back garbage rather than stored data.
-            for (i, b) in buf.iter_mut().enumerate() {
-                *b = (i as u8).wrapping_mul(251).wrapping_add(13);
-            }
-        }
-        self.stats.reads += 1;
-        Ok(())
-    }
-
-    fn write_block(&mut self, blkno: u64, buf: &[u8]) -> DevResult<()> {
-        if let Err(e) = self.faults.check_write() {
-            self.stats.fault_trips += 1;
-            if e == DevError::TornWrite {
-                let mut torn = vec![0u8; buf.len()];
-                self.store.read(blkno, &mut torn)?;
-                torn[..TORN_BYTES].copy_from_slice(&buf[..TORN_BYTES]);
-                self.store.write(blkno, &torn)?;
-            }
-            return Err(e);
-        }
-        self.charge(blkno);
-        self.store.write(blkno, buf)?;
-        self.stats.writes += 1;
-        Ok(())
-    }
-
-    fn sync(&mut self) -> DevResult<()> {
-        self.faults.check_sync()
+impl MagneticDisk {
+    /// Creates a disk with the given profile on a fresh zeroed medium.
+    pub fn new(name: impl Into<String>, clock: SimClock, profile: DiskProfile) -> Self {
+        let (block_size, nblocks) = (profile.block_size, profile.nblocks);
+        SimDevice::with_mechanics(name, clock, block_size, nblocks, Disk { profile, head: None })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockDevice;
 
     fn disk() -> (SimClock, MagneticDisk) {
         let clock = SimClock::new();
@@ -257,20 +157,29 @@ mod tests {
         assert_eq!(buf, out);
     }
 
+    /// The next block and a re-read of the same block pay no positioning:
+    /// `controller_overhead + transfer_time()`. A jump pays a seek and a
+    /// rotation on top.
     #[test]
-    fn stats_count_ops_and_seeks() {
-        let (_c, mut d) = disk();
-        let buf = vec![0u8; d.block_size()];
+    fn a_sequential_access_costs_controller_and_transfer_only() {
+        let (clock, mut d) = disk();
+        let p = DiskProfile::rz58();
+        let streaming = p.controller_overhead + p.transfer_time();
+        let mut buf = vec![0u8; d.block_size()];
+        let mut since = clock.now();
+        let mut elapsed = || {
+            let t = since;
+            since = clock.now();
+            since.since(t)
+        };
         d.write_block(0, &buf).unwrap();
+        assert!(elapsed() > streaming, "the first access seeks");
         d.write_block(1, &buf).unwrap();
+        assert_eq!(elapsed(), streaming, "the next block");
         d.write_block(10_000, &buf).unwrap();
-        let mut out = vec![0u8; d.block_size()];
-        d.read_block(10_000, &mut out).unwrap();
-        let s = d.stats();
-        assert_eq!(s.writes, 3);
-        assert_eq!(s.reads, 1);
-        assert_eq!(s.sequential, 2); // block 1 follows 0; re-read of 10_000.
-        assert_eq!(s.seeks, 2); // block 0 (from unknown) and the jump.
+        assert!(elapsed() >= streaming + p.seek_min + p.rotational_latency, "a jump");
+        d.read_block(10_000, &mut buf).unwrap();
+        assert_eq!(elapsed(), streaming, "a re-read of the same block");
     }
 
     #[test]
@@ -286,25 +195,5 @@ mod tests {
         let rate = (n as f64 * 8192.0) / took;
         // Controller overhead keeps us below media rate but same order.
         assert!(rate > 1.0e6 && rate < 2.5e6, "rate was {rate}");
-    }
-
-    #[test]
-    fn corrupt_block_reads_garbage() {
-        let (_c, mut d) = disk();
-        let buf = vec![7u8; d.block_size()];
-        d.write_block(5, &buf).unwrap();
-        d.fault_plan().corrupt_block(5);
-        let mut out = vec![0u8; d.block_size()];
-        d.read_block(5, &mut out).unwrap();
-        assert_ne!(out, buf);
-    }
-
-    #[test]
-    fn offline_disk_fails() {
-        let (_c, mut d) = disk();
-        d.fault_plan().set_offline(true);
-        let mut buf = vec![0u8; d.block_size()];
-        assert!(d.read_block(0, &mut buf).is_err());
-        assert!(d.write_block(0, &buf).is_err());
     }
 }

@@ -1,10 +1,14 @@
-//! Fault injection for crash-recovery and media-failure tests.
+//! Fault injection for crash-recovery and media-failure tests: one
+//! [`Faulty`] wrapper around any [`BlockDevice`], steered by the
+//! [`FaultPlan`] it hands out.
 
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::block::BlockDevice;
 use crate::error::{DevError, DevResult};
 
 /// Bytes of its block that a torn write stores: the first half of 8 KB.
@@ -14,8 +18,9 @@ pub const TORN_BYTES: usize = 4096;
 struct Inner {
     offline: bool,
     fail_after_writes: Option<u64>,
-    /// The armed write fault tears the write that trips it.
-    tear: bool,
+    /// The armed write fault tears the write that trips it: these bytes
+    /// of the new block land over the old ones.
+    tear: Option<Range<usize>>,
     /// A write has torn: every later sync fails.
     torn: bool,
     writes_seen: u64,
@@ -26,23 +31,18 @@ struct Inner {
     corrupt_blocks: HashSet<u64>,
 }
 
-/// A shared, cloneable fault-injection plan attached to a device model.
+/// A shared, cloneable fault-injection plan for one [`Faulty`] device.
 ///
-/// The plan is consulted on every device operation; tests use it to take a
-/// device offline mid-transaction, to kill power after a fixed number of
-/// writes, or to corrupt individual blocks (exercising the paper's
-/// "self-identifying blocks" discussion).
+/// Tests use it to take a device offline mid-transaction, to kill power
+/// after a fixed number of writes (whole or torn), or to corrupt individual
+/// blocks (exercising the paper's "self-identifying blocks" discussion).
+/// Only the [`Faulty`] wrapper consults it.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     inner: Arc<Mutex<Inner>>,
 }
 
 impl FaultPlan {
-    /// Creates a plan with no faults armed.
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
     /// Takes the device offline (all subsequent operations fail) or back online.
     pub fn set_offline(&self, offline: bool) {
         self.inner.lock().offline = offline;
@@ -53,16 +53,16 @@ impl FaultPlan {
         let mut g = self.inner.lock();
         g.fail_after_writes = Some(n);
         g.writes_seen = 0;
-        g.tear = false;
+        g.tear = None;
     }
 
     /// Arms a power cut in the middle of a write: after `n` more writes
-    /// succeed, the next stores only the first [`TORN_BYTES`] of its block
-    /// over the old bytes ([`DevError::TornWrite`]), and every later write
-    /// and sync fails. A device that cannot tear fails that write whole.
-    pub fn tear_after_writes(&self, n: u64) {
+    /// succeed, the next stores only the bytes `lands` of its block over
+    /// the old ones ([`DevError::TornWrite`]), and every later write and
+    /// sync fails. `lands` must lie within the block.
+    pub fn tear_after_writes(&self, n: u64, lands: Range<usize>) {
         self.fail_after_writes(n);
-        self.inner.lock().tear = true;
+        self.inner.lock().tear = Some(lands);
     }
 
     /// Disarms the write-failure fault.
@@ -94,18 +94,17 @@ impl FaultPlan {
         self.inner.lock().read_trips
     }
 
-    /// Marks `blkno` as corrupted: reads of it yield garbage (see device impls).
+    /// Marks `blkno` as corrupted: reads of it yield garbage.
     pub fn corrupt_block(&self, blkno: u64) {
         self.inner.lock().corrupt_blocks.insert(blkno);
     }
 
-    /// Whether `blkno` is marked corrupted.
-    pub fn is_corrupt(&self, blkno: u64) -> bool {
+    fn is_corrupt(&self, blkno: u64) -> bool {
         self.inner.lock().corrupt_blocks.contains(&blkno)
     }
 
-    /// Gate for device read paths; counts reads against an armed fault.
-    pub fn check_read(&self) -> DevResult<()> {
+    /// Gate for reads; counts reads against an armed fault.
+    fn check_read(&self) -> DevResult<()> {
         let mut g = self.inner.lock();
         if g.offline {
             return Err(DevError::Offline);
@@ -122,8 +121,9 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Gate for device write paths; counts writes against an armed fault.
-    pub fn check_write(&self) -> DevResult<()> {
+    /// Gate for writes; counts writes against an armed fault. `Ok(Some)`
+    /// names the bytes of a write that tears.
+    fn check_write(&self) -> DevResult<Option<Range<usize>>> {
         let mut g = self.inner.lock();
         if g.offline {
             return Err(DevError::Offline);
@@ -131,9 +131,9 @@ impl FaultPlan {
         if let Some(n) = g.fail_after_writes {
             if g.writes_seen >= n {
                 g.write_trips += 1;
-                if std::mem::take(&mut g.tear) {
+                if let Some(lands) = g.tear.take() {
                     g.torn = true;
-                    return Err(DevError::TornWrite);
+                    return Ok(Some(lands));
                 }
                 return Err(DevError::InjectedFault {
                     what: format!("write failure armed after {n} writes"),
@@ -141,11 +141,11 @@ impl FaultPlan {
             }
             g.writes_seen += 1;
         }
-        Ok(())
+        Ok(None)
     }
 
-    /// Gate for device syncs: after a torn write, every sync fails.
-    pub fn check_sync(&self) -> DevResult<()> {
+    /// Gate for syncs: after a torn write, every sync fails.
+    fn check_sync(&self) -> DevResult<()> {
         match self.inner.lock().torn {
             true => Err(DevError::TornWrite),
             false => Ok(()),
@@ -153,89 +153,200 @@ impl FaultPlan {
     }
 }
 
+/// Any device, failing as its [`FaultPlan`] says. A refused operation never
+/// reaches the inner device, so it moves no data and charges no time; a
+/// torn write reads the old block and writes the mixed one through it.
+pub struct Faulty<D> {
+    inner: D,
+    plan: FaultPlan,
+}
+
+impl<D: BlockDevice> Faulty<D> {
+    /// Wraps `inner`, returning the device and the plan that steers it.
+    pub fn new(inner: D) -> (Self, FaultPlan) {
+        let plan = FaultPlan::default();
+        (Faulty { inner, plan: plan.clone() }, plan)
+    }
+}
+
+impl<D: BlockDevice> BlockDevice for Faulty<D> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+
+    fn nblocks(&self) -> u64 {
+        self.inner.nblocks()
+    }
+
+    fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> DevResult<()> {
+        self.plan.check_read()?;
+        self.inner.read_block(blkno, buf)?;
+        if self.plan.is_corrupt(blkno) {
+            // Media corruption: hand back garbage rather than stored data.
+            for (i, b) in buf.iter_mut().enumerate() {
+                *b = (i as u8).wrapping_mul(251).wrapping_add(13);
+            }
+        }
+        Ok(())
+    }
+
+    fn write_block(&mut self, blkno: u64, buf: &[u8]) -> DevResult<()> {
+        let Some(lands) = self.plan.check_write()? else {
+            return self.inner.write_block(blkno, buf);
+        };
+        let mut torn = vec![0u8; buf.len()];
+        self.inner.read_block(blkno, &mut torn)?;
+        torn[lands.clone()].copy_from_slice(&buf[lands]);
+        self.inner.write_block(blkno, &torn)?;
+        Err(DevError::TornWrite)
+    }
+
+    fn sync(&mut self) -> DevResult<()> {
+        self.plan.check_sync()?;
+        self.inner.sync()
+    }
+
+    fn is_stable(&self) -> bool {
+        self.inner.is_stable()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DiskProfile, MagneticDisk, Nvram, SimClock};
 
-    #[test]
-    fn default_plan_is_transparent() {
-        let p = FaultPlan::none();
-        assert!(p.check_read().is_ok());
-        for _ in 0..100 {
-            assert!(p.check_write().is_ok());
-        }
+    const BS: usize = crate::BLOCK_SIZE;
+
+    fn disk() -> (SimClock, Faulty<MagneticDisk>, FaultPlan) {
+        let clock = SimClock::new();
+        let (d, plan) = Faulty::new(MagneticDisk::new("t", clock.clone(), DiskProfile::rz58()));
+        (clock, d, plan)
+    }
+
+    fn write(d: &mut impl BlockDevice, blkno: u64) -> DevResult<()> {
+        d.write_block(blkno, &[blkno as u8; BS])
+    }
+
+    fn read(d: &mut impl BlockDevice, blkno: u64) -> DevResult<Vec<u8>> {
+        let mut buf = vec![0u8; BS];
+        d.read_block(blkno, &mut buf).map(|()| buf)
     }
 
     #[test]
-    fn offline_fails_everything() {
-        let p = FaultPlan::none();
-        p.set_offline(true);
-        assert_eq!(p.check_read(), Err(DevError::Offline));
-        assert_eq!(p.check_write(), Err(DevError::Offline));
-        p.set_offline(false);
-        assert!(p.check_read().is_ok());
+    fn an_unarmed_plan_is_transparent() {
+        let (_c, mut d, _plan) = disk();
+        for b in 0..100 {
+            write(&mut d, b).unwrap();
+        }
+        assert_eq!(read(&mut d, 7).unwrap(), [7u8; BS]);
+        d.sync().unwrap();
+    }
+
+    #[test]
+    fn offline_fails_reads_and_writes() {
+        let (_c, mut d, plan) = disk();
+        plan.set_offline(true);
+        assert_eq!(read(&mut d, 0), Err(DevError::Offline));
+        assert_eq!(write(&mut d, 0), Err(DevError::Offline));
+        plan.set_offline(false);
+        assert!(read(&mut d, 0).is_ok());
     }
 
     #[test]
     fn fail_after_n_writes() {
-        let p = FaultPlan::none();
-        p.fail_after_writes(3);
-        assert!(p.check_write().is_ok());
-        assert!(p.check_write().is_ok());
-        assert!(p.check_write().is_ok());
-        assert!(matches!(
-            p.check_write(),
-            Err(DevError::InjectedFault { .. })
-        ));
-        p.clear_write_fault();
-        assert!(p.check_write().is_ok());
+        let (_c, mut d, plan) = disk();
+        plan.fail_after_writes(3);
+        for b in 0..3 {
+            write(&mut d, b).unwrap();
+        }
+        assert!(matches!(write(&mut d, 3), Err(DevError::InjectedFault { .. })));
+        assert_eq!(read(&mut d, 3).unwrap(), [0u8; BS], "the refused write stored nothing");
+        plan.clear_write_fault();
+        write(&mut d, 3).unwrap();
     }
 
     #[test]
     fn fail_after_n_reads_and_trip_counters() {
-        let p = FaultPlan::none();
-        p.fail_after_reads(2);
-        assert!(p.check_read().is_ok());
-        assert!(p.check_read().is_ok());
-        assert!(matches!(p.check_read(), Err(DevError::InjectedFault { .. })));
-        assert!(matches!(p.check_read(), Err(DevError::InjectedFault { .. })));
-        assert_eq!(p.read_trips(), 2);
-        assert_eq!(p.write_trips(), 0);
-        p.clear_read_fault();
-        assert!(p.check_read().is_ok());
+        let (_c, mut d, plan) = disk();
+        plan.fail_after_reads(2);
+        assert!(read(&mut d, 0).is_ok() && read(&mut d, 1).is_ok());
+        assert!(matches!(read(&mut d, 2), Err(DevError::InjectedFault { .. })));
+        assert!(matches!(read(&mut d, 2), Err(DevError::InjectedFault { .. })));
+        assert_eq!((plan.read_trips(), plan.write_trips()), (2, 0));
+        plan.clear_read_fault();
+        assert!(read(&mut d, 2).is_ok());
         // Trip counters persist past disarming — they record history.
-        assert_eq!(p.read_trips(), 2);
+        assert_eq!(plan.read_trips(), 2);
 
-        p.fail_after_writes(0);
-        assert!(p.check_write().is_err());
-        assert_eq!(p.write_trips(), 1);
+        plan.fail_after_writes(0);
+        assert!(write(&mut d, 0).is_err());
+        assert_eq!(plan.write_trips(), 1);
     }
 
     #[test]
     fn a_tear_trips_once_then_fails_writes_and_syncs() {
-        let p = FaultPlan::none();
-        p.tear_after_writes(1);
-        assert!(p.check_write().is_ok() && p.check_sync().is_ok());
-        assert_eq!(p.check_write(), Err(DevError::TornWrite));
-        assert!(matches!(p.check_write(), Err(DevError::InjectedFault { .. })));
-        assert!(p.check_sync().is_err());
-        p.clear_write_fault();
-        assert!(p.check_write().is_ok() && p.check_sync().is_ok());
+        let (_c, mut d, plan) = disk();
+        plan.tear_after_writes(1, 0..TORN_BYTES);
+        assert!(write(&mut d, 0).is_ok() && d.sync().is_ok());
+        assert_eq!(write(&mut d, 1), Err(DevError::TornWrite));
+        assert!(matches!(write(&mut d, 2), Err(DevError::InjectedFault { .. })));
+        assert_eq!(d.sync(), Err(DevError::TornWrite));
+        plan.clear_write_fault();
+        assert!(write(&mut d, 2).is_ok() && d.sync().is_ok());
+    }
+
+    /// A tear is the wrapper's, so any device tears, either half.
+    #[test]
+    fn a_tear_on_nvram_lands_the_half_it_names() {
+        let (mut nv, plan) = Faulty::new(Nvram::new("nv", SimClock::new(), 8));
+        for (blkno, lands) in [(0, 0..TORN_BYTES), (1, TORN_BYTES..BS)] {
+            nv.write_block(blkno, &[1u8; BS]).unwrap();
+            plan.tear_after_writes(0, lands.clone());
+            assert_eq!(nv.write_block(blkno, &[2u8; BS]), Err(DevError::TornWrite));
+            plan.clear_write_fault();
+            let mut want = vec![1u8; BS];
+            want[lands].fill(2);
+            assert_eq!(read(&mut nv, blkno).unwrap(), want);
+        }
     }
 
     #[test]
-    fn corrupt_blocks_tracked() {
-        let p = FaultPlan::none();
-        assert!(!p.is_corrupt(7));
-        p.corrupt_block(7);
-        assert!(p.is_corrupt(7));
+    fn a_refused_read_write_or_sync_advances_no_time() {
+        let (clock, mut d, plan) = disk();
+        let t0 = clock.now();
+        plan.fail_after_reads(0);
+        plan.fail_after_writes(0);
+        assert!(read(&mut d, 5000).is_err() && write(&mut d, 9000).is_err());
+        plan.set_offline(true);
+        assert!(read(&mut d, 1).is_err() && write(&mut d, 1).is_err());
+        assert_eq!(clock.now(), t0);
+
+        plan.set_offline(false);
+        plan.tear_after_writes(0, 0..TORN_BYTES);
+        assert_eq!(write(&mut d, 1), Err(DevError::TornWrite));
+        let torn = clock.now();
+        assert_eq!(d.sync(), Err(DevError::TornWrite));
+        assert_eq!(clock.now(), torn);
+    }
+
+    #[test]
+    fn a_corrupt_block_reads_garbage() {
+        let (_c, mut d, plan) = disk();
+        write(&mut d, 5).unwrap();
+        plan.corrupt_block(5);
+        assert_ne!(read(&mut d, 5).unwrap(), [5u8; BS]);
+        assert_eq!(read(&mut d, 6).unwrap(), [0u8; BS], "other blocks read true");
     }
 
     #[test]
     fn clones_share_state() {
-        let p = FaultPlan::none();
-        let q = p.clone();
-        q.set_offline(true);
-        assert!(p.check_read().is_err());
+        let (_c, mut d, plan) = disk();
+        plan.clone().set_offline(true);
+        assert!(read(&mut d, 0).is_err());
     }
 }

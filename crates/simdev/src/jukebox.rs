@@ -6,16 +6,14 @@
 //! optical platter) and relatively low transfer rates"; "in the near future,
 //! a 9 TByte Metrum VHS-form factor tape jukebox will also be supported".
 //!
-//! Both are exposed as flat [`BlockDevice`] address spaces; the robot
+//! Both are exposed as flat [`crate::BlockDevice`] address spaces; the robot
 //! mechanics (platter/cartridge exchange, tape winding) are charged on
 //! boundary crossings. The magnetic-disk *staging cache* the Sony device
 //! manager kept in front of the jukebox belongs to the device manager, not
 //! the medium, and lives in `minidb::smgr`.
 
-use crate::block::{BlockDevice, MemBlockStore};
+use crate::block::{Mechanics, SimDevice};
 use crate::clock::{SimClock, SimDuration};
-use crate::error::{DevError, DevResult};
-use crate::fault::FaultPlan;
 
 /// Timing and capacity parameters for an [`OpticalJukebox`].
 #[derive(Debug, Clone)]
@@ -57,110 +55,40 @@ impl JukeboxProfile {
     }
 }
 
-/// Counters for a jukebox device.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JukeboxStats {
-    /// Blocks read.
-    pub reads: u64,
-    /// Blocks written.
-    pub writes: u64,
-    /// Platter (or cartridge) exchanges performed by the robot.
-    pub swaps: u64,
+/// The robot of an optical jukebox: the platter it has mounted.
+pub struct Optical {
+    profile: JukeboxProfile,
+    mounted: Option<u64>,
+}
+
+impl Mechanics for Optical {
+    const REWRITABLE: bool = false;
+
+    fn cost(&mut self, blkno: u64) -> SimDuration {
+        let platter = blkno / self.profile.blocks_per_platter;
+        let mut cost = self.profile.access_overhead;
+        if self.mounted.replace(platter) != Some(platter) {
+            cost += self.profile.platter_swap;
+        }
+        cost + SimDuration::from_secs_f64(crate::BLOCK_SIZE as f64 / self.profile.transfer_rate)
+    }
 }
 
 /// A write-once optical disk autochanger.
 ///
 /// The block address space is flat; block `b` lives on platter
 /// `b / blocks_per_platter`. Rewriting a block fails with
-/// [`DevError::WriteOnceViolation`] — WORM media really are write-once, which
-/// is why the paper pairs the jukebox with a no-overwrite storage manager.
-pub struct OpticalJukebox {
-    name: String,
-    clock: SimClock,
-    profile: JukeboxProfile,
-    store: MemBlockStore,
-    faults: FaultPlan,
-    mounted: Option<u64>,
-    stats: JukeboxStats,
-}
+/// [`crate::DevError::WriteOnceViolation`] — WORM media really are
+/// write-once, which is why the paper pairs the jukebox with a
+/// no-overwrite storage manager.
+pub type OpticalJukebox = SimDevice<Optical>;
 
 impl OpticalJukebox {
     /// Creates a jukebox with the given profile, all platters blank.
     pub fn new(name: impl Into<String>, clock: SimClock, profile: JukeboxProfile) -> Self {
         let nblocks = profile.nplatters * profile.blocks_per_platter;
-        OpticalJukebox {
-            name: name.into(),
-            clock,
-            store: MemBlockStore::new(crate::BLOCK_SIZE, nblocks),
-            profile,
-            faults: FaultPlan::none(),
-            mounted: None,
-            stats: JukeboxStats::default(),
-        }
-    }
-
-    /// The fault-injection plan attached to this device.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.faults.clone()
-    }
-
-    /// Accumulated counters.
-    pub fn stats(&self) -> JukeboxStats {
-        self.stats
-    }
-
-    /// The platter a block lives on.
-    pub fn platter_of(&self, blkno: u64) -> u64 {
-        blkno / self.profile.blocks_per_platter
-    }
-
-    fn charge(&mut self, blkno: u64) {
-        let platter = self.platter_of(blkno);
-        let mut cost = self.profile.access_overhead;
-        if self.mounted != Some(platter) {
-            cost += self.profile.platter_swap;
-            self.mounted = Some(platter);
-            self.stats.swaps += 1;
-        }
-        cost += SimDuration::from_secs_f64(crate::BLOCK_SIZE as f64 / self.profile.transfer_rate);
-        self.clock.advance(cost);
-    }
-}
-
-impl BlockDevice for OpticalJukebox {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn block_size(&self) -> usize {
-        crate::BLOCK_SIZE
-    }
-
-    fn nblocks(&self) -> u64 {
-        self.store.nblocks()
-    }
-
-    fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> DevResult<()> {
-        self.faults.check_read()?;
-        self.charge(blkno);
-        self.store.read(blkno, buf)?;
-        self.stats.reads += 1;
-        Ok(())
-    }
-
-    fn write_block(&mut self, blkno: u64, buf: &[u8]) -> DevResult<()> {
-        self.faults.check_write()?;
-        if self.store.is_written(blkno) {
-            return Err(DevError::WriteOnceViolation { blkno });
-        }
-        self.charge(blkno);
-        self.store.write(blkno, buf)?;
-        self.stats.writes += 1;
-        Ok(())
-    }
-
-    fn is_write_once(&self) -> bool {
-        true
+        let robot = Optical { profile, mounted: None };
+        SimDevice::with_mechanics(name, clock, crate::BLOCK_SIZE, nblocks, robot)
     }
 }
 
@@ -204,96 +132,49 @@ impl TapeProfile {
     }
 }
 
-/// A robotic tape library with linear positioning cost inside a cartridge.
-pub struct TapeJukebox {
-    name: String,
-    clock: SimClock,
+/// The robot and drive of a tape library: the cartridge mounted and the
+/// block the tape stands at.
+pub struct Tape {
     profile: TapeProfile,
-    store: MemBlockStore,
-    faults: FaultPlan,
     mounted: Option<u64>,
     head_block: u64,
-    stats: JukeboxStats,
 }
 
-impl TapeJukebox {
-    /// Creates a tape jukebox, all cartridges blank.
-    pub fn new(name: impl Into<String>, clock: SimClock, profile: TapeProfile) -> Self {
-        let nblocks = profile.ncartridges * profile.blocks_per_cartridge;
-        TapeJukebox {
-            name: name.into(),
-            clock,
-            store: MemBlockStore::new(crate::BLOCK_SIZE, nblocks),
-            profile,
-            faults: FaultPlan::none(),
-            mounted: None,
-            head_block: 0,
-            stats: JukeboxStats::default(),
-        }
-    }
-
-    /// The fault-injection plan attached to this device.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.faults.clone()
-    }
-
-    /// Accumulated counters.
-    pub fn stats(&self) -> JukeboxStats {
-        self.stats
-    }
-
-    fn charge(&mut self, blkno: u64) {
+impl Mechanics for Tape {
+    fn cost(&mut self, blkno: u64) -> SimDuration {
         let cart = blkno / self.profile.blocks_per_cartridge;
         let pos = blkno % self.profile.blocks_per_cartridge;
         let mut cost = SimDuration::ZERO;
-        if self.mounted != Some(cart) {
+        if self.mounted.replace(cart) != Some(cart) {
             cost += self.profile.cartridge_swap;
-            self.mounted = Some(cart);
             self.head_block = 0;
-            self.stats.swaps += 1;
         }
         let travel =
             self.head_block.abs_diff(pos) as f64 / self.profile.blocks_per_cartridge.max(1) as f64;
         cost += SimDuration::from_nanos((self.profile.full_wind.as_nanos() as f64 * travel) as u64);
         cost += SimDuration::from_secs_f64(crate::BLOCK_SIZE as f64 / self.profile.transfer_rate);
         self.head_block = pos + 1;
-        self.clock.advance(cost);
+        cost
     }
 }
 
-impl BlockDevice for TapeJukebox {
-    fn name(&self) -> &str {
-        &self.name
-    }
+/// A robotic tape library with linear positioning cost inside a cartridge.
+pub type TapeJukebox = SimDevice<Tape>;
 
-    fn block_size(&self) -> usize {
-        crate::BLOCK_SIZE
-    }
-
-    fn nblocks(&self) -> u64 {
-        self.store.nblocks()
-    }
-
-    fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> DevResult<()> {
-        self.faults.check_read()?;
-        self.charge(blkno);
-        self.store.read(blkno, buf)?;
-        self.stats.reads += 1;
-        Ok(())
-    }
-
-    fn write_block(&mut self, blkno: u64, buf: &[u8]) -> DevResult<()> {
-        self.faults.check_write()?;
-        self.charge(blkno);
-        self.store.write(blkno, buf)?;
-        self.stats.writes += 1;
-        Ok(())
+impl TapeJukebox {
+    /// Creates a tape jukebox, all cartridges blank.
+    pub fn new(name: impl Into<String>, clock: SimClock, profile: TapeProfile) -> Self {
+        let nblocks = profile.ncartridges * profile.blocks_per_cartridge;
+        let robot = Tape { profile, mounted: None, head_block: 0 };
+        SimDevice::with_mechanics(name, clock, crate::BLOCK_SIZE, nblocks, robot)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockDevice;
+    use crate::error::DevError;
 
     #[test]
     fn sony_capacity_matches_paper() {
@@ -303,7 +184,6 @@ mod tests {
             (320e9..335e9).contains(&(bytes as f64)),
             "sony jukebox should be ~327 GB, got {bytes}"
         );
-        assert!(jb.is_write_once());
     }
 
     #[test]
@@ -321,11 +201,15 @@ mod tests {
         assert_eq!(out, buf);
     }
 
+    /// Two of three accesses mount a platter, the first one included: the
+    /// clock shows exactly two swaps.
     #[test]
     fn platter_swap_dominates_cross_platter_access() {
         let clock = SimClock::new();
-        let mut jb = OpticalJukebox::new("jb", clock.clone(), JukeboxProfile::tiny_for_tests());
+        let p = JukeboxProfile::tiny_for_tests();
+        let mut jb = OpticalJukebox::new("jb", clock.clone(), p.clone());
         let buf = vec![0u8; jb.block_size()];
+        let start = clock.now();
         jb.write_block(0, &buf).unwrap(); // mounts platter 0
         let t0 = clock.now();
         jb.write_block(1, &buf).unwrap(); // same platter
@@ -334,7 +218,8 @@ mod tests {
         jb.write_block(64, &buf).unwrap(); // platter 1
         let cross = clock.now().since(t1);
         assert!(cross.as_nanos() > same.as_nanos() * 10);
-        assert_eq!(jb.stats().swaps, 2);
+        assert_eq!(cross, same + p.platter_swap);
+        assert_eq!(clock.now().since(start), same.times(3) + p.platter_swap.times(2));
     }
 
     #[test]

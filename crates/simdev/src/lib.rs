@@ -15,16 +15,20 @@
 //! # Architecture
 //!
 //! * [`clock`] — virtual time: [`SimClock`], [`SimInstant`], [`SimDuration`].
-//! * [`block`] — the [`BlockDevice`] trait and an in-memory backing store.
+//! * [`block`] — the [`BlockDevice`] trait, an in-memory backing store, and
+//!   [`SimDevice`]: that store behind a [`Mechanics`] cost model, charged
+//!   to the clock before each access. Every medium below is a `SimDevice`.
 //! * [`disk`] — [`MagneticDisk`], a seek/rotate/transfer model of an RZ58.
 //! * [`nvram`] — [`Nvram`], battery-backed RAM (PRESTOserve's board).
-//! * [`jukebox`] — [`OpticalJukebox`], the Sony WORM autochanger with a
-//!   magnetic-disk staging cache, and [`TapeJukebox`], the Metrum VHS robot.
+//! * [`jukebox`] — [`OpticalJukebox`], the Sony WORM autochanger (its
+//!   magnetic-disk staging cache lives in `minidb::smgr`), and
+//!   [`TapeJukebox`], the Metrum VHS robot.
 //! * [`net`] — [`Network`] and [`Endpoint`], a latency/bandwidth/CPU model of
 //!   Ethernet carrying either heavyweight TCP/IP or lighter NFS-style UDP RPC.
 //! * [`cpu`] — per-byte and per-call CPU cost helpers (buffer copies were a
 //!   measured Inversion overhead in the paper).
-//! * [`fault`] — fault injection used by crash-recovery tests.
+//! * [`fault`] — [`Faulty`], a wrapper around any device that fails, tears
+//!   or corrupts its operations as its [`FaultPlan`] says.
 //! * [`writecache`] — [`WriteCacheDisk`], a volatile write-back cache wrapper
 //!   whose [`CacheCrashHandle`] lets tests drop unsynced state ("power cut").
 //!
@@ -55,16 +59,16 @@ pub mod net;
 pub mod nvram;
 pub mod writecache;
 
-pub use block::{BlockDevice, MemBlockStore};
+pub use block::{BlockDevice, Mechanics, MemBlockStore, SimDevice};
 pub use clock::{SimClock, SimDuration, SimInstant};
 pub use cpu::CpuModel;
-pub use disk::{DiskProfile, MagneticDisk};
+pub use disk::{Disk, DiskProfile, MagneticDisk};
 pub use duplex::{duplex_pair, duplex_pair_with_capacity, DuplexStream};
 pub use error::{DevError, DevResult};
-pub use fault::FaultPlan;
-pub use jukebox::{JukeboxProfile, OpticalJukebox, TapeJukebox, TapeProfile};
+pub use fault::{FaultPlan, Faulty};
+pub use jukebox::{JukeboxProfile, Optical, OpticalJukebox, Tape, TapeJukebox, TapeProfile};
 pub use net::{Endpoint, NetProfile, Network};
-pub use nvram::Nvram;
+pub use nvram::{Nvram, Ram};
 pub use writecache::{CacheCrashHandle, WriteCacheDisk};
 
 /// The page/block size shared by POSTGRES, Inversion, and the FFS baseline.

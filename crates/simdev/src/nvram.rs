@@ -5,19 +5,22 @@
 //! itself is modeled here: memory-speed access, stable across power failure.
 //! The *write-cache policy* lives in `nfssim::presto`.
 
-use crate::block::{BlockDevice, MemBlockStore};
+use crate::block::{Mechanics, SimDevice};
 use crate::clock::{SimClock, SimDuration};
-use crate::error::DevResult;
-use crate::fault::FaultPlan;
+
+/// Memory behind a bus: every access costs the same.
+pub struct Ram {
+    access_cost: SimDuration,
+}
+
+impl Mechanics for Ram {
+    fn cost(&mut self, _blkno: u64) -> SimDuration {
+        self.access_cost
+    }
+}
 
 /// A non-volatile RAM block device with memory-speed access.
-pub struct Nvram {
-    name: String,
-    clock: SimClock,
-    store: MemBlockStore,
-    access_cost: SimDuration,
-    faults: FaultPlan,
-}
+pub type Nvram = SimDevice<Ram>;
 
 impl Nvram {
     /// Creates an NVRAM device of `nblocks` 8 KB blocks.
@@ -25,55 +28,20 @@ impl Nvram {
     /// Access cost models a bus copy: ~25 µs per 8 KB block (tens of MB/s
     /// across an early-90s I/O bus).
     pub fn new(name: impl Into<String>, clock: SimClock, nblocks: u64) -> Self {
-        Nvram {
-            name: name.into(),
-            clock,
-            store: MemBlockStore::new(crate::BLOCK_SIZE, nblocks),
-            access_cost: SimDuration::from_micros(25),
-            faults: FaultPlan::none(),
-        }
+        let ram = Ram { access_cost: SimDuration::from_micros(25) };
+        SimDevice::with_mechanics(name, clock, crate::BLOCK_SIZE, nblocks, ram)
     }
 
     /// Creates the 1 MB PRESTOserve board (128 blocks of 8 KB).
     pub fn prestoserve(clock: SimClock) -> Self {
         Nvram::new("prestoserve", clock, 128)
     }
-
-    /// The fault-injection plan attached to this device.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.faults.clone()
-    }
-}
-
-impl BlockDevice for Nvram {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn block_size(&self) -> usize {
-        self.store.block_size()
-    }
-
-    fn nblocks(&self) -> u64 {
-        self.store.nblocks()
-    }
-
-    fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> DevResult<()> {
-        self.faults.check_read()?;
-        self.clock.advance(self.access_cost);
-        self.store.read(blkno, buf)
-    }
-
-    fn write_block(&mut self, blkno: u64, buf: &[u8]) -> DevResult<()> {
-        self.faults.check_write()?;
-        self.clock.advance(self.access_cost);
-        self.store.write(blkno, buf)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockDevice;
     use crate::disk::{DiskProfile, MagneticDisk};
 
     #[test]
@@ -114,6 +82,5 @@ mod tests {
     fn nvram_is_stable() {
         let nv = Nvram::prestoserve(SimClock::new());
         assert!(nv.is_stable());
-        assert!(!nv.is_write_once());
     }
 }

@@ -11,7 +11,9 @@
 //! only durable if the commit path actually issued a `sync` that covered it.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::block::BlockDevice;
 use crate::error::DevResult;
@@ -52,15 +54,12 @@ impl CacheCrashHandle {
     /// Simulates a power failure: every write that was never covered by a
     /// `sync` vanishes. Returns how many blocks were lost.
     pub fn drop_unsynced(&self) -> usize {
-        let mut p = self.pending.lock().expect("cache poisoned");
-        let lost = p.len();
-        p.clear();
-        lost
+        std::mem::take(&mut *self.pending.lock()).len()
     }
 
     /// Number of blocks currently buffered but not yet durable.
     pub fn unsynced_blocks(&self) -> usize {
-        self.pending.lock().expect("cache poisoned").len()
+        self.pending.lock().len()
     }
 }
 
@@ -78,17 +77,11 @@ impl BlockDevice for WriteCacheDisk {
     }
 
     fn read_block(&mut self, blkno: u64, buf: &mut [u8]) -> DevResult<()> {
-        let cached = {
-            let p = self.pending.lock().expect("cache poisoned");
-            p.get(&blkno).cloned()
-        };
-        match cached {
-            Some(data) => {
-                buf.copy_from_slice(&data);
-                Ok(())
-            }
-            None => self.inner.read_block(blkno, buf),
+        if let Some(data) = self.pending.lock().get(&blkno) {
+            buf.copy_from_slice(data);
+            return Ok(());
         }
+        self.inner.read_block(blkno, buf)
     }
 
     fn write_block(&mut self, blkno: u64, buf: &[u8]) -> DevResult<()> {
@@ -106,27 +99,17 @@ impl BlockDevice for WriteCacheDisk {
                 want: self.inner.block_size(),
             });
         }
-        self.pending
-            .lock()
-            .expect("cache poisoned")
-            .insert(blkno, buf.to_vec().into_boxed_slice());
+        self.pending.lock().insert(blkno, buf.into());
         Ok(())
     }
 
     fn sync(&mut self) -> DevResult<()> {
-        let mut destage: Vec<(u64, Box<[u8]>)> = {
-            let mut p = self.pending.lock().expect("cache poisoned");
-            p.drain().collect()
-        };
+        let mut destage: Vec<(u64, Box<[u8]>)> = self.pending.lock().drain().collect();
         destage.sort_by_key(|(blkno, _)| *blkno);
         for (blkno, data) in destage {
             self.inner.write_block(blkno, &data)?;
         }
         self.inner.sync()
-    }
-
-    fn is_write_once(&self) -> bool {
-        self.inner.is_write_once()
     }
 
     fn is_stable(&self) -> bool {

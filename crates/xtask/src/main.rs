@@ -3,8 +3,8 @@
 //! `minidb::check` audits the on-disk structures.
 //!
 //! The linter works on scrubbed source text (no external parser — the
-//! build environment is offline) and enforces, over `crates/minidb` and
-//! `crates/inversion` non-test code:
+//! build environment is offline) and enforces, over `crates/minidb`,
+//! `crates/inversion` and `crates/simdev` non-test code:
 //!
 //! * `panic-budget` — `.unwrap()` / `.expect()` / `panic!` /
 //!   `unreachable!` sites may never exceed the per-file budget checked in
@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// The crates the lint governs, relative to the repo root.
-const LINT_ROOTS: &[&str] = &["crates/minidb/src", "crates/inversion/src"];
+const LINT_ROOTS: &[&str] = &["crates/minidb/src", "crates/inversion/src", "crates/simdev/src"];
 
 /// The documents `doc-names` checks, relative to the repo root.
 const DOCS: &[&str] = &["README.md", "DESIGN.md"];

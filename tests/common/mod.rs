@@ -7,7 +7,7 @@ use std::time::Duration;
 use minidb::{
     shared_device, Db, DbConfig, DeviceId, GenericManager, SharedDevice, Smgr, StatsSnapshot,
 };
-use simdev::{BlockDevice, DevError, DevResult, DiskProfile, MagneticDisk, SimClock};
+use simdev::{BlockDevice, DevError, DevResult, DiskProfile, FaultPlan, Faulty, MagneticDisk, SimClock};
 
 /// A persistent set of devices a database can be opened on, crashed, and
 /// recovered from.
@@ -131,25 +131,21 @@ impl CrashRig {
     pub fn build(nblocks: u64, two_data_devices: bool) -> CrashRig {
         let clock = SimClock::new();
         let mut handles = Vec::new();
-        let log_probe = Arc::new(Probe::default());
-        let mut cached = |name: &str, nblocks: u64| {
-            let disk = MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(nblocks));
-            let plan = disk.fault_plan();
-            let disk: Box<dyn BlockDevice> = match name {
-                "log" => Box::new(ProbedDisk {
-                    inner: disk,
-                    probe: Arc::clone(&log_probe),
-                    sync_delay: Duration::ZERO,
-                }),
-                _ => Box::new(disk),
-            };
+        let mut cached = |disk: Box<dyn BlockDevice>| {
             let (dev, handle) = simdev::WriteCacheDisk::new(disk);
             handles.push(handle);
-            (shared_device(dev), plan)
+            shared_device(dev)
         };
-        let (data, data_faults) = cached("data", 1 << 16);
-        let (log, log_faults) = cached("log", nblocks);
-        let (catalog, catalog_faults) = cached("catalog", 1 << 12);
+        let faulty = |name: &str, nblocks: u64| {
+            Faulty::new(MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(nblocks)))
+        };
+        let (disk, data_faults) = faulty("data", 1 << 16);
+        let data = cached(Box::new(disk));
+        let (log_disk, log_probe) = ProbedDisk::over(faulty("log", nblocks), Duration::ZERO);
+        let log_faults = log_probe.faults.clone();
+        let log = cached(Box::new(log_disk));
+        let (disk, catalog_faults) = faulty("catalog", 1 << 12);
+        let catalog = cached(Box::new(disk));
         let data1_hold = Arc::new(Hold::default());
         let data1 = two_data_devices.then(|| {
             let (dev, handle) = HeldDisk::shared("data1", &clock, &data1_hold);
@@ -224,8 +220,8 @@ pub struct Probe {
     pub writes: AtomicU64,
     /// Syncs carried out.
     pub syncs: AtomicU64,
-    /// Set to make the next write fail, once.
-    pub fail_next_write: AtomicBool,
+    /// The disk's fault plan.
+    pub faults: FaultPlan,
     /// While set, `sync` does not return: the test decides how long a
     /// force stays on the device.
     pub hold_sync: AtomicBool,
@@ -239,7 +235,7 @@ pub struct Probe {
 /// the virtual clock, which gives concurrent committers no interval to
 /// pile up in.
 pub struct ProbedDisk {
-    inner: MagneticDisk,
+    inner: Faulty<MagneticDisk>,
     probe: Arc<Probe>,
     sync_delay: Duration,
 }
@@ -261,13 +257,15 @@ impl ProbedDisk {
     }
 
     fn probed(name: &str, clock: &SimClock, nblocks: u64, sync_delay: Duration) -> (SharedDevice, Arc<Probe>) {
-        let probe = Arc::new(Probe::default());
-        let disk = ProbedDisk {
-            inner: MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(nblocks)),
-            probe: Arc::clone(&probe),
-            sync_delay,
-        };
+        let disk = MagneticDisk::new(name, clock.clone(), DiskProfile::tiny_for_tests(nblocks));
+        let (disk, probe) = Self::over(Faulty::new(disk), sync_delay);
         (shared_device(disk), probe)
+    }
+
+    /// Probes a faulty disk; the probe carries the disk's plan.
+    fn over((inner, faults): (Faulty<MagneticDisk>, FaultPlan), sync_delay: Duration) -> (ProbedDisk, Arc<Probe>) {
+        let probe = Arc::new(Probe { faults, ..Probe::default() });
+        (ProbedDisk { inner, probe: Arc::clone(&probe), sync_delay }, probe)
     }
 }
 
@@ -285,11 +283,6 @@ impl BlockDevice for ProbedDisk {
         self.inner.read_block(blkno, buf)
     }
     fn write_block(&mut self, blkno: u64, buf: &[u8]) -> DevResult<()> {
-        if self.probe.fail_next_write.swap(false, SeqCst) {
-            return Err(DevError::InjectedFault {
-                what: "one-shot write failure".into(),
-            });
-        }
         self.inner.write_block(blkno, buf)?;
         self.probe.writes.fetch_add(1, SeqCst);
         Ok(())

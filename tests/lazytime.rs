@@ -215,8 +215,9 @@ fn a_write_back_that_fails_and_a_write_that_aborts_lose_no_pending_atime() {
     assert_eq!(c.p_stat("/f", None).unwrap().atime, read_at);
 
     // The write-back's own commit fails at the log device.
-    probe.fail_next_write.store(true, SeqCst);
+    probe.faults.fail_after_writes(0);
     fs.flush_atimes().expect_err("the log write was refused");
+    probe.faults.clear_write_fault();
     assert_eq!(fileatt_atimes(&fs, f).len(), versions);
     assert_eq!(c.p_stat("/f", None).unwrap().atime, read_at);
 

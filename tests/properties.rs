@@ -637,76 +637,11 @@ fn crash_op_strategy() -> impl Strategy<Value = CrashOp> {
     ]
 }
 
-/// Devices whose writes sit in a volatile cache until synced, so a crash
-/// loses exactly what the commit path failed to force.
-struct CrashRig {
-    clock: simdev::SimClock,
-    data: minidb::SharedDevice,
-    log: minidb::SharedDevice,
-    catalog: minidb::SharedDevice,
-    handles: Vec<simdev::CacheCrashHandle>,
-    /// Fault plans on the *inner* disks: an armed write fuse fires while a
-    /// sync destages the volatile cache, tearing the destage partway.
-    data_faults: simdev::FaultPlan,
-    log_faults: simdev::FaultPlan,
-}
-
-impl CrashRig {
-    fn new() -> CrashRig {
-        let clock = simdev::SimClock::new();
-        let mut handles = Vec::new();
-        let mut plans = Vec::new();
-        let mut cached = |name: &str, nblocks: u64| {
-            let disk = simdev::MagneticDisk::new(
-                name,
-                clock.clone(),
-                simdev::DiskProfile::tiny_for_tests(nblocks),
-            );
-            plans.push(disk.fault_plan());
-            let (dev, handle) = simdev::WriteCacheDisk::new(Box::new(disk));
-            handles.push(handle);
-            minidb::shared_device(dev)
-        };
-        let data = cached("data", 1 << 16);
-        let log = cached("log", 1 << 12);
-        let catalog = cached("catalog", 1 << 12);
-        let data_faults = plans[0].clone();
-        let log_faults = plans[1].clone();
-        CrashRig { clock, data, log, catalog, handles, data_faults, log_faults }
-    }
-
-    fn open(&self, fresh: bool) -> minidb::Db {
-        let mut smgr = minidb::Smgr::new();
-        let mgr = if fresh {
-            minidb::GenericManager::format(self.data.clone()).unwrap()
-        } else {
-            minidb::GenericManager::attach(self.data.clone()).unwrap()
-        };
-        smgr.register(minidb::DeviceId::DEFAULT, Box::new(mgr)).unwrap();
-        let open = if fresh { minidb::Db::open } else { minidb::Db::recover };
-        open(
-            self.clock.clone(),
-            smgr,
-            self.log.clone(),
-            self.catalog.clone(),
-            minidb::DbConfig::default(),
-        )
-        .unwrap()
-    }
-
-    /// Power failure: every unsynced write on every device vanishes.
-    fn crash(&self) {
-        for h in &self.handles {
-            h.drop_unsynced();
-        }
-    }
-}
-
 /// The largest xid and oid that anything a crash left behind carries: the
 /// tuple headers on the data and catalog devices, the relations their maps
 /// list, and the outcomes and tuples in the durable log. (No relation here
 /// has an index, so every logged `Insert` is a heap tuple.)
-fn surviving_ids(rig: &CrashRig) -> (minidb::XactId, minidb::Oid) {
+fn surviving_ids(rig: &common::CrashRig) -> (minidb::XactId, minidb::Oid) {
     use minidb::smgr::DeviceManager;
     use minidb::{page, WalRecord, XactId};
     let mut xids = vec![XactId::FROZEN];
@@ -749,7 +684,7 @@ fn surviving_ids(rig: &CrashRig) -> (minidb::XactId, minidb::Oid) {
 /// something surviving the crash carries may be handed out again, of
 /// either kind.
 fn crash_and_reopen(
-    rig: &CrashRig,
+    rig: &common::CrashRig,
     db: minidb::Db,
     sessions: &mut [Option<minidb::Session>; 2],
     pending: &mut [Vec<i64>; 2],
@@ -761,7 +696,7 @@ fn crash_and_reopen(
     }
     *pending = [Vec::new(), Vec::new()];
     db.simulate_crash();
-    rig.crash();
+    rig.power_cut();
     drop(db);
     let (xid, oid) = surviving_ids(rig);
     let db = rig.open(false);
@@ -783,7 +718,7 @@ fn crash_and_reopen(
 /// table must then show either exactly the acknowledged rows or exactly
 /// those plus the whole limbo transaction — never a fraction of it.
 fn run_crash_ops(ops: Vec<CrashOp>) {
-    let rig = CrashRig::new();
+    let rig = common::CrashRig::new();
     let mut db = rig.open(true);
     for t in 0..2 {
         db.create_table(&format!("t{t}"), minidb::Schema::new([("v", minidb::TypeId::INT8)]))

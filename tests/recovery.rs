@@ -114,12 +114,11 @@ fn abort_after_failed_commit_write() {
         clock.clone(),
         simdev::DiskProfile::tiny_for_tests(1 << 14),
     ));
-    let log_disk = simdev::MagneticDisk::new(
+    let (log_disk, faults) = simdev::Faulty::new(simdev::MagneticDisk::new(
         "log",
         clock.clone(),
         simdev::DiskProfile::tiny_for_tests(1 << 10),
-    );
-    let faults = log_disk.fault_plan();
+    ));
     let log = minidb::shared_device(log_disk);
     let cat = minidb::shared_device(simdev::MagneticDisk::new(
         "cat",
@@ -496,7 +495,7 @@ fn a_torn_tail_rewrite_keeps_the_commits_acknowledged_before_it() {
     for v in 1..301 {
         s.insert(t, vec![Datum::Int4(v)]).unwrap();
     }
-    rig.log_faults.tear_after_writes(0);
+    rig.log_faults.tear_after_writes(0, 0..simdev::fault::TORN_BYTES);
     assert!(s.commit().is_err(), "B's force tears");
     assert_eq!(rig.log_faults.write_trips(), 1, "the tear was the force's first write");
     rig.log_faults.clear_write_fault();

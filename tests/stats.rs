@@ -388,8 +388,9 @@ fn abort_drop_and_failed_commit_cost_no_log_io() {
 
     let mut s = writer(&db, 3);
     let before = io(&db);
-    probe.fail_next_write.store(true, SeqCst);
+    probe.faults.fail_after_writes(0);
     assert!(s.commit().is_err(), "the force's first write fails");
+    probe.faults.clear_write_fault();
     assert_eq!(io(&db), before, "failed commit");
 
     writer(&db, 4).commit().unwrap();
