@@ -47,6 +47,9 @@ pub enum Response {
 /// The data-manager-side request executor for one connection.
 pub struct InvServer {
     client: InvClient,
+    /// The response frame, kept from turn to turn: each is assembled over
+    /// the last, and a read's bytes land in it in place.
+    reply: wire::FrameBuf,
 }
 
 impl InvServer {
@@ -54,6 +57,7 @@ impl InvServer {
     pub fn new(fs: &InversionFs) -> InvServer {
         InvServer {
             client: fs.client(),
+            reply: wire::FrameBuf::default(),
         }
     }
 
@@ -70,7 +74,9 @@ impl InvServer {
     /// client hung up, or the framing broke), and whether the frame was
     /// damaged. A damaged frame that left the stream in sync (checksum
     /// mismatch, unknown opcode, bad payload) is answered with an error.
-    pub fn serve_frame(&mut self, read: Result<FrameEvent, WireError>) -> (Option<Vec<u8>>, bool) {
+    /// The response lives in the session's reply buffer until the next
+    /// turn.
+    pub fn serve_frame(&mut self, read: Result<FrameEvent, WireError>) -> (Option<&[u8]>, bool) {
         let req = match read {
             Ok(FrameEvent::Eof) => return (None, false),
             Ok(FrameEvent::Frame { opcode, payload }) => {
@@ -96,30 +102,32 @@ impl InvServer {
         if damaged {
             self.client.fs().stats().net_decode_errors.bump();
         }
-        let mut bytes = match req {
+        match req {
             Ok(req) => self.answer(req),
-            Err(e) => wire::encode_response(&Err(e.into())),
-        };
-        let stats = self.client.fs().stats();
-        if let Err(e) = wire::check_size(&bytes) {
-            bytes = wire::encode_response(&Err(e));
+            Err(e) => wire::encode_response_into(&mut self.reply, &Err(e.into())),
         }
+        if let Err(e) = wire::check_size(self.reply.frame()) {
+            wire::encode_response_into(&mut self.reply, &Err(e));
+        }
+        let stats = self.client.fs().stats();
         stats.net_frames_out.bump();
-        stats.net_bytes_out.add(bytes.len() as u64);
-        (Some(bytes), damaged)
+        stats.net_bytes_out.add(self.reply.frame().len() as u64);
+        (Some(self.reply.frame()), damaged)
     }
 
-    /// Runs one request and encodes its response frame. A read's bytes
-    /// land in the frame itself ([`wire::encode_data_reply`]): the frame is
-    /// the one [`InvServer::handle`]'s response encodes to, without the
-    /// response in between.
-    fn answer(&mut self, req: Request) -> Vec<u8> {
+    /// Runs one request and encodes its response frame into the reply
+    /// buffer. A read's bytes land in the frame itself
+    /// ([`wire::encode_data_reply`]): the frame is the one
+    /// [`InvServer::handle`]'s response encodes to, without the response in
+    /// between.
+    fn answer(&mut self, req: Request) {
         let Request::Read(fd, len) = req else {
-            return wire::encode_response(&self.handle(req));
+            let res = self.handle(req);
+            return wire::encode_response_into(&mut self.reply, &res);
         };
         self.client.fs().stats().rpcs.bump();
         let client = &mut self.client;
-        wire::encode_data_reply(len, |buf| client.p_read(fd, buf))
+        wire::encode_data_reply(&mut self.reply, len, |buf| client.p_read(fd, buf));
     }
 }
 

@@ -665,30 +665,79 @@ op_table!(request_codec);
 // ---------------------------------------------------------------------------
 // Frame assembly.
 
-/// Starts a frame: room for the header, then the payload is appended.
-fn begin_frame(wire_size: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(wire_size);
-    out.resize(HEADER_LEN, 0);
-    out
+/// A buffer frames are assembled in: one frame for a one-shot encoder, or
+/// frame after frame for a session's replies. The frame is `bytes[..len]`;
+/// the bytes past it are an earlier, longer frame's, left in place so that
+/// a later frame overwrites them instead of zero-filling them first. Only
+/// growth past the longest frame yet zeroes, and only in [`FrameBuf::room`].
+#[derive(Default)]
+pub(crate) struct FrameBuf {
+    bytes: Vec<u8>,
+    len: usize,
 }
 
-/// Writes the header of a frame whose payload is in place behind it.
-fn seal_frame(mut out: Vec<u8>, opcode: u16) -> Vec<u8> {
-    let (header, payload) = out.split_at_mut(HEADER_LEN);
-    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    header[4] = PROTOCOL_VERSION;
-    header[5] = 0;
-    header[6..8].copy_from_slice(&opcode.to_le_bytes());
-    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[12..16].copy_from_slice(&checksum(payload).to_le_bytes());
-    out
+impl FrameBuf {
+    /// The frame last assembled.
+    pub(crate) fn frame(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+
+    /// The frame's next `n` bytes, to be written in place.
+    fn room(&mut self, n: usize) -> &mut [u8] {
+        let at = self.len;
+        self.len += n;
+        if self.bytes.len() < self.len {
+            self.bytes.resize(self.len, 0);
+        }
+        &mut self.bytes[at..self.len]
+    }
+
+    /// Assembles one frame: room for the header, the payload `put` writes
+    /// (it returns the frame's opcode), then the header.
+    fn assemble(&mut self, put: impl FnOnce(&mut FrameBuf) -> u16) {
+        self.len = 0;
+        self.put(&[0; HEADER_LEN]);
+        let opcode = put(self);
+        let (header, payload) = self.bytes[..self.len].split_at_mut(HEADER_LEN);
+        header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+        header[4] = PROTOCOL_VERSION;
+        header[5] = 0;
+        header[6..8].copy_from_slice(&opcode.to_le_bytes());
+        header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[12..16].copy_from_slice(&checksum(payload).to_le_bytes());
+    }
+
+    /// A frame of its own: `put` assembled into a buffer of `wire_size`.
+    fn encode(wire_size: usize, put: impl FnOnce(&mut FrameBuf) -> u16) -> Vec<u8> {
+        let mut out = FrameBuf {
+            bytes: Vec::with_capacity(wire_size),
+            len: 0,
+        };
+        out.assemble(put);
+        out.bytes.truncate(out.len);
+        out.bytes
+    }
+}
+
+impl Sink for FrameBuf {
+    fn put(&mut self, bytes: &[u8]) {
+        let end = self.len + bytes.len();
+        if end <= self.bytes.len() {
+            self.bytes[self.len..end].copy_from_slice(bytes);
+        } else {
+            self.bytes.truncate(self.len);
+            self.bytes.extend_from_slice(bytes);
+        }
+        self.len = end;
+    }
 }
 
 /// Builds a complete frame (header + payload) for `opcode`.
 pub fn frame(opcode: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = begin_frame(HEADER_LEN + payload.len());
-    out.extend_from_slice(payload);
-    seal_frame(out, opcode)
+    FrameBuf::encode(HEADER_LEN + payload.len(), |out| {
+        out.put(payload);
+        opcode
+    })
 }
 
 /// Refuses a frame its receiver would refuse as fatal damage: one whose
@@ -755,37 +804,45 @@ pub fn response_wire_size(res: Result<&Response, &InvError>) -> usize {
 
 /// Encodes a request as a complete frame.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = begin_frame(request_wire_size(req));
-    let op = put_request(&mut out, req);
-    seal_frame(out, op)
+    FrameBuf::encode(request_wire_size(req), |out| put_request(out, req))
 }
 
-/// The frame [`encode_response`] makes of `Ok(Response::Data(d))`, where
-/// `d` is what `fill` reads into a buffer of `len` bytes (it returns how
-/// many it filled), assembled in place: `fill` writes into the frame
-/// itself, behind its header and byte count, and the frame is sealed
+/// Assembles in `out` the frame [`encode_response`] makes of
+/// `Ok(Response::Data(d))`, where `d` is what `fill` reads into a buffer of
+/// `len` bytes (it returns how many it filled): `fill` writes into the
+/// frame itself, behind its header and byte count, and the frame is sealed
 /// around what it wrote. A failed `fill` is answered with its error.
 pub(crate) fn encode_data_reply(
+    out: &mut FrameBuf,
     len: usize,
     fill: impl FnOnce(&mut [u8]) -> InvResult<usize>,
-) -> Vec<u8> {
-    const AT: usize = HEADER_LEN + 4;
-    let mut out = vec![0u8; AT + len];
-    match fill(&mut out[AT..]) {
-        Ok(n) => {
-            out.truncate(AT + n);
-            out[HEADER_LEN..AT].copy_from_slice(&(n as u32).to_le_bytes());
-            seal_frame(out, OP_R_DATA)
+) {
+    out.assemble(|out| {
+        let body = out.room(4 + len);
+        match fill(&mut body[4..]) {
+            Ok(n) => {
+                let n = n.min(len);
+                body[..4].copy_from_slice(&(n as u32).to_le_bytes());
+                out.len = HEADER_LEN + 4 + n;
+                OP_R_DATA
+            }
+            Err(e) => {
+                out.len = HEADER_LEN;
+                put_response(out, Err(&e))
+            }
         }
-        Err(e) => encode_response(&Err(e)),
-    }
+    });
 }
 
 /// Encodes a server result (success or error) as a complete frame.
 pub fn encode_response(res: &InvResult<Response>) -> Vec<u8> {
-    let mut out = begin_frame(response_wire_size(res.as_ref()));
-    let op = put_response(&mut out, res.as_ref());
-    seal_frame(out, op)
+    let res = res.as_ref();
+    FrameBuf::encode(response_wire_size(res), |out| put_response(out, res))
+}
+
+/// [`encode_response`], assembled in `out`.
+pub(crate) fn encode_response_into(out: &mut FrameBuf, res: &InvResult<Response>) {
+    out.assemble(|out| put_response(out, res.as_ref()));
 }
 
 /// Decodes a response payload under its opcode.
@@ -903,21 +960,28 @@ pub(crate) fn read_response_into<R: Read>(
         }
         return Ok(Some((frame_len, decode_response_frame(h.opcode, &payload)?)));
     }
-    // A `Data` payload is the byte count, then the bytes.
+    // A `Data` payload is the byte count, then the bytes, which land in
+    // `out`'s spare capacity: nothing zero-fills them first.
     let mut count = [0u8; 4];
     read_payload(r, &mut count)?;
-    let start = out.len();
-    out.resize(start + h.len - 4, 0);
-    let landed = read_payload(r, &mut out[start..]).and_then(|()| {
+    let (start, n) = (out.len(), h.len - 4);
+    out.reserve(n);
+    let read = r.take(n as u64).read_to_end(out);
+    let landed = match read {
+        Ok(got) if got == n => Ok(()),
+        Ok(_) => Err(WireError::Truncated),
+        Err(e) => Err(e.into()),
+    };
+    let landed = landed.and_then(|()| {
         let mut sum = Checksum::new();
         sum.update(&count);
         sum.update(&out[start..]);
-        let n = u32::from_le_bytes(count) as usize;
         if sum.finish() != h.sum {
             return Err(WireError::Checksum);
         }
-        if n != h.len - 4 {
-            let what = format!("{n} data bytes in a {}-byte payload", h.len);
+        let counted = u32::from_le_bytes(count) as usize;
+        if counted != n {
+            let what = format!("{counted} data bytes in a {}-byte payload", h.len);
             return Err(WireError::Malformed(what));
         }
         Ok(())
@@ -1104,6 +1168,33 @@ mod tests {
         let res = read_response_into(&mut &err[..], &mut out).unwrap();
         assert!(matches!(res, Some((_, Err(InvError::BadFd(3))))));
         assert!(read_response_into(&mut &[][..], &mut out).unwrap().is_none());
+    }
+
+    /// A `Data` reply cut off anywhere in its payload is `Truncated`, one
+    /// whose bytes fail the checksum where they landed is `Checksum`; either
+    /// way `out` ends at its old length.
+    #[test]
+    fn a_cut_or_damaged_data_reply_leaves_out_as_it_was() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
+        let reply = encode_response(&Ok(Response::Data(data)));
+        let mut out = Vec::with_capacity(1024);
+        out.extend_from_slice(b"head");
+        let cuts = [2, 4, 5, 150].map(|at| HEADER_LEN + at);
+        for cut in cuts.into_iter().chain([reply.len() - 1]) {
+            let res = read_response_into(&mut &reply[..cut], &mut out);
+            let truncated = matches!(res, Err(WireError::Truncated));
+            assert!(truncated, "cut at {cut}: {res:?}");
+            assert_eq!(out, b"head", "cut at {cut}");
+        }
+        let mut flipped = reply.clone();
+        flipped[HEADER_LEN + 4 + 150] ^= 0x10;
+        let res = read_response_into(&mut &flipped[..], &mut out);
+        assert!(matches!(res, Err(WireError::Checksum)), "{res:?}");
+        assert_eq!(out, b"head");
+        // The intact reply still lands after both.
+        let landed = read_response_into(&mut &reply[..], &mut out).unwrap();
+        assert!(matches!(landed, Some((_, Ok(Response::Data(_))))));
+        assert_eq!(out.len(), 304);
     }
 
     #[test]

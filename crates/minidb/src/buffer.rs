@@ -8,11 +8,14 @@
 //! backing store before being deleted from the cache."
 //!
 //! This implementation is that one list, with a clock sweep (second
-//! chance) standing in for strict LRU: one map and one clock ring over all
-//! `capacity` frames, behind one latch. A page is read only when it is
-//! asked for, and **all device I/O happens outside the latch**:
+//! chance) standing in for strict LRU: a fixed set of at most `capacity`
+//! frames, one map from `(rel, blkno)` to a frame's slot and one clock ring
+//! of slots, behind one latch. Frames are made as the pool fills and never
+//! after: a miss refills its victim's frame and page buffer in place, so a
+//! cold read allocates nothing. A page is read only when it is asked for,
+//! and **all device I/O happens outside the latch**:
 //!
-//! * a miss inserts a "loading" frame and reads the device with only that
+//! * a miss maps a slot as "loading" and reads the device with only that
 //!   frame's lock held, so concurrent requesters of the same block wait on
 //!   the frame, not the pool;
 //! * a dirty eviction victim is written back after the latch is dropped,
@@ -21,9 +24,13 @@
 //!   writeback succeeded and nobody re-pinned or re-dirtied it.
 //!
 //! Pages are pinned by explicit counts carried by the [`PinnedPage`] guard;
-//! a frame with `pins > 0` is never evicted.
+//! a frame with `pins > 0` is never evicted, and never refilled. A slot
+//! changes identity only under the latch, unmapped and unpinned, with its
+//! frame's write lock held until the new page is in: a pin is taken only
+//! under the latch through the map, so no guard can see the change.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,7 +38,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::{DbError, DbResult};
-use crate::ids::{DeviceId, RelId};
+use crate::ids::{DeviceId, Oid, RelId};
 use crate::lock::order;
 use crate::page::PAGE_SIZE;
 use crate::smgr::Smgr;
@@ -167,25 +174,19 @@ struct Frame {
 }
 
 impl Frame {
-    fn new(
-        wait: &Arc<PinWait>,
-        dev: DeviceId,
-        rel: RelId,
-        blkno: u64,
-        state: u8,
-        dirty: bool,
-    ) -> Frame {
+    /// A frame no page is in yet: its slot's first load names one.
+    fn blank(wait: &Arc<PinWait>) -> Frame {
         Frame {
             wait: Arc::clone(wait),
-            pins: AtomicU32::new(1), // Born pinned by its creator.
-            refbit: AtomicBool::new(true),
-            state: AtomicU8::new(state),
+            pins: AtomicU32::new(0),
+            refbit: AtomicBool::new(false),
+            state: AtomicU8::new(FAILED),
             buf: RwLock::new(PageBuf {
                 data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
-                dirty,
-                dev,
-                rel,
-                blkno,
+                dirty: false,
+                dev: DeviceId::DEFAULT,
+                rel: Oid(0),
+                blkno: 0,
             }),
         }
     }
@@ -273,30 +274,101 @@ crate::stat_table! {
     prefetch_hits: Counter,
 }
 
-/// The pool's latched state: a map from `(rel, blkno)` to frames plus the
-/// clock ring. Invariant (audited by [`BufferPool::check_consistency`]):
-/// `ring` lists exactly the keys of `map`, each once.
+/// The map's hasher: one multiply-xor step per word. Its keys are
+/// `(rel, blkno)` pairs of the database's own ids, never input from
+/// outside the program, so it needs none of SipHash's resistance to
+/// crafted collisions, and costs a few cycles where SipHash costs tens of
+/// nanoseconds.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A cached page's key.
+type Key = (RelId, u64);
+
+/// The pool's latched state: the frames, a map from keys to their slots
+/// and the clock ring of slots. Invariant (audited by
+/// [`BufferPool::check_consistency`]): every slot is either mapped by one
+/// key or on `free`, never both, and `ring` lists exactly the mapped slots,
+/// each once.
 #[derive(Default)]
 struct PoolInner {
-    map: HashMap<(RelId, u64), Arc<Frame>>,
-    ring: Vec<(RelId, u64)>,
+    /// Every frame the pool has made, by slot: made as the pool fills, at
+    /// most `capacity`, then refilled in place.
+    frames: Vec<Arc<Frame>>,
+    map: HashMap<Key, usize, BuildHasherDefault<KeyHasher>>,
+    ring: Vec<usize>,
     hand: usize,
+    /// Slots no key maps to: left by a failed load, a discard or a clear.
+    free: Vec<usize>,
     stats: BufferStats,
 }
 
 impl PoolInner {
-    fn insert(&mut self, key: (RelId, u64), frame: Arc<Frame>) {
-        self.map.insert(key, frame);
-        self.ring.push(key);
+    /// The position in `free` of a slot nobody pins. A pin on a free slot
+    /// is a waiter of a failed load on its way out: the slot is refilled
+    /// only after it has gone.
+    fn unpinned_free(&self) -> Option<usize> {
+        self.free
+            .iter()
+            .position(|&slot| self.frames[slot].pins.load(Ordering::SeqCst) == 0)
     }
 
-    fn remove(&mut self, key: (RelId, u64)) {
-        self.map.remove(&key);
-        if let Some(pos) = self.ring.iter().position(|&k| k == key) {
-            self.ring.remove(pos);
-            if pos < self.hand {
-                self.hand -= 1;
+    /// Whether a slot can take a page without an eviction.
+    fn has_room(&self, capacity: usize) -> bool {
+        self.frames.len() < capacity || self.unpinned_free().is_some()
+    }
+
+    /// An unpinned slot no key maps to: a free one, else a new frame. The
+    /// caller has checked [`PoolInner::has_room`].
+    fn take_slot(&mut self, wait: &Arc<PinWait>) -> usize {
+        match self.unpinned_free() {
+            Some(at) => self.free.swap_remove(at),
+            None => {
+                self.frames.push(Arc::new(Frame::blank(wait)));
+                self.frames.len() - 1
             }
+        }
+    }
+
+    /// Unmaps `key`, whose slot is at ring position `pos`, and frees the
+    /// slot. The hand stays on the entry it was on, or on the one after it
+    /// when that entry is the one unlinked.
+    fn unlink_at(&mut self, pos: usize, key: Key) {
+        let slot = self.ring.remove(pos);
+        self.map.remove(&key);
+        self.free.push(slot);
+        if pos < self.hand {
+            self.hand -= 1;
+        }
+    }
+
+    /// Unmaps `key` if it still names `slot`.
+    fn unmap(&mut self, key: Key, slot: usize) {
+        if self.map.get(&key) != Some(&slot) {
+            return;
+        }
+        if let Some(pos) = self.ring.iter().position(|&s| s == slot) {
+            self.unlink_at(pos, key);
         }
     }
 }
@@ -304,7 +376,8 @@ impl PoolInner {
 /// The shared buffer cache: one clock over every frame, pin-counted.
 pub struct BufferPool {
     capacity: usize,
-    /// The map, the clock ring and the counters. Rank: `buffer-shard`.
+    /// The frames, the map, the clock ring and the counters. Rank:
+    /// `buffer-shard`.
     inner: Mutex<PoolInner>,
     /// Where all-pinned sweeps wait.
     wait: Arc<PinWait>,
@@ -397,8 +470,11 @@ impl BufferPool {
                 continue;
             }
             inner.stats.misses += 1;
-            let frame = self.load_frame(tok, inner, smgr, dev, rel, blkno)?;
-            return Ok(PinnedPage { frame });
+            // The read overwrites the whole page: a refilled frame needs
+            // no zero-fill first.
+            return self.fill_slot(tok, inner, dev, (rel, blkno), |data| {
+                smgr.read_page(dev, rel, blkno, data)
+            });
         }
     }
 
@@ -408,7 +484,8 @@ impl BufferPool {
     pub(crate) fn pin_cached(&self, rel: RelId, blkno: u64) -> Option<PinnedPage> {
         let frame = {
             let (_order, mut inner) = self.latch();
-            let frame = Arc::clone(inner.map.get(&(rel, blkno))?);
+            let slot = *inner.map.get(&(rel, blkno))?;
+            let frame = Arc::clone(&inner.frames[slot]);
             frame.pins.fetch_add(1, Ordering::SeqCst);
             frame.refbit.store(true, Ordering::SeqCst);
             inner.stats.hits += 1;
@@ -432,54 +509,62 @@ impl BufferPool {
         None
     }
 
-    /// Inserts a `LOADING` frame for the block under the held latch, then
-    /// releases the latch and fills it from the device. The device read
-    /// happens with only the frame's lock held; waiters block there.
-    fn load_frame(
+    /// Gives `key` (a block of `dev`) a slot under the held latch, then
+    /// releases the latch and runs `fill` over its page with only the
+    /// frame's write lock held: the device read of a miss, or the blank of
+    /// a new block. `fill` returns whether the page is dirty. The slot is
+    /// mapped `LOADING` with its new identity, pinned once for the caller
+    /// and born referenced; waiters for the block block on its frame. A
+    /// failed fill unmaps the slot again, so a retry reloads the block.
+    fn fill_slot(
         &self,
         tok: order::LevelToken,
         mut inner: MutexGuard<'_, PoolInner>,
-        smgr: &Smgr,
         dev: DeviceId,
-        rel: RelId,
-        blkno: u64,
-    ) -> DbResult<Arc<Frame>> {
-        let key = (rel, blkno);
-        let frame = Arc::new(Frame::new(&self.wait, dev, rel, blkno, LOADING, false));
+        key: Key,
+        fill: impl FnOnce(&mut [u8]) -> DbResult<bool>,
+    ) -> DbResult<PinnedPage> {
+        let slot = inner.take_slot(&self.wait);
+        let frame = Arc::clone(&inner.frames[slot]);
         let ftok = order::token(order::BUFFER_FRAME);
-        // Uncontended: the frame is not published yet.
+        // Uncontended: the slot is unmapped and unpinned, and every holder
+        // of a page lock holds a pin.
         let mut fbuf = frame.buf.write();
-        inner.insert(key, Arc::clone(&frame));
+        (fbuf.dev, fbuf.rel, fbuf.blkno, fbuf.dirty) = (dev, key.0, key.1, false);
+        frame.set_state(LOADING);
+        frame.pins.store(1, Ordering::SeqCst);
+        frame.refbit.store(true, Ordering::SeqCst);
+        let stale = inner.map.insert(key, slot);
+        debug_assert!(stale.is_none(), "{key:?} was cached twice");
+        inner.ring.push(slot);
         drop(inner);
         drop(tok);
-        match smgr.read_page(dev, rel, blkno, &mut fbuf.data) {
-            Ok(replayed) => {
+        match fill(&mut fbuf.data) {
+            Ok(dirty) => {
                 // A replayed page is newer than the device's copy: eviction
                 // must write it back, or the next miss replays it again.
-                fbuf.dirty = replayed;
+                fbuf.dirty = dirty;
                 frame.set_state(READY);
                 drop(fbuf);
                 drop(ftok);
-                Ok(frame)
+                Ok(PinnedPage { frame })
             }
             Err(e) => {
                 frame.set_state(FAILED);
                 drop(fbuf);
                 drop(ftok);
-                // Unmap the failed frame so retries reload it. Waiters
-                // that already pinned it will observe FAILED and retry.
+                // Waiters that already pinned it observe FAILED and retry;
+                // their pins keep the slot from a refill until they have.
                 let (_order, mut inner) = self.latch();
-                if inner.map.get(&key).is_some_and(|f| Arc::ptr_eq(f, &frame)) {
-                    inner.remove(key);
-                }
+                inner.unmap(key, slot);
                 frame.unpin();
                 Err(e)
             }
         }
     }
 
-    /// Takes the latch with room for one more frame, running the clock
-    /// sweep as needed. Dirty victims are written back with the latch
+    /// Takes the latch with a slot free for one more page, running the
+    /// clock sweep as needed. Dirty victims are written back with the latch
     /// *released* and stay mapped (and pinned) throughout, so concurrent
     /// lookups hit the cached bytes instead of re-reading stale ones.
     fn lock_with_room(&self, smgr: &Smgr) -> DbResult<(order::LevelToken, MutexGuard<'_, PoolInner>)> {
@@ -488,15 +573,15 @@ impl BufferPool {
         // transient. (A checkpoint is not a cause: its flush holds one pin
         // at a time.)
         let mut parked: Option<PinWaiter<'_>> = None;
-        // Victims whose write-back failed in this call, and the first
+        // Slots whose write-back failed in this call, and the first
         // failure: the sweep passes over them, and the error is returned
         // only when nothing else can be evicted. Each stays cached and
         // dirty, so the next checkpoint meets the failure again.
-        let mut failed: Vec<(RelId, u64)> = Vec::new();
+        let mut failed: Vec<usize> = Vec::new();
         let mut first_err: Option<DbError> = None;
         'retry: loop {
             let (tok, mut inner) = self.latch();
-            if inner.map.len() < self.capacity {
+            if inner.has_room(self.capacity) {
                 return Ok((tok, inner));
             }
             // Two full passes: the first clears reference bits, the second
@@ -505,7 +590,7 @@ impl BufferPool {
             let mut steps = 0;
             let max_steps = 2 * inner.ring.len() + 1;
             loop {
-                if steps > max_steps {
+                if steps > max_steps || inner.ring.is_empty() {
                     if let Some(e) = first_err {
                         return Err(e);
                     }
@@ -526,42 +611,34 @@ impl BufferPool {
                     continue 'retry;
                 }
                 steps += 1;
-                if inner.ring.is_empty() {
-                    return Ok((tok, inner));
-                }
                 let pos = inner.hand % inner.ring.len();
-                let key = inner.ring[pos];
-                let Some(frame) = inner.map.get(&key).map(Arc::clone) else {
-                    // Ring/map drift (should not happen; the consistency
-                    // check reports it). Self-heal by dropping the entry.
-                    inner.ring.remove(pos);
-                    continue;
+                let slot = inner.ring[pos];
+                let cold = {
+                    let f = &inner.frames[slot];
+                    f.pins.load(Ordering::SeqCst) == 0 && !f.refbit.swap(false, Ordering::SeqCst)
                 };
-                if frame.pins.load(Ordering::SeqCst) > 0
-                    || frame.refbit.swap(false, Ordering::SeqCst)
-                    || failed.contains(&key)
-                {
+                if !cold || failed.contains(&slot) {
                     inner.hand = pos + 1;
                     continue;
                 }
                 // Victim. `pins == 0` under the latch means nobody holds
                 // its page lock, so try_write cannot fail; skip it like a
                 // pinned frame if it somehow does.
+                let frame = Arc::clone(&inner.frames[slot]);
                 let ftok = order::token(order::BUFFER_FRAME);
                 let Some(mut vbuf) = frame.buf.try_write() else {
                     drop(ftok);
                     inner.hand = pos + 1;
                     continue;
                 };
+                let key = (vbuf.rel, vbuf.blkno);
                 if !vbuf.dirty {
                     drop(vbuf);
                     drop(ftok);
-                    inner.remove(key);
+                    // The sweep stands on the victim: unlink it there.
+                    inner.unlink_at(pos, key);
                     inner.stats.evictions += 1;
-                    if inner.map.len() < self.capacity {
-                        return Ok((tok, inner));
-                    }
-                    continue;
+                    return Ok((tok, inner));
                 }
                 // Dirty: pin (so no concurrent sweep picks it), release
                 // the latch, write back under the frame lock only.
@@ -569,12 +646,11 @@ impl BufferPool {
                 drop(inner);
                 drop(tok);
                 let io = {
-                    let (d, r, b) = (vbuf.dev, vbuf.rel, vbuf.blkno);
                     // WAL-before-data: the log is forced up to the page's
                     // LSN *before* the page is written, here, on this thread.
                     let res = self
                         .force_wal_for(&vbuf.data)
-                        .and_then(|()| smgr.write_page_back(d, r, b, &vbuf.data));
+                        .and_then(|()| smgr.write_page_back(vbuf.dev, key.0, key.1, &vbuf.data));
                     if res.is_ok() {
                         vbuf.dirty = false;
                     }
@@ -587,24 +663,22 @@ impl BufferPool {
                 inner.stats.writebacks += 1;
                 if let Err(e) = io {
                     // Sweep on past it.
-                    if let Some(at) = inner.ring.iter().position(|k| *k == key) {
+                    if let Some(at) = inner.ring.iter().position(|&s| s == slot) {
                         inner.hand = at + 1;
                     }
-                    failed.push(key);
+                    failed.push(slot);
                     first_err.get_or_insert(e);
                     continue 'retry;
                 }
                 // Unmap only if still ours, unpinned, and still clean —
                 // a re-pin or re-dirty in the writeback window wins.
-                if frame.pins.load(Ordering::SeqCst) == 0
-                    && inner.map.get(&key).is_some_and(|f| Arc::ptr_eq(f, &frame))
-                {
+                if frame.pins.load(Ordering::SeqCst) == 0 && inner.map.get(&key) == Some(&slot) {
                     let clean = {
                         let _fl = order::token(order::BUFFER_FRAME);
                         frame.buf.try_read().map(|b| !b.dirty).unwrap_or(false)
                     };
                     if clean {
-                        inner.remove(key);
+                        inner.unmap(key, slot);
                         inner.stats.evictions += 1;
                     }
                 }
@@ -615,13 +689,16 @@ impl BufferPool {
 
     /// Appends a fresh block to `rel`, returning its number and a pinned,
     /// dirty, zero-filled page for it. The extend happens *before* the
-    /// latch is taken: no device I/O runs under it.
+    /// latch is taken, and the blank after it is dropped: no device I/O
+    /// runs under it.
     pub fn new_page(&self, smgr: &Smgr, dev: DeviceId, rel: RelId) -> DbResult<(u64, PinnedPage)> {
         let blkno = smgr.extend_page(dev, rel)?;
-        let frame = Arc::new(Frame::new(&self.wait, dev, rel, blkno, READY, true));
-        let (_tok, mut inner) = self.lock_with_room(smgr)?;
-        inner.insert((rel, blkno), Arc::clone(&frame));
-        Ok((blkno, PinnedPage { frame }))
+        let (tok, inner) = self.lock_with_room(smgr)?;
+        let page = self.fill_slot(tok, inner, dev, (rel, blkno), |data| {
+            data.fill(0);
+            Ok(true)
+        })?;
+        Ok((blkno, page))
     }
 
     /// Writes back every dirty cached page (optionally only `rel`'s)
@@ -636,7 +713,7 @@ impl BufferPool {
     /// leave the split no victim, and neither could move. A key that is no
     /// longer mapped when its turn comes was written back by its eviction.
     fn flush_matching(&self, smgr: &Smgr, rel: Option<RelId>) -> DbResult<usize> {
-        let mut keys: Vec<(RelId, u64)> = {
+        let mut keys: Vec<Key> = {
             let (_order, inner) = self.latch();
             inner.map.keys().filter(|(r, _)| rel.is_none_or(|want| want == *r)).copied().collect()
         };
@@ -646,9 +723,10 @@ impl BufferPool {
         for key in keys {
             let frame = {
                 let (_order, inner) = self.latch();
-                let Some(frame) = inner.map.get(&key) else {
+                let Some(&slot) = inner.map.get(&key) else {
                     continue;
                 };
+                let frame = &inner.frames[slot];
                 frame.pins.fetch_add(1, Ordering::SeqCst);
                 Arc::clone(frame)
             };
@@ -693,20 +771,23 @@ impl BufferPool {
     /// "all caches were flushed before each test" step of the benchmark.
     /// The clear checks, in the same hold of the latch, that no frame is
     /// pinned and none is dirty: a page dirtied after its flush sends the
-    /// call back to flush, instead of being dropped with its change.
+    /// call back to flush, instead of being dropped with its change. The
+    /// frames stay, every slot free.
     pub fn flush_and_clear(&self, smgr: &Smgr) -> DbResult<()> {
         loop {
             self.flush_all(smgr)?;
             let (_order, mut inner) = self.latch();
-            if inner.map.values().any(|f| f.pins.load(Ordering::SeqCst) > 0) {
+            let inner = &mut *inner;
+            let mapped = || inner.map.values().map(|&slot| &inner.frames[slot]);
+            if mapped().any(|f| f.pins.load(Ordering::SeqCst) > 0) {
                 return Err(DbError::Invalid("cannot clear cache: pages pinned".into()));
             }
             // No pins under the latch, so no page lock is held either.
             let _fl = order::token(order::BUFFER_FRAME);
-            if inner.map.values().any(|f| f.buf.try_read().is_none_or(|b| b.dirty)) {
+            if mapped().any(|f| f.buf.try_read().is_none_or(|b| b.dirty)) {
                 continue;
             }
-            inner.map.clear();
+            inner.free.extend(inner.map.drain().map(|(_, slot)| slot));
             inner.ring.clear();
             inner.hand = 0;
             return Ok(());
@@ -715,44 +796,65 @@ impl BufferPool {
 
     /// Discards every cached page for `rel` *without* writing them back
     /// (used when dropping a relation). Map and clock ring shed the
-    /// relation's keys together, so neither drifts.
+    /// relation's slots together, so neither drifts.
     pub fn discard_rel(&self, rel: RelId) {
         let (_order, mut inner) = self.latch();
-        inner.map.retain(|&(r, _), _| r != rel);
-        inner.ring.retain(|&(r, _)| r != rel);
-        inner.hand = 0;
+        let PoolInner {
+            map,
+            ring,
+            free,
+            hand,
+            ..
+        } = &mut *inner;
+        let kept = free.len();
+        map.retain(|&(r, _), &mut slot| {
+            if r == rel {
+                free.push(slot);
+            }
+            r != rel
+        });
+        ring.retain(|slot| !free[kept..].contains(slot));
+        *hand = 0;
     }
 
-    /// Structural self-audit: the map and the clock ring must list exactly
-    /// the same keys (each once), and every frame must agree with its key.
-    /// Returns human-readable violations (empty = consistent).
+    /// Structural self-audit: the pool holds at most `capacity` frames;
+    /// every slot is mapped by one key or free, never both; the clock ring
+    /// lists exactly the mapped slots, each once; and every mapped frame
+    /// agrees with its key. Returns human-readable violations (empty =
+    /// consistent).
     pub fn check_consistency(&self) -> Vec<String> {
         let mut problems = Vec::new();
         let (_order, inner) = self.latch();
-        if inner.ring.len() != inner.map.len() {
+        let n = inner.frames.len();
+        if n > self.capacity {
+            problems.push(format!("{n} frames in a pool of {}", self.capacity));
+        }
+        let sorted = |mut slots: Vec<usize>| {
+            slots.sort_unstable();
+            slots
+        };
+        let mapped = sorted(inner.map.values().copied().collect());
+        let owned = sorted(mapped.iter().chain(&inner.free).copied().collect());
+        if owned != (0..n).collect::<Vec<_>>() {
             problems.push(format!(
-                "clock ring has {} entries but map has {}",
-                inner.ring.len(),
-                inner.map.len()
+                "the map and the free list hold slots {owned:?} of {n}"
             ));
         }
-        let mut seen = std::collections::HashSet::new();
-        for &key in &inner.ring {
-            if !seen.insert(key) {
-                problems.push(format!("{key:?} appears twice in the ring"));
-            }
-            if !inner.map.contains_key(&key) {
-                problems.push(format!("ring entry {key:?} not in the map"));
-            }
+        let ring = sorted(inner.ring.clone());
+        if ring != mapped {
+            problems.push(format!(
+                "the clock ring holds slots {ring:?}, the map {mapped:?}"
+            ));
         }
-        for (&(rel, blkno), frame) in &inner.map {
-            if let Some(buf) = frame.buf.try_read() {
-                if (buf.rel, buf.blkno) != (rel, blkno) {
-                    problems.push(format!(
-                        "frame keyed ({rel}, {blkno}) says ({}, {})",
-                        buf.rel, buf.blkno
-                    ));
-                }
+        for (&(rel, blkno), &slot) in &inner.map {
+            let Some(buf) = inner.frames.get(slot).and_then(|f| f.buf.try_read()) else {
+                continue;
+            };
+            if (buf.rel, buf.blkno) != (rel, blkno) {
+                problems.push(format!(
+                    "frame keyed ({rel}, {blkno}) says ({}, {})",
+                    buf.rel, buf.blkno
+                ));
             }
         }
         problems
@@ -1033,6 +1135,41 @@ mod tests {
             pool.new_page(&smgr, DeviceId::DEFAULT, other).unwrap();
         }
         assert_eq!(pool.check_consistency(), Vec::<String>::new());
+    }
+
+    /// A miss stream over ten times the pool refills the same frames: the
+    /// pool never holds more than `capacity` of them, each read lands whole
+    /// over its frame's previous page, and a new block on a refilled frame
+    /// is blank.
+    #[test]
+    fn frames_are_refilled_in_place_not_allocated() {
+        const CAPACITY: usize = 8;
+        let (smgr, pool, rel) = setup(CAPACITY);
+        let frames = |pool: &BufferPool| pool.latch().1.frames.len();
+        let blocks = 10 * CAPACITY as u64;
+        for b in 0..blocks {
+            let (blkno, page) = pool.new_page(&smgr, DeviceId::DEFAULT, rel).unwrap();
+            let blank = page.read().data().iter().all(|&byte| byte == 0);
+            assert!(blank, "block {blkno} is blank");
+            page.write().data_mut().fill(b as u8 + 1);
+            assert!(frames(&pool) <= CAPACITY);
+        }
+        pool.flush_all(&smgr).unwrap();
+        let misses = pool.stats().misses;
+        for round in 0..2 {
+            for b in 0..blocks {
+                let page = pool.get_page(&smgr, DeviceId::DEFAULT, rel, b).unwrap();
+                let want = b as u8 + 1;
+                let whole = page.read().data().iter().all(|&byte| byte == want);
+                assert!(whole, "block {b}, round {round}");
+                drop(page);
+                assert!(frames(&pool) <= CAPACITY, "block {b}");
+                assert_eq!(pool.check_consistency(), Vec::<String>::new());
+            }
+        }
+        assert_eq!(frames(&pool), CAPACITY);
+        let missed = pool.stats().misses - misses;
+        assert_eq!(missed, 2 * blocks, "a cyclic scan of 10x the pool misses");
     }
 
     #[test]

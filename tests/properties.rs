@@ -472,9 +472,11 @@ fn pool_op_strategy(nblocks: u8) -> impl Strategy<Value = PoolOp> {
 
 // Model-checks the buffer pool against a flat shadow map: whatever
 // interleaving of get/dirty/flush/clear/discard/regrow runs (with a pool far
-// smaller than the block set, so evictions are constant), a read must never
-// serve stale bytes — in particular never a page cached before its relation
-// was truncated or dropped — and a flush must never lose a dirty page.
+// smaller than the block set, so evictions are constant and every frame is
+// refilled in place over and over), a read must never serve a stale byte —
+// in particular never one of a page cached before its relation was
+// truncated or dropped, nor of the page its frame held before — and a
+// flush must never lose a dirty page.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -525,15 +527,18 @@ proptest! {
                     let blk = blk as u64;
                     let pin = pool.get_page(&smgr, dev, rel, blk).unwrap();
                     accesses += 1;
-                    let got = pin.read().data()[0];
-                    prop_assert_eq!(got, mem[&blk], "stale read of block {}", blk);
+                    // Every byte: a frame refilled in place must not show
+                    // its previous page anywhere.
+                    let want = mem[&blk];
+                    let stale = pin.read().data().iter().position(|&b| b != want);
+                    prop_assert_eq!(stale, None, "stale read of block {}", blk);
                 }
                 PoolOp::Dirty { blk, fill } => {
                     let blk = blk as u64;
                     let pin = pool.get_page(&smgr, dev, rel, blk).unwrap();
                     accesses += 1;
-                    let before = pin.read().data()[0];
-                    prop_assert_eq!(before, mem[&blk]);
+                    let want = mem[&blk];
+                    prop_assert!(pin.read().data().iter().all(|&b| b == want));
                     pin.write().data_mut().fill(fill);
                     mem.insert(blk, fill);
                     disk_shadow.entry(blk).or_default().push(fill);
@@ -576,6 +581,8 @@ proptest! {
                     for b in 0..NBLOCKS as u64 {
                         let (blk, pin) = pool.new_page(&smgr, dev, rel).unwrap();
                         prop_assert_eq!(blk, b);
+                        // A new block is blank, whatever its frame held.
+                        prop_assert!(pin.read().data().iter().all(|&b| b == 0));
                         pin.write().data_mut().fill(fill);
                         mem.insert(b, fill);
                         // A reborn block is blank on the device until its
@@ -585,6 +592,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(pool.check_consistency(), Vec::<String>::new());
+            prop_assert!(pool.len() <= capacity);
         }
         // Invariants at the end of every interleaving: accounting balances
         // and a final flush makes memory and device agree everywhere.
@@ -594,7 +602,8 @@ proptest! {
         let mut page = vec![0u8; minidb::page::PAGE_SIZE];
         for b in 0..NBLOCKS as u64 {
             smgr.with(dev, |m| m.read(rel, b, &mut page)).unwrap();
-            prop_assert_eq!(page[0], mem[&b], "block {} lost after flush", b);
+            let want = mem[&b];
+            prop_assert!(page.iter().all(|&v| v == want), "block {} lost after flush", b);
         }
     }
 }

@@ -824,7 +824,7 @@ fn session_dies_cleanly_on_unrecoverable_framing_damage() {
 fn served_read(srv: &mut InvServer, fd: i32, offset: u64, len: usize) -> Vec<u8> {
     srv.handle(Request::Lseek(fd, offset as i64, SeekWhence::Set)).unwrap();
     let frame = wire::encode_request(&Request::Read(fd, len));
-    srv.serve_frame(wire::read_frame(&mut &frame[..])).0.unwrap()
+    srv.serve_frame(wire::read_frame(&mut &frame[..])).0.unwrap().to_vec()
 }
 
 /// The frame the encoder makes of what `handle` answers the same read with.
@@ -883,7 +883,7 @@ fn a_read_reply_assembled_in_its_frame_is_the_encoders_frame() {
         }
     }
     let bad = wire::encode_request(&Request::Read(999, 10));
-    let served = srv.serve_frame(wire::read_frame(&mut &bad[..])).0.unwrap();
+    let served = srv.serve_frame(wire::read_frame(&mut &bad[..])).0.unwrap().to_vec();
     assert_eq!(served, wire::encode_response(&srv.handle(Request::Read(999, 10))));
     assert!(matches!(wire::decode_response(&served), Ok(Err(InvError::BadFd(999)))));
 }
