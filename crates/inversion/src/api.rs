@@ -1213,6 +1213,77 @@ impl InversionFs {
     }
 }
 
+/// One recorded version of a file's metadata.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FileVersion {
+    /// When this version became visible (its transaction's commit time).
+    pub committed_at: SimInstant,
+    /// When it was superseded or deleted (`None` = current).
+    pub superseded_at: Option<SimInstant>,
+    /// The file size this version recorded.
+    pub size: u64,
+}
+
+impl InvClient {
+    /// Lists every committed metadata version of `path`, oldest first — a
+    /// revision log recovered purely from the no-overwrite storage manager
+    /// ("a superset of the services offered by revision control programs
+    /// like rcs(1)"). Pass any `committed_at` to [`InvClient::p_open`] as
+    /// the timestamp to check that revision out.
+    pub fn p_history(&mut self, path: &str) -> InvResult<Vec<FileVersion>> {
+        let path = path.to_string();
+        self.run(move |fs, s, _| {
+            // Resolve at any time the file existed: current first, else
+            // search all committed naming versions for the path.
+            let oid = match fs.resolve(s, &path, None) {
+                Ok(oid) => oid,
+                Err(_) => {
+                    // Walk history: of the files this directory entry
+                    // named, the one that held it last.
+                    let (parent, name) = fs
+                        .resolve_parent(s, &path, None)
+                        .map_err(|_| InvError::NoSuchPath(path.clone()))?;
+                    let mut last: Option<(SimInstant, u32)> = None;
+                    for (t0, t1, row) in s.scan_version_history(fs.rels.naming)? {
+                        // A zero-length lifetime was never visible.
+                        if t1 == Some(t0)
+                            || !row[crate::fs::N_FILENAME]
+                                .as_text()
+                                .is_ok_and(|n| n == name)
+                            || row[crate::fs::N_PARENTID].as_oid()? != parent.0
+                        {
+                            continue;
+                        }
+                        if last.is_none_or(|(at, _)| t0 >= at) {
+                            last = Some((t0, row[crate::fs::N_FILE].as_oid()?));
+                        }
+                    }
+                    let (_, file) = last.ok_or_else(|| InvError::NoSuchPath(path.clone()))?;
+                    Oid(file)
+                }
+            };
+            let mut out = Vec::new();
+            for (t0, t1, row) in s.scan_version_history(fs.rels.fileatt)? {
+                if row[crate::fs::A_FILE].as_oid()? != oid.0 {
+                    continue;
+                }
+                // Zero-length lifetimes (inserted and superseded by the
+                // same transaction) were never visible to anyone.
+                if t1 == Some(t0) {
+                    continue;
+                }
+                out.push(FileVersion {
+                    committed_at: t0,
+                    superseded_at: t1,
+                    size: row[A_SIZE].as_int()?.max(0) as u64,
+                });
+            }
+            out.sort_by_key(|v| v.committed_at);
+            Ok(out)
+        })
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1963,71 +2034,6 @@ mod self_id_tests {
     }
 }
 
-/// One recorded version of a file's metadata.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FileVersion {
-    /// When this version became visible (its transaction's commit time).
-    pub committed_at: SimInstant,
-    /// When it was superseded or deleted (`None` = current).
-    pub superseded_at: Option<SimInstant>,
-    /// The file size this version recorded.
-    pub size: u64,
-}
-
-impl InvClient {
-    /// Lists every committed metadata version of `path`, oldest first — a
-    /// revision log recovered purely from the no-overwrite storage manager
-    /// ("a superset of the services offered by revision control programs
-    /// like rcs(1)"). Pass any `committed_at` to [`InvClient::p_open`] as
-    /// the timestamp to check that revision out.
-    pub fn p_history(&mut self, path: &str) -> InvResult<Vec<FileVersion>> {
-        let path = path.to_string();
-        self.run(move |fs, s, _| {
-            // Resolve at any time the file existed: current first, else
-            // search all committed naming versions for the path.
-            let oid = match fs.resolve(s, &path, None) {
-                Ok(oid) => oid,
-                Err(_) => {
-                    // Walk history: find a naming version for the final
-                    // component whose lifetime we can resolve through.
-                    let (_, name) = fs
-                        .resolve_parent(s, &path, None)
-                        .map_err(|_| InvError::NoSuchPath(path.clone()))?;
-                    let versions = s.scan_version_history(fs.rels.naming)?;
-                    versions
-                        .into_iter()
-                        .find(|(_, _, row)| {
-                            row[crate::fs::N_FILENAME]
-                                .as_text()
-                                .map(|n| n == name)
-                                .unwrap_or(false)
-                        })
-                        .map(|(_, _, row)| Oid(row[crate::fs::N_FILE].as_oid().unwrap_or(0)))
-                        .ok_or_else(|| InvError::NoSuchPath(path.clone()))?
-                }
-            };
-            let mut out = Vec::new();
-            for (t0, t1, row) in s.scan_version_history(fs.rels.fileatt)? {
-                if row[crate::fs::A_FILE].as_oid()? != oid.0 {
-                    continue;
-                }
-                // Zero-length lifetimes (inserted and superseded by the
-                // same transaction) were never visible to anyone.
-                if t1 == Some(t0) {
-                    continue;
-                }
-                out.push(FileVersion {
-                    committed_at: t0,
-                    superseded_at: t1,
-                    size: row[A_SIZE].as_int()?.max(0) as u64,
-                });
-            }
-            out.sort_by_key(|v| v.committed_at);
-            Ok(out)
-        })
-    }
-}
-
 #[cfg(test)]
 mod history_tests {
     use super::*;
@@ -2075,6 +2081,34 @@ mod history_tests {
         assert_eq!(hist.len(), 1);
         assert_eq!(hist[0].size, 5);
         assert!(hist[0].superseded_at.is_some(), "deleted: lifetime closed");
+    }
+
+    #[test]
+    fn history_of_removed_path_is_that_directory_entrys() {
+        let fs = InversionFs::open_in_memory().unwrap();
+        let mut c = fs.client();
+        c.p_mkdir("/a").unwrap();
+        c.p_mkdir("/b").unwrap();
+        c.write_all("/b/x", CreateMode::default(), b"bbb").unwrap();
+        c.write_all("/a/x", CreateMode::default(), b"aaaaa")
+            .unwrap();
+        c.p_unlink("/a/x").unwrap();
+        let hist = c.p_history("/a/x").unwrap();
+        let sizes: Vec<u64> = hist.iter().map(|v| v.size).collect();
+        assert_eq!(sizes, [5], "/a/x, not /b/x");
+        assert!(hist[0].superseded_at.is_some(), "removed: lifetime closed");
+        // A second file at the same path, removed in turn: the history is
+        // the last holder's.
+        c.write_all("/a/x", CreateMode::default(), b"aaaaaaa")
+            .unwrap();
+        c.p_unlink("/a/x").unwrap();
+        let sizes: Vec<u64> = c
+            .p_history("/a/x")
+            .unwrap()
+            .iter()
+            .map(|v| v.size)
+            .collect();
+        assert_eq!(sizes, [7]);
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Statement execution: the volcano executor over optimizer plans.
+//! Statement execution: the push executor over optimizer plans.
 //!
 //! DML statements run through the planned pipeline — [`super::bind`] →
-//! [`super::optimize`] → `run_plan` — with one iterator per plan node.
-//! Join-side nodes pull `Tuple`s (one `(tid, row)` per range variable in
-//! scope order); output-side nodes pull finished result rows. Every node
+//! [`super::optimize`] → `run_plan`. A run opens every scan first, in plan
+//! preorder, then walks the plan once: each node hands its rows, one at a
+//! time, to its parent's callback, which returns `false` to stop it.
+//! Join-side nodes hand on `Tuple`s (one `(tid, row)` per range variable in
+//! scope order); output-side nodes hand on finished result rows. Every node
 //! counts the rows it emits so `explain analyze` can annotate the plan.
 //! DDL statements execute directly, and the old match-and-eval interpreter
 //! survives verbatim in [`super::reference`] as the differential oracle's
 //! reference semantics.
+
+use std::cell::Cell;
 
 use simdev::SimInstant;
 
@@ -208,68 +212,61 @@ impl Session {
 }
 
 // ---------------------------------------------------------------------------
-// The volcano executor.
+// The push executor.
 
-/// One joined row in flight: a `(tid, row)` pair per range variable, in
-/// scope order.
+/// One row in flight: below the projection, a `(tid, row)` pair per range
+/// variable in scope order; above it, one finished result row as a tuple of
+/// one entry whose tid names no heap tuple.
 type Tuple = Vec<(Tid, Row)>;
 /// The range variables a tuple's entries correspond to.
-type Scope = Vec<(String, Schema)>;
+type Scope<'p> = Vec<(&'p str, &'p Schema)>;
+/// A node's consumer: it takes each row the node produces, in order, and
+/// returns `false` to stop the node.
+type Emit<'e> = dyn FnMut(&mut Session, Tuple) -> DbResult<bool> + 'e;
 
 /// Runs a plan to completion. The second return value is each plan node's
 /// actual output-row count, in preorder — the order [`Plan::render`] walks
 /// for `explain analyze`.
 pub(crate) fn run_plan(s: &mut Session, plan: &Plan) -> DbResult<(QueryResult, Vec<u64>)> {
-    match plan {
-        Plan::Materialize { into, child } => {
-            let (inner, mut counts) = run_plan(s, child)?;
-            let result = s.materialize_into(into, inner)?;
-            counts.insert(0, result.affected as u64);
-            Ok((result, counts))
+    if let Plan::Append {
+        rel,
+        schema,
+        values,
+        ..
+    } = plan
+    {
+        let mut row = vec![Datum::Null; schema.len()];
+        for (i, e) in values {
+            let v = eval(s, &Binding::empty(), e)?;
+            row[*i] = coerce(v, schema.columns[*i].ty)?;
         }
-        Plan::Append {
-            rel,
-            schema,
-            values,
-            ..
-        } => {
-            let mut row = vec![Datum::Null; schema.len()];
-            for (i, e) in values {
-                let v = eval(s, &Binding::empty(), e)?;
-                row[*i] = coerce(v, schema.columns[*i].ty)?;
-            }
-            s.insert(*rel, row)?;
-            Ok((
-                QueryResult {
-                    affected: 1,
-                    ..Default::default()
-                },
-                vec![1],
-            ))
-        }
+        s.insert(*rel, row)?;
+        let result = QueryResult {
+            affected: 1,
+            ..Default::default()
+        };
+        return Ok((result, vec![1]));
+    }
+    let run = Run::open(s, plan)?;
+    let result = match plan {
         Plan::Delete { rel, child, .. } => {
-            let (mut exec, _scope) = build_tuple(s, child)?;
             // Collect first, mutate after: the scan must not see its own
             // deletions.
             let mut victims = Vec::new();
-            while let Some(t) = exec.next(s)? {
+            run.push(s, child, 1, &mut |_, t| {
                 victims.push(t[0].0);
-            }
+                Ok(true)
+            })?;
             let mut affected = 0;
             for tid in victims {
                 if s.delete(*rel, tid)? {
                     affected += 1;
                 }
             }
-            let mut counts = vec![affected as u64];
-            exec.collect_counts(&mut counts);
-            Ok((
-                QueryResult {
-                    affected,
-                    ..Default::default()
-                },
-                counts,
-            ))
+            QueryResult {
+                affected,
+                ..Default::default()
+            }
         }
         Plan::Replace {
             rel,
@@ -278,54 +275,50 @@ pub(crate) fn run_plan(s: &mut Session, plan: &Plan) -> DbResult<(QueryResult, V
             child,
             ..
         } => {
-            let (mut exec, scope) = build_tuple(s, child)?;
             // Same collect-then-mutate discipline as delete (no Halloween
             // problem: a replaced row cannot be revisited).
+            let scope = scope(child);
             let mut updates = Vec::new();
-            while let Some(t) = exec.next(s)? {
+            run.push(s, child, 1, &mut |s, t| {
+                let binding = make_binding(&scope, &t);
                 let mut new_row = t[0].1.clone();
                 for (i, e) in values {
-                    let v = {
-                        let binding = make_binding(&scope, &t);
-                        eval(s, &binding, e)?
-                    };
-                    new_row[*i] = coerce(v, schema.columns[*i].ty)?;
+                    new_row[*i] = coerce(eval(s, &binding, e)?, schema.columns[*i].ty)?;
                 }
                 updates.push((t[0].0, new_row));
-            }
+                Ok(true)
+            })?;
             let affected = updates.len();
             for (tid, new_row) in updates {
                 s.update(*rel, tid, new_row)?;
             }
-            let mut counts = vec![affected as u64];
-            exec.collect_counts(&mut counts);
-            Ok((
-                QueryResult {
-                    affected,
-                    ..Default::default()
-                },
-                counts,
-            ))
-        }
-        _ => {
-            let columns = output_columns(plan);
-            let mut root = build_row(s, plan)?;
-            let mut rows = Vec::new();
-            while let Some(r) = root.next(s)? {
-                rows.push(r);
+            QueryResult {
+                affected,
+                ..Default::default()
             }
-            let mut counts = Vec::new();
-            root.collect_counts(&mut counts);
-            Ok((
-                QueryResult {
-                    columns,
-                    rows,
-                    affected: 0,
-                },
-                counts,
-            ))
         }
+        Plan::Materialize { into, child } => {
+            let inner = QueryResult {
+                columns: output_columns(child),
+                rows: run.collect(s, child, 1)?,
+                affected: 0,
+            };
+            s.materialize_into(into, inner)?
+        }
+        _ => QueryResult {
+            columns: output_columns(plan),
+            rows: run.collect(s, plan, 0)?,
+            affected: 0,
+        },
+    };
+    if matches!(
+        plan,
+        Plan::Delete { .. } | Plan::Replace { .. } | Plan::Materialize { .. }
+    ) {
+        run.counts[0].set(result.affected as u64);
     }
+    let counts = run.counts.into_iter().map(Cell::into_inner).collect();
+    Ok((result, counts))
 }
 
 /// Output column labels of a row-producing plan.
@@ -341,465 +334,286 @@ fn output_columns(plan: &Plan) -> Vec<String> {
     }
 }
 
-fn make_binding<'a>(scope: &'a [(String, Schema)], tuple: &'a [(Tid, Row)]) -> Binding<'a> {
+/// A node's inputs, outer before inner.
+fn inputs(plan: &Plan) -> Vec<&Plan> {
+    match plan {
+        Plan::Scan(_) | Plan::ConstRow { .. } | Plan::Append { .. } => Vec::new(),
+        Plan::NestLoop { outer, inner, .. } => vec![outer, inner],
+        Plan::Filter { child, .. }
+        | Plan::Project { child, .. }
+        | Plan::Aggregate { child, .. }
+        | Plan::Sort { child, .. }
+        | Plan::Limit { child, .. }
+        | Plan::Materialize { child, .. }
+        | Plan::Delete { child, .. }
+        | Plan::Replace { child, .. } => vec![child],
+    }
+}
+
+/// The number of nodes in a subtree.
+fn size(plan: &Plan) -> usize {
+    1 + inputs(plan).into_iter().map(size).sum::<usize>()
+}
+
+/// The scope of a join-side node's tuples.
+fn scope(plan: &Plan) -> Scope<'_> {
+    match plan {
+        Plan::Scan(sp) => vec![(sp.var.as_str(), &sp.schema)],
+        _ => inputs(plan).into_iter().flat_map(scope).collect(),
+    }
+}
+
+fn make_binding<'a>(scope: &[(&'a str, &'a Schema)], tuple: &'a [(Tid, Row)]) -> Binding<'a> {
     Binding {
         vars: scope
             .iter()
-            .zip(tuple.iter())
-            .map(|((v, sch), (_, row))| (v.as_str(), sch, row))
+            .zip(tuple)
+            .map(|(&(v, sch), (_, row))| (v, sch, row))
             .collect(),
     }
 }
 
-/// A tuple-producing executor node (the join side of the plan).
-struct TupleExec {
-    node: TupleNode,
-    rows_out: u64,
+/// A finished result row, as it travels between nodes.
+fn result_tuple(row: Row) -> Tuple {
+    vec![(Tid::MAX, row)]
 }
 
-enum TupleNode {
-    /// Rows materialized when the scan opened (heap, index, or virtual),
-    /// pushed-down filter already applied.
-    Scan { rows: Vec<(Tid, Row)>, pos: usize },
-    /// Rewinds `inner` once per outer tuple; enumerates combinations in
-    /// exactly the reference interpreter's odometer order.
-    NestLoop {
-        outer: Box<TupleExec>,
-        inner: Box<TupleExec>,
-        cur: Option<Tuple>,
-    },
-    /// Residual qualification above the joins.
-    Filter {
-        qual: Expr,
-        scope: Scope,
-        child: Box<TupleExec>,
-    },
+/// Hands `items` to `out` in order until it asks to stop.
+fn push_all(
+    s: &mut Session,
+    items: impl IntoIterator<Item = Tuple>,
+    out: &mut impl FnMut(&mut Session, Tuple) -> DbResult<bool>,
+) -> DbResult<bool> {
+    for t in items {
+        if !out(s, t)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
-impl TupleExec {
-    fn next(&mut self, s: &mut Session) -> DbResult<Option<Tuple>> {
-        let t = match &mut self.node {
-            TupleNode::Scan { rows, pos } => {
-                if *pos < rows.len() {
-                    let t = vec![rows[*pos].clone()];
-                    *pos += 1;
-                    Some(t)
-                } else {
-                    None
+/// One run of a plan. Its state is indexed by each node's preorder
+/// position.
+struct Run {
+    /// Each node's output-row count; an inner scan's accumulates over every
+    /// outer row.
+    counts: Vec<Cell<u64>>,
+    /// Each scan's rows, pushed-down filter applied (empty for other
+    /// nodes).
+    rows: Vec<Vec<(Tid, Row)>>,
+}
+
+impl Run {
+    /// Opens every node in preorder before any row flows: a scan reads its
+    /// rows (evaluating its `as_of` bracket and pushed filter once), and a
+    /// sort resolves its keys.
+    fn open(s: &mut Session, plan: &Plan) -> DbResult<Run> {
+        fn open_node(
+            s: &mut Session,
+            plan: &Plan,
+            rows: &mut Vec<Vec<(Tid, Row)>>,
+        ) -> DbResult<()> {
+            rows.push(match plan {
+                Plan::Scan(sp) => read_scan(s, sp)?,
+                Plan::Sort { keys, child } => {
+                    sort_rows(&output_columns(child), keys, &mut [])?;
+                    Vec::new()
                 }
-            }
-            TupleNode::NestLoop { outer, inner, cur } => loop {
-                let outer_tuple = match cur {
-                    Some(t) => t.clone(),
-                    None => match outer.next(s)? {
-                        Some(t) => {
-                            inner.rewind();
-                            *cur = Some(t.clone());
-                            t
-                        }
-                        None => break None,
-                    },
-                };
-                match inner.next(s)? {
-                    Some(t) => {
-                        let mut combined = outer_tuple;
-                        combined.extend(t);
-                        break Some(combined);
-                    }
-                    None => *cur = None,
-                }
-            },
-            TupleNode::Filter { qual, scope, child } => loop {
-                match child.next(s)? {
-                    None => break None,
-                    Some(t) => {
-                        let keep = {
-                            let binding = make_binding(scope, &t);
-                            eval(s, &binding, qual)?.as_bool()?
-                        };
-                        if keep {
-                            break Some(t);
-                        }
-                    }
-                }
-            },
+                _ => Vec::new(),
+            });
+            inputs(plan)
+                .into_iter()
+                .try_for_each(|p| open_node(s, p, rows))
+        }
+        let mut rows = Vec::new();
+        open_node(s, plan, &mut rows)?;
+        Ok(Run {
+            counts: (0..rows.len()).map(|_| Cell::new(0)).collect(),
+            rows,
+        })
+    }
+
+    /// Pushes each row of `plan` (the node at preorder position `at`) into
+    /// `emit`, in order. Returns `false` when `emit` stopped it.
+    fn push(&self, s: &mut Session, plan: &Plan, at: usize, emit: &mut Emit<'_>) -> DbResult<bool> {
+        let count = &self.counts[at];
+        let mut out = |s: &mut Session, t: Tuple| {
+            count.set(count.get() + 1);
+            emit(s, t)
         };
-        if t.is_some() {
-            self.rows_out += 1;
-        }
-        Ok(t)
-    }
-
-    /// Resets position state; materialized rows stay. `rows_out` keeps
-    /// accumulating across rewinds so `explain analyze` reports totals.
-    fn rewind(&mut self) {
-        match &mut self.node {
-            TupleNode::Scan { pos, .. } => *pos = 0,
-            TupleNode::NestLoop { outer, inner, cur } => {
-                outer.rewind();
-                inner.rewind();
-                *cur = None;
+        match plan {
+            Plan::Scan(_) => push_all(s, self.rows[at].iter().map(|r| vec![r.clone()]), &mut out),
+            // The inner side runs once per outer row, in the reference
+            // interpreter's odometer order.
+            Plan::NestLoop { outer, inner, .. } => {
+                let inner_at = at + 1 + size(outer);
+                self.push(s, outer, at + 1, &mut |s, o| {
+                    self.push(s, inner, inner_at, &mut |s, i| {
+                        let mut t = o.clone();
+                        t.extend(i);
+                        out(s, t)
+                    })
+                })
             }
-            TupleNode::Filter { child, .. } => child.rewind(),
-        }
-    }
-
-    fn collect_counts(&self, out: &mut Vec<u64>) {
-        out.push(self.rows_out);
-        match &self.node {
-            TupleNode::Scan { .. } => {}
-            TupleNode::NestLoop { outer, inner, .. } => {
-                outer.collect_counts(out);
-                inner.collect_counts(out);
-            }
-            TupleNode::Filter { child, .. } => child.collect_counts(out),
-        }
-    }
-}
-
-/// A result-row-producing executor node (the output side of the plan).
-struct RowExec {
-    node: RowNode,
-    rows_out: u64,
-}
-
-enum RowNode {
-    /// The constant-retrieve row.
-    Const { targets: Vec<Target>, done: bool },
-    /// Streamed target evaluation.
-    Project {
-        targets: Vec<Target>,
-        scope: Scope,
-        child: TupleExec,
-    },
-    /// Blocking aggregation; `out` holds the finished rows after the child
-    /// drains.
-    Aggregate {
-        targets: Vec<Target>,
-        grouped: bool,
-        scope: Scope,
-        child: TupleExec,
-        out: Option<std::vec::IntoIter<Row>>,
-    },
-    /// Blocking stable sort on resolved key indices.
-    Sort {
-        keys: Vec<(usize, bool)>,
-        child: Box<RowExec>,
-        out: Option<std::vec::IntoIter<Row>>,
-    },
-    /// Stops pulling once `n` rows have been emitted.
-    Limit {
-        n: u64,
-        emitted: u64,
-        child: Box<RowExec>,
-    },
-}
-
-impl RowExec {
-    fn next(&mut self, s: &mut Session) -> DbResult<Option<Row>> {
-        let r = match &mut self.node {
-            RowNode::Const { targets, done } => {
-                if *done {
-                    None
-                } else {
-                    *done = true;
-                    let b = Binding::empty();
-                    let mut row = Vec::with_capacity(targets.len());
-                    for t in targets.iter() {
-                        row.push(eval(s, &b, &t.expr)?);
+            Plan::Filter { qual, child } => {
+                let scope = scope(child);
+                self.push(s, child, at + 1, &mut |s, t| {
+                    if eval(s, &make_binding(&scope, &t), qual)?.as_bool()? {
+                        out(s, t)
+                    } else {
+                        Ok(true)
                     }
-                    Some(row)
-                }
+                })
             }
-            RowNode::Project {
-                targets,
-                scope,
-                child,
-            } => match child.next(s)? {
-                None => None,
-                Some(t) => {
-                    let mut row = Vec::with_capacity(targets.len());
-                    for tg in targets.iter() {
-                        let binding = make_binding(scope, &t);
-                        row.push(eval(s, &binding, &tg.expr)?);
-                    }
-                    Some(row)
-                }
-            },
-            RowNode::Aggregate {
+            Plan::Project { targets, child } => {
+                let scope = scope(child);
+                self.push(s, child, at + 1, &mut |s, t| {
+                    let binding = make_binding(&scope, &t);
+                    let row = targets
+                        .iter()
+                        .map(|tg| eval(s, &binding, &tg.expr))
+                        .collect::<DbResult<Row>>()?;
+                    out(s, result_tuple(row))
+                })
+            }
+            Plan::ConstRow { targets } => {
+                let row = targets
+                    .iter()
+                    .map(|tg| eval(s, &Binding::empty(), &tg.expr))
+                    .collect::<DbResult<Row>>()?;
+                out(s, result_tuple(row))
+            }
+            Plan::Aggregate {
                 targets,
                 grouped,
-                scope,
                 child,
-                out,
             } => {
-                if out.is_none() {
-                    let rows = aggregate_drain(s, targets, *grouped, scope, child)?;
-                    *out = Some(rows.into_iter());
-                }
-                out.as_mut().and_then(Iterator::next)
+                let rows = self.aggregate(s, targets, *grouped, child, at + 1)?;
+                push_all(s, rows.into_iter().map(result_tuple), &mut out)
             }
-            RowNode::Sort { keys, child, out } => {
-                if out.is_none() {
-                    let mut rows = Vec::new();
-                    while let Some(r) = child.next(s)? {
-                        rows.push(r);
-                    }
-                    // Vec::sort_by is stable, so equal keys keep input order.
-                    rows.sort_by(|a, b| {
-                        for &(i, desc) in keys.iter() {
-                            let ord = a[i].cmp_total(&b[i]);
-                            let ord = if desc { ord.reverse() } else { ord };
-                            if ord != std::cmp::Ordering::Equal {
-                                return ord;
-                            }
-                        }
-                        std::cmp::Ordering::Equal
-                    });
-                    *out = Some(rows.into_iter());
-                }
-                out.as_mut().and_then(Iterator::next)
+            Plan::Sort { keys, child } => {
+                let mut rows = self.collect(s, child, at + 1)?;
+                sort_rows(&output_columns(child), keys, &mut rows)?;
+                push_all(s, rows.into_iter().map(result_tuple), &mut out)
             }
-            RowNode::Limit { n, emitted, child } => {
-                if *emitted >= *n {
-                    None
-                } else {
-                    match child.next(s)? {
-                        Some(r) => {
-                            *emitted += 1;
-                            Some(r)
-                        }
-                        None => None,
-                    }
+            // Stops its input right after the n-th row; `limit 0` never
+            // starts it.
+            Plan::Limit { n, child } => {
+                let mut left = *n;
+                let mut more = true;
+                if left > 0 {
+                    self.push(s, child, at + 1, &mut |s, t| {
+                        left -= 1;
+                        more = out(s, t)?;
+                        Ok(more && left > 0)
+                    })?;
                 }
+                Ok(more)
             }
+            other => Err(DbError::Invalid(format!(
+                "plan node cannot produce rows: {other:?}"
+            ))),
+        }
+    }
+
+    /// Walks `plan` to its end and keeps each result row.
+    fn collect(&self, s: &mut Session, plan: &Plan, at: usize) -> DbResult<Vec<Row>> {
+        let mut rows = Vec::new();
+        self.push(s, plan, at, &mut |_, mut t| {
+            rows.extend(t.pop().map(|(_, r)| r));
+            Ok(true)
+        })?;
+        Ok(rows)
+    }
+
+    /// Walks the aggregate's input through its accumulators and returns one
+    /// row per group, in the order the groups first appear. An ungrouped
+    /// aggregate is the empty-key group, made before any row arrives, so it
+    /// emits one row even over no input.
+    fn aggregate(
+        &self,
+        s: &mut Session,
+        targets: &[Target],
+        grouped: bool,
+        child: &Plan,
+        at: usize,
+    ) -> DbResult<Vec<Row>> {
+        let scope = scope(child);
+        let new_group = || {
+            targets
+                .iter()
+                .filter(|t| is_aggregate(&t.expr))
+                .map(|t| Accumulator::for_target(&t.expr))
+                .collect::<DbResult<Vec<_>>>()
         };
-        if r.is_some() {
-            self.rows_out += 1;
-        }
-        Ok(r)
-    }
-
-    fn collect_counts(&self, out: &mut Vec<u64>) {
-        out.push(self.rows_out);
-        match &self.node {
-            RowNode::Const { .. } => {}
-            RowNode::Project { child, .. } | RowNode::Aggregate { child, .. } => {
-                child.collect_counts(out)
-            }
-            RowNode::Sort { child, .. } | RowNode::Limit { child, .. } => {
-                child.collect_counts(out)
-            }
-        }
-    }
-}
-
-/// Drains the child and computes the aggregate rows — one finish row when
-/// ungrouped (even over zero input), one row per group (insertion-ordered)
-/// when grouped.
-fn aggregate_drain(
-    s: &mut Session,
-    targets: &[Target],
-    grouped: bool,
-    scope: &Scope,
-    child: &mut TupleExec,
-) -> DbResult<Vec<Row>> {
-    let mut rows = Vec::new();
-    if grouped {
         let mut groups: Vec<(Vec<Datum>, Vec<Accumulator>)> = Vec::new();
-        let mut group_index: std::collections::HashMap<Vec<u8>, usize> =
-            std::collections::HashMap::new();
-        while let Some(t) = child.next(s)? {
+        let mut group_index = std::collections::HashMap::new();
+        if !grouped {
+            groups.push((Vec::new(), new_group()?));
+            group_index.insert(crate::datum::encode_row(&[]), 0);
+        }
+        self.push(s, child, at, &mut |s, t| {
+            let binding = make_binding(&scope, &t);
             let mut key = Vec::new();
-            let mut arg_vals = Vec::new();
+            let mut args = Vec::new();
+            let mut ai = 0;
             for tg in targets {
-                let binding = make_binding(scope, &t);
-                if is_aggregate(&tg.expr) {
-                    let Expr::Call { args, .. } = &tg.expr else {
-                        return Err(DbError::Eval(
-                            "aggregate target is not a function call".into(),
-                        ));
-                    };
-                    let v = match args.first() {
-                        Some(a) => eval(s, &binding, a)?,
-                        None => Datum::Int8(1),
-                    };
-                    arg_vals.push(Some(v));
-                } else {
-                    key.push(eval(s, &binding, &tg.expr)?);
-                    arg_vals.push(None);
+                match &tg.expr {
+                    Expr::Call { args: a, .. } if is_aggregate(&tg.expr) => {
+                        let v = match a.first() {
+                            Some(a) => eval(s, &binding, a)?,
+                            None => Datum::Int8(1), // count() counts rows.
+                        };
+                        // Without group keys the group is known before any
+                        // target is evaluated, so each value goes in at once.
+                        if grouped {
+                            args.push(v);
+                        } else {
+                            groups[0].1[ai].add(v)?;
+                        }
+                        ai += 1;
+                    }
+                    e => key.push(eval(s, &binding, e)?),
                 }
             }
             let key_bytes = crate::datum::encode_row(&key);
             let gi = match group_index.get(&key_bytes) {
                 Some(&gi) => gi,
                 None => {
-                    let accs = targets
-                        .iter()
-                        .filter(|t| is_aggregate(&t.expr))
-                        .map(|t| Accumulator::for_target(&t.expr))
-                        .collect::<DbResult<Vec<_>>>()?;
-                    groups.push((key, accs));
+                    groups.push((key, new_group()?));
                     group_index.insert(key_bytes, groups.len() - 1);
                     groups.len() - 1
                 }
             };
-            let accs = &mut groups[gi].1;
-            for (ai, v) in arg_vals.into_iter().flatten().enumerate() {
-                accs[ai].add(v)?;
-            }
-        }
-        for (key, accs) in groups {
-            let mut finished = accs.into_iter().map(Accumulator::finish);
-            let mut key_it = key.into_iter();
-            let row: Vec<Datum> = targets
-                .iter()
-                .map(|t| {
-                    if is_aggregate(&t.expr) {
-                        finished.next().ok_or_else(|| {
-                            DbError::Invalid("group produced too few accumulators".into())
-                        })
-                    } else {
-                        key_it.next().ok_or_else(|| {
-                            DbError::Invalid("group produced too few key values".into())
-                        })
-                    }
-                })
-                .collect::<DbResult<_>>()?;
-            rows.push(row);
-        }
-    } else {
-        let mut accs: Vec<Accumulator> = targets
-            .iter()
-            .map(|t| Accumulator::for_target(&t.expr))
-            .collect::<DbResult<_>>()?;
-        while let Some(t) = child.next(s)? {
-            for (acc, tg) in accs.iter_mut().zip(targets) {
-                let Expr::Call { args, .. } = &tg.expr else {
-                    return Err(DbError::Eval(
-                        "aggregate target is not a function call".into(),
-                    ));
-                };
-                let v = match args.first() {
-                    Some(a) => {
-                        let binding = make_binding(scope, &t);
-                        eval(s, &binding, a)?
-                    }
-                    None => Datum::Int8(1), // count() counts rows.
-                };
+            for (acc, v) in groups[gi].1.iter_mut().zip(args) {
                 acc.add(v)?;
             }
-        }
-        rows.push(accs.into_iter().map(Accumulator::finish).collect());
-    }
-    Ok(rows)
-}
-
-/// Builds the output side of the plan.
-fn build_row(s: &mut Session, plan: &Plan) -> DbResult<RowExec> {
-    let node = match plan {
-        Plan::ConstRow { targets } => RowNode::Const {
-            targets: targets.clone(),
-            done: false,
-        },
-        Plan::Project { targets, child } => {
-            let (child, scope) = build_tuple(s, child)?;
-            RowNode::Project {
-                targets: targets.clone(),
-                scope,
-                child,
-            }
-        }
-        Plan::Aggregate {
-            targets,
-            grouped,
-            child,
-        } => {
-            let (child, scope) = build_tuple(s, child)?;
-            RowNode::Aggregate {
-                targets: targets.clone(),
-                grouped: *grouped,
-                scope,
-                child,
-                out: None,
-            }
-        }
-        Plan::Sort { keys, child } => {
-            let cols = output_columns(child);
-            let mut resolved = Vec::with_capacity(keys.len());
-            for (name, desc) in keys {
-                let i = cols.iter().position(|c| c == name).ok_or_else(|| {
-                    DbError::Bind(format!("sort by unknown column \"{name}\""))
-                })?;
-                resolved.push((i, *desc));
-            }
-            RowNode::Sort {
-                keys: resolved,
-                child: Box::new(build_row(s, child)?),
-                out: None,
-            }
-        }
-        Plan::Limit { n, child } => RowNode::Limit {
-            n: *n,
-            emitted: 0,
-            child: Box::new(build_row(s, child)?),
-        },
-        other => {
-            return Err(DbError::Invalid(format!(
-                "plan node cannot produce result rows: {other:?}"
-            )))
-        }
-    };
-    Ok(RowExec { node, rows_out: 0 })
-}
-
-/// Builds the join side of the plan, returning the executor plus the scope
-/// its tuples follow.
-fn build_tuple(s: &mut Session, plan: &Plan) -> DbResult<(TupleExec, Scope)> {
-    match plan {
-        Plan::Scan(sp) => {
-            let exec = build_scan(s, sp)?;
-            Ok((exec, vec![(sp.var.clone(), sp.schema.clone())]))
-        }
-        Plan::NestLoop { outer, inner, .. } => {
-            let (o, mut scope) = build_tuple(s, outer)?;
-            let (i, iscope) = build_tuple(s, inner)?;
-            scope.extend(iscope);
-            Ok((
-                TupleExec {
-                    node: TupleNode::NestLoop {
-                        outer: Box::new(o),
-                        inner: Box::new(i),
-                        cur: None,
-                    },
-                    rows_out: 0,
-                },
-                scope,
-            ))
-        }
-        Plan::Filter { qual, child } => {
-            let (c, scope) = build_tuple(s, child)?;
-            Ok((
-                TupleExec {
-                    node: TupleNode::Filter {
-                        qual: qual.clone(),
-                        scope: scope.clone(),
-                        child: Box::new(c),
-                    },
-                    rows_out: 0,
-                },
-                scope,
-            ))
-        }
-        other => Err(DbError::Invalid(format!(
-            "not a tuple-producing plan node: {other:?}"
-        ))),
+            Ok(true)
+        })?;
+        groups
+            .into_iter()
+            .map(|(key, accs)| {
+                let mut finished = accs.into_iter().map(Accumulator::finish);
+                let mut key_it = key.into_iter();
+                targets
+                    .iter()
+                    .map(|t| {
+                        let v = if is_aggregate(&t.expr) {
+                            finished.next()
+                        } else {
+                            key_it.next()
+                        };
+                        v.ok_or_else(|| DbError::Invalid("group row is short of values".into()))
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
-/// Opens one scan: materializes the rows through the chosen access method
-/// and applies the pushed-down filter.
-fn build_scan(s: &mut Session, sp: &ScanPlan) -> DbResult<TupleExec> {
+/// Reads one scan's rows through the chosen access method and applies the
+/// pushed-down filter.
+fn read_scan(s: &mut Session, sp: &ScanPlan) -> DbResult<Vec<(Tid, Row)>> {
     let mut rows: Vec<(Tid, Row)> = match (&sp.access, sp.rel) {
         (Access::Virtual, _) => {
             let table = s.db().virtual_table(&sp.rel_name).ok_or_else(|| {
@@ -862,10 +676,7 @@ fn build_scan(s: &mut Session, sp: &ScanPlan) -> DbResult<TupleExec> {
         }
         rows = kept;
     }
-    Ok(TupleExec {
-        node: TupleNode::Scan { rows, pos: 0 },
-        rows_out: 0,
-    })
+    Ok(rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -965,7 +776,8 @@ impl Accumulator {
     }
 }
 
-/// Sorts result rows by the named output columns.
+/// Sorts result rows by the named output columns. The sort is stable, so
+/// rows with equal keys keep their input order.
 pub(crate) fn sort_rows(
     columns: &[String],
     sort: &[(String, bool)],

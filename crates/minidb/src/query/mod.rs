@@ -23,11 +23,11 @@
 //! names and types against the catalog, [`optimize`] builds a physical
 //! [`plan::Plan`] (choosing B-tree index scans when a qualification bounds
 //! an indexed column, pushing single-variable conjuncts below the joins,
-//! nesting loops in `from`-clause order), and [`exec`] runs it with a
-//! volcano-style iterator per node. `explain [analyze] <stmt>` renders the
-//! chosen plan; `pg_stat_planner` counts its decisions. The pre-planner
-//! interpreter survives in [`reference`](mod@reference) as the differential-testing
-//! oracle.
+//! nesting loops in `from`-clause order), and [`exec`] runs it in one walk
+//! that pushes rows from the scans up through each node. `explain [analyze]
+//! <stmt>` renders the chosen plan; `pg_stat_planner` counts its decisions.
+//! The pre-planner interpreter survives in [`reference`](mod@reference) as
+//! the differential-testing oracle.
 
 pub mod ast;
 pub mod bind;

@@ -1,5 +1,5 @@
 //! The plan tree: a physical description of how a bound statement will
-//! run, produced by the optimizer and consumed by the volcano executor.
+//! run, produced by the optimizer and walked by the push executor.
 //!
 //! Every node reads like one line of `EXPLAIN` output; [`Plan::render`]
 //! walks the tree in preorder, which is also the order the executor
@@ -76,11 +76,11 @@ pub struct ScanPlan {
 pub enum Plan {
     /// Leaf scan (boxed: `ScanPlan` dwarfs every other variant).
     Scan(Box<ScanPlan>),
-    /// Nested-loop join; `inner` is rewound per outer tuple.
+    /// Nested-loop join; `inner` runs once per outer tuple.
     NestLoop {
         /// Outer (driving) input.
         outer: Box<Plan>,
-        /// Inner (rewound) input.
+        /// Inner input, run once per outer tuple.
         inner: Box<Plan>,
         /// Estimated output rows.
         est_rows: f64,

@@ -162,8 +162,8 @@ fn exec_retrieve(
     // plain ones (POSTQUEL's aggregate "by" semantics).
     let grouped = aggregated && !targets.iter().all(|t| is_aggregate(&t.expr));
 
-    // `limit 0` asks for no rows at all. The volcano executor's Limit node
-    // never pulls its child, so not a single target expression runs; match
+    // `limit 0` asks for no rows at all. The planned executor's Limit node
+    // never starts its child, so not a single target expression runs; match
     // that by skipping evaluation entirely (sort keys are still validated,
     // as the planner's binder would).
     if limit == Some(0) {
@@ -562,7 +562,7 @@ mod tests {
 
     #[test]
     fn limit_zero_never_evaluates_targets() {
-        // The volcano Limit node with n = 0 never pulls its child, so an
+        // The planned Limit node with n = 0 never starts its child, so an
         // error-capable target (`age + 1` over a null age) is never
         // evaluated. The reference path must short-circuit identically.
         let db = setup();

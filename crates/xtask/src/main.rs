@@ -24,6 +24,10 @@
 //! * `checksum-site` — the checksum kernel's multiplier (`16_777_619`)
 //!   only in `minidb/src/checksum.rs`: one checksum, no byte-serial loop.
 //!
+//! One rule covers every `.rs` file under `crates/`, tests included:
+//! `tests-last` — nothing but test items after a file's first
+//! `#[cfg(test)]` item, the line where `scripts/loc.sh` stops counting.
+//!
 //! It also checks the documents: `doc-names` — every backticked Rust-shaped
 //! name in README.md and DESIGN.md is a word of a tracked `.rs`, `.sh`,
 //! `.toml` or `.json` file (or of its path), or on the rule's allow list.
@@ -37,6 +41,9 @@ use std::process::ExitCode;
 
 /// The crates the lint governs, relative to the repo root.
 const LINT_ROOTS: &[&str] = &["crates/minidb/src", "crates/inversion/src", "crates/simdev/src"];
+
+/// The tree `tests-last` checks, relative to the repo root.
+const TESTS_LAST_ROOT: &str = "crates";
 
 /// The documents `doc-names` checks, relative to the repo root.
 const DOCS: &[&str] = &["README.md", "DESIGN.md"];
@@ -104,6 +111,19 @@ fn lint(update_budget: bool) -> ExitCode {
         violations.extend(rules::wal_force_sites(&rel, &cleaned));
         violations.extend(rules::thread_sites(&rel, &cleaned));
         violations.extend(rules::checksum_sites(&rel, &cleaned));
+    }
+
+    let mut all_files = Vec::new();
+    collect_rs(&root.join(TESTS_LAST_ROOT), &mut all_files);
+    all_files.sort();
+    for path in &all_files {
+        let Ok(src) = std::fs::read_to_string(path) else {
+            eprintln!("xtask: cannot read {}", path.display());
+            return ExitCode::FAILURE;
+        };
+        let rel = path.strip_prefix(&root).unwrap_or(path).to_string_lossy();
+        let cleaned = scrub::blank_tests(&scrub::scrub(&src));
+        violations.extend(rules::tests_last_sites(&rel, &src, &cleaned));
     }
 
     match doc_name_violations(&root) {

@@ -426,6 +426,41 @@ fn level_by_const(name: &str) -> Option<usize> {
         .position(|h| h.to_uppercase().replace('-', "_") == name)
 }
 
+/// Rule `tests-last`: after a file's first line that starts with
+/// `#[cfg(test)]`, where `scripts/loc.sh` stops counting, only test items
+/// and the braces that close the items around them may follow. Takes the
+/// raw source, to find that line as the script does, and its
+/// test-blanked form.
+pub fn tests_last_sites(file: &str, src: &str, cleaned: &str) -> Vec<Violation> {
+    let mut first = None;
+    let mut line_start = 0;
+    for line in src.split_inclusive('\n') {
+        if line
+            .trim_start_matches([' ', '\t'])
+            .starts_with("#[cfg(test)]")
+        {
+            first = Some(line_start);
+            break;
+        }
+        line_start += line.len();
+    }
+    let Some(first) = first else {
+        return Vec::new();
+    };
+    cleaned.as_bytes()[first..]
+        .iter()
+        .position(|c| !c.is_ascii_whitespace() && *c != b'}')
+        .map(|p| Violation {
+            file: file.into(),
+            line: line_of(cleaned, first + p),
+            rule: "tests-last",
+            msg: "non-test code after a #[cfg(test)] item (scripts/loc.sh stops counting there)"
+                .into(),
+        })
+        .into_iter()
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,6 +635,33 @@ mod tests {
                 ("doc-names", 2, "`gone_helper` names nothing in the sources"),
                 ("doc-names", 2, "`Wal::gone_method` names nothing in the sources"),
             ]
+        );
+    }
+
+    #[test]
+    fn only_test_items_follow_the_first_cfg_test() {
+        let sites = |src: &str| -> Vec<usize> {
+            tests_last_sites("a.rs", src, &clean(src))
+                .iter()
+                .map(|v| v.line)
+                .collect()
+        };
+        let ok = "fn a() {}\n#[cfg(test)]\nmod t { fn b() { if x { y(); } } }\n\
+                  #[cfg(test)]\n#[allow(dead_code)]\nmod u;\n#[test]\nfn c() {}\n\
+                  // pub fn commented_out() {}\n";
+        assert!(sites(ok).is_empty());
+        assert!(sites("fn a() {}\n").is_empty());
+        // A test module that ends a module: the closing brace is no code.
+        assert!(sites("mod m {\n    fn a() {}\n    #[cfg(test)]\n    mod t {}\n}\n").is_empty());
+
+        assert_eq!(
+            sites("fn a() {}\n#[cfg(test)]\nmod t { fn b() {} }\n\npub struct Late;\n"),
+            [5]
+        );
+        // A test item inside an impl: the impl's own code after it counts.
+        assert_eq!(
+            sites("impl X {\n    #[cfg(test)]\n    fn h() {}\n    fn g() {}\n}\n"),
+            [4]
         );
     }
 }

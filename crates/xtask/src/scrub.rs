@@ -96,11 +96,12 @@ pub fn scrub(src: &str) -> String {
         // Char literal vs lifetime.
         if c == b'\'' {
             let j = match b.get(i + 1) {
-                // Escape: scan to the closing quote.
+                // Escape: the escaped character is at i + 2 (a quote or a
+                // backslash too); scan past it to the closing quote.
                 Some(b'\\') => {
-                    let mut j = i + 2;
+                    let mut j = i + 3;
                     while j < b.len() && b[j] != b'\'' {
-                        j += if b[j] == b'\\' { 2 } else { 1 };
+                        j += 1;
                     }
                     Some((j + 1).min(b.len()))
                 }
@@ -135,26 +136,23 @@ pub fn blank_tests(scrubbed: &str) -> String {
         while let Some(rel) = find_sub(&s, from, marker.as_bytes()) {
             let attr = rel;
             // Walk past this attribute and any that follow to the item's
-            // opening brace.
+            // opening brace, or to the `;` of an item without a body.
             let mut j = attr + marker.len();
-            let mut opened = None;
+            let mut has_body = false;
             while j < s.len() {
                 match s[j] {
                     b'{' => {
-                        opened = Some(j);
+                        has_body = true;
                         break;
                     }
-                    b';' => break, // e.g. `#[cfg(test)] mod t;` — nothing inline.
+                    // `#[cfg(test)] mod t;`: the item ends at its `;`.
+                    b';' => break,
                     _ => j += 1,
                 }
             }
-            let Some(open) = opened else {
-                from = attr + marker.len();
-                continue;
-            };
             let mut depth = 0;
-            let mut k = open;
-            while k < s.len() {
+            let mut k = j;
+            while has_body && k < s.len() {
                 match s[k] {
                     b'{' => depth += 1,
                     b'}' => {
@@ -217,6 +215,13 @@ mod tests {
         let s = scrub(src);
         assert!(!s.contains("panic"));
         assert!(s.contains("'static"));
+    }
+
+    #[test]
+    fn scrub_ends_an_escaped_backslash_char_at_its_quote() {
+        let s = scrub("let a = b'\\\\'; let q = '\\''; x.unwrap(); let s = \"panic!\";");
+        assert!(s.contains("x.unwrap();"), "{s}");
+        assert!(!s.contains("panic"), "{s}");
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! Thematic Mapper satellite ... A function has been written to find snow
 //! in these images." This example stores a season of synthetic TM scenes,
 //! registers the `snow` function, and runs the paper's April-snow query.
+//! It asserts each query's rows, so a change in what the executor returns
+//! makes it fail.
 //!
 //! Run with: `cargo run --example satellite_archive`
 
@@ -56,6 +58,12 @@ fn main() {
         )
         .unwrap();
     print!("{}", r.to_table());
+    let april: Vec<(i64, &str)> = r
+        .rows
+        .iter()
+        .map(|row| (row[0].as_int().unwrap(), row[1].as_text().unwrap()))
+        .collect();
+    assert_eq!(april, [(9068, "scene_04.tm")], "April snow");
 
     // Deep-winter survey: every scene at least 80% snow, any month.
     println!("query: scenes with at least 80% snow cover");
@@ -68,6 +76,12 @@ fn main() {
         )
         .unwrap();
     print!("{}", r.to_table());
+    let months: Vec<&str> = r.rows.iter().map(|row| row[1].as_text().unwrap()).collect();
+    assert_eq!(
+        months,
+        ["January", "February", "March", "December"],
+        "80 % cover"
+    );
 
     // Band statistics through getband — per-scene radiometry without an
     // application program.
@@ -79,6 +93,12 @@ fn main() {
         )
         .unwrap();
     print!("{}", r.to_table());
+    let b2: Vec<f64> = r
+        .rows
+        .iter()
+        .map(|row| row[0].as_float().unwrap())
+        .collect();
+    assert_eq!(b2, [105.72064208984375], "June band-2 mean");
     s.commit().unwrap();
 
     // File system and database views of the same data coexist: list the

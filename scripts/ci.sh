@@ -136,6 +136,17 @@ cargo run --release -q --example time_machine
 echo "== smoke: tertiary_migration example (rule-driven migration, present and past) =="
 cargo run --release -q --example tertiary_migration
 
+echo "== smoke: quickstart example =="
+cargo run --release -q --example quickstart
+
+# The paper's snow query runs through the executor with in-manager functions
+# in its qualification; the example asserts all three queries' rows.
+echo "== smoke: satellite_archive example (snow query rows) =="
+cargo run --release -q --example satellite_archive
+
+echo "== smoke: source_control example =="
+cargo run --release -q --example source_control
+
 echo "== smoke: pg_check clean after crash recovery =="
 cargo run --release -q --example pg_check_smoke
 

@@ -190,6 +190,62 @@ fn explain_analyze_row_counts_match_reality() {
     s.commit().unwrap();
 }
 
+/// The `(rows=N)` annotations of `explain analyze <q>`, in plan preorder.
+fn analyze_counts(s: &mut minidb::Session, q: &str) -> Vec<u64> {
+    let r = s.query(&format!("explain analyze {q}")).unwrap();
+    r.rows
+        .iter()
+        .map(|row| {
+            let line = row[0].as_text().unwrap();
+            let n = line.rsplit("(rows=").next().unwrap().trim_end_matches(')');
+            n.parse()
+                .unwrap_or_else(|_| panic!("no row count on {line:?}"))
+        })
+        .collect()
+}
+
+/// Pins every node's count for the shapes whose counts depend on how the
+/// executor drives its inputs: a join (the inner scan runs once per outer
+/// row, and its count accumulates), a limit (its input stops at the n-th
+/// row, and `limit 0` never starts it), and a grouped aggregate.
+#[test]
+fn explain_analyze_counts_for_joins_limits_and_groups() {
+    let db = corpus_db();
+    let mut s = db.begin().unwrap();
+    // Project, Filter, Nested Loop, Seq Scan emp (5 rows), Seq Scan dept
+    // (3 rows for each of the 5 outer rows).
+    assert_eq!(
+        analyze_counts(
+            &mut s,
+            "retrieve (e.name, d.floor) from e in emp, d in dept where e.dept = d.dname"
+        ),
+        [5, 5, 15, 5, 15]
+    );
+    // Limit, Project, Seq Scan: the scan hands on two rows and stops.
+    assert_eq!(
+        analyze_counts(&mut s, "retrieve (e.name) from e in emp limit 2"),
+        [2, 2, 2]
+    );
+    // A target that fails on every row: `limit 0` evaluates none of them.
+    let failing = "retrieve (x = e.age / 0) from e in emp";
+    assert!(s.query(failing).is_err());
+    let r = s.query(&format!("{failing} limit 0")).unwrap();
+    assert!(r.rows.is_empty());
+    assert_eq!(
+        analyze_counts(&mut s, &format!("{failing} limit 0")),
+        [0, 0, 0]
+    );
+    // Sort, GroupAggregate (three departments), Seq Scan.
+    assert_eq!(
+        analyze_counts(
+            &mut s,
+            "retrieve (e.dept, n = count()) from e in emp sort by dept"
+        ),
+        [3, 3, 5]
+    );
+    s.commit().unwrap();
+}
+
 /// A virtual relation binds by schema only: `explain` plans without calling
 /// its row producer, and each scan — a `retrieve`, an `explain analyze` —
 /// calls it exactly once.
