@@ -130,7 +130,7 @@ fn bench_btree(c: &mut Criterion) {
             let mut k = 0;
             b.iter(|| {
                 k = (k + 37) % keys;
-                black_box(s.index_lookup_unique(idx, &[Datum::Int4(k)], None).unwrap())
+                black_box(s.index_lookup_unique(idx, &[Datum::Int4(k)]).unwrap())
             });
         });
     }

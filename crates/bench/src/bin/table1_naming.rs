@@ -38,7 +38,7 @@ fn main() {
     println!("(paper's example oids: / = 810, etc = 1076, passwd = 23114)");
     println!("The data table for passwd is named inv<oid>:");
     let mut s = fs.db().begin().unwrap();
-    let oid = fs.resolve(&mut s, "/etc/passwd", None).unwrap();
+    let oid = fs.resolve(&mut s, "/etc/passwd").unwrap();
     s.commit().unwrap();
     let name = format!("inv{}", oid.0);
     assert!(fs.db().relation_id(&name).is_ok());

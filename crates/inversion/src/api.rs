@@ -24,7 +24,7 @@ use std::collections::{HashMap, HashSet};
 
 use minidb::catalog::RelKind;
 use minidb::checksum::checksum;
-use minidb::{column_in_place, Datum, DatumRef, DbError, DbResult, Oid, RelId, Session, Snapshot, Tid};
+use minidb::{column_in_place, Datum, DatumRef, DbError, DbResult, Oid, RelId, Session, Tid};
 use simdev::SimInstant;
 
 use crate::chunk::{self, Coalescer};
@@ -62,8 +62,9 @@ struct FileState {
     stat: FileStat,
     mode: OpenMode,
     offset: u64,
-    /// `Some` for historical opens: all reads go through this snapshot.
-    asof: Option<Snapshot>,
+    /// `Some` for historical opens: every read runs on a session of the
+    /// past, as of this instant.
+    asof: Option<SimInstant>,
     coalescer: Coalescer,
     meta_dirty: bool,
     accessed: bool,
@@ -137,7 +138,7 @@ impl InvClient {
             }
             Err(e) => {
                 s.abort().ok();
-                mark_stale(&mut self.fds);
+                self.fds.values_mut().for_each(FileState::mark_stale);
                 Err(e)
             }
         }
@@ -150,37 +151,50 @@ impl InvClient {
             return Err(InvError::Db(DbError::NoTransaction));
         };
         s.abort()?;
-        mark_stale(&mut self.fds);
+        self.fds.values_mut().for_each(FileState::mark_stale);
         Ok(())
     }
 
     /// Runs `f` inside the open transaction, or inside a fresh auto-commit
-    /// transaction when none is open.
+    /// transaction when none is open. `fd` is the descriptor `f` works on,
+    /// if any. An auto-commit transaction that fails marks only that one
+    /// stale: every other descriptor was clean when it began, as the
+    /// auto-commit op before it flushed them all.
     fn run<T>(
         &mut self,
+        fd: Option<Fd>,
         f: impl FnOnce(&InversionFs, &mut Session, &mut HashMap<Fd, FileState>) -> InvResult<T>,
     ) -> InvResult<T> {
         if let Some(s) = self.session.as_mut() {
             return f(&self.fs, s, &mut self.fds);
         }
         let mut s = self.fs.db().begin()?;
-        let out = f(&self.fs, &mut s, &mut self.fds);
-        match out {
-            Ok(v) => match flush_all(&self.fs, &mut s, &mut self.fds).and_then(|_| {
-                s.commit()?;
-                Ok(())
-            }) {
-                Ok(()) => Ok(v),
-                Err(e) => {
-                    mark_stale(&mut self.fds);
-                    Err(e)
-                }
-            },
-            Err(e) => {
-                s.abort().ok();
-                mark_stale(&mut self.fds);
-                Err(e)
+        let out = f(&self.fs, &mut s, &mut self.fds).and_then(|v| {
+            flush_all(&self.fs, &mut s, &mut self.fds)?;
+            s.commit()?;
+            Ok(v)
+        });
+        if out.is_err() {
+            s.abort().ok(); // A failed commit has aborted already.
+            if let Some(st) = fd.and_then(|fd| self.fds.get_mut(&fd)) {
+                st.mark_stale();
             }
+        }
+        out
+    }
+
+    /// Runs `f` on a session of the past, reading the file system as of
+    /// `t`: it starts no transaction and takes no lock, whether or not one
+    /// is open. Without `t`, it is [`InvClient::run`].
+    fn run_at<T>(
+        &mut self,
+        t: Option<SimInstant>,
+        fd: Option<Fd>,
+        f: impl FnOnce(&InversionFs, &mut Session, &mut HashMap<Fd, FileState>) -> InvResult<T>,
+    ) -> InvResult<T> {
+        match t {
+            Some(t) => f(&self.fs, &mut self.fs.db().snapshot_at(t), &mut self.fds),
+            None => self.run(fd, f),
         }
     }
 
@@ -194,7 +208,7 @@ impl InvClient {
         let fd = self.next_fd;
         self.next_fd += 1;
         let path = path.to_string();
-        self.run(move |fs, s, fds| {
+        self.run(Some(fd), move |fs, s, fds| {
             let stat = fs.create_file_at(s, &path, &mode)?;
             let coalescer = Coalescer::new(stat.chunk_size());
             fds.insert(
@@ -231,10 +245,9 @@ impl InvClient {
         let fd = self.next_fd;
         self.next_fd += 1;
         let path = path.to_string();
-        self.run(move |fs, s, fds| {
-            let snap = timestamp.map(Snapshot::AsOf);
-            let oid = fs.resolve(s, &path, snap.as_ref())?;
-            let stat = fs.stat_oid(s, oid, snap.as_ref())?;
+        self.run_at(timestamp, Some(fd), move |fs, s, fds| {
+            let oid = fs.resolve(s, &path)?;
+            let stat = fs.stat_oid(s, oid)?;
             if stat.kind == FileKind::Directory {
                 return Err(InvError::IsADirectory(path.clone()));
             }
@@ -245,7 +258,7 @@ impl InvClient {
                     stat,
                     mode,
                     offset: 0,
-                    asof: snap,
+                    asof: timestamp,
                     coalescer,
                     meta_dirty: false,
                     accessed: false,
@@ -264,7 +277,7 @@ impl InvClient {
         self.fs.stats.closes.bump();
         let st = self.fds.get(&fd).ok_or(InvError::BadFd(fd))?;
         let res = if st.coalescer.is_active() || st.meta_dirty {
-            self.run(|fs, s, fds| flush_fd(fs, s, fds.get_mut(&fd).expect("checked above")))
+            self.run(Some(fd), |fs, s, fds| flush_fd(fs, s, fds.get_mut(&fd).expect("checked above")))
         } else {
             Ok(())
         };
@@ -285,10 +298,11 @@ impl InvClient {
     }
 
     /// Reads into `buf` at the current offset; returns bytes read (short at
-    /// end of file).
+    /// end of file). A historical descriptor reads on a session of the past.
     pub fn p_read(&mut self, fd: Fd, buf: &mut [u8]) -> InvResult<usize> {
         self.fs.stats.reads.bump();
-        self.run(|fs, s, fds| {
+        let asof = self.fds.get(&fd).ok_or(InvError::BadFd(fd))?.asof;
+        self.run_at(asof, Some(fd), |fs, s, fds| {
             let st = fds.get_mut(&fd).ok_or(InvError::BadFd(fd))?;
             refresh_if_stale(fs, s, st)?;
             // The reader must see its own buffered writes.
@@ -297,7 +311,7 @@ impl InvClient {
             }
             let remaining = st.stat.size.saturating_sub(st.offset);
             let len = (buf.len() as u64).min(remaining) as usize;
-            read_range(fs, s, &st.stat, st.asof.as_ref(), st.offset, &mut buf[..len])?;
+            read_range(fs, s, &st.stat, st.offset, &mut buf[..len])?;
             st.offset += len as u64;
             st.accessed = true;
             fs.stats.bytes_read.add(len as u64);
@@ -312,7 +326,7 @@ impl InvClient {
     /// record."
     pub fn p_write(&mut self, fd: Fd, data: &[u8]) -> InvResult<usize> {
         self.fs.stats.writes.bump();
-        self.run(|fs, s, fds| {
+        self.run(Some(fd), |fs, s, fds| {
             let st = fds.get_mut(&fd).ok_or(InvError::BadFd(fd))?;
             if st.mode != OpenMode::ReadWrite || st.asof.is_some() {
                 return Err(InvError::ReadOnlyFd(fd));
@@ -371,7 +385,7 @@ impl InvClient {
     /// update this is no-overwrite: removed chunks become dead versions and
     /// remain reachable through time travel.
     pub fn p_ftruncate(&mut self, fd: Fd, len: u64) -> InvResult<()> {
-        self.run(|fs, s, fds| {
+        self.run(Some(fd), |fs, s, fds| {
             let st = fds.get_mut(&fd).ok_or(InvError::BadFd(fd))?;
             if st.mode != OpenMode::ReadWrite || st.asof.is_some() {
                 return Err(InvError::ReadOnlyFd(fd));
@@ -400,7 +414,7 @@ impl InvClient {
             let tail = (len % size) as usize;
             if tail > 0 {
                 let last = ((len - 1) / size) as u32;
-                if let Some(content) = fetch_chunk(fs, s, &st.stat, last, None)? {
+                if let Some(content) = fetch_chunk(fs, s, &st.stat, last)? {
                     if content.len() > tail {
                         write_chunk_exact(fs, s, &st.stat, last, &content[..tail])?;
                     }
@@ -424,10 +438,9 @@ impl InvClient {
     pub fn p_stat(&mut self, path: &str, timestamp: Option<SimInstant>) -> InvResult<FileStat> {
         self.fs.stats.stat_calls.bump();
         let path = path.to_string();
-        self.run(move |fs, s, _| {
-            let snap = timestamp.map(Snapshot::AsOf);
-            let oid = fs.resolve(s, &path, snap.as_ref())?;
-            fs.stat_oid(s, oid, snap.as_ref())
+        self.run_at(timestamp, None, move |fs, s, _| {
+            let oid = fs.resolve(s, &path)?;
+            fs.stat_oid(s, oid)
         })
     }
 
@@ -435,7 +448,7 @@ impl InvClient {
     pub fn p_mkdir(&mut self, path: &str) -> InvResult<Oid> {
         self.fs.stats.mkdirs.bump();
         let path = path.to_string();
-        self.run(move |fs, s, _| fs.mkdir_at(s, &path, "root"))
+        self.run(None, move |fs, s, _| fs.mkdir_at(s, &path, "root"))
     }
 
     /// Lists a directory, optionally as of a past instant.
@@ -446,10 +459,9 @@ impl InvClient {
     ) -> InvResult<Vec<(String, Oid)>> {
         self.fs.stats.readdirs.bump();
         let path = path.to_string();
-        self.run(move |fs, s, _| {
-            let snap = timestamp.map(Snapshot::AsOf);
-            let dir = fs.resolve(s, &path, snap.as_ref())?;
-            fs.readdir(s, dir, snap.as_ref())
+        self.run_at(timestamp, None, move |fs, s, _| {
+            let dir = fs.resolve(s, &path)?;
+            fs.readdir(s, dir)
         })
     }
 
@@ -458,7 +470,7 @@ impl InvClient {
     pub fn p_unlink(&mut self, path: &str) -> InvResult<()> {
         self.fs.stats.unlinks.bump();
         let path = path.to_string();
-        self.run(move |fs, s, _| fs.unlink_at(s, &path))
+        self.run(None, move |fs, s, _| fs.unlink_at(s, &path))
     }
 
     /// Renames a file or directory.
@@ -466,7 +478,7 @@ impl InvClient {
         self.fs.stats.renames.bump();
         let from = from.to_string();
         let to = to.to_string();
-        self.run(move |fs, s, _| fs.rename_at(s, &from, &to))
+        self.run(None, move |fs, s, _| fs.rename_at(s, &from, &to))
     }
 
     /// Resurrects `path` exactly as it was at `t` — name, attributes, and
@@ -474,16 +486,16 @@ impl InvClient {
     /// example, it allows users to undelete files removed accidentally."
     pub fn p_undelete(&mut self, path: &str, t: SimInstant) -> InvResult<()> {
         let path = path.to_string();
-        self.run(move |fs, s, _| {
-            let (parent, name) = fs.resolve_parent(s, &path, None)?;
+        self.run(None, move |fs, s, _| {
+            let (parent, name) = fs.resolve_parent(s, &path)?;
             if !fs.name_free_for_write(s, parent, &name)? {
                 return Err(InvError::Exists(path.clone()));
             }
             // `naming` is ours exclusively from here on: the entry stays free
             // for the inserts below.
-            let snap = Snapshot::AsOf(t);
-            let oid = fs.resolve(s, &path, Some(&snap))?;
-            let stat_then = fs.stat_oid(s, oid, Some(&snap))?;
+            let mut then = fs.db().snapshot_at(t);
+            let oid = fs.resolve(&mut then, &path)?;
+            let stat_then = fs.stat_oid(&mut then, oid)?;
             if stat_then.kind == FileKind::Directory {
                 // Directories: restore the entry only.
                 s.insert(
@@ -494,7 +506,7 @@ impl InvClient {
                 return Ok(());
             }
             // Restore the content to its state at `t`.
-            let bytes_then = read_file_bytes(fs, s, &stat_then, Some(&snap))?;
+            let bytes_then = read_file_bytes(fs, &mut then, &stat_then)?;
             let size = stat_then.chunk_size();
             let nchunks = bytes_then.len().div_ceil(size) as u32;
             for (chunkno, _, take) in chunk::split_range(size, 0, bytes_then.len()) {
@@ -548,13 +560,13 @@ impl InvClient {
         self.fs.stats.slices.bump();
         let dest = dest.to_string();
         let ranges = ranges.to_vec();
-        self.run(move |fs, s, _| {
+        self.run(None, move |fs, s, _| {
             // Validate every source up front so a bad range cannot leave a
             // half-composed destination inside an explicit transaction.
             let mut srcs = Vec::with_capacity(ranges.len());
             for r in &ranges {
-                let oid = fs.resolve(s, &r.path, None)?;
-                let src = fs.stat_oid(s, oid, None)?;
+                let oid = fs.resolve(s, &r.path)?;
+                let src = fs.stat_oid(s, oid)?;
                 if src.kind != FileKind::Regular {
                     return Err(InvError::IsADirectory(r.path.clone()));
                 }
@@ -587,7 +599,7 @@ impl InvClient {
                         // Zero-copy: move the stored row as-is. A missing
                         // source row is a hole, which stays a hole.
                         let key = [Datum::Int4(chunkno as i32)];
-                        if let Some((_, row)) = s.index_lookup_unique(src.chunkidx, &key, None)? {
+                        if let Some((_, row)) = s.index_lookup_unique(src.chunkidx, &key)? {
                             let raw = row[1].as_bytes()?.to_vec();
                             let dchunk = (dest_off / dsize as u64) as u32;
                             s.insert(
@@ -599,7 +611,7 @@ impl InvClient {
                     } else {
                         let mut piece = vec![0u8; take];
                         let at = chunkno as u64 * size as u64 + start as u64;
-                        read_range(fs, s, src, None, at, &mut piece)?;
+                        read_range(fs, s, src, at, &mut piece)?;
                         let mut done = 0usize;
                         for (dchunk, dstart, dtake) in chunk::split_range(dsize, dest_off, take) {
                             write_chunk(fs, s, &dst, dchunk, dstart, &piece[done..done + dtake])?;
@@ -626,11 +638,10 @@ impl InvClient {
     /// functions and tests).
     pub fn read_to_vec(&mut self, path: &str, timestamp: Option<SimInstant>) -> InvResult<Vec<u8>> {
         let path = path.to_string();
-        self.run(move |fs, s, _| {
-            let snap = timestamp.map(Snapshot::AsOf);
-            let oid = fs.resolve(s, &path, snap.as_ref())?;
-            let stat = fs.stat_oid(s, oid, snap.as_ref())?;
-            read_file_bytes(fs, s, &stat, snap.as_ref())
+        self.run_at(timestamp, None, move |fs, s, _| {
+            let oid = fs.resolve(s, &path)?;
+            let stat = fs.stat_oid(s, oid)?;
+            read_file_bytes(fs, s, &stat)
         })
     }
 
@@ -669,18 +680,20 @@ impl Drop for InvClient {
     }
 }
 
-fn mark_stale(fds: &mut HashMap<Fd, FileState>) {
-    for st in fds.values_mut() {
-        st.coalescer.take();
-        st.meta_dirty = false;
-        st.accessed = false;
-        st.stale = true;
+impl FileState {
+    /// Forgets what an abort took back: buffered writes, dirty metadata and
+    /// the access. The stat is read again at the descriptor's next use.
+    fn mark_stale(&mut self) {
+        self.coalescer.take();
+        self.meta_dirty = false;
+        self.accessed = false;
+        self.stale = true;
     }
 }
 
 fn refresh_if_stale(fs: &InversionFs, s: &mut Session, st: &mut FileState) -> InvResult<()> {
     if st.stale {
-        st.stat = fs.stat_oid(s, st.stat.oid, st.asof.as_ref())?;
+        st.stat = fs.stat_oid(s, st.stat.oid)?;
         st.stale = false;
     }
     Ok(())
@@ -729,40 +742,36 @@ fn flush_meta(fs: &InversionFs, s: &mut Session, st: &mut FileState) -> InvResul
     Ok(())
 }
 
-/// Fetches one chunk's (decompressed) content under the given snapshot
-/// (`None`: the session's own view): one index probe. The per-chunk
-/// reference [`read_range`] agrees with.
+/// Fetches one chunk's (decompressed) content: one index probe. The
+/// per-chunk reference [`read_range`] agrees with.
 pub fn fetch_chunk(
     fs: &InversionFs,
     s: &mut Session,
     stat: &FileStat,
     chunkno: u32,
-    snap: Option<&Snapshot>,
 ) -> InvResult<Option<Vec<u8>>> {
     fs.stats.chunk_reads.bump();
     let key = [Datum::Int4(chunkno as i32)];
-    let hit = s.index_lookup_unique_in_place(stat.chunkidx, &key, snap, |row| {
+    let hit = s.index_lookup_unique_in_place(stat.chunkidx, &key, |row| {
         Ok(chunk_content(stat, chunkno, row)?.into_owned())
     })?;
     Ok(hit.map(|(_, content)| content))
 }
 
-/// Fills `buf` with the file's bytes from `offset` on, under `snap` (`None`:
-/// the session's own view). The caller clamps the range to the file;
-/// holes, and whatever a short stored chunk does not cover (sparse writes
-/// produce both), read as zeros.
+/// Fills `buf` with the file's bytes from `offset` on. The caller clamps
+/// the range to the file; holes, and whatever a short stored chunk does not
+/// cover (sparse writes produce both), read as zeros.
 ///
 /// Each chunk's bytes are copied once, from its heap page straight into
-/// `buf` (a compressed chunk is decompressed from them). Under the
-/// session's own view one walk of the chunk index covers the whole range,
-/// and a chunk it does not visit is a hole. An `AsOf` read probes each
+/// `buf` (a compressed chunk is decompressed from them). For a session of
+/// the present one walk of the chunk index covers the whole range, and a
+/// chunk it does not visit is a hole. A session of the past probes each
 /// chunk's key instead: only a point probe also searches the archive the
 /// vacuum cleaner moved old versions to.
 pub fn read_range(
     fs: &InversionFs,
     s: &mut Session,
     stat: &FileStat,
-    snap: Option<&Snapshot>,
     offset: u64,
     buf: &mut [u8],
 ) -> InvResult<()> {
@@ -778,12 +787,12 @@ pub fn read_range(
         let (lo, hi) = ((c * size).max(offset), ((c + 1) * size).min(end));
         ((lo - offset) as usize..(hi - offset) as usize, (lo - c * size) as usize)
     };
-    if let Some(snap) = snap {
+    if s.as_of().is_some() {
         for c in first..=last {
             let (at, start) = place(c);
             let dst = &mut buf[at];
             let key = [Datum::Int4(c as i32)];
-            let hit = s.index_lookup_unique_in_place(stat.chunkidx, &key, Some(snap), |row| {
+            let hit = s.index_lookup_unique_in_place(stat.chunkidx, &key, |row| {
                 copy_chunk(stat, c as u32, row, start, dst)
             })?;
             if hit.is_none() {
@@ -925,7 +934,7 @@ pub(crate) fn write_chunk(
         return write_chunk_exact(fs, s, stat, chunkno, data);
     }
     let key = [Datum::Int4(chunkno as i32)];
-    let hit = s.index_lookup_unique_in_place(stat.chunkidx, &key, None, |row| {
+    let hit = s.index_lookup_unique_in_place(stat.chunkidx, &key, |row| {
         Ok(chunk_content(stat, chunkno, row)?.into_owned())
     })?;
     let (tid, mut content) = hit.map_or((None, Vec::new()), |(tid, c)| (Some(tid), c));
@@ -948,7 +957,7 @@ pub(crate) fn write_range(
 ) -> InvResult<()> {
     // Ahead of the stat's shared lock; see `update_fileatt`.
     s.lock_exclusive(fs.rels.fileatt)?;
-    let stat = fs.stat_oid(s, oid, None)?;
+    let stat = fs.stat_oid(s, oid)?;
     if stat.kind != FileKind::Regular {
         return Err(InvError::IsADirectory(format!("oid {oid}")));
     }
@@ -1011,30 +1020,20 @@ impl InversionFs {
     /// Reads a whole file's bytes by oid within an existing session — the
     /// path registered file functions use to inspect file contents *inside*
     /// the data manager.
-    pub fn read_file(
-        &self,
-        s: &mut Session,
-        oid: Oid,
-        snap: Option<&Snapshot>,
-    ) -> InvResult<Vec<u8>> {
-        let stat = self.stat_oid(s, oid, snap)?;
+    pub fn read_file(&self, s: &mut Session, oid: Oid) -> InvResult<Vec<u8>> {
+        let stat = self.stat_oid(s, oid)?;
         if stat.kind != FileKind::Regular {
             return Err(InvError::IsADirectory(format!("oid {oid}")));
         }
-        read_file_bytes(self, s, &stat, snap)
+        read_file_bytes(self, s, &stat)
     }
 }
 
-/// Reads an entire file's bytes under a snapshot.
-pub(crate) fn read_file_bytes(
-    fs: &InversionFs,
-    s: &mut Session,
-    stat: &FileStat,
-    snap: Option<&Snapshot>,
-) -> InvResult<Vec<u8>> {
+/// Reads an entire file's bytes.
+pub(crate) fn read_file_bytes(fs: &InversionFs, s: &mut Session, stat: &FileStat) -> InvResult<Vec<u8>> {
     let size = stat.size as usize;
     let mut out = vec![0u8; size];
-    read_range(fs, s, stat, snap, 0, &mut out)?;
+    read_range(fs, s, stat, 0, &mut out)?;
     Ok(out)
 }
 
@@ -1232,16 +1231,16 @@ impl InvClient {
     /// the timestamp to check that revision out.
     pub fn p_history(&mut self, path: &str) -> InvResult<Vec<FileVersion>> {
         let path = path.to_string();
-        self.run(move |fs, s, _| {
+        self.run(None, move |fs, s, _| {
             // Resolve at any time the file existed: current first, else
             // search all committed naming versions for the path.
-            let oid = match fs.resolve(s, &path, None) {
+            let oid = match fs.resolve(s, &path) {
                 Ok(oid) => oid,
                 Err(_) => {
                     // Walk history: of the files this directory entry
                     // named, the one that held it last.
                     let (parent, name) = fs
-                        .resolve_parent(s, &path, None)
+                        .resolve_parent(s, &path)
                         .map_err(|_| InvError::NoSuchPath(path.clone()))?;
                     let mut last: Option<(SimInstant, u32)> = None;
                     for (t0, t1, row) in s.scan_version_history(fs.rels.naming)? {
@@ -1309,7 +1308,8 @@ pub(crate) mod tests {
         drop(cat);
         let mut s = fs.db().begin().unwrap();
         let visible: Vec<_> = s.seq_scan(PG_CLASS).unwrap().into_iter().map(|(_, r)| r).collect();
-        let committed = s.scan_committed_versions(PG_CLASS).unwrap();
+        let history = s.scan_version_history(PG_CLASS).unwrap();
+        let committed: Vec<_> = history.into_iter().map(|(_, _, row)| row).collect();
         s.commit().unwrap();
         for row in visible.iter().chain(&committed) {
             let name = row[1].as_text().unwrap();
@@ -1390,8 +1390,8 @@ pub(crate) mod tests {
         let (fs, mut c) = fs_client();
         c.write_all("/f", CreateMode::default(), b"one chunk only").unwrap();
         let mut s = fs.db().begin().unwrap();
-        let oid = fs.resolve(&mut s, "/f", None).unwrap();
-        let stat = fs.stat_oid(&mut s, oid, None).unwrap();
+        let oid = fs.resolve(&mut s, "/f").unwrap();
+        let stat = fs.stat_oid(&mut s, oid).unwrap();
         s.insert(
             stat.datarel,
             vec![Datum::Int4(99), Datum::Bytes(b"stray".to_vec())],
@@ -1411,8 +1411,8 @@ pub(crate) mod tests {
         c.write_all("/t", CreateMode::default().self_identifying(), b"guarded")
             .unwrap();
         let mut s = fs.db().begin().unwrap();
-        let oid = fs.resolve(&mut s, "/t", None).unwrap();
-        let stat = fs.stat_oid(&mut s, oid, None).unwrap();
+        let oid = fs.resolve(&mut s, "/t").unwrap();
+        let stat = fs.stat_oid(&mut s, oid).unwrap();
         let (tid, row) = s.seq_scan(stat.datarel).unwrap().remove(0);
         let mut raw = row[1].as_bytes().unwrap().to_vec();
         raw[0] ^= 0xFF; // Break the tag magic.
@@ -1924,6 +1924,57 @@ pub(crate) mod tests {
         assert!(s2.mtime > s1.mtime);
         assert!(s2.atime >= s2.mtime);
         assert_eq!(s2.ctime, s1.ctime);
+    }
+
+    /// An auto-commit op that fails takes back nothing of another
+    /// descriptor: a read that committed before it still counts as an
+    /// access at that descriptor's close.
+    #[test]
+    fn a_failed_auto_commit_op_keeps_the_other_descriptors_access() {
+        let (fs, mut c) = fs_client();
+        c.write_all("/a", CreateMode::default(), b"hello world").unwrap();
+        let created = c.p_stat("/a", None).unwrap().atime;
+        fs.db().clock().advance(simdev::SimDuration::from_secs(1));
+        let fd = c.p_open("/a", OpenMode::Read, None).unwrap();
+        assert_eq!(c.p_read(fd, &mut [0u8; 5]).unwrap(), 5);
+        assert!(c.p_stat("/nope", None).is_err());
+        c.p_close(fd).unwrap();
+        assert!(c.p_stat("/a", None).unwrap().atime > created);
+    }
+
+    /// A read of the past runs on a session of the past: it starts no
+    /// transaction and takes no lock, even beside a writer that holds
+    /// `naming` and `fileatt` exclusively.
+    #[test]
+    fn a_read_of_the_past_starts_no_transaction_and_takes_no_lock() {
+        let (fs, mut c) = fs_client();
+        c.p_mkdir("/d").unwrap();
+        c.write_all("/d/f", CreateMode::default(), &vec![5u8; CHUNK_SIZE + 9]).unwrap();
+        let t = fs.db().now();
+        let mut read_the_past = |held: usize| {
+            let xact = |fs: &InversionFs| {
+                let x = fs.db().stats().xact;
+                (x.commits, x.aborts)
+            };
+            let before = xact(&fs);
+            assert_eq!(c.p_stat("/d/f", Some(t)).unwrap().size, CHUNK_SIZE as u64 + 9);
+            assert_eq!(c.p_readdir("/d", Some(t)).unwrap().len(), 1);
+            assert_eq!(c.read_to_vec("/d/f", Some(t)).unwrap(), vec![5u8; CHUNK_SIZE + 9]);
+            let fd = c.p_open("/d/f", OpenMode::Read, Some(t)).unwrap();
+            assert_eq!(c.p_read(fd, &mut [0u8; 16]).unwrap(), 16);
+            c.p_close(fd).unwrap();
+            assert_eq!(xact(&fs), before, "commits and aborts");
+            assert_eq!(fs.db().held_lock_count(), held);
+        };
+        read_the_past(0);
+        let mut writer = fs.client();
+        writer.p_begin().unwrap();
+        writer.p_creat("/d/g", CreateMode::default()).unwrap();
+        let held = fs.db().held_lock_count();
+        assert!(held > 0);
+        read_the_past(held);
+        writer.p_abort().unwrap();
+        assert_eq!(fs.db().held_lock_count(), 0);
     }
 
     #[test]

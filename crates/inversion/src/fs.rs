@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use minidb::{Datum, Db, DbError, DeviceId, Oid, RelId, Schema, Session, Snapshot, Tid, TypeId};
+use minidb::{Datum, Db, DbError, DeviceId, Oid, RelId, Schema, Session, Tid, TypeId};
 use parking_lot::Mutex;
 use simdev::SimInstant;
 
@@ -373,11 +373,7 @@ impl InversionFs {
         };
         // Find the root: naming row with parentid 0.
         let mut s = db.begin()?;
-        let hit = s.index_lookup_unique(
-            naming_dir_idx,
-            &[Datum::Oid(0), Datum::Text("/".into())],
-            None,
-        )?;
+        let hit = s.index_lookup_unique(naming_dir_idx, &[Datum::Oid(0), Datum::Text("/".into())])?;
         s.commit()?;
         let (_, row) = hit.ok_or_else(|| InvError::Invalid("no root directory found".into()))?;
         let root = Oid(row[N_FILE].as_oid()?);
@@ -497,15 +493,14 @@ impl InversionFs {
         })
     }
 
-    /// Fetches the `fileatt` row for `oid` under `snap`, with its tuple id.
+    /// Fetches the `fileatt` row for `oid`, with its tuple id.
     pub(crate) fn fileatt_row(
         &self,
         session: &mut Session,
         oid: Oid,
-        snap: Option<&Snapshot>,
     ) -> InvResult<Option<(Tid, Vec<Datum>)>> {
         let key = [Datum::Oid(oid.0)];
-        Ok(session.index_lookup_unique(self.rels.fileatt_file_idx, &key, snap)?)
+        Ok(session.index_lookup_unique(self.rels.fileatt_file_idx, &key)?)
     }
 
     /// Rewrites `oid`'s current `fileatt` row through `edit`. The write is
@@ -525,7 +520,7 @@ impl InversionFs {
     ) -> InvResult<()> {
         session.lock_exclusive(self.rels.fileatt)?;
         let (tid, mut row) = self
-            .fileatt_row(session, oid, None)?
+            .fileatt_row(session, oid)?
             .ok_or_else(|| InvError::NoSuchPath(format!("oid {oid}")))?;
         edit(&mut row);
         if let Some(pending) = self.pending_atime(oid) {
@@ -535,19 +530,14 @@ impl InversionFs {
         Ok(())
     }
 
-    /// Stats a file by oid. A current stat shows the pending access time;
-    /// a historical one shows what `fileatt` held.
-    pub(crate) fn stat_oid(
-        &self,
-        session: &mut Session,
-        oid: Oid,
-        snap: Option<&Snapshot>,
-    ) -> InvResult<FileStat> {
+    /// Stats a file by oid. A stat of the present shows the pending access
+    /// time; one of the past shows what `fileatt` held.
+    pub(crate) fn stat_oid(&self, session: &mut Session, oid: Oid) -> InvResult<FileStat> {
         let (_, row) = self
-            .fileatt_row(session, oid, snap)?
+            .fileatt_row(session, oid)?
             .ok_or_else(|| InvError::NoSuchPath(format!("oid {oid}")))?;
         let mut stat = Self::stat_from_row(&row)?;
-        if snap.is_none() {
+        if session.as_of().is_none() {
             if let Some(pending) = self.pending_atime(oid) {
                 stat.atime = stat.atime.max(pending);
             }
@@ -587,7 +577,7 @@ impl InversionFs {
             s.lock_exclusive(self.rels.fileatt)?;
         }
         for &(oid, at) in &batch {
-            let Some((tid, mut row)) = self.fileatt_row(s, oid, None)? else {
+            let Some((tid, mut row)) = self.fileatt_row(s, oid)? else {
                 continue;
             };
             if row_atime(&row)? < at {
@@ -729,7 +719,7 @@ mod tests {
         assert!(db.relation_id("fileatt").is_ok());
         assert!(db.relation_id("naming_dir_idx").is_ok());
         let mut s = db.begin().unwrap();
-        let stat = fs.stat_oid(&mut s, fs.root(), None).unwrap();
+        let stat = fs.stat_oid(&mut s, fs.root()).unwrap();
         assert_eq!(stat.kind, FileKind::Directory);
         assert_eq!(stat.owner, "root");
         s.commit().unwrap();

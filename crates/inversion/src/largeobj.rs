@@ -39,7 +39,7 @@ impl LargeObject {
 
     /// Opens an existing large object (or any file) by oid.
     pub fn open(fs: &InversionFs, s: &mut Session, oid: Oid) -> InvResult<LargeObject> {
-        fs.stat_oid(s, oid, None)?;
+        fs.stat_oid(s, oid)?;
         Ok(LargeObject {
             fs: fs.clone(),
             oid,
@@ -53,7 +53,7 @@ impl LargeObject {
 
     /// Current attributes.
     pub fn stat(&self, s: &mut Session) -> InvResult<FileStat> {
-        self.fs.stat_oid(s, self.oid, None)
+        self.fs.stat_oid(s, self.oid)
     }
 
     /// Writes `data` at byte `offset`, growing the object as needed.
@@ -67,21 +67,21 @@ impl LargeObject {
         let avail = stat.size.saturating_sub(offset);
         let len = (len as u64).min(avail) as usize;
         let mut out = vec![0u8; len];
-        read_range(&self.fs, s, &stat, None, offset, &mut out)?;
+        read_range(&self.fs, s, &stat, offset, &mut out)?;
         Ok(out)
     }
 
     /// The whole object's bytes.
     pub fn read_all(&self, s: &mut Session) -> InvResult<Vec<u8>> {
         let stat = self.stat(s)?;
-        read_file_bytes(&self.fs, s, &stat, None)
+        read_file_bytes(&self.fs, s, &stat)
     }
 
     /// Gives the object a pathname, making it visible to file system
     /// clients.
     pub fn link(&self, s: &mut Session, path: &str) -> InvResult<()> {
-        let (parent, name) = self.fs.resolve_parent(s, path, None)?;
-        if self.fs.lookup_child(s, parent, &name, None)?.is_some() {
+        let (parent, name) = self.fs.resolve_parent(s, path)?;
+        if self.fs.lookup_child(s, parent, &name)?.is_some() {
             return Err(InvError::Exists(path.to_string()));
         }
         s.insert(

@@ -36,7 +36,7 @@ pub fn migrate_file(
     oid: Oid,
     target: DeviceId,
 ) -> InvResult<()> {
-    let stat = fs.stat_oid(s, oid, None)?;
+    let stat = fs.stat_oid(s, oid)?;
     if stat.kind != FileKind::Regular {
         return Err(InvError::IsADirectory(format!("oid {oid}")));
     }
@@ -146,7 +146,7 @@ mod tests {
         assert_eq!(c.p_stat("/dataset", None).unwrap().device, DeviceId(0));
 
         let mut s = fs.db().begin().unwrap();
-        let oid = fs.resolve(&mut s, "/dataset", None).unwrap();
+        let oid = fs.resolve(&mut s, "/dataset").unwrap();
         migrate_file(&fs, &mut s, oid, DeviceId(1)).unwrap();
         s.commit().unwrap();
 
@@ -173,7 +173,7 @@ mod tests {
         let passes = || fs.db().stats().maintenance.vacuum_passes;
         let before = passes();
         let mut s = fs.db().begin().unwrap();
-        let oid = fs.resolve(&mut s, "/f", None).unwrap();
+        let oid = fs.resolve(&mut s, "/f").unwrap();
         migrate_file(&fs, &mut s, oid, DeviceId(1)).unwrap();
         s.commit().unwrap();
         assert_eq!(passes(), before + 1, "the migration");
@@ -191,7 +191,7 @@ mod tests {
         let t_before = fs.db().now();
 
         let mut s = fs.db().begin().unwrap();
-        let oid = fs.resolve(&mut s, "/f", None).unwrap();
+        let oid = fs.resolve(&mut s, "/f").unwrap();
         migrate_file(&fs, &mut s, oid, DeviceId(1)).unwrap();
         s.commit().unwrap();
 
@@ -218,7 +218,7 @@ mod tests {
         c.write_all("/f", CreateMode::default(), b"moved, then unlinked").unwrap();
         let t_alive = fs.db().now();
         let mut s = fs.db().begin().unwrap();
-        let oid = fs.resolve(&mut s, "/f", None).unwrap();
+        let oid = fs.resolve(&mut s, "/f").unwrap();
         migrate_file(&fs, &mut s, oid, DeviceId(1)).unwrap();
         s.commit().unwrap();
         c.p_unlink("/f").unwrap();
@@ -236,7 +236,7 @@ mod tests {
         c.write_all("/f", CreateMode::default(), b"stay put")
             .unwrap();
         let mut s = fs.db().begin().unwrap();
-        let oid = fs.resolve(&mut s, "/f", None).unwrap();
+        let oid = fs.resolve(&mut s, "/f").unwrap();
         migrate_file(&fs, &mut s, oid, DeviceId(1)).unwrap();
         s.abort().unwrap();
         let stat = c.p_stat("/f", None).unwrap();

@@ -8,7 +8,7 @@
 //! upward. All of it is ordinary transactional table access, so namespace
 //! changes commit or abort atomically with everything else.
 
-use minidb::{Datum, Oid, Session, Snapshot, Tid};
+use minidb::{Datum, Oid, Session, Tid};
 
 use crate::fs::{
     dir_fileatt_row, file_fileatt_row, CreateMode, FileKind, FileStat, InvError, InvResult,
@@ -41,10 +41,9 @@ impl InversionFs {
         session: &mut Session,
         parent: Oid,
         name: &str,
-        snap: Option<&Snapshot>,
     ) -> InvResult<Option<(Tid, Oid)>> {
         let key = [Datum::Oid(parent.0), Datum::Text(name.to_string())];
-        let hit = session.index_lookup_unique(self.rels.naming_dir_idx, &key, snap)?;
+        let hit = session.index_lookup_unique(self.rels.naming_dir_idx, &key)?;
         Ok(hit.map(|(tid, row)| (tid, Oid(row[N_FILE].as_oid().unwrap_or(0)))))
     }
 
@@ -62,25 +61,20 @@ impl InversionFs {
         name: &str,
     ) -> InvResult<bool> {
         session.lock_exclusive(self.rels.naming)?;
-        Ok(self.lookup_child(session, parent, name, None)?.is_none())
+        Ok(self.lookup_child(session, parent, name)?.is_none())
     }
 
-    /// Resolves `path` to a file oid under `snap` (or the session's view).
-    pub fn resolve(
-        &self,
-        session: &mut Session,
-        path: &str,
-        snap: Option<&Snapshot>,
-    ) -> InvResult<Oid> {
+    /// Resolves `path` to a file oid.
+    pub fn resolve(&self, session: &mut Session, path: &str) -> InvResult<Oid> {
         let comps = parse_path(path)?;
         let mut cur = self.root;
         for (i, comp) in comps.iter().enumerate() {
-            let Some((_, child)) = self.lookup_child(session, cur, comp, snap)? else {
+            let Some((_, child)) = self.lookup_child(session, cur, comp)? else {
                 return Err(InvError::NoSuchPath(path.to_string()));
             };
             // Intermediate components must be directories.
             if i + 1 < comps.len() {
-                let stat = self.stat_oid(session, child, snap)?;
+                let stat = self.stat_oid(session, child)?;
                 if stat.kind != FileKind::Directory {
                     return Err(InvError::NotADirectory(comp.clone()));
                 }
@@ -92,22 +86,17 @@ impl InversionFs {
 
     /// Resolves the parent directory of `path`, returning
     /// `(parent oid, final component)`.
-    pub(crate) fn resolve_parent(
-        &self,
-        session: &mut Session,
-        path: &str,
-        snap: Option<&Snapshot>,
-    ) -> InvResult<(Oid, String)> {
+    pub(crate) fn resolve_parent(&self, session: &mut Session, path: &str) -> InvResult<(Oid, String)> {
         let mut comps = parse_path(path)?;
         let name = comps
             .pop()
             .ok_or_else(|| InvError::BadPath(format!("{path}: no final component")))?;
         let mut cur = self.root;
         for comp in &comps {
-            let Some((_, child)) = self.lookup_child(session, cur, comp, snap)? else {
+            let Some((_, child)) = self.lookup_child(session, cur, comp)? else {
                 return Err(InvError::NoSuchPath(path.to_string()));
             };
-            let stat = self.stat_oid(session, child, snap)?;
+            let stat = self.stat_oid(session, child)?;
             if stat.kind != FileKind::Directory {
                 return Err(InvError::NotADirectory(comp.clone()));
             }
@@ -118,12 +107,7 @@ impl InversionFs {
 
     /// Constructs the absolute pathname of `oid` ("routines ... to construct
     /// pathnames for particular file identifiers").
-    pub fn path_of(
-        &self,
-        session: &mut Session,
-        oid: Oid,
-        snap: Option<&Snapshot>,
-    ) -> InvResult<String> {
+    pub fn path_of(&self, session: &mut Session, oid: Oid) -> InvResult<String> {
         if oid == self.root {
             return Ok("/".into());
         }
@@ -131,7 +115,7 @@ impl InversionFs {
         let mut cur = oid;
         for _depth in 0..4096 {
             let key = [Datum::Oid(cur.0)];
-            let hits = session.index_scan_eq_with(self.rels.naming_file_idx, &key, snap)?;
+            let hits = session.index_scan_eq(self.rels.naming_file_idx, &key)?;
             let (_, row) = hits
                 .into_iter()
                 .next()
@@ -152,13 +136,8 @@ impl InversionFs {
     }
 
     /// Lists a directory: `(name, oid)` pairs in name order.
-    pub fn readdir(
-        &self,
-        session: &mut Session,
-        dir: Oid,
-        snap: Option<&Snapshot>,
-    ) -> InvResult<Vec<(String, Oid)>> {
-        let stat = self.stat_oid(session, dir, snap)?;
+    pub fn readdir(&self, session: &mut Session, dir: Oid) -> InvResult<Vec<(String, Oid)>> {
+        let stat = self.stat_oid(session, dir)?;
         if stat.kind != FileKind::Directory {
             return Err(InvError::NotADirectory(format!("oid {dir}")));
         }
@@ -167,12 +146,12 @@ impl InversionFs {
         let lo = [Datum::Oid(dir.0)];
         let hi = [Datum::Oid(dir.0), Datum::Text("\u{10FFFF}".into())];
         let mut out = Vec::new();
-        match snap {
-            Some(s) => {
-                // Historical readdir: no index-range-with-snapshot helper, so
-                // filter a full scan of naming under the snapshot.
-                let rows = session.scan_with_snapshot(self.rels.naming, Some(s))?;
-                for (_, row) in rows {
+        match session.as_of() {
+            Some(_) => {
+                // A listing of the past filters a scan of `naming`: only a
+                // point probe also searches the archive the vacuum cleaner
+                // moved old entries to, and a range walk cannot.
+                for (_, row) in session.seq_scan(self.rels.naming)? {
                     if row[N_PARENTID].as_oid()? == dir.0 {
                         out.push((
                             row[N_FILENAME].as_text()?.to_string(),
@@ -209,11 +188,11 @@ impl InversionFs {
         path: &str,
         mode: &CreateMode,
     ) -> InvResult<FileStat> {
-        let (parent, name) = self.resolve_parent(session, path, None)?;
+        let (parent, name) = self.resolve_parent(session, path)?;
         if !self.name_free_for_write(session, parent, &name)? {
             return Err(InvError::Exists(path.to_string()));
         }
-        let pstat = self.stat_oid(session, parent, None)?;
+        let pstat = self.stat_oid(session, parent)?;
         if pstat.kind != FileKind::Directory {
             return Err(InvError::NotADirectory(path.to_string()));
         }
@@ -236,7 +215,7 @@ impl InversionFs {
         path: &str,
         owner: &str,
     ) -> InvResult<Oid> {
-        let (parent, name) = self.resolve_parent(session, path, None)?;
+        let (parent, name) = self.resolve_parent(session, path)?;
         if !self.name_free_for_write(session, parent, &name)? {
             return Err(InvError::Exists(path.to_string()));
         }
@@ -255,16 +234,16 @@ impl InversionFs {
     /// removed file remains reachable through time travel — this is what
     /// makes `p_undelete` possible.
     pub(crate) fn unlink_at(&self, session: &mut Session, path: &str) -> InvResult<()> {
-        let (parent, name) = self.resolve_parent(session, path, None)?;
-        let Some((ntid, oid)) = self.lookup_child(session, parent, &name, None)? else {
+        let (parent, name) = self.resolve_parent(session, path)?;
+        let Some((ntid, oid)) = self.lookup_child(session, parent, &name)? else {
             return Err(InvError::NoSuchPath(path.to_string()));
         };
-        let stat = self.stat_oid(session, oid, None)?;
-        if stat.kind == FileKind::Directory && !self.readdir(session, oid, None)?.is_empty() {
+        let stat = self.stat_oid(session, oid)?;
+        if stat.kind == FileKind::Directory && !self.readdir(session, oid)?.is_empty() {
             return Err(InvError::NotEmpty(path.to_string()));
         }
         session.delete(self.rels.naming, ntid)?;
-        if let Some((atid, _)) = self.fileatt_row(session, oid, None)? {
+        if let Some((atid, _)) = self.fileatt_row(session, oid)? {
             session.delete(self.rels.fileatt, atid)?;
         }
         Ok(())
@@ -273,15 +252,15 @@ impl InversionFs {
     /// Renames `from` to `to` (both absolute). The file keeps its oid, so
     /// open descriptors and `fileatt` are untouched; only `naming` changes.
     pub(crate) fn rename_at(&self, session: &mut Session, from: &str, to: &str) -> InvResult<()> {
-        let (fparent, fname) = self.resolve_parent(session, from, None)?;
-        let Some((ntid, oid)) = self.lookup_child(session, fparent, &fname, None)? else {
+        let (fparent, fname) = self.resolve_parent(session, from)?;
+        let Some((ntid, oid)) = self.lookup_child(session, fparent, &fname)? else {
             return Err(InvError::NoSuchPath(from.to_string()));
         };
-        let (tparent, tname) = self.resolve_parent(session, to, None)?;
+        let (tparent, tname) = self.resolve_parent(session, to)?;
         if !self.name_free_for_write(session, tparent, &tname)? {
             return Err(InvError::Exists(to.to_string()));
         }
-        let tp_stat = self.stat_oid(session, tparent, None)?;
+        let tp_stat = self.stat_oid(session, tparent)?;
         if tp_stat.kind != FileKind::Directory {
             return Err(InvError::NotADirectory(to.to_string()));
         }
@@ -336,11 +315,11 @@ mod tests {
         let etc = fs.mkdir_at(&mut s, "/etc", "root").unwrap();
         fs.mkdir_at(&mut s, "/usr", "root").unwrap();
         fs.mkdir_at(&mut s, "/etc/rc.d", "root").unwrap();
-        assert_eq!(fs.resolve(&mut s, "/etc", None).unwrap(), etc);
-        let entries = fs.readdir(&mut s, fs.root(), None).unwrap();
+        assert_eq!(fs.resolve(&mut s, "/etc").unwrap(), etc);
+        let entries = fs.readdir(&mut s, fs.root()).unwrap();
         let names: Vec<&str> = entries.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["etc", "usr"]);
-        let entries = fs.readdir(&mut s, etc, None).unwrap();
+        let entries = fs.readdir(&mut s, etc).unwrap();
         assert_eq!(entries[0].0, "rc.d");
         s.commit().unwrap();
     }
@@ -387,10 +366,10 @@ mod tests {
             .create_file_at(&mut s, "/users/mao/thesis.tex", &CreateMode::default())
             .unwrap();
         assert_eq!(
-            fs.path_of(&mut s, f.oid, None).unwrap(),
+            fs.path_of(&mut s, f.oid).unwrap(),
             "/users/mao/thesis.tex"
         );
-        assert_eq!(fs.path_of(&mut s, fs.root(), None).unwrap(), "/");
+        assert_eq!(fs.path_of(&mut s, fs.root()).unwrap(), "/");
         s.commit().unwrap();
     }
 
@@ -399,14 +378,14 @@ mod tests {
         let fs = InversionFs::open_in_memory().unwrap();
         let mut s = fs.db().begin().unwrap();
         assert!(matches!(
-            fs.resolve(&mut s, "/nope", None),
+            fs.resolve(&mut s, "/nope"),
             Err(InvError::NoSuchPath(_))
         ));
         fs.create_file_at(&mut s, "/file", &CreateMode::default())
             .unwrap();
         // A file used as a directory component.
         assert!(matches!(
-            fs.resolve(&mut s, "/file/deeper", None),
+            fs.resolve(&mut s, "/file/deeper"),
             Err(InvError::NotADirectory(_))
         ));
         // Duplicate creation.
@@ -431,11 +410,11 @@ mod tests {
         ));
         fs.unlink_at(&mut s, "/d/f").unwrap();
         assert!(matches!(
-            fs.resolve(&mut s, "/d/f", None),
+            fs.resolve(&mut s, "/d/f"),
             Err(InvError::NoSuchPath(_))
         ));
         fs.unlink_at(&mut s, "/d").unwrap();
-        assert!(fs.resolve(&mut s, "/d", None).is_err());
+        assert!(fs.resolve(&mut s, "/d").is_err());
         s.commit().unwrap();
     }
 
@@ -449,9 +428,9 @@ mod tests {
             .create_file_at(&mut s, "/a/x", &CreateMode::default())
             .unwrap();
         fs.rename_at(&mut s, "/a/x", "/b/y").unwrap();
-        assert!(fs.resolve(&mut s, "/a/x", None).is_err());
-        assert_eq!(fs.resolve(&mut s, "/b/y", None).unwrap(), f.oid);
-        assert_eq!(fs.path_of(&mut s, f.oid, None).unwrap(), "/b/y");
+        assert!(fs.resolve(&mut s, "/a/x").is_err());
+        assert_eq!(fs.resolve(&mut s, "/b/y").unwrap(), f.oid);
+        assert_eq!(fs.path_of(&mut s, f.oid).unwrap(), "/b/y");
         // Rename onto an existing name fails.
         fs.create_file_at(&mut s, "/a/z", &CreateMode::default())
             .unwrap();
@@ -470,7 +449,7 @@ mod tests {
         fs.mkdir_at(&mut s, "/ghost", "root").unwrap();
         s.abort().unwrap();
         let mut s = fs.db().begin().unwrap();
-        assert!(fs.resolve(&mut s, "/ghost", None).is_err());
+        assert!(fs.resolve(&mut s, "/ghost").is_err());
         s.commit().unwrap();
     }
 
@@ -489,11 +468,11 @@ mod tests {
         s.commit().unwrap();
 
         let mut s = fs.db().begin().unwrap();
-        assert!(fs.resolve(&mut s, "/doomed", None).is_err());
-        let snap = Snapshot::AsOf(t_alive);
-        assert_eq!(fs.resolve(&mut s, "/doomed", Some(&snap)).unwrap(), f.oid);
+        assert!(fs.resolve(&mut s, "/doomed").is_err());
+        let mut past = fs.db().snapshot_at(t_alive);
+        assert_eq!(fs.resolve(&mut past, "/doomed").unwrap(), f.oid);
         // Historical readdir shows it too.
-        let entries = fs.readdir(&mut s, fs.root(), Some(&snap)).unwrap();
+        let entries = fs.readdir(&mut past, fs.root()).unwrap();
         assert_eq!(entries, vec![("doomed".into(), f.oid)]);
         s.commit().unwrap();
     }

@@ -24,7 +24,7 @@
 //! like inode-number NFS handles. Every mutating operation commits before
 //! returning.
 
-use minidb::{Oid, Snapshot};
+use minidb::{Oid, Session};
 use simdev::SimInstant;
 
 use crate::api::{read_range, write_range};
@@ -94,10 +94,18 @@ impl NfsFront {
         }
     }
 
+    /// A session that reads as of `as_of`: a session of the past, or a
+    /// transaction of its own for the present.
+    fn session(&self, as_of: Option<SimInstant>) -> InvResult<Session> {
+        Ok(match as_of {
+            Some(t) => self.fs.db().snapshot_at(t),
+            None => self.fs.db().begin()?,
+        })
+    }
+
     fn stat_handle(&self, h: NfsHandle) -> InvResult<FileStat> {
-        let mut s = self.fs.db().begin()?;
-        let snap = h.as_of.map(Snapshot::AsOf);
-        let stat = self.fs.stat_oid(&mut s, h.oid, snap.as_ref())?;
+        let mut s = self.session(h.as_of)?;
+        let stat = self.fs.stat_oid(&mut s, h.oid)?;
         s.commit()?;
         Ok(stat)
     }
@@ -105,10 +113,9 @@ impl NfsFront {
     /// LOOKUP: resolves `path` (with optional `@<nanos>` suffix) to a handle.
     pub fn lookup(&self, path: &str) -> InvResult<NfsFattr> {
         let (path, as_of) = split_time_suffix(path)?;
-        let mut s = self.fs.db().begin()?;
-        let snap = as_of.map(Snapshot::AsOf);
-        let oid = self.fs.resolve(&mut s, path, snap.as_ref())?;
-        let stat = self.fs.stat_oid(&mut s, oid, snap.as_ref())?;
+        let mut s = self.session(as_of)?;
+        let oid = self.fs.resolve(&mut s, path)?;
+        let stat = self.fs.stat_oid(&mut s, oid)?;
         s.commit()?;
         Ok(self.attr_of(&stat, as_of))
     }
@@ -121,15 +128,14 @@ impl NfsFront {
 
     /// READ: up to `len` bytes at `offset` (short at end of file).
     pub fn read(&self, h: NfsHandle, offset: u64, len: usize) -> InvResult<Vec<u8>> {
-        let mut s = self.fs.db().begin()?;
-        let snap = h.as_of.map(Snapshot::AsOf);
-        let stat = self.fs.stat_oid(&mut s, h.oid, snap.as_ref())?;
+        let mut s = self.session(h.as_of)?;
+        let stat = self.fs.stat_oid(&mut s, h.oid)?;
         if stat.kind != FileKind::Regular {
             return Err(InvError::IsADirectory(format!("oid {}", h.oid)));
         }
         let len = (len as u64).min(stat.size.saturating_sub(offset)) as usize;
         let mut out = vec![0u8; len];
-        read_range(&self.fs, &mut s, &stat, snap.as_ref(), offset, &mut out)?;
+        read_range(&self.fs, &mut s, &stat, offset, &mut out)?;
         s.commit()?;
         Ok(out)
     }
@@ -158,7 +164,7 @@ impl NfsFront {
     pub fn mkdir(&self, path: &str) -> InvResult<NfsFattr> {
         let mut s = self.fs.db().begin()?;
         let oid = self.fs.mkdir_at(&mut s, path, "nfs")?;
-        let stat = self.fs.stat_oid(&mut s, oid, None)?;
+        let stat = self.fs.stat_oid(&mut s, oid)?;
         s.commit()?;
         Ok(self.attr_of(&stat, None))
     }
@@ -183,10 +189,9 @@ impl NfsFront {
     /// the paper's whole pitch for the namespace extension.
     pub fn readdir(&self, path: &str) -> InvResult<Vec<(String, NfsHandle)>> {
         let (path, as_of) = split_time_suffix(path)?;
-        let mut s = self.fs.db().begin()?;
-        let snap = as_of.map(Snapshot::AsOf);
-        let dir = self.fs.resolve(&mut s, path, snap.as_ref())?;
-        let entries = self.fs.readdir(&mut s, dir, snap.as_ref())?;
+        let mut s = self.session(as_of)?;
+        let dir = self.fs.resolve(&mut s, path)?;
+        let entries = self.fs.readdir(&mut s, dir)?;
         s.commit()?;
         Ok(entries
             .into_iter()

@@ -326,14 +326,14 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
               oid: u32|
               -> Result<Option<SatelliteImage>, DbError> {
             let stat = fs
-                .stat_oid(s, Oid(oid), None)
+                .stat_oid(s, Oid(oid))
                 .map_err(|e| DbError::Eval(e.to_string()))?;
             match stat.ftype {
                 Some(t) if allowed.contains(&t) => {}
                 _ => return Ok(None),
             }
             let bytes = fs
-                .read_file(s, Oid(oid), None)
+                .read_file(s, Oid(oid))
                 .map_err(|e| DbError::Eval(e.to_string()))?;
             SatelliteImage::decode(&bytes)
                 .map(Some)
@@ -347,14 +347,14 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
               oid: u32|
               -> Result<Option<String>, DbError> {
             let stat = fs
-                .stat_oid(s, Oid(oid), None)
+                .stat_oid(s, Oid(oid))
                 .map_err(|e| DbError::Eval(e.to_string()))?;
             match stat.ftype {
                 Some(t) if allowed.contains(&t) => {}
                 _ => return Ok(None),
             }
             let bytes = fs
-                .read_file(s, Oid(oid), None)
+                .read_file(s, Oid(oid))
                 .map_err(|e| DbError::Eval(e.to_string()))?;
             String::from_utf8(bytes)
                 .map(Some)
@@ -368,7 +368,7 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
               oid: u32|
               -> Result<Option<String>, DbError> {
             let stat = fs
-                .stat_oid(s, Oid(oid), None)
+                .stat_oid(s, Oid(oid))
                 .map_err(|e| DbError::Eval(e.to_string()))?;
             if stat.ftype != Some(troff_type) {
                 return Ok(None);
@@ -487,19 +487,19 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     // Metadata helpers used by the paper's example queries.
     fs.register_function("inversion.owner", |fs, s, a| {
         let stat = fs
-            .stat_oid(s, Oid(a[0].as_oid()?), None)
+            .stat_oid(s, Oid(a[0].as_oid()?))
             .map_err(|e| DbError::Eval(e.to_string()))?;
         Ok(Datum::Text(stat.owner))
     });
     fs.register_function("inversion.size", |fs, s, a| {
         let stat = fs
-            .stat_oid(s, Oid(a[0].as_oid()?), None)
+            .stat_oid(s, Oid(a[0].as_oid()?))
             .map_err(|e| DbError::Eval(e.to_string()))?;
         Ok(Datum::Int8(stat.size as i64))
     });
     fs.register_function("inversion.filetype", |fs, s, a| {
         let stat = fs
-            .stat_oid(s, Oid(a[0].as_oid()?), None)
+            .stat_oid(s, Oid(a[0].as_oid()?))
             .map_err(|e| DbError::Eval(e.to_string()))?;
         match stat.ftype {
             Some(t) => Ok(Datum::Text(s.db().catalog().type_name(t)?)),
@@ -514,7 +514,7 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
             return Err(DbError::Eval(format!("no naming entry for oid {oid}")));
         };
         let parent = Oid(row[crate::fs::N_PARENTID].as_oid()?);
-        fs.path_of(s, parent, None)
+        fs.path_of(s, parent)
             .map(Datum::Text)
             .map_err(|e| DbError::Eval(e.to_string()))
     });

@@ -664,7 +664,8 @@ impl Db {
     }
 
     /// Opens a read-only session onto the database as it was at `t` —
-    /// fine-grained time travel.
+    /// fine-grained time travel, and the one way a read reaches the past.
+    /// It runs no transaction: it allocates no xid and takes no lock.
     pub fn snapshot_at(&self, t: SimInstant) -> Session {
         Session {
             db: self.clone(),
@@ -806,13 +807,14 @@ struct IndexMeta {
 /// read holds its relation lock: the storage of the heap, of the index it
 /// probes and of the archive. Vacuum and drop move or free storage only
 /// under the exclusive lock; a read that takes no lock (a view of the
-/// past, an explicit snapshot) pins it instead ([`DbInner::pin`]).
+/// past) pins it instead ([`DbInner::pin`]).
 struct Read<'a> {
     snap: Snapshot,
     heap: Heap<'a>,
     index: Option<BTree<'a>>,
-    /// The archive, and the snapshot its rows count under: taken with the
-    /// heap's storage, so each version shows once, from either.
+    /// The archive, and the committed-only snapshot its rows count under:
+    /// taken with the heap's storage, so each version shows once, from
+    /// either.
     archive: Option<(Heap<'a>, Snapshot)>,
     _pins: Pinned<'a>,
 }
@@ -879,6 +881,15 @@ impl Session {
         }
     }
 
+    /// The instant a session of the past ([`Db::snapshot_at`]) reads the
+    /// database as of; `None` for a session of the present.
+    pub fn as_of(&self) -> Option<SimInstant> {
+        match self.view {
+            View::Xact(_) => None,
+            View::AsOf(t) => Some(t),
+        }
+    }
+
     /// Whether this session can write: it has a transaction, not yet ended.
     pub fn is_writable(&self) -> bool {
         self.writable_xid().is_ok()
@@ -912,32 +923,35 @@ impl Session {
         self.lock(rel, LockMode::Exclusive)
     }
 
-    /// The snapshot a read of `rel` runs under: `explicit` if given (an
-    /// `AsOf` one; old versions are immutable, so it takes no
-    /// lock), else the session's own view. That is the one isolation rule:
-    /// a transaction takes `rel`'s shared lock, held to commit, and *then*
-    /// a statement snapshot ([`XactLog::snapshot`]). Under the lock no
-    /// writer of `rel` is in flight, and a transaction leaves the running
-    /// set before it releases its locks, so the snapshot shows the latest
-    /// committed state: strict 2PL, and serializable. Catalog reads take no
-    /// lock; each still sees a DDL commit whole or not at all.
-    fn read_snapshot(&self, rel: RelId, explicit: Option<&Snapshot>) -> DbResult<Snapshot> {
-        Ok(match (explicit, self.view) {
-            (Some(snap), _) => snap.clone(),
-            (None, View::Xact(xid)) => {
+    /// The snapshot a read of `rel` runs under: the session's own view. A
+    /// view of the past reads immutable versions, so it takes no lock. A
+    /// transaction follows the one isolation rule: it takes `rel`'s shared
+    /// lock, held to commit, and *then* a statement snapshot
+    /// ([`XactLog::snapshot`]). Under the lock no writer of `rel` is in
+    /// flight, and a transaction leaves the running set before it releases
+    /// its locks, so the snapshot shows the latest committed state: strict
+    /// 2PL, and serializable. Catalog reads take no lock; each still sees a
+    /// DDL commit whole or not at all.
+    fn read_snapshot(&self, rel: RelId) -> DbResult<Snapshot> {
+        Ok(match self.view {
+            View::Xact(xid) => {
                 self.lock(rel, LockMode::Shared)?;
                 self.db.inner.xlog.snapshot(xid)
             }
-            (None, View::AsOf(t)) => Snapshot::AsOf(t),
+            View::AsOf(t) => Snapshot::AsOf(t),
         })
     }
 
     /// Opens a read of the heap `rel`, and of `index`, an index on it,
-    /// under `explicit` or this session's own view
-    /// ([`Session::read_snapshot`]).
-    fn read(&self, rel: RelId, index: Option<RelId>, explicit: Option<&Snapshot>) -> DbResult<Read<'_>> {
-        let snap = self.read_snapshot(rel, explicit)?;
-        let locked = explicit.is_none() && matches!(self.view, View::Xact(_));
+    /// under this session's own view ([`Session::read_snapshot`]).
+    ///
+    /// Archive rows count under the committed-only view, whatever the
+    /// reader: a transaction that vacuums `rel` writes archive rows of its
+    /// own while it still reads the heap they were copied from, which only
+    /// its commit swaps out.
+    fn read(&self, rel: RelId, index: Option<RelId>) -> DbResult<Read<'_>> {
+        let snap = self.read_snapshot(rel)?;
+        let locked = matches!(self.view, View::Xact(_));
         let inner = &self.db.inner;
         let _order = crate::lock::order::token(crate::lock::order::CATALOG);
         let cat = inner.catalog.read();
@@ -951,12 +965,12 @@ impl Session {
             true => Vec::new(),
             false => [Some(e), ie, ae].into_iter().flatten().map(|e| (e.device, e.storage)).collect(),
         };
-        let counted = || inner.xlog.snapshot(self.xid().unwrap_or(XactId::INVALID));
+        let committed = || inner.xlog.snapshot(XactId::INVALID);
         Ok(Read {
             snap,
             heap: inner.heap(e.storage, e.device),
             index: ie.map(|ie| inner.btree(ie.storage, ie.device)),
-            archive: ae.map(|ae| (inner.heap(ae.storage, ae.device), counted())),
+            archive: ae.map(|ae| (inner.heap(ae.storage, ae.device), committed())),
             _pins: inner.pin(used),
         })
     }
@@ -1026,26 +1040,15 @@ impl Session {
 
     /// Fetches the row at `tid` if visible to this session.
     pub fn fetch(&mut self, rel: RelId, tid: Tid) -> DbResult<Option<Row>> {
-        let r = self.read(rel, None, None)?;
+        let r = self.read(rel, None)?;
         r.heap.fetch(&r.snap, tid)
     }
 
-    /// Scans `rel`, returning every visible row (with its tuple id).
+    /// Scans `rel`, returning every visible row (with its tuple id). A
+    /// scan of the past also searches the archive relation the vacuum
+    /// cleaner may have moved old versions to.
     pub fn seq_scan(&mut self, rel: RelId) -> DbResult<Vec<(Tid, Row)>> {
-        self.scan_with_snapshot(rel, None)
-    }
-
-    /// Scans `rel` under `snap` (`None` = the session's own view: for a
-    /// transaction, `rel`'s shared lock and then a statement snapshot).
-    /// Time-travel queries inside a current session pass one. Historical
-    /// scans also search the archive relation the vacuum cleaner may have
-    /// moved old versions to.
-    pub fn scan_with_snapshot(
-        &mut self,
-        rel: RelId,
-        snap: Option<&Snapshot>,
-    ) -> DbResult<Vec<(Tid, Row)>> {
-        let r = self.read(rel, None, snap)?;
+        let r = self.read(rel, None)?;
         let mut out = r.heap.scan_collect(&r.snap)?;
         if let Snapshot::AsOf(t) = r.snap {
             r.archived(|amin, amax, tid, row| {
@@ -1058,15 +1061,6 @@ impl Session {
         Ok(out)
     }
 
-    /// Scans every tuple version whose inserting transaction *committed*,
-    /// regardless of later deletion, archived ones included — "everything
-    /// that was ever real": [`Session::scan_version_history`] without the
-    /// lifetimes. Garbage collectors use this to distinguish historical
-    /// references from the debris of aborted transactions.
-    pub fn scan_committed_versions(&mut self, rel: RelId) -> DbResult<Vec<Row>> {
-        Ok(self.scan_version_history(rel)?.into_iter().map(|(_, _, row)| row).collect())
-    }
-
     /// Scans every committed tuple version of `rel` with its lifetime:
     /// `(created_at, deleted_at, row)` where `deleted_at` is `None` for
     /// live versions. Includes versions the vacuum cleaner moved to the
@@ -1075,7 +1069,7 @@ impl Session {
         &mut self,
         rel: RelId,
     ) -> DbResult<Vec<(SimInstant, Option<SimInstant>, Row)>> {
-        let r = self.read(rel, None, None)?;
+        let r = self.read(rel, None)?;
         let heap = &r.heap;
         let mut out = Vec::new();
         heap.scan_all_raw(|_tid, hdr, bytes| {
@@ -1100,48 +1094,32 @@ impl Session {
 
     /// Point lookup through an index: rows of `rel` where the indexed
     /// columns equal `key`, filtered by visibility, newest version first.
-    pub fn index_scan_eq(&mut self, index: RelId, key: &[Datum]) -> DbResult<Vec<(Tid, Row)>> {
-        self.index_scan_eq_with(index, key, None)
-    }
-
-    /// [`Session::index_scan_eq`] under `snap` (`None` = the session's own
-    /// view).
     ///
-    /// Historical snapshots also search the table's archive relation: the
-    /// vacuum cleaner may have moved the versions visible at that instant
-    /// out of the heap (and rebuilt the index without them).
-    pub fn index_scan_eq_with(
-        &mut self,
-        index: RelId,
-        key: &[Datum],
-        snap: Option<&Snapshot>,
-    ) -> DbResult<Vec<(Tid, Row)>> {
+    /// A session of the past also searches the table's archive relation:
+    /// the vacuum cleaner may have moved the versions visible at that
+    /// instant out of the heap (and rebuilt the index without them).
+    pub fn index_scan_eq(&mut self, index: RelId, key: &[Datum]) -> DbResult<Vec<(Tid, Row)>> {
         let ix = self.index_meta(index)?;
         let mut out = Vec::new();
-        self.index_probe(ix, Keys::Eq(key), snap, decode_row, |tid, row| {
+        self.index_probe(ix, Keys::Eq(key), decode_row, |tid, row| {
             out.push((tid, row));
             Ok(true)
         })?;
         Ok(out)
     }
 
-    /// The one row `key` names in a unique index under `snap` (`None` = the
-    /// session's own view), or `None` if no version is visible. Costs
-    /// one heap fetch per version newer than the visible one, plus one.
-    pub fn index_lookup_unique(
-        &mut self,
-        index: RelId,
-        key: &[Datum],
-        snap: Option<&Snapshot>,
-    ) -> DbResult<Option<(Tid, Row)>> {
-        self.index_lookup_unique_in_place(index, key, snap, decode_row)
+    /// The one row `key` names in a unique index, or `None` if no version
+    /// is visible. Costs one heap fetch per version newer than the visible
+    /// one, plus one.
+    pub fn index_lookup_unique(&mut self, index: RelId, key: &[Datum]) -> DbResult<Option<(Tid, Row)>> {
+        self.index_lookup_unique_in_place(index, key, decode_row)
     }
 
     /// [`Session::index_lookup_unique`] for a caller about to replace or
     /// delete the row: its tuple id alone. The heap page is still read
     /// (visibility lives in the tuple header) but the row is not decoded.
     pub fn index_lookup_unique_tid(&mut self, index: RelId, key: &[Datum]) -> DbResult<Option<Tid>> {
-        let hit = self.index_lookup_unique_in_place(index, key, None, |_| Ok(()))?;
+        let hit = self.index_lookup_unique_in_place(index, key, |_| Ok(()))?;
         Ok(hit.map(|(tid, ())| tid))
     }
 
@@ -1149,13 +1127,12 @@ impl Session {
     /// `read` in place: its encoding ([`crate::encode_row`]) as it sits
     /// on the heap page, under the page's latch. `read` borrows what it
     /// needs ([`crate::column_in_place`]) and returns what it made of it.
-    /// For an `AsOf` snapshot, a version the vacuum cleaner archived is
+    /// For a session of the past, a version the vacuum cleaner archived is
     /// re-encoded first.
     pub fn index_lookup_unique_in_place<T>(
         &mut self,
         index: RelId,
         key: &[Datum],
-        snap: Option<&Snapshot>,
         read: impl FnMut(&[u8]) -> DbResult<T>,
     ) -> DbResult<Option<(Tid, T)>> {
         let ix = self.index_meta(index)?;
@@ -1165,7 +1142,7 @@ impl Session {
             )));
         }
         let mut hit = None;
-        self.index_probe(ix, Keys::Eq(key), snap, read, |tid, v| {
+        self.index_probe(ix, Keys::Eq(key), read, |tid, v| {
             hit = Some((tid, v));
             Ok(false)
         })?;
@@ -1183,7 +1160,7 @@ impl Session {
         f: impl FnMut(Tid, Row) -> DbResult<bool>,
     ) -> DbResult<()> {
         let ix = self.index_meta(index)?;
-        self.index_probe(ix, Keys::Between(lo, hi), None, decode_row, f)
+        self.index_probe(ix, Keys::Between(lo, hi), decode_row, f)
     }
 
     /// [`Session::index_scan_range`] that hands each visible row to `read`
@@ -1198,7 +1175,7 @@ impl Session {
         read: impl FnMut(&[u8]) -> DbResult<bool>,
     ) -> DbResult<()> {
         let ix = self.index_meta(index)?;
-        self.index_probe(ix, Keys::Between(lo, hi), None, read, |_, go_on| Ok(go_on))
+        self.index_probe(ix, Keys::Between(lo, hi), read, |_, go_on| Ok(go_on))
     }
 
     /// The tuple ids [`Session::index_scan_range`] would visit, without
@@ -1212,7 +1189,7 @@ impl Session {
         let ix = self.index_meta(index)?;
         let mut out = Vec::new();
         let tid_only = |_: &[u8]| Ok(());
-        self.index_probe(ix, Keys::Between(lo, hi), None, tid_only, |tid, ()| {
+        self.index_probe(ix, Keys::Between(lo, hi), tid_only, |tid, ()| {
             out.push(tid);
             Ok(true)
         })?;
@@ -1239,8 +1216,8 @@ impl Session {
     /// here. For each key in `keys`, in key order, it visits the versions
     /// filed under that key newest first, fetches each from the heap
     /// through `read` (see [`Heap::fetch_with`]) and hands the ones visible
-    /// under `snap` (`None`: the session's own view, under the table's
-    /// lock) to `emit`, which returns `false` to end the probe.
+    /// to the session ([`Session::read`]) to `emit`, which returns `false`
+    /// to end the probe.
     ///
     /// On a unique index at most one version per key is visible to a
     /// `Current` or `AsOf` snapshot, so a key is done at its first visible
@@ -1249,7 +1226,7 @@ impl Session {
     /// A non-unique index may hold several visible rows per key; for those
     /// no key ends early.
     ///
-    /// A historical point probe also searches the table's archive — the
+    /// A point probe of the past also searches the table's archive — the
     /// vacuum cleaner may have moved the version visible at that instant
     /// out of the heap and rebuilt the index without it — unless the index
     /// is unique and the heap already answered.
@@ -1257,11 +1234,10 @@ impl Session {
         &self,
         ix: IndexMeta,
         keys: Keys<'_>,
-        snap: Option<&Snapshot>,
         mut read: impl FnMut(&[u8]) -> DbResult<T>,
         mut emit: impl FnMut(Tid, T) -> DbResult<bool>,
     ) -> DbResult<()> {
-        let r = self.read(ix.table, Some(ix.index), snap)?;
+        let r = self.read(ix.table, Some(ix.index))?;
         let (Some(bt), heap, snap) = (&r.index, &r.heap, &r.snap) else {
             return Err(DbError::Invalid(format!("{} has no index {}", ix.table, ix.index)));
         };
@@ -1550,14 +1526,14 @@ mod tests {
     }
 
     /// A session writes while its transaction runs, and only then. Reads
-    /// under an explicit historical snapshot take no lock: they are outside
-    /// 2PL, and no write goes through them.
+    /// of the past take no lock: they are outside 2PL, and no write goes
+    /// through them.
     #[test]
     fn a_session_is_writable_while_its_transaction_runs() {
         let (db, rel) = db_with_table();
         let mut s = db.begin().unwrap();
         assert!(s.is_writable());
-        s.scan_with_snapshot(rel, Some(&Snapshot::AsOf(db.now()))).unwrap();
+        db.snapshot_at(db.now()).seq_scan(rel).unwrap();
         assert_eq!(db.held_lock_count(), 0);
         s.commit().unwrap();
         assert!(!s.is_writable());

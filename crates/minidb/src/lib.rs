@@ -8,8 +8,8 @@
 //!   records are never overwritten in place; the old version is stamped with
 //!   the deleting transaction and a new version is appended. The only commit
 //!   bookkeeping is the transaction *status file* — no write-ahead log.
-//! * **Time travel** ([`xact::Snapshot::AsOf`]): any transaction-consistent
-//!   past state of the database is readable.
+//! * **Time travel** ([`Db::snapshot_at`]): any transaction-consistent
+//!   past state of the database is readable, through a read-only session.
 //! * **Instant crash recovery**: reopening the database is recovery;
 //!   uncommitted updates are invisible by construction.
 //! * **The device manager switch** ([`smgr`]): relations live on magnetic
@@ -92,4 +92,4 @@ pub use stats::{
     DeviceIoStats, StatsRegistry, StatsSnapshot, VirtualRowsFn, VirtualTable, VirtualTables,
 };
 pub use wal::{Wal, WalRecord};
-pub use xact::{Snapshot, XactLog, XactState};
+pub use xact::{XactLog, XactState};

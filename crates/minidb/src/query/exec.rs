@@ -20,7 +20,6 @@ use crate::datum::{Datum, Row, Schema};
 use crate::db::Session;
 use crate::error::{DbError, DbResult};
 use crate::ids::Tid;
-use crate::xact::Snapshot;
 
 use super::ast::{Expr, Stmt, Target};
 use super::bind;
@@ -626,23 +625,25 @@ fn read_scan(s: &mut Session, sp: &ScanPlan) -> DbResult<Vec<(Tid, Row)>> {
                 .collect()
         }
         (access, Some(rel)) => {
-            let snap = match &sp.as_of {
+            // `rel[t]` reads on a session of the past.
+            let mut past = match &sp.as_of {
                 Some(e) => {
                     let t = eval(s, &Binding::empty(), e)?.as_int()?;
-                    Some(Snapshot::AsOf(SimInstant::from_nanos(t.max(0) as u64)))
+                    Some(s.db().snapshot_at(SimInstant::from_nanos(t.max(0) as u64)))
                 }
                 None => None,
             };
+            let r = past.as_mut().unwrap_or(s);
             match access {
-                Access::Seq => s.scan_with_snapshot(rel, snap.as_ref())?,
+                Access::Seq => r.seq_scan(rel)?,
                 Access::IndexEq { index, key, .. } => {
-                    s.index_scan_eq_with(*index, std::slice::from_ref(key), snap.as_ref())?
+                    r.index_scan_eq(*index, std::slice::from_ref(key))?
                 }
                 Access::IndexRange { index, lo, hi, .. } => {
                     let lo_key: Option<Vec<Datum>> = lo.as_ref().map(|d| vec![d.clone()]);
                     let hi_key: Option<Vec<Datum>> = hi.as_ref().map(|d| vec![d.clone()]);
                     let mut out = Vec::new();
-                    s.index_scan_range(*index, lo_key.as_deref(), hi_key.as_deref(), |tid, row| {
+                    r.index_scan_range(*index, lo_key.as_deref(), hi_key.as_deref(), |tid, row| {
                         out.push((tid, row));
                         Ok(true)
                     })?;

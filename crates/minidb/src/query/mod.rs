@@ -5,7 +5,8 @@
 //! POSTQUEL queries." Supported statements:
 //!
 //! * `retrieve (targets) [from var in rel[, ...]] [where qual]` — with
-//!   optional per-relation time travel: `from e in naming[<nanos>]`.
+//!   optional per-relation time travel: `from e in naming[<nanos>]` scans
+//!   `naming` on a session of the past ([`crate::Db::snapshot_at`]).
 //! * `append rel (col = expr, ...)`
 //! * `delete var from var in rel [where qual]` (or the short form
 //!   `delete rel [where qual]`)

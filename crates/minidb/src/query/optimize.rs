@@ -409,8 +409,10 @@ fn plan_scan(
                 index_eq = Some((ci, idx, b));
             }
         } else if f.as_of.is_none() {
-            // No snapshot-aware range walk exists; time travel scans fall
-            // back to seq (or an equality probe, which has one).
+            // A read of the past walks no index range: only a point probe
+            // also searches the archive, for keys the heap cannot answer,
+            // and a range walk cannot tell which those are. Time travel
+            // falls back to seq (or an equality probe).
             let r = range.get_or_insert((b.col, idx, None, None));
             if r.0 == b.col {
                 match b.op {

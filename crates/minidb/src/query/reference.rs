@@ -25,7 +25,6 @@ use crate::datum::{Datum, Row, Schema};
 use crate::db::Session;
 use crate::error::{DbError, DbResult};
 use crate::ids::Tid;
-use crate::xact::Snapshot;
 use simdev::SimInstant;
 
 use super::ast::{BinOp, Expr, FromItem, Stmt, Target};
@@ -106,20 +105,21 @@ fn bind_from(s: &mut Session, item: &FromItem, qual: Option<&Expr>) -> DbResult<
     }
     let rel = s.db().relation_id(&item.rel)?;
     let schema = s.db().schema_of(rel)?;
-    let snap = match &item.as_of {
+    let mut past = match &item.as_of {
         Some(e) => {
             let t = eval(s, &Binding::empty(), e)?.as_int()?;
-            Some(Snapshot::AsOf(SimInstant::from_nanos(t.max(0) as u64)))
+            Some(s.db().snapshot_at(SimInstant::from_nanos(t.max(0) as u64)))
         }
         None => None,
     };
+    let r = past.as_mut().unwrap_or(s);
 
     // Index selection: look for `var.col = <literal>` conjuncts.
     if let Some(q) = qual {
         let mut eq_pins: Vec<(usize, Datum)> = Vec::new();
         collect_eq_pins(q, &item.var, &schema, &mut eq_pins);
         for (col, lit) in &eq_pins {
-            if let Some(idx) = s.db().find_index(rel, &[*col]) {
+            if let Some(idx) = r.db().find_index(rel, &[*col]) {
                 let ty = schema.columns[*col].ty;
                 // Only probe when the literal coerces exactly to the
                 // column type: a lossy coercion (or a failing one, e.g.
@@ -132,7 +132,7 @@ fn bind_from(s: &mut Session, item: &FromItem, qual: Option<&Expr>) -> DbResult<
                 if key.type_id() != Some(ty) {
                     continue;
                 }
-                let rows = s.index_scan_eq_with(idx, &[key], snap.as_ref())?;
+                let rows = r.index_scan_eq(idx, &[key])?;
                 return Ok(BoundRel {
                     var: item.var.clone(),
                     schema,
@@ -141,7 +141,7 @@ fn bind_from(s: &mut Session, item: &FromItem, qual: Option<&Expr>) -> DbResult<
             }
         }
     }
-    let rows = s.scan_with_snapshot(rel, snap.as_ref())?;
+    let rows = r.seq_scan(rel)?;
     Ok(BoundRel {
         var: item.var.clone(),
         schema,

@@ -15,9 +15,10 @@
 //! anew on fresh storage of its own, logged like any insert. The same
 //! transaction rewrites the `pg_class` rows to name the new storage; its
 //! commit swaps it in and frees the old (`crate::ddl`). Until then, and
-//! after any failure, the heap and its history are as they were. Historical
-//! scans ([`crate::db::Session::scan_with_snapshot`]) merge the archive
-//! back in. A pass whose fresh storage is on another device migrates the
+//! after any failure, the heap and its history are as they were. A session
+//! of the past ([`Db::snapshot_at`]) merges the archive back in, and its
+//! rows count under the committed-only view, so the vacuuming transaction
+//! itself still sees each version once. A pass whose fresh storage is on another device migrates the
 //! relation, indexes and all, under the same oid ([`Session::vacuum`]).
 
 use simdev::SimInstant;
@@ -435,6 +436,39 @@ mod tests {
         assert_eq!(seen, rows);
         assert!(db.relation_id("t").is_err());
         assert!(!old.iter().any(|&s| on_device(&db, s)), "the last unpin freed the storage");
+        assert_eq!(db.check_all(), []);
+    }
+
+    /// A transaction that vacuums a heap that has an archive reads the
+    /// heap's old storage until its commit, beside the archive rows it
+    /// wrote itself: each version still counts once, for the present's
+    /// history and for a read of the past alike.
+    #[test]
+    fn a_vacuuming_transaction_counts_each_version_once() {
+        let (db, rel) = setup();
+        let mut s = db.begin().unwrap();
+        let tid = s.insert(rel, row(1, "v1")).unwrap();
+        s.commit().unwrap();
+        let mut s = db.begin().unwrap();
+        s.update(rel, tid, row(1, "v2")).unwrap();
+        s.commit().unwrap();
+        let t_v2 = db.now();
+        assert_eq!(vacuum(&db, rel, DeviceId::DEFAULT).unwrap().archived, 1);
+        let mut s = db.begin().unwrap();
+        let (tid, _) = s.seq_scan(rel).unwrap().remove(0);
+        s.update(rel, tid, row(1, "v3")).unwrap();
+        s.commit().unwrap();
+        let versions = |s: &mut Session| s.scan_version_history(rel).unwrap().len();
+        assert_eq!(versions(&mut db.begin().unwrap()), 3);
+
+        let mut x = db.begin().unwrap();
+        assert_eq!(x.vacuum(rel, DeviceId::DEFAULT, DeviceId::DEFAULT).unwrap().archived, 1);
+        assert_eq!(versions(&mut x), 3, "inside the vacuuming transaction");
+        let then = x.query(&format!("retrieve (r.v) from r in t[{}]", t_v2.as_nanos())).unwrap();
+        assert_eq!(then.rows, [row(1, "v2")[1..].to_vec()]);
+        assert_eq!(db.snapshot_at(t_v2).seq_scan(rel).unwrap().len(), 1);
+        x.commit().unwrap();
+        assert_eq!(versions(&mut db.begin().unwrap()), 3);
         assert_eq!(db.check_all(), []);
     }
 

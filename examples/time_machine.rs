@@ -66,27 +66,20 @@ fn main() {
         "  /notebook@{t2} -> {}",
         String::from_utf8_lossy(&bytes).trim_end()
     );
+    assert_eq!(bytes, r2_text, "/notebook@<t2> reads r2");
 
     // Delete the file; `ls /` through NFS shows it gone now, present then.
     c.p_unlink("/notebook").unwrap();
     let t_alive = r2.committed_at.as_nanos();
     println!("\n== after rm: ls / now vs then ==");
-    println!(
-        "  ls /            -> {:?}",
-        nfs.readdir("/")
-            .unwrap()
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .collect::<Vec<_>>()
-    );
-    println!(
-        "  ls /@{t_alive} -> {:?}",
-        nfs.readdir(&format!("/@{t_alive}"))
-            .unwrap()
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .collect::<Vec<_>>()
-    );
+    let ls = |path: &str| -> Vec<String> {
+        nfs.readdir(path).unwrap().into_iter().map(|(n, _)| n).collect()
+    };
+    let (now, then) = (ls("/"), ls(&format!("/@{t_alive}")));
+    println!("  ls /            -> {now:?}");
+    println!("  ls /@{t_alive} -> {then:?}");
+    assert!(!now.iter().any(|n| n == "notebook"), "ls / lists the removed file");
+    assert!(then.iter().any(|n| n == "notebook"), "ls /@<t_alive> lacks the file");
 
     // Undelete it as of revision 4 (the last one).
     let r4 = hist.last().unwrap();

@@ -426,7 +426,7 @@ fn a_migration_aborted_in_the_creating_transaction_leaves_nothing_on_either_devi
     let lo = inversion::LargeObject::create(&fs, &mut s, &inversion::CreateMode::default()).unwrap();
     lo.write_at(&mut s, 0, b"never committed").unwrap();
     migrate_file(&fs, &mut s, lo.oid(), DeviceId(1)).unwrap();
-    let old = fs.resolve(&mut s, "/old", None).unwrap();
+    let old = fs.resolve(&mut s, "/old").unwrap();
     migrate_file(&fs, &mut s, old, DeviceId(1)).unwrap();
     assert!(lo.write_at(&mut s, 0, b"lost").is_err(), "a write after the swap is refused");
     db.checkpoint().unwrap();

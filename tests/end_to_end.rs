@@ -207,9 +207,9 @@ fn renaming_a_directory_moves_its_subtree() {
     assert_eq!(c.read_to_vec("/project-1.0/README", None).unwrap(), b"docs");
     // path_of reflects the move.
     let mut s = fs.db().begin().unwrap();
-    let oid = fs.resolve(&mut s, "/project-1.0/src/main.c", None).unwrap();
+    let oid = fs.resolve(&mut s, "/project-1.0/src/main.c").unwrap();
     assert_eq!(
-        fs.path_of(&mut s, oid, None).unwrap(),
+        fs.path_of(&mut s, oid).unwrap(),
         "/project-1.0/src/main.c"
     );
     s.commit().unwrap();

@@ -71,7 +71,7 @@ fn corpus_db() -> Db {
 }
 
 /// The pinned query set: every planner decision the corpus locks down.
-const CORPUS_QUERIES: [&str; 22] = [
+const CORPUS_QUERIES: [&str; 23] = [
     // Constant rows and limits.
     "retrieve (two = 1 + 1)",
     "retrieve (x = 1) limit 0",
@@ -104,6 +104,9 @@ const CORPUS_QUERIES: [&str; 22] = [
     "replace e (age = e.age + 1) from e in emp where e.dept = \"db\"",
     // Virtual relations scan materialized rows.
     "retrieve (p.plans_built) from p in pg_stat_planner",
+    // A read of the past walks no index range: only a point probe also
+    // searches the archive.
+    "retrieve (b.k) from b in big[1000000] where b.k > 10 and b.k <= 50",
 ];
 
 fn corpus_text() -> String {

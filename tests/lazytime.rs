@@ -43,7 +43,8 @@ fn read_and_close(fs: &InversionFs, c: &mut InvClient, path: &str) -> SimInstant
 fn fileatt_atimes(fs: &InversionFs, oid: Oid) -> Vec<SimInstant> {
     let fileatt = fs.db().relation_id("fileatt").unwrap();
     let mut s = fs.db().begin().unwrap();
-    let rows = s.scan_committed_versions(fileatt).unwrap();
+    let history = s.scan_version_history(fileatt).unwrap();
+    let rows: Vec<_> = history.into_iter().map(|(_, _, row)| row).collect();
     s.commit().unwrap();
     rows.iter()
         .filter(|row| row[0] == Datum::Oid(oid.0))

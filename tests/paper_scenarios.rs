@@ -202,7 +202,7 @@ fn query_language_defines_run_end_to_end() {
         move |s, args| {
             let oid = minidb::Oid(args[0].as_oid()?);
             let bytes = fs2
-                .read_file(s, oid, None)
+                .read_file(s, oid)
                 .map_err(|e| minidb::DbError::Eval(e.to_string()))?;
             Ok(Datum::Int4(bytes.first().copied().unwrap_or(0) as i32))
         }

@@ -362,7 +362,7 @@ proptest! {
     fn unique_lookup_equals_filtering_every_version(
         ops in prop::collection::vec(key_op_strategy(), 1..40)
     ) {
-        use minidb::{Datum, Snapshot};
+        use minidb::Datum;
         let db = minidb::Db::open_in_memory().unwrap();
         let rel = db.create_table(
             "t",
@@ -371,7 +371,7 @@ proptest! {
         let idx = db.create_unique_index("t_k", rel, &["k"]).unwrap();
         let row = |k: i32, v: i32| vec![Datum::Int4(k), Datum::Int4(v)];
         let put = |s: &mut minidb::Session, k: i32, v: i32| {
-            match s.index_lookup_unique(idx, &[Datum::Int4(k)], None).unwrap() {
+            match s.index_lookup_unique(idx, &[Datum::Int4(k)]).unwrap() {
                 Some((tid, _)) => s.update(rel, tid, row(k, v)).unwrap(),
                 None => s.insert(rel, row(k, v)).unwrap(),
             };
@@ -411,14 +411,13 @@ proptest! {
         stamps.push(db.now());
 
         for t in stamps {
-            let snap = Snapshot::AsOf(t);
             let mut h = db.snapshot_at(t);
-            let all = h.scan_with_snapshot(rel, Some(&snap)).unwrap();
+            let all = h.seq_scan(rel).unwrap();
             for k in 0..5 {
                 let want: Vec<_> =
                     all.iter().filter(|(_, r)| r[0] == Datum::Int4(k)).map(|(_, r)| r.clone()).collect();
                 prop_assert!(want.len() <= 1, "key {} has {} rows as of {}", k, want.len(), t);
-                let got = h.index_lookup_unique(idx, &[Datum::Int4(k)], None).unwrap();
+                let got = h.index_lookup_unique(idx, &[Datum::Int4(k)]).unwrap();
                 prop_assert_eq!(got.map(|(_, r)| r), want.into_iter().next(), "key {} as of {}", k, t);
             }
         }
@@ -428,7 +427,7 @@ proptest! {
         let all = s.seq_scan(rel).unwrap();
         for k in 0..5 {
             let want = all.iter().find(|(_, r)| r[0] == Datum::Int4(k)).cloned();
-            let got = s.index_lookup_unique(idx, &[Datum::Int4(k)], None).unwrap();
+            let got = s.index_lookup_unique(idx, &[Datum::Int4(k)]).unwrap();
             prop_assert_eq!(got, want, "key {} now", k);
         }
         s.commit().unwrap();
@@ -1395,23 +1394,23 @@ fn read_range_agrees(
     fs: &InversionFs,
     s: &mut minidb::Session,
     stat: &inversion::FileStat,
-    snap: Option<&minidb::Snapshot>,
     windows: &[(u64, usize)],
 ) {
     use inversion::api::{fetch_chunk, read_range};
     for &(offset, len) in windows {
         // Not zeros: a byte the read leaves alone shows.
         let mut got = vec![0xEE; len];
-        read_range(fs, s, stat, snap, offset, &mut got).unwrap();
+        read_range(fs, s, stat, offset, &mut got).unwrap();
         let mut want = Vec::with_capacity(len);
         for (chunkno, start, take) in inversion::chunk::split_range(stat.chunk_size(), offset, len) {
-            let content = fetch_chunk(fs, s, stat, chunkno, snap).unwrap().unwrap_or_default();
+            let content = fetch_chunk(fs, s, stat, chunkno).unwrap().unwrap_or_default();
             let src = content.get(start..).unwrap_or_default();
             let have = src.len().min(take);
             want.extend_from_slice(&src[..have]);
             want.resize(want.len() + take - have, 0);
         }
-        assert!(got == want, "{snap:?}: window {offset}+{len} differs from the per-chunk read");
+        let at = s.as_of();
+        assert!(got == want, "as of {at:?}: window {offset}+{len} differs from the per-chunk read");
     }
 }
 
@@ -1427,7 +1426,7 @@ proptest! {
         windows in prop::collection::vec((0u64..70_000, 0usize..30_000), 1..8),
     ) {
         use inversion::LargeObject;
-        use minidb::{DeviceId, Snapshot};
+        use minidb::DeviceId;
         let fs = InversionFs::open_in_memory().unwrap();
         let mut mode = CreateMode::default();
         if layout.0 {
@@ -1446,7 +1445,7 @@ proptest! {
         write(&mut s, &lo, &first);
         write(&mut s, &lo, &overwrites);
         let stat = lo.stat(&mut s).unwrap();
-        read_range_agrees(&fs, &mut s, &stat, None, &windows);
+        read_range_agrees(&fs, &mut s, &stat, &windows);
         s.commit().unwrap();
         let before = fs.db().now();
 
@@ -1454,13 +1453,13 @@ proptest! {
         write(&mut s, &lo, &second);
         s.commit().unwrap();
         let mut s = fs.db().begin().unwrap();
-        read_range_agrees(&fs, &mut s, &stat, None, &windows);
+        read_range_agrees(&fs, &mut s, &stat, &windows);
         s.commit().unwrap();
 
         minidb::vacuum::vacuum(fs.db(), stat.datarel, DeviceId::DEFAULT).unwrap();
         let mut s = fs.db().begin().unwrap();
-        read_range_agrees(&fs, &mut s, &stat, Some(&Snapshot::AsOf(before)), &windows);
-        read_range_agrees(&fs, &mut s, &stat, None, &windows);
+        read_range_agrees(&fs, &mut fs.db().snapshot_at(before), &stat, &windows);
+        read_range_agrees(&fs, &mut s, &stat, &windows);
         s.commit().unwrap();
     }
 }

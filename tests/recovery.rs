@@ -1500,7 +1500,7 @@ fn file_to_migrate(
 /// Migrates `/f` to device 1 in a transaction of its own.
 fn migrate(fs: &InversionFs) -> inversion::InvResult<()> {
     let mut s = fs.db().begin()?;
-    let oid = fs.resolve(&mut s, "/f", None)?;
+    let oid = fs.resolve(&mut s, "/f")?;
     inversion::migrate::migrate_file(fs, &mut s, oid, DeviceId(1))?;
     Ok(s.commit()?)
 }

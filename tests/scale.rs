@@ -54,8 +54,8 @@ fn deep_directory_nesting() {
     assert_eq!(c.read_to_vec(&path, None).unwrap(), b"deep");
     // path_of reconstructs the full 40-level path.
     let mut s = fs.db().begin().unwrap();
-    let oid = fs.resolve(&mut s, &path, None).unwrap();
-    assert_eq!(fs.path_of(&mut s, oid, None).unwrap(), path);
+    let oid = fs.resolve(&mut s, &path).unwrap();
+    assert_eq!(fs.path_of(&mut s, oid).unwrap(), path);
     s.commit().unwrap();
 }
 

@@ -909,7 +909,7 @@ fn a_corrupt_chunk_fails_its_bulk_read_and_the_connection_carries_on() {
     let chunkno = (WINDOW + WINDOW / 2) / stat.chunk_size();
     let mut s = fs.db().begin().unwrap();
     let key = [Datum::Int4(chunkno as i32)];
-    let (tid, row) = s.index_lookup_unique(stat.chunkidx, &key, None).unwrap().unwrap();
+    let (tid, row) = s.index_lookup_unique(stat.chunkidx, &key).unwrap().unwrap();
     let mut raw = row[1].as_bytes().unwrap().to_vec();
     raw[0] ^= 0xFF;
     s.update(stat.datarel, tid, vec![row[0].clone(), Datum::Bytes(raw)]).unwrap();
