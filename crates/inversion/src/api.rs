@@ -1228,10 +1228,13 @@ impl InvClient {
     /// revision log recovered purely from the no-overwrite storage manager
     /// ("a superset of the services offered by revision control programs
     /// like rcs(1)"). Pass any `committed_at` to [`InvClient::p_open`] as
-    /// the timestamp to check that revision out.
+    /// the timestamp to check that revision out. Committed history is the
+    /// past, so the listing runs on a session of the present moment: it
+    /// starts no transaction, takes no lock and waits on no writer.
     pub fn p_history(&mut self, path: &str) -> InvResult<Vec<FileVersion>> {
         let path = path.to_string();
-        self.run(None, move |fs, s, _| {
+        let now = self.fs.db().now();
+        self.run_at(Some(now), None, move |fs, s, _| {
             // Resolve at any time the file existed: current first, else
             // search all committed naming versions for the path.
             let oid = match fs.resolve(s, &path) {
@@ -2132,6 +2135,27 @@ mod history_tests {
         assert_eq!(hist.len(), 1);
         assert_eq!(hist[0].size, 5);
         assert!(hist[0].superseded_at.is_some(), "deleted: lifetime closed");
+    }
+
+    #[test]
+    fn history_waits_on_no_writer_and_starts_no_transaction() {
+        let fs = InversionFs::open_in_memory().unwrap();
+        let mut c = fs.client();
+        c.write_all("/f", CreateMode::default(), b"abc").unwrap();
+        // Another client holds `naming` and `fileatt` for an uncommitted
+        // create.
+        let mut writer = fs.client();
+        writer.p_begin().unwrap();
+        writer.p_creat("/g", CreateMode::default()).unwrap();
+        let counts = |fs: &InversionFs| {
+            let st = fs.db().stats();
+            (st.xact.commits, st.xact.aborts, st.lock.acquisitions)
+        };
+        let before = counts(&fs);
+        let hist = c.p_history("/f").unwrap();
+        assert_eq!(counts(&fs), before, "commits, aborts and lock acquisitions");
+        assert_eq!(hist.iter().map(|v| v.size).collect::<Vec<_>>(), [3]);
+        writer.p_abort().unwrap();
     }
 
     #[test]

@@ -412,9 +412,9 @@ impl InversionFs {
     /// Registers `f` as the implementation behind `key` in the database's
     /// function registry. The stored closure keeps only the parts of this
     /// handle that do not own the database: a [`Db`] held inside its own
-    /// registry is a reference cycle, and a database in one is never freed
-    /// and never stops its device workers. `f` is handed a mount rebuilt
-    /// around the database of the session it runs in.
+    /// registry is a reference cycle, and a database in one is never freed.
+    /// `f` is handed a mount rebuilt around the database of the session it
+    /// runs in.
     pub(crate) fn register_function(
         &self,
         key: &str,

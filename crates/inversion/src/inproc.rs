@@ -8,23 +8,16 @@
 //! and the file system are running in the same address space, and no data
 //! must be copied between them."
 //!
-//! [`run_in_manager`] is that path: the closure receives a direct
-//! [`InvClient`] — no network endpoint, no cross-address-space copies; only
-//! device and buffer-cache costs accrue. [`register_procedure`] additionally
-//! registers such a closure in the catalog so it can be *invoked from the
-//! query language* like any other user-defined function.
+//! [`InversionFs::client`] is that path: a direct [`InvClient`] — no
+//! network endpoint, no cross-address-space copies; only device and
+//! buffer-cache costs accrue. [`register_procedure`] registers such a
+//! closure in the catalog so it can be *invoked from the query language*
+//! like any other user-defined function.
 
 use minidb::{Datum, DbResult, TypeId};
 
 use crate::api::InvClient;
 use crate::fs::{InvResult, InversionFs};
-
-/// Runs `f` with a client executing inside the data manager's address
-/// space — the paper's fastest configuration.
-pub fn run_in_manager<T>(fs: &InversionFs, f: impl FnOnce(&mut InvClient) -> T) -> T {
-    let mut client = fs.client();
-    f(&mut client)
-}
 
 /// Registers `f` as a query-language function `name()` executing inside the
 /// data manager with its own client. The function takes the datum arguments
@@ -52,16 +45,6 @@ mod tests {
     use super::*;
     use crate::fs::CreateMode;
     use minidb::DbError;
-
-    #[test]
-    fn run_in_manager_is_direct() {
-        let fs = InversionFs::open_in_memory().unwrap();
-        let n = run_in_manager(&fs, |c| {
-            c.write_all("/x", CreateMode::default(), b"12345").unwrap();
-            c.read_to_vec("/x", None).unwrap().len()
-        });
-        assert_eq!(n, 5);
-    }
 
     #[test]
     fn registered_procedure_callable_from_query_language() {

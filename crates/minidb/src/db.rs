@@ -447,7 +447,7 @@ impl Db {
 
     /// Registers a *virtual relation*: a read-only, query-visible relation
     /// whose rows are produced by `rows` when a scan of it opens instead of
-    /// being stored. The POSTQUEL binder consults these before the catalog,
+    /// being stored. The POSTQUEL planner consults these before the catalog,
     /// so `retrieve (x.col) from x in <name>` works without any heap
     /// backing. The engine's own `pg_stat_*` relations are registered the
     /// same way at construction; Inversion adds `inv_stat`.

@@ -1,15 +1,16 @@
-//! Statement execution: the push executor over optimizer plans.
+//! Statement execution: the push executor over planned statements.
 //!
-//! DML statements run through the planned pipeline — [`super::bind`] →
-//! [`super::optimize`] → `run_plan`. A run opens every scan first, in plan
-//! preorder, then walks the plan once: each node hands its rows, one at a
-//! time, to its parent's callback, which returns `false` to stop it.
-//! Join-side nodes hand on `Tuple`s (one `(tid, row)` per range variable in
-//! scope order); output-side nodes hand on finished result rows. Every node
-//! counts the rows it emits so `explain analyze` can annotate the plan.
-//! DDL statements execute directly, and the old match-and-eval interpreter
-//! survives verbatim in [`super::reference`] as the differential oracle's
-//! reference semantics.
+//! A DML statement runs in three stages: [`super::parser`] parses it,
+//! [`super::optimize`] resolves its names and plans it, and `run_plan` runs
+//! the plan. A run opens every scan first, in plan preorder, then walks the
+//! plan once: each node hands its rows, one at a time, to its parent's
+//! callback, which returns `false` to stop it. Join-side nodes hand on
+//! `Tuple`s (one `(tid, row)` per range variable in scope order);
+//! output-side nodes hand on finished result rows. Every node counts the
+//! rows it emits so `explain analyze` can annotate the plan. DDL statements
+//! execute directly, and the old match-and-eval interpreter survives
+//! verbatim in [`super::reference`] as the differential oracle's reference
+//! semantics.
 
 use std::cell::Cell;
 
@@ -22,7 +23,6 @@ use crate::error::{DbError, DbResult};
 use crate::ids::Tid;
 
 use super::ast::{Expr, Stmt, Target};
-use super::bind;
 use super::eval::{coerce, eval, Binding};
 use super::optimize;
 use super::parser::parse;
@@ -100,8 +100,7 @@ impl Session {
             | Stmt::Append { .. }
             | Stmt::Delete { .. }
             | Stmt::Replace { .. } => {
-                let bound = bind::bind(self, stmt)?;
-                let plan = optimize::plan_stmt(self, bound)?;
+                let plan = optimize::plan_stmt(self, stmt)?;
                 let (result, _counts) = run_plan(self, &plan)?;
                 Ok(result)
             }
@@ -156,8 +155,7 @@ impl Session {
     /// (side effects included — explaining an `append` appends) and each
     /// node line gains its actual output-row count.
     fn exec_explain(&mut self, analyze: bool, inner: Stmt) -> DbResult<QueryResult> {
-        let bound = bind::bind(self, inner)?;
-        let plan = optimize::plan_stmt(self, bound)?;
+        let plan = optimize::plan_stmt(self, inner)?;
         let text = if analyze {
             let (_result, counts) = run_plan(self, &plan)?;
             plan.render(Some(&counts))
@@ -613,8 +611,8 @@ impl Run {
 /// Reads one scan's rows through the chosen access method and applies the
 /// pushed-down filter.
 fn read_scan(s: &mut Session, sp: &ScanPlan) -> DbResult<Vec<(Tid, Row)>> {
-    let mut rows: Vec<(Tid, Row)> = match (&sp.access, sp.rel) {
-        (Access::Virtual, _) => {
+    let mut rows: Vec<(Tid, Row)> = match sp.rel {
+        None => {
             let table = s.db().virtual_table(&sp.rel_name).ok_or_else(|| {
                 DbError::NotFound(format!("relation \"{}\"", sp.rel_name))
             })?;
@@ -624,7 +622,7 @@ fn read_scan(s: &mut Session, sp: &ScanPlan) -> DbResult<Vec<(Tid, Row)>> {
                 .map(|(i, r)| (Tid::new((i >> 16) as u32, (i & 0xffff) as u16), r))
                 .collect()
         }
-        (access, Some(rel)) => {
+        Some(rel) => {
             // `rel[t]` reads on a session of the past.
             let mut past = match &sp.as_of {
                 Some(e) => {
@@ -634,7 +632,7 @@ fn read_scan(s: &mut Session, sp: &ScanPlan) -> DbResult<Vec<(Tid, Row)>> {
                 None => None,
             };
             let r = past.as_mut().unwrap_or(s);
-            match access {
+            match &sp.access {
                 Access::Seq => r.seq_scan(rel)?,
                 Access::IndexEq { index, key, .. } => {
                     r.index_scan_eq(*index, std::slice::from_ref(key))?
@@ -649,19 +647,7 @@ fn read_scan(s: &mut Session, sp: &ScanPlan) -> DbResult<Vec<(Tid, Row)>> {
                     })?;
                     out
                 }
-                Access::Virtual => {
-                    return Err(DbError::Invalid(format!(
-                        "virtual relation \"{}\" reached the heap scan path",
-                        sp.rel_name
-                    )))
-                }
             }
-        }
-        (_, None) => {
-            return Err(DbError::Invalid(format!(
-                "heap scan of \"{}\" without a relation id",
-                sp.rel_name
-            )))
         }
     };
     if let Some(f) = &sp.filter {
@@ -681,7 +667,7 @@ fn read_scan(s: &mut Session, sp: &ScanPlan) -> DbResult<Vec<(Tid, Row)>> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared helpers (used by the binder and the reference interpreter too).
+// Shared helpers (used by the planner and the reference interpreter too).
 
 /// Aggregate function names reserved by the executor.
 const AGGREGATES: [&str; 5] = ["count", "sum", "avg", "min", "max"];
@@ -689,16 +675,6 @@ const AGGREGATES: [&str; 5] = ["count", "sum", "avg", "min", "max"];
 pub(crate) fn is_aggregate(e: &Expr) -> bool {
     matches!(e, Expr::Call { name, .. }
         if AGGREGATES.iter().any(|a| name.eq_ignore_ascii_case(a)))
-}
-
-/// Bind-time arity check for an aggregate target (no-op for plain targets).
-pub(crate) fn validate_aggregate(e: &Expr) -> DbResult<()> {
-    if let Expr::Call { name, args } = e {
-        if is_aggregate(e) && args.len() > 1 {
-            return Err(DbError::Bind(format!("{name} takes at most one argument")));
-        }
-    }
-    Ok(())
 }
 
 /// Running state for one aggregate target.

@@ -20,18 +20,18 @@
 //! mechanism behind the paper's `snow(file)` example and its fastest
 //! benchmark configuration.
 //!
-//! DML statements run through a cost-based pipeline: [`bind`] resolves
-//! names and types against the catalog, [`optimize`] builds a physical
-//! [`plan::Plan`] (choosing B-tree index scans when a qualification bounds
-//! an indexed column, pushing single-variable conjuncts below the joins,
-//! nesting loops in `from`-clause order), and [`exec`] runs it in one walk
-//! that pushes rows from the scans up through each node. `explain [analyze]
+//! DML statements run through a cost-based pipeline of three stages:
+//! [`parser`] parses, [`optimize`] resolves names against the catalog and
+//! builds a physical [`plan::Plan`] in the same pass (choosing B-tree index
+//! scans when a qualification bounds an indexed column, pushing
+//! single-variable conjuncts below the joins, nesting loops in
+//! `from`-clause order), and [`exec`] runs it in one walk that pushes rows
+//! from the scans up through each node. `explain [analyze]
 //! <stmt>` renders the chosen plan; `pg_stat_planner` counts its decisions.
 //! The pre-planner interpreter survives in [`reference`](mod@reference) as
 //! the differential-testing oracle.
 
 pub mod ast;
-pub mod bind;
 pub mod eval;
 pub mod exec;
 pub mod lexer;

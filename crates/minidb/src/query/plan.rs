@@ -1,5 +1,5 @@
-//! The plan tree: a physical description of how a bound statement will
-//! run, produced by the optimizer and walked by the push executor.
+//! The plan tree: a physical description of how a statement will run,
+//! produced by the planner and walked by the push executor.
 //!
 //! Every node reads like one line of `EXPLAIN` output; [`Plan::render`]
 //! walks the tree in preorder, which is also the order the executor
@@ -14,7 +14,8 @@ use super::parser::expr_to_source;
 /// How a scan node reaches its rows.
 #[derive(Debug, Clone)]
 pub enum Access {
-    /// Read every visible tuple of the heap.
+    /// Read every visible tuple (of a virtual relation: every row it
+    /// materializes).
     Seq,
     /// Probe a B-tree index for one key.
     IndexEq {
@@ -41,8 +42,6 @@ pub enum Access {
         /// Upper bound, if any.
         hi: Option<Datum>,
     },
-    /// Materialize a virtual system relation (`pg_stat_*`).
-    Virtual,
 }
 
 /// A scan leaf: one range variable's row source plus any pushed-down
@@ -53,13 +52,14 @@ pub struct ScanPlan {
     pub var: String,
     /// Relation name (for display).
     pub rel_name: String,
-    /// Heap relation id (`None` for virtual relations).
+    /// Heap relation id; `None` marks a virtual system relation
+    /// (`pg_stat_*` and friends), materialized when the scan opens.
     pub rel: Option<RelId>,
     /// The relation's schema.
     pub schema: Schema,
     /// Time-travel bracket, evaluated when the scan opens.
     pub as_of: Option<Expr>,
-    /// The access method the optimizer chose.
+    /// The access method the planner chose.
     pub access: Access,
     /// Conjuncts pushed below the join, evaluated per scanned row.
     pub filter: Option<Expr>,
@@ -288,6 +288,9 @@ impl Plan {
 impl ScanPlan {
     fn node_line(&self) -> String {
         let mut line = match &self.access {
+            _ if self.rel.is_none() => {
+                format!("Virtual Scan on {} as {}", self.rel_name, self.var)
+            }
             Access::Seq => format!("Seq Scan on {} as {}", self.rel_name, self.var),
             Access::IndexEq {
                 index_name, col, key, ..
@@ -322,7 +325,6 @@ impl ScanPlan {
                     bounds.join(", ")
                 )
             }
-            Access::Virtual => format!("Virtual Scan on {} as {}", self.rel_name, self.var),
         };
         if let Some(e) = &self.as_of {
             line.push_str(&format!(" as of [{}]", expr_to_source(e)));
@@ -330,7 +332,7 @@ impl ScanPlan {
         if let Some(f) = &self.filter {
             line.push_str(&format!(" filter {}", expr_to_source(f)));
         }
-        if !matches!(self.access, Access::Virtual) {
+        if self.rel.is_some() {
             line.push_str(&format!(
                 " (pages={}, est_rows={}, est_cost={:.2})",
                 self.est_pages,

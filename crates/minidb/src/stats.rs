@@ -492,7 +492,7 @@ stat_table! {
     live PlannerCounters;
     #[derive(Copy)]
     frozen PlannerStats;
-    /// Statements planned (one per bind → plan → optimize pass).
+    /// Statements planned (one per statement whose names resolved).
     plans_built: Counter,
     /// Heap scans the optimizer resolved to a B-tree index scan.
     index_scans_chosen: Counter,
@@ -718,7 +718,7 @@ pub fn json_string(s: &str) -> String {
 }
 
 /// A row producer for one virtual relation. Called when a scan of the
-/// relation opens — never at bind time — with the database the scan runs
+/// relation opens — never while planning — with the database the scan runs
 /// in, so a producer captures no handle to it (the registry lives inside
 /// the database; a captured `Db` would be a reference cycle). Must not call
 /// back into the executing session.

@@ -169,6 +169,17 @@ if grep -q '^error:' <<<"$stats_out"; then
     exit 1
 fi
 
+# One statement a line — joins, aggregates, DML, a read of the past, a
+# virtual relation, the Table 2 functions, EXPLAIN and every name error —
+# over the shell's demo file system. It runs on the simulated clock, so its
+# output repeats byte for byte.
+echo "== query shell: tests/query-shell.pq prints results/query_shell.txt exactly =="
+cargo run --release -q --example query_shell -- - <tests/query-shell.pq |
+    diff -u results/query_shell.txt - || {
+    echo "query_shell printed other output than results/query_shell.txt" >&2
+    exit 1
+}
+
 echo "== smoke: fig3_create --json =="
 cargo run --release -q -p bench --bin fig3_create -- --json
 test -s BENCH_fig3_create.json || {

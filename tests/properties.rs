@@ -886,7 +886,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Differential query oracle: the cost-based planner + volcano executor
+// Differential query oracle: the cost-based planner + push executor
 // against the retained reference interpreter
 // (`minidb::query::reference`), over randomly generated POSTQUEL.
 
